@@ -64,9 +64,9 @@ impl fmt::Display for ArchKind {
 /// `schedule/<arch>/<conv-kind>` span carrying the deterministic schedule
 /// quantities (cycles, MACs, buffer accesses, DRAM bytes, idle-PE cycles,
 /// utilization in ppm) plus arch-labelled running counters. No-op when
-/// telemetry is off; every `Dataflow::schedule` impl calls this on its
-/// result so all five architectures report through one channel.
-pub(crate) fn record_schedule(kind: ArchKind, phase: &ConvShape, stats: &PhaseStats) {
+/// telemetry is off; the provided [`Dataflow::schedule`] calls this on the
+/// model's result so all five architectures report through one channel.
+fn record_schedule(kind: ArchKind, phase: &ConvShape, stats: &PhaseStats) {
     if !zfgan_telemetry::enabled() {
         return;
     }
@@ -119,9 +119,22 @@ pub trait Dataflow: fmt::Debug + Send + Sync {
     /// Number of PEs this configuration instantiates.
     fn n_pes(&self) -> u64;
 
-    /// Schedules one convolution phase, returning cycles, access counts and
-    /// PE occupancy.
-    fn schedule(&self, phase: &ConvShape) -> PhaseStats;
+    /// The closed-form cycle model of one convolution phase: cycles, access
+    /// counts and PE occupancy as a pure function of the configuration and
+    /// the phase. It records nothing, so a search can score thousands of
+    /// candidates on it. `effectual_macs` is
+    /// [`ConvShape::effectual_macs`] of `phase` — the one term that costs a
+    /// loop and does not depend on the configuration, so a caller walking
+    /// many configurations computes it once.
+    fn model(&self, phase: &ConvShape, effectual_macs: u64) -> PhaseStats;
+
+    /// Schedules one convolution phase: the [`Dataflow::model`] result,
+    /// published to the telemetry layer.
+    fn schedule(&self, phase: &ConvShape) -> PhaseStats {
+        let stats = self.model(phase, phase.effectual_macs());
+        record_schedule(self.kind(), phase, &stats);
+        stats
+    }
 
     /// Schedules a sequence of phases back-to-back on this array.
     fn schedule_all(&self, phases: &[ConvShape]) -> PhaseStats {

@@ -69,9 +69,9 @@ impl Dataflow for Nlr {
         self.p_if * self.p_of
     }
 
-    fn schedule(&self, phase: &ConvShape) -> PhaseStats {
-        let e_total = phase.effectual_macs();
-        let e_pair = phase.mul_counts().effectual;
+    fn model(&self, phase: &ConvShape, e_total: u64) -> PhaseStats {
+        // The census is per (input map, output map) pair, so this is exact.
+        let e_pair = e_total / (phase.small() * phase.large()) as u64;
         let (cycles, out_traffic) = match phase.kind() {
             ConvKind::S | ConvKind::T => {
                 let (n_if, n_of) = match phase.kind() {
@@ -91,7 +91,7 @@ impl Dataflow for Nlr {
                 (ceil_div(e_total, self.p_of), (e_total, e_total))
             }
         };
-        let stats = PhaseStats {
+        PhaseStats {
             cycles,
             effectual_macs: e_total,
             n_pes: self.n_pes(),
@@ -105,9 +105,7 @@ impl Dataflow for Nlr {
                 output_writes: out_traffic.1,
             },
             dram: Default::default(),
-        };
-        crate::arch::record_schedule(self.kind(), phase, &stats);
-        stats
+        }
     }
 }
 

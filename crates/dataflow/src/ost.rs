@@ -71,7 +71,7 @@ impl Dataflow for Ost {
         self.p_oy * self.p_ox * self.p_of
     }
 
-    fn schedule(&self, phase: &ConvShape) -> PhaseStats {
+    fn model(&self, phase: &ConvShape, effectual_macs: u64) -> PhaseStats {
         let geom = *phase.geom();
         let (kh, kw) = (geom.kh() as u64, geom.kw() as u64);
         let stride = geom.stride() as u64;
@@ -122,9 +122,9 @@ impl Dataflow for Ost {
         };
         let _ = group_passes;
 
-        let stats = PhaseStats {
+        PhaseStats {
             cycles,
-            effectual_macs: phase.effectual_macs(),
+            effectual_macs,
             n_pes: self.n_pes(),
             access: AccessCounts {
                 // One kernel value per cycle per channel copy.
@@ -135,9 +135,7 @@ impl Dataflow for Ost {
                 output_writes: phase.output_count(),
             },
             dram: Default::default(),
-        };
-        crate::arch::record_schedule(self.kind(), phase, &stats);
-        stats
+        }
     }
 }
 

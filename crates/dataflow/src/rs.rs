@@ -68,7 +68,13 @@ impl Dataflow for RowStationary {
         self.p_h * self.p_w * self.p_of
     }
 
+    /// Unrecorded: `schedule/*` telemetry under the borrowed OST label would
+    /// pass an extension off as one of the paper's five.
     fn schedule(&self, phase: &ConvShape) -> PhaseStats {
+        self.model(phase, phase.effectual_macs())
+    }
+
+    fn model(&self, phase: &ConvShape, effectual_macs: u64) -> PhaseStats {
         let geom = *phase.geom();
         let (kh, kw) = (geom.kh() as u64, geom.kw() as u64);
         let stride = geom.stride() as u64;
@@ -113,7 +119,7 @@ impl Dataflow for RowStationary {
 
         PhaseStats {
             cycles,
-            effectual_macs: phase.effectual_macs(),
+            effectual_macs,
             n_pes: self.n_pes(),
             access: AccessCounts {
                 // One kernel row set per pass, stationary afterwards.

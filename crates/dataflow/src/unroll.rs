@@ -126,41 +126,24 @@ impl UnrollChoice {
                 }
             }
         }
-        // …then score them (in parallel when the space is large enough to
-        // pay for the threads) and take the deterministic argmin: candidate
-        // order breaks exact ties, so the parallel result is identical to a
-        // sequential scan.
+        // …then score them on the pure cycle model and take the argmin;
+        // `min_by_key` keeps the first of equal keys, so candidate order
+        // breaks exact ties. Effectual MACs do not depend on the candidate.
+        let macs: Vec<u64> = phases.iter().map(ConvShape::effectual_macs).collect();
         let score = |c: &UnrollChoice| -> (u64, u64, usize) {
-            let stats = c.build().schedule_all(phases);
-            (stats.cycles, stats.access.total(), c.n_pes())
+            let df = c.build();
+            let (mut cycles, mut accesses) = (0, 0);
+            for (phase, &macs) in phases.iter().zip(&macs) {
+                let stats = df.model(phase, macs);
+                cycles += stats.cycles;
+                accesses += stats.access.total();
+            }
+            (cycles, accesses, c.n_pes())
         };
-        let keys: Vec<(u64, u64, usize)> = if candidates.len() >= 16 {
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(2);
-            let chunk = candidates.len().div_ceil(threads);
-            let mut keys = vec![(0u64, 0u64, 0usize); candidates.len()];
-            crossbeam::thread::scope(|scope| {
-                for (slot, cand) in keys.chunks_mut(chunk).zip(candidates.chunks(chunk)) {
-                    scope.spawn(move |_| {
-                        for (k, c) in slot.iter_mut().zip(cand) {
-                            *k = score(c);
-                        }
-                    });
-                }
-            })
-            .expect("search worker panicked");
-            keys
-        } else {
-            candidates.iter().map(score).collect()
-        };
-        let best = keys
+        *candidates
             .iter()
-            .enumerate()
-            .min_by_key(|(i, k)| (**k, *i))
-            .map(|(i, _)| candidates[i])
-            .expect("non-empty search space");
-        best
+            .min_by_key(|c| score(c))
+            .expect("non-empty search space")
     }
 }
 
@@ -217,6 +200,14 @@ impl PhaseTuned {
     pub fn choice(&self, kind: ConvKind) -> Option<UnrollChoice> {
         self.by_kind.get(kind_key(kind)).map(|(_, _, c)| *c)
     }
+
+    fn tuned_for(&self, phase: &ConvShape) -> &dyn Dataflow {
+        let (_, df, _) = self
+            .by_kind
+            .get(kind_key(phase.kind()))
+            .unwrap_or_else(|| panic!("no tuning for phase kind {:?}", phase.kind()));
+        df.as_ref()
+    }
 }
 
 fn kind_key(kind: ConvKind) -> &'static str {
@@ -237,16 +228,21 @@ impl Dataflow for PhaseTuned {
         self.n_pes
     }
 
+    // Both report occupancy against the full budget: unused PEs are idle,
+    // not free (the fairness rule of the evaluation).
+    fn model(&self, phase: &ConvShape, effectual_macs: u64) -> PhaseStats {
+        PhaseStats {
+            n_pes: self.n_pes,
+            ..self.tuned_for(phase).model(phase, effectual_macs)
+        }
+    }
+
+    /// Records the tuned choice's own stats, then patches the occupancy.
     fn schedule(&self, phase: &ConvShape) -> PhaseStats {
-        let (_, df, _) = self
-            .by_kind
-            .get(kind_key(phase.kind()))
-            .unwrap_or_else(|| panic!("no tuning for phase kind {:?}", phase.kind()));
-        let mut stats = df.schedule(phase);
-        // Report occupancy against the full budget: unused PEs are idle, not
-        // free (the fairness rule of the evaluation).
-        stats.n_pes = self.n_pes;
-        stats
+        PhaseStats {
+            n_pes: self.n_pes,
+            ..self.tuned_for(phase).schedule(phase)
+        }
     }
 }
 

@@ -72,7 +72,7 @@ impl Dataflow for Wst {
         self.p_ky * self.p_kx * self.p_of
     }
 
-    fn schedule(&self, phase: &ConvShape) -> PhaseStats {
+    fn model(&self, phase: &ConvShape, e_total: u64) -> PhaseStats {
         let geom = *phase.geom();
         let (kh, kw) = (geom.kh() as u64, geom.kw() as u64);
         let passes = self.kernel_passes(kh, kw);
@@ -94,11 +94,10 @@ impl Dataflow for Wst {
             ConvKind::WGradT => small * (zh * zw) as u64 * ceil_div(large, self.p_of) * passes,
         };
 
-        let e_total = phase.effectual_macs();
         // Whether layer weights (S/T) or the error operand (W-CONV), the
         // stationary set is loaded once per element.
         let stationary_loads = pairs * kh * kw;
-        let stats = PhaseStats {
+        PhaseStats {
             cycles,
             effectual_macs: e_total,
             n_pes: self.n_pes(),
@@ -112,9 +111,7 @@ impl Dataflow for Wst {
                 output_writes: e_total,
             },
             dram: Default::default(),
-        };
-        crate::arch::record_schedule(self.kind(), phase, &stats);
-        stats
+        }
     }
 }
 

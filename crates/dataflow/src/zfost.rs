@@ -90,7 +90,7 @@ impl Dataflow for Zfost {
         self.p_oy * self.p_ox * self.p_of
     }
 
-    fn schedule(&self, phase: &ConvShape) -> PhaseStats {
+    fn model(&self, phase: &ConvShape, effectual_macs: u64) -> PhaseStats {
         let geom = *phase.geom();
         let (kh, kw) = (geom.kh() as u64, geom.kw() as u64);
         let stride = geom.stride() as u64;
@@ -165,9 +165,9 @@ impl Dataflow for Zfost {
             }
         };
 
-        let stats = PhaseStats {
+        PhaseStats {
             cycles,
-            effectual_macs: phase.effectual_macs(),
+            effectual_macs,
             n_pes: self.n_pes(),
             access: AccessCounts {
                 weight_reads: cycles * self.p_of,
@@ -176,9 +176,7 @@ impl Dataflow for Zfost {
                 output_writes: phase.output_count(),
             },
             dram: Default::default(),
-        };
-        crate::arch::record_schedule(self.kind(), phase, &stats);
-        stats
+        }
     }
 }
 

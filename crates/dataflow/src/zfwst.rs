@@ -70,7 +70,7 @@ impl Dataflow for Zfwst {
         self.grid() * self.p_of
     }
 
-    fn schedule(&self, phase: &ConvShape) -> PhaseStats {
+    fn model(&self, phase: &ConvShape, effectual_macs: u64) -> PhaseStats {
         let geom = *phase.geom();
         let (kh, kw) = (geom.kh() as u64, geom.kw() as u64);
         let stride = geom.stride() as u64;
@@ -128,9 +128,9 @@ impl Dataflow for Zfwst {
         let output_writes = outputs * passes_per_output.max(1);
         let output_reads = outputs * (passes_per_output.max(1) - 1);
 
-        let stats = PhaseStats {
+        PhaseStats {
             cycles,
-            effectual_macs: phase.effectual_macs(),
+            effectual_macs,
             n_pes: self.n_pes(),
             access: AccessCounts {
                 weight_reads: stationary_loads,
@@ -139,9 +139,7 @@ impl Dataflow for Zfwst {
                 output_writes,
             },
             dram: Default::default(),
-        };
-        crate::arch::record_schedule(self.kind(), phase, &stats);
-        stats
+        }
     }
 }
 

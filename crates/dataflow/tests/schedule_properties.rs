@@ -2,7 +2,9 @@
 //! randomly drawn phases and unrolling configurations.
 
 use proptest::prelude::*;
-use zfgan_dataflow::{Dataflow, Nlr, Ost, RowStationary, Wst, Zfost, Zfwst};
+use zfgan_dataflow::{
+    ArchKind, Dataflow, Nlr, Ost, RowStationary, UnrollChoice, Wst, Zfost, Zfwst,
+};
 use zfgan_sim::{ConvKind, ConvShape};
 use zfgan_tensor::ConvGeom;
 
@@ -35,6 +37,52 @@ fn arb_phase() -> impl Strategy<Value = ConvShape> {
 
 fn arb_factors() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..=5, 1usize..=5, 1usize..=16)
+}
+
+/// A non-empty subset of one paper GAN's layer ladder (Table IV: MNIST-GAN,
+/// DCGAN, cGAN) under one convolution family — the phase sets
+/// `PhaseTuned::tune` hands to the search.
+fn arb_paper_phases() -> impl Strategy<Value = Vec<ConvShape>> {
+    (0usize..3, 0usize..4, 1usize..16).prop_map(|(gan, kind_sel, mask)| {
+        // (input maps, input size) of the first layer, ladder depth, kernel.
+        let (img_c, img_hw, depth, kernel) = [(1, 28, 2, 5), (3, 64, 4, 5), (3, 64, 4, 4)][gan];
+        let kind = [ConvKind::S, ConvKind::T, ConvKind::WGradS, ConvKind::WGradT][kind_sel];
+        let ladder: Vec<ConvShape> = (0..depth)
+            .map(|l| {
+                let (large, small) = (if l == 0 { img_c } else { 32 << l }, 64 << l);
+                let hw = img_hw >> l;
+                let geom = ConvGeom::down(hw, hw, kernel, kernel, 2, hw / 2, hw / 2)
+                    .expect("paper layers are valid");
+                ConvShape::new(kind, geom, small, large, hw, hw)
+            })
+            .collect();
+        let picked: Vec<ConvShape> = (0..depth)
+            .filter(|l| mask >> l & 1 == 1)
+            .map(|l| ladder[l])
+            .collect();
+        if picked.is_empty() {
+            ladder
+        } else {
+            picked
+        }
+    })
+}
+
+/// The search space of `UnrollChoice::search`, in its candidate order.
+fn candidates(arch: ArchKind, budget: usize) -> Vec<UnrollChoice> {
+    let grid: Vec<(usize, usize)> = match arch {
+        ArchKind::Nlr => [8, 16, 32, 64].into_iter().map(|p_if| (p_if, 1)).collect(),
+        _ => (1..=8).flat_map(|y| (1..=8).map(move |x| (y, x))).collect(),
+    };
+    grid.into_iter()
+        .filter(|(y, x)| budget / (y * x) > 0)
+        .map(|(p_y, p_x)| UnrollChoice {
+            arch,
+            p_y,
+            p_x,
+            p_of: budget / (p_y * p_x),
+        })
+        .collect()
 }
 
 proptest! {
@@ -151,5 +199,28 @@ proptest! {
             prop_assert!(s.access.output_writes >= phase.output_count());
             prop_assert!(s.access.total() > 0);
         }
+    }
+
+    /// The search scores candidates on the pure cycle model; the result must
+    /// be the argmin a caller would find through the public, instrumented
+    /// `schedule_all`, ties going to fewer accesses, then fewer PEs, then
+    /// the earlier candidate. Pins model == schedule and the candidate order.
+    #[test]
+    fn search_equals_brute_force_over_instrumented_schedules(
+        arch_sel in 0usize..5,
+        phases in arb_paper_phases(),
+        budget in 32usize..=4096,
+    ) {
+        let arch = ArchKind::ALL[arch_sel];
+        let brute = candidates(arch, budget)
+            .into_iter()
+            .enumerate()
+            .min_by_key(|(i, c)| {
+                let stats = c.build().schedule_all(&phases);
+                (stats.cycles, stats.access.total(), c.n_pes(), *i)
+            })
+            .map(|(_, c)| c)
+            .expect("budgets of 32 and up leave every arch a candidate");
+        prop_assert_eq!(UnrollChoice::search(arch, budget, &phases), brute);
     }
 }

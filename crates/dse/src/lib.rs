@@ -31,7 +31,7 @@ pub mod pareto;
 pub mod sweeps;
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -42,7 +42,7 @@ use zfgan_store::{fnv64, fnv64_salted, Store, StoreConfig};
 /// then misses (foreign version) and is recomputed and republished —
 /// stale generations can never be served.
 pub fn code_salt() -> u64 {
-    fnv64(b"zfgan-dse-payload-v1")
+    fnv64(b"zfgan-dse-payload-v2")
 }
 
 /// Environment variable naming the on-disk cell cache directory for
@@ -116,8 +116,9 @@ pub struct CellRecord {
     /// floats bit-exactly, so this string is byte-stable).
     pub result_json: String,
     /// The cell's deterministic telemetry section, captured under a
-    /// scoped per-cell registry on the worker that computed it (empty-ish
-    /// but byte-stable when the cell was computed without a cache).
+    /// scoped per-cell registry on the worker that computed it: what the
+    /// cell's final `schedule_all` passes record, with or without a cache
+    /// and whatever the process-wide search memo already holds.
     pub det: String,
 }
 
@@ -218,6 +219,21 @@ where
     (json, det)
 }
 
+/// Publishes one cell's payload into the cache rooted at `root`; a failure
+/// costs only a later recompute.
+fn publish_cell(cfg: &DseConfig, root: &Path, key: &str, payload: &str) -> bool {
+    Store::open(root, StoreConfig::default())
+        .and_then(|mut store| {
+            store.publish(
+                &store_key(&cfg.namespace, key),
+                config_hash(cfg, key),
+                payload.as_bytes(),
+            )
+        })
+        .map_err(|err| eprintln!("warning: dse publish failed for {key}: {err}"))
+        .is_ok()
+}
+
 /// Serves one batch of queries: dedup → cache load → verify → windowed
 /// compute on the pool → publish → canonical merge.
 ///
@@ -253,16 +269,9 @@ where
     count("dse_dedup_total", &ns, (items.len() - uniques.len()) as u64);
 
     let mut store = cfg.cache_dir.as_ref().and_then(|dir| {
-        // Deterministic sections are only meaningful with telemetry on;
-        // a cached cell must carry the same section a live one would.
-        zfgan_telemetry::set_enabled(true);
-        match Store::open(dir.clone(), StoreConfig::default()) {
-            Ok(s) => Some(s),
-            Err(err) => {
-                eprintln!("warning: dse cache unavailable ({err}); recomputing");
-                None
-            }
-        }
+        Store::open(dir.clone(), StoreConfig::default())
+            .map_err(|err| eprintln!("warning: dse cache unavailable ({err}); recomputing"))
+            .ok()
     });
 
     // Load pass: pull every published cell; corrupt/foreign generations
@@ -287,44 +296,39 @@ where
 
     // Compute pass: misses, plus every hit under VerifyPolicy::All. The
     // bounded window is the batch's backpressure: one wave of results in
-    // flight at a time, published before the next wave starts.
-    let verify_hits = store.is_some() && cfg.verify == VerifyPolicy::All;
+    // flight at a time, published before the next wave starts. Each task
+    // publishes the cell it computed through a store handle of its own (as
+    // `--shards` children do; unique cells have disjoint keys), so a wave's
+    // fsyncs overlap across the pool. Tasks run on unscoped pool threads,
+    // so they return flags and this thread does the counting.
+    let root = store.as_ref().map(Store::root);
+    let verify_hits = root.is_some() && cfg.verify == VerifyPolicy::All;
     let to_compute: Vec<usize> = (0..uniques.len())
         .filter(|&u| cells[u].is_none() || verify_hits)
         .collect();
     for wave in to_compute.chunks(cfg.window.max(1)) {
         let outs = zfgan_pool::parallel_map(wave.len(), |j| {
-            compute_cell(&eval, &items[uniques[wave[j]].1])
+            let (key, item) = uniques[wave[j]];
+            let (result_json, det) = compute_cell(&eval, &items[item]);
+            let payload = encode_payload(&det, &result_json);
+            // A hit being verified: byte-compare the full payload.
+            let verified = cells[wave[j]]
+                .as_ref()
+                .map(|(hit_json, hit_det)| encode_payload(hit_det, hit_json) == payload);
+            let published = verified != Some(true)
+                && root.is_some_and(|root| publish_cell(cfg, root, key, &payload));
+            (result_json, det, verified, published)
         })
         .expect("dse worker panicked");
-        for (&u, (result_json, det)) in wave.iter().zip(outs) {
-            let key = uniques[u].0;
-            let payload = encode_payload(&det, &result_json);
-            let verified = match cells[u].as_ref() {
-                // A hit being verified: byte-compare the full payload.
-                Some((hit_json, hit_det)) => {
-                    if encode_payload(hit_det, hit_json) == payload {
-                        count("dse_verified_total", &ns, 1);
-                        true
-                    } else {
-                        count("dse_verify_failures_total", &ns, 1);
-                        false
-                    }
-                }
-                None => false,
-            };
-            if !verified {
-                if let Some(store) = store.as_mut() {
-                    if let Err(err) = store.publish(
-                        &store_key(&ns, key),
-                        config_hash(cfg, key),
-                        payload.as_bytes(),
-                    ) {
-                        eprintln!("warning: dse publish failed for {key}: {err}");
-                    } else {
-                        count("dse_published_total", &ns, 1);
-                    }
-                }
+        for (&u, (result_json, det, verified, published)) in wave.iter().zip(outs) {
+            count("dse_verified_total", &ns, u64::from(verified == Some(true)));
+            count(
+                "dse_verify_failures_total",
+                &ns,
+                u64::from(verified == Some(false)),
+            );
+            count("dse_published_total", &ns, u64::from(published));
+            if verified != Some(true) {
                 cells[u] = Some((result_json, det));
             }
         }

@@ -139,8 +139,9 @@ fn dse_counters_are_exposed_on_the_shared_metrics_endpoint() {
     let mut cfg = DseConfig::new("metrics-sweep");
     cfg.cache_dir = Some(dir.clone());
     let items: Vec<u64> = (0..3).collect();
-    // Cold populate + warm hit, recorded in the global registry (the
-    // engine enables telemetry when a cache is configured).
+    // Cold populate + warm hit, recorded in the global registry: the
+    // engine flips no process-wide switch, so the caller opts in.
+    zfgan_telemetry::set_enabled(true);
     zfgan_dse::run_batch(&cfg, &items, |i| format!("m{i}"), eval);
     zfgan_dse::run_batch(&cfg, &items, |i| format!("m{i}"), eval);
 

@@ -217,12 +217,10 @@ fn steal(shared: &Shared, me: usize) -> Option<Task> {
 fn worker_loop(shared: &'static Shared, me: usize) {
     let mut seen_version = 0u64;
     loop {
-        let task = shared.queues[me]
-            .lock()
-            .unwrap()
-            .pop_front()
-            .or_else(|| steal(shared, me));
-        if let Some(t) = task {
+        // Two statements: the guard on our own queue must drop before we
+        // steal, or two workers stealing from each other deadlock.
+        let own = shared.queues[me].lock().unwrap().pop_front();
+        if let Some(t) = own.or_else(|| steal(shared, me)) {
             shared.pending.fetch_sub(1, Ordering::Relaxed);
             run_task(t);
             continue;
@@ -309,6 +307,10 @@ pub fn run_batch<F: Fn(usize) + Sync>(n: usize, f: &F) -> Result<(), PoolError> 
     };
     let hp: *const BatchHeader = &header;
 
+    // Count the tasks before any becomes poppable: a worker that popped one
+    // ahead of this add would take the gauge below zero.
+    let depth = shared.pending.fetch_add(n, Ordering::Relaxed) + n;
+    zfgan_telemetry::gauge_wall("pool_queue_depth", &[], depth as f64);
     let nq = shared.queues.len();
     let start = shared.rr.fetch_add(1, Ordering::Relaxed);
     for i in 0..n {
@@ -320,8 +322,6 @@ pub fn run_batch<F: Fn(usize) + Sync>(n: usize, f: &F) -> Result<(), PoolError> 
                 index: i,
             });
     }
-    let depth = shared.pending.fetch_add(n, Ordering::Relaxed) + n;
-    zfgan_telemetry::gauge_wall("pool_queue_depth", &[], depth as f64);
     {
         let mut v = shared.version.lock().unwrap();
         *v = v.wrapping_add(1);
@@ -617,5 +617,27 @@ mod tests {
         })
         .unwrap();
         assert_eq!(x, 7);
+    }
+
+    /// Regression for two races that tiny batches from several submitters
+    /// hit within milliseconds. `run_batch` used to count its tasks into the
+    /// depth gauge after enqueueing them, so a worker that popped one first
+    /// wrapped the gauge and the submitter's `fetch_add(n) + n` overflowed: a
+    /// panic in debug builds, roughly one tier-1 run in two. And a worker
+    /// used to steal while still holding its own queue's lock, so two
+    /// workers stealing from each other deadlocked (needs `ZFGAN_THREADS`
+    /// >= 3 for two workers; the CI repeat loop runs 2, 4 and 8).
+    #[test]
+    fn tiny_batches_from_racing_submitters_all_complete() {
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                s.spawn(move || {
+                    for round in 0..5_000 {
+                        let out = parallel_map(2, |i| t + round + i).unwrap();
+                        assert_eq!(out, [t + round, t + round + 1]);
+                    }
+                });
+            }
+        });
     }
 }

@@ -14,6 +14,18 @@ cargo build --release
 
 echo "=== cargo test ==="
 cargo test -q
+cargo test -q -p zfgan-pool -p zfgan-dataflow -p zfgan-dse -p zfgan-store
+
+echo "=== pool + dse suites, repeated across pool widths ==="
+# Scheduling races show up only on some runs and some widths (the depth-
+# gauge wrap needed one worker, the steal deadlock two), so the two
+# suites that drive the pool hardest run five times at each width; the
+# timeout turns a deadlock into a failure.
+for threads in 2 4 8; do
+    for _ in 1 2 3 4 5; do
+        ZFGAN_THREADS="$threads" timeout 300 cargo test -q -p zfgan-pool -p zfgan-dse
+    done
+done
 
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-
@@ -109,8 +121,8 @@ for round in 1 2; do
     # Exec engine smoke: asserts the fast engine holds >= 3x over the
     # scalar oracle on the headline forward/transposed executors.
     bench_smoke exec 50 "$tdir/bench_exec_$round"
-    # DSE engine smoke: asserts a warm-cache fig15 sweep is >= 10x faster
-    # than cold with a byte-identical stream.
+    # DSE engine smoke: asserts a warm-cache fig15 sweep is faster than
+    # cold with a byte-identical stream.
     bench_smoke dse 25 "$tdir/bench_dse_$round"
     echo "bench gates passed (round $round)"
 done
