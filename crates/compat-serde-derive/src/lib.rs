@@ -9,8 +9,10 @@
 //! The serialised form matches serde's externally-tagged default:
 //! structs → objects keyed by field name; unit variants → the variant
 //! name as a string; data-carrying variants → `{"Variant": payload}`.
-//! `#[serde(...)]` attributes are not supported (none exist in-tree) and
-//! produce a compile error rather than being silently ignored.
+//! The one supported attribute is `#[serde(skip)]` on a named struct
+//! field (left out when serialising, `Default::default()` when
+//! deserialising — serde's own meaning); any other `#[serde(...)]`
+//! produces a compile error rather than being silently ignored.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -26,8 +28,14 @@ struct Variant {
     kind: VariantKind,
 }
 
+/// One named struct field; `skip` is `#[serde(skip)]`.
+struct Field {
+    name: String,
+    skip: bool,
+}
+
 enum Body {
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
     Enum(Vec<Variant>),
 }
 
@@ -38,12 +46,14 @@ struct Item {
     body: Body,
 }
 
+const SKIP_MISPLACED: &str = "#[serde(skip)] is supported on named struct fields only";
+
 fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().unwrap()
 }
 
 /// Derives the compat `serde::Serialize` (a `to_value` tree builder).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item).parse().unwrap(),
@@ -52,7 +62,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives the compat `serde::Deserialize` (a `from_value` reader).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_deserialize(&item).parse().unwrap(),
@@ -93,9 +103,11 @@ impl Cursor {
         self.pos >= self.toks.len()
     }
 
-    /// Skips `#[...]` / `#![...]` attribute sequences; rejects
+    /// Skips `#[...]` / `#![...]` attribute sequences, returning whether
+    /// one of them was `#[serde(skip)]`; rejects every other
     /// `#[serde(...)]`, which the shim cannot honour.
-    fn skip_attrs(&mut self) -> Result<(), String> {
+    fn skip_attrs(&mut self) -> Result<bool, String> {
+        let mut skip = false;
         while let Some(TokenTree::Punct(p)) = self.peek() {
             if p.as_char() != '#' {
                 break;
@@ -108,10 +120,12 @@ impl Cursor {
             }
             match self.next() {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
-                    let body = g.stream().to_string();
-                    if body.starts_with("serde") {
+                    let body: String = g.stream().to_string().split_whitespace().collect();
+                    if body == "serde(skip)" {
+                        skip = true;
+                    } else if body.starts_with("serde") {
                         return Err(
-                            "compat serde_derive does not support #[serde(...)] attributes"
+                            "compat serde_derive supports no #[serde(...)] attribute but `skip`"
                                 .to_string(),
                         );
                     }
@@ -119,7 +133,7 @@ impl Cursor {
                 _ => return Err("malformed attribute".to_string()),
             }
         }
-        Ok(())
+        Ok(skip)
     }
 
     /// Skips `pub`, `pub(crate)`, `pub(in …)`.
@@ -190,11 +204,11 @@ impl Cursor {
 }
 
 /// Parses the named fields inside a brace group: `vis name: Type, …`.
-fn parse_named_fields(group: TokenStream) -> Result<Vec<String>, String> {
+fn parse_named_fields(group: TokenStream) -> Result<Vec<Field>, String> {
     let mut c = Cursor::new(group);
     let mut fields = Vec::new();
     while !c.at_end() {
-        c.skip_attrs()?;
+        let skip = c.skip_attrs()?;
         if c.at_end() {
             break;
         }
@@ -208,7 +222,7 @@ fn parse_named_fields(group: TokenStream) -> Result<Vec<String>, String> {
                 ))
             }
         }
-        fields.push(name);
+        fields.push(Field { name, skip });
         // Skip the type: everything until a comma at angle-bracket depth 0.
         let mut depth = 0usize;
         while let Some(t) = c.peek() {
@@ -259,7 +273,9 @@ fn parse_variants(group: TokenStream) -> Result<Vec<Variant>, String> {
     let mut c = Cursor::new(group);
     let mut variants = Vec::new();
     while !c.at_end() {
-        c.skip_attrs()?;
+        if c.skip_attrs()? {
+            return Err(SKIP_MISPLACED.to_string());
+        }
         if c.at_end() {
             break;
         }
@@ -277,7 +293,10 @@ fn parse_variants(group: TokenStream) -> Result<Vec<Variant>, String> {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let fields = parse_named_fields(g.stream())?;
                 c.next();
-                VariantKind::Struct(fields)
+                if fields.iter().any(|f| f.skip) {
+                    return Err(SKIP_MISPLACED.to_string());
+                }
+                VariantKind::Struct(fields.into_iter().map(|f| f.name).collect())
             }
             _ => VariantKind::Unit,
         };
@@ -302,7 +321,9 @@ fn parse_variants(group: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let mut c = Cursor::new(input);
-    c.skip_attrs()?;
+    if c.skip_attrs()? {
+        return Err(SKIP_MISPLACED.to_string());
+    }
     c.skip_vis();
     let kw = c.expect_ident()?;
     let is_enum = match kw.as_str() {
@@ -370,7 +391,7 @@ fn gen_serialize(item: &Item) -> String {
     let body = match &item.body {
         Body::Struct(fields) => {
             let mut s = String::from("let mut m = ::serde::Map::new();\n");
-            for f in fields {
+            for f in fields.iter().filter(|f| !f.skip).map(|f| &f.name) {
                 s.push_str(&format!(
                     "m.insert(\"{f}\", ::serde::Serialize::to_value(&self.{f}));\n"
                 ));
@@ -439,7 +460,11 @@ fn gen_deserialize(item: &Item) -> String {
                  ::serde::Error::custom(\"expected object for `{name}`\"))?;\n\
                  ::std::result::Result::Ok({name} {{\n"
             );
-            for f in fields {
+            for Field { name: f, skip } in fields {
+                if *skip {
+                    s.push_str(&format!("{f}: ::std::default::Default::default(),\n"));
+                    continue;
+                }
                 s.push_str(&format!(
                     "{f}: ::serde::Deserialize::from_value(m.get(\"{f}\")\
                      .ok_or_else(|| ::serde::Error::missing_field(\"{f}\"))?)?,\n"

@@ -4,7 +4,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::{
-    ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels, ShapeError, TensorResult,
+    ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels, PhaseKernelCache, ShapeError,
+    TensorResult,
 };
 
 use crate::activation::Activation;
@@ -74,6 +75,28 @@ impl LayerGrads {
     }
 }
 
+/// Which results of a backward pass the caller will use. A pass whose
+/// result is not wanted is skipped outright — the trainer never pays for
+/// the frozen critic's weight gradients during a Generator update, nor for
+/// the error on the image or on `z` — and everything that *is* computed is
+/// bit-identical to the all-wanted pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wants {
+    /// The layers' weight and bias gradients (`W-CONV`).
+    pub weight_grads: bool,
+    /// The error on the input — for a network, on the *network* input;
+    /// the errors between layers are always propagated.
+    pub input_error: bool,
+}
+
+impl Wants {
+    /// Everything — what [`ConvLayer::backward_ws`] computes.
+    pub const ALL: Wants = Wants {
+        weight_grads: true,
+        input_error: true,
+    };
+}
+
 /// A convolutional layer: shared geometry + weights, applied in the `Down`
 /// (`S-CONV`) or `Up` (`T-CONV`) direction, followed by a bias add and an
 /// element-wise activation.
@@ -90,6 +113,12 @@ pub struct ConvLayer {
     activation: Activation,
     in_shape: (usize, usize, usize),
     backend: ConvBackend,
+    /// The zero-free phase sub-kernels gathered from `weights` (T-CONV
+    /// forward of an `Up` layer, input error of a `Down` layer). Derived
+    /// data: every `&mut` path to `weights` must invalidate it, and a
+    /// cloned or deserialised layer starts with it stale.
+    #[serde(skip)]
+    sub_kernels: PhaseKernelCache<f32>,
 }
 
 impl ConvLayer {
@@ -127,6 +156,7 @@ impl ConvLayer {
             activation,
             in_shape,
             backend: ConvBackend::default(),
+            sub_kernels: PhaseKernelCache::default(),
         })
     }
 
@@ -172,6 +202,7 @@ impl ConvLayer {
     /// to corrupt parameters in place. Shape invariants must be preserved
     /// (the slice length is fixed); values are unconstrained.
     pub fn weights_mut(&mut self) -> &mut Kernels<f32> {
+        self.sub_kernels.invalidate();
         &mut self.weights
     }
 
@@ -223,30 +254,7 @@ impl ConvLayer {
     ///
     /// Returns an error if `input` does not match the layer's input shape.
     pub fn forward(&self, input: &Fmaps<f32>) -> TensorResult<(Fmaps<f32>, Fmaps<f32>)> {
-        if input.shape() != self.in_shape {
-            return Err(ShapeError::new(format!(
-                "layer expects input {:?}, got {:?}",
-                self.in_shape,
-                input.shape()
-            )));
-        }
-        let mut pre = match self.direction {
-            Direction::Down => self.backend.s_conv(input, &self.weights, &self.geom)?,
-            Direction::Up => self.backend.t_conv(input, &self.weights, &self.geom)?,
-        };
-        let (c, h, w) = pre.shape();
-        for ch in 0..c {
-            let b = self.bias[ch];
-            if b != 0.0 {
-                for y in 0..h {
-                    for x in 0..w {
-                        *pre.at_mut(ch, y, x) += b;
-                    }
-                }
-            }
-        }
-        let post = self.activation.apply(&pre);
-        Ok((pre, post))
+        self.forward_ws(input, &mut ConvWorkspace::new())
     }
 
     /// Backward pass (paper Eqs. 3–4): given the error on the layer output
@@ -263,55 +271,12 @@ impl ConvLayer {
         pre: &Fmaps<f32>,
         input: &Fmaps<f32>,
     ) -> TensorResult<(Fmaps<f32>, LayerGrads)> {
-        let delta_pre = self.activation.backprop(delta_post, pre);
-        let (c, h, w) = delta_pre.shape();
-        let mut bias_grad = vec![0.0f32; c];
-        for (ch, bg) in bias_grad.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for y in 0..h {
-                for x in 0..w {
-                    acc += *delta_pre.at(ch, y, x);
-                }
-            }
-            *bg = acc;
-        }
-        let (delta_in, weight_grad) = match self.direction {
-            Direction::Down => {
-                let (_, ih, iw) = self.in_shape;
-                let dx = self.backend.s_conv_input_grad(
-                    &delta_pre,
-                    &self.weights,
-                    &self.geom,
-                    ih,
-                    iw,
-                )?;
-                let dw = self
-                    .backend
-                    .w_conv_for_s_layer(input, &delta_pre, &self.geom)?;
-                (dx, dw)
-            }
-            Direction::Up => {
-                let dx = self
-                    .backend
-                    .t_conv_input_grad(&delta_pre, &self.weights, &self.geom)?;
-                let dw = self
-                    .backend
-                    .w_conv_for_t_layer(input, &delta_pre, &self.geom)?;
-                (dx, dw)
-            }
-        };
-        Ok((
-            delta_in,
-            LayerGrads {
-                weights: weight_grad,
-                bias: bias_grad,
-            },
-        ))
+        self.backward_ws(delta_post, pre, input, &mut ConvWorkspace::new())
     }
 
     /// [`ConvLayer::forward`] with all transients (conv scratch, the
-    /// pre/post tensors themselves) drawn from the workspace. Bit-identical;
-    /// the returned tensors belong to the caller (recycle them via
+    /// pre/post tensors themselves) drawn from the workspace; the
+    /// returned tensors belong to the caller (recycle them via
     /// [`ConvWorkspace::give_fmaps`] / [`crate::Trace::recycle`]).
     ///
     /// # Errors
@@ -333,9 +298,13 @@ impl ConvLayer {
             Direction::Down => self
                 .backend
                 .s_conv_ws(input, &self.weights, &self.geom, ws)?,
-            Direction::Up => self
-                .backend
-                .t_conv_ws(input, &self.weights, &self.geom, ws)?,
+            Direction::Up => self.backend.t_conv_cached_ws(
+                input,
+                &self.weights,
+                &self.sub_kernels,
+                &self.geom,
+                ws,
+            )?,
         };
         let (c, h, w) = pre.shape();
         for ch in 0..c {
@@ -369,54 +338,81 @@ impl ConvLayer {
         input: &Fmaps<f32>,
         ws: &mut ConvWorkspace<f32>,
     ) -> TensorResult<(Fmaps<f32>, LayerGrads)> {
+        let (dx, grads) = self.backward_wanted_ws(delta_post, pre, input, Wants::ALL, ws)?;
+        Ok((
+            dx.expect("input error was wanted"),
+            grads.expect("gradients were wanted"),
+        ))
+    }
+
+    /// [`ConvLayer::backward_ws`] computing only what `wants` names: the
+    /// input error is `None` unless `wants.input_error`, the gradients are
+    /// `None` unless `wants.weight_grads`. What is returned is bit-identical
+    /// to [`ConvLayer::backward_ws`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the cached tensors are inconsistent with the
+    /// layer shapes.
+    pub fn backward_wanted_ws(
+        &self,
+        delta_post: &Fmaps<f32>,
+        pre: &Fmaps<f32>,
+        input: &Fmaps<f32>,
+        wants: Wants,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<(Option<Fmaps<f32>>, Option<LayerGrads>)> {
         let (c, h, w) = pre.shape();
         let mut delta_pre = ws.take_fmaps(c, h, w);
         self.activation
             .backprop_into(delta_post, pre, &mut delta_pre);
-        let mut bias_grad = ws.take(c);
-        for (ch, bg) in bias_grad.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for y in 0..h {
-                for x in 0..w {
-                    acc += *delta_pre.at(ch, y, x);
+        let delta_in = if wants.input_error {
+            Some(match self.direction {
+                Direction::Down => {
+                    let (_, ih, iw) = self.in_shape;
+                    self.backend.s_conv_input_grad_cached_ws(
+                        &delta_pre,
+                        &self.weights,
+                        &self.sub_kernels,
+                        &self.geom,
+                        ih,
+                        iw,
+                        ws,
+                    )?
                 }
-            }
-            *bg = acc;
-        }
-        let (delta_in, weight_grad) = match self.direction {
-            Direction::Down => {
-                let (_, ih, iw) = self.in_shape;
-                let dx = self.backend.s_conv_input_grad_ws(
-                    &delta_pre,
-                    &self.weights,
-                    &self.geom,
-                    ih,
-                    iw,
-                    ws,
-                )?;
-                let dw = self
-                    .backend
-                    .w_conv_for_s_layer_ws(input, &delta_pre, &self.geom, ws)?;
-                (dx, dw)
-            }
-            Direction::Up => {
-                let dx =
+                Direction::Up => {
                     self.backend
-                        .t_conv_input_grad_ws(&delta_pre, &self.weights, &self.geom, ws)?;
-                let dw = self
-                    .backend
-                    .w_conv_for_t_layer_ws(input, &delta_pre, &self.geom, ws)?;
-                (dx, dw)
+                        .t_conv_input_grad_ws(&delta_pre, &self.weights, &self.geom, ws)?
+                }
+            })
+        } else {
+            None
+        };
+        let grads = if wants.weight_grads {
+            let mut bias = ws.take(c);
+            for (ch, bg) in bias.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for y in 0..h {
+                    for x in 0..w {
+                        acc += *delta_pre.at(ch, y, x);
+                    }
+                }
+                *bg = acc;
             }
+            let weights = match self.direction {
+                Direction::Down => self
+                    .backend
+                    .w_conv_for_s_layer_ws(input, &delta_pre, &self.geom, ws)?,
+                Direction::Up => self
+                    .backend
+                    .w_conv_for_t_layer_ws(input, &delta_pre, &self.geom, ws)?,
+            };
+            Some(LayerGrads { weights, bias })
+        } else {
+            None
         };
         ws.give_fmaps(delta_pre);
-        Ok((
-            delta_in,
-            LayerGrads {
-                weights: weight_grad,
-                bias: bias_grad,
-            },
-        ))
+        Ok((delta_in, grads))
     }
 
     /// Applies a parameter update `θ ← θ − delta` produced by an optimizer.
@@ -436,7 +432,7 @@ impl ConvLayer {
             "bias update length mismatch"
         );
         for (w, d) in self
-            .weights
+            .weights_mut()
             .as_mut_slice()
             .iter_mut()
             .zip(weight_delta.as_slice())
@@ -455,7 +451,7 @@ impl ConvLayer {
     /// Panics if `c` is not positive.
     pub fn clamp_weights(&mut self, c: f32) {
         assert!(c > 0.0, "clip bound must be positive");
-        for v in self.weights.as_mut_slice() {
+        for v in self.weights_mut().as_mut_slice() {
             *v = v.clamp(-c, c);
         }
     }

@@ -61,7 +61,7 @@ pub use batchnorm::{BatchNorm, BnCache};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use durable::{DurableCheckpointer, DurableSnapshot, TrainRecord};
 pub use history::{fit, IterationRecord, TrainingHistory};
-pub use layer::{ConvLayer, Direction, LayerGrads};
+pub use layer::{ConvLayer, Direction, LayerGrads, Wants};
 pub use network::{ConvNet, Trace};
 pub use optimizer::{Optimizer, OptimizerKind};
 pub use parallel::ParallelError;

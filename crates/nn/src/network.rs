@@ -4,7 +4,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::{ConvBackend, ConvWorkspace, Fmaps, ShapeError, TensorResult};
 
-use crate::layer::{ConvLayer, LayerGrads};
+use crate::layer::{ConvLayer, LayerGrads, Wants};
 
 /// Cached forward-pass tensors of one sample — the paper's "intermediate
 /// data" (`d^l`) that `W-CONV` needs during the backward pass.
@@ -271,6 +271,26 @@ impl ConvNet {
         delta_out: &Fmaps<f32>,
         ws: &mut ConvWorkspace<f32>,
     ) -> TensorResult<(Vec<LayerGrads>, Fmaps<f32>)> {
+        let (grads, dx) = self.backward_wanted_ws(trace, delta_out, Wants::ALL, ws)?;
+        Ok((grads, dx.expect("input error was wanted")))
+    }
+
+    /// [`ConvNet::backward_ws`] computing only what `wants` names (see
+    /// [`Wants`]): without `weight_grads` no layer runs its `W-CONV` and the
+    /// gradient list comes back empty; without `input_error` the first
+    /// layer skips its input-error pass and the error comes back `None`.
+    /// What is returned is bit-identical to [`ConvNet::backward_ws`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `delta_out` does not match the output shape.
+    pub fn backward_wanted_ws(
+        &self,
+        trace: &Trace,
+        delta_out: &Fmaps<f32>,
+        wants: Wants,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<(Vec<LayerGrads>, Option<Fmaps<f32>>)> {
         if delta_out.shape() != self.out_shape() {
             return Err(ShapeError::new(format!(
                 "delta shape {:?} does not match output {:?}",
@@ -278,28 +298,36 @@ impl ConvNet {
                 self.out_shape()
             )));
         }
-        let mut grads: Vec<Option<LayerGrads>> = (0..self.layers.len()).map(|_| None).collect();
+        let n_grads = if wants.weight_grads {
+            self.layers.len()
+        } else {
+            0
+        };
+        let mut grads = Vec::with_capacity(n_grads);
         let (c, h, w) = delta_out.shape();
         let mut delta = ws.take_fmaps(c, h, w);
         delta.as_mut_slice().copy_from_slice(delta_out.as_slice());
+        let mut delta = Some(delta);
         for (l, layer) in self.layers.iter().enumerate().rev() {
             let input = if l == 0 {
                 &trace.input
             } else {
                 &trace.post[l - 1]
             };
-            let (dx, g) = layer.backward_ws(&delta, &trace.pre[l], input, ws)?;
-            grads[l] = Some(g);
-            ws.give_fmaps(delta);
+            let layer_wants = Wants {
+                input_error: l > 0 || wants.input_error,
+                ..wants
+            };
+            let above = delta.take().expect("inner layers propagate their error");
+            let (dx, g) =
+                layer.backward_wanted_ws(&above, &trace.pre[l], input, layer_wants, ws)?;
+            ws.give_fmaps(above);
+            grads.extend(g);
             delta = dx;
         }
-        Ok((
-            grads
-                .into_iter()
-                .map(|g| g.expect("all layers visited"))
-                .collect(),
-            delta,
-        ))
+        // Layers were visited last to first.
+        grads.reverse();
+        Ok((grads, delta))
     }
 
     /// Backward pass: propagates `delta_out` (error on the network output)

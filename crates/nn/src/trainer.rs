@@ -24,7 +24,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::{ConvBackend, ConvWorkspace, Fmaps, ShapeError, TensorResult};
 
-use crate::layer::LayerGrads;
+use crate::layer::{LayerGrads, Wants};
 use crate::network::{ConvNet, Trace};
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::wgan;
@@ -669,27 +669,19 @@ impl GanTrainer {
             let score = wgan::score(d_trace.output());
             let delta = wgan::scalar_error(gen_delta(loss, score, m));
             // Error flows back through the (frozen) critic into the
-            // Generator — Fig. 2 step ⑧. The critic's own gradients are a
-            // by-product; they go straight back to the workspace.
-            let (d_grads, delta_image) = gan
+            // Generator — Fig. 2 step ⑧: only the error on the image is
+            // wanted, the critic's own gradients are never built.
+            let through_critic = Wants {
+                weight_grads: false,
+                input_error: true,
+            };
+            let (_, delta_image) = gan
                 .discriminator
-                .backward_ws(d_trace, &delta, ws)
+                .backward_wanted_ws(d_trace, &delta, through_critic, ws)
                 .expect("trace produced by this network");
-            for g in d_grads {
-                g.recycle(ws);
-            }
-            let (g_grads, dx) = gan
-                .generator
-                .backward_ws(g_trace, &delta_image, ws)
-                .expect("trace produced by this network");
+            let delta_image = delta_image.expect("image error was wanted");
+            accumulate_ws(grads, &gan.generator, g_trace, &delta_image, ws);
             ws.give_fmaps(delta_image);
-            ws.give_fmaps(dx);
-            for (acc, g) in grads.iter_mut().zip(&g_grads) {
-                acc.add_assign(g);
-            }
-            for g in g_grads {
-                g.recycle(ws);
-            }
         };
 
         match self.config.mode {
@@ -812,7 +804,9 @@ fn gen_delta(loss: LossKind, score: f64, m: usize) -> f32 {
 }
 
 /// Backpropagates one sample through `net` and accumulates its gradients,
-/// drawing every transient from (and returning it to) the workspace.
+/// drawing every transient from (and returning it to) the workspace. The
+/// error on the network input (the image, or `z`) has no consumer, so it
+/// is not computed.
 fn accumulate_ws(
     grads: &mut [LayerGrads],
     net: &ConvNet,
@@ -820,10 +814,13 @@ fn accumulate_ws(
     delta: &Fmaps<f32>,
     ws: &mut ConvWorkspace<f32>,
 ) {
-    let (g, dx) = net
-        .backward_ws(trace, delta, ws)
+    let only_grads = Wants {
+        weight_grads: true,
+        input_error: false,
+    };
+    let (g, _) = net
+        .backward_wanted_ws(trace, delta, only_grads, ws)
         .expect("trace produced by this network");
-    ws.give_fmaps(dx);
     for (acc, gi) in grads.iter_mut().zip(&g) {
         acc.add_assign(gi);
     }

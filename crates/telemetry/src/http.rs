@@ -164,6 +164,8 @@ mod tests {
 
     #[test]
     fn metrics_health_and_404_round_trip() {
+        // `serve_on` switches the global registry on and leaves it on.
+        let _switch = crate::GlobalSwitchGuard::lock();
         let (addr, handle) = spawn_server(4);
 
         let body = scrape(&addr, "/health").unwrap();

@@ -189,13 +189,45 @@ macro_rules! span {
     };
 }
 
+/// Serialises the lib tests that read or flip the process-global
+/// [`ENABLED`] switch (`cargo test` runs tests on parallel threads): the
+/// guard holds a lock for the test's duration and switches telemetry back
+/// off when dropped, so a test that asserts "disabled" never observes
+/// another test's `set_enabled(true)`.
+#[cfg(test)]
+pub(crate) struct GlobalSwitchGuard {
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl GlobalSwitchGuard {
+    pub(crate) fn lock() -> Self {
+        static SWITCH_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // The lock guards no data, so a holder that panicked left nothing
+        // half-updated.
+        Self {
+            _lock: SWITCH_TESTS
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Drop for GlobalSwitchGuard {
+    fn drop(&mut self) {
+        set_enabled(false);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_means_no_target_and_inert_spans() {
-        // Scoped stack empty on this thread and we never set_enabled here.
+        let _switch = GlobalSwitchGuard::lock();
+        // Scoped stack empty on this thread and nobody holds the switch on.
         assert!(SCOPE.with(|s| s.borrow().is_empty()));
         let s = span!("ignored/{}", 1);
         assert!(!s.is_active());

@@ -143,6 +143,7 @@ mod tests {
 
     #[test]
     fn disabled_span_is_inert() {
+        let _switch = crate::GlobalSwitchGuard::lock();
         let s = Span::enter("nobody-listening");
         assert!(!s.is_active());
     }

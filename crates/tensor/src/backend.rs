@@ -20,14 +20,12 @@ use serde::{Deserialize, Serialize};
 use crate::error::TensorResult;
 use crate::fmaps::Fmaps;
 use crate::gemm::MatmulKind;
-use crate::im2col::{
-    im2col_s, im2col_t, im2col_t_with_output_size, s_conv_via_gemm_ws, weights_as_matrix_t,
-};
+use crate::im2col::{im2col_t, im2col_t_with_output_size, s_conv_via_gemm_ws, weights_as_matrix_t};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
 use crate::workspace::ConvWorkspace;
-use crate::zero_free;
+use crate::zero_free::{self, PhaseKernelCache};
 use crate::{conv, ShapeError};
 
 /// How a convolution layer executes its forward and backward passes.
@@ -91,25 +89,7 @@ impl ConvBackend {
     ) -> TensorResult<Fmaps<T>> {
         match self {
             ConvBackend::GoldenDirect => conv::s_conv(input, k, geom),
-            _ => {
-                if k.n_if() != input.channels() {
-                    return Err(ShapeError::new("kernel/input channel mismatch"));
-                }
-                let lowered = im2col_s(input, geom);
-                let mut wmat = crate::im2col::Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-                crate::im2col::fill_weights_as_matrix_s_for(&mut wmat, k, self.mm());
-                let product = self.mm().run(&lowered.patches, &wmat)?;
-                let (oh, ow) = lowered.out_hw;
-                let mut out = Fmaps::zeros(k.n_of(), oh, ow);
-                for of in 0..k.n_of() {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            *out.at_mut(of, oy, ox) = *product.at(oy * ow + ox, of);
-                        }
-                    }
-                }
-                Ok(out)
-            }
+            _ => s_conv_via_gemm_ws(input, k, geom, self.mm(), &mut ConvWorkspace::new()),
         }
     }
 
@@ -295,6 +275,31 @@ impl ConvBackend {
         }
     }
 
+    /// [`ConvBackend::t_conv_ws`] for a caller that owns the weights and
+    /// keeps their gathered phase sub-kernels in `sub_kernels` (see
+    /// [`PhaseKernelCache`]); backends that gather nothing ignore it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`crate::t_conv`].
+    pub fn t_conv_cached_ws<T: Num>(
+        self,
+        input: &Fmaps<T>,
+        k: &Kernels<T>,
+        sub_kernels: &PhaseKernelCache<T>,
+        geom: &ConvGeom,
+        ws: &mut ConvWorkspace<T>,
+    ) -> TensorResult<Fmaps<T>> {
+        match self {
+            ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+                let (oh, ow) = geom.up_out(input.height(), input.width());
+                let mm = self.mm();
+                zero_free::t_conv_zero_free_cached_ws(input, k, sub_kernels, geom, oh, ow, mm, ws)
+            }
+            _ => self.t_conv_ws(input, k, geom, ws),
+        }
+    }
+
     /// [`ConvBackend::s_conv_input_grad`] with transients drawn from the
     /// workspace.
     ///
@@ -317,6 +322,41 @@ impl ConvBackend {
             ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
                 zero_free::t_conv_zero_free_sized_ws(delta_out, k, geom, in_h, in_w, self.mm(), ws)
             }
+        }
+    }
+
+    /// [`ConvBackend::s_conv_input_grad_ws`] for a caller that owns the
+    /// weights — the S-CONV twin of [`ConvBackend::t_conv_cached_ws`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`crate::s_conv_input_grad`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn s_conv_input_grad_cached_ws<T: Num>(
+        self,
+        delta_out: &Fmaps<T>,
+        k: &Kernels<T>,
+        sub_kernels: &PhaseKernelCache<T>,
+        geom: &ConvGeom,
+        in_h: usize,
+        in_w: usize,
+        ws: &mut ConvWorkspace<T>,
+    ) -> TensorResult<Fmaps<T>> {
+        match self {
+            ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+                let mm = self.mm();
+                zero_free::t_conv_zero_free_cached_ws(
+                    delta_out,
+                    k,
+                    sub_kernels,
+                    geom,
+                    in_h,
+                    in_w,
+                    mm,
+                    ws,
+                )
+            }
+            _ => self.s_conv_input_grad_ws(delta_out, k, geom, in_h, in_w, ws),
         }
     }
 

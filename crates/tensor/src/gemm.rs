@@ -39,11 +39,24 @@
 //! partition trivially preserves bits for every thread count and pool
 //! schedule.
 //!
+//! # Operand order
+//!
+//! Every kernel here computes `A × B` with the zero skip on `A`. The
+//! packed conv lowerings put the layer's **weights** in `A` (one row per
+//! output map, borrowed in place — [`matmul_weight_stationary_ws`]) and
+//! the transposed patch matrix in `B`; the reference lowerings put the
+//! patches in `A`. Per output element both are the same `k`-ascending
+//! chain with each product's factors swapped, and multiplication commutes
+//! in every element type, so the two orders agree bit for bit (f32 fused
+//! chain, Q8.8 saturating chain, scalar `acc += a·b`). A weight operand is
+//! dense, so its `A` scan is skipped: no panel is masked and the dispatch
+//! keys on the shape alone — bit-neutral like every zero skip.
+//!
 //! Caveat: the "skipping a zero operand is bit-neutral" argument assumes
-//! finite values. A zero activation times an infinite/NaN weight would
-//! produce NaN where the skipping path produces 0 — GAN training here
-//! never manufactures non-finite weights (WGAN weight clipping bounds
-//! them), and the golden nests skip zeros the same way.
+//! finite values. A zero operand times an infinite/NaN one would produce
+//! NaN where the skipping path produces 0 — GAN training here never
+//! manufactures non-finite weights (WGAN weight clipping bounds them), and
+//! the golden nests skip zeros the same way.
 //!
 //! [`Fx`]: crate::Fx
 
@@ -100,12 +113,12 @@ pub enum MatmulKind {
 impl MatmulKind {
     /// Whether this kind belongs to the reference family (`Naive`,
     /// `BlockedScalar`). The lowering drivers route reference kinds
-    /// through the specification fill/reshape loops instead of the
-    /// cache-tuned ones, so a reference-backend run keeps the cost model
-    /// of the pre-microkernel engine end to end — the baseline the
-    /// packed engine's train-step gate measures from. Both fill families
-    /// produce bit-identical matrices (pinned by tests); only their
-    /// memory-access patterns differ.
+    /// through the patch-major specification lowering instead of the
+    /// weight-stationary one (see the module docs), so a reference-backend
+    /// run keeps the cost model of the pre-microkernel engine end to end —
+    /// the baseline the packed engine's train-step gate measures from, and
+    /// the oracle the packed operands are pinned against (they are the
+    /// specification operands transposed).
     pub fn is_reference(&self) -> bool {
         matches!(self, MatmulKind::Naive | MatmulKind::BlockedScalar)
     }
@@ -334,30 +347,70 @@ pub(crate) fn matmul_blocked_into_scratch<T: Num>(
     scratch: &mut PackScratch,
 ) -> TensorResult<()> {
     check_matmul_shapes(a, b, out)?;
-    let (m, kk, n) = (a.rows(), a.cols(), b.cols());
+    let dims = (a.rows(), a.cols(), b.cols());
+    blocked_slices(
+        a.as_slice(),
+        b.as_slice(),
+        out.as_mut_slice(),
+        dims,
+        AScan::Scan,
+        scratch,
+    );
+    Ok(())
+}
+
+/// Whether a packed-family GEMM scans its `A` operand for structural
+/// zeros before dispatching.
+#[derive(Clone, Copy)]
+enum AScan {
+    /// Scan `A` into panel masks: activations, patches, errors — operands
+    /// whose zeros (ReLU, padding) are worth skipping and steer dispatch.
+    Scan,
+    /// `A` is a layer's weights: dense by construction, so the scan (a full
+    /// extra pass over a multi-megabyte operand per call) is skipped, no
+    /// panel is masked and dispatch keys on the shape alone. Bit-neutral,
+    /// like every zero skip (see the module docs).
+    Dense,
+}
+
+/// The single-threaded packed-family GEMM on raw row-major slices:
+/// `a` is `m × kk`, `b` is `kk × n`, `out` is `m × n` (every element is
+/// overwritten). Shapes are the caller's responsibility.
+fn blocked_slices<T: Num>(
+    a: &[T],
+    b: &[T],
+    out: &mut [T],
+    (m, kk, n): (usize, usize, usize),
+    scan: AScan,
+    scratch: &mut PackScratch,
+) {
     match microkernel::packed_kind::<T>() {
         Some(kind) => {
-            let plan = microkernel::plan_gemm(a.as_slice(), b.as_slice(), m, kk, n, kind, scratch);
-            microkernel::run_plan_rows(
-                plan.path,
-                a.as_slice(),
-                b.as_slice(),
-                scratch,
-                out.as_mut_slice(),
-                0,
-                kk,
-                n,
-                kind,
-            );
+            let plan = plan_for(a, b, (m, kk, n), kind, scan, scratch);
+            microkernel::run_plan_rows(plan.path, a, b, scratch, out, 0, kk, n, kind);
             record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
         }
         None => {
-            let (skipped, visited) =
-                gemm_rows(a.as_slice(), b.as_slice(), out.as_mut_slice(), kk, n);
+            let (skipped, visited) = gemm_rows(a, b, out, kk, n);
             record_gemm("blocked", m, n, skipped, visited, None);
         }
     }
-    Ok(())
+}
+
+/// Scans (or, for a dense weight operand, declines to scan) `A`, picks the
+/// dispatch path and packs `B` when the packed engine won.
+fn plan_for<T: Num>(
+    a: &[T],
+    b: &[T],
+    (m, kk, n): (usize, usize, usize),
+    kind: PackedKind,
+    scan: AScan,
+    scratch: &mut PackScratch,
+) -> microkernel::GemmPlan {
+    match scan {
+        AScan::Scan => microkernel::plan_gemm(a, b, m, kk, n, kind, scratch),
+        AScan::Dense => microkernel::plan_gemm_dense_a(b, m, kk, n, kind, scratch),
+    }
 }
 
 /// Multithreaded packed GEMM: operands packed once on the calling thread,
@@ -413,17 +466,40 @@ pub(crate) fn matmul_parallel_into_scratch<T: Num>(
     scratch: &mut PackScratch,
 ) -> TensorResult<()> {
     check_matmul_shapes(a, b, out)?;
-    let (m, kk, n) = (a.rows(), a.cols(), b.cols());
+    let dims = (a.rows(), a.cols(), b.cols());
+    parallel_slices(
+        a.as_slice(),
+        b.as_slice(),
+        out.as_mut_slice(),
+        dims,
+        n_threads,
+        AScan::Scan,
+        scratch,
+    );
+    Ok(())
+}
+
+/// The pooled packed-family GEMM on raw row-major slices (see
+/// [`blocked_slices`] for the operand layout): one plan on the calling
+/// thread, then contiguous output-row chunks on the pool.
+fn parallel_slices<T: Num>(
+    a_flat: &[T],
+    b_flat: &[T],
+    out: &mut [T],
+    (m, kk, n): (usize, usize, usize),
+    n_threads: usize,
+    scan: AScan,
+    scratch: &mut PackScratch,
+) {
     // Splitting wider than the pool only adds dispatch overhead (the
     // chunks would serialize anyway), so clamp to the hardware width; on
     // a single-core host this degrades to the blocked kernel with zero
     // synchronisation. Results are bit-identical for every width.
     let threads = n_threads.clamp(1, m).min(zfgan_pool::pool_threads());
     if threads == 1 {
-        return matmul_blocked_into_scratch(a, b, out, scratch);
+        return blocked_slices(a_flat, b_flat, out, (m, kk, n), scan, scratch);
     }
     let rows_per = m.div_ceil(threads);
-    let (a_flat, b_flat) = (a.as_slice(), b.as_slice());
     match microkernel::packed_kind::<T>() {
         Some(kind) => {
             // Scan A, pick the dispatch path and (for the packed engine)
@@ -431,25 +507,21 @@ pub(crate) fn matmul_parallel_into_scratch<T: Num>(
             // One plan per GEMM means one telemetry record and an
             // identical engine for every chunk — bit-neutral under any
             // partition, since every engine's chains run along `k`.
-            let plan = microkernel::plan_gemm(a_flat, b_flat, m, kk, n, kind, scratch);
+            let plan = plan_for(a_flat, b_flat, (m, kk, n), kind, scan, scratch);
             let shared: &PackScratch = scratch;
-            zfgan_pool::parallel_chunks_mut(
-                out.as_mut_slice(),
-                rows_per * n,
-                |chunk_idx, out_chunk| {
-                    microkernel::run_plan_rows(
-                        plan.path,
-                        a_flat,
-                        b_flat,
-                        shared,
-                        out_chunk,
-                        chunk_idx * rows_per,
-                        kk,
-                        n,
-                        kind,
-                    );
-                },
-            )
+            zfgan_pool::parallel_chunks_mut(out, rows_per * n, |chunk_idx, out_chunk| {
+                microkernel::run_plan_rows(
+                    plan.path,
+                    a_flat,
+                    b_flat,
+                    shared,
+                    out_chunk,
+                    chunk_idx * rows_per,
+                    kk,
+                    n,
+                    kind,
+                );
+            })
             .expect("matmul worker panicked");
             record_gemm(
                 "parallel",
@@ -465,22 +537,64 @@ pub(crate) fn matmul_parallel_into_scratch<T: Num>(
             // order; the calling thread aggregates and records them (pool
             // workers don't see the caller's thread-local telemetry
             // scope).
-            let counts = zfgan_pool::parallel_chunks_mut(
-                out.as_mut_slice(),
-                rows_per * n,
-                |chunk_idx, out_chunk| {
+            let counts =
+                zfgan_pool::parallel_chunks_mut(out, rows_per * n, |chunk_idx, out_chunk| {
                     let row0 = chunk_idx * rows_per;
                     let rows_here = out_chunk.len() / n;
                     let a_chunk = &a_flat[row0 * kk..(row0 + rows_here) * kk];
                     gemm_rows(a_chunk, b_flat, out_chunk, kk, n)
-                },
-            )
-            .expect("matmul worker panicked");
+                })
+                .expect("matmul worker panicked");
             let (skipped, visited) = counts
                 .iter()
                 .fold((0, 0), |(s, v), (cs, cv)| (s + cs, v + cv));
             record_gemm("parallel", m, n, skipped, visited, None);
         }
+    }
+}
+
+/// The weight-stationary GEMM behind the flipped conv lowerings:
+/// `weights × b → out`, where `weights` is an `m × b.rows()` row-major
+/// operand **borrowed in place** (the kernel tensor itself, or a gathered
+/// phase sub-kernel matrix), `b` is the transposed patch matrix (one
+/// column per output pixel) and `out` is the `m × b.cols()` product written
+/// straight into its destination — for whole-map passes the output maps'
+/// own storage, so nothing is scattered afterwards.
+///
+/// Runs the same engines as [`MatmulKind::run_ws`], so each output element
+/// is the usual `k`-ascending chain; the weights are treated as dense
+/// ([`AScan::Dense`]). Reference kinds never reach this entry: they keep
+/// the patch-major specification lowering at the call sites.
+///
+/// # Errors
+///
+/// Returns an error if `weights` or `out` do not hold `m` rows.
+pub(crate) fn matmul_weight_stationary_ws<T: Num>(
+    kind: MatmulKind,
+    weights: &[T],
+    m: usize,
+    b: &Matrix<T>,
+    out: &mut [T],
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<()> {
+    let (kk, n) = (b.rows(), b.cols());
+    if weights.len() != m * kk || out.len() != m * n {
+        return Err(ShapeError::new(format!(
+            "weight-stationary matmul: {} weight words and {} output words for {m}×{kk}×{n}",
+            weights.len(),
+            out.len()
+        )));
+    }
+    debug_assert!(
+        !kind.is_reference(),
+        "reference kinds keep the patch-major lowering"
+    );
+    let (b, dims, scratch) = (b.as_slice(), (m, kk, n), ws.pack_scratch());
+    match kind {
+        MatmulKind::Parallel(t) => {
+            parallel_slices(weights, b, out, dims, t, AScan::Dense, scratch);
+        }
+        _ => blocked_slices(weights, b, out, dims, AScan::Dense, scratch),
     }
     Ok(())
 }
@@ -501,8 +615,9 @@ pub(crate) fn matmul_parallel_into_scratch<T: Num>(
 /// calling [`MatmulKind::run_ws`] — which is exactly what the remaining
 /// paths (packed, non-packed element types) do here.
 ///
-/// Reference kinds keep their specification fills at the call sites and
-/// never reach this entry.
+/// Its one caller is the `W-CONV` of an S-CONV layer (`B` = the forward
+/// patches). Reference kinds keep their specification fills at the call
+/// site and never reach this entry.
 ///
 /// # Errors
 ///

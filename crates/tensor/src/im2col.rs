@@ -235,6 +235,58 @@ pub(crate) fn fill_im2col_s<T: Num>(
     }
 }
 
+/// The transposed `S-CONV` patch fill of the weight-stationary lowering:
+/// `b` is `(N_if·K_h·K_w) × (oh·ow)` — row `(c, ky, kx)` holds, for every
+/// output pixel, the input value that tap meets (Caffe's own `im2col`
+/// layout). Each row is a strided copy of one input plane, so writes are
+/// contiguous and the per-tap bounds are resolved once per row instead of
+/// once per element. Writes only in-bounds entries: `b` **must** start
+/// zero-filled (padding taps stay zero).
+pub(crate) fn fill_im2col_s_transposed<T: Num>(
+    b: &mut Matrix<T>,
+    input: &Fmaps<T>,
+    geom: &ConvGeom,
+    oh: usize,
+    ow: usize,
+) {
+    let s = geom.stride();
+    let (pt, pl) = (geom.pad_top(), geom.pad_left());
+    let (ih, iw) = (input.height(), input.width());
+    debug_assert_eq!(b.rows(), input.channels() * geom.kh() * geom.kw());
+    debug_assert_eq!(b.cols(), oh * ow);
+    let mut row = 0;
+    for plane in input.as_slice().chunks_exact(ih * iw) {
+        for ky in 0..geom.kh() {
+            for kx in 0..geom.kw() {
+                // Output columns whose tap lands inside the map:
+                // 0 ≤ s·ox + kx − pl < iw.
+                let ox_lo = pl.saturating_sub(kx).div_ceil(s);
+                let ox_hi = if iw + pl > kx {
+                    ((iw + pl - kx - 1) / s + 1).min(ow)
+                } else {
+                    0
+                };
+                let dst = b.row_mut(row);
+                row += 1;
+                for oy in 0..oh {
+                    let Some(iy) = (s * oy + ky).checked_sub(pt).filter(|&iy| iy < ih) else {
+                        continue;
+                    };
+                    let src = &plane[iy * iw..(iy + 1) * iw];
+                    let d = &mut dst[oy * ow..(oy + 1) * ow];
+                    if ox_lo < ox_hi {
+                        let ix0 = s * ox_lo + kx - pl;
+                        for (dv, sv) in d[ox_lo..ox_hi].iter_mut().zip(src[ix0..].iter().step_by(s))
+                        {
+                            *dv = *sv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Lowers an `S-CONV` input into patch-matrix form.
 pub fn im2col_s<T: Num>(input: &Fmaps<T>, geom: &ConvGeom) -> Lowered<T> {
     let (oh, ow) = geom.down_out(input.height(), input.width());
@@ -351,33 +403,6 @@ pub(crate) fn fill_weights_as_matrix_s_ref<T: Num>(m: &mut Matrix<T>, k: &Kernel
     }
 }
 
-/// Picks the specification or cache-tuned weight fill by GEMM family.
-pub(crate) fn fill_weights_as_matrix_s_for<T: Num>(
-    m: &mut Matrix<T>,
-    k: &Kernels<T>,
-    mm: crate::gemm::MatmulKind,
-) {
-    if mm.is_reference() {
-        fill_weights_as_matrix_s_ref(m, k);
-    } else {
-        fill_weights_as_matrix_s(m, k);
-    }
-}
-
-/// Fills one row `r` of the [`fill_weights_as_matrix_s`] reshape — the
-/// per-row form the streamed GEMM lowering pulls through
-/// [`crate::gemm`]'s row callback, so the full weight matrix need never
-/// be materialised. Row `r` is the linear `(if_, ky, kx)` index, which is
-/// exactly the kernel tensor's within-block offset. Writes every element
-/// of `row`.
-pub(crate) fn fill_weights_as_matrix_s_row<T: Num>(k: &Kernels<T>, r: usize, row: &mut [T]) {
-    let block = k.n_if() * k.kh() * k.kw();
-    let kdata = k.as_slice();
-    for (of, d) in row.iter_mut().enumerate() {
-        *d = kdata[of * block + r];
-    }
-}
-
 /// Fills one row `r` (output position `oy·ow + ox`) of the
 /// [`fill_im2col_s`] patch matrix — the per-row form for streamed GEMM
 /// lowering. Writes every element of `row`.
@@ -474,10 +499,22 @@ pub fn s_conv_via_gemm<T: Num>(
 }
 
 /// `S-CONV` by lowering with an explicit GEMM kernel, drawing every
-/// transient (patches, weight matrix, product, output maps) from the
-/// workspace. Bit-identical to the allocating lowering for the same
-/// [`MatmulKind`]; the returned maps belong to the caller (recycle them
-/// via [`ConvWorkspace::give_fmaps`]).
+/// transient from the workspace. Bit-identical to the allocating lowering
+/// for the same [`MatmulKind`]; the returned maps belong to the caller
+/// (recycle them via [`ConvWorkspace::give_fmaps`]).
+///
+/// The packed kinds run **weight-stationary**: the kernel tensor, read in
+/// place as the `N_of × (N_if·K_h·K_w)` matrix it already is, is the
+/// GEMM's `A` operand; `B` is the transposed patch matrix
+/// ([`fill_im2col_s_transposed`]), the only operand lowered per call; and
+/// the product's rows *are* the output maps, written straight into their
+/// storage. Per output element that is the same `k`-ascending chain as the
+/// patch-major form with each product's two factors swapped — bit-neutral,
+/// multiplication being commutative in every element type. Reference kinds
+/// keep the patch-major specification lowering.
+///
+/// The backward error pass of a T-CONV layer is this very computation on
+/// the error maps (see [`crate::zero_free::t_conv_input_grad_via_gemm_ws`]).
 ///
 /// # Errors
 ///
@@ -492,37 +529,37 @@ pub fn s_conv_via_gemm_ws<T: Num>(
     if k.n_if() != input.channels() {
         return Err(ShapeError::new("kernel/input channel mismatch"));
     }
-    let lowered = im2col_s_ws(input, geom, ws);
-    let product = if mm.is_reference() {
-        let mut wmat = ws.take_matrix(k.n_if() * k.kh() * k.kw(), k.n_of());
-        fill_weights_as_matrix_s_for(&mut wmat, k, mm);
+    let (oh, ow) = geom.down_out(input.height(), input.width());
+    let kk = k.n_if() * k.kh() * k.kw();
+    let mut out = ws.take_fmaps(k.n_of(), oh, ow);
+    if mm.is_reference() {
+        let lowered = im2col_s_ws(input, geom, ws);
+        let mut wmat = ws.take_matrix(kk, k.n_of());
+        fill_weights_as_matrix_s_ref(&mut wmat, k);
         let product = mm.run_ws(&lowered.patches, &wmat, ws)?;
         ws.give_matrix(wmat);
-        product
-    } else {
-        // Streamed lowering: weight-matrix rows are produced on demand, so
-        // when the dispatcher picks the small-m streamed engine, rows whose
-        // patch column is entirely zero are never built at all.
-        crate::gemm::matmul_streamed_ws(
-            mm,
-            &lowered.patches,
-            k.n_if() * k.kh() * k.kw(),
-            k.n_of(),
-            &mut |r, row| fill_weights_as_matrix_s_row(k, r, row),
-            ws,
-        )?
-    };
-    ws.give_matrix(lowered.patches);
-    let (oh, ow) = lowered.out_hw;
-    let mut out = ws.take_fmaps(k.n_of(), oh, ow);
-    for of in 0..k.n_of() {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                *out.at_mut(of, oy, ox) = *product.at(oy * ow + ox, of);
+        ws.give_matrix(lowered.patches);
+        for of in 0..k.n_of() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    *out.at_mut(of, oy, ox) = *product.at(oy * ow + ox, of);
+                }
             }
         }
+        ws.give_matrix(product);
+    } else {
+        let mut b = ws.take_matrix(kk, oh * ow);
+        fill_im2col_s_transposed(&mut b, input, geom, oh, ow);
+        crate::gemm::matmul_weight_stationary_ws(
+            mm,
+            k.as_slice(),
+            k.n_of(),
+            &b,
+            out.as_mut_slice(),
+            ws,
+        )?;
+        ws.give_matrix(b);
     }
-    ws.give_matrix(product);
     Ok(out)
 }
 
@@ -596,6 +633,32 @@ mod tests {
             let mut reference = Matrix::zeros(n_if * kh * kw, n_of);
             fill_weights_as_matrix_s_ref(&mut reference, &k);
             assert_eq!(tuned, reference, "{n_of}x{n_if}x{kh}x{kw}");
+        }
+    }
+
+    /// The weight-stationary `B` operand is the transposed patch matrix,
+    /// for strides 1–3, asymmetric padding and a kernel wider than the
+    /// padded map's interior.
+    #[test]
+    fn transposed_patch_fill_is_the_transposed_patch_matrix() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        for (g, ih, iw) in [
+            (geom(), 12, 12),
+            (ConvGeom::down(14, 14, 5, 5, 2, 7, 7).unwrap(), 14, 14),
+            (ConvGeom::down(9, 9, 3, 3, 3, 3, 3).unwrap(), 9, 9),
+            (ConvGeom::down(4, 4, 4, 4, 1, 1, 1).unwrap(), 4, 4),
+            (ConvGeom::new(3, 3, 1, 2, 1, 0, 2).unwrap(), 2, 5),
+        ] {
+            let x: Fmaps<f32> = Fmaps::random(3, ih, iw, 1.0, &mut rng);
+            let lowered = im2col_s(&x, &g);
+            let (oh, ow) = lowered.out_hw;
+            let mut b = Matrix::zeros(lowered.patches.cols(), oh * ow);
+            fill_im2col_s_transposed(&mut b, &x, &g, oh, ow);
+            for r in 0..b.rows() {
+                for c in 0..b.cols() {
+                    assert_eq!(b.at(r, c), lowered.patches.at(c, r), "{g:?} ({r},{c})");
+                }
+            }
         }
     }
 

@@ -43,10 +43,10 @@
 //!   granularity to defeat) and `B` is never packed.
 //! * [`GemmPath::SmallM`] — the same register tile as the packed kernel
 //!   run directly over unpacked `B` columns for `m ≤ `[`MR_F32`]: one
-//!   pass over `B`, no pack. The workspace lowering drivers additionally
-//!   stream `B` rows on the fly through this path
-//!   (`crate::gemm::matmul_streamed_ws`) so small-`m` sites skip the
-//!   materialized lowering fill entirely.
+//!   pass over `B`, no pack. The `W-CONV` lowering additionally streams
+//!   `B` rows on the fly through this path
+//!   (`crate::gemm::matmul_streamed_ws`) so its small-`m` sites skip the
+//!   materialized patch fill entirely.
 //!
 //! The decision is a pure function of `(m, kk, n, zero-word count)` — all
 //! thread- and SIMD-invariant — and `ZFGAN_FORCE_KERNEL=packed|ikj|smallm`
@@ -1660,6 +1660,46 @@ pub fn plan_gemm<T: Num>(
     scratch: &mut PackScratch,
 ) -> GemmPlan {
     let plan = scan_gemm(a, m, kk, n, scratch);
+    pack_for_plan(&plan, b, kk, n, kind, scratch);
+    plan
+}
+
+/// [`plan_gemm`] for an `A` operand the caller knows to be dense — the
+/// weight-stationary conv lowerings, whose `A` is a layer's weights: the
+/// zero scan is skipped (it would be a full extra pass over a
+/// multi-megabyte operand per call, to find nothing), every panel mask
+/// stays clear and the dispatch keys on the shape alone. Masks are only
+/// ever a licence to skip, so a clear mask is correct for any `A`.
+pub fn plan_gemm_dense_a<T: Num>(
+    b: &[T],
+    m: usize,
+    kk: usize,
+    n: usize,
+    kind: PackedKind,
+    scratch: &mut PackScratch,
+) -> GemmPlan {
+    let (_, words_per_row) = mask_geometry(kk);
+    scratch.masks.clear();
+    scratch.masks.resize(m * words_per_row, 0);
+    let plan = GemmPlan {
+        path: dispatch_path(m, kk, n, 0),
+        skipped: 0,
+        visited: (m * kk) as u64,
+    };
+    pack_for_plan(&plan, b, kk, n, kind, scratch);
+    plan
+}
+
+/// Packs `B` into the scratch panels when (and only when) `plan` runs the
+/// packed engine.
+fn pack_for_plan<T: Num>(
+    plan: &GemmPlan,
+    b: &[T],
+    kk: usize,
+    n: usize,
+    kind: PackedKind,
+    scratch: &mut PackScratch,
+) {
     if plan.path == GemmPath::Packed {
         match kind {
             PackedKind::F32 => {
@@ -1678,7 +1718,6 @@ pub fn plan_gemm<T: Num>(
             }
         }
     }
-    plan
 }
 
 /// Runs one planned GEMM's engine at the process-selected level over a
@@ -1940,6 +1979,15 @@ mod tests {
         // Exactly at the 15/16 threshold the ikj path still wins.
         assert_eq!(choose_path(8, 100, 128, 750), GemmPath::Ikj);
         assert_eq!(choose_path(8, 100, 128, 749), GemmPath::Packed);
+        // The weight-stationary conv shapes (`m` = output maps, `n` =
+        // pixels, dense weights so a zero count of 0): a single-channel
+        // side makes one-row phase GEMMs, which stream `B`; every other
+        // layer keeps the packed tile, down to 16 pixels; nothing lands on
+        // ikj by density.
+        assert_eq!(choose_path(1, 64 * 9, 196, 0), GemmPath::SmallM);
+        assert_eq!(choose_path(64, 25, 196, 0), GemmPath::Packed);
+        assert_eq!(choose_path(128, 1600, 49, 0), GemmPath::Packed);
+        assert_eq!(choose_path(512, 6400, 16, 0), GemmPath::Packed);
         // Narrow outputs can't amortize a broadcast axpy: everything
         // below n = 8 stays packed no matter the shape or density.
         assert_eq!(choose_path(49, 6272, 1, 49 * 6272 - 49), GemmPath::Packed);

@@ -1,12 +1,18 @@
 //! A reusable scratch arena for the conv hot path.
 //!
-//! Every lowered convolution needs the same transient buffers — im2col
-//! patch matrices, reshaped weight matrices, the GEMM product, and the
-//! output maps. Allocating them from scratch per call is where a training
-//! step's heap traffic comes from; [`ConvWorkspace`] keeps the buffers on
-//! a free list instead, so after a warm-up step the conv hot path performs
-//! **zero heap allocation** (pinned by `tests/zero_alloc.rs` with a
+//! Every lowered convolution needs the same transient buffers — the
+//! (transposed) patch matrix, phase GEMM products, and the output maps.
+//! Allocating them from scratch per call is where a training step's heap
+//! traffic comes from; [`ConvWorkspace`] keeps the buffers on a free list
+//! instead, so after a warm-up step the conv hot path performs **zero heap
+//! allocation** (pinned by `tests/zero_alloc.rs` with a
 //! counting global allocator).
+//!
+//! The weights are *not* among the transients: the packed lowerings read
+//! the kernel tensor in place, and a layer's gathered phase sub-kernels
+//! live with the layer ([`crate::PhaseKernelCache`] — derived from state,
+//! they outlive a step). Only callers holding a bare `&Kernels` gather
+//! sub-kernels into workspace scratch, per call.
 //!
 //! # Lifetime rules
 //!

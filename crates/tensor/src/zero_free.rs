@@ -38,14 +38,38 @@
 //! deterministic; see [`crate::microkernel`]), while `Fx` and `f64` stay
 //! bit-identical to golden. `tests/fast_conv.rs` pins both contracts over
 //! random geometries.
+//!
+//! # Orientation
+//!
+//! The scalar (reference) kinds multiply **patch-major**: one patch row
+//! per output pixel times a `K × maps` weight matrix, the product
+//! transposed into the maps — the lowering as it is specified, kept as the
+//! oracle. The packed kinds multiply **weight-stationary**: `A` is the
+//! weights with one row per output map, `B` the transposed patch matrix
+//! (`K × pixels`, the only operand lowered per call), and the product's
+//! rows are the output maps. For the whole-map passes `A` is the kernel
+//! tensor read in place ([`crate::im2col::s_conv_via_gemm_ws`], which also
+//! serves the T-CONV input error); for the phase passes here it is the
+//! phase's sub-kernel matrix, gathered once per weight version into a
+//! [`PhaseKernelCache`] by the owner of the weights, or per call into
+//! workspace scratch by callers that only hold a `&Kernels`.
+//!
+//! The two orientations agree bit for bit per element type: the chain per
+//! output element is the same (`k` ascending, one multiply–add per term),
+//! only the two factors of each product trade places, and multiplication
+//! commutes in every element type — `fma(a, b, c) = fma(b, a, c)`, the
+//! Q8.8 term is `sat(round(a·b))`. Which exact-zero terms are skipped may
+//! differ, and that never changes bits either (see [`crate::gemm`]).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
 use crate::gemm::MatmulKind;
-use crate::im2col::{fill_im2col_s_row, im2col_s, im2col_s_ws, Lowered, Matrix};
+use crate::im2col::{
+    fill_im2col_s_row, im2col_s, im2col_s_ws, s_conv_via_gemm_ws, Lowered, Matrix,
+};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -66,6 +90,15 @@ struct TPhase {
     kys: Vec<usize>,
     /// Kept flipped-kernel column indices `kx′`, ascending.
     kxs: Vec<usize>,
+}
+
+impl TPhase {
+    /// Kept taps per source channel, `|kys|·|kxs|`. Zero when no kernel
+    /// tap reaches this phase: its outputs stay zero, exactly as the
+    /// golden scatter leaves them, and every lowering skips it.
+    fn taps(&self) -> usize {
+        self.kys.len() * self.kxs.len()
+    }
 }
 
 /// Enumerates the `stride²` phases of a `T-CONV` output of size `oh × ow`.
@@ -96,6 +129,16 @@ fn t_phases(geom: &ConvGeom, oh: usize, ow: usize) -> Vec<TPhase> {
     phases
 }
 
+/// Everything [`t_phases`] reads: `(stride, pad_top, pad_left, kh, kw, oh,
+/// ow)`. Keys the phase memo, and names the decomposition a
+/// [`PhaseKernelCache`] was gathered for.
+type PhaseKey = (usize, usize, usize, usize, usize, usize, usize);
+
+fn phase_key(geom: &ConvGeom, oh: usize, ow: usize) -> PhaseKey {
+    let (pt, _, pl, _) = geom.t_conv_pads();
+    (geom.stride(), pt, pl, geom.kh(), geom.kw(), oh, ow)
+}
+
 /// Shape-keyed memo of [`t_phases`] decompositions, embedded in
 /// [`ConvWorkspace`]. A GAN's layer geometries repeat every step, and
 /// `t_phases` allocates a handful of index vectors per call — caching them
@@ -103,19 +146,16 @@ fn t_phases(geom: &ConvGeom, oh: usize, ow: usize) -> Vec<TPhase> {
 /// T-CONV hot path (`Arc` rather than `Rc` keeps the workspace `Send`).
 #[derive(Debug, Default)]
 pub(crate) struct PhaseCache {
-    #[allow(clippy::type_complexity)]
-    map: HashMap<(usize, usize, usize, usize, usize, usize, usize), Arc<Vec<TPhase>>>,
+    map: HashMap<PhaseKey, Arc<Vec<TPhase>>>,
 }
 
 impl PhaseCache {
     /// The phase decomposition for `(geom, oh, ow)`, computed at most once
-    /// per distinct shape. The key covers every input `t_phases` reads.
+    /// per distinct shape.
     fn get(&mut self, geom: &ConvGeom, oh: usize, ow: usize) -> Arc<Vec<TPhase>> {
-        let (pt, _, pl, _) = geom.t_conv_pads();
-        let key = (geom.stride(), pt, pl, geom.kh(), geom.kw(), oh, ow);
         Arc::clone(
             self.map
-                .entry(key)
+                .entry(phase_key(geom, oh, ow))
                 .or_insert_with(|| Arc::new(t_phases(geom, oh, ow))),
         )
     }
@@ -137,9 +177,8 @@ fn phases_for<T>(
     }
 }
 
-/// The patch fill loop of [`t_phase_patches`], shared by the allocating
-/// and workspace lowerings. Writes only in-bounds entries, so `patches`
-/// **must** start zero-filled.
+/// The patch-major fill loop of [`t_phase_patches`]. Writes only in-bounds
+/// entries, so `patches` **must** start zero-filled.
 fn fill_t_phase_patches<T: Num>(
     patches: &mut Matrix<T>,
     input: &Fmaps<T>,
@@ -223,18 +262,54 @@ fn fill_t_phase_patches_ref<T: Num>(
     }
 }
 
-/// Picks the specification or table-driven patch fill by GEMM family.
-fn fill_t_phase_patches_for<T: Num>(
-    m: &mut Matrix<T>,
+/// The transposed phase patch fill of the weight-stationary lowering: `b`
+/// is `(N_sf·|kys|·|kxs|) × (phase pixels)`, the transpose of
+/// [`fill_t_phase_patches`]. Output pixel `(ri, rj)` of the phase meets
+/// tap `(ky′, kx′)` at source pixel `(ri + dy, rj + dx)` for per-tap
+/// constants `dy`, `dx` (the kept taps are exactly those whose zero-inserted
+/// coordinate is a multiple of the stride), so every row of `b` is a
+/// *shifted copy* of one input plane: contiguous reads, contiguous writes.
+/// Writes only in-bounds entries, so `b` **must** start zero-filled.
+fn fill_t_phase_patches_transposed<T: Num>(
+    b: &mut Matrix<T>,
     input: &Fmaps<T>,
     geom: &ConvGeom,
     phase: &TPhase,
-    mm: MatmulKind,
 ) {
-    if mm.is_reference() {
-        fill_t_phase_patches_ref(m, input, geom, phase);
-    } else {
-        fill_t_phase_patches(m, input, geom, phase);
+    let s = geom.stride() as isize;
+    let (pt, _, pl, _) = geom.t_conv_pads();
+    let (ih, iw) = (input.height(), input.width());
+    let (noy, nox) = (phase.oys.len(), phase.oxs.len());
+    debug_assert_eq!(b.rows(), input.channels() * phase.taps());
+    debug_assert_eq!(b.cols(), noy * nox);
+    let mut row = 0;
+    for plane in input.as_slice().chunks_exact(ih * iw) {
+        for &ky in &phase.kys {
+            let dy = (phase.oys[0] as isize + ky as isize - pt as isize) / s;
+            for &kx in &phase.kxs {
+                let dx = (phase.oxs[0] as isize + kx as isize - pl as isize) / s;
+                let dst = b.row_mut(row);
+                row += 1;
+                // Phase columns whose source lands inside the map.
+                let rj_lo = (-dx).max(0) as usize;
+                let rj_hi = (iw as isize - dx).clamp(0, nox as isize) as usize;
+                if rj_lo >= rj_hi {
+                    continue;
+                }
+                let (src_lo, src_hi) = (
+                    (rj_lo as isize + dx) as usize,
+                    (rj_hi as isize + dx) as usize,
+                );
+                for ri in 0..noy {
+                    let iy = ri as isize + dy;
+                    if iy < 0 || iy >= ih as isize {
+                        continue;
+                    }
+                    let src = &plane[iy as usize * iw..(iy as usize + 1) * iw];
+                    dst[ri * nox + rj_lo..ri * nox + rj_hi].copy_from_slice(&src[src_lo..src_hi]);
+                }
+            }
+        }
     }
 }
 
@@ -249,35 +324,26 @@ fn t_phase_patches<T: Num>(input: &Fmaps<T>, geom: &ConvGeom, phase: &TPhase) ->
     patches
 }
 
-/// The weight fill loop of [`t_phase_weights`], shared by the allocating
-/// and workspace reshapes. Writes every cell of `m`.
+/// The weight fill loop of [`t_phase_weights`]. Writes every cell of `m`.
 fn fill_t_phase_weights<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &TPhase) {
-    // Row-major traversal: each output row is written contiguously, and
-    // the strided kernel reads stay inside one `sf` block (`n_if·kh·kw`
-    // elements) that is revisited for every kept tap — small enough to
-    // sit in cache. The column-major variant (outer `lf`) walks the whole
-    // matrix once per column and is memory-bound on the writes.
-    for row in 0..m.rows() {
-        fill_t_phase_weights_row(m.row_mut(row), k, phase, row);
-    }
-}
-
-/// One row of [`fill_t_phase_weights`]: row `(sf, ky′, kx′)` of the phase
-/// weight matrix, written contiguously across the `lf` columns. The
-/// streamed-lowering fill for the phase GEMM — live rows are generated
-/// straight into the driver's hot row buffer, so phases the dispatch
-/// layer routes off the packed path never materialize the weight matrix.
-fn fill_t_phase_weights_row<T: Num>(dst: &mut [T], k: &Kernels<T>, phase: &TPhase, row: usize) {
+    // Row-major traversal: each output row `(sf, ky′, kx′)` is written
+    // contiguously across the `lf` columns, and the strided kernel reads
+    // stay inside one `sf` block (`n_if·kh·kw` elements) that is revisited
+    // for every kept tap — small enough to sit in cache.
     let (n_if, kh, kw) = (k.n_if(), k.kh(), k.kw());
     let kdata = k.as_slice();
-    let kxi = row % phase.kxs.len();
-    let rest = row / phase.kxs.len();
-    let kyi = rest % phase.kys.len();
-    let sf = rest / phase.kys.len();
-    let tap = (kh - 1 - phase.kys[kyi]) * kw + (kw - 1 - phase.kxs[kxi]);
-    let base = sf * n_if * kh * kw + tap;
-    for (lf, d) in dst.iter_mut().enumerate() {
-        *d = kdata[base + lf * kh * kw];
+    let mut row = 0;
+    for sf in 0..k.n_of() {
+        for &ky in &phase.kys {
+            for &kx in &phase.kxs {
+                let tap = (kh - 1 - ky) * kw + (kw - 1 - kx);
+                let base = sf * n_if * kh * kw + tap;
+                for (lf, d) in m.row_mut(row).iter_mut().enumerate() {
+                    *d = kdata[base + lf * kh * kw];
+                }
+                row += 1;
+            }
+        }
     }
 }
 
@@ -297,20 +363,6 @@ fn fill_t_phase_weights_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &T
                 }
             }
         }
-    }
-}
-
-/// Picks the specification or cache-tuned weight fill by GEMM family.
-fn fill_t_phase_weights_for<T: Num>(
-    m: &mut Matrix<T>,
-    k: &Kernels<T>,
-    phase: &TPhase,
-    mm: MatmulKind,
-) {
-    if mm.is_reference() {
-        fill_t_phase_weights_ref(m, k, phase);
-    } else {
-        fill_t_phase_weights(m, k, phase);
     }
 }
 
@@ -342,12 +394,13 @@ pub fn im2col_t_zero_free<T: Num>(input: &Fmaps<T>, geom: &ConvGeom) -> Vec<Lowe
         .collect()
 }
 
-/// The per-phase GEMM operand pairs `(patches, weights)` of a zero-free
-/// `T-CONV` — the exact matrices [`t_conv_zero_free`] multiplies, exposed
-/// so fault-injection campaigns can drive each phase's GEMM through
-/// instrumented kernels (ABFT checks, accumulator corruption) without
-/// re-deriving the dataflow. Phases with no reachable kernel taps are
-/// omitted, matching [`im2col_t_zero_free`].
+/// The per-phase patch-major GEMM operand pairs `(patches, weights)` of a
+/// zero-free `T-CONV` — the matrices the specification lowering multiplies
+/// (the packed kinds multiply their transposes, see the module docs),
+/// exposed so fault-injection campaigns can drive each phase's GEMM
+/// through instrumented kernels (ABFT checks, accumulator corruption)
+/// without re-deriving the dataflow. Phases with no reachable kernel taps
+/// are omitted, matching [`im2col_t_zero_free`].
 ///
 /// # Errors
 ///
@@ -372,8 +425,135 @@ pub fn t_zero_free_gemm_operands<T: Num>(
         .collect())
 }
 
+/// The gathered per-phase sub-kernel matrices of one weight tensor — the
+/// stationary `A` operands of the zero-free phase GEMMs, built once per
+/// weight version instead of once per call.
+///
+/// Phase `p`'s matrix is `N_if × (N_of·|kys|·|kxs|)`: row `lf` holds, for
+/// every `(sf, ky′, kx′)` over the phase's kept taps, the flipped-kernel
+/// weight `k[sf][lf][kh−1−ky′][kw−1−kx′]`. Every tap belongs to exactly one
+/// phase, so all phases together hold each weight once: the cache costs
+/// one extra copy of the layer's parameters.
+///
+/// # Lifetime and invalidation
+///
+/// The owner of the weights (a `ConvLayer`) owns one cache next to them
+/// and must call [`PhaseKernelCache::invalidate`] on **every** path that
+/// hands out `&mut` access to the weights; a `Default`/cloned/deserialised
+/// cache starts stale. The first pass after that re-gathers — into the
+/// same buffer, which is kept across invalidations, so a steady-state
+/// train step never reallocates it. Reads go through an `RwLock`, so a
+/// network shared by reference across pool workers gathers once and then
+/// runs its passes concurrently.
+#[derive(Debug)]
+pub struct PhaseKernelCache<T> {
+    state: RwLock<Gathered<T>>,
+}
+
+/// `data` holds the phase matrices of `key`'s decomposition back to back;
+/// `key` is `None` while stale — including for the duration of a gather,
+/// so a gather that panics leaves the cache stale, never half-valid.
+#[derive(Debug)]
+struct Gathered<T> {
+    key: Option<PhaseKey>,
+    data: Vec<T>,
+}
+
+impl<T> Default for PhaseKernelCache<T> {
+    /// An empty, stale cache.
+    fn default() -> Self {
+        Self {
+            state: RwLock::new(Gathered {
+                key: None,
+                data: Vec::new(),
+            }),
+        }
+    }
+}
+
+impl<T> Clone for PhaseKernelCache<T> {
+    /// A clone starts stale and empty: always correct, and snapshots of a
+    /// network don't pay for a second copy of its parameters.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<T: Num> PhaseKernelCache<T> {
+    /// Marks the gathered sub-kernels stale; the buffer is kept for the
+    /// re-gather. Call whenever the weights may have changed.
+    pub fn invalidate(&mut self) {
+        // No update ever leaves the pair inconsistent (see `Gathered`), so
+        // a poisoned lock still guards valid data.
+        self.state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .key = None;
+    }
+
+    /// Runs `f` on the sub-kernels of `k` for the decomposition `key`,
+    /// gathering them first if the cache is stale or was gathered for
+    /// another decomposition.
+    fn with_gathered<R>(
+        &self,
+        k: &Kernels<T>,
+        key: PhaseKey,
+        phases: &[TPhase],
+        f: impl FnOnce(&[T]) -> R,
+    ) -> R {
+        loop {
+            let fresh = self.state.read().unwrap_or_else(PoisonError::into_inner);
+            if fresh.key == Some(key) {
+                return f(&fresh.data);
+            }
+            drop(fresh);
+            let mut stale = self.state.write().unwrap_or_else(PoisonError::into_inner);
+            if stale.key != Some(key) {
+                stale.key = None;
+                let len = k.len();
+                if stale.data.len() != len {
+                    stale.data.clear();
+                    stale.data.resize(len, T::zero());
+                }
+                gather_phase_kernels(&mut stale.data, k, phases);
+                stale.key = Some(key);
+            }
+        }
+    }
+}
+
+/// Gathers every live phase's sub-kernel matrix (see [`PhaseKernelCache`]
+/// for the layout) into `out`, which must hold `k.len()` elements; the
+/// first `Σ taps · N_if · N_of` are written (all of them, unless some phase
+/// is missing from a tiny output grid).
+///
+/// One sequential pass over the kernel tensor in `(lf, sf)` block order:
+/// each `kh·kw` tap block is read once and dealt out to the phases that
+/// keep its taps, so every phase matrix is written front to back.
+fn gather_phase_kernels<T: Num>(out: &mut [T], k: &Kernels<T>, phases: &[TPhase]) {
+    let (n_of, n_if, kh, kw) = k.shape();
+    let kdata = k.as_slice();
+    for lf in 0..n_if {
+        for sf in 0..n_of {
+            let block = &kdata[(sf * n_if + lf) * kh * kw..][..kh * kw];
+            let mut base = 0;
+            for phase in phases {
+                let taps = phase.taps();
+                let mut slot = base + (lf * n_of + sf) * taps;
+                for &ky in &phase.kys {
+                    for &kx in &phase.kxs {
+                        out[slot] = block[(kh - 1 - ky) * kw + (kw - 1 - kx)];
+                        slot += 1;
+                    }
+                }
+                base += n_if * n_of * taps;
+            }
+        }
+    }
+}
+
 /// Zero-free `T-CONV`: compact per-phase lowering + GEMM, bit-identical
-/// to [`crate::t_conv`].
+/// to [`crate::t_conv`] under the scalar kinds (see the module docs).
 ///
 /// # Errors
 ///
@@ -384,8 +564,7 @@ pub fn t_conv_zero_free<T: Num>(
     geom: &ConvGeom,
     mm: MatmulKind,
 ) -> TensorResult<Fmaps<T>> {
-    let (oh, ow) = geom.up_out(input.height(), input.width());
-    t_conv_zero_free_sized(input, k, geom, oh, ow, mm)
+    t_conv_zero_free_ws(input, k, geom, mm, &mut ConvWorkspace::new())
 }
 
 /// [`t_conv_zero_free`] with an explicit output size (the backward error
@@ -402,35 +581,7 @@ pub fn t_conv_zero_free_sized<T: Num>(
     ow: usize,
     mm: MatmulKind,
 ) -> TensorResult<Fmaps<T>> {
-    if k.n_of() != input.channels() {
-        return Err(ShapeError::new(format!(
-            "kernel's down-direction output side is {} maps, t_conv input has {}",
-            k.n_of(),
-            input.channels()
-        )));
-    }
-    let mut out = Fmaps::zeros(k.n_if(), oh, ow);
-    for phase in t_phases(geom, oh, ow) {
-        if phase.kys.is_empty() || phase.kxs.is_empty() {
-            // No kernel tap reaches this phase: its outputs stay zero,
-            // exactly as the golden scatter leaves them.
-            continue;
-        }
-        let cols = input.channels() * phase.kys.len() * phase.kxs.len();
-        let mut patches = Matrix::zeros(phase.oys.len() * phase.oxs.len(), cols);
-        fill_t_phase_patches_for(&mut patches, input, geom, &phase, mm);
-        let mut weights = Matrix::zeros(k.n_of() * phase.kys.len() * phase.kxs.len(), k.n_if());
-        fill_t_phase_weights_for(&mut weights, k, &phase, mm);
-        let product = mm.run(&patches, &weights)?;
-        for lf in 0..k.n_if() {
-            for (ri, &oy) in phase.oys.iter().enumerate() {
-                for (rj, &ox) in phase.oxs.iter().enumerate() {
-                    *out.at_mut(lf, oy, ox) = *product.at(ri * phase.oxs.len() + rj, lf);
-                }
-            }
-        }
-    }
-    Ok(out)
+    t_conv_zero_free_sized_ws(input, k, geom, oh, ow, mm, &mut ConvWorkspace::new())
 }
 
 /// [`t_conv_zero_free`] with every transient drawn from the workspace.
@@ -450,10 +601,11 @@ pub fn t_conv_zero_free_ws<T: Num>(
     t_conv_zero_free_sized_ws(input, k, geom, oh, ow, mm, ws)
 }
 
-/// [`t_conv_zero_free_sized`] with every transient (phase patch and weight
-/// matrices, GEMM products, output maps) drawn from the workspace, and the
-/// phase decomposition memoized through its [`PhaseCache`]. Bit-identical
-/// to the allocating form.
+/// [`t_conv_zero_free_sized`] with every transient (phase patch matrices,
+/// GEMM products, output maps, and the phase sub-kernels, gathered afresh
+/// for this call) drawn from the workspace, and the phase decomposition
+/// memoized through its [`PhaseCache`]. Bit-identical to the allocating
+/// form.
 ///
 /// # Errors
 ///
@@ -461,6 +613,51 @@ pub fn t_conv_zero_free_ws<T: Num>(
 pub fn t_conv_zero_free_sized_ws<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
+    geom: &ConvGeom,
+    oh: usize,
+    ow: usize,
+    mm: MatmulKind,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<Fmaps<T>> {
+    t_conv_zero_free_driver(input, k, None, geom, oh, ow, mm, ws)
+}
+
+/// [`t_conv_zero_free_sized_ws`] for a caller that owns the weights: the
+/// phase sub-kernels come from (and on first use after an invalidation are
+/// gathered into) `sub_kernels`, which must belong to `k` — see
+/// [`PhaseKernelCache`] for the invalidation rule. Bit-identical.
+///
+/// # Errors
+///
+/// Returns an error if `k.n_of() != input.channels()`.
+#[allow(clippy::too_many_arguments)]
+pub fn t_conv_zero_free_cached_ws<T: Num>(
+    input: &Fmaps<T>,
+    k: &Kernels<T>,
+    sub_kernels: &PhaseKernelCache<T>,
+    geom: &ConvGeom,
+    oh: usize,
+    ow: usize,
+    mm: MatmulKind,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<Fmaps<T>> {
+    t_conv_zero_free_driver(input, k, Some(sub_kernels), geom, oh, ow, mm, ws)
+}
+
+/// The one zero-free `T-CONV` driver behind every entry above.
+///
+/// The packed kinds run each phase **weight-stationary**: `A` is the
+/// phase's gathered sub-kernel matrix (one row per output map), `B` the
+/// transposed phase patch matrix — the only operand lowered per call — and
+/// row `lf` of the product is output map `lf` restricted to the phase's
+/// pixels, interleaved back by row. Per output element that is the
+/// patch-major chain with each product's factors swapped: bit-neutral.
+/// Reference kinds keep the patch-major specification lowering.
+#[allow(clippy::too_many_arguments)]
+fn t_conv_zero_free_driver<T: Num>(
+    input: &Fmaps<T>,
+    k: &Kernels<T>,
+    sub_kernels: Option<&PhaseKernelCache<T>>,
     geom: &ConvGeom,
     oh: usize,
     ow: usize,
@@ -483,38 +680,42 @@ pub fn t_conv_zero_free_sized_ws<T: Num>(
     // take_fmaps zero-fills: phases without reachable taps leave their
     // outputs zero, exactly as the golden scatter does.
     let mut out = ws.take_fmaps(k.n_if(), oh, ow);
-    for phase in phases.iter() {
-        if phase.kys.is_empty() || phase.kxs.is_empty() {
-            continue;
-        }
-        let cols = input.channels() * phase.kys.len() * phase.kxs.len();
+    if mm.is_reference() {
+        t_phases_patch_major(&mut out, input, k, geom, &phases, mm, ws)?;
+    } else if let Some(cache) = sub_kernels {
+        cache.with_gathered(k, phase_key(geom, oh, ow), &phases, |sub| {
+            t_phases_weight_stationary(&mut out, input, sub, geom, &phases, mm, ws)
+        })?;
+    } else {
+        let mut sub = ws.take(k.len());
+        gather_phase_kernels(&mut sub, k, &phases);
+        t_phases_weight_stationary(&mut out, input, &sub, geom, &phases, mm, ws)?;
+        ws.give(sub);
+    }
+    Ok(out)
+}
+
+/// The reference kinds' phase loop: patch-major operands built by the
+/// specification fills, product transposed into the maps.
+fn t_phases_patch_major<T: Num>(
+    out: &mut Fmaps<T>,
+    input: &Fmaps<T>,
+    k: &Kernels<T>,
+    geom: &ConvGeom,
+    phases: &[TPhase],
+    mm: MatmulKind,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<()> {
+    for phase in phases.iter().filter(|p| p.taps() > 0) {
+        let kk = k.n_of() * phase.taps();
         // take_matrix zero-fills — required: the patch fill writes only
         // in-bounds entries.
-        let mut patches = ws.take_matrix(phase.oys.len() * phase.oxs.len(), cols);
-        fill_t_phase_patches_for(&mut patches, input, geom, phase, mm);
-        let wrows = k.n_of() * phase.kys.len() * phase.kxs.len();
-        let product = if mm.is_reference() {
-            // Reference kinds keep the specification reshape loop and the
-            // materialized operand.
-            let mut weights = ws.take_matrix(wrows, k.n_if());
-            fill_t_phase_weights_ref(&mut weights, k, phase);
-            let product = mm.run_ws(&patches, &weights, ws)?;
-            ws.give_matrix(weights);
-            product
-        } else {
-            // Streamed lowering: the highly sparse phases (the generator
-            // projection in particular) dispatch off the packed path, and
-            // there the weight matrix is never materialized — rows are
-            // generated on demand into the driver's hot tile buffer.
-            crate::gemm::matmul_streamed_ws(
-                mm,
-                &patches,
-                wrows,
-                k.n_if(),
-                &mut |row, dst| fill_t_phase_weights_row(dst, k, phase, row),
-                ws,
-            )?
-        };
+        let mut patches = ws.take_matrix(phase.oys.len() * phase.oxs.len(), kk);
+        fill_t_phase_patches_ref(&mut patches, input, geom, phase);
+        let mut weights = ws.take_matrix(kk, k.n_if());
+        fill_t_phase_weights_ref(&mut weights, k, phase);
+        let product = mm.run_ws(&patches, &weights, ws)?;
+        ws.give_matrix(weights);
         ws.give_matrix(patches);
         for lf in 0..k.n_if() {
             for (ri, &oy) in phase.oys.iter().enumerate() {
@@ -525,7 +726,49 @@ pub fn t_conv_zero_free_sized_ws<T: Num>(
         }
         ws.give_matrix(product);
     }
-    Ok(out)
+    Ok(())
+}
+
+/// The packed kinds' phase loop over gathered sub-kernels `sub` (laid out
+/// as [`gather_phase_kernels`] writes them).
+fn t_phases_weight_stationary<T: Num>(
+    out: &mut Fmaps<T>,
+    input: &Fmaps<T>,
+    sub: &[T],
+    geom: &ConvGeom,
+    phases: &[TPhase],
+    mm: MatmulKind,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<()> {
+    let (n_if, oh, ow) = out.shape();
+    let s = geom.stride();
+    let mut base = 0;
+    for phase in phases.iter().filter(|p| p.taps() > 0) {
+        let kk = input.channels() * phase.taps();
+        let a = &sub[base..base + n_if * kk];
+        base += n_if * kk;
+        let (noy, nox) = (phase.oys.len(), phase.oxs.len());
+        // take_matrix zero-fills — required: the patch fill writes only
+        // in-bounds entries.
+        let mut b = ws.take_matrix(kk, noy * nox);
+        fill_t_phase_patches_transposed(&mut b, input, geom, phase);
+        let mut product = ws.take(n_if * noy * nox);
+        crate::gemm::matmul_weight_stationary_ws(mm, a, n_if, &b, &mut product, ws)?;
+        ws.give_matrix(b);
+        // Row `lf` of the product is map `lf` on this phase's pixel grid:
+        // deal its rows back into the map at the phase's stride.
+        let maps = out.as_mut_slice().chunks_exact_mut(oh * ow);
+        for (map, pmap) in maps.zip(product.chunks_exact(noy * nox)) {
+            for (&oy, prow) in phase.oys.iter().zip(pmap.chunks_exact(nox)) {
+                let orow = &mut map[oy * ow + phase.oxs[0]..(oy + 1) * ow];
+                for (o, v) in orow.iter_mut().step_by(s).zip(prow) {
+                    *o = *v;
+                }
+            }
+        }
+        ws.give(product);
+    }
+    Ok(())
 }
 
 /// Collapsed lowering for a `1×1` input map (the generator's latent
@@ -592,86 +835,13 @@ fn t_conv_one_by_one_ws<T: Num>(
     Ok(Some(out))
 }
 
-/// Reshapes a (down-layout) weight tensor for the backward error pass of a
-/// T-CONV layer: rows are `(lf, ky, kx)`, columns the small-side channels
-/// — the operand of [`t_conv_input_grad_via_gemm`].
-pub fn weights_as_matrix_s_swapped<T: Num>(k: &Kernels<T>) -> Matrix<T> {
-    let mut m = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-    fill_weights_as_matrix_s_swapped(&mut m, k);
-    m
-}
-
-/// Fills a `(n_if·kh·kw) × n_of` matrix with the channel-swapped weight
-/// layout of [`weights_as_matrix_s_swapped`]. Writes every cell.
-fn fill_weights_as_matrix_s_swapped<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
-    // Row-major traversal: each output row is written contiguously, and
-    // for a fixed `lf` the strided reads revisit the same few cache lines
-    // of every `sf` block across the `(ky, kx)` sweep. The column-major
-    // variant (outer `sf`) re-walks the whole matrix once per column and
-    // is memory-bound on the writes.
-    let (n_if, kh, kw) = (k.n_if(), k.kh(), k.kw());
-    let kdata = k.as_slice();
-    let mut row = 0;
-    for lf in 0..n_if {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let off = (lf * kh + ky) * kw + kx;
-                let dst = m.row_mut(row);
-                for (sf, d) in dst.iter_mut().enumerate() {
-                    *d = kdata[sf * n_if * kh * kw + off];
-                }
-                row += 1;
-            }
-        }
-    }
-}
-
-/// Specification form of [`fill_weights_as_matrix_s_swapped`]:
-/// column-major traversal through the kernel accessor, as the reshape is
-/// defined. The reference engines run this loop (see
-/// [`MatmulKind::is_reference`]); tests pin it bit-identical to the
-/// row-major fill.
-fn fill_weights_as_matrix_s_swapped_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
-    for sf in 0..k.n_of() {
-        let mut row = 0;
-        for lf in 0..k.n_if() {
-            for ky in 0..k.kh() {
-                for kx in 0..k.kw() {
-                    *m.at_mut(row, sf) = *k.at(sf, lf, ky, kx);
-                    row += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Fills one row `r` of the [`fill_weights_as_matrix_s_swapped`] reshape —
-/// the per-row form the streamed GEMM lowering pulls through
-/// [`crate::gemm`]'s row callback. Row `r` is the linear `(lf, ky, kx)`
-/// index, which is exactly the kernel tensor's within-block offset. Writes
-/// every element of `row`.
-fn fill_weights_as_matrix_s_swapped_row<T: Num>(k: &Kernels<T>, r: usize, row: &mut [T]) {
-    let block = k.n_if() * k.kh() * k.kw();
-    let kdata = k.as_slice();
-    for (sf, d) in row.iter_mut().enumerate() {
-        *d = kdata[sf * block + r];
-    }
-}
-
-/// Picks the specification or cache-tuned swapped-weight fill by GEMM
-/// family.
-fn fill_weights_as_matrix_s_swapped_for<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, mm: MatmulKind) {
-    if mm.is_reference() {
-        fill_weights_as_matrix_s_swapped_ref(m, k);
-    } else {
-        fill_weights_as_matrix_s_swapped(m, k);
-    }
-}
-
 /// Backward error pass of a T-CONV layer by lowering: a plain strided
-/// `im2col` of the error GEMMed against the channel-swapped weights.
-/// Bit-identical to [`crate::t_conv_input_grad`]. No zero-inserting is
-/// involved in either formulation, so this is also the zero-free form.
+/// `im2col` of the error GEMMed against the kernel tensor read as
+/// `N_of × (N_if·K_h·K_w)` — which is, operand for operand, the `S-CONV`
+/// lowering ([`s_conv_via_gemm_ws`]) applied to the error maps.
+/// Bit-identical to [`crate::t_conv_input_grad`] under the scalar kinds. No
+/// zero-inserting is involved in either formulation, so this is also the
+/// zero-free form.
 ///
 /// # Errors
 ///
@@ -682,27 +852,7 @@ pub fn t_conv_input_grad_via_gemm<T: Num>(
     geom: &ConvGeom,
     mm: MatmulKind,
 ) -> TensorResult<Fmaps<T>> {
-    if k.n_if() != delta_out.channels() {
-        return Err(ShapeError::new(format!(
-            "kernel's up-direction side is {} maps, error has {}",
-            k.n_if(),
-            delta_out.channels()
-        )));
-    }
-    let lowered = im2col_s(delta_out, geom);
-    let mut swapped = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-    fill_weights_as_matrix_s_swapped_for(&mut swapped, k, mm);
-    let product = mm.run(&lowered.patches, &swapped)?;
-    let (oh, ow) = lowered.out_hw;
-    let mut out = Fmaps::zeros(k.n_of(), oh, ow);
-    for sf in 0..k.n_of() {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                *out.at_mut(sf, oy, ox) = *product.at(oy * ow + ox, sf);
-            }
-        }
-    }
-    Ok(out)
+    t_conv_input_grad_via_gemm_ws(delta_out, k, geom, mm, &mut ConvWorkspace::new())
 }
 
 /// [`t_conv_input_grad_via_gemm`] with every transient drawn from the
@@ -725,38 +875,7 @@ pub fn t_conv_input_grad_via_gemm_ws<T: Num>(
             delta_out.channels()
         )));
     }
-    let lowered = im2col_s_ws(delta_out, geom, ws);
-    let product = if mm.is_reference() {
-        let mut swapped = ws.take_matrix(k.n_if() * k.kh() * k.kw(), k.n_of());
-        fill_weights_as_matrix_s_swapped_for(&mut swapped, k, mm);
-        let product = mm.run_ws(&lowered.patches, &swapped, ws)?;
-        ws.give_matrix(swapped);
-        product
-    } else {
-        // Streamed lowering: swapped-weight rows are produced on demand, so
-        // the `m = 1` projection-layer input grad never materialises the
-        // weight matrix — dead patch columns skip their row fill entirely.
-        crate::gemm::matmul_streamed_ws(
-            mm,
-            &lowered.patches,
-            k.n_if() * k.kh() * k.kw(),
-            k.n_of(),
-            &mut |r, row| fill_weights_as_matrix_s_swapped_row(k, r, row),
-            ws,
-        )?
-    };
-    let (oh, ow) = lowered.out_hw;
-    ws.give_matrix(lowered.patches);
-    let mut out = ws.take_fmaps(k.n_of(), oh, ow);
-    for sf in 0..k.n_of() {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                *out.at_mut(sf, oy, ox) = *product.at(oy * ow + ox, sf);
-            }
-        }
-    }
-    ws.give_matrix(product);
-    Ok(out)
+    s_conv_via_gemm_ws(delta_out, k, geom, mm, ws)
 }
 
 /// `W-CONV` of an S-CONV layer by lowering: the error (as a channels ×
@@ -1186,12 +1305,95 @@ mod tests {
                 fill_t_phase_weights_ref(&mut reference, &k, &phase);
                 assert_eq!(tuned, reference, "weights, {g:?}");
             }
-            let mut tuned = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-            fill_weights_as_matrix_s_swapped(&mut tuned, &k);
-            let mut reference = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-            fill_weights_as_matrix_s_swapped_ref(&mut reference, &k);
-            assert_eq!(tuned, reference, "swapped weights, {g:?}");
         }
+    }
+
+    fn transpose(m: &Matrix<f32>) -> Matrix<f32> {
+        let mut t = Matrix::zeros(m.cols(), m.rows());
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                *t.at_mut(c, r) = *m.at(r, c);
+            }
+        }
+        t
+    }
+
+    /// The weight-stationary operands are exactly the transposes of the
+    /// patch-major specification operands, phase by phase: the transposed
+    /// patch fill against the reference patch fill, the gathered
+    /// sub-kernels against the reference phase weights. Covers padded,
+    /// stride-3, stride-1 and `1×1`-input geometries and a single-channel
+    /// side.
+    #[test]
+    fn weight_stationary_operands_are_the_transposed_specification_operands() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        let geoms = [
+            (ConvGeom::down(12, 12, 4, 4, 2, 6, 6).unwrap(), 6, 6),
+            (ConvGeom::down(14, 14, 5, 5, 2, 7, 7).unwrap(), 7, 7),
+            (ConvGeom::down(7, 7, 3, 3, 3, 3, 3).unwrap(), 3, 3),
+            (ConvGeom::down(4, 4, 4, 4, 1, 1, 1).unwrap(), 1, 1),
+            (ConvGeom::new(7, 7, 1, 0, 0, 0, 0).unwrap(), 1, 1),
+        ];
+        for (g, ih, iw) in &geoms {
+            let (ih, iw) = (*ih, *iw);
+            for (n_of, n_if) in [(3, 4), (2, 1)] {
+                let x: Fmaps<f32> = Fmaps::random(n_of, ih, iw, 1.0, &mut rng);
+                let k: Kernels<f32> = Kernels::random(n_of, n_if, g.kh(), g.kw(), 1.0, &mut rng);
+                let (oh, ow) = g.up_out(ih, iw);
+                let phases = t_phases(g, oh, ow);
+                let mut sub = vec![0.0f32; k.len()];
+                gather_phase_kernels(&mut sub, &k, &phases);
+                let mut base = 0;
+                for phase in phases.iter().filter(|p| p.taps() > 0) {
+                    let kk = n_of * phase.taps();
+                    let npix = phase.oys.len() * phase.oxs.len();
+                    let mut reference = Matrix::zeros(npix, kk);
+                    fill_t_phase_patches_ref(&mut reference, &x, g, phase);
+                    let mut b = Matrix::zeros(kk, npix);
+                    fill_t_phase_patches_transposed(&mut b, &x, g, phase);
+                    assert_eq!(b, transpose(&reference), "patches, {g:?}");
+
+                    let mut weights = Matrix::zeros(kk, n_if);
+                    fill_t_phase_weights_ref(&mut weights, &k, phase);
+                    let a = Matrix::from_vec(n_if, kk, sub[base..base + n_if * kk].to_vec());
+                    assert_eq!(a, transpose(&weights), "sub-kernels, {g:?}");
+                    base += n_if * kk;
+                }
+            }
+        }
+    }
+
+    /// A cache gathers on first use, serves later calls from the gathered
+    /// buffer, and re-gathers into the *same* buffer after `invalidate` —
+    /// never serving a stale weight version.
+    #[test]
+    fn phase_kernel_cache_regathers_after_invalidation_into_the_same_buffer() {
+        let mut rng = SmallRng::seed_from_u64(27);
+        let g = geom();
+        let x: Fmaps<f32> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
+        let mut k: Kernels<f32> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
+        let mut ws = ConvWorkspace::new();
+        let mut cache = PhaseKernelCache::default();
+        let run = |k: &Kernels<f32>, cache: &PhaseKernelCache<f32>, ws: &mut ConvWorkspace<f32>| {
+            t_conv_zero_free_cached_ws(&x, k, cache, &g, 12, 12, MatmulKind::Blocked, ws).unwrap()
+        };
+        let fresh = |k: &Kernels<f32>| t_conv_zero_free(&x, k, &g, MatmulKind::Blocked).unwrap();
+        assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
+        let buffer = cache.state.read().unwrap().data.as_ptr();
+        assert_eq!(run(&k, &cache, &mut ws), fresh(&k), "served from the cache");
+
+        k.as_mut_slice().iter_mut().for_each(|w| *w *= -0.5);
+        cache.invalidate();
+        assert_eq!(run(&k, &cache, &mut ws), fresh(&k), "re-gathered");
+        assert_eq!(buffer, cache.state.read().unwrap().data.as_ptr());
+
+        // Another decomposition of the same weights re-keys the cache.
+        let small: Fmaps<f32> = Fmaps::random(5, 3, 3, 1.0, &mut rng);
+        let got =
+            t_conv_zero_free_cached_ws(&small, &k, &cache, &g, 6, 6, MatmulKind::Blocked, &mut ws);
+        let want = t_conv_zero_free_sized(&small, &k, &g, 6, 6, MatmulKind::Blocked);
+        assert_eq!(got.unwrap(), want.unwrap());
+        assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
     }
 
     #[test]

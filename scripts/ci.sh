@@ -15,6 +15,10 @@ cargo build --release
 echo "=== cargo test ==="
 cargo test -q
 cargo test -q -p zfgan-pool -p zfgan-dataflow -p zfgan-dse -p zfgan-store
+# The conv stack on the runtime-detected SIMD kernels (the NO_SIMD and
+# forced-kernel sweeps below cover the other levels), the layer proptests
+# and weight-staleness suite of zfgan-nn, and the telemetry lib suite.
+cargo test -q -p zfgan-tensor -p zfgan-nn -p zfgan-telemetry
 
 echo "=== pool + dse suites, repeated across pool widths ==="
 # Scheduling races show up only on some runs and some widths (the depth-

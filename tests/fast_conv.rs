@@ -55,8 +55,11 @@ fn arb_layer() -> impl Strategy<Value = ArbLayer> {
     (
         1usize..=3,
         1usize..=5,
-        2usize..=5,
+        // From a single output pixel (a critic head, `n = 1` in the
+        // weight-stationary GEMMs) up.
+        1usize..=5,
         1usize..=3,
+        // `large_c = 1` makes the zero-free phase GEMMs single-row.
         1usize..=4,
         any::<u64>(),
     )
@@ -259,16 +262,116 @@ proptest! {
     }
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The weight-stationary lowering on the shapes the random geometries
+/// above are too small to reach: the MNIST-GAN pixel counts that are not
+/// multiples of the 16-lane panel (49 and 196), single-channel sides
+/// (`n_if = 1`: one-row phase GEMMs) and single-pixel maps (`n = 1`).
+/// Both contracts, on the allocating and the workspace entries alike
+/// (cold and warm workspace): f32 within the accumulation bound of golden
+/// and bit-equal (`to_bits`) across every packed backend; `Fx` and `f64`
+/// bit-equal to golden on every backend.
+#[test]
+fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
+    use zfgan::tensor::ConvWorkspace;
+    // (stride, kernel, out, small_c, large_c)
+    let shapes = [
+        (2, 5, 7, 3, 2),  // 196 → 49 pixels: MNIST-GAN layer 2
+        (2, 5, 14, 2, 1), // 784 → 196 pixels, single-channel image side
+        (2, 4, 7, 1, 3),  // single-channel small side
+        (7, 7, 1, 3, 2),  // one output pixel: the latent projection
+        (1, 4, 1, 1, 4),  // one output pixel, stride 1: the critic head
+    ];
+    for (stride, k, out, small_c, large_c) in shapes {
+        let in_hw = if stride == 1 { k } else { stride * out };
+        let g = ConvGeom::down(in_hw, in_hw, k, k, stride, out, out).expect("valid geometry");
+        let mut rng = SmallRng::seed_from_u64((in_hw * 31 + small_c) as u64);
+        let x = sparse(large_c, in_hw, in_hw, &mut rng);
+        let z = sparse(small_c, out, out, &mut rng);
+        let kern = Kernels::random(small_c, large_c, k, k, 0.5, &mut rng);
+
+        // f32: near golden, one result across the packed family.
+        let (gf, gk) = six_passes(ConvBackend::GoldenDirect, &x, &z, &kern, &g, in_hw);
+        let (pf, pk) = six_passes(PACKED[0], &x, &z, &kern, &g, in_hw);
+        // Reductions run over at most `in_hw²` unit-scale terms.
+        let terms = (in_hw * in_hw).max(large_c.max(small_c) * k * k) as f64;
+        let bound = (2.0 * terms * terms * f64::from(f32::EPSILON)).max(1e-6);
+        for (gold, packed) in gf.iter().zip(&pf) {
+            assert!(
+                gold.max_abs_diff(packed) <= bound,
+                "{g:?}: fmaps pass drifted"
+            );
+        }
+        for (gold, packed) in gk.iter().zip(&pk) {
+            assert!(
+                gold.max_abs_diff(packed) <= bound,
+                "{g:?}: w-conv pass drifted"
+            );
+        }
+        for b in PACKED {
+            let (bf, _) = six_passes(b, &x, &z, &kern, &g, in_hw);
+            for (want, got) in pf.iter().zip(&bf) {
+                assert_eq!(bits(want.as_slice()), bits(got.as_slice()), "{b:?} {g:?}");
+            }
+            let mut ws = ConvWorkspace::new();
+            for round in 0..2 {
+                let fast = [
+                    b.s_conv_ws(&x, &kern, &g, &mut ws).unwrap(),
+                    b.t_conv_ws(&z, &kern, &g, &mut ws).unwrap(),
+                    b.s_conv_input_grad_ws(&pf[0], &kern, &g, in_hw, in_hw, &mut ws)
+                        .unwrap(),
+                    b.t_conv_input_grad_ws(&pf[1], &kern, &g, &mut ws).unwrap(),
+                ];
+                for (want, got) in pf.iter().zip(fast) {
+                    assert_eq!(
+                        bits(want.as_slice()),
+                        bits(got.as_slice()),
+                        "{b:?} {g:?} workspace round {round}"
+                    );
+                    ws.give_fmaps(got);
+                }
+            }
+        }
+
+        // Fx and f64: exact golden reproduction on every backend.
+        let (xq, zq, kq) = (
+            x.map(Fx::from_f32),
+            z.map(Fx::from_f32),
+            kern.map(Fx::from_f32),
+        );
+        let (xd, zd, kd) = (x.map(f64::from), z.map(f64::from), kern.map(f64::from));
+        let golden_q = six_passes(ConvBackend::GoldenDirect, &xq, &zq, &kq, &g, in_hw);
+        let golden_d = six_passes(ConvBackend::GoldenDirect, &xd, &zd, &kd, &g, in_hw);
+        for b in PACKED.into_iter().chain([ConvBackend::ScalarRef]) {
+            assert_eq!(
+                golden_q,
+                six_passes(b, &xq, &zq, &kq, &g, in_hw),
+                "{b:?} {g:?} Fx"
+            );
+            assert_eq!(
+                golden_d,
+                six_passes(b, &xd, &zd, &kd, &g, in_hw),
+                "{b:?} {g:?} f64"
+            );
+        }
+    }
+}
+
 /// The generator's latent projection: a T-CONV whose input map is `1×1`.
-/// The workspace driver collapses it to a single `1 × n_of` GEMM against
-/// the kernel tensor read zero-copy; the allocating driver keeps the
-/// classic phase lowering. Pins the collapsed path bit-identical to the
-/// classic one for both element families — including a padded geometry
-/// whose scatter crops boundary taps — and every Fx backend to golden
-/// exactly. The scalar-reference backend must keep the specification cost
-/// model, so it lands on the classic route too (checked against golden).
+/// The driver collapses it to a single `1 × n_of` GEMM against the kernel
+/// tensor read zero-copy — unless the dispatcher is forced onto the packed
+/// engine, which keeps the classic phase lowering. Pins the collapsed path
+/// bit-identical to the classic one for both element families — including
+/// a padded geometry whose scatter crops boundary taps — and every Fx
+/// backend to golden exactly. The scalar-reference backend must keep the
+/// specification cost model, so it lands on the classic route too (checked
+/// against golden).
 #[test]
 fn one_by_one_t_conv_collapses_bit_identically() {
+    use zfgan::tensor::microkernel::{set_forced_path, GemmPath};
     use zfgan::tensor::ConvWorkspace;
     let mut rng = SmallRng::seed_from_u64(4242);
     let geoms = [
@@ -287,7 +390,12 @@ fn one_by_one_t_conv_collapses_bit_identically() {
             let kq = k.map(Fx::from_f32);
             let golden_fx = ConvBackend::GoldenDirect.t_conv(&zq, &kq, g).unwrap();
             for b in PACKED {
-                let classic = b.t_conv(&z, &k, g).unwrap();
+                // Forcing a path is bit-neutral for every GEMM in the
+                // process, so tests running alongside are unaffected.
+                set_forced_path(Some(GemmPath::Packed));
+                let classic = b.t_conv(&z, &k, g);
+                set_forced_path(None);
+                let classic = classic.unwrap();
                 let mut ws = ConvWorkspace::new();
                 let mut ws_fx = ConvWorkspace::new();
                 // Twice: once cold, once with a warm workspace.

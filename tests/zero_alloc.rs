@@ -1,16 +1,19 @@
 //! Proof of the zero-allocation training hot path: once a
 //! [`ConvWorkspace`] has warmed up, steady-state `forward_ws` /
 //! `backward_ws` passes through both conv directions perform **zero** heap
-//! allocations. Measured with a counting `#[global_allocator]`, which is
-//! why this test lives in its own binary with a single `#[test]` — no
-//! other test threads can pollute the counter.
+//! allocations — also right after a weight update, when the layers
+//! re-gather their phase sub-kernels — and two consecutive
+//! `train_iteration`s allocate nothing the size of a conv buffer.
+//! Measured with a counting `#[global_allocator]`, which is why this test
+//! lives in its own binary with a single `#[test]` — no other test threads
+//! can pollute the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use zfgan::nn::{Activation, ConvLayer, Direction};
+use zfgan::nn::{Activation, ConvLayer, ConvNet, Direction, GanPair, GanTrainer, TrainerConfig};
 use zfgan::tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) and
@@ -19,19 +22,35 @@ struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 
+/// Allocation events of at least [`CONV_BUFFER_BYTES`].
+static LARGE_ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Smaller than every conv-path buffer of [`wide_pair`] (weights, gathered
+/// sub-kernels, patch matrices, maps: 2 KiB and up), larger than anything
+/// a train step allocates by design (images and latent vectors of 256 B,
+/// a handful of per-layer `Vec`s).
+const CONV_BUFFER_BYTES: usize = 1024;
+
+fn count(bytes: usize) {
+    ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+    if bytes >= CONV_BUFFER_BYTES {
+        LARGE_ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -62,6 +81,35 @@ fn round_trip(layers: &[(ConvLayer, Fmaps<f32>, Fmaps<f32>)], ws: &mut ConvWorks
         grads.recycle(ws);
     }
     alloc_events() - before
+}
+
+/// An `8×8` single-channel GAN shaped like [`GanPair::tiny`] but 32 maps
+/// wide, so every conv-path buffer is at least 2 KiB while images stay
+/// 256 B (see [`CONV_BUFFER_BYTES`]).
+fn wide_pair(rng: &mut SmallRng) -> GanPair {
+    let head = ConvGeom::down(4, 4, 4, 4, 1, 1, 1).expect("static geometry");
+    let body = ConvGeom::down(8, 8, 4, 4, 2, 4, 4).expect("static geometry");
+    let mut layer = |dir, geom, small_c, large_c, act, in_shape| {
+        ConvLayer::random(dir, geom, small_c, large_c, act, in_shape, 0.25, rng)
+            .expect("static shapes")
+    };
+    let g = ConvNet::new(vec![
+        layer(Direction::Up, head, 16, 32, Activation::Relu, (16, 1, 1)),
+        layer(Direction::Up, body, 32, 1, Activation::Tanh, (32, 4, 4)),
+    ]);
+    let leaky = Activation::LeakyRelu { alpha: 0.2 };
+    let d = ConvNet::new(vec![
+        layer(Direction::Down, body, 32, 1, leaky, (1, 8, 8)),
+        layer(
+            Direction::Down,
+            head,
+            1,
+            32,
+            Activation::Identity,
+            (32, 4, 4),
+        ),
+    ]);
+    GanPair::new(g.expect("static stack"), d.expect("static stack")).expect("consistent pair")
 }
 
 #[test]
@@ -109,6 +157,52 @@ fn warm_workspace_passes_allocate_nothing() {
              path must be allocation-free once the workspace is warm"
         );
     }
+
+    // A weight update invalidates the layers' gathered phase sub-kernels;
+    // the re-gather on the next pass reuses the buffer it filled before.
+    for (layer, _, _) in &mut layers {
+        let (n_of, n_if, kh, kw) = layer.weights().shape();
+        let step = Kernels::random(n_of, n_if, kh, kw, 0.01, &mut rng);
+        let bias_step = vec![0.0; layer.bias().len()];
+        layer.apply_update(&step, &bias_step);
+    }
+    let delta = round_trip(&layers, &mut ws);
+    assert_eq!(
+        delta, 0,
+        "the pass after a weight update allocated {delta} times; the \
+         sub-kernel re-gather must reuse its buffer"
+    );
+
+    // The same through the trainer: `train_iteration` allocates its
+    // samples and a few per-layer `Vec`s by design, and `Optimizer::step`
+    // clones each layer's gradient into its update tensor; once warm,
+    // nothing else is the size of a conv buffer — although every optimizer
+    // step inside the window forces a re-gather.
+    let mut trainer = GanTrainer::new(
+        wide_pair(&mut rng),
+        TrainerConfig {
+            n_critic: 1,
+            ..TrainerConfig::default()
+        },
+    );
+    for _ in 0..2 {
+        trainer.train_iteration(2, &mut rng);
+    }
+    let gan = trainer.gan();
+    let update_tensors =
+        (gan.generator().layers().len() + gan.discriminator().layers().len()) as u64;
+    let before = LARGE_ALLOC_EVENTS.load(Ordering::Relaxed);
+    for _ in 0..2 {
+        trainer.train_iteration(2, &mut rng);
+    }
+    let large = LARGE_ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        large,
+        2 * update_tensors,
+        "two warm train iterations made {large} allocations of \
+         {CONV_BUFFER_BYTES} B or more; only the optimizer's {update_tensors} \
+         update tensors per iteration are expected"
+    );
 
     // Sanity check that the counter actually works: the same passes with
     // reuse disabled (the honest allocating baseline) must allocate.
