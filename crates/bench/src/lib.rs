@@ -321,6 +321,42 @@ where
     .results
 }
 
+/// Paired, interleaved in-process speed ratio `base / fast`: every round
+/// times one `base` call and one `fast` call back to back, alternating
+/// which goes first, and yields one ratio from those two adjacent samples;
+/// the median round ratio is returned. Host drift and a process's
+/// allocation-layout luck hit both arms of a round alike and cancel out of
+/// its ratio, which is why a gate on this number needs no retries (the
+/// unpaired min-vs-min ratios of separate measurement windows swing by
+/// ~30 % between processes on a shared host; `tests/dispatch_pair_probe.rs`
+/// measured the paired spread at 1.3 %).
+///
+/// # Panics
+///
+/// Panics if `rounds` is zero.
+pub fn paired_ratio(rounds: usize, mut base: impl FnMut(), mut fast: impl FnMut()) -> f64 {
+    assert!(rounds > 0, "a paired ratio needs at least one round");
+    let time = |f: &mut dyn FnMut()| {
+        let t = std::time::Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let mut ratios: Vec<f64> = (0..rounds)
+        .map(|round| {
+            let (b, f) = if round % 2 == 0 {
+                let b = time(&mut base);
+                (b, time(&mut fast))
+            } else {
+                let f = time(&mut fast);
+                (time(&mut base), f)
+            };
+            b / f
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[rounds / 2]
+}
+
 /// Formats a ratio with two decimals and an `x` suffix.
 pub fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")

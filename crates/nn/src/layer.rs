@@ -211,6 +211,13 @@ impl ConvLayer {
         &self.bias
     }
 
+    /// Weights and bias for an in-place optimizer update (the gathered
+    /// sub-kernels go stale, as with [`ConvLayer::weights_mut`]).
+    pub(crate) fn params_mut(&mut self) -> (&mut Kernels<f32>, &mut [f32]) {
+        self.sub_kernels.invalidate();
+        (&mut self.weights, &mut self.bias)
+    }
+
     /// The layer's activation function.
     pub fn activation(&self) -> Activation {
         self.activation
@@ -362,6 +369,48 @@ impl ConvLayer {
         wants: Wants,
         ws: &mut ConvWorkspace<f32>,
     ) -> TensorResult<(Option<Fmaps<f32>>, Option<LayerGrads>)> {
+        self.backward_into(delta_post, pre, input, wants, None, ws)
+    }
+
+    /// The backward pass of the deferred trainer's sample loop (paper
+    /// Fig. 8, `∇W += ∇wᵢ`): this sample's gradients are **added into**
+    /// `grads` — `grads[i] = grads[i] + ∇wᵢ[i]`, bit for bit what
+    /// [`ConvLayer::backward_ws`] followed by [`LayerGrads::add_assign`]
+    /// computes — without a per-sample gradient tensor ever existing. The
+    /// input error is returned if `input_error` asks for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the cached tensors or `grads` are inconsistent
+    /// with the layer shapes.
+    pub fn backward_accumulate_ws(
+        &self,
+        delta_post: &Fmaps<f32>,
+        pre: &Fmaps<f32>,
+        input: &Fmaps<f32>,
+        input_error: bool,
+        grads: &mut LayerGrads,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<Option<Fmaps<f32>>> {
+        let wants = Wants {
+            weight_grads: true,
+            input_error,
+        };
+        let (delta_in, _) = self.backward_into(delta_post, pre, input, wants, Some(grads), ws)?;
+        Ok(delta_in)
+    }
+
+    /// The one backward pass behind the entries above: wanted gradients are
+    /// added into `acc` when there is one, returned fresh otherwise.
+    pub(crate) fn backward_into(
+        &self,
+        delta_post: &Fmaps<f32>,
+        pre: &Fmaps<f32>,
+        input: &Fmaps<f32>,
+        wants: Wants,
+        acc: Option<&mut LayerGrads>,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<(Option<Fmaps<f32>>, Option<LayerGrads>)> {
         let (c, h, w) = pre.shape();
         let mut delta_pre = ws.take_fmaps(c, h, w);
         self.activation
@@ -388,28 +437,52 @@ impl ConvLayer {
         } else {
             None
         };
-        let grads = if wants.weight_grads {
-            let mut bias = ws.take(c);
-            for (ch, bg) in bias.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for y in 0..h {
-                    for x in 0..w {
-                        acc += *delta_pre.at(ch, y, x);
-                    }
+        // The bias gradient of channel `ch`: its error summed in raster
+        // order.
+        let bias_grad = |ch: usize| {
+            let mut sum = 0.0;
+            for y in 0..h {
+                for x in 0..w {
+                    sum += *delta_pre.at(ch, y, x);
                 }
-                *bg = acc;
             }
-            let weights = match self.direction {
-                Direction::Down => self
-                    .backend
-                    .w_conv_for_s_layer_ws(input, &delta_pre, &self.geom, ws)?,
-                Direction::Up => self
-                    .backend
-                    .w_conv_for_t_layer_ws(input, &delta_pre, &self.geom, ws)?,
-            };
-            Some(LayerGrads { weights, bias })
-        } else {
-            None
+            sum
+        };
+        let (backend, geom) = (self.backend, &self.geom);
+        let grads = match acc {
+            None if wants.weight_grads => {
+                let mut bias = ws.take(c);
+                for (ch, bg) in bias.iter_mut().enumerate() {
+                    *bg = bias_grad(ch);
+                }
+                let weights = match self.direction {
+                    Direction::Down => {
+                        backend.w_conv_for_s_layer_ws(input, &delta_pre, geom, ws)?
+                    }
+                    Direction::Up => backend.w_conv_for_t_layer_ws(input, &delta_pre, geom, ws)?,
+                };
+                Some(LayerGrads { weights, bias })
+            }
+            Some(acc) if wants.weight_grads => {
+                if acc.bias.len() != c {
+                    return Err(ShapeError::new(format!(
+                        "bias accumulator holds {} values for {c} output channels",
+                        acc.bias.len()
+                    )));
+                }
+                let weights = &mut acc.weights;
+                match self.direction {
+                    Direction::Down => backend
+                        .w_conv_for_s_layer_accumulate_ws(input, &delta_pre, geom, weights, ws)?,
+                    Direction::Up => backend
+                        .w_conv_for_t_layer_accumulate_ws(input, &delta_pre, geom, weights, ws)?,
+                }
+                for (ch, bg) in acc.bias.iter_mut().enumerate() {
+                    *bg += bias_grad(ch);
+                }
+                None
+            }
+            _ => None,
         };
         ws.give_fmaps(delta_pre);
         Ok((delta_in, grads))

@@ -208,20 +208,7 @@ impl ConvNet {
     ///
     /// Returns an error if `input` does not match the network's input shape.
     pub fn forward(&self, input: &Fmaps<f32>) -> TensorResult<Trace> {
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut post = Vec::with_capacity(self.layers.len());
-        let mut cur = input.clone();
-        for layer in &self.layers {
-            let (p, a) = layer.forward(&cur)?;
-            cur = a.clone();
-            pre.push(p);
-            post.push(a);
-        }
-        Ok(Trace {
-            input: input.clone(),
-            pre,
-            post,
-        })
+        self.forward_ws(input, &mut ConvWorkspace::new())
     }
 
     /// [`ConvNet::forward`] with all transients drawn from the workspace.
@@ -291,6 +278,54 @@ impl ConvNet {
         wants: Wants,
         ws: &mut ConvWorkspace<f32>,
     ) -> TensorResult<(Vec<LayerGrads>, Option<Fmaps<f32>>)> {
+        self.backward_into(trace, delta_out, wants, None, ws)
+    }
+
+    /// The backward pass of the deferred trainer's sample loop (paper
+    /// Fig. 8): every layer's gradients for this sample are **added into**
+    /// `grads` (one accumulator per layer, forward order) — bit for bit
+    /// what [`ConvNet::backward_ws`] followed by a per-layer
+    /// [`LayerGrads::add_assign`] computes, see
+    /// [`ConvLayer::backward_accumulate_ws`]. The error on the network
+    /// input has no consumer in training and is not computed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `delta_out` does not match the output shape or
+    /// `grads` the layers.
+    pub fn backward_accumulate_ws(
+        &self,
+        trace: &Trace,
+        delta_out: &Fmaps<f32>,
+        grads: &mut [LayerGrads],
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<()> {
+        if grads.len() != self.layers.len() {
+            return Err(ShapeError::new(format!(
+                "{} gradient accumulators for {} layers",
+                grads.len(),
+                self.layers.len()
+            )));
+        }
+        let only_grads = Wants {
+            weight_grads: true,
+            input_error: false,
+        };
+        self.backward_into(trace, delta_out, only_grads, Some(grads), ws)?;
+        Ok(())
+    }
+
+    /// The one backward walk behind the entries above: wanted gradients are
+    /// added into `acc` (one accumulator per layer) when there is one,
+    /// returned fresh otherwise.
+    fn backward_into(
+        &self,
+        trace: &Trace,
+        delta_out: &Fmaps<f32>,
+        wants: Wants,
+        mut acc: Option<&mut [LayerGrads]>,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<(Vec<LayerGrads>, Option<Fmaps<f32>>)> {
         if delta_out.shape() != self.out_shape() {
             return Err(ShapeError::new(format!(
                 "delta shape {:?} does not match output {:?}",
@@ -298,7 +333,7 @@ impl ConvNet {
                 self.out_shape()
             )));
         }
-        let n_grads = if wants.weight_grads {
+        let n_grads = if wants.weight_grads && acc.is_none() {
             self.layers.len()
         } else {
             0
@@ -318,9 +353,10 @@ impl ConvNet {
                 input_error: l > 0 || wants.input_error,
                 ..wants
             };
+            let layer_acc = acc.as_deref_mut().map(|a| &mut a[l]);
             let above = delta.take().expect("inner layers propagate their error");
             let (dx, g) =
-                layer.backward_wanted_ws(&above, &trace.pre[l], input, layer_wants, ws)?;
+                layer.backward_into(&above, &trace.pre[l], input, layer_wants, layer_acc, ws)?;
             ws.give_fmaps(above);
             grads.extend(g);
             delta = dx;
@@ -342,32 +378,7 @@ impl ConvNet {
         trace: &Trace,
         delta_out: &Fmaps<f32>,
     ) -> TensorResult<(Vec<LayerGrads>, Fmaps<f32>)> {
-        if delta_out.shape() != self.out_shape() {
-            return Err(ShapeError::new(format!(
-                "delta shape {:?} does not match output {:?}",
-                delta_out.shape(),
-                self.out_shape()
-            )));
-        }
-        let mut grads: Vec<Option<LayerGrads>> = (0..self.layers.len()).map(|_| None).collect();
-        let mut delta = delta_out.clone();
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let input = if l == 0 {
-                &trace.input
-            } else {
-                &trace.post[l - 1]
-            };
-            let (dx, g) = layer.backward(&delta, &trace.pre[l], input)?;
-            grads[l] = Some(g);
-            delta = dx;
-        }
-        Ok((
-            grads
-                .into_iter()
-                .map(|g| g.expect("all layers visited"))
-                .collect(),
-            delta,
-        ))
+        self.backward_ws(trace, delta_out, &mut ConvWorkspace::new())
     }
 
     /// Creates zero-valued gradient accumulators matching every layer.

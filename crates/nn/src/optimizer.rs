@@ -1,5 +1,15 @@
 //! Parameter-update rules: plain SGD, RMSProp (the WGAN default) and Adam
 //! (the DCGAN default).
+//!
+//! # Parameter traffic
+//!
+//! [`Optimizer::step`] updates in place. Per element it reads the gradient
+//! and the moment estimates, writes the moments back and subtracts the
+//! update from the weight in one loop: gradient, moments and weights are
+//! each streamed once, and no update tensor exists in between (the old
+//! step cloned every gradient, rewrote the clone, and subtracted it in a
+//! second pass). The arithmetic per element is unchanged, operation for
+//! operation, so training trajectories are bit-identical.
 
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::Kernels;
@@ -178,81 +188,103 @@ impl Optimizer {
         Ok(())
     }
 
-    /// Applies one step of averaged gradients to `net`.
+    /// Applies one step of averaged gradients to `net`, in place: each
+    /// parameter's update is computed from `(g, v[, m])` and subtracted in
+    /// the same loop, so a step streams every parameter-sized tensor once
+    /// and allocates nothing (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if `grads` does not have one entry per layer with matching
     /// shapes (which indicates a bug in the caller, not bad data).
     pub fn step(&mut self, net: &mut ConvNet, grads: &[LayerGrads]) {
+        self.step_clipped(net, grads, None);
+    }
+
+    /// [`Optimizer::step`], then every weight (not the biases) clamped into
+    /// `[-c, c]` when `clip` holds a bound `c` — the WGAN critic update,
+    /// whose weight clipping enforces the Lipschitz constraint. The clamp
+    /// is applied to each weight as it is written, so the weights are not
+    /// streamed a second time; bit-identical to stepping and then calling
+    /// [`ConvLayer::clamp_weights`](crate::ConvLayer::clamp_weights) on
+    /// every layer.
+    ///
+    /// # Panics
+    ///
+    /// As [`Optimizer::step`]; also if the bound is not positive.
+    pub fn step_clipped(&mut self, net: &mut ConvNet, grads: &[LayerGrads], clip: Option<f32>) {
         assert_eq!(
             grads.len(),
             net.layers().len(),
             "one gradient set per layer"
         );
-        let lr = self.learning_rate;
+        assert!(clip.is_none_or(|c| c > 0.0), "clip bound must be positive");
         self.steps += 1;
+        let rule = (self.kind, self.learning_rate, self.steps);
         for (l, (layer, g)) in net.layers_mut().iter_mut().zip(grads).enumerate() {
-            let mut wdelta = g.weights.clone();
-            let mut bdelta = g.bias.clone();
-            match self.kind {
-                OptimizerKind::Sgd => {
-                    wdelta.scale(lr);
-                    for b in &mut bdelta {
-                        *b *= lr;
-                    }
-                }
-                OptimizerKind::RmsProp { rho, epsilon } => {
-                    let v = &mut self.weight_v[l];
-                    for (d, vv) in wdelta.as_mut_slice().iter_mut().zip(v.as_mut_slice()) {
-                        *vv = rho * *vv + (1.0 - rho) * *d * *d;
-                        *d = lr * *d / (vv.sqrt() + epsilon);
-                    }
-                    let bv = &mut self.bias_v[l];
-                    for (d, vv) in bdelta.iter_mut().zip(bv.iter_mut()) {
-                        *vv = rho * *vv + (1.0 - rho) * *d * *d;
-                        *d = lr * *d / (vv.sqrt() + epsilon);
-                    }
-                }
-                OptimizerKind::Adam {
-                    beta1,
-                    beta2,
-                    epsilon,
-                } => {
-                    let bc1 = 1.0 - beta1.powi(self.steps as i32);
-                    let bc2 = 1.0 - beta2.powi(self.steps as i32);
-                    let v = &mut self.weight_v[l];
-                    let m = &mut self.weight_m[l];
-                    for ((d, vv), mm) in wdelta
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(v.as_mut_slice())
-                        .zip(m.as_mut_slice())
-                    {
-                        *mm = beta1 * *mm + (1.0 - beta1) * *d;
-                        *vv = beta2 * *vv + (1.0 - beta2) * *d * *d;
-                        let m_hat = *mm / bc1;
-                        let v_hat = *vv / bc2;
-                        *d = lr * m_hat / (v_hat.sqrt() + epsilon);
-                    }
-                    let bv = &mut self.bias_v[l];
-                    let bm = &mut self.bias_m[l];
-                    for ((d, vv), mm) in bdelta.iter_mut().zip(bv.iter_mut()).zip(bm.iter_mut()) {
-                        *mm = beta1 * *mm + (1.0 - beta1) * *d;
-                        *vv = beta2 * *vv + (1.0 - beta2) * *d * *d;
-                        *d = lr * (*mm / bc1) / ((*vv / bc2).sqrt() + epsilon);
-                    }
-                }
+            let (weights, bias) = layer.params_mut();
+            assert_eq!(
+                g.weights.shape(),
+                weights.shape(),
+                "weight update shape mismatch"
+            );
+            let (w, gw) = (weights.as_mut_slice(), g.weights.as_slice());
+            let (v, m) = (
+                self.weight_v[l].as_mut_slice(),
+                self.weight_m[l].as_mut_slice(),
+            );
+            match clip {
+                Some(c) => update_in_place(rule, w, gw, v, m, |w| w.clamp(-c, c)),
+                None => update_in_place(rule, w, gw, v, m, |w| w),
             }
-            layer.apply_update(&wdelta, &bdelta);
+            assert_eq!(g.bias.len(), bias.len(), "bias update length mismatch");
+            let (v, m) = (&mut self.bias_v[l], &mut self.bias_m[l]);
+            update_in_place(rule, bias, &g.bias, v, m, |b| b);
         }
     }
+}
 
-    /// Clamps every weight of `net` into `[-c, c]` — the WGAN critic's
-    /// weight-clipping step that enforces the Lipschitz constraint.
-    pub fn clip_weights(net: &mut ConvNet, c: f32) {
-        for layer in net.layers_mut() {
-            layer.clamp_weights(c);
+/// `θ ← finish(θ − update(g, v, m))` element by element under `kind` at
+/// step `steps`, moments updated on the way; `finish` is the identity or
+/// the WGAN clamp. Per element these are the textbook operations in the
+/// textbook order — the update is rounded to `f32` before it is
+/// subtracted, as if it had been stored — so the result is bit-identical
+/// to building the whole update tensor first (pinned by
+/// `in_place_step_matches_the_clone_then_apply_formula`).
+fn update_in_place(
+    (kind, lr, steps): (OptimizerKind, f32, u32),
+    params: &mut [f32],
+    grads: &[f32],
+    v: &mut [f32],
+    m: &mut [f32],
+    finish: impl Fn(f32) -> f32,
+) {
+    match kind {
+        OptimizerKind::Sgd => {
+            for (p, &g) in params.iter_mut().zip(grads) {
+                *p = finish(*p - g * lr);
+            }
+        }
+        OptimizerKind::RmsProp { rho, epsilon } => {
+            for ((p, &g), vv) in params.iter_mut().zip(grads).zip(v) {
+                *vv = rho * *vv + (1.0 - rho) * g * g;
+                *p = finish(*p - lr * g / (vv.sqrt() + epsilon));
+            }
+        }
+        OptimizerKind::Adam {
+            beta1,
+            beta2,
+            epsilon,
+        } => {
+            let bc1 = 1.0 - beta1.powi(steps as i32);
+            let bc2 = 1.0 - beta2.powi(steps as i32);
+            for (((p, &g), vv), mm) in params.iter_mut().zip(grads).zip(v).zip(m) {
+                *mm = beta1 * *mm + (1.0 - beta1) * g;
+                *vv = beta2 * *vv + (1.0 - beta2) * g * g;
+                let m_hat = *mm / bc1;
+                let v_hat = *vv / bc2;
+                *p = finish(*p - lr * m_hat / (v_hat.sqrt() + epsilon));
+            }
         }
     }
 }
@@ -262,7 +294,7 @@ mod tests {
     use super::*;
     use crate::trainer::GanPair;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn net(rng: &mut SmallRng) -> ConvNet {
         GanPair::tiny(rng).discriminator().clone()
@@ -304,18 +336,168 @@ mod tests {
         );
     }
 
+    /// The update rule as the textbook states it — and as `step` used to
+    /// run it: build the whole update tensor from a copy of the gradient,
+    /// moments updated on the way, then subtract it.
+    struct Textbook {
+        kind: OptimizerKind,
+        lr: f32,
+        steps: u32,
+        v: Vec<Vec<f32>>,
+        m: Vec<Vec<f32>>,
+    }
+
+    impl Textbook {
+        /// One step on parameter tensor `t`.
+        fn step(&mut self, t: usize, params: &mut [f32], grads: &[f32]) {
+            let lr = self.lr;
+            let mut delta = grads.to_vec();
+            match self.kind {
+                OptimizerKind::Sgd => delta.iter_mut().for_each(|d| *d *= lr),
+                OptimizerKind::RmsProp { rho, epsilon } => {
+                    for (d, vv) in delta.iter_mut().zip(&mut self.v[t]) {
+                        *vv = rho * *vv + (1.0 - rho) * *d * *d;
+                        *d = lr * *d / (vv.sqrt() + epsilon);
+                    }
+                }
+                OptimizerKind::Adam {
+                    beta1,
+                    beta2,
+                    epsilon,
+                } => {
+                    let bc1 = 1.0 - beta1.powi(self.steps as i32);
+                    let bc2 = 1.0 - beta2.powi(self.steps as i32);
+                    for ((d, vv), mm) in delta.iter_mut().zip(&mut self.v[t]).zip(&mut self.m[t]) {
+                        *mm = beta1 * *mm + (1.0 - beta1) * *d;
+                        *vv = beta2 * *vv + (1.0 - beta2) * *d * *d;
+                        let m_hat = *mm / bc1;
+                        let v_hat = *vv / bc2;
+                        *d = lr * m_hat / (v_hat.sqrt() + epsilon);
+                    }
+                }
+            }
+            for (p, d) in params.iter_mut().zip(&delta) {
+                *p -= d;
+            }
+        }
+    }
+
+    fn to_bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The in-place step is the textbook clone-then-apply step, bit for
+    /// bit, for every rule over several steps: weights, biases and both
+    /// moment estimates. Reordering an operation of the fused loop (say
+    /// `lr * (g / ..)` for `lr * g / ..`) fails here.
     #[test]
-    fn clip_weights_bounds_everything() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut d = net(&mut rng);
-        d.jitter(5.0, &mut rng);
-        Optimizer::clip_weights(&mut d, 0.01);
-        for layer in d.layers() {
-            assert!(layer
-                .weights()
-                .as_slice()
+    fn in_place_step_matches_the_clone_then_apply_formula() {
+        for (k, kind) in [
+            OptimizerKind::Sgd,
+            OptimizerKind::wgan_default(),
+            OptimizerKind::dcgan_adam(),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut rng = SmallRng::seed_from_u64(20 + k as u64);
+            let mut d = net(&mut rng);
+            d.jitter(0.3, &mut rng);
+            let mut opt = Optimizer::new(kind, 0.01, &d);
+            // Tensor 2·l is layer l's weights, 2·l + 1 its bias.
+            let mut params: Vec<Vec<f32>> = d
+                .layers()
                 .iter()
-                .all(|v| v.abs() <= 0.01 + 1e-7));
+                .flat_map(|l| [l.weights().as_slice().to_vec(), l.bias().to_vec()])
+                .collect();
+            let zeros: Vec<Vec<f32>> = params.iter().map(|p| vec![0.0; p.len()]).collect();
+            let mut textbook = Textbook {
+                kind,
+                lr: 0.01,
+                steps: 0,
+                v: zeros.clone(),
+                m: zeros,
+            };
+            for step in 0..5 {
+                let mut grads = d.zero_grads();
+                for g in &mut grads {
+                    let values = g.weights.as_mut_slice().iter_mut().chain(&mut g.bias);
+                    for v in values {
+                        *v = rng.gen_range(-1.0f32..1.0);
+                    }
+                }
+                opt.step(&mut d, &grads);
+                textbook.steps += 1;
+                for (l, g) in grads.iter().enumerate() {
+                    textbook.step(2 * l, &mut params[2 * l], g.weights.as_slice());
+                    textbook.step(2 * l + 1, &mut params[2 * l + 1], &g.bias);
+                }
+                for (l, layer) in d.layers().iter().enumerate() {
+                    let at = format!("{kind:?}, step {step}, layer {l}");
+                    assert_eq!(
+                        to_bits(layer.weights().as_slice()),
+                        to_bits(&params[2 * l]),
+                        "{at}"
+                    );
+                    assert_eq!(to_bits(layer.bias()), to_bits(&params[2 * l + 1]), "{at}");
+                    assert_eq!(
+                        to_bits(opt.weight_v[l].as_slice()),
+                        to_bits(&textbook.v[2 * l]),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        to_bits(opt.weight_m[l].as_slice()),
+                        to_bits(&textbook.m[2 * l]),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        to_bits(&opt.bias_v[l]),
+                        to_bits(&textbook.v[2 * l + 1]),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        to_bits(&opt.bias_m[l]),
+                        to_bits(&textbook.m[2 * l + 1]),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The clipped step bounds every weight, and is the plain step followed
+    /// by a clamp of every layer's weights (biases untouched), bit for bit.
+    #[test]
+    fn clipped_step_is_step_then_clamp() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut clipped = net(&mut rng);
+        clipped.jitter(5.0, &mut rng);
+        let mut stepped = clipped.clone();
+        let grads: Vec<LayerGrads> = clipped
+            .layers()
+            .iter()
+            .map(|l| {
+                let mut weights = l.weights().clone();
+                weights.scale(0.5);
+                LayerGrads {
+                    weights,
+                    bias: vec![0.25; l.bias().len()],
+                }
+            })
+            .collect();
+        let mut opt = Optimizer::new(OptimizerKind::wgan_default(), 0.01, &clipped);
+        opt.clone().step_clipped(&mut clipped, &grads, Some(0.01));
+        opt.step(&mut stepped, &grads);
+        for layer in stepped.layers_mut() {
+            layer.clamp_weights(0.01);
+        }
+        for (c, s) in clipped.layers().iter().zip(stepped.layers()) {
+            assert!(c.weights().as_slice().iter().all(|v| v.abs() <= 0.01));
+            assert_eq!(
+                to_bits(c.weights().as_slice()),
+                to_bits(s.weights().as_slice())
+            );
+            assert_eq!(to_bits(c.bias()), to_bits(s.bias()));
         }
     }
 

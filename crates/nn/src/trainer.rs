@@ -625,12 +625,11 @@ impl GanTrainer {
             ws.give_fmaps(f);
         }
 
-        self.opt_d.step(&mut self.gan.discriminator, &grads);
+        let clip = self.config.weight_clip;
+        self.opt_d
+            .step_clipped(&mut self.gan.discriminator, &grads, clip);
         for g in grads {
             g.recycle(&mut self.workspace);
-        }
-        if let Some(c) = self.config.weight_clip {
-            Optimizer::clip_weights(&mut self.gan.discriminator, c);
         }
         let dis_loss = match self.config.loss {
             LossKind::Wasserstein => wgan::dis_loss(&real_scores, &fake_scores),
@@ -803,8 +802,9 @@ fn gen_delta(loss: LossKind, score: f64, m: usize) -> f32 {
     }
 }
 
-/// Backpropagates one sample through `net` and accumulates its gradients,
-/// drawing every transient from (and returning it to) the workspace. The
+/// Backpropagates one sample through `net`, adding its gradients into
+/// `grads` (`∇W += ∇wᵢ`, in the `W-CONV`'s own epilogue — no per-sample
+/// gradient exists) and drawing every transient from the workspace. The
 /// error on the network input (the image, or `z`) has no consumer, so it
 /// is not computed.
 fn accumulate_ws(
@@ -814,19 +814,8 @@ fn accumulate_ws(
     delta: &Fmaps<f32>,
     ws: &mut ConvWorkspace<f32>,
 ) {
-    let only_grads = Wants {
-        weight_grads: true,
-        input_error: false,
-    };
-    let (g, _) = net
-        .backward_wanted_ws(trace, delta, only_grads, ws)
+    net.backward_accumulate_ws(trace, delta, grads, ws)
         .expect("trace produced by this network");
-    for (acc, gi) in grads.iter_mut().zip(&g) {
-        acc.add_assign(gi);
-    }
-    for gi in g {
-        gi.recycle(ws);
-    }
 }
 
 #[cfg(test)]

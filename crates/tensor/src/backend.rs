@@ -198,13 +198,7 @@ impl ConvBackend {
         delta_out: &Fmaps<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Kernels<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::w_conv_for_s_layer(input, delta_out, geom),
-            // Caffe computes exactly this GEMM — the dilated ("zero-
-            // inserted in kernel") error operand never materialises — so
-            // it serves the dense-lowered backend too.
-            _ => zero_free::w_conv_s_via_gemm(input, delta_out, geom, self.mm()),
-        }
+        self.w_conv_for_s_layer_ws(input, delta_out, geom, &mut ConvWorkspace::new())
     }
 
     /// `W-CONV` of a `T-CONV` layer — see [`crate::w_conv_for_t_layer`].
@@ -218,15 +212,7 @@ impl ConvBackend {
         delta_out: &Fmaps<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Kernels<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::w_conv_for_t_layer(input, delta_out, geom),
-            ConvBackend::LoweredGemm => {
-                zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom, self.mm())
-            }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
-                zero_free::w_conv_t_zero_free(input, delta_out, geom, self.mm())
-            }
-        }
+        self.w_conv_for_t_layer_ws(input, delta_out, geom, &mut ConvWorkspace::new())
     }
 
     // Workspace-fed variants. Each is bit-identical to its allocating
@@ -394,6 +380,9 @@ impl ConvBackend {
     ) -> TensorResult<Kernels<T>> {
         match self {
             ConvBackend::GoldenDirect => conv::w_conv_for_s_layer(input, delta_out, geom),
+            // Caffe computes exactly this GEMM — the dilated ("zero-
+            // inserted in kernel") error operand never materialises — so
+            // it serves the dense-lowered backend too.
             _ => zero_free::w_conv_s_via_gemm_ws(input, delta_out, geom, self.mm(), ws),
         }
     }
@@ -412,14 +401,77 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Kernels<T>> {
         match self {
-            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
-                self.w_conv_for_t_layer(input, delta_out, geom)
+            ConvBackend::GoldenDirect => conv::w_conv_for_t_layer(input, delta_out, geom),
+            ConvBackend::LoweredGemm => {
+                zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom, self.mm())
             }
             ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
                 zero_free::w_conv_t_zero_free_ws(input, delta_out, geom, self.mm(), ws)
             }
         }
     }
+
+    /// [`ConvBackend::w_conv_for_s_layer_ws`] adding the gradient into the
+    /// caller's accumulator, `acc[i] = acc[i] + grad[i]` — bit for bit what
+    /// `acc.add_assign(&grad)` computes, but the lowered backends never
+    /// build `grad` (see [`zero_free::w_conv_s_via_gemm_accumulate_ws`]).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`crate::w_conv_for_s_layer`], plus an `acc` that
+    /// is not shaped like the gradient.
+    pub fn w_conv_for_s_layer_accumulate_ws<T: Num>(
+        self,
+        input: &Fmaps<T>,
+        delta_out: &Fmaps<T>,
+        geom: &ConvGeom,
+        acc: &mut Kernels<T>,
+        ws: &mut ConvWorkspace<T>,
+    ) -> TensorResult<()> {
+        match self {
+            ConvBackend::GoldenDirect => {
+                add_gradient(acc, &conv::w_conv_for_s_layer(input, delta_out, geom)?)
+            }
+            _ => {
+                let mm = self.mm();
+                zero_free::w_conv_s_via_gemm_accumulate_ws(input, delta_out, geom, mm, acc, ws)
+            }
+        }
+    }
+
+    /// [`ConvBackend::w_conv_for_t_layer_ws`] adding the gradient into the
+    /// caller's accumulator — the T-layer twin of
+    /// [`ConvBackend::w_conv_for_s_layer_accumulate_ws`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`crate::w_conv_for_t_layer`], plus an `acc` that
+    /// is not shaped like the gradient.
+    pub fn w_conv_for_t_layer_accumulate_ws<T: Num>(
+        self,
+        input: &Fmaps<T>,
+        delta_out: &Fmaps<T>,
+        geom: &ConvGeom,
+        acc: &mut Kernels<T>,
+        ws: &mut ConvWorkspace<T>,
+    ) -> TensorResult<()> {
+        match self {
+            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
+                add_gradient(acc, &self.w_conv_for_t_layer(input, delta_out, geom)?)
+            }
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+                let mm = self.mm();
+                zero_free::w_conv_t_zero_free_accumulate_ws(input, delta_out, geom, mm, acc, ws)
+            }
+        }
+    }
+}
+
+/// `acc += grad` for the baseline backends that build their gradient.
+fn add_gradient<T: Num>(acc: &mut Kernels<T>, grad: &Kernels<T>) -> TensorResult<()> {
+    zero_free::check_accumulator(acc, grad.shape())?;
+    acc.add_assign(grad);
+    Ok(())
 }
 
 #[cfg(test)]

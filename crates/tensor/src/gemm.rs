@@ -43,14 +43,32 @@
 //!
 //! Every kernel here computes `A × B` with the zero skip on `A`. The
 //! packed conv lowerings put the layer's **weights** in `A` (one row per
-//! output map, borrowed in place — [`matmul_weight_stationary_ws`]) and
-//! the transposed patch matrix in `B`; the reference lowerings put the
+//! output map, borrowed in place — [`matmul_slices_ws`]) and the
+//! transposed patch matrix in `B`; the reference lowerings put the
 //! patches in `A`. Per output element both are the same `k`-ascending
 //! chain with each product's factors swapped, and multiplication commutes
 //! in every element type, so the two orders agree bit for bit (f32 fused
 //! chain, Q8.8 saturating chain, scalar `acc += a·b`). A weight operand is
 //! dense, so its `A` scan is skipped: no panel is masked and the dispatch
 //! keys on the shape alone — bit-neutral like every zero skip.
+//!
+//! # Where the product lands
+//!
+//! A GEMM either **stores** its product or **adds** it to what the
+//! destination holds (`Product`). Adding is how the deferred trainer
+//! accumulates weight gradients (`∇W += ∇wᵢ`, paper Fig. 8): the `W-CONV`
+//! lowerings hand the accumulator itself to the GEMM, and the packed f32
+//! engine's epilogue writes `acc[i] = acc[i] + chain[i]` as each tile's
+//! `k`-ascending chain completes ([`microkernel::Epilogue::Accumulate`]).
+//! That is exactly `Kernels::add_assign` of the finished product — the
+//! chain starts from zero, never from the accumulator, and its end is
+//! rounded to `f32` before the add, so signed zeros and every rounding
+//! agree — minus the product tensor, its zero fill, the copy into a
+//! gradient tensor and the separate add pass. Shapes the epilogue cannot
+//! serve (`kk > KC`: partial chains live in the output between chunks;
+//! the broadcast engines; Q8.8; reference kinds) run the product into
+//! non-zeroed workspace scratch and add it in one pass — the same
+//! arithmetic, one more stream.
 //!
 //! Caveat: the "skipping a zero operand is bit-neutral" argument assumes
 //! finite values. A zero operand times an infinite/NaN one would produce
@@ -65,7 +83,7 @@ use std::cell::RefCell;
 use crate::error::{ShapeError, TensorResult};
 use crate::fault::{FaultLog, FaultPlan, FaultSite};
 use crate::im2col::Matrix;
-use crate::microkernel::{self, GemmPath, PackScratch, PackedKind};
+use crate::microkernel::{self, Epilogue, GemmPath, GemmPlan, PackScratch, PackedKind};
 use crate::num::Num;
 use crate::workspace::ConvWorkspace;
 
@@ -156,16 +174,18 @@ impl MatmulKind {
         b: &Matrix<T>,
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Matrix<T>> {
-        let mut out = ws.take_matrix(a.rows(), b.cols());
+        // Every kernel below overwrites every element of its output (the
+        // naive loop zero-fills it itself), so the product skips the
+        // workspace's zero fill.
+        let mut out = ws.take_matrix_dirty(a.rows(), b.cols());
         let result = match *self {
             MatmulKind::Naive => {
                 zfgan_telemetry::count("gemm_calls", &[("backend", "naive")], 1);
                 a.matmul_into(b, &mut out)
             }
             MatmulKind::BlockedScalar => matmul_blocked_scalar_into(a, b, &mut out),
-            MatmulKind::Blocked => matmul_blocked_into_scratch(a, b, &mut out, ws.pack_scratch()),
-            MatmulKind::Parallel(n) => {
-                matmul_parallel_into_scratch(a, b, n, &mut out, ws.pack_scratch())
+            MatmulKind::Blocked | MatmulKind::Parallel(_) => {
+                matmul_packed_into_scratch(a, b, self.threads(), &mut out, ws.pack_scratch())
             }
         };
         match result {
@@ -174,6 +194,15 @@ impl MatmulKind {
                 ws.give_matrix(out);
                 Err(e)
             }
+        }
+    }
+
+    /// How many pool tasks this kind asks a packed-family GEMM to split
+    /// its output rows over.
+    fn threads(&self) -> usize {
+        match *self {
+            MatmulKind::Parallel(n) => n,
+            _ => 1,
         }
     }
 }
@@ -317,14 +346,13 @@ pub fn matmul_blocked_scalar_into<T: Num>(
 ///
 /// Returns an error if the inner dimensions disagree.
 pub fn matmul_blocked<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> TensorResult<Matrix<T>> {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_blocked_into(a, b, &mut out)?;
-    Ok(out)
+    matmul_parallel(a, b, 1)
 }
 
 /// [`matmul_blocked`] into a caller-provided output matrix (every element
 /// is overwritten; no pre-zeroing required), packing into thread-local
-/// scratch. The workspace conv path uses the `_scratch` variant instead.
+/// scratch. The workspace conv path packs into the workspace's scratch
+/// instead.
 ///
 /// # Errors
 ///
@@ -335,82 +363,7 @@ pub fn matmul_blocked_into<T: Num>(
     b: &Matrix<T>,
     out: &mut Matrix<T>,
 ) -> TensorResult<()> {
-    PACK_TLS.with(|s| matmul_blocked_into_scratch(a, b, out, &mut s.borrow_mut()))
-}
-
-/// [`matmul_blocked_into`] with caller-owned packing scratch (the
-/// workspace hot path: zero allocations once the scratch is warm).
-pub(crate) fn matmul_blocked_into_scratch<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    out: &mut Matrix<T>,
-    scratch: &mut PackScratch,
-) -> TensorResult<()> {
-    check_matmul_shapes(a, b, out)?;
-    let dims = (a.rows(), a.cols(), b.cols());
-    blocked_slices(
-        a.as_slice(),
-        b.as_slice(),
-        out.as_mut_slice(),
-        dims,
-        AScan::Scan,
-        scratch,
-    );
-    Ok(())
-}
-
-/// Whether a packed-family GEMM scans its `A` operand for structural
-/// zeros before dispatching.
-#[derive(Clone, Copy)]
-enum AScan {
-    /// Scan `A` into panel masks: activations, patches, errors — operands
-    /// whose zeros (ReLU, padding) are worth skipping and steer dispatch.
-    Scan,
-    /// `A` is a layer's weights: dense by construction, so the scan (a full
-    /// extra pass over a multi-megabyte operand per call) is skipped, no
-    /// panel is masked and dispatch keys on the shape alone. Bit-neutral,
-    /// like every zero skip (see the module docs).
-    Dense,
-}
-
-/// The single-threaded packed-family GEMM on raw row-major slices:
-/// `a` is `m × kk`, `b` is `kk × n`, `out` is `m × n` (every element is
-/// overwritten). Shapes are the caller's responsibility.
-fn blocked_slices<T: Num>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    (m, kk, n): (usize, usize, usize),
-    scan: AScan,
-    scratch: &mut PackScratch,
-) {
-    match microkernel::packed_kind::<T>() {
-        Some(kind) => {
-            let plan = plan_for(a, b, (m, kk, n), kind, scan, scratch);
-            microkernel::run_plan_rows(plan.path, a, b, scratch, out, 0, kk, n, kind);
-            record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
-        }
-        None => {
-            let (skipped, visited) = gemm_rows(a, b, out, kk, n);
-            record_gemm("blocked", m, n, skipped, visited, None);
-        }
-    }
-}
-
-/// Scans (or, for a dense weight operand, declines to scan) `A`, picks the
-/// dispatch path and packs `B` when the packed engine won.
-fn plan_for<T: Num>(
-    a: &[T],
-    b: &[T],
-    (m, kk, n): (usize, usize, usize),
-    kind: PackedKind,
-    scan: AScan,
-    scratch: &mut PackScratch,
-) -> microkernel::GemmPlan {
-    match scan {
-        AScan::Scan => microkernel::plan_gemm(a, b, m, kk, n, kind, scratch),
-        AScan::Dense => microkernel::plan_gemm_dense_a(b, m, kk, n, kind, scratch),
-    }
+    matmul_parallel_into(a, b, 1, out)
 }
 
 /// Multithreaded packed GEMM: operands packed once on the calling thread,
@@ -453,12 +406,12 @@ pub fn matmul_parallel_into<T: Num>(
     n_threads: usize,
     out: &mut Matrix<T>,
 ) -> TensorResult<()> {
-    PACK_TLS.with(|s| matmul_parallel_into_scratch(a, b, n_threads, out, &mut s.borrow_mut()))
+    PACK_TLS.with(|s| matmul_packed_into_scratch(a, b, n_threads, out, &mut s.borrow_mut()))
 }
 
 /// [`matmul_parallel_into`] with caller-owned packing scratch (the
-/// workspace hot path).
-pub(crate) fn matmul_parallel_into_scratch<T: Num>(
+/// workspace hot path: zero allocations once the scratch is warm).
+fn matmul_packed_into_scratch<T: Num>(
     a: &Matrix<T>,
     b: &Matrix<T>,
     n_threads: usize,
@@ -467,142 +420,291 @@ pub(crate) fn matmul_parallel_into_scratch<T: Num>(
 ) -> TensorResult<()> {
     check_matmul_shapes(a, b, out)?;
     let dims = (a.rows(), a.cols(), b.cols());
-    parallel_slices(
-        a.as_slice(),
-        b.as_slice(),
-        out.as_mut_slice(),
-        dims,
-        n_threads,
-        AScan::Scan,
-        scratch,
-    );
+    let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    match microkernel::packed_kind::<T>() {
+        Some(kind) => {
+            let plan = plan_for(a, b, dims, kind, AScan::Scan, scratch);
+            run_planned(
+                &plan,
+                kind,
+                a,
+                b,
+                out,
+                dims,
+                n_threads,
+                Epilogue::Store,
+                scratch,
+            );
+        }
+        None => scalar_slices(a, b, out, dims, n_threads),
+    }
     Ok(())
 }
 
-/// The pooled packed-family GEMM on raw row-major slices (see
-/// [`blocked_slices`] for the operand layout): one plan on the calling
-/// thread, then contiguous output-row chunks on the pool.
-fn parallel_slices<T: Num>(
-    a_flat: &[T],
-    b_flat: &[T],
+/// Whether a packed-family GEMM scans its `A` operand for structural
+/// zeros before dispatching.
+#[derive(Clone, Copy)]
+pub(crate) enum AScan {
+    /// Scan `A` into panel masks: activations, patches, errors — operands
+    /// whose zeros (ReLU, padding) are worth skipping and steer dispatch.
+    Scan,
+    /// `A` is a layer's weights: dense by construction, so the scan (a full
+    /// extra pass over a multi-megabyte operand per call) is skipped, no
+    /// panel is masked and dispatch keys on the shape alone. Bit-neutral,
+    /// like every zero skip (see the module docs).
+    Dense,
+}
+
+/// Scans (or, for a dense weight operand, declines to scan) `A`, picks the
+/// dispatch path and packs `B` when the packed engine won.
+fn plan_for<T: Num>(
+    a: &[T],
+    b: &[T],
+    (m, kk, n): (usize, usize, usize),
+    kind: PackedKind,
+    scan: AScan,
+    scratch: &mut PackScratch,
+) -> GemmPlan {
+    match scan {
+        AScan::Scan => microkernel::plan_gemm(a, b, m, kk, n, kind, scratch),
+        AScan::Dense => microkernel::plan_gemm_dense_a(b, m, kk, n, kind, scratch),
+    }
+}
+
+/// How many contiguous output-row chunks a GEMM asked to run on `n_threads`
+/// is split into. Splitting wider than the pool only adds dispatch overhead
+/// (the chunks would serialize anyway), so the request is clamped to the
+/// hardware width; on a single-core host everything degrades to one chunk
+/// on the calling thread with zero synchronisation. Results are
+/// bit-identical for every width.
+fn row_chunks(n_threads: usize, m: usize) -> usize {
+    if n_threads <= 1 {
+        return 1;
+    }
+    n_threads.clamp(1, m).min(zfgan_pool::pool_threads())
+}
+
+/// Runs one planned packed-family GEMM on raw row-major slices — `a` is
+/// `m × kk`, `b` is `kk × n`, `out` is `m × n` — on the calling thread, or
+/// over contiguous output-row chunks on the pool, and records it. One plan
+/// per GEMM means one telemetry record and an identical engine for every
+/// chunk: bit-neutral under any partition, since every engine's chains run
+/// along `k`. The workers only read `scratch`, which the plan filled on the
+/// calling thread.
+#[allow(clippy::too_many_arguments)]
+fn run_planned<T: Num>(
+    plan: &GemmPlan,
+    kind: PackedKind,
+    a: &[T],
+    b: &[T],
     out: &mut [T],
     (m, kk, n): (usize, usize, usize),
     n_threads: usize,
-    scan: AScan,
-    scratch: &mut PackScratch,
+    epilogue: Epilogue,
+    scratch: &PackScratch,
 ) {
-    // Splitting wider than the pool only adds dispatch overhead (the
-    // chunks would serialize anyway), so clamp to the hardware width; on
-    // a single-core host this degrades to the blocked kernel with zero
-    // synchronisation. Results are bit-identical for every width.
-    let threads = n_threads.clamp(1, m).min(zfgan_pool::pool_threads());
-    if threads == 1 {
-        return blocked_slices(a_flat, b_flat, out, (m, kk, n), scan, scratch);
+    let chunks = row_chunks(n_threads, m);
+    let rows_per = m.div_ceil(chunks);
+    let run = |row0: usize, out_chunk: &mut [T]| {
+        microkernel::run_plan_rows(
+            plan.path, a, b, scratch, out_chunk, row0, kk, n, kind, epilogue,
+        )
+    };
+    let backend = if chunks == 1 {
+        run(0, out);
+        "blocked"
+    } else {
+        zfgan_pool::parallel_chunks_mut(out, rows_per * n, |c, out_chunk| {
+            run(c * rows_per, out_chunk)
+        })
+        .expect("matmul worker panicked");
+        "parallel"
+    };
+    record_gemm(backend, m, n, plan.skipped, plan.visited, Some(plan.path));
+}
+
+/// The packed family's GEMM for element types without a packed kernel (the
+/// `f64` validation paths): the scalar blocked kernel, chunked like
+/// [`run_planned`]. Every element of `out` is overwritten.
+fn scalar_slices<T: Num>(
+    a: &[T],
+    b: &[T],
+    out: &mut [T],
+    (m, kk, n): (usize, usize, usize),
+    n_threads: usize,
+) {
+    let chunks = row_chunks(n_threads, m);
+    if chunks == 1 {
+        let (skipped, visited) = gemm_rows(a, b, out, kk, n);
+        return record_gemm("blocked", m, n, skipped, visited, None);
     }
-    let rows_per = m.div_ceil(threads);
-    match microkernel::packed_kind::<T>() {
-        Some(kind) => {
-            // Scan A, pick the dispatch path and (for the packed engine)
-            // pack B once on the calling thread; the workers only read.
-            // One plan per GEMM means one telemetry record and an
-            // identical engine for every chunk — bit-neutral under any
-            // partition, since every engine's chains run along `k`.
-            let plan = plan_for(a_flat, b_flat, (m, kk, n), kind, scan, scratch);
-            let shared: &PackScratch = scratch;
-            zfgan_pool::parallel_chunks_mut(out, rows_per * n, |chunk_idx, out_chunk| {
-                microkernel::run_plan_rows(
-                    plan.path,
-                    a_flat,
-                    b_flat,
-                    shared,
-                    out_chunk,
-                    chunk_idx * rows_per,
-                    kk,
-                    n,
-                    kind,
-                );
-            })
-            .expect("matmul worker panicked");
-            record_gemm(
-                "parallel",
-                m,
-                n,
-                plan.skipped,
-                plan.visited,
-                Some(plan.path),
-            );
+    // Per-chunk (skipped, visited) counts come back in chunk order; the
+    // calling thread aggregates and records them (pool workers don't see
+    // the caller's thread-local telemetry scope).
+    let rows_per = m.div_ceil(chunks);
+    let counts = zfgan_pool::parallel_chunks_mut(out, rows_per * n, |chunk_idx, out_chunk| {
+        let row0 = chunk_idx * rows_per;
+        let rows_here = out_chunk.len() / n;
+        gemm_rows(&a[row0 * kk..(row0 + rows_here) * kk], b, out_chunk, kk, n)
+    })
+    .expect("matmul worker panicked");
+    let (skipped, visited) = counts
+        .iter()
+        .fold((0, 0), |(s, v), (cs, cv)| (s + cs, v + cv));
+    record_gemm("parallel", m, n, skipped, visited, None);
+}
+
+/// Where a GEMM's product lands.
+pub(crate) enum Product<'a, T> {
+    /// It overwrites the slice (no pre-zeroing required).
+    Store(&'a mut [T]),
+    /// It is added to the slice, `acc[i] = acc[i] + product[i]`, each
+    /// product element complete before its add — the deferred trainer's
+    /// `∇W += ∇wᵢ` without a `∇wᵢ` (see [`Epilogue::Accumulate`]).
+    AddTo(&'a mut [T]),
+}
+
+impl<T: Num> Product<'_, T> {
+    fn len(&self) -> usize {
+        match self {
+            Product::Store(out) | Product::AddTo(out) => out.len(),
         }
-        None => {
-            // Per-chunk (skipped, visited) counts come back in chunk
-            // order; the calling thread aggregates and records them (pool
-            // workers don't see the caller's thread-local telemetry
-            // scope).
-            let counts =
-                zfgan_pool::parallel_chunks_mut(out, rows_per * n, |chunk_idx, out_chunk| {
-                    let row0 = chunk_idx * rows_per;
-                    let rows_here = out_chunk.len() / n;
-                    let a_chunk = &a_flat[row0 * kk..(row0 + rows_here) * kk];
-                    gemm_rows(a_chunk, b_flat, out_chunk, kk, n)
-                })
-                .expect("matmul worker panicked");
-            let (skipped, visited) = counts
-                .iter()
-                .fold((0, 0), |(s, v), (cs, cv)| (s + cs, v + cv));
-            record_gemm("parallel", m, n, skipped, visited, None);
+    }
+
+    /// Lands a product that was computed somewhere else.
+    fn land(self, product: &[T]) {
+        match self {
+            Product::Store(out) => out.copy_from_slice(product),
+            Product::AddTo(acc) => {
+                for (a, p) in acc.iter_mut().zip(product) {
+                    *a += *p;
+                }
+            }
+        }
+    }
+
+    /// Lands the product of an engine that can only overwrite its output:
+    /// `compute` writes every element of the slice it is handed — the
+    /// destination itself, or for an accumulating destination non-zeroed
+    /// workspace scratch that is then added in one pass.
+    fn via_store(
+        self,
+        ws: &mut ConvWorkspace<T>,
+        compute: impl FnOnce(&mut [T], &mut ConvWorkspace<T>),
+    ) {
+        match self {
+            Product::Store(out) => compute(out, ws),
+            Product::AddTo(_) => {
+                let mut product = ws.take_dirty(self.len());
+                compute(&mut product, ws);
+                self.land(&product);
+                ws.give(product);
+            }
         }
     }
 }
 
-/// The weight-stationary GEMM behind the flipped conv lowerings:
-/// `weights × b → out`, where `weights` is an `m × b.rows()` row-major
-/// operand **borrowed in place** (the kernel tensor itself, or a gathered
-/// phase sub-kernel matrix), `b` is the transposed patch matrix (one
-/// column per output pixel) and `out` is the `m × b.cols()` product written
-/// straight into its destination — for whole-map passes the output maps'
-/// own storage, so nothing is scattered afterwards.
+/// Runs a planned packed-family GEMM into `dest`. An accumulating
+/// destination the engine's epilogue can serve is added to in place; any
+/// other shape (`kk >` [`microkernel::KC`], the broadcast engines, Q8.8)
+/// goes [`Product::via_store`] — the same arithmetic either way.
+#[allow(clippy::too_many_arguments)]
+fn run_planned_into<T: Num>(
+    plan: &GemmPlan,
+    kind: PackedKind,
+    a: &[T],
+    b: &[T],
+    dest: Product<'_, T>,
+    dims: (usize, usize, usize),
+    n_threads: usize,
+    ws: &mut ConvWorkspace<T>,
+) {
+    match dest {
+        Product::AddTo(acc) if microkernel::epilogue_accumulates(kind, plan.path, dims.1) => {
+            let (add, scratch) = (Epilogue::Accumulate, ws.pack_scratch_ref());
+            run_planned(plan, kind, a, b, acc, dims, n_threads, add, scratch);
+        }
+        dest => dest.via_store(ws, |out, ws| {
+            let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
+            run_planned(plan, kind, a, b, out, dims, n_threads, store, scratch);
+        }),
+    }
+}
+
+/// `a × b → dest` with `A` **borrowed in place** as an `m × b.rows()`
+/// row-major slice — the GEMM behind the conv lowerings whose `A` operand
+/// already lives inside another tensor:
+///
+/// * the weight-stationary passes ([`AScan::Dense`]): `a` is the kernel
+///   tensor itself or a gathered phase sub-kernel matrix, `b` the
+///   transposed patch matrix (one column per output pixel), and the
+///   product is stored straight into its destination — for whole-map
+///   passes the output maps' own storage, so nothing is scattered
+///   afterwards;
+/// * the `W-CONV` of a T-CONV layer ([`AScan::Scan`]): `a` is the layer's
+///   input maps, `b` the error patches, and the product is the weight
+///   gradient, stored into the gradient tensor or added into the caller's
+///   accumulator ([`Product::AddTo`]).
 ///
 /// Runs the same engines as [`MatmulKind::run_ws`], so each output element
-/// is the usual `k`-ascending chain; the weights are treated as dense
-/// ([`AScan::Dense`]). Reference kinds never reach this entry: they keep
-/// the patch-major specification lowering at the call sites.
+/// is the usual `k`-ascending chain. Reference kinds and element types
+/// without packed kernels multiply through [`MatmulKind::run_ws`] and land
+/// the product afterwards, keeping their specification cost model.
 ///
 /// # Errors
 ///
-/// Returns an error if `weights` or `out` do not hold `m` rows.
-pub(crate) fn matmul_weight_stationary_ws<T: Num>(
+/// Returns an error if `a` or `dest` do not hold `m` rows.
+pub(crate) fn matmul_slices_ws<T: Num>(
     kind: MatmulKind,
-    weights: &[T],
+    a: &[T],
     m: usize,
     b: &Matrix<T>,
-    out: &mut [T],
+    scan: AScan,
+    dest: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
-    let (kk, n) = (b.rows(), b.cols());
-    if weights.len() != m * kk || out.len() != m * n {
+    let dims @ (_, kk, n) = (m, b.rows(), b.cols());
+    if a.len() != m * kk || dest.len() != m * n {
         return Err(ShapeError::new(format!(
-            "weight-stationary matmul: {} weight words and {} output words for {m}×{kk}×{n}",
-            weights.len(),
-            out.len()
+            "in-place matmul: {} operand words and {} output words for {m}×{kk}×{n}",
+            a.len(),
+            dest.len()
         )));
     }
-    debug_assert!(
-        !kind.is_reference(),
-        "reference kinds keep the patch-major lowering"
-    );
-    let (b, dims, scratch) = (b.as_slice(), (m, kk, n), ws.pack_scratch());
-    match kind {
-        MatmulKind::Parallel(t) => {
-            parallel_slices(weights, b, out, dims, t, AScan::Dense, scratch);
+    match microkernel::packed_kind::<T>() {
+        Some(pkind) if !kind.is_reference() => {
+            let plan = plan_for(a, b.as_slice(), dims, pkind, scan, ws.pack_scratch());
+            run_planned_into(
+                &plan,
+                pkind,
+                a,
+                b.as_slice(),
+                dest,
+                dims,
+                kind.threads(),
+                ws,
+            );
         }
-        _ => blocked_slices(weights, b, out, dims, AScan::Dense, scratch),
+        _ => {
+            let mut a_buf = ws.take_dirty(a.len());
+            a_buf.copy_from_slice(a);
+            let a_mat = Matrix::from_vec(m, kk, a_buf);
+            let product = kind.run_ws(&a_mat, b, ws);
+            ws.give_matrix(a_mat);
+            let product = product?;
+            dest.land(product.as_slice());
+            ws.give_matrix(product);
+        }
     }
     Ok(())
 }
 
 /// GEMM with `B` produced on demand — the streamed-lowering entry for the
-/// workspace conv drivers. `fill_row(k, row)` must write every element of
+/// workspace conv drivers: `a × B → dest`, `a` borrowed in place as an
+/// `m × kk` row-major slice. `fill_row(k, row)` must write every element of
 /// row `k` of the virtual `kk × n` operand `B` (the buffer it receives is
-/// reused across rows, so a partial write would leak a previous row).
+/// reused across rows and never zeroed, so a partial write would leak a
+/// previous row).
 ///
 /// The `A` scan runs **before** `B` exists: when the dispatch layer picks
 /// a broadcast path (small-`m` or ikj), `B` is never materialized — rows
@@ -612,7 +714,7 @@ pub(crate) fn matmul_weight_stationary_ws<T: Num>(
 /// generated. That is the same per-element operation chain as every other
 /// engine (the f32 fused chain / the saturating Q8.8 chain, zero terms
 /// skipped), so the result is bit-identical to materializing `B` and
-/// calling [`MatmulKind::run_ws`] — which is exactly what the remaining
+/// calling [`matmul_slices_ws`] — which is exactly what the remaining
 /// paths (packed, non-packed element types) do here.
 ///
 /// Its one caller is the `W-CONV` of an S-CONV layer (`B` = the forward
@@ -621,59 +723,51 @@ pub(crate) fn matmul_weight_stationary_ws<T: Num>(
 ///
 /// # Errors
 ///
-/// Returns an error if `a.cols() != kk`.
+/// Returns an error if `a` or `dest` do not hold `m` rows.
 pub(crate) fn matmul_streamed_ws<T: Num>(
     kind: MatmulKind,
-    a: &Matrix<T>,
-    kk: usize,
-    n: usize,
+    a: &[T],
+    m: usize,
+    (kk, n): (usize, usize),
     fill_row: &mut dyn FnMut(usize, &mut [T]),
+    dest: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
-) -> TensorResult<Matrix<T>> {
-    let m = a.rows();
-    if a.cols() != kk {
+) -> TensorResult<()> {
+    if a.len() != m * kk || dest.len() != m * n {
         return Err(ShapeError::new(format!(
-            "streamed matmul inner dimensions disagree: {}×{} vs {}×{}",
-            m,
-            a.cols(),
-            kk,
-            n
+            "streamed matmul: {} operand words and {} output words for {m}×{kk}×{n}",
+            a.len(),
+            dest.len()
         )));
     }
+    debug_assert!(
+        !kind.is_reference(),
+        "reference kinds fill at the call site"
+    );
     if let Some(pkind) = microkernel::packed_kind::<T>() {
-        if !kind.is_reference() {
-            let plan = microkernel::scan_gemm(a.as_slice(), m, kk, n, ws.pack_scratch());
-            if matches!(plan.path, GemmPath::SmallM | GemmPath::Ikj) {
-                let mut out = ws.take_matrix(m, n);
-                // One k-tile of `B` rows — or fewer when the whole operand
-                // is shorter than a tile (`kk = 1` input-grad reshapes).
-                let mut rowbuf = ws.take(microkernel::IKJ_KB.min(kk) * n);
-                broadcast_streamed(
-                    pkind,
-                    a.as_slice(),
-                    ws.pack_scratch_ref().masks(),
-                    m,
-                    kk,
-                    n,
-                    out.as_mut_slice(),
-                    &mut rowbuf,
-                    fill_row,
-                );
-                ws.give(rowbuf);
-                record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
-                return Ok(out);
-            }
+        let plan = microkernel::scan_gemm(a, m, kk, n, ws.pack_scratch());
+        if matches!(plan.path, GemmPath::SmallM | GemmPath::Ikj) {
+            // One k-tile of `B` rows — or fewer when the whole operand is
+            // shorter than a tile (`kk = 1` input-grad reshapes).
+            let mut rowbuf = ws.take_dirty(microkernel::IKJ_KB.min(kk) * n);
+            dest.via_store(ws, |out, ws| {
+                let masks = ws.pack_scratch_ref().masks();
+                broadcast_streamed(pkind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
+            });
+            ws.give(rowbuf);
+            record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
+            return Ok(());
         }
     }
     // The packed path wants `B` whole (it packs it into column panels):
     // materialize it row by row into workspace scratch — the same bytes
     // the cache-tuned fills produce — and run the normal kernel. Non-
-    // packed element types and reference kinds land here too.
-    let mut b = ws.take_matrix(kk, n);
+    // packed element types land here too.
+    let mut b = ws.take_matrix_dirty(kk, n);
     for k in 0..kk {
         fill_row(k, b.row_mut(k));
     }
-    let result = kind.run_ws(a, &b, ws);
+    let result = matmul_slices_ws(kind, a, m, &b, AScan::Scan, dest, ws);
     ws.give_matrix(b);
     result
 }
@@ -787,19 +881,20 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
     if plan.path == GemmPath::Packed {
         return Ok(None);
     }
-    let mut out = ws.take_matrix(m, n);
-    microkernel::run_plan_rows(
-        plan.path,
+    // The broadcast engines zero their output themselves.
+    let mut out = ws.take_matrix_dirty(m, n);
+    let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
+    run_planned(
+        &plan,
+        pkind,
         a.as_slice(),
         b,
-        ws.pack_scratch_ref(),
         out.as_mut_slice(),
-        0,
-        kk,
-        n,
-        pkind,
+        (m, kk, n),
+        1,
+        store,
+        scratch,
     );
-    record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
     Ok(Some(out))
 }
 

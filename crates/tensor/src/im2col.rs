@@ -13,7 +13,7 @@
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
-use crate::gemm::MatmulKind;
+use crate::gemm::{matmul_slices_ws, AScan, MatmulKind, Product};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -404,8 +404,14 @@ pub(crate) fn fill_weights_as_matrix_s_ref<T: Num>(m: &mut Matrix<T>, k: &Kernel
 }
 
 /// Fills one row `r` (output position `oy·ow + ox`) of the
-/// [`fill_im2col_s`] patch matrix — the per-row form for streamed GEMM
-/// lowering. Writes every element of `row`.
+/// [`fill_im2col_s`] patch matrix — the per-row form both `W-CONV`
+/// lowerings build their `B` operand from (streamed, for an S-CONV layer).
+/// Entry `(c, ky, kx)` is `input[c][s·oy + ky − pt][s·ox + kx − pl]`, zero
+/// outside the map. For a fixed position the in-bounds taps are one `(ky,
+/// kx)` box, the same for every channel, and each of its rows is a
+/// contiguous run of an input row: the bounds are solved once per position
+/// and the runs copied as slices. Writes every element of `row`
+/// (out-of-bounds taps get an explicit zero), so it need not start zeroed.
 pub(crate) fn fill_im2col_s_row<T: Num>(
     input: &Fmaps<T>,
     geom: &ConvGeom,
@@ -413,18 +419,31 @@ pub(crate) fn fill_im2col_s_row<T: Num>(
     r: usize,
     row: &mut [T],
 ) {
-    let stride = geom.stride() as isize;
-    let (pt, pl) = (geom.pad_top() as isize, geom.pad_left() as isize);
+    let s = geom.stride();
+    let (kh, kw) = (geom.kh(), geom.kw());
+    let (ih, iw) = (input.height(), input.width());
     let (oy, ox) = (r / ow, r % ow);
-    let mut col = 0;
-    for c in 0..input.channels() {
-        for ky in 0..geom.kh() {
-            for kx in 0..geom.kw() {
-                let iy = stride * oy as isize + ky as isize - pt;
-                let ix = stride * ox as isize + kx as isize - pl;
-                row[col] = input.at_padded(c, iy, ix);
-                col += 1;
-            }
+    // Taps `k` with `0 ≤ s·o + k − pad < extent`, clamped to the kernel.
+    let live = |o: usize, pad: usize, extent: usize, kdim: usize| {
+        let lo = pad.saturating_sub(s * o).min(kdim);
+        let hi = (extent + pad).saturating_sub(s * o).min(kdim);
+        (lo, hi)
+    };
+    let (ky_lo, ky_hi) = live(oy, geom.pad_top(), ih, kh);
+    let (kx_lo, kx_hi) = live(ox, geom.pad_left(), iw, kw);
+    let run = kx_hi.saturating_sub(kx_lo);
+    let whole = (ky_lo, ky_hi, run) == (0, kh, kw);
+    let planes = input.as_slice().chunks_exact(ih * iw);
+    for (taps, plane) in row.chunks_exact_mut(kh * kw).zip(planes) {
+        if !whole {
+            taps.fill(T::zero());
+        }
+        if run == 0 {
+            continue;
+        }
+        for ky in ky_lo..ky_hi {
+            let src = (s * oy + ky - geom.pad_top()) * iw + s * ox + kx_lo - geom.pad_left();
+            taps[ky * kw + kx_lo..ky * kw + kx_hi].copy_from_slice(&plane[src..src + run]);
         }
     }
 }
@@ -550,14 +569,8 @@ pub fn s_conv_via_gemm_ws<T: Num>(
     } else {
         let mut b = ws.take_matrix(kk, oh * ow);
         fill_im2col_s_transposed(&mut b, input, geom, oh, ow);
-        crate::gemm::matmul_weight_stationary_ws(
-            mm,
-            k.as_slice(),
-            k.n_of(),
-            &b,
-            out.as_mut_slice(),
-            ws,
-        )?;
+        let store = Product::Store(out.as_mut_slice());
+        matmul_slices_ws(mm, k.as_slice(), k.n_of(), &b, AScan::Dense, store, ws)?;
         ws.give_matrix(b);
     }
     Ok(out)
@@ -619,6 +632,34 @@ mod tests {
         let a: Matrix<f64> = Matrix::zeros(2, 3);
         let b: Matrix<f64> = Matrix::zeros(2, 3);
         assert!(a.matmul(&b).is_err());
+    }
+
+    /// The slice-run row fill against the specification patch fill, row by
+    /// row, for every stride 1–3 × kernel 3–5 (padded borders on every
+    /// side, and a map smaller than the kernel) — into poisoned rows, so a
+    /// cell the fill skipped shows up as a NaN.
+    #[test]
+    fn row_fill_matches_the_specification_patch_fill() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        for stride in 1..=3 {
+            for kdim in 3..=5 {
+                for small in [1, 3, 4] {
+                    let large = small * stride;
+                    let g = ConvGeom::down(large, large, kdim, kdim, stride, small, small).unwrap();
+                    let x: Fmaps<f32> = Fmaps::random(3, large, large, 1.0, &mut rng);
+                    let want = im2col_s(&x, &g).patches;
+                    let mut got = Matrix::from_vec(
+                        want.rows(),
+                        want.cols(),
+                        vec![f32::NAN; want.rows() * want.cols()],
+                    );
+                    for r in 0..want.rows() {
+                        fill_im2col_s_row(&x, &g, small, r, got.row_mut(r));
+                    }
+                    assert_eq!(got, want, "s{stride} k{kdim} {large}→{small}");
+                }
+            }
+        }
     }
 
     /// The specification fill and the cache-tuned fill are the same

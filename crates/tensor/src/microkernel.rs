@@ -54,6 +54,20 @@
 //! same per-element operation chain (see below), so dispatch is never a
 //! semantics choice.
 //!
+//! # Loop order and epilogue
+//!
+//! Both packed engines walk their tiles through one nest
+//! (`for_each_tile`): `k`-chunks of [`KC`], then row blocks, column
+//! panels and register tiles. The row block is picked per chunk from the
+//! chunk's packed-`B` footprint — one [`MR_F32`]-row tile across all panels
+//! while the chunk is cache-resident (short-`k`, wide-`n` products write
+//! their output as six sequential streams), [`MC`] rows per panel
+//! otherwise. The f32 tile ends in one of three ways (`TileOut`):
+//! overwrite, resume the chain a previous chunk left in the output, or —
+//! [`Epilogue::Accumulate`], single-chunk GEMMs only — add the finished
+//! chain to what the output holds. None of this reorders a per-element
+//! chain, so all of it is bit-neutral.
+//!
 //! # Determinism
 //!
 //! The packed f32 kernel defines its **own fixed accumulation order**: per
@@ -475,9 +489,44 @@ fn pack_b<T: Num, const NR: usize>(b: &[T], kk: usize, n: usize, out: &mut Vec<T
 // f32 kernels
 // ---------------------------------------------------------------------------
 
+/// How a packed GEMM's product meets the memory it is written to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Epilogue {
+    /// The product overwrites the output (no pre-zeroing required).
+    Store,
+    /// The product is **added** to what the output already holds:
+    /// `out[i] = out[i] + product[i]`, once element `i`'s `k`-ascending
+    /// chain is complete — bit for bit what storing the product and adding
+    /// it in a second pass computes (the chain never starts from `out[i]`,
+    /// and an `f32` register↔memory round trip is exact), minus that pass.
+    /// Only [`epilogue_accumulates`] shapes can be served.
+    Accumulate,
+}
+
+/// Whether the packed engine can serve [`Epilogue::Accumulate`] for this
+/// GEMM: the f32 tile kernel, with the whole `k` chain inside one [`KC`]
+/// chunk — between chunks the partial chain lives in the output, which is
+/// exactly where the accumulator's old value would have to survive. Callers
+/// run every other shape into scratch and add it in one pass.
+pub fn epilogue_accumulates(kind: PackedKind, path: GemmPath, kk: usize) -> bool {
+    kind == PackedKind::F32 && path == GemmPath::Packed && kk <= KC
+}
+
+/// What one f32 tile does with the output elements it covers.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TileOut {
+    /// First `k`-chunk: the chain starts from zero, the tile overwrites.
+    Overwrite,
+    /// Later `k`-chunk: the chain resumes from the value in the output.
+    Resume,
+    /// The only `k`-chunk of an [`Epilogue::Accumulate`] GEMM: the chain
+    /// starts from zero and its end is added to the output.
+    AddTo,
+}
+
 /// One f32 register-tile task: up to [`MR_F32`] consecutive rows of `A`
-/// against one `klen`-deep, [`NR_F32`]-wide chunk of `B`, continuing the
-/// accumulation already in the output when `accumulate` is set.
+/// against one `klen`-deep, [`NR_F32`]-wide chunk of `B`; `out` says how
+/// the chain starts and where it ends.
 ///
 /// `a_rows`, `masks` and the output slice all cover the same row range
 /// (`i0` is relative to it); `kc0`/`klen` select the `k`-chunk and
@@ -500,7 +549,7 @@ struct F32Tile<'a> {
     n: usize,
     j0: usize,
     w: usize,
-    accumulate: bool,
+    out: TileOut,
 }
 
 /// Portable f32 tile kernel: per output element a single `mul_add` chain
@@ -510,7 +559,7 @@ struct F32Tile<'a> {
 /// element's chain never crosses rows.
 fn f32_tile_scalar(t: &F32Tile, out_rows: &mut [f32]) {
     let mut acc = [[0.0f32; NR_F32]; MR_F32];
-    if t.accumulate {
+    if t.out == TileOut::Resume {
         for (r, acc_r) in acc.iter_mut().enumerate().take(t.rows) {
             let o = &out_rows[(t.i0 + r) * t.n + t.j0..][..t.w];
             acc_r[..t.w].copy_from_slice(o);
@@ -538,7 +587,14 @@ fn f32_tile_scalar(t: &F32Tile, out_rows: &mut [f32]) {
         }
     }
     for (r, acc_r) in acc.iter().enumerate().take(t.rows) {
-        out_rows[(t.i0 + r) * t.n + t.j0..][..t.w].copy_from_slice(&acc_r[..t.w]);
+        let o = &mut out_rows[(t.i0 + r) * t.n + t.j0..][..t.w];
+        if t.out == TileOut::AddTo {
+            for (ov, &v) in o.iter_mut().zip(&acc_r[..t.w]) {
+                *ov += v;
+            }
+        } else {
+            o.copy_from_slice(&acc_r[..t.w]);
+        }
     }
 }
 
@@ -565,39 +621,42 @@ unsafe fn f32_tile_avx2(t: &F32Tile, out_rows: &mut [f32]) {
 /// vectors once and feeds `R` broadcast `vfmadd`s — `2·R` independent
 /// chains, `k` ascending. Lane-for-lane the same operation sequence as
 /// [`f32_tile_scalar`] minus its (bit-neutral) per-element zero skip: a
-/// row whose word is zero contributes `fma(0, b, acc) = acc` exactly.
+/// row whose word is zero contributes `fma(0, b, acc) = acc` exactly. The
+/// [`TileOut::AddTo`] epilogue is one `vaddps(out, chain)` per vector —
+/// the scalar tile's `out + chain`, operand order included.
 ///
 /// # Safety
 ///
-/// Caller must have verified `avx2` and `fma` are available, and `R` must
-/// not exceed the tile's row count. Every `k`-step loads [`NR_F32`] `B`
-/// lanes regardless of `t.w`, so `bchunk` must have `NR_F32` readable
-/// words at each `k·bstride` (packed panels pad their tails; the
-/// small-`m` driver routes partial-width strips of unpacked `B` to the
-/// scalar tile instead).
+/// Caller must have verified `avx2` and `fma` are available. Everything
+/// else is checked here: the tile's rows, `A` chunk and output strip are
+/// sliced (bounds-checked) before any pointer is taken from them, and the
+/// `B` chunk is asserted to hold [`NR_F32`] readable words at every
+/// `k·bstride` (every `k`-step loads full width regardless of `t.w`;
+/// packed panels pad their tails).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn f32_tile_avx2_rows<const R: usize>(t: &F32Tile, out_rows: &mut [f32]) {
     use std::arch::x86_64::*;
+    assert!(R <= t.rows && t.w <= NR_F32, "tile shape");
+    assert!(
+        t.klen == 0 || t.bchunk.len() >= (t.klen - 1) * t.bstride + NR_F32,
+        "B chunk shorter than the tile's k range"
+    );
+    let out_at = |r: usize| (t.i0 + r) * t.n + t.j0;
     let mut acc = [[_mm256_setzero_ps(); NR_F32 / 8]; R];
-    if t.accumulate {
+    if t.out == TileOut::Resume {
         for (r, acc_r) in acc.iter_mut().enumerate() {
-            let o = out_rows.as_ptr().add((t.i0 + r) * t.n + t.j0);
-            if t.w == NR_F32 {
-                acc_r[0] = _mm256_loadu_ps(o);
-                acc_r[1] = _mm256_loadu_ps(o.add(8));
-            } else {
-                let mut tmp = [0.0f32; NR_F32];
-                tmp[..t.w].copy_from_slice(std::slice::from_raw_parts(o, t.w));
-                acc_r[0] = _mm256_loadu_ps(tmp.as_ptr());
-                acc_r[1] = _mm256_loadu_ps(tmp.as_ptr().add(8));
-            }
+            let mut lanes = [0.0f32; NR_F32];
+            lanes[..t.w].copy_from_slice(&out_rows[out_at(r)..][..t.w]);
+            // SAFETY: `lanes` is NR_F32 = 16 floats: two 8-lane loads.
+            acc_r[0] = _mm256_loadu_ps(lanes.as_ptr());
+            acc_r[1] = _mm256_loadu_ps(lanes.as_ptr().add(8));
         }
     }
     // Hoist the per-row `A` chunk base pointers and mask-row slices out of
-    // the k loop.
+    // the k loop. Each pointer comes from a slice of exactly `klen` words.
     let arow: [*const f32; R] =
-        std::array::from_fn(|r| t.a_rows.as_ptr().add((t.i0 + r) * t.kk + t.kc0));
+        std::array::from_fn(|r| t.a_rows[(t.i0 + r) * t.kk + t.kc0..][..t.klen].as_ptr());
     let mrow: [&[u64]; R] = std::array::from_fn(|r| &t.masks[(t.i0 + r) * t.wpr..]);
     let n_panels = t.klen.div_ceil(KP);
     for p in 0..n_panels {
@@ -611,10 +670,13 @@ unsafe fn f32_tile_avx2_rows<const R: usize>(t: &F32Tile, out_rows: &mut [f32]) 
         let k0 = p * KP;
         let k1 = (k0 + KP).min(t.klen);
         for k in k0..k1 {
+            // SAFETY: `k < klen`, and the assert above guarantees NR_F32
+            // readable words at `k·bstride`.
             let base = t.bchunk.as_ptr().add(k * t.bstride);
             let b0 = _mm256_loadu_ps(base);
             let b1 = _mm256_loadu_ps(base.add(8));
             for (r, acc_r) in acc.iter_mut().enumerate() {
+                // SAFETY: `arow[r]` points at `klen` words and `k < klen`.
                 let av = _mm256_set1_ps(*arow[r].add(k));
                 acc_r[0] = _mm256_fmadd_ps(av, b0, acc_r[0]);
                 acc_r[1] = _mm256_fmadd_ps(av, b1, acc_r[1]);
@@ -622,33 +684,98 @@ unsafe fn f32_tile_avx2_rows<const R: usize>(t: &F32Tile, out_rows: &mut [f32]) 
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        let o = out_rows.as_mut_ptr().add((t.i0 + r) * t.n + t.j0);
+        let o = &mut out_rows[out_at(r)..][..t.w];
         if t.w == NR_F32 {
-            _mm256_storeu_ps(o, acc_r[0]);
-            _mm256_storeu_ps(o.add(8), acc_r[1]);
+            let (mut v0, mut v1) = (acc_r[0], acc_r[1]);
+            // SAFETY: `o` was just sliced to exactly NR_F32 = 16 floats:
+            // two 8-lane loads and two 8-lane stores stay inside it.
+            if t.out == TileOut::AddTo {
+                v0 = _mm256_add_ps(_mm256_loadu_ps(o.as_ptr()), v0);
+                v1 = _mm256_add_ps(_mm256_loadu_ps(o.as_ptr().add(8)), v1);
+            }
+            _mm256_storeu_ps(o.as_mut_ptr(), v0);
+            _mm256_storeu_ps(o.as_mut_ptr().add(8), v1);
         } else {
-            let mut tmp = [0.0f32; NR_F32];
-            _mm256_storeu_ps(tmp.as_mut_ptr(), acc_r[0]);
-            _mm256_storeu_ps(tmp.as_mut_ptr().add(8), acc_r[1]);
-            std::slice::from_raw_parts_mut(o, t.w).copy_from_slice(&tmp[..t.w]);
+            let mut lanes = [0.0f32; NR_F32];
+            // SAFETY: `lanes` is NR_F32 = 16 floats: two 8-lane stores.
+            _mm256_storeu_ps(lanes.as_mut_ptr(), acc_r[0]);
+            _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc_r[1]);
+            if t.out == TileOut::AddTo {
+                for (ov, &v) in o.iter_mut().zip(&lanes) {
+                    *ov += v;
+                }
+            } else {
+                o.copy_from_slice(&lanes[..t.w]);
+            }
         }
     }
 }
 
-/// Row-block height for the cache loop: inside one `k`-chunk, [`MC`] rows
-/// of `A` (≤ `MC × KC × 4 B` = 72 KB, L2-resident) are run against every
-/// column panel before the next block, so neither operand re-streams from
-/// memory as `m` grows. Like all blocking here it is bit-neutral: loop
-/// order over (row, column-panel) never touches a per-element chain.
+/// Row-block height for the cache loop when a `k`-chunk of packed `B` is
+/// too large to stay cache-resident: inside the chunk, [`MC`] rows of `A`
+/// (≤ `MC × KC × 4 B` = 144 KB, L2-resident) are run against every column
+/// panel before the next block, so neither operand re-streams from memory
+/// as `m` grows.
 pub const MC: usize = 72;
+
+/// A `k`-chunk of packed `B` at most this large counts as cache-resident
+/// (half of a 2 MiB L2, leaving room for the `A` rows and the output).
+const B_CHUNK_RESIDENT_BYTES: usize = 1 << 20;
+
+/// The packed engines' loop nest: [`KC`] `k`-chunks → row blocks → column
+/// panels → `tile_rows`-row tiles, calling `tile(kc0, kc1, jp, i0, rows)`.
+///
+/// The row block is picked per chunk from the operand footprint. While the
+/// chunk's packed `B` (`klen × n_panels` panel rows of `panel_row_bytes`)
+/// is cache-resident, the block is one [`MR_F32`]-row register tile walked
+/// across *all* column panels: the output is written as 6 sequential row
+/// streams and each `A` tile is read once, which is what a short-`k`,
+/// wide-`n` product (the deep `W-CONV`s: `512×16×6400`) needs — under the
+/// [`MC`] block it wrote 72 streams a whole output row apart and ran at a
+/// quarter of the engine's speed. A larger chunk keeps the [`MC`] block, so
+/// each panel chunk (L1-sized) is reused by twelve tiles before the next
+/// one streams in. Like all blocking here the choice is bit-neutral: the
+/// order over (row, column panel) never touches a per-element chain.
+fn for_each_tile(
+    (m, kk, n_panels): (usize, usize, usize),
+    panel_row_bytes: usize,
+    tile_rows: usize,
+    mut tile: impl FnMut(usize, usize, usize, usize, usize),
+) {
+    let mut kc0 = 0;
+    while kc0 < kk {
+        let kc1 = (kc0 + KC).min(kk);
+        let resident = (kc1 - kc0) * n_panels * panel_row_bytes <= B_CHUNK_RESIDENT_BYTES;
+        let row_block = if resident { MR_F32 } else { MC };
+        let mut ib0 = 0;
+        while ib0 < m {
+            let ib1 = (ib0 + row_block).min(m);
+            for jp in 0..n_panels {
+                let mut i0 = ib0;
+                while i0 < ib1 {
+                    let rows = (ib1 - i0).min(tile_rows);
+                    tile(kc0, kc1, jp, i0, rows);
+                    i0 += rows;
+                }
+            }
+            ib0 = ib1;
+        }
+        kc0 = kc1;
+    }
+}
 
 /// Packed f32 GEMM over a contiguous row range: `a_rows` holds the rows'
 /// `A` data, `masks` their panel masks, `packed_b` the full packed `B`.
-/// Writes every element of `out_rows`. Loop nest (outer→inner):
-/// [`KC`] `k`-chunks → [`MC`] row blocks → column panels → [`MR_F32`]
-/// row tiles, so the packed-`B` chunk (16 KB) stays L1-resident across
-/// the row tiles and the `A` row block stays L2-resident across the
-/// column panels. Bit-identical for every [`SimdLevel`].
+/// Covers every element of `out_rows` — overwriting it, or adding the
+/// product to it under [`Epilogue::Accumulate`] (which needs
+/// [`epilogue_accumulates`]) — in `for_each_tile`'s order. Bit-identical
+/// for every [`SimdLevel`].
+///
+/// # Panics
+///
+/// Panics if the operand lengths disagree with `(kk, n)`, or if the
+/// accumulate epilogue is asked of a `kk` that spans several chunks.
+#[allow(clippy::too_many_arguments)]
 pub fn f32_rows(
     level: SimdLevel,
     a_rows: &[f32],
@@ -657,55 +784,59 @@ pub fn f32_rows(
     out_rows: &mut [f32],
     kk: usize,
     n: usize,
+    epilogue: Epilogue,
 ) {
     let m = a_rows.len().checked_div(kk).unwrap_or(0);
-    debug_assert_eq!(out_rows.len(), m * n);
     let (_, wpr) = mask_geometry(kk);
-    let kernel = f32_tile_for(level);
     let n_jp = n.div_ceil(NR_F32);
-    let mut kc0 = 0;
-    while kc0 < kk {
-        let kc1 = (kc0 + KC).min(kk);
-        let mut ib0 = 0;
-        while ib0 < m {
-            let ib1 = (ib0 + MC).min(m);
-            for jp in 0..n_jp {
-                let j0 = jp * NR_F32;
-                let w = (n - j0).min(NR_F32);
-                let base = jp * kk * NR_F32;
-                let bchunk = &packed_b[base + kc0 * NR_F32..base + kc1 * NR_F32];
-                let mut i0 = ib0;
-                while i0 < ib1 {
-                    let rows = (ib1 - i0).min(MR_F32);
-                    let tile = F32Tile {
-                        a_rows,
-                        masks,
-                        bchunk,
-                        bstride: NR_F32,
-                        kk,
-                        wpr,
-                        i0,
-                        rows,
-                        kc0,
-                        klen: kc1 - kc0,
-                        panel0: kc0 / KP,
-                        n,
-                        j0,
-                        w,
-                        accumulate: kc0 > 0,
-                    };
-                    // SAFETY: `f32_tile_for` only returns a feature-gated
-                    // kernel for `Avx2Fma`, which is only selected (or
-                    // passed by tests) after `is_x86_feature_detected!`
-                    // verified avx2+fma.
-                    unsafe { kernel(&tile, out_rows) };
-                    i0 += rows;
-                }
-            }
-            ib0 = ib1;
-        }
-        kc0 = kc1;
-    }
+    // The tile kernels index through raw pointers derived from these
+    // lengths, so they are checked here, once per call, in release too.
+    assert!(
+        a_rows.len() == m * kk
+            && out_rows.len() == m * n
+            && masks.len() >= m * wpr
+            && packed_b.len() >= n_jp * kk * NR_F32,
+        "packed f32 operands disagree with {m}×{kk}×{n}"
+    );
+    assert!(
+        epilogue == Epilogue::Store || kk <= KC,
+        "the accumulate epilogue needs the whole chain in one k-chunk"
+    );
+    let kernel = f32_tile_for(level);
+    for_each_tile(
+        (m, kk, n_jp),
+        NR_F32 * std::mem::size_of::<f32>(),
+        MR_F32,
+        |kc0, kc1, jp, i0, rows| {
+            let j0 = jp * NR_F32;
+            let base = jp * kk * NR_F32;
+            let tile = F32Tile {
+                a_rows,
+                masks,
+                bchunk: &packed_b[base + kc0 * NR_F32..base + kc1 * NR_F32],
+                bstride: NR_F32,
+                kk,
+                wpr,
+                i0,
+                rows,
+                kc0,
+                klen: kc1 - kc0,
+                panel0: kc0 / KP,
+                n,
+                j0,
+                w: (n - j0).min(NR_F32),
+                out: match epilogue {
+                    Epilogue::Accumulate => TileOut::AddTo,
+                    Epilogue::Store if kc0 > 0 => TileOut::Resume,
+                    Epilogue::Store => TileOut::Overwrite,
+                },
+            };
+            // SAFETY: `f32_tile_for` only returns a feature-gated kernel
+            // for `Avx2Fma`, which is only selected (or passed by tests)
+            // after `is_x86_feature_detected!` verified avx2+fma.
+            unsafe { kernel(&tile, out_rows) };
+        },
+    );
 }
 
 /// f32 axpy signature: `out_row += av · b_row`, one fused multiply–add
@@ -1148,8 +1279,9 @@ unsafe fn fx_row_panel_avx2(
 }
 
 /// Packed Q8.8 GEMM over a contiguous row range (raw-`i16` views of
-/// [`Fx`] data), with the same [`KC`]-chunked row loop as [`f32_rows`].
-/// Bit-identical to scalar [`Fx`] semantics for every [`SimdLevel`].
+/// [`Fx`] data), in the same `for_each_tile` order as [`f32_rows`] with
+/// one-row tiles. Writes every element of `out_rows`. Bit-identical to
+/// scalar [`Fx`] semantics for every [`SimdLevel`].
 pub fn fx_rows(
     level: SimdLevel,
     a_rows: &[i16],
@@ -1163,35 +1295,24 @@ pub fn fx_rows(
     debug_assert_eq!(out_rows.len(), m * n);
     let (_, words_per_row) = mask_geometry(kk);
     let kernel = fx_panel_for(level);
-    let n_jp = n.div_ceil(NR_FX);
-    let mut kc0 = 0;
-    while kc0 < kk {
-        let kc1 = (kc0 + KC).min(kk);
-        let panel0 = kc0 / KP;
-        let mut ib0 = 0;
-        while ib0 < m {
-            // Same [`MC`] row blocking as [`f32_rows`] (i16 halves the
-            // bytes, so the block is even smaller in cache).
-            let ib1 = (ib0 + MC).min(m);
-            for jp in 0..n_jp {
-                let j0 = jp * NR_FX;
-                let w = (n - j0).min(NR_FX);
-                let base = jp * kk * NR_FX;
-                let bchunk = &packed_b[base + kc0 * NR_FX..base + kc1 * NR_FX];
-                for i in ib0..ib1 {
-                    let a_chunk = &a_rows[i * kk + kc0..i * kk + kc1];
-                    let masks_row = &masks[i * words_per_row..(i + 1) * words_per_row];
-                    let out = &mut out_rows[i * n + j0..i * n + j0 + w];
-                    // SAFETY: as in `f32_rows` — feature-gated kernels are
-                    // only resolved for levels whose features were
-                    // detected.
-                    unsafe { kernel(a_chunk, masks_row, panel0, bchunk, out, w, kc0 > 0) };
-                }
-            }
-            ib0 = ib1;
-        }
-        kc0 = kc1;
-    }
+    for_each_tile(
+        (m, kk, n.div_ceil(NR_FX)),
+        NR_FX * std::mem::size_of::<i16>(),
+        1,
+        |kc0, kc1, jp, i, _| {
+            let j0 = jp * NR_FX;
+            let w = (n - j0).min(NR_FX);
+            let base = jp * kk * NR_FX;
+            let bchunk = &packed_b[base + kc0 * NR_FX..base + kc1 * NR_FX];
+            let a_chunk = &a_rows[i * kk + kc0..i * kk + kc1];
+            let masks_row = &masks[i * words_per_row..(i + 1) * words_per_row];
+            let out = &mut out_rows[i * n + j0..i * n + j0 + w];
+            // SAFETY: as in `f32_rows` — feature-gated kernels are only
+            // resolved for levels whose features were detected; every
+            // operand is a bounds-checked slice of its chunk.
+            unsafe { kernel(a_chunk, masks_row, kc0 / KP, bchunk, out, w, kc0 > 0) };
+        },
+    );
 }
 
 /// Q8.8 axpy signature (raw `i16`): `out_row = sat(out_row + round(av ·
@@ -1433,7 +1554,8 @@ fn run_f32_path(
     match path {
         GemmPath::Packed => {
             pack_b::<_, NR_F32>(b, kk, n, &mut scratch.bf32);
-            f32_rows(level, a, &scratch.masks, &scratch.bf32, out, kk, n);
+            let store = Epilogue::Store;
+            f32_rows(level, a, &scratch.masks, &scratch.bf32, out, kk, n, store);
         }
         // On materialized `B` the small-`m` path shares the ikj engine (one
         // streamed pass over `B`, no pack — the register tile re-walks `B`
@@ -1726,6 +1848,11 @@ fn pack_for_plan<T: Num>(
 /// into `scratch` by [`plan_gemm`] instead). Bit-neutral under any row
 /// partition: every engine's per-element chain runs along `k`, never
 /// across rows.
+///
+/// # Panics
+///
+/// Panics if `epilogue` is [`Epilogue::Accumulate`] and
+/// [`epilogue_accumulates`] does not hold for this plan.
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_rows<T: Num>(
     path: GemmPath,
@@ -1737,13 +1864,19 @@ pub fn run_plan_rows<T: Num>(
     kk: usize,
     n: usize,
     kind: PackedKind,
+    epilogue: Epilogue,
 ) {
+    assert!(
+        epilogue == Epilogue::Store || epilogue_accumulates(kind, path, kk),
+        "only the packed f32 engine adds into its output"
+    );
     let rows_here = out_chunk.len().checked_div(n).unwrap_or(0);
     let (_, wpr) = mask_geometry(kk);
     let masks = &scratch.masks[row0 * wpr..(row0 + rows_here) * wpr];
     match kind {
         PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`).
+            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`), so each
+            // cast reinterprets a slice as itself.
             let (af, bf, of) = unsafe {
                 (
                     std::slice::from_raw_parts(a.as_ptr() as *const f32, a.len()),
@@ -1755,12 +1888,13 @@ pub fn run_plan_rows<T: Num>(
                 )
             };
             let a_rows = &af[row0 * kk..(row0 + rows_here) * kk];
+            let level = simd_level();
             match path {
                 GemmPath::Packed => {
-                    f32_rows(simd_level(), a_rows, masks, &scratch.bf32, of, kk, n);
+                    f32_rows(level, a_rows, masks, &scratch.bf32, of, kk, n, epilogue);
                 }
                 GemmPath::Ikj | GemmPath::SmallM => {
-                    f32_ikj_rows(simd_level(), a_rows, masks, bf, of, kk, n);
+                    f32_ikj_rows(level, a_rows, masks, bf, of, kk, n);
                 }
             }
         }
@@ -1906,6 +2040,103 @@ mod tests {
                 assert!(same, "avx2 diverged from scalar on {m}x{kk}x{n}");
             }
         }
+    }
+
+    /// The accumulate epilogue is `out + chain` with the chain finished
+    /// first — on both levels, on full-width and ragged panels, at the
+    /// largest `kk` one chunk holds, and over accumulators holding `-0.0`
+    /// (which a chain *started* from the accumulator would keep, and a
+    /// true add of `+0.0` does not).
+    #[test]
+    fn accumulate_epilogue_adds_the_finished_chain_on_every_level() {
+        let mut rng = SmallRng::seed_from_u64(95);
+        for (m, kk, n) in [(1, 1, 1), (7, 40, 16), (13, KC, 37), (6, 9, 100)] {
+            let a = random_f32(m * kk, 0.5, &mut rng);
+            let b = random_f32(kk * n, 0.5, &mut rng);
+            let held: Vec<f32> = random_f32(m * n, 0.3, &mut rng)
+                .into_iter()
+                .map(|v| if v == 0.0 { -0.0 } else { v })
+                .collect();
+            let want: Vec<u32> = fused_reference(&a, &b, m, kk, n)
+                .iter()
+                .zip(&held)
+                .map(|(chain, h)| (h + chain).to_bits())
+                .collect();
+            let mut scratch = PackScratch::new();
+            build_masks(&a, m, kk, &mut scratch.masks);
+            pack_b::<_, NR_F32>(&b, kk, n, &mut scratch.bf32);
+            for level in [SimdLevel::Scalar, detect_level()] {
+                let mut out = held.clone();
+                let add = Epilogue::Accumulate;
+                f32_rows(
+                    level,
+                    &a,
+                    &scratch.masks,
+                    &scratch.bf32,
+                    &mut out,
+                    kk,
+                    n,
+                    add,
+                );
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{level:?} {m}x{kk}x{n}");
+            }
+        }
+        assert!(epilogue_accumulates(PackedKind::F32, GemmPath::Packed, KC));
+        assert!(!epilogue_accumulates(
+            PackedKind::F32,
+            GemmPath::Packed,
+            KC + 1
+        ));
+        assert!(!epilogue_accumulates(PackedKind::F32, GemmPath::Ikj, 8));
+        assert!(!epilogue_accumulates(PackedKind::Fx, GemmPath::Packed, 8));
+    }
+
+    /// Between `k`-chunks the partial chain lives in the output, so a
+    /// multi-chunk GEMM cannot also keep an accumulator there.
+    #[test]
+    #[should_panic(expected = "one k-chunk")]
+    fn accumulate_epilogue_refuses_a_chain_spanning_chunks() {
+        let (m, kk, n) = (2, KC + 1, 16);
+        let (a, b) = (vec![1.0f32; m * kk], vec![1.0f32; kk * n]);
+        let mut scratch = PackScratch::new();
+        build_masks(&a, m, kk, &mut scratch.masks);
+        pack_b::<_, NR_F32>(&b, kk, n, &mut scratch.bf32);
+        let mut out = vec![0.0f32; m * n];
+        let add = Epilogue::Accumulate;
+        f32_rows(
+            SimdLevel::Scalar,
+            &a,
+            &scratch.masks,
+            &scratch.bf32,
+            &mut out,
+            kk,
+            n,
+            add,
+        );
+    }
+
+    /// The operand checks that the tile kernels' pointer arithmetic rests
+    /// on hold in release builds too.
+    #[test]
+    #[should_panic(expected = "operands disagree")]
+    fn f32_rows_rejects_a_short_packed_operand() {
+        let (m, kk, n) = (2, 8, 16);
+        let a = vec![1.0f32; m * kk];
+        let mut masks = Vec::new();
+        build_masks(&a, m, kk, &mut masks);
+        let short_b = vec![1.0f32; kk * n - 1];
+        let mut out = vec![0.0f32; m * n];
+        f32_rows(
+            detect_level(),
+            &a,
+            &masks,
+            &short_b,
+            &mut out,
+            kk,
+            n,
+            Epilogue::Store,
+        );
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! # Lifetime rules
 //!
 //! - `take_*` hands out a buffer of the exact requested shape, zero-filled
-//!   (several fill loops — phase patches, scatter-skipped outputs, the
-//!   naive GEMM's `+=` — rely on starting from zeros).
+//!   (several fill loops — phase patches, scatter-skipped outputs — rely
+//!   on starting from zeros). [`ConvWorkspace::take_dirty`] is the one
+//!   exception: no fill, for buffers whose every element is overwritten
+//!   before it is read (GEMM products, streamed operand rows, gradients
+//!   that are a product).
 //! - `give_*` returns a buffer to the free list. Returning is optional for
 //!   correctness (a dropped buffer is just an allocation next time) and
 //!   mandatory for the zero-allocation guarantee.
@@ -129,9 +132,34 @@ impl<T: Num> ConvWorkspace<T> {
         if !self.reuse {
             return vec![T::zero(); len];
         }
-        // Best fit: the smallest free buffer whose capacity suffices;
-        // otherwise the largest available one (which then grows once and
-        // serves this size forever after).
+        let mut v = self.pick(len);
+        v.clear();
+        v.resize(len, T::zero());
+        v
+    }
+
+    /// [`ConvWorkspace::take`] without the zero fill: the `len` elements
+    /// hold whatever the recycled buffer last held (zeros where it had to
+    /// grow). Only for buffers whose **every** element is overwritten
+    /// before it is read — GEMM products, streamed `B` rows, gradients
+    /// that are a product — where the fill would be a wasted pass over a
+    /// parameter-sized tensor.
+    pub fn take_dirty(&mut self, len: usize) -> Vec<T> {
+        if !self.reuse {
+            return vec![T::zero(); len];
+        }
+        let mut v = self.pick(len);
+        v.truncate(len);
+        v.resize(len, T::zero());
+        v
+    }
+
+    /// Removes the buffer that serves a `len`-element take from the free
+    /// list (contents and length as they were given back): the smallest
+    /// free buffer whose capacity suffices (best fit); otherwise the
+    /// largest available one, which then grows once and serves this size
+    /// forever after; a fresh empty one when the list is empty.
+    fn pick(&mut self, len: usize) -> Vec<T> {
         let mut best: Option<usize> = None;
         let mut largest: Option<usize> = None;
         for (i, buf) in self.free.iter().enumerate() {
@@ -143,13 +171,10 @@ impl<T: Num> ConvWorkspace<T> {
                 largest = Some(i);
             }
         }
-        let mut v = match best.or(largest) {
+        match best.or(largest) {
             Some(i) => self.free.swap_remove(i),
             None => Vec::new(),
-        };
-        v.clear();
-        v.resize(len, T::zero());
-        v
+        }
     }
 
     /// Returns a buffer to the free list (dropped when reuse is off).
@@ -166,6 +191,12 @@ impl<T: Num> ConvWorkspace<T> {
     /// Panics if either dimension is zero (as [`Matrix::zeros`] does).
     pub fn take_matrix(&mut self, rows: usize, cols: usize) -> Matrix<T> {
         Matrix::from_vec(rows, cols, self.take(rows * cols))
+    }
+
+    /// [`ConvWorkspace::take_matrix`] through [`ConvWorkspace::take_dirty`]:
+    /// for a matrix whose every element is overwritten before it is read.
+    pub(crate) fn take_matrix_dirty(&mut self, rows: usize, cols: usize) -> Matrix<T> {
+        Matrix::from_vec(rows, cols, self.take_dirty(rows * cols))
     }
 
     /// Returns a matrix's buffer to the arena.
@@ -219,6 +250,20 @@ mod tests {
         ws.give(a);
         let b = ws.take(4);
         assert_eq!(b, vec![0.0; 4]);
+    }
+
+    #[test]
+    fn take_dirty_skips_the_fill_and_only_zero_extends() {
+        let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
+        let mut a = ws.take(4);
+        a.iter_mut().for_each(|v| *v = 7.0);
+        ws.give(a);
+        // Old contents survive where they fit; growth is zero-extended.
+        assert_eq!(ws.take_dirty(6), vec![7.0, 7.0, 7.0, 7.0, 0.0, 0.0]);
+        let mut b = ws.take(6);
+        b.iter_mut().for_each(|v| *v = 9.0);
+        ws.give(b);
+        assert_eq!(ws.take_dirty(2), vec![9.0, 9.0]);
     }
 
     #[test]

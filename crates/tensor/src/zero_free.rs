@@ -66,10 +66,8 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
-use crate::gemm::MatmulKind;
-use crate::im2col::{
-    fill_im2col_s_row, im2col_s, im2col_s_ws, s_conv_via_gemm_ws, Lowered, Matrix,
-};
+use crate::gemm::{matmul_slices_ws, matmul_streamed_ws, AScan, MatmulKind, Product};
+use crate::im2col::{fill_im2col_s_row, im2col_s_ws, s_conv_via_gemm_ws, Lowered, Matrix};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -90,6 +88,10 @@ struct TPhase {
     kys: Vec<usize>,
     /// Kept flipped-kernel column indices `kx′`, ascending.
     kxs: Vec<usize>,
+    /// The gather's index table: for every kept tap, in `(ky′, kx′)` order,
+    /// the offset of its (unflipped) weight inside a kernel's `kh·kw`
+    /// block, `(kh−1−ky′)·kw + (kw−1−kx′)`.
+    tap_offsets: Vec<usize>,
 }
 
 impl TPhase {
@@ -97,7 +99,7 @@ impl TPhase {
     /// tap reaches this phase: its outputs stay zero, exactly as the
     /// golden scatter leaves them, and every lowering skips it.
     fn taps(&self) -> usize {
-        self.kys.len() * self.kxs.len()
+        self.tap_offsets.len()
     }
 }
 
@@ -118,11 +120,21 @@ fn t_phases(geom: &ConvGeom, oh: usize, ow: usize) -> Vec<TPhase> {
             if oys.is_empty() || oxs.is_empty() {
                 continue;
             }
+            let (kh, kw) = (geom.kh(), geom.kw());
+            let (kys, kxs) = (keep(ry, pt, kh), keep(rx, pl, kw));
+            let tap_offsets = kys
+                .iter()
+                .flat_map(|&ky| {
+                    kxs.iter()
+                        .map(move |&kx| (kh - 1 - ky) * kw + (kw - 1 - kx))
+                })
+                .collect();
             phases.push(TPhase {
                 oys,
                 oxs,
-                kys: keep(ry, pt, geom.kh()),
-                kxs: keep(rx, pl, geom.kw()),
+                kys,
+                kxs,
+                tap_offsets,
             });
         }
     }
@@ -527,23 +539,29 @@ impl<T: Num> PhaseKernelCache<T> {
 /// first `Σ taps · N_if · N_of` are written (all of them, unless some phase
 /// is missing from a tiny output grid).
 ///
-/// One sequential pass over the kernel tensor in `(lf, sf)` block order:
-/// each `kh·kw` tap block is read once and dealt out to the phases that
-/// keep its taps, so every phase matrix is written front to back.
+/// The kernel tensor is read front to back, [`GATHER_SF_TILE`] `sf` slabs
+/// at a time: inside a tile the `lf` walk advances that many sequential
+/// read streams, each `kh·kw` block is dealt to the phases through their
+/// tap tables while it is cache-hot, and every phase matrix receives one
+/// contiguous `tile × taps` run per `lf`. (The `lf`-outer order read the
+/// tensor at an `N_if·kh·kw` stride — one page-crossing per block.)
+/// Allocates nothing.
 fn gather_phase_kernels<T: Num>(out: &mut [T], k: &Kernels<T>, phases: &[TPhase]) {
     let (n_of, n_if, kh, kw) = k.shape();
+    let block_len = kh * kw;
     let kdata = k.as_slice();
-    for lf in 0..n_if {
-        for sf in 0..n_of {
-            let block = &kdata[(sf * n_if + lf) * kh * kw..][..kh * kw];
+    for sf0 in (0..n_of).step_by(GATHER_SF_TILE) {
+        let sf1 = (sf0 + GATHER_SF_TILE).min(n_of);
+        for lf in 0..n_if {
             let mut base = 0;
-            for phase in phases {
+            for phase in phases.iter().filter(|p| p.taps() > 0) {
                 let taps = phase.taps();
-                let mut slot = base + (lf * n_of + sf) * taps;
-                for &ky in &phase.kys {
-                    for &kx in &phase.kxs {
-                        out[slot] = block[(kh - 1 - ky) * kw + (kw - 1 - kx)];
-                        slot += 1;
+                let run =
+                    &mut out[base + (lf * n_of + sf0) * taps..base + (lf * n_of + sf1) * taps];
+                for (sf, slots) in (sf0..sf1).zip(run.chunks_exact_mut(taps)) {
+                    let block = &kdata[(sf * n_if + lf) * block_len..][..block_len];
+                    for (slot, &tap) in slots.iter_mut().zip(&phase.tap_offsets) {
+                        *slot = block[tap];
                     }
                 }
                 base += n_if * n_of * taps;
@@ -551,6 +569,11 @@ fn gather_phase_kernels<T: Num>(out: &mut [T], k: &Kernels<T>, phases: &[TPhase]
         }
     }
 }
+
+/// `sf` slabs gathered together: few enough read streams for the hardware
+/// prefetchers to follow, enough that a phase's write run spans whole
+/// cache lines.
+const GATHER_SF_TILE: usize = 32;
 
 /// Zero-free `T-CONV`: compact per-phase lowering + GEMM, bit-identical
 /// to [`crate::t_conv`] under the scalar kinds (see the module docs).
@@ -752,8 +775,9 @@ fn t_phases_weight_stationary<T: Num>(
         // in-bounds entries.
         let mut b = ws.take_matrix(kk, noy * nox);
         fill_t_phase_patches_transposed(&mut b, input, geom, phase);
-        let mut product = ws.take(n_if * noy * nox);
-        crate::gemm::matmul_weight_stationary_ws(mm, a, n_if, &b, &mut product, ws)?;
+        let mut product = ws.take_dirty(n_if * noy * nox);
+        let store = Product::Store(&mut product);
+        matmul_slices_ws(mm, a, n_if, &b, AScan::Dense, store, ws)?;
         ws.give_matrix(b);
         // Row `lf` of the product is map `lf` on this phase's pixel grid:
         // deal its rows back into the map at the phase's stride.
@@ -878,6 +902,56 @@ pub fn t_conv_input_grad_via_gemm_ws<T: Num>(
     s_conv_via_gemm_ws(delta_out, k, geom, mm, ws)
 }
 
+/// Checks that a `W-CONV`'s error maps have the spatial size the geometry
+/// gives the layer's output.
+fn check_error_map<T: Num>(delta_out: &Fmaps<T>, expected: (usize, usize)) -> TensorResult<()> {
+    if (delta_out.height(), delta_out.width()) == expected {
+        return Ok(());
+    }
+    Err(ShapeError::new(format!(
+        "error map is {}×{}, expected {}×{} for this geometry",
+        delta_out.height(),
+        delta_out.width(),
+        expected.0,
+        expected.1
+    )))
+}
+
+/// Runs a `W-CONV` lowering into a gradient tensor drawn from the
+/// workspace. The lowering's product *is* the gradient — `rows ×
+/// (cols·ky·kx)` row-major is the kernel tensor's flat layout — so the
+/// GEMM writes the tensor's own storage (taken without a zero fill: every
+/// element is overwritten) and nothing is copied afterwards.
+fn w_conv_stored<T: Num>(
+    (n_of, n_if, kh, kw): (usize, usize, usize, usize),
+    ws: &mut ConvWorkspace<T>,
+    lower: impl FnOnce(Product<'_, T>, &mut ConvWorkspace<T>) -> TensorResult<()>,
+) -> TensorResult<Kernels<T>> {
+    let mut grad = Kernels::from_vec(n_of, n_if, kh, kw, ws.take_dirty(n_of * n_if * kh * kw));
+    match lower(Product::Store(grad.as_mut_slice()), ws) {
+        Ok(()) => Ok(grad),
+        Err(e) => {
+            ws.give_kernels(grad);
+            Err(e)
+        }
+    }
+}
+
+/// Checks that a gradient accumulator is shaped like the gradient a
+/// `W-CONV` is about to add into it.
+pub(crate) fn check_accumulator<T: Num>(
+    acc: &Kernels<T>,
+    shape: (usize, usize, usize, usize),
+) -> TensorResult<()> {
+    if acc.shape() == shape {
+        return Ok(());
+    }
+    Err(ShapeError::new(format!(
+        "gradient accumulator is {:?}, this layer's gradient is {shape:?}",
+        acc.shape()
+    )))
+}
+
 /// `W-CONV` of an S-CONV layer by lowering: the error (as a channels ×
 /// pixels matrix) GEMMed against the forward pass's `im2col` patches.
 /// Bit-identical to [`crate::w_conv_for_s_layer`].
@@ -896,25 +970,7 @@ pub fn w_conv_s_via_gemm<T: Num>(
     geom: &ConvGeom,
     mm: MatmulKind,
 ) -> TensorResult<Kernels<T>> {
-    let expected = geom.down_out(input.height(), input.width());
-    if (delta_out.height(), delta_out.width()) != expected {
-        return Err(ShapeError::new(format!(
-            "error map is {}×{}, expected {}×{} for this geometry",
-            delta_out.height(),
-            delta_out.width(),
-            expected.0,
-            expected.1
-        )));
-    }
-    let (oh, ow) = (delta_out.height(), delta_out.width());
-    let delta_mat = Matrix::from_vec(delta_out.channels(), oh * ow, delta_out.as_slice().to_vec());
-    let lowered = im2col_s(input, geom);
-    let product = mm.run(&delta_mat, &lowered.patches)?;
-    // The product's `of × (if·ky·kx)` row-major layout is exactly the
-    // kernel tensor's flat layout — reshape by bulk copy.
-    let mut grad = Kernels::zeros(delta_out.channels(), input.channels(), geom.kh(), geom.kw());
-    grad.as_mut_slice().copy_from_slice(product.as_slice());
-    Ok(grad)
+    w_conv_s_via_gemm_ws(input, delta_out, geom, mm, &mut ConvWorkspace::new())
 }
 
 /// [`w_conv_s_via_gemm`] with every transient drawn from the workspace.
@@ -931,94 +987,73 @@ pub fn w_conv_s_via_gemm_ws<T: Num>(
     mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Kernels<T>> {
-    let expected = geom.down_out(input.height(), input.width());
-    if (delta_out.height(), delta_out.width()) != expected {
-        return Err(ShapeError::new(format!(
-            "error map is {}×{}, expected {}×{} for this geometry",
-            delta_out.height(),
-            delta_out.width(),
-            expected.0,
-            expected.1
-        )));
-    }
-    let (oh, ow) = (delta_out.height(), delta_out.width());
-    let mut delta_buf = ws.take(delta_out.len());
-    delta_buf.copy_from_slice(delta_out.as_slice());
-    let delta_mat = Matrix::from_vec(delta_out.channels(), oh * ow, delta_buf);
-    let product = if mm.is_reference() {
+    let shape = (delta_out.channels(), input.channels(), geom.kh(), geom.kw());
+    w_conv_stored(shape, ws, |grad, ws| {
+        w_conv_s_lowered(input, delta_out, geom, mm, grad, ws)
+    })
+}
+
+/// [`w_conv_s_via_gemm_ws`] adding the gradient into `acc` instead of
+/// returning it: `acc[i] = acc[i] + grad[i]`, bit for bit what
+/// `acc.add_assign(&grad)` computes, with no `grad` — where the packed
+/// engine's epilogue serves the shape the accumulator is the only
+/// gradient-sized tensor touched (see [`crate::gemm`]).
+///
+/// # Errors
+///
+/// Returns an error if `delta_out`'s spatial size does not match this
+/// geometry's forward output or `acc` is not shaped like the gradient.
+pub fn w_conv_s_via_gemm_accumulate_ws<T: Num>(
+    input: &Fmaps<T>,
+    delta_out: &Fmaps<T>,
+    geom: &ConvGeom,
+    mm: MatmulKind,
+    acc: &mut Kernels<T>,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<()> {
+    check_accumulator(
+        acc,
+        (delta_out.channels(), input.channels(), geom.kh(), geom.kw()),
+    )?;
+    let grad = Product::AddTo(acc.as_mut_slice());
+    w_conv_s_lowered(input, delta_out, geom, mm, grad, ws)
+}
+
+/// The one S-layer `W-CONV` lowering behind the entries above: `A` is the
+/// error maps read in place, `B` the forward patches.
+fn w_conv_s_lowered<T: Num>(
+    input: &Fmaps<T>,
+    delta_out: &Fmaps<T>,
+    geom: &ConvGeom,
+    mm: MatmulKind,
+    grad: Product<'_, T>,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<()> {
+    check_error_map(delta_out, geom.down_out(input.height(), input.width()))?;
+    let (delta, m) = (delta_out.as_slice(), delta_out.channels());
+    if mm.is_reference() {
         let lowered = im2col_s_ws(input, geom, ws);
-        let product = mm.run_ws(&delta_mat, &lowered.patches, ws)?;
+        let done = matmul_slices_ws(mm, delta, m, &lowered.patches, AScan::Scan, grad, ws);
         ws.give_matrix(lowered.patches);
-        product
-    } else {
-        // Streamed lowering: patch rows of the forward input are produced
-        // on demand, so for few-channel error maps (the critic head) the
-        // small-m streamed engine skips the whole `im2col` fill for every
-        // patch position whose error column is zero.
-        crate::gemm::matmul_streamed_ws(
-            mm,
-            &delta_mat,
-            oh * ow,
-            input.channels() * geom.kh() * geom.kw(),
-            &mut |r, row| fill_im2col_s_row(input, geom, ow, r, row),
-            ws,
-        )?
-    };
-    ws.give_matrix(delta_mat);
-    let mut grad = ws.take_kernels(delta_out.channels(), input.channels(), geom.kh(), geom.kw());
-    // Same flat layout on both sides (see `w_conv_s_via_gemm`).
-    grad.as_mut_slice().copy_from_slice(product.as_slice());
-    ws.give_matrix(product);
-    Ok(grad)
-}
-
-/// Patch matrix for the zero-free `W-CONV` of a T-CONV layer: rows are the
-/// layer's *compact* input pixels `(iy, ix)`, columns `(lf, ky, kx)`, each
-/// entry the output error the pixel meets under that tap (zero outside the
-/// error map).
-fn im2col_wgrad_t<T: Num>(
-    delta_out: &Fmaps<T>,
-    geom: &ConvGeom,
-    ih: usize,
-    iw: usize,
-) -> Matrix<T> {
-    let cols = delta_out.channels() * geom.kh() * geom.kw();
-    let mut m = Matrix::zeros(ih * iw, cols);
-    fill_im2col_wgrad_t(&mut m, delta_out, geom, ih, iw);
-    m
-}
-
-/// Fills an `(ih·iw) × (lf·kh·kw)` matrix with [`im2col_wgrad_t`]'s patch
-/// layout. Writes every cell (out-of-bounds taps write an explicit zero).
-fn fill_im2col_wgrad_t<T: Num>(
-    m: &mut Matrix<T>,
-    delta_out: &Fmaps<T>,
-    geom: &ConvGeom,
-    ih: usize,
-    iw: usize,
-) {
-    let s = geom.stride() as isize;
-    let (pt, pl) = (geom.pad_top() as isize, geom.pad_left() as isize);
-    for iy in 0..ih {
-        for ix in 0..iw {
-            let row = iy * iw + ix;
-            let mut col = 0;
-            for lf in 0..delta_out.channels() {
-                for ky in 0..geom.kh() {
-                    for kx in 0..geom.kw() {
-                        let ty = s * iy as isize + ky as isize - pt;
-                        let tx = s * ix as isize + kx as isize - pl;
-                        *m.at_mut(row, col) = delta_out.at_padded(lf, ty, tx);
-                        col += 1;
-                    }
-                }
-            }
-        }
+        return done;
     }
+    // Streamed lowering: patch rows of the forward input are produced on
+    // demand, so for few-channel error maps (the critic head) the small-m
+    // streamed engine skips the whole `im2col` fill for every patch
+    // position whose error column is zero.
+    let ow = delta_out.width();
+    let dims = (
+        delta_out.height() * ow,
+        input.channels() * geom.kh() * geom.kw(),
+    );
+    let mut patch_row = |r: usize, row: &mut [T]| fill_im2col_s_row(input, geom, ow, r, row);
+    matmul_streamed_ws(mm, delta, m, dims, &mut patch_row, grad, ws)
 }
 
 /// Zero-free `W-CONV` of a T-CONV layer: the compact input (channels ×
-/// pixels) GEMMed against [`im2col_wgrad_t`] patches of the error. The
+/// pixels) GEMMed against a patch matrix of the error — rows the layer's
+/// *compact* input pixels `(iy, ix)`, columns `(lf, ky, kx)`, each entry the
+/// output error the pixel meets under that tap (zero outside the map). The
 /// zero-inserted input of the textbook formulation is never built —
 /// ZFWST's elimination, in software. Bit-identical to
 /// [`crate::w_conv_for_t_layer`].
@@ -1033,25 +1068,7 @@ pub fn w_conv_t_zero_free<T: Num>(
     geom: &ConvGeom,
     mm: MatmulKind,
 ) -> TensorResult<Kernels<T>> {
-    let expected = geom.up_out(input.height(), input.width());
-    if (delta_out.height(), delta_out.width()) != expected {
-        return Err(ShapeError::new(format!(
-            "error map is {}×{}, expected {}×{} for this geometry",
-            delta_out.height(),
-            delta_out.width(),
-            expected.0,
-            expected.1
-        )));
-    }
-    let (ih, iw) = (input.height(), input.width());
-    let input_mat = Matrix::from_vec(input.channels(), ih * iw, input.as_slice().to_vec());
-    let patches = im2col_wgrad_t(delta_out, geom, ih, iw);
-    let product = mm.run(&input_mat, &patches)?;
-    // The product's `sf × (lf·ky·kx)` row-major layout is exactly the
-    // kernel tensor's flat layout — reshape by bulk copy.
-    let mut grad = Kernels::zeros(input.channels(), delta_out.channels(), geom.kh(), geom.kw());
-    grad.as_mut_slice().copy_from_slice(product.as_slice());
-    Ok(grad)
+    w_conv_t_zero_free_ws(input, delta_out, geom, mm, &mut ConvWorkspace::new())
 }
 
 /// [`w_conv_t_zero_free`] with every transient drawn from the workspace.
@@ -1068,31 +1085,59 @@ pub fn w_conv_t_zero_free_ws<T: Num>(
     mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Kernels<T>> {
-    let expected = geom.up_out(input.height(), input.width());
-    if (delta_out.height(), delta_out.width()) != expected {
-        return Err(ShapeError::new(format!(
-            "error map is {}×{}, expected {}×{} for this geometry",
-            delta_out.height(),
-            delta_out.width(),
-            expected.0,
-            expected.1
-        )));
-    }
+    let shape = (input.channels(), delta_out.channels(), geom.kh(), geom.kw());
+    w_conv_stored(shape, ws, |grad, ws| {
+        w_conv_t_lowered(input, delta_out, geom, mm, grad, ws)
+    })
+}
+
+/// [`w_conv_t_zero_free_ws`] adding the gradient into `acc` instead of
+/// returning it — the T-layer twin of [`w_conv_s_via_gemm_accumulate_ws`].
+///
+/// # Errors
+///
+/// Returns an error if `delta_out`'s spatial size is not the up-sampled
+/// size of `input` under this geometry or `acc` is not shaped like the
+/// gradient.
+pub fn w_conv_t_zero_free_accumulate_ws<T: Num>(
+    input: &Fmaps<T>,
+    delta_out: &Fmaps<T>,
+    geom: &ConvGeom,
+    mm: MatmulKind,
+    acc: &mut Kernels<T>,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<()> {
+    check_accumulator(
+        acc,
+        (input.channels(), delta_out.channels(), geom.kh(), geom.kw()),
+    )?;
+    let grad = Product::AddTo(acc.as_mut_slice());
+    w_conv_t_lowered(input, delta_out, geom, mm, grad, ws)
+}
+
+/// The one T-layer `W-CONV` lowering behind the entries above: `A` is the
+/// layer's input maps read in place, `B` the error patches.
+fn w_conv_t_lowered<T: Num>(
+    input: &Fmaps<T>,
+    delta_out: &Fmaps<T>,
+    geom: &ConvGeom,
+    mm: MatmulKind,
+    grad: Product<'_, T>,
+    ws: &mut ConvWorkspace<T>,
+) -> TensorResult<()> {
     let (ih, iw) = (input.height(), input.width());
-    let mut input_buf = ws.take(input.len());
-    input_buf.copy_from_slice(input.as_slice());
-    let input_mat = Matrix::from_vec(input.channels(), ih * iw, input_buf);
+    check_error_map(delta_out, geom.up_out(ih, iw))?;
     let cols = delta_out.channels() * geom.kh() * geom.kw();
-    let mut patches = ws.take_matrix(ih * iw, cols);
-    fill_im2col_wgrad_t(&mut patches, delta_out, geom, ih, iw);
-    let product = mm.run_ws(&input_mat, &patches, ws)?;
-    ws.give_matrix(input_mat);
+    // The error patches a compact input pixel meets are the S-CONV patch
+    // of the error maps at that pixel. The fill writes every cell.
+    let mut patches = ws.take_matrix_dirty(ih * iw, cols);
+    for r in 0..ih * iw {
+        fill_im2col_s_row(delta_out, geom, iw, r, patches.row_mut(r));
+    }
+    let (a, m) = (input.as_slice(), input.channels());
+    let done = matmul_slices_ws(mm, a, m, &patches, AScan::Scan, grad, ws);
     ws.give_matrix(patches);
-    let mut grad = ws.take_kernels(input.channels(), delta_out.channels(), geom.kh(), geom.kw());
-    // Same flat layout on both sides (see `w_conv_t_zero_free`).
-    grad.as_mut_slice().copy_from_slice(product.as_slice());
-    ws.give_matrix(product);
-    Ok(grad)
+    done
 }
 
 /// `W-CONV` of a T-CONV layer the textbook way: materialise the
@@ -1112,16 +1157,7 @@ pub fn w_conv_t_via_zero_insert_gemm<T: Num>(
     geom: &ConvGeom,
     mm: MatmulKind,
 ) -> TensorResult<Kernels<T>> {
-    let expected = geom.up_out(input.height(), input.width());
-    if (delta_out.height(), delta_out.width()) != expected {
-        return Err(ShapeError::new(format!(
-            "error map is {}×{}, expected {}×{} for this geometry",
-            delta_out.height(),
-            delta_out.width(),
-            expected.0,
-            expected.1
-        )));
-    }
+    check_error_map(delta_out, geom.up_out(input.height(), input.width()))?;
     let zi = insert_zeros(input, geom.stride());
     let (zh, zw) = (zi.height(), zi.width());
     let zi_mat = Matrix::from_vec(zi.channels(), zh * zw, zi.as_slice().to_vec());
@@ -1358,6 +1394,38 @@ mod tests {
                     let a = Matrix::from_vec(n_if, kk, sub[base..base + n_if * kk].to_vec());
                     assert_eq!(a, transpose(&weights), "sub-kernels, {g:?}");
                     base += n_if * kk;
+                }
+            }
+        }
+    }
+
+    /// The tiled gather against the specification reshape, phase by phase,
+    /// for every stride 1–3 × kernel 3–5 and channel counts below, at and
+    /// across the `sf` tile — into a poisoned buffer, so a slot the gather
+    /// skipped shows up as a NaN.
+    #[test]
+    fn gather_matches_the_specification_fill_for_every_stride_and_kernel() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        let tile = GATHER_SF_TILE;
+        for stride in 1..=3 {
+            for kdim in 3..=5 {
+                let g = ConvGeom::down(3 * stride, 3 * stride, kdim, kdim, stride, 3, 3).unwrap();
+                let (oh, ow) = g.up_out(3, 3);
+                let phases = t_phases(&g, oh, ow);
+                for (n_of, n_if) in [(1, 1), (3, 4), (tile, 2), (tile + 3, 3), (2 * tile + 1, 1)] {
+                    let k: Kernels<f32> = Kernels::random(n_of, n_if, kdim, kdim, 1.0, &mut rng);
+                    let mut sub = vec![f32::NAN; k.len()];
+                    gather_phase_kernels(&mut sub, &k, &phases);
+                    let mut base = 0;
+                    for phase in phases.iter().filter(|p| p.taps() > 0) {
+                        let kk = n_of * phase.taps();
+                        let mut weights = Matrix::zeros(kk, n_if);
+                        fill_t_phase_weights_ref(&mut weights, &k, phase);
+                        let a = Matrix::from_vec(n_if, kk, sub[base..base + n_if * kk].to_vec());
+                        assert_eq!(a, transpose(&weights), "s{stride} k{kdim} {n_of}x{n_if}");
+                        base += n_if * kk;
+                    }
+                    assert_eq!(base, k.len(), "every tap belongs to exactly one phase");
                 }
             }
         }

@@ -360,6 +360,133 @@ fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
     }
 }
 
+/// The packed engine walks its tiles in one of two orders, picked per
+/// `k`-chunk from the chunk's packed-`B` footprint (`for_each_tile` in
+/// `zfgan_tensor::microkernel`): one register tile of rows across all
+/// column panels while the chunk is cache-resident, 72-row blocks per panel
+/// otherwise. The order never touches a per-element chain, so every shape
+/// must reproduce the plain fused `k`-ascending chain *bit for bit* — on
+/// both SIMD levels, on every forced dispatch path and for any pooled row
+/// partition. Shapes: short-`k` wide-`n` (the deep W-CONV shape class, all
+/// resident, ragged last panel), one whose first chunk is over the
+/// residency limit and whose second is under it (both orders in one GEMM,
+/// more rows than one 72-row block), and a small ragged one.
+#[test]
+fn packed_block_order_is_bit_neutral() {
+    use zfgan::tensor::microkernel::{
+        matmul_f32_path, simd_level, GemmPath, PackScratch, SimdLevel, KC,
+    };
+    let mut rng = SmallRng::seed_from_u64(77);
+    for (m, kk, n) in [(40, 16, 700), (75, KC + 8, 530), (13, 100, 33)] {
+        let a: Vec<f32> = (0..m * kk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut want = vec![0u32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let chain = (0..kk).fold(0.0f32, |acc, k| a[i * kk + k].mul_add(b[k * n + j], acc));
+                want[i * n + j] = chain.to_bits();
+            }
+        }
+        let mut scratch = PackScratch::new();
+        for level in [simd_level(), SimdLevel::Scalar] {
+            for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+                let mut out = vec![f32::NAN; m * n];
+                matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                assert_eq!(bits(&out), want, "{m}×{kk}×{n} {path:?} at {level:?}");
+            }
+        }
+        let (am, bm) = (Matrix::from_vec(m, kk, a), Matrix::from_vec(kk, n, b));
+        for threads in [1, 2, 3, 7] {
+            let out = matmul_parallel(&am, &bm, threads).unwrap();
+            assert_eq!(
+                bits(out.as_slice()),
+                want,
+                "{m}×{kk}×{n} on {threads} threads"
+            );
+        }
+    }
+}
+
+/// Products, gradients and streamed operand rows are drawn from the
+/// workspace *without* its zero fill (`ConvWorkspace::take_dirty`), on the
+/// promise that every element is overwritten before it is read. Poison the
+/// free list — NaN for f32, a saturating value for Q8.8 — and every
+/// workspace entry, the two accumulating `W-CONV`s included, must still
+/// equal its allocating twin bit for bit.
+#[test]
+fn poisoned_workspace_buffers_never_leak_into_results() {
+    use zfgan::tensor::{ConvWorkspace, Num};
+    fn poison<T: Num>(ws: &mut ConvWorkspace<T>, with: T) {
+        for len in [8, 64, 512, 4096, 40_000] {
+            for _ in 0..4 {
+                ws.give(vec![with; len]);
+            }
+        }
+    }
+    fn check<T: Num>(x: &Fmaps<T>, z: &Fmaps<T>, k: &Kernels<T>, g: &ConvGeom, with: T) {
+        let in_hw = x.height();
+        let backends = PACKED.into_iter().chain([ConvBackend::ScalarRef]);
+        for b in backends {
+            let (maps, grads) = six_passes(b, x, z, k, g, in_hw);
+            let mut ws = ConvWorkspace::new();
+            poison(&mut ws, with);
+            let (y, up) = (&maps[0], &maps[1]);
+            assert_eq!(maps[0], b.s_conv_ws(x, k, g, &mut ws).unwrap(), "{b:?}");
+            assert_eq!(maps[1], b.t_conv_ws(z, k, g, &mut ws).unwrap(), "{b:?}");
+            let sig = b.s_conv_input_grad_ws(y, k, g, in_hw, in_hw, &mut ws);
+            assert_eq!(maps[2], sig.unwrap(), "{b:?}");
+            assert_eq!(
+                maps[3],
+                b.t_conv_input_grad_ws(up, k, g, &mut ws).unwrap(),
+                "{b:?}"
+            );
+            assert_eq!(
+                grads[0],
+                b.w_conv_for_s_layer_ws(x, y, g, &mut ws).unwrap(),
+                "{b:?}"
+            );
+            assert_eq!(
+                grads[1],
+                b.w_conv_for_t_layer_ws(z, up, g, &mut ws).unwrap(),
+                "{b:?}"
+            );
+            // Accumulating entries: from a copy of the weights, not zero.
+            let mut want = k.clone();
+            want.add_assign(&grads[0]);
+            let mut got = k.clone();
+            b.w_conv_for_s_layer_accumulate_ws(x, y, g, &mut got, &mut ws)
+                .unwrap();
+            assert_eq!(want, got, "{b:?} accumulating S-layer W-CONV");
+            let mut want = k.clone();
+            want.add_assign(&grads[1]);
+            let mut got = k.clone();
+            b.w_conv_for_t_layer_accumulate_ws(z, up, g, &mut got, &mut ws)
+                .unwrap();
+            assert_eq!(want, got, "{b:?} accumulating T-layer W-CONV");
+        }
+    }
+    // (stride, kernel, out, small_c, large_c): a packed-route layer, a
+    // one-map critic head (the streamed route), and one whose W-CONV
+    // reduces over more pixels than one `k`-chunk holds.
+    for (stride, kdim, out, small_c, large_c) in
+        [(2, 5, 7, 3, 2), (1, 4, 1, 1, 4), (1, 3, 23, 2, 1)]
+    {
+        let in_hw = if out == 1 { kdim } else { stride * out };
+        let g = ConvGeom::down(in_hw, in_hw, kdim, kdim, stride, out, out).expect("valid geometry");
+        let mut rng = SmallRng::seed_from_u64((kdim * 13 + out) as u64);
+        let x = sparse(large_c, in_hw, in_hw, &mut rng);
+        let z = sparse(small_c, out, out, &mut rng);
+        let k = Kernels::random(small_c, large_c, kdim, kdim, 0.5, &mut rng);
+        check(&x, &z, &k, &g, f32::NAN);
+        let (xq, zq, kq) = (
+            x.map(Fx::from_f32),
+            z.map(Fx::from_f32),
+            k.map(Fx::from_f32),
+        );
+        check(&xq, &zq, &kq, &g, Fx::from_f32(100.0));
+    }
+}
+
 /// The generator's latent projection: a T-CONV whose input map is `1×1`.
 /// The driver collapses it to a single `1 × n_of` GEMM against the kernel
 /// tensor read zero-copy — unless the dispatcher is forced onto the packed

@@ -1,9 +1,10 @@
 //! Proof of the zero-allocation training hot path: once a
 //! [`ConvWorkspace`] has warmed up, steady-state `forward_ws` /
-//! `backward_ws` passes through both conv directions perform **zero** heap
-//! allocations — also right after a weight update, when the layers
-//! re-gather their phase sub-kernels — and two consecutive
-//! `train_iteration`s allocate nothing the size of a conv buffer.
+//! `backward_ws` / `backward_accumulate_ws` passes through both conv
+//! directions perform **zero** heap allocations — also right after a weight
+//! update, when the layers re-gather their phase sub-kernels — and two
+//! consecutive `train_iteration`s, optimizer steps included, allocate
+//! nothing the size of a conv buffer.
 //! Measured with a counting `#[global_allocator]`, which is why this test
 //! lives in its own binary with a single `#[test]` — no other test threads
 //! can pollute the counters.
@@ -13,7 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use zfgan::nn::{Activation, ConvLayer, ConvNet, Direction, GanPair, GanTrainer, TrainerConfig};
+use zfgan::nn::{
+    Activation, ConvLayer, ConvNet, Direction, GanPair, GanTrainer, LayerGrads, TrainerConfig,
+};
 use zfgan::tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) and
@@ -66,14 +69,22 @@ fn alloc_events() -> u64 {
     ALLOC_EVENTS.load(Ordering::Relaxed)
 }
 
-/// One full forward + backward through both layers, recycling every
+/// A layer with its input, the error on its output and a gradient
+/// accumulator.
+type Case = (ConvLayer, Fmaps<f32>, Fmaps<f32>, LayerGrads);
+
+/// One full forward + backward through both layers — the backward once
+/// into a fresh gradient and once into the accumulator — recycling every
 /// buffer back into the workspace. Returns the allocation-event delta.
-fn round_trip(layers: &[(ConvLayer, Fmaps<f32>, Fmaps<f32>)], ws: &mut ConvWorkspace<f32>) -> u64 {
+fn round_trip(layers: &mut [Case], ws: &mut ConvWorkspace<f32>) -> u64 {
     let before = alloc_events();
-    for (layer, x, delta) in layers {
+    for (layer, x, delta, acc) in layers {
         let (pre, post) = layer.forward_ws(x, ws).expect("shapes fixed at build time");
         let (dx, grads) = layer
             .backward_ws(delta, &pre, x, ws)
+            .expect("shapes fixed at build time");
+        layer
+            .backward_accumulate_ws(delta, &pre, x, false, acc, ws)
             .expect("shapes fixed at build time");
         ws.give_fmaps(pre);
         ws.give_fmaps(post);
@@ -139,18 +150,22 @@ fn warm_workspace_passes_allocate_nothing() {
         let x = Fmaps::random(in_shape.0, in_shape.1, in_shape.2, 1.0, &mut rng);
         let (_, out_h, out_w) = layer.out_shape();
         let delta = Fmaps::random(layer.out_shape().0, out_h, out_w, 1.0, &mut rng);
-        layers.push((layer, x, delta));
+        let acc = LayerGrads {
+            weights: layer.weights().clone(),
+            bias: layer.bias().to_vec(),
+        };
+        layers.push((layer, x, delta, acc));
     }
 
     let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
     // Warm-up: grows every scratch buffer to its steady-state size and
     // fills the T-phase cache.
     for _ in 0..2 {
-        round_trip(&layers, &mut ws);
+        round_trip(&mut layers, &mut ws);
     }
 
     for step in 0..5 {
-        let delta = round_trip(&layers, &mut ws);
+        let delta = round_trip(&mut layers, &mut ws);
         assert_eq!(
             delta, 0,
             "steady-state pass {step} allocated {delta} times; the conv hot \
@@ -160,13 +175,13 @@ fn warm_workspace_passes_allocate_nothing() {
 
     // A weight update invalidates the layers' gathered phase sub-kernels;
     // the re-gather on the next pass reuses the buffer it filled before.
-    for (layer, _, _) in &mut layers {
+    for (layer, ..) in &mut layers {
         let (n_of, n_if, kh, kw) = layer.weights().shape();
         let step = Kernels::random(n_of, n_if, kh, kw, 0.01, &mut rng);
         let bias_step = vec![0.0; layer.bias().len()];
         layer.apply_update(&step, &bias_step);
     }
-    let delta = round_trip(&layers, &mut ws);
+    let delta = round_trip(&mut layers, &mut ws);
     assert_eq!(
         delta, 0,
         "the pass after a weight update allocated {delta} times; the \
@@ -174,10 +189,10 @@ fn warm_workspace_passes_allocate_nothing() {
     );
 
     // The same through the trainer: `train_iteration` allocates its
-    // samples and a few per-layer `Vec`s by design, and `Optimizer::step`
-    // clones each layer's gradient into its update tensor; once warm,
-    // nothing else is the size of a conv buffer — although every optimizer
-    // step inside the window forces a re-gather.
+    // samples and a few per-layer `Vec`s by design; once warm, nothing is
+    // the size of a conv buffer — gradients accumulate in the W-CONV's own
+    // epilogue, the optimizer updates in place, and the re-gather every
+    // optimizer step forces reuses its buffer.
     let mut trainer = GanTrainer::new(
         wide_pair(&mut rng),
         TrainerConfig {
@@ -188,26 +203,21 @@ fn warm_workspace_passes_allocate_nothing() {
     for _ in 0..2 {
         trainer.train_iteration(2, &mut rng);
     }
-    let gan = trainer.gan();
-    let update_tensors =
-        (gan.generator().layers().len() + gan.discriminator().layers().len()) as u64;
     let before = LARGE_ALLOC_EVENTS.load(Ordering::Relaxed);
     for _ in 0..2 {
         trainer.train_iteration(2, &mut rng);
     }
     let large = LARGE_ALLOC_EVENTS.load(Ordering::Relaxed) - before;
     assert_eq!(
-        large,
-        2 * update_tensors,
+        large, 0,
         "two warm train iterations made {large} allocations of \
-         {CONV_BUFFER_BYTES} B or more; only the optimizer's {update_tensors} \
-         update tensors per iteration are expected"
+         {CONV_BUFFER_BYTES} B or more; a warm train step must make none"
     );
 
     // Sanity check that the counter actually works: the same passes with
     // reuse disabled (the honest allocating baseline) must allocate.
     ws.set_reuse(false);
-    let delta = round_trip(&layers, &mut ws);
+    let delta = round_trip(&mut layers, &mut ws);
     assert!(
         delta > 0,
         "allocating baseline reported zero allocations — counter broken?"
