@@ -4,28 +4,35 @@
 //!
 //! Both sides compute bit-identical outputs, cycles, and counters
 //! (`tests/exec_engine.rs` proves it property-wise), so the ratios here
-//! are pure speed: what the interior/edge tile split plus the pooled
-//! channel-group fan-out buy over the guarded per-element loops. Emits
-//! `results/BENCH_exec.json` via [`zfgan_bench::emit`] with min/mean/stddev
-//! per row (noisy shared host — `min_ns` carries the stable signal) plus
-//! thread-count and SIMD-level metadata, and gates the headline
-//! forward/transposed executors (ZFOST both directions plus WST) at ≥3×
-//! even single-threaded. The W-CONV gradient pair is gated at the softer
-//! ≥1.5×: its per-element semantics are a single serial accumulator
-//! flushed every `grid` positions — a float dependency chain the oracle
-//! shares — so overhead removal alone tops out around 2× there.
+//! are pure speed: what the lane-parallel position walk of the six
+//! zero-free executors, and the row walk of the three baselines, buy over
+//! the guarded per-element loops. Emits `results/BENCH_exec.json` via
+//! [`zfgan_bench::emit`] with min/mean/stddev per row plus thread-count
+//! and SIMD-level metadata. The gates sit on [`paired_ratio`] (one scalar
+//! and one engine call back to back per round, median round ratio): the
+//! six zero-free executors must hold ≥3× over their oracle, the three
+//! baselines must not be slower than theirs.
 
 use std::time::Duration;
 
 use criterion::Criterion;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use zfgan_bench::{emit_bench, fmt_x, BenchRow, TextTable};
+use zfgan_bench::{emit_bench, fmt_x, paired_ratio, BenchRow, TextTable};
 use zfgan_dataflow::exec::{self, scalar};
 use zfgan_dataflow::{ExecWorkspace, Nlr, Ost, Wst, Zfost, Zfwst};
 use zfgan_sim::{ConvKind, ConvShape};
 use zfgan_tensor::microkernel::simd_label;
 use zfgan_tensor::{ConvGeom, Fmaps, Kernels};
+
+/// Rounds behind each gate's paired ratio: one scalar and one engine call
+/// a round.
+const PAIRED_ROUNDS: usize = 15;
+
+/// Floor of the paired scalar-over-engine ratio: the six zero-free
+/// executors, and the three baselines.
+const ZERO_FREE_FLOOR: f64 = 3.0;
+const BASELINE_FLOOR: f64 = 1.0;
 
 fn measurement_ms() -> u64 {
     std::env::var("ZFGAN_BENCH_MS")
@@ -62,15 +69,26 @@ fn main() {
     let mut c = Criterion::default().measurement_time(Duration::from_millis(measurement_ms()));
     let mut group = c.benchmark_group("exec");
 
+    // (executor, gate floor, paired ratio)
+    let mut paired: Vec<(&str, f64, f64)> = Vec::new();
     macro_rules! pair {
-        ($name:literal, $fast:expr, $slow:expr) => {
+        ($name:literal, $floor:expr, $fast:expr, $slow:expr) => {
             group.bench_function(concat!($name, "/engine"), |b| b.iter(|| $fast));
             group.bench_function(concat!($name, "/scalar"), |b| b.iter(|| $slow));
+            let ratio = paired_ratio(
+                PAIRED_ROUNDS,
+                || {
+                    std::hint::black_box($slow);
+                },
+                || $fast,
+            );
+            paired.push(($name, $floor, ratio));
         };
     }
 
     pair!(
         "zfost_s",
+        ZERO_FREE_FLOOR,
         {
             let out = exec::zfost_s_conv_ws(&zfost, &s_phase, &big, &k, &mut ws).unwrap();
             ws.give_fmaps(out.output);
@@ -79,6 +97,7 @@ fn main() {
     );
     pair!(
         "zfost_t",
+        ZERO_FREE_FLOOR,
         {
             let out = exec::zfost_t_conv_ws(&zfost, &t_phase, &smallx, &k, &mut ws).unwrap();
             ws.give_fmaps(out.output);
@@ -87,6 +106,7 @@ fn main() {
     );
     pair!(
         "wgrad_s",
+        ZERO_FREE_FLOOR,
         {
             let g = exec::zfwst_wgrad_s_ws(&zfwst, &ws_phase, &big, &smallx, &mut ws).unwrap();
             ws.give_kernels(g.output);
@@ -95,6 +115,7 @@ fn main() {
     );
     pair!(
         "wgrad_t",
+        ZERO_FREE_FLOOR,
         {
             let g = exec::zfwst_wgrad_t_ws(&zfwst, &wt_phase, &smallx, &big, &mut ws).unwrap();
             ws.give_kernels(g.output);
@@ -103,6 +124,7 @@ fn main() {
     );
     pair!(
         "ost_t",
+        BASELINE_FLOOR,
         {
             let (out, _) = exec::ost_t_conv_ws(&ost, &t_phase, &smallx, &k, &mut ws).unwrap();
             ws.give_fmaps(out.output);
@@ -111,6 +133,7 @@ fn main() {
     );
     pair!(
         "wst_s",
+        BASELINE_FLOOR,
         {
             let (out, _) = exec::wst_s_conv_ws(&wst, &s_phase, &big, &k, &mut ws).unwrap();
             ws.give_fmaps(out.output);
@@ -119,6 +142,7 @@ fn main() {
     );
     pair!(
         "nlr_s",
+        BASELINE_FLOOR,
         {
             let (out, _) = exec::nlr_s_conv_ws(&nlr, &s_phase, &big, &k, &mut ws).unwrap();
             ws.give_fmaps(out.output);
@@ -127,6 +151,7 @@ fn main() {
     );
     pair!(
         "zfwst_s",
+        ZERO_FREE_FLOOR,
         {
             let out = exec::zfwst_s_conv_ws(&zfwst, &s_phase, &big, &k, &mut ws).unwrap();
             ws.give_fmaps(out.output);
@@ -135,6 +160,7 @@ fn main() {
     );
     pair!(
         "zfwst_t",
+        ZERO_FREE_FLOOR,
         {
             let out = exec::zfwst_t_conv_ws(&zfwst, &t_phase, &smallx, &k, &mut ws).unwrap();
             ws.give_fmaps(out.output);
@@ -163,7 +189,7 @@ fn main() {
                 min_ns: m.min_ns,
                 stddev_ns: m.stddev_ns,
                 iters: m.iters,
-                // Threads the side runs on: the engine fans channel groups
+                // Threads the side runs on: the engine fans its work out
                 // across the `zfgan-pool` workers, the oracle is serial.
                 threads: if m.id.ends_with("/engine") {
                     zfgan_pool::pool_threads()
@@ -190,36 +216,12 @@ fn main() {
         &mut rows,
     );
 
-    let headline = ["zfost_s", "zfost_t", "wst_s"];
-    for name in headline {
-        let s = mean(&format!("exec/{name}/scalar")) / mean(&format!("exec/{name}/engine"));
-        println!("{name}: engine {} vs scalar", fmt_x(s));
-        // Regression gate: the forward/transposed executors must hold ≥3×
-        // even single-threaded.
+    for (name, floor, ratio) in paired {
+        println!("{name}: engine {} vs scalar (paired)", fmt_x(ratio));
         assert!(
-            s >= 3.0,
-            "{name} engine speedup {} fell below the 3x gate",
-            fmt_x(s)
-        );
-    }
-
-    // The wgrad pair is chain-limited (see the module docs), so it gets a
-    // softer gate on the fastest-sample ratio — the mean wanders with
-    // host noise, the minimum tracks the engine.
-    let min = |id: &str| {
-        measurements
-            .iter()
-            .find(|m| m.id == id)
-            .unwrap_or_else(|| panic!("missing measurement {id}"))
-            .min_ns
-    };
-    for name in ["wgrad_s", "wgrad_t"] {
-        let s = min(&format!("exec/{name}/scalar")) / min(&format!("exec/{name}/engine"));
-        println!("{name}: engine {} vs scalar (min-based)", fmt_x(s));
-        assert!(
-            s >= 1.5,
-            "{name} engine speedup {} fell below the 1.5x gate",
-            fmt_x(s)
+            ratio >= floor,
+            "{name} engine speedup {} fell below its {floor}x gate",
+            fmt_x(ratio)
         );
     }
 }

@@ -1,34 +1,52 @@
-//! The fast executor engine: interior/edge tile split, pooled channel-group
-//! parallelism, and batched trace emission.
+//! The fast executor engine: lane-parallel zero-free executors, pooled
+//! position blocks, and batched trace emission.
 //!
 //! Every function here is the drop-in fast twin of the same-named oracle in
 //! [`super::scalar`], bit-identical in output tensors, cycle counts, access
 //! counters, and (expanded) trace streams. Three mechanisms, layered:
 //!
-//! 1. **Interior/edge split.** For each output tile and kernel position the
-//!    engine decides *once* whether every access the oracle would make is
-//!    in-bounds. Interior tiles then run over flat row slices with
-//!    precomputed strides — no padding clip, no `oy/ox >= bound` guards, no
-//!    per-element accessor asserts. Edge tiles keep the oracle's guarded
-//!    walk verbatim. Per output element the *term order* of the
-//!    accumulation is unchanged (the split never reorders the
-//!    `(if_, ky, kx)` feed sequence an element sees), so floating-point
-//!    results are bit-identical, not just close.
+//! 1. **Channel lanes innermost (the six zero-free executors).** In ZFOST
+//!    and ZFWST the `P_of` PE lanes see one broadcast operand per beat and
+//!    differ only in their weights, and the channels of different groups
+//!    are independent, so every output channel is a lane. Per call the
+//!    operand that differs across lanes is transposed so a block of
+//!    [`LANES`] channels is contiguous (kernels →
+//!    `[in-channel][tap][out-channel]`, the W-CONV's large-side map →
+//!    `[pixel][channel]`), and the taps each output position reads are
+//!    tabulated once as `u32` pixel offsets. Each position then holds one
+//!    lane block of accumulators in registers across the oracle's whole
+//!    `(channel, tap-chunk)` sequence; every term is `broadcast × weight
+//!    row`. ZFWST's `grid`-tap adder-tree chunk is folded into a second
+//!    block and then into the accumulators, and the W-CONV accumulator is
+//!    flushed every `grid` positions, exactly where the oracle folds them.
+//!    Per output element the *term order* is the oracle's, so results are
+//!    bit-identical for `f32`, `f64` and `Fx`, not just close.
 //!
-//! 2. **Pooled channel groups.** The `of_base` groups of every executor are
-//!    independent by construction — each owns a disjoint contiguous slice
-//!    of the output tensor. [`zfgan_pool::parallel_chunks_for`] hands group
-//!    `g` exactly that sub-slice; no task writes outside its chunk and no
-//!    result depends on scheduling, so outputs are byte-identical at any
-//!    `ZFGAN_THREADS`. Data-dependent counters (OST's effectual census)
-//!    are accumulated per-task and combined with commutative integer adds.
-//!    Scratch comes from the recycled [`ExecWorkspace`], keeping the
-//!    steady-state untraced pass zero-allocation (`tests/zero_alloc.rs`).
+//!    **Precondition: finite operands.** Where the oracle multiplies a
+//!    padded zero (`at_padded` in ZFOST S-CONV and the D̄w W-CONV) the
+//!    engine skips the term. `acc + 0·w` leaves `acc` unchanged bit for
+//!    bit only while `0·w` is a zero, that is for finite `w`; an
+//!    accumulator that starts at `+0` never becomes `-0`, so the sign of
+//!    the skipped zero cannot matter. ZFWST S-CONV keeps multiplying its
+//!    padded zeros inside the tree, as the oracle does.
+//!
+//! 2. **Pooled position blocks.** Results land in a position-major
+//!    scratch, `[position][lane]`, that [`zfgan_pool::parallel_chunks_for`]
+//!    splits into a handful of contiguous position blocks per pool thread;
+//!    no task writes outside its block and no result depends on the
+//!    partition, so outputs are byte-identical at any `ZFGAN_THREADS`. One
+//!    transpose then writes the arena's `Fmaps` / `Kernels`. The three
+//!    baseline executors (`nlr_s`, `wst_s`, `ost_t`) still fan out one task
+//!    per `P_of` group over disjoint output sub-slices, with data-dependent
+//!    counters (OST's effectual census) combined by commutative integer
+//!    adds. All scratch comes from the recycled [`ExecWorkspace`], keeping
+//!    the steady-state untraced pass zero-allocation
+//!    (`tests/exec_zero_alloc.rs`).
 //!
 //! 3. **Batched traces.** Cycle counts and the entire event stream of every
 //!    executor are *structural* — fixed by geometry before any data is
 //!    touched (the one data-dependent stream, ZFWST T-CONV's tap thinning,
-//!    is fixed by the tap map). So the traced variants do not thread a
+//!    is fixed by the tap table). So the traced variants do not thread a
 //!    per-cycle sink through the compute at all: the engine computes
 //!    untraced, then emits the identical stream as run-length segments
 //!    ([`TraceBuffer::record_run`] / [`TraceBuffer::record_block`]) whose
@@ -42,10 +60,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use zfgan_pool::parallel_chunks_for;
+use zfgan_pool::{parallel_chunks_for, pool_threads};
 use zfgan_sim::trace::{TraceBuffer, TraceEvent};
 use zfgan_sim::{ConvKind, ConvShape};
-use zfgan_tensor::{ConvWorkspace, Fmaps, Kernels, Num, ShapeError, TensorResult};
+use zfgan_tensor::{ConvGeom, ConvWorkspace, Fmaps, Kernels, Num, ShapeError, TensorResult};
 
 use super::{check_kind, kernel_parity_order_into, record_exec, ExecOutcome};
 use crate::nlr::Nlr;
@@ -54,20 +72,49 @@ use crate::wst::Wst;
 use crate::zfost::Zfost;
 use crate::zfwst::Zfwst;
 
+/// Channels per lane block: the accumulators one output position keeps in
+/// registers. Lane rows are padded to a multiple of this.
+const LANES: usize = 16;
+
+/// Offset-table entry of a tap that reads padding.
+const PAD: u32 = u32::MAX;
+
+/// Position blocks queued per pool thread: enough that a thread that
+/// starts late still finds work, few enough that a block stays thousands
+/// of MACs.
+const BLOCKS_PER_THREAD: usize = 4;
+
 /// Recycled scratch for the fast executors.
 ///
-/// Holds the output-tensor arena plus the engine's geometry buffers (parity
-/// feed order, ZFWST-T tap map, WST per-kernel-row output ranges), all
-/// reused across calls so a warmed-up untraced executor pass performs no
-/// heap allocation. Return finished outputs via [`ExecWorkspace::give_fmaps`]
-/// / [`ExecWorkspace::give_kernels`] to keep the arena warm.
+/// Holds the output-tensor arena, the lane scratch the six zero-free
+/// executors share, and the baseline executors' geometry buffers (parity
+/// feed order, WST per-kernel-row output ranges), all reused across calls
+/// so a warmed-up untraced executor pass performs no heap allocation.
+/// Return finished outputs via [`ExecWorkspace::give_fmaps`] /
+/// [`ExecWorkspace::give_kernels`] to keep the arena warm.
 pub struct ExecWorkspace<T: Num> {
     conv: ConvWorkspace<T>,
     parity: Vec<(usize, usize)>,
-    taps: Vec<[u32; 4]>,
-    taps_off: Vec<u32>,
+    lane: LaneScratch<T>,
     ranges_y: Vec<(usize, usize)>,
     ranges_x: Vec<(usize, usize)>,
+}
+
+/// What every zero-free executor call reuses: three buffers and the
+/// position-block count.
+struct LaneScratch<T> {
+    /// The operand that differs across lanes, transposed so that one lane
+    /// block is contiguous: kernels as `[in-channel][tap][lane]`, the
+    /// W-CONV's large-side map as `[pixel][lane]`.
+    operand: Vec<T>,
+    /// Position-major results, `[position][lane]`.
+    rows: Vec<T>,
+    /// Tap-offset table. Convolutions: `positions + 1` row starts, then
+    /// `(weight tap, input pixel)` pairs in feed order. W-CONV: the
+    /// large-side pixel of `[tap][position]`. [`PAD`] marks padding.
+    offs: Vec<u32>,
+    /// Position blocks per call; `None` follows the pool width.
+    blocks: Option<usize>,
 }
 
 impl<T: Num> ExecWorkspace<T> {
@@ -77,11 +124,24 @@ impl<T: Num> ExecWorkspace<T> {
         ExecWorkspace {
             conv: ConvWorkspace::new(),
             parity: Vec::new(),
-            taps: Vec::new(),
-            taps_off: Vec::new(),
+            lane: LaneScratch {
+                operand: Vec::new(),
+                rows: Vec::new(),
+                offs: Vec::new(),
+                blocks: None,
+            },
             ranges_y: Vec::new(),
             ranges_x: Vec::new(),
         }
+    }
+
+    /// A workspace whose zero-free executors split their positions into
+    /// `blocks` blocks whatever the pool width (partition tests).
+    #[cfg(test)]
+    pub(super) fn with_position_blocks(blocks: usize) -> Self {
+        let mut ws = Self::new();
+        ws.lane.blocks = Some(blocks);
+        ws
     }
 
     /// Returns a feature-map output to the arena for reuse.
@@ -105,7 +165,9 @@ impl<T: Num> std::fmt::Debug for ExecWorkspace<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecWorkspace")
             .field("parity_len", &self.parity.len())
-            .field("taps_len", &self.taps.len())
+            .field("lane_operand_len", &self.lane.operand.len())
+            .field("lane_rows_len", &self.lane.rows.len())
+            .field("lane_offs_len", &self.lane.offs.len())
             .finish_non_exhaustive()
     }
 }
@@ -127,23 +189,237 @@ fn feed_range(k: usize, pad: usize, stride: usize, limit: usize, out: usize) -> 
     (lo.min(hi), hi)
 }
 
-/// Advances the W-CONV position countdown over `n` positions whose terms
-/// are all zero (skipped), flushing the accumulator into its gradient
-/// slot at each chunk boundary crossed — exactly where the oracle's
-/// `positions.chunks(grid)` loop adds its accumulator.
-#[inline]
-fn skip_positions<T: Num>(slot: &mut T, acc: &mut T, left: &mut usize, grid: usize, mut n: usize) {
-    while n >= *left {
-        *slot += *acc;
-        *acc = T::zero();
-        n -= *left;
-        *left = grid;
+// ---------------------------------------------------------------------------
+// The lane kernel and its driver
+// ---------------------------------------------------------------------------
+
+/// `acc[l] += x · row[l]`, the oracle's `mul_add_assign` on every lane.
+#[inline(always)]
+fn mac_lanes<T: Num>(acc: &mut [T; LANES], x: T, row: &[T; LANES]) {
+    for (a, w) in acc.iter_mut().zip(row) {
+        a.mul_add_assign(x, *w);
     }
-    *left -= n;
+}
+
+/// `acc[l] += part[l]`: an adder-tree or position-chunk flush.
+#[inline(always)]
+fn add_lanes<T: Num>(acc: &mut [T; LANES], part: &[T; LANES]) {
+    for (a, p) in acc.iter_mut().zip(part) {
+        *a += *p;
+    }
+}
+
+/// The lane block starting at `at`.
+#[inline(always)]
+fn lane_block<T>(operand: &[T], at: usize) -> &[T; LANES] {
+    operand[at..at + LANES]
+        .try_into()
+        .expect("a lane block is LANES wide")
+}
+
+/// Transposes `src`, `[outer][lanes][inner]`, into `dst` as
+/// `[outer][inner][cp]` with the `cp - lanes` padding lanes zero.
+fn gather_lanes<T: Num>(src: &[T], lanes: usize, inner: usize, cp: usize, dst: &mut Vec<T>) {
+    dst.clear();
+    dst.resize(src.len() / lanes * cp, T::zero());
+    for (s_outer, d_outer) in src
+        .chunks_exact(lanes * inner)
+        .zip(dst.chunks_exact_mut(inner * cp))
+    {
+        for (l, s_lane) in s_outer.chunks_exact(inner).enumerate() {
+            for (i, v) in s_lane.iter().enumerate() {
+                d_outer[i * cp + l] = *v;
+            }
+        }
+    }
+}
+
+/// Inverse of [`gather_lanes`]: position-major `rows`,
+/// `[outer][inner][cp]`, into the channel-major `out`,
+/// `[outer][lanes][inner]`, dropping the padding lanes.
+fn scatter_lanes<T: Num>(rows: &[T], cp: usize, lanes: usize, inner: usize, out: &mut [T]) {
+    for (r_outer, o_outer) in rows
+        .chunks_exact(inner * cp)
+        .zip(out.chunks_exact_mut(lanes * inner))
+    {
+        for (l, o_lane) in o_outer.chunks_exact_mut(inner).enumerate() {
+            for (i, o) in o_lane.iter_mut().enumerate() {
+                *o = r_outer[i * cp + l];
+            }
+        }
+    }
+}
+
+/// Runs `body(first_position, rows_of_the_block)` over `n_pos` result rows
+/// of `cp` lanes, split into at most `blocks` contiguous position blocks
+/// on the pool. `body` overwrites every row it is handed.
+fn for_position_blocks<T: Num>(
+    rows: &mut Vec<T>,
+    n_pos: usize,
+    cp: usize,
+    blocks: Option<usize>,
+    body: impl Fn(usize, &mut [T]) + Sync,
+) {
+    rows.resize(n_pos * cp, T::zero());
+    let blocks = blocks.unwrap_or_else(|| BLOCKS_PER_THREAD * pool_threads());
+    let per_block = n_pos.div_ceil(blocks.clamp(1, n_pos));
+    parallel_chunks_for(rows, per_block * cp, |b, block| body(b * per_block, block))
+        .expect("executor position block panicked");
+}
+
+/// Input pixel an S-direction tap `k` reads for output `o`:
+/// `stride·o + k − pad`, or [`PAD`] outside the `h × w` map.
+fn s_pixel(geom: &ConvGeom, (h, w): (usize, usize), o: (usize, usize), k: (usize, usize)) -> u32 {
+    let s = geom.stride();
+    match (
+        (s * o.0 + k.0).checked_sub(geom.pad_top()),
+        (s * o.1 + k.1).checked_sub(geom.pad_left()),
+    ) {
+        (Some(y), Some(x)) if y < h && x < w => (y * w + x) as u32,
+        _ => PAD,
+    }
+}
+
+/// Real (neither inserted nor padded) input pixel a T-direction tap `k`
+/// reads for output `o`: `(o + k − pad) / stride` where the division is
+/// exact and lands inside the `h × w` map, else [`PAD`].
+fn t_pixel(geom: &ConvGeom, (h, w): (usize, usize), o: (usize, usize), k: (usize, usize)) -> u32 {
+    let s = geom.stride();
+    let (pt, _, pl, _) = geom.t_conv_pads();
+    match ((o.0 + k.0).checked_sub(pt), (o.1 + k.1).checked_sub(pl)) {
+        (Some(zy), Some(zx)) if zy % s == 0 && zx % s == 0 && zy / s < h && zx / s < w => {
+            (zy / s * w + zx / s) as u32
+        }
+        _ => PAD,
+    }
+}
+
+/// Fills the convolution tap table: `feed(position, table)` pushes that
+/// position's `(weight tap, input pixel)` pairs in the oracle's feed order.
+fn tap_table(offs: &mut Vec<u32>, n_pos: usize, mut feed: impl FnMut(usize, &mut Vec<u32>)) {
+    offs.clear();
+    offs.resize(n_pos + 1, 0);
+    for pos in 0..n_pos {
+        feed(pos, offs);
+        offs[pos + 1] = ((offs.len() - n_pos - 1) / 2) as u32;
+    }
+}
+
+/// Taps tabulated for `pos` by [`tap_table`].
+fn taps_of(offs: &[u32], n_pos: usize, pos: usize) -> &[u32] {
+    let pairs = &offs[n_pos + 1..];
+    &pairs[2 * offs[pos] as usize..2 * offs[pos + 1] as usize]
+}
+
+/// Operand checks shared by the four convolutions: `input` on the side
+/// the direction reads, `kernels` as `[small][large][kh][kw]`.
+fn check_conv<T: Num>(
+    phase: &ConvShape,
+    kind: ConvKind,
+    input: &Fmaps<T>,
+    kernels: &Kernels<T>,
+) -> TensorResult<()> {
+    check_kind(phase, kind)?;
+    let (c, (h, w), side) = match kind {
+        ConvKind::S => (phase.large(), phase.large_hw(), "large"),
+        _ => (phase.small(), phase.small_hw(), "small"),
+    };
+    if input.shape() != (c, h, w) {
+        return Err(ShapeError::new(format!(
+            "input does not match phase's {side} side"
+        )));
+    }
+    let geom = phase.geom();
+    if kernels.shape() != (phase.small(), phase.large(), geom.kh(), geom.kw()) {
+        return Err(ShapeError::new("kernels do not match phase channels"));
+    }
+    Ok(())
+}
+
+/// The shared convolution kernel, on operands [`check_conv`] accepted.
+/// `feed` tabulates each output position's taps ([`tap_table`]); the
+/// kernels are transposed to `[in-channel][tap][lane]`. Every output
+/// position then walks `(in-channel, tap)` in table order with the output
+/// channels as lanes: `tree == 0` accumulates each term directly (ZFOST),
+/// otherwise `tree` taps at a time are folded through an adder-tree block
+/// first (ZFWST), a [`PAD`] tap multiplying an explicit zero.
+fn conv_lanes<T: Num>(
+    lane: &mut LaneScratch<T>,
+    arena: &mut ConvWorkspace<T>,
+    phase: &ConvShape,
+    input: &Fmaps<T>,
+    kernels: &Kernels<T>,
+    tree: usize,
+    feed: impl FnMut(usize, &mut Vec<u32>),
+) -> Fmaps<T> {
+    let ntaps = kernels.kh() * kernels.kw();
+    // Kernels are `[small][large][tap]`: S-CONV's lanes are the outer
+    // dimension, T-CONV's the middle one.
+    let (n_out, (oh, ow), k_inner) = match phase.kind() {
+        ConvKind::S => (phase.small(), phase.small_hw(), phase.large() * ntaps),
+        _ => (phase.large(), phase.large_hw(), ntaps),
+    };
+    let (n_pos, cp) = (oh * ow, n_out.next_multiple_of(LANES));
+    tap_table(&mut lane.offs, n_pos, feed);
+    gather_lanes(kernels.as_slice(), n_out, k_inner, cp, &mut lane.operand);
+
+    let in_px = input.height() * input.width();
+    assert!(in_px < PAD as usize, "pixel offsets are u32");
+    let (x, weights, offs) = (input.as_slice(), &lane.operand, &lane.offs);
+    for_position_blocks(&mut lane.rows, n_pos, cp, lane.blocks, |pos0, rows| {
+        for (i, row) in rows.chunks_exact_mut(cp).enumerate() {
+            let taps = taps_of(offs, n_pos, pos0 + i);
+            for (b, lanes) in row.chunks_exact_mut(LANES).enumerate() {
+                let mut acc = [T::zero(); LANES];
+                for (x_ch, w_ch) in x.chunks_exact(in_px).zip(weights.chunks_exact(ntaps * cp)) {
+                    let w = |tap: u32| lane_block(w_ch, tap as usize * cp + b * LANES);
+                    if tree == 0 {
+                        for t in taps.chunks_exact(2) {
+                            mac_lanes(&mut acc, x_ch[t[1] as usize], w(t[0]));
+                        }
+                    } else {
+                        for chunk in taps.chunks(2 * tree) {
+                            let mut sum = [T::zero(); LANES];
+                            for t in chunk.chunks_exact(2) {
+                                let x = x_ch.get(t[1] as usize).copied().unwrap_or(T::zero());
+                                for (s, w) in sum.iter_mut().zip(w(t[0])) {
+                                    *s += x * *w;
+                                }
+                            }
+                            add_lanes(&mut acc, &sum);
+                        }
+                    }
+                }
+                lanes.copy_from_slice(&acc);
+            }
+        }
+    });
+    // Every element is written by the transpose, so the arena's fill is skipped.
+    let mut out = Fmaps::from_vec(n_out, oh, ow, arena.take_dirty(n_out * n_pos));
+    scatter_lanes(&lane.rows, cp, n_out, n_pos, out.as_mut_slice());
+    out
+}
+
+/// The T-direction tap feed of both architectures: raster `(ky, kx)`, only
+/// the taps that land on a real input pixel, reading the flipped weight.
+fn t_feed(phase: &ConvShape) -> impl FnMut(usize, &mut Vec<u32>) {
+    let geom = *phase.geom();
+    let (small_hw, lw) = (phase.small_hw(), phase.large_hw().1);
+    let (kh, kw) = (geom.kh(), geom.kw());
+    move |pos, offs| {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let px = t_pixel(&geom, small_hw, (pos / lw, pos % lw), (ky, kx));
+                if px != PAD {
+                    offs.extend([((kh - 1 - ky) * kw + (kw - 1 - kx)) as u32, px]);
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// ZFOST S-CONV
+// ZFOST S-CONV / T-CONV
 // ---------------------------------------------------------------------------
 
 #[allow(clippy::type_complexity)]
@@ -155,118 +431,42 @@ pub(super) fn zfost_s<T: Num>(
     ws: &mut ExecWorkspace<T>,
     trace_capacity: Option<usize>,
 ) -> TensorResult<(ExecOutcome<Fmaps<T>>, Option<TraceBuffer>)> {
-    check_kind(phase, ConvKind::S)?;
+    check_conv(phase, ConvKind::S, input, kernels)?;
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
     let (sh, sw) = phase.small_hw();
-    let (lh, lw) = phase.large_hw();
-    if input.shape() != (large, lh, lw) {
-        return Err(ShapeError::new("input does not match phase's large side"));
-    }
-    if kernels.shape() != (small, large, geom.kh(), geom.kw()) {
-        return Err(ShapeError::new("kernels do not match phase channels"));
-    }
+    let large_hw = phase.large_hw();
     let (p_oy, p_ox, p_of) = zf.factors();
     let (kh, kw) = (geom.kh(), geom.kw());
-    let stride = geom.stride();
-    let (pt, pl) = (geom.pad_top(), geom.pad_left());
-    kernel_parity_order_into(kh, kw, stride, &mut ws.parity);
-    let (nty, ntx) = (sh.div_ceil(p_oy), sw.div_ceil(p_ox));
+    kernel_parity_order_into(kh, kw, geom.stride(), &mut ws.parity);
     let fold = (p_of / small).max(1);
-    let n_chunks = (nty * ntx).div_ceil(fold) as u64;
+    let n_chunks = (sh.div_ceil(p_oy) * sw.div_ceil(p_ox)).div_ceil(fold) as u64;
     let groups = small.div_ceil(p_of);
     let per_chunk = (large * kh * kw) as u64;
-    let per_group = n_chunks * per_chunk;
-    let cycles = groups as u64 * per_group;
+    let cycles = groups as u64 * n_chunks * per_chunk;
 
-    let mut out = ws.conv.take_fmaps(small, sh, sw);
-    {
-        let parity: &[(usize, usize)] = &ws.parity;
-        let in_s = input.as_slice();
-        let k_s = kernels.as_slice();
-        parallel_chunks_for(out.as_mut_slice(), p_of * sh * sw, |g, chunk| {
-            // The oracle's tile loop is orthogonal to the per-element term
-            // order (each output cell sees its terms in `(if_, parity)`
-            // order no matter how cells are grouped), so the engine walks
-            // full interior rows instead: per kernel position the feed
-            // range is the exact set of outputs with an in-bounds input,
-            // everything outside it is a padded zero term and is skipped.
-            let of_base = g * p_of;
-            let n_of = chunk.len() / (sh * sw);
-            for if_ in 0..large {
-                let in_ch = &in_s[if_ * lh * lw..(if_ + 1) * lh * lw];
-                for &(ky, kx) in parity {
-                    let (ylo, yhi) = feed_range(ky, pt, stride, lh, sh);
-                    let (xlo, xhi) = feed_range(kx, pl, stride, lw, sw);
-                    if ylo >= yhi || xlo >= xhi {
-                        continue; // every term is a padded zero
-                    }
-                    let xw = xhi - xlo;
-                    let ib0 = stride * xlo + kx - pl;
-                    let wk = |of: usize| k_s[(((of_base + of) * large + if_) * kh + ky) * kw + kx];
-                    // Output channels are independent, so rows are updated
-                    // two channels at a time: one pass over the input row
-                    // feeds both accumulator rows (half the loads, twice
-                    // the independent float chains per iteration).
-                    let mut of = 0;
-                    while of + 1 < n_of {
-                        let (w0, w1) = (wk(of), wk(of + 1));
-                        let (c0, c1) = chunk[of * sh * sw..].split_at_mut(sh * sw);
-                        for oy in ylo..yhi {
-                            let iy = stride * oy + ky - pt;
-                            let ob = oy * sw + xlo;
-                            let r0 = &mut c0[ob..ob + xw];
-                            let r1 = &mut c1[ob..ob + xw];
-                            let irow = &in_ch[iy * lw + ib0..];
-                            if stride == 1 {
-                                for ((o0, o1), i) in r0.iter_mut().zip(r1).zip(&irow[..xw]) {
-                                    o0.mul_add_assign(*i, w0);
-                                    o1.mul_add_assign(*i, w1);
-                                }
-                            } else {
-                                for (n, (o0, o1)) in r0.iter_mut().zip(r1).enumerate() {
-                                    let i = irow[n * stride];
-                                    o0.mul_add_assign(i, w0);
-                                    o1.mul_add_assign(i, w1);
-                                }
-                            }
-                        }
-                        of += 2;
-                    }
-                    if of < n_of {
-                        let w = wk(of);
-                        let o_ch = of * sh * sw;
-                        for oy in ylo..yhi {
-                            let iy = stride * oy + ky - pt;
-                            let ob = o_ch + oy * sw + xlo;
-                            let orow = &mut chunk[ob..ob + xw];
-                            let irow = &in_ch[iy * lw + ib0..];
-                            if stride == 1 {
-                                for (o, i) in orow.iter_mut().zip(&irow[..xw]) {
-                                    o.mul_add_assign(*i, w);
-                                }
-                            } else {
-                                for (n, o) in orow.iter_mut().enumerate() {
-                                    o.mul_add_assign(irow[n * stride], w);
-                                }
-                            }
-                        }
-                    }
-                }
+    // The oracle's tile loop is orthogonal to the per-element term order:
+    // each output sees its terms in `(if_, parity)` order however cells are
+    // grouped. A tap whose input is padding is a zero term and is skipped.
+    let parity: &[(usize, usize)] = &ws.parity;
+    let feed = |pos: usize, offs: &mut Vec<u32>| {
+        for &(ky, kx) in parity {
+            let px = s_pixel(&geom, large_hw, (pos / sw, pos % sw), (ky, kx));
+            if px != PAD {
+                offs.extend([(ky * kw + kx) as u32, px]);
             }
-        })
-        .expect("executor group task panicked");
-    }
+        }
+    };
+    let output = conv_lanes(&mut ws.lane, &mut ws.conv, phase, input, kernels, 0, feed);
     record_exec("zfost/s_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
-        let mut buf = TraceBuffer::with_expected(cap, groups as u64 * (1 + per_group));
-        if buf.enabled() {
-            let mut events = Vec::with_capacity(large * ws.parity.len());
+        chunked_feed_trace(cap, groups, per_chunk, n_chunks, || {
+            let mut events = Vec::with_capacity(large * parity.len());
             for if_ in 0..large {
-                for (i, &(ky, kx)) in ws.parity.iter().enumerate() {
+                for &(ky, kx) in parity {
                     events.push((
-                        (if_ * ws.parity.len() + i) as u64,
+                        events.len() as u64,
                         TraceEvent::Mac {
                             ch: if_ as u16,
                             row: ky as u16,
@@ -275,27 +475,11 @@ pub(super) fn zfost_s<T: Num>(
                     ));
                 }
             }
-            let events: Arc<[(u64, TraceEvent)]> = events.into();
-            for g in 0..groups {
-                let base = g as u64 * per_group;
-                buf.record(base, TraceEvent::PhaseStart { label: g as u16 });
-                buf.record_block(base, per_chunk, n_chunks, Arc::clone(&events));
-            }
-        }
-        buf
+            events.into()
+        })
     });
-    Ok((
-        ExecOutcome {
-            output: out,
-            cycles,
-        },
-        trace,
-    ))
+    Ok((ExecOutcome { output, cycles }, trace))
 }
-
-// ---------------------------------------------------------------------------
-// ZFOST T-CONV
-// ---------------------------------------------------------------------------
 
 #[allow(clippy::type_complexity)]
 pub(super) fn zfost_t<T: Num>(
@@ -306,154 +490,55 @@ pub(super) fn zfost_t<T: Num>(
     ws: &mut ExecWorkspace<T>,
     trace_capacity: Option<usize>,
 ) -> TensorResult<(ExecOutcome<Fmaps<T>>, Option<TraceBuffer>)> {
-    check_kind(phase, ConvKind::T)?;
+    check_conv(phase, ConvKind::T, input, kernels)?;
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
-    let (sh, sw) = phase.small_hw();
     let (lh, lw) = phase.large_hw();
-    if input.shape() != (small, sh, sw) {
-        return Err(ShapeError::new("input does not match phase's small side"));
-    }
-    if kernels.shape() != (small, large, geom.kh(), geom.kw()) {
-        return Err(ShapeError::new("kernels do not match phase channels"));
-    }
     let (p_oy, p_ox, p_of) = zf.factors();
     let s = geom.stride();
     let (kh, kw) = (geom.kh(), geom.kw());
-    let (pt_, _, pl_, _) = geom.t_conv_pads();
-    let region_h = s * p_oy;
-    let region_w = s * p_ox;
-    let (nty, ntx) = (lh.div_ceil(region_h), lw.div_ceil(region_w));
     let fold = (p_of / large).max(1);
-    let n_chunks = (nty * ntx).div_ceil(fold) as u64;
+    let n_chunks = (lh.div_ceil(s * p_oy) * lw.div_ceil(s * p_ox)).div_ceil(fold) as u64;
     let groups = large.div_ceil(p_of);
     let per_chunk = (small * kh * kw) as u64;
-    let per_group = n_chunks * per_chunk;
-    let cycles = groups as u64 * per_group;
+    let cycles = groups as u64 * n_chunks * per_chunk;
 
-    let mut out = ws.conv.take_fmaps(large, lh, lw);
-    {
-        let in_s = input.as_slice();
-        let k_s = kernels.as_slice();
-        parallel_chunks_for(out.as_mut_slice(), p_of * lh * lw, |g, chunk| {
-            // As in the S direction, the tile loop is orthogonal to the
-            // per-element `(sf, ky, kx)` term order. Each kernel position
-            // only feeds outputs of its parity class `oy ≡ res_y (mod s)`;
-            // solving the oracle's per-element guards for the index range
-            // once turns the walk into consecutive input reads scattered
-            // to a strided output row.
-            let of_base = g * p_of;
-            let n_of = chunk.len() / (lh * lw);
-            for sf in 0..small {
-                let in_ch = &in_s[sf * sh * sw..(sf + 1) * sh * sw];
-                for ky in 0..kh {
-                    let res_y = (pt_ as isize - ky as isize).rem_euclid(s as isize) as usize;
-                    if res_y >= lh {
-                        continue;
-                    }
-                    // oy = res_y + s*m maps to input row iy = m + cy; the
-                    // division is exact by the parity construction.
-                    let cy = ((res_y + ky) as isize - pt_ as isize) / s as isize;
-                    let m_lo = 0isize.max(-cy) as usize;
-                    let m_hi = (((lh - 1 - res_y) / s) as isize + 1).min(sh as isize - cy);
-                    if (m_hi as i64) <= m_lo as i64 {
-                        continue;
-                    }
-                    let m_hi = m_hi as usize;
-                    for kx in 0..kw {
-                        let res_x = (pl_ as isize - kx as isize).rem_euclid(s as isize) as usize;
-                        if res_x >= lw {
-                            continue;
-                        }
-                        let cx = ((res_x + kx) as isize - pl_ as isize) / s as isize;
-                        let n_lo = 0isize.max(-cx) as usize;
-                        let n_hi = (((lw - 1 - res_x) / s) as isize + 1).min(sw as isize - cx);
-                        if (n_hi as i64) <= n_lo as i64 {
-                            continue;
-                        }
-                        let n_hi = n_hi as usize;
-                        let nw = n_hi - n_lo;
-                        let wk = |of: usize| {
-                            k_s[((sf * large + of_base + of) * kh + (kh - 1 - ky)) * kw
-                                + (kw - 1 - kx)]
-                        };
-                        // Same channel pairing as the S direction: one pass
-                        // over the input row feeds two output channels.
-                        let mut of = 0;
-                        while of + 1 < n_of {
-                            let (w0, w1) = (wk(of), wk(of + 1));
-                            let (c0, c1) = chunk[of * lh * lw..].split_at_mut(lh * lw);
-                            for m in m_lo..m_hi {
-                                let oy = res_y + s * m;
-                                let iy = (m as isize + cy) as usize;
-                                let ob = oy * lw + res_x + s * n_lo;
-                                let ib = iy * sw + (n_lo as isize + cx) as usize;
-                                let irow = &in_ch[ib..ib + nw];
-                                if s == 1 {
-                                    let r1 = &mut c1[ob..ob + nw];
-                                    for ((o0, o1), i) in
-                                        c0[ob..ob + nw].iter_mut().zip(r1).zip(irow)
-                                    {
-                                        o0.mul_add_assign(*i, w0);
-                                        o1.mul_add_assign(*i, w1);
-                                    }
-                                } else {
-                                    for (n, i) in irow.iter().enumerate() {
-                                        let x = ob + s * n;
-                                        c0[x].mul_add_assign(*i, w0);
-                                        c1[x].mul_add_assign(*i, w1);
-                                    }
-                                }
-                            }
-                            of += 2;
-                        }
-                        if of < n_of {
-                            let w = wk(of);
-                            let o_ch = of * lh * lw;
-                            for m in m_lo..m_hi {
-                                let oy = res_y + s * m;
-                                let iy = (m as isize + cy) as usize;
-                                let ob = o_ch + oy * lw + res_x + s * n_lo;
-                                let ib = iy * sw + (n_lo as isize + cx) as usize;
-                                let irow = &in_ch[ib..ib + nw];
-                                if s == 1 {
-                                    for (o, i) in chunk[ob..ob + nw].iter_mut().zip(irow) {
-                                        o.mul_add_assign(*i, w);
-                                    }
-                                } else {
-                                    for (n, i) in irow.iter().enumerate() {
-                                        chunk[ob + s * n].mul_add_assign(*i, w);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        })
-        .expect("executor group task panicked");
-    }
+    // As in the S direction the tile loop is orthogonal to the per-element
+    // `(sf, ky, kx)` term order, and the outputs a kernel position is
+    // effective for (its parity class, minus the clipped edges) are exactly
+    // those whose tap lands on a real input pixel.
+    let feed = t_feed(phase);
+    let output = conv_lanes(&mut ws.lane, &mut ws.conv, phase, input, kernels, 0, feed);
     record_exec("zfost/t_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
-        let mut buf = TraceBuffer::with_expected(cap, groups as u64 * (1 + per_group));
-        if buf.enabled() {
-            let events = mac_raster_events(small, kh, kw);
-            for g in 0..groups {
-                let base = g as u64 * per_group;
-                buf.record(base, TraceEvent::PhaseStart { label: g as u16 });
-                buf.record_block(base, per_chunk, n_chunks, Arc::clone(&events));
-            }
-        }
-        buf
+        chunked_feed_trace(cap, groups, per_chunk, n_chunks, || {
+            mac_raster_events(small, kh, kw)
+        })
     });
-    Ok((
-        ExecOutcome {
-            output: out,
-            cycles,
-        },
-        trace,
-    ))
+    Ok((ExecOutcome { output, cycles }, trace))
+}
+
+/// One `PhaseStart` per group, then `n_chunks` repeats of the per-chunk
+/// `events` template: the stream shape of both ZFOST directions.
+fn chunked_feed_trace(
+    cap: usize,
+    groups: usize,
+    per_chunk: u64,
+    n_chunks: u64,
+    events: impl FnOnce() -> Arc<[(u64, TraceEvent)]>,
+) -> TraceBuffer {
+    let per_group = n_chunks * per_chunk;
+    let mut buf = TraceBuffer::with_expected(cap, groups as u64 * (1 + per_group));
+    if buf.enabled() {
+        let events = events();
+        for g in 0..groups {
+            let base = g as u64 * per_group;
+            buf.record(base, TraceEvent::PhaseStart { label: g as u16 });
+            buf.record_block(base, per_chunk, n_chunks, Arc::clone(&events));
+        }
+    }
+    buf
 }
 
 /// One `Mac{sf, ky, kx}` per relative cycle in `sf → ky → kx` raster order:
@@ -478,7 +563,7 @@ fn mac_raster_events(small: usize, kh: usize, kw: usize) -> Arc<[(u64, TraceEven
 }
 
 // ---------------------------------------------------------------------------
-// ZFWST W-CONV (both directions share the chunked-pair structure)
+// ZFWST W-CONV (one walk serves both directions)
 // ---------------------------------------------------------------------------
 
 #[allow(clippy::type_complexity)]
@@ -491,93 +576,14 @@ pub(super) fn wgrad_s<T: Num>(
     trace_capacity: Option<usize>,
 ) -> TensorResult<(ExecOutcome<Kernels<T>>, Option<TraceBuffer>)> {
     check_kind(phase, ConvKind::WGradS)?;
-    let geom = *phase.geom();
-    let (small, large) = (phase.small(), phase.large());
-    let (sh, sw) = phase.small_hw();
-    let (lh, lw) = phase.large_hw();
-    if data.shape() != (large, lh, lw) {
+    let ((sh, sw), (lh, lw)) = (phase.small_hw(), phase.large_hw());
+    if data.shape() != (phase.large(), lh, lw) {
         return Err(ShapeError::new("data does not match phase's large side"));
     }
-    if error.shape() != (small, sh, sw) {
+    if error.shape() != (phase.small(), sh, sw) {
         return Err(ShapeError::new("error does not match phase's small side"));
     }
-    let (p_ky, p_kx, p_of) = zf.factors();
-    let grid = p_ky * p_kx;
-    let stride = geom.stride();
-    let (kh, kw) = (geom.kh(), geom.kw());
-    let (pt, pl) = (geom.pad_top(), geom.pad_left());
-    let n_pos_chunks = (sh * sw).div_ceil(grid);
-    let groups = (small * large).div_ceil(p_of);
-    let per_group = (kh * kw * n_pos_chunks) as u64;
-    let cycles = groups as u64 * per_group;
-
-    let mut grad = ws.conv.take_kernels(small, large, kh, kw);
-    {
-        let err_s = error.as_slice();
-        let data_s = data.as_slice();
-        parallel_chunks_for(grad.as_mut_slice(), p_of * kh * kw, |g, chunk| {
-            // Per gradient element the oracle's term order is the raster
-            // walk of output positions, summed into an accumulator that is
-            // flushed every `grid` positions. The engine keeps those flush
-            // boundaries (a countdown) but walks whole rows: positions
-            // whose data access would be padding contribute exact zeros
-            // and only advance the countdown.
-            let p0 = g * p_of;
-            let n_pairs = chunk.len() / (kh * kw);
-            for j in 0..n_pairs {
-                let p = p0 + j;
-                let (of, if_) = (p / large, p % large);
-                let err_ch = &err_s[of * sh * sw..(of + 1) * sh * sw];
-                let data_ch = &data_s[if_ * lh * lw..(if_ + 1) * lh * lw];
-                for ky in 0..kh {
-                    let (ylo, yhi) = feed_range(ky, pt, stride, lh, sh);
-                    for kx in 0..kw {
-                        let (xlo, xhi) = feed_range(kx, pl, stride, lw, sw);
-                        let gi = j * kh * kw + ky * kw + kx;
-                        let mut acc = T::zero();
-                        let mut left = grid;
-                        for oy in 0..sh {
-                            if oy < ylo || oy >= yhi || xlo >= xhi {
-                                skip_positions(&mut chunk[gi], &mut acc, &mut left, grid, sw);
-                                continue;
-                            }
-                            let eb = oy * sw;
-                            let db = (stride * oy + ky - pt) * lw + stride * xlo + kx - pl;
-                            skip_positions(&mut chunk[gi], &mut acc, &mut left, grid, xlo);
-                            for nx in 0..(xhi - xlo) {
-                                acc.mul_add_assign(
-                                    err_ch[eb + xlo + nx],
-                                    data_ch[db + stride * nx],
-                                );
-                                left -= 1;
-                                if left == 0 {
-                                    chunk[gi] += acc;
-                                    acc = T::zero();
-                                    left = grid;
-                                }
-                            }
-                            skip_positions(&mut chunk[gi], &mut acc, &mut left, grid, sw - xhi);
-                        }
-                        if left != grid {
-                            // The oracle's final partial chunk.
-                            chunk[gi] += acc;
-                        }
-                    }
-                }
-            }
-        })
-        .expect("executor group task panicked");
-    }
-    record_exec("zfwst/wgrad_s", cycles);
-
-    let trace = trace_capacity.map(|cap| wgrad_trace(cap, groups, kh, kw, n_pos_chunks as u64));
-    Ok((
-        ExecOutcome {
-            output: grad,
-            cycles,
-        },
-        trace,
-    ))
+    Ok(wgrad(zf, phase, error, data, ws, trace_capacity))
 }
 
 #[allow(clippy::type_complexity)]
@@ -590,90 +596,91 @@ pub(super) fn wgrad_t<T: Num>(
     trace_capacity: Option<usize>,
 ) -> TensorResult<(ExecOutcome<Kernels<T>>, Option<TraceBuffer>)> {
     check_kind(phase, ConvKind::WGradT)?;
+    let ((sh, sw), (lh, lw)) = (phase.small_hw(), phase.large_hw());
+    if data.shape() != (phase.small(), sh, sw) {
+        return Err(ShapeError::new("data does not match phase's small side"));
+    }
+    if error.shape() != (phase.large(), lh, lw) {
+        return Err(ShapeError::new("error does not match phase's large side"));
+    }
+    Ok(wgrad(zf, phase, data, error, ws, trace_capacity))
+}
+
+/// Both W-CONV directions are one computation on checked operands:
+/// `∇w[sc][lc][ky][kx] = Σ small_side[sc][p] · large_side[lc][stride·p + k − pad]`
+/// over the small side's raster positions `p`, the accumulator flushed into
+/// the gradient every `grid` positions. D̄w's small side is the error and
+/// its large side the data, Ḡw's the other way round, and in both the
+/// oracle multiplies small by large. A position whose large-side pixel is
+/// padding is a zero term in D̄w and no term in Ḡw: skipped either way. The
+/// large side's channels are the lanes; a "position" of the driver is one
+/// `(sc, tap)` gradient row.
+fn wgrad<T: Num>(
+    zf: &Zfwst,
+    phase: &ConvShape,
+    small_side: &Fmaps<T>,
+    large_side: &Fmaps<T>,
+    ws: &mut ExecWorkspace<T>,
+    trace_capacity: Option<usize>,
+) -> (ExecOutcome<Kernels<T>>, Option<TraceBuffer>) {
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
     let (sh, sw) = phase.small_hw();
-    let (lh, lw) = phase.large_hw();
-    if data.shape() != (small, sh, sw) {
-        return Err(ShapeError::new("data does not match phase's small side"));
-    }
-    if error.shape() != (large, lh, lw) {
-        return Err(ShapeError::new("error does not match phase's large side"));
-    }
+    let large_hw = phase.large_hw();
     let (p_ky, p_kx, p_of) = zf.factors();
     let grid = p_ky * p_kx;
-    let stride = geom.stride();
     let (kh, kw) = (geom.kh(), geom.kw());
-    let (pt, pl) = (geom.pad_top(), geom.pad_left());
-    let n_pos_chunks = (sh * sw).div_ceil(grid);
+    let (ntaps, s_px) = (kh * kw, sh * sw);
+    let n_pos_chunks = s_px.div_ceil(grid);
     let groups = (small * large).div_ceil(p_of);
-    let per_group = (kh * kw * n_pos_chunks) as u64;
-    let cycles = groups as u64 * per_group;
+    let cycles = (groups * ntaps * n_pos_chunks) as u64;
 
-    let mut grad = ws.conv.take_kernels(small, large, kh, kw);
-    {
-        let data_s = data.as_slice();
-        let err_s = error.as_slice();
-        parallel_chunks_for(grad.as_mut_slice(), p_of * kh * kw, |g, chunk| {
-            // Mirror of the S-direction walk with data on the small side;
-            // out-of-bounds error targets are skipped by the oracle too,
-            // so the feed range IS the oracle's guard set.
-            let p0 = g * p_of;
-            let n_pairs = chunk.len() / (kh * kw);
-            for j in 0..n_pairs {
-                let p = p0 + j;
-                let (sf, lf) = (p / large, p % large);
-                let data_ch = &data_s[sf * sh * sw..(sf + 1) * sh * sw];
-                let err_ch = &err_s[lf * lh * lw..(lf + 1) * lh * lw];
-                for ky in 0..kh {
-                    let (ylo, yhi) = feed_range(ky, pt, stride, lh, sh);
-                    for kx in 0..kw {
-                        let (xlo, xhi) = feed_range(kx, pl, stride, lw, sw);
-                        let gi = j * kh * kw + ky * kw + kx;
-                        let mut acc = T::zero();
-                        let mut left = grid;
-                        for iy in 0..sh {
-                            if iy < ylo || iy >= yhi || xlo >= xhi {
-                                skip_positions(&mut chunk[gi], &mut acc, &mut left, grid, sw);
-                                continue;
-                            }
-                            let db = iy * sw;
-                            let eb = (stride * iy + ky - pt) * lw + stride * xlo + kx - pl;
-                            skip_positions(&mut chunk[gi], &mut acc, &mut left, grid, xlo);
-                            for nx in 0..(xhi - xlo) {
-                                acc.mul_add_assign(
-                                    data_ch[db + xlo + nx],
-                                    err_ch[eb + stride * nx],
-                                );
-                                left -= 1;
-                                if left == 0 {
-                                    chunk[gi] += acc;
-                                    acc = T::zero();
-                                    left = grid;
-                                }
-                            }
-                            skip_positions(&mut chunk[gi], &mut acc, &mut left, grid, sw - xhi);
-                        }
-                        if left != grid {
-                            // The oracle's final partial chunk.
-                            chunk[gi] += acc;
+    let lane = &mut ws.lane;
+    let (l_px, cp) = (large_hw.0 * large_hw.1, large.next_multiple_of(LANES));
+    assert!(l_px < PAD as usize, "pixel offsets are u32");
+    gather_lanes(large_side.as_slice(), large, l_px, cp, &mut lane.operand);
+    lane.offs.clear();
+    for k in 0..ntaps {
+        let px = |p: usize| s_pixel(&geom, large_hw, (p / sw, p % sw), (k / kw, k % kw));
+        lane.offs.extend((0..s_px).map(px));
+    }
+    let (xs, pixels, offs) = (small_side.as_slice(), &lane.operand, &lane.offs);
+    let n_rows = small * ntaps;
+    for_position_blocks(&mut lane.rows, n_rows, cp, lane.blocks, |row0, rows| {
+        for (i, row) in rows.chunks_exact_mut(cp).enumerate() {
+            let (sc, tap) = ((row0 + i) / ntaps, (row0 + i) % ntaps);
+            let x_ch = &xs[sc * s_px..(sc + 1) * s_px];
+            let px_tap = &offs[tap * s_px..(tap + 1) * s_px];
+            for (b, lanes) in row.chunks_exact_mut(LANES).enumerate() {
+                let mut grad = [T::zero(); LANES];
+                for (x_chunk, px_chunk) in x_ch.chunks(grid).zip(px_tap.chunks(grid)) {
+                    let mut acc = [T::zero(); LANES];
+                    for (&x, &px) in x_chunk.iter().zip(px_chunk) {
+                        if px != PAD {
+                            let at = px as usize * cp + b * LANES;
+                            mac_lanes(&mut acc, x, lane_block(pixels, at));
                         }
                     }
+                    add_lanes(&mut grad, &acc);
                 }
+                lanes.copy_from_slice(&grad);
             }
-        })
-        .expect("executor group task panicked");
-    }
-    record_exec("zfwst/wgrad_t", cycles);
+        }
+    });
+    // Every element is written by the transpose, so the arena's fill is skipped.
+    let grad = ws.conv.take_dirty(small * large * ntaps);
+    let mut output = Kernels::from_vec(small, large, kh, kw, grad);
+    scatter_lanes(&lane.rows, cp, large, ntaps, output.as_mut_slice());
+    record_exec(
+        match phase.kind() {
+            ConvKind::WGradS => "zfwst/wgrad_s",
+            _ => "zfwst/wgrad_t",
+        },
+        cycles,
+    );
 
     let trace = trace_capacity.map(|cap| wgrad_trace(cap, groups, kh, kw, n_pos_chunks as u64));
-    Ok((
-        ExecOutcome {
-            output: grad,
-            cycles,
-        },
-        trace,
-    ))
+    (ExecOutcome { output, cycles }, trace)
 }
 
 /// Both W-CONV directions share the same structural stream: per group one
@@ -1210,7 +1217,7 @@ fn interior_box(
 }
 
 // ---------------------------------------------------------------------------
-// ZFWST S-CONV
+// ZFWST S-CONV / T-CONV
 // ---------------------------------------------------------------------------
 
 #[allow(clippy::type_complexity)]
@@ -1222,82 +1229,36 @@ pub(super) fn zfwst_s<T: Num>(
     ws: &mut ExecWorkspace<T>,
     trace_capacity: Option<usize>,
 ) -> TensorResult<(ExecOutcome<Fmaps<T>>, Option<TraceBuffer>)> {
-    check_kind(phase, ConvKind::S)?;
+    check_conv(phase, ConvKind::S, input, kernels)?;
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
     let (sh, sw) = phase.small_hw();
-    let (lh, lw) = phase.large_hw();
-    if input.shape() != (large, lh, lw) {
-        return Err(ShapeError::new("input does not match phase's large side"));
-    }
-    if kernels.shape() != (small, large, geom.kh(), geom.kw()) {
-        return Err(ShapeError::new("kernels do not match phase channels"));
-    }
+    let large_hw = phase.large_hw();
     let (p_ky, p_kx, p_of) = zf.factors();
     let grid = p_ky * p_kx;
-    let stride = geom.stride();
     let (kh, kw) = (geom.kh(), geom.kw());
-    let (pt, pl) = (geom.pad_top(), geom.pad_left());
     let pc = (kh * kw).div_ceil(grid);
     let groups = small.div_ceil(p_of);
     let per_group = (sh * sw * large * pc) as u64;
     let cycles = groups as u64 * per_group;
 
-    let (oy_lo, oy_hi) = interior_box(pt, stride, kh, lh, sh);
-    let (ox_lo, ox_hi) = interior_box(pl, stride, kw, lw, sw);
-
-    let mut out = ws.conv.take_fmaps(small, sh, sw);
-    {
-        let in_s = input.as_slice();
-        let k_s = kernels.as_slice();
-        parallel_chunks_for(out.as_mut_slice(), p_of * sh * sw, |g, chunk| {
-            let of_base = g * p_of;
-            let n_of = chunk.len() / (sh * sw);
-            for oy in 0..sh {
-                let y_in = oy >= oy_lo && oy < oy_hi;
-                for ox in 0..sw {
-                    let interior = y_in && ox >= ox_lo && ox < ox_hi;
-                    for if_ in 0..large {
-                        let in_ch = &in_s[if_ * lh * lw..(if_ + 1) * lh * lw];
-                        for c in 0..pc {
-                            let r0 = c * grid;
-                            let r1 = (r0 + grid).min(kh * kw);
-                            for of in 0..n_of {
-                                let k_ch = ((of_base + of) * large + if_) * kh * kw;
-                                let mut tree = T::zero();
-                                if interior {
-                                    for p in r0..r1 {
-                                        let (ky, kx) = (p / kw, p % kw);
-                                        let iy = stride * oy + ky - pt;
-                                        let ix = stride * ox + kx - pl;
-                                        tree += in_ch[iy * lw + ix] * k_s[k_ch + p];
-                                    }
-                                } else {
-                                    for p in r0..r1 {
-                                        let (ky, kx) = (p / kw, p % kw);
-                                        let iy = (stride * oy + ky) as isize - pt as isize;
-                                        let ix = (stride * ox + kx) as isize - pl as isize;
-                                        let v = if iy >= 0
-                                            && ix >= 0
-                                            && (iy as usize) < lh
-                                            && (ix as usize) < lw
-                                        {
-                                            in_ch[iy as usize * lw + ix as usize]
-                                        } else {
-                                            T::zero()
-                                        };
-                                        tree += v * k_s[k_ch + p];
-                                    }
-                                }
-                                chunk[of * sh * sw + oy * sw + ox] += tree;
-                            }
-                        }
-                    }
-                }
-            }
-        })
-        .expect("executor group task panicked");
-    }
+    // Raster taps in chunks of `grid`; a padded tap keeps its slot in the
+    // chunk and multiplies a zero inside the tree, as the oracle does.
+    let feed = |pos: usize, offs: &mut Vec<u32>| {
+        for k in 0..kh * kw {
+            let px = s_pixel(&geom, large_hw, (pos / sw, pos % sw), (k / kw, k % kw));
+            offs.extend([k as u32, px]);
+        }
+    };
+    let output = conv_lanes(
+        &mut ws.lane,
+        &mut ws.conv,
+        phase,
+        input,
+        kernels,
+        grid,
+        feed,
+    );
     record_exec("zfwst/s_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
@@ -1328,18 +1289,8 @@ pub(super) fn zfwst_s<T: Num>(
         }
         buf
     });
-    Ok((
-        ExecOutcome {
-            output: out,
-            cycles,
-        },
-        trace,
-    ))
+    Ok((ExecOutcome { output, cycles }, trace))
 }
-
-// ---------------------------------------------------------------------------
-// ZFWST T-CONV
-// ---------------------------------------------------------------------------
 
 #[allow(clippy::type_complexity)]
 pub(super) fn zfwst_t<T: Num>(
@@ -1350,102 +1301,37 @@ pub(super) fn zfwst_t<T: Num>(
     ws: &mut ExecWorkspace<T>,
     trace_capacity: Option<usize>,
 ) -> TensorResult<(ExecOutcome<Fmaps<T>>, Option<TraceBuffer>)> {
-    check_kind(phase, ConvKind::T)?;
+    check_conv(phase, ConvKind::T, input, kernels)?;
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
-    let (sh, sw) = phase.small_hw();
     let (lh, lw) = phase.large_hw();
-    if input.shape() != (small, sh, sw) {
-        return Err(ShapeError::new("input does not match phase's small side"));
-    }
-    if kernels.shape() != (small, large, geom.kh(), geom.kw()) {
-        return Err(ShapeError::new("kernels do not match phase channels"));
-    }
     let (p_ky, p_kx, p_of) = zf.factors();
-    let grid = p_ky * p_kx;
-    let gmax = grid.max(1);
+    let grid = (p_ky * p_kx) as u64;
     let s = geom.stride();
-    let (kh, kw) = (geom.kh(), geom.kw());
-    let (pt_, _, pl_, _) = geom.t_conv_pads();
-    let eff = kh.div_ceil(s) * kw.div_ceil(s);
-    let passes = eff.div_ceil(grid) as u64;
+    let passes = (geom.kh().div_ceil(s) * geom.kw().div_ceil(s)).div_ceil(grid as usize) as u64;
     let groups = large.div_ceil(p_of);
     let per_group = (lh * lw * small) as u64 * passes;
     let cycles = groups as u64 * per_group;
 
-    // Tap map (CSR): the non-zero kernel taps of each output's parity
-    // class, hoisted out of the per-channel-group loop entirely.
-    ws.taps.clear();
-    ws.taps_off.clear();
-    ws.taps_off.push(0);
-    for oy in 0..lh {
-        for ox in 0..lw {
-            for ky in 0..kh {
-                let zy = oy as isize + ky as isize - pt_ as isize;
-                if zy < 0 || !(zy as usize).is_multiple_of(s) || zy as usize / s >= sh {
-                    continue;
-                }
-                for kx in 0..kw {
-                    let zx = ox as isize + kx as isize - pl_ as isize;
-                    if zx < 0 || !(zx as usize).is_multiple_of(s) || zx as usize / s >= sw {
-                        continue;
-                    }
-                    ws.taps.push([
-                        ky as u32,
-                        kx as u32,
-                        (zy as usize / s) as u32,
-                        (zx as usize / s) as u32,
-                    ]);
-                }
-            }
-            ws.taps_off.push(ws.taps.len() as u32);
-        }
-    }
-
-    let mut out = ws.conv.take_fmaps(large, lh, lw);
-    {
-        let taps: &[[u32; 4]] = &ws.taps;
-        let taps_off: &[u32] = &ws.taps_off;
-        let in_s = input.as_slice();
-        let k_s = kernels.as_slice();
-        parallel_chunks_for(out.as_mut_slice(), p_of * lh * lw, |g, chunk| {
-            let of_base = g * p_of;
-            let n_of = chunk.len() / (lh * lw);
-            for pos in 0..lh * lw {
-                let t0 = taps_off[pos] as usize;
-                let t1 = taps_off[pos + 1] as usize;
-                for sf in 0..small {
-                    let in_ch = &in_s[sf * sh * sw..(sf + 1) * sh * sw];
-                    let mut r = t0;
-                    while r < t1 {
-                        let r1 = (r + gmax).min(t1);
-                        for of in 0..n_of {
-                            let k_ch = (sf * large + of_base + of) * kh * kw;
-                            let mut tree = T::zero();
-                            for &[ky, kx, iy, ix] in &taps[r..r1] {
-                                tree += in_ch[iy as usize * sw + ix as usize]
-                                    * k_s[k_ch
-                                        + (kh - 1 - ky as usize) * kw
-                                        + (kw - 1 - kx as usize)];
-                            }
-                            chunk[of * lh * lw + pos] += tree;
-                        }
-                        r = r1;
-                    }
-                }
-            }
-        })
-        .expect("executor group task panicked");
-    }
+    // Only the non-zero taps of each output's parity class, `grid` at a
+    // time through the tree.
+    let feed = t_feed(phase);
+    let output = conv_lanes(
+        &mut ws.lane,
+        &mut ws.conv,
+        phase,
+        input,
+        kernels,
+        grid as usize,
+        feed,
+    );
     record_exec("zfwst/t_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
-        let used_total: u64 = (0..lh * lw)
-            .map(|pos| {
-                let n = (ws.taps_off[pos + 1] - ws.taps_off[pos]) as u64;
-                n.div_ceil(gmax as u64)
-            })
-            .sum();
+        // Beats an output really uses: its tabulated taps, `grid` per beat.
+        let offs = &ws.lane.offs;
+        let used = |pos: usize| u64::from(offs[pos + 1] - offs[pos]).div_ceil(grid);
+        let used_total: u64 = (0..lh * lw).map(used).sum();
         let expected = groups as u64 * (1 + small as u64 * used_total);
         let mut buf = TraceBuffer::with_expected(cap, expected);
         if buf.enabled() {
@@ -1455,14 +1341,11 @@ pub(super) fn zfwst_t<T: Num>(
                 let mut cursor = base;
                 for oy in 0..lh {
                     for ox in 0..lw {
-                        let pos = oy * lw + ox;
-                        let n = (ws.taps_off[pos + 1] - ws.taps_off[pos]) as u64;
-                        let used = n.div_ceil(gmax as u64);
                         for sf in 0..small {
                             buf.record_run(
                                 cursor,
                                 1,
-                                used,
+                                used(oy * lw + ox),
                                 TraceEvent::Mac {
                                     ch: sf as u16,
                                     row: oy as u16,
@@ -1477,11 +1360,5 @@ pub(super) fn zfwst_t<T: Num>(
         }
         buf
     });
-    Ok((
-        ExecOutcome {
-            output: out,
-            cycles,
-        },
-        trace,
-    ))
+    Ok((ExecOutcome { output, cycles }, trace))
 }

@@ -23,22 +23,37 @@
 //!   `at_padded()` and every traced event through a per-cycle
 //!   `TraceSink::emit`.
 //! * [`engine`] (private; reached through the public entry points below) —
-//!   the fast path: output tiles are split into *interior* tiles that run
-//!   over flat slices with precomputed row strides (no padding clip, no
-//!   bounds guards) and *edge* tiles that keep the guarded walk;
-//!   independent output-channel groups fan out across the `zfgan-pool`
-//!   workers into disjoint output sub-slices; and traced runs emit
-//!   per-tile run-length batches ([`TraceBuffer::record_run`] /
-//!   [`TraceBuffer::record_block`]) instead of per-MAC events.
+//!   the fast path. The six zero-free executors (ZFOST and ZFWST, both
+//!   directions, and the two W-CONVs) walk position-major with the channel
+//!   lanes innermost: the operand that differs across lanes is transposed
+//!   once per call, each output position's taps are tabulated once, and a
+//!   16-wide block of lane accumulators stays in registers across the
+//!   oracle's whole `(channel, tap)` sequence for that position, every
+//!   term a broadcast input times a contiguous weight row. Contiguous
+//!   blocks of positions fan out across the `zfgan-pool` workers. The
+//!   three baseline executors walk rows per `P_of` channel group, one pool
+//!   task per group. Traced runs emit run-length batches
+//!   ([`TraceBuffer::record_run`] / [`TraceBuffer::record_block`]) instead
+//!   of per-MAC events.
 //!
 //! The engine is bit-identical and cycle-identical to the oracle by
-//! construction — interior/edge splitting never reorders the per-element
-//! accumulation sequence, channel groups own disjoint outputs, cycle
-//! counts follow the same closed forms, and the batched trace expands to
-//! the identical event stream — and by proptest (`tests/exec_engine.rs`
-//! diffs all nine executors against [`scalar`] across adversarial
-//! geometries). `benches/exec.rs` tracks the resulting speedup in
+//! construction — no executor reorders the sequence of terms an output
+//! element accumulates, adder-tree chunks and W-CONV flushes fall where
+//! the oracle puts them, tasks own disjoint outputs, cycle counts follow
+//! the same closed forms, and the batched trace expands to the identical
+//! event stream — and by proptest (`tests/exec_engine.rs` diffs all nine
+//! executors against [`scalar`] across adversarial geometries, channel
+//! counts around the lane width, and `f64` / `f32` / `Fx` for the six).
+//! `benches/exec.rs` gates the resulting speedup and records it in
 //! `results/BENCH_exec.json`.
+//!
+//! # Precondition: finite operands
+//!
+//! Where the oracle multiplies a padded zero (`at_padded`, in ZFOST S-CONV
+//! and the D̄w W-CONV) the engine skips the term. That is the same bits
+//! only while `0 · w` is a zero, i.e. for finite `w`: with an infinite or
+//! NaN operand next to the padding the oracle yields NaN and the engine
+//! does not. ZFWST S-CONV multiplies its padded zeros as the oracle does.
 
 use zfgan_sim::trace::{TraceBuffer, TraceEvent};
 use zfgan_sim::{ConvKind, ConvShape};
@@ -191,7 +206,7 @@ macro_rules! exec_entry {
         /// This variant recycles `ws` scratch (and draws the output tensor
         /// from it): give the output back via [`ExecWorkspace::give_fmaps`]
         /// / [`ExecWorkspace::give_kernels`] and the steady-state pass
-        /// performs zero heap allocations (pinned by `tests/zero_alloc.rs`).
+        /// performs zero heap allocations (pinned by `tests/exec_zero_alloc.rs`).
         ///
         /// # Errors
         ///
@@ -239,6 +254,9 @@ exec_entry! {
     /// Fig. 12(a) — `(even,even)`, `(even,odd)`, `(odd,even)`, `(odd,odd)`
     /// — which for `S-CONV` changes the input-register shift pattern but
     /// not the result.
+    ///
+    /// Bit-identical to [`scalar::zfost_s_conv`] for finite operands: taps
+    /// that read padding are skipped, not multiplied (module docs).
     fn zfost_s_conv / zfost_s_conv_ws / zfost_s_conv_traced,
     engine = engine::zfost_s,
     arch = Zfost,
@@ -267,6 +285,10 @@ exec_entry! {
     /// Executes the Discriminator-side `W-CONV` (`D̄w`) on a [`Zfwst`]
     /// array: every cycle the adder tree folds `P_ky × P_kx` real error
     /// positions into one `∇W` neuron per channel group.
+    ///
+    /// Bit-identical to [`scalar::zfwst_wgrad_s`] for finite operands:
+    /// positions whose data pixel is padding are skipped, not multiplied
+    /// (module docs).
     fn zfwst_wgrad_s / zfwst_wgrad_s_ws / zfwst_wgrad_s_traced,
     engine = engine::wgrad_s,
     arch = Zfwst,

@@ -347,3 +347,57 @@ fn engine_matches_scalar_oracle_on_the_dcgan_phase() {
         slow_trace.iter().collect::<Vec<_>>()
     );
 }
+
+#[test]
+fn position_block_count_never_changes_a_byte() {
+    // The engine splits positions into a number of blocks that follows the
+    // pool width. Pin it instead: 25 and 100 positions and 425 gradient
+    // rows under 1..=7 blocks cover counts that divide, that do not, and
+    // blocks of unequal length; 17 channels leave a one-lane tail block.
+    let mut rng = SmallRng::seed_from_u64(16);
+    let geom = ConvGeom::down(10, 10, 5, 5, 2, 5, 5).unwrap();
+    let p = |kind| ConvShape::new(kind, geom, 17, 3, 10, 10);
+    let big: Fmaps<f32> = Fmaps::random(3, 10, 10, 1.0, &mut rng);
+    let small: Fmaps<f32> = Fmaps::random(17, 5, 5, 1.0, &mut rng);
+    let k: Kernels<f32> = Kernels::random(17, 3, 5, 5, 1.0, &mut rng);
+    let (zfost, zfwst) = (Zfost::new(2, 2, 4), Zfwst::new(2, 2, 4));
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    macro_rules! check {
+        ($engine:ident, $oracle:ident, $arch:expr, $kind:expr, $a:expr, $b:expr) => {{
+            let want = scalar::$oracle($arch, &p($kind), $a, $b).unwrap();
+            for blocks in 1..=7 {
+                let mut ws = ExecWorkspace::with_position_blocks(blocks);
+                let (got, _) = engine::$engine($arch, &p($kind), $a, $b, &mut ws, None).unwrap();
+                assert_eq!(got.cycles, want.cycles, "{} blocks", blocks);
+                assert_eq!(
+                    bits(got.output.as_slice()),
+                    bits(want.output.as_slice()),
+                    "{} at {} blocks",
+                    stringify!($engine),
+                    blocks
+                );
+            }
+        }};
+    }
+    check!(zfost_s, zfost_s_conv, &zfost, ConvKind::S, &big, &k);
+    check!(zfost_t, zfost_t_conv, &zfost, ConvKind::T, &small, &k);
+    check!(zfwst_s, zfwst_s_conv, &zfwst, ConvKind::S, &big, &k);
+    check!(zfwst_t, zfwst_t_conv, &zfwst, ConvKind::T, &small, &k);
+    check!(
+        wgrad_s,
+        zfwst_wgrad_s,
+        &zfwst,
+        ConvKind::WGradS,
+        &big,
+        &small
+    );
+    check!(
+        wgrad_t,
+        zfwst_wgrad_t,
+        &zfwst,
+        ConvKind::WGradT,
+        &small,
+        &big
+    );
+}

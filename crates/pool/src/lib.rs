@@ -577,6 +577,27 @@ mod tests {
     }
 
     #[test]
+    fn chunks_for_writes_each_element_once_with_a_ragged_tail() {
+        // (len, chunk_len): a short last chunk, a chunk longer than the
+        // data (one inline task), and an exact fit.
+        for (len, chunk_len) in [(25usize, 7usize), (103, 10), (5, 9), (1, 1), (64, 16)] {
+            let mut data = vec![0u64; len];
+            parallel_chunks_for(&mut data, chunk_len, |ci, chunk| {
+                let start = ci * chunk_len;
+                assert_eq!(chunk.len(), chunk_len.min(len - start), "chunk {ci}");
+                for (i, v) in chunk.iter_mut().enumerate() {
+                    // Adds, not stores: a chunk handed out twice would show.
+                    *v += 1 + ((start + i) as u64) * 2;
+                }
+            })
+            .unwrap();
+            for (i, v) in data.iter().enumerate() {
+                assert_eq!(*v, 1 + i as u64 * 2, "len {len} chunk {chunk_len} at {i}");
+            }
+        }
+    }
+
+    #[test]
     fn panics_become_typed_errors_and_batch_completes() {
         let done = AtomicU64::new(0);
         let err = parallel_for(16, |i| {

@@ -28,6 +28,16 @@ for threads in 2 4 8; do
     done
 done
 
+echo "=== executor engine suites across pool widths ==="
+# The zero-free executors split their output positions into blocks that
+# follow the pool width, so the bit-identity and zero-allocation suites
+# run at widths that leave one block per call, a few, and more blocks than
+# some shapes have positions.
+for threads in 1 2 3 8; do
+    ZFGAN_THREADS="$threads" timeout 300 \
+        cargo test -q -p zfgan --test exec_engine --test exec_zero_alloc
+done
+
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-
 # detected SIMD kernels — the microkernel dispatch table's fallback
@@ -85,8 +95,8 @@ done
 echo "=== bench smoke (pool + workspace + microkernel regression gates) ==="
 # Short measurement windows; each harness asserts its own gate (packed
 # GEMM >= 3.3x vs naive on a paired in-process ratio, packed train step
-# >= 2x vs the reference engine, exec engine >= 3x headline / >= 1.5x
-# wgrad vs the scalar oracle).
+# >= 2x vs the reference engine, exec engine >= 3x on the six zero-free
+# executors and >= 1x on the three baselines vs the scalar oracle, paired).
 # ZFGAN_RESULTS_DIR keeps the quick numbers out of the tracked results/
 # sidecars. Two full rounds: every run also appends its rows to the
 # bench-history ledger, and the perf gate below compares round 2 against
@@ -121,7 +131,7 @@ for round in 1 2; do
     bench_smoke gemm 100 "$tdir/bench_gemm_$round"
     bench_smoke trainstep 25 "$tdir/bench_trainstep_$round"
     # Exec engine smoke: asserts the fast engine holds >= 3x over the
-    # scalar oracle on the headline forward/transposed executors.
+    # scalar oracle on all six zero-free executors.
     bench_smoke exec 50 "$tdir/bench_exec_$round"
     # DSE engine smoke: asserts a warm-cache fig15 sweep is faster than
     # cold with a byte-identical stream.
@@ -186,7 +196,7 @@ echo "serve-metrics scrape round-trip passed"
 
 echo "=== executor trace byte-identity across pool widths ==="
 # A traced ZFOST execution's deterministic telemetry section must be
-# byte-identical whether the engine's channel-group fan-out runs inline
+# byte-identical whether the engine's position-block fan-out runs inline
 # or across four pool workers.
 ZFGAN_THREADS=1 cargo run -q --release -p zfgan -- trace --arch zfost --seed 2024 \
     --out "$tdir/x1.json" > /dev/null

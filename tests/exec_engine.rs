@@ -6,10 +6,12 @@
 //! not "numerically close" — it is **bit-identical**: same output tensor
 //! bytes, same cycle count, same access counters, and the same expanded
 //! trace event stream. These proptests drive both implementations over
-//! adversarial geometries — stride 1 and 2, asymmetric SAME-style
+//! adversarial geometries — stride 1 to 3, asymmetric SAME-style
 //! padding, 1×1 / 4×4 / 5×5 kernels, unrolling factors that leave partial
-//! edge tiles in both spatial dimensions, and `p_of` larger than the
-//! channel count (fold > 1) — and require exact equality everywhere.
+//! edge tiles in both spatial dimensions, `p_of` larger than the channel
+//! count (fold > 1), and channel counts on both sides of the engine's
+//! 16-wide lane block — and require exact equality everywhere. The six
+//! zero-free executors run on `f64`, `f32` and `Fx`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -18,11 +20,15 @@ use zfgan::dataflow::exec::{self, scalar};
 use zfgan::dataflow::{Nlr, Ost, Wst, Zfost, Zfwst};
 use zfgan::sim::trace::{TraceBuffer, TraceEvent};
 use zfgan::sim::{ConvKind, ConvShape};
-use zfgan::tensor::{ConvGeom, Fmaps, Kernels};
+use zfgan::tensor::{ConvGeom, Fmaps, Fx, Kernels, Num};
 
 /// Retain everything: large enough that no adversarial geometry here ever
 /// evicts, so stream comparison covers the full execution.
 const CAP: usize = 1 << 22;
+
+/// Channel counts: the small ones, and those that leave the engine's
+/// 16-wide lane block one short, full, one over, and two blocks plus one.
+const CHANNELS: [usize; 7] = [1, 2, 3, 15, 16, 17, 33];
 
 /// One adversarial setup: geometry, channel counts, unroll factors, seed.
 #[derive(Debug, Clone)]
@@ -36,16 +42,33 @@ struct Setup {
     seed: u64,
 }
 
+impl Setup {
+    fn phase(&self, kind: ConvKind) -> ConvShape {
+        ConvShape::new(kind, self.geom, self.small, self.large, self.lh, self.lw)
+    }
+
+    /// Random maps on the large and the small side, and kernels.
+    fn operands<T: Num>(&self) -> (Fmaps<T>, Fmaps<T>, Kernels<T>) {
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let (sh, sw) = self.geom.down_out(self.lh, self.lw);
+        let big = Fmaps::random(self.large, self.lh, self.lw, 1.0, &mut rng);
+        let small = Fmaps::random(self.small, sh, sw, 1.0, &mut rng);
+        let (kh, kw) = (self.geom.kh(), self.geom.kw());
+        let k = Kernels::random(self.small, self.large, kh, kw, 1.0, &mut rng);
+        (big, small, k)
+    }
+}
+
 fn arb_setup() -> impl Strategy<Value = Setup> {
     (
         // kernel selector (1×1, 4×4, 5×5), stride, out_h, out_w
         // (out_h ≠ out_w → partial edge tiles in both dimensions)
-        (0usize..=2, 1usize..=2, 3usize..=7, 3usize..=7),
+        (0usize..=2, 1usize..=3, 3usize..=7, 3usize..=7),
         // total pad y/x, clamped below the kernel — odd totals split
         // asymmetrically (SAME-style: extra unit on the bottom/right)
         (0usize..=4, 0usize..=4),
-        // small/large channel counts
-        (1usize..=3, 1usize..=3),
+        // small/large channel counts, as indices into `CHANNELS`
+        (0usize..CHANNELS.len(), 0usize..CHANNELS.len()),
         // unroll factors (p_of > channels → fold > 1)
         (1usize..=5, 1usize..=5, 1usize..=5),
         any::<u64>(),
@@ -58,8 +81,8 @@ fn arb_setup() -> impl Strategy<Value = Setup> {
             let geom = ConvGeom::down(lh, lw, k, k, s, oh, ow).expect("padding below kernel");
             Setup {
                 geom,
-                small,
-                large,
+                small: CHANNELS[small],
+                large: CHANNELS[large],
                 lh,
                 lw,
                 f,
@@ -72,35 +95,76 @@ fn events(t: &TraceBuffer) -> Vec<(u64, TraceEvent)> {
     t.iter().collect()
 }
 
-/// S-side operands: `large`-channel input on the large side plus kernels.
-fn s_operands(su: &Setup) -> (Fmaps<f64>, Kernels<f64>) {
-    let mut rng = SmallRng::seed_from_u64(su.seed);
-    let x = Fmaps::random(su.large, su.lh, su.lw, 1.0, &mut rng);
-    let k = Kernels::random(
-        su.small,
-        su.large,
-        su.geom.kh(),
-        su.geom.kw(),
-        1.0,
-        &mut rng,
-    );
-    (x, k)
+// The six zero-free executors, generic over the element type: outcome
+// (output and cycles) and expanded trace stream against the oracle's.
+
+fn zfost_s_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<T>());
+    let zf = Zfost::new(su.f.0, su.f.1, su.f.2);
+    let (fast, ft) = exec::zfost_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    let (slow, st) = scalar::zfost_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
 }
 
-/// T-side operands: `small`-channel input on the small side plus kernels.
-fn t_operands(su: &Setup) -> (Fmaps<f64>, Kernels<f64>) {
-    let mut rng = SmallRng::seed_from_u64(su.seed);
-    let (sh, sw) = su.geom.down_out(su.lh, su.lw);
-    let x = Fmaps::random(su.small, sh, sw, 1.0, &mut rng);
-    let k = Kernels::random(
-        su.small,
-        su.large,
-        su.geom.kh(),
-        su.geom.kw(),
-        1.0,
-        &mut rng,
-    );
-    (x, k)
+fn zfost_t_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (_, x, k)) = (su.phase(ConvKind::T), su.operands::<T>());
+    let zf = Zfost::new(su.f.0, su.f.1, su.f.2);
+    let (fast, ft) = exec::zfost_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    let (slow, st) = scalar::zfost_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
+}
+
+fn wgrad_s_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (data, err, _)) = (su.phase(ConvKind::WGradS), su.operands::<T>());
+    let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
+    let (fast, ft) = exec::zfwst_wgrad_s_traced(&zf, &phase, &data, &err, CAP).unwrap();
+    let (slow, st) = scalar::zfwst_wgrad_s_traced(&zf, &phase, &data, &err, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
+}
+
+fn wgrad_t_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (err, data, _)) = (su.phase(ConvKind::WGradT), su.operands::<T>());
+    let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
+    let (fast, ft) = exec::zfwst_wgrad_t_traced(&zf, &phase, &data, &err, CAP).unwrap();
+    let (slow, st) = scalar::zfwst_wgrad_t_traced(&zf, &phase, &data, &err, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
+}
+
+fn zfwst_s_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<T>());
+    let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
+    let (fast, ft) = exec::zfwst_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    let (slow, st) = scalar::zfwst_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
+}
+
+fn zfwst_t_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (_, x, k)) = (su.phase(ConvKind::T), su.operands::<T>());
+    let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
+    let (fast, ft) = exec::zfwst_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    let (slow, st) = scalar::zfwst_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
+}
+
+/// Runs a generic case on every element type the engine serves.
+macro_rules! on_every_type {
+    ($case:ident, $su:expr) => {{
+        $case::<f64>($su)?;
+        $case::<f32>($su)?;
+        $case::<Fx>($su)?;
+    }};
 }
 
 proptest! {
@@ -108,58 +172,37 @@ proptest! {
 
     #[test]
     fn zfost_s_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::S, su.geom, su.small, su.large, su.lh, su.lw);
-        let (x, k) = s_operands(&su);
-        let zf = Zfost::new(su.f.0, su.f.1, su.f.2);
-        let (fast, ft) = exec::zfost_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        let (slow, st) = scalar::zfost_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(events(&ft), events(&st));
+        on_every_type!(zfost_s_case, &su);
     }
 
     #[test]
     fn zfost_t_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::T, su.geom, su.small, su.large, su.lh, su.lw);
-        let (x, k) = t_operands(&su);
-        let zf = Zfost::new(su.f.0, su.f.1, su.f.2);
-        let (fast, ft) = exec::zfost_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        let (slow, st) = scalar::zfost_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(events(&ft), events(&st));
+        on_every_type!(zfost_t_case, &su);
     }
 
     #[test]
     fn zfwst_wgrad_s_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::WGradS, su.geom, su.small, su.large, su.lh, su.lw);
-        let mut rng = SmallRng::seed_from_u64(su.seed);
-        let (sh, sw) = su.geom.down_out(su.lh, su.lw);
-        let data: Fmaps<f64> = Fmaps::random(su.large, su.lh, su.lw, 1.0, &mut rng);
-        let err: Fmaps<f64> = Fmaps::random(su.small, sh, sw, 1.0, &mut rng);
-        let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
-        let (fast, ft) = exec::zfwst_wgrad_s_traced(&zf, &phase, &data, &err, CAP).unwrap();
-        let (slow, st) = scalar::zfwst_wgrad_s_traced(&zf, &phase, &data, &err, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(events(&ft), events(&st));
+        on_every_type!(wgrad_s_case, &su);
     }
 
     #[test]
     fn zfwst_wgrad_t_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::WGradT, su.geom, su.small, su.large, su.lh, su.lw);
-        let mut rng = SmallRng::seed_from_u64(su.seed);
-        let (sh, sw) = su.geom.down_out(su.lh, su.lw);
-        let data: Fmaps<f64> = Fmaps::random(su.small, sh, sw, 1.0, &mut rng);
-        let err: Fmaps<f64> = Fmaps::random(su.large, su.lh, su.lw, 1.0, &mut rng);
-        let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
-        let (fast, ft) = exec::zfwst_wgrad_t_traced(&zf, &phase, &data, &err, CAP).unwrap();
-        let (slow, st) = scalar::zfwst_wgrad_t_traced(&zf, &phase, &data, &err, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(events(&ft), events(&st));
+        on_every_type!(wgrad_t_case, &su);
+    }
+
+    #[test]
+    fn zfwst_s_is_bit_identical(su in arb_setup()) {
+        on_every_type!(zfwst_s_case, &su);
+    }
+
+    #[test]
+    fn zfwst_t_is_bit_identical(su in arb_setup()) {
+        on_every_type!(zfwst_t_case, &su);
     }
 
     #[test]
     fn ost_t_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::T, su.geom, su.small, su.large, su.lh, su.lw);
-        let (x, k) = t_operands(&su);
+        let (phase, (_, x, k)) = (su.phase(ConvKind::T), su.operands::<f64>());
         let ost = Ost::new(su.f.0, su.f.1, su.f.2);
         let ((fast, fc), ft) = exec::ost_t_conv_traced(&ost, &phase, &x, &k, CAP).unwrap();
         let ((slow, sc), st) = scalar::ost_t_conv_traced(&ost, &phase, &x, &k, CAP).unwrap();
@@ -170,8 +213,7 @@ proptest! {
 
     #[test]
     fn wst_s_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::S, su.geom, su.small, su.large, su.lh, su.lw);
-        let (x, k) = s_operands(&su);
+        let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<f64>());
         let wst = Wst::new(su.f.0, su.f.1, su.f.2);
         let ((fast, fc), ft) = exec::wst_s_conv_traced(&wst, &phase, &x, &k, CAP).unwrap();
         let ((slow, sc), st) = scalar::wst_s_conv_traced(&wst, &phase, &x, &k, CAP).unwrap();
@@ -182,8 +224,7 @@ proptest! {
 
     #[test]
     fn nlr_s_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::S, su.geom, su.small, su.large, su.lh, su.lw);
-        let (x, k) = s_operands(&su);
+        let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<f64>());
         let nlr = Nlr::new(su.f.0, su.f.2);
         let ((fast, fc), ft) = exec::nlr_s_conv_traced(&nlr, &phase, &x, &k, CAP).unwrap();
         let ((slow, sc), st) = scalar::nlr_s_conv_traced(&nlr, &phase, &x, &k, CAP).unwrap();
@@ -191,26 +232,56 @@ proptest! {
         prop_assert_eq!(fc, sc, "weight-fetch census diverged");
         prop_assert_eq!(events(&ft), events(&st));
     }
+}
 
-    #[test]
-    fn zfwst_s_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::S, su.geom, su.small, su.large, su.lh, su.lw);
-        let (x, k) = s_operands(&su);
-        let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
-        let (fast, ft) = exec::zfwst_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        let (slow, st) = scalar::zfwst_s_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(events(&ft), events(&st));
-    }
+/// The padding skip leans on zero-sign algebra (`acc + ±0 == acc` bit for
+/// bit while `acc` is never `-0`): operands full of `+0.0`, `-0.0`,
+/// subnormals and their negations must give the oracle's exact bits —
+/// `==` would call `-0.0` and `+0.0` equal, so compare `to_bits`.
+#[test]
+fn signed_zeros_and_subnormals_keep_the_oracles_bits() {
+    const VALUES: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 4.0,
+        1.0e-40,
+        -1.5,
+        f32::MIN_POSITIVE,
+        0.75,
+    ];
+    // 5×5 kernel, stride 2, padding on every side; 17 channels leave a
+    // one-lane tail in the second block.
+    let geom = ConvGeom::down(9, 10, 5, 5, 2, 5, 5).expect("static geometry");
+    let (small, large) = (17usize, 3usize);
+    let phase = |kind| ConvShape::new(kind, geom, small, large, 9, 10);
+    let fill = |len: usize, salt: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| VALUES[(i * 7 + i / 5 + salt) % VALUES.len()])
+            .collect()
+    };
+    let big = Fmaps::from_vec(large, 9, 10, fill(large * 90, 0));
+    let smallx = Fmaps::from_vec(small, 5, 5, fill(small * 25, 3));
+    let k = Kernels::from_vec(small, large, 5, 5, fill(small * large * 25, 5));
+    let (zfost, zfwst) = (Zfost::new(2, 3, 4), Zfwst::new(2, 2, 3));
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-    #[test]
-    fn zfwst_t_is_bit_identical(su in arb_setup()) {
-        let phase = ConvShape::new(ConvKind::T, su.geom, su.small, su.large, su.lh, su.lw);
-        let (x, k) = t_operands(&su);
-        let zf = Zfwst::new(su.f.0, su.f.1, su.f.2);
-        let (fast, ft) = exec::zfwst_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        let (slow, st) = scalar::zfwst_t_conv_traced(&zf, &phase, &x, &k, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(events(&ft), events(&st));
+    macro_rules! same_bits {
+        ($name:ident, $arch:expr, $kind:expr, $a:expr, $b:expr) => {{
+            let fast = exec::$name($arch, &phase($kind), $a, $b).unwrap();
+            let slow = scalar::$name($arch, &phase($kind), $a, $b).unwrap();
+            assert_eq!(fast.cycles, slow.cycles, stringify!($name));
+            assert_eq!(
+                bits(fast.output.as_slice()),
+                bits(slow.output.as_slice()),
+                stringify!($name)
+            );
+        }};
     }
+    same_bits!(zfost_s_conv, &zfost, ConvKind::S, &big, &k);
+    same_bits!(zfost_t_conv, &zfost, ConvKind::T, &smallx, &k);
+    same_bits!(zfwst_s_conv, &zfwst, ConvKind::S, &big, &k);
+    same_bits!(zfwst_t_conv, &zfwst, ConvKind::T, &smallx, &k);
+    same_bits!(zfwst_wgrad_s, &zfwst, ConvKind::WGradS, &big, &smallx);
+    same_bits!(zfwst_wgrad_t, &zfwst, ConvKind::WGradT, &smallx, &big);
 }
