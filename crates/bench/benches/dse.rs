@@ -1,8 +1,16 @@
-//! DSE engine cache gate: a warm-cache full fig15 sweep must be faster
-//! than the cold run that populated the cache, and the canonical result
-//! stream must be byte-identical between the two. The ratio is not gated:
-//! a faster cold path lowers it. Absolute speed of both paths is the
-//! `dse_explore_cold` / `dse_paper_warm` pair of `BENCHMARK.json`.
+//! DSE engine cache gate: a warm-cache full fig15 sweep must be at least
+//! 10× faster than the cold run that populated the cache, and the
+//! canonical result stream must be byte-identical between the two.
+//!
+//! The ratio is gated again. It was relaxed to "warm < cold" when the cold
+//! path got cheap (a miss ≈ 0.5 ms) while a hit still cost a quarter of
+//! that: four JSON parses of a payload whose 21 KB section rode inside an
+//! escaped string, a bytewise CRC and a payload copy. A hit now reads,
+//! checks a slicing-by-8 CRC and parses the few hundred bytes of result
+//! once (payload v3, DESIGN.md §8), which measures 24–42× in-process; the
+//! floor sits well under that so host noise on the single cold sample
+//! cannot trip it. Absolute speed of both paths is the `dse_explore_cold`
+//! / `dse_paper_warm` pair of `BENCHMARK.json`.
 //!
 //! Criterion's repeated-iteration harness cannot measure this — the first
 //! in-process run both pays the tuning cost and fills the cache, so only
@@ -18,6 +26,9 @@ use zfgan_dse::DseConfig;
 
 /// Warm repetitions; the minimum carries the stable signal.
 const WARM_REPS: usize = 5;
+
+/// Gate floor for cold / warm (see the module doc for the margin).
+const MIN_WARM_SPEEDUP: f64 = 10.0;
 
 fn main() {
     // Anchor at the workspace root so `emit_bench` writes the tracked
@@ -89,7 +100,8 @@ fn main() {
     );
 
     assert!(
-        warm_ns < cold_ns,
-        "warm-cache fig15 must be faster than cold (cold {cold_ns:.0} ns, warm {warm_ns:.0} ns)"
+        speedup >= MIN_WARM_SPEEDUP,
+        "warm-cache fig15 must be >= {MIN_WARM_SPEEDUP}x faster than cold \
+         (cold {cold_ns:.0} ns, warm {warm_ns:.0} ns, {speedup:.1}x)"
     );
 }

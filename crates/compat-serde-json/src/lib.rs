@@ -1,7 +1,8 @@
 //! Offline stand-in for the slice of `serde_json` this workspace uses:
-//! [`to_string`], [`to_string_pretty`], [`from_str`], and the [`Value`]
-//! tree (re-exported from the compat `serde`, which fixes its data model
-//! to JSON shapes).
+//! [`to_string`], [`to_string_pretty`], [`from_str`], the prefix parse
+//! [`from_str_prefix`] (upstream's `StreamDeserializer::byte_offset` as one
+//! call), and the [`Value`] tree (re-exported from the compat `serde`,
+//! which fixes its data model to JSON shapes).
 //!
 //! Finite `f32`/`f64` values round-trip bit-exactly: floats are printed
 //! with Rust's shortest round-trip `Display` and re-parsed with
@@ -80,20 +81,36 @@ fn push_indent(out: &mut String, n: usize) {
 ///
 /// Returns an error on malformed JSON or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    let (v, end) = from_str_prefix(s)?;
+    let rest = s[end..].trim_start_matches([' ', '\t', '\n', '\r']);
+    if !rest.is_empty() {
+        return Err(Error::custom(format!(
+            "trailing characters at byte {}",
+            s.len() - rest.len()
+        )));
+    }
+    T::from_value(&v)
+}
+
+/// Parses one JSON value off the front of `s` (leading whitespace skipped)
+/// and returns it with the byte offset just past it, so `&s[offset..]` is
+/// whatever follows — whitespace included, never looked at. The offset is
+/// what upstream reports as `StreamDeserializer::byte_offset` after one
+/// `Deserializer::from_str(s).into_iter::<Value>().next()`; it lets a
+/// caller frame a small value inside a larger text without parsing the
+/// rest.
+///
+/// # Errors
+///
+/// Returns an error when `s` does not start with a complete JSON value.
+pub fn from_str_prefix(s: &str) -> Result<(Value, usize), Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
-    }
-    T::from_value(&v)
+    Ok((v, p.pos))
 }
 
 struct Parser<'a> {
@@ -382,5 +399,53 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<Value>("{\"a\":}").is_err());
+        let err = from_str::<Value>("[1] \n x").unwrap_err();
+        assert_eq!(err.to_string(), "trailing characters at byte 6");
+        assert_eq!(from_str::<u64>(" 7 \n").unwrap(), 7);
+    }
+
+    #[test]
+    fn prefix_parse_reports_where_the_value_ended() {
+        // (text, offset just past the first value)
+        for (text, end) in [
+            ("1", 1),
+            ("12,\"det\":{}", 2),
+            ("  \n\t{\"a\":1}  tail", 11),
+            (r#"{"a":{"b":[1,{"c":"}]\"x"}]}},"det":{}"#, 29),
+            ("[[],[[]]]]]", 9),
+            (r#""quoted \" , text"rest"#, 18),
+            ("null,", 4),
+            ("true false", 4),
+            ("-2.5e3}", 6),
+            ("{} ", 2),
+        ] {
+            let (v, offset) = from_str_prefix(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(offset, end, "{text}");
+            // The prefix alone is the whole value: nothing past the offset
+            // took part in the parse.
+            let lead = text.len() - text.trim_start().len();
+            assert_eq!(from_str::<Value>(&text[lead..offset]).unwrap(), v, "{text}");
+        }
+    }
+
+    #[test]
+    fn prefix_parse_rejects_incomplete_and_malformed_values() {
+        for text in [
+            "",
+            "   ",
+            "{\"a\":1",
+            "{\"a\"",
+            "[1,2",
+            "[1,,2]",
+            "\"unterminated",
+            "\"bad \\q escape\"",
+            "nul",
+            "}",
+            ",1",
+            "1.2.3",
+            "-",
+        ] {
+            assert!(from_str_prefix(text).is_err(), "{text:?} must not parse");
+        }
     }
 }

@@ -14,6 +14,9 @@
 
 mod value;
 
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
+
 pub use value::{Map, Number, Value};
 
 #[cfg(feature = "derive")]
@@ -167,16 +170,31 @@ impl Serialize for str {
 }
 
 impl Deserialize for &'static str {
-    /// Leaks the parsed string to satisfy `'static` — upstream serde
+    /// Interns the parsed string to satisfy `'static` — upstream serde
     /// expresses this with deserializer lifetimes the shim doesn't carry.
-    /// Only label-like fields (`lane: &'static str`) hit this path, and
-    /// only when such a struct is actually deserialised.
+    /// Only label-like fields (`lane: &'static str`) hit this path, so the
+    /// pool holds one leaked copy per distinct label, however many times a
+    /// struct carrying it is deserialised.
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
-            Value::String(s) => Ok(Box::leak(s.clone().into_boxed_str())),
+            Value::String(s) => Ok(intern(s)),
             _ => Err(Error::custom("expected string")),
         }
     }
+}
+
+/// The process-wide `&'static str` pool behind `<&'static str>::from_value`.
+fn intern(s: &str) -> &'static str {
+    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    // A panic cannot leave the set half-updated (one `insert`), so a
+    // poisoned lock is still a valid pool.
+    let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&interned) = pool.get(s) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(s.into());
+    pool.insert(interned);
+    interned
 }
 
 impl Serialize for char {
@@ -291,4 +309,25 @@ ser_de_tuple! {
     (A: 0, B: 1, C: 2, D: 3)
     (A: 0, B: 1, C: 2, D: 3, E: 4)
     (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every warm DSE hit rebuilds structs with `&'static str` labels; a
+    /// fresh leak per call grew a serving process without bound.
+    #[test]
+    fn static_str_labels_are_interned_not_leaked_per_call() {
+        let label = Value::String("G (T-CONV) interned-label-test".to_string());
+        let first = <&'static str>::from_value(&label).unwrap();
+        for _ in 0..10_000 {
+            let again = <&'static str>::from_value(&label).unwrap();
+            assert!(std::ptr::eq(first, again), "one copy per distinct string");
+        }
+        let other = <&'static str>::from_value(&Value::String("other".into())).unwrap();
+        assert_eq!(other, "other");
+        assert!(!std::ptr::eq(first.as_ptr(), other.as_ptr()));
+        assert!(<&'static str>::from_value(&Value::Null).is_err());
+    }
 }

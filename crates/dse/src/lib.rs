@@ -14,6 +14,11 @@
 //! 3. **Verifiable hits** — every computed cell is published together
 //!    with its byte-stable deterministic telemetry section, so a cache
 //!    hit can be re-derived and byte-compared ([`VerifyPolicy::All`]).
+//!    The payload is `{"result":<result_json>,"det":<section>}` (v3): the
+//!    section is embedded as the JSON object it already is, so publishing
+//!    concatenates, and a hit parses only the result — once, keeping the
+//!    parse for the merge and the sweep's objectives
+//!    ([`CellRecord::first`]) — and frames the section without reading it.
 //! 4. **Canonical result streams** — per-cell JSONL in sorted-key order
 //!    plus an incrementally maintained Pareto frontier over
 //!    *(cycles × energy × buffer capacity)* ([`sweeps`], [`pareto`]).
@@ -40,9 +45,11 @@ use zfgan_store::{fnv64, fnv64_salted, Store, StoreConfig};
 /// The code-version salt folded into every cell's config hash. Bump the
 /// string when the cached payload semantics change: every existing cell
 /// then misses (foreign version) and is recomputed and republished —
-/// stale generations can never be served.
+/// stale generations can never be served. `v3` is the payload layout
+/// change (result first, section embedded as an object): a cache written
+/// under `v2` misses, recomputes and republishes once.
 pub fn code_salt() -> u64 {
-    fnv64(b"zfgan-dse-payload-v2")
+    fnv64(b"zfgan-dse-payload-v3")
 }
 
 /// Environment variable naming the on-disk cell cache directory for
@@ -120,6 +127,9 @@ pub struct CellRecord {
     /// cell's final `schedule_all` passes record, with or without a cache
     /// and whatever the process-wide search memo already holds.
     pub det: String,
+    /// Index of the first input item that asked for this cell;
+    /// [`Batch::results`]`[first]` is the cell's reconstructed result.
+    pub first: usize,
 }
 
 /// Result of [`run_batch`].
@@ -154,11 +164,44 @@ fn config_hash(cfg: &DseConfig, key: &str) -> u64 {
     )
 }
 
-/// Encodes the cached payload: canonical JSON carrying the deterministic
-/// telemetry section next to the result, so hits are verifiable
-/// byte-for-byte.
+/// A unique cell resolved to its canonical bytes, with the parse of
+/// `result_json` the canonical merge rebuilds every asking item from.
+struct Resolved {
+    result_json: String,
+    det: String,
+    value: serde_json::Value,
+}
+
+const PAYLOAD_OPEN: &str = "{\"result\":";
+const PAYLOAD_DET: &str = ",\"det\":";
+
+/// Encodes the cached payload (v3): `{"result":<result_json>,"det":<det>}`,
+/// the deterministic telemetry section embedded as the JSON object it
+/// already is, so hits are verifiable byte-for-byte and encoding is plain
+/// concatenation.
 fn encode_payload(det: &str, result_json: &str) -> String {
-    format!("{{\"det\":{},\"result\":{result_json}}}", json_escape(det))
+    [PAYLOAD_OPEN, result_json, PAYLOAD_DET, det, "}"].concat()
+}
+
+/// Decodes a cached payload, validating that the result parses as `R`.
+/// Only the result is parsed (a few hundred bytes; the prefix parse says
+/// where it ended) and `result_json` is re-serialised from that parse, so a
+/// hit carries this build's bytes. The section is whatever the delimiters
+/// frame, required to open and close as an object but never built into a
+/// tree: as under v2, its interior is vouched for by the envelope's CRC and
+/// salted hash, and byte-compared under [`VerifyPolicy::All`]. Any
+/// malformation → `None` (the cell is treated as a miss and recomputed).
+fn decode_payload<R: Deserialize>(payload: &[u8]) -> Option<Resolved> {
+    let text = std::str::from_utf8(payload).ok()?;
+    let rest = text.strip_prefix(PAYLOAD_OPEN)?;
+    let (value, end) = serde_json::from_str_prefix(rest).ok()?;
+    R::from_value(&value).ok()?;
+    let det = rest[end..].strip_prefix(PAYLOAD_DET)?.strip_suffix('}')?;
+    (det.starts_with('{') && det.ends_with('}')).then(|| Resolved {
+        result_json: value.to_string(),
+        det: det.to_string(),
+        value,
+    })
 }
 
 /// Escapes a string into a JSON string literal.
@@ -178,19 +221,6 @@ pub(crate) fn json_escape(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Decodes a cached payload back into `(det, result_json)`, validating
-/// that the result parses as `R`. Any malformation → `None` (the cell is
-/// treated as a miss and recomputed).
-fn decode_payload<R: Deserialize>(payload: &[u8]) -> Option<(String, String)> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let v: serde_json::Value = serde_json::from_str(text).ok()?;
-    let obj = v.as_object()?;
-    let det = obj.get("det")?.as_str()?.to_string();
-    let result = obj.get("result")?;
-    R::from_value(result).ok()?;
-    Some((det, serde_json::to_string(result).ok()?))
 }
 
 /// Records a wall-clock-class engine counter labelled by namespace (wall
@@ -275,9 +305,10 @@ where
     });
 
     // Load pass: pull every published cell; corrupt/foreign generations
-    // are skipped by the fallback ladder, unparseable payloads rejected
-    // here — either way the cell recomputes below.
-    let mut cells: Vec<Option<(String, String)>> = vec![None; uniques.len()];
+    // are skipped by the fallback ladder, undecodable payloads rejected
+    // here — either way the cell recomputes below. A hit keeps the one
+    // parse of its result for the merge.
+    let mut cells: Vec<Option<Resolved>> = uniques.iter().map(|_| None).collect();
     if let Some(store) = store.as_mut() {
         for (slot, (key, _)) in cells.iter_mut().zip(&uniques) {
             let loaded = store
@@ -285,7 +316,7 @@ where
                 .ok()
                 .flatten();
             let fell_back = loaded.as_ref().is_some_and(|l| !l.skipped.is_empty());
-            *slot = loaded.and_then(|l| decode_payload::<R>(&l.payload).map(|(d, r)| (r, d)));
+            *slot = loaded.and_then(|l| decode_payload::<R>(&l.payload));
             count("dse_cache_hits_total", &ns, u64::from(slot.is_some()));
             count("dse_cache_misses_total", &ns, u64::from(slot.is_none()));
             count("dse_cache_fallbacks_total", &ns, u64::from(fell_back));
@@ -314,7 +345,7 @@ where
             // A hit being verified: byte-compare the full payload.
             let verified = cells[wave[j]]
                 .as_ref()
-                .map(|(hit_json, hit_det)| encode_payload(hit_det, hit_json) == payload);
+                .map(|hit| encode_payload(&hit.det, &hit.result_json) == payload);
             let published = verified != Some(true)
                 && root.is_some_and(|root| publish_cell(cfg, root, key, &payload));
             (result_json, det, verified, published)
@@ -329,42 +360,43 @@ where
             );
             count("dse_published_total", &ns, u64::from(published));
             if verified != Some(true) {
-                cells[u] = Some((result_json, det));
+                let value = serde_json::from_str(&result_json).expect("canonical cell JSON parses");
+                cells[u] = Some(Resolved {
+                    result_json,
+                    det,
+                    value,
+                });
             }
         }
     }
 
     // Canonical merge: results per input item, reconstructed uniformly
-    // from the cell's canonical JSON (hits and fresh cells alike).
+    // from the parse of the cell's canonical JSON — a hit's was made when
+    // its payload was decoded, a fresh cell's when its wave landed.
     let by_key: BTreeMap<&str, usize> = uniques
         .iter()
         .enumerate()
         .map(|(u, (k, _))| (*k, u))
         .collect();
-    let parsed: Vec<serde_json::Value> = cells
-        .iter()
-        .map(|c| {
-            let (json, _) = c.as_ref().expect("every unique cell resolved");
-            serde_json::from_str(json).expect("canonical cell JSON parses")
-        })
+    let resolved: Vec<Resolved> = cells
+        .into_iter()
+        .map(|c| c.expect("every unique cell resolved"))
         .collect();
     let results: Vec<R> = keys
         .iter()
         .map(|k| {
-            let u = by_key[k.as_str()];
-            R::from_value(&parsed[u]).expect("canonical cell JSON reconstructs the result")
+            R::from_value(&resolved[by_key[k.as_str()]].value)
+                .expect("canonical cell JSON reconstructs the result")
         })
         .collect();
     let cells: Vec<CellRecord> = uniques
         .iter()
-        .zip(cells)
-        .map(|((key, _), cell)| {
-            let (result_json, det) = cell.expect("every unique cell resolved");
-            CellRecord {
-                key: (*key).to_string(),
-                result_json,
-                det,
-            }
+        .zip(resolved)
+        .map(|(&(key, first), cell)| CellRecord {
+            key: key.to_string(),
+            result_json: cell.result_json,
+            det: cell.det,
+            first,
         })
         .collect();
     Batch {
@@ -527,6 +559,90 @@ mod tests {
             assert_eq!(total, keys.len(), "shards must partition exactly");
         }
         assert!(keys.iter().all(|k| key_in_shard(k, 0, 1)));
+    }
+
+    /// splitmix64 step: the codec property below draws its sections and
+    /// results from a seed (the proptest shim has no collection strategy).
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random JSON tree whose strings are full of the bytes that frame a
+    /// payload: quotes, backslashes, brackets, the `,"det":` marker itself.
+    fn random_value(state: &mut u64, depth: usize) -> serde_json::Value {
+        use serde_json::{Map, Number, Value};
+        const WORDS: [&str; 8] = [
+            "plain",
+            "schedule_phases_total{arch=\"zfost\"}",
+            "}]}",
+            "{[\"",
+            "back\\slash\\",
+            ",\"det\":{",
+            "tab\tnew\nline\u{1}",
+            "\u{e9}\u{4e16}",
+        ];
+        let word = |state: &mut u64| WORDS[(next(state) % 8) as usize].to_string();
+        let kind = if depth == 0 {
+            next(state) % 4
+        } else {
+            next(state) % 7
+        };
+        match kind {
+            0 => Value::Null,
+            1 => Value::Bool(next(state) & 1 == 0),
+            2 => Value::Number(Number::from_u64(next(state) >> 20)),
+            3 => Value::String(word(state)),
+            4 => Value::Number(Number::from_f64(next(state) as f64 / 1024.0)),
+            5 => Value::Array(
+                (0..next(state) % 4)
+                    .map(|_| random_value(state, depth - 1))
+                    .collect(),
+            ),
+            _ => {
+                let mut map = Map::new();
+                for n in 0..next(state) % 4 {
+                    map.insert(
+                        format!("{}{n}", word(state)),
+                        random_value(state, depth - 1),
+                    );
+                }
+                Value::Object(map)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec is an exact inverse on every (section, result) pair a
+        /// publisher can produce, whatever the section's strings contain.
+        #[test]
+        fn payload_codec_round_trips(seed in proptest::prelude::any::<u64>()) {
+            let mut state = seed;
+            let mut section = serde_json::Map::new();
+            for name in ["counters", "gauges", "spans"] {
+                section.insert(name, random_value(&mut state, 4));
+            }
+            let det = serde_json::Value::Object(section).to_string();
+            let out = eval(&(next(&mut state) >> 12));
+            let json = serde_json::to_string(&out).expect("serialises");
+
+            let payload = encode_payload(&det, &json);
+            let whole: serde_json::Value =
+                serde_json::from_str(&payload).expect("a payload is valid JSON");
+            let back = decode_payload::<Out>(payload.as_bytes()).expect("decodes");
+            proptest::prop_assert_eq!(&back.det, &det);
+            proptest::prop_assert_eq!(&back.result_json, &json);
+            proptest::prop_assert_eq!(Out::from_value(&back.value).expect("shape"), out);
+            let obj = whole.as_object().expect("object");
+            proptest::prop_assert_eq!(obj.get("result"), Some(&back.value));
+            proptest::prop_assert_eq!(
+                obj.get("det"),
+                Some(&serde_json::from_str::<serde_json::Value>(&det).expect("section"))
+            );
+        }
     }
 
     #[test]

@@ -135,10 +135,7 @@ where
     for cell in &batch.cells {
         // Objectives derive from the reconstructed cell, so a cached cell
         // streams exactly what the cold computation streamed.
-        let v: serde_json::Value =
-            serde_json::from_str(&cell.result_json).expect("canonical cell JSON parses");
-        let c = C::from_value(&v).expect("canonical cell JSON reconstructs the cell");
-        let o = obj(&c);
+        let o = obj(&batch.results[cell.first]);
         stream.push_str("{\"cell\":");
         stream.push_str(&json_escape(&cell.key));
         stream.push_str(",\"objectives\":");

@@ -56,6 +56,41 @@ fn duplicates_and_permutations_share_one_evaluation() {
     // Every duplicate sees the same reconstructed value, in input order.
     let expect: Vec<Out> = items.iter().map(eval).collect();
     assert_eq!(batch.results, expect);
+    // Cells are in sorted-key order; each names the first item that asked.
+    let firsts: Vec<usize> = batch.cells.iter().map(|c| c.first).collect();
+    assert_eq!(firsts, [2, 1, 3, 0]);
+}
+
+/// `CellRecord::first` is how a sweep reaches a cell's reconstructed result
+/// without parsing it again: under any permutation and duplication it is
+/// the earliest input index carrying the cell's key.
+#[test]
+fn first_is_the_earliest_asking_item_under_permutation_and_duplicates() {
+    let mut state = 0x5eed_u64;
+    for round in 0..20 {
+        // 1..=24 items over at most 6 distinct cells, order and
+        // multiplicity drawn from an LCG.
+        let len = 1 + round % 24;
+        let items: Vec<u64> = (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % 6
+            })
+            .collect();
+        let batch =
+            zfgan_dse::run_batch(&DseConfig::new("first"), &items, |i| format!("k{i}"), eval);
+        assert_eq!(batch.cells.len(), batch.unique);
+        for cell in &batch.cells {
+            let earliest = items
+                .iter()
+                .position(|i| format!("k{i}") == cell.key)
+                .expect("a cell comes from an item");
+            assert_eq!(cell.first, earliest, "round {round}, {}", cell.key);
+            assert_eq!(batch.results[cell.first], eval(&items[earliest]));
+        }
+    }
 }
 
 #[test]

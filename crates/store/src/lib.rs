@@ -10,10 +10,13 @@
 //!
 //! Durability protocol (per publish):
 //!
+//! 0. scan the key directory once: sweep stale temp files, take the next
+//!    generation number, keep the list for step 4;
 //! 1. write the full envelope to `<key>/.tmp-<n>` and `fsync` the file;
 //! 2. atomically `rename` the temp file onto `gen-<n>.zfc`;
 //! 3. `fsync` the key directory so the rename itself is durable;
-//! 4. prune generations older than the retention window.
+//! 4. prune generations older than the retention window (the scanned list
+//!    plus the new generation — no second look at the directory).
 //!
 //! A crash before (2) leaves only a temp file, which readers never look at
 //! and the next publish sweeps away. A crash after (2) leaves a complete
@@ -21,6 +24,11 @@
 //! rename target on a non-atomic filesystem — by demoting it to "corrupt
 //! generation", which loads skip, falling back to the newest valid prior
 //! generation.
+//!
+//! A load reads a generation into one buffer, validates it in place (both
+//! CRCs are slicing-by-8 over compile-time tables, eight bytes a step) and
+//! hands that same buffer out as the payload with the header drained —
+//! the bytes are touched once to check them and never copied.
 //!
 //! Transient I/O errors (`Interrupted`, `WouldBlock`, `TimedOut`) are
 //! retried a bounded number of times with deterministic exponential
@@ -53,10 +61,12 @@ const GEN_SUFFIX: &str = ".zfc";
 // Hashing primitives (dependency-free)
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slicing-by-8
+/// lookup tables, built at compile time. `[0]` is the classic bytewise
+/// table; `[k][b]` is the CRC of byte `b` followed by `k` zero bytes, which
+/// lets [`crc32`] fold eight input bytes per step.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -69,18 +79,42 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -296,6 +330,17 @@ pub struct Envelope {
 /// payload corruption). Any single bit flip or truncation of the stored
 /// bytes is detected.
 pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope, EnvelopeError> {
+    let config_hash = validate_envelope(bytes)?;
+    Ok(Envelope {
+        config_hash,
+        payload: bytes[HEADER_LEN..].to_vec(),
+    })
+}
+
+/// Checks every envelope invariant over `bytes` and returns the stored
+/// config hash. On success the payload is exactly `bytes[HEADER_LEN..]`.
+/// The one validator behind [`decode_envelope`] and the load ladder.
+fn validate_envelope(bytes: &[u8]) -> Result<u64, EnvelopeError> {
     if bytes.len() < HEADER_LEN {
         return Err(EnvelopeError::Truncated {
             expected: HEADER_LEN,
@@ -324,9 +369,9 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope, EnvelopeError> {
         u64::from_le_bytes(b)
     };
     let config_hash = u64le(8);
-    let payload_len = u64le(16) as usize;
-    let total = HEADER_LEN
-        .checked_add(payload_len)
+    let total = usize::try_from(u64le(16))
+        .ok()
+        .and_then(|payload_len| HEADER_LEN.checked_add(payload_len))
         .ok_or(EnvelopeError::HeaderCorrupt)?;
     if bytes.len() < total {
         return Err(EnvelopeError::Truncated {
@@ -339,15 +384,11 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope, EnvelopeError> {
             extra: bytes.len() - total,
         });
     }
-    let payload = &bytes[HEADER_LEN..total];
     let payload_crc = u32::from_le_bytes([bytes[24], bytes[25], bytes[26], bytes[27]]);
-    if crc32(payload) != payload_crc {
+    if crc32(&bytes[HEADER_LEN..]) != payload_crc {
         return Err(EnvelopeError::PayloadCorrupt);
     }
-    Ok(Envelope {
-        config_hash,
-        payload: payload.to_vec(),
-    })
+    Ok(config_hash)
 }
 
 // ---------------------------------------------------------------------------
@@ -439,6 +480,39 @@ fn transient(kind: io::ErrorKind) -> bool {
         kind,
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
+}
+
+/// One `read_dir` pass over a key directory: the generation numbers
+/// present, ascending (a missing directory means none). With `sweep_temps`
+/// the same pass deletes the temp files crashed publishes left behind.
+fn scan_key_dir(dir: &Path, sweep_temps: bool) -> Result<Vec<u64>, StoreError> {
+    let entries = match fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(source) => {
+            return Err(StoreError::Io {
+                op: "read-dir",
+                path: dir.to_path_buf(),
+                source,
+            })
+        }
+    };
+    let mut gens = Vec::new();
+    for entry in entries.filter_map(Result::ok) {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(stem) = name
+            .strip_prefix(GEN_PREFIX)
+            .and_then(|n| n.strip_suffix(GEN_SUFFIX))
+        {
+            gens.extend(stem.parse::<u64>().ok());
+        } else if sweep_temps && name.starts_with(TMP_PREFIX) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
+    gens.sort_unstable();
+    gens.dedup();
+    Ok(gens)
 }
 
 impl Store {
@@ -549,30 +623,7 @@ impl Store {
         if !valid_key(key) {
             return Err(StoreError::InvalidKey(key.to_string()));
         }
-        let dir = self.key_dir(key);
-        let entries = match fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(source) => {
-                return Err(StoreError::Io {
-                    op: "read-dir",
-                    path: dir,
-                    source,
-                })
-            }
-        };
-        let mut gens: Vec<u64> = entries
-            .filter_map(Result::ok)
-            .filter_map(|e| {
-                let name = e.file_name();
-                let name = name.to_str()?;
-                let stem = name.strip_prefix(GEN_PREFIX)?.strip_suffix(GEN_SUFFIX)?;
-                stem.parse::<u64>().ok()
-            })
-            .collect();
-        gens.sort_unstable();
-        gens.dedup();
-        Ok(gens)
+        scan_key_dir(&self.key_dir(key), false)
     }
 
     /// Publishes `payload` as the next generation of `key`, returning the
@@ -595,9 +646,12 @@ impl Store {
         }
         let dir = self.key_dir(key);
         self.with_retry("create-dir", &dir.clone(), || fs::create_dir_all(&dir))?;
-        self.sweep_stale_temps(&dir);
+        // The publish's one directory scan: sweeps the temp files crashed
+        // publishes left behind, numbers the new generation, and is the
+        // list retention prunes from below.
+        let mut gens = scan_key_dir(&dir, true)?;
 
-        let generation = self.generations(key)?.last().copied().map_or(1, |g| g + 1);
+        let generation = gens.last().map_or(1, |g| g + 1);
         let tmp = dir.join(format!("{TMP_PREFIX}{generation:08}"));
         let dest = self.generation_path(key, generation);
         let bytes = encode_envelope(config_hash, payload);
@@ -635,39 +689,16 @@ impl Store {
         zfgan_telemetry::count_wall("store_fsyncs_total", &[], 1);
         zfgan_telemetry::count_wall("store_publishes_total", &[], 1);
 
-        self.prune(key)?;
-        Ok(generation)
-    }
-
-    /// Removes generations beyond the retention window (best effort per
-    /// file; the newest `keep` always survive).
-    fn prune(&mut self, key: &str) -> Result<(), StoreError> {
-        let gens = self.generations(key)?;
-        if gens.len() <= self.cfg.keep {
-            return Ok(());
-        }
-        let cutoff = gens.len() - self.cfg.keep;
-        for &g in &gens[..cutoff] {
-            let path = self.generation_path(key, g);
-            if fs::remove_file(&path).is_ok() {
+        // Retention (best effort per file; the newest `keep` always
+        // survive), only after the new generation is durable.
+        gens.push(generation);
+        let excess = gens.len().saturating_sub(self.cfg.keep);
+        for &g in &gens[..excess] {
+            if fs::remove_file(self.generation_path(key, g)).is_ok() {
                 zfgan_telemetry::count_wall("store_prunes_total", &[], 1);
             }
         }
-        Ok(())
-    }
-
-    /// Deletes leftover temp files from crashed publishes.
-    fn sweep_stale_temps(&self, dir: &Path) {
-        if let Ok(entries) = fs::read_dir(dir) {
-            for e in entries.filter_map(Result::ok) {
-                if e.file_name()
-                    .to_str()
-                    .is_some_and(|n| n.starts_with(TMP_PREFIX))
-                {
-                    let _ = fs::remove_file(e.path());
-                }
-            }
-        }
+        Ok(generation)
     }
 
     /// Loads the newest valid generation of `key`.
@@ -730,32 +761,41 @@ impl Store {
         let mut skipped: Vec<(u64, String)> = Vec::new();
         for &generation in gens.iter().rev() {
             let path = self.generation_path(key, generation);
-            let bytes = self.with_retry("read", &path.clone(), || {
+            let mut bytes = self.with_retry("read", &path.clone(), || {
                 let mut f = File::open(&path)?;
                 let mut buf = Vec::new();
                 f.read_to_end(&mut buf)?;
                 Ok(buf)
             })?;
-            let reason = match decode_envelope(&bytes) {
-                Ok(env) => match accept(&env) {
-                    Ok(()) => {
-                        zfgan_telemetry::count_wall("store_loads_total", &[], 1);
-                        if !skipped.is_empty() {
-                            zfgan_telemetry::count_wall(
-                                "store_fallbacks_total",
-                                &[],
-                                skipped.len() as u64,
-                            );
+            let reason = match validate_envelope(&bytes) {
+                Ok(config_hash) => {
+                    // The buffer that was read becomes the payload: drop
+                    // the header in place instead of copying the rest out.
+                    bytes.drain(..HEADER_LEN);
+                    let env = Envelope {
+                        config_hash,
+                        payload: bytes,
+                    };
+                    match accept(&env) {
+                        Ok(()) => {
+                            zfgan_telemetry::count_wall("store_loads_total", &[], 1);
+                            if !skipped.is_empty() {
+                                zfgan_telemetry::count_wall(
+                                    "store_fallbacks_total",
+                                    &[],
+                                    skipped.len() as u64,
+                                );
+                            }
+                            return Ok(Some(Loaded {
+                                generation,
+                                config_hash,
+                                payload: env.payload,
+                                skipped,
+                            }));
                         }
-                        return Ok(Some(Loaded {
-                            generation,
-                            config_hash: env.config_hash,
-                            payload: env.payload,
-                            skipped,
-                        }));
+                        Err(reason) => reason,
                     }
-                    Err(reason) => reason,
-                },
+                }
                 Err(err) => err.to_string(),
             };
             zfgan_telemetry::count_wall("store_corrupt_detected_total", &[], 1);

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use zfgan_store::{decode_envelope, encode_envelope, Store, StoreConfig};
+use zfgan_store::{crc32, decode_envelope, encode_envelope, Store, StoreConfig};
 
 /// Deterministic filler (splitmix64) so payload bytes vary with the seed
 /// without depending on the rand shim.
@@ -20,6 +20,63 @@ fn payload_bytes(seed: u64, len: usize) -> Vec<u8> {
             (z ^ (z >> 31)) as u8
         })
         .collect()
+}
+
+/// The bytewise table-free CRC-32 (IEEE, reflected `0xEDB88320`) the
+/// store's slicing-by-8 `crc32` must agree with on every input.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// Every remainder length around the 8-byte stride (0..=67 covers eight
+/// full strides plus each tail) at every start alignment.
+#[test]
+fn slicing_crc_matches_bytewise_at_every_length_and_offset() {
+    let buf = payload_bytes(0x5eed, 67 + 8);
+    for offset in 0..8 {
+        for len in 0..=67 {
+            let slice = &buf[offset..offset + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_bytewise(slice),
+                "offset {offset}, length {len}"
+            );
+        }
+    }
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
+/// An envelope written by the bytewise-CRC encoder this crate shipped
+/// before slicing-by-8 (config hash `0x0123456789abcdef`, 48-byte
+/// payload). Stores on disk hold these bytes; they must keep decoding,
+/// and encoding must keep producing them.
+const GOLDEN_ENVELOPE: &[u8] = b"ZFCK\x01\x00\x00\x00\xef\xcd\xab\x89\x67\x45\x23\x01\
+\x30\x00\x00\x00\x00\x00\x00\x00\xbe\x04\x33\x6b\x36\x1c\x44\x6f\
+{\"golden\":\"zfgan-store envelope v1\",\"n\":[1,2,3]}";
+
+#[test]
+fn golden_envelope_from_the_bytewise_encoder_still_round_trips() {
+    let env = decode_envelope(GOLDEN_ENVELOPE).expect("golden envelope decodes");
+    assert_eq!(env.config_hash, 0x0123_4567_89ab_cdef);
+    assert_eq!(
+        env.payload,
+        b"{\"golden\":\"zfgan-store envelope v1\",\"n\":[1,2,3]}"
+    );
+    assert_eq!(
+        encode_envelope(env.config_hash, &env.payload),
+        GOLDEN_ENVELOPE
+    );
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -37,6 +94,16 @@ fn temp_store(tag: &str) -> Store {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random buffers, long enough to take many 8-byte strides, at a
+    /// random start alignment.
+    #[test]
+    fn slicing_crc_matches_bytewise_on_random_buffers(
+        (seed, len, offset) in (any::<u64>(), 0usize..4096, 0usize..8)
+    ) {
+        let buf = payload_bytes(seed, len + offset);
+        prop_assert_eq!(crc32(&buf[offset..]), crc32_bytewise(&buf[offset..]));
+    }
 
     /// Flipping any single bit anywhere in the envelope (header or
     /// payload) is detected by the CRC/shape checks.

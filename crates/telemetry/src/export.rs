@@ -36,6 +36,17 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// [`fmt_f64`] for a JSON member: NaN and ±∞ have no JSON number form and
+/// print as `null` (what the serde shim prints), so a section holding one
+/// still parses — cell payloads embed it and `trace --check` re-reads it.
+fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        fmt_f64(v)
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Format nanoseconds as fractional microseconds (Chrome-trace `ts`/`dur`).
 fn fmt_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
@@ -69,7 +80,7 @@ pub fn deterministic_section(reg: &Registry) -> String {
         .gauges
         .iter()
         .filter(|(_, class, _)| *class == Class::Deterministic)
-        .map(|(key, _, v)| format!("\"{}\":{}", escape(&key.render()), fmt_f64(*v)))
+        .map(|(key, _, v)| format!("\"{}\":{}", escape(&key.render()), json_f64(*v)))
         .collect();
     out.push_str(&gauges.join(","));
     out.push_str("},\"histograms\":{");
@@ -78,7 +89,7 @@ pub fn deterministic_section(reg: &Registry) -> String {
         .iter()
         .filter(|(_, class, _)| *class == Class::Deterministic)
         .map(|(key, _, h)| {
-            let bounds: Vec<String> = h.bounds.iter().map(|b| fmt_f64(*b)).collect();
+            let bounds: Vec<String> = h.bounds.iter().map(|b| json_f64(*b)).collect();
             let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
             format!(
                 "\"{}\":{{\"bounds\":[{}],\"buckets\":[{}],\"count\":{}}}",
@@ -408,7 +419,7 @@ pub fn telemetry_json(reg: &Registry) -> String {
                 "\"{}\":{{\"count\":{},\"sum\":{}}}",
                 escape(&key.render()),
                 h.count,
-                fmt_f64(h.sum)
+                json_f64(h.sum)
             )
         })
         .collect();
@@ -459,6 +470,36 @@ mod tests {
         assert!(det.contains("\"buckets\":[0,1,0]"));
         assert!(det.contains("{\"path\":\"phase\",\"attrs\":{\"cycles\":42}}"));
         assert_eq!(det, deterministic_section(&reg));
+    }
+
+    /// A non-finite deterministic gauge or histogram bound used to print
+    /// as `NaN` / `inf`, which no JSON parser accepts.
+    #[test]
+    fn non_finite_values_export_as_json_null() {
+        let reg = sample();
+        reg.set_gauge(Class::Deterministic, "ratio", &[("of", "nan")], f64::NAN);
+        reg.set_gauge(
+            Class::Deterministic,
+            "ratio",
+            &[("of", "inf")],
+            f64::INFINITY,
+        );
+        reg.set_gauge(Class::Deterministic, "ratio", &[("of", "one")], 1.0);
+        let inf_bound = [1.0, f64::INFINITY];
+        reg.observe(Class::Deterministic, "open_ended", &[], &inf_bound, 2.0);
+        reg.observe(Class::WallClock, "wall_sum", &[], &[1.0], f64::NEG_INFINITY);
+        let det = deterministic_section(&reg);
+        assert!(det.contains("\"ratio{of=\\\"nan\\\"}\":null"), "{det}");
+        assert!(det.contains("\"ratio{of=\\\"inf\\\"}\":null"), "{det}");
+        assert!(det.contains("\"ratio{of=\\\"one\\\"}\":1"), "{det}");
+        assert!(det.contains("\"bounds\":[1,null]"), "{det}");
+        for json in [det, telemetry_json(&reg)] {
+            let parsed: serde_json::Value =
+                serde_json::from_str(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+            assert!(parsed.as_object().is_some());
+        }
+        // The text exposition keeps Prometheus' own spellings.
+        assert!(prometheus(&reg.snapshot()).contains("ratio{of=\"nan\"} NaN"));
     }
 
     #[test]

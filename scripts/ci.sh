@@ -133,8 +133,8 @@ for round in 1 2; do
     # Exec engine smoke: asserts the fast engine holds >= 3x over the
     # scalar oracle on all six zero-free executors.
     bench_smoke exec 50 "$tdir/bench_exec_$round"
-    # DSE engine smoke: asserts a warm-cache fig15 sweep is faster than
-    # cold with a byte-identical stream.
+    # DSE engine smoke: asserts a warm-cache fig15 sweep is >= 10x faster
+    # than cold with a byte-identical stream.
     bench_smoke dse 25 "$tdir/bench_dse_$round"
     echo "bench gates passed (round $round)"
 done
@@ -238,14 +238,17 @@ grep -q 'fallback: generation' "$tdir/resume.txt"
 diff <(grep '^deterministic:' "$tdir/base.txt") <(grep '^deterministic:' "$tdir/resume.txt")
 echo "corrupted store detected, fell back, resumed byte-identically"
 
-echo "=== DSE service gate (cold shards -> warm -> corrupted cell) ==="
+echo "=== DSE service gate (cold shards -> warm -> verified -> corrupted cell) ==="
 # Cold: two spawned shard children compute and publish the fig15 key
 # space through the work-unit protocol; the parent then serves the whole
 # batch out of the shared cache (pure hits by construction). Warm: a
-# single-threaded rerun hits every cell. Corrupted: one flipped byte in a
-# stored generation is detected, recomputed and republished. All three
-# canonical streams must be byte-identical, and the dse_* counters must
-# tell the true cache story each time.
+# single-threaded rerun hits every cell. Verified: `--verify all`
+# recomputes every hit and byte-compares it against the payload the
+# shard children encoded, so the payload codec's round trip runs through
+# the real CLI. Corrupted: one flipped byte in a stored generation is
+# detected, recomputed and republished. All four canonical streams must
+# be byte-identical, and the dse_* counters must tell the true cache
+# story each time.
 dse_counter() { # file counter -> value (0 when the series is absent)
     sed -n "s/.*$2{namespace=\"fig15\"} *\([0-9][0-9]*\).*/\1/p" "$1" \
         | grep . || echo 0
@@ -263,6 +266,14 @@ for run in dse_cold dse_warm; do
     [ "$(dse_counter "$tdir/$run.txt" dse_cache_hits_total)" -eq "$cells" ]
     [ "$(dse_counter "$tdir/$run.txt" dse_cache_misses_total)" -eq 0 ]
 done
+# Every warm hit re-derives to the stored bytes: nothing to republish.
+cargo run -q --release -p zfgan -- dse fig15 \
+    --cache "$tdir/dsecache" --verify all --out "$tdir/dse_verify.jsonl" \
+    --telemetry > "$tdir/dse_verify.txt"
+[ "$(dse_counter "$tdir/dse_verify.txt" dse_verified_total)" -eq "$cells" ]
+[ "$(dse_counter "$tdir/dse_verify.txt" dse_verify_failures_total)" -eq 0 ]
+[ "$(dse_counter "$tdir/dse_verify.txt" dse_published_total)" -eq 0 ]
+diff "$tdir/dse_cold.jsonl" "$tdir/dse_verify.jsonl"
 # Flip one byte inside one cell's stored generation and rerun: exactly
 # one miss, one republish, and the stream must not change.
 victim="$(find "$tdir/dsecache" -name '*.zfc' -path '*fig15-*' | sort | head -1)"
@@ -274,6 +285,6 @@ cargo run -q --release -p zfgan -- dse fig15 \
 [ "$(dse_counter "$tdir/dse_corrupt.txt" dse_published_total)" -eq 1 ]
 diff "$tdir/dse_cold.jsonl" "$tdir/dse_warm.jsonl"
 diff "$tdir/dse_cold.jsonl" "$tdir/dse_corrupt.jsonl"
-echo "dse streams are byte-identical (cold shards, warm, corrupted cell)"
+echo "dse streams are byte-identical (cold shards, warm, verified, corrupted cell)"
 
 echo "CI gate passed."
