@@ -27,7 +27,7 @@ use zfgan_tensor::gemm::MatmulKind;
 use zfgan_tensor::im2col::t_conv_via_gemm;
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
-    choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch,
+    choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch, SimdLevel,
 };
 use zfgan_tensor::zero_free::t_conv_zero_free;
 use zfgan_tensor::{t_conv, ConvBackend, ConvGeom, Fmaps, Fx, Kernels};
@@ -225,6 +225,68 @@ fn bench_dispatch_shapes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The distinct packed GEMM shapes of the two train workloads plus two
+/// wide ones, each with the floor its AVX-512-over-AVX2 paired ratio must
+/// hold: 1.2x where the pair tile has whole panel pairs and a long `k` to
+/// run over, "not slower" (0.97x) everywhere else — the single-panel
+/// `n = 16` shape and the 3-row shape are bound by streaming `A` and by
+/// the `B` pack, which the tile width does not touch.
+const WIDE_TILE_SHAPES: [(usize, usize, usize, f64); 9] = [
+    (256, 3200, 256, 1.2),
+    (64, 75, 4096, 1.2),
+    (512, 16, 6400, 0.97),
+    (256, 3200, 64, 0.97),
+    (128, 1600, 256, 0.97),
+    (64, 75, 1024, 0.97),
+    (3, 384, 1024, 0.97),
+    (512, 6400, 16, 0.97),
+    (64, 1024, 75, 0.97),
+];
+
+/// Gates the AVX-512 pair tile against the AVX2 tile, both through the
+/// explicit-level packed entry (scan + pack + tile, so the ratio is the
+/// one a train step sees). Skipped unless AVX-512 is the process level.
+fn gate_wide_tile() {
+    if simd_level() != SimdLevel::Avx512 {
+        println!("Wide-tile gate skipped (simd: {})", simd_label());
+        return;
+    }
+    let mut rng = SmallRng::seed_from_u64(25);
+    for (m, kk, n, floor) in WIDE_TILE_SHAPES {
+        let a: Vec<f32> = (0..m * kk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        // Enough calls a side that one timing is a few milliseconds.
+        let macs = (m * kk * n) as f64;
+        let reps = (1.0e8 / macs).ceil() as usize;
+        // One output and one pack scratch per side of the pair.
+        let side = |level: SimdLevel| {
+            let (mut out, mut scratch) = (vec![0.0f32; m * n], PackScratch::new());
+            let (a, b) = (&a, &b);
+            move || {
+                for _ in 0..reps {
+                    let packed = GemmPath::Packed;
+                    matmul_f32_path(level, packed, a, b, &mut out, m, kk, n, &mut scratch);
+                    std::hint::black_box(&mut out);
+                }
+            }
+        };
+        let mut wide = side(SimdLevel::Avx512);
+        let ratio = paired_ratio(PAIRED_ROUNDS, side(SimdLevel::Avx2Fma), &mut wide);
+        let t = std::time::Instant::now();
+        wide();
+        let gmacs = macs * reps as f64 / t.elapsed().as_secs_f64() / 1e9;
+        println!(
+            "Wide-tile gate {m}x{kk}x{n} (paired, {PAIRED_ROUNDS} rounds): avx512 {} over avx2 vs >={floor}x ({gmacs:.1} GMAC/s)",
+            fmt_x(ratio)
+        );
+        assert!(
+            ratio >= floor,
+            "AVX-512 tile at {} of the AVX2 tile on {m}x{kk}x{n}, below the {floor}x gate",
+            fmt_x(ratio)
+        );
+    }
+}
+
 /// Golden nest vs dense zero-inserted lowering vs compact zero-free
 /// lowering on the MNIST-GAN Generator layer (128×7×7 → 64×14×14).
 fn bench_t_conv_lowering(c: &mut Criterion) {
@@ -321,6 +383,7 @@ fn main() {
     let mut c = Criterion::default().measurement_time(Duration::from_millis(measurement_ms()));
     let batch_ratio = bench_matmul_kinds(&mut c);
     bench_dispatch_shapes(&mut c);
+    gate_wide_tile();
     bench_t_conv_lowering(&mut c);
     bench_trainer_backends(&mut c);
 
@@ -415,7 +478,7 @@ fn main() {
         simd_label()
     );
     assert!(
-        simd_label() != "avx2" || batch_ratio >= BATCH_FLOOR,
+        simd_level() == SimdLevel::Scalar || batch_ratio >= BATCH_FLOOR,
         "packed GEMM paired speedup {} fell below the {BATCH_FLOOR}x gate on the dense batch shape",
         fmt_x(batch_ratio)
     );
@@ -428,7 +491,7 @@ fn main() {
             simd_label()
         );
         assert!(
-            simd_label() != "avx2" || s >= need,
+            simd_level() == SimdLevel::Scalar || s >= need,
             "packed GEMM speedup {} fell below the {need}x gate for {id}",
             fmt_x(s)
         );
@@ -446,7 +509,7 @@ fn main() {
             simd_label()
         );
         assert!(
-            simd_label() != "avx2" || s >= need,
+            simd_level() == SimdLevel::Scalar || s >= need,
             "dispatched engine speedup {} fell below the {need}x gate for {id}",
             fmt_x(s)
         );

@@ -112,7 +112,8 @@ pub struct BenchRow {
     pub iters: u64,
     /// Worker threads the variant runs on.
     pub threads: usize,
-    /// Active SIMD kernel: `"avx2"` or `"scalar"` (`ZFGAN_NO_SIMD=1`).
+    /// Active SIMD level: `"avx512"`, `"avx2"` or `"scalar"`
+    /// (`ZFGAN_NO_SIMD=1`).
     pub simd: String,
     /// Speedup over the harness's baseline for this row (1.0 = baseline).
     pub speedup: f64,

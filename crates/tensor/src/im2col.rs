@@ -550,8 +550,11 @@ pub fn s_conv_via_gemm_ws<T: Num>(
     }
     let (oh, ow) = geom.down_out(input.height(), input.width());
     let kk = k.n_if() * k.kh() * k.kw();
-    let mut out = ws.take_fmaps(k.n_of(), oh, ow);
+    // Either way the maps are the first buffer taken: the workspace hands
+    // out best fits, so the order of takes decides which buffers grow.
+    let mut out;
     if mm.is_reference() {
+        out = ws.take_fmaps(k.n_of(), oh, ow);
         let lowered = im2col_s_ws(input, geom, ws);
         let mut wmat = ws.take_matrix(kk, k.n_of());
         fill_weights_as_matrix_s_ref(&mut wmat, k);
@@ -567,6 +570,8 @@ pub fn s_conv_via_gemm_ws<T: Num>(
         }
         ws.give_matrix(product);
     } else {
+        // The stored product overwrites every element: no zero fill.
+        out = Fmaps::from_vec(k.n_of(), oh, ow, ws.take_dirty(k.n_of() * oh * ow));
         let mut b = ws.take_matrix(kk, oh * ow);
         fill_im2col_s_transposed(&mut b, input, geom, oh, ow);
         let store = Product::Store(out.as_mut_slice());

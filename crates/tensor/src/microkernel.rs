@@ -16,15 +16,26 @@
 //!   masked panel is skipped without any per-element branch in the vector
 //!   loop — the paper's zero-free scheduling composed with SIMD instead of
 //!   defeated by it.
-//! * The **inner kernel** is explicit `std::arch` AVX2/FMA (f32: an
-//!   [`MR_F32`]`×`[`NR_F32`] register tile — 6 rows of `A` share every
-//!   8-lane `B` load, feeding 12 independent fused multiply–add chains;
-//!   Q8.8: 16-lane `i16` multiply with exact widened-`i32` rounding and
-//!   saturating accumulate) with a portable scalar fallback. The
-//!   implementation is
-//!   chosen **once** per process through a [`OnceLock`] kernel table:
-//!   `ZFGAN_NO_SIMD=1` forces the fallback, otherwise
-//!   `is_x86_feature_detected!` picks AVX2+FMA when the host has both.
+//! * The **inner kernel** is explicit `std::arch` SIMD with a portable
+//!   scalar fallback. f32 is an [`MR_F32`]-row register tile, one body
+//!   (`f32_simd_tile!`) instantiated per vector width — 6 rows of `A`
+//!   share every `B` load, feeding 12 independent fused multiply–add
+//!   chains:
+//!
+//!   | [`SimdLevel`] | tile | vectors of a row | registers (acc + `B` + broadcast) |
+//!   |---|---|---|---|
+//!   | `Avx2Fma` | 6×16 | 2 `ymm`: both halves of one [`NR_F32`] panel | 12 + 2 + 1 of 16 |
+//!   | `Avx512` | 6×32 | 2 `zmm`: one each from two *adjacent* panels | 12 + 2 + 2 of 32 |
+//!   | `Avx512`, odd last panel | 6×16 | 1 `zmm` | 6 + 1 + 1 of 32 |
+//!
+//!   The packed-`B` layout is the same for every level, so the wider tile
+//!   is a different walk over the same panels, not a different pack. Q8.8
+//!   (16-lane `i16` multiply with exact widened-`i32` rounding and
+//!   saturating accumulate) and the broadcast engines below have AVX2
+//!   bodies only, which every level from `Avx2Fma` up runs. The level is
+//!   chosen **once** per process ([`simd_level`]): `ZFGAN_NO_SIMD=1`
+//!   forces the fallback, otherwise `is_x86_feature_detected!` picks the
+//!   widest of AVX2+FMA and AVX-512F the host has.
 //!
 //! # Shape-aware dispatch
 //!
@@ -73,8 +84,10 @@
 //! The packed f32 kernel defines its **own fixed accumulation order**: per
 //! output element a single fused-multiply-add chain over `k` ascending.
 //! The scalar fallback uses [`f32::mul_add`] — IEEE-754 correctly-rounded,
-//! the same operation as one AVX2 `vfmadd` lane — so SIMD and no-SIMD
-//! produce **bit-identical** results by construction, and any zero term
+//! the same operation as one `vfmadd` lane at either vector width — so
+//! every [`SimdLevel`] produces **bit-identical** results by construction
+//! (a wider tile only changes which lanes run side by side, never the
+//! order within one element's chain), and any zero term
 //! may be skipped at any granularity without changing bits
 //! (`fma(0, b, acc) = acc` exactly for finite `b`). Row partitioning for
 //! the pooled kernel therefore cannot change results either: panels run
@@ -101,14 +114,15 @@ use crate::num::Num;
 pub const KP: usize = 8;
 
 /// f32 column-panel width: 8 AVX2 lanes × 2 accumulator vectors per row
-/// of the register tile.
+/// of the register tile, or one 16-lane AVX-512 vector (whose tile spans
+/// two panels).
 pub const NR_F32: usize = 16;
 
 /// f32 register-tile height: [`MR_F32`] rows of `A` share every packed-`B`
 /// load, giving `MR_F32 × 2` = 12 independent FMA chains (comfortably
 /// past the ~8–10 needed to hide fused-add latency on two FMA ports) from
-/// just 2 loads + 6 broadcasts per `k`-step. With the 2 `B` vectors and
-/// the broadcast register that is 15 of the 16 ymm registers.
+/// just 2 loads + 6 broadcasts per `k`-step. The module docs' tile table
+/// has the register budget per level.
 pub const MR_F32: usize = 6;
 
 /// Q8.8 column-panel width: 16 `i16` lanes × 2 saturating accumulator
@@ -131,65 +145,72 @@ const _: () = assert!(
     "chunks must start on a mask-panel boundary"
 );
 
-/// Which inner kernel the process selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which inner kernel the process selected. Ordered by what the level
+/// may execute: every level runs the bodies of the levels below it, so the
+/// selectors that have no wider body of their own (ikj, axpy, Q8.8) ask
+/// `level >= Avx2Fma`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Explicit AVX2 + FMA `std::arch` kernels.
-    Avx2Fma,
     /// Portable scalar fallback (`f32::mul_add` / scalar `i32` lanes) —
     /// bit-identical to the SIMD kernels by construction.
     Scalar,
+    /// Explicit AVX2 + FMA `std::arch` kernels.
+    Avx2Fma,
+    /// AVX-512F on top of AVX2 + FMA: the packed f32 tile runs 16-lane
+    /// vectors over pairs of adjacent `B` panels; every other engine keeps
+    /// its AVX2 body.
+    Avx512,
+}
+
+impl SimdLevel {
+    /// `Scalar`, then each level this host verifies, ascending — what a
+    /// bit-equality test must cover (the process-selected [`simd_level`]
+    /// alone would leave AVX2 unexercised on an AVX-512 host).
+    pub fn supported() -> impl Iterator<Item = SimdLevel> {
+        let top = detect_level();
+        [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512]
+            .into_iter()
+            .filter(move |&level| level <= top)
+    }
+
+    /// The feature tag the bench JSON records carry.
+    pub fn label(self) -> &'static str {
+        match self {
+            SimdLevel::Scalar => "scalar",
+            SimdLevel::Avx2Fma => "avx2",
+            SimdLevel::Avx512 => "avx512",
+        }
+    }
 }
 
 /// Inner-kernel signatures. f32 runs an [`MR_F32`]-row register tile
 /// (see [`F32Tile`]); Q8.8 runs one row's `k`-chunk at a time:
 /// `(a_chunk, masks_row, panel0, packed_chunk, out, w, accumulate)`,
 /// continuing the accumulation already in `out` when `accumulate` is set.
-/// The pointers are `unsafe fn` because the AVX2 entries require the
-/// features the table verified at selection time; the scalar entries
-/// coerce in safely.
+/// The pointers are `unsafe fn` because the SIMD entries require the
+/// features [`detect_level`] verified at selection time; the scalar
+/// entries coerce in safely.
 type F32TileFn = unsafe fn(&F32Tile, &mut [f32]);
 type FxPanelFn = unsafe fn(&[i16], &[u64], usize, &[i16], &mut [i16], usize, bool);
 
-/// The kernel table: the selected level and its bench label, fixed once
-/// per process, then only read. [`f32_tile_for`] / [`fx_panel_for`] map
-/// the level onto the inner-kernel pointers.
-#[derive(Debug)]
-struct KernelTable {
-    level: SimdLevel,
-    label: &'static str,
-}
+/// The selected level, fixed once per process, then only read.
+/// [`f32_tile_for`] / [`fx_panel_for`] map a level onto the inner-kernel
+/// pointers.
+static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
 
-static KERNELS: OnceLock<KernelTable> = OnceLock::new();
-
-fn kernel_table() -> &'static KernelTable {
-    KERNELS.get_or_init(|| {
-        let forced_off = std::env::var("ZFGAN_NO_SIMD")
-            .map(|v| !v.trim().is_empty() && v.trim() != "0")
-            .unwrap_or(false);
-        let level = if forced_off {
-            SimdLevel::Scalar
-        } else {
-            detect_level()
-        };
-        let label = match level {
-            SimdLevel::Avx2Fma => "avx2",
-            SimdLevel::Scalar => "scalar",
-        };
-        KernelTable { level, label }
-    })
-}
-
-/// Resolves the f32 tile kernel for a level. The process-selected level
+/// Resolves the f32 tile kernel for a level, and whether its tiles take
+/// pairs of adjacent [`NR_F32`] panels. The process-selected level
 /// always resolves to a kernel whose feature requirements were verified
-/// by [`kernel_table`].
-fn f32_tile_for(level: SimdLevel) -> F32TileFn {
+/// by [`detect_level`].
+fn f32_tile_for(level: SimdLevel) -> (F32TileFn, bool) {
     match level {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => f32_tile_avx2,
+        SimdLevel::Avx512 => (f32_tile_avx512, true),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => (f32_tile_avx2, false),
         #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2Fma => f32_tile_scalar,
-        SimdLevel::Scalar => f32_tile_scalar,
+        SimdLevel::Avx512 | SimdLevel::Avx2Fma => (f32_tile_scalar, false),
+        SimdLevel::Scalar => (f32_tile_scalar, false),
     }
 }
 
@@ -197,19 +218,19 @@ fn f32_tile_for(level: SimdLevel) -> F32TileFn {
 fn fx_panel_for(level: SimdLevel) -> FxPanelFn {
     match level {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => fx_row_panel_avx2,
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2Fma => fx_row_panel_scalar,
-        SimdLevel::Scalar => fx_row_panel_scalar,
+        l if l >= SimdLevel::Avx2Fma => fx_row_panel_avx2,
+        _ => fx_row_panel_scalar,
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 fn detect_level() -> SimdLevel {
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        SimdLevel::Avx2Fma
-    } else {
+    if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
         SimdLevel::Scalar
+    } else if is_x86_feature_detected!("avx512f") {
+        SimdLevel::Avx512
+    } else {
+        SimdLevel::Avx2Fma
     }
 }
 
@@ -222,12 +243,22 @@ fn detect_level() -> SimdLevel {
 /// `ZFGAN_NO_SIMD=1` and runtime feature detection), fixed for the
 /// process lifetime.
 pub fn simd_level() -> SimdLevel {
-    kernel_table().level
+    *LEVEL.get_or_init(|| {
+        let forced_off = std::env::var("ZFGAN_NO_SIMD")
+            .map(|v| !v.trim().is_empty() && v.trim() != "0")
+            .unwrap_or(false);
+        if forced_off {
+            SimdLevel::Scalar
+        } else {
+            detect_level()
+        }
+    })
 }
 
-/// `"avx2"` or `"scalar"` — the feature tag the bench JSON records carry.
+/// `"avx512"`, `"avx2"` or `"scalar"` — [`SimdLevel::label`] of the
+/// process-selected level.
 pub fn simd_label() -> &'static str {
-    kernel_table().label
+    simd_level().label()
 }
 
 /// Which GEMM engine the shape/density dispatch selected for one call
@@ -525,20 +556,19 @@ enum TileOut {
 }
 
 /// One f32 register-tile task: up to [`MR_F32`] consecutive rows of `A`
-/// against one `klen`-deep, [`NR_F32`]-wide chunk of `B`; `out` says how
-/// the chain starts and where it ends.
+/// against the `klen`-deep chunks of one packed `B` panel, or of two
+/// adjacent ones; `out` says how the chain starts and where it ends.
 ///
 /// `a_rows`, `masks` and the output slice all cover the same row range
 /// (`i0` is relative to it); `kc0`/`klen` select the `k`-chunk and
 /// `panel0` is the absolute mask-panel index of its first (KP-aligned)
-/// panel. `bstride` is the distance between consecutive `k` rows of
-/// `bchunk`: [`NR_F32`] for packed panels, the matrix row stride `n` when
-/// the small-`m` driver runs the tile over unpacked `B` directly.
+/// panel. `bchunks[p]` holds rows `kc0..kc0 + klen` of column panel
+/// `j0 / NR_F32 + p`, [`NR_F32`] words a row; `bchunks[1]` is empty for a
+/// one-panel tile. `w` counts the live output columns from `j0`.
 struct F32Tile<'a> {
     a_rows: &'a [f32],
     masks: &'a [u64],
-    bchunk: &'a [f32],
-    bstride: usize,
+    bchunks: [&'a [f32]; 2],
     kk: usize,
     wpr: usize,
     i0: usize,
@@ -574,7 +604,7 @@ fn f32_tile_scalar(t: &F32Tile, out_rows: &mut [f32]) {
         let k0 = p * KP;
         let k1 = (k0 + KP).min(t.klen);
         for k in k0..k1 {
-            let b_row = &t.bchunk[k * t.bstride..k * t.bstride + t.w];
+            let b_row = &t.bchunks[0][k * NR_F32..k * NR_F32 + t.w];
             for (r, acc_r) in acc.iter_mut().enumerate().take(t.rows) {
                 let av = t.a_rows[(t.i0 + r) * t.kk + t.kc0 + k];
                 if av == 0.0 {
@@ -598,118 +628,178 @@ fn f32_tile_scalar(t: &F32Tile, out_rows: &mut [f32]) {
     }
 }
 
-/// AVX2/FMA f32 tile kernel: dispatches on the tile's row count so each
-/// variant keeps its `R × 2` accumulator vectors in registers.
+/// The SIMD f32 tile, one body per vector width: `$entry` is the level's
+/// [`F32TileFn`], `$body::<R, NV>` the `R`-row tile with `NV` vectors of
+/// `$lanes` lanes per row — two, or `[$single]` where that many span a
+/// tile's only panel (`[]`: never). Every `k`-step loads the `NV` `B`
+/// vectors once and feeds `R` broadcast `vfmadd`s each — `NV·R`
+/// independent chains, `k` ascending. The levels differ only in where
+/// vector `j` of a row loads from: tile column `j·$lanes` is lane
+/// `j·$lanes mod NR_F32` of panel chunk `j·$lanes / NR_F32` (AVX2: both
+/// halves of one panel; AVX-512: one panel each). Lane-for-lane the same
+/// operation sequence as [`f32_tile_scalar`] minus its (bit-neutral)
+/// per-element zero skip: a row whose word is zero contributes
+/// `fma(0, b, acc) = acc` exactly. The [`TileOut::AddTo`] epilogue is one
+/// `vaddps(out, chain)` per vector — the scalar tile's `out + chain`,
+/// operand order included.
 ///
-/// # Safety
+/// # Safety (both functions)
 ///
-/// Caller must have verified `avx2` and `fma` are available.
+/// Caller must have verified `$feat`. Everything else is checked here:
+/// the tile's rows, `A` chunk and output strip are sliced (bounds-checked)
+/// before any pointer is taken from them, and every `B` chunk a vector
+/// reads is asserted to hold [`NR_F32`] words at each of the `klen` rows
+/// (every `k`-step loads full width regardless of `t.w`; packed panels pad
+/// their tails).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn f32_tile_avx2(t: &F32Tile, out_rows: &mut [f32]) {
-    match t.rows {
-        6 => f32_tile_avx2_rows::<6>(t, out_rows),
-        5 => f32_tile_avx2_rows::<5>(t, out_rows),
-        4 => f32_tile_avx2_rows::<4>(t, out_rows),
-        3 => f32_tile_avx2_rows::<3>(t, out_rows),
-        2 => f32_tile_avx2_rows::<2>(t, out_rows),
-        _ => f32_tile_avx2_rows::<1>(t, out_rows),
-    }
+macro_rules! f32_simd_tile {
+    ($entry:ident, $body:ident, $feat:literal, $lanes:literal, [$($single:literal)?],
+     $zero:ident, $load:ident, $splat:ident, $fma:ident, $add:ident, $store:ident) => {
+        #[target_feature(enable = $feat)]
+        unsafe fn $entry(t: &F32Tile, out_rows: &mut [f32]) {
+            macro_rules! by_rows {
+                ($nv:literal) => {
+                    match t.rows {
+                        6 => $body::<6, $nv>(t, out_rows),
+                        5 => $body::<5, $nv>(t, out_rows),
+                        4 => $body::<4, $nv>(t, out_rows),
+                        3 => $body::<3, $nv>(t, out_rows),
+                        2 => $body::<2, $nv>(t, out_rows),
+                        _ => $body::<1, $nv>(t, out_rows),
+                    }
+                };
+            }
+            // Where `$single` vectors already span a panel, a tile with
+            // only one takes them; two vectors per row otherwise.
+            $(if t.bchunks[1].is_empty() {
+                return by_rows!($single);
+            })?
+            by_rows!(2)
+        }
+
+        #[target_feature(enable = $feat)]
+        unsafe fn $body<const R: usize, const NV: usize>(t: &F32Tile, out_rows: &mut [f32]) {
+            use std::arch::x86_64::*;
+            const L: usize = $lanes;
+            // A row spans at most the two chunks; no vector straddles them.
+            const { assert!(NV * L <= 2 * NR_F32 && NR_F32 % L == 0) };
+            assert!(R <= t.rows && t.w <= NV * L, "tile shape");
+            let out_at = |r: usize| (t.i0 + r) * t.n + t.j0;
+            // Vector `j`'s column of `B`: `NR_F32 - L` words into its
+            // chunk at most, so a full-width load at row `k < klen` ends
+            // inside the `klen · NR_F32` words asserted here (`min`: the
+            // empty chunk of a `klen = 0` tile has no such offset).
+            let mut bcol = [std::ptr::null::<f32>(); NV];
+            for (j, col) in bcol.iter_mut().enumerate() {
+                let chunk = t.bchunks[j * L / NR_F32];
+                assert!(
+                    chunk.len() >= t.klen * NR_F32,
+                    "B chunk shorter than the tile's k range"
+                );
+                *col = chunk[(j * L % NR_F32).min(chunk.len())..].as_ptr();
+            }
+            let mut acc = [[$zero(); NV]; R];
+            if t.out == TileOut::Resume {
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let mut lanes = [0.0f32; 2 * NR_F32];
+                    lanes[..t.w].copy_from_slice(&out_rows[out_at(r)..][..t.w]);
+                    for (j, v) in acc_r.iter_mut().enumerate() {
+                        // SAFETY: `lanes` holds `2·NR_F32 >= NV·L` floats
+                        // (const-asserted): vector `j` loads inside it.
+                        *v = $load(lanes.as_ptr().add(j * L));
+                    }
+                }
+            }
+            // Hoist the per-row `A` chunk base pointers and mask-row slices
+            // out of the k loop. Each pointer comes from a slice of exactly
+            // `klen` words. (Plain loops, here and for `bcol`: a closure in
+            // a `target_feature` function is a real call from the
+            // feature-less `array::from_fn`, once per element per tile.)
+            let (mut arow, mut mrow) = ([std::ptr::null::<f32>(); R], [&t.masks[..0]; R]);
+            for (r, (ar, mr)) in arow.iter_mut().zip(&mut mrow).enumerate() {
+                *ar = t.a_rows[(t.i0 + r) * t.kk + t.kc0..][..t.klen].as_ptr();
+                *mr = &t.masks[(t.i0 + r) * t.wpr..];
+            }
+            for p in 0..t.klen.div_ceil(KP) {
+                let mut all_masked = true;
+                for mr in &mrow {
+                    all_masked &= mask_hit(mr, t.panel0 + p);
+                }
+                if all_masked {
+                    continue;
+                }
+                let k0 = p * KP;
+                for k in k0..(k0 + KP).min(t.klen) {
+                    let mut bv = [$zero(); NV];
+                    for (v, col) in bv.iter_mut().zip(bcol) {
+                        // SAFETY: `k < klen`, so `col + k·NR_F32` has `L`
+                        // readable words (see `bcol`).
+                        *v = $load(col.add(k * NR_F32));
+                    }
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        // SAFETY: `arow[r]` points at `klen` words, `k < klen`.
+                        let av = $splat(*arow[r].add(k));
+                        for (a, &b) in acc_r.iter_mut().zip(&bv) {
+                            *a = $fma(av, b, *a);
+                        }
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                let o = &mut out_rows[out_at(r)..][..t.w];
+                for (j, &chain) in acc_r.iter().enumerate() {
+                    let lo = (j * L).min(t.w);
+                    if let Some(full) = o.get_mut(lo..lo + L) {
+                        let mut v = chain;
+                        // SAFETY: `full` is exactly `L` floats: one load
+                        // and one store stay inside it.
+                        if t.out == TileOut::AddTo {
+                            v = $add($load(full.as_ptr()), v);
+                        }
+                        $store(full.as_mut_ptr(), v);
+                    } else {
+                        // The ragged tail vector (or one wholly past `w`).
+                        let mut lanes = [0.0f32; L];
+                        // SAFETY: `lanes` is `L` floats: one vector store.
+                        $store(lanes.as_mut_ptr(), chain);
+                        for (ov, &v) in o[lo..].iter_mut().zip(&lanes) {
+                            *ov = if t.out == TileOut::AddTo { *ov + v } else { v };
+                        }
+                    }
+                }
+            }
+        }
+    };
 }
 
-/// The `R`-row AVX2/FMA tile body: every `k`-step loads the two `B`
-/// vectors once and feeds `R` broadcast `vfmadd`s — `2·R` independent
-/// chains, `k` ascending. Lane-for-lane the same operation sequence as
-/// [`f32_tile_scalar`] minus its (bit-neutral) per-element zero skip: a
-/// row whose word is zero contributes `fma(0, b, acc) = acc` exactly. The
-/// [`TileOut::AddTo`] epilogue is one `vaddps(out, chain)` per vector —
-/// the scalar tile's `out + chain`, operand order included.
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` and `fma` are available. Everything
-/// else is checked here: the tile's rows, `A` chunk and output strip are
-/// sliced (bounds-checked) before any pointer is taken from them, and the
-/// `B` chunk is asserted to hold [`NR_F32`] readable words at every
-/// `k·bstride` (every `k`-step loads full width regardless of `t.w`;
-/// packed panels pad their tails).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn f32_tile_avx2_rows<const R: usize>(t: &F32Tile, out_rows: &mut [f32]) {
-    use std::arch::x86_64::*;
-    assert!(R <= t.rows && t.w <= NR_F32, "tile shape");
-    assert!(
-        t.klen == 0 || t.bchunk.len() >= (t.klen - 1) * t.bstride + NR_F32,
-        "B chunk shorter than the tile's k range"
-    );
-    let out_at = |r: usize| (t.i0 + r) * t.n + t.j0;
-    let mut acc = [[_mm256_setzero_ps(); NR_F32 / 8]; R];
-    if t.out == TileOut::Resume {
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let mut lanes = [0.0f32; NR_F32];
-            lanes[..t.w].copy_from_slice(&out_rows[out_at(r)..][..t.w]);
-            // SAFETY: `lanes` is NR_F32 = 16 floats: two 8-lane loads.
-            acc_r[0] = _mm256_loadu_ps(lanes.as_ptr());
-            acc_r[1] = _mm256_loadu_ps(lanes.as_ptr().add(8));
-        }
-    }
-    // Hoist the per-row `A` chunk base pointers and mask-row slices out of
-    // the k loop. Each pointer comes from a slice of exactly `klen` words.
-    let arow: [*const f32; R] =
-        std::array::from_fn(|r| t.a_rows[(t.i0 + r) * t.kk + t.kc0..][..t.klen].as_ptr());
-    let mrow: [&[u64]; R] = std::array::from_fn(|r| &t.masks[(t.i0 + r) * t.wpr..]);
-    let n_panels = t.klen.div_ceil(KP);
-    for p in 0..n_panels {
-        let mut all_masked = true;
-        for mr in &mrow {
-            all_masked &= mask_hit(mr, t.panel0 + p);
-        }
-        if all_masked {
-            continue;
-        }
-        let k0 = p * KP;
-        let k1 = (k0 + KP).min(t.klen);
-        for k in k0..k1 {
-            // SAFETY: `k < klen`, and the assert above guarantees NR_F32
-            // readable words at `k·bstride`.
-            let base = t.bchunk.as_ptr().add(k * t.bstride);
-            let b0 = _mm256_loadu_ps(base);
-            let b1 = _mm256_loadu_ps(base.add(8));
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                // SAFETY: `arow[r]` points at `klen` words and `k < klen`.
-                let av = _mm256_set1_ps(*arow[r].add(k));
-                acc_r[0] = _mm256_fmadd_ps(av, b0, acc_r[0]);
-                acc_r[1] = _mm256_fmadd_ps(av, b1, acc_r[1]);
-            }
-        }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        let o = &mut out_rows[out_at(r)..][..t.w];
-        if t.w == NR_F32 {
-            let (mut v0, mut v1) = (acc_r[0], acc_r[1]);
-            // SAFETY: `o` was just sliced to exactly NR_F32 = 16 floats:
-            // two 8-lane loads and two 8-lane stores stay inside it.
-            if t.out == TileOut::AddTo {
-                v0 = _mm256_add_ps(_mm256_loadu_ps(o.as_ptr()), v0);
-                v1 = _mm256_add_ps(_mm256_loadu_ps(o.as_ptr().add(8)), v1);
-            }
-            _mm256_storeu_ps(o.as_mut_ptr(), v0);
-            _mm256_storeu_ps(o.as_mut_ptr().add(8), v1);
-        } else {
-            let mut lanes = [0.0f32; NR_F32];
-            // SAFETY: `lanes` is NR_F32 = 16 floats: two 8-lane stores.
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc_r[0]);
-            _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc_r[1]);
-            if t.out == TileOut::AddTo {
-                for (ov, &v) in o.iter_mut().zip(&lanes) {
-                    *ov += v;
-                }
-            } else {
-                o.copy_from_slice(&lanes[..t.w]);
-            }
-        }
-    }
-}
+f32_simd_tile!(
+    f32_tile_avx2,
+    f32_tile_avx2_rows,
+    "avx2,fma",
+    8,
+    [],
+    _mm256_setzero_ps,
+    _mm256_loadu_ps,
+    _mm256_set1_ps,
+    _mm256_fmadd_ps,
+    _mm256_add_ps,
+    _mm256_storeu_ps
+);
+#[cfg(target_arch = "x86_64")]
+f32_simd_tile!(
+    f32_tile_avx512,
+    f32_tile_avx512_rows,
+    "avx512f",
+    16,
+    [1],
+    _mm512_setzero_ps,
+    _mm512_loadu_ps,
+    _mm512_set1_ps,
+    _mm512_fmadd_ps,
+    _mm512_add_ps,
+    _mm512_storeu_ps
+);
 
 /// Row-block height for the cache loop when a `k`-chunk of packed `B` is
 /// too large to stay cache-resident: inside the chunk, [`MC`] rows of `A`
@@ -802,19 +892,34 @@ pub fn f32_rows(
         epilogue == Epilogue::Store || kk <= KC,
         "the accumulate epilogue needs the whole chain in one k-chunk"
     );
-    let kernel = f32_tile_for(level);
+    let (kernel, pairs) = f32_tile_for(level);
+    let chunk_of = |jp: usize, kc0: usize, kc1: usize| {
+        let base = jp * kk * NR_F32;
+        &packed_b[base + kc0 * NR_F32..base + kc1 * NR_F32]
+    };
     for_each_tile(
         (m, kk, n_jp),
         NR_F32 * std::mem::size_of::<f32>(),
         MR_F32,
         |kc0, kc1, jp, i0, rows| {
+            // A pair tile starts at every even panel and takes the odd one
+            // behind it along; an odd last panel runs alone.
+            if pairs && jp % 2 == 1 {
+                return;
+            }
             let j0 = jp * NR_F32;
-            let base = jp * kk * NR_F32;
+            let paired = pairs && jp + 1 < n_jp;
             let tile = F32Tile {
                 a_rows,
                 masks,
-                bchunk: &packed_b[base + kc0 * NR_F32..base + kc1 * NR_F32],
-                bstride: NR_F32,
+                bchunks: [
+                    chunk_of(jp, kc0, kc1),
+                    if paired {
+                        chunk_of(jp + 1, kc0, kc1)
+                    } else {
+                        &[]
+                    },
+                ],
                 kk,
                 wpr,
                 i0,
@@ -824,7 +929,7 @@ pub fn f32_rows(
                 panel0: kc0 / KP,
                 n,
                 j0,
-                w: (n - j0).min(NR_F32),
+                w: (n - j0).min(if paired { 2 * NR_F32 } else { NR_F32 }),
                 out: match epilogue {
                     Epilogue::Accumulate => TileOut::AddTo,
                     Epilogue::Store if kc0 > 0 => TileOut::Resume,
@@ -832,8 +937,9 @@ pub fn f32_rows(
                 },
             };
             // SAFETY: `f32_tile_for` only returns a feature-gated kernel
-            // for `Avx2Fma`, which is only selected (or passed by tests)
-            // after `is_x86_feature_detected!` verified avx2+fma.
+            // for a SIMD level, which is only selected (or handed to tests
+            // by `SimdLevel::supported`) after `detect_level` verified its
+            // features.
             unsafe { kernel(&tile, out_rows) };
         },
     );
@@ -847,10 +953,8 @@ type F32AxpyFn = unsafe fn(f32, &[f32], &mut [f32]);
 fn f32_axpy_for(level: SimdLevel) -> F32AxpyFn {
     match level {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => f32_axpy_avx2,
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2Fma => f32_axpy_scalar,
-        SimdLevel::Scalar => f32_axpy_scalar,
+        l if l >= SimdLevel::Avx2Fma => f32_axpy_avx2,
+        _ => f32_axpy_scalar,
     }
 }
 
@@ -929,9 +1033,10 @@ pub fn f32_ikj_rows(
     out_rows.fill(0.0);
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the kernel table only selects Avx2Fma after verifying
-        // the features (see `f32_rows`); lengths were just asserted.
-        SimdLevel::Avx2Fma => unsafe {
+        // SAFETY: a level from `Avx2Fma` up is only selected after
+        // `detect_level` verified avx2+fma (see `f32_rows`); lengths were
+        // just asserted.
+        l if l >= SimdLevel::Avx2Fma => unsafe {
             f32_ikj_rows_avx2(a_rows, masks, wpr, b, out_rows, m, kk, n)
         },
         _ => {
@@ -1322,10 +1427,8 @@ type FxAxpyFn = unsafe fn(i16, &[i16], &mut [i16]);
 fn fx_axpy_for(level: SimdLevel) -> FxAxpyFn {
     match level {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => fx_axpy_avx2,
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2Fma => fx_axpy_scalar,
-        SimdLevel::Scalar => fx_axpy_scalar,
+        l if l >= SimdLevel::Avx2Fma => fx_axpy_avx2,
+        _ => fx_axpy_scalar,
     }
 }
 
@@ -1501,8 +1604,9 @@ pub(crate) fn ikj_tile_packed<T: Num>(
             };
             match simd_level() {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: the level is only Avx2Fma after feature detection.
-                SimdLevel::Avx2Fma => unsafe {
+                // SAFETY: a level from `Avx2Fma` up is only selected after
+                // `detect_level` verified avx2+fma.
+                l if l >= SimdLevel::Avx2Fma => unsafe {
                     f32_ikj_tile_avx2(af, masks, wpr, bf, of, m, kk, n, kb, kend)
                 },
                 _ => f32_ikj_tile_scalar(af, masks, wpr, bf, of, m, kk, n, kb, kend),
@@ -1994,6 +2098,10 @@ mod tests {
         out
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn f32_levels_are_bit_identical_and_match_the_fused_chain() {
         let mut rng = SmallRng::seed_from_u64(91);
@@ -2009,35 +2117,10 @@ mod tests {
             let b = random_f32(kk * n, 0.1, &mut rng);
             let reference = fused_reference(&a, &b, m, kk, n);
             let mut scratch = PackScratch::new();
-            let mut out_s = vec![0.0f32; m * n];
-            matmul_f32_at(
-                SimdLevel::Scalar,
-                &a,
-                &b,
-                &mut out_s,
-                m,
-                kk,
-                n,
-                &mut scratch,
-            );
-            assert_eq!(reference, out_s, "scalar {m}x{kk}x{n}");
-            if detect_level() == SimdLevel::Avx2Fma {
-                let mut out_v = vec![0.0f32; m * n];
-                matmul_f32_at(
-                    SimdLevel::Avx2Fma,
-                    &a,
-                    &b,
-                    &mut out_v,
-                    m,
-                    kk,
-                    n,
-                    &mut scratch,
-                );
-                let same = out_s
-                    .iter()
-                    .zip(&out_v)
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "avx2 diverged from scalar on {m}x{kk}x{n}");
+            for level in SimdLevel::supported() {
+                let mut out = vec![0.0f32; m * n];
+                matmul_f32_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
+                assert_eq!(bits(&reference), bits(&out), "{level:?} {m}x{kk}x{n}");
             }
         }
     }
@@ -2065,7 +2148,7 @@ mod tests {
             let mut scratch = PackScratch::new();
             build_masks(&a, m, kk, &mut scratch.masks);
             pack_b::<_, NR_F32>(&b, kk, n, &mut scratch.bf32);
-            for level in [SimdLevel::Scalar, detect_level()] {
+            for level in SimdLevel::supported() {
                 let mut out = held.clone();
                 let add = Epilogue::Accumulate;
                 f32_rows(
@@ -2078,8 +2161,7 @@ mod tests {
                     n,
                     add,
                 );
-                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "{level:?} {m}x{kk}x{n}");
+                assert_eq!(bits(&out), want, "{level:?} {m}x{kk}x{n}");
             }
         }
         assert!(epilogue_accumulates(PackedKind::F32, GemmPath::Packed, KC));
@@ -2139,6 +2221,127 @@ mod tests {
         );
     }
 
+    /// The distinct packed GEMM shapes of the two train workloads (DCGAN
+    /// and MNIST-GAN; `n = 33` adds an odd panel count), on every level the
+    /// host has: the AVX-512 pair tile, its one-panel variant on the odd
+    /// last panel and on the `n = 16` shapes, ragged second panels
+    /// (`n = 75`), and multi-chunk resumes. `Accumulate` runs where the
+    /// chain fits one chunk.
+    #[test]
+    fn train_step_shapes_are_bit_identical_on_every_level() {
+        let mut rng = SmallRng::seed_from_u64(96);
+        for (m, kk, n) in [
+            (512, 16, 6400),
+            (256, 3200, 64),
+            (128, 1600, 256),
+            (64, 75, 1024),
+            (3, 384, 1024),
+            (512, 6400, 16),
+            (64, 1024, 75),
+            (7, 40, 33),
+        ] {
+            // Zeros in `A` only thin the scalar level's work (it skips
+            // them one by one; no whole 6-row panel ever masks out here).
+            let a = random_f32(m * kk, 0.7, &mut rng);
+            let b = random_f32(kk * n, 0.0, &mut rng);
+            let held = random_f32(m * n, 0.0, &mut rng);
+            let mut scratch = PackScratch::new();
+            build_masks(&a, m, kk, &mut scratch.masks);
+            pack_b::<_, NR_F32>(&b, kk, n, &mut scratch.bf32);
+            let mut epilogues = vec![Epilogue::Store];
+            if epilogue_accumulates(PackedKind::F32, GemmPath::Packed, kk) {
+                epilogues.push(Epilogue::Accumulate);
+            }
+            for epilogue in epilogues {
+                let mut want: Option<Vec<u32>> = None;
+                for level in SimdLevel::supported() {
+                    let mut out = held.clone();
+                    f32_rows(
+                        level,
+                        &a,
+                        &scratch.masks,
+                        &scratch.bf32,
+                        &mut out,
+                        kk,
+                        n,
+                        epilogue,
+                    );
+                    let got = bits(&out);
+                    let want = want.get_or_insert_with(|| got.clone());
+                    assert!(*want == got, "{level:?} {epilogue:?} {m}x{kk}x{n}");
+                }
+            }
+        }
+    }
+
+    /// A chain that spans `k`-chunks resumes from the output through the
+    /// pair tile's ragged second panel (`n = 27`: 16 + 11 columns) and
+    /// through a ragged pair behind a full one (`n = 59`).
+    #[test]
+    fn multi_chunk_resume_through_a_ragged_second_panel() {
+        let mut rng = SmallRng::seed_from_u64(97);
+        for (m, kk, n) in [(7, KC + 100, 27), (13, 2 * KC + 5, 59)] {
+            let a = random_f32(m * kk, 0.5, &mut rng);
+            let b = random_f32(kk * n, 0.1, &mut rng);
+            let reference = bits(&fused_reference(&a, &b, m, kk, n));
+            let mut scratch = PackScratch::new();
+            for level in SimdLevel::supported() {
+                let mut out = vec![f32::NAN; m * n];
+                let packed = GemmPath::Packed;
+                matmul_f32_path(level, packed, &a, &b, &mut out, m, kk, n, &mut scratch);
+                assert!(reference == bits(&out), "{level:?} {m}x{kk}x{n}");
+            }
+        }
+    }
+
+    /// Every SIMD tile this host has checks each `B` chunk it takes a
+    /// pointer into — the pair tile its second panel's chunk too. (The
+    /// scalar tile slices what it reads; a scalar-only host has no level to
+    /// loop over.)
+    #[test]
+    fn simd_tiles_reject_a_last_b_chunk_one_word_short() {
+        let (rows, klen) = (MR_F32, 2 * KP);
+        let a = vec![1.0f32; rows * klen];
+        let mut masks = Vec::new();
+        build_masks(&a, rows, klen, &mut masks);
+        let chunk = vec![1.0f32; klen * NR_F32];
+        for level in SimdLevel::supported().filter(|&l| l > SimdLevel::Scalar) {
+            let (kernel, pairs) = f32_tile_for(level);
+            let span = if pairs { 2 } else { 1 };
+            let mut bchunks: [&[f32]; 2] = [&chunk, &[]];
+            bchunks[span - 1] = &chunk[..chunk.len() - 1];
+            let n = span * NR_F32;
+            let tile = F32Tile {
+                a_rows: &a,
+                masks: &masks,
+                bchunks,
+                kk: klen,
+                wpr: mask_geometry(klen).1,
+                i0: 0,
+                rows,
+                kc0: 0,
+                klen,
+                panel0: 0,
+                n,
+                j0: 0,
+                w: n,
+                out: TileOut::Overwrite,
+            };
+            let mut out = vec![0.0f32; rows * n];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // SAFETY: `supported` verified the kernel's features.
+                unsafe { kernel(&tile, &mut out) }
+            }));
+            let payload = caught.expect_err("a short B chunk must be refused");
+            let msg = payload.downcast_ref::<&str>().copied();
+            assert_eq!(
+                msg,
+                Some("B chunk shorter than the tile's k range"),
+                "{level:?}"
+            );
+        }
+    }
+
     #[test]
     fn fx_levels_match_scalar_fx_semantics_bit_for_bit() {
         let mut rng = SmallRng::seed_from_u64(92);
@@ -2168,7 +2371,7 @@ mod tests {
                 }
             }
             let mut scratch = PackScratch::new();
-            for level in [SimdLevel::Scalar, detect_level()] {
+            for level in SimdLevel::supported() {
                 let mut out = vec![0i16; m * n];
                 matmul_fx_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
                 assert_eq!(reference, out, "{level:?} {m}x{kk}x{n}");
@@ -2245,7 +2448,7 @@ mod tests {
             let reference = fused_reference(&a, &b, m, kk, n);
             let mut scratch = PackScratch::new();
             for path in ALL_PATHS {
-                for level in [SimdLevel::Scalar, detect_level()] {
+                for level in SimdLevel::supported() {
                     let mut out = vec![0.0f32; m * n];
                     matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
                     let same = reference
@@ -2286,7 +2489,7 @@ mod tests {
             }
             let mut scratch = PackScratch::new();
             for path in ALL_PATHS {
-                for level in [SimdLevel::Scalar, detect_level()] {
+                for level in SimdLevel::supported() {
                     let mut out = vec![0i16; m * n];
                     matmul_fx_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
                     assert_eq!(reference, out, "{path:?} {level:?} {m}x{kk}x{n}");
@@ -2297,10 +2500,13 @@ mod tests {
 
     #[test]
     fn simd_label_matches_level() {
-        let label = simd_label();
-        match simd_level() {
-            SimdLevel::Avx2Fma => assert_eq!(label, "avx2"),
-            SimdLevel::Scalar => assert_eq!(label, "scalar"),
-        }
+        assert_eq!(simd_label(), simd_level().label());
+        let levels: Vec<SimdLevel> = SimdLevel::supported().collect();
+        assert_eq!(levels[0], SimdLevel::Scalar);
+        assert_eq!(levels.last(), Some(&detect_level()));
+        assert!(levels.contains(&simd_level()));
+        assert!(levels.is_sorted(), "ascending, so `>=` selectors hold");
+        let labels: Vec<&str> = levels.iter().map(|l| l.label()).collect();
+        assert_eq!(labels, ["scalar", "avx2", "avx512"][..levels.len()]);
     }
 }

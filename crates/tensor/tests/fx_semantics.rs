@@ -8,9 +8,7 @@
 //! at every SIMD level.
 
 use proptest::prelude::*;
-use zfgan_tensor::microkernel::{
-    matmul_fx_at, matmul_fx_path, simd_level, GemmPath, PackScratch, SimdLevel,
-};
+use zfgan_tensor::microkernel::{matmul_fx_at, matmul_fx_path, GemmPath, PackScratch, SimdLevel};
 use zfgan_tensor::{Fx, FRAC_BITS};
 
 /// The scalar reference for one multiply: widen to i32, add the rounding
@@ -144,7 +142,7 @@ proptest! {
         }
 
         let mut scratch = PackScratch::new();
-        for level in [simd_level(), SimdLevel::Scalar] {
+        for level in SimdLevel::supported() {
             let mut out = vec![0i16; m * n];
             matmul_fx_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
             prop_assert_eq!(&out, &expect, "level {:?} broke the Q8.8 chain", level);
@@ -189,7 +187,7 @@ proptest! {
         }
 
         let mut scratch = PackScratch::new();
-        for level in [simd_level(), SimdLevel::Scalar] {
+        for level in SimdLevel::supported() {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
                 let mut out = vec![0i16; m * n];
                 matmul_fx_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);

@@ -12,9 +12,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== cargo build --release ==="
 cargo build --release
 
+tdir="$(mktemp -d)"
+trap 'rm -rf "$tdir"' EXIT
+
 echo "=== cargo test ==="
 # Every package of the workspace, on the runtime-detected SIMD kernels (the
-# NO_SIMD and forced-kernel sweeps below cover the other levels).
+# NO_SIMD and forced-kernel sweeps below cover the other levels). The
+# `train:` header line names the level this host detected, so the log says
+# what the tensor suite exercised; the f32 sweep below diffs this run's
+# digest against the scalar one.
+cargo run -q --release -p zfgan -- train --gan mnist --seed 2024 --iters 3 > "$tdir/f32_simd.txt"
+head -n 1 "$tdir/f32_simd.txt"
 cargo test -q --workspace
 
 echo "=== pool + dse suites, repeated across pool widths ==="
@@ -55,8 +63,6 @@ echo "=== telemetry smoke gate ==="
 # parse as Chrome-trace JSON (trace --check re-parses them) and (b)
 # byte-identical deterministic sections — the observability layer's
 # reproducibility contract.
-tdir="$(mktemp -d)"
-trap 'rm -rf "$tdir"' EXIT
 cargo run -q --release -p zfgan -- trace --seed 2024 --out "$tdir/t1.json" > /dev/null
 cargo run -q --release -p zfgan -- trace --seed 2024 --out "$tdir/t2.json" > /dev/null
 cargo run -q --release -p zfgan -- trace --check "$tdir/t1.json" | grep '^deterministic:' > "$tdir/d1"
@@ -78,6 +84,20 @@ cargo run -q --release -p zfgan-bench --bin fxsweep > "$tdir/fx_simd.txt"
 ZFGAN_NO_SIMD=1 cargo run -q --release -p zfgan-bench --bin fxsweep > "$tdir/fx_scalar.txt"
 diff "$tdir/fx_simd.txt" "$tdir/fx_scalar.txt"
 echo "Q8.8 sweep transcripts are byte-identical"
+
+echo "=== f32 SIMD bit-identity sweep ==="
+# The f32 twin of the Q8.8 sweep: every SIMD level runs each output
+# element's k-ascending fused chain, so a few MNIST-GAN training iterations
+# (packed GEMMs wide enough for the AVX-512 pair tile, an odd last panel,
+# ragged tails, multi-chunk resumes) must end in the same final_digest
+# under the runtime-detected level (the run at the top of the test step)
+# and under ZFGAN_NO_SIMD=1.
+ZFGAN_NO_SIMD=1 cargo run -q --release -p zfgan -- train --gan mnist --seed 2024 --iters 3 \
+    > "$tdir/f32_scalar.txt"
+head -qn 1 "$tdir/f32_simd.txt" "$tdir/f32_scalar.txt"
+grep -q 'simd scalar' "$tdir/f32_scalar.txt"
+diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/f32_scalar.txt")
+echo "f32 train digests are bit-identical across SIMD levels"
 
 echo "=== forced-kernel dispatch sweep ==="
 # Every GEMM dispatch path must uphold both bit-equality families on its

@@ -97,6 +97,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--seed", true),
                     ("--iters", true),
                     ("--batch", true),
+                    ("--gan", true),
                     ("--dir", true),
                     ("--every", true),
                     ("--keep", true),
@@ -258,11 +259,13 @@ fn usage() -> String {
      \x20                            HTTP endpoint exposing /metrics (Prometheus text\n\
      \x20                            format) and /health; --scrape ADDR [--path P] is the\n\
      \x20                            matching one-shot client\n\
-     \x20 train [--seed N] [--iters N] [--batch N] [--dir PATH] [--every N]\n\
-     \x20       [--keep K] [--resume]\n\
+     \x20 train [--seed N] [--iters N] [--batch N] [--gan G] [--dir PATH]\n\
+     \x20       [--every N] [--keep K] [--resume]\n\
      \x20                            deterministic supervised training with durable,\n\
      \x20                            crash-consistent checkpoints; --resume continues\n\
-     \x20                            bit-identically from the newest valid snapshot\n\
+     \x20                            bit-identically from the newest valid snapshot;\n\
+     \x20                            --gan trains a paper workload (no --dir), not the\n\
+     \x20                            tiny pair\n\
      \x20 crashtest [--seed N] [--iters N] [--points N] [--trials N] [--dir PATH]\n\
      \x20                            crash-injection campaign: kill training children at\n\
      \x20                            seeded points (incl. torn mid-write), corrupt stored\n\
@@ -751,6 +754,7 @@ fn train_cmd(flags: &Flags<'_>) -> Result<String, String> {
     if let Some(keep) = flag_num(flags, "--keep")? {
         args.keep = keep;
     }
+    args.gan = flag_str(flags, "--gan").map(lookup).transpose()?;
     args.dir = flag_str(flags, "--dir").map(std::path::PathBuf::from);
     args.resume = flag_set(flags, "--resume");
     if let Some(iter) = flag_num(flags, "--crash-iter")? {
@@ -882,6 +886,8 @@ mod tests {
         assert_eq!(err, "--resume requires --dir");
         let err = run(&args(&["train", "--crash-iter", "1"])).unwrap_err();
         assert_eq!(err, "--crash-iter needs --crash-phase");
+        let err = run(&args(&["train", "--gan", "nope"])).unwrap_err();
+        assert!(err.contains("unknown GAN 'nope'"), "{err}");
         let err = run(&args(&["train", "--crash-phase", "mid-write"])).unwrap_err();
         assert_eq!(err, "--crash-phase needs --crash-iter");
         let err = run(&args(&[

@@ -1,8 +1,9 @@
 //! `zfgan train` — a deterministic supervised training run with durable,
 //! crash-consistent checkpointing and bit-identical resume.
 //!
-//! The run is small by design (the tiny 8×8 GAN): its purpose is to be a
-//! *provable* durability harness, not to train a useful model. Everything
+//! The run is small by design (the tiny 8×8 GAN unless `--gan` names a
+//! paper workload): its purpose is to be a *provable* durability and
+//! determinism harness, not to train a useful model. Everything
 //! that influences the trajectory — initial weights, step RNG, optimizer
 //! moments, loss records — lives in the [`DurableSnapshot`] published to
 //! the store, so a `--resume` after any crash replays the exact same
@@ -92,6 +93,10 @@ pub struct TrainArgs {
     pub iters: u64,
     /// Batch size per step.
     pub batch: usize,
+    /// The paper workload to train (`--gan`, store-less runs only); `None`
+    /// is the tiny 8×8 pair. A paper-sized network is what reaches the wide
+    /// packed GEMM shapes (CI diffs its digest across SIMD levels).
+    pub gan: Option<crate::workloads::GanSpec>,
     /// Checkpoint store directory; `None` disables durability.
     pub dir: Option<PathBuf>,
     /// Publish a snapshot every this many iterations.
@@ -111,6 +116,7 @@ impl Default for TrainArgs {
             seed: 2024,
             iters: 6,
             batch: 2,
+            gan: None,
             dir: None,
             every: 1,
             keep: 4,
@@ -151,6 +157,10 @@ pub fn run_train(args: &TrainArgs) -> Result<String, String> {
     if args.resume && args.dir.is_none() {
         return Err("--resume requires --dir".to_string());
     }
+    if args.gan.is_some() && args.dir.is_some() {
+        // The store's config hash does not name the network.
+        return Err("--gan runs keep no store; drop --dir".to_string());
+    }
     if let Some(crash) = &args.crash {
         if args.dir.is_none() {
             return Err("--crash-iter requires --dir".to_string());
@@ -165,9 +175,16 @@ pub fn run_train(args: &TrainArgs) -> Result<String, String> {
 
     let config = train_config();
     let config_hash = crate::nn::durable::run_config_hash(&config, args.seed, args.batch);
+    let gan_name = args.gan.as_ref().map(|spec| spec.name());
+    // The SIMD level is host context, not part of the contract below:
+    // every level must print the same `deterministic:` line.
     let mut out = format!(
-        "train: seed {}, iters {}, batch {}\n",
-        args.seed, args.iters, args.batch
+        "train: seed {}, iters {}, batch {}, simd {}{}\n",
+        args.seed,
+        args.iters,
+        args.batch,
+        crate::tensor::microkernel::simd_label(),
+        gan_name.map_or(String::new(), |name| format!(", gan {name}"))
     );
 
     // Either resume from the newest valid snapshot or start fresh.
@@ -206,7 +223,13 @@ pub fn run_train(args: &TrainArgs) -> Result<String, String> {
                 out.push_str("  no snapshot found; starting fresh\n");
             }
             let mut init_rng = SmallRng::seed_from_u64(args.seed);
-            let trainer = GanTrainer::new(GanPair::tiny(&mut init_rng), config);
+            let pair = match &args.gan {
+                Some(spec) => spec
+                    .build_pair(0.05, &mut init_rng)
+                    .map_err(|e| e.to_string())?,
+                None => GanPair::tiny(&mut init_rng),
+            };
+            let trainer = GanTrainer::new(pair, config);
             let rng = SmallRng::seed_from_u64(args.seed ^ STEP_RNG_SALT);
             (trainer, rng, 0, Vec::new())
         }
@@ -349,6 +372,31 @@ mod tests {
         .expect("resumed");
         assert!(resumed.contains("resumed from generation"), "{resumed}");
         assert_eq!(det_line(&baseline), det_line(&resumed));
+    }
+
+    #[test]
+    fn gan_option_trains_a_paper_workload_without_a_store() {
+        let tiny = TrainArgs {
+            iters: 1,
+            ..TrainArgs::default()
+        };
+        let mnist = TrainArgs {
+            gan: Some(crate::workloads::GanSpec::mnist_gan()),
+            ..tiny.clone()
+        };
+        let out = run_train(&mnist).expect("MNIST-GAN run");
+        let header = out.lines().next().expect("header line");
+        assert!(header.ends_with(", gan MNIST-GAN"), "{header}");
+        assert_ne!(
+            det_line(&run_train(&tiny).expect("tiny run")),
+            det_line(&out)
+        );
+        let err = run_train(&TrainArgs {
+            dir: Some(PathBuf::from("never-created")),
+            ..mnist
+        })
+        .unwrap_err();
+        assert!(err.contains("drop --dir"), "{err}");
     }
 
     #[test]

@@ -251,7 +251,7 @@ proptest! {
         let mut dispatched = vec![0.0f32; m * n];
         matmul_f32_at(simd_level(), &a, &b, &mut dispatched, m, kk, n, &mut scratch);
         let want: Vec<u32> = dispatched.iter().map(|v| v.to_bits()).collect();
-        for level in [simd_level(), SimdLevel::Scalar] {
+        for level in SimdLevel::supported() {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
                 let mut out = vec![0.0f32; m * n];
                 matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
@@ -373,9 +373,7 @@ fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
 /// more rows than one 72-row block), and a small ragged one.
 #[test]
 fn packed_block_order_is_bit_neutral() {
-    use zfgan::tensor::microkernel::{
-        matmul_f32_path, simd_level, GemmPath, PackScratch, SimdLevel, KC,
-    };
+    use zfgan::tensor::microkernel::{matmul_f32_path, GemmPath, PackScratch, SimdLevel, KC};
     let mut rng = SmallRng::seed_from_u64(77);
     for (m, kk, n) in [(40, 16, 700), (75, KC + 8, 530), (13, 100, 33)] {
         let a: Vec<f32> = (0..m * kk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -388,7 +386,7 @@ fn packed_block_order_is_bit_neutral() {
             }
         }
         let mut scratch = PackScratch::new();
-        for level in [simd_level(), SimdLevel::Scalar] {
+        for level in SimdLevel::supported() {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
                 let mut out = vec![f32::NAN; m * n];
                 matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
@@ -407,9 +405,11 @@ fn packed_block_order_is_bit_neutral() {
     }
 }
 
-/// Products, gradients and streamed operand rows are drawn from the
-/// workspace *without* its zero fill (`ConvWorkspace::take_dirty`), on the
-/// promise that every element is overwritten before it is read. Poison the
+/// Products, gradients, streamed operand rows and the packed S-CONV's
+/// output maps (the forward pass and, through it, the T-layer input error)
+/// are drawn from the workspace *without* its zero fill
+/// (`ConvWorkspace::take_dirty`), on the promise that every element is
+/// overwritten before it is read. Poison the
 /// free list — NaN for f32, a saturating value for Q8.8 — and every
 /// workspace entry, the two accumulating `W-CONV`s included, must still
 /// equal its allocating twin bit for bit.
@@ -431,6 +431,8 @@ fn poisoned_workspace_buffers_never_leak_into_results() {
             let mut ws = ConvWorkspace::new();
             poison(&mut ws, with);
             let (y, up) = (&maps[0], &maps[1]);
+            // First take after the poisoning: the S-CONV's output maps are
+            // a poisoned buffer, cut to size.
             assert_eq!(maps[0], b.s_conv_ws(x, k, g, &mut ws).unwrap(), "{b:?}");
             assert_eq!(maps[1], b.t_conv_ws(z, k, g, &mut ws).unwrap(), "{b:?}");
             let sig = b.s_conv_input_grad_ws(y, k, g, in_hw, in_hw, &mut ws);
