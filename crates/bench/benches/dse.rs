@@ -12,15 +12,13 @@
 //! cannot trip it. Absolute speed of both paths is the `dse_explore_cold`
 //! / `dse_paper_warm` pair of `BENCHMARK.json`.
 //!
-//! Criterion's repeated-iteration harness cannot measure this — the first
-//! in-process run both pays the tuning cost and fills the cache, so only
-//! wall-clock timing of *one* cold pass against warm repetitions is
-//! meaningful. The rows still land in `results/bench_history.jsonl` as
-//! the `dse` series via [`zfgan_bench::emit_bench`].
+//! This one gate is not a [`zfgan_bench::paired_ratio`]: only the first
+//! run in a process is cold (it both pays the tuning cost and fills the
+//! cache), so it is one cold sample against the fastest warm repetition.
 
 use std::time::Instant;
 
-use zfgan_bench::{emit_bench, fmt_x, BenchRow, TextTable};
+use zfgan_bench::gate;
 use zfgan_dse::sweeps::fig15;
 use zfgan_dse::DseConfig;
 
@@ -31,11 +29,6 @@ const WARM_REPS: usize = 5;
 const MIN_WARM_SPEEDUP: f64 = 10.0;
 
 fn main() {
-    // Anchor at the workspace root so `emit_bench` writes the tracked
-    // top-level `results/` ledger.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let _ = std::env::set_current_dir(root);
-
     let dir = std::env::temp_dir().join(format!("zfgan-dse-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = DseConfig::new(fig15::NAME);
@@ -48,12 +41,10 @@ fn main() {
 
     // Warm: every cell is a verified-checksum hit; keep the fastest rep.
     let mut warm_ns = f64::INFINITY;
-    let mut warm_iters = 0u64;
     for _ in 0..WARM_REPS {
         let started = Instant::now();
         let warm = fig15::run(&cfg);
         warm_ns = warm_ns.min(started.elapsed().as_nanos() as f64);
-        warm_iters += 1;
         assert_eq!(
             cold.stream, warm.stream,
             "warm stream must be byte-identical to cold"
@@ -61,47 +52,10 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let speedup = cold_ns / warm_ns;
-    let mut rows: Vec<BenchRow> = [
-        ("dse/fig15_cold", cold_ns, 1u64, 1.0),
-        ("dse/fig15_warm", warm_ns, warm_iters, speedup),
-    ]
-    .into_iter()
-    .map(|(id, ns, iters, speedup)| BenchRow {
-        bench: "dse".to_string(),
-        id: id.to_string(),
-        mean_ns: ns,
-        min_ns: ns,
-        stddev_ns: 0.0,
-        iters,
-        threads: zfgan_pool::pool_threads(),
-        simd: zfgan_tensor::microkernel::simd_label().to_string(),
-        speedup,
-        git_sha: String::new(),
-        host: String::new(),
-        run_id: 0,
-    })
-    .collect();
-
-    let mut table = TextTable::new(["Benchmark", "ns/run", "Speedup vs cold"]);
-    for r in &rows {
-        table.row([r.id.clone(), format!("{:.0}", r.mean_ns), fmt_x(r.speedup)]);
-    }
-    emit_bench(
-        "BENCH_dse",
-        "DSE engine: cold vs warm-cache full fig15 sweep (byte-identical streams)",
-        &table,
-        &mut rows,
-    );
-    println!(
-        "Warm-cache fig15 sweep speedup over cold: {} ({} unique cells)",
-        fmt_x(speedup),
-        cold.unique
-    );
-
-    assert!(
-        speedup >= MIN_WARM_SPEEDUP,
-        "warm-cache fig15 must be >= {MIN_WARM_SPEEDUP}x faster than cold \
-         (cold {cold_ns:.0} ns, warm {warm_ns:.0} ns, {speedup:.1}x)"
+    println!("fig15: {} unique cells", cold.unique);
+    gate(
+        "dse/fig15_warm_vs_cold",
+        MIN_WARM_SPEEDUP,
+        cold_ns / warm_ns,
     );
 }

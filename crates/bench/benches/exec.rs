@@ -6,23 +6,18 @@
 //! (`tests/exec_engine.rs` proves it property-wise), so the ratios here
 //! are pure speed: what the lane-parallel position walk of the six
 //! zero-free executors, and the row walk of the three baselines, buy over
-//! the guarded per-element loops. Emits `results/BENCH_exec.json` via
-//! [`zfgan_bench::emit`] with min/mean/stddev per row plus thread-count
-//! and SIMD-level metadata. The gates sit on [`paired_ratio`] (one scalar
-//! and one engine call back to back per round, median round ratio): the
-//! six zero-free executors must hold ≥3× over their oracle, the three
-//! baselines must not be slower than theirs.
+//! the guarded per-element loops. The gates sit on [`paired_ratio`] (one
+//! scalar and one engine call back to back per round, median round ratio):
+//! the six zero-free executors must hold ≥3× over their oracle, the three
+//! baselines must not be slower than theirs. Absolute times are the
+//! `exec_zero_free` workload of `BENCHMARK.json`.
 
-use std::time::Duration;
-
-use criterion::Criterion;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use zfgan_bench::{emit_bench, fmt_x, paired_ratio, BenchRow, TextTable};
+use zfgan_bench::{gate, paired_ratio};
 use zfgan_dataflow::exec::{self, scalar};
 use zfgan_dataflow::{ExecWorkspace, Nlr, Ost, Wst, Zfost, Zfwst};
 use zfgan_sim::{ConvKind, ConvShape};
-use zfgan_tensor::microkernel::simd_label;
 use zfgan_tensor::{ConvGeom, Fmaps, Kernels};
 
 /// Rounds behind each gate's paired ratio: one scalar and one engine call
@@ -34,18 +29,7 @@ const PAIRED_ROUNDS: usize = 15;
 const ZERO_FREE_FLOOR: f64 = 3.0;
 const BASELINE_FLOOR: f64 = 1.0;
 
-fn measurement_ms() -> u64 {
-    std::env::var("ZFGAN_BENCH_MS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(200)
-}
-
 fn main() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let _ = std::env::set_current_dir(root);
-
     // DCGAN-shaped phase: 5×5 kernel, stride 2, asymmetric SAME padding.
     let geom = ConvGeom::down(16, 16, 5, 5, 2, 8, 8).expect("static geometry");
     let (small, large) = (32usize, 16usize);
@@ -66,15 +50,8 @@ fn main() {
     let nlr = Nlr::new(3, 5);
 
     let mut ws: ExecWorkspace<f32> = ExecWorkspace::new();
-    let mut c = Criterion::default().measurement_time(Duration::from_millis(measurement_ms()));
-    let mut group = c.benchmark_group("exec");
-
-    // (executor, gate floor, paired ratio)
-    let mut paired: Vec<(&str, f64, f64)> = Vec::new();
     macro_rules! pair {
         ($name:literal, $floor:expr, $fast:expr, $slow:expr) => {
-            group.bench_function(concat!($name, "/engine"), |b| b.iter(|| $fast));
-            group.bench_function(concat!($name, "/scalar"), |b| b.iter(|| $slow));
             let ratio = paired_ratio(
                 PAIRED_ROUNDS,
                 || {
@@ -82,7 +59,7 @@ fn main() {
                 },
                 || $fast,
             );
-            paired.push(($name, $floor, ratio));
+            gate(concat!("exec/", $name), $floor, ratio);
         };
     }
 
@@ -167,61 +144,4 @@ fn main() {
         },
         scalar::zfwst_t_conv(&zfwst, &t_phase, &smallx, &k).unwrap()
     );
-
-    group.finish();
-
-    let measurements = c.take_results();
-    let mean = |id: &str| {
-        measurements
-            .iter()
-            .find(|m| m.id == id)
-            .unwrap_or_else(|| panic!("missing measurement {id}"))
-            .mean_ns
-    };
-    let mut rows: Vec<BenchRow> = measurements
-        .iter()
-        .map(|m| {
-            let exec_name = m.id.split('/').nth(1).expect("exec/<name>/<side> ids");
-            BenchRow {
-                bench: "exec".to_string(),
-                id: m.id.clone(),
-                mean_ns: m.mean_ns,
-                min_ns: m.min_ns,
-                stddev_ns: m.stddev_ns,
-                iters: m.iters,
-                // Threads the side runs on: the engine fans its work out
-                // across the `zfgan-pool` workers, the oracle is serial.
-                threads: if m.id.ends_with("/engine") {
-                    zfgan_pool::pool_threads()
-                } else {
-                    1
-                },
-                simd: simd_label().to_string(),
-                speedup: mean(&format!("exec/{exec_name}/scalar")) / m.mean_ns,
-                git_sha: String::new(),
-                host: String::new(),
-                run_id: 0,
-            }
-        })
-        .collect();
-
-    let mut table = TextTable::new(["Benchmark", "ns/iter", "Speedup vs scalar"]);
-    for r in &rows {
-        table.row([r.id.clone(), format!("{:.0}", r.mean_ns), fmt_x(r.speedup)]);
-    }
-    emit_bench(
-        "BENCH_exec",
-        "Fast executor engine vs scalar oracle, DCGAN-shaped phase, all nine executors",
-        &table,
-        &mut rows,
-    );
-
-    for (name, floor, ratio) in paired {
-        println!("{name}: engine {} vs scalar (paired)", fmt_x(ratio));
-        assert!(
-            ratio >= floor,
-            "{name} engine speedup {} fell below its {floor}x gate",
-            fmt_x(ratio)
-        );
-    }
 }

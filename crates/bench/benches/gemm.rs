@@ -1,139 +1,175 @@
-//! GEMM fast-path benchmarks on paper GAN layer shapes: naive vs blocked
-//! vs parallel matmul kernels, dense vs zero-free T-CONV lowering, and an
-//! end-to-end WGAN trainer iteration per [`ConvBackend`].
+//! GEMM fast-path ratio gates on paper GAN layer shapes: packed and pooled
+//! kernels over the naive triple loop, the dispatcher's engines over the
+//! forced packed path, and the AVX-512 tile over the AVX2 tile.
 //!
-//! Uses a custom harness (no `criterion_main!`) so it can drain the
-//! recorded measurements, compute speedups against each group's baseline,
-//! and emit the machine-readable summary `results/BENCH_gemm.json` via
-//! [`zfgan_bench::emit`] — the perf trajectory the fast path is tracked
-//! by. The compared variants agree numerically per the family contracts
-//! pinned by `tests/fast_conv.rs` (scalar kernels bit-identical to naive;
-//! packed kernels mutually bit-identical and within the fused
-//! accumulation bound; Q8.8 bit-identical everywhere), so every ratio
-//! here is pure speed. Gates the packed single-threaded microkernel at
-//! ≥4× over the naive triple loop on the batch-lowered dense matmul, and
-//! at ≥2× on the ReLU-sparse and Q8.8 variants (where the naive loop's
-//! per-word zero skip halves its own work, or the saturating i16 chain
-//! caps the vector win), when SIMD is active.
+//! Every gate is one [`paired_ratio`] of two variants that agree
+//! numerically per the family contracts pinned by `tests/fast_conv.rs`
+//! (scalar kernels bit-identical to naive; packed kernels mutually
+//! bit-identical and within the fused accumulation bound; Q8.8
+//! bit-identical everywhere), so every ratio is pure speed. Absolute times
+//! are the `train_mnist` / `train_dcgan` workloads of `BENCHMARK.json`.
 
-use std::time::Duration;
+use std::cell::RefCell;
 
-use criterion::Criterion;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use zfgan_bench::{emit_bench, fmt_x, paired_ratio, BenchRow, TextTable};
-use zfgan_nn::{GanTrainer, TrainerConfig};
+use zfgan_bench::{gate, paired_ratio};
 use zfgan_tensor::gemm::MatmulKind;
-use zfgan_tensor::im2col::t_conv_via_gemm;
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
     choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch, SimdLevel,
 };
-use zfgan_tensor::zero_free::t_conv_zero_free;
-use zfgan_tensor::{t_conv, ConvBackend, ConvGeom, Fmaps, Fx, Kernels};
-use zfgan_workloads::GanSpec;
+use zfgan_tensor::{ConvGeom, Fmaps, Fx, Kernels};
 
-/// Rounds of the paired packed-over-naive measurement behind the batch
-/// gate: one naive and one packed GEMM each (about 10 ms a round).
+/// Rounds behind every paired ratio here.
 const PAIRED_ROUNDS: usize = 21;
 
 /// Floor of the paired packed-over-naive ratio on the dense batch shape.
+/// The unpaired min-vs-min ratio of this pair read 3.7-4.1x on the CI host
+/// and needed retry rounds at a 4x gate; the paired ratio read 3.69-4.52x
+/// over 12 fresh processes there (what is left is per-process operand
+/// placement, which pairing cannot cancel), so the floor sits a tenth
+/// under its observed range.
 const BATCH_FLOOR: f64 = 3.3;
+
+/// A speed floor that binds on the SIMD levels only: the scalar fallback
+/// (`ZFGAN_NO_SIMD=1`) exists for determinism checks, not speed.
+fn simd_floor(floor: f64) -> f64 {
+    if simd_level() == SimdLevel::Scalar {
+        0.0
+    } else {
+        floor
+    }
+}
 
 /// MNIST-GAN layer 2 (Table IV): 64 → 128 maps, 14×14 → 7×7, 5×5, stride 2.
 fn mnist_layer2() -> ConvGeom {
     ConvGeom::down(14, 14, 5, 5, 2, 7, 7).expect("static geometry")
 }
 
-/// Post-ReLU activations: roughly half the entries are exact zeros, the
-/// sparsity the zero-skipping GEMM exploits.
-fn relu_like(c: usize, h: usize, w: usize, rng: &mut SmallRng) -> Fmaps<f32> {
-    Fmaps::random(c, h, w, 1.0, rng).map(|v| if v > 0.0 { v } else { 0.0 })
+/// Gates `fast` over the naive triple loop on `a × b`.
+fn gate_over_naive<T: zfgan_tensor::Num>(
+    name: &str,
+    floor: f64,
+    fast: MatmulKind,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+) {
+    let run = |kind: MatmulKind| {
+        std::hint::black_box(kind.run(a, b).expect("conforming operands"));
+    };
+    let ratio = paired_ratio(PAIRED_ROUNDS, || run(MatmulKind::Naive), || run(fast));
+    gate(name, floor, ratio);
 }
 
-/// Naive vs blocked vs parallel kernels on the lowered MNIST-GAN S-CONV:
-/// a 49×1600 patch matrix against a 1600×128 weight matrix. Returns the
-/// paired packed-over-naive ratio on the dense batch shape (see
-/// [`paired_ratio`]) for the tentpole gate.
-fn bench_matmul_kinds(c: &mut Criterion) -> f64 {
+/// Packed and pooled kernels over naive on the lowered MNIST-GAN S-CONV: a
+/// 49×1600 patch matrix against a 1600×128 weight matrix.
+fn gate_matmul_kinds() {
     let mut rng = SmallRng::seed_from_u64(21);
     let geom = mnist_layer2();
-    let input = relu_like(64, 14, 14, &mut rng);
+    // Post-ReLU activations: roughly half the entries are exact zeros, so
+    // the naive loop's per-word zero skip halves its own work and the
+    // packed kernel must win by 2x while doing twice the arithmetic.
+    let input = Fmaps::random(64, 14, 14, 1.0, &mut rng).map(|v| if v > 0.0 { v } else { 0.0 });
     let k = Kernels::random(128, 64, 5, 5, 0.25, &mut rng);
     let a: Matrix<f32> = im2col_s(&input, &geom).patches;
     let b = weights_as_matrix_s(&k);
-    let mut group = c.benchmark_group("matmul");
-    for (name, kind) in [
-        ("naive", MatmulKind::Naive),
-        ("blocked_scalar", MatmulKind::BlockedScalar),
-        ("blocked", MatmulKind::Blocked),
-        ("parallel2", MatmulKind::Parallel(2)),
-        ("parallel4", MatmulKind::Parallel(4)),
-    ] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| kind.run(&a, &b).expect("conforming operands"))
-        });
-    }
-    group.finish();
+    gate_over_naive(
+        "matmul/blocked",
+        simd_floor(2.0),
+        MatmulKind::Blocked,
+        &a,
+        &b,
+    );
+    // The pooled variants must not lose to the sequential naive kernel:
+    // spawn-per-call used to put them below 1x, the persistent pool is
+    // what keeps them above it.
+    gate_over_naive("matmul/parallel2", 1.0, MatmulKind::Parallel(2), &a, &b);
+    gate_over_naive("matmul/parallel4", 1.0, MatmulKind::Parallel(4), &a, &b);
 
     // Batch-4 dense activations (pre-ReLU / post-BatchNorm maps carry no
-    // structural zeros): the naive loop's per-word zero skip buys nothing
-    // here, so this group isolates raw kernel throughput on a batch-
-    // lowered 196×1600 patch matrix — the shape the tentpole gate holds.
+    // structural zeros): the naive loop's zero skip buys nothing on this
+    // batch-lowered 196×1600 patch matrix, so the ratio is raw kernel
+    // throughput.
     let mut data = Vec::new();
     for _ in 0..4 {
         let dense = Fmaps::random(64, 14, 14, 1.0, &mut rng);
         data.extend_from_slice(im2col_s(&dense, &geom).patches.as_slice());
     }
-    let rows = data.len() / a.cols();
-    let ab: Matrix<f32> = Matrix::from_vec(rows, a.cols(), data);
-    let mut group = c.benchmark_group("matmul_batch");
-    for (name, kind) in [
-        ("naive", MatmulKind::Naive),
-        ("blocked", MatmulKind::Blocked),
-    ] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| kind.run(&ab, &b).expect("conforming operands"))
-        });
-    }
-    group.finish();
-    let run = |kind: MatmulKind| {
-        std::hint::black_box(kind.run(&ab, &b).expect("conforming operands"));
-    };
-    let batch_ratio = paired_ratio(
-        PAIRED_ROUNDS,
-        || run(MatmulKind::Naive),
-        || run(MatmulKind::Blocked),
+    let ab: Matrix<f32> = Matrix::from_vec(data.len() / a.cols(), a.cols(), data);
+    gate_over_naive(
+        "matmul_batch/blocked",
+        simd_floor(BATCH_FLOOR),
+        MatmulKind::Blocked,
+        &ab,
+        &b,
     );
 
-    // The same shape in Q8.8: the vectorized fixed-point kernel against
-    // the naive triple loop (bit-identical by contract, so pure speed).
-    let afx = Matrix::from_vec(
-        a.rows(),
-        a.cols(),
-        a.as_slice().iter().map(|v| Fx::from_f32(*v)).collect(),
+    // The single-image shape in Q8.8: the vectorized saturating i16 kernel
+    // against the naive triple loop.
+    let to_fx = |m: &Matrix<f32>| {
+        Matrix::from_vec(
+            m.rows(),
+            m.cols(),
+            m.as_slice().iter().map(|v| Fx::from_f32(*v)).collect(),
+        )
+    };
+    gate_over_naive(
+        "matmul_fx/blocked",
+        simd_floor(2.0),
+        MatmulKind::Blocked,
+        &to_fx(&a),
+        &to_fx(&b),
     );
-    let bfx = Matrix::from_vec(
-        b.rows(),
-        b.cols(),
-        b.as_slice().iter().map(|v| Fx::from_f32(*v)).collect(),
-    );
-    let mut group = c.benchmark_group("matmul_fx");
-    for (name, kind) in [
-        ("naive", MatmulKind::Naive),
-        ("blocked", MatmulKind::Blocked),
-    ] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| kind.run(&afx, &bfx).expect("conforming operands"))
-        });
-    }
-    group.finish();
-    batch_ratio
 }
 
-/// The shapes the dispatcher exists for (ROADMAP open item 1), each run
-/// through the packed panel path and through the engine the dispatcher
-/// actually picks, via the explicit-path entries:
+/// Gates route `fast` over route `base` of the explicit-level,
+/// explicit-path entry on `a × b` (`m×kk×n`). Both sides write one output
+/// through one pack scratch, so where the allocator put them is the same
+/// on both sides, and make enough calls a timing that one takes a few
+/// milliseconds.
+fn gate_routes(
+    name: &str,
+    floor: f64,
+    [base, fast]: [(SimdLevel, GemmPath); 2],
+    (a, b): (&[f32], &[f32]),
+    (m, kk, n): (usize, usize, usize),
+) {
+    let reps = (1.0e8 / (m * kk * n) as f64).ceil() as usize;
+    let buffers = RefCell::new((vec![0.0f32; m * n], PackScratch::new()));
+    let side = |(level, path)| {
+        let buffers = &buffers;
+        move || {
+            let (out, scratch) = &mut *buffers.borrow_mut();
+            for _ in 0..reps {
+                matmul_f32_path(level, path, a, b, out, m, kk, n, scratch);
+                std::hint::black_box(&mut *out);
+            }
+        }
+    };
+    gate(
+        name,
+        floor,
+        paired_ratio(PAIRED_ROUNDS, side(base), side(fast)),
+    );
+}
+
+/// Gates the engine the dispatcher picks for `a × b` at >=2x over the
+/// packed panel path: the pack bypass (ikj) and the pack + fill bypass
+/// (small-m streaming) are the whole point of routing these shapes away
+/// from the panel kernel.
+fn gate_dispatch(name: &str, picked: GemmPath, a: &[f32], b: &[f32], dims: (usize, usize, usize)) {
+    let zeros = a.iter().filter(|v| **v == 0.0).count() as u64;
+    assert_eq!(
+        choose_path(dims.0, dims.1, dims.2, zeros),
+        picked,
+        "dispatcher must route the {name} shape to {picked:?}"
+    );
+    let routes = [GemmPath::Packed, picked].map(|path| (simd_level(), path));
+    gate_routes(name, simd_floor(2.0), routes, (a, b), dims);
+}
+
+/// The shapes the dispatcher exists for:
 ///
 /// * the MNIST-GAN projection GEMM — 49×4900×128 at ~2% density whose
 ///   live columns recur at stride 49 (one pixel per source channel), so
@@ -143,10 +179,8 @@ fn bench_matmul_kinds(c: &mut Criterion) -> f64 {
 /// * the `m = 1` input-grad GEMM — 1×6272×100 on a ~50% ReLU-sparse
 ///   row, where packing 627k words of `B` for one output row dwarfs the
 ///   arithmetic → the small-`m` streaming engine.
-fn bench_dispatch_shapes(c: &mut Criterion) {
+fn gate_dispatch_shapes() {
     let mut rng = SmallRng::seed_from_u64(24);
-    let level = simd_level();
-    let mut scratch = PackScratch::new();
 
     // Projection t-conv forward: row r is live only at columns ch·49 + r.
     let (pm, pkk, pn) = (49usize, 4900usize, 128usize);
@@ -157,72 +191,27 @@ fn bench_dispatch_shapes(c: &mut Criterion) {
         }
     }
     let b_proj: Vec<f32> = (0..pkk * pn).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let proj_zeros = a_proj.iter().filter(|v| **v == 0.0).count() as u64;
-    assert_eq!(
-        choose_path(pm, pkk, pn, proj_zeros),
+    gate_dispatch(
+        "dispatch_proj/ikj",
         GemmPath::Ikj,
-        "dispatcher must route the projection shape to the ikj engine"
+        &a_proj,
+        &b_proj,
+        (pm, pkk, pn),
     );
-    let mut out = vec![0.0f32; pm * pn];
-    let mut group = c.benchmark_group("dispatch_proj");
-    for (name, path) in [("packed", GemmPath::Packed), ("ikj", GemmPath::Ikj)] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| {
-                matmul_f32_path(
-                    level,
-                    path,
-                    &a_proj,
-                    &b_proj,
-                    &mut out,
-                    pm,
-                    pkk,
-                    pn,
-                    &mut scratch,
-                )
-            })
-        });
-    }
-    group.finish();
 
     // m = 1 input-grad: one ReLU-sparse error row against a wide B.
     let (gm, gkk, gn) = (1usize, 6272usize, 100usize);
     let a_grad: Vec<f32> = (0..gm * gkk)
-        .map(|_| {
-            let v: f32 = rng.gen_range(-1.0..1.0);
-            if v > 0.0 {
-                v
-            } else {
-                0.0
-            }
-        })
+        .map(|_| rng.gen_range(-1.0f32..1.0).max(0.0))
         .collect();
     let b_grad: Vec<f32> = (0..gkk * gn).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let grad_zeros = a_grad.iter().filter(|v| **v == 0.0).count() as u64;
-    assert_eq!(
-        choose_path(gm, gkk, gn, grad_zeros),
+    gate_dispatch(
+        "dispatch_m1/smallm",
         GemmPath::SmallM,
-        "dispatcher must route the m = 1 shape to the small-m engine"
+        &a_grad,
+        &b_grad,
+        (gm, gkk, gn),
     );
-    let mut out = vec![0.0f32; gm * gn];
-    let mut group = c.benchmark_group("dispatch_m1");
-    for (name, path) in [("packed", GemmPath::Packed), ("smallm", GemmPath::SmallM)] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| {
-                matmul_f32_path(
-                    level,
-                    path,
-                    &a_grad,
-                    &b_grad,
-                    &mut out,
-                    gm,
-                    gkk,
-                    gn,
-                    &mut scratch,
-                )
-            })
-        });
-    }
-    group.finish();
 }
 
 /// The distinct packed GEMM shapes of the two train workloads plus two
@@ -248,270 +237,26 @@ const WIDE_TILE_SHAPES: [(usize, usize, usize, f64); 9] = [
 /// one a train step sees). Skipped unless AVX-512 is the process level.
 fn gate_wide_tile() {
     if simd_level() != SimdLevel::Avx512 {
-        println!("Wide-tile gate skipped (simd: {})", simd_label());
+        println!("wide_tile gates skipped (simd: {})", simd_label());
         return;
     }
     let mut rng = SmallRng::seed_from_u64(25);
     for (m, kk, n, floor) in WIDE_TILE_SHAPES {
         let a: Vec<f32> = (0..m * kk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        // Enough calls a side that one timing is a few milliseconds.
-        let macs = (m * kk * n) as f64;
-        let reps = (1.0e8 / macs).ceil() as usize;
-        // One output and one pack scratch per side of the pair.
-        let side = |level: SimdLevel| {
-            let (mut out, mut scratch) = (vec![0.0f32; m * n], PackScratch::new());
-            let (a, b) = (&a, &b);
-            move || {
-                for _ in 0..reps {
-                    let packed = GemmPath::Packed;
-                    matmul_f32_path(level, packed, a, b, &mut out, m, kk, n, &mut scratch);
-                    std::hint::black_box(&mut out);
-                }
-            }
-        };
-        let mut wide = side(SimdLevel::Avx512);
-        let ratio = paired_ratio(PAIRED_ROUNDS, side(SimdLevel::Avx2Fma), &mut wide);
-        let t = std::time::Instant::now();
-        wide();
-        let gmacs = macs * reps as f64 / t.elapsed().as_secs_f64() / 1e9;
-        println!(
-            "Wide-tile gate {m}x{kk}x{n} (paired, {PAIRED_ROUNDS} rounds): avx512 {} over avx2 vs >={floor}x ({gmacs:.1} GMAC/s)",
-            fmt_x(ratio)
-        );
-        assert!(
-            ratio >= floor,
-            "AVX-512 tile at {} of the AVX2 tile on {m}x{kk}x{n}, below the {floor}x gate",
-            fmt_x(ratio)
-        );
+        let routes = [SimdLevel::Avx2Fma, SimdLevel::Avx512].map(|level| (level, GemmPath::Packed));
+        let name = format!("wide_tile/{m}x{kk}x{n}");
+        gate_routes(&name, floor, routes, (&a, &b), (m, kk, n));
     }
-}
-
-/// Golden nest vs dense zero-inserted lowering vs compact zero-free
-/// lowering on the MNIST-GAN Generator layer (128×7×7 → 64×14×14).
-fn bench_t_conv_lowering(c: &mut Criterion) {
-    let mut rng = SmallRng::seed_from_u64(22);
-    let geom = mnist_layer2();
-    let input = relu_like(128, 7, 7, &mut rng);
-    let k = Kernels::random(128, 64, 5, 5, 0.25, &mut rng);
-    let mut group = c.benchmark_group("t_conv");
-    group.bench_function("golden", |bch| {
-        bch.iter(|| t_conv(&input, &k, &geom).expect("conforming operands"))
-    });
-    group.bench_function("dense_gemm", |bch| {
-        bch.iter(|| t_conv_via_gemm(&input, &k, &geom).expect("conforming operands"))
-    });
-    group.bench_function("zero_free", |bch| {
-        bch.iter(|| {
-            t_conv_zero_free(&input, &k, &geom, MatmulKind::Blocked).expect("conforming operands")
-        })
-    });
-    group.finish();
-}
-
-/// Full WGAN trainer iterations (1 critic step + 1 Generator step,
-/// batch 2) on the MNIST-GAN spec, one bench per conv backend.
-fn bench_trainer_backends(c: &mut Criterion) {
-    let spec = GanSpec::mnist_gan();
-    let config = TrainerConfig {
-        n_critic: 1,
-        ..TrainerConfig::default()
-    };
-    let mut group = c.benchmark_group("trainer");
-    for (name, backend) in [
-        ("golden_direct", ConvBackend::GoldenDirect),
-        ("lowered_gemm", ConvBackend::LoweredGemm),
-        ("lowered_zero_free", ConvBackend::LoweredZeroFree),
-        ("parallel2", ConvBackend::Parallel(2)),
-    ] {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let mut pair = spec
-            .build_pair(0.05, &mut rng)
-            .expect("built-in spec is consistent");
-        pair.set_backend(backend);
-        let mut trainer = GanTrainer::new(pair, config);
-        group.bench_function(name, |bch| {
-            bch.iter(|| trainer.train_iteration(2, &mut rng))
-        });
-    }
-    group.finish();
-}
-
-/// Baseline id within each group: ratios are reported against it.
-fn baseline_of(id: &str) -> &'static str {
-    if id.starts_with("matmul_fx/") {
-        "matmul_fx/naive"
-    } else if id.starts_with("dispatch_proj/") {
-        "dispatch_proj/packed"
-    } else if id.starts_with("dispatch_m1/") {
-        "dispatch_m1/packed"
-    } else if id.starts_with("matmul_batch/") {
-        "matmul_batch/naive"
-    } else if id.starts_with("matmul/") {
-        "matmul/naive"
-    } else if id.starts_with("t_conv/") {
-        "t_conv/golden"
-    } else {
-        "trainer/golden_direct"
-    }
-}
-
-/// Worker threads a benchmark variant uses (from its id suffix).
-fn threads_of(id: &str) -> usize {
-    id.rsplit("parallel")
-        .next()
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Per-benchmark measurement window: `ZFGAN_BENCH_MS` overrides the
-/// 200 ms default (CI smoke runs use a small value).
-fn measurement_ms() -> u64 {
-    std::env::var("ZFGAN_BENCH_MS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(200)
 }
 
 fn main() {
-    // `cargo bench` runs with cwd = this package; anchor at the workspace
-    // root so `emit` drops the sidecar in the tracked top-level `results/`.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let _ = std::env::set_current_dir(root);
-
-    let mut c = Criterion::default().measurement_time(Duration::from_millis(measurement_ms()));
-    let batch_ratio = bench_matmul_kinds(&mut c);
-    bench_dispatch_shapes(&mut c);
+    println!("simd: {}", simd_label());
+    // The tile gates go first: their "not slower" floors have the thinnest
+    // margins, and what the earlier gates leave on the heap moves the 3-row
+    // shape's reading by several percent (the pack scratch is not 64-byte
+    // aligned, which a `zmm` load feels more than a `ymm` load).
     gate_wide_tile();
-    bench_t_conv_lowering(&mut c);
-    bench_trainer_backends(&mut c);
-
-    let measurements = c.take_results();
-    let mut rows: Vec<BenchRow> = measurements
-        .iter()
-        .map(|m| {
-            let base = measurements
-                .iter()
-                .find(|b| b.id == baseline_of(&m.id))
-                .expect("baseline benches run first in each group");
-            BenchRow {
-                bench: "gemm".to_string(),
-                id: m.id.clone(),
-                mean_ns: m.mean_ns,
-                min_ns: m.min_ns,
-                stddev_ns: m.stddev_ns,
-                iters: m.iters,
-                threads: threads_of(&m.id),
-                simd: simd_label().to_string(),
-                speedup: base.mean_ns / m.mean_ns,
-                git_sha: String::new(),
-                host: String::new(),
-                run_id: 0,
-            }
-        })
-        .collect();
-
-    let mut table = TextTable::new(["Benchmark", "ns/iter", "Speedup vs baseline"]);
-    for r in &rows {
-        table.row([r.id.clone(), format!("{:.0}", r.mean_ns), fmt_x(r.speedup)]);
-    }
-    emit_bench(
-        "BENCH_gemm",
-        "GEMM fast path: kernels, lowering, and trainer backends",
-        &table,
-        &mut rows,
-    );
-
-    let headline = |id: &str| rows.iter().find(|r| r.id == id).map_or(0.0, |r| r.speedup);
-    println!(
-        "Trainer iteration speedup over GoldenDirect: zero-free {} | parallel(2) {}",
-        fmt_x(headline("trainer/lowered_zero_free")),
-        fmt_x(headline("trainer/parallel2")),
-    );
-
-    // Regression gate: the pooled GEMM variants must not lose to the
-    // sequential naive kernel on this shape. Spawn-per-call used to put
-    // parallel2/parallel4 below 1.0×; the persistent pool is what keeps
-    // them above it, and this assertion keeps that from regressing.
-    for id in ["matmul/parallel2", "matmul/parallel4"] {
-        let s = headline(id);
-        assert!(
-            s >= 1.0,
-            "pooled GEMM regressed below the sequential baseline: {id} = {}",
-            fmt_x(s)
-        );
-    }
-
-    // Speedup of a variant over its group baseline on the fastest samples
-    // (`min_ns`): the host is a shared single core whose mean timings
-    // swing by double-digit percentages between runs, while each side's
-    // fastest-of-5 sample tracks the true cost far more tightly.
-    let headline_min = |id: &str| {
-        rows.iter().find(|r| r.id == id).map_or(0.0, |r| {
-            let base = rows
-                .iter()
-                .find(|b| b.id == baseline_of(id))
-                .expect("baseline row exists");
-            base.min_ns / r.min_ns
-        })
-    };
-
-    // Tentpole gates (SIMD on; the scalar fallback is exempt — it exists
-    // for determinism checks, not speed):
-    //
-    // * the batch-lowered dense matmul, where naive's per-word zero skip
-    //   buys nothing and the comparison is raw kernel speed, gated on the
-    //   paired in-process ratio. The unpaired min-vs-min ratio of this row
-    //   reads 3.7–4.1x on the CI host and used to need retry rounds at a
-    //   4x gate; the paired ratio reads 3.69–4.52x over 12 fresh processes
-    //   there (what is left is per-process operand placement, which pairing
-    //   cannot cancel), so the floor sits a tenth under its observed range.
-    // * >=2x on the single-image ReLU-sparse matmul — the naive loop
-    //   skips ~half its work there (the operand is ~50% exact zeros), so
-    //   the packed kernel's margin is structurally halved; it must still
-    //   win by 2x while doing twice the arithmetic.
-    // * >=2x on the Q8.8 matmul (the vectorized saturating i16 path).
-    println!(
-        "Packed microkernel gate matmul_batch (paired, {PAIRED_ROUNDS} rounds): {} vs >={BATCH_FLOOR}x (simd: {})",
-        fmt_x(batch_ratio),
-        simd_label()
-    );
-    assert!(
-        simd_level() == SimdLevel::Scalar || batch_ratio >= BATCH_FLOOR,
-        "packed GEMM paired speedup {} fell below the {BATCH_FLOOR}x gate on the dense batch shape",
-        fmt_x(batch_ratio)
-    );
-    let gates = [("matmul/blocked", 2.0), ("matmul_fx/blocked", 2.0)];
-    for (id, need) in gates {
-        let s = headline_min(id);
-        println!(
-            "Packed microkernel gate {id}: {} vs >={need}x (simd: {})",
-            fmt_x(s),
-            simd_label()
-        );
-        assert!(
-            simd_level() == SimdLevel::Scalar || s >= need,
-            "packed GEMM speedup {} fell below the {need}x gate for {id}",
-            fmt_x(s)
-        );
-    }
-
-    // Dispatch gates (SIMD on): on the shapes the dispatcher exists for,
-    // the engine it picks must beat the packed panel path by >=2x — the
-    // pack bypass (ikj) and pack + fill bypass (small-m streaming) are
-    // the whole point of routing these shapes away from the panel kernel.
-    for (id, need) in [("dispatch_proj/ikj", 2.0), ("dispatch_m1/smallm", 2.0)] {
-        let s = headline_min(id);
-        println!(
-            "Dispatch gate {id}: {} vs >={need}x over the packed path (simd: {})",
-            fmt_x(s),
-            simd_label()
-        );
-        assert!(
-            simd_level() == SimdLevel::Scalar || s >= need,
-            "dispatched engine speedup {} fell below the {need}x gate for {id}",
-            fmt_x(s)
-        );
-    }
+    gate_matmul_kinds();
+    gate_dispatch_shapes();
 }

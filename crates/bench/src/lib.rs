@@ -84,137 +84,6 @@ fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// The append-only perf ledger next to the snapshot sidecars: one JSON
-/// object per line, one line per measured row, accumulated across runs
-/// (`zfgan perf` renders and gates the trajectory).
-pub fn history_path() -> PathBuf {
-    results_dir().join("bench_history.jsonl")
-}
-
-/// One measured benchmark row in the shared snapshot/ledger schema:
-/// the criterion statistics plus the run metadata that makes trajectories
-/// comparable across machines and commits. `results/BENCH_*.json` holds
-/// the latest run's rows; `results/bench_history.jsonl` accumulates every
-/// run's.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchRow {
-    /// Harness this row came from (`gemm`, `trainstep`, `exec`).
-    pub bench: String,
-    /// Benchmark id, e.g. `matmul/blocked`.
-    pub id: String,
-    /// Mean time per iteration, nanoseconds.
-    pub mean_ns: f64,
-    /// Fastest sample, nanoseconds (the stable signal on a noisy host).
-    pub min_ns: f64,
-    /// Sample standard deviation, nanoseconds.
-    pub stddev_ns: f64,
-    /// Iterations measured.
-    pub iters: u64,
-    /// Worker threads the variant runs on.
-    pub threads: usize,
-    /// Active SIMD level: `"avx512"`, `"avx2"` or `"scalar"`
-    /// (`ZFGAN_NO_SIMD=1`).
-    pub simd: String,
-    /// Speedup over the harness's baseline for this row (1.0 = baseline).
-    pub speedup: f64,
-    /// Commit the run measured (`ZFGAN_GIT_SHA`, else `git rev-parse`).
-    pub git_sha: String,
-    /// Host fingerprint: `hostname/arch-os`.
-    pub host: String,
-    /// Monotonically increasing per-ledger run number (one per append).
-    pub run_id: u64,
-}
-
-/// The commit under measurement: `ZFGAN_GIT_SHA` when the caller pins it
-/// (CI), else `git rev-parse HEAD`, else `"unknown"`.
-pub fn git_sha() -> String {
-    if let Ok(sha) = std::env::var("ZFGAN_GIT_SHA") {
-        let sha = sha.trim().to_string();
-        if !sha.is_empty() {
-            return sha;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Host fingerprint for ledger rows: `hostname/arch-os`.
-pub fn host_fingerprint() -> String {
-    let hostname = fs::read_to_string("/proc/sys/kernel/hostname")
-        .ok()
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .or_else(|| std::env::var("HOSTNAME").ok())
-        .unwrap_or_else(|| "unknown-host".to_string());
-    format!(
-        "{hostname}/{}-{}",
-        std::env::consts::ARCH,
-        std::env::consts::OS
-    )
-}
-
-/// The next run id: one past the largest `run_id` already in the ledger
-/// (1 for a fresh ledger). Malformed lines are skipped, so a truncated
-/// append never wedges future runs.
-pub fn next_run_id() -> u64 {
-    let Ok(text) = fs::read_to_string(history_path()) else {
-        return 1;
-    };
-    text.lines()
-        .filter_map(|line| serde_json::from_str::<serde_json::Value>(line).ok())
-        .filter_map(|v| {
-            v.as_object()
-                .and_then(|o| o.get("run_id"))
-                .and_then(serde_json::Value::as_u64)
-        })
-        .max()
-        .map_or(1, |max| max + 1)
-}
-
-/// [`emit`] plus the perf ledger: stamps every row with the commit sha,
-/// host fingerprint and the next run id, writes the `results/<name>.json`
-/// snapshot, and **appends** the rows to `results/bench_history.jsonl`
-/// (one JSON object per line) so the trajectory accumulates across runs.
-/// Ledger I/O is best effort, like the snapshot.
-pub fn emit_bench(name: &str, title: &str, table: &TextTable, rows: &mut [BenchRow]) {
-    let sha = git_sha();
-    let host = host_fingerprint();
-    let run_id = next_run_id();
-    for row in rows.iter_mut() {
-        row.git_sha = sha.clone();
-        row.host = host.clone();
-        row.run_id = run_id;
-    }
-    emit(name, title, table, &rows.to_vec());
-    let mut lines = String::new();
-    for row in rows.iter() {
-        match serde_json::to_string(row) {
-            Ok(json) => {
-                lines.push_str(&json);
-                lines.push('\n');
-            }
-            Err(err) => eprintln!("warning: could not serialise ledger row {}: {err}", row.id),
-        }
-    }
-    let path = history_path();
-    let append = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, lines.as_bytes()));
-    match append {
-        Ok(()) => println!("[appended {} rows to {}]", rows.len(), path.display()),
-        Err(err) => eprintln!("warning: could not append to {}: {err}", path.display()),
-    }
-}
-
 /// Prints a figure/table banner, the rendered table, and writes the JSON
 /// sidecar under `results/<name>.json` (best effort — the harness still
 /// succeeds if the directory is read-only).
@@ -329,8 +198,8 @@ where
 /// allocation-layout luck hit both arms of a round alike and cancel out of
 /// its ratio, which is why a gate on this number needs no retries (the
 /// unpaired min-vs-min ratios of separate measurement windows swing by
-/// ~30 % between processes on a shared host; `tests/dispatch_pair_probe.rs`
-/// measured the paired spread at 1.3 %).
+/// ~30 % between processes on a shared host; an interleaved probe measured
+/// the paired spread at 1.3 %).
 ///
 /// # Panics
 ///
@@ -356,6 +225,20 @@ pub fn paired_ratio(rounds: usize, mut base: impl FnMut(), mut fast: impl FnMut(
         .collect();
     ratios.sort_by(f64::total_cmp);
     ratios[rounds / 2]
+}
+
+/// Prints one ratio gate's reading and asserts it holds its floor.
+///
+/// # Panics
+///
+/// Panics if `ratio` is under `floor`.
+pub fn gate(name: &str, floor: f64, ratio: f64) {
+    println!("gate {name}: {} vs >={floor}x", fmt_x(ratio));
+    assert!(
+        ratio >= floor,
+        "{name}: {} fell below its {floor}x gate",
+        fmt_x(ratio)
+    );
 }
 
 /// Formats a ratio with two decimals and an `x` suffix.
@@ -410,6 +293,42 @@ mod tests {
     #[test]
     fn ratio_formatting() {
         assert_eq!(fmt_x(4.3), "4.30x");
+    }
+
+    #[test]
+    fn paired_ratio_alternates_which_side_goes_first() {
+        let calls = std::cell::RefCell::new(String::new());
+        paired_ratio(
+            4,
+            || calls.borrow_mut().push('b'),
+            || calls.borrow_mut().push('f'),
+        );
+        assert_eq!(*calls.borrow(), "bffbbffb");
+    }
+
+    #[test]
+    fn paired_ratio_is_the_middle_round_of_an_odd_count() {
+        // Round r sleeps its base side for SLEEPS[r] ms and its fast side
+        // for 10 ms: round ratios near 40, 1 and 10, whose median is the
+        // last round's however far a sleep overshoots.
+        const SLEEPS: [u64; 3] = [400, 10, 100];
+        let round = std::cell::Cell::new(0);
+        let sleep = |ms| std::thread::sleep(std::time::Duration::from_millis(ms));
+        let ratio = paired_ratio(
+            3,
+            || {
+                sleep(SLEEPS[round.get()]);
+                round.set(round.get() + 1);
+            },
+            || sleep(10),
+        );
+        assert!((3.0..25.0).contains(&ratio), "{ratio}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn paired_ratio_rejects_zero_rounds() {
+        paired_ratio(0, || (), || ());
     }
 
     #[test]

@@ -44,8 +44,7 @@
 //! event stream — and by proptest (`tests/exec_engine.rs` diffs all nine
 //! executors against [`scalar`] across adversarial geometries, channel
 //! counts around the lane width, and `f64` / `f32` / `Fx` for the six).
-//! `benches/exec.rs` gates the resulting speedup and records it in
-//! `results/BENCH_exec.json`.
+//! `benches/exec.rs` gates the resulting speedup on paired ratios.
 //!
 //! # Precondition: finite operands
 //!

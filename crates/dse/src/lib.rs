@@ -54,7 +54,7 @@ pub fn code_salt() -> u64 {
 
 /// Environment variable naming the on-disk cell cache directory for
 /// engine entry points that configure themselves from the environment
-/// ([`DseConfig::from_env`]). Replaces the retired `ZFGAN_SWEEP_CACHE`.
+/// ([`DseConfig::from_env`]).
 pub const CACHE_ENV: &str = "ZFGAN_DSE_CACHE";
 
 /// Default bounded in-flight window: cells computed per pool wave before

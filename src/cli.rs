@@ -158,19 +158,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Some((&"perf", rest)) => {
             let flags = parse_flags(
                 rest,
-                &[
-                    ("--check", false),
-                    ("--file", true),
-                    ("--window", true),
-                    ("--tolerance", true),
-                ],
+                &[("--check", false), ("--ingest", true), ("--ledger", true)],
             )?;
-            let file = flag_str(&flags, "--file").map(std::path::Path::new);
             crate::perf::run_perf(
-                file,
+                flag_str(&flags, "--ingest").map(std::path::Path::new),
                 flag_set(&flags, "--check"),
-                flag_num(&flags, "--window")?.unwrap_or(crate::perf::DEFAULT_WINDOW),
-                flag_num(&flags, "--tolerance")?.unwrap_or(crate::perf::DEFAULT_TOLERANCE_PCT),
+                flag_str(&flags, "--ledger").map(std::path::Path::new),
             )
         }
         Some((&"dse", rest)) => {
@@ -244,10 +237,11 @@ fn usage() -> String {
      \x20                            per-dataflow cycle attribution (MAC / DRAM / buffer /\n\
      \x20                            idle) with PE utilization and roofline position; the\n\
      \x20                            components sum exactly to the engine's total cycles\n\
-     \x20 perf [--check] [--file PATH] [--window N] [--tolerance PCT]\n\
-     \x20                            render the results/bench_history.jsonl trajectory;\n\
-     \x20                            --check fails on regression vs the rolling baseline\n\
-     \x20                            beyond max(PCT %, 4 x cv); default tolerance 35 %\n\
+     \x20 perf [--ingest RUNS.json] [--check] [--ledger PATH]\n\
+     \x20                            render the results/ledger.jsonl series; --ingest\n\
+     \x20                            appends the medians of a `zfgan-benchmark run --out`\n\
+     \x20                            file; --check fails if the newest ingest is worse than\n\
+     \x20                            the previous one of its host by a BENCHMARK.json bound\n\
      \x20 dse <sweep> [--cache PATH] [--out PATH] [--verify trust|all]\n\
      \x20     [--window N] [--shards N]\n\
      \x20                            serve a figure sweep (fig15..fig19) as a query batch:\n\
@@ -935,10 +929,12 @@ mod tests {
 
     #[test]
     fn perf_and_serve_flag_validation() {
-        let err = run(&args(&["perf", "--file", "/nonexistent/ledger.jsonl"])).unwrap_err();
-        assert!(err.contains("--file /nonexistent/ledger.jsonl"), "{err}");
-        let err = run(&args(&["perf", "--window", "0"])).unwrap_err();
-        assert_eq!(err, "--window must be non-zero");
+        let err = run(&args(&["perf", "--ledger", "/nonexistent/ledger.jsonl"])).unwrap_err();
+        assert!(err.contains("--ledger /nonexistent/ledger.jsonl"), "{err}");
+        for (flag, value) in [("--window", "8"), ("--tolerance", "35"), ("--file", "x")] {
+            let err = run(&args(&["perf", flag, value])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
         let err = run(&args(&["serve-metrics", "--path", "/health"])).unwrap_err();
         assert_eq!(err, "--path needs --scrape");
         let err = run(&args(&["serve-metrics", "--scrape", "127.0.0.1:1"])).unwrap_err();

@@ -1,330 +1,299 @@
-//! `zfgan perf` — the bench-history trajectory: render what
-//! `results/bench_history.jsonl` has accumulated and gate the latest run
-//! against a noise-aware rolling baseline.
+//! `zfgan perf` — the committed performance ledger: ingest the result file
+//! `zfgan-benchmark run --out` writes, render the series, and gate the
+//! newest ingest against the previous one of the same host.
 //!
-//! The ledger is append-only JSONL written by the `gemm` / `trainstep` /
-//! `exec` harnesses via `zfgan_bench::emit_bench`: one object per measured
-//! row, stamped with a monotonically increasing `run_id`, the commit sha
-//! and a host fingerprint. The loader is schema-tolerant — rows written
-//! before the metadata existed (the old `results/BENCH_*.json` shape) load
-//! with defaults, and when no ledger exists yet the snapshot files
-//! themselves are read as a single-run trajectory.
+//! `results/ledger.jsonl` is tracked, append-only JSONL: one [`Row`] per
+//! workload × end-to-end metric of an ingest, holding the median over the
+//! file's untraced runs, the commit and a host fingerprint
+//! (`arch-os/nproc/simd-label`; no hostname, container hostnames never
+//! repeat). Rows whose `source` is not `"benchmark"` (the medians
+//! backfilled from CHANGES.md) render in the series and are never a
+//! baseline.
 //!
-//! The `--check` gate is **min-based and stddev-tolerant**: for each
-//! series the latest run's `min_ns` is compared against the minimum
-//! `min_ns` over the previous `--window` runs, and only a slowdown beyond
-//! `max(tolerance floor, 4 × cv)` (cv = the latest row's relative
-//! standard deviation) fails. The fastest-sample statistic is what
-//! survives a noisy shared host; the floor absorbs the residual jitter
-//! between separate runs, while real regressions land far above it. The
-//! floor defaults to 35 % and is tunable per call site (`--tolerance`):
-//! CI's short smoke windows need a wide one, long local windows can
-//! tighten it.
+//! `--check` is a function of the ledger alone: per series, the last
+//! measured row of the newest ingest's host against the measured row of
+//! that host before it, worse by more than the metric's `bound` in the
+//! direction its `better` names — both read from `BENCHMARK.json`, the
+//! rule `zfgan-benchmark compare` applies to medians. With no earlier
+//! ingest of that host it says so instead of passing silently.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use serde_json::Value;
+use serde::{Deserialize, Serialize, Value};
 
-/// Default relative-slowdown floor (percent) below which a series is
-/// never flagged, see `--tolerance`.
-pub const DEFAULT_TOLERANCE_PCT: usize = 35;
-/// Stddev multiplier widening the tolerance for noisy series.
-const TOLERANCE_CV_FACTOR: f64 = 4.0;
-/// Default rolling-baseline window (prior runs considered), see `--window`.
-pub const DEFAULT_WINDOW: usize = 8;
+/// The benchmark's contract; this reads its `end_to_end` list.
+const MANIFEST: &str = include_str!("../BENCHMARK.json");
+const DEFAULT_LEDGER: &str = "results/ledger.jsonl";
+/// `source` of a row `--ingest` measured.
+const MEASURED: &str = "benchmark";
 
-/// One ledger row (shared schema with `results/BENCH_*.json` snapshots).
-#[derive(Debug, Clone)]
-struct LedgerRow {
-    bench: String,
-    id: String,
-    run_id: u64,
-    git_sha: String,
-    mean_ns: f64,
-    min_ns: f64,
-    stddev_ns: f64,
+#[derive(Deserialize)]
+struct Manifest {
+    end_to_end: Vec<MetricDef>,
 }
 
-fn field_str(obj: &Value, key: &str, default: &str) -> String {
-    obj.as_object()
-        .and_then(|o| o.get(key))
-        .and_then(Value::as_str)
-        .unwrap_or(default)
-        .to_string()
+#[derive(Deserialize)]
+struct MetricDef {
+    name: String,
+    /// `"lower"` or `"higher"`.
+    better: String,
+    /// Largest tolerated worsening, as a share of the baseline median.
+    bound: f64,
 }
 
-fn field_f64(obj: &Value, key: &str) -> f64 {
-    obj.as_object()
-        .and_then(|o| o.get(key))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0)
+fn end_to_end() -> Vec<MetricDef> {
+    let manifest: Manifest = serde_json::from_str(MANIFEST).expect("BENCHMARK.json is checked in");
+    manifest.end_to_end
 }
 
-fn field_u64(obj: &Value, key: &str) -> u64 {
-    obj.as_object()
-        .and_then(|o| o.get(key))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
+/// One ledger line.
+#[derive(Debug, Serialize, Deserialize)]
+struct Row {
+    sha: String,
+    host: String,
+    workload: String,
+    metric: String,
+    unit: String,
+    median: f64,
+    runs: usize,
+    source: String,
 }
 
-/// Parse one row object; old-schema rows (no bench/run_id/git_sha) get
-/// defaults so pre-ledger files stay loadable.
-fn parse_row(v: &Value, default_bench: &str, default_run: u64) -> Option<LedgerRow> {
-    let id = field_str(v, "id", "");
-    if id.is_empty() {
-        return None;
-    }
-    let bench = field_str(v, "bench", default_bench);
-    let run_id = match field_u64(v, "run_id") {
-        0 => default_run,
-        n => n,
-    };
-    Some(LedgerRow {
-        bench,
-        id,
-        run_id,
-        git_sha: field_str(v, "git_sha", "unknown"),
-        mean_ns: field_f64(v, "mean_ns"),
-        min_ns: field_f64(v, "min_ns"),
-        stddev_ns: field_f64(v, "stddev_ns"),
-    })
+#[derive(Deserialize)]
+struct RunsFile {
+    runs: Vec<Run>,
 }
 
-/// Mirror of `zfgan_bench`'s results-dir resolution (`ZFGAN_RESULTS_DIR`
-/// else `results/`), so `zfgan perf` reads where the harnesses wrote.
-fn results_dir() -> PathBuf {
-    std::env::var_os("ZFGAN_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
+#[derive(Deserialize)]
+struct Run {
+    workload: String,
+    trace: u64,
+    result: RunResult,
 }
 
-/// Load the ledger, or fall back to the `BENCH_*.json` snapshots as a
-/// single-run trajectory. Returns the rows and a description of the
-/// source for the report header.
-fn load_rows(file: Option<&Path>) -> Result<(Vec<LedgerRow>, String), String> {
-    let ledger = file
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| results_dir().join("bench_history.jsonl"));
-    if let Some(path) = file {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("--file {}: {e}", path.display()))?;
-        return Ok((parse_ledger(&text), path.display().to_string()));
-    }
-    if let Ok(text) = std::fs::read_to_string(&ledger) {
-        return Ok((parse_ledger(&text), ledger.display().to_string()));
-    }
-    // No ledger yet: read the snapshot sidecars (old or new schema).
-    let dir = results_dir();
-    let mut rows = Vec::new();
-    let mut sources = 0usize;
-    let entries = std::fs::read_dir(&dir).map_err(|e| {
-        format!(
-            "no ledger at {} and {}: {e}",
-            ledger.display(),
-            dir.display()
-        )
-    })?;
-    let mut names: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    names.sort();
-    for path in names {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let Ok(v) = serde_json::from_str::<Value>(&text) else {
-            continue;
-        };
-        let bench = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .map(|n| n.trim_start_matches("BENCH_").trim_end_matches(".json"))
-            .unwrap_or("bench")
-            .to_string();
-        if let Some(arr) = v.as_array() {
-            sources += 1;
-            rows.extend(arr.iter().filter_map(|r| parse_row(r, &bench, 1)));
+#[derive(Deserialize)]
+struct RunResult {
+    correct: bool,
+    failed: u64,
+    /// `{name: {value, unit}}`
+    metrics: Value,
+}
+
+#[derive(Deserialize)]
+struct Reading {
+    value: f64,
+    unit: String,
+}
+
+/// The tree under measurement: `git describe --always --dirty` (a short
+/// sha, `-dirty` when tracked files differ from it), else `"unknown"`.
+fn git_sha() -> String {
+    let git = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output();
+    match git {
+        Ok(out) if out.status.success() && !out.stdout.is_empty() => {
+            String::from_utf8_lossy(&out.stdout).trim().to_string()
         }
+        _ => "unknown".to_string(),
     }
-    if sources == 0 {
+}
+
+/// What makes two hosts' wall times comparable: `arch-os/nproc/simd-label`.
+fn host_fingerprint() -> String {
+    format!(
+        "{}-{}/{}/{}",
+        std::env::consts::ARCH,
+        std::env::consts::OS,
+        std::thread::available_parallelism().map_or(0, usize::from),
+        zfgan_tensor::microkernel::simd_label()
+    )
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
+    }
+}
+
+/// The rows the runs file `text` contributes: per workload and end-to-end
+/// metric, the median over the untraced runs.
+fn ingest_rows(text: &str) -> Result<Vec<Row>, String> {
+    let file: RunsFile = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let failed = |r: &&Run| !r.result.correct || r.result.failed > 0;
+    if let Some(bad) = file.runs.iter().find(failed) {
         return Err(format!(
-            "no ledger at {} and no BENCH_*.json snapshots in {}",
-            ledger.display(),
-            dir.display()
+            "a {} run has {} failed ops and \"correct\":{}",
+            bad.workload, bad.result.failed, bad.result.correct
         ));
     }
-    Ok((rows, format!("{} (snapshot fallback)", dir.display())))
+    let defs = end_to_end();
+    let mut cells: BTreeMap<(&str, usize), Vec<Reading>> = BTreeMap::new();
+    for run in file.runs.iter().filter(|r| r.trace == 0) {
+        let metrics = run.result.metrics.as_object();
+        for (i, def) in defs.iter().enumerate() {
+            if let Some(v) = metrics.and_then(|m| m.get(&def.name)) {
+                let reading = Reading::from_value(v)
+                    .map_err(|e| format!("{} {}: {e}", run.workload, def.name))?;
+                cells.entry((&run.workload, i)).or_default().push(reading);
+            }
+        }
+    }
+    if cells.is_empty() {
+        return Err("no untraced run with an end-to-end metric".to_string());
+    }
+    let (sha, host) = (git_sha(), host_fingerprint());
+    Ok(cells
+        .into_iter()
+        .map(|((workload, i), readings)| Row {
+            sha: sha.clone(),
+            host: host.clone(),
+            workload: workload.to_string(),
+            metric: defs[i].name.clone(),
+            unit: readings[0].unit.clone(),
+            runs: readings.len(),
+            median: median(readings.iter().map(|r| r.value).collect()),
+            source: MEASURED.to_string(),
+        })
+        .collect())
 }
 
-fn parse_ledger(text: &str) -> Vec<LedgerRow> {
+/// Parses ledger `text`; `name` prefixes the line number of a bad line.
+fn parse_ledger(name: &str, text: &str) -> Result<Vec<Row>, String> {
     text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|line| serde_json::from_str::<Value>(line).ok())
-        .filter_map(|v| parse_row(&v, "bench", 1))
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| serde_json::from_str(line).map_err(|e| format!("{name}:{}: {e}", i + 1)))
         .collect()
 }
 
-/// One series' verdict against its rolling baseline.
-#[derive(Debug)]
-struct SeriesReport {
-    key: String,
-    runs: usize,
-    best_min_ns: f64,
-    latest: LedgerRow,
-    /// `None` when there is no prior run to compare against.
-    baseline_min_ns: Option<f64>,
-    tolerance: f64,
-    regressed: bool,
-}
-
-fn analyse(rows: &[LedgerRow], window: usize, floor: f64) -> Vec<SeriesReport> {
-    let mut series: BTreeMap<String, Vec<&LedgerRow>> = BTreeMap::new();
+/// The rows of each `(workload, metric)` series, in ledger order.
+fn series(rows: &[Row]) -> BTreeMap<(&str, &str), Vec<&Row>> {
+    let mut map: BTreeMap<_, Vec<&Row>> = BTreeMap::new();
     for row in rows {
-        series
-            .entry(format!("{}:{}", row.bench, row.id))
+        map.entry((row.workload.as_str(), row.metric.as_str()))
             .or_default()
             .push(row);
     }
-    let mut out = Vec::new();
-    for (key, mut members) in series {
-        members.sort_by_key(|r| r.run_id);
-        let latest = (*members.last().expect("non-empty series")).clone();
-        let prior: Vec<&&LedgerRow> = members
-            .iter()
-            .filter(|r| r.run_id < latest.run_id)
-            .collect();
-        let prior = &prior[prior.len().saturating_sub(window)..];
-        let baseline_min_ns = prior
-            .iter()
-            .map(|r| r.min_ns)
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.min(v)))
-            });
-        let cv = if latest.mean_ns > 0.0 {
-            latest.stddev_ns / latest.mean_ns
-        } else {
-            0.0
-        };
-        let tolerance = floor.max(TOLERANCE_CV_FACTOR * cv);
-        let regressed = baseline_min_ns
-            .is_some_and(|base| base > 0.0 && latest.min_ns > base * (1.0 + tolerance));
-        out.push(SeriesReport {
-            key,
-            runs: members.len(),
-            best_min_ns: members
-                .iter()
-                .map(|r| r.min_ns)
-                .fold(f64::INFINITY, f64::min),
-            latest,
-            baseline_min_ns,
-            tolerance,
-            regressed,
-        });
+    map
+}
+
+/// One line per series, oldest point first; `*` marks a measured point.
+fn render(rows: &[Row]) -> String {
+    let mut out = String::new();
+    for ((workload, metric), points) in series(rows) {
+        out.push_str(&format!("{workload} {metric} ({}):", points[0].unit));
+        for p in points {
+            let mark = if p.source == MEASURED { "*" } else { "" };
+            out.push_str(&format!("  {}={:.4}{mark}", p.sha, p.median));
+        }
+        out.push('\n');
     }
     out
 }
 
-fn fmt_ns(v: f64) -> String {
-    format!("{v:.0}")
-}
-
-/// `zfgan perf [--check] [--file PATH] [--window N] [--tolerance PCT]`:
-/// render the bench trajectory per series; with `check`, fail on any
-/// series whose latest `min_ns` regressed beyond the rolling baseline's
-/// tolerance (`max(PCT %, 4 × cv)`).
-///
-/// # Errors
-///
-/// Returns an error when neither a ledger nor snapshot files exist, or —
-/// under `check` — when at least one series regressed.
-pub fn run_perf(
-    file: Option<&Path>,
-    check: bool,
-    window: usize,
-    tolerance_pct: usize,
-) -> Result<String, String> {
-    if window == 0 {
-        return Err("--window must be non-zero".to_string());
-    }
-    if tolerance_pct == 0 {
-        return Err("--tolerance must be non-zero".to_string());
-    }
-    let (rows, source) = load_rows(file)?;
-    if rows.is_empty() {
-        return Err(format!("{source}: no parseable bench rows"));
-    }
-    let reports = analyse(&rows, window, tolerance_pct as f64 / 100.0);
-    let runs: std::collections::BTreeSet<u64> = rows.iter().map(|r| r.run_id).collect();
-    let latest_sha = reports
-        .iter()
-        .map(|r| r.latest.git_sha.as_str())
-        .next_back()
-        .unwrap_or("unknown");
-
-    let mut out = format!(
-        "perf ledger: {source}\n{} rows, {} series, {} runs; latest sha {}\n\n",
-        rows.len(),
-        reports.len(),
-        runs.len(),
-        latest_sha
-    );
-    let key_w = reports
-        .iter()
-        .map(|r| r.key.len())
-        .max()
-        .unwrap_or(6)
-        .max("series".len());
-    out.push_str(&format!(
-        "{:<key_w$}  runs  best(ns)    latest(ns)  vs-baseline\n",
-        "series"
-    ));
-    let mut regressions = Vec::new();
-    for r in &reports {
-        let verdict = match r.baseline_min_ns {
-            None => "n/a (first run)".to_string(),
-            Some(base) if base <= 0.0 => "n/a (zero baseline)".to_string(),
-            Some(base) => {
-                let delta = (r.latest.min_ns - base) / base * 100.0;
-                let mark = if r.regressed { "  REGRESSED" } else { "" };
-                format!("{delta:+.1}% (tol {:.0}%){mark}", r.tolerance * 100.0)
-            }
+/// The `--check` verdict over `rows`: `Ok` with a summary line, `Err` with
+/// one line per series that got worse than its bound allows.
+fn check(rows: &[Row]) -> Result<String, String> {
+    let measured = |r: &&Row| r.source == MEASURED;
+    let Some(host) = rows.iter().rfind(measured).map(|r| r.host.as_str()) else {
+        return Ok("perf check: no baseline for this host (no measured ingest)\n".to_string());
+    };
+    let defs = end_to_end();
+    let (mut compared, mut worse) = (0, Vec::new());
+    for ((workload, metric), points) in series(rows) {
+        let mut points = points
+            .into_iter()
+            .filter(|r| measured(r) && r.host == host)
+            .rev();
+        let (Some(new), Some(base)) = (points.next(), points.next()) else {
+            continue;
         };
-        out.push_str(&format!(
-            "{:<key_w$}  {:>4}  {:>10}  {:>10}  {verdict}\n",
-            r.key,
-            r.runs,
-            fmt_ns(r.best_min_ns),
-            fmt_ns(r.latest.min_ns),
-        ));
-        if r.regressed {
-            regressions.push(format!(
-                "{}: latest min {} ns vs baseline {} ns (tolerance {:.0}%)",
-                r.key,
-                fmt_ns(r.latest.min_ns),
-                fmt_ns(r.baseline_min_ns.unwrap_or(0.0)),
-                r.tolerance * 100.0
+        let Some(def) = defs.iter().find(|d| d.name == metric) else {
+            continue;
+        };
+        compared += 1;
+        let delta = match def.better.as_str() {
+            "higher" => base.median - new.median,
+            _ => new.median - base.median,
+        };
+        if delta > def.bound * base.median.abs() {
+            let (n, b, unit, pct) = (new.median, base.median, &new.unit, def.bound * 100.0);
+            worse.push(format!(
+                "  - {workload} {metric}: {n:.4} {unit} at {} vs {b:.4} {unit} at {}, \
+                 beyond the {pct:.0} % bound ({} is better)",
+                new.sha, base.sha, def.better
             ));
         }
     }
+    if compared == 0 {
+        Ok(format!("perf check: no baseline for this host ({host})\n"))
+    } else if worse.is_empty() {
+        Ok(format!(
+            "perf check: OK ({compared} series within bound of the last ingest on {host})\n"
+        ))
+    } else {
+        Err(format!("PERF REGRESSIONS on {host}:\n{}", worse.join("\n")))
+    }
+}
+
+/// `zfgan perf [--ingest RUNS.json] [--check] [--ledger PATH]`: append the
+/// medians of a benchmark result file to the ledger, render every series,
+/// and with `check` fail if the newest ingest is worse than the previous
+/// ingest of its host by more than a metric's bound.
+///
+/// # Errors
+///
+/// Returns an error when the runs file holds an incorrect or failed run,
+/// when the ledger is missing or has a malformed line, or — under `check`
+/// — when at least one series regressed.
+pub fn run_perf(
+    ingest: Option<&Path>,
+    check: bool,
+    ledger: Option<&Path>,
+) -> Result<String, String> {
+    let ledger = ledger.unwrap_or(Path::new(DEFAULT_LEDGER));
+    let at = |flag: &str, path: &Path, e: &dyn std::fmt::Display| {
+        format!("{flag} {}: {e}", path.display())
+    };
+    let mut out = String::new();
+    if let Some(runs) = ingest {
+        let text = std::fs::read_to_string(runs).map_err(|e| at("--ingest", runs, &e))?;
+        let rows = ingest_rows(&text).map_err(|e| at("--ingest", runs, &e))?;
+        let mut lines = String::new();
+        for row in &rows {
+            lines.push_str(&serde_json::to_string(row).map_err(|e| e.to_string())?);
+            lines.push('\n');
+        }
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(ledger)
+            .and_then(|mut f| std::io::Write::write_all(&mut f, lines.as_bytes()))
+            .map_err(|e| at("--ledger", ledger, &e))?;
+        let (n, first) = (rows.len(), &rows[0]);
+        out.push_str(&format!(
+            "ingested {n} rows at {} on {}\n",
+            first.sha, first.host
+        ));
+    }
+    let text = std::fs::read_to_string(ledger).map_err(|e| at("--ledger", ledger, &e))?;
+    let name = ledger.display().to_string();
+    let rows = parse_ledger(&name, &text)?;
+    let n = rows.len();
+    out.push_str(&format!(
+        "perf ledger: {name} ({n} rows; sha=median, * measured)\n"
+    ));
+    out.push_str(&render(&rows));
     if check {
-        if regressions.is_empty() {
-            out.push_str("\nperf check: OK (no series regressed beyond tolerance)\n");
-        } else {
-            return Err(format!(
-                "{out}\nPERF REGRESSIONS DETECTED:\n{}",
-                regressions
-                    .iter()
-                    .map(|r| format!("  - {r}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            ));
+        match self::check(&rows) {
+            Ok(verdict) => out.push_str(&verdict),
+            Err(regressions) => return Err(format!("{out}{regressions}")),
         }
     }
     Ok(out)
@@ -334,116 +303,144 @@ pub fn run_perf(
 mod tests {
     use super::*;
 
-    fn row(bench: &str, id: &str, run_id: u64, min_ns: f64) -> String {
+    const HOST: &str = "x86_64-linux/2/avx2";
+
+    /// One run in the `--out` shape with all five end-to-end metrics at
+    /// `scale` times (10, 100, 3, 50, 0.5).
+    fn run(workload: &str, trace: u8, correct: bool, failed: u64, scale: f64) -> String {
+        let metric = |name: &str, unit: &str, v: f64| {
+            format!("\"{name}\":{{\"value\":{},\"unit\":\"{unit}\"}}", v * scale)
+        };
         format!(
-            "{{\"bench\":\"{bench}\",\"id\":\"{id}\",\"run_id\":{run_id},\
-             \"mean_ns\":{m},\"min_ns\":{min_ns},\"stddev_ns\":1.0,\"iters\":10,\
-             \"threads\":1,\"simd\":\"avx2\",\"speedup\":1.0,\
-             \"git_sha\":\"abc\",\"host\":\"h/x-y\"}}",
-            m = min_ns * 1.1
+            "{{\"workload\":\"{workload}\",\"trace\":{trace},\"seed\":1,\"sim_digest\":\"ab\",\
+             \"result\":{{\"correct\":{correct},\"attempted\":40,\"failed\":{failed},\
+             \"metrics\":{{{},{},{},{},{}}}}}}}",
+            metric("op_quiet_ms", "ms", 10.0),
+            metric("units_per_s", "1/s", 100.0),
+            metric("allocs_plus1_per_op", "count", 3.0),
+            metric("peak_rss_mb", "MiB", 50.0),
+            metric("setup_s", "s", 0.5)
         )
     }
 
-    fn write_ledger(lines: &[String]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "zfgan-perf-test-{}-{:p}",
-            std::process::id(),
-            lines.as_ptr()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_history.jsonl");
-        std::fs::write(&path, lines.join("\n")).unwrap();
-        path
-    }
-
-    #[test]
-    fn identical_runs_pass_the_check() {
-        let path = write_ledger(&[
-            row("gemm", "matmul/naive", 1, 1000.0),
-            row("gemm", "matmul/naive", 2, 1000.0),
-        ]);
-        let out = run_perf(Some(&path), true, DEFAULT_WINDOW, DEFAULT_TOLERANCE_PCT).unwrap();
-        assert!(out.contains("perf check: OK"), "{out}");
-        assert!(out.contains("gemm:matmul/naive"), "{out}");
-    }
-
-    #[test]
-    fn a_large_slowdown_fails_the_check_but_not_the_render() {
-        let path = write_ledger(&[
-            row("exec", "exec/zfost_s/engine", 1, 1000.0),
-            row("exec", "exec/zfost_s/engine", 2, 2500.0),
-        ]);
-        let err = run_perf(Some(&path), true, DEFAULT_WINDOW, DEFAULT_TOLERANCE_PCT).unwrap_err();
-        assert!(err.contains("PERF REGRESSIONS DETECTED"), "{err}");
-        assert!(err.contains("exec:exec/zfost_s/engine"), "{err}");
-        // Rendering without --check reports but does not fail.
-        let out = run_perf(Some(&path), false, DEFAULT_WINDOW, DEFAULT_TOLERANCE_PCT).unwrap();
-        assert!(out.contains("REGRESSED"), "{out}");
-    }
-
-    #[test]
-    fn slowdown_within_tolerance_passes() {
-        let path = write_ledger(&[
-            row("gemm", "matmul/blocked", 1, 1000.0),
-            row("gemm", "matmul/blocked", 2, 1200.0),
-        ]);
-        let out = run_perf(Some(&path), true, DEFAULT_WINDOW, DEFAULT_TOLERANCE_PCT).unwrap();
-        assert!(out.contains("perf check: OK"), "{out}");
-    }
-
-    #[test]
-    fn a_wide_tolerance_admits_a_slowdown_the_default_rejects() {
-        // Short smoke windows (CI) are noisy; `--tolerance 200` lets a
-        // 2.5x slowdown pass that the 35 % default flags.
-        let path = write_ledger(&[
-            row("exec", "exec/nlr_s/engine", 1, 1000.0),
-            row("exec", "exec/nlr_s/engine", 2, 2500.0),
-        ]);
-        let err = run_perf(Some(&path), true, DEFAULT_WINDOW, DEFAULT_TOLERANCE_PCT).unwrap_err();
-        assert!(err.contains("PERF REGRESSIONS DETECTED"), "{err}");
-        let out = run_perf(Some(&path), true, DEFAULT_WINDOW, 200).unwrap();
-        assert!(out.contains("perf check: OK"), "{out}");
-        // A zero tolerance is a flag-usage error, not a silent pass.
-        let err = run_perf(Some(&path), true, DEFAULT_WINDOW, 0).unwrap_err();
-        assert!(err.contains("--tolerance must be non-zero"), "{err}");
-    }
-
-    #[test]
-    fn first_run_has_no_baseline_and_passes() {
-        let path = write_ledger(&[row("gemm", "matmul/naive", 1, 1000.0)]);
-        let out = run_perf(Some(&path), true, DEFAULT_WINDOW, DEFAULT_TOLERANCE_PCT).unwrap();
-        assert!(out.contains("n/a (first run)"), "{out}");
-        assert!(out.contains("perf check: OK"), "{out}");
-    }
-
-    #[test]
-    fn old_schema_rows_load_with_defaults() {
-        // Pre-ledger snapshot shape: no bench/run_id/git_sha/host fields.
-        let line = "{\"id\":\"matmul/naive\",\"mean_ns\":1100.0,\"min_ns\":1000.0,\
-                    \"stddev_ns\":5.0,\"iters\":3,\"threads\":1,\"simd\":\"avx2\",\
-                    \"speedup\":1.0}"
-            .to_string();
-        let path = write_ledger(&[line]);
-        let out = run_perf(Some(&path), true, DEFAULT_WINDOW, DEFAULT_TOLERANCE_PCT).unwrap();
-        assert!(out.contains("bench:matmul/naive"), "{out}");
-        assert!(out.contains("perf check: OK"), "{out}");
-    }
-
-    #[test]
-    fn rolling_window_limits_the_baseline() {
-        // An ancient fast run outside the window must not define the
-        // baseline: runs 1 (fast) then 2..=9 slow, window 4 → baseline
-        // comes from runs 6..=9 and run 10 passes.
-        let mut lines = vec![row("gemm", "g/x", 1, 100.0)];
-        for run in 2..=9 {
-            lines.push(row("gemm", "g/x", run, 1000.0));
+    /// The five workloads, once per `(trace, scale)` pass, as a runs file.
+    fn runs_file(passes: &[(u8, f64)], extra: &[String]) -> String {
+        let workloads = "train_mnist train_dcgan dse_explore_cold dse_paper_warm exec_zero_free";
+        let mut runs: Vec<String> = extra.to_vec();
+        for &(trace, scale) in passes {
+            runs.extend(workloads.split(' ').map(|w| run(w, trace, true, 0, scale)));
         }
-        lines.push(row("gemm", "g/x", 10, 1100.0));
-        let path = write_ledger(&lines);
-        let out = run_perf(Some(&path), true, 4, DEFAULT_TOLERANCE_PCT).unwrap();
-        assert!(out.contains("perf check: OK"), "{out}");
-        // With a window big enough to reach run 1, the same data fails.
-        let err = run_perf(Some(&path), true, 16, DEFAULT_TOLERANCE_PCT).unwrap_err();
-        assert!(err.contains("PERF REGRESSIONS DETECTED"), "{err}");
+        format!("{{\"runs\":[\n{}\n]}}\n", runs.join(",\n"))
+    }
+
+    /// A `train_mnist` ledger line.
+    fn row(sha: &str, host: &str, source: &str, metric: &str, median: f64) -> String {
+        format!(
+            "{{\"sha\":\"{sha}\",\"host\":\"{host}\",\"workload\":\"train_mnist\",\"metric\":\"{metric}\",\
+             \"unit\":\"u\",\"median\":{median},\"runs\":3,\"source\":\"{source}\"}}\n"
+        )
+    }
+
+    /// A line `--ingest` wrote on `HOST`.
+    fn measured(sha: &str, metric: &str, median: f64) -> String {
+        row(sha, HOST, MEASURED, metric, median)
+    }
+
+    fn check_text(ledger: &str) -> Result<String, String> {
+        check(&parse_ledger("ledger.jsonl", ledger)?)
+    }
+
+    #[test]
+    fn an_ingest_appends_one_median_row_per_workload_and_metric() {
+        let dir = std::env::temp_dir().join(format!("zfgan-perf-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (runs, ledger) = (dir.join("runs.json"), dir.join("ledger.jsonl"));
+        let _ = std::fs::remove_file(&ledger);
+        // `--repeat 3`: three untraced suites whose median is the scale-2
+        // one, plus a traced suite that must not count.
+        std::fs::write(
+            &runs,
+            runs_file(&[(0, 1.0), (0, 3.0), (0, 2.0), (1, 100.0)], &[]),
+        )
+        .unwrap();
+        let out = run_perf(Some(&runs), true, Some(&ledger)).unwrap();
+        assert!(out.contains("ingested 25 rows"), "{out}");
+        assert!(out.contains("no baseline for this host"), "{out}");
+        let rows = parse_ledger("l", &std::fs::read_to_string(&ledger).unwrap()).unwrap();
+        assert_eq!(rows.len(), 25);
+        assert!(rows.iter().all(|r| r.runs == 3 && r.source == MEASURED));
+        assert!(rows.iter().all(|r| r.host == host_fingerprint()));
+        let quiet = series(&rows)[&("train_dcgan", "op_quiet_ms")][0];
+        assert_eq!((quiet.median, quiet.unit.as_str()), (20.0, "ms"));
+        // The identical file again: 50 rows, and the pair passes the check.
+        let out = run_perf(Some(&runs), true, Some(&ledger)).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&ledger).unwrap().lines().count(),
+            50
+        );
+        assert!(out.contains("perf check: OK (25 series"), "{out}");
+        assert!(out.contains("train_dcgan op_quiet_ms (ms):"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_incorrect_or_failed_run_is_refused() {
+        for (correct, failed) in [(false, 0), (true, 2)] {
+            let bad = run("exec_zero_free", 1, correct, failed, 1.0);
+            let err = ingest_rows(&runs_file(&[(0, 1.0)], &[bad])).unwrap_err();
+            assert!(err.contains("a exec_zero_free run has"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_lower_is_better_metric_worse_than_its_bound_fails() {
+        let base = measured("aaa", "op_quiet_ms", 10.0);
+        let out = check_text(&(base.clone() + &measured("bbb", "op_quiet_ms", 12.4)));
+        assert!(out.unwrap().contains("perf check: OK (1 series"));
+        let err = check_text(&(base + &measured("bbb", "op_quiet_ms", 12.6))).unwrap_err();
+        let line = err.lines().last().unwrap();
+        for part in [
+            "train_mnist op_quiet_ms",
+            "12.6000 u at bbb",
+            "10.0000 u at aaa",
+            "25 % bound",
+        ] {
+            assert!(line.contains(part), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_higher_is_better_metric_fails_on_a_drop_and_passes_on_a_rise() {
+        let base = measured("aaa", "units_per_s", 100.0);
+        let err = check_text(&(base.clone() + &measured("bbb", "units_per_s", 70.0))).unwrap_err();
+        assert!(err.contains("train_mnist units_per_s: 70.0000"), "{err}");
+        assert!(err.contains("higher is better"), "{err}");
+        let out = check_text(&(base + &measured("bbb", "units_per_s", 300.0)));
+        assert!(out.unwrap().contains("perf check: OK"));
+    }
+
+    #[test]
+    fn another_host_or_a_backfilled_row_is_never_a_baseline() {
+        let ledger = row("aaa", "x86_64-linux/8/avx2", MEASURED, "op_quiet_ms", 1.0)
+            + &row("bbb", "unrecorded", "CHANGES.md", "op_quiet_ms", 1.0)
+            + &measured("ccc", "op_quiet_ms", 99.0);
+        let out = check_text(&ledger).unwrap();
+        assert!(
+            out.contains(&format!("no baseline for this host ({HOST})")),
+            "{out}"
+        );
+        let rendered = render(&parse_ledger("l", &ledger).unwrap());
+        assert!(
+            rendered.contains("aaa=1.0000*  bbb=1.0000  ccc=99.0000*"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn a_malformed_ledger_line_is_a_one_line_error_with_its_number() {
+        let good = measured("aaa", "op_quiet_ms", 1.0);
+        let err = check_text(&format!("{good}{{\"sha\":\n{good}")).unwrap_err();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.starts_with("ledger.jsonl:2:"), "{err}");
     }
 }
