@@ -1,5 +1,6 @@
-//! GEMM fast-path ratio gates on paper GAN layer shapes: packed and pooled
-//! kernels over the naive triple loop, the dispatcher's engines over the
+//! GEMM fast-path ratio gates on paper GAN layer shapes: the packed kernel
+//! over the naive triple loop, the engine's own pool fan-out over the same
+//! engine held to one inline chunk, the dispatcher's engines over the
 //! forced packed path, and the AVX-512 tile over the AVX2 tile.
 //!
 //! Every gate is one [`paired_ratio`] of two variants that agree
@@ -14,12 +15,12 @@ use std::cell::RefCell;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use zfgan_bench::{gate, paired_ratio};
-use zfgan_tensor::gemm::MatmulKind;
+use zfgan_tensor::gemm::{matmul_blocked_into, matmul_chunked, MatmulKind};
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
     choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch, SimdLevel,
 };
-use zfgan_tensor::{ConvGeom, Fmaps, Fx, Kernels};
+use zfgan_tensor::{ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
 
 /// Rounds behind every paired ratio here.
 const PAIRED_ROUNDS: usize = 21;
@@ -62,7 +63,7 @@ fn gate_over_naive<T: zfgan_tensor::Num>(
     gate(name, floor, ratio);
 }
 
-/// Packed and pooled kernels over naive on the lowered MNIST-GAN S-CONV: a
+/// The packed kernel over naive on the lowered MNIST-GAN S-CONV: a
 /// 49×1600 patch matrix against a 1600×128 weight matrix.
 fn gate_matmul_kinds() {
     let mut rng = SmallRng::seed_from_u64(21);
@@ -81,11 +82,6 @@ fn gate_matmul_kinds() {
         &a,
         &b,
     );
-    // The pooled variants must not lose to the sequential naive kernel:
-    // spawn-per-call used to put them below 1x, the persistent pool is
-    // what keeps them above it.
-    gate_over_naive("matmul/parallel2", 1.0, MatmulKind::Parallel(2), &a, &b);
-    gate_over_naive("matmul/parallel4", 1.0, MatmulKind::Parallel(4), &a, &b);
 
     // Batch-4 dense activations (pre-ReLU / post-BatchNorm maps carry no
     // structural zeros): the naive loop's zero skip buys nothing on this
@@ -250,6 +246,67 @@ fn gate_wide_tile() {
     }
 }
 
+/// Floor of the fan-out gates. Ten fresh processes on the two-core CI host
+/// read 1.15-1.36x (`256x3200x64`, eight of them 1.31-1.32x) and 1.24-1.44x
+/// (`128x1600x256`): what is missing from 2x is the serial `A` scan, the
+/// memory both threads stream `B` through, and — the low readings — a
+/// worker the kernel woke on the submitter's own core and migrated
+/// milliseconds later. A fan-out that stopped fanning out reads 1.00x.
+const FAN_OUT_FLOOR: f64 = 1.1;
+
+/// The default engine — scan, pack and tile, fanned out as
+/// `microkernel::fan_out_rows` decides — over the same engine held to one
+/// inline chunk (`matmul_chunked` at `rows_per_chunk = m`), on two DCGAN
+/// shapes past `FAN_OUT_MIN_MACS` and one MNIST-GAN shape under it. Past
+/// the threshold a second pool thread must buy [`FAN_OUT_FLOOR`]; under it
+/// the default engine *is* the inline one, and must read so within 5 %
+/// either way (0.99-1.01x over the same ten processes).
+fn gate_fan_out() {
+    let mut rng = SmallRng::seed_from_u64(26);
+    let fans_out = zfgan_pool::pool_threads() >= 2;
+    for (m, kk, n, over) in [
+        (256usize, 3200usize, 64usize, true),
+        (128, 1600, 256, true),
+        (64, 512, 49, false),
+    ] {
+        let name = format!("fanout/{m}x{kk}x{n}");
+        if over && !fans_out {
+            println!("gate {name}: skipped at pool width 1");
+            continue;
+        }
+        let mut draw = |rows: usize, cols: usize| {
+            let data = (0..rows * cols)
+                .map(|_| rng.gen_range(-1.0f32..1.0))
+                .collect();
+            Matrix::from_vec(rows, cols, data)
+        };
+        let (a, b) = (draw(m, kk), draw(kk, n));
+        let reps = (1.0e8 / (m * kk * n) as f64).ceil() as usize;
+        let buffers = RefCell::new((Matrix::zeros(m, n), ConvWorkspace::new()));
+        let inline = || {
+            let (out, ws) = &mut *buffers.borrow_mut();
+            for _ in 0..reps {
+                matmul_chunked(&a, &b, out, false, None, m, ws);
+                std::hint::black_box(&mut *out);
+            }
+        };
+        let default = || {
+            let (out, _) = &mut *buffers.borrow_mut();
+            for _ in 0..reps {
+                matmul_blocked_into(&a, &b, out).expect("conforming operands");
+                std::hint::black_box(&mut *out);
+            }
+        };
+        let ratio = paired_ratio(PAIRED_ROUNDS, inline, default);
+        if over {
+            gate(&name, simd_floor(FAN_OUT_FLOOR), ratio);
+        } else {
+            gate(&name, 0.95, ratio);
+            assert!(ratio <= 1.05, "{name}: an inline GEMM must not move");
+        }
+    }
+}
+
 fn main() {
     println!("simd: {}", simd_label());
     // The tile gates go first: their "not slower" floors have the thinnest
@@ -258,5 +315,6 @@ fn main() {
     // aligned, which a `zmm` load feels more than a `ymm` load).
     gate_wide_tile();
     gate_matmul_kinds();
+    gate_fan_out();
     gate_dispatch_shapes();
 }

@@ -6,9 +6,10 @@
 //! *reference engine* end to end: the specification fill/reshape loops
 //! (see `MatmulKind::is_reference`) over the retained blocked-scalar GEMM,
 //! with workspace reuse. That keeps its cost model pinned to the
-//! pre-microkernel engine, so its ratio to `ws_pool2` measures what this
-//! engine — cache-aware fills plus the packed SIMD microkernel — buys the
-//! full train step. The packed variants compute bit-identical updates to
+//! pre-microkernel engine, so its ratio to `ws_packed` (the default
+//! backend, fanning out on the pool where a GEMM is large enough) measures
+//! what this engine — cache-aware fills plus the packed SIMD microkernel —
+//! buys the full train step. The packed variants compute bit-identical updates to
 //! each other (`tests/determinism.rs`); `ws_scalar` agrees within the
 //! fused-accumulation bound. Every gate is one [`paired_ratio`] of one
 //! train step a side; the absolute step time is the `train_mnist` workload
@@ -65,22 +66,19 @@ fn main() {
             floor
         }
     };
-    // Workspace reuse must beat allocating scratch at identical threading
-    // (pool2 vs pool2). Comparing against a sequential allocating step
-    // instead would entangle the workspace win with the pool's fixed
-    // dispatch overhead, which on a one-core host is pure penalty.
-    let alloc_pool2 = stepper(ConvBackend::Parallel(2), false);
-    let ws_pool2 = stepper(ConvBackend::Parallel(2), true);
-    let s = paired_ratio(PAIRED_ROUNDS, || alloc_pool2(None), || ws_pool2(None));
-    gate("trainstep/ws_pool2_vs_alloc_pool2", 1.0, s);
+    // Workspace reuse must beat allocating scratch on the same engine.
+    let alloc_packed = stepper(ConvBackend::default(), false);
+    let ws_packed = stepper(ConvBackend::default(), true);
+    let s = paired_ratio(PAIRED_ROUNDS, || alloc_packed(None), || ws_packed(None));
+    gate("trainstep/ws_vs_alloc", 1.0, s);
 
     // The packed engine (cache-aware fills + SIMD microkernel) must buy
     // the *full train step* >=2x over the reference engine (specification
     // fills + blocked-scalar GEMM, same workspace reuse).
     let ws_scalar = stepper(ConvBackend::ScalarRef, true);
-    let ws_pool2 = stepper(ConvBackend::Parallel(2), true);
-    let s = paired_ratio(PAIRED_ROUNDS, || ws_scalar(None), || ws_pool2(None));
-    gate("trainstep/ws_pool2_vs_ws_scalar", simd_floor(2.0), s);
+    let ws_packed = stepper(ConvBackend::default(), true);
+    let s = paired_ratio(PAIRED_ROUNDS, || ws_scalar(None), || ws_packed(None));
+    gate("trainstep/ws_packed_vs_ws_scalar", simd_floor(2.0), s);
 
     // The shape-aware dispatcher (ikj pack bypass + small-m streamed
     // lowering) must buy the full train step >=1.15x over the pre-dispatch
@@ -89,11 +87,11 @@ fn main() {
     // wide AVX-512 tile halves what forcing the load-bound small-m shapes
     // through the packed tile costs, so the ratio reads 1.15-1.27x there
     // against ~1.4x on the AVX2 tile.
-    let ws_pool2 = stepper(ConvBackend::Parallel(2), true);
+    let ws_packed = stepper(ConvBackend::default(), true);
     let s = paired_ratio(
         PAIRED_ROUNDS,
-        || ws_pool2(Some(GemmPath::Packed)),
-        || ws_pool2(None),
+        || ws_packed(Some(GemmPath::Packed)),
+        || ws_packed(None),
     );
     gate("trainstep/dispatched_vs_packed_only", simd_floor(1.15), s);
 }

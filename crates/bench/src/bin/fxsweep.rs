@@ -3,9 +3,11 @@
 //!
 //! Runs every conv op (S/T forward, both input-grads, both W-CONV
 //! gradients) in Q8.8 fixed point over MNIST-GAN-shaped and
-//! boundary-heavy geometries, through both packed-engine backends
-//! (sequential and pooled), and prints an FNV-1a digest of each result's
-//! raw `i16` payload plus a few sampled raw values.
+//! boundary-heavy geometries through the packed engine, then one Q8.8 GEMM
+//! under every explicit row partition (`gemm::matmul_chunked`: chunks of
+//! one row, around a register tile, ragged, whole — storing and adding),
+//! and prints an FNV-1a digest of each result's raw `i16` payload plus a
+//! few sampled raw values.
 //!
 //! The output is a pure function of the fixed seed: no timestamps, no
 //! timings, no SIMD/thread metadata on stdout. `scripts/ci.sh` runs this
@@ -18,6 +20,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use zfgan_tensor::gemm::matmul_chunked;
+use zfgan_tensor::im2col::Matrix;
 use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
 
 /// FNV-1a over the little-endian bytes of the raw Q8.8 words.
@@ -66,49 +70,66 @@ fn rand_kernels(n_of: usize, n_if: usize, kh: usize, kw: usize, rng: &mut SmallR
     k
 }
 
-/// All six conv ops for one geometry, one backend. `(ih, iw)` is the
-/// large-side (S-CONV input) spatial size; the T-CONV direction feeds the
-/// small side back up.
+/// All six conv ops for one geometry on the default backend. `(ih, iw)` is
+/// the large-side (S-CONV input) spatial size; the T-CONV direction feeds
+/// the small side back up.
 fn sweep_geom(tag: &str, geom: &ConvGeom, n_small: usize, n_large: usize, ih: usize, iw: usize) {
     let mut ws: ConvWorkspace<Fx> = ConvWorkspace::new();
-    for (bname, be) in [
-        ("seq", ConvBackend::LoweredZeroFree),
-        ("pool2", ConvBackend::Parallel(2)),
-    ] {
-        // Re-seed per backend so both backends see identical operands —
-        // their digests must agree line for line as well.
-        let mut rng = SmallRng::seed_from_u64(0x5eed);
-        let x = rand_fmaps(n_large, ih, iw, &mut rng);
-        let k = rand_kernels(n_small, n_large, geom.kh(), geom.kw(), &mut rng);
-        let (oh, ow) = geom.down_out(ih, iw);
-        let d_small = rand_fmaps(n_small, oh, ow, &mut rng);
+    let (bname, be) = ("seq", ConvBackend::LoweredZeroFree);
+    let mut rng = SmallRng::seed_from_u64(0x5eed);
+    let x = rand_fmaps(n_large, ih, iw, &mut rng);
+    let k = rand_kernels(n_small, n_large, geom.kh(), geom.kw(), &mut rng);
+    let (oh, ow) = geom.down_out(ih, iw);
+    let d_small = rand_fmaps(n_small, oh, ow, &mut rng);
 
-        let fwd = be.s_conv_ws(&x, &k, geom, &mut ws).unwrap();
-        report(&format!("{tag}/s_conv"), bname, fwd.as_slice());
-        let dg = be
-            .s_conv_input_grad_ws(&d_small, &k, geom, ih, iw, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/s_input_grad"), bname, dg.as_slice());
-        let wg = be
-            .w_conv_for_s_layer_ws(&x, &d_small, geom, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/s_wgrad"), bname, wg.as_slice());
-        ws.give_fmaps(dg);
+    let fwd = be.s_conv_ws(&x, &k, geom, &mut ws).unwrap();
+    report(&format!("{tag}/s_conv"), bname, fwd.as_slice());
+    let dg = be
+        .s_conv_input_grad_ws(&d_small, &k, geom, ih, iw, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/s_input_grad"), bname, dg.as_slice());
+    let wg = be
+        .w_conv_for_s_layer_ws(&x, &d_small, geom, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/s_wgrad"), bname, wg.as_slice());
+    ws.give_fmaps(dg);
 
-        let up = be.t_conv_ws(&fwd, &k, geom, &mut ws).unwrap();
-        report(&format!("{tag}/t_conv"), bname, up.as_slice());
-        let d_large = rand_fmaps(n_large, up.height(), up.width(), &mut rng);
-        let tg = be
-            .t_conv_input_grad_ws(&d_large, &k, geom, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/t_input_grad"), bname, tg.as_slice());
-        let wt = be
-            .w_conv_for_t_layer_ws(&fwd, &d_large, geom, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/t_wgrad"), bname, wt.as_slice());
-        ws.give_fmaps(fwd);
-        ws.give_fmaps(up);
-        ws.give_fmaps(tg);
+    let up = be.t_conv_ws(&fwd, &k, geom, &mut ws).unwrap();
+    report(&format!("{tag}/t_conv"), bname, up.as_slice());
+    let d_large = rand_fmaps(n_large, up.height(), up.width(), &mut rng);
+    let tg = be
+        .t_conv_input_grad_ws(&d_large, &k, geom, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/t_input_grad"), bname, tg.as_slice());
+    let wt = be
+        .w_conv_for_t_layer_ws(&fwd, &d_large, geom, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/t_wgrad"), bname, wt.as_slice());
+    ws.give_fmaps(fwd);
+    ws.give_fmaps(up);
+    ws.give_fmaps(tg);
+}
+
+/// One Q8.8 GEMM (two `k`-chunks deep, a ragged last panel) under every
+/// explicit row partition: the digests of one destination must agree line
+/// for line, at every SIMD level and on every forced path.
+fn sweep_partitions() {
+    let mut rng = SmallRng::seed_from_u64(0x5eed);
+    let (m, kk, n) = (37, 600, 75);
+    let mut draw = |rows: usize, cols: usize| {
+        let data = (0..rows * cols)
+            .map(|_| Fx::from_f32(rng.gen_range(-0.25f32..0.25)))
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    };
+    let (a, b, acc) = (draw(m, kk), draw(kk, n), draw(m, n));
+    let mut ws: ConvWorkspace<Fx> = ConvWorkspace::new();
+    for (tag, add) in [("gemm/store", false), ("gemm/add", true)] {
+        for rows_per_chunk in [1, 5, 6, 7, 13, m] {
+            let mut out = acc.clone();
+            matmul_chunked(&a, &b, &mut out, add, None, rows_per_chunk, &mut ws);
+            report(tag, &format!("r{rows_per_chunk}"), out.as_slice());
+        }
     }
 }
 
@@ -147,4 +168,5 @@ fn main() {
         7,
         7,
     );
+    sweep_partitions();
 }

@@ -17,11 +17,10 @@
 //!    estimate must not collapse, every parameter must be finite and
 //!    bounded.
 //! 4. **Recover** — on any anomaly: roll back, restore the RNG, retry
-//!    (bounded by [`SupervisorConfig::max_retries`]). A panic
-//!    additionally *degrades* the convolution backend —
-//!    `Parallel(n) → Parallel(n/2) → LoweredZeroFree` — on the theory
-//!    that the thread pool, not the math, is what failed. All backends
-//!    are bit-identical, so degradation changes throughput only.
+//!    (bounded by [`SupervisorConfig::max_retries`]). A contained panic
+//!    is one more anomaly: the retry runs on the same backend and the
+//!    same pool (how wide a GEMM runs is the packed engine's decision, and
+//!    `ZFGAN_THREADS=1` is the one way to make a process serial).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -139,8 +138,6 @@ pub struct SupervisorStats {
     pub rollbacks: u64,
     /// Re-executions after a rollback.
     pub retries: u64,
-    /// Backend degradations after panics.
-    pub degradations: u64,
 }
 
 /// Why supervised training stopped.
@@ -280,14 +277,14 @@ impl SupervisedTrainer {
         &self.stats
     }
 
-    /// The currently active convolution backend (possibly degraded).
+    /// The currently active convolution backend.
     pub fn backend(&self) -> ConvBackend {
         self.backend
     }
 
     /// Selects the convolution backend. The supervisor remembers it so a
     /// rollback (which restores snapshotted layers, carrying *their*
-    /// backend) re-applies the active — possibly degraded — choice.
+    /// backend) re-applies the active choice.
     pub fn set_backend(&mut self, backend: ConvBackend) {
         self.backend = backend;
         self.trainer.gan_mut().set_backend(backend);
@@ -326,7 +323,6 @@ impl SupervisedTrainer {
                 Err(_) => {
                     // The trainer may be mid-update; only the rollback
                     // below makes its state trustworthy again.
-                    self.degrade_backend();
                     Some(Anomaly::WorkerPanic)
                 }
                 Ok(reports) => {
@@ -360,21 +356,6 @@ impl SupervisedTrainer {
                 self.stats.retries += 1;
                 zfgan_telemetry::count("supervisor_retries_total", &[], 1);
             }
-        }
-    }
-
-    /// Halves the parallel backend's thread count (floor: sequential
-    /// zero-free) after a panic: if a worker died, fewer workers is the
-    /// bit-identical way to keep going.
-    fn degrade_backend(&mut self) {
-        if let ConvBackend::Parallel(n) = self.backend {
-            self.backend = if n > 2 {
-                ConvBackend::Parallel(n / 2)
-            } else {
-                ConvBackend::LoweredZeroFree
-            };
-            self.stats.degradations += 1;
-            zfgan_telemetry::count("supervisor_degradations_total", &[], 1);
         }
     }
 
@@ -571,21 +552,6 @@ mod tests {
             }
             other => panic!("unexpected: {other}"),
         }
-    }
-
-    #[test]
-    fn panic_degrades_parallel_backend() {
-        let mut sup = supervised(38, None);
-        sup.set_backend(ConvBackend::Parallel(8));
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::Parallel(4));
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::Parallel(2));
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::LoweredZeroFree);
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::LoweredZeroFree);
-        assert_eq!(sup.stats().degradations, 3);
     }
 
     #[test]

@@ -23,9 +23,8 @@ use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels};
 /// (two chunks: scratch, then one add pass).
 const SMALL_HW: [usize; 4] = [2, 3, 5, 23];
 
-const BACKENDS: [ConvBackend; 5] = [
+const BACKENDS: [ConvBackend; 4] = [
     ConvBackend::LoweredZeroFree,
-    ConvBackend::Parallel(2),
     ConvBackend::LoweredGemm,
     ConvBackend::ScalarRef,
     ConvBackend::GoldenDirect,

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use zfgan_nn::{Checkpoint, GanPair, GanTrainer, SyncMode, TrainerConfig};
+use zfgan_nn::{Checkpoint, CheckpointError, GanPair, GanTrainer, SyncMode, TrainerConfig};
 
 fn tiny_checkpoint(seed: u64) -> Checkpoint {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -56,6 +56,17 @@ fn edited_fields_are_rejected_with_descriptive_errors() {
     assert_ne!(zero_stride, json, "fixture lost its stride field");
     let err = Checkpoint::from_json(&zero_stride).unwrap_err();
     assert!(err.to_string().contains("stride"), "{err}");
+
+    // A checkpoint written when a pooled backend existed names a variant
+    // that no longer exists: a typed parse error, never a silent default.
+    let pooled = json.replacen(
+        "\"backend\":\"LoweredZeroFree\"",
+        "\"backend\":{\"Parallel\":2}",
+        1,
+    );
+    assert_ne!(pooled, json, "fixture lost its backend field");
+    let err = Checkpoint::from_json(&pooled).unwrap_err();
+    assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
 
     // NaN smuggled into a weight: serde_json can't represent NaN, so this
     // arrives as a parse error — still an error, not a panic.

@@ -1,13 +1,19 @@
 //! `zfgan-pool` — a persistent, lazily-initialized, process-global worker
-//! pool for the data-parallel hot paths (`matmul_parallel`, `par_map`,
-//! `parallel_dis_grads`).
+//! pool for the data-parallel hot paths: the packed GEMM's row chunks, `B`
+//! packing and lowering fills (`zfgan-tensor`), the zero-free executors'
+//! lane chunks (`zfgan-dataflow`), the DSE unroll search and cell waves
+//! (`zfgan-dse`), and the figure binaries' sweep maps.
 //!
 //! Before this crate existed every parallel call site spawned and joined
-//! fresh OS threads, which made the parallel GEMM variants *slower* than the
-//! naive loop at layer-sized shapes. The pool spawns `pool_threads() - 1`
-//! workers once, on first use, and keeps them parked on a condvar between
-//! batches, so dispatch cost is a few mutex operations instead of a
-//! `clone`+`spawn`+`join` round trip per call.
+//! fresh OS threads, which made a parallel GEMM *slower* than the naive
+//! loop at layer-sized shapes. The pool spawns `pool_threads() - 1` workers
+//! once, on first use. Between batches a worker polls for `SPIN_WINDOW`
+//! and then parks on a condvar, so a batch that follows another within the
+//! window is picked up in about a microsecond, and an idle process burns no
+//! CPU; a submitter whose last tasks are still running on workers polls for
+//! the same window before it blocks. Width is the pool's business: `ZFGAN_THREADS` (or the host's core
+//! count) is the only thing that sets it, and callers decide *whether* a
+//! piece of work is worth a batch, never how wide the machine is.
 //!
 //! # Execution model
 //!
@@ -17,8 +23,8 @@
 //! back-first. The submitting thread never blocks idly while its batch is in
 //! flight: it *helps*, draining queued tasks (preferring its own batch) until
 //! every task of its batch has finished. This makes nested submission safe —
-//! a pooled `parallel_dis_grads` job whose conv layers use the pooled GEMM
-//! backend cannot deadlock, because every blocked submitter is also a worker.
+//! a pooled job whose conv layers fan their GEMMs out on the same pool
+//! cannot deadlock, because every blocked submitter is also a worker.
 //!
 //! # Determinism contract
 //!
@@ -49,7 +55,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Error returned when one or more tasks of a batch panicked. The batch
 /// still ran to completion (every non-panicking task finished), mirroring
@@ -151,7 +157,13 @@ struct Shared {
 impl Shared {
     fn new(n_queues: usize) -> Self {
         Shared {
-            queues: (0..n_queues).map(|_| Mutex::new(VecDeque::new())).collect(),
+            // Pre-sized: the allocation-free callers queue a few tasks per
+            // thread and batch, and how deep a queue gets before a worker
+            // pops depends on scheduling — a deque that grew on demand made
+            // "a warm pass allocates nothing" a race.
+            queues: (0..n_queues)
+                .map(|_| Mutex::new(VecDeque::with_capacity(64)))
+                .collect(),
             pending: AtomicUsize::new(0),
             version: Mutex::new(0),
             work_cv: Condvar::new(),
@@ -214,8 +226,17 @@ fn steal(shared: &Shared, me: usize) -> Option<Task> {
     None
 }
 
+/// How long a worker that found every queue empty keeps polling before it
+/// parks, and a submitter whose batch is finishing on other threads before
+/// it blocks. A train step submits its batches in bursts (pack, GEMM, next
+/// fill) a few microseconds apart, and waking a parked worker costs more
+/// than a 20 µs task takes; the gaps *between* bursts (the optimizer pass,
+/// a figure binary's serial section) are milliseconds, and those park.
+const SPIN_WINDOW: Duration = Duration::from_micros(200);
+
 fn worker_loop(shared: &'static Shared, me: usize) {
     let mut seen_version = 0u64;
+    let mut ran_task = false;
     loop {
         // Two statements: the guard on our own queue must drop before we
         // steal, or two workers stealing from each other deadlock.
@@ -223,7 +244,32 @@ fn worker_loop(shared: &'static Shared, me: usize) {
         if let Some(t) = own.or_else(|| steal(shared, me)) {
             shared.pending.fetch_sub(1, Ordering::Relaxed);
             run_task(t);
+            ran_task = true;
             continue;
+        }
+        // Spin before parking, one bounded window per stretch of work (a
+        // worker that ran nothing since it last polled or parked goes
+        // straight to the condvar, so an idle pool costs what it did). This only
+        // *postpones* the park path below and adds no state between
+        // submitter and worker: `run_batch` counts a batch into `pending`,
+        // queues every task, and only then bumps `version`, so a task
+        // counted in `pending` is reachable from a queue before the bump
+        // that a parked worker waits for. A poll that sees `pending > 0`
+        // goes back to the queues; a poll that never does falls through to
+        // the version check under the lock exactly as if it had not spun.
+        // `Relaxed` is enough: the load publishes nothing, the queue mutexes
+        // do. The yield hands the core to any runnable thread (the kernel's
+        // journal threads during a store `fsync`, a sibling process).
+        if std::mem::take(&mut ran_task) {
+            let idle_since = Instant::now();
+            let mut queued = false;
+            while !queued && idle_since.elapsed() < SPIN_WINDOW {
+                std::thread::yield_now();
+                queued = shared.pending.load(Ordering::Relaxed) > 0;
+            }
+            if queued {
+                continue;
+            }
         }
         let v = shared.version.lock().unwrap();
         if *v != seen_version {
@@ -342,9 +388,25 @@ pub fn run_batch<F: Fn(usize) + Sync>(n: usize, f: &F) -> Result<(), PoolError> 
             run_task(t);
             continue;
         }
+        // Every queue is empty: what is left of our batch is running on
+        // workers right now, typically for less time than a futex wake
+        // takes. Poll for the same bounded window a worker does (new work,
+        // ours or nested, ends the poll early) before blocking; the `done`
+        // handoff under the mutex below stays the only exit.
+        let waiting_since = Instant::now();
+        while header.remaining.load(Ordering::SeqCst) > 0
+            && shared.pending.load(Ordering::Relaxed) == 0
+            && waiting_since.elapsed() < SPIN_WINDOW
+        {
+            std::thread::yield_now();
+        }
         let d = header.done.lock().unwrap();
         if *d {
             break;
+        }
+        if header.remaining.load(Ordering::SeqCst) == 0 {
+            // The last task is between its decrement and the handoff.
+            continue;
         }
         let (d, _) = header
             .done_cv

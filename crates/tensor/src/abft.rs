@@ -264,7 +264,7 @@ mod tests {
             for kind in [
                 MatmulKind::Naive,
                 MatmulKind::Blocked,
-                MatmulKind::Parallel(3),
+                MatmulKind::BlockedScalar,
             ] {
                 let (_, report) = checked_matmul(kind, &a, &b).unwrap();
                 assert!(report.clean(), "{m}×{k}×{n} {kind:?}: {report:?}");

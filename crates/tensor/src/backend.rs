@@ -6,9 +6,10 @@
 //! in [`crate::conv`] for every element type (see [`crate::gemm`] for why
 //! scalar blocking preserves bits, and [`crate::zero_free`] for why
 //! skipping the inserted zeros does). The packed-microkernel backends
-//! ([`ConvBackend::LoweredGemm`], [`ConvBackend::LoweredZeroFree`],
-//! [`ConvBackend::Parallel`]) are bit-identical to *each other* for every
-//! thread count and SIMD level, bit-identical to golden for `Fx` and
+//! ([`ConvBackend::LoweredGemm`], [`ConvBackend::LoweredZeroFree`]) are
+//! bit-identical to *each other* for every pool width and SIMD level —
+//! how wide a GEMM runs is the packed engine's own decision (see
+//! [`crate::gemm`]), not a backend — bit-identical to golden for `Fx` and
 //! `f64`, and within the fused-accumulation error bound of golden for
 //! `f32` — the packed f32 kernel owns its accumulation order (see
 //! [`crate::microkernel`]). The golden nests stay the oracle the dataflow
@@ -49,10 +50,6 @@ pub enum ConvBackend {
     /// inserted zeros are never built — the software mirror of
     /// ZFOST/ZFWST.
     LoweredZeroFree,
-    /// [`ConvBackend::LoweredZeroFree`] with the GEMM split over this
-    /// many pooled threads (clamped to the available rows; deterministic
-    /// for every thread count).
-    Parallel(usize),
 }
 
 impl Default for ConvBackend {
@@ -72,7 +69,6 @@ impl ConvBackend {
             ConvBackend::GoldenDirect => MatmulKind::Naive,
             ConvBackend::ScalarRef => MatmulKind::BlockedScalar,
             ConvBackend::LoweredGemm | ConvBackend::LoweredZeroFree => MatmulKind::Blocked,
-            ConvBackend::Parallel(n) => MatmulKind::Parallel(n),
         }
     }
 
@@ -123,7 +119,7 @@ impl ConvBackend {
                 }
                 Ok(out)
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::t_conv_zero_free(input, k, geom, self.mm())
             }
         }
@@ -161,7 +157,7 @@ impl ConvBackend {
                 }
                 Ok(out)
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::t_conv_zero_free_sized(delta_out, k, geom, in_h, in_w, self.mm())
             }
         }
@@ -255,7 +251,7 @@ impl ConvBackend {
     ) -> TensorResult<Fmaps<T>> {
         match self {
             ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => self.t_conv(input, k, geom),
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::t_conv_zero_free_ws(input, k, geom, self.mm(), ws)
             }
         }
@@ -277,7 +273,7 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::LoweredZeroFree => {
                 let (oh, ow) = geom.up_out(input.height(), input.width());
                 let mm = self.mm();
                 zero_free::t_conv_zero_free_cached_ws(input, k, sub_kernels, geom, oh, ow, mm, ws)
@@ -305,7 +301,7 @@ impl ConvBackend {
             ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
                 self.s_conv_input_grad(delta_out, k, geom, in_h, in_w)
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::t_conv_zero_free_sized_ws(delta_out, k, geom, in_h, in_w, self.mm(), ws)
             }
         }
@@ -329,7 +325,7 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::LoweredZeroFree => {
                 let mm = self.mm();
                 zero_free::t_conv_zero_free_cached_ws(
                     delta_out,
@@ -405,7 +401,7 @@ impl ConvBackend {
             ConvBackend::LoweredGemm => {
                 zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom, self.mm())
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::w_conv_t_zero_free_ws(input, delta_out, geom, self.mm(), ws)
             }
         }
@@ -459,7 +455,7 @@ impl ConvBackend {
             ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
                 add_gradient(acc, &self.w_conv_for_t_layer(input, delta_out, geom)?)
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 let mm = self.mm();
                 zero_free::w_conv_t_zero_free_accumulate_ws(input, delta_out, geom, mm, acc, ws)
             }
@@ -480,21 +476,16 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    const ALL: [ConvBackend; 5] = [
+    const ALL: [ConvBackend; 4] = [
         ConvBackend::GoldenDirect,
         ConvBackend::ScalarRef,
         ConvBackend::LoweredGemm,
         ConvBackend::LoweredZeroFree,
-        ConvBackend::Parallel(4),
     ];
 
     /// The packed-microkernel family: bit-identical to each other, within
     /// the fused-accumulation bound of golden for f32.
-    const PACKED: [ConvBackend; 3] = [
-        ConvBackend::LoweredGemm,
-        ConvBackend::LoweredZeroFree,
-        ConvBackend::Parallel(4),
-    ];
+    const PACKED: [ConvBackend; 2] = [ConvBackend::LoweredGemm, ConvBackend::LoweredZeroFree];
 
     fn geom() -> ConvGeom {
         ConvGeom::down(10, 10, 4, 4, 2, 5, 5).unwrap()

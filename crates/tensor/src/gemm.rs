@@ -10,17 +10,17 @@
 //!   sequential in ascending order with the same `a.is_zero()` operand
 //!   skip. This is the scalar oracle the packed kernels are measured
 //!   against, and the honest baseline for the microkernel speedup gates.
-//! * [`MatmulKind::Blocked`] / [`MatmulKind::Parallel`] — the **packed
-//!   SIMD microkernel** ([`crate::microkernel`]) for `f32` and [`Fx`]
-//!   operands; other element types (the `f64` validation paths) fall back
-//!   to the scalar blocked kernel and keep its naive bit-identity.
+//! * [`MatmulKind::Blocked`] — the **packed SIMD microkernel**
+//!   ([`crate::microkernel`]) for `f32` and [`Fx`] operands; other element
+//!   types (the `f64` validation paths) fall back to the scalar blocked
+//!   kernel and keep its naive bit-identity.
 //!
 //! # Packed-kernel semantics
 //!
 //! The packed f32 kernel defines its *own* fixed accumulation order — per
 //! output element a single fused-multiply-add chain over `k` ascending —
 //! rather than reproducing the naive two-rounding sum. That order is
-//! deterministic and invariant across thread counts, `ZFGAN_NO_SIMD`, and
+//! deterministic and invariant across pool widths, `ZFGAN_NO_SIMD`, and
 //! AVX2-vs-scalar dispatch (the scalar fallback uses the correctly-rounded
 //! [`f32::mul_add`], the same operation as one `vfmadd` lane), and it
 //! matches the naive oracle within the standard accumulation-error bound.
@@ -33,11 +33,19 @@
 //! structural-zero masks (the paper's zero-free scheduling composed with
 //! SIMD) are pure performance freedom, never a semantics choice.
 //!
-//! The parallel variant packs once on the calling thread, then splits the
-//! *output rows* into contiguous chunks, one persistent-pool task per
-//! chunk (`zfgan-pool`). Panels run along `k` within a row, so any row
-//! partition trivially preserves bits for every thread count and pool
-//! schedule.
+//! # Who decides the width
+//!
+//! The packed engine does, per GEMM, from a work estimate — there is no
+//! parallel kind to ask for. A GEMM of fewer than
+//! [`microkernel::FAN_OUT_MIN_MACS`] multiply–accumulates runs on the
+//! calling thread and touches the pool not at all. A larger one splits its
+//! *output rows* into register-tile-aligned chunks, about two per pool
+//! thread ([`microkernel::fan_out_rows`]), dispatched as one
+//! allocation-free pool batch; its `B` operand is packed over disjoint
+//! panel ranges and filled over disjoint rows (`fill_b_rows`) under the
+//! same criterion. Panels run along `k` within a row, so every output
+//! element is one `k`-ascending chain computed by one thread and any
+//! partition preserves bits; `ZFGAN_THREADS=1` makes the process serial.
 //!
 //! # Operand order
 //!
@@ -108,9 +116,9 @@ thread_local! {
 /// How a lowered convolution multiplies its patch and weight matrices.
 ///
 /// `Naive` and `BlockedScalar` are bit-identical to each other for every
-/// element type; `Blocked` and `Parallel` run the packed microkernel for
-/// `f32`/`Fx` (bit-identical to *each other* for every thread count and
-/// SIMD level, bit-identical to the scalar pair for `Fx`, and within the
+/// element type; `Blocked` runs the packed microkernel for `f32`/`Fx`
+/// (bit-identical to itself for every pool width and SIMD level,
+/// bit-identical to the scalar pair for `Fx`, and within the
 /// accumulation-error bound of it for `f32`) — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulKind {
@@ -120,12 +128,10 @@ pub enum MatmulKind {
     /// bit-identical to [`MatmulKind::Naive`] — the retained scalar
     /// oracle.
     BlockedScalar,
-    /// The packed SIMD microkernel, single-threaded (scalar blocked
-    /// fallback for element types without a packed kernel).
+    /// The packed SIMD microkernel, fanned out over the pool when the
+    /// GEMM is large enough (scalar blocked fallback for element types
+    /// without a packed kernel).
     Blocked,
-    /// The packed SIMD microkernel over row chunks on this many pooled
-    /// threads.
-    Parallel(usize),
 }
 
 impl MatmulKind {
@@ -154,7 +160,6 @@ impl MatmulKind {
             }
             MatmulKind::BlockedScalar => matmul_blocked_scalar(a, b),
             MatmulKind::Blocked => matmul_blocked(a, b),
-            MatmulKind::Parallel(n) => matmul_parallel(a, b, n),
         }
     }
 
@@ -184,9 +189,7 @@ impl MatmulKind {
                 a.matmul_into(b, &mut out)
             }
             MatmulKind::BlockedScalar => matmul_blocked_scalar_into(a, b, &mut out),
-            MatmulKind::Blocked | MatmulKind::Parallel(_) => {
-                matmul_packed_into_scratch(a, b, self.threads(), &mut out, ws.pack_scratch())
-            }
+            MatmulKind::Blocked => matmul_packed_into_scratch(a, b, &mut out, ws.pack_scratch()),
         };
         match result {
             Ok(()) => Ok(out),
@@ -196,24 +199,17 @@ impl MatmulKind {
             }
         }
     }
-
-    /// How many pool tasks this kind asks a packed-family GEMM to split
-    /// its output rows over.
-    fn threads(&self) -> usize {
-        match *self {
-            MatmulKind::Parallel(n) => n,
-            _ => 1,
-        }
-    }
 }
 
 /// Publish one kernel invocation's deterministic telemetry: call/tile
 /// counts plus the operand-word traffic and how much of it zero skipping
 /// elided. For the packed kernels both counts are pure functions of the
 /// `a` operand and the shape (panel-mask words), so they are identical
-/// for every thread count and SIMD level — and so is `path`, the
+/// for every pool width and SIMD level — and so is `path`, the
 /// shape-dispatch decision recorded as the `gemm_dispatch{path}` series
-/// (`None` for kernels the dispatch layer doesn't route).
+/// (`None` for kernels the dispatch layer doesn't route). How many chunks
+/// the GEMM ran as is scheduling and is not recorded: the packed family is
+/// the one label `"blocked"` at every width.
 fn record_gemm(
     backend: &'static str,
     m: usize,
@@ -346,7 +342,9 @@ pub fn matmul_blocked_scalar_into<T: Num>(
 ///
 /// Returns an error if the inner dimensions disagree.
 pub fn matmul_blocked<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> TensorResult<Matrix<T>> {
-    matmul_parallel(a, b, 1)
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    matmul_blocked_into(a, b, &mut out)?;
+    Ok(out)
 }
 
 /// [`matmul_blocked`] into a caller-provided output matrix (every element
@@ -363,80 +361,29 @@ pub fn matmul_blocked_into<T: Num>(
     b: &Matrix<T>,
     out: &mut Matrix<T>,
 ) -> TensorResult<()> {
-    matmul_parallel_into(a, b, 1, out)
+    PACK_TLS.with(|s| matmul_packed_into_scratch(a, b, out, &mut s.borrow_mut()))
 }
 
-/// Multithreaded packed GEMM: operands packed once on the calling thread,
-/// then contiguous row chunks of the output, one pool task each (on the
-/// persistent `zfgan-pool` workers). Bit-identical to [`matmul_blocked`]
-/// for every thread count.
-///
-/// `n_threads` is clamped to `[1, a.rows()]`; with one thread this is
-/// exactly [`matmul_blocked`].
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree.
-pub fn matmul_parallel<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    n_threads: usize,
-) -> TensorResult<Matrix<T>> {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_parallel_into(a, b, n_threads, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_parallel`] into a caller-provided output matrix (every element
-/// is overwritten; no pre-zeroing required), packing into thread-local
-/// scratch.
-///
-/// The row chunking is a pure function of `(rows, n_threads)` — identical
-/// to the pre-pool scoped-thread split — and the packed kernel's panels
-/// run along `k` *within* a row, so results stay bit-identical regardless
-/// of which pool worker runs which chunk.
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree or `out` has the wrong
-/// shape.
-pub fn matmul_parallel_into<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    n_threads: usize,
-    out: &mut Matrix<T>,
-) -> TensorResult<()> {
-    PACK_TLS.with(|s| matmul_packed_into_scratch(a, b, n_threads, out, &mut s.borrow_mut()))
-}
-
-/// [`matmul_parallel_into`] with caller-owned packing scratch (the
+/// [`matmul_blocked_into`] with caller-owned packing scratch (the
 /// workspace hot path: zero allocations once the scratch is warm).
 fn matmul_packed_into_scratch<T: Num>(
     a: &Matrix<T>,
     b: &Matrix<T>,
-    n_threads: usize,
     out: &mut Matrix<T>,
     scratch: &mut PackScratch,
 ) -> TensorResult<()> {
     check_matmul_shapes(a, b, out)?;
-    let dims = (a.rows(), a.cols(), b.cols());
+    let dims @ (m, kk, n) = (a.rows(), a.cols(), b.cols());
     let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
     match microkernel::packed_kind::<T>() {
         Some(kind) => {
             let plan = plan_for(a, b, dims, kind, AScan::Scan, scratch);
-            run_planned(
-                &plan,
-                kind,
-                a,
-                b,
-                out,
-                dims,
-                n_threads,
-                Epilogue::Store,
-                scratch,
-            );
+            run_planned(&plan, kind, a, b, out, dims, Epilogue::Store, scratch);
         }
-        None => scalar_slices(a, b, out, dims, n_threads),
+        None => {
+            let (skipped, visited) = gemm_rows(a, b, out, kk, n);
+            record_gemm("blocked", m, n, skipped, visited, None);
+        }
     }
     Ok(())
 }
@@ -471,26 +418,13 @@ fn plan_for<T: Num>(
     }
 }
 
-/// How many contiguous output-row chunks a GEMM asked to run on `n_threads`
-/// is split into. Splitting wider than the pool only adds dispatch overhead
-/// (the chunks would serialize anyway), so the request is clamped to the
-/// hardware width; on a single-core host everything degrades to one chunk
-/// on the calling thread with zero synchronisation. Results are
-/// bit-identical for every width.
-fn row_chunks(n_threads: usize, m: usize) -> usize {
-    if n_threads <= 1 {
-        return 1;
-    }
-    n_threads.clamp(1, m).min(zfgan_pool::pool_threads())
-}
-
 /// Runs one planned packed-family GEMM on raw row-major slices — `a` is
-/// `m × kk`, `b` is `kk × n`, `out` is `m × n` — on the calling thread, or
-/// over contiguous output-row chunks on the pool, and records it. One plan
-/// per GEMM means one telemetry record and an identical engine for every
-/// chunk: bit-neutral under any partition, since every engine's chains run
-/// along `k`. The workers only read `scratch`, which the plan filled on the
-/// calling thread.
+/// `m × kk`, `b` is `kk × n`, `out` is `m × n` — over the plan's row chunks
+/// (one inline chunk, or a pool batch) and records it. One plan per GEMM
+/// means one telemetry record and an identical engine for every chunk:
+/// bit-neutral under any partition, since every engine's chains run along
+/// `k`. The workers only read `scratch`, which the plan filled before the
+/// batch was submitted.
 #[allow(clippy::too_many_arguments)]
 fn run_planned<T: Num>(
     plan: &GemmPlan,
@@ -499,59 +433,39 @@ fn run_planned<T: Num>(
     b: &[T],
     out: &mut [T],
     (m, kk, n): (usize, usize, usize),
-    n_threads: usize,
     epilogue: Epilogue,
     scratch: &PackScratch,
 ) {
-    let chunks = row_chunks(n_threads, m);
-    let rows_per = m.div_ceil(chunks);
-    let run = |row0: usize, out_chunk: &mut [T]| {
+    let rows_per = plan.rows_per_chunk;
+    microkernel::for_chunks(out, rows_per * n, |c, out_chunk| {
+        let row0 = c * rows_per;
         microkernel::run_plan_rows(
             plan.path, a, b, scratch, out_chunk, row0, kk, n, kind, epilogue,
         )
-    };
-    let backend = if chunks == 1 {
-        run(0, out);
-        "blocked"
-    } else {
-        zfgan_pool::parallel_chunks_mut(out, rows_per * n, |c, out_chunk| {
-            run(c * rows_per, out_chunk)
-        })
-        .expect("matmul worker panicked");
-        "parallel"
-    };
-    record_gemm(backend, m, n, plan.skipped, plan.visited, Some(plan.path));
+    });
+    record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
 }
 
-/// The packed family's GEMM for element types without a packed kernel (the
-/// `f64` validation paths): the scalar blocked kernel, chunked like
-/// [`run_planned`]. Every element of `out` is overwritten.
-fn scalar_slices<T: Num>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    (m, kk, n): (usize, usize, usize),
-    n_threads: usize,
+/// Writes every row of a GEMM's `B` operand through `fill(k, row)` — over
+/// disjoint row ranges on the pool when the `m`-row GEMM the operand feeds
+/// is large enough to fan out ([`microkernel::fan_out_pieces`]), on the
+/// calling thread otherwise. Each row is written by one call either way.
+pub(crate) fn fill_b_rows<T: Num>(
+    b: &mut Matrix<T>,
+    m: usize,
+    fill: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let chunks = row_chunks(n_threads, m);
-    if chunks == 1 {
-        let (skipped, visited) = gemm_rows(a, b, out, kk, n);
-        return record_gemm("blocked", m, n, skipped, visited, None);
+    let (kk, n) = (b.rows(), b.cols());
+    if n == 0 {
+        return;
     }
-    // Per-chunk (skipped, visited) counts come back in chunk order; the
-    // calling thread aggregates and records them (pool workers don't see
-    // the caller's thread-local telemetry scope).
-    let rows_per = m.div_ceil(chunks);
-    let counts = zfgan_pool::parallel_chunks_mut(out, rows_per * n, |chunk_idx, out_chunk| {
-        let row0 = chunk_idx * rows_per;
-        let rows_here = out_chunk.len() / n;
-        gemm_rows(&a[row0 * kk..(row0 + rows_here) * kk], b, out_chunk, kk, n)
-    })
-    .expect("matmul worker panicked");
-    let (skipped, visited) = counts
-        .iter()
-        .fold((0, 0), |(s, v), (cs, cv)| (s + cs, v + cv));
-    record_gemm("parallel", m, n, skipped, visited, None);
+    let pieces = microkernel::fan_out_pieces(m * kk * n, zfgan_pool::pool_threads());
+    let rows_per = kk.div_ceil(pieces);
+    microkernel::for_chunks(b.as_mut_slice(), rows_per * n, |c, rows| {
+        for (i, row) in rows.chunks_exact_mut(n).enumerate() {
+            fill(c * rows_per + i, row);
+        }
+    });
 }
 
 /// Where a GEMM's product lands.
@@ -608,7 +522,6 @@ impl<T: Num> Product<'_, T> {
 /// destination the engine's epilogue can serve is added to in place; any
 /// other shape (`kk >` [`microkernel::KC`], the broadcast engines, Q8.8)
 /// goes [`Product::via_store`] — the same arithmetic either way.
-#[allow(clippy::too_many_arguments)]
 fn run_planned_into<T: Num>(
     plan: &GemmPlan,
     kind: PackedKind,
@@ -616,19 +529,57 @@ fn run_planned_into<T: Num>(
     b: &[T],
     dest: Product<'_, T>,
     dims: (usize, usize, usize),
-    n_threads: usize,
     ws: &mut ConvWorkspace<T>,
 ) {
     match dest {
         Product::AddTo(acc) if microkernel::epilogue_accumulates(kind, plan.path, dims.1) => {
             let (add, scratch) = (Epilogue::Accumulate, ws.pack_scratch_ref());
-            run_planned(plan, kind, a, b, acc, dims, n_threads, add, scratch);
+            run_planned(plan, kind, a, b, acc, dims, add, scratch);
         }
         dest => dest.via_store(ws, |out, ws| {
             let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
-            run_planned(plan, kind, a, b, out, dims, n_threads, store, scratch);
+            run_planned(plan, kind, a, b, out, dims, store, scratch);
         }),
     }
+}
+
+/// Test handle for partition invariance: `a × b` stored into (or, with
+/// `add`, added to) `out` through one explicit engine (`None`: the
+/// dispatched one) over explicit `rows_per_chunk`-row chunks, with `B`
+/// packed in as many pieces — every partition a pool width could produce
+/// and many none does, without touching the process-wide width. One chunk
+/// (`rows_per_chunk = a.rows()`) is the fully inline engine the bench gates
+/// measure the default fan-out against.
+///
+/// # Panics
+///
+/// Panics on an element type without packed kernels, disagreeing shapes or
+/// `rows_per_chunk == 0`.
+#[doc(hidden)]
+pub fn matmul_chunked<T: Num>(
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    out: &mut Matrix<T>,
+    add: bool,
+    path: Option<GemmPath>,
+    rows_per_chunk: usize,
+    ws: &mut ConvWorkspace<T>,
+) {
+    check_matmul_shapes(a, b, out).expect("chunked matmul shapes");
+    assert!(rows_per_chunk > 0, "rows_per_chunk must be positive");
+    let kind = microkernel::packed_kind::<T>().expect("packed element types only");
+    let dims @ (m, kk, n) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut plan = microkernel::scan_gemm(a, m, kk, n, ws.pack_scratch());
+    plan.path = path.unwrap_or(plan.path);
+    plan.rows_per_chunk = rows_per_chunk;
+    microkernel::pack_for_plan(&plan, b, dims, kind, ws.pack_scratch());
+    let dest = if add {
+        Product::AddTo(out.as_mut_slice())
+    } else {
+        Product::Store(out.as_mut_slice())
+    };
+    run_planned_into(&plan, kind, a, b, dest, dims, ws);
 }
 
 /// `a × b → dest` with `A` **borrowed in place** as an `m × b.rows()`
@@ -674,16 +625,7 @@ pub(crate) fn matmul_slices_ws<T: Num>(
     match microkernel::packed_kind::<T>() {
         Some(pkind) if !kind.is_reference() => {
             let plan = plan_for(a, b.as_slice(), dims, pkind, scan, ws.pack_scratch());
-            run_planned_into(
-                &plan,
-                pkind,
-                a,
-                b.as_slice(),
-                dest,
-                dims,
-                kind.threads(),
-                ws,
-            );
+            run_planned_into(&plan, pkind, a, b.as_slice(), dest, dims, ws);
         }
         _ => {
             let mut a_buf = ws.take_dirty(a.len());
@@ -729,7 +671,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
     a: &[T],
     m: usize,
     (kk, n): (usize, usize),
-    fill_row: &mut dyn FnMut(usize, &mut [T]),
+    fill_row: &(dyn Fn(usize, &mut [T]) + Sync),
     dest: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
@@ -764,9 +706,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
     // the cache-tuned fills produce — and run the normal kernel. Non-
     // packed element types land here too.
     let mut b = ws.take_matrix_dirty(kk, n);
-    for k in 0..kk {
-        fill_row(k, b.row_mut(k));
-    }
+    fill_b_rows(&mut b, m, fill_row);
     let result = matmul_slices_ws(kind, a, m, &b, AScan::Scan, dest, ws);
     ws.give_matrix(b);
     result
@@ -794,7 +734,7 @@ fn broadcast_streamed<T: Num>(
     n: usize,
     out: &mut [T],
     rowbuf: &mut [T],
-    fill_row: &mut dyn FnMut(usize, &mut [T]),
+    fill_row: &dyn Fn(usize, &mut [T]),
 ) {
     const KP: usize = microkernel::KP;
     const KB: usize = microkernel::IKJ_KB;
@@ -891,7 +831,6 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
         b,
         out.as_mut_slice(),
         (m, kk, n),
-        1,
         store,
         scratch,
     );
@@ -929,6 +868,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use crate::fixed::Fx;
+    use crate::microkernel::GemmPath;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1006,15 +946,47 @@ mod tests {
         }
     }
 
+    /// Every row partition — chunks of one row, under, at and over a
+    /// register tile, ragged, whole — on every engine, storing and adding,
+    /// f32 and Q8.8: one result, the single-chunk one. The shape spans two
+    /// `k`-chunks for f32's store and one for its in-place add.
     #[test]
-    fn parallel_is_bit_identical_to_blocked_for_every_thread_count() {
+    fn every_row_partition_is_bit_identical_to_one_chunk() {
+        fn check<T: Num>(a: &Matrix<T>, b: &Matrix<T>, acc: &Matrix<T>) {
+            let m = a.rows();
+            let mut ws = ConvWorkspace::new();
+            for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+                for add in [false, true] {
+                    let mut want = acc.clone();
+                    matmul_chunked(a, b, &mut want, add, Some(path), m, &mut ws);
+                    for rows_per_chunk in [1, 5, 6, 7, 13] {
+                        let mut got = acc.clone();
+                        matmul_chunked(a, b, &mut got, add, Some(path), rows_per_chunk, &mut ws);
+                        assert_eq!(want, got, "{path:?} add={add} rows={rows_per_chunk}");
+                    }
+                }
+            }
+        }
         let mut rng = SmallRng::seed_from_u64(11);
-        let a = random_matrix(37, 50, 0.5, &mut rng);
-        let b = random_matrix(50, 23, 0.0, &mut rng);
-        let reference = matmul_blocked(&a, &b).unwrap();
-        for threads in [1, 2, 3, 5, 8, 64] {
-            let par = matmul_parallel(&a, &b, threads).unwrap();
-            assert_eq!(reference, par, "threads={threads}");
+        for kk in [50, microkernel::KC + 9] {
+            let a = random_matrix(37, kk, 0.5, &mut rng);
+            let b = random_matrix(kk, 39, 0.0, &mut rng);
+            let acc = random_matrix(37, 39, 0.0, &mut rng);
+            assert_eq!(matmul_blocked(&a, &b).unwrap(), {
+                let mut one = acc.clone();
+                matmul_chunked(&a, &b, &mut one, false, None, 37, &mut ConvWorkspace::new());
+                one
+            });
+            check(&a, &b, &acc);
+            let fx = |m: &Matrix<f32>| {
+                let data = m
+                    .as_slice()
+                    .iter()
+                    .map(|v| Fx::from_f32(*v * 4.0))
+                    .collect();
+                Matrix::from_vec(m.rows(), m.cols(), data)
+            };
+            check(&fx(&a), &fx(&b), &fx(&acc));
         }
     }
 
@@ -1027,24 +999,9 @@ mod tests {
         let a = Matrix::from_vec(13, 21, data(13 * 21, &mut rng));
         let b = Matrix::from_vec(21, 9, data(21 * 9, &mut rng));
         let naive = a.matmul(&b).unwrap();
-        for kind in [
-            MatmulKind::BlockedScalar,
-            MatmulKind::Blocked,
-            MatmulKind::Parallel(4),
-        ] {
+        for kind in [MatmulKind::BlockedScalar, MatmulKind::Blocked] {
             assert_eq!(naive, kind.run(&a, &b).unwrap(), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn thread_count_zero_is_clamped() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let a = random_matrix(4, 6, 0.0, &mut rng);
-        let b = random_matrix(6, 3, 0.0, &mut rng);
-        assert_eq!(
-            matmul_blocked(&a, &b).unwrap(),
-            matmul_parallel(&a, &b, 0).unwrap()
-        );
     }
 
     #[test]
@@ -1053,7 +1010,6 @@ mod tests {
         let b: Matrix<f32> = Matrix::zeros(2, 3);
         assert!(matmul_blocked(&a, &b).is_err());
         assert!(matmul_blocked_scalar(&a, &b).is_err());
-        assert!(matmul_parallel(&a, &b, 4).is_err());
     }
 
     #[test]
@@ -1069,31 +1025,12 @@ mod tests {
         )
         .unwrap();
         let mut reference_log = FaultLog::default();
-        let reference =
-            matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100, &mut reference_log)
-                .unwrap();
+        matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100, &mut reference_log).unwrap();
         assert!(reference_log.fired > 0, "plan should fire in 399 elements");
-        // Within the packed family the faulted outputs are bit-identical;
-        // across families the fault *sites* (positions) still agree.
-        for (kind, bitwise) in [
-            (MatmulKind::Parallel(4), true),
-            (MatmulKind::Naive, false),
-            (MatmulKind::BlockedScalar, false),
-        ] {
+        // Across families the fault *sites* (positions) agree.
+        for kind in [MatmulKind::Naive, MatmulKind::BlockedScalar] {
             let mut log = FaultLog::default();
-            let c = matmul_with_faults(kind, &a, &b, &plan, 100, &mut log).unwrap();
-            if bitwise {
-                // Bitwise comparison: injected faults can produce NaN,
-                // which PartialEq would treat as unequal to itself.
-                assert!(
-                    reference
-                        .as_slice()
-                        .iter()
-                        .zip(c.as_slice())
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{kind:?}"
-                );
-            }
+            matmul_with_faults(kind, &a, &b, &plan, 100, &mut log).unwrap();
             assert_eq!(log.attempts, reference_log.attempts, "{kind:?}");
             assert_eq!(log.fired, reference_log.fired, "{kind:?}");
             assert_eq!(
@@ -1108,8 +1045,7 @@ mod tests {
         }
         // A different base shifts the fault pattern: same plan, new words.
         let mut other_log = FaultLog::default();
-        let other = matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100_000, &mut other_log)
-            .unwrap();
+        matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100_000, &mut other_log).unwrap();
         assert_ne!(
             reference_log
                 .records
@@ -1123,7 +1059,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             "base offset must move the fault sites"
         );
-        let _ = other;
     }
 
     #[test]
@@ -1132,14 +1067,12 @@ mod tests {
         let a = random_matrix(12, 40, 0.5, &mut rng);
         let b = random_matrix(40, 17, 0.0, &mut rng);
         let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
-        for kind in [MatmulKind::Blocked, MatmulKind::Parallel(3)] {
-            let plain = kind.run(&a, &b).unwrap();
-            // Twice: the second call runs on warm (dirty) scratch.
-            for round in 0..2 {
-                let ws_out = kind.run_ws(&a, &b, &mut ws).unwrap();
-                assert_eq!(plain, ws_out, "{kind:?} round {round}");
-                ws.give_matrix(ws_out);
-            }
+        let plain = MatmulKind::Blocked.run(&a, &b).unwrap();
+        // Twice: the second call runs on warm (dirty) scratch.
+        for round in 0..2 {
+            let ws_out = MatmulKind::Blocked.run_ws(&a, &b, &mut ws).unwrap();
+            assert_eq!(plain, ws_out, "round {round}");
+            ws.give_matrix(ws_out);
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
-use crate::gemm::{matmul_slices_ws, AScan, MatmulKind, Product};
+use crate::gemm::{fill_b_rows, matmul_slices_ws, AScan, MatmulKind, Product};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -241,50 +241,48 @@ pub(crate) fn fill_im2col_s<T: Num>(
 /// layout). Each row is a strided copy of one input plane, so writes are
 /// contiguous and the per-tap bounds are resolved once per row instead of
 /// once per element. Writes only in-bounds entries: `b` **must** start
-/// zero-filled (padding taps stay zero).
+/// zero-filled (padding taps stay zero). `m` is the row count of the GEMM
+/// `b` feeds, which decides whether the rows are filled on the pool
+/// ([`fill_b_rows`]).
 pub(crate) fn fill_im2col_s_transposed<T: Num>(
     b: &mut Matrix<T>,
     input: &Fmaps<T>,
     geom: &ConvGeom,
-    oh: usize,
-    ow: usize,
+    (oh, ow): (usize, usize),
+    m: usize,
 ) {
     let s = geom.stride();
     let (pt, pl) = (geom.pad_top(), geom.pad_left());
     let (ih, iw) = (input.height(), input.width());
-    debug_assert_eq!(b.rows(), input.channels() * geom.kh() * geom.kw());
+    let (kh, kw) = (geom.kh(), geom.kw());
+    debug_assert_eq!(b.rows(), input.channels() * kh * kw);
     debug_assert_eq!(b.cols(), oh * ow);
-    let mut row = 0;
-    for plane in input.as_slice().chunks_exact(ih * iw) {
-        for ky in 0..geom.kh() {
-            for kx in 0..geom.kw() {
-                // Output columns whose tap lands inside the map:
-                // 0 ≤ s·ox + kx − pl < iw.
-                let ox_lo = pl.saturating_sub(kx).div_ceil(s);
-                let ox_hi = if iw + pl > kx {
-                    ((iw + pl - kx - 1) / s + 1).min(ow)
-                } else {
-                    0
-                };
-                let dst = b.row_mut(row);
-                row += 1;
-                for oy in 0..oh {
-                    let Some(iy) = (s * oy + ky).checked_sub(pt).filter(|&iy| iy < ih) else {
-                        continue;
-                    };
-                    let src = &plane[iy * iw..(iy + 1) * iw];
-                    let d = &mut dst[oy * ow..(oy + 1) * ow];
-                    if ox_lo < ox_hi {
-                        let ix0 = s * ox_lo + kx - pl;
-                        for (dv, sv) in d[ox_lo..ox_hi].iter_mut().zip(src[ix0..].iter().step_by(s))
-                        {
-                            *dv = *sv;
-                        }
-                    }
-                }
+    fill_b_rows(b, m, |row, dst| {
+        let (c, ky, kx) = (row / (kh * kw), row / kw % kh, row % kw);
+        let plane = &input.as_slice()[c * ih * iw..(c + 1) * ih * iw];
+        // Output columns whose tap lands inside the map:
+        // 0 ≤ s·ox + kx − pl < iw.
+        let ox_lo = pl.saturating_sub(kx).div_ceil(s);
+        let ox_hi = if iw + pl > kx {
+            ((iw + pl - kx - 1) / s + 1).min(ow)
+        } else {
+            0
+        };
+        if ox_lo >= ox_hi {
+            return;
+        }
+        let ix0 = s * ox_lo + kx - pl;
+        for oy in 0..oh {
+            let Some(iy) = (s * oy + ky).checked_sub(pt).filter(|&iy| iy < ih) else {
+                continue;
+            };
+            let src = &plane[iy * iw..(iy + 1) * iw];
+            let d = &mut dst[oy * ow + ox_lo..oy * ow + ox_hi];
+            for (dv, sv) in d.iter_mut().zip(src[ix0..].iter().step_by(s)) {
+                *dv = *sv;
             }
         }
-    }
+    });
 }
 
 /// Lowers an `S-CONV` input into patch-matrix form.
@@ -573,7 +571,7 @@ pub fn s_conv_via_gemm_ws<T: Num>(
         // The stored product overwrites every element: no zero fill.
         out = Fmaps::from_vec(k.n_of(), oh, ow, ws.take_dirty(k.n_of() * oh * ow));
         let mut b = ws.take_matrix(kk, oh * ow);
-        fill_im2col_s_transposed(&mut b, input, geom, oh, ow);
+        fill_im2col_s_transposed(&mut b, input, geom, (oh, ow), k.n_of());
         let store = Product::Store(out.as_mut_slice());
         matmul_slices_ws(mm, k.as_slice(), k.n_of(), &b, AScan::Dense, store, ws)?;
         ws.give_matrix(b);
@@ -699,7 +697,7 @@ mod tests {
             let lowered = im2col_s(&x, &g);
             let (oh, ow) = lowered.out_hw;
             let mut b = Matrix::zeros(lowered.patches.cols(), oh * ow);
-            fill_im2col_s_transposed(&mut b, &x, &g, oh, ow);
+            fill_im2col_s_transposed(&mut b, &x, &g, (oh, ow), 4);
             for r in 0..b.rows() {
                 for c in 0..b.cols() {
                     assert_eq!(b.at(r, c), lowered.patches.at(c, r), "{g:?} ({r},{c})");

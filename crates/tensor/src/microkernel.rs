@@ -65,6 +65,19 @@
 //! same per-element operation chain (see below), so dispatch is never a
 //! semantics choice.
 //!
+//! # Fan-out
+//!
+//! Next to the engine, a plan carries how many output rows one pool task
+//! takes ([`GemmPlan::rows_per_chunk`]): [`fan_out_rows`], a pure function
+//! of `(m, kk, n, pool width)`. Under [`FAN_OUT_MIN_MACS`]
+//! multiply–accumulates, on a serial pool, or for the broadcast engines it
+//! is `m` — one inline chunk, the pool untouched; past it the rows go out
+//! in register-tile-aligned chunks, two per pool thread, and `B` is packed
+//! over as many disjoint panel ranges as there are chunks. Nobody asks for
+//! threads: width is the pool's business (`ZFGAN_THREADS`), the threshold
+//! is that one constant, and the choice is scheduling only — recorded in no
+//! telemetry, and bit-neutral by the argument under *Determinism*.
+//!
 //! # Loop order and epilogue
 //!
 //! Both packed engines walk their tiles through one nest
@@ -89,9 +102,10 @@
 //! (a wider tile only changes which lanes run side by side, never the
 //! order within one element's chain), and any zero term
 //! may be skipped at any granularity without changing bits
-//! (`fma(0, b, acc) = acc` exactly for finite `b`). Row partitioning for
-//! the pooled kernel therefore cannot change results either: panels run
-//! along `k`, never across rows. The retained scalar oracle
+//! (`fma(0, b, acc) = acc` exactly for finite `b`). How the output rows
+//! are partitioned over pool tasks therefore cannot change results either:
+//! panels run along `k`, never across rows, so every output element is one
+//! chain computed by one thread. The retained scalar oracle
 //! (`MatmulKind::Naive` / `BlockedScalar`) differs only by the usual
 //! fused-vs-separate rounding, bounded by the standard accumulation error
 //! bound (pinned by `tests/fast_conv.rs`).
@@ -378,6 +392,50 @@ pub fn choose_path(m: usize, kk: usize, n: usize, zero_words: u64) -> GemmPath {
     GemmPath::Packed
 }
 
+/// Below this many multiply–accumulates a GEMM — and the `B` fill and pack
+/// that feed it — runs inline on the calling thread: about 50 µs of packed
+/// tile, under which a pool batch costs more than it shares out. The
+/// MNIST-GAN step's 10–55 µs GEMMs sit below it.
+pub const FAN_OUT_MIN_MACS: usize = 2 << 20;
+
+/// How many pieces the work of a `macs`-MAC GEMM (its row chunks, its `B`
+/// panels, its `B` rows) is cut into at pool width `threads`: one below
+/// [`FAN_OUT_MIN_MACS`] or on a serial pool, else two per thread — so the
+/// share of a worker that arrives late is stolen by the helping submitter.
+pub(crate) fn fan_out_pieces(macs: usize, threads: usize) -> usize {
+    if threads <= 1 || macs < FAN_OUT_MIN_MACS {
+        1
+    } else {
+        2 * threads
+    }
+}
+
+/// The output-row chunk length a packed `m × kk × n` GEMM fans out by at
+/// pool width `threads`: `m` (one inline chunk) when [`fan_out_pieces`]
+/// says so or the rows fill no more than one register tile, otherwise a
+/// multiple of [`MR_F32`], so every chunk but the last is whole tiles.
+/// Scheduling only: each output element is one `k`-ascending chain computed
+/// by one thread, so bits do not depend on the value returned.
+pub fn fan_out_rows(m: usize, kk: usize, n: usize, threads: usize) -> usize {
+    let pieces = fan_out_pieces(m * kk * n, threads);
+    m.div_ceil(pieces).next_multiple_of(MR_F32).min(m)
+}
+
+/// `f(chunk_index, chunk)` over consecutive `chunk_len` pieces of `data`
+/// (the last may be shorter): on the calling thread when one piece covers
+/// it, as one allocation-free pool batch otherwise.
+pub(crate) fn for_chunks<T: Send>(
+    data: &mut [T],
+    chunk_len: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if chunk_len >= data.len() {
+        f(0, data);
+    } else {
+        zfgan_pool::parallel_chunks_for(data, chunk_len, f).expect("GEMM worker panicked");
+    }
+}
+
 /// [`choose_path`] with the forced override applied — the decision the
 /// drivers actually run.
 fn dispatch_path(m: usize, kk: usize, n: usize, zero_words: u64) -> GemmPath {
@@ -414,12 +472,43 @@ pub fn packed_kind<T: 'static>() -> Option<PackedKind> {
 #[derive(Debug, Default)]
 pub struct PackScratch {
     /// Packed f32 `B` panels, `[panel][k][lane]`, tails zero-padded.
-    bf32: Vec<f32>,
+    bf32: LineAligned<f32>,
     /// Packed Q8.8 raw-`i16` `B` panels, same layout.
-    bi16: Vec<i16>,
+    bi16: LineAligned<i16>,
     /// Per-row panel masks, `words_per_row` `u64`s per row; a set bit
     /// marks an all-zero `A` panel.
     masks: Vec<u64>,
+}
+
+/// A reusable buffer whose live window starts on a 64-byte cache-line
+/// boundary. Every panel row of packed `B` is a whole number of lines
+/// (`NR_F32 × 4 B` = `NR_FX × 2 B` = 64), so from an aligned start no
+/// vector load of the tile kernels straddles two lines; from the 16-byte
+/// alignment the allocator gives, every AVX-512 load does, and which one a
+/// process got used to move the MNIST-GAN train step by 13 % between
+/// builds (17.2 vs 19.5 ms) with the heap layout.
+#[derive(Debug, Default)]
+struct LineAligned<T> {
+    buf: Vec<T>,
+    start: usize,
+}
+
+impl<T: Copy + Default> LineAligned<T> {
+    /// Sizes the window to `len` elements (contents unspecified) and
+    /// returns it.
+    fn resize(&mut self, len: usize) -> &mut [T] {
+        let pad = 64 / std::mem::size_of::<T>();
+        self.buf.resize(len + pad, T::default());
+        // `align_offset` may decline (it never does outside const
+        // evaluation); the window is then in bounds and merely unaligned.
+        self.start = self.buf.as_ptr().align_offset(64).min(pad);
+        &mut self.buf[self.start..self.start + len]
+    }
+
+    /// The window the last [`Self::resize`] returned, and what follows it.
+    fn get(&self) -> &[T] {
+        &self.buf[self.start..]
+    }
 }
 
 impl PackScratch {
@@ -478,19 +567,43 @@ pub(crate) fn mask_hit(masks_row: &[u64], panel: usize) -> bool {
     masks_row[panel / 64] & (1u64 << (panel % 64)) != 0
 }
 
-/// Packs `B` (`kk × n`, row-major) into `nr`-wide column panels,
+/// Packs `B` (`kk × n`, row-major) into `NR`-wide column panels,
 /// `[panel][k][lane]`, zero-padding the tail panel so the kernels always
-/// run full width.
-fn pack_b<T: Num, const NR: usize>(b: &[T], kk: usize, n: usize, out: &mut Vec<T>) {
+/// run full width. Panels are disjoint runs of `out`, so they are packed
+/// in `pieces` ranges (one per row chunk of the GEMM, see
+/// [`pack_for_plan`]) — the same bytes either way.
+fn pack_b<T: Copy + Default + Send + Sync, const NR: usize>(
+    b: &[T],
+    kk: usize,
+    n: usize,
+    pieces: usize,
+    out: &mut LineAligned<T>,
+) {
     let n_jp = n.div_ceil(NR);
     // Resize without a clear: every full lane is overwritten below and only
     // the tail panel's padding needs explicit zeros, so the buffer is never
     // bulk-zeroed first (that pre-pass used to double the write traffic).
-    out.resize(n_jp * kk * NR, T::zero());
-    for jp in 0..n_jp {
-        let j0 = jp * NR;
+    let out = out.resize(n_jp * kk * NR);
+    if out.is_empty() {
+        return;
+    }
+    let panels_per = n_jp.div_ceil(pieces);
+    for_chunks(out, panels_per * kk * NR, |c, range| {
+        pack_panels::<T, NR>(b, kk, n, c * panels_per, range)
+    });
+}
+
+/// Packs the consecutive panels `range` holds, the first being panel `jp0`.
+fn pack_panels<T: Copy + Default, const NR: usize>(
+    b: &[T],
+    kk: usize,
+    n: usize,
+    jp0: usize,
+    range: &mut [T],
+) {
+    for (p, panel) in range.chunks_exact_mut(kk * NR).enumerate() {
+        let j0 = (jp0 + p) * NR;
         let w = (n - j0).min(NR);
-        let panel = &mut out[jp * kk * NR..(jp + 1) * kk * NR];
         if w == NR {
             // Full-width panels are the hot path: a compile-time-sized
             // array copy per `k` row compiles to straight vector moves
@@ -508,9 +621,7 @@ fn pack_b<T: Num, const NR: usize>(b: &[T], kk: usize, n: usize, out: &mut Vec<T
             for k in 0..kk {
                 let dst = &mut panel[k * NR..(k + 1) * NR];
                 dst[..w].copy_from_slice(&b[k * n + j0..k * n + j0 + w]);
-                for pad in &mut dst[w..] {
-                    *pad = T::zero();
-                }
+                dst[w..].fill(T::default());
             }
         }
     }
@@ -1657,9 +1768,18 @@ fn run_f32_path(
 ) {
     match path {
         GemmPath::Packed => {
-            pack_b::<_, NR_F32>(b, kk, n, &mut scratch.bf32);
+            pack_b::<_, NR_F32>(b, kk, n, 1, &mut scratch.bf32);
             let store = Epilogue::Store;
-            f32_rows(level, a, &scratch.masks, &scratch.bf32, out, kk, n, store);
+            f32_rows(
+                level,
+                a,
+                &scratch.masks,
+                scratch.bf32.get(),
+                out,
+                kk,
+                n,
+                store,
+            );
         }
         // On materialized `B` the small-`m` path shares the ikj engine (one
         // streamed pass over `B`, no pack — the register tile re-walks `B`
@@ -1741,8 +1861,8 @@ fn run_fx_path(
 ) {
     match path {
         GemmPath::Packed => {
-            pack_b_i16(b, kk, n, &mut scratch.bi16);
-            fx_rows(level, a, &scratch.masks, &scratch.bi16, out, kk, n);
+            pack_b::<_, NR_FX>(b, kk, n, 1, &mut scratch.bi16);
+            fx_rows(level, a, &scratch.masks, scratch.bi16.get(), out, kk, n);
         }
         GemmPath::Ikj | GemmPath::SmallM => fx_ikj_rows(level, a, &scratch.masks, b, out, kk, n),
     }
@@ -1807,41 +1927,12 @@ fn fx_view(raw: &[i16]) -> &[Fx] {
     unsafe { std::slice::from_raw_parts(raw.as_ptr() as *const Fx, raw.len()) }
 }
 
-/// Packs a raw-`i16` `B` into [`NR_FX`]-wide panels (monomorphic helper;
-/// layout identical to the generic [`pack_b`]).
-fn pack_b_i16(b: &[i16], kk: usize, n: usize, out: &mut Vec<i16>) {
-    let n_jp = n.div_ceil(NR_FX);
-    // Same no-pre-zero strategy and full-width fast path as [`pack_b`].
-    out.resize(n_jp * kk * NR_FX, 0);
-    for jp in 0..n_jp {
-        let j0 = jp * NR_FX;
-        let w = (n - j0).min(NR_FX);
-        let panel = &mut out[jp * kk * NR_FX..(jp + 1) * kk * NR_FX];
-        if w == NR_FX {
-            for k in 0..kk {
-                let dst: &mut [i16; NR_FX] = (&mut panel[k * NR_FX..(k + 1) * NR_FX])
-                    .try_into()
-                    .expect("chunk is exactly NR_FX wide");
-                let src: &[i16; NR_FX] = b[k * n + j0..k * n + j0 + NR_FX]
-                    .try_into()
-                    .expect("chunk is exactly NR_FX wide");
-                *dst = *src;
-            }
-        } else {
-            for k in 0..kk {
-                let dst = &mut panel[k * NR_FX..(k + 1) * NR_FX];
-                dst[..w].copy_from_slice(&b[k * n + j0..k * n + j0 + w]);
-                dst[w..].fill(0);
-            }
-        }
-    }
-}
-
 /// One GEMM's dispatch decision plus the zero-scan statistics it was
 /// derived from — everything the caller needs to run row chunks and
-/// record telemetry. All fields are pure functions of `A`, the shape and
-/// the forced override, so a plan is identical for every thread count and
-/// SIMD level.
+/// record telemetry. `path`, `skipped` and `visited` are pure functions of
+/// `A`, the shape and the forced override, so they (and the telemetry
+/// recorded from them) are identical for every pool width and SIMD level;
+/// `rows_per_chunk` is scheduling and is recorded nowhere.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmPlan {
     /// The engine every row chunk of this GEMM must run.
@@ -1851,6 +1942,25 @@ pub struct GemmPlan {
     pub skipped: u64,
     /// Total `A` operand words (`m · kk`).
     pub visited: u64,
+    /// Output rows per pool task: [`fan_out_rows`] for the packed engine,
+    /// `m` (one inline chunk) for the broadcast engines, whose work is the
+    /// live share of the MACs and not known from the shape.
+    pub rows_per_chunk: usize,
+}
+
+impl GemmPlan {
+    fn new(m: usize, kk: usize, n: usize, skipped: u64, zeros: u64) -> Self {
+        let path = dispatch_path(m, kk, n, zeros);
+        GemmPlan {
+            path,
+            skipped,
+            visited: (m * kk) as u64,
+            rows_per_chunk: match path {
+                GemmPath::Packed => fan_out_rows(m, kk, n, zfgan_pool::pool_threads()),
+                GemmPath::Ikj | GemmPath::SmallM => m,
+            },
+        }
+    }
 }
 
 /// Scans `A` into the scratch panel masks and picks the dispatch path —
@@ -1865,17 +1975,13 @@ pub fn scan_gemm<T: Num>(
     scratch: &mut PackScratch,
 ) -> GemmPlan {
     let (skipped, zeros) = build_masks(a, m, kk, &mut scratch.masks);
-    GemmPlan {
-        path: dispatch_path(m, kk, n, zeros),
-        skipped,
-        visited: (m * kk) as u64,
-    }
+    GemmPlan::new(m, kk, n, skipped, zeros)
 }
 
-/// Shared planning for the blocked/pooled drivers: scans `A`, picks the
-/// path and — only when the packed engine won — packs `B` once on the
-/// calling thread. The pool workers then run [`run_plan_rows`] over
-/// disjoint row chunks against the shared scratch.
+/// Shared planning for the packed-family drivers: scans `A`, picks the
+/// path and — only when the packed engine won — packs `B`. The calling
+/// thread or the pool's workers then run [`run_plan_rows`] over disjoint
+/// row chunks against the shared scratch.
 pub fn plan_gemm<T: Num>(
     a: &[T],
     b: &[T],
@@ -1886,7 +1992,7 @@ pub fn plan_gemm<T: Num>(
     scratch: &mut PackScratch,
 ) -> GemmPlan {
     let plan = scan_gemm(a, m, kk, n, scratch);
-    pack_for_plan(&plan, b, kk, n, kind, scratch);
+    pack_for_plan(&plan, b, (m, kk, n), kind, scratch);
     plan
 }
 
@@ -1907,40 +2013,37 @@ pub fn plan_gemm_dense_a<T: Num>(
     let (_, words_per_row) = mask_geometry(kk);
     scratch.masks.clear();
     scratch.masks.resize(m * words_per_row, 0);
-    let plan = GemmPlan {
-        path: dispatch_path(m, kk, n, 0),
-        skipped: 0,
-        visited: (m * kk) as u64,
-    };
-    pack_for_plan(&plan, b, kk, n, kind, scratch);
+    let plan = GemmPlan::new(m, kk, n, 0, 0);
+    pack_for_plan(&plan, b, (m, kk, n), kind, scratch);
     plan
 }
 
 /// Packs `B` into the scratch panels when (and only when) `plan` runs the
-/// packed engine.
-fn pack_for_plan<T: Num>(
+/// packed engine, over as many disjoint panel ranges as the plan has row
+/// chunks.
+pub(crate) fn pack_for_plan<T: Num>(
     plan: &GemmPlan,
     b: &[T],
-    kk: usize,
-    n: usize,
+    (m, kk, n): (usize, usize, usize),
     kind: PackedKind,
     scratch: &mut PackScratch,
 ) {
     if plan.path == GemmPath::Packed {
+        let pieces = m.div_ceil(plan.rows_per_chunk.max(1)).max(1);
         match kind {
             PackedKind::F32 => {
                 // SAFETY: `kind` is only `F32` when `T == f32`
                 // (TypeId-checked by `packed_kind`).
                 let bf: &[f32] =
                     unsafe { std::slice::from_raw_parts(b.as_ptr() as *const f32, b.len()) };
-                pack_b::<_, NR_F32>(bf, kk, n, &mut scratch.bf32);
+                pack_b::<_, NR_F32>(bf, kk, n, pieces, &mut scratch.bf32);
             }
             PackedKind::Fx => {
                 // SAFETY: `kind` is only `Fx` when `T == Fx`
                 // (repr(transparent) over i16).
                 let bi: &[i16] =
                     unsafe { std::slice::from_raw_parts(b.as_ptr() as *const i16, b.len()) };
-                pack_b_i16(bi, kk, n, &mut scratch.bi16);
+                pack_b::<_, NR_FX>(bi, kk, n, pieces, &mut scratch.bi16);
             }
         }
     }
@@ -1995,7 +2098,16 @@ pub fn run_plan_rows<T: Num>(
             let level = simd_level();
             match path {
                 GemmPath::Packed => {
-                    f32_rows(level, a_rows, masks, &scratch.bf32, of, kk, n, epilogue);
+                    f32_rows(
+                        level,
+                        a_rows,
+                        masks,
+                        scratch.bf32.get(),
+                        of,
+                        kk,
+                        n,
+                        epilogue,
+                    );
                 }
                 GemmPath::Ikj | GemmPath::SmallM => {
                     f32_ikj_rows(level, a_rows, masks, bf, of, kk, n);
@@ -2017,7 +2129,7 @@ pub fn run_plan_rows<T: Num>(
             let a_rows = &ai[row0 * kk..(row0 + rows_here) * kk];
             match path {
                 GemmPath::Packed => {
-                    fx_rows(simd_level(), a_rows, masks, &scratch.bi16, oi, kk, n);
+                    fx_rows(simd_level(), a_rows, masks, scratch.bi16.get(), oi, kk, n);
                 }
                 GemmPath::Ikj | GemmPath::SmallM => {
                     fx_ikj_rows(simd_level(), a_rows, masks, bi, oi, kk, n);
@@ -2147,7 +2259,7 @@ mod tests {
                 .collect();
             let mut scratch = PackScratch::new();
             build_masks(&a, m, kk, &mut scratch.masks);
-            pack_b::<_, NR_F32>(&b, kk, n, &mut scratch.bf32);
+            pack_b::<_, NR_F32>(&b, kk, n, 3, &mut scratch.bf32);
             for level in SimdLevel::supported() {
                 let mut out = held.clone();
                 let add = Epilogue::Accumulate;
@@ -2155,7 +2267,7 @@ mod tests {
                     level,
                     &a,
                     &scratch.masks,
-                    &scratch.bf32,
+                    scratch.bf32.get(),
                     &mut out,
                     kk,
                     n,
@@ -2183,14 +2295,14 @@ mod tests {
         let (a, b) = (vec![1.0f32; m * kk], vec![1.0f32; kk * n]);
         let mut scratch = PackScratch::new();
         build_masks(&a, m, kk, &mut scratch.masks);
-        pack_b::<_, NR_F32>(&b, kk, n, &mut scratch.bf32);
+        pack_b::<_, NR_F32>(&b, kk, n, 3, &mut scratch.bf32);
         let mut out = vec![0.0f32; m * n];
         let add = Epilogue::Accumulate;
         f32_rows(
             SimdLevel::Scalar,
             &a,
             &scratch.masks,
-            &scratch.bf32,
+            scratch.bf32.get(),
             &mut out,
             kk,
             n,
@@ -2247,7 +2359,7 @@ mod tests {
             let held = random_f32(m * n, 0.0, &mut rng);
             let mut scratch = PackScratch::new();
             build_masks(&a, m, kk, &mut scratch.masks);
-            pack_b::<_, NR_F32>(&b, kk, n, &mut scratch.bf32);
+            pack_b::<_, NR_F32>(&b, kk, n, 3, &mut scratch.bf32);
             let mut epilogues = vec![Epilogue::Store];
             if epilogue_accumulates(PackedKind::F32, GemmPath::Packed, kk) {
                 epilogues.push(Epilogue::Accumulate);
@@ -2260,7 +2372,7 @@ mod tests {
                         level,
                         &a,
                         &scratch.masks,
-                        &scratch.bf32,
+                        scratch.bf32.get(),
                         &mut out,
                         kk,
                         n,
@@ -2427,6 +2539,44 @@ mod tests {
         assert_eq!(choose_path(49, 6272, 1, 49 * 6272 - 49), GemmPath::Packed);
         assert_eq!(choose_path(1, 6272, 7, 0), GemmPath::Packed);
         assert_eq!(choose_path(1, 6272, 8, 0), GemmPath::SmallM);
+    }
+
+    proptest::proptest! {
+        /// The fan-out function tiles `0..m` exactly with chunks that start
+        /// on register-tile boundaries, and returns one chunk under the
+        /// threshold and on a serial pool.
+        #[test]
+        fn fan_out_rows_tiles_the_rows_in_register_tile_steps(
+            m in 0usize..700,
+            kk in 0usize..3000,
+            n in 0usize..3000,
+            threads in 0usize..40,
+        ) {
+            let rows = fan_out_rows(m, kk, n, threads);
+            proptest::prop_assert!(rows <= m && (rows > 0 || m == 0));
+            if rows < m {
+                proptest::prop_assert_eq!(rows % MR_F32, 0, "chunks start on tile boundaries");
+                proptest::prop_assert!(threads > 1 && m * kk * n >= FAN_OUT_MIN_MACS);
+                let chunks = m.div_ceil(rows);
+                proptest::prop_assert!((chunks - 1) * rows < m && chunks * rows >= m);
+                proptest::prop_assert!(chunks <= 2 * threads, "about two chunks a thread");
+            }
+            proptest::prop_assert_eq!(fan_out_rows(m, kk, n, 1), m);
+        }
+    }
+
+    #[test]
+    fn fan_out_keeps_the_train_step_small_shapes_inline() {
+        // MNIST-GAN's short GEMMs (10-55 µs) and DCGAN's three-row
+        // image-layer GEMMs stay on the calling thread at any width; the
+        // deep layers of both fan out.
+        for (m, kk, n) in [(64, 25, 196), (64, 196, 25), (64, 512, 49), (3, 384, 1024)] {
+            assert_eq!(fan_out_rows(m, kk, n, 8), m, "{m}×{kk}×{n}");
+        }
+        assert_eq!(fan_out_rows(128, 1600, 49, 2), 36);
+        assert_eq!(fan_out_rows(512, 16, 6400, 2), 132);
+        assert_eq!(fan_out_rows(256, 3200, 64, 2), 66);
+        assert_eq!(fan_out_rows(64, 768, 256, 2), 18);
     }
 
     const ALL_PATHS: [GemmPath; 3] = [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM];

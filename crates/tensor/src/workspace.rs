@@ -29,8 +29,9 @@
 //!   whose capacity already fits (best fit), so a steady-state workload
 //!   stops allocating once every distinct size has been seen.
 //! - A workspace is plain owned data (`Send`): one per trainer, never
-//!   shared across threads. Pool workers inside a pooled GEMM only touch
-//!   caller-partitioned output slices, never the workspace itself.
+//!   shared across threads. Pool workers inside a fanned-out GEMM, pack or
+//!   fill only write caller-partitioned slices (and read the pack scratch
+//!   the plan filled before the batch), never the workspace itself.
 //!
 //! Setting [`ConvWorkspace::set_reuse`]`(false)` turns the arena into a
 //! pass-through allocator (every `take` is fresh, every `give` drops, the

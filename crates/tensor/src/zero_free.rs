@@ -33,7 +33,7 @@
 //! ([`MatmulKind::Naive`]/[`MatmulKind::BlockedScalar`]), every function
 //! here is therefore **bit-identical** to its golden nest in
 //! [`crate::conv`]. Run with the packed microkernel
-//! ([`MatmulKind::Blocked`]/[`MatmulKind::Parallel`]), the f32 results
+//! ([`MatmulKind::Blocked`]), the f32 results
 //! follow the kernel's own fused accumulation order instead (still
 //! deterministic; see [`crate::microkernel`]), while `Fx` and `f64` stay
 //! bit-identical to golden. `tests/fast_conv.rs` pins both contracts over
@@ -66,7 +66,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
-use crate::gemm::{matmul_slices_ws, matmul_streamed_ws, AScan, MatmulKind, Product};
+use crate::gemm::{fill_b_rows, matmul_slices_ws, matmul_streamed_ws, AScan, MatmulKind, Product};
 use crate::im2col::{fill_im2col_s_row, im2col_s_ws, s_conv_via_gemm_ws, Lowered, Matrix};
 use crate::kernels::Kernels;
 use crate::num::Num;
@@ -281,48 +281,47 @@ fn fill_t_phase_patches_ref<T: Num>(
 /// constants `dy`, `dx` (the kept taps are exactly those whose zero-inserted
 /// coordinate is a multiple of the stride), so every row of `b` is a
 /// *shifted copy* of one input plane: contiguous reads, contiguous writes.
-/// Writes only in-bounds entries, so `b` **must** start zero-filled.
+/// Writes only in-bounds entries, so `b` **must** start zero-filled. `m` is
+/// the row count of the GEMM `b` feeds ([`fill_b_rows`]).
 fn fill_t_phase_patches_transposed<T: Num>(
     b: &mut Matrix<T>,
     input: &Fmaps<T>,
     geom: &ConvGeom,
     phase: &TPhase,
+    m: usize,
 ) {
     let s = geom.stride() as isize;
     let (pt, _, pl, _) = geom.t_conv_pads();
     let (ih, iw) = (input.height(), input.width());
     let (noy, nox) = (phase.oys.len(), phase.oxs.len());
+    let nkx = phase.kxs.len();
     debug_assert_eq!(b.rows(), input.channels() * phase.taps());
     debug_assert_eq!(b.cols(), noy * nox);
-    let mut row = 0;
-    for plane in input.as_slice().chunks_exact(ih * iw) {
-        for &ky in &phase.kys {
-            let dy = (phase.oys[0] as isize + ky as isize - pt as isize) / s;
-            for &kx in &phase.kxs {
-                let dx = (phase.oxs[0] as isize + kx as isize - pl as isize) / s;
-                let dst = b.row_mut(row);
-                row += 1;
-                // Phase columns whose source lands inside the map.
-                let rj_lo = (-dx).max(0) as usize;
-                let rj_hi = (iw as isize - dx).clamp(0, nox as isize) as usize;
-                if rj_lo >= rj_hi {
-                    continue;
-                }
-                let (src_lo, src_hi) = (
-                    (rj_lo as isize + dx) as usize,
-                    (rj_hi as isize + dx) as usize,
-                );
-                for ri in 0..noy {
-                    let iy = ri as isize + dy;
-                    if iy < 0 || iy >= ih as isize {
-                        continue;
-                    }
-                    let src = &plane[iy as usize * iw..(iy as usize + 1) * iw];
-                    dst[ri * nox + rj_lo..ri * nox + rj_hi].copy_from_slice(&src[src_lo..src_hi]);
-                }
-            }
+    fill_b_rows(b, m, |row, dst| {
+        let (c, tap) = (row / phase.taps(), row % phase.taps());
+        let plane = &input.as_slice()[c * ih * iw..(c + 1) * ih * iw];
+        let (ky, kx) = (phase.kys[tap / nkx], phase.kxs[tap % nkx]);
+        let dy = (phase.oys[0] as isize + ky as isize - pt as isize) / s;
+        let dx = (phase.oxs[0] as isize + kx as isize - pl as isize) / s;
+        // Phase columns whose source lands inside the map.
+        let rj_lo = (-dx).max(0) as usize;
+        let rj_hi = (iw as isize - dx).clamp(0, nox as isize) as usize;
+        if rj_lo >= rj_hi {
+            return;
         }
-    }
+        let (src_lo, src_hi) = (
+            (rj_lo as isize + dx) as usize,
+            (rj_hi as isize + dx) as usize,
+        );
+        for ri in 0..noy {
+            let iy = ri as isize + dy;
+            if iy < 0 || iy >= ih as isize {
+                continue;
+            }
+            let src = &plane[iy as usize * iw..(iy as usize + 1) * iw];
+            dst[ri * nox + rj_lo..ri * nox + rj_hi].copy_from_slice(&src[src_lo..src_hi]);
+        }
+    });
 }
 
 /// Builds one phase's compact patch matrix. Rows enumerate the phase's
@@ -774,7 +773,7 @@ fn t_phases_weight_stationary<T: Num>(
         // take_matrix zero-fills — required: the patch fill writes only
         // in-bounds entries.
         let mut b = ws.take_matrix(kk, noy * nox);
-        fill_t_phase_patches_transposed(&mut b, input, geom, phase);
+        fill_t_phase_patches_transposed(&mut b, input, geom, phase, n_if);
         let mut product = ws.take_dirty(n_if * noy * nox);
         let store = Product::Store(&mut product);
         matmul_slices_ws(mm, a, n_if, &b, AScan::Dense, store, ws)?;
@@ -1046,8 +1045,8 @@ fn w_conv_s_lowered<T: Num>(
         delta_out.height() * ow,
         input.channels() * geom.kh() * geom.kw(),
     );
-    let mut patch_row = |r: usize, row: &mut [T]| fill_im2col_s_row(input, geom, ow, r, row);
-    matmul_streamed_ws(mm, delta, m, dims, &mut patch_row, grad, ws)
+    let patch_row = |r: usize, row: &mut [T]| fill_im2col_s_row(input, geom, ow, r, row);
+    matmul_streamed_ws(mm, delta, m, dims, &patch_row, grad, ws)
 }
 
 /// Zero-free `W-CONV` of a T-CONV layer: the compact input (channels ×
@@ -1131,10 +1130,10 @@ fn w_conv_t_lowered<T: Num>(
     // The error patches a compact input pixel meets are the S-CONV patch
     // of the error maps at that pixel. The fill writes every cell.
     let mut patches = ws.take_matrix_dirty(ih * iw, cols);
-    for r in 0..ih * iw {
-        fill_im2col_s_row(delta_out, geom, iw, r, patches.row_mut(r));
-    }
     let (a, m) = (input.as_slice(), input.channels());
+    fill_b_rows(&mut patches, m, |r, row| {
+        fill_im2col_s_row(delta_out, geom, iw, r, row)
+    });
     let done = matmul_slices_ws(mm, a, m, &patches, AScan::Scan, grad, ws);
     ws.give_matrix(patches);
     done
@@ -1386,7 +1385,7 @@ mod tests {
                     let mut reference = Matrix::zeros(npix, kk);
                     fill_t_phase_patches_ref(&mut reference, &x, g, phase);
                     let mut b = Matrix::zeros(kk, npix);
-                    fill_t_phase_patches_transposed(&mut b, &x, g, phase);
+                    fill_t_phase_patches_transposed(&mut b, &x, g, phase, k.n_if());
                     assert_eq!(b, transpose(&reference), "patches, {g:?}");
 
                     let mut weights = Matrix::zeros(kk, n_if);

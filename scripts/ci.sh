@@ -46,6 +46,27 @@ for threads in 1 2 3 8; do
         cargo test -q -p zfgan --test exec_engine --test exec_zero_alloc
 done
 
+echo "=== train step across pool widths ==="
+# The packed engine decides its own fan-out from the pool width, so width
+# must be invisible in everything but time: three MNIST-GAN iterations (its
+# 128x1600x49 and 128x49x1600 GEMMs fan out, rows, pack and fills) print the
+# same deterministic line and the same deterministic telemetry, serial and at widths
+# that split those rows evenly, raggedly and one tile a chunk; and the warm
+# train step stays allocation-free when it does fan out (width 2 explicitly:
+# the test step above ran it at the host's width, which may be 1).
+for threads in 1 2 3 8; do
+    # The deterministic line plus the summary's deterministic-class series
+    # (`name{labels}  value`; wall-class rows end in "(wall)").
+    ZFGAN_THREADS="$threads" cargo run -q --release -p zfgan -- \
+        train --gan mnist --seed 2024 --iters 3 --telemetry \
+        | grep -E '^deterministic:|^    [a-z_]+(\{[^}]*\})? +[0-9]+$' > "$tdir/width_$threads.txt"
+    grep -q 'gemm_calls{backend="blocked"}' "$tdir/width_$threads.txt"
+    diff "$tdir/width_1.txt" "$tdir/width_$threads.txt"
+done
+diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/width_1.txt")
+ZFGAN_THREADS=2 timeout 300 cargo test -q -p zfgan --test zero_alloc --test exec_zero_alloc
+echo "train digests and telemetry are byte-identical at pool widths 1, 2, 3, 8"
+
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-
 # detected SIMD kernels — the microkernel dispatch table's fallback
@@ -114,9 +135,10 @@ done
 
 echo "=== bench gates (paired in-process speed ratios) ==="
 # Each harness asserts its own floors on `zfgan_bench::paired_ratio`
-# (packed and pooled GEMM vs naive, dispatched vs forced-packed, AVX-512 vs
-# AVX2 tile, packed train step vs the reference engine, the nine executor
-# engines vs the scalar oracle) plus warm vs cold DSE. One pass, no retry:
+# (packed GEMM vs naive, its pool fan-out vs one inline chunk, dispatched
+# vs forced-packed, AVX-512 vs AVX2 tile, packed train step vs the
+# reference engine, the nine executor engines vs the scalar oracle) plus
+# warm vs cold DSE. One pass, no retry:
 # a pair's two sides share whatever the host is doing.
 cargo bench -q -p zfgan-bench
 

@@ -47,9 +47,9 @@ fn accelerator_reports_are_reproducible() {
 fn training_trajectory_is_backend_invariant() {
     // Two WGAN iterations from identical seeds must land on bit-identical
     // weights within each kernel family: the scalar-reference backend
-    // reproduces the golden nests exactly, and every packed-microkernel
-    // backend (single-threaded, pooled, dense- or zero-free-lowered)
-    // lands on one identical trajectory of its own — the packed f32
+    // reproduces the golden nests exactly, and both packed-microkernel
+    // backends (dense- and zero-free-lowered) land on one identical
+    // trajectory of their own — the packed f32
     // kernel's fused accumulation order is deterministic, not an
     // approximation knob.
     let run = |backend: ConvBackend| -> Fmaps<f32> {
@@ -83,13 +83,84 @@ fn training_trajectory_is_backend_invariant() {
         "packed trajectory strayed {} from golden",
         golden.max_abs_diff(&packed)
     );
-    for backend in [ConvBackend::LoweredGemm, ConvBackend::Parallel(3)] {
+    assert_eq!(
+        packed,
+        run(ConvBackend::LoweredGemm),
+        "LoweredGemm diverged from the packed trajectory"
+    );
+}
+
+/// The deterministic telemetry section must not learn how a GEMM was
+/// scheduled: the packed family records under the one label `"blocked"`
+/// whether it ran as one inline chunk or fanned out, so a `--telemetry`
+/// section is the same bytes at every pool width. Checked where the
+/// partition can be chosen in-process (one GEMM past the fan-out
+/// threshold, whole against one-tile and one-row chunks) and on a two-step
+/// train of the tiny pair, whose section must repeat exactly and carry no
+/// other packed label.
+#[test]
+fn deterministic_telemetry_does_not_learn_the_partition() {
+    use std::sync::Arc;
+    use zfgan::telemetry::export::deterministic_section;
+    use zfgan::telemetry::Registry;
+    use zfgan::tensor::gemm::matmul_chunked;
+    use zfgan::tensor::im2col::Matrix;
+    use zfgan::tensor::ConvWorkspace;
+
+    let scoped = |work: &mut dyn FnMut()| {
+        let reg = Arc::new(Registry::new());
+        {
+            let _scope = zfgan::telemetry::scope(Arc::clone(&reg));
+            work();
+        }
+        deterministic_section(&reg)
+    };
+
+    let (m, kk, n) = (96, 600, 40);
+    let mut rng = SmallRng::seed_from_u64(43);
+    let a: Matrix<f32> = Matrix::from_vec(m, kk, Fmaps::random(1, m, kk, 1.0, &mut rng).into_vec());
+    let b = Matrix::from_vec(kk, n, Fmaps::random(1, kk, n, 1.0, &mut rng).into_vec());
+    let gemm_section = |rows_per_chunk: usize| {
+        scoped(&mut || {
+            let mut out = Matrix::zeros(m, n);
+            let ws = &mut ConvWorkspace::new();
+            matmul_chunked(&a, &b, &mut out, false, None, rows_per_chunk, ws);
+        })
+    };
+    let whole = gemm_section(m);
+    assert!(
+        whole.contains(r#"gemm_calls{backend=\"blocked\"}"#),
+        "{whole}"
+    );
+    for rows_per_chunk in [6, 1] {
         assert_eq!(
-            packed,
-            run(backend),
-            "{backend:?} diverged from the packed trajectory"
+            whole,
+            gemm_section(rows_per_chunk),
+            "{rows_per_chunk}-row chunks"
         );
     }
+
+    let train_section = || {
+        scoped(&mut || {
+            let pair = GanPair::tiny(&mut SmallRng::seed_from_u64(40));
+            let config = TrainerConfig {
+                n_critic: 1,
+                ..TrainerConfig::default()
+            };
+            let mut trainer = GanTrainer::new(pair, config);
+            let mut rng = SmallRng::seed_from_u64(41);
+            for _ in 0..2 {
+                trainer.train_iteration(2, &mut rng);
+            }
+        })
+    };
+    let first = train_section();
+    assert!(
+        first.contains(r#"gemm_calls{backend=\"blocked\"}"#),
+        "{first}"
+    );
+    assert!(!first.contains(r#"backend=\"parallel\""#), "{first}");
+    assert_eq!(first, train_section());
 }
 
 #[test]

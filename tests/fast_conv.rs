@@ -5,9 +5,9 @@
 //!   loop nests *bit for bit*, for every family the layers dispatch
 //!   (S-CONV, T-CONV, both input-gradient passes, both W-CONVs).
 //! * **Packed family** — every packed-microkernel backend (dense- or
-//!   zero-free-lowered, single-threaded or pooled at any thread count)
-//!   produces *one* identical result: the packed f32 kernel's fused
-//!   accumulation order is deterministic, and it stays within the fused
+//!   zero-free-lowered, under any row partition of its GEMMs) produces
+//!   *one* identical result: the packed f32 kernel's fused accumulation
+//!   order is deterministic, and it stays within the fused
 //!   accumulation-error bound of the golden nests.
 //! * **Fixed point** — with [`Fx`] (Q8.8) operands the packed kernel is
 //!   bit-identical to the scalar semantics, so *every* backend matches
@@ -19,18 +19,13 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use zfgan::tensor::gemm::{matmul_parallel, MatmulKind};
+use zfgan::tensor::gemm::{matmul_chunked, MatmulKind};
 use zfgan::tensor::im2col::Matrix;
-use zfgan::tensor::{ConvBackend, ConvGeom, Fmaps, Fx, Kernels};
+use zfgan::tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
 
 /// The packed-microkernel backends: mutually bit-identical for every
 /// element type, and bit-identical to golden for `Fx`.
-const PACKED: [ConvBackend; 4] = [
-    ConvBackend::LoweredGemm,
-    ConvBackend::LoweredZeroFree,
-    ConvBackend::Parallel(2),
-    ConvBackend::Parallel(7),
-];
+const PACKED: [ConvBackend; 2] = [ConvBackend::LoweredGemm, ConvBackend::LoweredZeroFree];
 
 /// Allowed f32 drift between the packed fused accumulation order and the
 /// golden nests on these tiny layers (reductions of at most a few hundred
@@ -143,7 +138,7 @@ proptest! {
 
     /// With Q8.8 fixed-point operands the packed kernel replicates the
     /// scalar saturating chain exactly, so every backend — scalar or
-    /// packed, any thread count — is bit-identical to golden.
+    /// packed — is bit-identical to golden.
     #[test]
     fn fx_backends_are_bit_identical_to_golden(layer in arb_layer()) {
         let mut rng = SmallRng::seed_from_u64(layer.seed ^ 0x5eed);
@@ -154,24 +149,25 @@ proptest! {
             .map(Fx::from_f32);
 
         let golden = six_passes(ConvBackend::GoldenDirect, &x, &z, &k, g, layer.in_hw);
-        let backends = [ConvBackend::ScalarRef, PACKED[0], PACKED[1], PACKED[2], PACKED[3]];
+        let backends = [ConvBackend::ScalarRef, PACKED[0], PACKED[1]];
         for b in backends {
             let got = six_passes(b, &x, &z, &k, g, layer.in_hw);
             prop_assert_eq!(&golden, &got, "{:?} diverged from golden on Fx", b);
         }
     }
 
-    /// GEMM kernel contracts, for any shape, sparsity and thread count:
+    /// GEMM kernel contracts, for any shape, sparsity and row partition:
     /// the retained scalar kernel matches the naive triple loop bit for
-    /// bit; the packed blocked and parallel kernels match *each other*
-    /// bit for bit and stay within the fused accumulation-error bound of
-    /// naive; Q8.8 is bit-identical across all kernels.
+    /// bit; the packed kernel matches *itself* bit for bit however its
+    /// output rows are chunked and stays within the fused
+    /// accumulation-error bound of naive; Q8.8 is bit-identical across all
+    /// kernels.
     #[test]
     fn gemm_kernels_honor_their_family_contracts(
         m in 1usize..=40,
         kk in 1usize..=48,
         n in 1usize..=70,
-        threads in 0usize..=9,
+        rows_per_chunk in 1usize..=41,
         zero_frac in 0.0f64..1.0,
         seed in any::<u64>(),
     ) {
@@ -194,7 +190,9 @@ proptest! {
         prop_assert_eq!(&naive, &MatmulKind::BlockedScalar.run(&a, &b).unwrap());
 
         let blocked = MatmulKind::Blocked.run(&a, &b).unwrap();
-        prop_assert_eq!(&blocked, &matmul_parallel(&a, &b, threads).unwrap());
+        let mut chunked = Matrix::zeros(m, n);
+        matmul_chunked(&a, &b, &mut chunked, false, None, rows_per_chunk, &mut ConvWorkspace::new());
+        prop_assert_eq!(&blocked, &chunked);
         // Operands are in [-1, 1], so each output element is a reduction
         // of kk unit-scale terms: |fused - naive| <= 2 * kk^2 * eps.
         let bound = f64::from(2.0 * (kk * kk) as f32 * f32::EPSILON).max(1e-6);
@@ -210,7 +208,10 @@ proptest! {
         let naive_fx = MatmulKind::Naive.run(&afx, &bfx).unwrap();
         prop_assert_eq!(&naive_fx, &MatmulKind::BlockedScalar.run(&afx, &bfx).unwrap());
         prop_assert_eq!(&naive_fx, &MatmulKind::Blocked.run(&afx, &bfx).unwrap());
-        prop_assert_eq!(&naive_fx, &matmul_parallel(&afx, &bfx, threads).unwrap());
+        let mut chunked_fx = Matrix::zeros(m, n);
+        let ws = &mut ConvWorkspace::new();
+        matmul_chunked(&afx, &bfx, &mut chunked_fx, false, None, rows_per_chunk, ws);
+        prop_assert_eq!(&naive_fx, &chunked_fx);
     }
 
     /// The three dispatch engines (packed panel, broadcast-FMA `ikj`,
@@ -276,7 +277,6 @@ fn bits(v: &[f32]) -> Vec<u32> {
 /// bit-equal to golden on every backend.
 #[test]
 fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
-    use zfgan::tensor::ConvWorkspace;
     // (stride, kernel, out, small_c, large_c)
     let shapes = [
         (2, 5, 7, 3, 2),  // 196 → 49 pixels: MNIST-GAN layer 2
@@ -366,8 +366,10 @@ fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
 /// column panels while the chunk is cache-resident, 72-row blocks per panel
 /// otherwise. The order never touches a per-element chain, so every shape
 /// must reproduce the plain fused `k`-ascending chain *bit for bit* — on
-/// both SIMD levels, on every forced dispatch path and for any pooled row
-/// partition. Shapes: short-`k` wide-`n` (the deep W-CONV shape class, all
+/// every SIMD level, on every forced dispatch path and for any row
+/// partition (`matmul_chunked`: chunks of one row, under, at and over a
+/// register tile, ragged, whole — more partitions than pool widths ever
+/// produced), storing the product and adding it to an accumulator. Shapes: short-`k` wide-`n` (the deep W-CONV shape class, all
 /// resident, ragged last panel), one whose first chunk is over the
 /// residency limit and whose second is under it (both orders in one GEMM,
 /// more rows than one 72-row block), and a small ragged one.
@@ -394,13 +396,44 @@ fn packed_block_order_is_bit_neutral() {
             }
         }
         let (am, bm) = (Matrix::from_vec(m, kk, a), Matrix::from_vec(kk, n, b));
-        for threads in [1, 2, 3, 7] {
-            let out = matmul_parallel(&am, &bm, threads).unwrap();
-            assert_eq!(
-                bits(out.as_slice()),
-                want,
-                "{m}×{kk}×{n} on {threads} threads"
-            );
+        let acc: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let want_added: Vec<u32> = (acc.iter().zip(&want))
+            .map(|(a, chain)| (a + f32::from_bits(*chain)).to_bits())
+            .collect();
+        let mut ws = ConvWorkspace::new();
+        for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+            for rows_per_chunk in [1, 5, 6, 7, 13, m] {
+                let mut out = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
+                matmul_chunked(
+                    &am,
+                    &bm,
+                    &mut out,
+                    false,
+                    Some(path),
+                    rows_per_chunk,
+                    &mut ws,
+                );
+                assert_eq!(
+                    bits(out.as_slice()),
+                    want,
+                    "{m}×{kk}×{n} {path:?} in {rows_per_chunk}-row chunks"
+                );
+                let mut out = Matrix::from_vec(m, n, acc.clone());
+                matmul_chunked(
+                    &am,
+                    &bm,
+                    &mut out,
+                    true,
+                    Some(path),
+                    rows_per_chunk,
+                    &mut ws,
+                );
+                assert_eq!(
+                    bits(out.as_slice()),
+                    want_added,
+                    "{m}×{kk}×{n} {path:?} added in {rows_per_chunk}-row chunks"
+                );
+            }
         }
     }
 }
@@ -415,7 +448,7 @@ fn packed_block_order_is_bit_neutral() {
 /// equal its allocating twin bit for bit.
 #[test]
 fn poisoned_workspace_buffers_never_leak_into_results() {
-    use zfgan::tensor::{ConvWorkspace, Num};
+    use zfgan::tensor::Num;
     fn poison<T: Num>(ws: &mut ConvWorkspace<T>, with: T) {
         for len in [8, 64, 512, 4096, 40_000] {
             for _ in 0..4 {
@@ -501,7 +534,6 @@ fn poisoned_workspace_buffers_never_leak_into_results() {
 #[test]
 fn one_by_one_t_conv_collapses_bit_identically() {
     use zfgan::tensor::microkernel::{set_forced_path, GemmPath};
-    use zfgan::tensor::ConvWorkspace;
     let mut rng = SmallRng::seed_from_u64(4242);
     let geoms = [
         // The MNIST-GAN projection: 1×1 → 7×7 through a 7×7 kernel.

@@ -96,7 +96,6 @@ fn supervisor_telemetry_counters_match_injected_fault_stats() {
     assert_eq!(counter("supervisor_anomalies_total"), stats.anomalies);
     assert_eq!(counter("supervisor_rollbacks_total"), stats.rollbacks);
     assert_eq!(counter("supervisor_retries_total"), stats.retries);
-    assert_eq!(counter("supervisor_degradations_total"), stats.degradations);
     // Every rollback restored a snapshot; one more snapshot per healthy
     // iteration was taken as the new last-good state.
     assert_eq!(counter("trainer_restores_total"), stats.rollbacks);

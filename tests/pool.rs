@@ -1,19 +1,19 @@
 //! Cross-crate pool and workspace properties: everything that runs on the
 //! persistent pool or draws scratch from a [`ConvWorkspace`] must be
 //! **bit-identical** to its sequential / allocating counterpart, and pool
-//! panics must surface as the typed errors the degradation ladder expects.
+//! panics must surface as typed errors.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use zfgan::nn::{Activation, ConvLayer, Direction};
 use zfgan::pool::{parallel_map, PoolError};
-use zfgan::tensor::gemm::MatmulKind;
+use zfgan::tensor::gemm::{matmul_chunked, MatmulKind};
 use zfgan::tensor::im2col::Matrix;
 use zfgan::tensor::{ConvGeom, ConvWorkspace, Fmaps, Kernels};
 
 /// A random matmul shape (both operands post-ReLU sparse like real
-/// activations) plus a thread count and seed.
+/// activations) plus a row-chunk length and seed.
 fn arb_matmul() -> impl Strategy<Value = (usize, usize, usize, usize, u64)> {
     (
         1usize..=24,
@@ -32,16 +32,18 @@ fn sparse_matrix(rows: usize, cols: usize, rng: &mut SmallRng) -> Matrix<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pooled parallel GEMM equals the single-threaded packed kernel bit
-    /// for bit over random shapes and thread counts (same fused
-    /// accumulation order regardless of how rows are partitioned).
+    /// A packed GEMM fanned out over the pool in explicit row chunks
+    /// equals the default engine bit for bit over random shapes and chunk
+    /// lengths (same fused accumulation order however rows are
+    /// partitioned, and whichever pool thread runs a chunk).
     #[test]
-    fn pooled_matmul_is_bit_identical((m, k, n, threads, seed) in arb_matmul()) {
+    fn pooled_matmul_is_bit_identical((m, k, n, rows_per_chunk, seed) in arb_matmul()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = sparse_matrix(m, k, &mut rng);
         let b = sparse_matrix(k, n, &mut rng);
         let seq = MatmulKind::Blocked.run(&a, &b).unwrap();
-        let par = MatmulKind::Parallel(threads).run(&a, &b).unwrap();
+        let mut par = Matrix::zeros(m, n);
+        matmul_chunked(&a, &b, &mut par, false, None, rows_per_chunk, &mut ConvWorkspace::new());
         prop_assert_eq!(seq, par);
     }
 

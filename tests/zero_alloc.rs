@@ -128,7 +128,11 @@ fn warm_workspace_passes_allocate_nothing() {
     let mut rng = SmallRng::seed_from_u64(41);
     // MNIST-GAN layer-2 geometry (14×14 ↔ 7×7, k=5, s=2): one layer per
     // conv direction so the steady-state claim covers S-, T- and both
-    // W-CONV lowerings on the default zero-free backend.
+    // W-CONV lowerings on the default zero-free backend — once a few maps
+    // wide, where every GEMM runs inline, and once at the spec's own
+    // 64 ↔ 128 maps, where on a pool of two or more threads the GEMM rows,
+    // the `B` pack and the lowering fills all fan out (`ci.sh` runs this
+    // binary under `ZFGAN_THREADS=2` as well as at the host's width).
     let geom = ConvGeom::down(14, 14, 5, 5, 2, 7, 7).expect("static geometry");
     let mut layers = Vec::new();
     for (dir, in_shape, w) in [
@@ -141,6 +145,16 @@ fn warm_workspace_passes_allocate_nothing() {
             Direction::Up,
             (5, 7, 7),
             Kernels::random(5, 3, 5, 5, 0.25, &mut rng),
+        ),
+        (
+            Direction::Down,
+            (64, 14, 14),
+            Kernels::random(128, 64, 5, 5, 0.05, &mut rng),
+        ),
+        (
+            Direction::Up,
+            (128, 7, 7),
+            Kernels::random(128, 64, 5, 5, 0.05, &mut rng),
         ),
     ] {
         let mut layer =
