@@ -1,47 +1,51 @@
-//! The fast executor engine: lane-parallel zero-free executors, pooled
+//! The fast executor engine: one lane kernel under nine executors, pooled
 //! position blocks, and batched trace emission.
 //!
 //! Every function here is the drop-in fast twin of the same-named oracle in
 //! [`super::scalar`], bit-identical in output tensors, cycle counts, access
 //! counters, and (expanded) trace streams. Three mechanisms, layered:
 //!
-//! 1. **Channel lanes innermost (the six zero-free executors).** In ZFOST
-//!    and ZFWST the `P_of` PE lanes see one broadcast operand per beat and
-//!    differ only in their weights, and the channels of different groups
-//!    are independent, so every output channel is a lane. Per call the
-//!    operand that differs across lanes is transposed so a block of
-//!    [`LANES`] channels is contiguous (kernels →
+//! 1. **Channel lanes innermost.** The `P_of` PE lanes of every array see
+//!    one broadcast operand per beat and differ only in their weights, and
+//!    the channels of different groups are independent, so every output
+//!    channel is a lane. Per call the operand that differs across lanes is
+//!    transposed so a block of [`LANES`] channels is contiguous (kernels →
 //!    `[in-channel][tap][out-channel]`, the W-CONV's large-side map →
 //!    `[pixel][channel]`), and the taps each output position reads are
 //!    tabulated once as `u32` pixel offsets. Each position then holds one
 //!    lane block of accumulators in registers across the oracle's whole
-//!    `(channel, tap-chunk)` sequence; every term is `broadcast × weight
-//!    row`. ZFWST's `grid`-tap adder-tree chunk is folded into a second
-//!    block and then into the accumulators, and the W-CONV accumulator is
-//!    flushed every `grid` positions, exactly where the oracle folds them.
-//!    Per output element the *term order* is the oracle's, so results are
-//!    bit-identical for `f32`, `f64` and `Fx`, not just close.
+//!    term sequence for that position; every term is `broadcast × weight
+//!    row`. The seven convolutions are one kernel, [`conv_lanes`], and
+//!    differ in three things only: the table their feed builds (which taps,
+//!    in which order — OST's is ZFOST's T-CONV table), how many *segments*
+//!    a position's taps come in (one, but WST's `P_ky × P_kx` grid blocks),
+//!    and the [`Fold`] a term goes through on its way to the accumulator
+//!    (none; ZFWST's `grid`-tap adder tree; NLR's `P_if`-channel one). The
+//!    W-CONV accumulator is flushed every `grid` positions, where the
+//!    oracle folds it. Per output element the *term order* is the oracle's,
+//!    so results are bit-identical for `f32`, `f64` and `Fx`, not just
+//!    close. What a baseline pays for its dataflow — OST's multiplications
+//!    by inserted zeros, WST's partial-sum traffic, NLR's weight fetches —
+//!    is counted from the table or in closed form, never performed.
 //!
 //!    **Precondition: finite operands.** Where the oracle multiplies a
-//!    padded zero (`at_padded` in ZFOST S-CONV and the D̄w W-CONV) the
-//!    engine skips the term. `acc + 0·w` leaves `acc` unchanged bit for
-//!    bit only while `0·w` is a zero, that is for finite `w`; an
-//!    accumulator that starts at `+0` never becomes `-0`, so the sign of
-//!    the skipped zero cannot matter. ZFWST S-CONV keeps multiplying its
-//!    padded zeros inside the tree, as the oracle does.
+//!    zero the dataflow put there (`at_padded` in ZFOST and NLR S-CONV and
+//!    the D̄w W-CONV, OST's inserted and padded zeros) the engine skips the
+//!    term. `acc + 0·w` leaves `acc` unchanged bit for bit only while `0·w`
+//!    is a zero, that is for finite `w`; an accumulator that starts at `+0`
+//!    never becomes `-0`, so the sign of the skipped zero cannot matter.
+//!    ZFWST S-CONV keeps multiplying its padded zeros inside the tree, as
+//!    the oracle does, and WST never presents padding to its grid at all.
 //!
 //! 2. **Pooled position blocks.** Results land in a position-major
 //!    scratch, `[position][lane]`, that [`zfgan_pool::parallel_chunks_for`]
-//!    splits into a handful of contiguous position blocks per pool thread;
-//!    no task writes outside its block and no result depends on the
-//!    partition, so outputs are byte-identical at any `ZFGAN_THREADS`. One
-//!    transpose then writes the arena's `Fmaps` / `Kernels`. The three
-//!    baseline executors (`nlr_s`, `wst_s`, `ost_t`) still fan out one task
-//!    per `P_of` group over disjoint output sub-slices, with data-dependent
-//!    counters (OST's effectual census) combined by commutative integer
-//!    adds. All scratch comes from the recycled [`ExecWorkspace`], keeping
-//!    the steady-state untraced pass zero-allocation
-//!    (`tests/exec_zero_alloc.rs`).
+//!    splits into a handful of contiguous position blocks per pool thread
+//!    ([`for_position_blocks`], the one fan-out all nine share); no task
+//!    writes outside its block and no result depends on the partition, so
+//!    outputs are byte-identical at any `ZFGAN_THREADS`. One transpose then
+//!    writes the arena's `Fmaps` / `Kernels`. All scratch comes from the
+//!    recycled [`ExecWorkspace`], keeping the steady-state untraced pass
+//!    zero-allocation (`tests/exec_zero_alloc.rs`).
 //!
 //! 3. **Batched traces.** Cycle counts and the entire event stream of every
 //!    executor are *structural* — fixed by geometry before any data is
@@ -57,7 +61,7 @@
 //! to the oracle's by the proptests in `tests/exec_engine.rs` and to
 //! [`crate::Dataflow::schedule`]'s by the in-crate tests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 use std::sync::Arc;
 
 use zfgan_pool::{parallel_chunks_for, pool_threads};
@@ -86,33 +90,32 @@ const BLOCKS_PER_THREAD: usize = 4;
 
 /// Recycled scratch for the fast executors.
 ///
-/// Holds the output-tensor arena, the lane scratch the six zero-free
-/// executors share, and the baseline executors' geometry buffers (parity
-/// feed order, WST per-kernel-row output ranges), all reused across calls
-/// so a warmed-up untraced executor pass performs no heap allocation.
-/// Return finished outputs via [`ExecWorkspace::give_fmaps`] /
+/// Holds the lane scratch and output-tensor arena all nine executors
+/// share and ZFOST's parity feed order, all reused across calls so a
+/// warmed-up untraced executor pass performs no heap allocation. Return
+/// finished outputs via [`ExecWorkspace::give_fmaps`] /
 /// [`ExecWorkspace::give_kernels`] to keep the arena warm.
 pub struct ExecWorkspace<T: Num> {
-    conv: ConvWorkspace<T>,
     parity: Vec<(usize, usize)>,
-    lane: LaneScratch<T>,
-    ranges_y: Vec<(usize, usize)>,
-    ranges_x: Vec<(usize, usize)>,
+    pub(super) lane: LaneScratch<T>,
 }
 
-/// What every zero-free executor call reuses: three buffers and the
-/// position-block count.
-struct LaneScratch<T> {
+/// What every executor call reuses: three buffers, the output arena and
+/// the position-block count.
+pub(super) struct LaneScratch<T: Num> {
     /// The operand that differs across lanes, transposed so that one lane
     /// block is contiguous: kernels as `[in-channel][tap][lane]`, the
     /// W-CONV's large-side map as `[pixel][lane]`.
     operand: Vec<T>,
     /// Position-major results, `[position][lane]`.
     rows: Vec<T>,
-    /// Tap-offset table. Convolutions: `positions + 1` row starts, then
-    /// `(weight tap, input pixel)` pairs in feed order. W-CONV: the
-    /// large-side pixel of `[tap][position]`. [`PAD`] marks padding.
+    /// Tap-offset table. Convolutions: `rows + 1` row starts, one row per
+    /// `(position, segment)`, then `(weight tap, input pixel)` pairs in
+    /// feed order. W-CONV: the large-side pixel of `[tap][position]`.
+    /// [`PAD`] marks padding.
     offs: Vec<u32>,
+    /// Where the output tensors come from and go back to.
+    arena: ConvWorkspace<T>,
     /// Position blocks per call; `None` follows the pool width.
     blocks: Option<usize>,
 }
@@ -122,21 +125,19 @@ impl<T: Num> ExecWorkspace<T> {
     /// recycled afterwards.
     pub fn new() -> Self {
         ExecWorkspace {
-            conv: ConvWorkspace::new(),
             parity: Vec::new(),
             lane: LaneScratch {
                 operand: Vec::new(),
                 rows: Vec::new(),
                 offs: Vec::new(),
+                arena: ConvWorkspace::new(),
                 blocks: None,
             },
-            ranges_y: Vec::new(),
-            ranges_x: Vec::new(),
         }
     }
 
-    /// A workspace whose zero-free executors split their positions into
-    /// `blocks` blocks whatever the pool width (partition tests).
+    /// A workspace whose executors split their positions into `blocks`
+    /// blocks whatever the pool width (partition tests).
     #[cfg(test)]
     pub(super) fn with_position_blocks(blocks: usize) -> Self {
         let mut ws = Self::new();
@@ -146,12 +147,12 @@ impl<T: Num> ExecWorkspace<T> {
 
     /// Returns a feature-map output to the arena for reuse.
     pub fn give_fmaps(&mut self, f: Fmaps<T>) {
-        self.conv.give_fmaps(f);
+        self.lane.arena.give_fmaps(f);
     }
 
     /// Returns a kernel-gradient output to the arena for reuse.
     pub fn give_kernels(&mut self, k: Kernels<T>) {
-        self.conv.give_kernels(k);
+        self.lane.arena.give_kernels(k);
     }
 }
 
@@ -172,23 +173,6 @@ impl<T: Num> std::fmt::Debug for ExecWorkspace<T> {
     }
 }
 
-/// Exact output-row range `[lo, hi)` a kernel row feeds: the `oy` with
-/// `0 <= stride*oy + k - pad < limit`, clamped to `[0, out)`.
-fn feed_range(k: usize, pad: usize, stride: usize, limit: usize, out: usize) -> (usize, usize) {
-    let lo = if pad > k {
-        (pad - k).div_ceil(stride)
-    } else {
-        0
-    };
-    let hi_num = limit as isize - 1 + pad as isize - k as isize;
-    let hi = if hi_num < 0 {
-        0
-    } else {
-        (hi_num as usize / stride + 1).min(out)
-    };
-    (lo.min(hi), hi)
-}
-
 // ---------------------------------------------------------------------------
 // The lane kernel and its driver
 // ---------------------------------------------------------------------------
@@ -207,6 +191,25 @@ fn add_lanes<T: Num>(acc: &mut [T; LANES], part: &[T; LANES]) {
     for (a, p) in acc.iter_mut().zip(part) {
         *a += *p;
     }
+}
+
+/// One adder-tree beat, as the oracle's `tree`: the `input × weight row`
+/// products of `terms` summed from zero, the sum added to `acc`.
+#[inline(always)]
+fn tree_lanes<'a, T: Num>(acc: &mut [T; LANES], terms: impl Iterator<Item = (T, &'a [T; LANES])>) {
+    let mut sum = [T::zero(); LANES];
+    for (x, row) in terms {
+        for (s, w) in sum.iter_mut().zip(row) {
+            *s += x * *w;
+        }
+    }
+    add_lanes(acc, &sum);
+}
+
+/// Pixel `px` of a channel, a [`PAD`] tap reading an explicit zero.
+#[inline(always)]
+fn padded<T: Num>(x_ch: &[T], px: u32) -> T {
+    x_ch.get(px as usize).copied().unwrap_or(T::zero())
 }
 
 /// The lane block starting at `at`.
@@ -294,24 +297,55 @@ fn t_pixel(geom: &ConvGeom, (h, w): (usize, usize), o: (usize, usize), k: (usize
     }
 }
 
-/// Fills the convolution tap table: `feed(position, table)` pushes that
-/// position's `(weight tap, input pixel)` pairs in the oracle's feed order.
-fn tap_table(offs: &mut Vec<u32>, n_pos: usize, mut feed: impl FnMut(usize, &mut Vec<u32>)) {
+/// Fills the convolution tap table: `feed(row, table)` pushes that row's
+/// `(weight tap, input pixel)` pairs in the oracle's feed order. Row
+/// `pos · segs + seg` is segment `seg` of output position `pos`.
+fn tap_table(offs: &mut Vec<u32>, n_rows: usize, mut feed: impl FnMut(usize, &mut Vec<u32>)) {
     offs.clear();
-    offs.resize(n_pos + 1, 0);
-    for pos in 0..n_pos {
-        feed(pos, offs);
-        offs[pos + 1] = ((offs.len() - n_pos - 1) / 2) as u32;
+    offs.resize(n_rows + 1, 0);
+    for row in 0..n_rows {
+        feed(row, offs);
+        offs[row + 1] = ((offs.len() - n_rows - 1) / 2) as u32;
     }
 }
 
-/// Taps tabulated for `pos` by [`tap_table`].
-fn taps_of(offs: &[u32], n_pos: usize, pos: usize) -> &[u32] {
-    let pairs = &offs[n_pos + 1..];
-    &pairs[2 * offs[pos] as usize..2 * offs[pos + 1] as usize]
+/// Taps tabulated for `row` by [`tap_table`].
+fn taps_of(offs: &[u32], n_rows: usize, row: usize) -> &[u32] {
+    let pairs = &offs[n_rows + 1..];
+    &pairs[2 * offs[row] as usize..2 * offs[row + 1] as usize]
 }
 
-/// Operand checks shared by the four convolutions: `input` on the side
+/// Every `(weight tap, input pixel)` pair of an `n_rows`-row table.
+fn table_pairs(offs: &[u32], n_rows: usize) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+    let pair = |t: &[u32]| (t[0] as usize, t[1] as usize);
+    offs[n_rows + 1..].chunks_exact(2).map(pair)
+}
+
+/// Kernel taps in raster order.
+fn raster_taps(kh: usize, kw: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..kh).flat_map(move |ky| (0..kw).map(move |kx| (ky, kx)))
+}
+
+/// Pushes the S-direction pairs of output position `pos` for `taps` in the
+/// order given. A tap that reads padding is pushed as [`PAD`] when
+/// `keep_pad`, otherwise left out.
+fn push_s_taps(
+    offs: &mut Vec<u32>,
+    phase: &ConvShape,
+    pos: usize,
+    taps: impl Iterator<Item = (usize, usize)>,
+    keep_pad: bool,
+) {
+    let (geom, sw) = (phase.geom(), phase.small_hw().1);
+    for (ky, kx) in taps {
+        let px = s_pixel(geom, phase.large_hw(), (pos / sw, pos % sw), (ky, kx));
+        if keep_pad || px != PAD {
+            offs.extend([(ky * geom.kw() + kx) as u32, px]);
+        }
+    }
+}
+
+/// Operand checks shared by the seven convolutions: `input` on the side
 /// the direction reads, `kernels` as `[small][large][kh][kw]`.
 fn check_conv<T: Num>(
     phase: &ConvShape,
@@ -336,20 +370,31 @@ fn check_conv<T: Num>(
     Ok(())
 }
 
+/// What a position's terms go through before they reach its accumulators.
+#[derive(Clone, Copy)]
+pub(super) enum Fold {
+    /// Nothing: every term is accumulated as it comes (ZFOST, OST, WST).
+    None,
+    /// An adder tree over this many taps of one channel (ZFWST).
+    Taps(usize),
+    /// An adder tree over this many channels of one tap (NLR).
+    Channels(usize),
+}
+
 /// The shared convolution kernel, on operands [`check_conv`] accepted.
-/// `feed` tabulates each output position's taps ([`tap_table`]); the
-/// kernels are transposed to `[in-channel][tap][lane]`. Every output
-/// position then walks `(in-channel, tap)` in table order with the output
-/// channels as lanes: `tree == 0` accumulates each term directly (ZFOST),
-/// otherwise `tree` taps at a time are folded through an adder-tree block
-/// first (ZFWST), a [`PAD`] tap multiplying an explicit zero.
-fn conv_lanes<T: Num>(
+/// `feed` tabulates the taps of each output position's `segs` segments
+/// ([`tap_table`]); the kernels are transposed to `[in-channel][tap][lane]`.
+/// Every output position then walks segment → in-channel → tap in table
+/// order with the output channels as lanes, its terms folded as `fold`
+/// says (a tree's channel blocks go outside its taps). Inside a tree a
+/// [`PAD`] tap multiplies an explicit zero.
+pub(super) fn conv_lanes<T: Num>(
     lane: &mut LaneScratch<T>,
-    arena: &mut ConvWorkspace<T>,
     phase: &ConvShape,
     input: &Fmaps<T>,
     kernels: &Kernels<T>,
-    tree: usize,
+    segs: usize,
+    fold: Fold,
     feed: impl FnMut(usize, &mut Vec<u32>),
 ) -> Fmaps<T> {
     let ntaps = kernels.kh() * kernels.kw();
@@ -360,33 +405,50 @@ fn conv_lanes<T: Num>(
         _ => (phase.large(), phase.large_hw(), ntaps),
     };
     let (n_pos, cp) = (oh * ow, n_out.next_multiple_of(LANES));
-    tap_table(&mut lane.offs, n_pos, feed);
+    let n_rows = n_pos * segs;
+    tap_table(&mut lane.offs, n_rows, feed);
     gather_lanes(kernels.as_slice(), n_out, k_inner, cp, &mut lane.operand);
 
-    let in_px = input.height() * input.width();
+    let (in_px, w_ch_len) = (input.height() * input.width(), ntaps * cp);
     assert!(in_px < PAD as usize, "pixel offsets are u32");
     let (x, weights, offs) = (input.as_slice(), &lane.operand, &lane.offs);
+    let channels = || x.chunks_exact(in_px).zip(weights.chunks_exact(w_ch_len));
+    // The last block of a tree over channels may be short.
+    let blocks = |n| x.chunks(n * in_px).zip(weights.chunks(n * w_ch_len));
     for_position_blocks(&mut lane.rows, n_pos, cp, lane.blocks, |pos0, rows| {
         for (i, row) in rows.chunks_exact_mut(cp).enumerate() {
-            let taps = taps_of(offs, n_pos, pos0 + i);
             for (b, lanes) in row.chunks_exact_mut(LANES).enumerate() {
+                let w = |w_ch, tap: u32| lane_block(w_ch, tap as usize * cp + b * LANES);
                 let mut acc = [T::zero(); LANES];
-                for (x_ch, w_ch) in x.chunks_exact(in_px).zip(weights.chunks_exact(ntaps * cp)) {
-                    let w = |tap: u32| lane_block(w_ch, tap as usize * cp + b * LANES);
-                    if tree == 0 {
-                        for t in taps.chunks_exact(2) {
-                            mac_lanes(&mut acc, x_ch[t[1] as usize], w(t[0]));
-                        }
-                    } else {
-                        for chunk in taps.chunks(2 * tree) {
-                            let mut sum = [T::zero(); LANES];
-                            for t in chunk.chunks_exact(2) {
-                                let x = x_ch.get(t[1] as usize).copied().unwrap_or(T::zero());
-                                for (s, w) in sum.iter_mut().zip(w(t[0])) {
-                                    *s += x * *w;
+                for seg in 0..segs {
+                    let taps = taps_of(offs, n_rows, (pos0 + i) * segs + seg);
+                    match fold {
+                        Fold::None => {
+                            for (x_ch, w_ch) in channels() {
+                                for t in taps.chunks_exact(2) {
+                                    mac_lanes(&mut acc, x_ch[t[1] as usize], w(w_ch, t[0]));
                                 }
                             }
-                            add_lanes(&mut acc, &sum);
+                        }
+                        Fold::Taps(n) => {
+                            for (x_ch, w_ch) in channels() {
+                                for beat in taps.chunks(2 * n) {
+                                    let terms = beat.chunks_exact(2);
+                                    let terms = terms.map(|t| (padded(x_ch, t[1]), w(w_ch, t[0])));
+                                    tree_lanes(&mut acc, terms);
+                                }
+                            }
+                        }
+                        Fold::Channels(n) => {
+                            for (x_blk, w_blk) in blocks(n) {
+                                for t in taps.chunks_exact(2) {
+                                    let block = x_blk.chunks_exact(in_px);
+                                    let block = block.zip(w_blk.chunks_exact(w_ch_len));
+                                    let terms =
+                                        block.map(|(x, w_ch)| (padded(x, t[1]), w(w_ch, t[0])));
+                                    tree_lanes(&mut acc, terms);
+                                }
+                            }
                         }
                     }
                 }
@@ -395,7 +457,7 @@ fn conv_lanes<T: Num>(
         }
     });
     // Every element is written by the transpose, so the arena's fill is skipped.
-    let mut out = Fmaps::from_vec(n_out, oh, ow, arena.take_dirty(n_out * n_pos));
+    let mut out = Fmaps::from_vec(n_out, oh, ow, lane.arena.take_dirty(n_out * n_pos));
     scatter_lanes(&lane.rows, cp, n_out, n_pos, out.as_mut_slice());
     out
 }
@@ -407,12 +469,10 @@ fn t_feed(phase: &ConvShape) -> impl FnMut(usize, &mut Vec<u32>) {
     let (small_hw, lw) = (phase.small_hw(), phase.large_hw().1);
     let (kh, kw) = (geom.kh(), geom.kw());
     move |pos, offs| {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let px = t_pixel(&geom, small_hw, (pos / lw, pos % lw), (ky, kx));
-                if px != PAD {
-                    offs.extend([((kh - 1 - ky) * kw + (kw - 1 - kx)) as u32, px]);
-                }
+        for (ky, kx) in raster_taps(kh, kw) {
+            let px = t_pixel(&geom, small_hw, (pos / lw, pos % lw), (ky, kx));
+            if px != PAD {
+                offs.extend([((kh - 1 - ky) * kw + (kw - 1 - kx)) as u32, px]);
             }
         }
     }
@@ -435,7 +495,6 @@ pub(super) fn zfost_s<T: Num>(
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
     let (sh, sw) = phase.small_hw();
-    let large_hw = phase.large_hw();
     let (p_oy, p_ox, p_of) = zf.factors();
     let (kh, kw) = (geom.kh(), geom.kw());
     kernel_parity_order_into(kh, kw, geom.stride(), &mut ws.parity);
@@ -450,14 +509,9 @@ pub(super) fn zfost_s<T: Num>(
     // grouped. A tap whose input is padding is a zero term and is skipped.
     let parity: &[(usize, usize)] = &ws.parity;
     let feed = |pos: usize, offs: &mut Vec<u32>| {
-        for &(ky, kx) in parity {
-            let px = s_pixel(&geom, large_hw, (pos / sw, pos % sw), (ky, kx));
-            if px != PAD {
-                offs.extend([(ky * kw + kx) as u32, px]);
-            }
-        }
+        push_s_taps(offs, phase, pos, parity.iter().copied(), false);
     };
-    let output = conv_lanes(&mut ws.lane, &mut ws.conv, phase, input, kernels, 0, feed);
+    let output = conv_lanes(&mut ws.lane, phase, input, kernels, 1, Fold::None, feed);
     record_exec("zfost/s_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
@@ -508,7 +562,7 @@ pub(super) fn zfost_t<T: Num>(
     // effective for (its parity class, minus the clipped edges) are exactly
     // those whose tap lands on a real input pixel.
     let feed = t_feed(phase);
-    let output = conv_lanes(&mut ws.lane, &mut ws.conv, phase, input, kernels, 0, feed);
+    let output = conv_lanes(&mut ws.lane, phase, input, kernels, 1, Fold::None, feed);
     record_exec("zfost/t_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
@@ -668,7 +722,7 @@ fn wgrad<T: Num>(
         }
     });
     // Every element is written by the transpose, so the arena's fill is skipped.
-    let grad = ws.conv.take_dirty(small * large * ntaps);
+    let grad = lane.arena.take_dirty(small * large * ntaps);
     let mut output = Kernels::from_vec(small, large, kh, kw, grad);
     scatter_lanes(&lane.rows, cp, large, ntaps, output.as_mut_slice());
     record_exec(
@@ -719,9 +773,12 @@ fn wgrad_trace(cap: usize, groups: usize, kh: usize, kw: usize, npc: u64) -> Tra
 }
 
 // ---------------------------------------------------------------------------
-// OST T-CONV (baseline; multiplies the inserted zeros and counts them)
+// The baselines: OST T-CONV, WST S-CONV, NLR S-CONV
 // ---------------------------------------------------------------------------
 
+/// OST multiplies the zero-inserted map tap by tap, so per output element
+/// the only terms that can change the accumulator are ZFOST T-CONV's: the
+/// same table, the same walk. What the zeros cost is counted, not computed.
 #[allow(clippy::type_complexity)]
 pub(super) fn ost_t<T: Num>(
     ost: &Ost,
@@ -731,172 +788,59 @@ pub(super) fn ost_t<T: Num>(
     ws: &mut ExecWorkspace<T>,
     trace_capacity: Option<usize>,
 ) -> TensorResult<((ExecOutcome<Fmaps<T>>, (u64, u64)), Option<TraceBuffer>)> {
-    check_kind(phase, ConvKind::T)?;
+    check_conv(phase, ConvKind::T, input, kernels)?;
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
-    let (sh, sw) = phase.small_hw();
     let (lh, lw) = phase.large_hw();
-    if input.shape() != (small, sh, sw) {
-        return Err(ShapeError::new("input does not match phase's small side"));
-    }
-    if kernels.shape() != (small, large, geom.kh(), geom.kw()) {
-        return Err(ShapeError::new("kernels do not match phase channels"));
-    }
     let (p_oy, p_ox, p_of) = ost.factors();
-    let s = geom.stride();
     let (kh, kw) = (geom.kh(), geom.kw());
-    let (pt_, _, pl_, _) = geom.t_conv_pads();
-    let (zh, zw) = ((sh - 1) * s + 1, (sw - 1) * s + 1);
-    let (nty, ntx) = (lh.div_ceil(p_oy), lw.div_ceil(p_ox));
     let fold = (p_of / large).max(1);
-    let n_chunks = (nty * ntx).div_ceil(fold) as u64;
+    let n_chunks = (lh.div_ceil(p_oy) * lw.div_ceil(p_ox)).div_ceil(fold) as u64;
     let groups = large.div_ceil(p_of);
     let per_chunk = (small * kh * kw) as u64;
-    let per_group = n_chunks * per_chunk;
-    let cycles = groups as u64 * per_group;
+    let cycles = groups as u64 * n_chunks * per_chunk;
 
-    // Zero-inserted map, scattered into recycled scratch.
-    let mut zi = ws.conv.take_fmaps(small, zh, zw);
-    {
-        let in_s = input.as_slice();
-        let zi_s = zi.as_mut_slice();
-        for sf in 0..small {
-            for iy in 0..sh {
-                let zb = (sf * zh + iy * s) * zw;
-                let ib = (sf * sh + iy) * sw;
-                for ix in 0..sw {
-                    zi_s[zb + ix * s] = in_s[ib + ix];
-                }
-            }
-        }
-    }
-
-    let effectual = AtomicU64::new(0);
-    let ineffectual = AtomicU64::new(0);
-    let mut out = ws.conv.take_fmaps(large, lh, lw);
-    {
-        let zi_s = zi.as_slice();
-        let k_s = kernels.as_slice();
-        parallel_chunks_for(out.as_mut_slice(), p_of * lh * lw, |g, chunk| {
-            let of_base = g * p_of;
-            let n_of = chunk.len() / (lh * lw);
-            let (mut eff, mut ineff) = (0u64, 0u64);
-            for ty in 0..nty {
-                let oy0 = ty * p_oy;
-                let oy1 = (oy0 + p_oy).min(lh);
-                for tx in 0..ntx {
-                    let ox0 = tx * p_ox;
-                    let ox1 = (ox0 + p_ox).min(lw);
-                    let tw = ox1 - ox0;
-                    for sf in 0..small {
-                        let zi_ch = &zi_s[sf * zh * zw..(sf + 1) * zh * zw];
-                        for ky in 0..kh {
-                            for kx in 0..kw {
-                                let y_ok = oy0 + ky >= pt_ && oy1 - 1 + ky < pt_ + zh;
-                                let x_ok = ox0 + kx >= pl_ && ox1 - 1 + kx < pl_ + zw;
-                                if y_ok && x_ok {
-                                    let zx0 = ox0 + kx - pl_;
-                                    let mut nz = 0u64;
-                                    for oy in oy0..oy1 {
-                                        let zb = (oy + ky - pt_) * zw + zx0;
-                                        for v in &zi_ch[zb..zb + tw] {
-                                            if !v.is_zero() {
-                                                nz += 1;
-                                            }
-                                        }
-                                    }
-                                    eff += n_of as u64 * nz;
-                                    ineff += n_of as u64 * (((oy1 - oy0) * tw) as u64 - nz);
-                                    for of in 0..n_of {
-                                        let w = k_s[((sf * large + of_base + of) * kh
-                                            + (kh - 1 - ky))
-                                            * kw
-                                            + (kw - 1 - kx)];
-                                        let o_ch = of * lh * lw;
-                                        for oy in oy0..oy1 {
-                                            let ob = o_ch + oy * lw + ox0;
-                                            let zb = (oy + ky - pt_) * zw + zx0;
-                                            for (o, v) in
-                                                chunk[ob..ob + tw].iter_mut().zip(&zi_ch[zb..])
-                                            {
-                                                o.mul_add_assign(*v, w);
-                                            }
-                                        }
-                                    }
-                                } else {
-                                    for oy in oy0..oy1 {
-                                        let zy = oy as isize + ky as isize - pt_ as isize;
-                                        for ox in ox0..ox1 {
-                                            let zx = ox as isize + kx as isize - pl_ as isize;
-                                            let v = if zy >= 0
-                                                && zx >= 0
-                                                && (zy as usize) < zh
-                                                && (zx as usize) < zw
-                                            {
-                                                zi_ch[zy as usize * zw + zx as usize]
-                                            } else {
-                                                T::zero()
-                                            };
-                                            if v.is_zero() {
-                                                ineff += n_of as u64;
-                                            } else {
-                                                eff += n_of as u64;
-                                            }
-                                            for of in 0..n_of {
-                                                let w = k_s[((sf * large + of_base + of) * kh
-                                                    + (kh - 1 - ky))
-                                                    * kw
-                                                    + (kw - 1 - kx)];
-                                                chunk[of * lh * lw + oy * lw + ox]
-                                                    .mul_add_assign(v, w);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            effectual.fetch_add(eff, Ordering::Relaxed);
-            ineffectual.fetch_add(ineff, Ordering::Relaxed);
-        })
-        .expect("executor group task panicked");
-    }
-    ws.conv.give_fmaps(zi);
+    let feed = t_feed(phase);
+    let output = conv_lanes(&mut ws.lane, phase, input, kernels, 1, Fold::None, feed);
     record_exec("ost/t_conv", cycles);
 
+    // The array fires every `(of, output, sf, tap)` MAC; one is effectual
+    // when its tap reads a real pixel (a pair of the table) that is not
+    // itself zero.
+    let pairs = table_pairs(&ws.lane.offs, lh * lw);
+    let in_px = input.height() * input.width();
+    let nonzero = |x_ch: &[T]| pairs.clone().filter(|&(_, px)| !x_ch[px].is_zero()).count();
+    let real: usize = input.as_slice().chunks_exact(in_px).map(nonzero).sum();
+    let effectual = (large * real) as u64;
+    let ineffectual = (small * large * lh * lw * kh * kw) as u64 - effectual;
+
     let trace = trace_capacity.map(|cap| {
-        let mut buf = TraceBuffer::with_expected(cap, groups as u64 * (1 + per_group));
-        if buf.enabled() {
-            let events = mac_raster_events(small, kh, kw);
-            for g in 0..groups {
-                let base = g as u64 * per_group;
-                buf.record(base, TraceEvent::PhaseStart { label: g as u16 });
-                buf.record_block(base, per_chunk, n_chunks, Arc::clone(&events));
-            }
-        }
-        buf
+        chunked_feed_trace(cap, groups, per_chunk, n_chunks, || {
+            mac_raster_events(small, kh, kw)
+        })
     });
     Ok((
-        (
-            ExecOutcome {
-                output: out,
-                cycles,
-            },
-            (
-                effectual.load(Ordering::Relaxed),
-                ineffectual.load(Ordering::Relaxed),
-            ),
-        ),
+        (ExecOutcome { output, cycles }, (effectual, ineffectual)),
         trace,
     ))
 }
 
-// ---------------------------------------------------------------------------
-// WST S-CONV
-// ---------------------------------------------------------------------------
+/// How many of `taps` read stream pixel `i` of an S-direction axis for
+/// some output `o < out`: `i == stride·o + k − pad`.
+fn fired(i: usize, taps: Range<usize>, pad: usize, stride: usize, out: usize) -> usize {
+    let reads = |k: &usize| {
+        (i + pad)
+            .checked_sub(*k)
+            .is_some_and(|n| n % stride == 0 && n / stride < out)
+    };
+    taps.filter(reads).count()
+}
 
+/// WST holds one `P_ky × P_kx` block of every kernel at a time and streams
+/// the whole input past it, so an output sees its terms block by block:
+/// one table segment per block in `(ky_base, kx_base)` order, the raster of
+/// the stream putting a block's taps in `(ky, kx)` order. A tap outside the
+/// map never fires, so it is no term at all — and no partial-sum access.
 #[allow(clippy::type_complexity)]
 pub(super) fn wst_s<T: Num>(
     wst: &Wst,
@@ -906,86 +850,33 @@ pub(super) fn wst_s<T: Num>(
     ws: &mut ExecWorkspace<T>,
     trace_capacity: Option<usize>,
 ) -> TensorResult<((ExecOutcome<Fmaps<T>>, (u64, u64)), Option<TraceBuffer>)> {
-    check_kind(phase, ConvKind::S)?;
+    check_conv(phase, ConvKind::S, input, kernels)?;
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
     let (sh, sw) = phase.small_hw();
     let (lh, lw) = phase.large_hw();
-    if input.shape() != (large, lh, lw) {
-        return Err(ShapeError::new("input does not match phase's large side"));
-    }
-    if kernels.shape() != (small, large, geom.kh(), geom.kw()) {
-        return Err(ShapeError::new("kernels do not match phase channels"));
-    }
     let (p_ky, p_kx, p_of) = wst.factors();
     let stride = geom.stride();
     let (kh, kw) = (geom.kh(), geom.kw());
     let (pt, pl) = (geom.pad_top(), geom.pad_left());
     let groups = small.div_ceil(p_of);
-    let (nkb, nxb) = (kh.div_ceil(p_ky), kw.div_ceil(p_kx));
-    let per_group = (nkb * nxb * large * lh * lw) as u64;
+    let nxb = kw.div_ceil(p_kx);
+    let segs = kh.div_ceil(p_ky) * nxb;
+    let per_group = (segs * large * lh * lw) as u64;
     let cycles = groups as u64 * per_group;
 
-    // Exact output ranges each kernel row/column feeds: the scalar loop's
-    // per-MAC divisibility guards, solved once.
-    ws.ranges_y.clear();
-    ws.ranges_x.clear();
-    for ky in 0..kh {
-        ws.ranges_y.push(feed_range(ky, pt, stride, lh, sh));
-    }
-    for kx in 0..kw {
-        ws.ranges_x.push(feed_range(kx, pl, stride, lw, sw));
-    }
-    let sy: u64 = ws.ranges_y.iter().map(|&(lo, hi)| (hi - lo) as u64).sum();
-    let sx: u64 = ws.ranges_x.iter().map(|&(lo, hi)| (hi - lo) as u64).sum();
-    let psums = (small * large) as u64 * sy * sx;
-
-    let mut out = ws.conv.take_fmaps(small, sh, sw);
-    {
-        let ranges_y: &[(usize, usize)] = &ws.ranges_y;
-        let ranges_x: &[(usize, usize)] = &ws.ranges_x;
-        let in_s = input.as_slice();
-        let k_s = kernels.as_slice();
-        parallel_chunks_for(out.as_mut_slice(), p_of * sh * sw, |g, chunk| {
-            let of_base = g * p_of;
-            let n_of = chunk.len() / (sh * sw);
-            for kyb in (0..kh).step_by(p_ky) {
-                let ky_end = (kyb + p_ky).min(kh);
-                for kxb in (0..kw).step_by(p_kx) {
-                    let kx_end = (kxb + p_kx).min(kw);
-                    for if_ in 0..large {
-                        let in_ch = &in_s[if_ * lh * lw..(if_ + 1) * lh * lw];
-                        for of in 0..n_of {
-                            let o_ch = of * sh * sw;
-                            let k_ch = ((of_base + of) * large + if_) * kh * kw;
-                            for ky in kyb..ky_end {
-                                let (ylo, yhi) = ranges_y[ky];
-                                for oy in ylo..yhi {
-                                    let ib = (stride * oy + ky - pt) * lw;
-                                    let ob = o_ch + oy * sw;
-                                    for kx in kxb..kx_end {
-                                        let (xlo, xhi) = ranges_x[kx];
-                                        if xlo >= xhi {
-                                            continue;
-                                        }
-                                        let w = k_s[k_ch + ky * kw + kx];
-                                        for (i, o) in
-                                            chunk[ob + xlo..ob + xhi].iter_mut().enumerate()
-                                        {
-                                            let ix = stride * (xlo + i) + kx - pl;
-                                            o.mul_add_assign(in_ch[ib + ix], w);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        })
-        .expect("executor group task panicked");
-    }
+    let feed = |row: usize, offs: &mut Vec<u32>| {
+        let (pos, seg) = (row / segs, row % segs);
+        let (kyb, kxb) = (seg / nxb * p_ky, seg % nxb * p_kx);
+        let block = (kyb..(kyb + p_ky).min(kh))
+            .flat_map(|ky| (kxb..(kxb + p_kx).min(kw)).map(move |kx| (ky, kx)));
+        push_s_taps(offs, phase, pos, block, false);
+    };
+    let output = conv_lanes(&mut ws.lane, phase, input, kernels, segs, Fold::None, feed);
     record_exec("wst/s_conv", cycles);
+    // No stationary psum: every MAC that fires is one read-modify-write
+    // through the buffer, per `(of, if)` pair.
+    let psums = (small * large * table_pairs(&ws.lane.offs, sh * sw * segs).count()) as u64;
 
     let trace = trace_capacity.map(|cap| {
         let expected = groups as u64 * (1 + per_group) + 2 * psums;
@@ -993,34 +884,18 @@ pub(super) fn wst_s<T: Num>(
         if buf.enabled() {
             // Per input position: one stream read, then one psum
             // read/write pair per MAC the grid fires that cycle.
-            let mut cnt_y = vec![0u64; lh];
-            let mut cnt_x = vec![0u64; lw];
             for g in 0..groups {
                 let base = g as u64 * per_group;
                 buf.record(base, TraceEvent::PhaseStart { label: g as u16 });
-                let n_of = ((g * p_of + p_of).min(small) - g * p_of) as u64;
+                let n_of = (g * p_of + p_of).min(small) - g * p_of;
                 let mut block_base = base;
                 for kyb in (0..kh).step_by(p_ky) {
-                    let ky_end = (kyb + p_ky).min(kh);
                     for kxb in (0..kw).step_by(p_kx) {
-                        let kx_end = (kxb + p_kx).min(kw);
-                        cnt_y.iter_mut().for_each(|c| *c = 0);
-                        cnt_x.iter_mut().for_each(|c| *c = 0);
-                        for ky in kyb..ky_end {
-                            let (lo, hi) = ws.ranges_y[ky];
-                            for oy in lo..hi {
-                                cnt_y[stride * oy + ky - pt] += 1;
-                            }
-                        }
-                        for kx in kxb..kx_end {
-                            let (lo, hi) = ws.ranges_x[kx];
-                            for ox in lo..hi {
-                                cnt_x[stride * ox + kx - pl] += 1;
-                            }
-                        }
                         let mut events = Vec::new();
-                        for (iy, &cy) in cnt_y.iter().enumerate() {
-                            for (ix, &cx) in cnt_x.iter().enumerate() {
+                        for iy in 0..lh {
+                            let cy = fired(iy, kyb..(kyb + p_ky).min(kh), pt, stride, sh);
+                            for ix in 0..lw {
+                                let cx = fired(ix, kxb..(kxb + p_kx).min(kw), pl, stride, sw);
                                 let rel = (iy * lw + ix) as u64;
                                 events.push((rel, TraceEvent::BufferRead { buffer: 1 }));
                                 for _ in 0..n_of * cy * cx {
@@ -1037,22 +912,13 @@ pub(super) fn wst_s<T: Num>(
         }
         buf
     });
-    Ok((
-        (
-            ExecOutcome {
-                output: out,
-                cycles,
-            },
-            (psums, psums),
-        ),
-        trace,
-    ))
+    Ok(((ExecOutcome { output, cycles }, (psums, psums)), trace))
 }
 
-// ---------------------------------------------------------------------------
-// NLR S-CONV
-// ---------------------------------------------------------------------------
-
+/// NLR folds `P_if` input channels of one tap through its adder tree each
+/// cycle: channel block → tap → channels. A tap that reads padding is a
+/// tree of zeros added to an accumulator that is never `-0`, and is
+/// skipped (finite operands, module docs); its weights are still fetched.
 #[allow(clippy::type_complexity)]
 pub(super) fn nlr_s<T: Num>(
     nlr: &Nlr,
@@ -1062,91 +928,23 @@ pub(super) fn nlr_s<T: Num>(
     ws: &mut ExecWorkspace<T>,
     trace_capacity: Option<usize>,
 ) -> TensorResult<((ExecOutcome<Fmaps<T>>, u64), Option<TraceBuffer>)> {
-    check_kind(phase, ConvKind::S)?;
+    check_conv(phase, ConvKind::S, input, kernels)?;
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
     let (sh, sw) = phase.small_hw();
-    let (lh, lw) = phase.large_hw();
-    if input.shape() != (large, lh, lw) {
-        return Err(ShapeError::new("input does not match phase's large side"));
-    }
-    if kernels.shape() != (small, large, geom.kh(), geom.kw()) {
-        return Err(ShapeError::new("kernels do not match phase channels"));
-    }
     let (p_if, p_of) = (nlr.p_if(), nlr.p_of());
-    let stride = geom.stride();
     let (kh, kw) = (geom.kh(), geom.kw());
-    let (pt, pl) = (geom.pad_top(), geom.pad_left());
     let groups = small.div_ceil(p_of);
     let nib = large.div_ceil(p_if);
     let per_group = (nib * sh * sw * kh * kw) as u64;
     let cycles = groups as u64 * per_group;
     let weight_fetches = (small * large * sh * sw * kh * kw) as u64;
 
-    // Interior box: outputs whose full kernel window is in-bounds.
-    let (oy_lo, oy_hi) = interior_box(pt, stride, kh, lh, sh);
-    let (ox_lo, ox_hi) = interior_box(pl, stride, kw, lw, sw);
-
-    let mut out = ws.conv.take_fmaps(small, sh, sw);
-    {
-        let in_s = input.as_slice();
-        let k_s = kernels.as_slice();
-        parallel_chunks_for(out.as_mut_slice(), p_of * sh * sw, |g, chunk| {
-            let of_base = g * p_of;
-            let n_of = chunk.len() / (sh * sw);
-            for ib in 0..nib {
-                let if_base = ib * p_if;
-                let if_end = (if_base + p_if).min(large);
-                for oy in 0..sh {
-                    let y_in = oy >= oy_lo && oy < oy_hi;
-                    for ox in 0..sw {
-                        if y_in && ox >= ox_lo && ox < ox_hi {
-                            for ky in 0..kh {
-                                let ib_row = (stride * oy + ky - pt) * lw;
-                                for kx in 0..kw {
-                                    let ix = stride * ox + kx - pl;
-                                    for of in 0..n_of {
-                                        let k_ch = (of_base + of) * large;
-                                        let mut tree = T::zero();
-                                        for if_ in if_base..if_end {
-                                            tree += in_s[if_ * lh * lw + ib_row + ix]
-                                                * k_s[((k_ch + if_) * kh + ky) * kw + kx];
-                                        }
-                                        chunk[of * sh * sw + oy * sw + ox] += tree;
-                                    }
-                                }
-                            }
-                        } else {
-                            for ky in 0..kh {
-                                let iy = (stride * oy + ky) as isize - pt as isize;
-                                for kx in 0..kw {
-                                    let ix = (stride * ox + kx) as isize - pl as isize;
-                                    let in_bounds = iy >= 0
-                                        && ix >= 0
-                                        && (iy as usize) < lh
-                                        && (ix as usize) < lw;
-                                    for of in 0..n_of {
-                                        let k_ch = (of_base + of) * large;
-                                        let mut tree = T::zero();
-                                        for if_ in if_base..if_end {
-                                            let v = if in_bounds {
-                                                in_s[if_ * lh * lw + iy as usize * lw + ix as usize]
-                                            } else {
-                                                T::zero()
-                                            };
-                                            tree += v * k_s[((k_ch + if_) * kh + ky) * kw + kx];
-                                        }
-                                        chunk[of * sh * sw + oy * sw + ox] += tree;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        })
-        .expect("executor group task panicked");
-    }
+    let feed = |pos: usize, offs: &mut Vec<u32>| {
+        push_s_taps(offs, phase, pos, raster_taps(kh, kw), false);
+    };
+    let fold = Fold::Channels(p_if);
+    let output = conv_lanes(&mut ws.lane, phase, input, kernels, 1, fold, feed);
     record_exec("nlr/s_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
@@ -1184,36 +982,7 @@ pub(super) fn nlr_s<T: Num>(
         }
         buf
     });
-    Ok((
-        (
-            ExecOutcome {
-                output: out,
-                cycles,
-            },
-            weight_fetches,
-        ),
-        trace,
-    ))
-}
-
-/// Output range `[lo, hi)` whose *entire* kernel window is in-bounds for a
-/// kernel extent `kdim`: `0 <= stride*o + k - pad < limit` for every
-/// `k in 0..kdim`.
-fn interior_box(
-    pad: usize,
-    stride: usize,
-    kdim: usize,
-    limit: usize,
-    out: usize,
-) -> (usize, usize) {
-    let lo = pad.div_ceil(stride);
-    let hi_num = limit as isize - 1 + pad as isize - (kdim as isize - 1);
-    let hi = if hi_num < 0 {
-        0
-    } else {
-        (hi_num as usize / stride + 1).min(out)
-    };
-    (lo.min(hi), hi)
+    Ok(((ExecOutcome { output, cycles }, weight_fetches), trace))
 }
 
 // ---------------------------------------------------------------------------
@@ -1233,7 +1002,6 @@ pub(super) fn zfwst_s<T: Num>(
     let geom = *phase.geom();
     let (small, large) = (phase.small(), phase.large());
     let (sh, sw) = phase.small_hw();
-    let large_hw = phase.large_hw();
     let (p_ky, p_kx, p_of) = zf.factors();
     let grid = p_ky * p_kx;
     let (kh, kw) = (geom.kh(), geom.kw());
@@ -1245,20 +1013,10 @@ pub(super) fn zfwst_s<T: Num>(
     // Raster taps in chunks of `grid`; a padded tap keeps its slot in the
     // chunk and multiplies a zero inside the tree, as the oracle does.
     let feed = |pos: usize, offs: &mut Vec<u32>| {
-        for k in 0..kh * kw {
-            let px = s_pixel(&geom, large_hw, (pos / sw, pos % sw), (k / kw, k % kw));
-            offs.extend([k as u32, px]);
-        }
+        push_s_taps(offs, phase, pos, raster_taps(kh, kw), true);
     };
-    let output = conv_lanes(
-        &mut ws.lane,
-        &mut ws.conv,
-        phase,
-        input,
-        kernels,
-        grid,
-        feed,
-    );
+    let fold = Fold::Taps(grid);
+    let output = conv_lanes(&mut ws.lane, phase, input, kernels, 1, fold, feed);
     record_exec("zfwst/s_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {
@@ -1316,15 +1074,8 @@ pub(super) fn zfwst_t<T: Num>(
     // Only the non-zero taps of each output's parity class, `grid` at a
     // time through the tree.
     let feed = t_feed(phase);
-    let output = conv_lanes(
-        &mut ws.lane,
-        &mut ws.conv,
-        phase,
-        input,
-        kernels,
-        grid as usize,
-        feed,
-    );
+    let fold = Fold::Taps(grid as usize);
+    let output = conv_lanes(&mut ws.lane, phase, input, kernels, 1, fold, feed);
     record_exec("zfwst/t_conv", cycles);
 
     let trace = trace_capacity.map(|cap| {

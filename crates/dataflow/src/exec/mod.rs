@@ -23,16 +23,17 @@
 //!   `at_padded()` and every traced event through a per-cycle
 //!   `TraceSink::emit`.
 //! * [`engine`] (private; reached through the public entry points below) —
-//!   the fast path. The six zero-free executors (ZFOST and ZFWST, both
-//!   directions, and the two W-CONVs) walk position-major with the channel
-//!   lanes innermost: the operand that differs across lanes is transposed
-//!   once per call, each output position's taps are tabulated once, and a
-//!   16-wide block of lane accumulators stays in registers across the
-//!   oracle's whole `(channel, tap)` sequence for that position, every
-//!   term a broadcast input times a contiguous weight row. Contiguous
-//!   blocks of positions fan out across the `zfgan-pool` workers. The
-//!   three baseline executors walk rows per `P_of` channel group, one pool
-//!   task per group. Traced runs emit run-length batches
+//!   the fast path. All nine executors walk position-major with the
+//!   channel lanes innermost: the operand that differs across lanes is
+//!   transposed once per call, each output position's taps are tabulated
+//!   once, and a 16-wide block of lane accumulators stays in registers
+//!   across the oracle's whole term sequence for that position, every
+//!   term a broadcast input times a contiguous weight row. The seven
+//!   convolutions are one kernel and differ only in their tap table, in
+//!   how many segments a position's taps come in, and in the adder tree
+//!   (if any) a term passes through; what a baseline's dataflow wastes is
+//!   counted, not performed. Contiguous blocks of positions fan out
+//!   across the `zfgan-pool` workers. Traced runs emit run-length batches
 //!   ([`TraceBuffer::record_run`] / [`TraceBuffer::record_block`]) instead
 //!   of per-MAC events.
 //!
@@ -43,15 +44,16 @@
 //! the same closed forms, and the batched trace expands to the identical
 //! event stream — and by proptest (`tests/exec_engine.rs` diffs all nine
 //! executors against [`scalar`] across adversarial geometries, channel
-//! counts around the lane width, and `f64` / `f32` / `Fx` for the six).
+//! counts around the lane width, and `f64` / `f32` / `Fx`).
 //! `benches/exec.rs` gates the resulting speedup on paired ratios.
 //!
 //! # Precondition: finite operands
 //!
-//! Where the oracle multiplies a padded zero (`at_padded`, in ZFOST S-CONV
-//! and the D̄w W-CONV) the engine skips the term. That is the same bits
+//! Where the oracle multiplies a zero the dataflow put there (`at_padded`
+//! in ZFOST and NLR S-CONV and the D̄w W-CONV, the inserted and padded
+//! zeros of OST T-CONV) the engine skips the term. That is the same bits
 //! only while `0 · w` is a zero, i.e. for finite `w`: with an infinite or
-//! NaN operand next to the padding the oracle yields NaN and the engine
+//! NaN operand next to such a zero the oracle yields NaN and the engine
 //! does not. ZFWST S-CONV multiplies its padded zeros as the oracle does.
 
 use zfgan_sim::trace::{TraceBuffer, TraceEvent};
@@ -311,13 +313,17 @@ exec_entry! {
 exec_entry! {
     /// Executes a `T-CONV` phase on a plain [`Ost`] array — the *baseline*
     /// behaviour the zero-free design fixes. The naive dataflow walks the
-    /// zero-inserted input; this executor performs those multiplications
-    /// for real and counts how many had a zero operand, so the analytical
-    /// ineffectual-operation census ([`ConvShape::naive_muls`]) is
-    /// validated against an actual execution.
+    /// zero-inserted input and multiplies whatever it finds; this executor
+    /// counts how many of those multiplications had a zero operand, so the
+    /// analytical ineffectual-operation census ([`ConvShape::naive_muls`])
+    /// is validated against an actual execution.
     ///
     /// Returns the output, the enumerated cycles, and
     /// `(effectual, ineffectual)` multiplication counts.
+    ///
+    /// Bit-identical to [`scalar::ost_t_conv`] for finite operands: the
+    /// multiplications by inserted and padded zeros are counted, not
+    /// performed (module docs).
     fn ost_t_conv / ost_t_conv_ws / ost_t_conv_traced,
     engine = engine::ost_t,
     arch = Ost,
@@ -350,6 +356,9 @@ exec_entry! {
     ///
     /// Returns the output, enumerated cycles and the observed weight
     /// fetches.
+    ///
+    /// Bit-identical to [`scalar::nlr_s_conv`] for finite operands: a tap
+    /// that reads padding is skipped, not multiplied (module docs).
     fn nlr_s_conv / nlr_s_conv_ws / nlr_s_conv_traced,
     engine = engine::nlr_s,
     arch = Nlr,

@@ -363,12 +363,20 @@ fn position_block_count_never_changes_a_byte() {
     let (zfost, zfwst) = (Zfost::new(2, 2, 4), Zfwst::new(2, 2, 4));
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
+    // `$counted` splits a result into `(outcome, counters)`: the six
+    // return a bare outcome, the baselines already a pair.
     macro_rules! check {
-        ($engine:ident, $oracle:ident, $arch:expr, $kind:expr, $a:expr, $b:expr) => {{
-            let want = scalar::$oracle($arch, &p($kind), $a, $b).unwrap();
+        ($engine:ident, $oracle:ident, $arch:expr, $kind:expr, $a:expr, $b:expr) => {
+            check!($engine, $oracle, $arch, $kind, $a, $b, |r| (r, ()))
+        };
+        ($engine:ident, $oracle:ident, $arch:expr, $kind:expr, $a:expr, $b:expr, $counted:expr) => {{
+            let (want, want_counters) =
+                $counted(scalar::$oracle($arch, &p($kind), $a, $b).unwrap());
             for blocks in 1..=7 {
                 let mut ws = ExecWorkspace::with_position_blocks(blocks);
                 let (got, _) = engine::$engine($arch, &p($kind), $a, $b, &mut ws, None).unwrap();
+                let (got, counters) = $counted(got);
+                assert_eq!(counters, want_counters, "{} blocks", blocks);
                 assert_eq!(got.cycles, want.cycles, "{} blocks", blocks);
                 assert_eq!(
                     bits(got.output.as_slice()),
@@ -400,4 +408,78 @@ fn position_block_count_never_changes_a_byte() {
         &small,
         &big
     );
+    let (ost, wst, nlr) = (Ost::new(2, 3, 4), Wst::new(2, 3, 4), Nlr::new(2, 4));
+    check!(ost_t, ost_t_conv, &ost, ConvKind::T, &small, &k, |r| r);
+    check!(wst_s, wst_s_conv, &wst, ConvKind::S, &big, &k, |r| r);
+    check!(nlr_s, nlr_s_conv, &nlr, ConvKind::S, &big, &k, |r| r);
+}
+
+/// A TDC-style table (Colbert et al.): a stride-`s` T-CONV is `s²`
+/// stride-1 convolutions of the real input, each with the sub-kernel of
+/// the taps `ky ≡ ry, kx ≡ rx (mod s)`; an output belongs to the
+/// sub-convolution its position selects. No tap of the table ever sees an
+/// inserted zero, so it lists only what lands inside the map.
+fn tdc_feed(phase: &ConvShape) -> impl FnMut(usize, &mut Vec<u32>) {
+    let geom = *phase.geom();
+    let (s, kh, kw) = (geom.stride(), geom.kh(), geom.kw());
+    let (pt, _, pl, _) = geom.t_conv_pads();
+    let ((sh, sw), lw) = (phase.small_hw(), phase.large_hw().1);
+    // The sub-kernel residue of output coordinate `o`, then the taps of
+    // that sub-kernel as `(tap, pixel)` of its stride-1 window.
+    let axis = move |o: usize, pad: usize, k: usize, len: usize| {
+        let r = (pad + (s - 1) * o) % s;
+        let first = ((o + r) as isize - pad as isize) / s as isize;
+        (r..k).step_by(s).enumerate().filter_map(move |(j, tap)| {
+            let px = usize::try_from(first + j as isize).ok()?;
+            (px < len).then_some((tap, px))
+        })
+    };
+    move |pos, offs| {
+        for (ky, iy) in axis(pos / lw, pt, kh, sh) {
+            for (kx, ix) in axis(pos % lw, pl, kw, sw) {
+                let flipped = (kh - 1 - ky) * kw + (kw - 1 - kx);
+                offs.extend([flipped as u32, (iy * sw + ix) as u32]);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_tdc_table_on_the_lane_kernel_is_zfost_t_conv() {
+    // The seam a tenth dataflow would use: nothing but a table builder.
+    // (kernel, stride, out_h, out_w, pad_y, pad_x) from the families
+    // `tests/exec_engine.rs` draws.
+    let cases = [
+        (5, 2, 5, 7, 3, 2),
+        (4, 2, 6, 3, 2, 2),
+        (5, 3, 4, 5, 4, 1),
+        (4, 1, 3, 6, 3, 0),
+        (1, 2, 4, 4, 0, 0),
+    ];
+    let mut rng = SmallRng::seed_from_u64(17);
+    for (k, s, oh, ow, py, px) in cases {
+        let (lh, lw) = ((oh - 1) * s + k - py, (ow - 1) * s + k - px);
+        let geom = ConvGeom::down(lh, lw, k, k, s, oh, ow).unwrap();
+        let p = ConvShape::new(ConvKind::T, geom, 17, 3, lh, lw);
+        let x: Fmaps<f32> = Fmaps::random(17, oh, ow, 1.0, &mut rng);
+        let w: Kernels<f32> = Kernels::random(17, 3, k, k, 1.0, &mut rng);
+        let want = scalar::zfost_t_conv(&Zfost::new(2, 2, 4), &p, &x, &w).unwrap();
+        let mut ws = ExecWorkspace::new();
+        let got = engine::conv_lanes(
+            &mut ws.lane,
+            &p,
+            &x,
+            &w,
+            1,
+            engine::Fold::None,
+            tdc_feed(&p),
+        );
+        let bits = |f: &Fmaps<f32>| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.shape(), want.output.shape());
+        assert_eq!(
+            bits(&got),
+            bits(&want.output),
+            "k{k} s{s} {oh}x{ow} pad {py},{px}"
+        );
+    }
 }

@@ -37,7 +37,7 @@ for threads in 2 4 8; do
 done
 
 echo "=== executor engine suites across pool widths ==="
-# The zero-free executors split their output positions into blocks that
+# All nine executors split their output positions into blocks that
 # follow the pool width, so the bit-identity and zero-allocation suites
 # run at widths that leave one block per call, a few, and more blocks than
 # some shapes have positions.

@@ -14,16 +14,10 @@ use std::sync::Arc;
 
 use crate::accel::{datasheet, AccelConfig, GanAccelerator, MemoryAnalysis};
 use crate::crashtest;
-use crate::dataflow::{exec, Nlr, Ost, Wst, Zfost, Zfwst};
 use crate::faults::{self, CampaignConfig};
-use crate::sim::trace::TraceBuffer;
-use crate::sim::{ConvKind, ConvShape};
 use crate::telemetry::{export, Registry};
-use crate::tensor::{ConvGeom, Fmaps, Kernels};
 use crate::train::{CrashPhase, CrashSpec, TrainArgs};
 use crate::workloads::GanSpec;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde_json::Value;
 
 /// Executes one CLI invocation and returns the text to print.
@@ -389,66 +383,12 @@ fn with_telemetry(
     Ok(out)
 }
 
-/// The executor phase every `trace` run uses: the scaled-down DCGAN layer
-/// (6×6 → 12×12, 4×4 kernel, stride 2) shared with the fault campaigns.
-fn trace_phase(kind: ConvKind) -> Result<ConvShape, String> {
-    let geom = ConvGeom::down(12, 12, 4, 4, 2, 6, 6).map_err(|e| e.to_string())?;
-    Ok(ConvShape::new(kind, geom, 5, 3, 12, 12))
-}
-
-/// Runs one architecture's cycle-accurate executor with event tracing and
-/// returns its trace buffer. `seed` fixes the operand data.
-fn trace_one(arch: &str, seed: u64, capacity: usize) -> Result<TraceBuffer, String> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let x: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
-    let small_x: Fmaps<f64> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
-    let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
-    let err = |e: crate::tensor::ShapeError| e.to_string();
-    match arch {
-        "nlr" => {
-            let p = trace_phase(ConvKind::S)?;
-            Ok(
-                exec::nlr_s_conv_traced(&Nlr::new(3, 5), &p, &x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "wst" => {
-            let p = trace_phase(ConvKind::S)?;
-            Ok(
-                exec::wst_s_conv_traced(&Wst::new(4, 4, 2), &p, &x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "ost" => {
-            let p = trace_phase(ConvKind::T)?;
-            Ok(
-                exec::ost_t_conv_traced(&Ost::new(4, 4, 2), &p, &small_x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "zfost" => {
-            let p = trace_phase(ConvKind::T)?;
-            Ok(
-                exec::zfost_t_conv_traced(&Zfost::new(4, 4, 2), &p, &small_x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "zfwst" => {
-            let p = trace_phase(ConvKind::T)?;
-            Ok(
-                exec::zfwst_t_conv_traced(&Zfwst::new(2, 2, 2), &p, &small_x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        other => Err(format!(
-            "--arch '{other}' unknown (expected one of: nlr, wst, ost, zfost, zfwst, all)"
-        )),
-    }
+/// The executor `zfgan trace` draws for an architecture: its `T-CONV`
+/// where it runs one, else its `S-CONV`.
+fn trace_executor(arch: &str) -> Result<&'static str, String> {
+    let family = crate::report::selected_executors(Some(arch))?;
+    let t_conv = family.iter().find(|e| e.ends_with("/t_conv"));
+    Ok(t_conv.copied().unwrap_or(family[0]))
 }
 
 /// `zfgan trace`: run the traced executors under a scoped registry and
@@ -476,7 +416,7 @@ fn trace_cmd(flags: &Flags<'_>) -> Result<String, String> {
     {
         let _guard = crate::telemetry::scope(Arc::clone(&reg));
         for name in &selected {
-            let buf = trace_one(name, seed, capacity)?;
+            let (_, buf, ..) = crate::report::run_executor(trace_executor(name)?, seed, capacity)?;
             out.push_str(&format!(
                 "  {name:<6} {} events retained, {} evicted\n",
                 buf.len(),

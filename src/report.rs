@@ -87,7 +87,7 @@ fn report_phase(kind: ConvKind) -> Result<ConvShape, String> {
 }
 
 /// Which executors `--arch` selects. `all` (or `None`) runs all nine.
-fn selected_executors(arch: Option<&str>) -> Result<Vec<&'static str>, String> {
+pub(crate) fn selected_executors(arch: Option<&str>) -> Result<Vec<&'static str>, String> {
     const ALL: [&str; 9] = [
         "nlr/s_conv",
         "wst/s_conv",
@@ -113,14 +113,15 @@ fn selected_executors(arch: Option<&str>) -> Result<Vec<&'static str>, String> {
 }
 
 /// Runs one executor with tracing and returns `(engine cycles, trace,
-/// schedule stats for the same phase)`.
-fn run_executor(
+/// the array that ran, its phase)`. `zfgan trace` draws its tracks from
+/// here too; the report puts the array's schedule model on top.
+pub(crate) fn run_executor(
     executor: &str,
     seed: u64,
     capacity: usize,
-) -> Result<(u64, TraceBuffer, zfgan_sim::PhaseStats), String> {
-    // Same seeded operands as `zfgan trace`: a 3-channel 12×12 input, a
-    // 5-channel 6×6 small map, 5×3 4×4 kernels.
+) -> Result<(u64, TraceBuffer, Box<dyn Dataflow>, ConvShape), String> {
+    // The seeded operands: a 3-channel 12×12 input, a 5-channel 6×6 small
+    // map, 5×3 4×4 kernels.
     let mut rng = SmallRng::seed_from_u64(seed);
     let x: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
     let small_x: Fmaps<f64> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
@@ -138,55 +139,55 @@ fn run_executor(
             let p = report_phase(ConvKind::S)?;
             let ((out, _), trace) =
                 exec::nlr_s_conv_traced(&nlr, &p, &x, &k, capacity).map_err(err)?;
-            Ok((out.cycles, trace, nlr.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(nlr), p))
         }
         "wst/s_conv" => {
             let p = report_phase(ConvKind::S)?;
             let ((out, _), trace) =
                 exec::wst_s_conv_traced(&wst, &p, &x, &k, capacity).map_err(err)?;
-            Ok((out.cycles, trace, wst.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(wst), p))
         }
         "ost/t_conv" => {
             let p = report_phase(ConvKind::T)?;
             let ((out, _), trace) =
                 exec::ost_t_conv_traced(&ost, &p, &small_x, &k, capacity).map_err(err)?;
-            Ok((out.cycles, trace, ost.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(ost), p))
         }
         "zfost/s_conv" => {
             let p = report_phase(ConvKind::S)?;
             let (out, trace) =
                 exec::zfost_s_conv_traced(&zfost, &p, &x, &k, capacity).map_err(err)?;
-            Ok((out.cycles, trace, zfost.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(zfost), p))
         }
         "zfost/t_conv" => {
             let p = report_phase(ConvKind::T)?;
             let (out, trace) =
                 exec::zfost_t_conv_traced(&zfost, &p, &small_x, &k, capacity).map_err(err)?;
-            Ok((out.cycles, trace, zfost.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(zfost), p))
         }
         "zfwst/s_conv" => {
             let p = report_phase(ConvKind::S)?;
             let (out, trace) =
                 exec::zfwst_s_conv_traced(&zfwst, &p, &x, &k, capacity).map_err(err)?;
-            Ok((out.cycles, trace, zfwst.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(zfwst), p))
         }
         "zfwst/t_conv" => {
             let p = report_phase(ConvKind::T)?;
             let (out, trace) =
                 exec::zfwst_t_conv_traced(&zfwst, &p, &small_x, &k, capacity).map_err(err)?;
-            Ok((out.cycles, trace, zfwst.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(zfwst), p))
         }
         "zfwst/wgrad_s" => {
             let p = report_phase(ConvKind::WGradS)?;
             let (out, trace) =
                 exec::zfwst_wgrad_s_traced(&zfwst, &p, &x, &small_x, capacity).map_err(err)?;
-            Ok((out.cycles, trace, zfwst.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(zfwst), p))
         }
         "zfwst/wgrad_t" => {
             let p = report_phase(ConvKind::WGradT)?;
             let (out, trace) =
                 exec::zfwst_wgrad_t_traced(&zfwst, &p, &small_x, &x, capacity).map_err(err)?;
-            Ok((out.cycles, trace, zfwst.schedule(&p)))
+            Ok((out.cycles, trace, Box::new(zfwst), p))
         }
         other => Err(format!("internal: unknown executor '{other}'")),
     }
@@ -211,7 +212,8 @@ pub fn build_report(arch: Option<&str>, seed: u64, capacity: usize) -> Result<Re
     {
         let _guard = crate::telemetry::scope(Arc::clone(&reg));
         for executor in executors {
-            let (cycles, trace, stats) = run_executor(executor, seed, capacity)?;
+            let (cycles, trace, arch, phase) = run_executor(executor, seed, capacity)?;
+            let stats = arch.schedule(&phase);
             let attr = exec::attribute_cycles(&trace, cycles);
             if attr.total() != cycles {
                 return Err(format!(

@@ -10,12 +10,12 @@
 //! padding, 1×1 / 4×4 / 5×5 kernels, unrolling factors that leave partial
 //! edge tiles in both spatial dimensions, `p_of` larger than the channel
 //! count (fold > 1), and channel counts on both sides of the engine's
-//! 16-wide lane block — and require exact equality everywhere. The six
-//! zero-free executors run on `f64`, `f32` and `Fx`.
+//! 16-wide lane block — and require exact equality everywhere, on `f64`,
+//! `f32` and `Fx`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use zfgan::dataflow::exec::{self, scalar};
 use zfgan::dataflow::{Nlr, Ost, Wst, Zfost, Zfwst};
 use zfgan::sim::trace::{TraceBuffer, TraceEvent};
@@ -95,8 +95,22 @@ fn events(t: &TraceBuffer) -> Vec<(u64, TraceEvent)> {
     t.iter().collect()
 }
 
-// The six zero-free executors, generic over the element type: outcome
-// (output and cycles) and expanded trace stream against the oracle's.
+/// `x` with a seeded third of its pixels `+0.0` or `-0.0`: real pixels
+/// that are themselves zero, which `Fmaps::random` never draws on a float.
+fn with_zeros<T: Num>(mut x: Fmaps<T>, seed: u64) -> Fmaps<T> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x2e70);
+    for v in x.as_mut_slice() {
+        match rng.gen_range(0..6u32) {
+            0 => *v = T::from_f32(0.0),
+            1 => *v = T::from_f32(-0.0),
+            _ => {}
+        }
+    }
+    x
+}
+
+// The nine executors, generic over the element type: outcome (output and
+// cycles), counters and expanded trace stream against the oracle's.
 
 fn zfost_s_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
     let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<T>());
@@ -158,6 +172,43 @@ fn zfwst_t_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+fn ost_t_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (_, x, k)) = (su.phase(ConvKind::T), su.operands::<T>());
+    let ost = Ost::new(su.f.0, su.f.1, su.f.2);
+    // The census counts zero operands wherever they come from: inserted,
+    // padded, or a real pixel that happens to be zero.
+    for x in [with_zeros(x.clone(), su.seed), x] {
+        let ((fast, fc), ft) = exec::ost_t_conv_traced(&ost, &phase, &x, &k, CAP).unwrap();
+        let ((slow, sc), st) = scalar::ost_t_conv_traced(&ost, &phase, &x, &k, CAP).unwrap();
+        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(fc, sc, "effectual/ineffectual census diverged");
+        prop_assert_eq!(events(&ft), events(&st));
+    }
+    Ok(())
+}
+
+fn wst_s_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<T>());
+    let wst = Wst::new(su.f.0, su.f.1, su.f.2);
+    let ((fast, fc), ft) = exec::wst_s_conv_traced(&wst, &phase, &x, &k, CAP).unwrap();
+    let ((slow, sc), st) = scalar::wst_s_conv_traced(&wst, &phase, &x, &k, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(fc, sc, "psum read/write census diverged");
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
+}
+
+fn nlr_s_case<T: Num>(su: &Setup) -> Result<(), TestCaseError> {
+    let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<T>());
+    let nlr = Nlr::new(su.f.0, su.f.2);
+    let ((fast, fc), ft) = exec::nlr_s_conv_traced(&nlr, &phase, &x, &k, CAP).unwrap();
+    let ((slow, sc), st) = scalar::nlr_s_conv_traced(&nlr, &phase, &x, &k, CAP).unwrap();
+    prop_assert_eq!(fast, slow);
+    prop_assert_eq!(fc, sc, "weight-fetch census diverged");
+    prop_assert_eq!(events(&ft), events(&st));
+    Ok(())
+}
+
 /// Runs a generic case on every element type the engine serves.
 macro_rules! on_every_type {
     ($case:ident, $su:expr) => {{
@@ -202,42 +253,26 @@ proptest! {
 
     #[test]
     fn ost_t_is_bit_identical(su in arb_setup()) {
-        let (phase, (_, x, k)) = (su.phase(ConvKind::T), su.operands::<f64>());
-        let ost = Ost::new(su.f.0, su.f.1, su.f.2);
-        let ((fast, fc), ft) = exec::ost_t_conv_traced(&ost, &phase, &x, &k, CAP).unwrap();
-        let ((slow, sc), st) = scalar::ost_t_conv_traced(&ost, &phase, &x, &k, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(fc, sc, "effectual/ineffectual census diverged");
-        prop_assert_eq!(events(&ft), events(&st));
+        on_every_type!(ost_t_case, &su);
     }
 
     #[test]
     fn wst_s_is_bit_identical(su in arb_setup()) {
-        let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<f64>());
-        let wst = Wst::new(su.f.0, su.f.1, su.f.2);
-        let ((fast, fc), ft) = exec::wst_s_conv_traced(&wst, &phase, &x, &k, CAP).unwrap();
-        let ((slow, sc), st) = scalar::wst_s_conv_traced(&wst, &phase, &x, &k, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(fc, sc, "psum read/write census diverged");
-        prop_assert_eq!(events(&ft), events(&st));
+        on_every_type!(wst_s_case, &su);
     }
 
     #[test]
     fn nlr_s_is_bit_identical(su in arb_setup()) {
-        let (phase, (x, _, k)) = (su.phase(ConvKind::S), su.operands::<f64>());
-        let nlr = Nlr::new(su.f.0, su.f.2);
-        let ((fast, fc), ft) = exec::nlr_s_conv_traced(&nlr, &phase, &x, &k, CAP).unwrap();
-        let ((slow, sc), st) = scalar::nlr_s_conv_traced(&nlr, &phase, &x, &k, CAP).unwrap();
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(fc, sc, "weight-fetch census diverged");
-        prop_assert_eq!(events(&ft), events(&st));
+        on_every_type!(nlr_s_case, &su);
     }
 }
 
-/// The padding skip leans on zero-sign algebra (`acc + ±0 == acc` bit for
-/// bit while `acc` is never `-0`): operands full of `+0.0`, `-0.0`,
-/// subnormals and their negations must give the oracle's exact bits —
-/// `==` would call `-0.0` and `+0.0` equal, so compare `to_bits`.
+/// The padding skip (and OST's inserted-zero skip) leans on zero-sign
+/// algebra (`acc + ±0 == acc` bit for bit while `acc` is never `-0`):
+/// operands full of `+0.0`, `-0.0`, subnormals and their negations must
+/// give the oracle's exact bits — `==` would call `-0.0` and `+0.0` equal,
+/// so compare `to_bits` — and its exact counters, OST's census calling
+/// both zeros ineffectual and every subnormal effectual.
 #[test]
 fn signed_zeros_and_subnormals_keep_the_oracles_bits() {
     const VALUES: [f32; 8] = [
@@ -264,12 +299,19 @@ fn signed_zeros_and_subnormals_keep_the_oracles_bits() {
     let smallx = Fmaps::from_vec(small, 5, 5, fill(small * 25, 3));
     let k = Kernels::from_vec(small, large, 5, 5, fill(small * large * 25, 5));
     let (zfost, zfwst) = (Zfost::new(2, 3, 4), Zfwst::new(2, 2, 3));
+    let (ost, wst, nlr) = (Ost::new(2, 3, 4), Wst::new(2, 2, 3), Nlr::new(2, 3));
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
+    // `$counted` splits a result into `(outcome, counters)`: the six
+    // return a bare outcome, the baselines already a pair.
     macro_rules! same_bits {
-        ($name:ident, $arch:expr, $kind:expr, $a:expr, $b:expr) => {{
-            let fast = exec::$name($arch, &phase($kind), $a, $b).unwrap();
-            let slow = scalar::$name($arch, &phase($kind), $a, $b).unwrap();
+        ($name:ident, $arch:expr, $kind:expr, $a:expr, $b:expr) => {
+            same_bits!($name, $arch, $kind, $a, $b, |r| (r, ()))
+        };
+        ($name:ident, $arch:expr, $kind:expr, $a:expr, $b:expr, $counted:expr) => {{
+            let (fast, fc) = $counted(exec::$name($arch, &phase($kind), $a, $b).unwrap());
+            let (slow, sc) = $counted(scalar::$name($arch, &phase($kind), $a, $b).unwrap());
+            assert_eq!(fc, sc, stringify!($name));
             assert_eq!(fast.cycles, slow.cycles, stringify!($name));
             assert_eq!(
                 bits(fast.output.as_slice()),
@@ -284,4 +326,7 @@ fn signed_zeros_and_subnormals_keep_the_oracles_bits() {
     same_bits!(zfwst_t_conv, &zfwst, ConvKind::T, &smallx, &k);
     same_bits!(zfwst_wgrad_s, &zfwst, ConvKind::WGradS, &big, &smallx);
     same_bits!(zfwst_wgrad_t, &zfwst, ConvKind::WGradT, &smallx, &big);
+    same_bits!(ost_t_conv, &ost, ConvKind::T, &smallx, &k, |r| r);
+    same_bits!(wst_s_conv, &wst, ConvKind::S, &big, &k, |r| r);
+    same_bits!(nlr_s_conv, &nlr, ConvKind::S, &big, &k, |r| r);
 }

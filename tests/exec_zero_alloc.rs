@@ -1,8 +1,9 @@
 //! Proof of the zero-allocation executor hot path: once an
 //! [`ExecWorkspace`] has warmed up, steady-state **untraced** `*_ws`
 //! passes through all nine cycle-accurate executors perform **zero** heap
-//! allocations — the output arena, the lane and parity/range scratch, and
-//! the pool's task fan-out are all recycled. Measured with a counting
+//! allocations — the output arena, the lane and parity scratch, and the
+//! pool's task fan-out are all recycled, and the baselines' counters are
+//! read off the tap table. Measured with a counting
 //! `#[global_allocator]`, which is why this test lives in its own binary
 //! with a single `#[test]`.
 
