@@ -5,17 +5,17 @@
 //!
 //! Every gate is one [`paired_ratio`] of two variants that agree
 //! numerically per the family contracts pinned by `tests/fast_conv.rs`
-//! (scalar kernels bit-identical to naive; packed kernels mutually
-//! bit-identical and within the fused accumulation bound; Q8.8
-//! bit-identical everywhere), so every ratio is pure speed. Absolute times
-//! are the `train_mnist` / `train_dcgan` workloads of `BENCHMARK.json`.
+//! (packed f32 kernels mutually bit-identical and within the fused
+//! accumulation bound of naive; Q8.8 bit-identical everywhere), so every
+//! ratio is pure speed. Absolute times are the `train_mnist` /
+//! `train_dcgan` workloads of `BENCHMARK.json`.
 
 use std::cell::RefCell;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use zfgan_bench::{gate, paired_ratio};
-use zfgan_tensor::gemm::{matmul_blocked_into, matmul_chunked, MatmulKind};
+use zfgan_tensor::gemm::{matmul_blocked, matmul_blocked_into, matmul_chunked};
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
     choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch, SimdLevel,
@@ -48,19 +48,22 @@ fn mnist_layer2() -> ConvGeom {
     ConvGeom::down(14, 14, 5, 5, 2, 7, 7).expect("static geometry")
 }
 
-/// Gates `fast` over the naive triple loop on `a × b`.
+/// Gates `fast(a, b)` over the naive triple loop ([`Matrix::matmul`]) on
+/// `a × b`.
 fn gate_over_naive<T: zfgan_tensor::Num>(
     name: &str,
     floor: f64,
-    fast: MatmulKind,
+    fast: impl Fn(&Matrix<T>, &Matrix<T>) -> zfgan_tensor::TensorResult<Matrix<T>>,
     a: &Matrix<T>,
     b: &Matrix<T>,
 ) {
-    let run = |kind: MatmulKind| {
-        std::hint::black_box(kind.run(a, b).expect("conforming operands"));
+    let naive = || {
+        std::hint::black_box(a.matmul(b).expect("conforming operands"));
     };
-    let ratio = paired_ratio(PAIRED_ROUNDS, || run(MatmulKind::Naive), || run(fast));
-    gate(name, floor, ratio);
+    let fast = || {
+        std::hint::black_box(fast(a, b).expect("conforming operands"));
+    };
+    gate(name, floor, paired_ratio(PAIRED_ROUNDS, naive, fast));
 }
 
 /// The packed kernel over naive on the lowered MNIST-GAN S-CONV: a
@@ -75,13 +78,7 @@ fn gate_matmul_kinds() {
     let k = Kernels::random(128, 64, 5, 5, 0.25, &mut rng);
     let a: Matrix<f32> = im2col_s(&input, &geom).patches;
     let b = weights_as_matrix_s(&k);
-    gate_over_naive(
-        "matmul/blocked",
-        simd_floor(2.0),
-        MatmulKind::Blocked,
-        &a,
-        &b,
-    );
+    gate_over_naive("matmul/blocked", simd_floor(2.0), matmul_blocked, &a, &b);
 
     // Batch-4 dense activations (pre-ReLU / post-BatchNorm maps carry no
     // structural zeros): the naive loop's zero skip buys nothing on this
@@ -96,7 +93,7 @@ fn gate_matmul_kinds() {
     gate_over_naive(
         "matmul_batch/blocked",
         simd_floor(BATCH_FLOOR),
-        MatmulKind::Blocked,
+        matmul_blocked,
         &ab,
         &b,
     );
@@ -113,7 +110,7 @@ fn gate_matmul_kinds() {
     gate_over_naive(
         "matmul_fx/blocked",
         simd_floor(2.0),
-        MatmulKind::Blocked,
+        matmul_blocked,
         &to_fx(&a),
         &to_fx(&b),
     );

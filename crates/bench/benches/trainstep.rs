@@ -1,17 +1,9 @@
 //! Full GAN training-step ratio gates on the MNIST-GAN spec: workspace
-//! reuse over allocating scratch, the packed engine over the reference
-//! engine, and the shape dispatcher over the packed-only engine.
+//! reuse over allocating scratch, and the shape dispatcher over the
+//! packed-only engine.
 //!
-//! The scalar reference (`ws_scalar`, [`ConvBackend::ScalarRef`]) is the
-//! *reference engine* end to end: the specification fill/reshape loops
-//! (see `MatmulKind::is_reference`) over the retained blocked-scalar GEMM,
-//! with workspace reuse. That keeps its cost model pinned to the
-//! pre-microkernel engine, so its ratio to `ws_packed` (the default
-//! backend, fanning out on the pool where a GEMM is large enough) measures
-//! what this engine — cache-aware fills plus the packed SIMD microkernel —
-//! buys the full train step. The packed variants compute bit-identical updates to
-//! each other (`tests/determinism.rs`); `ws_scalar` agrees within the
-//! fused-accumulation bound. Every gate is one [`paired_ratio`] of one
+//! Every variant computes bit-identical updates to the others
+//! (`tests/determinism.rs`). Every gate is one [`paired_ratio`] of one
 //! train step a side; the absolute step time is the `train_mnist` workload
 //! of `BENCHMARK.json`.
 
@@ -71,14 +63,6 @@ fn main() {
     let ws_packed = stepper(ConvBackend::default(), true);
     let s = paired_ratio(PAIRED_ROUNDS, || alloc_packed(None), || ws_packed(None));
     gate("trainstep/ws_vs_alloc", 1.0, s);
-
-    // The packed engine (cache-aware fills + SIMD microkernel) must buy
-    // the *full train step* >=2x over the reference engine (specification
-    // fills + blocked-scalar GEMM, same workspace reuse).
-    let ws_scalar = stepper(ConvBackend::ScalarRef, true);
-    let ws_packed = stepper(ConvBackend::default(), true);
-    let s = paired_ratio(PAIRED_ROUNDS, || ws_scalar(None), || ws_packed(None));
-    gate("trainstep/ws_packed_vs_ws_scalar", simd_floor(2.0), s);
 
     // The shape-aware dispatcher (ikj pack bypass + small-m streamed
     // lowering) must buy the full train step >=1.15x over the pre-dispatch

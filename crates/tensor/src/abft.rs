@@ -28,7 +28,7 @@
 
 use crate::error::TensorResult;
 use crate::fault::{FaultLog, FaultPlan};
-use crate::gemm::{matmul_with_faults, MatmulKind};
+use crate::gemm::{matmul_blocked, matmul_with_faults};
 use crate::im2col::Matrix;
 
 /// Outcome of an ABFT check over one GEMM.
@@ -183,18 +183,14 @@ fn residual_of(expected: f64, actual: f64) -> f64 {
     }
 }
 
-/// GEMM with the ABFT check bolted on: computes `a × b` with the selected
-/// kernel and verifies it against the input checksums.
+/// GEMM with the ABFT check bolted on: computes `a × b` with
+/// [`matmul_blocked`] and verifies it against the input checksums.
 ///
 /// # Errors
 ///
 /// Returns an error if the inner dimensions disagree.
-pub fn checked_matmul(
-    kind: MatmulKind,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-) -> TensorResult<(Matrix<f32>, AbftReport)> {
-    let c = kind.run(a, b)?;
+pub fn checked_matmul(a: &Matrix<f32>, b: &Matrix<f32>) -> TensorResult<(Matrix<f32>, AbftReport)> {
+    let c = matmul_blocked(a, b)?;
     let report = verify(a, b, &c);
     Ok((c, report))
 }
@@ -206,14 +202,13 @@ pub fn checked_matmul(
 ///
 /// Returns an error if the inner dimensions disagree.
 pub fn checked_matmul_with_faults(
-    kind: MatmulKind,
     a: &Matrix<f32>,
     b: &Matrix<f32>,
     plan: &FaultPlan,
     base: u64,
     log: &mut FaultLog,
 ) -> TensorResult<(Matrix<f32>, AbftReport)> {
-    let c = matmul_with_faults(kind, a, b, plan, base, log)?;
+    let c = matmul_with_faults(a, b, plan, base, log)?;
     let report = verify(a, b, &c);
     Ok((c, report))
 }
@@ -261,14 +256,10 @@ mod tests {
         for (m, k, n) in [(1, 1, 1), (9, 31, 17), (40, 100, 64)] {
             let a = random_matrix(m, k, &mut rng);
             let b = random_matrix(k, n, &mut rng);
-            for kind in [
-                MatmulKind::Naive,
-                MatmulKind::Blocked,
-                MatmulKind::BlockedScalar,
-            ] {
-                let (_, report) = checked_matmul(kind, &a, &b).unwrap();
-                assert!(report.clean(), "{m}×{k}×{n} {kind:?}: {report:?}");
-            }
+            let (_, report) = checked_matmul(&a, &b).unwrap();
+            assert!(report.clean(), "{m}×{k}×{n} packed: {report:?}");
+            let naive = verify(&a, &b, &a.matmul(&b).unwrap());
+            assert!(naive.clean(), "{m}×{k}×{n} naive: {naive:?}");
         }
     }
 
@@ -277,7 +268,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(22);
         let a = random_matrix(12, 20, &mut rng);
         let b = random_matrix(20, 15, &mut rng);
-        let mut c = MatmulKind::Blocked.run(&a, &b).unwrap();
+        let mut c = matmul_blocked(&a, &b).unwrap();
         *c.at_mut(7, 4) += 1.0; // far above quantization noise
         let report = verify(&a, &b, &c);
         assert_eq!(report.faulty_rows, vec![7]);
@@ -291,7 +282,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(23);
         let a = random_matrix(5, 8, &mut rng);
         let b = random_matrix(8, 6, &mut rng);
-        let mut c = MatmulKind::Blocked.run(&a, &b).unwrap();
+        let mut c = matmul_blocked(&a, &b).unwrap();
         *c.at_mut(2, 2) = f32::NAN;
         let report = verify(&a, &b, &c);
         assert!(report.implicates(2, 2));
@@ -310,8 +301,7 @@ mod tests {
         )
         .unwrap();
         let mut log = FaultLog::default();
-        let (_, report) =
-            checked_matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 0, &mut log).unwrap();
+        let (_, report) = checked_matmul_with_faults(&a, &b, &plan, 0, &mut log).unwrap();
         assert!(log.effective > 0, "plan should fire in 384 elements");
         for rec in &log.records {
             if rec.effective() {

@@ -1,27 +1,25 @@
 //! Backend selection for the three convolution families.
 //!
 //! [`ConvBackend`] picks how a convolution is *computed* without changing
-//! what it computes. [`ConvBackend::GoldenDirect`] and
-//! [`ConvBackend::ScalarRef`] are bit-identical to the golden loop nests
-//! in [`crate::conv`] for every element type (see [`crate::gemm`] for why
-//! scalar blocking preserves bits, and [`crate::zero_free`] for why
-//! skipping the inserted zeros does). The packed-microkernel backends
-//! ([`ConvBackend::LoweredGemm`], [`ConvBackend::LoweredZeroFree`]) are
-//! bit-identical to *each other* for every pool width and SIMD level —
-//! how wide a GEMM runs is the packed engine's own decision (see
-//! [`crate::gemm`]), not a backend — bit-identical to golden for `Fx` and
-//! `f64`, and within the fused-accumulation error bound of golden for
-//! `f32` — the packed f32 kernel owns its accumulation order (see
-//! [`crate::microkernel`]). The golden nests stay the oracle the dataflow
-//! executors validate against; the lowered backends are what training
-//! actually runs.
+//! what it computes. [`ConvBackend::GoldenDirect`] is the golden loop nests
+//! in [`crate::conv`]. The two lowered backends
+//! ([`ConvBackend::LoweredGemm`], [`ConvBackend::LoweredZeroFree`]) run on
+//! the one packed GEMM engine ([`crate::gemm`]) and are bit-identical to
+//! *each other* for every pool width and SIMD level — how wide a GEMM runs
+//! is the packed engine's own decision, not a backend — bit-identical to
+//! golden for `Fx` and `f64` (see [`crate::zero_free`] for why skipping the
+//! inserted zeros preserves bits), and within the fused-accumulation error
+//! bound of golden for `f32` — the packed f32 kernel owns its accumulation
+//! order (see [`crate::microkernel`]). The golden nests stay the oracle the
+//! dataflow executors validate against; the lowered backends are what
+//! training actually runs.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorResult;
 use crate::fmaps::Fmaps;
-use crate::gemm::MatmulKind;
-use crate::im2col::{im2col_t, im2col_t_with_output_size, s_conv_via_gemm_ws, weights_as_matrix_t};
+use crate::gemm::matmul_blocked;
+use crate::im2col::{im2col_t_with_output_size, s_conv_via_gemm_ws, weights_as_matrix_t};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -38,11 +36,6 @@ use crate::{conv, ShapeError};
 pub enum ConvBackend {
     /// The golden loop nests — the slow, obviously-correct oracle.
     GoldenDirect,
-    /// Zero-free lowering + the retained cache-blocked *scalar* GEMM —
-    /// bit-identical to [`ConvBackend::GoldenDirect`] for every element
-    /// type, and the honest scalar baseline the packed-microkernel
-    /// speedup gates measure against.
-    ScalarRef,
     /// `im2col + packed GEMM`, materialising inserted zeros the way
     /// Caffe's deconvolution path does (the paper's software baseline).
     LoweredGemm,
@@ -60,18 +53,14 @@ impl Default for ConvBackend {
     }
 }
 
+// Each allocating method runs its workspace-fed sibling over a fresh
+// workspace. With a long-lived workspace the transients come from (and
+// return to) `ws`, so a steady-state call allocates nothing (pinned by
+// `tests/zero_alloc.rs` on the default backend). `GoldenDirect` and the
+// `LoweredGemm` zero-inserting T paths ignore the workspace: they are
+// comparison baselines, not the training hot path, and keeping them
+// allocating keeps their cost model honest.
 impl ConvBackend {
-    /// The GEMM kernel the lowered backends use.
-    fn mm(self) -> MatmulKind {
-        match self {
-            // Unused for GoldenDirect; the naive kernel is the honest
-            // stand-in.
-            ConvBackend::GoldenDirect => MatmulKind::Naive,
-            ConvBackend::ScalarRef => MatmulKind::BlockedScalar,
-            ConvBackend::LoweredGemm | ConvBackend::LoweredZeroFree => MatmulKind::Blocked,
-        }
-    }
-
     /// Strided convolution (`S-CONV`) — see [`crate::s_conv`].
     ///
     /// # Errors
@@ -83,10 +72,7 @@ impl ConvBackend {
         k: &Kernels<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::s_conv(input, k, geom),
-            _ => s_conv_via_gemm_ws(input, k, geom, self.mm(), &mut ConvWorkspace::new()),
-        }
+        self.s_conv_ws(input, k, geom, &mut ConvWorkspace::new())
     }
 
     /// Transposed convolution (`T-CONV`) — see [`crate::t_conv`].
@@ -100,29 +86,7 @@ impl ConvBackend {
         k: &Kernels<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::t_conv(input, k, geom),
-            ConvBackend::LoweredGemm => {
-                if k.n_of() != input.channels() {
-                    return Err(ShapeError::new("kernel/input channel mismatch"));
-                }
-                let lowered = im2col_t(input, geom);
-                let product = self.mm().run(&lowered.patches, &weights_as_matrix_t(k))?;
-                let (oh, ow) = lowered.out_hw;
-                let mut out = Fmaps::zeros(k.n_if(), oh, ow);
-                for lf in 0..k.n_if() {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            *out.at_mut(lf, oy, ox) = *product.at(oy * ow + ox, lf);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
-                zero_free::t_conv_zero_free(input, k, geom, self.mm())
-            }
-        }
+        self.t_conv_ws(input, k, geom, &mut ConvWorkspace::new())
     }
 
     /// Backward error pass of an `S-CONV` layer — see
@@ -139,28 +103,8 @@ impl ConvBackend {
         in_h: usize,
         in_w: usize,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::s_conv_input_grad(delta_out, k, geom, in_h, in_w),
-            ConvBackend::LoweredGemm => {
-                if k.n_of() != delta_out.channels() {
-                    return Err(ShapeError::new("kernel/error channel mismatch"));
-                }
-                let lowered = im2col_t_with_output_size(delta_out, geom, in_h, in_w);
-                let product = self.mm().run(&lowered.patches, &weights_as_matrix_t(k))?;
-                let mut out = Fmaps::zeros(k.n_if(), in_h, in_w);
-                for lf in 0..k.n_if() {
-                    for oy in 0..in_h {
-                        for ox in 0..in_w {
-                            *out.at_mut(lf, oy, ox) = *product.at(oy * in_w + ox, lf);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
-                zero_free::t_conv_zero_free_sized(delta_out, k, geom, in_h, in_w, self.mm())
-            }
-        }
+        let ws = &mut ConvWorkspace::new();
+        self.s_conv_input_grad_ws(delta_out, k, geom, in_h, in_w, ws)
     }
 
     /// Backward error pass of a `T-CONV` layer — see
@@ -175,12 +119,7 @@ impl ConvBackend {
         k: &Kernels<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::t_conv_input_grad(delta_out, k, geom),
-            // This pass involves no zero-inserting in either formulation,
-            // so dense-lowered and zero-free share one GEMM.
-            _ => zero_free::t_conv_input_grad_via_gemm(delta_out, k, geom, self.mm()),
-        }
+        self.t_conv_input_grad_ws(delta_out, k, geom, &mut ConvWorkspace::new())
     }
 
     /// `W-CONV` of an `S-CONV` layer — see [`crate::w_conv_for_s_layer`].
@@ -211,14 +150,6 @@ impl ConvBackend {
         self.w_conv_for_t_layer_ws(input, delta_out, geom, &mut ConvWorkspace::new())
     }
 
-    // Workspace-fed variants. Each is bit-identical to its allocating
-    // sibling above; transients come from (and return to) `ws`, so a
-    // steady-state call allocates nothing (pinned by `tests/zero_alloc.rs`
-    // on the default backend). `GoldenDirect` and the `LoweredGemm`
-    // zero-inserting T paths delegate to the allocating forms: they are
-    // comparison baselines, not the training hot path, and keeping them
-    // allocating keeps their cost model honest.
-
     /// [`ConvBackend::s_conv`] with transients drawn from the workspace.
     ///
     /// # Errors
@@ -233,7 +164,7 @@ impl ConvBackend {
     ) -> TensorResult<Fmaps<T>> {
         match self {
             ConvBackend::GoldenDirect => conv::s_conv(input, k, geom),
-            _ => s_conv_via_gemm_ws(input, k, geom, self.mm(), ws),
+            _ => s_conv_via_gemm_ws(input, k, geom, ws),
         }
     }
 
@@ -250,10 +181,14 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => self.t_conv(input, k, geom),
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
-                zero_free::t_conv_zero_free_ws(input, k, geom, self.mm(), ws)
+            ConvBackend::GoldenDirect => conv::t_conv(input, k, geom),
+            ConvBackend::LoweredGemm => {
+                if k.n_of() != input.channels() {
+                    return Err(ShapeError::new("kernel/input channel mismatch"));
+                }
+                t_conv_zero_inserted(input, k, geom, geom.up_out(input.height(), input.width()))
             }
+            ConvBackend::LoweredZeroFree => zero_free::t_conv_zero_free_ws(input, k, geom, ws),
         }
     }
 
@@ -275,8 +210,7 @@ impl ConvBackend {
         match self {
             ConvBackend::LoweredZeroFree => {
                 let (oh, ow) = geom.up_out(input.height(), input.width());
-                let mm = self.mm();
-                zero_free::t_conv_zero_free_cached_ws(input, k, sub_kernels, geom, oh, ow, mm, ws)
+                zero_free::t_conv_zero_free_cached_ws(input, k, sub_kernels, geom, oh, ow, ws)
             }
             _ => self.t_conv_ws(input, k, geom, ws),
         }
@@ -298,11 +232,15 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
-                self.s_conv_input_grad(delta_out, k, geom, in_h, in_w)
+            ConvBackend::GoldenDirect => conv::s_conv_input_grad(delta_out, k, geom, in_h, in_w),
+            ConvBackend::LoweredGemm => {
+                if k.n_of() != delta_out.channels() {
+                    return Err(ShapeError::new("kernel/error channel mismatch"));
+                }
+                t_conv_zero_inserted(delta_out, k, geom, (in_h, in_w))
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
-                zero_free::t_conv_zero_free_sized_ws(delta_out, k, geom, in_h, in_w, self.mm(), ws)
+            ConvBackend::LoweredZeroFree => {
+                zero_free::t_conv_zero_free_sized_ws(delta_out, k, geom, in_h, in_w, ws)
             }
         }
     }
@@ -325,19 +263,15 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::LoweredZeroFree => {
-                let mm = self.mm();
-                zero_free::t_conv_zero_free_cached_ws(
-                    delta_out,
-                    k,
-                    sub_kernels,
-                    geom,
-                    in_h,
-                    in_w,
-                    mm,
-                    ws,
-                )
-            }
+            ConvBackend::LoweredZeroFree => zero_free::t_conv_zero_free_cached_ws(
+                delta_out,
+                k,
+                sub_kernels,
+                geom,
+                in_h,
+                in_w,
+                ws,
+            ),
             _ => self.s_conv_input_grad_ws(delta_out, k, geom, in_h, in_w, ws),
         }
     }
@@ -357,7 +291,9 @@ impl ConvBackend {
     ) -> TensorResult<Fmaps<T>> {
         match self {
             ConvBackend::GoldenDirect => conv::t_conv_input_grad(delta_out, k, geom),
-            _ => zero_free::t_conv_input_grad_via_gemm_ws(delta_out, k, geom, self.mm(), ws),
+            // This pass involves no zero-inserting in either formulation,
+            // so dense-lowered and zero-free share one GEMM.
+            _ => zero_free::t_conv_input_grad_via_gemm_ws(delta_out, k, geom, ws),
         }
     }
 
@@ -379,7 +315,7 @@ impl ConvBackend {
             // Caffe computes exactly this GEMM — the dilated ("zero-
             // inserted in kernel") error operand never materialises — so
             // it serves the dense-lowered backend too.
-            _ => zero_free::w_conv_s_via_gemm_ws(input, delta_out, geom, self.mm(), ws),
+            _ => zero_free::w_conv_s_via_gemm_ws(input, delta_out, geom, ws),
         }
     }
 
@@ -399,10 +335,10 @@ impl ConvBackend {
         match self {
             ConvBackend::GoldenDirect => conv::w_conv_for_t_layer(input, delta_out, geom),
             ConvBackend::LoweredGemm => {
-                zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom, self.mm())
+                zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom)
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
-                zero_free::w_conv_t_zero_free_ws(input, delta_out, geom, self.mm(), ws)
+            ConvBackend::LoweredZeroFree => {
+                zero_free::w_conv_t_zero_free_ws(input, delta_out, geom, ws)
             }
         }
     }
@@ -428,10 +364,7 @@ impl ConvBackend {
             ConvBackend::GoldenDirect => {
                 add_gradient(acc, &conv::w_conv_for_s_layer(input, delta_out, geom)?)
             }
-            _ => {
-                let mm = self.mm();
-                zero_free::w_conv_s_via_gemm_accumulate_ws(input, delta_out, geom, mm, acc, ws)
-            }
+            _ => zero_free::w_conv_s_via_gemm_accumulate_ws(input, delta_out, geom, acc, ws),
         }
     }
 
@@ -452,15 +385,37 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<()> {
         match self {
-            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
-                add_gradient(acc, &self.w_conv_for_t_layer(input, delta_out, geom)?)
-            }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
-                let mm = self.mm();
-                zero_free::w_conv_t_zero_free_accumulate_ws(input, delta_out, geom, mm, acc, ws)
+            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => add_gradient(
+                acc,
+                &self.w_conv_for_t_layer_ws(input, delta_out, geom, ws)?,
+            ),
+            ConvBackend::LoweredZeroFree => {
+                zero_free::w_conv_t_zero_free_accumulate_ws(input, delta_out, geom, acc, ws)
             }
         }
     }
+}
+
+/// A `T-CONV` of size `oh × ow` (the S-layer input error is the same
+/// computation) through zero-insert + `im2col + GEMM` — the Caffe
+/// deconvolution cost model the dense-lowered backend keeps.
+fn t_conv_zero_inserted<T: Num>(
+    input: &Fmaps<T>,
+    k: &Kernels<T>,
+    geom: &ConvGeom,
+    (oh, ow): (usize, usize),
+) -> TensorResult<Fmaps<T>> {
+    let lowered = im2col_t_with_output_size(input, geom, oh, ow);
+    let product = matmul_blocked(&lowered.patches, &weights_as_matrix_t(k))?;
+    let mut out = Fmaps::zeros(k.n_if(), oh, ow);
+    for lf in 0..k.n_if() {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                *out.at_mut(lf, oy, ox) = *product.at(oy * ow + ox, lf);
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// `acc += grad` for the baseline backends that build their gradient.
@@ -476,9 +431,8 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    const ALL: [ConvBackend; 4] = [
+    const ALL: [ConvBackend; 3] = [
         ConvBackend::GoldenDirect,
-        ConvBackend::ScalarRef,
         ConvBackend::LoweredGemm,
         ConvBackend::LoweredZeroFree,
     ];
@@ -517,30 +471,35 @@ mod tests {
             .w_conv_for_t_layer(&z, &up, &g)
             .unwrap();
 
-        // The scalar reference backend reproduces golden bit for bit.
-        let b = ConvBackend::ScalarRef;
-        assert_eq!(y, b.s_conv(&x, &k, &g).unwrap(), "{b:?} s_conv");
-        assert_eq!(up, b.t_conv(&z, &k, &g).unwrap(), "{b:?} t_conv");
-        assert_eq!(
-            sig,
-            b.s_conv_input_grad(&y, &k, &g, 10, 10).unwrap(),
-            "{b:?} s_conv_input_grad"
-        );
-        assert_eq!(
-            tig,
-            b.t_conv_input_grad(&up, &k, &g).unwrap(),
-            "{b:?} t_conv_input_grad"
-        );
-        assert_eq!(
-            ws,
-            b.w_conv_for_s_layer(&x, &y, &g).unwrap(),
-            "{b:?} w_conv_for_s_layer"
-        );
-        assert_eq!(
-            wt,
-            b.w_conv_for_t_layer(&z, &up, &g).unwrap(),
-            "{b:?} w_conv_for_t_layer"
-        );
+        // On f64 every lowered backend reproduces golden bit for bit.
+        let (xd, zd, kd) = (x.map(f64::from), z.map(f64::from), k.map(f64::from));
+        let gold = ConvBackend::GoldenDirect;
+        let yd = gold.s_conv(&xd, &kd, &g).unwrap();
+        let upd = gold.t_conv(&zd, &kd, &g).unwrap();
+        for b in PACKED {
+            assert_eq!(yd, b.s_conv(&xd, &kd, &g).unwrap(), "{b:?} s_conv");
+            assert_eq!(upd, b.t_conv(&zd, &kd, &g).unwrap(), "{b:?} t_conv");
+            assert_eq!(
+                gold.s_conv_input_grad(&yd, &kd, &g, 10, 10).unwrap(),
+                b.s_conv_input_grad(&yd, &kd, &g, 10, 10).unwrap(),
+                "{b:?} s_conv_input_grad"
+            );
+            assert_eq!(
+                gold.t_conv_input_grad(&upd, &kd, &g).unwrap(),
+                b.t_conv_input_grad(&upd, &kd, &g).unwrap(),
+                "{b:?} t_conv_input_grad"
+            );
+            assert_eq!(
+                gold.w_conv_for_s_layer(&xd, &yd, &g).unwrap(),
+                b.w_conv_for_s_layer(&xd, &yd, &g).unwrap(),
+                "{b:?} w_conv_for_s_layer"
+            );
+            assert_eq!(
+                gold.w_conv_for_t_layer(&zd, &upd, &g).unwrap(),
+                b.w_conv_for_t_layer(&zd, &upd, &g).unwrap(),
+                "{b:?} w_conv_for_t_layer"
+            );
+        }
 
         // The packed backends agree with each other bit for bit (the
         // single fused accumulation order) and with golden within the

@@ -1,19 +1,15 @@
 //! GEMM kernels for the lowered convolution fast path.
 //!
-//! Three tiers share one dispatch enum:
+//! One engine, one oracle:
 //!
-//! * [`MatmulKind::Naive`] — the plain triple loop ([`Matrix::matmul`]),
-//!   the golden oracle.
-//! * [`MatmulKind::BlockedScalar`] — the retained cache-blocked scalar
-//!   kernel. **Bit-identical** to the naive loop: blocking tiles only the
-//!   `i`/`j` (output) dimensions while each element's `k` reduction stays
-//!   sequential in ascending order with the same `a.is_zero()` operand
-//!   skip. This is the scalar oracle the packed kernels are measured
-//!   against, and the honest baseline for the microkernel speedup gates.
-//! * [`MatmulKind::Blocked`] — the **packed SIMD microkernel**
-//!   ([`crate::microkernel`]) for `f32` and [`Fx`] operands; other element
-//!   types (the `f64` validation paths) fall back to the scalar blocked
-//!   kernel and keep its naive bit-identity.
+//! * [`Matrix::matmul`] — the plain triple loop, the naive oracle.
+//! * [`matmul_blocked`] and the crate-internal lowering entries — the
+//!   **packed SIMD microkernel** ([`crate::microkernel`]) for `f32` and
+//!   [`Fx`] operands. Other element types (the `f64` validation paths)
+//!   fall back to a cache-blocked scalar kernel that is **bit-identical**
+//!   to the naive loop: blocking tiles only the `i`/`j` (output)
+//!   dimensions while each element's `k` reduction stays sequential in
+//!   ascending order with the same `a.is_zero()` operand skip.
 //!
 //! # Packed-kernel semantics
 //!
@@ -49,16 +45,17 @@
 //!
 //! # Operand order
 //!
-//! Every kernel here computes `A × B` with the zero skip on `A`. The
-//! packed conv lowerings put the layer's **weights** in `A` (one row per
-//! output map, borrowed in place — [`matmul_slices_ws`]) and the
-//! transposed patch matrix in `B`; the reference lowerings put the
-//! patches in `A`. Per output element both are the same `k`-ascending
-//! chain with each product's factors swapped, and multiplication commutes
-//! in every element type, so the two orders agree bit for bit (f32 fused
-//! chain, Q8.8 saturating chain, scalar `acc += a·b`). A weight operand is
-//! dense, so its `A` scan is skipped: no panel is masked and the dispatch
-//! keys on the shape alone — bit-neutral like every zero skip.
+//! Every kernel here computes `A × B` with the zero skip on `A`. The conv
+//! lowerings put the layer's **weights** in `A` (one row per output map,
+//! borrowed in place — [`matmul_slices_ws`]) and the transposed patch
+//! matrix in `B`; the golden nests and the Caffe-style patch-major
+//! lowerings have the patches on the left. Per output element both are the
+//! same `k`-ascending chain with each product's factors swapped, and
+//! multiplication commutes in every element type, so the two orders agree
+//! bit for bit (f32 fused chain, Q8.8 saturating chain, scalar
+//! `acc += a·b`). A weight operand is dense, so its `A` scan is skipped:
+//! no panel is masked and the dispatch keys on the shape alone —
+//! bit-neutral like every zero skip.
 //!
 //! # Where the product lands
 //!
@@ -74,8 +71,8 @@
 //! agree — minus the product tensor, its zero fill, the copy into a
 //! gradient tensor and the separate add pass. Shapes the epilogue cannot
 //! serve (`kk > KC`: partial chains live in the output between chunks;
-//! the broadcast engines; Q8.8; reference kinds) run the product into
-//! non-zeroed workspace scratch and add it in one pass — the same
+//! the broadcast engines; Q8.8; the scalar `f64` fallback) run the product
+//! into non-zeroed workspace scratch and add it in one pass — the same
 //! arithmetic, one more stream.
 //!
 //! Caveat: the "skipping a zero operand is bit-neutral" argument assumes
@@ -111,94 +108,6 @@ thread_local! {
     // through every call site. Workspace callers use the workspace's own
     // scratch instead (`ConvWorkspace::pack_scratch`).
     static PACK_TLS: RefCell<PackScratch> = RefCell::new(PackScratch::new());
-}
-
-/// How a lowered convolution multiplies its patch and weight matrices.
-///
-/// `Naive` and `BlockedScalar` are bit-identical to each other for every
-/// element type; `Blocked` runs the packed microkernel for `f32`/`Fx`
-/// (bit-identical to itself for every pool width and SIMD level,
-/// bit-identical to the scalar pair for `Fx`, and within the
-/// accumulation-error bound of it for `f32`) — see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulKind {
-    /// The plain triple loop ([`Matrix::matmul`]).
-    Naive,
-    /// Cache-blocked, register-tiled single-threaded scalar kernel,
-    /// bit-identical to [`MatmulKind::Naive`] — the retained scalar
-    /// oracle.
-    BlockedScalar,
-    /// The packed SIMD microkernel, fanned out over the pool when the
-    /// GEMM is large enough (scalar blocked fallback for element types
-    /// without a packed kernel).
-    Blocked,
-}
-
-impl MatmulKind {
-    /// Whether this kind belongs to the reference family (`Naive`,
-    /// `BlockedScalar`). The lowering drivers route reference kinds
-    /// through the patch-major specification lowering instead of the
-    /// weight-stationary one (see the module docs), so a reference-backend
-    /// run keeps the cost model of the pre-microkernel engine end to end —
-    /// the baseline the packed engine's train-step gate measures from, and
-    /// the oracle the packed operands are pinned against (they are the
-    /// specification operands transposed).
-    pub fn is_reference(&self) -> bool {
-        matches!(self, MatmulKind::Naive | MatmulKind::BlockedScalar)
-    }
-
-    /// Runs the selected kernel on `a × b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the inner dimensions disagree.
-    pub fn run<T: Num>(&self, a: &Matrix<T>, b: &Matrix<T>) -> TensorResult<Matrix<T>> {
-        match *self {
-            MatmulKind::Naive => {
-                zfgan_telemetry::count("gemm_calls", &[("backend", "naive")], 1);
-                a.matmul(b)
-            }
-            MatmulKind::BlockedScalar => matmul_blocked_scalar(a, b),
-            MatmulKind::Blocked => matmul_blocked(a, b),
-        }
-    }
-
-    /// Runs the selected kernel on `a × b` with the product drawn from the
-    /// workspace instead of allocated — and, for the packed kernels, the
-    /// packing scratch reused from the workspace too. Bit-identical to
-    /// [`MatmulKind::run`] for every variant; return the product via
-    /// [`ConvWorkspace::give_matrix`] when done.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the inner dimensions disagree (the product
-    /// buffer goes back to the workspace).
-    pub fn run_ws<T: Num>(
-        &self,
-        a: &Matrix<T>,
-        b: &Matrix<T>,
-        ws: &mut ConvWorkspace<T>,
-    ) -> TensorResult<Matrix<T>> {
-        // Every kernel below overwrites every element of its output (the
-        // naive loop zero-fills it itself), so the product skips the
-        // workspace's zero fill.
-        let mut out = ws.take_matrix_dirty(a.rows(), b.cols());
-        let result = match *self {
-            MatmulKind::Naive => {
-                zfgan_telemetry::count("gemm_calls", &[("backend", "naive")], 1);
-                a.matmul_into(b, &mut out)
-            }
-            MatmulKind::BlockedScalar => matmul_blocked_scalar_into(a, b, &mut out),
-            MatmulKind::Blocked => matmul_packed_into_scratch(a, b, &mut out, ws.pack_scratch()),
-        };
-        match result {
-            Ok(()) => Ok(out),
-            Err(e) => {
-                ws.give_matrix(out);
-                Err(e)
-            }
-        }
-    }
 }
 
 /// Publish one kernel invocation's deterministic telemetry: call/tile
@@ -239,10 +148,9 @@ fn record_gemm(
 /// with the naive path's `a.is_zero()` skip — bit-identical to
 /// [`Matrix::matmul`].
 ///
-/// Returns `(skipped, visited)` operand-word counts: how many `a` words the
-/// zero skip elided versus how many were walked in total, feeding the
-/// `gemm_zero_skipped_words` / `gemm_operand_words` telemetry counters.
-fn gemm_rows<T: Num>(a: &[T], b: &[T], out: &mut [T], kk: usize, n: usize) -> (u64, u64) {
+/// Records the call under the `"blocked"` label, with how many `a` words
+/// the zero skip elided versus how many were walked in total.
+fn gemm_rows<T: Num>(a: &[T], b: &[T], out: &mut [T], kk: usize, n: usize) {
     let m = out.len() / n;
     debug_assert_eq!(a.len(), m * kk);
     debug_assert_eq!(out.len(), m * n);
@@ -275,7 +183,7 @@ fn gemm_rows<T: Num>(a: &[T], b: &[T], out: &mut [T], kk: usize, n: usize) -> (u
             jb = je;
         }
     }
-    (skipped, visited)
+    record_gemm("blocked", m, n, skipped, visited, None);
 }
 
 /// Validates `a × b = out` shapes for the `_into` kernels.
@@ -298,38 +206,6 @@ fn check_matmul_shapes<T: Num>(a: &Matrix<T>, b: &Matrix<T>, out: &Matrix<T>) ->
             b.cols()
         )));
     }
-    Ok(())
-}
-
-/// The retained cache-blocked scalar GEMM: `a × b`, bit-identical to
-/// [`Matrix::matmul`]. The scalar oracle the packed microkernel is gated
-/// against.
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree.
-pub fn matmul_blocked_scalar<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> TensorResult<Matrix<T>> {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_blocked_scalar_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_blocked_scalar`] into a caller-provided output matrix (every
-/// element is overwritten; no pre-zeroing required).
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree or `out` has the wrong
-/// shape.
-pub fn matmul_blocked_scalar_into<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    out: &mut Matrix<T>,
-) -> TensorResult<()> {
-    check_matmul_shapes(a, b, out)?;
-    let (kk, n) = (a.cols(), b.cols());
-    let (skipped, visited) = gemm_rows(a.as_slice(), b.as_slice(), out.as_mut_slice(), kk, n);
-    record_gemm("blocked_scalar", a.rows(), n, skipped, visited, None);
     Ok(())
 }
 
@@ -361,29 +237,16 @@ pub fn matmul_blocked_into<T: Num>(
     b: &Matrix<T>,
     out: &mut Matrix<T>,
 ) -> TensorResult<()> {
-    PACK_TLS.with(|s| matmul_packed_into_scratch(a, b, out, &mut s.borrow_mut()))
-}
-
-/// [`matmul_blocked_into`] with caller-owned packing scratch (the
-/// workspace hot path: zero allocations once the scratch is warm).
-fn matmul_packed_into_scratch<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    out: &mut Matrix<T>,
-    scratch: &mut PackScratch,
-) -> TensorResult<()> {
     check_matmul_shapes(a, b, out)?;
-    let dims @ (m, kk, n) = (a.rows(), a.cols(), b.cols());
+    let dims @ (_, kk, n) = (a.rows(), a.cols(), b.cols());
     let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
     match microkernel::packed_kind::<T>() {
-        Some(kind) => {
+        Some(kind) => PACK_TLS.with(|s| {
+            let scratch = &mut s.borrow_mut();
             let plan = plan_for(a, b, dims, kind, AScan::Scan, scratch);
             run_planned(&plan, kind, a, b, out, dims, Epilogue::Store, scratch);
-        }
-        None => {
-            let (skipped, visited) = gemm_rows(a, b, out, kk, n);
-            record_gemm("blocked", m, n, skipped, visited, None);
-        }
+        }),
+        None => gemm_rows(a, b, out, kk, n),
     }
     Ok(())
 }
@@ -597,16 +460,14 @@ pub fn matmul_chunked<T: Num>(
 ///   gradient, stored into the gradient tensor or added into the caller's
 ///   accumulator ([`Product::AddTo`]).
 ///
-/// Runs the same engines as [`MatmulKind::run_ws`], so each output element
-/// is the usual `k`-ascending chain. Reference kinds and element types
-/// without packed kernels multiply through [`MatmulKind::run_ws`] and land
-/// the product afterwards, keeping their specification cost model.
+/// Runs the same engines as [`matmul_blocked`], so each output element is
+/// the usual `k`-ascending chain. Element types without packed kernels run
+/// the scalar blocked kernel on the borrowed slices.
 ///
 /// # Errors
 ///
 /// Returns an error if `a` or `dest` do not hold `m` rows.
 pub(crate) fn matmul_slices_ws<T: Num>(
-    kind: MatmulKind,
     a: &[T],
     m: usize,
     b: &Matrix<T>,
@@ -622,21 +483,13 @@ pub(crate) fn matmul_slices_ws<T: Num>(
             dest.len()
         )));
     }
+    let b = b.as_slice();
     match microkernel::packed_kind::<T>() {
-        Some(pkind) if !kind.is_reference() => {
-            let plan = plan_for(a, b.as_slice(), dims, pkind, scan, ws.pack_scratch());
-            run_planned_into(&plan, pkind, a, b.as_slice(), dest, dims, ws);
+        Some(kind) => {
+            let plan = plan_for(a, b, dims, kind, scan, ws.pack_scratch());
+            run_planned_into(&plan, kind, a, b, dest, dims, ws);
         }
-        _ => {
-            let mut a_buf = ws.take_dirty(a.len());
-            a_buf.copy_from_slice(a);
-            let a_mat = Matrix::from_vec(m, kk, a_buf);
-            let product = kind.run_ws(&a_mat, b, ws);
-            ws.give_matrix(a_mat);
-            let product = product?;
-            dest.land(product.as_slice());
-            ws.give_matrix(product);
-        }
+        None => dest.via_store(ws, |out, _| gemm_rows(a, b, out, kk, n)),
     }
     Ok(())
 }
@@ -660,14 +513,12 @@ pub(crate) fn matmul_slices_ws<T: Num>(
 /// paths (packed, non-packed element types) do here.
 ///
 /// Its one caller is the `W-CONV` of an S-CONV layer (`B` = the forward
-/// patches). Reference kinds keep their specification fills at the call
-/// site and never reach this entry.
+/// patches).
 ///
 /// # Errors
 ///
 /// Returns an error if `a` or `dest` do not hold `m` rows.
 pub(crate) fn matmul_streamed_ws<T: Num>(
-    kind: MatmulKind,
     a: &[T],
     m: usize,
     (kk, n): (usize, usize),
@@ -682,11 +533,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
             dest.len()
         )));
     }
-    debug_assert!(
-        !kind.is_reference(),
-        "reference kinds fill at the call site"
-    );
-    if let Some(pkind) = microkernel::packed_kind::<T>() {
+    if let Some(kind) = microkernel::packed_kind::<T>() {
         let plan = microkernel::scan_gemm(a, m, kk, n, ws.pack_scratch());
         if matches!(plan.path, GemmPath::SmallM | GemmPath::Ikj) {
             // One k-tile of `B` rows — or fewer when the whole operand is
@@ -694,7 +541,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
             let mut rowbuf = ws.take_dirty(microkernel::IKJ_KB.min(kk) * n);
             dest.via_store(ws, |out, ws| {
                 let masks = ws.pack_scratch_ref().masks();
-                broadcast_streamed(pkind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
+                broadcast_streamed(kind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
             });
             ws.give(rowbuf);
             record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
@@ -707,7 +554,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
     // packed element types land here too.
     let mut b = ws.take_matrix_dirty(kk, n);
     fill_b_rows(&mut b, m, fill_row);
-    let result = matmul_slices_ws(kind, a, m, &b, AScan::Scan, dest, ws);
+    let result = matmul_slices_ws(a, m, &b, AScan::Scan, dest, ws);
     ws.give_matrix(b);
     result
 }
@@ -788,17 +635,15 @@ fn broadcast_streamed<T: Num>(
 /// another tensor (the `1×1`-input T-CONV reads the kernel tensor itself
 /// as its weight matrix, zero-copy). The dispatch layer decides exactly
 /// as the materialized entries would; when it picks the packed engine
-/// (forced or by shape), or the element type has no packed kernels, or
-/// `kind` is a reference kind, the call returns `Ok(None)` untouched and
-/// the caller falls back to its classic lowering — so a forced-packed
-/// run keeps the classic route's cost model, the baseline the dispatch
-/// gate measures against.
+/// (forced or by shape), or the element type has no packed kernels, the
+/// call returns `Ok(None)` untouched and the caller falls back to its
+/// classic lowering — so a forced-packed run keeps the classic route's cost
+/// model, the baseline the dispatch gate measures against.
 ///
 /// # Errors
 ///
 /// Returns an error if `b` is not a `a.cols() × n` operand.
 pub(crate) fn matmul_inline_b_ws<T: Num>(
-    kind: MatmulKind,
     a: &Matrix<T>,
     b: &[T],
     n: usize,
@@ -811,12 +656,9 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
             b.len()
         )));
     }
-    let Some(pkind) = microkernel::packed_kind::<T>() else {
+    let Some(kind) = microkernel::packed_kind::<T>() else {
         return Ok(None);
     };
-    if kind.is_reference() {
-        return Ok(None);
-    }
     let plan = microkernel::scan_gemm(a.as_slice(), m, kk, n, ws.pack_scratch());
     if plan.path == GemmPath::Packed {
         return Ok(None);
@@ -826,7 +668,7 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
     let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
     run_planned(
         &plan,
-        pkind,
+        kind,
         a.as_slice(),
         b,
         out.as_mut_slice(),
@@ -837,28 +679,26 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
     Ok(Some(out))
 }
 
-/// GEMM with deterministic accumulator-fault injection: runs the selected
-/// kernel, then corrupts each output element the plan fires on — modelling
+/// GEMM with deterministic accumulator-fault injection: runs
+/// [`matmul_blocked`], then corrupts each output element the plan fires on — modelling
 /// a transient upset of the PE's partial-sum register at writeback.
 ///
 /// Output element `(i, j)` is word `base + i·n + j` of the
 /// [`FaultSite::GemmAccumulator`] index space, so injection is positional:
-/// the same plan fires on the same elements for every [`MatmulKind`] and
-/// thread count, keeping campaigns bit-reproducible within a kernel
-/// family.
+/// the same plan fires on the same elements for every thread count,
+/// keeping campaigns bit-reproducible.
 ///
 /// # Errors
 ///
 /// Returns an error if the inner dimensions disagree.
 pub fn matmul_with_faults(
-    kind: MatmulKind,
     a: &Matrix<f32>,
     b: &Matrix<f32>,
     plan: &FaultPlan,
     base: u64,
     log: &mut FaultLog,
 ) -> TensorResult<Matrix<f32>> {
-    let mut out = kind.run(a, b)?;
+    let mut out = matmul_blocked(a, b)?;
     plan.corrupt_slice(FaultSite::GemmAccumulator, base, out.as_mut_slice(), log);
     Ok(out)
 }
@@ -899,18 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_scalar_is_bit_identical_to_naive() {
-        let mut rng = SmallRng::seed_from_u64(10);
-        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (17, 33, 65), (40, 100, 130)] {
-            let a = random_matrix(m, k, 0.4, &mut rng);
-            let b = random_matrix(k, n, 0.1, &mut rng);
-            let naive = a.matmul(&b).unwrap();
-            let blocked = matmul_blocked_scalar(&a, &b).unwrap();
-            assert_eq!(naive, blocked, "{m}×{k}×{n}");
-        }
-    }
-
-    #[test]
     fn packed_f32_matches_naive_within_the_accumulation_bound() {
         let mut rng = SmallRng::seed_from_u64(10);
         for (m, k, n) in [(1, 1, 1), (3, 7, 5), (17, 33, 65), (40, 100, 130)] {
@@ -942,7 +770,6 @@ mod tests {
             let b = draw(k, n, &mut rng);
             let naive = a.matmul(&b).unwrap();
             assert_eq!(naive, matmul_blocked(&a, &b).unwrap(), "{m}×{k}×{n}");
-            assert_eq!(naive, matmul_blocked_scalar(&a, &b).unwrap(), "{m}×{k}×{n}");
         }
     }
 
@@ -990,18 +817,58 @@ mod tests {
         }
     }
 
+    /// `f64` has no packed kernel: it runs the scalar blocked fallback,
+    /// which keeps the naive loop's bits — across row and column blocks
+    /// and through the zero skip.
     #[test]
-    fn f64_keeps_the_naive_bit_identity_on_every_kind() {
+    fn f64_fallback_is_bit_identical_to_naive() {
         let mut rng = SmallRng::seed_from_u64(15);
-        let data = |len: usize, rng: &mut SmallRng| -> Vec<f64> {
-            (0..len).map(|_| rng.gen_range(-1.0f64..1.0)).collect()
+        let f64s = |m: &Matrix<f32>| {
+            let data = m.as_slice().iter().map(|v| f64::from(*v) / 3.0).collect();
+            Matrix::from_vec(m.rows(), m.cols(), data)
         };
-        let a = Matrix::from_vec(13, 21, data(13 * 21, &mut rng));
-        let b = Matrix::from_vec(21, 9, data(21 * 9, &mut rng));
-        let naive = a.matmul(&b).unwrap();
-        for kind in [MatmulKind::BlockedScalar, MatmulKind::Blocked] {
-            assert_eq!(naive, kind.run(&a, &b).unwrap(), "{kind:?}");
+        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (17, 33, 65), (40, 100, 130)] {
+            let a = f64s(&random_matrix(m, k, 0.4, &mut rng));
+            let b = f64s(&random_matrix(k, n, 0.1, &mut rng));
+            assert_eq!(
+                a.matmul(&b).unwrap(),
+                matmul_blocked(&a, &b).unwrap(),
+                "{m}×{k}×{n}"
+            );
         }
+    }
+
+    /// The workspace entry's `f64` fallback writes every product word, into
+    /// the destination or (accumulating) into dirty scratch that is then
+    /// added: NaN-poisoned buffers never reach the result.
+    #[test]
+    fn f64_workspace_fallback_stores_and_adds_over_poisoned_buffers() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let f64s = |m: &Matrix<f32>| {
+            let data = m.as_slice().iter().map(|v| f64::from(*v) / 3.0).collect();
+            Matrix::from_vec(m.rows(), m.cols(), data)
+        };
+        let (m, k, n) = (13, 21, 9);
+        let a = f64s(&random_matrix(m, k, 0.4, &mut rng));
+        let b = f64s(&random_matrix(k, n, 0.0, &mut rng));
+        let acc = f64s(&random_matrix(m, n, 0.0, &mut rng));
+        let naive = a.matmul(&b).unwrap();
+        let mut ws: ConvWorkspace<f64> = ConvWorkspace::new();
+        let mut stored = Matrix::from_vec(m, n, vec![f64::NAN; m * n]);
+        let store = Product::Store(stored.as_mut_slice());
+        matmul_slices_ws(a.as_slice(), m, &b, AScan::Scan, store, &mut ws).unwrap();
+        assert_eq!(naive, stored);
+        ws.give(vec![f64::NAN; m * n]);
+        let mut added = acc.clone();
+        let add = Product::AddTo(added.as_mut_slice());
+        matmul_slices_ws(a.as_slice(), m, &b, AScan::Scan, add, &mut ws).unwrap();
+        let want: Vec<f64> = acc
+            .as_slice()
+            .iter()
+            .zip(naive.as_slice())
+            .map(|(x, p)| x + p)
+            .collect();
+        assert_eq!(Matrix::from_vec(m, n, want), added);
     }
 
     #[test]
@@ -1009,11 +876,10 @@ mod tests {
         let a: Matrix<f32> = Matrix::zeros(2, 3);
         let b: Matrix<f32> = Matrix::zeros(2, 3);
         assert!(matmul_blocked(&a, &b).is_err());
-        assert!(matmul_blocked_scalar(&a, &b).is_err());
     }
 
     #[test]
-    fn fault_injection_is_positional_across_kernels() {
+    fn fault_injection_is_positional() {
         let mut rng = SmallRng::seed_from_u64(13);
         let a = random_matrix(19, 30, 0.3, &mut rng);
         let b = random_matrix(30, 21, 0.0, &mut rng);
@@ -1025,27 +891,29 @@ mod tests {
         )
         .unwrap();
         let mut reference_log = FaultLog::default();
-        matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100, &mut reference_log).unwrap();
+        matmul_with_faults(&a, &b, &plan, 100, &mut reference_log).unwrap();
         assert!(reference_log.fired > 0, "plan should fire in 399 elements");
-        // Across families the fault *sites* (positions) agree.
-        for kind in [MatmulKind::Naive, MatmulKind::BlockedScalar] {
-            let mut log = FaultLog::default();
-            matmul_with_faults(kind, &a, &b, &plan, 100, &mut log).unwrap();
-            assert_eq!(log.attempts, reference_log.attempts, "{kind:?}");
-            assert_eq!(log.fired, reference_log.fired, "{kind:?}");
-            assert_eq!(
-                log.records.iter().map(|r| r.index).collect::<Vec<_>>(),
-                reference_log
-                    .records
-                    .iter()
-                    .map(|r| r.index)
-                    .collect::<Vec<_>>(),
-                "{kind:?}"
-            );
-        }
+        // Other operands of the same shape: the fault *sites* (positions)
+        // agree.
+        let (a2, b2) = (
+            random_matrix(19, 30, 0.6, &mut rng),
+            random_matrix(30, 21, 0.0, &mut rng),
+        );
+        let mut log = FaultLog::default();
+        matmul_with_faults(&a2, &b2, &plan, 100, &mut log).unwrap();
+        assert_eq!(log.attempts, reference_log.attempts);
+        assert_eq!(log.fired, reference_log.fired);
+        assert_eq!(
+            log.records.iter().map(|r| r.index).collect::<Vec<_>>(),
+            reference_log
+                .records
+                .iter()
+                .map(|r| r.index)
+                .collect::<Vec<_>>(),
+        );
         // A different base shifts the fault pattern: same plan, new words.
         let mut other_log = FaultLog::default();
-        matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100_000, &mut other_log).unwrap();
+        matmul_with_faults(&a, &b, &plan, 100_000, &mut other_log).unwrap();
         assert_ne!(
             reference_log
                 .records
@@ -1067,10 +935,12 @@ mod tests {
         let a = random_matrix(12, 40, 0.5, &mut rng);
         let b = random_matrix(40, 17, 0.0, &mut rng);
         let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
-        let plain = MatmulKind::Blocked.run(&a, &b).unwrap();
+        let plain = matmul_blocked(&a, &b).unwrap();
         // Twice: the second call runs on warm (dirty) scratch.
         for round in 0..2 {
-            let ws_out = MatmulKind::Blocked.run_ws(&a, &b, &mut ws).unwrap();
+            let mut ws_out = ws.take_matrix_dirty(12, 17);
+            let store = Product::Store(ws_out.as_mut_slice());
+            matmul_slices_ws(a.as_slice(), 12, &b, AScan::Scan, store, &mut ws).unwrap();
             assert_eq!(plain, ws_out, "round {round}");
             ws.give_matrix(ws_out);
         }

@@ -13,7 +13,7 @@
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
-use crate::gemm::{fill_b_rows, matmul_slices_ws, AScan, MatmulKind, Product};
+use crate::gemm::{fill_b_rows, matmul_slices_ws, AScan, Product};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -382,25 +382,6 @@ pub(crate) fn fill_weights_as_matrix_s<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>
     }
 }
 
-/// Specification form of [`fill_weights_as_matrix_s`]: column-major
-/// traversal through the kernel accessor, as the reshape is defined. The
-/// reference engines run this loop (see
-/// [`crate::gemm::MatmulKind::is_reference`]); tests pin it bit-identical
-/// to the row-major fill.
-pub(crate) fn fill_weights_as_matrix_s_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
-    for of in 0..k.n_of() {
-        let mut row = 0;
-        for if_ in 0..k.n_if() {
-            for ky in 0..k.kh() {
-                for kx in 0..k.kw() {
-                    *m.at_mut(row, of) = *k.at(of, if_, ky, kx);
-                    row += 1;
-                }
-            }
-        }
-    }
-}
-
 /// Fills one row `r` (output position `oy·ow + ox`) of the
 /// [`fill_im2col_s`] patch matrix — the per-row form both `W-CONV`
 /// lowerings build their `B` operand from (streamed, for an S-CONV layer).
@@ -515,20 +496,18 @@ pub fn s_conv_via_gemm<T: Num>(
     Ok(out)
 }
 
-/// `S-CONV` by lowering with an explicit GEMM kernel, drawing every
-/// transient from the workspace. Bit-identical to the allocating lowering
-/// for the same [`MatmulKind`]; the returned maps belong to the caller
+/// `S-CONV` by lowering onto the packed GEMM engine, drawing every
+/// transient from the workspace; the returned maps belong to the caller
 /// (recycle them via [`ConvWorkspace::give_fmaps`]).
 ///
-/// The packed kinds run **weight-stationary**: the kernel tensor, read in
+/// The lowering runs **weight-stationary**: the kernel tensor, read in
 /// place as the `N_of × (N_if·K_h·K_w)` matrix it already is, is the
 /// GEMM's `A` operand; `B` is the transposed patch matrix
 /// ([`fill_im2col_s_transposed`]), the only operand lowered per call; and
 /// the product's rows *are* the output maps, written straight into their
 /// storage. Per output element that is the same `k`-ascending chain as the
 /// patch-major form with each product's two factors swapped — bit-neutral,
-/// multiplication being commutative in every element type. Reference kinds
-/// keep the patch-major specification lowering.
+/// multiplication being commutative in every element type.
 ///
 /// The backward error pass of a T-CONV layer is this very computation on
 /// the error maps (see [`crate::zero_free::t_conv_input_grad_via_gemm_ws`]).
@@ -540,7 +519,6 @@ pub fn s_conv_via_gemm_ws<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Fmaps<T>> {
     if k.n_if() != input.channels() {
@@ -548,35 +526,16 @@ pub fn s_conv_via_gemm_ws<T: Num>(
     }
     let (oh, ow) = geom.down_out(input.height(), input.width());
     let kk = k.n_if() * k.kh() * k.kw();
-    // Either way the maps are the first buffer taken: the workspace hands
-    // out best fits, so the order of takes decides which buffers grow.
-    let mut out;
-    if mm.is_reference() {
-        out = ws.take_fmaps(k.n_of(), oh, ow);
-        let lowered = im2col_s_ws(input, geom, ws);
-        let mut wmat = ws.take_matrix(kk, k.n_of());
-        fill_weights_as_matrix_s_ref(&mut wmat, k);
-        let product = mm.run_ws(&lowered.patches, &wmat, ws)?;
-        ws.give_matrix(wmat);
-        ws.give_matrix(lowered.patches);
-        for of in 0..k.n_of() {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    *out.at_mut(of, oy, ox) = *product.at(oy * ow + ox, of);
-                }
-            }
-        }
-        ws.give_matrix(product);
-    } else {
-        // The stored product overwrites every element: no zero fill.
-        out = Fmaps::from_vec(k.n_of(), oh, ow, ws.take_dirty(k.n_of() * oh * ow));
-        let mut b = ws.take_matrix(kk, oh * ow);
-        fill_im2col_s_transposed(&mut b, input, geom, (oh, ow), k.n_of());
-        let store = Product::Store(out.as_mut_slice());
-        matmul_slices_ws(mm, k.as_slice(), k.n_of(), &b, AScan::Dense, store, ws)?;
-        ws.give_matrix(b);
-    }
-    Ok(out)
+    // The maps are the first buffer taken: the workspace hands out best
+    // fits, so the order of takes decides which buffers grow. The stored
+    // product overwrites every element: no zero fill.
+    let mut out = Fmaps::from_vec(k.n_of(), oh, ow, ws.take_dirty(k.n_of() * oh * ow));
+    let mut b = ws.take_matrix(kk, oh * ow);
+    fill_im2col_s_transposed(&mut b, input, geom, (oh, ow), k.n_of());
+    let store = Product::Store(out.as_mut_slice());
+    let done = matmul_slices_ws(k.as_slice(), k.n_of(), &b, AScan::Dense, store, ws);
+    ws.give_matrix(b);
+    done.map(|()| out)
 }
 
 /// `T-CONV` computed by zero-insert + `im2col + GEMM` — the Caffe
@@ -616,6 +575,22 @@ mod tests {
 
     fn geom() -> ConvGeom {
         ConvGeom::down(12, 12, 4, 4, 2, 6, 6).unwrap()
+    }
+
+    /// Specification form of [`fill_weights_as_matrix_s`]: column-major
+    /// traversal through the kernel accessor, as the reshape is defined.
+    fn fill_weights_as_matrix_s_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
+        for of in 0..k.n_of() {
+            let mut row = 0;
+            for if_ in 0..k.n_if() {
+                for ky in 0..k.kh() {
+                    for kx in 0..k.kw() {
+                        *m.at_mut(row, of) = *k.at(of, if_, ky, kx);
+                        row += 1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Packed SIMD microkernel GEMM — the software analogue of the paper's
 //! dense 16-bit MAC datapath.
 //!
-//! The scalar blocked kernel ([`crate::gemm`]'s `BlockedScalar`) walks the
-//! sparse `A` operand element by element with a branch per word. That shape
-//! is exactly what defeats wide SIMD lanes, so this module restructures the
-//! multiply the way a BLIS-style microkernel (and the paper's PE array)
-//! does:
+//! A scalar blocked kernel (the `f64` fallback in [`crate::gemm`]) walks
+//! the sparse `A` operand element by element with a branch per word. That
+//! shape is exactly what defeats wide SIMD lanes, so this module
+//! restructures the multiply the way a BLIS-style microkernel (and the
+//! paper's PE array) does:
 //!
 //! * **`B` is packed** into contiguous column panels of [`NR_F32`] /
 //!   [`NR_FX`] lanes (zero-padded tails), so the inner loop issues nothing
@@ -105,10 +105,9 @@
 //! (`fma(0, b, acc) = acc` exactly for finite `b`). How the output rows
 //! are partitioned over pool tasks therefore cannot change results either:
 //! panels run along `k`, never across rows, so every output element is one
-//! chain computed by one thread. The retained scalar oracle
-//! (`MatmulKind::Naive` / `BlockedScalar`) differs only by the usual
-//! fused-vs-separate rounding, bounded by the standard accumulation error
-//! bound (pinned by `tests/fast_conv.rs`).
+//! chain computed by one thread. The naive oracle ([`Matrix::matmul`])
+//! differs only by the usual fused-vs-separate rounding, bounded by the
+//! standard accumulation error bound (pinned by `tests/fast_conv.rs`).
 //!
 //! The Q8.8 kernel is **bit-identical** to scalar [`Fx`] semantics, not
 //! merely close: each term is widened to `i32`, rounded to nearest (ties
@@ -117,6 +116,7 @@
 //! (`crates/tensor/tests/fx_semantics.rs` pins the contract).
 //!
 //! [`Fx`]: crate::Fx
+//! [`Matrix::matmul`]: crate::im2col::Matrix::matmul
 
 use std::sync::OnceLock;
 

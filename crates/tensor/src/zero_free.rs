@@ -29,30 +29,27 @@
 //! The *lowering* itself never changes results: per output element the
 //! compact operands carry the same terms in the same order as the golden
 //! loop nests, with only exact-zero terms (which cannot change a finite
-//! accumulation) skipped. Run with a scalar GEMM
-//! ([`MatmulKind::Naive`]/[`MatmulKind::BlockedScalar`]), every function
-//! here is therefore **bit-identical** to its golden nest in
-//! [`crate::conv`]. Run with the packed microkernel
-//! ([`MatmulKind::Blocked`]), the f32 results
-//! follow the kernel's own fused accumulation order instead (still
-//! deterministic; see [`crate::microkernel`]), while `Fx` and `f64` stay
-//! bit-identical to golden. `tests/fast_conv.rs` pins both contracts over
+//! accumulation) skipped. Every function here runs on the packed GEMM
+//! engine ([`crate::gemm`]): `Fx` (the exact Q8.8 kernel) and `f64` (the
+//! scalar blocked fallback) are therefore **bit-identical** to their golden
+//! nests in [`crate::conv`], while `f32` follows the packed kernel's own
+//! fused accumulation order (still deterministic; see
+//! [`crate::microkernel`]). `tests/fast_conv.rs` pins both contracts over
 //! random geometries.
 //!
 //! # Orientation
 //!
-//! The scalar (reference) kinds multiply **patch-major**: one patch row
-//! per output pixel times a `K × maps` weight matrix, the product
-//! transposed into the maps — the lowering as it is specified, kept as the
-//! oracle. The packed kinds multiply **weight-stationary**: `A` is the
-//! weights with one row per output map, `B` the transposed patch matrix
-//! (`K × pixels`, the only operand lowered per call), and the product's
-//! rows are the output maps. For the whole-map passes `A` is the kernel
-//! tensor read in place ([`crate::im2col::s_conv_via_gemm_ws`], which also
-//! serves the T-CONV input error); for the phase passes here it is the
-//! phase's sub-kernel matrix, gathered once per weight version into a
+//! One orientation is left: **weight-stationary**. `A` is the weights with
+//! one row per output map, `B` the transposed patch matrix (`K × pixels`,
+//! the only operand lowered per call), and the product's rows are the
+//! output maps. For the whole-map passes `A` is the kernel tensor read in
+//! place ([`crate::im2col::s_conv_via_gemm_ws`], which also serves the
+//! T-CONV input error); for the phase passes here it is the phase's
+//! sub-kernel matrix, gathered once per weight version into a
 //! [`PhaseKernelCache`] by the owner of the weights, or per call into
-//! workspace scratch by callers that only hold a `&Kernels`.
+//! workspace scratch by callers that only hold a `&Kernels`. The lowering
+//! as it is specified — one patch row per output pixel times a `K × maps`
+//! weight matrix ([`t_zero_free_gemm_operands`]) — is its transpose.
 //!
 //! The two orientations agree bit for bit per element type: the chain per
 //! output element is the same (`k` ascending, one multiply–add per term),
@@ -66,8 +63,10 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
-use crate::gemm::{fill_b_rows, matmul_slices_ws, matmul_streamed_ws, AScan, MatmulKind, Product};
-use crate::im2col::{fill_im2col_s_row, im2col_s_ws, s_conv_via_gemm_ws, Lowered, Matrix};
+use crate::gemm::{
+    fill_b_rows, matmul_blocked, matmul_slices_ws, matmul_streamed_ws, AScan, Product,
+};
+use crate::im2col::{fill_im2col_s_row, s_conv_via_gemm_ws, Lowered, Matrix};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -237,43 +236,6 @@ fn fill_t_phase_patches<T: Num>(
     }
 }
 
-/// Specification form of [`fill_t_phase_patches`]: one bounds check and
-/// stride division per matrix entry, written exactly as the lowering is
-/// defined. The reference engines ([`MatmulKind::is_reference`]) run this
-/// loop so their cost model stays that of the pre-microkernel engine;
-/// tests pin it bit-identical to the table-driven fill.
-fn fill_t_phase_patches_ref<T: Num>(
-    patches: &mut Matrix<T>,
-    input: &Fmaps<T>,
-    geom: &ConvGeom,
-    phase: &TPhase,
-) {
-    let s = geom.stride() as isize;
-    let (pt, _, pl, _) = geom.t_conv_pads();
-    let (ih, iw) = (input.height() as isize, input.width() as isize);
-    for (ri, &oy) in phase.oys.iter().enumerate() {
-        for (rj, &ox) in phase.oxs.iter().enumerate() {
-            let row = ri * phase.oxs.len() + rj;
-            let mut col = 0;
-            for sf in 0..input.channels() {
-                for &ky in &phase.kys {
-                    // zy ≡ 0 (mod s) by construction of the kept taps; it
-                    // is a real source pixel iff it lands inside the map.
-                    let zy = oy as isize + ky as isize - pt as isize;
-                    for &kx in &phase.kxs {
-                        let zx = ox as isize + kx as isize - pl as isize;
-                        if zy >= 0 && zx >= 0 && zy / s < ih && zx / s < iw {
-                            *patches.at_mut(row, col) =
-                                *input.at(sf, (zy / s) as usize, (zx / s) as usize);
-                        }
-                        col += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The transposed phase patch fill of the weight-stationary lowering: `b`
 /// is `(N_sf·|kys|·|kxs|) × (phase pixels)`, the transpose of
 /// [`fill_t_phase_patches`]. Output pixel `(ri, rj)` of the phase meets
@@ -358,25 +320,6 @@ fn fill_t_phase_weights<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &TPhas
     }
 }
 
-/// Specification form of [`fill_t_phase_weights`]: column-major traversal
-/// through the kernel accessor, written exactly as the reshape is defined.
-/// The reference engines run this loop (see [`MatmulKind::is_reference`]);
-/// tests pin it bit-identical to the row-major fill.
-fn fill_t_phase_weights_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &TPhase) {
-    let (kh, kw) = (k.kh(), k.kw());
-    for lf in 0..k.n_if() {
-        let mut row = 0;
-        for sf in 0..k.n_of() {
-            for &ky in &phase.kys {
-                for &kx in &phase.kxs {
-                    *m.at_mut(row, lf) = *k.at(sf, lf, kh - 1 - ky, kw - 1 - kx);
-                    row += 1;
-                }
-            }
-        }
-    }
-}
-
 /// The row subset of [`crate::im2col::weights_as_matrix_t`] matching one
 /// phase's kept taps: rows are `(sf, ky′, kx′)`, columns the large-side
 /// output channels.
@@ -407,7 +350,7 @@ pub fn im2col_t_zero_free<T: Num>(input: &Fmaps<T>, geom: &ConvGeom) -> Vec<Lowe
 
 /// The per-phase patch-major GEMM operand pairs `(patches, weights)` of a
 /// zero-free `T-CONV` — the matrices the specification lowering multiplies
-/// (the packed kinds multiply their transposes, see the module docs),
+/// (the conv drivers multiply their transposes, see the module docs),
 /// exposed so fault-injection campaigns can drive each phase's GEMM
 /// through instrumented kernels (ABFT checks, accumulator corruption)
 /// without re-deriving the dataflow. Phases with no reachable kernel taps
@@ -574,40 +517,9 @@ fn gather_phase_kernels<T: Num>(out: &mut [T], k: &Kernels<T>, phases: &[TPhase]
 /// cache lines.
 const GATHER_SF_TILE: usize = 32;
 
-/// Zero-free `T-CONV`: compact per-phase lowering + GEMM, bit-identical
-/// to [`crate::t_conv`] under the scalar kinds (see the module docs).
-///
-/// # Errors
-///
-/// Returns an error if `k.n_of() != input.channels()`.
-pub fn t_conv_zero_free<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Fmaps<T>> {
-    t_conv_zero_free_ws(input, k, geom, mm, &mut ConvWorkspace::new())
-}
-
-/// [`t_conv_zero_free`] with an explicit output size (the backward error
-/// pass of an S-CONV layer needs the original input size back).
-///
-/// # Errors
-///
-/// Returns an error if `k.n_of() != input.channels()`.
-pub fn t_conv_zero_free_sized<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    oh: usize,
-    ow: usize,
-    mm: MatmulKind,
-) -> TensorResult<Fmaps<T>> {
-    t_conv_zero_free_sized_ws(input, k, geom, oh, ow, mm, &mut ConvWorkspace::new())
-}
-
-/// [`t_conv_zero_free`] with every transient drawn from the workspace.
-/// Bit-identical; the returned maps belong to the caller.
+/// Zero-free `T-CONV`: compact per-phase lowering + GEMM (see the module
+/// docs), with every transient drawn from the workspace; the returned maps
+/// belong to the caller.
 ///
 /// # Errors
 ///
@@ -616,18 +528,18 @@ pub fn t_conv_zero_free_ws<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Fmaps<T>> {
     let (oh, ow) = geom.up_out(input.height(), input.width());
-    t_conv_zero_free_sized_ws(input, k, geom, oh, ow, mm, ws)
+    t_conv_zero_free_sized_ws(input, k, geom, oh, ow, ws)
 }
 
-/// [`t_conv_zero_free_sized`] with every transient (phase patch matrices,
-/// GEMM products, output maps, and the phase sub-kernels, gathered afresh
-/// for this call) drawn from the workspace, and the phase decomposition
-/// memoized through its [`PhaseCache`]. Bit-identical to the allocating
-/// form.
+/// [`t_conv_zero_free_ws`] with an explicit output size (the backward
+/// error pass of an S-CONV layer needs the original input size back). Every
+/// transient (phase patch matrices, GEMM products, output maps, and the
+/// phase sub-kernels, gathered afresh for this call) is drawn from the
+/// workspace, and the phase decomposition memoized through its
+/// [`PhaseCache`].
 ///
 /// # Errors
 ///
@@ -638,10 +550,9 @@ pub fn t_conv_zero_free_sized_ws<T: Num>(
     geom: &ConvGeom,
     oh: usize,
     ow: usize,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Fmaps<T>> {
-    t_conv_zero_free_driver(input, k, None, geom, oh, ow, mm, ws)
+    t_conv_zero_free_driver(input, k, None, geom, oh, ow, ws)
 }
 
 /// [`t_conv_zero_free_sized_ws`] for a caller that owns the weights: the
@@ -652,7 +563,6 @@ pub fn t_conv_zero_free_sized_ws<T: Num>(
 /// # Errors
 ///
 /// Returns an error if `k.n_of() != input.channels()`.
-#[allow(clippy::too_many_arguments)]
 pub fn t_conv_zero_free_cached_ws<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
@@ -660,22 +570,19 @@ pub fn t_conv_zero_free_cached_ws<T: Num>(
     geom: &ConvGeom,
     oh: usize,
     ow: usize,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Fmaps<T>> {
-    t_conv_zero_free_driver(input, k, Some(sub_kernels), geom, oh, ow, mm, ws)
+    t_conv_zero_free_driver(input, k, Some(sub_kernels), geom, oh, ow, ws)
 }
 
 /// The one zero-free `T-CONV` driver behind every entry above.
 ///
-/// The packed kinds run each phase **weight-stationary**: `A` is the
-/// phase's gathered sub-kernel matrix (one row per output map), `B` the
-/// transposed phase patch matrix — the only operand lowered per call — and
-/// row `lf` of the product is output map `lf` restricted to the phase's
-/// pixels, interleaved back by row. Per output element that is the
-/// patch-major chain with each product's factors swapped: bit-neutral.
-/// Reference kinds keep the patch-major specification lowering.
-#[allow(clippy::too_many_arguments)]
+/// Each phase runs **weight-stationary**: `A` is the phase's gathered
+/// sub-kernel matrix (one row per output map), `B` the transposed phase
+/// patch matrix — the only operand lowered per call — and row `lf` of the
+/// product is output map `lf` restricted to the phase's pixels, interleaved
+/// back by row. Per output element that is the patch-major chain with each
+/// product's factors swapped: bit-neutral.
 fn t_conv_zero_free_driver<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
@@ -683,7 +590,6 @@ fn t_conv_zero_free_driver<T: Num>(
     geom: &ConvGeom,
     oh: usize,
     ow: usize,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Fmaps<T>> {
     if k.n_of() != input.channels() {
@@ -694,7 +600,7 @@ fn t_conv_zero_free_driver<T: Num>(
         )));
     }
     if input.height() == 1 && input.width() == 1 {
-        if let Some(out) = t_conv_one_by_one_ws(input, k, geom, oh, ow, mm, ws)? {
+        if let Some(out) = t_conv_one_by_one_ws(input, k, geom, oh, ow, ws)? {
             return Ok(out);
         }
     }
@@ -702,64 +608,27 @@ fn t_conv_zero_free_driver<T: Num>(
     // take_fmaps zero-fills: phases without reachable taps leave their
     // outputs zero, exactly as the golden scatter does.
     let mut out = ws.take_fmaps(k.n_if(), oh, ow);
-    if mm.is_reference() {
-        t_phases_patch_major(&mut out, input, k, geom, &phases, mm, ws)?;
-    } else if let Some(cache) = sub_kernels {
+    if let Some(cache) = sub_kernels {
         cache.with_gathered(k, phase_key(geom, oh, ow), &phases, |sub| {
-            t_phases_weight_stationary(&mut out, input, sub, geom, &phases, mm, ws)
+            t_phases_weight_stationary(&mut out, input, sub, geom, &phases, ws)
         })?;
     } else {
         let mut sub = ws.take(k.len());
         gather_phase_kernels(&mut sub, k, &phases);
-        t_phases_weight_stationary(&mut out, input, &sub, geom, &phases, mm, ws)?;
+        t_phases_weight_stationary(&mut out, input, &sub, geom, &phases, ws)?;
         ws.give(sub);
     }
     Ok(out)
 }
 
-/// The reference kinds' phase loop: patch-major operands built by the
-/// specification fills, product transposed into the maps.
-fn t_phases_patch_major<T: Num>(
-    out: &mut Fmaps<T>,
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    phases: &[TPhase],
-    mm: MatmulKind,
-    ws: &mut ConvWorkspace<T>,
-) -> TensorResult<()> {
-    for phase in phases.iter().filter(|p| p.taps() > 0) {
-        let kk = k.n_of() * phase.taps();
-        // take_matrix zero-fills — required: the patch fill writes only
-        // in-bounds entries.
-        let mut patches = ws.take_matrix(phase.oys.len() * phase.oxs.len(), kk);
-        fill_t_phase_patches_ref(&mut patches, input, geom, phase);
-        let mut weights = ws.take_matrix(kk, k.n_if());
-        fill_t_phase_weights_ref(&mut weights, k, phase);
-        let product = mm.run_ws(&patches, &weights, ws)?;
-        ws.give_matrix(weights);
-        ws.give_matrix(patches);
-        for lf in 0..k.n_if() {
-            for (ri, &oy) in phase.oys.iter().enumerate() {
-                for (rj, &ox) in phase.oxs.iter().enumerate() {
-                    *out.at_mut(lf, oy, ox) = *product.at(ri * phase.oxs.len() + rj, lf);
-                }
-            }
-        }
-        ws.give_matrix(product);
-    }
-    Ok(())
-}
-
-/// The packed kinds' phase loop over gathered sub-kernels `sub` (laid out
-/// as [`gather_phase_kernels`] writes them).
+/// The phase loop over gathered sub-kernels `sub` (laid out as
+/// [`gather_phase_kernels`] writes them).
 fn t_phases_weight_stationary<T: Num>(
     out: &mut Fmaps<T>,
     input: &Fmaps<T>,
     sub: &[T],
     geom: &ConvGeom,
     phases: &[TPhase],
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
     let (n_if, oh, ow) = out.shape();
@@ -776,7 +645,7 @@ fn t_phases_weight_stationary<T: Num>(
         fill_t_phase_patches_transposed(&mut b, input, geom, phase, n_if);
         let mut product = ws.take_dirty(n_if * noy * nox);
         let store = Product::Store(&mut product);
-        matmul_slices_ws(mm, a, n_if, &b, AScan::Dense, store, ws)?;
+        matmul_slices_ws(a, n_if, &b, AScan::Dense, store, ws)?;
         ws.give_matrix(b);
         // Row `lf` of the product is map `lf` on this phase's pixel grid:
         // deal its rows back into the map at the phase's stride.
@@ -810,23 +679,21 @@ fn t_phases_weight_stationary<T: Num>(
 /// reaches stay zero under every engine.
 ///
 /// Returns `None` when the dispatch layer routes the collapsed GEMM to
-/// the packed engine (forced-packed runs), the kind is a reference kind,
-/// or the element type has no packed kernels: the caller then takes the
-/// classic phase route, so a forced-packed baseline keeps the PR-8 cost
-/// model unchanged.
+/// the packed engine (forced-packed runs) or the element type has no
+/// packed kernels: the caller then takes the classic phase route, so a
+/// forced-packed baseline keeps the classic route's cost model.
 fn t_conv_one_by_one_ws<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
     geom: &ConvGeom,
     oh: usize,
     ow: usize,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Option<Fmaps<T>>> {
     let (n_if, kh, kw) = (k.n_if(), k.kh(), k.kw());
     let mut z = ws.take_matrix(1, k.n_of());
     z.as_mut_slice().copy_from_slice(input.as_slice());
-    let product = crate::gemm::matmul_inline_b_ws(mm, &z, k.as_slice(), n_if * kh * kw, ws)?;
+    let product = crate::gemm::matmul_inline_b_ws(&z, k.as_slice(), n_if * kh * kw, ws)?;
     ws.give_matrix(z);
     let Some(product) = product else {
         return Ok(None);
@@ -861,25 +728,10 @@ fn t_conv_one_by_one_ws<T: Num>(
 /// Backward error pass of a T-CONV layer by lowering: a plain strided
 /// `im2col` of the error GEMMed against the kernel tensor read as
 /// `N_of × (N_if·K_h·K_w)` — which is, operand for operand, the `S-CONV`
-/// lowering ([`s_conv_via_gemm_ws`]) applied to the error maps.
-/// Bit-identical to [`crate::t_conv_input_grad`] under the scalar kinds. No
+/// lowering ([`s_conv_via_gemm_ws`]) applied to the error maps. No
 /// zero-inserting is involved in either formulation, so this is also the
-/// zero-free form.
-///
-/// # Errors
-///
-/// Returns an error if `delta_out.channels() != k.n_if()`.
-pub fn t_conv_input_grad_via_gemm<T: Num>(
-    delta_out: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Fmaps<T>> {
-    t_conv_input_grad_via_gemm_ws(delta_out, k, geom, mm, &mut ConvWorkspace::new())
-}
-
-/// [`t_conv_input_grad_via_gemm`] with every transient drawn from the
-/// workspace. Bit-identical; the returned maps belong to the caller.
+/// zero-free form. Every transient is drawn from the workspace; the
+/// returned maps belong to the caller.
 ///
 /// # Errors
 ///
@@ -888,7 +740,6 @@ pub fn t_conv_input_grad_via_gemm_ws<T: Num>(
     delta_out: &Fmaps<T>,
     k: &Kernels<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Fmaps<T>> {
     if k.n_if() != delta_out.channels() {
@@ -898,7 +749,7 @@ pub fn t_conv_input_grad_via_gemm_ws<T: Num>(
             delta_out.channels()
         )));
     }
-    s_conv_via_gemm_ws(delta_out, k, geom, mm, ws)
+    s_conv_via_gemm_ws(delta_out, k, geom, ws)
 }
 
 /// Checks that a `W-CONV`'s error maps have the spatial size the geometry
@@ -952,8 +803,9 @@ pub(crate) fn check_accumulator<T: Num>(
 }
 
 /// `W-CONV` of an S-CONV layer by lowering: the error (as a channels ×
-/// pixels matrix) GEMMed against the forward pass's `im2col` patches.
-/// Bit-identical to [`crate::w_conv_for_s_layer`].
+/// pixels matrix) GEMMed against the forward pass's `im2col` patches, with
+/// every transient drawn from the workspace; the returned gradient belongs
+/// to the caller.
 ///
 /// This is the form Caffe actually executes — the "zero-inserting in
 /// kernel" dilation of the textbook description never materialises, so
@@ -963,32 +815,15 @@ pub(crate) fn check_accumulator<T: Num>(
 ///
 /// Returns an error if `delta_out`'s spatial size does not match this
 /// geometry's forward output.
-pub fn w_conv_s_via_gemm<T: Num>(
-    input: &Fmaps<T>,
-    delta_out: &Fmaps<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Kernels<T>> {
-    w_conv_s_via_gemm_ws(input, delta_out, geom, mm, &mut ConvWorkspace::new())
-}
-
-/// [`w_conv_s_via_gemm`] with every transient drawn from the workspace.
-/// Bit-identical; the returned gradient belongs to the caller.
-///
-/// # Errors
-///
-/// Returns an error if `delta_out`'s spatial size does not match this
-/// geometry's forward output.
 pub fn w_conv_s_via_gemm_ws<T: Num>(
     input: &Fmaps<T>,
     delta_out: &Fmaps<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Kernels<T>> {
     let shape = (delta_out.channels(), input.channels(), geom.kh(), geom.kw());
     w_conv_stored(shape, ws, |grad, ws| {
-        w_conv_s_lowered(input, delta_out, geom, mm, grad, ws)
+        w_conv_s_lowered(input, delta_out, geom, grad, ws)
     })
 }
 
@@ -1006,7 +841,6 @@ pub fn w_conv_s_via_gemm_accumulate_ws<T: Num>(
     input: &Fmaps<T>,
     delta_out: &Fmaps<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     acc: &mut Kernels<T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
@@ -1015,7 +849,7 @@ pub fn w_conv_s_via_gemm_accumulate_ws<T: Num>(
         (delta_out.channels(), input.channels(), geom.kh(), geom.kw()),
     )?;
     let grad = Product::AddTo(acc.as_mut_slice());
-    w_conv_s_lowered(input, delta_out, geom, mm, grad, ws)
+    w_conv_s_lowered(input, delta_out, geom, grad, ws)
 }
 
 /// The one S-layer `W-CONV` lowering behind the entries above: `A` is the
@@ -1024,18 +858,11 @@ fn w_conv_s_lowered<T: Num>(
     input: &Fmaps<T>,
     delta_out: &Fmaps<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     grad: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
     check_error_map(delta_out, geom.down_out(input.height(), input.width()))?;
     let (delta, m) = (delta_out.as_slice(), delta_out.channels());
-    if mm.is_reference() {
-        let lowered = im2col_s_ws(input, geom, ws);
-        let done = matmul_slices_ws(mm, delta, m, &lowered.patches, AScan::Scan, grad, ws);
-        ws.give_matrix(lowered.patches);
-        return done;
-    }
     // Streamed lowering: patch rows of the forward input are produced on
     // demand, so for few-channel error maps (the critic head) the small-m
     // streamed engine skips the whole `im2col` fill for every patch
@@ -1046,7 +873,7 @@ fn w_conv_s_lowered<T: Num>(
         input.channels() * geom.kh() * geom.kw(),
     );
     let patch_row = |r: usize, row: &mut [T]| fill_im2col_s_row(input, geom, ow, r, row);
-    matmul_streamed_ws(mm, delta, m, dims, &patch_row, grad, ws)
+    matmul_streamed_ws(delta, m, dims, &patch_row, grad, ws)
 }
 
 /// Zero-free `W-CONV` of a T-CONV layer: the compact input (channels ×
@@ -1054,24 +881,8 @@ fn w_conv_s_lowered<T: Num>(
 /// *compact* input pixels `(iy, ix)`, columns `(lf, ky, kx)`, each entry the
 /// output error the pixel meets under that tap (zero outside the map). The
 /// zero-inserted input of the textbook formulation is never built —
-/// ZFWST's elimination, in software. Bit-identical to
-/// [`crate::w_conv_for_t_layer`].
-///
-/// # Errors
-///
-/// Returns an error if `delta_out`'s spatial size is not the up-sampled
-/// size of `input` under this geometry.
-pub fn w_conv_t_zero_free<T: Num>(
-    input: &Fmaps<T>,
-    delta_out: &Fmaps<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Kernels<T>> {
-    w_conv_t_zero_free_ws(input, delta_out, geom, mm, &mut ConvWorkspace::new())
-}
-
-/// [`w_conv_t_zero_free`] with every transient drawn from the workspace.
-/// Bit-identical; the returned gradient belongs to the caller.
+/// ZFWST's elimination, in software. Every transient is drawn from the
+/// workspace; the returned gradient belongs to the caller.
 ///
 /// # Errors
 ///
@@ -1081,12 +892,11 @@ pub fn w_conv_t_zero_free_ws<T: Num>(
     input: &Fmaps<T>,
     delta_out: &Fmaps<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Kernels<T>> {
     let shape = (input.channels(), delta_out.channels(), geom.kh(), geom.kw());
     w_conv_stored(shape, ws, |grad, ws| {
-        w_conv_t_lowered(input, delta_out, geom, mm, grad, ws)
+        w_conv_t_lowered(input, delta_out, geom, grad, ws)
     })
 }
 
@@ -1102,7 +912,6 @@ pub fn w_conv_t_zero_free_accumulate_ws<T: Num>(
     input: &Fmaps<T>,
     delta_out: &Fmaps<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     acc: &mut Kernels<T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
@@ -1111,7 +920,7 @@ pub fn w_conv_t_zero_free_accumulate_ws<T: Num>(
         (input.channels(), delta_out.channels(), geom.kh(), geom.kw()),
     )?;
     let grad = Product::AddTo(acc.as_mut_slice());
-    w_conv_t_lowered(input, delta_out, geom, mm, grad, ws)
+    w_conv_t_lowered(input, delta_out, geom, grad, ws)
 }
 
 /// The one T-layer `W-CONV` lowering behind the entries above: `A` is the
@@ -1120,7 +929,6 @@ fn w_conv_t_lowered<T: Num>(
     input: &Fmaps<T>,
     delta_out: &Fmaps<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
     grad: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
@@ -1134,17 +942,18 @@ fn w_conv_t_lowered<T: Num>(
     fill_b_rows(&mut patches, m, |r, row| {
         fill_im2col_s_row(delta_out, geom, iw, r, row)
     });
-    let done = matmul_slices_ws(mm, a, m, &patches, AScan::Scan, grad, ws);
+    let done = matmul_slices_ws(a, m, &patches, AScan::Scan, grad, ws);
     ws.give_matrix(patches);
     done
 }
 
 /// `W-CONV` of a T-CONV layer the textbook way: materialise the
 /// zero-inserted input, then GEMM it against unit-stride error patches.
-/// Bit-identical to [`crate::w_conv_for_t_layer`] (the GEMM's zero skip
-/// drops exactly the inserted rows), but pays for every inserted zero in
-/// memory and operand traffic — the dense-lowered backend's cost model,
-/// and the baseline the zero-free path is measured against.
+/// Bit-identical to [`crate::w_conv_for_t_layer`] for `f64` and `Fx` (the
+/// GEMM's zero skip drops exactly the inserted rows), but pays for every
+/// inserted zero in memory and operand traffic — the dense-lowered
+/// backend's cost model, and the baseline the zero-free path is measured
+/// against.
 ///
 /// # Errors
 ///
@@ -1154,7 +963,6 @@ pub fn w_conv_t_via_zero_insert_gemm<T: Num>(
     input: &Fmaps<T>,
     delta_out: &Fmaps<T>,
     geom: &ConvGeom,
-    mm: MatmulKind,
 ) -> TensorResult<Kernels<T>> {
     check_error_map(delta_out, geom.up_out(input.height(), input.width()))?;
     let zi = insert_zeros(input, geom.stride());
@@ -1182,7 +990,7 @@ pub fn w_conv_t_via_zero_insert_gemm<T: Num>(
             }
         }
     }
-    let product = mm.run(&zi_mat, &patches)?;
+    let product = matmul_blocked(&zi_mat, &patches)?;
     let mut grad = Kernels::zeros(input.channels(), delta_out.channels(), geom.kh(), geom.kw());
     for sf in 0..input.channels() {
         let mut col = 0;
@@ -1210,16 +1018,66 @@ mod tests {
         ConvGeom::down(12, 12, 4, 4, 2, 6, 6).unwrap()
     }
 
+    /// Specification form of [`fill_t_phase_patches`]: one bounds check and
+    /// stride division per matrix entry, written exactly as the lowering is
+    /// defined.
+    fn fill_t_phase_patches_ref<T: Num>(
+        patches: &mut Matrix<T>,
+        input: &Fmaps<T>,
+        geom: &ConvGeom,
+        phase: &TPhase,
+    ) {
+        let s = geom.stride() as isize;
+        let (pt, _, pl, _) = geom.t_conv_pads();
+        let (ih, iw) = (input.height() as isize, input.width() as isize);
+        for (ri, &oy) in phase.oys.iter().enumerate() {
+            for (rj, &ox) in phase.oxs.iter().enumerate() {
+                let row = ri * phase.oxs.len() + rj;
+                let mut col = 0;
+                for sf in 0..input.channels() {
+                    for &ky in &phase.kys {
+                        // zy ≡ 0 (mod s) by construction of the kept taps; it
+                        // is a real source pixel iff it lands inside the map.
+                        let zy = oy as isize + ky as isize - pt as isize;
+                        for &kx in &phase.kxs {
+                            let zx = ox as isize + kx as isize - pl as isize;
+                            if zy >= 0 && zx >= 0 && zy / s < ih && zx / s < iw {
+                                *patches.at_mut(row, col) =
+                                    *input.at(sf, (zy / s) as usize, (zx / s) as usize);
+                            }
+                            col += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Specification form of [`fill_t_phase_weights`]: column-major traversal
+    /// through the kernel accessor, written exactly as the reshape is defined.
+    fn fill_t_phase_weights_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &TPhase) {
+        let (kh, kw) = (k.kh(), k.kw());
+        for lf in 0..k.n_if() {
+            let mut row = 0;
+            for sf in 0..k.n_of() {
+                for &ky in &phase.kys {
+                    for &kx in &phase.kxs {
+                        *m.at_mut(row, lf) = *k.at(sf, lf, kh - 1 - ky, kw - 1 - kx);
+                        row += 1;
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_free_t_conv_is_bit_identical() {
         let mut rng = SmallRng::seed_from_u64(20);
-        let x: Fmaps<f32> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
-        let k: Kernels<f32> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
+        let x: Fmaps<f64> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
+        let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let golden = t_conv(&x, &k, &geom()).unwrap();
-        for mm in [MatmulKind::Naive, MatmulKind::BlockedScalar] {
-            let fast = t_conv_zero_free(&x, &k, &geom(), mm).unwrap();
-            assert_eq!(golden, fast, "{mm:?}");
-        }
+        let fast = t_conv_zero_free_ws(&x, &k, &geom(), &mut ConvWorkspace::new()).unwrap();
+        assert_eq!(golden, fast);
     }
 
     #[test]
@@ -1254,24 +1112,19 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(22);
         let g = geom();
         // S layer: input 12×12 → delta 6×6.
-        let x: Fmaps<f32> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
-        let d: Fmaps<f32> = Fmaps::random(4, 6, 6, 1.0, &mut rng);
+        let ws = &mut ConvWorkspace::new();
+        let x: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
+        let d: Fmaps<f64> = Fmaps::random(4, 6, 6, 1.0, &mut rng);
         let golden_s = w_conv_for_s_layer(&x, &d, &g).unwrap();
-        assert_eq!(
-            golden_s,
-            w_conv_s_via_gemm(&x, &d, &g, MatmulKind::BlockedScalar).unwrap()
-        );
+        assert_eq!(golden_s, w_conv_s_via_gemm_ws(&x, &d, &g, ws).unwrap());
         // T layer: input 6×6 → delta 12×12.
-        let xt: Fmaps<f32> = Fmaps::random(4, 6, 6, 1.0, &mut rng);
-        let dt: Fmaps<f32> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
+        let xt: Fmaps<f64> = Fmaps::random(4, 6, 6, 1.0, &mut rng);
+        let dt: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
         let golden_t = w_conv_for_t_layer(&xt, &dt, &g).unwrap();
+        assert_eq!(golden_t, w_conv_t_zero_free_ws(&xt, &dt, &g, ws).unwrap());
         assert_eq!(
             golden_t,
-            w_conv_t_zero_free(&xt, &dt, &g, MatmulKind::BlockedScalar).unwrap()
-        );
-        assert_eq!(
-            golden_t,
-            w_conv_t_via_zero_insert_gemm(&xt, &dt, &g, MatmulKind::BlockedScalar).unwrap()
+            w_conv_t_via_zero_insert_gemm(&xt, &dt, &g).unwrap()
         );
     }
 
@@ -1279,10 +1132,10 @@ mod tests {
     fn t_input_grad_lowering_is_bit_identical() {
         let mut rng = SmallRng::seed_from_u64(23);
         let g = geom();
-        let d: Fmaps<f32> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
-        let k: Kernels<f32> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
+        let d: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
+        let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let golden = t_conv_input_grad(&d, &k, &g).unwrap();
-        let fast = t_conv_input_grad_via_gemm(&d, &k, &g, MatmulKind::BlockedScalar).unwrap();
+        let fast = t_conv_input_grad_via_gemm_ws(&d, &k, &g, &mut ConvWorkspace::new()).unwrap();
         assert_eq!(golden, fast);
     }
 
@@ -1442,9 +1295,10 @@ mod tests {
         let mut ws = ConvWorkspace::new();
         let mut cache = PhaseKernelCache::default();
         let run = |k: &Kernels<f32>, cache: &PhaseKernelCache<f32>, ws: &mut ConvWorkspace<f32>| {
-            t_conv_zero_free_cached_ws(&x, k, cache, &g, 12, 12, MatmulKind::Blocked, ws).unwrap()
+            t_conv_zero_free_cached_ws(&x, k, cache, &g, 12, 12, ws).unwrap()
         };
-        let fresh = |k: &Kernels<f32>| t_conv_zero_free(&x, k, &g, MatmulKind::Blocked).unwrap();
+        let fresh =
+            |k: &Kernels<f32>| t_conv_zero_free_ws(&x, k, &g, &mut ConvWorkspace::new()).unwrap();
         assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
         let buffer = cache.state.read().unwrap().data.as_ptr();
         assert_eq!(run(&k, &cache, &mut ws), fresh(&k), "served from the cache");
@@ -1456,9 +1310,8 @@ mod tests {
 
         // Another decomposition of the same weights re-keys the cache.
         let small: Fmaps<f32> = Fmaps::random(5, 3, 3, 1.0, &mut rng);
-        let got =
-            t_conv_zero_free_cached_ws(&small, &k, &cache, &g, 6, 6, MatmulKind::Blocked, &mut ws);
-        let want = t_conv_zero_free_sized(&small, &k, &g, 6, 6, MatmulKind::Blocked);
+        let got = t_conv_zero_free_cached_ws(&small, &k, &cache, &g, 6, 6, &mut ws);
+        let want = t_conv_zero_free_sized_ws(&small, &k, &g, 6, 6, &mut ConvWorkspace::new());
         assert_eq!(got.unwrap(), want.unwrap());
         assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
     }
@@ -1468,10 +1321,11 @@ mod tests {
         let g = geom();
         let x: Fmaps<f32> = Fmaps::zeros(2, 6, 6);
         let k: Kernels<f32> = Kernels::zeros(5, 3, 4, 4);
-        assert!(t_conv_zero_free(&x, &k, &g, MatmulKind::Blocked).is_err());
+        let ws = &mut ConvWorkspace::new();
+        assert!(t_conv_zero_free_ws(&x, &k, &g, ws).is_err());
         let bad: Fmaps<f32> = Fmaps::zeros(3, 5, 5);
-        assert!(w_conv_s_via_gemm(&x, &bad, &g, MatmulKind::Blocked).is_err());
-        assert!(w_conv_t_zero_free(&x, &bad, &g, MatmulKind::Blocked).is_err());
-        assert!(w_conv_t_via_zero_insert_gemm(&x, &bad, &g, MatmulKind::Blocked).is_err());
+        assert!(w_conv_s_via_gemm_ws(&x, &bad, &g, ws).is_err());
+        assert!(w_conv_t_zero_free_ws(&x, &bad, &g, ws).is_err());
+        assert!(w_conv_t_via_zero_insert_gemm(&x, &bad, &g).is_err());
     }
 }

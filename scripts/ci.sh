@@ -136,9 +136,9 @@ done
 echo "=== bench gates (paired in-process speed ratios) ==="
 # Each harness asserts its own floors on `zfgan_bench::paired_ratio`
 # (packed GEMM vs naive, its pool fan-out vs one inline chunk, dispatched
-# vs forced-packed, AVX-512 vs AVX2 tile, packed train step vs the
-# reference engine, the nine executor engines vs the scalar oracle) plus
-# warm vs cold DSE. One pass, no retry:
+# vs forced-packed, AVX-512 vs AVX2 tile, workspace reuse vs allocating
+# train steps, the nine executor engines vs the scalar oracle) plus warm
+# vs cold DSE. One pass, no retry:
 # a pair's two sides share whatever the host is doing.
 cargo bench -q -p zfgan-bench
 

@@ -33,7 +33,7 @@ use crate::nn::{GanPair, GanTrainer, SupervisedTrainer, SupervisorConfig, Traine
 use crate::sim::{BufferSpec, DramModel, OnChipBuffer};
 use crate::tensor::abft::{self};
 use crate::tensor::fault::{FaultKind, FaultLog, FaultPlan, FaultSite};
-use crate::tensor::gemm::MatmulKind;
+use crate::tensor::gemm::matmul_blocked;
 use crate::tensor::im2col::{im2col_t, weights_as_matrix_t, Matrix};
 use crate::tensor::zero_free::t_zero_free_gemm_operands;
 use crate::tensor::{ConvGeom, Fmaps, Kernels, ShapeError, TensorResult};
@@ -238,7 +238,7 @@ fn run_cell(
 
         for (patches, weights) in operand_pairs(dataflow, &input, &k, &geom)? {
             // Golden product on pristine operands.
-            let golden = MatmulKind::Blocked.run(&patches, &weights)?;
+            let golden = matmul_blocked(&patches, &weights)?;
 
             // Transport: weights cross DRAM, patches cross the on-chip
             // buffer. A checksum around each transfer is the detector.
@@ -271,7 +271,6 @@ fn run_cell(
             let gemm_base = next_word;
             let mut gemm_log = FaultLog::default();
             let (product, report) = abft::checked_matmul_with_faults(
-                MatmulKind::Blocked,
                 &faulty_p,
                 &faulty_w,
                 &plan,

@@ -1,14 +1,16 @@
 //! Bit-identity contracts of the fast convolution backends, split by
-//! kernel family (see `zfgan_tensor::gemm` module docs):
+//! element type (see `zfgan_tensor::gemm` module docs):
 //!
-//! * **Scalar family** — [`ConvBackend::ScalarRef`] reproduces the golden
-//!   loop nests *bit for bit*, for every family the layers dispatch
-//!   (S-CONV, T-CONV, both input-gradient passes, both W-CONVs).
-//! * **Packed family** — every packed-microkernel backend (dense- or
-//!   zero-free-lowered, under any row partition of its GEMMs) produces
-//!   *one* identical result: the packed f32 kernel's fused accumulation
-//!   order is deterministic, and it stays within the fused
-//!   accumulation-error bound of the golden nests.
+//! * **`f32`** — every lowered backend (dense- or zero-free-lowered, under
+//!   any row partition of its GEMMs) produces *one* identical result: the
+//!   packed f32 kernel's fused accumulation order is deterministic, and it
+//!   stays within the fused accumulation-error bound of the golden nests.
+//! * **`f64`** — there is no packed f64 kernel; the scalar blocked
+//!   fallback keeps the naive chain, so every lowered backend reproduces
+//!   the golden loop nests *bit for bit*, for every family the layers
+//!   dispatch (S-CONV, T-CONV, both input-gradient passes, both W-CONVs).
+//!   This is what pins "the compact lowering carries golden's terms in
+//!   golden's order".
 //! * **Fixed point** — with [`Fx`] (Q8.8) operands the packed kernel is
 //!   bit-identical to the scalar semantics, so *every* backend matches
 //!   golden exactly.
@@ -19,7 +21,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use zfgan::tensor::gemm::{matmul_chunked, MatmulKind};
+use zfgan::tensor::gemm::{matmul_blocked, matmul_chunked};
 use zfgan::tensor::im2col::Matrix;
 use zfgan::tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
 
@@ -103,9 +105,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Family-wise backend contract on all six dispatched convolution
-    /// passes: ScalarRef is bit-identical to golden; the packed backends
-    /// are bit-identical to each other and within the accumulation bound
-    /// of golden.
+    /// passes: on `f32` the packed backends are bit-identical to each
+    /// other and within the accumulation bound of golden; on an `f64` draw
+    /// of the same layer both are bit-identical to golden.
     #[test]
     fn backends_are_bit_identical_within_their_family(layer in arb_layer()) {
         let mut rng = SmallRng::seed_from_u64(layer.seed);
@@ -116,10 +118,13 @@ proptest! {
 
         let (gf, gk) = six_passes(ConvBackend::GoldenDirect, &x, &z, &k, g, layer.in_hw);
 
-        // Scalar family: exact golden reproduction.
-        let (sf, sk) = six_passes(ConvBackend::ScalarRef, &x, &z, &k, g, layer.in_hw);
-        prop_assert_eq!(&gf, &sf, "ScalarRef fmaps passes diverged from golden");
-        prop_assert_eq!(&gk, &sk, "ScalarRef w-conv passes diverged from golden");
+        // f64: exact golden reproduction on every packed backend.
+        let (xd, zd, kd) = (x.map(f64::from), z.map(f64::from), k.map(f64::from));
+        let golden_d = six_passes(ConvBackend::GoldenDirect, &xd, &zd, &kd, g, layer.in_hw);
+        for b in PACKED {
+            let got = six_passes(b, &xd, &zd, &kd, g, layer.in_hw);
+            prop_assert_eq!(&golden_d, &got, "{:?} diverged from golden on f64", b);
+        }
 
         // Packed family: one deterministic result, near golden.
         let (pf, pk) = six_passes(PACKED[0], &x, &z, &k, g, layer.in_hw);
@@ -137,8 +142,8 @@ proptest! {
     }
 
     /// With Q8.8 fixed-point operands the packed kernel replicates the
-    /// scalar saturating chain exactly, so every backend — scalar or
-    /// packed — is bit-identical to golden.
+    /// scalar saturating chain exactly, so every backend is bit-identical
+    /// to golden.
     #[test]
     fn fx_backends_are_bit_identical_to_golden(layer in arb_layer()) {
         let mut rng = SmallRng::seed_from_u64(layer.seed ^ 0x5eed);
@@ -149,19 +154,17 @@ proptest! {
             .map(Fx::from_f32);
 
         let golden = six_passes(ConvBackend::GoldenDirect, &x, &z, &k, g, layer.in_hw);
-        let backends = [ConvBackend::ScalarRef, PACKED[0], PACKED[1]];
-        for b in backends {
+        for b in PACKED {
             let got = six_passes(b, &x, &z, &k, g, layer.in_hw);
             prop_assert_eq!(&golden, &got, "{:?} diverged from golden on Fx", b);
         }
     }
 
     /// GEMM kernel contracts, for any shape, sparsity and row partition:
-    /// the retained scalar kernel matches the naive triple loop bit for
-    /// bit; the packed kernel matches *itself* bit for bit however its
+    /// the packed f32 kernel matches *itself* bit for bit however its
     /// output rows are chunked and stays within the fused
-    /// accumulation-error bound of naive; Q8.8 is bit-identical across all
-    /// kernels.
+    /// accumulation-error bound of the naive triple loop; the scalar `f64`
+    /// fallback and the Q8.8 kernel match the naive loop bit for bit.
     #[test]
     fn gemm_kernels_honor_their_family_contracts(
         m in 1usize..=40,
@@ -186,10 +189,8 @@ proptest! {
         };
         let a = draw(m, kk);
         let b = draw(kk, n);
-        let naive = MatmulKind::Naive.run(&a, &b).unwrap();
-        prop_assert_eq!(&naive, &MatmulKind::BlockedScalar.run(&a, &b).unwrap());
-
-        let blocked = MatmulKind::Blocked.run(&a, &b).unwrap();
+        let naive = a.matmul(&b).unwrap();
+        let blocked = matmul_blocked(&a, &b).unwrap();
         let mut chunked = Matrix::zeros(m, n);
         matmul_chunked(&a, &b, &mut chunked, false, None, rows_per_chunk, &mut ConvWorkspace::new());
         prop_assert_eq!(&blocked, &chunked);
@@ -203,11 +204,14 @@ proptest! {
             );
         }
 
+        let ad = Matrix::from_vec(m, kk, a.as_slice().iter().map(|v| f64::from(*v)).collect());
+        let bd = Matrix::from_vec(kk, n, b.as_slice().iter().map(|v| f64::from(*v)).collect());
+        prop_assert_eq!(ad.matmul(&bd).unwrap(), matmul_blocked(&ad, &bd).unwrap());
+
         let afx = Matrix::from_vec(m, kk, a.as_slice().iter().map(|v| Fx::from_f32(*v)).collect());
         let bfx = Matrix::from_vec(kk, n, b.as_slice().iter().map(|v| Fx::from_f32(*v)).collect());
-        let naive_fx = MatmulKind::Naive.run(&afx, &bfx).unwrap();
-        prop_assert_eq!(&naive_fx, &MatmulKind::BlockedScalar.run(&afx, &bfx).unwrap());
-        prop_assert_eq!(&naive_fx, &MatmulKind::Blocked.run(&afx, &bfx).unwrap());
+        let naive_fx = afx.matmul(&bfx).unwrap();
+        prop_assert_eq!(&naive_fx, &matmul_blocked(&afx, &bfx).unwrap());
         let mut chunked_fx = Matrix::zeros(m, n);
         let ws = &mut ConvWorkspace::new();
         matmul_chunked(&afx, &bfx, &mut chunked_fx, false, None, rows_per_chunk, ws);
@@ -345,7 +349,7 @@ fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
         let (xd, zd, kd) = (x.map(f64::from), z.map(f64::from), kern.map(f64::from));
         let golden_q = six_passes(ConvBackend::GoldenDirect, &xq, &zq, &kq, &g, in_hw);
         let golden_d = six_passes(ConvBackend::GoldenDirect, &xd, &zd, &kd, &g, in_hw);
-        for b in PACKED.into_iter().chain([ConvBackend::ScalarRef]) {
+        for b in PACKED {
             assert_eq!(
                 golden_q,
                 six_passes(b, &xq, &zq, &kq, &g, in_hw),
@@ -442,10 +446,11 @@ fn packed_block_order_is_bit_neutral() {
 /// output maps (the forward pass and, through it, the T-layer input error)
 /// are drawn from the workspace *without* its zero fill
 /// (`ConvWorkspace::take_dirty`), on the promise that every element is
-/// overwritten before it is read. Poison the
-/// free list — NaN for f32, a saturating value for Q8.8 — and every
-/// workspace entry, the two accumulating `W-CONV`s included, must still
-/// equal its allocating twin bit for bit.
+/// overwritten before it is read. Poison the free list — NaN for f32 and
+/// f64, a saturating value for Q8.8 — and every workspace entry, the two
+/// accumulating `W-CONV`s included, must still equal its allocating twin
+/// bit for bit. The `f64` case runs the scalar fallback, which lands its
+/// product from such a buffer with no intermediate matrix.
 #[test]
 fn poisoned_workspace_buffers_never_leak_into_results() {
     use zfgan::tensor::Num;
@@ -458,8 +463,7 @@ fn poisoned_workspace_buffers_never_leak_into_results() {
     }
     fn check<T: Num>(x: &Fmaps<T>, z: &Fmaps<T>, k: &Kernels<T>, g: &ConvGeom, with: T) {
         let in_hw = x.height();
-        let backends = PACKED.into_iter().chain([ConvBackend::ScalarRef]);
-        for b in backends {
+        for b in PACKED {
             let (maps, grads) = six_passes(b, x, z, k, g, in_hw);
             let mut ws = ConvWorkspace::new();
             poison(&mut ws, with);
@@ -519,6 +523,8 @@ fn poisoned_workspace_buffers_never_leak_into_results() {
             k.map(Fx::from_f32),
         );
         check(&xq, &zq, &kq, &g, Fx::from_f32(100.0));
+        let (xd, zd, kd) = (x.map(f64::from), z.map(f64::from), k.map(f64::from));
+        check(&xd, &zd, &kd, &g, f64::NAN);
     }
 }
 
@@ -528,9 +534,7 @@ fn poisoned_workspace_buffers_never_leak_into_results() {
 /// engine, which keeps the classic phase lowering. Pins the collapsed path
 /// bit-identical to the classic one for both element families — including
 /// a padded geometry whose scatter crops boundary taps — and every Fx
-/// backend to golden exactly. The scalar-reference backend must keep the
-/// specification cost model, so it lands on the classic route too (checked
-/// against golden).
+/// backend to golden exactly.
 #[test]
 fn one_by_one_t_conv_collapses_bit_identically() {
     use zfgan::tensor::microkernel::{set_forced_path, GemmPath};
@@ -579,16 +583,6 @@ fn one_by_one_t_conv_collapses_bit_identically() {
                     ws_fx.give_fmaps(fast_fx);
                 }
             }
-            let mut ws = ConvWorkspace::new();
-            let scalar = ConvBackend::ScalarRef
-                .t_conv_ws(&z, &k, g, &mut ws)
-                .unwrap();
-            let golden = ConvBackend::GoldenDirect.t_conv(&z, &k, g).unwrap();
-            assert_eq!(
-                golden.as_slice(),
-                scalar.as_slice(),
-                "ScalarRef 1×1 T-CONV diverged from golden"
-            );
         }
     }
 }

@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use zfgan::nn::{Activation, ConvLayer, Direction};
 use zfgan::pool::{parallel_map, PoolError};
-use zfgan::tensor::gemm::{matmul_chunked, MatmulKind};
+use zfgan::tensor::gemm::{matmul_blocked, matmul_chunked};
 use zfgan::tensor::im2col::Matrix;
 use zfgan::tensor::{ConvGeom, ConvWorkspace, Fmaps, Kernels};
 
@@ -41,7 +41,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = sparse_matrix(m, k, &mut rng);
         let b = sparse_matrix(k, n, &mut rng);
-        let seq = MatmulKind::Blocked.run(&a, &b).unwrap();
+        let seq = matmul_blocked(&a, &b).unwrap();
         let mut par = Matrix::zeros(m, n);
         matmul_chunked(&a, &b, &mut par, false, None, rows_per_chunk, &mut ConvWorkspace::new());
         prop_assert_eq!(seq, par);
