@@ -17,9 +17,7 @@ use rand::{Rng, SeedableRng};
 use zfgan_bench::{gate, paired_ratio};
 use zfgan_tensor::gemm::{matmul_blocked, matmul_blocked_into, matmul_chunked};
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
-use zfgan_tensor::microkernel::{
-    choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch, SimdLevel,
-};
+use zfgan_tensor::microkernel::{choose_path, simd_label, simd_level, GemmPath, SimdLevel};
 use zfgan_tensor::{ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
 
 /// Rounds behind every paired ratio here.
@@ -116,11 +114,11 @@ fn gate_matmul_kinds() {
     );
 }
 
-/// Gates route `fast` over route `base` of the explicit-level,
-/// explicit-path entry on `a × b` (`m×kk×n`). Both sides write one output
-/// through one pack scratch, so where the allocator put them is the same
-/// on both sides, and make enough calls a timing that one takes a few
-/// milliseconds.
+/// Gates route `fast` over route `base` of the packed engine's test handle
+/// (`matmul_chunked` at an explicit level and path, one inline chunk) on
+/// `a × b` (`m×kk×n`). Both sides write one output through one workspace,
+/// so where the allocator put them is the same on both sides, and make
+/// enough calls a timing that one takes a few milliseconds.
 fn gate_routes(
     name: &str,
     floor: f64,
@@ -129,13 +127,17 @@ fn gate_routes(
     (m, kk, n): (usize, usize, usize),
 ) {
     let reps = (1.0e8 / (m * kk * n) as f64).ceil() as usize;
-    let buffers = RefCell::new((vec![0.0f32; m * n], PackScratch::new()));
+    let (a, b) = (
+        Matrix::from_vec(m, kk, a.to_vec()),
+        Matrix::from_vec(kk, n, b.to_vec()),
+    );
+    let buffers = RefCell::new((Matrix::zeros(m, n), ConvWorkspace::new()));
     let side = |(level, path)| {
-        let buffers = &buffers;
+        let (a, b, buffers) = (&a, &b, &buffers);
         move || {
-            let (out, scratch) = &mut *buffers.borrow_mut();
+            let (out, ws) = &mut *buffers.borrow_mut();
             for _ in 0..reps {
-                matmul_f32_path(level, path, a, b, out, m, kk, n, scratch);
+                matmul_chunked(a, b, out, false, level, Some(path), m, ws);
                 std::hint::black_box(&mut *out);
             }
         }
@@ -226,8 +228,8 @@ const WIDE_TILE_SHAPES: [(usize, usize, usize, f64); 9] = [
 ];
 
 /// Gates the AVX-512 pair tile against the AVX2 tile, both through the
-/// explicit-level packed entry (scan + pack + tile, so the ratio is the
-/// one a train step sees). Skipped unless AVX-512 is the process level.
+/// test handle's explicit-level packed route (scan + pack + tile, so the
+/// ratio is the one a train step sees). Skipped unless AVX-512 is the process level.
 fn gate_wide_tile() {
     if simd_level() != SimdLevel::Avx512 {
         println!("wide_tile gates skipped (simd: {})", simd_label());
@@ -283,7 +285,7 @@ fn gate_fan_out() {
         let inline = || {
             let (out, ws) = &mut *buffers.borrow_mut();
             for _ in 0..reps {
-                matmul_chunked(&a, &b, out, false, None, m, ws);
+                matmul_chunked(&a, &b, out, false, simd_level(), None, m, ws);
                 std::hint::black_box(&mut *out);
             }
         };

@@ -22,6 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use zfgan_tensor::gemm::matmul_chunked;
 use zfgan_tensor::im2col::Matrix;
+use zfgan_tensor::microkernel::simd_level;
 use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
 
 /// FNV-1a over the little-endian bytes of the raw Q8.8 words.
@@ -127,7 +128,8 @@ fn sweep_partitions() {
     for (tag, add) in [("gemm/store", false), ("gemm/add", true)] {
         for rows_per_chunk in [1, 5, 6, 7, 13, m] {
             let mut out = acc.clone();
-            matmul_chunked(&a, &b, &mut out, add, None, rows_per_chunk, &mut ws);
+            let level = simd_level();
+            matmul_chunked(&a, &b, &mut out, add, level, None, rows_per_chunk, &mut ws);
             report(tag, &format!("r{rows_per_chunk}"), out.as_slice());
         }
     }

@@ -22,7 +22,7 @@
 //!   as the *oracle*. Every access goes through bounds-checked `at()` /
 //!   `at_padded()` and every traced event through a per-cycle
 //!   `TraceSink::emit`.
-//! * [`engine`] (private; reached through the public entry points below) —
+//! * `engine` (private; reached through the public entry points below) —
 //!   the fast path. All nine executors walk position-major with the
 //!   channel lanes innermost: the operand that differs across lanes is
 //!   transposed once per call, each output position's taps are tabulated

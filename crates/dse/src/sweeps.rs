@@ -1,7 +1,7 @@
 //! The paper's five figure sweeps (figs. 15–19) as engine clients.
 //!
 //! Each sweep module owns its point list, canonical cell key, evaluator
-//! and per-cell objective vector. [`drive`] turns a sweep into a
+//! and per-cell objective vector. The private `drive` turns a sweep into a
 //! [`SweepRun`]: the input-order results the figure renderers consume,
 //! plus the canonical JSONL stream — one line per unique cell in
 //! sorted-key order, a `pareto_add` line whenever a cell joins the

@@ -53,104 +53,15 @@ impl Default for ConvBackend {
     }
 }
 
-// Each allocating method runs its workspace-fed sibling over a fresh
-// workspace. With a long-lived workspace the transients come from (and
-// return to) `ws`, so a steady-state call allocates nothing (pinned by
-// `tests/zero_alloc.rs` on the default backend). `GoldenDirect` and the
-// `LoweredGemm` zero-inserting T paths ignore the workspace: they are
-// comparison baselines, not the training hot path, and keeping them
-// allocating keeps their cost model honest.
+// Every pass draws its transients from `ws` and returns them there, so
+// with a long-lived workspace a steady-state call allocates nothing
+// (pinned by `tests/zero_alloc.rs` on the default backend); a one-off call
+// passes `&mut ConvWorkspace::new()`. `GoldenDirect` and the `LoweredGemm`
+// zero-inserting T paths ignore the workspace: they are comparison
+// baselines, not the training hot path, and keeping them allocating keeps
+// their cost model honest.
 impl ConvBackend {
     /// Strided convolution (`S-CONV`) — see [`crate::s_conv`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::s_conv`].
-    pub fn s_conv<T: Num>(
-        self,
-        input: &Fmaps<T>,
-        k: &Kernels<T>,
-        geom: &ConvGeom,
-    ) -> TensorResult<Fmaps<T>> {
-        self.s_conv_ws(input, k, geom, &mut ConvWorkspace::new())
-    }
-
-    /// Transposed convolution (`T-CONV`) — see [`crate::t_conv`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::t_conv`].
-    pub fn t_conv<T: Num>(
-        self,
-        input: &Fmaps<T>,
-        k: &Kernels<T>,
-        geom: &ConvGeom,
-    ) -> TensorResult<Fmaps<T>> {
-        self.t_conv_ws(input, k, geom, &mut ConvWorkspace::new())
-    }
-
-    /// Backward error pass of an `S-CONV` layer — see
-    /// [`crate::s_conv_input_grad`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::s_conv_input_grad`].
-    pub fn s_conv_input_grad<T: Num>(
-        self,
-        delta_out: &Fmaps<T>,
-        k: &Kernels<T>,
-        geom: &ConvGeom,
-        in_h: usize,
-        in_w: usize,
-    ) -> TensorResult<Fmaps<T>> {
-        let ws = &mut ConvWorkspace::new();
-        self.s_conv_input_grad_ws(delta_out, k, geom, in_h, in_w, ws)
-    }
-
-    /// Backward error pass of a `T-CONV` layer — see
-    /// [`crate::t_conv_input_grad`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::t_conv_input_grad`].
-    pub fn t_conv_input_grad<T: Num>(
-        self,
-        delta_out: &Fmaps<T>,
-        k: &Kernels<T>,
-        geom: &ConvGeom,
-    ) -> TensorResult<Fmaps<T>> {
-        self.t_conv_input_grad_ws(delta_out, k, geom, &mut ConvWorkspace::new())
-    }
-
-    /// `W-CONV` of an `S-CONV` layer — see [`crate::w_conv_for_s_layer`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::w_conv_for_s_layer`].
-    pub fn w_conv_for_s_layer<T: Num>(
-        self,
-        input: &Fmaps<T>,
-        delta_out: &Fmaps<T>,
-        geom: &ConvGeom,
-    ) -> TensorResult<Kernels<T>> {
-        self.w_conv_for_s_layer_ws(input, delta_out, geom, &mut ConvWorkspace::new())
-    }
-
-    /// `W-CONV` of a `T-CONV` layer — see [`crate::w_conv_for_t_layer`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::w_conv_for_t_layer`].
-    pub fn w_conv_for_t_layer<T: Num>(
-        self,
-        input: &Fmaps<T>,
-        delta_out: &Fmaps<T>,
-        geom: &ConvGeom,
-    ) -> TensorResult<Kernels<T>> {
-        self.w_conv_for_t_layer_ws(input, delta_out, geom, &mut ConvWorkspace::new())
-    }
-
-    /// [`ConvBackend::s_conv`] with transients drawn from the workspace.
     ///
     /// # Errors
     ///
@@ -168,7 +79,7 @@ impl ConvBackend {
         }
     }
 
-    /// [`ConvBackend::t_conv`] with transients drawn from the workspace.
+    /// Transposed convolution (`T-CONV`) — see [`crate::t_conv`].
     ///
     /// # Errors
     ///
@@ -188,7 +99,10 @@ impl ConvBackend {
                 }
                 t_conv_zero_inserted(input, k, geom, geom.up_out(input.height(), input.width()))
             }
-            ConvBackend::LoweredZeroFree => zero_free::t_conv_zero_free_ws(input, k, geom, ws),
+            ConvBackend::LoweredZeroFree => {
+                let (oh, ow) = geom.up_out(input.height(), input.width());
+                zero_free::t_conv_zero_free(input, k, None, geom, (oh, ow), ws)
+            }
         }
     }
 
@@ -209,15 +123,15 @@ impl ConvBackend {
     ) -> TensorResult<Fmaps<T>> {
         match self {
             ConvBackend::LoweredZeroFree => {
-                let (oh, ow) = geom.up_out(input.height(), input.width());
-                zero_free::t_conv_zero_free_cached_ws(input, k, sub_kernels, geom, oh, ow, ws)
+                let out_hw = geom.up_out(input.height(), input.width());
+                zero_free::t_conv_zero_free(input, k, Some(sub_kernels), geom, out_hw, ws)
             }
             _ => self.t_conv_ws(input, k, geom, ws),
         }
     }
 
-    /// [`ConvBackend::s_conv_input_grad`] with transients drawn from the
-    /// workspace.
+    /// Backward error pass of an `S-CONV` layer — see
+    /// [`crate::s_conv_input_grad`].
     ///
     /// # Errors
     ///
@@ -240,7 +154,7 @@ impl ConvBackend {
                 t_conv_zero_inserted(delta_out, k, geom, (in_h, in_w))
             }
             ConvBackend::LoweredZeroFree => {
-                zero_free::t_conv_zero_free_sized_ws(delta_out, k, geom, in_h, in_w, ws)
+                zero_free::t_conv_zero_free(delta_out, k, None, geom, (in_h, in_w), ws)
             }
         }
     }
@@ -263,21 +177,16 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::LoweredZeroFree => zero_free::t_conv_zero_free_cached_ws(
-                delta_out,
-                k,
-                sub_kernels,
-                geom,
-                in_h,
-                in_w,
-                ws,
-            ),
+            ConvBackend::LoweredZeroFree => {
+                let cache = Some(sub_kernels);
+                zero_free::t_conv_zero_free(delta_out, k, cache, geom, (in_h, in_w), ws)
+            }
             _ => self.s_conv_input_grad_ws(delta_out, k, geom, in_h, in_w, ws),
         }
     }
 
-    /// [`ConvBackend::t_conv_input_grad`] with transients drawn from the
-    /// workspace.
+    /// Backward error pass of a `T-CONV` layer — see
+    /// [`crate::t_conv_input_grad`].
     ///
     /// # Errors
     ///
@@ -291,14 +200,25 @@ impl ConvBackend {
     ) -> TensorResult<Fmaps<T>> {
         match self {
             ConvBackend::GoldenDirect => conv::t_conv_input_grad(delta_out, k, geom),
-            // This pass involves no zero-inserting in either formulation,
-            // so dense-lowered and zero-free share one GEMM.
-            _ => zero_free::t_conv_input_grad_via_gemm_ws(delta_out, k, geom, ws),
+            // A plain strided `im2col` of the error against the kernel tensor
+            // read as `N_of × (N_if·K_h·K_w)`: operand for operand the
+            // `S-CONV` lowering applied to the error maps. No zero-inserting
+            // is involved in either formulation, so dense-lowered and
+            // zero-free share one GEMM.
+            _ => {
+                if k.n_if() != delta_out.channels() {
+                    return Err(ShapeError::new(format!(
+                        "kernel's up-direction side is {} maps, error has {}",
+                        k.n_if(),
+                        delta_out.channels()
+                    )));
+                }
+                s_conv_via_gemm_ws(delta_out, k, geom, ws)
+            }
         }
     }
 
-    /// [`ConvBackend::w_conv_for_s_layer`] with transients drawn from the
-    /// workspace.
+    /// `W-CONV` of an `S-CONV` layer — see [`crate::w_conv_for_s_layer`].
     ///
     /// # Errors
     ///
@@ -319,8 +239,7 @@ impl ConvBackend {
         }
     }
 
-    /// [`ConvBackend::w_conv_for_t_layer`] with transients drawn from the
-    /// workspace.
+    /// `W-CONV` of a `T-CONV` layer — see [`crate::w_conv_for_t_layer`].
     ///
     /// # Errors
     ///
@@ -453,97 +372,71 @@ mod tests {
     fn every_backend_matches_golden_on_every_family() {
         let mut rng = SmallRng::seed_from_u64(30);
         let g = geom();
+        let ws = &mut ConvWorkspace::new();
         let x: Fmaps<f32> = Fmaps::random(3, 10, 10, 1.0, &mut rng);
         let k: Kernels<f32> = Kernels::random(4, 3, 4, 4, 1.0, &mut rng);
-        let y = ConvBackend::GoldenDirect.s_conv(&x, &k, &g).unwrap();
         let z: Fmaps<f32> = Fmaps::random(4, 5, 5, 1.0, &mut rng);
-        let up = ConvBackend::GoldenDirect.t_conv(&z, &k, &g).unwrap();
-        let sig = ConvBackend::GoldenDirect
-            .s_conv_input_grad(&y, &k, &g, 10, 10)
-            .unwrap();
-        let tig = ConvBackend::GoldenDirect
-            .t_conv_input_grad(&up, &k, &g)
-            .unwrap();
-        let ws = ConvBackend::GoldenDirect
-            .w_conv_for_s_layer(&x, &y, &g)
-            .unwrap();
-        let wt = ConvBackend::GoldenDirect
-            .w_conv_for_t_layer(&z, &up, &g)
-            .unwrap();
+        let gold = ConvBackend::GoldenDirect;
+        let golden = passes(gold, (&x, &z, &k), &g, ws);
 
         // On f64 every lowered backend reproduces golden bit for bit.
         let (xd, zd, kd) = (x.map(f64::from), z.map(f64::from), k.map(f64::from));
-        let gold = ConvBackend::GoldenDirect;
-        let yd = gold.s_conv(&xd, &kd, &g).unwrap();
-        let upd = gold.t_conv(&zd, &kd, &g).unwrap();
+        let wsd = &mut ConvWorkspace::new();
+        let golden_f64 = passes(gold, (&xd, &zd, &kd), &g, wsd);
         for b in PACKED {
-            assert_eq!(yd, b.s_conv(&xd, &kd, &g).unwrap(), "{b:?} s_conv");
-            assert_eq!(upd, b.t_conv(&zd, &kd, &g).unwrap(), "{b:?} t_conv");
-            assert_eq!(
-                gold.s_conv_input_grad(&yd, &kd, &g, 10, 10).unwrap(),
-                b.s_conv_input_grad(&yd, &kd, &g, 10, 10).unwrap(),
-                "{b:?} s_conv_input_grad"
-            );
-            assert_eq!(
-                gold.t_conv_input_grad(&upd, &kd, &g).unwrap(),
-                b.t_conv_input_grad(&upd, &kd, &g).unwrap(),
-                "{b:?} t_conv_input_grad"
-            );
-            assert_eq!(
-                gold.w_conv_for_s_layer(&xd, &yd, &g).unwrap(),
-                b.w_conv_for_s_layer(&xd, &yd, &g).unwrap(),
-                "{b:?} w_conv_for_s_layer"
-            );
-            assert_eq!(
-                gold.w_conv_for_t_layer(&zd, &upd, &g).unwrap(),
-                b.w_conv_for_t_layer(&zd, &upd, &g).unwrap(),
-                "{b:?} w_conv_for_t_layer"
-            );
+            assert_eq!(golden_f64, passes(b, (&xd, &zd, &kd), &g, wsd), "{b:?}");
         }
 
         // The packed backends agree with each other bit for bit (the
         // single fused accumulation order) and with golden within the
         // accumulation bound.
-        let ref_b = ConvBackend::LoweredZeroFree;
-        let py = ref_b.s_conv(&x, &k, &g).unwrap();
-        let pup = ref_b.t_conv(&z, &k, &g).unwrap();
-        let psig = ref_b.s_conv_input_grad(&y, &k, &g, 10, 10).unwrap();
-        let ptig = ref_b.t_conv_input_grad(&up, &k, &g).unwrap();
-        let pws = ref_b.w_conv_for_s_layer(&x, &y, &g).unwrap();
-        let pwt = ref_b.w_conv_for_t_layer(&z, &up, &g).unwrap();
-        assert!(y.max_abs_diff(&py) <= ACC_BOUND, "packed s_conv vs golden");
-        assert!(
-            up.max_abs_diff(&pup) <= ACC_BOUND,
-            "packed t_conv vs golden"
-        );
-        assert!(sig.max_abs_diff(&psig) <= ACC_BOUND, "packed sig vs golden");
-        assert!(tig.max_abs_diff(&ptig) <= ACC_BOUND, "packed tig vs golden");
-        assert!(ws.max_abs_diff(&pws) <= ACC_BOUND, "packed ws vs golden");
-        assert!(wt.max_abs_diff(&pwt) <= ACC_BOUND, "packed wt vs golden");
-        for b in PACKED {
-            assert_eq!(py, b.s_conv(&x, &k, &g).unwrap(), "{b:?} s_conv");
-            assert_eq!(pup, b.t_conv(&z, &k, &g).unwrap(), "{b:?} t_conv");
-            assert_eq!(
-                psig,
-                b.s_conv_input_grad(&y, &k, &g, 10, 10).unwrap(),
-                "{b:?} s_conv_input_grad"
-            );
-            assert_eq!(
-                ptig,
-                b.t_conv_input_grad(&up, &k, &g).unwrap(),
-                "{b:?} t_conv_input_grad"
-            );
-            assert_eq!(
-                pws,
-                b.w_conv_for_s_layer(&x, &y, &g).unwrap(),
-                "{b:?} w_conv_for_s_layer"
-            );
-            assert_eq!(
-                pwt,
-                b.w_conv_for_t_layer(&z, &up, &g).unwrap(),
-                "{b:?} w_conv_for_t_layer"
+        let packed = passes(ConvBackend::LoweredZeroFree, (&x, &z, &k), &g, ws);
+        let (maps, grads) = (&golden.0, &golden.1);
+        for (i, (gm, pm)) in maps.iter().zip(&packed.0).enumerate() {
+            assert!(
+                gm.max_abs_diff(pm) <= ACC_BOUND,
+                "packed map pass {i} vs golden"
             );
         }
+        for (i, (gw, pw)) in grads.iter().zip(&packed.1).enumerate() {
+            assert!(
+                gw.max_abs_diff(pw) <= ACC_BOUND,
+                "packed W-CONV {i} vs golden"
+            );
+        }
+        assert_eq!(
+            packed,
+            passes(ConvBackend::LoweredGemm, (&x, &z, &k), &g, ws)
+        );
+    }
+
+    /// The six passes of backend `b` on a down layer `x → y` and an up
+    /// layer `z → up` sharing `k`: maps `[s_conv, t_conv, s_input_grad,
+    /// t_input_grad]` and gradients `[w_conv_s, w_conv_t]`. The backward
+    /// passes read the golden forward results, so every backend sees the
+    /// same operands.
+    fn passes<T: Num>(
+        b: ConvBackend,
+        (x, z, k): (&Fmaps<T>, &Fmaps<T>, &Kernels<T>),
+        g: &ConvGeom,
+        ws: &mut ConvWorkspace<T>,
+    ) -> ([Fmaps<T>; 4], [Kernels<T>; 2]) {
+        let gold = ConvBackend::GoldenDirect;
+        let y = gold.s_conv_ws(x, k, g, ws).unwrap();
+        let up = gold.t_conv_ws(z, k, g, ws).unwrap();
+        let (h, w) = (x.height(), x.width());
+        (
+            [
+                b.s_conv_ws(x, k, g, ws).unwrap(),
+                b.t_conv_ws(z, k, g, ws).unwrap(),
+                b.s_conv_input_grad_ws(&y, k, g, h, w, ws).unwrap(),
+                b.t_conv_input_grad_ws(&up, k, g, ws).unwrap(),
+            ],
+            [
+                b.w_conv_for_s_layer_ws(x, &y, g, ws).unwrap(),
+                b.w_conv_for_t_layer_ws(z, &up, g, ws).unwrap(),
+            ],
+        )
     }
 
     #[test]
@@ -555,39 +448,14 @@ mod tests {
         let z: Fmaps<f32> = Fmaps::random(4, 5, 5, 1.0, &mut rng);
         let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
         // Two rounds through one workspace: round two runs on recycled
-        // (dirty) buffers, which is the state the zero-fill rules protect.
+        // (dirty) buffers, which is the state the zero-fill rules protect;
+        // a fresh workspace per pass is the allocating baseline.
         for round in 0..2 {
             for b in ALL {
-                let y = b.s_conv(&x, &k, &g).unwrap();
+                let fresh = passes(b, (&x, &z, &k), &g, &mut ConvWorkspace::new());
                 assert_eq!(
-                    y,
-                    b.s_conv_ws(&x, &k, &g, &mut ws).unwrap(),
-                    "{b:?} r{round}"
-                );
-                let up = b.t_conv(&z, &k, &g).unwrap();
-                assert_eq!(
-                    up,
-                    b.t_conv_ws(&z, &k, &g, &mut ws).unwrap(),
-                    "{b:?} r{round}"
-                );
-                assert_eq!(
-                    b.s_conv_input_grad(&y, &k, &g, 10, 10).unwrap(),
-                    b.s_conv_input_grad_ws(&y, &k, &g, 10, 10, &mut ws).unwrap(),
-                    "{b:?} r{round}"
-                );
-                assert_eq!(
-                    b.t_conv_input_grad(&up, &k, &g).unwrap(),
-                    b.t_conv_input_grad_ws(&up, &k, &g, &mut ws).unwrap(),
-                    "{b:?} r{round}"
-                );
-                assert_eq!(
-                    b.w_conv_for_s_layer(&x, &y, &g).unwrap(),
-                    b.w_conv_for_s_layer_ws(&x, &y, &g, &mut ws).unwrap(),
-                    "{b:?} r{round}"
-                );
-                assert_eq!(
-                    b.w_conv_for_t_layer(&z, &up, &g).unwrap(),
-                    b.w_conv_for_t_layer_ws(&z, &up, &g, &mut ws).unwrap(),
+                    fresh,
+                    passes(b, (&x, &z, &k), &g, &mut ws),
                     "{b:?} r{round}"
                 );
             }
@@ -604,9 +472,10 @@ mod tests {
         let g = geom();
         let x: Fmaps<f32> = Fmaps::zeros(2, 10, 10);
         let k: Kernels<f32> = Kernels::zeros(4, 3, 4, 4);
+        let ws = &mut ConvWorkspace::new();
         for b in ALL {
-            assert!(b.s_conv(&x, &k, &g).is_err(), "{b:?}");
-            assert!(b.t_conv(&x, &k, &g).is_err(), "{b:?}");
+            assert!(b.s_conv_ws(&x, &k, &g, ws).is_err(), "{b:?}");
+            assert!(b.t_conv_ws(&x, &k, &g, ws).is_err(), "{b:?}");
         }
     }
 }

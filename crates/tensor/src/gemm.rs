@@ -1,15 +1,22 @@
 //! GEMM kernels for the lowered convolution fast path.
 //!
-//! One engine, one oracle:
+//! One engine, one driver, one oracle, one test handle:
 //!
 //! * [`Matrix::matmul`] — the plain triple loop, the naive oracle.
 //! * [`matmul_blocked`] and the crate-internal lowering entries — the
 //!   **packed SIMD microkernel** ([`crate::microkernel`]) for `f32` and
-//!   [`Fx`] operands. Other element types (the `f64` validation paths)
-//!   fall back to a cache-blocked scalar kernel that is **bit-identical**
-//!   to the naive loop: blocking tiles only the `i`/`j` (output)
-//!   dimensions while each element's `k` reduction stays sequential in
-//!   ascending order with the same `a.is_zero()` operand skip.
+//!   [`Fx`] operands, every GEMM planned once and run chunk by chunk
+//!   through the one driver, [`microkernel::run_plan_rows`], at the
+//!   process's SIMD level. Other element types (the `f64` validation
+//!   paths) fall back to a cache-blocked scalar kernel that is
+//!   **bit-identical** to the naive loop: blocking tiles only the `i`/`j`
+//!   (output) dimensions while each element's `k` reduction stays
+//!   sequential in ascending order with the same `a.is_zero()` operand
+//!   skip.
+//! * [`matmul_chunked`] — the `#[doc(hidden)]` test handle: the same
+//!   driver at an explicit SIMD level, engine and row partition, which
+//!   every bit-equality suite, bench gate and the `fxsweep` transcript
+//!   pin through.
 //!
 //! # Packed-kernel semantics
 //!
@@ -47,7 +54,7 @@
 //!
 //! Every kernel here computes `A × B` with the zero skip on `A`. The conv
 //! lowerings put the layer's **weights** in `A` (one row per output map,
-//! borrowed in place — [`matmul_slices_ws`]) and the transposed patch
+//! borrowed in place — `matmul_slices_ws`) and the transposed patch
 //! matrix in `B`; the golden nests and the Caffe-style patch-major
 //! lowerings have the patches on the left. Per output element both are the
 //! same `k`-ascending chain with each product's factors swapped, and
@@ -88,7 +95,9 @@ use std::cell::RefCell;
 use crate::error::{ShapeError, TensorResult};
 use crate::fault::{FaultLog, FaultPlan, FaultSite};
 use crate::im2col::Matrix;
-use crate::microkernel::{self, Epilogue, GemmPath, GemmPlan, PackScratch, PackedKind};
+use crate::microkernel::{
+    self, simd_level, Epilogue, GemmPath, GemmPlan, PackScratch, PackedKind, SimdLevel,
+};
 use crate::num::Num;
 use crate::workspace::ConvWorkspace;
 
@@ -244,7 +253,8 @@ pub fn matmul_blocked_into<T: Num>(
         Some(kind) => PACK_TLS.with(|s| {
             let scratch = &mut s.borrow_mut();
             let plan = plan_for(a, b, dims, kind, AScan::Scan, scratch);
-            run_planned(&plan, kind, a, b, out, dims, Epilogue::Store, scratch);
+            let (level, store) = (simd_level(), Epilogue::Store);
+            run_planned(level, &plan, kind, a, b, out, dims, store, scratch);
         }),
         None => gemm_rows(a, b, out, kk, n),
     }
@@ -281,15 +291,17 @@ fn plan_for<T: Num>(
     }
 }
 
-/// Runs one planned packed-family GEMM on raw row-major slices — `a` is
-/// `m × kk`, `b` is `kk × n`, `out` is `m × n` — over the plan's row chunks
-/// (one inline chunk, or a pool batch) and records it. One plan per GEMM
-/// means one telemetry record and an identical engine for every chunk:
-/// bit-neutral under any partition, since every engine's chains run along
-/// `k`. The workers only read `scratch`, which the plan filled before the
-/// batch was submitted.
+/// Runs one planned packed-family GEMM at `level` on raw row-major slices
+/// — `a` is `m × kk`, `b` is `kk × n`, `out` is `m × n` — over the plan's
+/// row chunks (one inline chunk, or a pool batch) and records it. Every
+/// chunk runs [`microkernel::run_plan_rows`], the one driver. One plan per
+/// GEMM means one telemetry record and an identical engine for every
+/// chunk: bit-neutral under any partition, since every engine's chains run
+/// along `k`. The workers only read `scratch`, which the plan filled before
+/// the batch was submitted.
 #[allow(clippy::too_many_arguments)]
 fn run_planned<T: Num>(
+    level: SimdLevel,
     plan: &GemmPlan,
     kind: PackedKind,
     a: &[T],
@@ -303,7 +315,7 @@ fn run_planned<T: Num>(
     microkernel::for_chunks(out, rows_per * n, |c, out_chunk| {
         let row0 = c * rows_per;
         microkernel::run_plan_rows(
-            plan.path, a, b, scratch, out_chunk, row0, kk, n, kind, epilogue,
+            level, plan.path, a, b, scratch, out_chunk, row0, kk, n, kind, epilogue,
         )
     });
     record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
@@ -381,11 +393,14 @@ impl<T: Num> Product<'_, T> {
     }
 }
 
-/// Runs a planned packed-family GEMM into `dest`. An accumulating
-/// destination the engine's epilogue can serve is added to in place; any
-/// other shape (`kk >` [`microkernel::KC`], the broadcast engines, Q8.8)
-/// goes [`Product::via_store`] — the same arithmetic either way.
+/// Runs a planned packed-family GEMM at `level` into `dest`. An
+/// accumulating destination the engine's epilogue can serve is added to in
+/// place; any other shape (`kk >` [`microkernel::KC`], the broadcast
+/// engines, Q8.8) goes [`Product::via_store`] — the same arithmetic either
+/// way.
+#[allow(clippy::too_many_arguments)]
 fn run_planned_into<T: Num>(
+    level: SimdLevel,
     plan: &GemmPlan,
     kind: PackedKind,
     a: &[T],
@@ -397,20 +412,23 @@ fn run_planned_into<T: Num>(
     match dest {
         Product::AddTo(acc) if microkernel::epilogue_accumulates(kind, plan.path, dims.1) => {
             let (add, scratch) = (Epilogue::Accumulate, ws.pack_scratch_ref());
-            run_planned(plan, kind, a, b, acc, dims, add, scratch);
+            run_planned(level, plan, kind, a, b, acc, dims, add, scratch);
         }
         dest => dest.via_store(ws, |out, ws| {
             let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
-            run_planned(plan, kind, a, b, out, dims, store, scratch);
+            run_planned(level, plan, kind, a, b, out, dims, store, scratch);
         }),
     }
 }
 
-/// Test handle for partition invariance: `a × b` stored into (or, with
-/// `add`, added to) `out` through one explicit engine (`None`: the
-/// dispatched one) over explicit `rows_per_chunk`-row chunks, with `B`
-/// packed in as many pieces — every partition a pool width could produce
-/// and many none does, without touching the process-wide width. One chunk
+/// The test handle of the packed engine: `a × b` stored into (or, with
+/// `add`, added to) `out` at an explicit SIMD `level` (one of
+/// [`SimdLevel::supported`]), through one explicit engine (`None`: the
+/// dispatched one), over explicit `rows_per_chunk`-row chunks with `B`
+/// packed in as many pieces — every level the host has and every partition
+/// a pool width could produce (and many none does), without touching the
+/// process-wide level or width. It runs the production driver; only the
+/// level, the engine and the partition are pinned. One chunk
 /// (`rows_per_chunk = a.rows()`) is the fully inline engine the bench gates
 /// measure the default fan-out against.
 ///
@@ -419,11 +437,13 @@ fn run_planned_into<T: Num>(
 /// Panics on an element type without packed kernels, disagreeing shapes or
 /// `rows_per_chunk == 0`.
 #[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
 pub fn matmul_chunked<T: Num>(
     a: &Matrix<T>,
     b: &Matrix<T>,
     out: &mut Matrix<T>,
     add: bool,
+    level: SimdLevel,
     path: Option<GemmPath>,
     rows_per_chunk: usize,
     ws: &mut ConvWorkspace<T>,
@@ -442,7 +462,7 @@ pub fn matmul_chunked<T: Num>(
     } else {
         Product::Store(out.as_mut_slice())
     };
-    run_planned_into(&plan, kind, a, b, dest, dims, ws);
+    run_planned_into(level, &plan, kind, a, b, dest, dims, ws);
 }
 
 /// `a × b → dest` with `A` **borrowed in place** as an `m × b.rows()`
@@ -487,7 +507,7 @@ pub(crate) fn matmul_slices_ws<T: Num>(
     match microkernel::packed_kind::<T>() {
         Some(kind) => {
             let plan = plan_for(a, b, dims, kind, scan, ws.pack_scratch());
-            run_planned_into(&plan, kind, a, b, dest, dims, ws);
+            run_planned_into(simd_level(), &plan, kind, a, b, dest, dims, ws);
         }
         None => dest.via_store(ws, |out, _| gemm_rows(a, b, out, kk, n)),
     }
@@ -504,7 +524,7 @@ pub(crate) fn matmul_slices_ws<T: Num>(
 /// The `A` scan runs **before** `B` exists: when the dispatch layer picks
 /// a broadcast path (small-`m` or ikj), `B` is never materialized — rows
 /// stream through a one-`k`-tile workspace buffer, `k` ascending, each
-/// live `(i, k)` pair applying one [`microkernel::axpy_packed`] update,
+/// live `(i, k)` pair applying one axpy update of the ikj tile kernels,
 /// and `B` rows whose `A` column is entirely zero are never even
 /// generated. That is the same per-element operation chain as every other
 /// engine (the f32 fused chain / the saturating Q8.8 chain, zero terms
@@ -667,6 +687,7 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
     let mut out = ws.take_matrix_dirty(m, n);
     let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
     run_planned(
+        simd_level(),
         &plan,
         kind,
         a.as_slice(),
@@ -782,14 +803,15 @@ mod tests {
         fn check<T: Num>(a: &Matrix<T>, b: &Matrix<T>, acc: &Matrix<T>) {
             let m = a.rows();
             let mut ws = ConvWorkspace::new();
+            let level = simd_level();
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
                 for add in [false, true] {
                     let mut want = acc.clone();
-                    matmul_chunked(a, b, &mut want, add, Some(path), m, &mut ws);
-                    for rows_per_chunk in [1, 5, 6, 7, 13] {
+                    matmul_chunked(a, b, &mut want, add, level, Some(path), m, &mut ws);
+                    for rows in [1, 5, 6, 7, 13] {
                         let mut got = acc.clone();
-                        matmul_chunked(a, b, &mut got, add, Some(path), rows_per_chunk, &mut ws);
-                        assert_eq!(want, got, "{path:?} add={add} rows={rows_per_chunk}");
+                        matmul_chunked(a, b, &mut got, add, level, Some(path), rows, &mut ws);
+                        assert_eq!(want, got, "{path:?} add={add} rows={rows}");
                     }
                 }
             }
@@ -800,8 +822,8 @@ mod tests {
             let b = random_matrix(kk, 39, 0.0, &mut rng);
             let acc = random_matrix(37, 39, 0.0, &mut rng);
             assert_eq!(matmul_blocked(&a, &b).unwrap(), {
-                let mut one = acc.clone();
-                matmul_chunked(&a, &b, &mut one, false, None, 37, &mut ConvWorkspace::new());
+                let (mut one, ws) = (acc.clone(), &mut ConvWorkspace::new());
+                matmul_chunked(&a, &b, &mut one, false, simd_level(), None, 37, ws);
                 one
             });
             check(&a, &b, &acc);
@@ -814,6 +836,53 @@ mod tests {
                 Matrix::from_vec(m.rows(), m.cols(), data)
             };
             check(&fx(&a), &fx(&b), &fx(&acc));
+        }
+    }
+
+    /// One GEMM stored or added at every SIMD level the host has, on every
+    /// engine, in chunks of one row, one register tile and all rows: one
+    /// result, the inline scalar one — for f32 and Q8.8, on shapes with
+    /// ragged tiles and panels and (one case in four) a chain spanning two
+    /// `k`-chunks.
+    fn check_every_level_path_and_partition<T: Num>(a: &Matrix<T>, b: &Matrix<T>, acc: &Matrix<T>) {
+        let m = a.rows();
+        let mut ws = ConvWorkspace::new();
+        for add in [false, true] {
+            let (mut want, scalar) = (acc.clone(), SimdLevel::Scalar);
+            matmul_chunked(a, b, &mut want, add, scalar, None, m, &mut ws);
+            for level in SimdLevel::supported() {
+                for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+                    for rows in [1, microkernel::MR_F32, m] {
+                        let mut got = acc.clone();
+                        matmul_chunked(a, b, &mut got, add, level, Some(path), rows, &mut ws);
+                        assert_eq!(want, got, "{level:?} {path:?} add={add} rows={rows}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+        #[test]
+        fn every_level_path_and_partition_is_bit_identical_to_one_scalar_chunk(
+            m in 1usize..15,
+            kk in 1usize..60,
+            deep in 0usize..4,
+            n in 1usize..41,
+            seed in 0u64..1 << 32,
+        ) {
+            let kk = if deep == 0 { microkernel::KC + kk } else { kk };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let a = random_matrix(m, kk, 0.5, &mut rng);
+            let b = random_matrix(kk, n, 0.1, &mut rng);
+            let acc = random_matrix(m, n, 0.2, &mut rng);
+            check_every_level_path_and_partition(&a, &b, &acc);
+            let fx = |m: &Matrix<f32>| {
+                let data = m.as_slice().iter().map(|v| Fx::from_f32(*v * 64.0)).collect();
+                Matrix::from_vec(m.rows(), m.cols(), data)
+            };
+            check_every_level_path_and_partition(&fx(&a), &fx(&b), &fx(&acc));
         }
     }
 

@@ -140,40 +140,20 @@ impl<T: Num> Matrix<T> {
         self.data.iter().filter(|v| v.is_zero()).count() as f64 / self.data.len() as f64
     }
 
-    /// Plain triple-loop GEMM: `self × rhs`.
+    /// Plain triple-loop GEMM: `self × rhs` — the naive oracle the packed
+    /// engine is measured and bounded against.
     ///
     /// # Errors
     ///
     /// Returns an error if the inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix<T>) -> TensorResult<Matrix<T>> {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Matrix::matmul`] into a caller-provided output matrix, which is
-    /// zero-filled first (the triple loop accumulates with `+=`). The
-    /// allocation-free form the workspace conv path uses; bit-identical to
-    /// [`Matrix::matmul`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the inner dimensions disagree or `out` has the
-    /// wrong shape.
-    pub fn matmul_into(&self, rhs: &Matrix<T>, out: &mut Matrix<T>) -> TensorResult<()> {
         if self.cols != rhs.rows {
             return Err(ShapeError::new(format!(
                 "matmul inner dimensions disagree: {}×{} vs {}×{}",
                 self.rows, self.cols, rhs.rows, rhs.cols
             )));
         }
-        if out.rows != self.rows || out.cols != rhs.cols {
-            return Err(ShapeError::new(format!(
-                "matmul output shape {}×{} does not match {}×{}",
-                out.rows, out.cols, self.rows, rhs.cols
-            )));
-        }
-        out.data.fill(T::zero());
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
@@ -185,7 +165,7 @@ impl<T: Num> Matrix<T> {
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 }
 
@@ -468,34 +448,6 @@ pub fn weights_as_matrix_t<T: Num>(k: &Kernels<T>) -> Matrix<T> {
     m
 }
 
-/// `S-CONV` computed by `im2col + GEMM`. Bit-equivalent (up to float
-/// summation order) to [`crate::s_conv`].
-///
-/// # Errors
-///
-/// Returns an error if `k` does not match `input`'s channel count.
-pub fn s_conv_via_gemm<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-) -> TensorResult<Fmaps<T>> {
-    if k.n_if() != input.channels() {
-        return Err(ShapeError::new("kernel/input channel mismatch"));
-    }
-    let lowered = im2col_s(input, geom);
-    let product = lowered.patches.matmul(&weights_as_matrix_s(k))?;
-    let (oh, ow) = lowered.out_hw;
-    let mut out = Fmaps::zeros(k.n_of(), oh, ow);
-    for of in 0..k.n_of() {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                *out.at_mut(of, oy, ox) = *product.at(oy * ow + ox, of);
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// `S-CONV` by lowering onto the packed GEMM engine, drawing every
 /// transient from the workspace; the returned maps belong to the caller
 /// (recycle them via [`ConvWorkspace::give_fmaps`]).
@@ -503,14 +455,14 @@ pub fn s_conv_via_gemm<T: Num>(
 /// The lowering runs **weight-stationary**: the kernel tensor, read in
 /// place as the `N_of × (N_if·K_h·K_w)` matrix it already is, is the
 /// GEMM's `A` operand; `B` is the transposed patch matrix
-/// ([`fill_im2col_s_transposed`]), the only operand lowered per call; and
+/// (`fill_im2col_s_transposed`), the only operand lowered per call; and
 /// the product's rows *are* the output maps, written straight into their
 /// storage. Per output element that is the same `k`-ascending chain as the
 /// patch-major form with each product's two factors swapped — bit-neutral,
 /// multiplication being commutative in every element type.
 ///
 /// The backward error pass of a T-CONV layer is this very computation on
-/// the error maps (see [`crate::zero_free::t_conv_input_grad_via_gemm_ws`]).
+/// the error maps (see [`crate::ConvBackend::t_conv_input_grad_ws`]).
 ///
 /// # Errors
 ///
@@ -538,38 +490,21 @@ pub fn s_conv_via_gemm_ws<T: Num>(
     done.map(|()| out)
 }
 
-/// `T-CONV` computed by zero-insert + `im2col + GEMM` — the Caffe
-/// deconvolution cost model made executable.
-///
-/// # Errors
-///
-/// Returns an error if `k` does not match `input`'s channel count.
-pub fn t_conv_via_gemm<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-) -> TensorResult<Fmaps<T>> {
-    if k.n_of() != input.channels() {
-        return Err(ShapeError::new("kernel/input channel mismatch"));
-    }
-    let lowered = im2col_t(input, geom);
-    let product = lowered.patches.matmul(&weights_as_matrix_t(k))?;
-    let (oh, ow) = lowered.out_hw;
-    let mut out = Fmaps::zeros(k.n_if(), oh, ow);
-    for lf in 0..k.n_if() {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                *out.at_mut(lf, oy, ox) = *product.at(oy * ow + ox, lf);
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv::{s_conv, t_conv};
+    use crate::ConvBackend;
+
+    /// The shipped dense lowerings: `S-CONV` and the zero-inserting
+    /// `T-CONV` of [`ConvBackend::LoweredGemm`].
+    fn s_conv_lowered(x: &Fmaps<f64>, k: &Kernels<f64>, g: &ConvGeom) -> TensorResult<Fmaps<f64>> {
+        ConvBackend::LoweredGemm.s_conv_ws(x, k, g, &mut ConvWorkspace::new())
+    }
+
+    fn t_conv_lowered(x: &Fmaps<f64>, k: &Kernels<f64>, g: &ConvGeom) -> TensorResult<Fmaps<f64>> {
+        ConvBackend::LoweredGemm.t_conv_ws(x, k, g, &mut ConvWorkspace::new())
+    }
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -687,8 +622,8 @@ mod tests {
         let x: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
         let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let direct = s_conv(&x, &k, &geom()).unwrap();
-        let gemm = s_conv_via_gemm(&x, &k, &geom()).unwrap();
-        assert!(direct.max_abs_diff(&gemm) < 1e-9);
+        let gemm = s_conv_lowered(&x, &k, &geom()).unwrap();
+        assert_eq!(direct, gemm);
     }
 
     #[test]
@@ -697,8 +632,8 @@ mod tests {
         let x: Fmaps<f64> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
         let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let direct = t_conv(&x, &k, &geom()).unwrap();
-        let gemm = t_conv_via_gemm(&x, &k, &geom()).unwrap();
-        assert!(direct.max_abs_diff(&gemm) < 1e-9);
+        let gemm = t_conv_lowered(&x, &k, &geom()).unwrap();
+        assert_eq!(direct, gemm);
     }
 
     #[test]
@@ -719,9 +654,9 @@ mod tests {
     fn gemm_rejects_channel_mismatch() {
         let x: Fmaps<f64> = Fmaps::zeros(2, 12, 12);
         let k: Kernels<f64> = Kernels::zeros(5, 3, 4, 4);
-        assert!(s_conv_via_gemm(&x, &k, &geom()).is_err());
+        assert!(s_conv_lowered(&x, &k, &geom()).is_err());
         let z: Fmaps<f64> = Fmaps::zeros(2, 6, 6);
-        assert!(t_conv_via_gemm(&z, &k, &geom()).is_err());
+        assert!(t_conv_lowered(&z, &k, &geom()).is_err());
     }
 
     #[test]
@@ -731,11 +666,11 @@ mod tests {
         let x: Fmaps<f64> = Fmaps::random(2, 14, 14, 1.0, &mut rng);
         let k: Kernels<f64> = Kernels::random(4, 2, 5, 5, 1.0, &mut rng);
         let a = s_conv(&x, &k, &g).unwrap();
-        let b = s_conv_via_gemm(&x, &k, &g).unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-9);
+        let b = s_conv_lowered(&x, &k, &g).unwrap();
+        assert_eq!(a, b);
         let z: Fmaps<f64> = Fmaps::random(4, 7, 7, 1.0, &mut rng);
         let c = t_conv(&z, &k, &g).unwrap();
-        let d = t_conv_via_gemm(&z, &k, &g).unwrap();
-        assert!(c.max_abs_diff(&d) < 1e-9);
+        let d = t_conv_lowered(&z, &k, &g).unwrap();
+        assert_eq!(c, d);
     }
 }

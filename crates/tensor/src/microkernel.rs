@@ -45,8 +45,8 @@
 //! stride-49 nonzero columns) defeats the KP-panel masks because every
 //! row's few live words sit in distinct panels, and the `m = 1`
 //! input-grad GEMMs amortize a full `B` pack over a single output row.
-//! [`matmul_f32_at`] / [`matmul_fx_at`] therefore route each call through
-//! [`choose_path`] to one of three engines ([`GemmPath`]):
+//! Each GEMM is therefore planned ([`plan_gemm`]: one `A` scan, then
+//! [`choose_path`]) onto one of three engines ([`GemmPath`]):
 //!
 //! * [`GemmPath::Packed`] — the packed panel kernel above (the default).
 //! * [`GemmPath::Ikj`] — a broadcast-FMA `ikj` kernel over **unpacked**
@@ -64,6 +64,13 @@
 //! (or [`set_forced_path`]) pins it for testing. Every engine computes the
 //! same per-element operation chain (see below), so dispatch is never a
 //! semantics choice.
+//!
+//! One driver runs every plan: [`run_plan_rows`] executes the planned
+//! engine over one chunk of output rows at the [`SimdLevel`] it is handed.
+//! Production hands it [`simd_level`]; the one test handle,
+//! [`crate::gemm::matmul_chunked`], pins the level, the engine and the row
+//! partition and runs the same driver, so the bit-equality suites cover
+//! every level the host has through the code training runs.
 //!
 //! # Fan-out
 //!
@@ -325,8 +332,12 @@ pub fn set_forced_path(path: Option<GemmPath>) {
 }
 
 /// The forced dispatch path, if any: [`set_forced_path`] wins over
-/// `ZFGAN_FORCE_KERNEL=packed|ikj|smallm` (unset/empty/unknown values
-/// force nothing).
+/// `ZFGAN_FORCE_KERNEL=packed|ikj|smallm` (unset or empty forces nothing).
+///
+/// # Panics
+///
+/// Panics on any other `ZFGAN_FORCE_KERNEL` value, naming the accepted
+/// ones: a misspelt path must not quietly test the dispatched default.
 pub fn forced_path() -> Option<GemmPath> {
     match FORCED_RT.load(std::sync::atomic::Ordering::Relaxed) {
         1 => return Some(GemmPath::Packed),
@@ -335,16 +346,24 @@ pub fn forced_path() -> Option<GemmPath> {
         _ => {}
     }
     *FORCED_ENV.get_or_init(|| {
-        match std::env::var("ZFGAN_FORCE_KERNEL")
-            .unwrap_or_default()
-            .trim()
-        {
-            "packed" => Some(GemmPath::Packed),
-            "ikj" => Some(GemmPath::Ikj),
-            "smallm" => Some(GemmPath::SmallM),
-            _ => None,
-        }
+        let value = std::env::var("ZFGAN_FORCE_KERNEL").unwrap_or_default();
+        parse_forced_path(&value).unwrap_or_else(|e| panic!("{e}"))
     })
+}
+
+/// Parses a `ZFGAN_FORCE_KERNEL` value: blank forces nothing, a
+/// [`GemmPath::label`] forces that path, anything else is an error naming
+/// the accepted values.
+fn parse_forced_path(value: &str) -> Result<Option<GemmPath>, String> {
+    let value = value.trim();
+    if value.is_empty() {
+        return Ok(None);
+    }
+    [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM]
+        .into_iter()
+        .find(|p| p.label() == value)
+        .map(Some)
+        .ok_or_else(|| format!("ZFGAN_FORCE_KERNEL={value:?}: expected packed|ikj|smallm"))
 }
 
 /// `Ikj` is chosen when at least [`IKJ_ZERO_NUM`]`/`[`IKJ_ZERO_DEN`] of
@@ -411,9 +430,10 @@ pub(crate) fn fan_out_pieces(macs: usize, threads: usize) -> usize {
 }
 
 /// The output-row chunk length a packed `m × kk × n` GEMM fans out by at
-/// pool width `threads`: `m` (one inline chunk) when [`fan_out_pieces`]
-/// says so or the rows fill no more than one register tile, otherwise a
-/// multiple of [`MR_F32`], so every chunk but the last is whole tiles.
+/// pool width `threads`: `m` (one inline chunk) under
+/// [`FAN_OUT_MIN_MACS`], on a serial pool or when the rows fill no more
+/// than one register tile, otherwise a multiple of [`MR_F32`], so every
+/// chunk but the last is whole tiles.
 /// Scheduling only: each output element is one `k`-ascending chain computed
 /// by one thread, so bits do not depend on the value returned.
 pub fn fan_out_rows(m: usize, kk: usize, n: usize, threads: usize) -> usize {
@@ -977,7 +997,7 @@ fn for_each_tile(
 /// Panics if the operand lengths disagree with `(kk, n)`, or if the
 /// accumulate epilogue is asked of a `kk` that spans several chunks.
 #[allow(clippy::too_many_arguments)]
-pub fn f32_rows(
+fn f32_rows(
     level: SimdLevel,
     a_rows: &[f32],
     masks: &[u64],
@@ -1056,53 +1076,12 @@ pub fn f32_rows(
     );
 }
 
-/// f32 axpy signature: `out_row += av · b_row`, one fused multiply–add
-/// per element. `unsafe fn` for the same feature-gating reason as
-/// [`F32TileFn`].
-type F32AxpyFn = unsafe fn(f32, &[f32], &mut [f32]);
-
-fn f32_axpy_for(level: SimdLevel) -> F32AxpyFn {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        l if l >= SimdLevel::Avx2Fma => f32_axpy_avx2,
-        _ => f32_axpy_scalar,
-    }
-}
-
 /// Portable f32 axpy: `out[j] = fma(av, b[j], out[j])` — the same
-/// correctly-rounded operation as one `vfmadd` lane, so both levels are
-/// bit-identical.
+/// correctly-rounded operation as one `vfmadd` lane of the AVX2 ikj tile,
+/// so both levels are bit-identical.
 fn f32_axpy_scalar(av: f32, b_row: &[f32], out_row: &mut [f32]) {
     for (o, &bv) in out_row.iter_mut().zip(b_row) {
         *o = <f32 as Num>::fused_mul_add(*o, av, bv);
-    }
-}
-
-/// AVX2/FMA f32 axpy: broadcast `av` once, fused multiply–add over
-/// 8-lane groups with a `mul_add` scalar tail (the identical operation
-/// per lane — see [`f32_axpy_scalar`]).
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` and `fma` are available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn f32_axpy_avx2(av: f32, b_row: &[f32], out_row: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = out_row.len().min(b_row.len());
-    let avv = _mm256_set1_ps(av);
-    let bp = b_row.as_ptr();
-    let op = out_row.as_mut_ptr();
-    let mut j = 0;
-    while j + 8 <= n {
-        let b = _mm256_loadu_ps(bp.add(j));
-        let o = _mm256_loadu_ps(op.add(j));
-        _mm256_storeu_ps(op.add(j), _mm256_fmadd_ps(avv, b, o));
-        j += 8;
-    }
-    while j < n {
-        *op.add(j) = av.mul_add(*bp.add(j), *op.add(j));
-        j += 1;
     }
 }
 
@@ -1127,7 +1106,7 @@ unsafe fn f32_axpy_avx2(av: f32, b_row: &[f32], out_row: &mut [f32]) {
 /// still sees its contributions over `k` ascending (tile-outer,
 /// row-middle, `k`-inner), so the interchange stays bit-neutral.
 /// Bit-identical for every [`SimdLevel`].
-pub fn f32_ikj_rows(
+fn f32_ikj_rows(
     level: SimdLevel,
     a_rows: &[f32],
     masks: &[u64],
@@ -1498,7 +1477,7 @@ unsafe fn fx_row_panel_avx2(
 /// [`Fx`] data), in the same `for_each_tile` order as [`f32_rows`] with
 /// one-row tiles. Writes every element of `out_rows`. Bit-identical to
 /// scalar [`Fx`] semantics for every [`SimdLevel`].
-pub fn fx_rows(
+fn fx_rows(
     level: SimdLevel,
     a_rows: &[i16],
     masks: &[u64],
@@ -1601,7 +1580,7 @@ unsafe fn fx_axpy_avx2(av: i16, b_row: &[i16], out_row: &mut [i16]) {
 /// the same [`IKJ_KB`]-tiled walk and [`KP`]-panel mask skips so dead `A`
 /// panels are never re-read after the dispatch scan; zero `A` words skip
 /// element-wise — exact, since a zero operand's term is exactly zero.
-pub fn fx_ikj_rows(
+fn fx_ikj_rows(
     level: SimdLevel,
     a_rows: &[i16],
     masks: &[u64],
@@ -1753,180 +1732,6 @@ pub(crate) fn ikj_tile_packed<T: Num>(
 // Whole-matrix drivers
 // ---------------------------------------------------------------------------
 
-/// Runs one dispatch path's f32 engine. Assumes `scratch.masks` was just
-/// built for `a`; packs `B` if (and only if) the path needs it.
-#[allow(clippy::too_many_arguments)]
-fn run_f32_path(
-    level: SimdLevel,
-    path: GemmPath,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) {
-    match path {
-        GemmPath::Packed => {
-            pack_b::<_, NR_F32>(b, kk, n, 1, &mut scratch.bf32);
-            let store = Epilogue::Store;
-            f32_rows(
-                level,
-                a,
-                &scratch.masks,
-                scratch.bf32.get(),
-                out,
-                kk,
-                n,
-                store,
-            );
-        }
-        // On materialized `B` the small-`m` path shares the ikj engine (one
-        // streamed pass over `B`, no pack — the register tile re-walks `B`
-        // once per column strip and loses); SmallM stays a distinct path
-        // because the streamed driver in `crate::gemm` keys the
-        // fill-row-on-demand lowering off it.
-        GemmPath::Ikj | GemmPath::SmallM => f32_ikj_rows(level, a, &scratch.masks, b, out, kk, n),
-    }
-}
-
-/// Dispatch-routed f32 GEMM at `level`: scans `A`, picks the engine via
-/// [`choose_path`] (or the forced override) and runs it. Returns
-/// `(skipped, visited)` operand-word counts — pure functions of `a` and
-/// the shape (thread- and SIMD-invariant).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_f32_at(
-    level: SimdLevel,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let (skipped, zeros) = build_masks(a, m, kk, &mut scratch.masks);
-    let path = dispatch_path(m, kk, n, zeros);
-    run_f32_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// f32 GEMM through one **explicit** dispatch path (ignores both
-/// [`choose_path`] and the forced override) — the bit-equality proptests
-/// and the shape benches pin each engine against the others through this
-/// entry. Every path is correct for every shape.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_f32_path(
-    level: SimdLevel,
-    path: GemmPath,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let (skipped, _) = build_masks(a, m, kk, &mut scratch.masks);
-    run_f32_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// [`matmul_f32_at`] at the process-selected [`simd_level`].
-pub fn matmul_f32(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    matmul_f32_at(simd_level(), a, b, out, m, kk, n, scratch)
-}
-
-/// Runs one dispatch path's Q8.8 engine (see [`run_f32_path`]). The two
-/// non-packed paths share [`fx_ikj_rows`]: byte-identity to scalar [`Fx`]
-/// semantics is the only Q8.8 contract, and both satisfy it.
-#[allow(clippy::too_many_arguments)]
-fn run_fx_path(
-    level: SimdLevel,
-    path: GemmPath,
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) {
-    match path {
-        GemmPath::Packed => {
-            pack_b::<_, NR_FX>(b, kk, n, 1, &mut scratch.bi16);
-            fx_rows(level, a, &scratch.masks, scratch.bi16.get(), out, kk, n);
-        }
-        GemmPath::Ikj | GemmPath::SmallM => fx_ikj_rows(level, a, &scratch.masks, b, out, kk, n),
-    }
-}
-
-/// Dispatch-routed Q8.8 GEMM at `level` on raw-`i16` views. Returns
-/// `(skipped, visited)` as [`matmul_f32_at`].
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_fx_at(
-    level: SimdLevel,
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let a_fx: &[Fx] = fx_view(a);
-    let (skipped, zeros) = build_masks(a_fx, m, kk, &mut scratch.masks);
-    let path = dispatch_path(m, kk, n, zeros);
-    run_fx_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// Q8.8 GEMM through one explicit dispatch path (see
-/// [`matmul_f32_path`]).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_fx_path(
-    level: SimdLevel,
-    path: GemmPath,
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let a_fx: &[Fx] = fx_view(a);
-    let (skipped, _) = build_masks(a_fx, m, kk, &mut scratch.masks);
-    run_fx_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// [`matmul_fx_at`] at the process-selected [`simd_level`].
-pub fn matmul_fx(
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    matmul_fx_at(simd_level(), a, b, out, m, kk, n, scratch)
-}
-
-/// Reinterprets a raw-`i16` slice as [`Fx`] (`repr(transparent)`).
-fn fx_view(raw: &[i16]) -> &[Fx] {
-    // SAFETY: `Fx` is `#[repr(transparent)]` over `i16`.
-    unsafe { std::slice::from_raw_parts(raw.as_ptr() as *const Fx, raw.len()) }
-}
-
 /// One GEMM's dispatch decision plus the zero-scan statistics it was
 /// derived from — everything the caller needs to run row chunks and
 /// record telemetry. `path`, `skipped` and `visited` are pure functions of
@@ -2049,11 +1854,13 @@ pub(crate) fn pack_for_plan<T: Num>(
     }
 }
 
-/// Runs one planned GEMM's engine at the process-selected level over a
+/// The one GEMM driver: runs one planned GEMM's engine at `level` over a
 /// contiguous row chunk. `row0` is the absolute first row of the chunk;
 /// `b` is the **unpacked** `B` (the packed path reads the panels packed
-/// into `scratch` by [`plan_gemm`] instead). Bit-neutral under any row
-/// partition: every engine's per-element chain runs along `k`, never
+/// into `scratch` by [`plan_gemm`] instead). Production passes
+/// [`simd_level`]; a test handle passes any level of
+/// [`SimdLevel::supported`]. Bit-neutral under any row partition and at
+/// every level: every engine's per-element chain runs along `k`, never
 /// across rows.
 ///
 /// # Panics
@@ -2062,6 +1869,7 @@ pub(crate) fn pack_for_plan<T: Num>(
 /// [`epilogue_accumulates`] does not hold for this plan.
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_rows<T: Num>(
+    level: SimdLevel,
     path: GemmPath,
     a: &[T],
     b: &[T],
@@ -2095,7 +1903,6 @@ pub fn run_plan_rows<T: Num>(
                 )
             };
             let a_rows = &af[row0 * kk..(row0 + rows_here) * kk];
-            let level = simd_level();
             match path {
                 GemmPath::Packed => {
                     f32_rows(
@@ -2129,49 +1936,12 @@ pub fn run_plan_rows<T: Num>(
             let a_rows = &ai[row0 * kk..(row0 + rows_here) * kk];
             match path {
                 GemmPath::Packed => {
-                    fx_rows(simd_level(), a_rows, masks, scratch.bi16.get(), oi, kk, n);
+                    fx_rows(level, a_rows, masks, scratch.bi16.get(), oi, kk, n);
                 }
                 GemmPath::Ikj | GemmPath::SmallM => {
-                    fx_ikj_rows(simd_level(), a_rows, masks, bi, oi, kk, n);
+                    fx_ikj_rows(level, a_rows, masks, bi, oi, kk, n);
                 }
             }
-        }
-    }
-}
-
-/// `out_row += av · b_row` with the packed family's exact per-element
-/// semantics (one fused f32 step / one saturating Q8.8 step per element)
-/// at the process-selected level — the inner update of the streamed
-/// broadcast driver in [`crate::gemm`], which runs the same `k`-ascending
-/// chain as every other engine with `B` rows produced on the fly.
-pub fn axpy_packed<T: Num>(kind: PackedKind, av: T, b_row: &[T], out_row: &mut [T]) {
-    match kind {
-        PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`).
-            let (avf, bf, of) = unsafe {
-                (
-                    std::mem::transmute_copy::<T, f32>(&av),
-                    std::slice::from_raw_parts(b_row.as_ptr() as *const f32, b_row.len()),
-                    std::slice::from_raw_parts_mut(out_row.as_mut_ptr() as *mut f32, out_row.len()),
-                )
-            };
-            let axpy = f32_axpy_for(simd_level());
-            // SAFETY: feature-gated kernels are only resolved for levels
-            // whose features were detected.
-            unsafe { axpy(avf, bf, of) };
-        }
-        PackedKind::Fx => {
-            // SAFETY: `kind` proves `T == Fx`, `repr(transparent)` over i16.
-            let (avi, bi, oi) = unsafe {
-                (
-                    std::mem::transmute_copy::<T, i16>(&av),
-                    std::slice::from_raw_parts(b_row.as_ptr() as *const i16, b_row.len()),
-                    std::slice::from_raw_parts_mut(out_row.as_mut_ptr() as *mut i16, out_row.len()),
-                )
-            };
-            let axpy = fx_axpy_for(simd_level());
-            // SAFETY: as above.
-            unsafe { axpy(avi, bi, oi) };
         }
     }
 }
@@ -2179,6 +1949,8 @@ pub fn axpy_packed<T: Num>(kind: PackedKind, av: T, b_row: &[T], out_row: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::im2col::Matrix;
+    use crate::ConvWorkspace;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -2214,6 +1986,36 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `a × b` stored over `out` at `level` through `path` (`None`: the
+    /// dispatched engine), in one inline chunk of the packed engine's test
+    /// handle.
+    fn chunked<T: Num>(
+        (level, path): (SimdLevel, Option<GemmPath>),
+        a: &[T],
+        b: &[T],
+        out: Vec<T>,
+        (m, kk, n): (usize, usize, usize),
+    ) -> Vec<T> {
+        let a = Matrix::from_vec(m, kk, a.to_vec());
+        let b = Matrix::from_vec(kk, n, b.to_vec());
+        let (mut out, ws) = (Matrix::from_vec(m, n, out), &mut ConvWorkspace::new());
+        crate::gemm::matmul_chunked(&a, &b, &mut out, false, level, path, m, ws);
+        out.into_vec()
+    }
+
+    /// [`chunked`] on raw Q8.8 words.
+    fn chunked_fx(
+        route: (SimdLevel, Option<GemmPath>),
+        a: &[i16],
+        b: &[i16],
+        dims: (usize, usize, usize),
+    ) -> Vec<i16> {
+        let fx = |raw: &[i16]| raw.iter().map(|&r| Fx::from_raw(r)).collect::<Vec<_>>();
+        let out = vec![Fx::ZERO; dims.0 * dims.2];
+        let got = chunked(route, &fx(a), &fx(b), out, dims);
+        got.iter().map(|v| v.raw()).collect()
+    }
+
     #[test]
     fn f32_levels_are_bit_identical_and_match_the_fused_chain() {
         let mut rng = SmallRng::seed_from_u64(91);
@@ -2228,10 +2030,8 @@ mod tests {
             let a = random_f32(m * kk, 0.5, &mut rng);
             let b = random_f32(kk * n, 0.1, &mut rng);
             let reference = fused_reference(&a, &b, m, kk, n);
-            let mut scratch = PackScratch::new();
             for level in SimdLevel::supported() {
-                let mut out = vec![0.0f32; m * n];
-                matmul_f32_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
+                let out = chunked((level, None), &a, &b, vec![0.0; m * n], (m, kk, n));
                 assert_eq!(bits(&reference), bits(&out), "{level:?} {m}x{kk}x{n}");
             }
         }
@@ -2396,11 +2196,9 @@ mod tests {
             let a = random_f32(m * kk, 0.5, &mut rng);
             let b = random_f32(kk * n, 0.1, &mut rng);
             let reference = bits(&fused_reference(&a, &b, m, kk, n));
-            let mut scratch = PackScratch::new();
             for level in SimdLevel::supported() {
-                let mut out = vec![f32::NAN; m * n];
-                let packed = GemmPath::Packed;
-                matmul_f32_path(level, packed, &a, &b, &mut out, m, kk, n, &mut scratch);
+                let route = (level, Some(GemmPath::Packed));
+                let out = chunked(route, &a, &b, vec![f32::NAN; m * n], (m, kk, n));
                 assert!(reference == bits(&out), "{level:?} {m}x{kk}x{n}");
             }
         }
@@ -2482,12 +2280,26 @@ mod tests {
                     reference[i * n + j] = acc.raw();
                 }
             }
-            let mut scratch = PackScratch::new();
             for level in SimdLevel::supported() {
-                let mut out = vec![0i16; m * n];
-                matmul_fx_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
+                let out = chunked_fx((level, None), &a, &b, (m, kk, n));
                 assert_eq!(reference, out, "{level:?} {m}x{kk}x{n}");
             }
+        }
+    }
+
+    #[test]
+    fn forced_path_values_parse_or_name_the_accepted_ones() {
+        assert_eq!(parse_forced_path(""), Ok(None));
+        assert_eq!(parse_forced_path("  "), Ok(None));
+        assert_eq!(parse_forced_path("packed"), Ok(Some(GemmPath::Packed)));
+        assert_eq!(parse_forced_path(" ikj\n"), Ok(Some(GemmPath::Ikj)));
+        assert_eq!(parse_forced_path("smallm"), Ok(Some(GemmPath::SmallM)));
+        for typo in ["pakced", "Packed", "small-m", "none"] {
+            let err = parse_forced_path(typo).expect_err(typo);
+            assert!(
+                err.contains(typo) && err.contains("packed|ikj|smallm"),
+                "{err}"
+            );
         }
     }
 
@@ -2596,11 +2408,10 @@ mod tests {
             let a = random_f32(m * kk, zf, &mut rng);
             let b = random_f32(kk * n, 0.1, &mut rng);
             let reference = fused_reference(&a, &b, m, kk, n);
-            let mut scratch = PackScratch::new();
             for path in ALL_PATHS {
                 for level in SimdLevel::supported() {
-                    let mut out = vec![0.0f32; m * n];
-                    matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                    let route = (level, Some(path));
+                    let out = chunked(route, &a, &b, vec![0.0; m * n], (m, kk, n));
                     let same = reference
                         .iter()
                         .zip(&out)
@@ -2637,11 +2448,9 @@ mod tests {
                     reference[i * n + j] = acc.raw();
                 }
             }
-            let mut scratch = PackScratch::new();
             for path in ALL_PATHS {
                 for level in SimdLevel::supported() {
-                    let mut out = vec![0i16; m * n];
-                    matmul_fx_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                    let out = chunked_fx((level, Some(path)), &a, &b, (m, kk, n));
                     assert_eq!(reference, out, "{path:?} {level:?} {m}x{kk}x{n}");
                 }
             }

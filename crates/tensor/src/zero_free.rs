@@ -15,9 +15,9 @@
 //! the phase lowers to a compact patch matrix whose columns enumerate
 //! only the kept taps. Inserted zeros are never materialised; only
 //! boundary (padding) zeros remain, and they are skipped by the GEMM's
-//! zero-operand test. [`im2col_t_zero_free`] exposes the compact patch
-//! matrices so the residual zero share is measurable through
-//! [`Lowered::zero_fraction`], next to the dense lowering's.
+//! zero-operand test. [`t_zero_free_gemm_operands`] exposes the compact
+//! patch matrices so the residual zero share is measurable, next to the
+//! dense lowering's.
 //!
 //! For `W-CONV` of a T-CONV layer, the gradient is a GEMM between the
 //! *compact* input (as a channels × pixels matrix) and a patch matrix of
@@ -32,9 +32,9 @@
 //! accumulation) skipped. Every function here runs on the packed GEMM
 //! engine ([`crate::gemm`]): `Fx` (the exact Q8.8 kernel) and `f64` (the
 //! scalar blocked fallback) are therefore **bit-identical** to their golden
-//! nests in [`crate::conv`], while `f32` follows the packed kernel's own
-//! fused accumulation order (still deterministic; see
-//! [`crate::microkernel`]). `tests/fast_conv.rs` pins both contracts over
+//! nests ([`crate::t_conv`], [`crate::w_conv_for_t_layer`], …), while
+//! `f32` follows the packed kernel's own fused accumulation order (still
+//! deterministic; see [`crate::microkernel`]). `tests/fast_conv.rs` pins both contracts over
 //! random geometries.
 //!
 //! # Orientation
@@ -66,7 +66,7 @@ use crate::fmaps::Fmaps;
 use crate::gemm::{
     fill_b_rows, matmul_blocked, matmul_slices_ws, matmul_streamed_ws, AScan, Product,
 };
-use crate::im2col::{fill_im2col_s_row, s_conv_via_gemm_ws, Lowered, Matrix};
+use crate::im2col::{fill_im2col_s_row, Matrix};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -330,31 +330,16 @@ fn t_phase_weights<T: Num>(k: &Kernels<T>, phase: &TPhase) -> Matrix<T> {
     m
 }
 
-/// The compact per-phase patch matrices of a zero-free `T-CONV` lowering,
-/// for ineffectual-operand accounting: compare these matrices'
-/// [`Lowered::zero_fraction`] (only boundary zeros remain) with
-/// [`crate::im2col::im2col_t`]'s (inserted zeros dominate). Each entry's
-/// `out_hw` is the phase's output grid. Phases with no reachable kernel
-/// taps produce no patches.
-pub fn im2col_t_zero_free<T: Num>(input: &Fmaps<T>, geom: &ConvGeom) -> Vec<Lowered<T>> {
-    let (oh, ow) = geom.up_out(input.height(), input.width());
-    t_phases(geom, oh, ow)
-        .iter()
-        .filter(|p| !p.kys.is_empty() && !p.kxs.is_empty())
-        .map(|p| Lowered {
-            patches: t_phase_patches(input, geom, p),
-            out_hw: (p.oys.len(), p.oxs.len()),
-        })
-        .collect()
-}
-
 /// The per-phase patch-major GEMM operand pairs `(patches, weights)` of a
 /// zero-free `T-CONV` — the matrices the specification lowering multiplies
 /// (the conv drivers multiply their transposes, see the module docs),
 /// exposed so fault-injection campaigns can drive each phase's GEMM
 /// through instrumented kernels (ABFT checks, accumulator corruption)
-/// without re-deriving the dataflow. Phases with no reachable kernel taps
-/// are omitted, matching [`im2col_t_zero_free`].
+/// without re-deriving the dataflow, and for ineffectual-operand
+/// accounting: the compact patches' [`Matrix::zero_fraction`] (only
+/// boundary zeros remain) against [`crate::im2col::im2col_t`]'s (inserted
+/// zeros dominate). A phase's patches have one row per output pixel of the
+/// phase; phases with no reachable kernel taps are omitted.
 ///
 /// # Errors
 ///
@@ -517,65 +502,11 @@ fn gather_phase_kernels<T: Num>(out: &mut [T], k: &Kernels<T>, phases: &[TPhase]
 /// cache lines.
 const GATHER_SF_TILE: usize = 32;
 
-/// Zero-free `T-CONV`: compact per-phase lowering + GEMM (see the module
-/// docs), with every transient drawn from the workspace; the returned maps
-/// belong to the caller.
-///
-/// # Errors
-///
-/// Returns an error if `k.n_of() != input.channels()`.
-pub fn t_conv_zero_free_ws<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    ws: &mut ConvWorkspace<T>,
-) -> TensorResult<Fmaps<T>> {
-    let (oh, ow) = geom.up_out(input.height(), input.width());
-    t_conv_zero_free_sized_ws(input, k, geom, oh, ow, ws)
-}
-
-/// [`t_conv_zero_free_ws`] with an explicit output size (the backward
-/// error pass of an S-CONV layer needs the original input size back). Every
-/// transient (phase patch matrices, GEMM products, output maps, and the
-/// phase sub-kernels, gathered afresh for this call) is drawn from the
-/// workspace, and the phase decomposition memoized through its
-/// [`PhaseCache`].
-///
-/// # Errors
-///
-/// Returns an error if `k.n_of() != input.channels()`.
-pub fn t_conv_zero_free_sized_ws<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    oh: usize,
-    ow: usize,
-    ws: &mut ConvWorkspace<T>,
-) -> TensorResult<Fmaps<T>> {
-    t_conv_zero_free_driver(input, k, None, geom, oh, ow, ws)
-}
-
-/// [`t_conv_zero_free_sized_ws`] for a caller that owns the weights: the
-/// phase sub-kernels come from (and on first use after an invalidation are
-/// gathered into) `sub_kernels`, which must belong to `k` — see
-/// [`PhaseKernelCache`] for the invalidation rule. Bit-identical.
-///
-/// # Errors
-///
-/// Returns an error if `k.n_of() != input.channels()`.
-pub fn t_conv_zero_free_cached_ws<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    sub_kernels: &PhaseKernelCache<T>,
-    geom: &ConvGeom,
-    oh: usize,
-    ow: usize,
-    ws: &mut ConvWorkspace<T>,
-) -> TensorResult<Fmaps<T>> {
-    t_conv_zero_free_driver(input, k, Some(sub_kernels), geom, oh, ow, ws)
-}
-
-/// The one zero-free `T-CONV` driver behind every entry above.
+/// Zero-free `T-CONV` of output size `oh × ow` by compact per-phase
+/// lowering and GEMM (see the module docs). The backward error pass of an
+/// S-CONV layer is the same computation at the layer's original input
+/// size, which a strided down-sampling may have quantised away, so the
+/// size is explicit.
 ///
 /// Each phase runs **weight-stationary**: `A` is the phase's gathered
 /// sub-kernel matrix (one row per output map), `B` the transposed phase
@@ -583,13 +514,24 @@ pub fn t_conv_zero_free_cached_ws<T: Num>(
 /// product is output map `lf` restricted to the phase's pixels, interleaved
 /// back by row. Per output element that is the patch-major chain with each
 /// product's factors swapped: bit-neutral.
-fn t_conv_zero_free_driver<T: Num>(
+///
+/// The sub-kernels come from `sub_kernels` when the caller owns the weights
+/// (gathered there on first use after an invalidation; the cache must
+/// belong to `k`, see [`PhaseKernelCache`]), otherwise they are gathered
+/// afresh into workspace scratch. Every other transient (phase patch
+/// matrices, GEMM products, output maps) is drawn from the workspace too,
+/// and the phase decomposition is memoized through its [`PhaseCache`]; the
+/// returned maps belong to the caller.
+///
+/// # Errors
+///
+/// Returns an error if `k.n_of() != input.channels()`.
+pub(crate) fn t_conv_zero_free<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
     sub_kernels: Option<&PhaseKernelCache<T>>,
     geom: &ConvGeom,
-    oh: usize,
-    ow: usize,
+    (oh, ow): (usize, usize),
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<Fmaps<T>> {
     if k.n_of() != input.channels() {
@@ -723,33 +665,6 @@ fn t_conv_one_by_one_ws<T: Num>(
     }
     ws.give_matrix(product);
     Ok(Some(out))
-}
-
-/// Backward error pass of a T-CONV layer by lowering: a plain strided
-/// `im2col` of the error GEMMed against the kernel tensor read as
-/// `N_of × (N_if·K_h·K_w)` — which is, operand for operand, the `S-CONV`
-/// lowering ([`s_conv_via_gemm_ws`]) applied to the error maps. No
-/// zero-inserting is involved in either formulation, so this is also the
-/// zero-free form. Every transient is drawn from the workspace; the
-/// returned maps belong to the caller.
-///
-/// # Errors
-///
-/// Returns an error if `delta_out.channels() != k.n_if()`.
-pub fn t_conv_input_grad_via_gemm_ws<T: Num>(
-    delta_out: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    ws: &mut ConvWorkspace<T>,
-) -> TensorResult<Fmaps<T>> {
-    if k.n_if() != delta_out.channels() {
-        return Err(ShapeError::new(format!(
-            "kernel's up-direction side is {} maps, error has {}",
-            k.n_if(),
-            delta_out.channels()
-        )));
-    }
-    s_conv_via_gemm_ws(delta_out, k, geom, ws)
 }
 
 /// Checks that a `W-CONV`'s error maps have the spatial size the geometry
@@ -1011,6 +926,7 @@ mod tests {
     use super::*;
     use crate::conv::{t_conv, t_conv_input_grad, w_conv_for_s_layer, w_conv_for_t_layer};
     use crate::im2col::im2col_t;
+    use crate::ConvBackend;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1076,7 +992,8 @@ mod tests {
         let x: Fmaps<f64> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
         let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let golden = t_conv(&x, &k, &geom()).unwrap();
-        let fast = t_conv_zero_free_ws(&x, &k, &geom(), &mut ConvWorkspace::new()).unwrap();
+        let ws = &mut ConvWorkspace::new();
+        let fast = t_conv_zero_free(&x, &k, None, &geom(), (12, 12), ws).unwrap();
         assert_eq!(golden, fast);
     }
 
@@ -1084,17 +1001,19 @@ mod tests {
     fn zero_free_patches_drop_the_inserted_zeros() {
         let mut rng = SmallRng::seed_from_u64(21);
         let x: Fmaps<f64> = Fmaps::random(2, 6, 6, 1.0, &mut rng);
+        let k: Kernels<f64> = Kernels::random(2, 3, 4, 4, 1.0, &mut rng);
         let dense = im2col_t(&x, &geom());
-        let compact = im2col_t_zero_free(&x, &geom());
+        let compact: Vec<Matrix<f64>> = t_zero_free_gemm_operands(&x, &k, &geom())
+            .unwrap()
+            .into_iter()
+            .map(|(patches, _)| patches)
+            .collect();
         let frac = |zeros: f64, total: f64| zeros / total;
         let compact_zeros: f64 = compact
             .iter()
-            .map(|l| l.zero_fraction() * (l.patches.rows() * l.patches.cols()) as f64)
+            .map(|p| p.zero_fraction() * (p.rows() * p.cols()) as f64)
             .sum();
-        let compact_total: f64 = compact
-            .iter()
-            .map(|l| (l.patches.rows() * l.patches.cols()) as f64)
-            .sum();
+        let compact_total: f64 = compact.iter().map(|p| (p.rows() * p.cols()) as f64).sum();
         assert!(dense.zero_fraction() > 0.65);
         assert!(
             frac(compact_zeros, compact_total) < 0.35,
@@ -1103,7 +1022,7 @@ mod tests {
         );
         // The compact lowering covers every output pixel exactly once.
         let (oh, ow) = geom().up_out(6, 6);
-        let covered: usize = compact.iter().map(|l| l.out_hw.0 * l.out_hw.1).sum();
+        let covered: usize = compact.iter().map(Matrix::rows).sum();
         assert_eq!(covered, oh * ow);
     }
 
@@ -1135,8 +1054,14 @@ mod tests {
         let d: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
         let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let golden = t_conv_input_grad(&d, &k, &g).unwrap();
-        let fast = t_conv_input_grad_via_gemm_ws(&d, &k, &g, &mut ConvWorkspace::new()).unwrap();
-        assert_eq!(golden, fast);
+        let ws = &mut ConvWorkspace::new();
+        for b in [ConvBackend::LoweredGemm, ConvBackend::LoweredZeroFree] {
+            assert_eq!(
+                golden,
+                b.t_conv_input_grad_ws(&d, &k, &g, ws).unwrap(),
+                "{b:?}"
+            );
+        }
     }
 
     #[test]
@@ -1145,12 +1070,17 @@ mod tests {
         let x: Fmaps<f32> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
         let k: Kernels<f32> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let pairs = t_zero_free_gemm_operands(&x, &k, &geom()).unwrap();
-        let lowered = im2col_t_zero_free(&x, &geom());
-        assert_eq!(pairs.len(), lowered.len());
-        for ((patches, weights), l) in pairs.iter().zip(&lowered) {
-            assert_eq!(patches, &l.patches);
-            assert_eq!(patches.cols(), weights.rows(), "GEMM-compatible pair");
-            assert_eq!(weights.cols(), k.n_if());
+        let phases = t_phases(&geom(), 12, 12);
+        let live: Vec<&TPhase> = phases.iter().filter(|p| p.taps() > 0).collect();
+        assert_eq!(pairs.len(), live.len());
+        for ((patches, weights), phase) in pairs.iter().zip(live) {
+            let npix = phase.oys.len() * phase.oxs.len();
+            let mut want = Matrix::zeros(npix, x.channels() * phase.taps());
+            fill_t_phase_patches_ref(&mut want, &x, &geom(), phase);
+            assert_eq!(patches, &want);
+            let mut want = Matrix::zeros(k.n_of() * phase.taps(), k.n_if());
+            fill_t_phase_weights_ref(&mut want, &k, phase);
+            assert_eq!(weights, &want, "GEMM-compatible pair");
         }
         let bad: Fmaps<f32> = Fmaps::zeros(2, 6, 6);
         assert!(t_zero_free_gemm_operands(&bad, &k, &geom()).is_err());
@@ -1295,10 +1225,11 @@ mod tests {
         let mut ws = ConvWorkspace::new();
         let mut cache = PhaseKernelCache::default();
         let run = |k: &Kernels<f32>, cache: &PhaseKernelCache<f32>, ws: &mut ConvWorkspace<f32>| {
-            t_conv_zero_free_cached_ws(&x, k, cache, &g, 12, 12, ws).unwrap()
+            t_conv_zero_free(&x, k, Some(cache), &g, (12, 12), ws).unwrap()
         };
-        let fresh =
-            |k: &Kernels<f32>| t_conv_zero_free_ws(&x, k, &g, &mut ConvWorkspace::new()).unwrap();
+        let fresh = |k: &Kernels<f32>| {
+            t_conv_zero_free(&x, k, None, &g, (12, 12), &mut ConvWorkspace::new()).unwrap()
+        };
         assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
         let buffer = cache.state.read().unwrap().data.as_ptr();
         assert_eq!(run(&k, &cache, &mut ws), fresh(&k), "served from the cache");
@@ -1310,8 +1241,8 @@ mod tests {
 
         // Another decomposition of the same weights re-keys the cache.
         let small: Fmaps<f32> = Fmaps::random(5, 3, 3, 1.0, &mut rng);
-        let got = t_conv_zero_free_cached_ws(&small, &k, &cache, &g, 6, 6, &mut ws);
-        let want = t_conv_zero_free_sized_ws(&small, &k, &g, 6, 6, &mut ConvWorkspace::new());
+        let got = t_conv_zero_free(&small, &k, Some(&cache), &g, (6, 6), &mut ws);
+        let want = t_conv_zero_free(&small, &k, None, &g, (6, 6), &mut ConvWorkspace::new());
         assert_eq!(got.unwrap(), want.unwrap());
         assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
     }
@@ -1322,7 +1253,7 @@ mod tests {
         let x: Fmaps<f32> = Fmaps::zeros(2, 6, 6);
         let k: Kernels<f32> = Kernels::zeros(5, 3, 4, 4);
         let ws = &mut ConvWorkspace::new();
-        assert!(t_conv_zero_free_ws(&x, &k, &g, ws).is_err());
+        assert!(t_conv_zero_free(&x, &k, None, &g, (12, 12), ws).is_err());
         let bad: Fmaps<f32> = Fmaps::zeros(3, 5, 5);
         assert!(w_conv_s_via_gemm_ws(&x, &bad, &g, ws).is_err());
         assert!(w_conv_t_zero_free_ws(&x, &bad, &g, ws).is_err());

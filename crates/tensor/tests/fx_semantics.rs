@@ -8,8 +8,28 @@
 //! at every SIMD level.
 
 use proptest::prelude::*;
-use zfgan_tensor::microkernel::{matmul_fx_at, matmul_fx_path, GemmPath, PackScratch, SimdLevel};
-use zfgan_tensor::{Fx, FRAC_BITS};
+use zfgan_tensor::gemm::matmul_chunked;
+use zfgan_tensor::im2col::Matrix;
+use zfgan_tensor::microkernel::{GemmPath, SimdLevel};
+use zfgan_tensor::{ConvWorkspace, Fx, FRAC_BITS};
+
+/// `a × b` on raw Q8.8 words at `level` through `path` (`None`: the
+/// dispatched engine), in one inline chunk of the packed engine's test
+/// handle.
+fn matmul_raw(
+    (level, path): (SimdLevel, Option<GemmPath>),
+    a: &[i16],
+    b: &[i16],
+    (m, kk, n): (usize, usize, usize),
+) -> Vec<i16> {
+    let fx = |raw: &[i16], rows, cols| {
+        Matrix::from_vec(rows, cols, raw.iter().map(|&r| Fx::from_raw(r)).collect())
+    };
+    let (a, b) = (fx(a, m, kk), fx(b, kk, n));
+    let (mut out, ws) = (Matrix::zeros(m, n), &mut ConvWorkspace::new());
+    matmul_chunked(&a, &b, &mut out, false, level, path, m, ws);
+    out.as_slice().iter().map(|v| v.raw()).collect()
+}
 
 /// The scalar reference for one multiply: widen to i32, add the rounding
 /// half, arithmetic-shift (floor), then clamp to the i16 rails.
@@ -141,10 +161,8 @@ proptest! {
             }
         }
 
-        let mut scratch = PackScratch::new();
         for level in SimdLevel::supported() {
-            let mut out = vec![0i16; m * n];
-            matmul_fx_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
+            let out = matmul_raw((level, None), &a, &b, (m, kk, n));
             prop_assert_eq!(&out, &expect, "level {:?} broke the Q8.8 chain", level);
         }
     }
@@ -186,11 +204,9 @@ proptest! {
             }
         }
 
-        let mut scratch = PackScratch::new();
         for level in SimdLevel::supported() {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
-                let mut out = vec![0i16; m * n];
-                matmul_fx_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                let out = matmul_raw((level, Some(path)), &a, &b, (m, kk, n));
                 prop_assert_eq!(
                     &out, &expect,
                     "path {:?} at {:?} broke the Q8.8 chain", path, level

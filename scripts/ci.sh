@@ -9,6 +9,11 @@ cargo fmt --all --check
 echo "=== cargo clippy (deny warnings) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== cargo doc (deny warnings) ==="
+# Public docs may link only to public items: a link to a private or
+# deleted name is an error, not a dead link in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "=== cargo build --release ==="
 cargo build --release
 

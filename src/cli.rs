@@ -10,6 +10,7 @@
 //! alternatives, not a full usage dump — the dump is reserved for `help`
 //! and an empty invocation.
 
+use std::net::TcpListener;
 use std::sync::Arc;
 
 use crate::accel::{datasheet, AccelConfig, GanAccelerator, MemoryAnalysis};
@@ -38,15 +39,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         Some((&"datasheet", rest)) => {
             let (gan, rest) = positional(rest, "datasheet", "<gan>")?;
-            let flags = parse_flags(
-                rest,
-                &[
-                    ("--pes", true),
-                    ("--telemetry", false),
-                    ("--trace-out", true),
-                    ("--flame-out", true),
-                ],
-            )?;
+            let flags = parse_flags(rest, &observed(&[("--pes", true)]))?;
             let pes = flag_num(&flags, "--pes")?;
             with_telemetry(&flags, || datasheet_cmd(gan, pes))
         }
@@ -60,34 +53,20 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 Some((&g, more)) if !g.starts_with("--") => (g, more),
                 _ => ("cgan", rest),
             };
-            let flags = parse_flags(
-                rest,
-                &[
-                    ("--telemetry", false),
-                    ("--trace-out", true),
-                    ("--flame-out", true),
-                ],
-            )?;
+            let flags = parse_flags(rest, &OBSERVE)?;
             with_telemetry(&flags, || sweep_cmd(gan))
         }
         Some((&"faults", rest)) => {
             let flags = parse_flags(
                 rest,
-                &[
-                    ("--seed", true),
-                    ("--smoke", false),
-                    ("--full", false),
-                    ("--telemetry", false),
-                    ("--trace-out", true),
-                    ("--flame-out", true),
-                ],
+                &observed(&[("--seed", true), ("--smoke", false), ("--full", false)]),
             )?;
             faults_cmd(&flags)
         }
         Some((&"train", rest)) => {
             let flags = parse_flags(
                 rest,
-                &[
+                &observed(&[
                     ("--seed", true),
                     ("--iters", true),
                     ("--batch", true),
@@ -99,26 +78,20 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--crash-iter", true),
                     ("--crash-phase", true),
                     ("--crash-bytes", true),
-                    ("--telemetry", false),
-                    ("--trace-out", true),
-                    ("--flame-out", true),
-                ],
+                ]),
             )?;
             with_telemetry(&flags, || train_cmd(&flags))
         }
         Some((&"crashtest", rest)) => {
             let flags = parse_flags(
                 rest,
-                &[
+                &observed(&[
                     ("--seed", true),
                     ("--iters", true),
                     ("--points", true),
                     ("--trials", true),
                     ("--dir", true),
-                    ("--telemetry", false),
-                    ("--trace-out", true),
-                    ("--flame-out", true),
-                ],
+                ]),
             )?;
             with_telemetry(&flags, || crashtest_cmd(&flags))
         }
@@ -164,7 +137,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let (sweep, rest) = positional(rest, "dse", "<sweep>")?;
             let flags = parse_flags(
                 rest,
-                &[
+                &observed(&[
                     ("--cache", true),
                     ("--out", true),
                     ("--verify", true),
@@ -172,10 +145,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--shards", true),
                     ("--shard-index", true),
                     ("--shard-count", true),
-                    ("--telemetry", false),
-                    ("--trace-out", true),
-                    ("--flame-out", true),
-                ],
+                ]),
             )?;
             let verify = match flag_str(&flags, "--verify") {
                 None | Some("trust") => zfgan_dse::VerifyPolicy::Trust,
@@ -261,12 +231,25 @@ fn usage() -> String {
      \x20 help                       this text\n\
      \n\
      <gan> is one of: mnist, dcgan, cgan (or a case-insensitive prefix).\n\
-     datasheet/sweep/faults/train/crashtest also accept --telemetry (print a\n\
+     datasheet/sweep/faults/train/crashtest/dse also accept --telemetry (print a\n\
      metrics summary), --trace-out PATH (write a Chrome-trace JSON of the run)\n\
      and --flame-out PATH (write a collapsed-stack flamegraph of the run's\n\
      spans, loadable by inferno / speedscope).\n\
      The full per-figure evaluation lives in `cargo run -p zfgan-bench --bin <figN|tableN|...>`.\n"
         .to_string()
+}
+
+/// The observability flags every long-running command accepts (see
+/// [`with_telemetry`]), as `(flag, takes_value)` pairs.
+const OBSERVE: [(&str, bool); 3] = [
+    ("--telemetry", false),
+    ("--trace-out", true),
+    ("--flame-out", true),
+];
+
+/// A command's own flag spec with [`OBSERVE`] spliced in after it.
+fn observed(own: &[(&'static str, bool)]) -> Vec<(&'static str, bool)> {
+    [own, &OBSERVE].concat()
 }
 
 /// One parsed flag occurrence: `(name, value)`.
@@ -517,14 +500,21 @@ fn report_cmd(flags: &Flags<'_>) -> Result<String, String> {
 fn serve_cmd(flags: &Flags<'_>) -> Result<String, String> {
     if let Some(addr) = flag_str(flags, "--scrape") {
         let path = flag_str(flags, "--path").unwrap_or("/metrics");
-        return crate::serve::scrape(addr, path);
+        return crate::telemetry::http::scrape(addr, path);
     }
     if flag_str(flags, "--path").is_some() {
         return Err("--path needs --scrape".to_string());
     }
     let addr = flag_str(flags, "--addr").unwrap_or("127.0.0.1:9898");
     let max = flag_num(flags, "--max-requests")?.map(|n| n as u64);
-    crate::serve::run_serve(addr, max)
+    // The bound address is printed before serving, so a scraper knows where
+    // to connect even with `--addr 127.0.0.1:0`.
+    let listener = TcpListener::bind(addr).map_err(|e| format!("--addr {addr}: {e}"))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| format!("--addr {addr}: {e}"))?;
+    println!("serving metrics on http://{local}/metrics (also /health); ctrl-c to stop");
+    crate::telemetry::http::serve_on(listener, max)
 }
 
 fn lookup(gan: &str) -> Result<GanSpec, String> {

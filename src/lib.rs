@@ -33,7 +33,6 @@ pub mod dse;
 pub mod faults;
 pub mod perf;
 pub mod report;
-pub mod serve;
 pub mod train;
 
 pub use zfgan_accel as accel;

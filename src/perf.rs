@@ -2,7 +2,7 @@
 //! `zfgan-benchmark run --out` writes, render the series, and gate the
 //! newest ingest against the previous one of the same host.
 //!
-//! `results/ledger.jsonl` is tracked, append-only JSONL: one [`Row`] per
+//! `results/ledger.jsonl` is tracked, append-only JSONL: one row per
 //! workload × end-to-end metric of an ingest, holding the median over the
 //! file's untraced runs, the commit and a host fingerprint
 //! (`arch-os/nproc/simd-label`; no hostname, container hostnames never

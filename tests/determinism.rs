@@ -98,6 +98,7 @@ fn deterministic_telemetry_does_not_learn_the_partition() {
     use zfgan::telemetry::Registry;
     use zfgan::tensor::gemm::matmul_chunked;
     use zfgan::tensor::im2col::Matrix;
+    use zfgan::tensor::microkernel::simd_level;
     use zfgan::tensor::ConvWorkspace;
 
     let scoped = |work: &mut dyn FnMut()| {
@@ -117,7 +118,16 @@ fn deterministic_telemetry_does_not_learn_the_partition() {
         scoped(&mut || {
             let mut out = Matrix::zeros(m, n);
             let ws = &mut ConvWorkspace::new();
-            matmul_chunked(&a, &b, &mut out, false, None, rows_per_chunk, ws);
+            matmul_chunked(
+                &a,
+                &b,
+                &mut out,
+                false,
+                simd_level(),
+                None,
+                rows_per_chunk,
+                ws,
+            );
         })
     };
     let whole = gemm_section(m);

@@ -11,8 +11,8 @@ use zfgan::dataflow::{Dataflow, RowStationary, Zfost, Zfwst};
 use zfgan::nn::parallel::parallel_dis_grads_with;
 use zfgan::nn::{fit, GanPair, GanTrainer, SyncMode, TrainerConfig};
 use zfgan::sim::{ConvKind, ConvShape};
-use zfgan::tensor::im2col::{im2col_t, s_conv_via_gemm, t_conv_via_gemm};
-use zfgan::tensor::{s_conv, t_conv, ConvGeom, Fmaps, Kernels};
+use zfgan::tensor::im2col::im2col_t;
+use zfgan::tensor::{s_conv, t_conv, ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels};
 use zfgan::workloads::{GanSpec, PhaseSeq};
 
 /// The RTL register-lattice machine, the functional executor, the GEMM
@@ -26,7 +26,9 @@ fn four_independent_implementations_agree() {
     let k: Kernels<f64> = Kernels::random(6, 3, 4, 4, 0.5, &mut rng);
 
     let direct = s_conv(&x, &k, &geom).expect("operands match");
-    let gemm = s_conv_via_gemm(&x, &k, &geom).expect("operands match");
+    let gemm = ConvBackend::LoweredGemm
+        .s_conv_ws(&x, &k, &geom, &mut ConvWorkspace::new())
+        .expect("operands match");
     let exec = zfgan::dataflow::exec::zfost_s_conv(&Zfost::new(4, 4, 3), &phase, &x, &k)
         .expect("operands match");
     let rtl = rtl_s_conv(&Zfost::new(4, 4, 3), &phase, &x, &k, true).expect("operands match");
@@ -50,9 +52,11 @@ fn caffe_lowering_materialises_the_zeros() {
         "fraction {}",
         lowered.zero_fraction()
     );
-    // And the lowering still computes the right answer.
+    // And the shipped Caffe-style lowering still computes the right answer.
     let direct = t_conv(&x, &k, &geom).expect("operands match");
-    let gemm = t_conv_via_gemm(&x, &k, &geom).expect("operands match");
+    let gemm = ConvBackend::LoweredGemm
+        .t_conv_ws(&x, &k, &geom, &mut ConvWorkspace::new())
+        .expect("operands match");
     assert!(direct.max_abs_diff(&gemm) < 1e-9);
 }
 

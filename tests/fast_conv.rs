@@ -23,6 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use zfgan::tensor::gemm::{matmul_blocked, matmul_chunked};
 use zfgan::tensor::im2col::Matrix;
+use zfgan::tensor::microkernel::simd_level;
 use zfgan::tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
 
 /// The packed-microkernel backends: mutually bit-identical for every
@@ -83,7 +84,8 @@ fn sparse(c: usize, h: usize, w: usize, rng: &mut SmallRng) -> Fmaps<f32> {
 }
 
 /// The six convolution passes the layers dispatch, evaluated on one
-/// backend, as a uniform list for family-wise comparison.
+/// backend through a fresh workspace, as a uniform list for family-wise
+/// comparison.
 fn six_passes<T: zfgan::tensor::Num>(
     b: ConvBackend,
     x: &Fmaps<T>,
@@ -92,13 +94,14 @@ fn six_passes<T: zfgan::tensor::Num>(
     g: &ConvGeom,
     in_hw: usize,
 ) -> (Vec<Fmaps<T>>, Vec<Kernels<T>>) {
-    let y = b.s_conv(x, k, g).unwrap();
-    let up = b.t_conv(z, k, g).unwrap();
-    let sig = b.s_conv_input_grad(&y, k, g, in_hw, in_hw).unwrap();
-    let tig = b.t_conv_input_grad(&up, k, g).unwrap();
-    let ws = b.w_conv_for_s_layer(x, &y, g).unwrap();
-    let wt = b.w_conv_for_t_layer(z, &up, g).unwrap();
-    (vec![y, up, sig, tig], vec![ws, wt])
+    let ws = &mut ConvWorkspace::new();
+    let y = b.s_conv_ws(x, k, g, ws).unwrap();
+    let up = b.t_conv_ws(z, k, g, ws).unwrap();
+    let sig = b.s_conv_input_grad_ws(&y, k, g, in_hw, in_hw, ws).unwrap();
+    let tig = b.t_conv_input_grad_ws(&up, k, g, ws).unwrap();
+    let dws = b.w_conv_for_s_layer_ws(x, &y, g, ws).unwrap();
+    let dwt = b.w_conv_for_t_layer_ws(z, &up, g, ws).unwrap();
+    (vec![y, up, sig, tig], vec![dws, dwt])
 }
 
 proptest! {
@@ -192,7 +195,8 @@ proptest! {
         let naive = a.matmul(&b).unwrap();
         let blocked = matmul_blocked(&a, &b).unwrap();
         let mut chunked = Matrix::zeros(m, n);
-        matmul_chunked(&a, &b, &mut chunked, false, None, rows_per_chunk, &mut ConvWorkspace::new());
+        let ws = &mut ConvWorkspace::new();
+        matmul_chunked(&a, &b, &mut chunked, false, simd_level(), None, rows_per_chunk, ws);
         prop_assert_eq!(&blocked, &chunked);
         // Operands are in [-1, 1], so each output element is a reduction
         // of kk unit-scale terms: |fused - naive| <= 2 * kk^2 * eps.
@@ -214,7 +218,8 @@ proptest! {
         prop_assert_eq!(&naive_fx, &matmul_blocked(&afx, &bfx).unwrap());
         let mut chunked_fx = Matrix::zeros(m, n);
         let ws = &mut ConvWorkspace::new();
-        matmul_chunked(&afx, &bfx, &mut chunked_fx, false, None, rows_per_chunk, ws);
+        let level = simd_level();
+        matmul_chunked(&afx, &bfx, &mut chunked_fx, false, level, None, rows_per_chunk, ws);
         prop_assert_eq!(&naive_fx, &chunked_fx);
     }
 
@@ -233,9 +238,7 @@ proptest! {
         zero_rows in 0usize..=3,
         seed in any::<u64>(),
     ) {
-        use zfgan::tensor::microkernel::{
-            matmul_f32_at, matmul_f32_path, simd_level, GemmPath, PackScratch, SimdLevel,
-        };
+        use zfgan::tensor::microkernel::{GemmPath, SimdLevel};
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut a: Vec<f32> = (0..m * kk)
             .map(|_| {
@@ -251,16 +254,17 @@ proptest! {
             a[r * kk..(r + 1) * kk].fill(0.0);
         }
         let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let (a, b) = (Matrix::from_vec(m, kk, a), Matrix::from_vec(kk, n, b));
 
-        let mut scratch = PackScratch::new();
-        let mut dispatched = vec![0.0f32; m * n];
-        matmul_f32_at(simd_level(), &a, &b, &mut dispatched, m, kk, n, &mut scratch);
-        let want: Vec<u32> = dispatched.iter().map(|v| v.to_bits()).collect();
+        let ws = &mut ConvWorkspace::new();
+        let mut dispatched = Matrix::zeros(m, n);
+        matmul_chunked(&a, &b, &mut dispatched, false, simd_level(), None, m, ws);
+        let want = bits(dispatched.as_slice());
         for level in SimdLevel::supported() {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
-                let mut out = vec![0.0f32; m * n];
-                matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
-                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                let mut out = Matrix::zeros(m, n);
+                matmul_chunked(&a, &b, &mut out, false, level, Some(path), m, ws);
+                let got = bits(out.as_slice());
                 prop_assert_eq!(&want, &got, "path {:?} at {:?} diverged bitwise", path, level);
             }
         }
@@ -379,7 +383,7 @@ fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
 /// more rows than one 72-row block), and a small ragged one.
 #[test]
 fn packed_block_order_is_bit_neutral() {
-    use zfgan::tensor::microkernel::{matmul_f32_path, GemmPath, PackScratch, SimdLevel, KC};
+    use zfgan::tensor::microkernel::{GemmPath, SimdLevel, KC};
     let mut rng = SmallRng::seed_from_u64(77);
     for (m, kk, n) in [(40, 16, 700), (75, KC + 8, 530), (13, 100, 33)] {
         let a: Vec<f32> = (0..m * kk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -391,52 +395,31 @@ fn packed_block_order_is_bit_neutral() {
                 want[i * n + j] = chain.to_bits();
             }
         }
-        let mut scratch = PackScratch::new();
+        let (am, bm) = (Matrix::from_vec(m, kk, a), Matrix::from_vec(kk, n, b));
+        let mut ws = ConvWorkspace::new();
         for level in SimdLevel::supported() {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
-                let mut out = vec![f32::NAN; m * n];
-                matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
-                assert_eq!(bits(&out), want, "{m}×{kk}×{n} {path:?} at {level:?}");
+                let mut out = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
+                matmul_chunked(&am, &bm, &mut out, false, level, Some(path), m, &mut ws);
+                let got = bits(out.as_slice());
+                assert_eq!(got, want, "{m}×{kk}×{n} {path:?} at {level:?}");
             }
         }
-        let (am, bm) = (Matrix::from_vec(m, kk, a), Matrix::from_vec(kk, n, b));
         let acc: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let want_added: Vec<u32> = (acc.iter().zip(&want))
             .map(|(a, chain)| (a + f32::from_bits(*chain)).to_bits())
             .collect();
-        let mut ws = ConvWorkspace::new();
+        let level = simd_level();
         for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
-            for rows_per_chunk in [1, 5, 6, 7, 13, m] {
+            for rows in [1, 5, 6, 7, 13, m] {
+                let route = format!("{m}×{kk}×{n} {path:?} in {rows}-row chunks");
                 let mut out = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
-                matmul_chunked(
-                    &am,
-                    &bm,
-                    &mut out,
-                    false,
-                    Some(path),
-                    rows_per_chunk,
-                    &mut ws,
-                );
-                assert_eq!(
-                    bits(out.as_slice()),
-                    want,
-                    "{m}×{kk}×{n} {path:?} in {rows_per_chunk}-row chunks"
-                );
+                let path = Some(path);
+                matmul_chunked(&am, &bm, &mut out, false, level, path, rows, &mut ws);
+                assert_eq!(bits(out.as_slice()), want, "{route}");
                 let mut out = Matrix::from_vec(m, n, acc.clone());
-                matmul_chunked(
-                    &am,
-                    &bm,
-                    &mut out,
-                    true,
-                    Some(path),
-                    rows_per_chunk,
-                    &mut ws,
-                );
-                assert_eq!(
-                    bits(out.as_slice()),
-                    want_added,
-                    "{m}×{kk}×{n} {path:?} added in {rows_per_chunk}-row chunks"
-                );
+                matmul_chunked(&am, &bm, &mut out, true, level, path, rows, &mut ws);
+                assert_eq!(bits(out.as_slice()), want_added, "{route}, added");
             }
         }
     }
@@ -553,12 +536,15 @@ fn one_by_one_t_conv_collapses_bit_identically() {
             let k = Kernels::random(small_c, 5, g.kh(), g.kw(), 0.5, &mut rng);
             let zq = z.map(Fx::from_f32);
             let kq = k.map(Fx::from_f32);
-            let golden_fx = ConvBackend::GoldenDirect.t_conv(&zq, &kq, g).unwrap();
+            let gold = ConvBackend::GoldenDirect;
+            let golden_fx = gold
+                .t_conv_ws(&zq, &kq, g, &mut ConvWorkspace::new())
+                .unwrap();
             for b in PACKED {
                 // Forcing a path is bit-neutral for every GEMM in the
                 // process, so tests running alongside are unaffected.
                 set_forced_path(Some(GemmPath::Packed));
-                let classic = b.t_conv(&z, &k, g);
+                let classic = b.t_conv_ws(&z, &k, g, &mut ConvWorkspace::new());
                 set_forced_path(None);
                 let classic = classic.unwrap();
                 let mut ws = ConvWorkspace::new();

@@ -10,6 +10,7 @@ use zfgan::nn::{Activation, ConvLayer, Direction};
 use zfgan::pool::{parallel_map, PoolError};
 use zfgan::tensor::gemm::{matmul_blocked, matmul_chunked};
 use zfgan::tensor::im2col::Matrix;
+use zfgan::tensor::microkernel::simd_level;
 use zfgan::tensor::{ConvGeom, ConvWorkspace, Fmaps, Kernels};
 
 /// A random matmul shape (both operands post-ReLU sparse like real
@@ -43,7 +44,8 @@ proptest! {
         let b = sparse_matrix(k, n, &mut rng);
         let seq = matmul_blocked(&a, &b).unwrap();
         let mut par = Matrix::zeros(m, n);
-        matmul_chunked(&a, &b, &mut par, false, None, rows_per_chunk, &mut ConvWorkspace::new());
+        let (level, ws) = (simd_level(), &mut ConvWorkspace::new());
+        matmul_chunked(&a, &b, &mut par, false, level, None, rows_per_chunk, ws);
         prop_assert_eq!(seq, par);
     }
 
