@@ -1,7 +1,9 @@
 //! GEMM fast-path ratio gates on paper GAN layer shapes: the packed kernel
 //! over the naive triple loop, the engine's own pool fan-out over the same
 //! engine held to one inline chunk, the dispatcher's engines over the
-//! forced packed path, and the AVX-512 tile over the AVX2 tile.
+//! forced packed path, the AVX-512 tile over the AVX2 tile, and the thin
+//! convolutions (the critic's score layer over its golden nest, the image
+//! layer's streamed phases over the materialized ones).
 //!
 //! Every gate is one [`paired_ratio`] of two variants that agree
 //! numerically per the family contracts pinned by `tests/fast_conv.rs`
@@ -17,8 +19,10 @@ use rand::{Rng, SeedableRng};
 use zfgan_bench::{gate, paired_ratio};
 use zfgan_tensor::gemm::{matmul_blocked, matmul_blocked_into, matmul_chunked};
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
-use zfgan_tensor::microkernel::{choose_path, simd_label, simd_level, GemmPath, SimdLevel};
-use zfgan_tensor::{ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels};
+use zfgan_tensor::microkernel::{
+    choose_path, set_forced_path, simd_label, simd_level, GemmPath, SimdLevel,
+};
+use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels, PhaseKernelCache};
 
 /// Rounds behind every paired ratio here.
 const PAIRED_ROUNDS: usize = 21;
@@ -156,7 +160,7 @@ fn gate_routes(
 fn gate_dispatch(name: &str, picked: GemmPath, a: &[f32], b: &[f32], dims: (usize, usize, usize)) {
     let zeros = a.iter().filter(|v| **v == 0.0).count() as u64;
     assert_eq!(
-        choose_path(dims.0, dims.1, dims.2, zeros),
+        choose_path(dims.0, dims.1, dims.2, zeros, false),
         picked,
         "dispatcher must route the {name} shape to {picked:?}"
     );
@@ -306,6 +310,83 @@ fn gate_fan_out() {
     }
 }
 
+/// Floor of the score-layer gates: the dispatched forward is never slower
+/// than its golden nest (see [`gate_thin`] for the readings).
+const SCORE_HEAD_FLOOR: f64 = 1.0;
+
+/// Floor of the image-layer gate (see [`gate_thin`] for the readings).
+const IMAGE_TCONV_FLOOR: f64 = 1.7;
+
+/// The thin convolutions, each one warm workspace pass a call:
+///
+/// * `thin/score_head/*`: the critic's score layer (a window over its
+///   whole input map, one output pixel) on the default backend — `B` read
+///   in place, one fused chain per output — against `GoldenDirect`, on
+///   the MNIST-GAN (`128×7×7`) and DCGAN (`512×4×4`) heads. The input is
+///   LeakyReLU'd like the critic's, so it holds no zeros to skip. Ten
+///   fresh processes on the two-vCPU AVX-512 CI host read 1.15-1.96x and
+///   1.21-2.29x (each process lands near one end or the other); the floor
+///   is the oracle itself.
+/// * `thin/image_tconv`: DCGAN's image layer (`64×32×32 → 3×64×64`,
+///   5×5, stride 2) through cached sub-kernels, dispatched (three-row
+///   phase GEMMs stream `B`) against forced packed (every phase patch
+///   matrix built and packed). The same ten processes read 1.89-2.24x, so
+///   the floor sits a tenth under that range.
+fn gate_thin() {
+    let mut rng = SmallRng::seed_from_u64(27);
+    let leaky = |v: f32| if v > 0.0 { v } else { 0.2 * v };
+    let ws = RefCell::new(ConvWorkspace::new());
+    for (c, hw) in [(128usize, 7usize), (512, 4)] {
+        let geom = ConvGeom::new(hw, hw, 1, 0, 0, 0, 0).expect("static geometry");
+        let x = Fmaps::random(c, hw, hw, 1.0, &mut rng).map(leaky);
+        let k = Kernels::random(1, c, hw, hw, 0.1, &mut rng);
+        // Only the workspace's own maps go back to it: the golden nest
+        // allocates its output.
+        let side = |backend: ConvBackend| {
+            let (x, k, geom, ws) = (&x, &k, &geom, &ws);
+            move || {
+                let ws = &mut *ws.borrow_mut();
+                for _ in 0..200 {
+                    let y = backend
+                        .s_conv_ws(x, k, geom, ws)
+                        .expect("conforming operands");
+                    if backend != ConvBackend::GoldenDirect {
+                        ws.give_fmaps(std::hint::black_box(y));
+                    }
+                }
+            }
+        };
+        let ratio = paired_ratio(
+            PAIRED_ROUNDS,
+            side(ConvBackend::GoldenDirect),
+            side(ConvBackend::default()),
+        );
+        let name = format!("thin/score_head/{c}x{hw}x{hw}");
+        gate(&name, simd_floor(SCORE_HEAD_FLOOR), ratio);
+    }
+
+    let geom = ConvGeom::down(64, 64, 5, 5, 2, 32, 32).expect("static geometry");
+    let x = Fmaps::random(64, 32, 32, 1.0, &mut rng).map(|v: f32| v.max(0.0));
+    let k = Kernels::random(64, 3, 5, 5, 0.1, &mut rng);
+    let cache = PhaseKernelCache::default();
+    let side = |forced: Option<GemmPath>| {
+        let (x, k, geom, ws, cache) = (&x, &k, &geom, &ws, &cache);
+        move || {
+            set_forced_path(forced);
+            let ws = &mut *ws.borrow_mut();
+            for _ in 0..5 {
+                let y = ConvBackend::default()
+                    .t_conv_cached_ws(x, k, cache, geom, ws)
+                    .expect("conforming operands");
+                ws.give_fmaps(std::hint::black_box(y));
+            }
+            set_forced_path(None);
+        }
+    };
+    let ratio = paired_ratio(PAIRED_ROUNDS, side(Some(GemmPath::Packed)), side(None));
+    gate("thin/image_tconv", simd_floor(IMAGE_TCONV_FLOOR), ratio);
+}
+
 fn main() {
     println!("simd: {}", simd_label());
     // The tile gates go first: their "not slower" floors have the thinnest
@@ -316,4 +397,5 @@ fn main() {
     gate_matmul_kinds();
     gate_fan_out();
     gate_dispatch_shapes();
+    gate_thin();
 }

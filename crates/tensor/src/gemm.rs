@@ -54,15 +54,15 @@
 //!
 //! Every kernel here computes `A × B` with the zero skip on `A`. The conv
 //! lowerings put the layer's **weights** in `A` (one row per output map,
-//! borrowed in place — `matmul_slices_ws`) and the transposed patch
-//! matrix in `B`; the golden nests and the Caffe-style patch-major
-//! lowerings have the patches on the left. Per output element both are the
-//! same `k`-ascending chain with each product's factors swapped, and
-//! multiplication commutes in every element type, so the two orders agree
-//! bit for bit (f32 fused chain, Q8.8 saturating chain, scalar
-//! `acc += a·b`). A weight operand is dense, so its `A` scan is skipped:
-//! no panel is masked and the dispatch keys on the shape alone —
-//! bit-neutral like every zero skip.
+//! borrowed in place — `matmul_slices_ws`, or `matmul_streamed_ws` for the
+//! phase sub-kernels) and the transposed patch matrix in `B`; the golden
+//! nests and the Caffe-style patch-major lowerings have the patches on the
+//! left. Per output element both are the same `k`-ascending chain with each
+//! product's factors swapped, and multiplication commutes in every element
+//! type, so the two orders agree bit for bit (f32 fused chain, Q8.8
+//! saturating chain, scalar `acc += a·b`). A weight operand is dense, so
+//! its `A` scan is skipped: no panel is masked and the dispatch keys on the
+//! shape alone — bit-neutral like every zero skip.
 //!
 //! # Where the product lands
 //!
@@ -252,7 +252,8 @@ pub fn matmul_blocked_into<T: Num>(
     match microkernel::packed_kind::<T>() {
         Some(kind) => PACK_TLS.with(|s| {
             let scratch = &mut s.borrow_mut();
-            let plan = plan_for(a, b, dims, kind, AScan::Scan, scratch);
+            let plan = microkernel::scan_gemm(a, dims, false, scratch);
+            microkernel::pack_for_plan(&plan, b, dims, kind, scratch);
             let (level, store) = (simd_level(), Epilogue::Store);
             run_planned(level, &plan, kind, a, b, out, dims, store, scratch);
         }),
@@ -275,19 +276,20 @@ pub(crate) enum AScan {
     Dense,
 }
 
-/// Scans (or, for a dense weight operand, declines to scan) `A`, picks the
-/// dispatch path and packs `B` when the packed engine won.
-fn plan_for<T: Num>(
+/// Scans (or, for a dense weight operand, declines to scan) `A` and picks
+/// the dispatch path — for a `B` generated on demand when `b_streamed` (see
+/// [`microkernel::choose_path`]). `B` is packed, generated or read after
+/// this, against the plan: `A` is never scanned twice.
+fn plan_a<T: Num>(
     a: &[T],
-    b: &[T],
-    (m, kk, n): (usize, usize, usize),
-    kind: PackedKind,
+    dims: (usize, usize, usize),
     scan: AScan,
+    b_streamed: bool,
     scratch: &mut PackScratch,
 ) -> GemmPlan {
     match scan {
-        AScan::Scan => microkernel::plan_gemm(a, b, m, kk, n, kind, scratch),
-        AScan::Dense => microkernel::plan_gemm_dense_a(b, m, kk, n, kind, scratch),
+        AScan::Scan => microkernel::scan_gemm(a, dims, b_streamed, scratch),
+        AScan::Dense => microkernel::plan_dense_a(dims, b_streamed, scratch),
     }
 }
 
@@ -451,12 +453,12 @@ pub fn matmul_chunked<T: Num>(
     check_matmul_shapes(a, b, out).expect("chunked matmul shapes");
     assert!(rows_per_chunk > 0, "rows_per_chunk must be positive");
     let kind = microkernel::packed_kind::<T>().expect("packed element types only");
-    let dims @ (m, kk, n) = (a.rows(), a.cols(), b.cols());
+    let dims = (a.rows(), a.cols(), b.cols());
     let (a, b) = (a.as_slice(), b.as_slice());
-    let mut plan = microkernel::scan_gemm(a, m, kk, n, ws.pack_scratch());
+    let mut plan = microkernel::scan_gemm(a, dims, false, ws.pack_scratch());
     plan.path = path.unwrap_or(plan.path);
     plan.rows_per_chunk = rows_per_chunk;
-    microkernel::pack_for_plan(&plan, b, dims, kind, ws.pack_scratch());
+    microkernel::pack_for_plan(&plan, b, dims, kind, ws.planned_scratch());
     let dest = if add {
         Product::AddTo(out.as_mut_slice())
     } else {
@@ -465,20 +467,14 @@ pub fn matmul_chunked<T: Num>(
     run_planned_into(level, &plan, kind, a, b, dest, dims, ws);
 }
 
-/// `a × b → dest` with `A` **borrowed in place** as an `m × b.rows()`
-/// row-major slice — the GEMM behind the conv lowerings whose `A` operand
-/// already lives inside another tensor:
-///
-/// * the weight-stationary passes ([`AScan::Dense`]): `a` is the kernel
-///   tensor itself or a gathered phase sub-kernel matrix, `b` the
-///   transposed patch matrix (one column per output pixel), and the
-///   product is stored straight into its destination — for whole-map
-///   passes the output maps' own storage, so nothing is scattered
-///   afterwards;
-/// * the `W-CONV` of a T-CONV layer ([`AScan::Scan`]): `a` is the layer's
-///   input maps, `b` the error patches, and the product is the weight
-///   gradient, stored into the gradient tensor or added into the caller's
-///   accumulator ([`Product::AddTo`]).
+/// `a × b → dest` with `A` **borrowed in place** as an `m × kk` row-major
+/// slice and `B` an in-memory `kk × n` row-major slice — the GEMM behind
+/// the whole-map weight-stationary conv lowering: `a` is the kernel tensor
+/// itself (dense, so not scanned: [`AScan::Dense`]), `b` the transposed
+/// patch matrix (one column per output pixel) or, for a score window that
+/// covers its whole input map, the input maps themselves (`n = 1`), and the
+/// product is stored straight into the output maps' own storage, so
+/// nothing is scattered afterwards.
 ///
 /// Runs the same engines as [`matmul_blocked`], so each output element is
 /// the usual `k`-ascending chain. Element types without packed kernels run
@@ -486,32 +482,53 @@ pub fn matmul_chunked<T: Num>(
 ///
 /// # Errors
 ///
-/// Returns an error if `a` or `dest` do not hold `m` rows.
+/// Returns an error if `a`, `b` or `dest` do not hold `m × kk`, `kk × n`
+/// and `m × n` words.
 pub(crate) fn matmul_slices_ws<T: Num>(
     a: &[T],
     m: usize,
-    b: &Matrix<T>,
-    scan: AScan,
+    b: &[T],
+    (kk, n): (usize, usize),
     dest: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
-    let dims @ (_, kk, n) = (m, b.rows(), b.cols());
-    if a.len() != m * kk || dest.len() != m * n {
+    if a.len() != m * kk || b.len() != kk * n || dest.len() != m * n {
         return Err(ShapeError::new(format!(
-            "in-place matmul: {} operand words and {} output words for {m}×{kk}×{n}",
+            "in-place matmul: {} + {} operand words and {} output words for {m}×{kk}×{n}",
             a.len(),
+            b.len(),
             dest.len()
         )));
     }
-    let b = b.as_slice();
-    match microkernel::packed_kind::<T>() {
-        Some(kind) => {
-            let plan = plan_for(a, b, dims, kind, scan, ws.pack_scratch());
+    let dims = (m, kk, n);
+    let planned = microkernel::packed_kind::<T>().map(|kind| {
+        (
+            kind,
+            plan_a(a, dims, AScan::Dense, false, ws.pack_scratch()),
+        )
+    });
+    run_in_memory(a, b, dims, planned, dest, ws);
+    Ok(())
+}
+
+/// Runs a GEMM whose `B` is in memory: the packed family against its plan
+/// (packing `B` first when the plan runs the packed engine), or the scalar
+/// blocked kernel for element types without packed kernels (`None`).
+fn run_in_memory<T: Num>(
+    a: &[T],
+    b: &[T],
+    dims: (usize, usize, usize),
+    planned: Option<(PackedKind, GemmPlan)>,
+    dest: Product<'_, T>,
+    ws: &mut ConvWorkspace<T>,
+) {
+    match planned {
+        Some((kind, plan)) => {
+            microkernel::pack_for_plan(&plan, b, dims, kind, ws.planned_scratch());
             run_planned_into(simd_level(), &plan, kind, a, b, dest, dims, ws);
         }
-        None => dest.via_store(ws, |out, _| gemm_rows(a, b, out, kk, n)),
+        None => dest.via_store(ws, |out, _| gemm_rows(a, b, out, dims.1, dims.2)),
     }
-    Ok(())
 }
 
 /// GEMM with `B` produced on demand — the streamed-lowering entry for the
@@ -521,19 +538,24 @@ pub(crate) fn matmul_slices_ws<T: Num>(
 /// reused across rows and never zeroed, so a partial write would leak a
 /// previous row).
 ///
-/// The `A` scan runs **before** `B` exists: when the dispatch layer picks
-/// a broadcast path (small-`m` or ikj), `B` is never materialized — rows
-/// stream through a one-`k`-tile workspace buffer, `k` ascending, each
-/// live `(i, k)` pair applying one axpy update of the ikj tile kernels,
-/// and `B` rows whose `A` column is entirely zero are never even
+/// `A` is planned — scanned, or for weights ([`AScan::Dense`]) not —
+/// **before** `B` exists, with the streamed-`B` dispatch rule (see
+/// [`microkernel::choose_path`]): when it picks a broadcast path (thin `A`,
+/// small-`m` or ikj), `B` is never materialized — rows stream through a
+/// one-`k`-tile workspace buffer, `k` ascending, each live `(i, k)` pair
+/// contributing one fused term per output column through the ikj tile
+/// kernels, and `B` rows whose `A` column is entirely zero are never even
 /// generated. That is the same per-element operation chain as every other
 /// engine (the f32 fused chain / the saturating Q8.8 chain, zero terms
-/// skipped), so the result is bit-identical to materializing `B` and
-/// calling [`matmul_slices_ws`] — which is exactly what the remaining
-/// paths (packed, non-packed element types) do here.
+/// skipped), so the result is bit-identical to materializing `B` — which
+/// is exactly what the packed path (packing against the same plan, `A` not
+/// scanned again) and the non-packed element types do here.
 ///
-/// Its one caller is the `W-CONV` of an S-CONV layer (`B` = the forward
-/// patches).
+/// Every conv pass whose `B` is a patch matrix of a layer's maps goes
+/// through this entry: the phase GEMMs of the zero-free T-CONV (and of the
+/// S-CONV input error), with the phase sub-kernels as a dense `A`, and both
+/// `W-CONV`s, with the error maps or the layer input as a scanned `A`. A
+/// forced packed path keeps the materialized route.
 ///
 /// # Errors
 ///
@@ -543,6 +565,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
     m: usize,
     (kk, n): (usize, usize),
     fill_row: &(dyn Fn(usize, &mut [T]) + Sync),
+    scan: AScan,
     dest: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
 ) -> TensorResult<()> {
@@ -553,30 +576,29 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
             dest.len()
         )));
     }
-    if let Some(kind) = microkernel::packed_kind::<T>() {
-        let plan = microkernel::scan_gemm(a, m, kk, n, ws.pack_scratch());
-        if matches!(plan.path, GemmPath::SmallM | GemmPath::Ikj) {
-            // One k-tile of `B` rows — or fewer when the whole operand is
-            // shorter than a tile (`kk = 1` input-grad reshapes).
-            let mut rowbuf = ws.take_dirty(microkernel::IKJ_KB.min(kk) * n);
-            dest.via_store(ws, |out, ws| {
-                let masks = ws.pack_scratch_ref().masks();
-                broadcast_streamed(kind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
-            });
-            ws.give(rowbuf);
-            record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
-            return Ok(());
-        }
+    let dims = (m, kk, n);
+    let planned = microkernel::packed_kind::<T>()
+        .map(|kind| (kind, plan_a(a, dims, scan, true, ws.pack_scratch())));
+    if let Some((kind, plan)) = planned.filter(|(_, plan)| plan.path != GemmPath::Packed) {
+        // One k-tile of `B` rows — or fewer when the whole operand is
+        // shorter than a tile (`kk = 1` input-grad reshapes).
+        let mut rowbuf = ws.take_dirty(microkernel::IKJ_KB.min(kk) * n);
+        dest.via_store(ws, |out, ws| {
+            let masks = ws.pack_scratch_ref().masks();
+            broadcast_streamed(kind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
+        });
+        ws.give(rowbuf);
+        record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
+        return Ok(());
     }
     // The packed path wants `B` whole (it packs it into column panels):
-    // materialize it row by row into workspace scratch — the same bytes
-    // the cache-tuned fills produce — and run the normal kernel. Non-
-    // packed element types land here too.
+    // materialize it row by row into workspace scratch — every cell is
+    // written, so the buffer is taken dirty.
     let mut b = ws.take_matrix_dirty(kk, n);
     fill_b_rows(&mut b, m, fill_row);
-    let result = matmul_slices_ws(a, m, &b, AScan::Scan, dest, ws);
+    run_in_memory(a, b.as_slice(), dims, planned, dest, ws);
     ws.give_matrix(b);
-    result
+    Ok(())
 }
 
 /// The streamed broadcast engine behind both non-packed dispatch paths:
@@ -679,7 +701,7 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
     let Some(kind) = microkernel::packed_kind::<T>() else {
         return Ok(None);
     };
-    let plan = microkernel::scan_gemm(a.as_slice(), m, kk, n, ws.pack_scratch());
+    let plan = microkernel::scan_gemm(a.as_slice(), (m, kk, n), false, ws.pack_scratch());
     if plan.path == GemmPath::Packed {
         return Ok(None);
     }
@@ -925,12 +947,12 @@ mod tests {
         let mut ws: ConvWorkspace<f64> = ConvWorkspace::new();
         let mut stored = Matrix::from_vec(m, n, vec![f64::NAN; m * n]);
         let store = Product::Store(stored.as_mut_slice());
-        matmul_slices_ws(a.as_slice(), m, &b, AScan::Scan, store, &mut ws).unwrap();
+        matmul_slices_ws(a.as_slice(), m, b.as_slice(), (k, n), store, &mut ws).unwrap();
         assert_eq!(naive, stored);
         ws.give(vec![f64::NAN; m * n]);
         let mut added = acc.clone();
         let add = Product::AddTo(added.as_mut_slice());
-        matmul_slices_ws(a.as_slice(), m, &b, AScan::Scan, add, &mut ws).unwrap();
+        matmul_slices_ws(a.as_slice(), m, b.as_slice(), (k, n), add, &mut ws).unwrap();
         let want: Vec<f64> = acc
             .as_slice()
             .iter()
@@ -1009,7 +1031,7 @@ mod tests {
         for round in 0..2 {
             let mut ws_out = ws.take_matrix_dirty(12, 17);
             let store = Product::Store(ws_out.as_mut_slice());
-            matmul_slices_ws(a.as_slice(), 12, &b, AScan::Scan, store, &mut ws).unwrap();
+            matmul_slices_ws(a.as_slice(), 12, b.as_slice(), (40, 17), store, &mut ws).unwrap();
             assert_eq!(plain, ws_out, "round {round}");
             ws.give_matrix(ws_out);
         }

@@ -45,22 +45,24 @@
 //! stride-49 nonzero columns) defeats the KP-panel masks because every
 //! row's few live words sit in distinct panels, and the `m = 1`
 //! input-grad GEMMs amortize a full `B` pack over a single output row.
-//! Each GEMM is therefore planned ([`plan_gemm`]: one `A` scan, then
+//! Each GEMM is therefore planned ([`scan_gemm`]: one `A` scan, then
 //! [`choose_path`]) onto one of three engines ([`GemmPath`]):
 //!
 //! * [`GemmPath::Packed`] — the packed panel kernel above (the default).
+//!   A one-column product (`n = 1`) packs nothing: each row is one chain
+//!   against `B` in place.
 //! * [`GemmPath::Ikj`] — a broadcast-FMA `ikj` kernel over **unpacked**
 //!   `B` rows: zero `A` words are skipped element-wise (no mask
 //!   granularity to defeat) and `B` is never packed.
-//! * [`GemmPath::SmallM`] — the same register tile as the packed kernel
-//!   run directly over unpacked `B` columns for `m ≤ `[`MR_F32`]: one
-//!   pass over `B`, no pack. The `W-CONV` lowering additionally streams
-//!   `B` rows on the fly through this path
-//!   (`crate::gemm::matmul_streamed_ws`) so its small-`m` sites skip the
-//!   materialized patch fill entirely.
+//! * [`GemmPath::SmallM`] — the same broadcast engine, chosen for thin `A`
+//!   (one row, or fewer than [`MR_F32`] when `B` is streamed): one pass
+//!   over `B`, no pack. The streamed lowerings
+//!   (`crate::gemm::matmul_streamed_ws`) generate `B` rows on the fly into
+//!   a one-tile buffer on this path, so their thin sites never build a
+//!   patch matrix at all.
 //!
-//! The decision is a pure function of `(m, kk, n, zero-word count)` — all
-//! thread- and SIMD-invariant — and `ZFGAN_FORCE_KERNEL=packed|ikj|smallm`
+//! The decision is a pure function of `(m, kk, n, zero-word count, streamed
+//! B)` — all thread- and SIMD-invariant — and `ZFGAN_FORCE_KERNEL=packed|ikj|smallm`
 //! (or [`set_forced_path`]) pins it for testing. Every engine computes the
 //! same per-element operation chain (see below), so dispatch is never a
 //! semantics choice.
@@ -293,8 +295,9 @@ pub enum GemmPath {
     /// Broadcast-FMA `ikj` over unpacked `B` rows with an element-wise
     /// `a == 0` skip; bypasses the `B` pack entirely.
     Ikj,
-    /// The register tile run directly over unpacked `B` columns — one
-    /// streamed pass over `B`, no pack. Chosen for `m ≤ `[`MR_F32`].
+    /// The broadcast engine of [`GemmPath::Ikj`] chosen for a thin `A` —
+    /// one output row, or fewer than [`MR_F32`] over a streamed `B` (see
+    /// [`choose_path`]): one pass over `B`, no pack.
     SmallM,
 }
 
@@ -376,28 +379,35 @@ const IKJ_ZERO_NUM: u64 = 15;
 const IKJ_ZERO_DEN: u64 = 16;
 
 /// Minimum output width for any broadcast engine: below half a register
-/// tile the per-live-element axpy overhead dominates and the packed tile
-/// wins even on 98 %-sparse or single-row operands (measured at `n = 1`:
-/// packed is 7–8× faster on the dense backward shapes).
+/// tile the per-live-element axpy overhead dominates and the packed engine
+/// wins even on 98 %-sparse or single-row operands. At `n = 1` the packed
+/// engine packs nothing either: it runs one `k`-ascending chain per row
+/// against `B` in place (see [`run_plan_rows`]).
 const BROADCAST_MIN_N: usize = NR_F32 / 2;
 
-/// Shape/density dispatch: a pure function of the GEMM shape and the
-/// exact zero-word count of `A` (as counted by the panel-mask scan), so
-/// the decision — and the `gemm_dispatch` telemetry derived from it — is
-/// identical for every thread count and SIMD level. Thresholds are from
-/// per-shape engine timings on the MNIST-GAN train step:
+/// Shape/density dispatch: a pure function of the GEMM shape, the exact
+/// zero-word count of `A` (as counted by the panel-mask scan) and whether
+/// the caller generates `B` on demand (`b_streamed`), so the decision — and
+/// the `gemm_dispatch` telemetry derived from it — is identical for every
+/// thread count and SIMD level. Thresholds are from per-shape engine
+/// timings on the GAN train steps:
 ///
 /// * `n ≥ 8` gates every broadcast route — narrower outputs can't
 ///   amortize a broadcast axpy;
 /// * `m = 1`: packing `B` for one output row dwarfs the arithmetic →
 ///   `SmallM` (and the streamed drivers skip materializing `B` at all);
+/// * streamed `B` and `m < `[`MR_F32`]: fewer rows than one register tile
+///   leave the packed tile's lanes idle, and every element of a
+///   materialized `B` would feed at most five MACs — rows are generated
+///   into a one-tile buffer instead → `SmallM` (the generator's image
+///   layer and the critic's first-layer input error);
 /// * `kk ≤ 2`: the pack writes ≥ `B`'s whole size for one or two axpys
 ///   per output row → `Ikj`;
 /// * `A` ≥ 15/16 zero: element-wise skipping beats the dense tile →
 ///   `Ikj`.
-pub fn choose_path(m: usize, kk: usize, n: usize, zero_words: u64) -> GemmPath {
+pub fn choose_path(m: usize, kk: usize, n: usize, zero_words: u64, b_streamed: bool) -> GemmPath {
     if n >= BROADCAST_MIN_N {
-        if m == 1 {
+        if m == 1 || (b_streamed && m < MR_F32) {
             return GemmPath::SmallM;
         }
         if kk <= 2 && kk > 0 {
@@ -458,8 +468,8 @@ pub(crate) fn for_chunks<T: Send>(
 
 /// [`choose_path`] with the forced override applied — the decision the
 /// drivers actually run.
-fn dispatch_path(m: usize, kk: usize, n: usize, zero_words: u64) -> GemmPath {
-    forced_path().unwrap_or_else(|| choose_path(m, kk, n, zero_words))
+fn dispatch_path(m: usize, kk: usize, n: usize, zero_words: u64, b_streamed: bool) -> GemmPath {
+    forced_path().unwrap_or_else(|| choose_path(m, kk, n, zero_words, b_streamed))
 }
 
 /// Element types the packed microkernel accelerates.
@@ -538,7 +548,7 @@ impl PackScratch {
     }
 
     /// The per-row panel masks built by the last [`scan_gemm`] /
-    /// [`plan_gemm`] call: `mask_geometry(kk).1` words per `A` row, a set
+    /// [`plan_dense_a`] call: `mask_geometry(kk).1` words per `A` row, a set
     /// bit marking an all-zero panel. The streamed-lowering driver reads
     /// these to skip dead `A` panels without touching the operand again.
     pub(crate) fn masks(&self) -> &[u64] {
@@ -1196,10 +1206,9 @@ fn f32_ikj_tile_scalar(
 /// `B` row buffer covers exactly one tile.
 pub(crate) const IKJ_KB: usize = 16;
 
-/// The fused AVX2/FMA form of [`f32_ikj_rows`]'s loop nest: the axpy
-/// body inlined into the tiled `k`/`i` walk, so the hot path pays no
-/// per-live-element indirect call or slice construction. Same operations
-/// in the same order as the scalar nest — bit-identical.
+/// The AVX2/FMA form of [`f32_ikj_rows`]'s loop nest: [`f32_ikj_tile_avx2`]
+/// over each [`IKJ_KB`]-tile in turn. Same operations in the same order per
+/// output element as the scalar nest — bit-identical.
 ///
 /// # Safety
 ///
@@ -1238,10 +1247,16 @@ unsafe fn f32_ikj_rows_avx2(
     }
 }
 
-/// The fused AVX2/FMA form of [`f32_ikj_tile_scalar`]: one `k`-tile over
-/// `btile` (row `k` at offset `(k − kb)·n`), the axpy body inlined so the
-/// hot path pays no per-live-element indirect call or slice construction.
-/// Same operations in the same order as the scalar tile — bit-identical.
+/// The AVX2/FMA form of [`f32_ikj_tile_scalar`]: one `k`-tile over
+/// `btile` (row `k` at offset `(k − kb)·n`). Per row it first collects the
+/// tile's live `A` words (masked panels and zero words skipped), then walks
+/// the output row in blocks of [`IKJ_ACCS`] vectors held in registers
+/// across every live `k` of the tile: one load and one store of each
+/// output word per tile instead of one per live `k`, and `IKJ_ACCS`
+/// independent FMA chains to cover the fused-add latency. Each output
+/// element still sees the tile's terms in `k`-ascending order, resumed from
+/// the value the previous tile left in `out_rows` (an exact round trip), so
+/// this is the scalar tile's operation chain — bit-identical.
 /// Accumulates; callers zero `out_rows` once before the first tile.
 ///
 /// # Safety
@@ -1249,7 +1264,7 @@ unsafe fn f32_ikj_rows_avx2(
 /// Caller must have verified `avx2` and `fma` are available, and that
 /// `a_rows.len() == m·kk`, `btile.len() == (kend − kb)·n`,
 /// `out_rows.len() == m·n`, `masks.len() == m·wpr` with
-/// `wpr = mask_geometry(kk).1`, `kb ≤ kend ≤ kk`.
+/// `wpr = mask_geometry(kk).1`, `kb ≤ kend ≤ kk`, `kend − kb ≤ IKJ_KB`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -1266,12 +1281,17 @@ unsafe fn f32_ikj_tile_avx2(
     kend: usize,
 ) {
     use std::arch::x86_64::*;
+    const L: usize = 8;
+    const BLOCK: usize = IKJ_ACCS * L;
     let ap = a_rows.as_ptr();
     let op0 = out_rows.as_mut_ptr();
+    let bp = btile.as_ptr();
+    // Per row, the tile's live terms, `k` ascending: the `B` row offset
+    // and the broadcast `A` word (the first `live` entries are this row's).
+    let (mut boff, mut avs) = ([0usize; IKJ_KB], [0.0f32; IKJ_KB]);
     for i in 0..m {
         let mrow = &masks[i * wpr..(i + 1) * wpr];
         let arow = ap.add(i * kk);
-        let op = op0.add(i * n);
         // Liveness-aware prefetch: live `A` panels land scattered (the
         // column-order walk defeats the hardware prefetcher), so pull
         // the *next* tile's line for this row now — but only when its
@@ -1285,7 +1305,7 @@ unsafe fn f32_ikj_tile_avx2(
                 _mm_prefetch(arow.add(kend) as *const i8, _MM_HINT_T0);
             }
         }
-        let mut k = kb;
+        let (mut live, mut k) = (0, kb);
         while k < kend {
             let p = k / KP;
             let pend = (p * KP + KP).min(kend);
@@ -1295,27 +1315,58 @@ unsafe fn f32_ikj_tile_avx2(
             }
             while k < pend {
                 let av = *arow.add(k);
+                if av != 0.0 {
+                    (boff[live], avs[live]) = ((k - kb) * n, av);
+                    live += 1;
+                }
                 k += 1;
-                if av == 0.0 {
-                    continue;
-                }
-                let bp = btile.as_ptr().add((k - 1 - kb) * n);
-                let avv = _mm256_set1_ps(av);
-                let mut j = 0;
-                while j + 8 <= n {
-                    let bv = _mm256_loadu_ps(bp.add(j));
-                    let o = _mm256_loadu_ps(op.add(j));
-                    _mm256_storeu_ps(op.add(j), _mm256_fmadd_ps(avv, bv, o));
-                    j += 8;
-                }
-                while j < n {
-                    *op.add(j) = av.mul_add(*bp.add(j), *op.add(j));
-                    j += 1;
+            }
+        }
+        if live == 0 {
+            continue;
+        }
+        let (boff, avs) = (&boff[..live], &avs[..live]);
+        let op = op0.add(i * n);
+        let mut j = 0;
+        while j + BLOCK <= n {
+            let mut acc = [_mm256_setzero_ps(); IKJ_ACCS];
+            for (v, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_loadu_ps(op.add(j + v * L));
+            }
+            for (&off, &av) in boff.iter().zip(avs) {
+                let (avv, brow) = (_mm256_set1_ps(av), bp.add(off + j));
+                for (v, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_fmadd_ps(avv, _mm256_loadu_ps(brow.add(v * L)), *a);
                 }
             }
+            for (v, a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(op.add(j + v * L), *a);
+            }
+            j += BLOCK;
+        }
+        while j + L <= n {
+            let mut a = _mm256_loadu_ps(op.add(j));
+            for (&off, &av) in boff.iter().zip(avs) {
+                a = _mm256_fmadd_ps(_mm256_set1_ps(av), _mm256_loadu_ps(bp.add(off + j)), a);
+            }
+            _mm256_storeu_ps(op.add(j), a);
+            j += L;
+        }
+        while j < n {
+            let mut a = *op.add(j);
+            for (&off, &av) in boff.iter().zip(avs) {
+                a = av.mul_add(*bp.add(off + j), a);
+            }
+            *op.add(j) = a;
+            j += 1;
         }
     }
 }
+
+/// Output vectors [`f32_ikj_tile_avx2`] keeps in registers per block: two
+/// FMA ports times the four-cycle fused-add latency.
+#[cfg(target_arch = "x86_64")]
+const IKJ_ACCS: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Q8.8 kernels
@@ -1684,7 +1735,7 @@ pub(crate) fn ikj_tile_packed<T: Num>(
     debug_assert_eq!(out.len(), m * n);
     match kind {
         PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`).
+            // SAFETY: `kind` proves `T == f32` (see `pack_for_plan`).
             let (af, bf, of) = unsafe {
                 (
                     std::slice::from_raw_parts(a.as_ptr() as *const f32, a.len()),
@@ -1729,6 +1780,95 @@ pub(crate) fn ikj_tile_packed<T: Num>(
 }
 
 // ---------------------------------------------------------------------------
+// One output column
+// ---------------------------------------------------------------------------
+
+/// The packed engine on a one-column product (`n = 1`: the critic's score
+/// layer, whose `B` is its whole input map read in place). A packed panel
+/// would hold one live lane and [`NR_F32`]` − 1` zero pads, so `B` is not
+/// packed at all: each output row is one `k`-ascending chain against `b` —
+/// the chain lane 0 of the packed tile computes, `fma(a, b, acc)` per
+/// term, with zero `A` words skipped (bit-neutral, see the module docs) —
+/// stored, or added to the output under [`Epilogue::Accumulate`] as the
+/// tile's `out + chain`. From `Avx2Fma` up the chain runs on hardware FMA;
+/// the scalar level's [`f32::mul_add`] is the same correctly rounded
+/// operation.
+fn f32_dot_rows(
+    level: SimdLevel,
+    a_rows: &[f32],
+    b: &[f32],
+    out_rows: &mut [f32],
+    kk: usize,
+    epilogue: Epilogue,
+) {
+    assert!(
+        b.len() == kk && a_rows.len() == out_rows.len() * kk,
+        "one-column operands disagree with {}×{kk}×1",
+        out_rows.len()
+    );
+    for (i, o) in out_rows.iter_mut().enumerate() {
+        let a = &a_rows[i * kk..(i + 1) * kk];
+        let chain = match level {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a level from `Avx2Fma` up is only selected (or handed
+            // to tests by `SimdLevel::supported`) after `detect_level`
+            // verified avx2+fma.
+            l if l >= SimdLevel::Avx2Fma => unsafe { f32_dot_fma(a, b) },
+            _ => f32_dot(a, b),
+        };
+        *o = match epilogue {
+            Epilogue::Store => chain,
+            Epilogue::Accumulate => *o + chain,
+        };
+    }
+}
+
+/// One `k`-ascending fused chain `Σ a[k]·b[k]`, zero `a` words skipped.
+#[inline(always)]
+fn f32_dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&av, &bv) in a.iter().zip(b) {
+        if av != 0.0 {
+            acc = <f32 as Num>::fused_mul_add(acc, av, bv);
+        }
+    }
+    acc
+}
+
+/// [`f32_dot`] compiled with FMA enabled, so each term is one `vfmadd`
+/// instead of a call into libm's `fmaf`.
+///
+/// # Safety
+///
+/// Caller must have verified `fma` is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn f32_dot_fma(a: &[f32], b: &[f32]) -> f32 {
+    f32_dot(a, b)
+}
+
+/// The Q8.8 form of [`f32_dot_rows`] (store only — Q8.8 never
+/// accumulates into its output): each output row is one `k`-ascending
+/// saturating chain of [`fx_mac`] against `b` in place, zero `A` words
+/// skipped (exact: a zero operand's term is exactly zero).
+fn fx_dot_rows(a_rows: &[i16], b: &[i16], out_rows: &mut [i16], kk: usize) {
+    assert!(
+        b.len() == kk && a_rows.len() == out_rows.len() * kk,
+        "one-column operands disagree with {}×{kk}×1",
+        out_rows.len()
+    );
+    for (i, o) in out_rows.iter_mut().enumerate() {
+        let mut acc = 0i32;
+        for (&av, &bv) in a_rows[i * kk..(i + 1) * kk].iter().zip(b) {
+            if av != 0 {
+                acc = fx_mac(acc, av, bv);
+            }
+        }
+        *o = acc as i16;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Whole-matrix drivers
 // ---------------------------------------------------------------------------
 
@@ -1754,8 +1894,8 @@ pub struct GemmPlan {
 }
 
 impl GemmPlan {
-    fn new(m: usize, kk: usize, n: usize, skipped: u64, zeros: u64) -> Self {
-        let path = dispatch_path(m, kk, n, zeros);
+    fn new((m, kk, n): (usize, usize, usize), skipped: u64, zeros: u64, b_streamed: bool) -> Self {
+        let path = dispatch_path(m, kk, n, zeros, b_streamed);
         GemmPlan {
             path,
             skipped,
@@ -1769,63 +1909,40 @@ impl GemmPlan {
 }
 
 /// Scans `A` into the scratch panel masks and picks the dispatch path —
-/// without touching `B` (the streamed lowering driver decides whether `B`
-/// needs to be materialized at all based on the returned path). Follow
-/// with [`plan_gemm`]-style packing or [`run_plan_rows`] as appropriate.
+/// without touching `B`: whoever holds `B` then packs it against the plan
+/// (`pack_for_plan`) or, on a broadcast path of a streamed `B`
+/// (`b_streamed`, see [`choose_path`]), never materializes it at all.
 pub fn scan_gemm<T: Num>(
     a: &[T],
-    m: usize,
-    kk: usize,
-    n: usize,
+    dims: (usize, usize, usize),
+    b_streamed: bool,
     scratch: &mut PackScratch,
 ) -> GemmPlan {
-    let (skipped, zeros) = build_masks(a, m, kk, &mut scratch.masks);
-    GemmPlan::new(m, kk, n, skipped, zeros)
+    let (skipped, zeros) = build_masks(a, dims.0, dims.1, &mut scratch.masks);
+    GemmPlan::new(dims, skipped, zeros, b_streamed)
 }
 
-/// Shared planning for the packed-family drivers: scans `A`, picks the
-/// path and — only when the packed engine won — packs `B`. The calling
-/// thread or the pool's workers then run [`run_plan_rows`] over disjoint
-/// row chunks against the shared scratch.
-pub fn plan_gemm<T: Num>(
-    a: &[T],
-    b: &[T],
-    m: usize,
-    kk: usize,
-    n: usize,
-    kind: PackedKind,
-    scratch: &mut PackScratch,
-) -> GemmPlan {
-    let plan = scan_gemm(a, m, kk, n, scratch);
-    pack_for_plan(&plan, b, (m, kk, n), kind, scratch);
-    plan
-}
-
-/// [`plan_gemm`] for an `A` operand the caller knows to be dense — the
+/// [`scan_gemm`] for an `A` operand the caller knows to be dense — the
 /// weight-stationary conv lowerings, whose `A` is a layer's weights: the
 /// zero scan is skipped (it would be a full extra pass over a
 /// multi-megabyte operand per call, to find nothing), every panel mask
 /// stays clear and the dispatch keys on the shape alone. Masks are only
 /// ever a licence to skip, so a clear mask is correct for any `A`.
-pub fn plan_gemm_dense_a<T: Num>(
-    b: &[T],
-    m: usize,
-    kk: usize,
-    n: usize,
-    kind: PackedKind,
+pub fn plan_dense_a(
+    (m, kk, n): (usize, usize, usize),
+    b_streamed: bool,
     scratch: &mut PackScratch,
 ) -> GemmPlan {
     let (_, words_per_row) = mask_geometry(kk);
     scratch.masks.clear();
     scratch.masks.resize(m * words_per_row, 0);
-    let plan = GemmPlan::new(m, kk, n, 0, 0);
-    pack_for_plan(&plan, b, (m, kk, n), kind, scratch);
-    plan
+    GemmPlan::new((m, kk, n), 0, 0, b_streamed)
 }
 
 /// Packs `B` into the scratch panels when (and only when) `plan` runs the
-/// packed engine, over as many disjoint panel ranges as the plan has row
-/// chunks.
+/// packed engine on more than one output column, over as many disjoint
+/// panel ranges as the plan has row chunks. A one-column `B` is never
+/// packed: [`run_plan_rows`] reads it in place.
 pub(crate) fn pack_for_plan<T: Num>(
     plan: &GemmPlan,
     b: &[T],
@@ -1833,7 +1950,7 @@ pub(crate) fn pack_for_plan<T: Num>(
     kind: PackedKind,
     scratch: &mut PackScratch,
 ) {
-    if plan.path == GemmPath::Packed {
+    if plan.path == GemmPath::Packed && n > 1 {
         let pieces = m.div_ceil(plan.rows_per_chunk.max(1)).max(1);
         match kind {
             PackedKind::F32 => {
@@ -1857,11 +1974,12 @@ pub(crate) fn pack_for_plan<T: Num>(
 /// The one GEMM driver: runs one planned GEMM's engine at `level` over a
 /// contiguous row chunk. `row0` is the absolute first row of the chunk;
 /// `b` is the **unpacked** `B` (the packed path reads the panels packed
-/// into `scratch` by [`plan_gemm`] instead). Production passes
-/// [`simd_level`]; a test handle passes any level of
-/// [`SimdLevel::supported`]. Bit-neutral under any row partition and at
-/// every level: every engine's per-element chain runs along `k`, never
-/// across rows.
+/// into `scratch` by `pack_for_plan` instead — except at `n = 1`, where
+/// it runs each row as one chain against `b` itself: see
+/// `f32_dot_rows`). Production passes [`simd_level`]; a test handle
+/// passes any level of [`SimdLevel::supported`]. Bit-neutral under any row
+/// partition and at every level: every engine's per-element chain runs
+/// along `k`, never across rows.
 ///
 /// # Panics
 ///
@@ -1890,7 +2008,7 @@ pub fn run_plan_rows<T: Num>(
     let masks = &scratch.masks[row0 * wpr..(row0 + rows_here) * wpr];
     match kind {
         PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`), so each
+            // SAFETY: `kind` proves `T == f32` (see `pack_for_plan`), so each
             // cast reinterprets a slice as itself.
             let (af, bf, of) = unsafe {
                 (
@@ -1904,6 +2022,7 @@ pub fn run_plan_rows<T: Num>(
             };
             let a_rows = &af[row0 * kk..(row0 + rows_here) * kk];
             match path {
+                GemmPath::Packed if n == 1 => f32_dot_rows(level, a_rows, bf, of, kk, epilogue),
                 GemmPath::Packed => {
                     f32_rows(
                         level,
@@ -1935,6 +2054,7 @@ pub fn run_plan_rows<T: Num>(
             };
             let a_rows = &ai[row0 * kk..(row0 + rows_here) * kk];
             match path {
+                GemmPath::Packed if n == 1 => fx_dot_rows(a_rows, bi, oi, kk),
                 GemmPath::Packed => {
                     fx_rows(level, a_rows, masks, scratch.bi16.get(), oi, kk, n);
                 }
@@ -2318,39 +2438,49 @@ mod tests {
 
     #[test]
     fn choose_path_keys_on_shape_and_density() {
+        let path = |m, kk, n, zeros| choose_path(m, kk, n, zeros, false);
         // A single output row with a wide-enough output streams B.
-        assert_eq!(choose_path(1, 6272, 100, 0), GemmPath::SmallM);
+        assert_eq!(path(1, 6272, 100, 0), GemmPath::SmallM);
         // Multi-row dense shapes keep the packed engine even below one
         // register tile of rows — the dense 6×16 tile wins from m = 2 up.
-        assert_eq!(choose_path(MR_F32, 100, 128, 0), GemmPath::Packed);
-        assert_eq!(choose_path(49, 1600, 128, 0), GemmPath::Packed);
+        assert_eq!(path(MR_F32, 100, 128, 0), GemmPath::Packed);
+        assert_eq!(path(49, 1600, 128, 0), GemmPath::Packed);
         // Degenerate-kk shapes dodge the pack entirely.
-        assert_eq!(choose_path(100, 1, 6272, 0), GemmPath::Ikj);
-        assert_eq!(choose_path(100, 3, 6272, 0), GemmPath::Packed);
+        assert_eq!(path(100, 1, 6272, 0), GemmPath::Ikj);
+        assert_eq!(path(100, 3, 6272, 0), GemmPath::Packed);
         // The projection shape: ~98% zeros scattered across panels.
         let total = 49u64 * 4900;
         assert_eq!(
-            choose_path(49, 4900, 128, total - 49 * 100),
+            path(49, 4900, 128, total - 49 * 100),
             GemmPath::Ikj,
             "sparse-A shapes take the element-skipping path"
         );
         // Exactly at the 15/16 threshold the ikj path still wins.
-        assert_eq!(choose_path(8, 100, 128, 750), GemmPath::Ikj);
-        assert_eq!(choose_path(8, 100, 128, 749), GemmPath::Packed);
+        assert_eq!(path(8, 100, 128, 750), GemmPath::Ikj);
+        assert_eq!(path(8, 100, 128, 749), GemmPath::Packed);
         // The weight-stationary conv shapes (`m` = output maps, `n` =
         // pixels, dense weights so a zero count of 0): a single-channel
         // side makes one-row phase GEMMs, which stream `B`; every other
         // layer keeps the packed tile, down to 16 pixels; nothing lands on
         // ikj by density.
-        assert_eq!(choose_path(1, 64 * 9, 196, 0), GemmPath::SmallM);
-        assert_eq!(choose_path(64, 25, 196, 0), GemmPath::Packed);
-        assert_eq!(choose_path(128, 1600, 49, 0), GemmPath::Packed);
-        assert_eq!(choose_path(512, 6400, 16, 0), GemmPath::Packed);
+        assert_eq!(path(1, 64 * 9, 196, 0), GemmPath::SmallM);
+        assert_eq!(path(64, 25, 196, 0), GemmPath::Packed);
+        assert_eq!(path(128, 1600, 49, 0), GemmPath::Packed);
+        assert_eq!(path(512, 6400, 16, 0), GemmPath::Packed);
         // Narrow outputs can't amortize a broadcast axpy: everything
         // below n = 8 stays packed no matter the shape or density.
-        assert_eq!(choose_path(49, 6272, 1, 49 * 6272 - 49), GemmPath::Packed);
-        assert_eq!(choose_path(1, 6272, 7, 0), GemmPath::Packed);
-        assert_eq!(choose_path(1, 6272, 8, 0), GemmPath::SmallM);
+        assert_eq!(path(49, 6272, 1, 49 * 6272 - 49), GemmPath::Packed);
+        assert_eq!(path(1, 6272, 7, 0), GemmPath::Packed);
+        assert_eq!(path(1, 6272, 8, 0), GemmPath::SmallM);
+        // A streamed `B` under fewer rows than one register tile is never
+        // built: the DCGAN image layer's three-map phases stream, from one
+        // tile of rows up the streamed entry keeps the rules above.
+        let streamed = |m, kk, n| choose_path(m, kk, n, 0, true);
+        assert_eq!(path(3, 384, 1024, 0), GemmPath::Packed);
+        assert_eq!(streamed(3, 384, 1024), GemmPath::SmallM);
+        assert_eq!(streamed(MR_F32 - 1, 384, 1024), GemmPath::SmallM);
+        assert_eq!(streamed(MR_F32, 384, 1024), GemmPath::Packed);
+        assert_eq!(streamed(3, 384, 7), GemmPath::Packed);
     }
 
     proptest::proptest! {

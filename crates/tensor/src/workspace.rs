@@ -90,6 +90,13 @@ impl<T> ConvWorkspace<T> {
         &mut self.pack
     }
 
+    /// The scratch as the last [`Self::pack_scratch`] caller left it, for
+    /// that GEMM's later steps (packing a `B` generated after the plan):
+    /// no allocating-baseline reset, so the plan's `A` masks survive.
+    pub(crate) fn planned_scratch(&mut self) -> &mut PackScratch {
+        &mut self.pack
+    }
+
     /// Read-only view of the scratch as the last [`Self::pack_scratch`]
     /// caller left it — no allocating-baseline reset, so the `A` masks a
     /// just-run scan built stay readable even with reuse off.

@@ -63,9 +63,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
-use crate::gemm::{
-    fill_b_rows, matmul_blocked, matmul_slices_ws, matmul_streamed_ws, AScan, Product,
-};
+use crate::gemm::{matmul_blocked, matmul_streamed_ws, AScan, Product};
 use crate::im2col::{fill_im2col_s_row, Matrix};
 use crate::kernels::Kernels;
 use crate::num::Num;
@@ -91,6 +89,12 @@ struct TPhase {
     /// the offset of its (unflipped) weight inside a kernel's `kh·kw`
     /// block, `(kh−1−ky′)·kw + (kw−1−kx′)`.
     tap_offsets: Vec<usize>,
+    /// For every kept tap, in the same order, the source-pixel shift
+    /// `(dy, dx)`: phase pixel `(ri, rj)` meets the tap at input pixel
+    /// `(ri + dy, rj + dx)` — the row writer's only per-tap quantities.
+    /// Dividing per row instead makes the MNIST image layer's phase pass
+    /// (`14×14` rows) ~1.2× slower on one AVX-512 thread.
+    shifts: Vec<(isize, isize)>,
 }
 
 impl TPhase {
@@ -121,11 +125,22 @@ fn t_phases(geom: &ConvGeom, oh: usize, ow: usize) -> Vec<TPhase> {
             }
             let (kh, kw) = (geom.kh(), geom.kw());
             let (kys, kxs) = (keep(ry, pt, kh), keep(rx, pl, kw));
-            let tap_offsets = kys
-                .iter()
-                .flat_map(|&ky| {
-                    kxs.iter()
-                        .map(move |&kx| (kh - 1 - ky) * kw + (kw - 1 - kx))
+            let taps = || {
+                kys.iter()
+                    .flat_map(|&ky| kxs.iter().map(move |&kx| (ky, kx)))
+            };
+            let tap_offsets = taps()
+                .map(|(ky, kx)| (kh - 1 - ky) * kw + (kw - 1 - kx))
+                .collect();
+            // `ry + ky − pt` is a multiple of the stride for a kept tap, so
+            // the divisions are exact.
+            let shift = |r: usize, k: usize, pad: usize| (r + k) as isize - pad as isize;
+            let shifts = taps()
+                .map(|(ky, kx)| {
+                    (
+                        shift(ry, ky, pt) / s as isize,
+                        shift(rx, kx, pl) / s as isize,
+                    )
                 })
                 .collect();
             phases.push(TPhase {
@@ -134,6 +149,7 @@ fn t_phases(geom: &ConvGeom, oh: usize, ow: usize) -> Vec<TPhase> {
                 kys,
                 kxs,
                 tap_offsets,
+                shifts,
             });
         }
     }
@@ -236,54 +252,71 @@ fn fill_t_phase_patches<T: Num>(
     }
 }
 
-/// The transposed phase patch fill of the weight-stationary lowering: `b`
-/// is `(N_sf·|kys|·|kxs|) × (phase pixels)`, the transpose of
-/// [`fill_t_phase_patches`]. Output pixel `(ri, rj)` of the phase meets
-/// tap `(ky′, kx′)` at source pixel `(ri + dy, rj + dx)` for per-tap
-/// constants `dy`, `dx` (the kept taps are exactly those whose zero-inserted
-/// coordinate is a multiple of the stride), so every row of `b` is a
-/// *shifted copy* of one input plane: contiguous reads, contiguous writes.
-/// Writes only in-bounds entries, so `b` **must** start zero-filled. `m` is
-/// the row count of the GEMM `b` feeds ([`fill_b_rows`]).
-fn fill_t_phase_patches_transposed<T: Num>(
-    b: &mut Matrix<T>,
-    input: &Fmaps<T>,
-    geom: &ConvGeom,
-    phase: &TPhase,
-    m: usize,
-) {
-    let s = geom.stride() as isize;
-    let (pt, _, pl, _) = geom.t_conv_pads();
+/// Row `row` of one phase's transposed patch matrix — the `B` operand of
+/// the weight-stationary phase GEMM, `(N_sf·|kys|·|kxs|) × (phase pixels)`,
+/// the transpose of [`fill_t_phase_patches`]: tap `(sf, ky′, kx′)` across
+/// every output pixel of the phase. Output pixel `(ri, rj)` meets the tap
+/// at source pixel `(ri + dy, rj + dx)` for the per-tap constants
+/// `TPhase::shifts`, so the row is a *shifted copy* of input plane `sf`:
+/// contiguous reads, contiguous writes. Writes every element of `dst`
+/// (taps that fall outside the map get an explicit zero), so `dst` need not
+/// start zeroed. The one writer of the phase operand: the streamed GEMM
+/// calls it per live row into its one-tile buffer, the materialized route
+/// per row of `B`.
+fn fill_t_phase_row<T: Num>(input: &Fmaps<T>, phase: &TPhase, row: usize, dst: &mut [T]) {
     let (ih, iw) = (input.height(), input.width());
-    let (noy, nox) = (phase.oys.len(), phase.oxs.len());
-    let nkx = phase.kxs.len();
-    debug_assert_eq!(b.rows(), input.channels() * phase.taps());
-    debug_assert_eq!(b.cols(), noy * nox);
-    fill_b_rows(b, m, |row, dst| {
-        let (c, tap) = (row / phase.taps(), row % phase.taps());
-        let plane = &input.as_slice()[c * ih * iw..(c + 1) * ih * iw];
-        let (ky, kx) = (phase.kys[tap / nkx], phase.kxs[tap % nkx]);
-        let dy = (phase.oys[0] as isize + ky as isize - pt as isize) / s;
-        let dx = (phase.oxs[0] as isize + kx as isize - pl as isize) / s;
-        // Phase columns whose source lands inside the map.
-        let rj_lo = (-dx).max(0) as usize;
-        let rj_hi = (iw as isize - dx).clamp(0, nox as isize) as usize;
-        if rj_lo >= rj_hi {
-            return;
-        }
-        let (src_lo, src_hi) = (
-            (rj_lo as isize + dx) as usize,
-            (rj_hi as isize + dx) as usize,
-        );
-        for ri in 0..noy {
-            let iy = ri as isize + dy;
-            if iy < 0 || iy >= ih as isize {
-                continue;
+    let nox = phase.oxs.len();
+    debug_assert_eq!(dst.len(), phase.oys.len() * nox);
+    let (c, tap) = (row / phase.taps(), row % phase.taps());
+    let plane = &input.as_slice()[c * ih * iw..(c + 1) * ih * iw];
+    let (dy, dx) = phase.shifts[tap];
+    // Phase columns whose source lands inside the map.
+    let rj_lo = (-dx).max(0) as usize;
+    let rj_hi = (iw as isize - dx).clamp(0, nox as isize) as usize;
+    if rj_lo >= rj_hi {
+        dst.fill(T::zero());
+        return;
+    }
+    // Phase rows whose source lands inside the map.
+    let ri_lo = (-dy).max(0) as usize;
+    let ri_hi = (ih as isize - dy).clamp(0, phase.oys.len() as isize) as usize;
+    if ri_lo >= ri_hi {
+        dst.fill(T::zero());
+        return;
+    }
+    if nox == iw {
+        // A phase row is as wide as an input row (an up-sampling by
+        // exactly the stride: every GAN layer), so the whole shifted
+        // window is one run of the plane. Copy it in one piece; in between
+        // rows the run wraps through the columns no source reaches
+        // (`|dx|` of them), which are zeroed after. The per-row loop below
+        // pays one short copy per phase row: on one AVX-512 thread it makes
+        // the image layer's phase pass ~1.35× slower on DCGAN, ~2.2× on MNIST.
+        let (lo, hi) = (ri_lo * nox + rj_lo, (ri_hi - 1) * nox + rj_hi);
+        let src = ((ri_lo as isize + dy) * iw as isize + rj_lo as isize + dx) as usize;
+        dst[..lo].fill(T::zero());
+        dst[lo..hi].copy_from_slice(&plane[src..src + (hi - lo)]);
+        dst[hi..].fill(T::zero());
+        for col in (0..rj_lo).chain(rj_hi..nox) {
+            let first = (ri_lo * nox + col).min(hi);
+            for d in dst[first..hi].iter_mut().step_by(nox) {
+                *d = T::zero();
             }
-            let src = &plane[iy as usize * iw..(iy as usize + 1) * iw];
-            dst[ri * nox + rj_lo..ri * nox + rj_hi].copy_from_slice(&src[src_lo..src_hi]);
         }
-    });
+        return;
+    }
+    let src_lo = (rj_lo as isize + dx) as usize;
+    for (ri, drow) in dst.chunks_exact_mut(nox).enumerate() {
+        let iy = ri as isize + dy;
+        if iy < 0 || iy >= ih as isize {
+            drow.fill(T::zero());
+            continue;
+        }
+        let src = &plane[iy as usize * iw + src_lo..][..rj_hi - rj_lo];
+        drow[..rj_lo].fill(T::zero());
+        drow[rj_lo..rj_hi].copy_from_slice(src);
+        drow[rj_hi..].fill(T::zero());
+    }
 }
 
 /// Builds one phase's compact patch matrix. Rows enumerate the phase's
@@ -513,7 +546,11 @@ const GATHER_SF_TILE: usize = 32;
 /// patch matrix — the only operand lowered per call — and row `lf` of the
 /// product is output map `lf` restricted to the phase's pixels, interleaved
 /// back by row. Per output element that is the patch-major chain with each
-/// product's factors swapped: bit-neutral.
+/// product's factors swapped: bit-neutral. `B` goes through the streamed
+/// GEMM entry, so a thin side (fewer output maps than one register tile:
+/// the generator's image layer, the critic's first-layer input error)
+/// never builds it — its rows are written into a one-tile buffer as the
+/// broadcast engine reaches them; wider sides materialize and pack it.
 ///
 /// The sub-kernels come from `sub_kernels` when the caller owns the weights
 /// (gathered there on first use after an invalidation; the cache must
@@ -581,14 +618,18 @@ fn t_phases_weight_stationary<T: Num>(
         let a = &sub[base..base + n_if * kk];
         base += n_if * kk;
         let (noy, nox) = (phase.oys.len(), phase.oxs.len());
-        // take_matrix zero-fills — required: the patch fill writes only
-        // in-bounds entries.
-        let mut b = ws.take_matrix(kk, noy * nox);
-        fill_t_phase_patches_transposed(&mut b, input, geom, phase, n_if);
         let mut product = ws.take_dirty(n_if * noy * nox);
+        let patch_row = |row: usize, dst: &mut [T]| fill_t_phase_row(input, phase, row, dst);
         let store = Product::Store(&mut product);
-        matmul_slices_ws(a, n_if, &b, AScan::Dense, store, ws)?;
-        ws.give_matrix(b);
+        matmul_streamed_ws(
+            a,
+            n_if,
+            (kk, noy * nox),
+            &patch_row,
+            AScan::Dense,
+            store,
+            ws,
+        )?;
         // Row `lf` of the product is map `lf` on this phase's pixel grid:
         // deal its rows back into the map at the phase's stride.
         let maps = out.as_mut_slice().chunks_exact_mut(oh * ow);
@@ -788,7 +829,7 @@ fn w_conv_s_lowered<T: Num>(
         input.channels() * geom.kh() * geom.kw(),
     );
     let patch_row = |r: usize, row: &mut [T]| fill_im2col_s_row(input, geom, ow, r, row);
-    matmul_streamed_ws(delta, m, dims, &patch_row, grad, ws)
+    matmul_streamed_ws(delta, m, dims, &patch_row, AScan::Scan, grad, ws)
 }
 
 /// Zero-free `W-CONV` of a T-CONV layer: the compact input (channels ×
@@ -851,15 +892,10 @@ fn w_conv_t_lowered<T: Num>(
     check_error_map(delta_out, geom.up_out(ih, iw))?;
     let cols = delta_out.channels() * geom.kh() * geom.kw();
     // The error patches a compact input pixel meets are the S-CONV patch
-    // of the error maps at that pixel. The fill writes every cell.
-    let mut patches = ws.take_matrix_dirty(ih * iw, cols);
+    // of the error maps at that pixel.
     let (a, m) = (input.as_slice(), input.channels());
-    fill_b_rows(&mut patches, m, |r, row| {
-        fill_im2col_s_row(delta_out, geom, iw, r, row)
-    });
-    let done = matmul_slices_ws(a, m, &patches, AScan::Scan, grad, ws);
-    ws.give_matrix(patches);
-    done
+    let patch_row = |r: usize, row: &mut [T]| fill_im2col_s_row(delta_out, geom, iw, r, row);
+    matmul_streamed_ws(a, m, (ih * iw, cols), &patch_row, AScan::Scan, grad, ws)
 }
 
 /// `W-CONV` of a T-CONV layer the textbook way: materialise the
@@ -1137,8 +1173,9 @@ mod tests {
     }
 
     /// The weight-stationary operands are exactly the transposes of the
-    /// patch-major specification operands, phase by phase: the transposed
-    /// patch fill against the reference patch fill, the gathered
+    /// patch-major specification operands, phase by phase: the phase row
+    /// writer (into a poisoned matrix, so a cell it skipped shows up as a
+    /// NaN) against the reference patch fill, the gathered
     /// sub-kernels against the reference phase weights. Covers padded,
     /// stride-3, stride-1 and `1×1`-input geometries and a single-channel
     /// side.
@@ -1167,8 +1204,10 @@ mod tests {
                     let npix = phase.oys.len() * phase.oxs.len();
                     let mut reference = Matrix::zeros(npix, kk);
                     fill_t_phase_patches_ref(&mut reference, &x, g, phase);
-                    let mut b = Matrix::zeros(kk, npix);
-                    fill_t_phase_patches_transposed(&mut b, &x, g, phase, k.n_if());
+                    let mut b = Matrix::from_vec(kk, npix, vec![f32::NAN; kk * npix]);
+                    for row in 0..kk {
+                        fill_t_phase_row(&x, phase, row, b.row_mut(row));
+                    }
                     assert_eq!(b, transpose(&reference), "patches, {g:?}");
 
                     let mut weights = Matrix::zeros(kk, n_if);

@@ -128,22 +128,28 @@ echo "f32 train digests are bit-identical across SIMD levels"
 echo "=== forced-kernel dispatch sweep ==="
 # Every GEMM dispatch path must uphold both bit-equality families on its
 # own: pin each engine via ZFGAN_FORCE_KERNEL, run the tensor suite on the
-# scalar kernels (the broadest portable surface), and byte-diff the Q8.8
-# sweep transcript against the dispatched run above.
+# scalar kernels (the broadest portable surface), byte-diff the Q8.8 sweep
+# transcript against the dispatched run above, and diff the f32 MNIST-GAN
+# train digest against the dispatched run at the top of the test step —
+# forced packed materializes every patch operand the dispatched run streams
+# or reads in place.
 for path in packed ikj smallm; do
     ZFGAN_NO_SIMD=1 ZFGAN_FORCE_KERNEL="$path" cargo test -q -p zfgan-tensor
     ZFGAN_FORCE_KERNEL="$path" cargo run -q --release -p zfgan-bench --bin fxsweep \
         > "$tdir/fx_$path.txt"
     diff "$tdir/fx_simd.txt" "$tdir/fx_$path.txt"
-    echo "forced $path: tensor suite + Q8.8 transcript OK"
+    ZFGAN_FORCE_KERNEL="$path" cargo run -q --release -p zfgan -- \
+        train --gan mnist --seed 2024 --iters 3 > "$tdir/f32_$path.txt"
+    diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/f32_$path.txt")
+    echo "forced $path: tensor suite + Q8.8 transcript + f32 train digest OK"
 done
 
 echo "=== bench gates (paired in-process speed ratios) ==="
 # Each harness asserts its own floors on `zfgan_bench::paired_ratio`
 # (packed GEMM vs naive, its pool fan-out vs one inline chunk, dispatched
-# vs forced-packed, AVX-512 vs AVX2 tile, workspace reuse vs allocating
-# train steps, the nine executor engines vs the scalar oracle) plus warm
-# vs cold DSE. One pass, no retry:
+# vs forced-packed, AVX-512 vs AVX2 tile, the critic's score layer vs its
+# golden nest, workspace reuse vs allocating train steps, the nine
+# executor engines vs the scalar oracle) plus warm vs cold DSE. One pass, no retry:
 # a pair's two sides share whatever the host is doing.
 cargo bench -q -p zfgan-bench
 

@@ -57,8 +57,10 @@ fn arb_layer() -> impl Strategy<Value = ArbLayer> {
         // weight-stationary GEMMs) up.
         1usize..=5,
         1usize..=3,
-        // `large_c = 1` makes the zero-free phase GEMMs single-row.
-        1usize..=4,
+        // The zero-free phase GEMMs have `large_c` rows: from one row up,
+        // across one register tile (`MR_F32 = 6`), so they take both the
+        // streamed thin route and the materialized packed one.
+        1usize..=8,
         any::<u64>(),
     )
         .prop_map(|(stride, k, out, small_c, large_c, seed)| {
@@ -277,24 +279,29 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// The weight-stationary lowering on the shapes the random geometries
 /// above are too small to reach: the MNIST-GAN pixel counts that are not
-/// multiples of the 16-lane panel (49 and 196), single-channel sides
-/// (`n_if = 1`: one-row phase GEMMs) and single-pixel maps (`n = 1`).
+/// multiples of the 16-lane panel (49 and 196), thin sides (`n_if = 1` and
+/// the DCGAN image side's 3 maps: phase GEMMs under one register tile of
+/// rows, whose `B` is streamed), single-pixel maps (`n = 1`) — a score
+/// window read in place, and one larger than its map, which is not — and a
+/// whole-map window whose padding makes a second output row.
 /// Both contracts, on the allocating and the workspace entries alike
 /// (cold and warm workspace): f32 within the accumulation bound of golden
 /// and bit-equal (`to_bits`) across every packed backend; `Fx` and `f64`
 /// bit-equal to golden on every backend.
 #[test]
 fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
-    // (stride, kernel, out, small_c, large_c)
+    // (stride, kernel, in_hw, out, small_c, large_c)
     let shapes = [
-        (2, 5, 7, 3, 2),  // 196 → 49 pixels: MNIST-GAN layer 2
-        (2, 5, 14, 2, 1), // 784 → 196 pixels, single-channel image side
-        (2, 4, 7, 1, 3),  // single-channel small side
-        (7, 7, 1, 3, 2),  // one output pixel: the latent projection
-        (1, 4, 1, 1, 4),  // one output pixel, stride 1: the critic head
+        (2, 5, 14, 7, 3, 2),  // 196 → 49 pixels: MNIST-GAN layer 2
+        (2, 5, 28, 14, 2, 1), // 784 → 196 pixels, single-channel image side
+        (2, 5, 32, 16, 4, 3), // three-map image side, pad 1: DCGAN's
+        (2, 4, 14, 7, 1, 3),  // single-channel small side
+        (7, 7, 7, 1, 3, 2),   // one output pixel: the latent projection
+        (1, 4, 4, 1, 1, 4),   // one output pixel, stride 1: the critic head
+        (1, 4, 3, 1, 2, 3),   // one output pixel of a window past the map
+        (1, 2, 2, 2, 2, 3),   // a whole-map window padded below: two rows out
     ];
-    for (stride, k, out, small_c, large_c) in shapes {
-        let in_hw = if stride == 1 { k } else { stride * out };
+    for (stride, k, in_hw, out, small_c, large_c) in shapes {
         let g = ConvGeom::down(in_hw, in_hw, k, k, stride, out, out).expect("valid geometry");
         let mut rng = SmallRng::seed_from_u64((in_hw * 31 + small_c) as u64);
         let x = sparse(large_c, in_hw, in_hw, &mut rng);
@@ -377,15 +384,24 @@ fn weight_stationary_lowering_keeps_both_contracts_on_gan_shapes() {
 /// every SIMD level, on every forced dispatch path and for any row
 /// partition (`matmul_chunked`: chunks of one row, under, at and over a
 /// register tile, ragged, whole — more partitions than pool widths ever
-/// produced), storing the product and adding it to an accumulator. Shapes: short-`k` wide-`n` (the deep W-CONV shape class, all
-/// resident, ragged last panel), one whose first chunk is over the
-/// residency limit and whose second is under it (both orders in one GEMM,
-/// more rows than one 72-row block), and a small ragged one.
+/// produced), storing the product and adding it to an accumulator. Shapes:
+/// short-`k` wide-`n` (the deep W-CONV shape class, all resident, ragged
+/// last panel), one whose first chunk is over the residency limit and whose
+/// second is under it (both orders in one GEMM, more rows than one 72-row
+/// block), a small ragged one, and two one-column products (`n = 1`, where
+/// the packed engine runs each row as one chain against `B` in place), one
+/// within a `k`-chunk and one across two.
 #[test]
 fn packed_block_order_is_bit_neutral() {
     use zfgan::tensor::microkernel::{GemmPath, SimdLevel, KC};
     let mut rng = SmallRng::seed_from_u64(77);
-    for (m, kk, n) in [(40, 16, 700), (75, KC + 8, 530), (13, 100, 33)] {
+    for (m, kk, n) in [
+        (40, 16, 700),
+        (75, KC + 8, 530),
+        (13, 100, 33),
+        (9, 300, 1),
+        (2, KC + 40, 1),
+    ] {
         let a: Vec<f32> = (0..m * kk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut want = vec![0u32; m * n];
