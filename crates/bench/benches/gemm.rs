@@ -16,7 +16,7 @@ use std::cell::RefCell;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use zfgan_bench::{gate, paired_ratio};
+use zfgan_bench::{fan_out_gate, gate, paired_ratio, paired_ratio_with_capacity};
 use zfgan_tensor::gemm::{matmul_blocked, matmul_blocked_into, matmul_chunked};
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
@@ -300,12 +300,12 @@ fn gate_fan_out() {
                 std::hint::black_box(&mut *out);
             }
         };
-        let ratio = paired_ratio(PAIRED_ROUNDS, inline, default);
+        let reading = paired_ratio_with_capacity(PAIRED_ROUNDS, inline, default);
         if over {
-            gate(&name, simd_floor(FAN_OUT_FLOOR), ratio);
+            fan_out_gate(&name, simd_floor(FAN_OUT_FLOOR), reading);
         } else {
-            gate(&name, 0.95, ratio);
-            assert!(ratio <= 1.05, "{name}: an inline GEMM must not move");
+            fan_out_gate(&name, 0.95, reading);
+            assert!(reading.0 <= 1.05, "{name}: an inline GEMM must not move");
         }
     }
 }

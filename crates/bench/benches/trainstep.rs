@@ -1,20 +1,23 @@
-//! Full GAN training-step ratio gates on the MNIST-GAN spec: workspace
+//! Full GAN training-step ratio gates on the MNIST-GAN spec — workspace
 //! reuse over allocating scratch, and the shape dispatcher over the
-//! packed-only engine.
+//! packed-only engine — and one on DCGAN's parameter-sized passes, fanned
+//! out over their serial loops.
 //!
 //! Every variant computes bit-identical updates to the others
-//! (`tests/determinism.rs`). Every gate is one [`paired_ratio`] of one
-//! train step a side; the absolute step time is the `train_mnist` workload
-//! of `BENCHMARK.json`.
+//! (`tests/determinism.rs`, the optimizer's and the gather's unit tests).
+//! Every gate is one [`paired_ratio`] of one train step (or one pass set) a
+//! side; the absolute step times are the `train_mnist` and `train_dcgan`
+//! workloads of `BENCHMARK.json`.
 
 use std::cell::RefCell;
 
 use rand::rngs::SmallRng;
+use rand::Rng;
 use rand::SeedableRng;
-use zfgan_bench::{gate, paired_ratio};
-use zfgan_nn::{GanTrainer, TrainerConfig};
+use zfgan_bench::{fan_out_gate, gate, paired_ratio, paired_ratio_with_capacity};
+use zfgan_nn::{ConvNet, GanTrainer, LayerGrads, Optimizer, TrainerConfig, Wants};
 use zfgan_tensor::microkernel::{set_forced_path, simd_label, simd_level, GemmPath, SimdLevel};
-use zfgan_tensor::ConvBackend;
+use zfgan_tensor::{ConvBackend, ConvWorkspace, Fmaps};
 use zfgan_workloads::GanSpec;
 
 /// Rounds behind each paired ratio: two train steps each (35-70 ms a round).
@@ -45,6 +48,67 @@ fn stepper(backend: ConvBackend, reuse: bool) -> impl Fn(Option<GemmPath>) {
     };
     step(None);
     step
+}
+
+/// Floor of `fanout/param_step`. Ten fresh processes on the two-vCPU
+/// AVX-512 CI host read 1.50-1.64x at host capacities of 1.72-1.97x; a
+/// pass set that stopped fanning out reads 1.00x.
+const PARAM_STEP_FLOOR: f64 = 1.3;
+
+/// `fanout/param_step`: DCGAN's parameter-sized passes — both networks'
+/// RMSProp steps (the critic's with the WGAN clamp) and the critic
+/// re-gather those steps force, inside the input-error pass that carries
+/// the Generator's error through the critic — fanned out as
+/// `zfgan_pool::pass_pieces` decides, against the same calls held to their
+/// serial loops by `zfgan_pool::serial_passes`. The pass's GEMMs fan out in
+/// both arms. The host-capacity reading beside it says whether a red came
+/// from the host or the pool.
+fn gate_param_step() {
+    if zfgan_pool::pool_threads() < 2 {
+        println!("gate fanout/param_step: skipped at pool width 1");
+        return;
+    }
+    let mut rng = SmallRng::seed_from_u64(31);
+    let pair = GanSpec::dcgan()
+        .build_pair(0.05, &mut rng)
+        .expect("built-in spec is consistent");
+    let config = TrainerConfig::default();
+    let mut grads = |net: &ConvNet| -> Vec<LayerGrads> {
+        let mut grads = net.zero_grads();
+        for g in &mut grads {
+            let values = g.weights.as_mut_slice().iter_mut().chain(&mut g.bias);
+            values.for_each(|v| *v = rng.gen_range(-1e-3f32..1e-3));
+        }
+        grads
+    };
+    let (g_grads, d_grads) = (grads(pair.generator()), grads(pair.discriminator()));
+    let (mut g, mut d) = (pair.generator().clone(), pair.discriminator().clone());
+    let opt = |net: &ConvNet| Optimizer::new(config.optimizer, config.learning_rate, net);
+    let (mut opt_g, mut opt_d) = (opt(&g), opt(&d));
+    let mut ws = ConvWorkspace::new();
+    let image = Fmaps::random(3, 64, 64, 1.0, &mut rng);
+    let trace = d.forward_ws(&image, &mut ws).expect("image shape");
+    let delta = zfgan_nn::wgan::scalar_error(1.0);
+    let through_critic = Wants {
+        weight_grads: false,
+        input_error: true,
+    };
+    let mut step = || {
+        opt_d.step_clipped(&mut d, &d_grads, config.weight_clip);
+        opt_g.step(&mut g, &g_grads);
+        let (_, dx) = d
+            .backward_wanted_ws(&trace, &delta, through_critic, &mut ws)
+            .expect("trace produced by this network");
+        ws.give_fmaps(dx.expect("input error was wanted"));
+    };
+    step();
+    let step = RefCell::new(step);
+    let reading = paired_ratio_with_capacity(
+        PAIRED_ROUNDS,
+        || zfgan_pool::serial_passes(|| (step.borrow_mut())()),
+        || (step.borrow_mut())(),
+    );
+    fan_out_gate("fanout/param_step", PARAM_STEP_FLOOR, reading);
 }
 
 fn main() {
@@ -78,4 +142,6 @@ fn main() {
         || ws_packed(None),
     );
     gate("trainstep/dispatched_vs_packed_only", simd_floor(1.15), s);
+
+    gate_param_step();
 }

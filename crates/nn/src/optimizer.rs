@@ -10,6 +10,17 @@
 //! step cloned every gradient, rewrote the clone, and subtracted it in a
 //! second pass). The arithmetic per element is unchanged, operation for
 //! operation, so training trajectories are bit-identical.
+//!
+//! A weight tensor of [`zfgan_pool::PASS_FAN_OUT_MIN_ELEMS`] elements or
+//! more is updated as one pool batch: `(w, v, m)` and the gradient are cut
+//! into the same chunks, two per pool thread, and each chunk runs the
+//! serial loop. With DCGAN's 9.4 M parameters in a 300 MiB L3, the pass is
+//! not bound by DRAM: on a two-vCPU AVX-512 host the critic's clipped
+//! RMSProp step went 2.8–3.6 → 1.7–1.8 ms on two threads, the
+//! Generator's 3.3–3.4 → 1.7–1.9 ms. Bias vectors, smaller tensors and a
+//! serial pool keep the serial loop on the calling thread. Every element
+//! goes through the same operations either way, so the bits do not depend
+//! on the pool width.
 
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::Kernels;
@@ -233,15 +244,46 @@ impl Optimizer {
                 self.weight_v[l].as_mut_slice(),
                 self.weight_m[l].as_mut_slice(),
             );
+            let pieces = zfgan_pool::pass_pieces(w.len());
             match clip {
-                Some(c) => update_in_place(rule, w, gw, v, m, |w| w.clamp(-c, c)),
-                None => update_in_place(rule, w, gw, v, m, |w| w),
+                Some(c) => update_in_pieces(pieces, rule, w, gw, v, m, |w| w.clamp(-c, c)),
+                None => update_in_pieces(pieces, rule, w, gw, v, m, |w| w),
             }
             assert_eq!(g.bias.len(), bias.len(), "bias update length mismatch");
             let (v, m) = (&mut self.bias_v[l], &mut self.bias_m[l]);
             update_in_place(rule, bias, &g.bias, v, m, |b| b);
         }
     }
+}
+
+/// [`update_in_place`] cut into `pieces` chunks of `(params, v, m)` (and
+/// the matching slices of `grads`) that run as one pool batch; one piece is
+/// the serial loop on the calling thread. Every element still goes through
+/// the same operations in the same order, so the bits do not depend on
+/// `pieces` (pinned by `fanned_update_is_the_serial_loop_bit_for_bit`).
+fn update_in_pieces(
+    pieces: usize,
+    rule: (OptimizerKind, f32, u32),
+    params: &mut [f32],
+    grads: &[f32],
+    v: &mut [f32],
+    m: &mut [f32],
+    finish: impl Fn(f32) -> f32 + Sync,
+) {
+    if pieces <= 1 {
+        return update_in_place(rule, params, grads, v, m, finish);
+    }
+    // Whole cache lines per chunk, so no two tasks write one line.
+    let chunk = params.len().div_ceil(pieces).next_multiple_of(16);
+    let bufs = [(params, chunk), (v, chunk), (m, chunk)];
+    zfgan_pool::parallel_zip_chunks_for(bufs, |i, mut chunks| {
+        let mut chunks = chunks.iter_mut();
+        let mut next = || chunks.next().expect("one chunk of each buffer");
+        let (p, v, m) = (next(), next(), next());
+        let g = &grads[i * chunk..][..p.len()];
+        update_in_place(rule, p, g, v, m, &finish);
+    })
+    .expect("optimizer task panicked");
 }
 
 /// `θ ← finish(θ − update(g, v, m))` element by element under `kind` at
@@ -498,6 +540,49 @@ mod tests {
                 to_bits(s.weights().as_slice())
             );
             assert_eq!(to_bits(c.bias()), to_bits(s.bias()));
+        }
+    }
+
+    /// The fanned update is the serial loop, bit for bit, for every rule
+    /// with and without the clamp, over three steps (so the moments carry
+    /// history): at lengths either side of the fan-out threshold and at one
+    /// that leaves a ragged last chunk, cut into a pool-width number of
+    /// pieces and into a fixed four even on a serial pool.
+    #[test]
+    fn fanned_update_is_the_serial_loop_bit_for_bit() {
+        use zfgan_pool::{pass_pieces, PASS_FAN_OUT_MIN_ELEMS as T};
+        let mut rng = SmallRng::seed_from_u64(6);
+        for kind in [
+            OptimizerKind::Sgd,
+            OptimizerKind::wgan_default(),
+            OptimizerKind::dcgan_adam(),
+        ] {
+            for clip in [None, Some(0.05f32)] {
+                for len in [T - 1, T, T + 1, 3 * T + 37] {
+                    let mut random = |n: usize, scale: f32| -> Vec<f32> {
+                        (0..n).map(|_| rng.gen_range(-scale..scale)).collect()
+                    };
+                    let params = random(len, 0.1);
+                    let serial = (params.clone(), vec![0.0; len], vec![0.0; len]);
+                    let mut runs = [serial.clone(), serial.clone(), serial];
+                    for steps in 1..=3 {
+                        let grads = random(len, 1.0);
+                        let rule = (kind, 0.01, steps);
+                        let finish = |w: f32| clip.map_or(w, |c| w.clamp(-c, c));
+                        for (run, pieces) in runs.iter_mut().zip([1, pass_pieces(len), 4]) {
+                            let (p, v, m) = run;
+                            update_in_pieces(pieces, rule, p, &grads, v, m, finish);
+                        }
+                    }
+                    let [serial, wide, four] = &runs;
+                    for (name, run) in [("pool width", wide), ("four pieces", four)] {
+                        let at = format!("{kind:?}, clip {clip:?}, len {len}, {name}");
+                        assert_eq!(to_bits(&run.0), to_bits(&serial.0), "weights, {at}");
+                        assert_eq!(to_bits(&run.1), to_bits(&serial.1), "v, {at}");
+                        assert_eq!(to_bits(&run.2), to_bits(&serial.2), "m, {at}");
+                    }
+                }
+            }
         }
     }
 

@@ -58,8 +58,18 @@ echo "=== train step across pool widths ==="
 # same deterministic line and the same deterministic telemetry, serial and at widths
 # that split those rows evenly, raggedly and one tile a chunk; and the warm
 # train step stays allocation-free when it does fan out (width 2 explicitly:
-# the test step above ran it at the host's width, which may be 1).
+# the test step above ran it at the host's width, which may be 1). Two DCGAN
+# iterations print the same deterministic line at every width and on the
+# scalar kernels: every DCGAN layer's optimizer step, sub-kernel re-gather
+# and accumulator zero fill fans out past the pool's element threshold,
+# where most of MNIST-GAN's stay serial.
+ZFGAN_NO_SIMD=1 cargo run -q --release -p zfgan -- train --gan dcgan --seed 2024 --iters 2 \
+    | grep '^deterministic:' > "$tdir/dcgan_scalar.txt"
 for threads in 1 2 3 8; do
+    ZFGAN_THREADS="$threads" cargo run -q --release -p zfgan -- \
+        train --gan dcgan --seed 2024 --iters 2 \
+        | grep '^deterministic:' > "$tdir/dcgan_width_$threads.txt"
+    diff "$tdir/dcgan_scalar.txt" "$tdir/dcgan_width_$threads.txt"
     # The deterministic line plus the summary's deterministic-class series
     # (`name{labels}  value`; wall-class rows end in "(wall)").
     ZFGAN_THREADS="$threads" cargo run -q --release -p zfgan -- \
@@ -70,7 +80,7 @@ for threads in 1 2 3 8; do
 done
 diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/width_1.txt")
 ZFGAN_THREADS=2 timeout 300 cargo test -q -p zfgan --test zero_alloc --test exec_zero_alloc
-echo "train digests and telemetry are byte-identical at pool widths 1, 2, 3, 8"
+echo "train digests and telemetry are byte-identical at pool widths 1, 2, 3, 8 (DCGAN also on scalar kernels)"
 
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-

@@ -2,9 +2,11 @@
 //! [`ConvWorkspace`] has warmed up, steady-state `forward_ws` /
 //! `backward_ws` / `backward_accumulate_ws` passes through both conv
 //! directions perform **zero** heap allocations — also right after a weight
-//! update, when the layers re-gather their phase sub-kernels — and two
+//! update, when the layers re-gather their phase sub-kernels — two
 //! consecutive `train_iteration`s, optimizer steps included, allocate
-//! nothing the size of a conv buffer.
+//! nothing the size of a conv buffer, and warm optimizer steps allocate
+//! nothing at all; on a pool of two or more threads the re-gathers, steps
+//! and zero fills of the layers past the fan-out threshold run fanned out.
 //! Measured with a counting `#[global_allocator]`, which is why this test
 //! lives in its own binary with a single `#[test]` — no other test threads
 //! can pollute the counters.
@@ -15,8 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use zfgan::nn::{
-    Activation, ConvLayer, ConvNet, Direction, GanPair, GanTrainer, LayerGrads, TrainerConfig,
+    Activation, ConvLayer, ConvNet, Direction, GanPair, GanTrainer, LayerGrads, Optimizer,
+    OptimizerKind, TrainerConfig,
 };
+use zfgan::pool::PASS_FAN_OUT_MIN_ELEMS;
 use zfgan::tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels};
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) and
@@ -94,30 +98,36 @@ fn round_trip(layers: &mut [Case], ws: &mut ConvWorkspace<f32>) -> u64 {
     alloc_events() - before
 }
 
-/// An `8×8` single-channel GAN shaped like [`GanPair::tiny`] but 32 maps
+/// An `8×8` single-channel GAN shaped like [`GanPair::tiny`] but many maps
 /// wide, so every conv-path buffer is at least 2 KiB while images stay
-/// 256 B (see [`CONV_BUFFER_BYTES`]).
+/// 256 B (see [`CONV_BUFFER_BYTES`]). Its `128 ↔ 64`-map middle layers hold
+/// more weights than [`PASS_FAN_OUT_MIN_ELEMS`], so on a pool of two or
+/// more threads their optimizer step, the critic's sub-kernel re-gather
+/// and their gradient accumulators' zero fill all fan out.
 fn wide_pair(rng: &mut SmallRng) -> GanPair {
-    let head = ConvGeom::down(4, 4, 4, 4, 1, 1, 1).expect("static geometry");
+    let head = ConvGeom::down(2, 2, 2, 2, 1, 1, 1).expect("static geometry");
+    let mid = ConvGeom::down(4, 4, 4, 4, 2, 2, 2).expect("static geometry");
     let body = ConvGeom::down(8, 8, 4, 4, 2, 4, 4).expect("static geometry");
     let mut layer = |dir, geom, small_c, large_c, act, in_shape| {
         ConvLayer::random(dir, geom, small_c, large_c, act, in_shape, 0.25, rng)
             .expect("static shapes")
     };
     let g = ConvNet::new(vec![
-        layer(Direction::Up, head, 16, 32, Activation::Relu, (16, 1, 1)),
-        layer(Direction::Up, body, 32, 1, Activation::Tanh, (32, 4, 4)),
+        layer(Direction::Up, head, 16, 128, Activation::Relu, (16, 1, 1)),
+        layer(Direction::Up, mid, 128, 64, Activation::Relu, (128, 2, 2)),
+        layer(Direction::Up, body, 64, 1, Activation::Tanh, (64, 4, 4)),
     ]);
     let leaky = Activation::LeakyRelu { alpha: 0.2 };
     let d = ConvNet::new(vec![
-        layer(Direction::Down, body, 32, 1, leaky, (1, 8, 8)),
+        layer(Direction::Down, body, 64, 1, leaky, (1, 8, 8)),
+        layer(Direction::Down, mid, 128, 64, leaky, (64, 4, 4)),
         layer(
             Direction::Down,
             head,
             1,
-            32,
+            128,
             Activation::Identity,
-            (32, 4, 4),
+            (128, 2, 2),
         ),
     ]);
     GanPair::new(g.expect("static stack"), d.expect("static stack")).expect("consistent pair")
@@ -206,9 +216,18 @@ fn warm_workspace_passes_allocate_nothing() {
     // samples and a few per-layer `Vec`s by design; once warm, nothing is
     // the size of a conv buffer — gradients accumulate in the W-CONV's own
     // epilogue, the optimizer updates in place, and the re-gather every
-    // optimizer step forces reuses its buffer.
+    // optimizer step forces reuses its buffer. The pair's middle layers
+    // take the fanned passes.
+    let pair = wide_pair(&mut rng);
+    for net in [pair.generator(), pair.discriminator()] {
+        let widest = net.layers().iter().map(|l| l.weights().len()).max();
+        assert!(
+            widest >= Some(PASS_FAN_OUT_MIN_ELEMS),
+            "a layer must fan out"
+        );
+    }
     let mut trainer = GanTrainer::new(
-        wide_pair(&mut rng),
+        pair,
         TrainerConfig {
             n_critic: 1,
             ..TrainerConfig::default()
@@ -226,6 +245,24 @@ fn warm_workspace_passes_allocate_nothing() {
         large, 0,
         "two warm train iterations made {large} allocations of \
          {CONV_BUFFER_BYTES} B or more; a warm train step must make none"
+    );
+
+    // A warm optimizer step makes no allocation of any size, fanned out or
+    // not: the clipped critic step over every layer, and the re-gather it
+    // forces on the next pass, which the weight-update round trip above
+    // pins for layers past the threshold.
+    let mut critic = trainer.gan().discriminator().clone();
+    let grads = critic.zero_grads();
+    let mut opt = Optimizer::new(OptimizerKind::wgan_default(), 5e-5, &critic);
+    opt.step_clipped(&mut critic, &grads, Some(0.01));
+    let before = alloc_events();
+    for _ in 0..3 {
+        opt.step_clipped(&mut critic, &grads, Some(0.01));
+    }
+    let steps = alloc_events() - before;
+    assert_eq!(
+        steps, 0,
+        "three warm optimizer steps allocated {steps} times"
     );
 
     // Sanity check that the counter actually works: the same passes with
