@@ -398,7 +398,8 @@ impl ConvNet {
     }
 
     /// [`ConvNet::zero_grads`] with the accumulator buffers drawn from the
-    /// workspace (already zero-filled by [`ConvWorkspace::take`]).
+    /// workspace (already zero-filled by [`ConvWorkspace::take_kernels`],
+    /// on the pool for a large layer).
     pub fn zero_grads_ws(&self, ws: &mut ConvWorkspace<f32>) -> Vec<LayerGrads> {
         self.layers
             .iter()
