@@ -96,4 +96,9 @@ fn main() {
     }
     println!("== Measured on a live trainer (batch {batch}) ==");
     println!("{}", measured.render());
+    println!(
+        "deferred: one trace per lane, independent of the batch ({} lanes at pool width {})",
+        zfgan_pool::pool_threads().min(2 * batch),
+        zfgan_pool::pool_threads()
+    );
 }

@@ -218,6 +218,23 @@ impl ConvLayer {
         (&mut self.weights, &mut self.bias)
     }
 
+    /// Gathers the layer's phase sub-kernels now if they are stale and a
+    /// pass of its backend reads them: the `T-CONV` forward of an `Up`
+    /// layer, the input error of a `Down` layer (see
+    /// [`PhaseKernelCache::gather`]).
+    pub(crate) fn gather_sub_kernels(&self, ws: &mut ConvWorkspace<f32>) {
+        if self.backend != ConvBackend::LoweredZeroFree {
+            return;
+        }
+        let (_, ih, iw) = self.in_shape;
+        let (_, oh, ow) = self.out_shape();
+        let (k, geom) = (&self.weights, &self.geom);
+        match self.direction {
+            Direction::Up => self.sub_kernels.gather(k, geom, (ih, iw), (oh, ow), ws),
+            Direction::Down => self.sub_kernels.gather(k, geom, (oh, ow), (ih, iw), ws),
+        }
+    }
+
     /// The layer's activation function.
     pub fn activation(&self) -> Activation {
         self.activation
@@ -400,9 +417,10 @@ impl ConvLayer {
         Ok(delta_in)
     }
 
-    /// The one backward pass behind the entries above: wanted gradients are
-    /// added into `acc` when there is one, returned fresh otherwise.
-    pub(crate) fn backward_into(
+    /// The one backward pass behind the entries above: the error half, then
+    /// — when wanted — the W half, whose gradients are added into `acc`
+    /// when there is one and returned fresh otherwise.
+    fn backward_into(
         &self,
         delta_post: &Fmaps<f32>,
         pre: &Fmaps<f32>,
@@ -411,34 +429,69 @@ impl ConvLayer {
         acc: Option<&mut LayerGrads>,
         ws: &mut ConvWorkspace<f32>,
     ) -> TensorResult<(Option<Fmaps<f32>>, Option<LayerGrads>)> {
+        let (delta_pre, delta_in) = self.backward_error(delta_post, pre, wants.input_error, ws)?;
+        let grads = if wants.weight_grads {
+            self.backward_weights(input, &delta_pre, acc, ws)?
+        } else {
+            None
+        };
+        ws.give_fmaps(delta_pre);
+        Ok((delta_in, grads))
+    }
+
+    /// The error half of a backward pass: the error on the pre-activation
+    /// output, `δ_pre = f'(pre) ⊙ δ_post`, which the W half reads, and —
+    /// when `input_error` asks for it — the error on the layer input (an
+    /// `S-CONV` input error through the gathered phase sub-kernels, or a
+    /// `T-CONV` one). Both belong to the caller.
+    pub(crate) fn backward_error(
+        &self,
+        delta_post: &Fmaps<f32>,
+        pre: &Fmaps<f32>,
+        input_error: bool,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<(Fmaps<f32>, Option<Fmaps<f32>>)> {
         let (c, h, w) = pre.shape();
         let mut delta_pre = ws.take_fmaps(c, h, w);
         self.activation
             .backprop_into(delta_post, pre, &mut delta_pre);
-        let delta_in = if wants.input_error {
-            Some(match self.direction {
-                Direction::Down => {
-                    let (_, ih, iw) = self.in_shape;
-                    self.backend.s_conv_input_grad_cached_ws(
-                        &delta_pre,
-                        &self.weights,
-                        &self.sub_kernels,
-                        &self.geom,
-                        ih,
-                        iw,
-                        ws,
-                    )?
-                }
-                Direction::Up => {
-                    self.backend
-                        .t_conv_input_grad_ws(&delta_pre, &self.weights, &self.geom, ws)?
-                }
-            })
-        } else {
-            None
+        if !input_error {
+            return Ok((delta_pre, None));
+        }
+        let delta_in = match self.direction {
+            Direction::Down => {
+                let (_, ih, iw) = self.in_shape;
+                self.backend.s_conv_input_grad_cached_ws(
+                    &delta_pre,
+                    &self.weights,
+                    &self.sub_kernels,
+                    &self.geom,
+                    ih,
+                    iw,
+                    ws,
+                )?
+            }
+            Direction::Up => {
+                self.backend
+                    .t_conv_input_grad_ws(&delta_pre, &self.weights, &self.geom, ws)?
+            }
         };
-        // The bias gradient of channel `ch`: its error summed in raster
-        // order.
+        Ok((delta_pre, Some(delta_in)))
+    }
+
+    /// The W half of a backward pass, from the layer input and the error
+    /// half's `δ_pre`: the `W-CONV` and the bias gradient (each channel's
+    /// error summed in raster order). Added into `acc` when there is one —
+    /// `∇W += ∇wᵢ` in the GEMM's own epilogue, no per-sample gradient —
+    /// and returned fresh otherwise.
+    pub(crate) fn backward_weights(
+        &self,
+        input: &Fmaps<f32>,
+        delta_pre: &Fmaps<f32>,
+        acc: Option<&mut LayerGrads>,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<Option<LayerGrads>> {
+        let (c, h, w) = delta_pre.shape();
         let bias_grad = |ch: usize| {
             let mut sum = 0.0;
             for y in 0..h {
@@ -449,43 +502,36 @@ impl ConvLayer {
             sum
         };
         let (backend, geom) = (self.backend, &self.geom);
-        let grads = match acc {
-            None if wants.weight_grads => {
-                let mut bias = ws.take(c);
-                for (ch, bg) in bias.iter_mut().enumerate() {
-                    *bg = bias_grad(ch);
-                }
-                let weights = match self.direction {
-                    Direction::Down => {
-                        backend.w_conv_for_s_layer_ws(input, &delta_pre, geom, ws)?
-                    }
-                    Direction::Up => backend.w_conv_for_t_layer_ws(input, &delta_pre, geom, ws)?,
-                };
-                Some(LayerGrads { weights, bias })
+        let Some(acc) = acc else {
+            let mut bias = ws.take(c);
+            for (ch, bg) in bias.iter_mut().enumerate() {
+                *bg = bias_grad(ch);
             }
-            Some(acc) if wants.weight_grads => {
-                if acc.bias.len() != c {
-                    return Err(ShapeError::new(format!(
-                        "bias accumulator holds {} values for {c} output channels",
-                        acc.bias.len()
-                    )));
-                }
-                let weights = &mut acc.weights;
-                match self.direction {
-                    Direction::Down => backend
-                        .w_conv_for_s_layer_accumulate_ws(input, &delta_pre, geom, weights, ws)?,
-                    Direction::Up => backend
-                        .w_conv_for_t_layer_accumulate_ws(input, &delta_pre, geom, weights, ws)?,
-                }
-                for (ch, bg) in acc.bias.iter_mut().enumerate() {
-                    *bg += bias_grad(ch);
-                }
-                None
-            }
-            _ => None,
+            let weights = match self.direction {
+                Direction::Down => backend.w_conv_for_s_layer_ws(input, delta_pre, geom, ws)?,
+                Direction::Up => backend.w_conv_for_t_layer_ws(input, delta_pre, geom, ws)?,
+            };
+            return Ok(Some(LayerGrads { weights, bias }));
         };
-        ws.give_fmaps(delta_pre);
-        Ok((delta_in, grads))
+        if acc.bias.len() != c {
+            return Err(ShapeError::new(format!(
+                "bias accumulator holds {} values for {c} output channels",
+                acc.bias.len()
+            )));
+        }
+        let weights = &mut acc.weights;
+        match self.direction {
+            Direction::Down => {
+                backend.w_conv_for_s_layer_accumulate_ws(input, delta_pre, geom, weights, ws)?
+            }
+            Direction::Up => {
+                backend.w_conv_for_t_layer_accumulate_ws(input, delta_pre, geom, weights, ws)?
+            }
+        }
+        for (ch, bg) in acc.bias.iter_mut().enumerate() {
+            *bg += bias_grad(ch);
+        }
+        Ok(None)
     }
 
     /// Applies a parameter update `θ ← θ − delta` produced by an optimizer.

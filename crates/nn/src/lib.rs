@@ -51,7 +51,6 @@ mod layer;
 pub mod metrics;
 mod network;
 mod optimizer;
-pub mod parallel;
 pub mod supervisor;
 mod trainer;
 pub mod wgan;
@@ -64,7 +63,6 @@ pub use history::{fit, IterationRecord, TrainingHistory};
 pub use layer::{ConvLayer, Direction, LayerGrads, Wants};
 pub use network::{ConvNet, Trace};
 pub use optimizer::{Optimizer, OptimizerKind};
-pub use parallel::ParallelError;
 pub use supervisor::{
     Anomaly, SupervisedTrainer, SupervisorConfig, SupervisorError, SupervisorStats,
 };

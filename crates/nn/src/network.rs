@@ -196,6 +196,19 @@ impl ConvNet {
         self.layers.last().expect("validated non-empty").out_shape()
     }
 
+    /// Gathers, on the calling thread, every stale phase sub-kernel cache
+    /// that a forward pass and an error walk over this network read — the
+    /// input error of the first layer only when `input_error` asks for it
+    /// — so passes that then run on several lanes at once find them fresh
+    /// rather than all but one waiting while it gathers.
+    pub(crate) fn gather_sub_kernels(&self, input_error: bool, ws: &mut ConvWorkspace<f32>) {
+        for (l, layer) in self.layers.iter().enumerate() {
+            if l > 0 || input_error || layer.direction() == crate::layer::Direction::Up {
+                layer.gather_sub_kernels(ws);
+            }
+        }
+    }
+
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(ConvLayer::param_count).sum()
@@ -285,9 +298,8 @@ impl ConvNet {
     /// Fig. 8): every layer's gradients for this sample are **added into**
     /// `grads` (one accumulator per layer, forward order) — bit for bit
     /// what [`ConvNet::backward_ws`] followed by a per-layer
-    /// [`LayerGrads::add_assign`] computes, see
-    /// [`ConvLayer::backward_accumulate_ws`]. The error on the network
-    /// input has no consumer in training and is not computed.
+    /// [`LayerGrads::add_assign`] computes. The error on the network input
+    /// has no consumer in training and is not computed.
     ///
     /// # Errors
     ///
@@ -315,17 +327,50 @@ impl ConvNet {
         Ok(())
     }
 
-    /// The one backward walk behind the entries above: wanted gradients are
-    /// added into `acc` (one accumulator per layer) when there is one,
-    /// returned fresh otherwise.
+    /// The one backward pass behind the entries above: the error walk, then
+    /// — when wanted — the W walk, whose gradients are added into `acc`
+    /// (one accumulator per layer) when there is one and returned fresh
+    /// otherwise.
     fn backward_into(
         &self,
         trace: &Trace,
         delta_out: &Fmaps<f32>,
         wants: Wants,
-        mut acc: Option<&mut [LayerGrads]>,
+        acc: Option<&mut [LayerGrads]>,
         ws: &mut ConvWorkspace<f32>,
     ) -> TensorResult<(Vec<LayerGrads>, Option<Fmaps<f32>>)> {
+        if !wants.weight_grads {
+            let dx = self.backward_errors(trace, delta_out, wants.input_error, None, ws)?;
+            return Ok((Vec::new(), dx));
+        }
+        let mut deltas = Vec::with_capacity(self.layers.len());
+        let dx =
+            self.backward_errors(trace, delta_out, wants.input_error, Some(&mut deltas), ws)?;
+        let grads = self.backward_weights(trace, &mut deltas, acc, ws)?;
+        Ok((grads, dx))
+    }
+
+    /// The error walk of a backward pass (the error chain of paper Fig. 8):
+    /// `delta_out` goes back through every layer, last to first, each
+    /// layer's error half ([`ConvLayer`]'s `δ_pre`, then the error on its
+    /// input). Each `δ_pre` is pushed onto `deltas` for
+    /// [`ConvNet::backward_weights`] — last layer first — when `deltas` is
+    /// given, and goes back to the workspace otherwise; each error between
+    /// layers goes back as soon as the layer below has consumed it. The
+    /// error on the network input is returned when `input_error` asks for
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `delta_out` does not match the output shape.
+    pub(crate) fn backward_errors(
+        &self,
+        trace: &Trace,
+        delta_out: &Fmaps<f32>,
+        input_error: bool,
+        mut deltas: Option<&mut Vec<Fmaps<f32>>>,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<Option<Fmaps<f32>>> {
         if delta_out.shape() != self.out_shape() {
             return Err(ShapeError::new(format!(
                 "delta shape {:?} does not match output {:?}",
@@ -333,37 +378,61 @@ impl ConvNet {
                 self.out_shape()
             )));
         }
-        let n_grads = if wants.weight_grads && acc.is_none() {
-            self.layers.len()
-        } else {
-            0
-        };
-        let mut grads = Vec::with_capacity(n_grads);
         let (c, h, w) = delta_out.shape();
         let mut delta = ws.take_fmaps(c, h, w);
         delta.as_mut_slice().copy_from_slice(delta_out.as_slice());
         let mut delta = Some(delta);
         for (l, layer) in self.layers.iter().enumerate().rev() {
+            let above = delta.take().expect("inner layers propagate their error");
+            let (delta_pre, dx) =
+                layer.backward_error(&above, &trace.pre[l], l > 0 || input_error, ws)?;
+            ws.give_fmaps(above);
+            match deltas.as_deref_mut() {
+                Some(kept) => kept.push(delta_pre),
+                None => ws.give_fmaps(delta_pre),
+            }
+            delta = dx;
+        }
+        Ok(delta)
+    }
+
+    /// The W walk of a backward pass: every layer's `W-CONV` and bias
+    /// gradient, first layer first, from its input in `trace` and its
+    /// `δ_pre`, popped off `deltas` as [`ConvNet::backward_errors`] left
+    /// them and given back to the workspace. The gradients are added into
+    /// `acc` (one accumulator per layer) when there is one, and returned
+    /// fresh, in forward order, otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a layer's accumulator does not match it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deltas` holds fewer errors than the network has layers.
+    pub(crate) fn backward_weights(
+        &self,
+        trace: &Trace,
+        deltas: &mut Vec<Fmaps<f32>>,
+        mut acc: Option<&mut [LayerGrads]>,
+        ws: &mut ConvWorkspace<f32>,
+    ) -> TensorResult<Vec<LayerGrads>> {
+        let mut grads = Vec::with_capacity(if acc.is_none() { self.layers.len() } else { 0 });
+        for (l, layer) in self.layers.iter().enumerate() {
+            let delta_pre = deltas
+                .pop()
+                .expect("the error walk kept every layer's error");
             let input = if l == 0 {
                 &trace.input
             } else {
                 &trace.post[l - 1]
             };
-            let layer_wants = Wants {
-                input_error: l > 0 || wants.input_error,
-                ..wants
-            };
             let layer_acc = acc.as_deref_mut().map(|a| &mut a[l]);
-            let above = delta.take().expect("inner layers propagate their error");
-            let (dx, g) =
-                layer.backward_into(&above, &trace.pre[l], input, layer_wants, layer_acc, ws)?;
-            ws.give_fmaps(above);
-            grads.extend(g);
-            delta = dx;
+            let g = layer.backward_weights(input, &delta_pre, layer_acc, ws);
+            ws.give_fmaps(delta_pre);
+            grads.extend(g?);
         }
-        // Layers were visited last to first.
-        grads.reverse();
-        Ok((grads, delta))
+        Ok(grads)
     }
 
     /// Backward pass: propagates `delta_out` (error on the network output)

@@ -9,13 +9,31 @@
 //!   (the loss-synchronization barrier of paper Fig. 2 steps ③/⑦), holding
 //!   every sample's intermediate trace alive until the barrier clears.
 //! * [`SyncMode::Deferred`] backpropagates each sample immediately after its
-//!   own forward pass and accumulates `∇wᵢ` into `∇W`, so at most one trace
-//!   is ever alive.
+//!   own forward pass and accumulates `∇wᵢ` into `∇W`, so one trace per
+//!   lane is alive, independent of the batch.
+//!
+//! # Lanes
+//!
+//! Deferred synchronization makes every sample's forward pass and error
+//! chain independent of every other sample's until `∇W += ∇wᵢ`. The paper
+//! spends that independence in time, on one pipeline whose W-ARCH consumes
+//! the errors in order (§IV, Figs. 9–10); the deferred trainer spends it on
+//! the pool. Its three sample loops — the fake batch's Generator forwards
+//! (step ①), the critic's real+fake loop and the Generator's loop — run on
+//! `min(pool width, samples)` lanes: each lane owns a [`ConvWorkspace`] and
+//! runs one sample's forward pass, score and error chain (the error walk
+//! of [`ConvNet`]) as one task of a pool batch. When a group of lanes has
+//! joined, the calling thread lands the group's `W-CONV`s and bias sums
+//! into the accumulators in sample order, each through the same `AddTo`
+//! epilogue and with that sample's lane workspace. Every accumulator sees
+//! the same chains in the same order as the serial loop, so the bits do not
+//! depend on the pool width; at width 1 the one lane runs on the calling
+//! thread.
 //!
 //! The [`DisStepReport::peak_buffered_elems`] /
 //! [`GenStepReport::peak_buffered_elems`] fields measure the resulting
 //! memory high-water marks, reproducing the paper's `2 × batch → 1`
-//! reduction.
+//! reduction per lane.
 
 use std::error::Error;
 use std::fmt;
@@ -24,7 +42,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::{ConvBackend, ConvWorkspace, Fmaps, ShapeError, TensorResult};
 
-use crate::layer::{LayerGrads, Wants};
+use crate::layer::LayerGrads;
 use crate::network::{ConvNet, Trace};
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::wgan;
@@ -335,10 +353,11 @@ pub struct DisStepReport {
     pub dis_loss: f64,
     /// The Wasserstein estimate `(1/m)Σ[D(x) − D(x̃)]`.
     pub wasserstein_estimate: f64,
-    /// High-water mark of simultaneously buffered intermediate elements.
+    /// High-water mark of simultaneously buffered intermediate elements,
+    /// over every lane's trace alive at once.
     pub peak_buffered_elems: usize,
-    /// Number of traces alive at the memory peak (`2·m` synchronized, `1`
-    /// deferred).
+    /// Number of traces alive at the memory peak: `2·m` synchronized; one
+    /// trace per lane deferred, independent of the batch.
     pub peak_live_traces: usize,
 }
 
@@ -347,9 +366,12 @@ pub struct DisStepReport {
 pub struct GenStepReport {
     /// Generator loss (paper Eq. 2).
     pub gen_loss: f64,
-    /// High-water mark of simultaneously buffered intermediate elements.
+    /// High-water mark of simultaneously buffered intermediate elements,
+    /// over every lane's traces alive at once.
     pub peak_buffered_elems: usize,
-    /// Number of traces alive at the memory peak.
+    /// Number of traces alive at the memory peak: `2·batch` synchronized;
+    /// deferred, a Generator and a critic trace per lane, independent of
+    /// the batch.
     pub peak_live_traces: usize,
 }
 
@@ -378,19 +400,98 @@ impl TrainerState {
 
 /// Drives WGAN training of a [`GanPair`] under a chosen [`SyncMode`].
 ///
-/// The trainer owns a [`ConvWorkspace`] through which every step's conv
-/// transients are drawn, so a steady-state step performs no heap
-/// allocation in the conv hot path (see `tests/zero_alloc.rs`). The
-/// workspace is scratch, not state: it is deliberately **not** part of
-/// [`TrainerState`], and its contents never affect results (all workspace
-/// paths are bit-identical to the allocating ones).
+/// The trainer owns one lane per pool thread (see the module docs), each
+/// with a [`ConvWorkspace`] through which its conv transients are drawn,
+/// so a steady-state step performs no heap allocation in the conv hot path
+/// (see `tests/zero_alloc.rs`). The lanes are scratch, not state: they are
+/// deliberately **not** part of [`TrainerState`], and their contents never
+/// affect results (all workspace paths are bit-identical to the allocating
+/// ones).
 #[derive(Debug)]
 pub struct GanTrainer {
     gan: GanPair,
     config: TrainerConfig,
     opt_g: Optimizer,
     opt_d: Optimizer,
-    workspace: ConvWorkspace<f32>,
+    lanes: Vec<Lane>,
+}
+
+/// One lane of the deferred trainer's sample loops: what one sample's
+/// forward pass, score and error chain leave for the calling thread to
+/// land.
+#[derive(Debug, Default)]
+struct Lane {
+    /// Scratch of every pass the lane runs and of the `W-CONV`s landed from
+    /// it: a buffer goes back to the workspace that handed it out.
+    ws: ConvWorkspace<f32>,
+    /// The trace whose W walk is still to land (or, in step ①, the
+    /// Generator trace whose output is the fake).
+    trace: Option<Trace>,
+    /// Every layer's `δ_pre` of that trace, last layer first.
+    deltas: Vec<Fmaps<f32>>,
+    /// The sample's critic output.
+    score: f64,
+    /// Elements the sample's traces buffered at once.
+    buffered: usize,
+}
+
+impl Lane {
+    /// Gives back to the lane's workspace whatever a job that panicked
+    /// left behind, so the lane starts every job empty.
+    fn clear(&mut self) {
+        if let Some(t) = self.trace.take() {
+            t.recycle(&mut self.ws);
+        }
+        for d in self.deltas.drain(..) {
+            self.ws.give_fmaps(d);
+        }
+    }
+}
+
+/// One lane per pool thread, each with a fresh workspace.
+fn new_lanes() -> Vec<Lane> {
+    (0..zfgan_pool::pool_threads())
+        .map(|_| Lane::default())
+        .collect()
+}
+
+/// Runs a sample loop on the lanes: `job(i, lane)` for every sample
+/// `i in 0..n`, `lanes.len()` samples at a time, one pool batch per group
+/// with sample `start + j` on lane `j`; once a group has joined,
+/// `land(i, lane)` on the calling thread, in sample order. Every job
+/// re-enters the calling thread's telemetry scope, so the counters its
+/// passes record land where a serial loop's would. Returns the most lanes
+/// and the most [`Lane::buffered`] elements any group held at once.
+///
+/// # Panics
+///
+/// Panics once a group has drained if one of its jobs panicked.
+fn run_lanes(
+    lanes: &mut [Lane],
+    n: usize,
+    job: impl Fn(usize, &mut Lane) + Sync,
+    mut land: impl FnMut(usize, &mut Lane),
+) -> (usize, usize) {
+    let scope = zfgan_telemetry::current_scope();
+    let (width, mut peak) = (lanes.len(), (0, 0));
+    for start in (0..n).step_by(width) {
+        let group = &mut lanes[..width.min(n - start)];
+        let ran = zfgan_pool::parallel_chunks_for(group, 1, |j, lane| {
+            let _scope = scope.clone().map(zfgan_telemetry::scope);
+            let lane = &mut lane[0];
+            lane.clear();
+            job(start + j, lane);
+        });
+        if let Err(e) = ran {
+            panic!("a sample lane panicked: {e}");
+        }
+        let buffered = group.iter().map(|l| l.buffered).sum::<usize>();
+        peak = (peak.0.max(group.len()), peak.1.max(buffered));
+        for (j, lane) in group.iter_mut().enumerate() {
+            land(start + j, lane);
+        }
+    }
+    peak
 }
 
 impl GanTrainer {
@@ -422,7 +523,7 @@ impl GanTrainer {
             config,
             opt_g,
             opt_d,
-            workspace: ConvWorkspace::new(),
+            lanes: new_lanes(),
         })
     }
 
@@ -454,21 +555,25 @@ impl GanTrainer {
             config,
             opt_g,
             opt_d,
-            workspace: ConvWorkspace::new(),
+            lanes: new_lanes(),
         })
     }
 
-    /// Toggles the training workspace's buffer reuse. `true` (the default)
-    /// recycles conv scratch across steps; `false` allocates freshly per
-    /// take — the honest allocating baseline the `trainstep` bench
-    /// measures. Results are bit-identical either way.
+    /// Toggles buffer reuse in every lane's workspace. `true` (the
+    /// default) recycles conv scratch across steps; `false` allocates
+    /// freshly per take — the honest allocating baseline the `trainstep`
+    /// bench measures. Results are bit-identical either way.
     pub fn set_workspace_reuse(&mut self, reuse: bool) {
-        self.workspace.set_reuse(reuse);
+        for lane in &mut self.lanes {
+            lane.ws.set_reuse(reuse);
+        }
     }
 
-    /// The trainer's conv scratch workspace.
+    /// The first lane's conv scratch workspace: the one every sample loop
+    /// uses at pool width 1, and the one the gradient accumulators come
+    /// from.
     pub fn workspace(&self) -> &ConvWorkspace<f32> {
-        &self.workspace
+        &self.lanes[0].ws
     }
 
     /// The GAN being trained.
@@ -523,46 +628,43 @@ impl GanTrainer {
     ) -> DisStepReport {
         assert!(!reals.is_empty(), "batch must be non-empty");
         let m = reals.len();
-        let ws = &mut self.workspace;
         // Step ①: Generator produces the fake batch (forward only; its
         // trace is not needed for a Discriminator update). Same RNG
         // consumption and arithmetic as `GanPair::generate_batch`, with
-        // the forward transients drawn from the workspace.
+        // the forward transients drawn from the lanes' workspaces.
         let zs = self.gan.sample_z_batch(m, rng);
+        let (gen, critic) = (&self.gan.generator, &self.gan.discriminator);
         let mut fakes = Vec::with_capacity(m);
-        for z in &zs {
-            let gt = self.gan.generator.forward_ws(z, ws).expect("z shape");
-            fakes.push(gt.into_output(ws));
-        }
+        gen.gather_sub_kernels(false, &mut self.lanes[0].ws);
+        run_lanes(
+            &mut self.lanes,
+            m,
+            |i, lane| lane.trace = Some(gen.forward_ws(&zs[i], &mut lane.ws).expect("z shape")),
+            |_, lane| {
+                let gt = lane.trace.take().expect("the job left its trace");
+                fakes.push(gt.into_output(&mut lane.ws));
+            },
+        );
         drop(zs);
 
-        let mut grads = self.gan.discriminator.zero_grads_ws(ws);
+        let mut grads = critic.zero_grads_ws(&mut self.lanes[0].ws);
         let mut real_scores = Vec::with_capacity(m);
         let mut fake_scores = Vec::with_capacity(m);
-        let mut peak_elems = 0usize;
-        let mut peak_traces = 0usize;
+        let (peak_elems, peak_traces);
+        let loss = self.config.loss;
 
         match self.config.mode {
             SyncMode::Synchronized => {
+                let ws = &mut self.lanes[0].ws;
                 // All 2·m forward passes complete and stay buffered before
                 // the loss synchronization point allows any backward pass.
                 let real_traces: Vec<Trace> = reals
                     .iter()
-                    .map(|x| {
-                        self.gan
-                            .discriminator
-                            .forward_ws(x, ws)
-                            .expect("image shape")
-                    })
+                    .map(|x| critic.forward_ws(x, ws).expect("image shape"))
                     .collect();
                 let fake_traces: Vec<Trace> = fakes
                     .iter()
-                    .map(|x| {
-                        self.gan
-                            .discriminator
-                            .forward_ws(x, ws)
-                            .expect("image shape")
-                    })
+                    .map(|x| critic.forward_ws(x, ws).expect("image shape"))
                     .collect();
                 peak_elems = real_traces
                     .iter()
@@ -578,58 +680,66 @@ impl GanTrainer {
                 }
                 // Synchronization cleared: backward passes may now run.
                 for (t, score) in real_traces.iter().zip(&real_scores) {
-                    let delta = wgan::scalar_error(real_delta(self.config.loss, *score, m));
-                    accumulate_ws(&mut grads, &self.gan.discriminator, t, &delta, ws);
+                    let delta = wgan::scalar_error(real_delta(loss, *score, m));
+                    accumulate_ws(&mut grads, critic, t, &delta, ws);
                 }
                 for (t, score) in fake_traces.iter().zip(&fake_scores) {
-                    let delta = wgan::scalar_error(fake_delta(self.config.loss, *score, m));
-                    accumulate_ws(&mut grads, &self.gan.discriminator, t, &delta, ws);
+                    let delta = wgan::scalar_error(fake_delta(loss, *score, m));
+                    accumulate_ws(&mut grads, critic, t, &delta, ws);
                 }
                 for t in real_traces.into_iter().chain(fake_traces) {
                     t.recycle(ws);
                 }
             }
             SyncMode::Deferred => {
-                // Eq. 6: each sample's output error is a constant ∓1/m, so
-                // its backward pass runs as soon as its forward pass ends.
-                for x in reals {
-                    let t = self
-                        .gan
-                        .discriminator
-                        .forward_ws(x, ws)
-                        .expect("image shape");
-                    peak_elems = peak_elems.max(t.buffered_elems());
-                    peak_traces = peak_traces.max(1);
-                    let score = wgan::score(t.output());
-                    real_scores.push(score);
-                    let delta = wgan::scalar_error(real_delta(self.config.loss, score, m));
-                    accumulate_ws(&mut grads, &self.gan.discriminator, &t, &delta, ws);
-                    t.recycle(ws);
-                }
-                for x in &fakes {
-                    let t = self
-                        .gan
-                        .discriminator
-                        .forward_ws(x, ws)
-                        .expect("image shape");
-                    peak_elems = peak_elems.max(t.buffered_elems());
-                    let score = wgan::score(t.output());
-                    fake_scores.push(score);
-                    let delta = wgan::scalar_error(fake_delta(self.config.loss, score, m));
-                    accumulate_ws(&mut grads, &self.gan.discriminator, &t, &delta, ws);
-                    t.recycle(ws);
-                }
+                // Eq. 6: each sample's output error is a constant ∓1/m (or
+                // a function of its own score), so its error chain runs as
+                // soon as its forward pass ends, on its lane; its W walk
+                // lands in sample order: all reals, then all fakes.
+                critic.gather_sub_kernels(false, &mut self.lanes[0].ws);
+                let (lanes, elems) = run_lanes(
+                    &mut self.lanes,
+                    2 * m,
+                    |i, lane| {
+                        let x = reals.get(i).unwrap_or_else(|| &fakes[i - m]);
+                        let t = critic.forward_ws(x, &mut lane.ws).expect("image shape");
+                        lane.score = wgan::score(t.output());
+                        lane.buffered = t.buffered_elems();
+                        let delta = if i < m {
+                            real_delta(loss, lane.score, m)
+                        } else {
+                            fake_delta(loss, lane.score, m)
+                        };
+                        let (deltas, ws) = (Some(&mut lane.deltas), &mut lane.ws);
+                        critic
+                            .backward_errors(&t, &wgan::scalar_error(delta), false, deltas, ws)
+                            .expect("trace produced by this network");
+                        lane.trace = Some(t);
+                    },
+                    |i, lane| {
+                        land_weights(&mut grads, critic, lane);
+                        let scores = if i < m {
+                            &mut real_scores
+                        } else {
+                            &mut fake_scores
+                        };
+                        scores.push(lane.score);
+                    },
+                );
+                (peak_elems, peak_traces) = (elems, lanes);
             }
         }
-        for f in fakes {
-            ws.give_fmaps(f);
+        // Each fake goes back to the lane whose workspace made it.
+        let width = self.lanes.len().min(m);
+        for (k, f) in fakes.into_iter().enumerate() {
+            self.lanes[k % width].ws.give_fmaps(f);
         }
 
         let clip = self.config.weight_clip;
         self.opt_d
             .step_clipped(&mut self.gan.discriminator, &grads, clip);
         for g in grads {
-            g.recycle(&mut self.workspace);
+            g.recycle(&mut self.lanes[0].ws);
         }
         let dis_loss = match self.config.loss {
             LossKind::Wasserstein => wgan::dis_loss(&real_scores, &fake_scores),
@@ -651,49 +761,31 @@ impl GanTrainer {
     /// Panics if `batch` is zero.
     pub fn step_generator<R: Rng>(&mut self, batch: usize, rng: &mut R) -> GenStepReport {
         assert!(batch > 0, "batch must be non-zero");
-        let ws = &mut self.workspace;
         let zs = self.gan.sample_z_batch(batch, rng);
-        let mut grads = self.gan.generator.zero_grads_ws(ws);
+        let (gen, critic) = (&self.gan.generator, &self.gan.discriminator);
+        let mut grads = gen.zero_grads_ws(&mut self.lanes[0].ws);
         let mut fake_scores = Vec::with_capacity(batch);
-        let mut peak_elems = 0usize;
-        let mut peak_traces = 0usize;
-
+        let (peak_elems, peak_traces);
         let loss = self.config.loss;
-        let backward_one = |gan: &GanPair,
-                            grads: &mut Vec<LayerGrads>,
-                            g_trace: &Trace,
-                            d_trace: &Trace,
-                            m: usize,
-                            ws: &mut ConvWorkspace<f32>| {
-            let score = wgan::score(d_trace.output());
-            let delta = wgan::scalar_error(gen_delta(loss, score, m));
-            // Error flows back through the (frozen) critic into the
-            // Generator — Fig. 2 step ⑧: only the error on the image is
-            // wanted, the critic's own gradients are never built.
-            let through_critic = Wants {
-                weight_grads: false,
-                input_error: true,
-            };
-            let (_, delta_image) = gan
-                .discriminator
-                .backward_wanted_ws(d_trace, &delta, through_critic, ws)
-                .expect("trace produced by this network");
-            let delta_image = delta_image.expect("image error was wanted");
-            accumulate_ws(grads, &gan.generator, g_trace, &delta_image, ws);
-            ws.give_fmaps(delta_image);
+        // Error flows back through the (frozen) critic into the Generator —
+        // Fig. 2 step ⑧: only the error on the image is wanted, the
+        // critic's own gradients are never built.
+        let image_error = |d_trace: &Trace, score: f64, ws: &mut ConvWorkspace<f32>| {
+            let delta = wgan::scalar_error(gen_delta(loss, score, batch));
+            critic
+                .backward_errors(d_trace, &delta, true, None, ws)
+                .expect("trace produced by this network")
+                .expect("image error was wanted")
         };
 
         match self.config.mode {
             SyncMode::Synchronized => {
+                let ws = &mut self.lanes[0].ws;
                 let traces: Vec<(Trace, Trace)> = zs
                     .iter()
                     .map(|z| {
-                        let gt = self.gan.generator.forward_ws(z, ws).expect("z shape");
-                        let dt = self
-                            .gan
-                            .discriminator
-                            .forward_ws(gt.output(), ws)
-                            .expect("image shape");
+                        let gt = gen.forward_ws(z, ws).expect("z shape");
+                        let dt = critic.forward_ws(gt.output(), ws).expect("image shape");
                         (gt, dt)
                     })
                     .collect();
@@ -705,8 +797,10 @@ impl GanTrainer {
                 for (_, dt) in &traces {
                     fake_scores.push(wgan::score(dt.output()));
                 }
-                for (gt, dt) in &traces {
-                    backward_one(&self.gan, &mut grads, gt, dt, batch, ws);
+                for ((gt, dt), score) in traces.iter().zip(&fake_scores) {
+                    let delta_image = image_error(dt, *score, ws);
+                    accumulate_ws(&mut grads, gen, gt, &delta_image, ws);
+                    ws.give_fmaps(delta_image);
                 }
                 for (gt, dt) in traces {
                     gt.recycle(ws);
@@ -714,26 +808,37 @@ impl GanTrainer {
                 }
             }
             SyncMode::Deferred => {
-                for z in &zs {
-                    let gt = self.gan.generator.forward_ws(z, ws).expect("z shape");
-                    let dt = self
-                        .gan
-                        .discriminator
-                        .forward_ws(gt.output(), ws)
-                        .expect("image shape");
-                    peak_elems = peak_elems.max(gt.buffered_elems() + dt.buffered_elems());
-                    peak_traces = peak_traces.max(2);
-                    fake_scores.push(wgan::score(dt.output()));
-                    backward_one(&self.gan, &mut grads, &gt, &dt, batch, ws);
-                    gt.recycle(ws);
-                    dt.recycle(ws);
-                }
+                gen.gather_sub_kernels(false, &mut self.lanes[0].ws);
+                critic.gather_sub_kernels(true, &mut self.lanes[0].ws);
+                let (lanes, elems) = run_lanes(
+                    &mut self.lanes,
+                    batch,
+                    |i, lane| {
+                        let ws = &mut lane.ws;
+                        let gt = gen.forward_ws(&zs[i], ws).expect("z shape");
+                        let dt = critic.forward_ws(gt.output(), ws).expect("image shape");
+                        lane.score = wgan::score(dt.output());
+                        lane.buffered = gt.buffered_elems() + dt.buffered_elems();
+                        let delta_image = image_error(&dt, lane.score, ws);
+                        dt.recycle(ws);
+                        gen.backward_errors(&gt, &delta_image, false, Some(&mut lane.deltas), ws)
+                            .expect("trace produced by this network");
+                        ws.give_fmaps(delta_image);
+                        lane.trace = Some(gt);
+                    },
+                    |_, lane| {
+                        land_weights(&mut grads, gen, lane);
+                        fake_scores.push(lane.score);
+                    },
+                );
+                // A lane holds its Generator and critic traces at once.
+                (peak_elems, peak_traces) = (elems, 2 * lanes);
             }
         }
 
         self.opt_g.step(&mut self.gan.generator, &grads);
         for g in grads {
-            g.recycle(&mut self.workspace);
+            g.recycle(&mut self.lanes[0].ws);
         }
         let gen_loss = match loss {
             LossKind::Wasserstein => wgan::gen_loss(&fake_scores),
@@ -816,6 +921,16 @@ fn accumulate_ws(
 ) {
     net.backward_accumulate_ws(trace, delta, grads, ws)
         .expect("trace produced by this network");
+}
+
+/// Lands the W walk of the sample a lane's job left — its trace and every
+/// layer's `δ_pre` — into `grads`, with the lane's workspace, and gives
+/// the trace back to it.
+fn land_weights(grads: &mut [LayerGrads], net: &ConvNet, lane: &mut Lane) {
+    let trace = lane.trace.take().expect("the job left its trace");
+    net.backward_weights(&trace, &mut lane.deltas, Some(grads), &mut lane.ws)
+        .expect("trace produced by this network");
+    trace.recycle(&mut lane.ws);
 }
 
 #[cfg(test)]
@@ -1049,10 +1164,12 @@ mod tests {
     }
 
     /// The paper's memory claim: synchronized buffering grows with 2·m,
-    /// deferred buffering does not grow with the batch at all.
+    /// deferred buffering holds one trace per lane, independent of the
+    /// batch.
     #[test]
     fn deferred_memory_is_batch_independent() {
         for m in [2usize, 4, 8] {
+            let lanes = zfgan_pool::pool_threads().min(2 * m);
             let mut t_sync = trainer(SyncMode::Synchronized, 11);
             let mut t_def = trainer(SyncMode::Deferred, 11);
             let mut rng = SmallRng::seed_from_u64(m as u64);
@@ -1062,8 +1179,43 @@ mod tests {
             let ra = t_sync.step_discriminator(&reals, &mut ra_rng);
             let rb = t_def.step_discriminator(&reals, &mut rb_rng);
             assert_eq!(ra.peak_live_traces, 2 * m);
-            assert_eq!(rb.peak_live_traces, 1);
-            assert_eq!(ra.peak_buffered_elems, 2 * m * rb.peak_buffered_elems);
+            assert_eq!(rb.peak_live_traces, lanes);
+            assert_eq!(
+                ra.peak_buffered_elems * lanes,
+                2 * m * rb.peak_buffered_elems
+            );
+        }
+    }
+
+    /// Whatever the lane count, every sample's job runs once, on lane
+    /// `i mod lanes` of its group, and the landings follow in sample order
+    /// after their group — a short last group included.
+    #[test]
+    fn run_lanes_lands_every_sample_in_order_after_its_group() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for (width, n) in [(1, 3), (3, 7), (4, 4), (8, 3)] {
+            let mut lanes: Vec<Lane> = (0..width).map(|_| Lane::default()).collect();
+            let ran = AtomicUsize::new(0);
+            let mut landed = Vec::new();
+            let (most_lanes, most_elems) = run_lanes(
+                &mut lanes,
+                n,
+                |i, lane| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    lane.score = i as f64;
+                    lane.buffered = 10 + i;
+                },
+                |i, lane| {
+                    assert_eq!(lane.score, i as f64, "lane of sample {i}");
+                    assert_eq!(ran.load(Ordering::Relaxed), n.min((i / width + 1) * width));
+                    landed.push(i);
+                },
+            );
+            assert_eq!(landed, (0..n).collect::<Vec<_>>());
+            let full = width.min(n);
+            assert_eq!(most_lanes, full);
+            let elems = |g: usize| (g..n.min(g + width)).map(|i| 10 + i).sum::<usize>();
+            assert_eq!(Some(most_elems), (0..n).step_by(width).map(elems).max());
         }
     }
 

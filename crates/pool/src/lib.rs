@@ -47,8 +47,10 @@
 //!
 //! Each task runs under `catch_unwind`; a panicking task is counted and the
 //! batch completes the remaining work, returning
-//! [`PoolError::TaskPanicked`] so callers can surface typed errors
-//! (`zfgan_nn::ParallelError`) instead of crashing the trainer. The
+//! [`PoolError::TaskPanicked`], so a caller decides what a failed task
+//! means only after its batch has drained (the deferred trainer's sample
+//! lanes panic the step on the calling thread then, where the training
+//! supervisor contains it). The
 //! sequential fallback (one hardware thread, one task, or an uninitialized
 //! pool) uses the same per-index `catch_unwind`, so error semantics do not
 //! depend on where the batch ran.

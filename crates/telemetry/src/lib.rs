@@ -91,7 +91,7 @@ impl Target {
 }
 
 pub(crate) fn target() -> Option<Target> {
-    if let Some(reg) = SCOPE.with(|s| s.borrow().last().cloned()) {
+    if let Some(reg) = current_scope() {
         return Some(Target::Scoped(reg));
     }
     if ENABLED.load(Ordering::Relaxed) {
@@ -119,6 +119,14 @@ impl Drop for ScopeGuard {
 pub fn scope(reg: Arc<Registry>) -> ScopeGuard {
     SCOPE.with(|s| s.borrow_mut().push(reg));
     ScopeGuard { _priv: () }
+}
+
+/// The registry this thread's innermost [`scope`] routes to, if any. A
+/// task that runs on another thread on behalf of this one (a pool task)
+/// hands it to [`scope`] there, so its events land where they would have
+/// landed had the calling thread run the work itself.
+pub fn current_scope() -> Option<Arc<Registry>> {
+    SCOPE.with(|s| s.borrow().last().cloned())
 }
 
 /// Add `delta` to the deterministic counter `name{labels}` (no-op when
@@ -259,6 +267,23 @@ mod tests {
         assert!(sec.contains("det_counter"));
         assert!(!sec.contains("pool_steals_total"));
         assert!(!sec.contains("pool_queue_depth"));
+    }
+
+    #[test]
+    fn a_scope_reentered_on_another_thread_collects_its_events() {
+        let reg = Arc::new(Registry::new());
+        let _g = scope(Arc::clone(&reg));
+        let handed = current_scope();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _lane = handed.clone().map(scope);
+                count("c", &[], 2);
+            });
+        });
+        count("c", &[], 1);
+        assert_eq!(reg.snapshot().counters[0].2, 3);
+        drop(_g);
+        assert!(current_scope().is_none());
     }
 
     #[test]

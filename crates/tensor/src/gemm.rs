@@ -76,9 +76,13 @@
 //! chain starts from zero, never from the accumulator, and its end is
 //! rounded to `f32` before the add, so signed zeros and every rounding
 //! agree — minus the product tensor, its zero fill, the copy into a
-//! gradient tensor and the separate add pass. Shapes the epilogue cannot
-//! serve (`kk > KC`: partial chains live in the output between chunks;
-//! the broadcast engines; Q8.8; the scalar `f64` fallback) run the product
+//! gradient tensor and the separate add pass. A streamed broadcast GEMM
+//! whose chains all complete inside one `k`-tile (`kk ≤ IKJ_KB`: the
+//! `1×1`-input projection `W-CONV`) lands the same way block by block: each
+//! row block's chains run from zero into block-sized scratch, which is then
+//! added. Shapes neither can serve (`kk > KC`: partial chains live in the
+//! output between chunks; the broadcast engines over several `k`-tiles;
+//! Q8.8 on the packed engine; the scalar `f64` fallback) run the product
 //! into non-zeroed workspace scratch and add it in one pass — the same
 //! arithmetic, one more stream.
 //!
@@ -110,6 +114,10 @@ const ROW_BLOCK: usize = 16;
 /// tile re-walks the sparse `a` row, and on the ~50%-zero activations the
 /// repeated `is_zero` branches cost more than the tile buys.
 const COL_BLOCK: usize = 128;
+/// Scratch size, in elements, of one row block of a one-tile streamed
+/// GEMM that adds into its destination (at least one row): 32 KiB of
+/// f32, which stays in L1 between the tile kernel's write and the add.
+const ADD_TO_BLOCK_ELEMS: usize = 8192;
 
 thread_local! {
     // Packed-kernel scratch for the allocating (non-workspace) entry
@@ -583,10 +591,39 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
         // One k-tile of `B` rows — or fewer when the whole operand is
         // shorter than a tile (`kk = 1` input-grad reshapes).
         let mut rowbuf = ws.take_dirty(microkernel::IKJ_KB.min(kk) * n);
-        dest.via_store(ws, |out, ws| {
-            let masks = ws.pack_scratch_ref().masks();
-            broadcast_streamed(kind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
-        });
+        match dest {
+            Product::AddTo(acc) if kk <= microkernel::IKJ_KB => {
+                // One tile holds every chain whole: fill its live `B` rows
+                // once, then land row blocks through block-sized scratch.
+                let rows = (ADD_TO_BLOCK_ELEMS / n.max(1)).clamp(1, m.max(1));
+                let mut block = ws.take_dirty(rows * n);
+                let masks = ws.pack_scratch_ref().masks();
+                fill_live_rows(a, masks, m, kk, n, 0, &mut rowbuf, fill_row);
+                let wpr = microkernel::mask_geometry(kk).1;
+                for (r, acc_rows) in acc.chunks_mut(rows * n).enumerate() {
+                    let (i0, i1) = (r * rows, r * rows + acc_rows.len() / n);
+                    let out = &mut block[..acc_rows.len()];
+                    out.fill(T::zero());
+                    microkernel::ikj_tile_packed(
+                        kind,
+                        &a[i0 * kk..i1 * kk],
+                        &masks[i0 * wpr..i1 * wpr],
+                        &rowbuf,
+                        out,
+                        kk,
+                        n,
+                        0,
+                        kk,
+                    );
+                    Product::AddTo(acc_rows).land(out);
+                }
+                ws.give(block);
+            }
+            dest => dest.via_store(ws, |out, ws| {
+                let masks = ws.pack_scratch_ref().masks();
+                broadcast_streamed(kind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
+            }),
+        }
         ws.give(rowbuf);
         record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
         return Ok(());
@@ -625,39 +662,12 @@ fn broadcast_streamed<T: Num>(
     rowbuf: &mut [T],
     fill_row: &dyn Fn(usize, &mut [T]),
 ) {
-    const KP: usize = microkernel::KP;
     const KB: usize = microkernel::IKJ_KB;
-    let wpr = microkernel::mask_geometry(kk).1;
-    debug_assert_eq!(masks.len(), m * wpr);
+    debug_assert_eq!(masks.len(), m * microkernel::mask_geometry(kk).1);
     out.fill(T::zero());
     for kb in (0..kk).step_by(KB) {
         let kend = (kb + KB).min(kk);
-        // Column-liveness scan for this tile: walk each row's tile words
-        // panel-wise so masked panels cost one bit test, not `KP` loads.
-        let mut live = [false; KB];
-        for i in 0..m {
-            let mrow = &masks[i * wpr..(i + 1) * wpr];
-            let mut k = kb;
-            while k < kend {
-                let p = k / KP;
-                let pend = (p * KP + KP).min(kend);
-                if microkernel::mask_hit(mrow, p) {
-                    k = pend;
-                    continue;
-                }
-                while k < pend {
-                    if !a[i * kk + k].is_zero() {
-                        live[k - kb] = true;
-                    }
-                    k += 1;
-                }
-            }
-        }
-        for (t, &is_live) in live[..kend - kb].iter().enumerate() {
-            if is_live {
-                fill_row(kb + t, &mut rowbuf[t * n..(t + 1) * n]);
-            }
-        }
+        fill_live_rows(a, masks, m, kk, n, kb, rowbuf, fill_row);
         microkernel::ikj_tile_packed(
             kind,
             a,
@@ -669,6 +679,52 @@ fn broadcast_streamed<T: Num>(
             kb,
             kend,
         );
+    }
+}
+
+/// Fills the rows of the `k`-tile starting at `kb` that some `A` row
+/// needs into `rowbuf` (row `k` at offset `(k − kb)·n`), by a
+/// column-liveness scan that walks each row's tile words panel-wise, so
+/// masked panels cost one bit test, not `KP` loads. A dead row is never
+/// generated, and the tile kernels never read it.
+#[allow(clippy::too_many_arguments)]
+fn fill_live_rows<T: Num>(
+    a: &[T],
+    masks: &[u64],
+    m: usize,
+    kk: usize,
+    n: usize,
+    kb: usize,
+    rowbuf: &mut [T],
+    fill_row: &dyn Fn(usize, &mut [T]),
+) {
+    const KP: usize = microkernel::KP;
+    const KB: usize = microkernel::IKJ_KB;
+    let kend = (kb + KB).min(kk);
+    let wpr = microkernel::mask_geometry(kk).1;
+    let mut live = [false; KB];
+    for i in 0..m {
+        let mrow = &masks[i * wpr..(i + 1) * wpr];
+        let mut k = kb;
+        while k < kend {
+            let p = k / KP;
+            let pend = (p * KP + KP).min(kend);
+            if microkernel::mask_hit(mrow, p) {
+                k = pend;
+                continue;
+            }
+            while k < pend {
+                if !a[i * kk + k].is_zero() {
+                    live[k - kb] = true;
+                }
+                k += 1;
+            }
+        }
+    }
+    for (t, &is_live) in live[..kend - kb].iter().enumerate() {
+        if is_live {
+            fill_row(kb + t, &mut rowbuf[t * n..(t + 1) * n]);
+        }
     }
 }
 
@@ -960,6 +1016,63 @@ mod tests {
             .map(|(x, p)| x + p)
             .collect();
         assert_eq!(Matrix::from_vec(m, n, want), added);
+    }
+
+    /// A streamed broadcast GEMM adding into its destination equals one
+    /// that stores its product into poisoned scratch, then adds it, bit
+    /// for bit: around the one-`k`-tile boundary (whole chains in one
+    /// tile land through row-block scratch, longer ones through a stored
+    /// product), on several row blocks, in f32 and Q8.8, over a workspace
+    /// whose free buffers are poisoned so a word the engine failed to
+    /// write shows.
+    #[test]
+    fn streamed_add_to_equals_store_then_add_around_one_k_tile() {
+        fn check<T: Num>(draw: impl Fn(f32) -> T, poison: T, rng: &mut SmallRng) {
+            let kb = microkernel::IKJ_KB;
+            // Three rows stream on the small-m engine, a hundred on the
+            // ikj engine for `kk = 1`: one-row and two-row blocks.
+            for (m, n) in [(3, 3000), (5, 4100), (100, 1024)] {
+                for kk in [1, kb - 1, kb, kb + 1] {
+                    if m == 100 && kk > 2 {
+                        continue;
+                    }
+                    let mut val = |zero_frac: f64| {
+                        if rng.gen_range(0.0..1.0) < zero_frac {
+                            T::zero()
+                        } else {
+                            draw(rng.gen_range(-1.0f32..1.0))
+                        }
+                    };
+                    let a: Vec<T> = (0..m * kk).map(|_| val(0.3)).collect();
+                    let b: Vec<T> = (0..kk * n).map(|_| val(0.0)).collect();
+                    let acc: Vec<T> = (0..m * n).map(|_| val(0.0)).collect();
+                    let fill =
+                        |k: usize, row: &mut [T]| row.copy_from_slice(&b[k * n..(k + 1) * n]);
+                    let poisoned = |ws: &mut ConvWorkspace<T>| {
+                        for len in [m * n, n * kb, 8192] {
+                            ws.give(vec![poison; len]);
+                        }
+                    };
+                    let mut ws = ConvWorkspace::new();
+                    poisoned(&mut ws);
+                    let mut stored = vec![poison; m * n];
+                    let store = Product::Store(&mut stored[..]);
+                    matmul_streamed_ws(&a, m, (kk, n), &fill, AScan::Scan, store, &mut ws).unwrap();
+                    let mut want = acc.clone();
+                    Product::AddTo(&mut want[..]).land(&stored);
+                    poisoned(&mut ws);
+                    let mut added = acc.clone();
+                    let add = Product::AddTo(&mut added[..]);
+                    matmul_streamed_ws(&a, m, (kk, n), &fill, AScan::Scan, add, &mut ws).unwrap();
+                    let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                    assert!(added.iter().all(|g| !g.to_f64().is_nan()), "m {m}, kk {kk}");
+                    assert_eq!(bits(&want), bits(&added), "m {m}, kk {kk}, n {n}");
+                }
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(18);
+        check(|v| v, f32::NAN, &mut rng);
+        check(|v| Fx::from_f32(v * 4.0), Fx::MIN, &mut rng);
     }
 
     #[test]

@@ -463,6 +463,27 @@ impl<T: Num> PhaseKernelCache<T> {
             .key = None;
     }
 
+    /// Gathers now, unless the cache already holds them, the sub-kernels
+    /// of `k` that a zero-free `T-CONV` from an `input`-sized map onto an
+    /// `output`-sized grid reads — the gather its first pass after an
+    /// invalidation would make. Passes about to run concurrently over the
+    /// same weights then find them fresh, instead of one gathering under
+    /// the write guard while the others wait on it. A `1×1` input's pass
+    /// reads `k` in place, so nothing is gathered for one.
+    pub fn gather(
+        &self,
+        k: &Kernels<T>,
+        geom: &ConvGeom,
+        input: (usize, usize),
+        (oh, ow): (usize, usize),
+        ws: &mut ConvWorkspace<T>,
+    ) {
+        if input != (1, 1) {
+            let phases = phases_for(ws, geom, oh, ow);
+            self.with_gathered(k, phase_key(geom, oh, ow), &phases, |_| ());
+        }
+    }
+
     /// Runs `f` on the sub-kernels of `k` for the decomposition `key`,
     /// gathering them first if the cache is stale or was gathered for
     /// another decomposition.

@@ -56,7 +56,8 @@ echo "=== train step across pool widths ==="
 # must be invisible in everything but time: three MNIST-GAN iterations (its
 # 128x1600x49 and 128x49x1600 GEMMs fan out, rows, pack and fills) print the
 # same deterministic line and the same deterministic telemetry, serial and at widths
-# that split those rows evenly, raggedly and one tile a chunk; and the warm
+# that split those rows evenly, raggedly and one tile a chunk, and that run
+# the deferred trainer's samples on that many lanes; and the warm
 # train step stays allocation-free when it does fan out (width 2 explicitly:
 # the test step above ran it at the host's width, which may be 1). Two DCGAN
 # iterations print the same deterministic line at every width and on the
@@ -77,10 +78,18 @@ for threads in 1 2 3 8; do
         | grep -E '^deterministic:|^    [a-z_]+(\{[^}]*\})? +[0-9]+$' > "$tdir/width_$threads.txt"
     grep -q 'gemm_calls{backend="blocked"}' "$tdir/width_$threads.txt"
     diff "$tdir/width_1.txt" "$tdir/width_$threads.txt"
+    # The same at batch 3, whose sample loops leave a short last lane group
+    # at width 2 (the Generator's 3 samples on 2 lanes: 2 + 1) and idle
+    # lanes at width 8.
+    ZFGAN_THREADS="$threads" cargo run -q --release -p zfgan -- \
+        train --gan mnist --batch 3 --seed 2024 --iters 3 --telemetry \
+        | grep -E '^deterministic:|^    [a-z_]+(\{[^}]*\})? +[0-9]+$' > "$tdir/ragged_$threads.txt"
+    grep -q 'gemm_calls{backend="blocked"}' "$tdir/ragged_$threads.txt"
+    diff "$tdir/ragged_1.txt" "$tdir/ragged_$threads.txt"
 done
 diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/width_1.txt")
 ZFGAN_THREADS=2 timeout 300 cargo test -q -p zfgan --test zero_alloc --test exec_zero_alloc
-echo "train digests and telemetry are byte-identical at pool widths 1, 2, 3, 8 (DCGAN also on scalar kernels)"
+echo "train digests and telemetry are byte-identical at pool widths 1, 2, 3, 8 (DCGAN also on scalar kernels, MNIST also on ragged lane groups)"
 
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-

@@ -1,5 +1,5 @@
 //! Integration tests for the beyond-the-paper extensions: the RTL models,
-//! the im2col lowering, parallel training, the fit driver, and the
+//! the im2col lowering, the fit driver, and the
 //! datasheet/roofline machinery.
 
 use rand::rngs::SmallRng;
@@ -8,7 +8,6 @@ use zfgan::accel::gantt::BatchSchedule;
 use zfgan::accel::{datasheet, AccelConfig, GanAccelerator};
 use zfgan::dataflow::rtl::{reorder_load_comparison, rtl_s_conv};
 use zfgan::dataflow::{Dataflow, RowStationary, Zfost, Zfwst};
-use zfgan::nn::parallel::parallel_dis_grads_with;
 use zfgan::nn::{fit, GanPair, GanTrainer, SyncMode, TrainerConfig};
 use zfgan::sim::{ConvKind, ConvShape};
 use zfgan::tensor::im2col::im2col_t;
@@ -75,23 +74,6 @@ fn rtl_confirms_the_reorder_claim() {
         raster as f64 > 1.5 * reordered as f64,
         "raster {raster} reordered {reordered}"
     );
-}
-
-/// Parallel gradient computation is bit-identical across thread counts and
-/// matches what a sequential synchronized trainer would apply.
-#[test]
-fn parallel_training_is_deterministic() {
-    let mut rng = SmallRng::seed_from_u64(3);
-    let pair = GanPair::tiny(&mut rng);
-    let reals = pair.sample_real_batch(5, &mut rng);
-    let fakes = pair.sample_real_batch(5, &mut rng);
-    let (g1, s1, f1) = parallel_dis_grads_with(pair.discriminator(), &reals, &fakes, 1);
-    let (g4, s4, f4) = parallel_dis_grads_with(pair.discriminator(), &reals, &fakes, 4);
-    assert_eq!(s1, s4);
-    assert_eq!(f1, f4);
-    for (a, b) in g1.iter().zip(&g4) {
-        assert_eq!(a.max_abs_diff(b), 0.0);
-    }
 }
 
 /// The fit driver trains the tiny GAN to a separating critic under the

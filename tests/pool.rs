@@ -149,35 +149,71 @@ fn pool_panics_become_typed_errors() {
     assert_eq!(ok, (1..=16).collect::<Vec<_>>());
 }
 
-/// The nn parallel helper maps pool panics onto its own typed
-/// [`ParallelError::WorkerPanicked`] ladder (pinned in-crate too; this
-/// checks the cross-crate wiring end to end).
+/// A sample whose shape does not match the critic panics its lane; the
+/// panic reaches `step_discriminator` on the calling thread once the
+/// lane's group has drained, as a panic a supervisor can contain. The
+/// trainer stays usable: rolled back to a snapshot it takes the next step
+/// exactly as a fresh trainer does, and a supervised iteration on it
+/// completes.
 #[test]
-fn nn_parallel_error_ladder_survives_the_pool() {
-    use zfgan::nn::parallel::ParallelError;
-    let mut rng = SmallRng::seed_from_u64(40);
-    let pair = zfgan::nn::GanPair::tiny(&mut rng);
-    // Wrong image shape → forward panics inside the workers.
-    let bad = vec![Fmaps::<f32>::zeros(1, 4, 4); 2];
-    let err = zfgan::nn::parallel::try_parallel_dis_grads_with(pair.discriminator(), &bad, &bad, 2)
-        .unwrap_err();
-    match err {
-        ParallelError::WorkerPanicked { failed, spawned } => {
-            assert!(failed >= 1 && failed <= spawned);
-        }
+fn a_panicking_lane_panics_the_step_after_its_group_drains() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use zfgan::nn::{GanPair, GanTrainer, SupervisedTrainer, SupervisorConfig, TrainerConfig};
+    let trainer = || {
+        let pair = GanPair::tiny(&mut SmallRng::seed_from_u64(40));
+        GanTrainer::new(pair, TrainerConfig::default())
+    };
+    let mut rng = SmallRng::seed_from_u64(41);
+    let mut reals = trainer().gan().sample_real_batch(4, &mut rng);
+    let good = reals.clone();
+    reals[2] = Fmaps::zeros(1, 4, 4);
+
+    let mut hurt = trainer();
+    let before = hurt.snapshot();
+    let panic = catch_unwind(AssertUnwindSafe(|| {
+        hurt.step_discriminator(&reals, &mut SmallRng::seed_from_u64(42))
+    }))
+    .expect_err("a mis-shaped sample must panic the step");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("the step panics with a message");
+    assert!(message.contains("sample lane panicked"), "{message}");
+
+    hurt.restore(&before);
+    let mut fresh = trainer();
+    let a = hurt.step_discriminator(&good, &mut SmallRng::seed_from_u64(42));
+    let b = fresh.step_discriminator(&good, &mut SmallRng::seed_from_u64(42));
+    assert_eq!(a, b);
+    for (x, y) in hurt
+        .gan()
+        .discriminator()
+        .layers()
+        .iter()
+        .zip(fresh.gan().discriminator().layers())
+    {
+        assert_eq!(x.weights(), y.weights());
     }
+
+    let mut supervised =
+        SupervisedTrainer::new(hurt, SupervisorConfig::default()).expect("default config");
+    let (dis, gen) = supervised
+        .train_iteration(4, &mut rng)
+        .expect("a clean iteration passes its health check");
+    assert!(dis.dis_loss.is_finite() && gen.gen_loss.is_finite());
 }
 
-/// The hazard of a fanned sub-kernel re-gather: a layer gathers under its
-/// cache's write guard and reads it under the read guard, and the
-/// per-sample fan-out runs critic passes over one network on several pool
-/// threads at once, every one of which needs that lock. The critic's middle
-/// layer holds more weights than the re-gather's fan-out threshold, so the
-/// per-sample tasks are still queued when the first of them re-gathers.
-/// Right after every layer's weights were handed out mutably, eight
-/// concurrent backward passes must finish, and match the sequential path
-/// bit for bit. A submitter that helped with another batch's task while
-/// holding either guard would deadlock on itself here.
+/// The hazard of sample lanes over one network: a layer gathers its phase
+/// sub-kernels under its cache's write guard and reads them under the read
+/// guard, and after every optimizer step the next sample loop runs passes
+/// over the stale network on several lanes at once, every one of which
+/// needs that lock — the Generator step's critic error chains right after
+/// the critic's update, the next critic step's fake forwards right after
+/// the Generator's. The middle layers hold more weights than the
+/// re-gather's fan-out threshold, so the gather itself fans out while
+/// other lanes wait on its guard. Training on lanes must finish and land
+/// on the serial (synchronized) trainer's weights bit for bit. A submitter
+/// that helped with another batch's task while holding either guard would
+/// deadlock on itself here.
 ///
 /// Run twice: on 8×8 images the critic's GEMMs stay inline, so only the
 /// gather fans out under the write guard; on 16×16 images the middle
@@ -192,8 +228,7 @@ fn concurrent_critic_passes_after_a_weight_change_finish() {
 /// One run of [`concurrent_critic_passes_after_a_weight_change_finish`] on
 /// `side × side` images.
 fn concurrent_critic_passes(side: usize) {
-    use zfgan::nn::parallel::{sequential_dis_grads, try_parallel_dis_grads_with};
-    use zfgan::nn::ConvNet;
+    use zfgan::nn::{ConvNet, GanPair, GanTrainer, SyncMode, TrainerConfig};
     use zfgan::tensor::microkernel::FAN_OUT_MIN_MACS;
     let mut rng = SmallRng::seed_from_u64(44);
     let (body_out, mid_out) = (side / 2, side / 4);
@@ -201,23 +236,28 @@ fn concurrent_critic_passes(side: usize) {
     let mid = ConvGeom::down(body_out, body_out, 4, 4, 2, mid_out, mid_out).expect("static");
     let head = ConvGeom::down(mid_out, mid_out, mid_out, mid_out, 1, 1, 1).expect("static");
     let leaky = Activation::LeakyRelu { alpha: 0.2 };
-    let mut layer = |geom, small_c, large_c, act, in_shape| {
-        ConvLayer::random(
-            Direction::Down,
-            geom,
-            small_c,
-            large_c,
-            act,
-            in_shape,
-            0.25,
-            &mut rng,
-        )
-        .expect("static shapes")
+    let mut layer = |dir, geom, small_c, large_c, act, in_shape| {
+        ConvLayer::random(dir, geom, small_c, large_c, act, in_shape, 0.25, &mut rng)
+            .expect("static shapes")
     };
-    let mut critic = ConvNet::new(vec![
-        layer(body, 64, 1, leaky, (1, side, side)),
-        layer(mid, 128, 64, leaky, (64, body_out, body_out)),
-        layer(head, 1, 128, Activation::Identity, (128, mid_out, mid_out)),
+    let (down, up) = (Direction::Down, Direction::Up);
+    let generator = ConvNet::new(vec![
+        layer(up, head, 16, 128, Activation::Relu, (16, 1, 1)),
+        layer(up, mid, 128, 64, Activation::Relu, (128, mid_out, mid_out)),
+        layer(up, body, 64, 1, Activation::Tanh, (64, body_out, body_out)),
+    ])
+    .expect("static stack");
+    let critic = ConvNet::new(vec![
+        layer(down, body, 64, 1, leaky, (1, side, side)),
+        layer(down, mid, 128, 64, leaky, (64, body_out, body_out)),
+        layer(
+            down,
+            head,
+            1,
+            128,
+            Activation::Identity,
+            (128, mid_out, mid_out),
+        ),
     ])
     .expect("static stack");
     let mid_weights = critic.layers()[1].weights().len();
@@ -225,66 +265,161 @@ fn concurrent_critic_passes(side: usize) {
     // The middle layer's forward GEMM: 128 maps × 64·4·4 taps × its pixels.
     let mid_macs = mid_weights * mid_out * mid_out;
     assert_eq!(mid_macs >= FAN_OUT_MIN_MACS, side == 16, "side {side}");
-    let images = |rng: &mut SmallRng| -> Vec<Fmaps<f32>> {
-        (0..4)
-            .map(|_| Fmaps::random(1, side, side, 1.0, rng))
-            .collect()
+    let pair = GanPair::new(generator, critic).expect("consistent pair");
+    let trainer = |mode| {
+        let config = TrainerConfig {
+            mode,
+            n_critic: 1,
+            ..TrainerConfig::default()
+        };
+        GanTrainer::new(pair.clone(), config)
     };
-    let (reals, fakes) = (images(&mut rng), images(&mut rng));
-    for round in 0..8 {
-        for layer in critic.layers_mut() {
-            layer.weights_mut().as_mut_slice()[round] += 0.001;
-        }
-        let (grads, real, fake) =
-            try_parallel_dis_grads_with(&critic, &reals, &fakes, 8).expect("no pool task panicked");
-        for layer in critic.layers_mut() {
-            layer.weights_mut();
-        }
-        let (want, want_real, want_fake) = sequential_dis_grads(&critic, &reals, &fakes);
+    let (mut lanes, mut serial) = (trainer(SyncMode::Deferred), trainer(SyncMode::Synchronized));
+    let (mut rng_a, mut rng_b) = (SmallRng::seed_from_u64(45), SmallRng::seed_from_u64(45));
+    for round in 0..3 {
+        let got = lanes.train_iteration(4, &mut rng_a);
+        let want = serial.train_iteration(4, &mut rng_b);
         assert_eq!(
-            (real, fake),
-            (want_real, want_fake),
+            (got.0.dis_loss, got.1.gen_loss),
+            (want.0.dis_loss, want.1.gen_loss),
             "side {side}, round {round}"
         );
-        for (g, w) in grads.iter().zip(&want) {
-            assert_eq!(g.weights, w.weights, "side {side}, round {round}");
-            assert_eq!(g.bias, w.bias, "side {side}, round {round}");
+        let nets = |t: &GanTrainer| [t.gan().generator().clone(), t.gan().discriminator().clone()];
+        for (g, w) in nets(&lanes).iter().zip(&nets(&serial)) {
+            for (lg, lw) in g.layers().iter().zip(w.layers()) {
+                assert_eq!(lg.weights(), lw.weights(), "side {side}, round {round}");
+                assert_eq!(lg.bias(), lw.bias(), "side {side}, round {round}");
+            }
         }
     }
 }
 
-/// [`concurrent_critic_passes_after_a_weight_change_finish`] in a child
-/// process of this test binary at pool widths 2 and 8 (the pool's width is
-/// fixed once per process), each under a timeout that turns a deadlock
-/// into a failure.
-#[test]
-fn concurrent_critic_passes_finish_at_pool_widths_2_and_8() {
+/// Runs test `name` of this binary alone in a child process at pool width
+/// `threads` (the pool's width is fixed once per process), under a timeout
+/// that turns a deadlock into a failure, and returns its captured output.
+fn run_at_width(name: &str, threads: &str) -> String {
     use std::process::{Command, Stdio};
     use std::time::{Duration, Instant};
     let exe = std::env::current_exe().expect("test binary path");
-    let name = "concurrent_critic_passes_after_a_weight_change_finish";
-    for threads in ["2", "8"] {
-        let mut child = Command::new(&exe)
-            .args([name, "--exact", "--test-threads=1"])
-            .env("ZFGAN_THREADS", threads)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn the test binary");
-        let started = Instant::now();
-        while child.try_wait().expect("poll the child").is_none() {
-            if started.elapsed() > Duration::from_secs(300) {
-                child.kill().expect("kill the stuck child");
-                panic!("critic passes at pool width {threads} did not finish in 300 s");
-            }
-            std::thread::sleep(Duration::from_millis(20));
+    let mut child = Command::new(&exe)
+        .args([name, "--exact", "--test-threads=1", "--nocapture"])
+        .env("ZFGAN_THREADS", threads)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the test binary");
+    let started = Instant::now();
+    while child.try_wait().expect("poll the child").is_none() {
+        if started.elapsed() > Duration::from_secs(300) {
+            child.kill().expect("kill the stuck child");
+            panic!("{name} at pool width {threads} did not finish in 300 s");
         }
-        let out = child.wait_with_output().expect("child output");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success() && stdout.contains("1 passed"),
-            "pool width {threads}: {stdout}\n{}",
-            String::from_utf8_lossy(&out.stderr)
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("child output");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{name} at pool width {threads}: {stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
+/// [`concurrent_critic_passes_after_a_weight_change_finish`] at pool
+/// widths 2 and 8.
+#[test]
+fn concurrent_critic_passes_finish_at_pool_widths_2_and_8() {
+    for threads in ["2", "8"] {
+        run_at_width(
+            "concurrent_critic_passes_after_a_weight_change_finish",
+            threads,
         );
     }
+}
+
+/// Two MNIST-GAN iterations at batch 4 under a telemetry scope: prints a
+/// digest of every weight and bias of both networks (with the losses) and
+/// the scope's deterministic section, for the width comparisons below.
+#[test]
+fn lane_training_digest_and_telemetry() {
+    use std::sync::Arc;
+    use zfgan::nn::{GanTrainer, TrainerConfig};
+    use zfgan::telemetry::{export::deterministic_section, Registry};
+    let mut rng = SmallRng::seed_from_u64(2024);
+    let pair = zfgan::workloads::GanSpec::mnist_gan()
+        .build_pair(0.05, &mut rng)
+        .expect("paper spec builds");
+    let config = TrainerConfig {
+        n_critic: 1,
+        ..TrainerConfig::default()
+    };
+    let mut trainer = GanTrainer::new(pair, config);
+    let reg = Arc::new(Registry::new());
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bits: u64| digest = (digest ^ bits).wrapping_mul(0x0100_0000_01b3);
+    {
+        let _scope = zfgan::telemetry::scope(Arc::clone(&reg));
+        for _ in 0..2 {
+            let (dis, gen) = trainer.train_iteration(4, &mut rng);
+            eat(dis.dis_loss.to_bits());
+            eat(gen.gen_loss.to_bits());
+        }
+    }
+    let gan = trainer.gan();
+    for net in [gan.generator(), gan.discriminator()] {
+        for layer in net.layers() {
+            for v in layer.weights().as_slice().iter().chain(layer.bias()) {
+                eat(u64::from(v.to_bits()));
+            }
+        }
+    }
+    let section = deterministic_section(&reg);
+    assert!(section.contains("gemm_calls"), "{section}");
+    println!("lane digest {digest:#018x}");
+    println!("lane telemetry {section}");
+}
+
+/// What [`lane_training_digest_and_telemetry`] prints from `prefix` to the
+/// end of its line, run at pool width `threads`.
+/// Both tests below read the same children: one run per width.
+fn lane_output(prefix: &str, threads: &str) -> String {
+    use std::collections::BTreeMap;
+    use std::sync::{Mutex, PoisonError};
+    static RUNS: Mutex<BTreeMap<String, String>> = Mutex::new(BTreeMap::new());
+    let out = RUNS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(threads.to_string())
+        .or_insert_with(|| run_at_width("lane_training_digest_and_telemetry", threads))
+        .clone();
+    out.lines()
+        .find_map(|l| l.find(prefix).map(|at| l[at..].to_string()))
+        .unwrap_or_else(|| panic!("no '{prefix}' line at width {threads}: {out}"))
+}
+
+/// Sample lanes land every weight gradient in sample order, so a batch-4
+/// trainer at pool widths 2 and 8 ends on the weights and losses of a
+/// serial (`ZFGAN_THREADS=1`) child, bit for bit.
+#[test]
+fn lanes_train_bit_identically_at_pool_widths_2_and_8() {
+    let serial = lane_output("lane digest", "1");
+    for threads in ["2", "8"] {
+        assert_eq!(
+            serial,
+            lane_output("lane digest", threads),
+            "width {threads}"
+        );
+    }
+}
+
+/// Every lane re-enters the submitter's telemetry scope, so a batch-4
+/// train run at pool width 2 records the deterministic section of a
+/// serial (`ZFGAN_THREADS=1`) child byte for byte.
+#[test]
+fn lane_telemetry_matches_a_serial_child() {
+    assert_eq!(
+        lane_output("lane telemetry", "1"),
+        lane_output("lane telemetry", "2")
+    );
 }
