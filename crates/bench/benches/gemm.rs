@@ -22,7 +22,7 @@ use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
     choose_path, set_forced_path, simd_label, simd_level, GemmPath, SimdLevel,
 };
-use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels, PhaseKernelCache};
+use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels, PhaseKernels};
 
 /// Rounds behind every paired ratio here.
 const PAIRED_ROUNDS: usize = 21;
@@ -368,15 +368,16 @@ fn gate_thin() {
     let geom = ConvGeom::down(64, 64, 5, 5, 2, 32, 32).expect("static geometry");
     let x = Fmaps::random(64, 32, 32, 1.0, &mut rng).map(|v: f32| v.max(0.0));
     let k = Kernels::random(64, 3, 5, 5, 0.1, &mut rng);
-    let cache = PhaseKernelCache::default();
+    let mut sub = PhaseKernels::default();
+    sub.write(&k, &geom, (32, 32), (64, 64));
     let side = |forced: Option<GemmPath>| {
-        let (x, k, geom, ws, cache) = (&x, &k, &geom, &ws, &cache);
+        let (x, k, geom, ws, sub) = (&x, &k, &geom, &ws, &sub);
         move || {
             set_forced_path(forced);
             let ws = &mut *ws.borrow_mut();
             for _ in 0..5 {
                 let y = ConvBackend::default()
-                    .t_conv_cached_ws(x, k, cache, geom, ws)
+                    .t_conv_gathered_ws(x, k, sub, geom, ws)
                     .expect("conforming operands");
                 ws.give_fmaps(std::hint::black_box(y));
             }

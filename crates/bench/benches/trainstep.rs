@@ -56,9 +56,9 @@ fn stepper(backend: ConvBackend, reuse: bool) -> impl Fn(Option<GemmPath>) {
 const PARAM_STEP_FLOOR: f64 = 1.3;
 
 /// `fanout/param_step`: DCGAN's parameter-sized passes — both networks'
-/// RMSProp steps (the critic's with the WGAN clamp) and the critic
-/// re-gather those steps force, inside the input-error pass that carries
-/// the Generator's error through the critic — fanned out as
+/// RMSProp steps (the critic's with the WGAN clamp) and the phase
+/// sub-kernel rewrites those steps make, then the input-error pass that
+/// carries the Generator's error through the critic — fanned out as
 /// `zfgan_pool::pass_pieces` decides, against the same calls held to their
 /// serial loops by `zfgan_pool::serial_passes`. The pass's GEMMs fan out in
 /// both arms. The host-capacity reading beside it says whether a red came

@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A simple aligned-column text table.
 #[derive(Debug, Default)]
@@ -148,47 +148,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     zfgan_pool::parallel_map(items.len(), |i| f(&items[i])).expect("par_map worker panicked")
-}
-
-/// Like [`par_map`], but served through the design-space exploration
-/// engine ([`zfgan_dse::run_batch`]): the batch is deduped by canonical
-/// key, and when `ZFGAN_DSE_CACHE` names a directory every unique cell is
-/// published there in a checksummed `zfgan-store` envelope together with
-/// its deterministic telemetry section, so a rerun (or a killed sweep)
-/// serves hits instead of recomputing.
-///
-/// The output is **byte-identical** to an uncached run: every result —
-/// hit or fresh — is reconstructed from the cell's canonical JSON (the
-/// serde shim serialises floats bit-exactly) and merged in input order.
-/// Cache hit/miss/verify counters are wall-clock-class telemetry
-/// (`dse_*_total`), excluded from the deterministic sections the CI
-/// byte-diffs.
-///
-/// Any store failure (corrupt generation, truncation, foreign-version
-/// cell, unwritable directory) only ever costs recomputation; the cache
-/// can never change results or fail a sweep.
-///
-/// # Panics
-///
-/// Panics if a worker panics or a cell fails to serialise.
-pub fn par_map_cached<T, R, F>(
-    cache_name: &str,
-    items: &[T],
-    key_of: impl Fn(&T) -> String,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&T) -> R + Sync,
-{
-    zfgan_dse::run_batch(
-        &zfgan_dse::DseConfig::from_env(cache_name),
-        items,
-        key_of,
-        f,
-    )
-    .results
 }
 
 /// Paired, interleaved in-process speed ratio `base / fast`: every round

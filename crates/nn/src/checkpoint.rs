@@ -2,17 +2,16 @@
 //!
 //! Both networks are plain serde data structures, so any serde format
 //! works; the round-trip re-validates the pair's shape contract on load.
-//! [`Checkpoint::save_to`] / [`Checkpoint::load_from`] persist the JSON
-//! payload through the crash-consistent `zfgan-store` envelope (CRC'd,
-//! atomically renamed, generation-retained), so an on-disk checkpoint is
-//! either bit-exact or a typed [`CheckpointError`] — never silently wrong
-//! weights.
+//! On disk a checkpoint travels inside a [`crate::DurableSnapshot`], which
+//! [`crate::DurableCheckpointer`] persists through the crash-consistent
+//! `zfgan-store` envelope (CRC'd, atomically renamed, generation-retained),
+//! so an on-disk checkpoint is either bit-exact or a typed
+//! [`CheckpointError`] — never silently wrong weights.
 
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use zfgan_store::Store;
 
 use crate::network::ConvNet;
 use crate::trainer::GanPair;
@@ -157,68 +156,6 @@ impl Checkpoint {
         Ok(cp)
     }
 
-    /// Publishes this checkpoint as the next generation of `key` in the
-    /// store, tagged with `config_hash`. The write is atomic and fsynced
-    /// (see `zfgan-store`), so a crash at any point leaves the previous
-    /// generation intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Store`] if the durability layer fails.
-    pub fn save_to(
-        &self,
-        store: &mut Store,
-        key: &str,
-        config_hash: u64,
-    ) -> Result<u64, CheckpointError> {
-        store
-            .publish(key, config_hash, self.to_json().as_bytes())
-            .map_err(|e| CheckpointError::Store(e.to_string()))
-    }
-
-    /// Loads the newest valid checkpoint generation of `key`, falling
-    /// back past generations whose envelope fails its CRC **or** whose
-    /// payload fails checkpoint validation. `Ok(None)` means the key has
-    /// never been published.
-    ///
-    /// When `expected_hash` is given, generations written under a
-    /// different config hash are skipped the same way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Store`] if no valid generation survives
-    /// the fallback ladder or the store I/O fails.
-    pub fn load_from(
-        store: &mut Store,
-        key: &str,
-        expected_hash: Option<u64>,
-    ) -> Result<Option<(u64, Self)>, CheckpointError> {
-        let loaded = store
-            .load_latest_where(key, |env| {
-                if let Some(expected) = expected_hash {
-                    if env.config_hash != expected {
-                        return Err(format!(
-                            "config hash {:#018x} does not match expected {expected:#018x}",
-                            env.config_hash
-                        ));
-                    }
-                }
-                let json = std::str::from_utf8(env.payload)
-                    .map_err(|e| format!("payload is not UTF-8: {e}"))?;
-                Checkpoint::from_json(json)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
-            })
-            .map_err(|e| CheckpointError::Store(e.to_string()))?;
-        let Some(loaded) = loaded else {
-            return Ok(None);
-        };
-        let json = std::str::from_utf8(&loaded.payload)
-            .map_err(|e| CheckpointError::Parse(format!("payload is not UTF-8: {e}")))?;
-        let cp = Checkpoint::from_json(json)?;
-        Ok(Some((loaded.generation, cp)))
-    }
-
     /// The snapshotted Generator.
     pub fn generator(&self) -> &ConvNet {
         &self.generator
@@ -228,15 +165,6 @@ impl Checkpoint {
     pub fn discriminator(&self) -> &ConvNet {
         &self.discriminator
     }
-
-    /// Builds a checkpoint from two already-validated networks (used by
-    /// tests constructing adversarial payloads).
-    pub fn from_networks(generator: ConvNet, discriminator: ConvNet) -> Self {
-        Self {
-            generator,
-            discriminator,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -244,21 +172,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use zfgan_store::StoreConfig;
     use zfgan_tensor::Fmaps;
-
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-    fn temp_store(tag: &str) -> Store {
-        let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let root = std::env::temp_dir().join(format!(
-            "zfgan-nn-ckpt-test-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        Store::open(root, StoreConfig::default()).expect("open temp store")
-    }
 
     #[test]
     fn json_round_trip_preserves_behaviour() {
@@ -307,53 +221,6 @@ mod tests {
                 assert!(reason.contains("stride"), "{reason}")
             }
             other => panic!("expected InvalidNetwork, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn store_round_trip_is_bit_exact() {
-        let mut rng = SmallRng::seed_from_u64(10);
-        let cp = Checkpoint::from_pair(&GanPair::tiny(&mut rng));
-        let mut store = temp_store("roundtrip");
-        let gen = cp.save_to(&mut store, "ckpt", 0xfeed).unwrap();
-        assert_eq!(gen, 1);
-        let (g, loaded) = Checkpoint::load_from(&mut store, "ckpt", Some(0xfeed))
-            .unwrap()
-            .expect("generation exists");
-        assert_eq!(g, 1);
-        assert_eq!(loaded.to_json(), cp.to_json(), "payload must be bit-exact");
-    }
-
-    #[test]
-    fn corrupt_generation_falls_back_semantically() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let cp = Checkpoint::from_pair(&GanPair::tiny(&mut rng));
-        let mut store = temp_store("fallback");
-        cp.save_to(&mut store, "ckpt", 1).unwrap();
-        // A generation that is a *valid envelope* around an invalid
-        // checkpoint (zero stride): the semantic validator must skip it.
-        let bad_json = cp.to_json().replacen("\"stride\":2", "\"stride\":0", 1);
-        store.publish("ckpt", 1, bad_json.as_bytes()).unwrap();
-        let (g, _) = Checkpoint::load_from(&mut store, "ckpt", None)
-            .unwrap()
-            .expect("fallback generation exists");
-        assert_eq!(g, 1, "must fall back past the semantically-bad generation");
-    }
-
-    #[test]
-    fn missing_key_is_none_and_store_errors_are_typed() {
-        let mut store = temp_store("missing");
-        assert!(matches!(
-            Checkpoint::load_from(&mut store, "never", None),
-            Ok(None)
-        ));
-        store.publish("bad", 0, b"garbage").unwrap();
-        // Valid envelope, non-checkpoint payload: the ladder runs dry.
-        match Checkpoint::load_from(&mut store, "bad", None) {
-            Err(CheckpointError::Store(msg)) => {
-                assert!(msg.contains("no valid generation"), "{msg}")
-            }
-            other => panic!("expected Store error, got {other:?}"),
         }
     }
 }

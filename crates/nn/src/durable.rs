@@ -247,8 +247,8 @@ impl DurableCheckpointer {
 
     /// Loads the newest snapshot generation that (a) passes the envelope
     /// CRCs, (b) was published under this checkpointer's config hash and
-    /// (c) parses as a snapshot — falling back past generations that
-    /// fail any of those. Returns the generation, the snapshot, and
+    /// (c) parses as a snapshot whose networks validate — falling back
+    /// past generations that fail any of those. Returns the generation, the snapshot, and
     /// one-line notes for every skipped generation (newest first).
     ///
     /// `Ok(None)` means the key has never been published.
@@ -274,7 +274,7 @@ impl DurableCheckpointer {
                 let json = std::str::from_utf8(env.payload)
                     .map_err(|e| format!("payload is not UTF-8: {e}"))?;
                 DurableSnapshot::from_json(json)
-                    .map(|_| ())
+                    .and_then(|snapshot| snapshot.checkpoint.validate())
                     .map_err(|e| e.to_string())
             })
             .map_err(|e| CheckpointError::Store(e.to_string()))?;
@@ -427,6 +427,46 @@ mod tests {
                 assert!(msg.contains("no valid generation"), "{msg}")
             }
             other => panic!("foreign-hash generation must not load: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_networks_are_skipped_and_the_ladder_falls_back() {
+        let trainer = small_trainer(80);
+        let rng = SmallRng::seed_from_u64(81);
+        let snap = DurableSnapshot::capture(&trainer.snapshot(), trainer.config(), &rng, 0, &[]);
+        let mut cp =
+            DurableCheckpointer::open_dir(temp_dir("semantic"), "train", 7, 1, 3).expect("open");
+        cp.publish(&snap).expect("publish");
+        // A valid envelope around a snapshot that parses but whose critic
+        // has a zero stride: the validator must skip it.
+        let bad = snap.to_json().replacen("\"stride\":2", "\"stride\":0", 1);
+        assert_ne!(bad, snap.to_json(), "fixture lost its stride field");
+        cp.store_mut()
+            .publish("train", 7, bad.as_bytes())
+            .expect("publish the bad generation");
+        let (g, loaded, skipped) = cp.load_latest().expect("load").expect("fallback exists");
+        assert_eq!(g, 1, "must fall back past the invalid generation");
+        assert_eq!(loaded.to_json(), snap.to_json());
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert!(skipped[0].contains("stride"), "{skipped:?}");
+    }
+
+    #[test]
+    fn a_key_with_no_valid_generation_is_a_typed_store_error() {
+        let mut cp =
+            DurableCheckpointer::open_dir(temp_dir("garbage"), "train", 9, 1, 3).expect("open");
+        // Valid envelopes under the right hash, non-snapshot payloads.
+        for payload in [&b"garbage"[..], b"{}"] {
+            cp.store_mut()
+                .publish("train", 9, payload)
+                .expect("publish");
+        }
+        match cp.load_latest() {
+            Err(CheckpointError::Store(msg)) => {
+                assert!(msg.contains("no valid generation"), "{msg}")
+            }
+            other => panic!("expected a Store error, got {other:?}"),
         }
     }
 

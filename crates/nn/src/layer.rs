@@ -1,11 +1,12 @@
 //! One convolutional GAN layer — strided (`Down`) or transposed (`Up`) —
 //! with forward and backward passes.
 
+use std::ops::{Deref, DerefMut};
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::{
-    ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels, PhaseKernelCache, ShapeError,
-    TensorResult,
+    ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels, PhaseKernels, ShapeError, TensorResult,
 };
 
 use crate::activation::Activation;
@@ -114,11 +115,47 @@ pub struct ConvLayer {
     in_shape: (usize, usize, usize),
     backend: ConvBackend,
     /// The zero-free phase sub-kernels gathered from `weights` (T-CONV
-    /// forward of an `Up` layer, input error of a `Down` layer). Derived
-    /// data: every `&mut` path to `weights` must invalidate it, and a
-    /// cloned or deserialised layer starts with it stale.
+    /// forward of an `Up` layer, input error of a `Down` layer), written at
+    /// construction and whenever a [`WeightsMut`] drops — the only write
+    /// access to `weights`. Not serialised: a deserialised layer's passes
+    /// gather per call until its first weight write.
     #[serde(skip)]
-    sub_kernels: PhaseKernelCache<f32>,
+    sub_kernels: PhaseKernels<f32>,
+}
+
+/// Write access to a layer's weights, from [`ConvLayer::weights_mut`]:
+/// dropping it rewrites the layer's phase sub-kernels from the weights it
+/// leaves behind — also when the write panics — so no pass reads another
+/// weight version.
+#[derive(Debug)]
+pub struct WeightsMut<'a> {
+    weights: &'a mut Kernels<f32>,
+    sub_kernels: &'a mut PhaseKernels<f32>,
+    geom: ConvGeom,
+    /// The input and output grids of the layer's zero-free `T-CONV`.
+    grids: ((usize, usize), (usize, usize)),
+}
+
+impl Deref for WeightsMut<'_> {
+    type Target = Kernels<f32>;
+
+    fn deref(&self) -> &Kernels<f32> {
+        self.weights
+    }
+}
+
+impl DerefMut for WeightsMut<'_> {
+    fn deref_mut(&mut self) -> &mut Kernels<f32> {
+        self.weights
+    }
+}
+
+impl Drop for WeightsMut<'_> {
+    fn drop(&mut self) {
+        let (input, output) = self.grids;
+        self.sub_kernels
+            .write(self.weights, &self.geom, input, output);
+    }
 }
 
 impl ConvLayer {
@@ -148,7 +185,7 @@ impl ConvLayer {
             )));
         }
         let bias = vec![0.0; out_c];
-        Ok(Self {
+        let mut layer = Self {
             direction,
             geom,
             weights,
@@ -156,8 +193,11 @@ impl ConvLayer {
             activation,
             in_shape,
             backend: ConvBackend::default(),
-            sub_kernels: PhaseKernelCache::default(),
-        })
+            sub_kernels: PhaseKernels::default(),
+        };
+        // The guard's drop writes the phase sub-kernels.
+        drop(layer.weights_mut());
+        Ok(layer)
     }
 
     /// Creates a layer with uniformly random weights in `[-scale, scale]`.
@@ -200,10 +240,10 @@ impl ConvLayer {
 
     /// Mutable access to the weights — used by fault-injection campaigns
     /// to corrupt parameters in place. Shape invariants must be preserved
-    /// (the slice length is fixed); values are unconstrained.
-    pub fn weights_mut(&mut self) -> &mut Kernels<f32> {
-        self.sub_kernels.invalidate();
-        &mut self.weights
+    /// (the slice length is fixed); values are unconstrained. The phase
+    /// sub-kernels are rewritten when the guard drops.
+    pub fn weights_mut(&mut self) -> WeightsMut<'_> {
+        self.params_mut().0
     }
 
     /// The layer's per-output-channel bias.
@@ -211,28 +251,22 @@ impl ConvLayer {
         &self.bias
     }
 
-    /// Weights and bias for an in-place optimizer update (the gathered
-    /// sub-kernels go stale, as with [`ConvLayer::weights_mut`]).
-    pub(crate) fn params_mut(&mut self) -> (&mut Kernels<f32>, &mut [f32]) {
-        self.sub_kernels.invalidate();
-        (&mut self.weights, &mut self.bias)
-    }
-
-    /// Gathers the layer's phase sub-kernels now if they are stale and a
-    /// pass of its backend reads them: the `T-CONV` forward of an `Up`
-    /// layer, the input error of a `Down` layer (see
-    /// [`PhaseKernelCache::gather`]).
-    pub(crate) fn gather_sub_kernels(&self, ws: &mut ConvWorkspace<f32>) {
-        if self.backend != ConvBackend::LoweredZeroFree {
-            return;
-        }
+    /// Weights and bias for an in-place optimizer update (the weights
+    /// behind the same guard as [`ConvLayer::weights_mut`]).
+    pub(crate) fn params_mut(&mut self) -> (WeightsMut<'_>, &mut [f32]) {
         let (_, ih, iw) = self.in_shape;
         let (_, oh, ow) = self.out_shape();
-        let (k, geom) = (&self.weights, &self.geom);
-        match self.direction {
-            Direction::Up => self.sub_kernels.gather(k, geom, (ih, iw), (oh, ow), ws),
-            Direction::Down => self.sub_kernels.gather(k, geom, (oh, ow), (ih, iw), ws),
-        }
+        let grids = match self.direction {
+            Direction::Up => ((ih, iw), (oh, ow)),
+            Direction::Down => ((oh, ow), (ih, iw)),
+        };
+        let weights = WeightsMut {
+            weights: &mut self.weights,
+            sub_kernels: &mut self.sub_kernels,
+            geom: self.geom,
+            grids,
+        };
+        (weights, &mut self.bias)
     }
 
     /// The layer's activation function.
@@ -322,7 +356,7 @@ impl ConvLayer {
             Direction::Down => self
                 .backend
                 .s_conv_ws(input, &self.weights, &self.geom, ws)?,
-            Direction::Up => self.backend.t_conv_cached_ws(
+            Direction::Up => self.backend.t_conv_gathered_ws(
                 input,
                 &self.weights,
                 &self.sub_kernels,
@@ -461,7 +495,7 @@ impl ConvLayer {
         let delta_in = match self.direction {
             Direction::Down => {
                 let (_, ih, iw) = self.in_shape;
-                self.backend.s_conv_input_grad_cached_ws(
+                self.backend.s_conv_input_grad_gathered_ws(
                     &delta_pre,
                     &self.weights,
                     &self.sub_kernels,
@@ -805,7 +839,7 @@ mod tests {
         }
         // Weight gradient.
         let mut lp = layer.clone();
-        *lp.weights.at_mut(1, 0, 2, 2) += eps;
+        *lp.weights_mut().at_mut(1, 0, 2, 2) += eps;
         let fd = (loss(&lp, &x) - base) / f64::from(eps);
         assert!((fd - f64::from(*grads.weights.at(1, 0, 2, 2))).abs() < 1e-2);
         // Bias gradient.

@@ -196,19 +196,6 @@ impl ConvNet {
         self.layers.last().expect("validated non-empty").out_shape()
     }
 
-    /// Gathers, on the calling thread, every stale phase sub-kernel cache
-    /// that a forward pass and an error walk over this network read — the
-    /// input error of the first layer only when `input_error` asks for it
-    /// — so passes that then run on several lanes at once find them fresh
-    /// rather than all but one waiting while it gathers.
-    pub(crate) fn gather_sub_kernels(&self, input_error: bool, ws: &mut ConvWorkspace<f32>) {
-        for (l, layer) in self.layers.iter().enumerate() {
-            if l > 0 || input_error || layer.direction() == crate::layer::Direction::Up {
-                layer.gather_sub_kernels(ws);
-            }
-        }
-    }
-
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(ConvLayer::param_count).sum()

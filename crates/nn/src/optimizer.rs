@@ -233,7 +233,7 @@ impl Optimizer {
         self.steps += 1;
         let rule = (self.kind, self.learning_rate, self.steps);
         for (l, (layer, g)) in net.layers_mut().iter_mut().zip(grads).enumerate() {
-            let (weights, bias) = layer.params_mut();
+            let (mut weights, bias) = layer.params_mut();
             assert_eq!(
                 g.weights.shape(),
                 weights.shape(),

@@ -374,7 +374,8 @@ impl SupervisedTrainer {
         let Some(layer) = critic.layers_mut().get_mut(layer_idx) else {
             return;
         };
-        let words = layer.weights_mut().as_mut_slice();
+        let mut weights = layer.weights_mut();
+        let words = weights.as_mut_slice();
         if words.is_empty() {
             return;
         }

@@ -635,7 +635,6 @@ impl GanTrainer {
         let zs = self.gan.sample_z_batch(m, rng);
         let (gen, critic) = (&self.gan.generator, &self.gan.discriminator);
         let mut fakes = Vec::with_capacity(m);
-        gen.gather_sub_kernels(false, &mut self.lanes[0].ws);
         run_lanes(
             &mut self.lanes,
             m,
@@ -696,7 +695,6 @@ impl GanTrainer {
                 // a function of its own score), so its error chain runs as
                 // soon as its forward pass ends, on its lane; its W walk
                 // lands in sample order: all reals, then all fakes.
-                critic.gather_sub_kernels(false, &mut self.lanes[0].ws);
                 let (lanes, elems) = run_lanes(
                     &mut self.lanes,
                     2 * m,
@@ -808,8 +806,6 @@ impl GanTrainer {
                 }
             }
             SyncMode::Deferred => {
-                gen.gather_sub_kernels(false, &mut self.lanes[0].ws);
-                critic.gather_sub_kernels(true, &mut self.lanes[0].ws);
                 let (lanes, elems) = run_lanes(
                     &mut self.lanes,
                     batch,

@@ -1,13 +1,14 @@
-//! Every path that can change a layer's weights must invalidate the
-//! layer's gathered zero-free sub-kernels
-//! ([`zfgan_tensor::PhaseKernelCache`]): after any of them, the next
-//! forward and backward pass must equal — bit for bit — what a layer
-//! freshly constructed from the new weights computes. A path that forgets
-//! would keep multiplying by the *previous* weight version in the T-CONV
-//! forward of an `Up` layer and the input-error pass of a `Down` layer.
+//! Every path that writes a layer's weights goes through its
+//! [`zfgan_nn::WeightsMut`] guard, whose drop rewrites the layer's gathered
+//! zero-free sub-kernels ([`zfgan_tensor::PhaseKernels`]): after any of
+//! them, the next forward and backward pass must equal — bit for bit —
+//! what a layer freshly constructed from the new weights computes. A path
+//! that got round the guard would keep multiplying by the *previous* weight
+//! version in the T-CONV forward of an `Up` layer and the input-error pass
+//! of a `Down` layer.
 //!
-//! Each case primes the cache (a forward and a backward pass) before it
-//! mutates, so a missed invalidation cannot hide behind a cold cache.
+//! Each case runs the passes before it writes, so a write that left the
+//! sub-kernels behind cannot hide behind a first use.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +21,7 @@ use zfgan_tensor::{ConvGeom, ConvWorkspace, Fmaps, Kernels};
 
 /// The raw bits of one forward and one backward pass through `layer` on
 /// fixed inputs: pre- and post-activation, input error, weight and bias
-/// gradients. Runs the layer's own (cache-holding) entry points.
+/// gradients. Runs the layer's own (sub-kernel reading) entry points.
 fn passes(layer: &ConvLayer) -> Vec<Vec<u32>> {
     let mut rng = SmallRng::seed_from_u64(0xfeed);
     let (c, h, w) = layer.in_shape();
@@ -32,7 +33,7 @@ fn passes(layer: &ConvLayer) -> Vec<Vec<u32>> {
     let (dx, grads) = layer
         .backward_ws(&delta, &pre, &x, &mut ws)
         .expect("fixed shapes");
-    // The allocating entries share the cache with the workspace ones.
+    // The allocating entries read the same sub-kernels as the workspace ones.
     let (pre_alloc, _) = layer.forward(&x).expect("fixed shapes");
     let (dx_alloc, _) = layer.backward(&delta, &pre, &x).expect("fixed shapes");
     [
@@ -49,8 +50,8 @@ fn passes(layer: &ConvLayer) -> Vec<Vec<u32>> {
     .collect()
 }
 
-/// A layer built from scratch with `layer`'s parameters: its cache has
-/// never seen any other weight version.
+/// A layer built from scratch with `layer`'s parameters: its sub-kernels
+/// have never seen any other weight version.
 fn rebuilt(layer: &ConvLayer) -> ConvLayer {
     let mut fresh = ConvLayer::new(
         layer.direction(),
@@ -100,7 +101,7 @@ fn layers(rng: &mut SmallRng) -> Vec<ConvLayer> {
 }
 
 #[test]
-fn layer_level_mutations_invalidate() {
+fn layer_level_writes_refresh() {
     let mut rng = SmallRng::seed_from_u64(1);
     for mut layer in layers(&mut rng) {
         passes(&layer);
@@ -118,16 +119,67 @@ fn layer_level_mutations_invalidate() {
         layer.clamp_weights(0.2);
         assert_fresh(&layer, "clamp_weights");
 
-        // A clone must not inherit a gathered version it could outlive.
+        // A clone carries its own copy of the sub-kernels: writing one
+        // side leaves the other serving its own weights.
         let mut twin = layer.clone();
+        assert_fresh(&twin, "clone");
         twin.weights_mut().as_mut_slice()[0] = -0.5;
         assert_fresh(&twin, "clone + weights_mut");
         assert_fresh(&layer, "the clone's original");
+        layer.weights_mut().as_mut_slice()[1] = 0.25;
+        assert_fresh(&layer, "the original written after its clone");
+        assert_fresh(&twin, "the clone after its original's write");
+    }
+}
+
+/// A write that panics half way still leaves the sub-kernels equal to a
+/// gather of whatever the weights then hold: the guard rewrites them as it
+/// drops during the unwind.
+#[test]
+fn a_panicking_write_still_refreshes() {
+    let mut rng = SmallRng::seed_from_u64(6);
+    for mut layer in layers(&mut rng) {
+        passes(&layer);
+        let write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut weights = layer.weights_mut();
+            weights.as_mut_slice()[5] = 0.625;
+            panic!("a write interrupted half way");
+        }));
+        assert!(write.is_err());
+        assert_eq!(layer.weights().as_slice()[5], 0.625);
+        assert_fresh(&layer, "a panicking write");
+    }
+}
+
+/// A `1×1` grid — the Generator's projection, the input error of a critic
+/// head with a `1×1` output — gathers nothing: its pass reads the kernel
+/// in place, and a forced-packed pass, which keeps the classic phase
+/// route, gathers per call into the workspace. Both equal a fresh layer's
+/// passes bit for bit, before and after a write.
+#[test]
+fn one_by_one_grids_read_the_kernel_or_gather_per_call() {
+    use zfgan_tensor::microkernel::{set_forced_path, GemmPath};
+    let mut rng = SmallRng::seed_from_u64(7);
+    let geom = ConvGeom::down(4, 4, 4, 4, 1, 1, 1).expect("static geometry");
+    let act = Activation::LeakyRelu { alpha: 0.2 };
+    for (dir, in_shape) in [(Direction::Up, (5, 1, 1)), (Direction::Down, (3, 4, 4))] {
+        let mut layer = ConvLayer::random(dir, geom, 5, 3, act, in_shape, 0.5, &mut rng)
+            .expect("static shapes");
+        for round in 0..2 {
+            // Forcing a path is bit-neutral for every GEMM in the process,
+            // so tests running alongside are unaffected.
+            set_forced_path(Some(GemmPath::Packed));
+            let forced = passes(&layer);
+            set_forced_path(None);
+            assert_eq!(forced, passes(&layer), "{dir:?}, round {round}");
+            assert_fresh(&layer, "a 1×1 grid");
+            layer.weights_mut().as_mut_slice()[2] = -0.375;
+        }
     }
 }
 
 #[test]
-fn jitter_invalidates() {
+fn jitter_refreshes() {
     let mut rng = SmallRng::seed_from_u64(2);
     let mut pair = GanPair::tiny(&mut rng);
     assert_nets_fresh(&pair, "construction");
@@ -137,7 +189,7 @@ fn jitter_invalidates() {
 }
 
 #[test]
-fn serde_round_trip_starts_stale() {
+fn serde_round_trip_then_a_write_refreshes() {
     let mut rng = SmallRng::seed_from_u64(3);
     let pair = GanPair::tiny(&mut rng);
     for net in [pair.generator(), pair.discriminator()] {
@@ -151,7 +203,12 @@ fn serde_round_trip_starts_stale() {
         for layer in back.layers() {
             assert_fresh(layer, "deserialised");
         }
-        // And a deserialised layer invalidates like any other.
+        // A deserialised layer's first write fills its sub-kernels, and
+        // it refreshes like any other after that.
+        for layer in back.layers_mut() {
+            layer.weights_mut().as_mut_slice()[3] = 0.125;
+            assert_fresh(layer, "deserialised + weights_mut");
+        }
         back.jitter(0.05, &mut rng);
         for layer in back.layers() {
             assert_fresh(layer, "deserialised + jitter");
@@ -168,11 +225,12 @@ fn trainer(rng: &mut SmallRng) -> GanTrainer {
 }
 
 #[test]
-fn optimizer_steps_and_restore_invalidate() {
+fn optimizer_steps_and_restore_refresh() {
     let mut rng = SmallRng::seed_from_u64(4);
     let mut t = trainer(&mut rng);
     let state = t.snapshot();
-    // Every step gathers, then updates (and clips) the weights.
+    // Every optimizer step updates (and clips) the weights, and rewrites
+    // the sub-kernels as its guards drop.
     for step in 0..2 {
         t.train_iteration(2, &mut rng);
         assert_nets_fresh(t.gan(), &format!("train_iteration {step}"));
@@ -183,7 +241,7 @@ fn optimizer_steps_and_restore_invalidate() {
 }
 
 #[test]
-fn supervisor_fault_injection_invalidates() {
+fn supervisor_fault_injection_refreshes() {
     let mut rng = SmallRng::seed_from_u64(5);
     // A mantissa bit: the corrupted weight passes every health check, so
     // training carries on with it instead of rolling back.
@@ -194,7 +252,7 @@ fn supervisor_fault_injection_invalidates() {
         ..SupervisorConfig::default()
     };
     let mut sup = SupervisedTrainer::new(trainer(&mut rng), config).expect("valid config");
-    let mut hit_a_gathering_layer = false;
+    let mut hit_a_layer_with_sub_kernels = false;
     for step in 0..8 {
         // The same iteration without the fault, to learn where it landed.
         let before = sup.trainer().snapshot();
@@ -213,9 +271,9 @@ fn supervisor_fault_injection_invalidates() {
         assert_eq!(sup.stats().faults_injected, step + 1);
         assert_eq!(sup.stats().rollbacks, 0);
         let critic = sup.trainer().gan().discriminator();
-        // Layer 0 is the stride-2 body, whose input-error pass gathers;
-        // the head's `1×1` error takes the collapsed route.
-        hit_a_gathering_layer |=
+        // Layer 0 is the stride-2 body, whose input-error pass reads its
+        // sub-kernels; the head's `1×1` error takes the collapsed route.
+        hit_a_layer_with_sub_kernels |=
             critic.layers()[0].weights() != clean.gan().discriminator().layers()[0].weights();
         assert_nets_fresh(
             sup.trainer().gan(),
@@ -223,7 +281,7 @@ fn supervisor_fault_injection_invalidates() {
         );
     }
     assert!(
-        hit_a_gathering_layer,
-        "no fault landed on the layer that gathers sub-kernels: pick another plan seed"
+        hit_a_layer_with_sub_kernels,
+        "no fault landed on the layer with sub-kernels: pick another plan seed"
     );
 }

@@ -27,10 +27,9 @@
 //! conv layers fan their GEMMs out on the same pool cannot deadlock, because
 //! a blocked submitter can run every task it waits for that no other thread
 //! has started, and tasks only ever wait on batches they submitted
-//! themselves. Helping with its own batch only also makes it safe to submit
-//! while holding a lock that another batch's tasks take (a layer's
-//! sub-kernel cache, see `zfgan_tensor::PhaseKernelCache`): such a task can
-//! never end up running on — and blocking — the lock holder's thread.
+//! themselves. Helping with its own batch only also means a submitter
+//! never picks up another batch's task (a whole sample lane, say), so it
+//! returns as soon as its own batch has finished.
 //!
 //! # Determinism contract
 //!
@@ -486,53 +485,9 @@ where
 }
 
 /// Splits `data` into consecutive chunks of `chunk_len` (the last may be
-/// shorter), runs `f(chunk_index, chunk)` for each on the pool, and returns
-/// the per-chunk results in chunk order. The chunking is identical to
-/// `data.chunks_mut(chunk_len)`, so callers can keep their sequential
-/// partitioning (and hence their reduction order) unchanged.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` and `data` is non-empty.
-pub fn parallel_chunks_mut<T, R, F>(
-    data: &mut [T],
-    chunk_len: usize,
-    f: F,
-) -> Result<Vec<R>, PoolError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    if data.is_empty() {
-        return Ok(Vec::new());
-    }
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let len = data.len();
-    let n = len.div_ceil(chunk_len);
-    let base = SendPtr(data.as_mut_ptr());
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let out = SendPtr(slots.as_mut_ptr());
-    run_batch(n, &|i| {
-        let start = i * chunk_len;
-        let end = (start + chunk_len).min(len);
-        // SAFETY: chunks [start, end) are pairwise disjoint across indices
-        // and in bounds; `data` outlives the batch.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.add(start), end - start) };
-        let r = f(i, chunk);
-        // SAFETY: as in parallel_map — one slot per index.
-        unsafe { *out.add(i) = Some(r) };
-    })?;
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("every pool task fills its slot"))
-        .collect())
-}
-
-/// [`parallel_chunks_mut`] without result collection: runs
-/// `f(chunk_index, chunk)` for each chunk and returns nothing, so the call
-/// itself performs **no heap allocation** — the primitive the
+/// shorter; the chunking is identical to `data.chunks_mut(chunk_len)`) and
+/// runs `f(chunk_index, chunk)` for each on the pool. Returns nothing, so
+/// the call itself performs **no heap allocation** — the primitive the
 /// zero-allocation executor hot path in `zfgan-dataflow` fans out on.
 /// Tasks that need to report back do so through caller-owned state
 /// (disjoint chunk writes, or commutative atomics).
@@ -594,10 +549,11 @@ thread_local! {
 /// Runs `f` with every parameter-sized pass it starts on the calling
 /// thread held to its serial loop ([`pass_pieces`] returns 1). It exists
 /// only for the serial arm of the `fanout/param_step` bench gate, which
-/// cannot reach those loops otherwise (the re-gather runs deep inside a
-/// backward pass); no production caller sets it, and hidden from the docs,
-/// it is not part of the pool's API. Passes that other threads start are
-/// unaffected. The previous setting comes back when `f` returns or unwinds.
+/// cannot reach those loops otherwise (the sub-kernel rewrite runs in a
+/// layer's weight guard as it drops); no production caller sets it, and
+/// hidden from the docs, it is not part of the pool's API. Passes that
+/// other threads start are unaffected. The previous setting comes back
+/// when `f` returns or unwinds.
 #[doc(hidden)]
 pub fn serial_passes<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
@@ -745,26 +701,6 @@ mod tests {
         let out = parallel_map(100, |i| i * i).unwrap();
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         assert!(parallel_map(0, |i| i).unwrap().is_empty());
-    }
-
-    #[test]
-    fn chunks_mut_partitions_like_chunks_mut() {
-        let mut data: Vec<u64> = (0..103).collect();
-        let sums = parallel_chunks_mut(&mut data, 10, |ci, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1;
-            }
-            (ci, chunk.len())
-        })
-        .unwrap();
-        assert_eq!(data, (1..104).collect::<Vec<u64>>());
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums[10], (10, 3));
-        assert!(sums[..10].iter().all(|&(_, l)| l == 10));
-        let mut empty: Vec<u64> = Vec::new();
-        assert!(parallel_chunks_mut(&mut empty, 4, |_, _| 0)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
 use crate::workspace::ConvWorkspace;
-use crate::zero_free::{self, PhaseKernelCache};
+use crate::zero_free::{self, PhaseKernels};
 use crate::{conv, ShapeError};
 
 /// How a convolution layer executes its forward and backward passes.
@@ -108,16 +108,16 @@ impl ConvBackend {
 
     /// [`ConvBackend::t_conv_ws`] for a caller that owns the weights and
     /// keeps their gathered phase sub-kernels in `sub_kernels` (see
-    /// [`PhaseKernelCache`]); backends that gather nothing ignore it.
+    /// [`PhaseKernels`]); backends that gather nothing ignore it.
     ///
     /// # Errors
     ///
     /// Same conditions as [`crate::t_conv`].
-    pub fn t_conv_cached_ws<T: Num>(
+    pub fn t_conv_gathered_ws<T: Num>(
         self,
         input: &Fmaps<T>,
         k: &Kernels<T>,
-        sub_kernels: &PhaseKernelCache<T>,
+        sub_kernels: &PhaseKernels<T>,
         geom: &ConvGeom,
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
@@ -160,17 +160,17 @@ impl ConvBackend {
     }
 
     /// [`ConvBackend::s_conv_input_grad_ws`] for a caller that owns the
-    /// weights — the S-CONV twin of [`ConvBackend::t_conv_cached_ws`].
+    /// weights — the S-CONV twin of [`ConvBackend::t_conv_gathered_ws`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`crate::s_conv_input_grad`].
     #[allow(clippy::too_many_arguments)]
-    pub fn s_conv_input_grad_cached_ws<T: Num>(
+    pub fn s_conv_input_grad_gathered_ws<T: Num>(
         self,
         delta_out: &Fmaps<T>,
         k: &Kernels<T>,
-        sub_kernels: &PhaseKernelCache<T>,
+        sub_kernels: &PhaseKernels<T>,
         geom: &ConvGeom,
         in_h: usize,
         in_w: usize,
@@ -178,8 +178,8 @@ impl ConvBackend {
     ) -> TensorResult<Fmaps<T>> {
         match self {
             ConvBackend::LoweredZeroFree => {
-                let cache = Some(sub_kernels);
-                zero_free::t_conv_zero_free(delta_out, k, cache, geom, (in_h, in_w), ws)
+                let sub = Some(sub_kernels);
+                zero_free::t_conv_zero_free(delta_out, k, sub, geom, (in_h, in_w), ws)
             }
             _ => self.s_conv_input_grad_ws(delta_out, k, geom, in_h, in_w, ws),
         }

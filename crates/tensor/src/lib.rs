@@ -75,4 +75,4 @@ pub use kernels::Kernels;
 pub use num::Num;
 pub use shape::ConvGeom;
 pub use workspace::ConvWorkspace;
-pub use zero_free::PhaseKernelCache;
+pub use zero_free::PhaseKernels;

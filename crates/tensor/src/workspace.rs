@@ -10,7 +10,7 @@
 //!
 //! The weights are *not* among the transients: the packed lowerings read
 //! the kernel tensor in place, and a layer's gathered phase sub-kernels
-//! live with the layer ([`crate::PhaseKernelCache`] — derived from state,
+//! live with the layer ([`crate::PhaseKernels`] — written with the weights,
 //! they outlive a step). Only callers holding a bare `&Kernels` gather
 //! sub-kernels into workspace scratch, per call.
 //!

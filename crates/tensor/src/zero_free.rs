@@ -45,8 +45,8 @@
 //! output maps. For the whole-map passes `A` is the kernel tensor read in
 //! place ([`crate::im2col::s_conv_via_gemm_ws`], which also serves the
 //! T-CONV input error); for the phase passes here it is the phase's
-//! sub-kernel matrix, gathered once per weight version into a
-//! [`PhaseKernelCache`] by the owner of the weights, or per call into
+//! sub-kernel matrix, written into a [`PhaseKernels`] by the owner of the
+//! weights whenever it writes the weights, or gathered per call into
 //! workspace scratch by callers that only hold a `&Kernels`. The lowering
 //! as it is specified — one patch row per output pixel times a `K × maps`
 //! weight matrix ([`t_zero_free_gemm_operands`]) — is its transpose.
@@ -59,7 +59,7 @@
 //! differ, and that never changes bits either (see [`crate::gemm`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
@@ -80,14 +80,10 @@ struct TPhase {
     oys: Vec<usize>,
     /// Output columns of this phase, ascending.
     oxs: Vec<usize>,
-    /// Kept flipped-kernel row indices `ky′`, ascending — ascending `ky′`
-    /// is ascending source row `iy`, the golden scatter's order.
-    kys: Vec<usize>,
-    /// Kept flipped-kernel column indices `kx′`, ascending.
-    kxs: Vec<usize>,
-    /// The gather's index table: for every kept tap, in `(ky′, kx′)` order,
-    /// the offset of its (unflipped) weight inside a kernel's `kh·kw`
-    /// block, `(kh−1−ky′)·kw + (kw−1−kx′)`.
+    /// The gather's index table: for every kept flipped-kernel tap, in
+    /// ascending `(ky′, kx′)` order (ascending `ky′` is ascending source row
+    /// `iy`, the golden scatter's order), the offset of its (unflipped)
+    /// weight inside a kernel's `kh·kw` block, `(kh−1−ky′)·kw + (kw−1−kx′)`.
     tap_offsets: Vec<usize>,
     /// For every kept tap, in the same order, the source-pixel shift
     /// `(dy, dx)`: phase pixel `(ri, rj)` meets the tap at input pixel
@@ -98,7 +94,7 @@ struct TPhase {
 }
 
 impl TPhase {
-    /// Kept taps per source channel, `|kys|·|kxs|`. Zero when no kernel
+    /// Kept taps per source channel, `|ky′|·|kx′|`. Zero when no kernel
     /// tap reaches this phase: its outputs stay zero, exactly as the
     /// golden scatter leaves them, and every lowering skips it.
     fn taps(&self) -> usize {
@@ -146,8 +142,6 @@ fn t_phases(geom: &ConvGeom, oh: usize, ow: usize) -> Vec<TPhase> {
             phases.push(TPhase {
                 oys,
                 oxs,
-                kys,
-                kxs,
                 tap_offsets,
                 shifts,
             });
@@ -157,8 +151,7 @@ fn t_phases(geom: &ConvGeom, oh: usize, ow: usize) -> Vec<TPhase> {
 }
 
 /// Everything [`t_phases`] reads: `(stride, pad_top, pad_left, kh, kw, oh,
-/// ow)`. Keys the phase memo, and names the decomposition a
-/// [`PhaseKernelCache`] was gathered for.
+/// ow)`. Keys the phase memo.
 type PhaseKey = (usize, usize, usize, usize, usize, usize, usize);
 
 fn phase_key(geom: &ConvGeom, oh: usize, ow: usize) -> PhaseKey {
@@ -204,57 +197,9 @@ fn phases_for<T>(
     }
 }
 
-/// The patch-major fill loop of [`t_phase_patches`]. Writes only in-bounds
-/// entries, so `patches` **must** start zero-filled.
-fn fill_t_phase_patches<T: Num>(
-    patches: &mut Matrix<T>,
-    input: &Fmaps<T>,
-    geom: &ConvGeom,
-    phase: &TPhase,
-) {
-    let s = geom.stride() as isize;
-    let su = geom.stride();
-    let (pt, _, pl, _) = geom.t_conv_pads();
-    let (ih, iw) = (input.height() as isize, input.width() as isize);
-    let iw_s = iw * s;
-    let (nky, nkx) = (phase.kys.len(), phase.kxs.len());
-    let data = input.as_slice();
-    let ch_stride = (ih * iw) as usize;
-    // zy/zx ≡ 0 (mod s) by construction of the kept taps; a tap is a real
-    // source pixel iff it lands inside the map. Row-major traversal with
-    // flat-slice writes: each output row is written contiguously, the
-    // y-axis division is hoisted out of the inner tap loop, and the
-    // strided reads stay inside one `sf` channel block per row group —
-    // small enough to sit in cache. No scratch is allocated (the conv hot
-    // path is zero-allocation in steady state, `tests/zero_alloc.rs`).
-    for (ri, &oy) in phase.oys.iter().enumerate() {
-        for (rj, &ox) in phase.oxs.iter().enumerate() {
-            let row = ri * phase.oxs.len() + rj;
-            let dst = patches.row_mut(row);
-            for (sf, dchunk) in dst.chunks_exact_mut(nky * nkx).enumerate() {
-                let cbase = sf * ch_stride;
-                for (kyi, &ky) in phase.kys.iter().enumerate() {
-                    let zy = oy as isize + ky as isize - pt as isize;
-                    if zy < 0 || zy / s >= ih {
-                        continue;
-                    }
-                    let src = cbase + (zy / s) as usize * iw as usize;
-                    let db = kyi * nkx;
-                    for (kxi, &kx) in phase.kxs.iter().enumerate() {
-                        let zx = ox as isize + kx as isize - pl as isize;
-                        if zx >= 0 && zx < iw_s {
-                            dchunk[db + kxi] = data[src + zx as usize / su];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Row `row` of one phase's transposed patch matrix — the `B` operand of
-/// the weight-stationary phase GEMM, `(N_sf·|kys|·|kxs|) × (phase pixels)`,
-/// the transpose of [`fill_t_phase_patches`]: tap `(sf, ky′, kx′)` across
+/// the weight-stationary phase GEMM, `(N_sf·taps) × (phase pixels)`,
+/// the transpose of a phase's patch matrix: tap `(sf, ky′, kx′)` across
 /// every output pixel of the phase. Output pixel `(ri, rj)` meets the tap
 /// at source pixel `(ri + dy, rj + dx)` for the per-tap constants
 /// `TPhase::shifts`, so the row is a *shifted copy* of input plane `sf`:
@@ -262,7 +207,8 @@ fn fill_t_phase_patches<T: Num>(
 /// (taps that fall outside the map get an explicit zero), so `dst` need not
 /// start zeroed. The one writer of the phase operand: the streamed GEMM
 /// calls it per live row into its one-tile buffer, the materialized route
-/// per row of `B`.
+/// per row of `B`, and [`t_zero_free_gemm_operands`] per row before it
+/// transposes.
 fn fill_t_phase_row<T: Num>(input: &Fmaps<T>, phase: &TPhase, row: usize, dst: &mut [T]) {
     let (ih, iw) = (input.height(), input.width());
     let nox = phase.oxs.len();
@@ -319,50 +265,6 @@ fn fill_t_phase_row<T: Num>(input: &Fmaps<T>, phase: &TPhase, row: usize, dst: &
     }
 }
 
-/// Builds one phase's compact patch matrix. Rows enumerate the phase's
-/// output pixels (row-major); columns enumerate `(sf, ky′, kx′)` over the
-/// kept taps. Entries outside the real input (boundary, not inserted) are
-/// zero.
-fn t_phase_patches<T: Num>(input: &Fmaps<T>, geom: &ConvGeom, phase: &TPhase) -> Matrix<T> {
-    let cols = input.channels() * phase.kys.len() * phase.kxs.len();
-    let mut patches = Matrix::zeros(phase.oys.len() * phase.oxs.len(), cols);
-    fill_t_phase_patches(&mut patches, input, geom, phase);
-    patches
-}
-
-/// The weight fill loop of [`t_phase_weights`]. Writes every cell of `m`.
-fn fill_t_phase_weights<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &TPhase) {
-    // Row-major traversal: each output row `(sf, ky′, kx′)` is written
-    // contiguously across the `lf` columns, and the strided kernel reads
-    // stay inside one `sf` block (`n_if·kh·kw` elements) that is revisited
-    // for every kept tap — small enough to sit in cache.
-    let (n_if, kh, kw) = (k.n_if(), k.kh(), k.kw());
-    let kdata = k.as_slice();
-    let mut row = 0;
-    for sf in 0..k.n_of() {
-        for &ky in &phase.kys {
-            for &kx in &phase.kxs {
-                let tap = (kh - 1 - ky) * kw + (kw - 1 - kx);
-                let base = sf * n_if * kh * kw + tap;
-                for (lf, d) in m.row_mut(row).iter_mut().enumerate() {
-                    *d = kdata[base + lf * kh * kw];
-                }
-                row += 1;
-            }
-        }
-    }
-}
-
-/// The row subset of [`crate::im2col::weights_as_matrix_t`] matching one
-/// phase's kept taps: rows are `(sf, ky′, kx′)`, columns the large-side
-/// output channels.
-fn t_phase_weights<T: Num>(k: &Kernels<T>, phase: &TPhase) -> Matrix<T> {
-    let rows = k.n_of() * phase.kys.len() * phase.kxs.len();
-    let mut m = Matrix::zeros(rows, k.n_if());
-    fill_t_phase_weights(&mut m, k, phase);
-    m
-}
-
 /// The per-phase patch-major GEMM operand pairs `(patches, weights)` of a
 /// zero-free `T-CONV` — the matrices the specification lowering multiplies
 /// (the conv drivers multiply their transposes, see the module docs),
@@ -372,7 +274,9 @@ fn t_phase_weights<T: Num>(k: &Kernels<T>, phase: &TPhase) -> Matrix<T> {
 /// accounting: the compact patches' [`Matrix::zero_fraction`] (only
 /// boundary zeros remain) against [`crate::im2col::im2col_t`]'s (inserted
 /// zeros dominate). A phase's patches have one row per output pixel of the
-/// phase; phases with no reachable kernel taps are omitted.
+/// phase; phases with no reachable kernel taps are omitted. Both are the
+/// production operands transposed: the phase row writer's `B` and the
+/// gathered sub-kernels' `A`.
 ///
 /// # Errors
 ///
@@ -390,140 +294,92 @@ pub fn t_zero_free_gemm_operands<T: Num>(
         )));
     }
     let (oh, ow) = geom.up_out(input.height(), input.width());
-    Ok(t_phases(geom, oh, ow)
-        .iter()
-        .filter(|p| !p.kys.is_empty() && !p.kxs.is_empty())
-        .map(|p| (t_phase_patches(input, geom, p), t_phase_weights(k, p)))
+    let phases = t_phases(geom, oh, ow);
+    let mut sub = vec![T::zero(); k.len()];
+    gather_phase_kernels(&mut sub, k, &phases, 1);
+    let mut rest = &sub[..];
+    let live = phases.iter().filter(|p| p.taps() > 0);
+    Ok(live
+        .map(|p| {
+            let kk = input.channels() * p.taps();
+            let mut b = Matrix::zeros(kk, p.oys.len() * p.oxs.len());
+            for row in 0..kk {
+                fill_t_phase_row(input, p, row, b.row_mut(row));
+            }
+            let (a, tail) = rest.split_at(k.n_if() * kk);
+            rest = tail;
+            (
+                transposed(&b),
+                transposed(&Matrix::from_vec(k.n_if(), kk, a.to_vec())),
+            )
+        })
         .collect())
 }
 
-/// The gathered per-phase sub-kernel matrices of one weight tensor — the
-/// stationary `A` operands of the zero-free phase GEMMs, built once per
-/// weight version instead of once per call.
-///
-/// Phase `p`'s matrix is `N_if × (N_of·|kys|·|kxs|)`: row `lf` holds, for
-/// every `(sf, ky′, kx′)` over the phase's kept taps, the flipped-kernel
-/// weight `k[sf][lf][kh−1−ky′][kw−1−kx′]`. Every tap belongs to exactly one
-/// phase, so all phases together hold each weight once: the cache costs
-/// one extra copy of the layer's parameters.
-///
-/// # Lifetime and invalidation
-///
-/// The owner of the weights (a `ConvLayer`) owns one cache next to them
-/// and must call [`PhaseKernelCache::invalidate`] on **every** path that
-/// hands out `&mut` access to the weights; a `Default`/cloned/deserialised
-/// cache starts stale. The first pass after that re-gathers — into the
-/// same buffer, which is kept across invalidations, so a steady-state
-/// train step never reallocates it. Reads go through an `RwLock`, so a
-/// network shared by reference across pool workers gathers once and then
-/// runs its passes concurrently.
-#[derive(Debug)]
-pub struct PhaseKernelCache<T> {
-    state: RwLock<Gathered<T>>,
+/// `m`ᵀ.
+fn transposed<T: Num>(m: &Matrix<T>) -> Matrix<T> {
+    let mut t = Matrix::zeros(m.cols(), m.rows());
+    for r in 0..m.rows() {
+        for (c, &v) in m.row(r).iter().enumerate() {
+            *t.at_mut(c, r) = v;
+        }
+    }
+    t
 }
 
-/// `data` holds the phase matrices of `key`'s decomposition back to back;
-/// `key` is `None` while stale — including for the duration of a gather,
-/// so a gather that panics leaves the cache stale, never half-valid.
-#[derive(Debug)]
-struct Gathered<T> {
-    key: Option<PhaseKey>,
+/// A weight tensor's gathered per-phase sub-kernel matrices — the
+/// stationary `A` operands of the zero-free phase GEMMs, written when the
+/// weights are written instead of once per call.
+///
+/// Phase `p`'s matrix is `N_if × (N_of·taps)`: row `lf` holds, for
+/// every `(sf, ky′, kx′)` over the phase's kept taps, the flipped-kernel
+/// weight `k[sf][lf][kh−1−ky′][kw−1−kx′]`. Every tap belongs to exactly one
+/// phase, so all phases together hold each weight once: one extra copy of
+/// the layer's parameters.
+///
+/// A plain owned value: the owner of the weights (a `ConvLayer`) calls
+/// [`PhaseKernels::write`] whenever it writes them, and every pass reads
+/// the result through `&self`. A `Default` value is empty, and a pass over
+/// empty kernels gathers into workspace scratch per call.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseKernels<T> {
+    /// The decomposition `data` is laid out for, derived on the first write.
+    phases: Arc<Vec<TPhase>>,
+    /// The phase matrices back to back; empty until the first write.
     data: Vec<T>,
 }
 
-impl<T> Default for PhaseKernelCache<T> {
-    /// An empty, stale cache.
-    fn default() -> Self {
-        Self {
-            state: RwLock::new(Gathered {
-                key: None,
-                data: Vec::new(),
-            }),
-        }
-    }
-}
-
-impl<T> Clone for PhaseKernelCache<T> {
-    /// A clone starts stale and empty: always correct, and snapshots of a
-    /// network don't pay for a second copy of its parameters.
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl<T: Num> PhaseKernelCache<T> {
-    /// Marks the gathered sub-kernels stale; the buffer is kept for the
-    /// re-gather. Call whenever the weights may have changed.
-    pub fn invalidate(&mut self) {
-        // No update ever leaves the pair inconsistent (see `Gathered`), so
-        // a poisoned lock still guards valid data.
-        self.state
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .key = None;
-    }
-
-    /// Gathers now, unless the cache already holds them, the sub-kernels
-    /// of `k` that a zero-free `T-CONV` from an `input`-sized map onto an
-    /// `output`-sized grid reads — the gather its first pass after an
-    /// invalidation would make. Passes about to run concurrently over the
-    /// same weights then find them fresh, instead of one gathering under
-    /// the write guard while the others wait on it. A `1×1` input's pass
-    /// reads `k` in place, so nothing is gathered for one.
-    pub fn gather(
-        &self,
+impl<T: Num> PhaseKernels<T> {
+    /// Writes the sub-kernels of `k` that a zero-free `T-CONV` from an
+    /// `input`-sized map onto an `output`-sized grid reads: into the buffer
+    /// the last write filled, so a train step never reallocates it. A `1×1`
+    /// input's pass reads `k` in place, so nothing is written for one.
+    /// Nothing is written either for a kernel whose taps do not match
+    /// `geom` (a pass over it gathers per call, as the raw entries do): this
+    /// runs in a weight guard's `drop`, where a panic would abort an
+    /// unwinding thread.
+    pub fn write(
+        &mut self,
         k: &Kernels<T>,
         geom: &ConvGeom,
         input: (usize, usize),
         (oh, ow): (usize, usize),
-        ws: &mut ConvWorkspace<T>,
     ) {
-        if input != (1, 1) {
-            let phases = phases_for(ws, geom, oh, ow);
-            self.with_gathered(k, phase_key(geom, oh, ow), &phases, |_| ());
+        if input == (1, 1) || (k.kh(), k.kw()) != (geom.kh(), geom.kw()) {
+            self.data.clear();
+            return;
         }
-    }
-
-    /// Runs `f` on the sub-kernels of `k` for the decomposition `key`,
-    /// gathering them first if the cache is stale or was gathered for
-    /// another decomposition.
-    fn with_gathered<R>(
-        &self,
-        k: &Kernels<T>,
-        key: PhaseKey,
-        phases: &[TPhase],
-        f: impl FnOnce(&[T]) -> R,
-    ) -> R {
-        loop {
-            let fresh = self.state.read().unwrap_or_else(PoisonError::into_inner);
-            if fresh.key == Some(key) {
-                return f(&fresh.data);
-            }
-            drop(fresh);
-            let mut stale = self.state.write().unwrap_or_else(PoisonError::into_inner);
-            // The gather may fan out while this write guard is held, as `f`'s
-            // GEMMs may while the read guard above is. Tasks of other batches
-            // can need this lock (a per-sample pass over the same network,
-            // queued by a concurrent submitter), so a guard holder must never
-            // run one: a pool submitter helps with its own tasks only, and
-            // those (copies, GEMM chunks) take no lock, so the batch finishes
-            // even if every worker sits blocked on this lock.
-            if stale.key != Some(key) {
-                stale.key = None;
-                let len = k.len();
-                if stale.data.len() != len {
-                    stale.data.clear();
-                    stale.data.resize(len, T::zero());
-                }
-                gather_phase_kernels(&mut stale.data, k, phases, zfgan_pool::pass_pieces(len));
-                stale.key = Some(key);
-            }
+        if self.data.len() != k.len() {
+            self.phases = Arc::new(t_phases(geom, oh, ow));
+            self.data = vec![T::zero(); k.len()];
         }
+        let pieces = zfgan_pool::pass_pieces(k.len());
+        gather_phase_kernels(&mut self.data, k, &self.phases, pieces);
     }
 }
 
-/// Gathers every live phase's sub-kernel matrix (see [`PhaseKernelCache`]
-/// for the layout) into `out`, which must hold `k.len()` elements; the
+/// Gathers every live phase's sub-kernel matrix (see [`PhaseKernels`] for
+/// the layout) into `out`, which must hold `k.len()` elements; the
 /// first `Σ taps · N_if · N_of` are written (all of them, unless some phase
 /// is missing from a tiny output grid).
 ///
@@ -538,9 +394,7 @@ impl<T: Num> PhaseKernelCache<T> {
 /// thread); a piece writes rows `lf` of every phase matrix for its own
 /// range only, so the pieces' writes are disjoint and they run as one pool
 /// batch, each through the same loop. A pure copy: the result does not
-/// depend on `pieces`. A pool submitter helps with no other batch's task,
-/// which is what lets [`PhaseKernelCache`] gather under its write guard.
-/// Allocates nothing.
+/// depend on `pieces`. Allocates nothing.
 fn gather_phase_kernels<T: Num>(out: &mut [T], k: &Kernels<T>, phases: &[TPhase], pieces: usize) {
     let (n_of, n_if, kh, kw) = k.shape();
     let block_len = kh * kw;
@@ -600,10 +454,10 @@ const GATHER_SF_TILE: usize = 32;
 /// never builds it — its rows are written into a one-tile buffer as the
 /// broadcast engine reaches them; wider sides materialize and pack it.
 ///
-/// The sub-kernels come from `sub_kernels` when the caller owns the weights
-/// (gathered there on first use after an invalidation; the cache must
-/// belong to `k`, see [`PhaseKernelCache`]), otherwise they are gathered
-/// afresh into workspace scratch. Every other transient (phase patch
+/// The sub-kernels and the decomposition come from `sub_kernels` when the
+/// caller owns the weights and has written them (they must be `k`'s, for
+/// this grid, see [`PhaseKernels`]); otherwise they are gathered afresh
+/// into workspace scratch. Every other transient (phase patch
 /// matrices, GEMM products, output maps) is drawn from the workspace too,
 /// and the phase decomposition is memoized through its [`PhaseCache`]; the
 /// returned maps belong to the caller.
@@ -614,7 +468,7 @@ const GATHER_SF_TILE: usize = 32;
 pub(crate) fn t_conv_zero_free<T: Num>(
     input: &Fmaps<T>,
     k: &Kernels<T>,
-    sub_kernels: Option<&PhaseKernelCache<T>>,
+    sub_kernels: Option<&PhaseKernels<T>>,
     geom: &ConvGeom,
     (oh, ow): (usize, usize),
     ws: &mut ConvWorkspace<T>,
@@ -631,21 +485,22 @@ pub(crate) fn t_conv_zero_free<T: Num>(
             return Ok(out);
         }
     }
-    let phases = phases_for(ws, geom, oh, ow);
     // take_fmaps zero-fills: phases without reachable taps leave their
     // outputs zero, exactly as the golden scatter does.
-    let mut out = ws.take_fmaps(k.n_if(), oh, ow);
-    if let Some(cache) = sub_kernels {
-        cache.with_gathered(k, phase_key(geom, oh, ow), &phases, |sub| {
-            t_phases_weight_stationary(&mut out, input, sub, geom, &phases, ws)
-        })?;
+    if let Some(sub) = sub_kernels.filter(|s| !s.data.is_empty()) {
+        debug_assert_eq!(sub.data.len(), k.len(), "sub-kernels of another tensor");
+        let mut out = ws.take_fmaps(k.n_if(), oh, ow);
+        t_phases_weight_stationary(&mut out, input, &sub.data, geom, &sub.phases, ws)?;
+        Ok(out)
     } else {
+        let phases = phases_for(ws, geom, oh, ow);
+        let mut out = ws.take_fmaps(k.n_if(), oh, ow);
         let mut sub = ws.take(k.len());
         gather_phase_kernels(&mut sub, k, &phases, zfgan_pool::pass_pieces(k.len()));
         t_phases_weight_stationary(&mut out, input, &sub, geom, &phases, ws)?;
         ws.give(sub);
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// The phase loop over gathered sub-kernels `sub` (laid out as
@@ -1018,8 +873,25 @@ mod tests {
         ConvGeom::down(12, 12, 4, 4, 2, 6, 6).unwrap()
     }
 
-    /// Specification form of [`fill_t_phase_patches`]: one bounds check and
-    /// stride division per matrix entry, written exactly as the lowering is
+    /// The kept flipped-kernel rows and columns `(ky′, kx′)` of `phase`,
+    /// ascending: the taps `k` with `r + k − pad ≡ 0 (mod stride)` for the
+    /// phase's output rows and columns `r`.
+    fn kept_taps(geom: &ConvGeom, phase: &TPhase) -> (Vec<usize>, Vec<usize>) {
+        let s = geom.stride() as isize;
+        let (pt, _, pl, _) = geom.t_conv_pads();
+        let keep = |r: usize, pad: usize, kdim: usize| -> Vec<usize> {
+            (0..kdim)
+                .filter(|&k| (r as isize + k as isize - pad as isize).rem_euclid(s) == 0)
+                .collect()
+        };
+        (
+            keep(phase.oys[0], pt, geom.kh()),
+            keep(phase.oxs[0], pl, geom.kw()),
+        )
+    }
+
+    /// Specification of a phase's patch matrix: one bounds check and stride
+    /// division per matrix entry, written exactly as the lowering is
     /// defined.
     fn fill_t_phase_patches_ref<T: Num>(
         patches: &mut Matrix<T>,
@@ -1030,16 +902,17 @@ mod tests {
         let s = geom.stride() as isize;
         let (pt, _, pl, _) = geom.t_conv_pads();
         let (ih, iw) = (input.height() as isize, input.width() as isize);
+        let (kys, kxs) = kept_taps(geom, phase);
         for (ri, &oy) in phase.oys.iter().enumerate() {
             for (rj, &ox) in phase.oxs.iter().enumerate() {
                 let row = ri * phase.oxs.len() + rj;
                 let mut col = 0;
                 for sf in 0..input.channels() {
-                    for &ky in &phase.kys {
+                    for &ky in &kys {
                         // zy ≡ 0 (mod s) by construction of the kept taps; it
                         // is a real source pixel iff it lands inside the map.
                         let zy = oy as isize + ky as isize - pt as isize;
-                        for &kx in &phase.kxs {
+                        for &kx in &kxs {
                             let zx = ox as isize + kx as isize - pl as isize;
                             if zy >= 0 && zx >= 0 && zy / s < ih && zx / s < iw {
                                 *patches.at_mut(row, col) =
@@ -1053,15 +926,23 @@ mod tests {
         }
     }
 
-    /// Specification form of [`fill_t_phase_weights`]: column-major traversal
-    /// through the kernel accessor, written exactly as the reshape is defined.
-    fn fill_t_phase_weights_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &TPhase) {
+    /// Specification of a phase's weight matrix (the row subset of
+    /// [`crate::im2col::weights_as_matrix_t`] matching the phase's kept taps):
+    /// column-major traversal through the kernel accessor, written exactly as
+    /// the reshape is defined.
+    fn fill_t_phase_weights_ref<T: Num>(
+        m: &mut Matrix<T>,
+        k: &Kernels<T>,
+        geom: &ConvGeom,
+        phase: &TPhase,
+    ) {
         let (kh, kw) = (k.kh(), k.kw());
+        let (kys, kxs) = kept_taps(geom, phase);
         for lf in 0..k.n_if() {
             let mut row = 0;
             for sf in 0..k.n_of() {
-                for &ky in &phase.kys {
-                    for &kx in &phase.kxs {
+                for &ky in &kys {
+                    for &kx in &kxs {
                         *m.at_mut(row, lf) = *k.at(sf, lf, kh - 1 - ky, kw - 1 - kx);
                         row += 1;
                     }
@@ -1163,17 +1044,18 @@ mod tests {
             fill_t_phase_patches_ref(&mut want, &x, &geom(), phase);
             assert_eq!(patches, &want);
             let mut want = Matrix::zeros(k.n_of() * phase.taps(), k.n_if());
-            fill_t_phase_weights_ref(&mut want, &k, phase);
+            fill_t_phase_weights_ref(&mut want, &k, &geom(), phase);
             assert_eq!(weights, &want, "GEMM-compatible pair");
         }
         let bad: Fmaps<f32> = Fmaps::zeros(2, 6, 6);
         assert!(t_zero_free_gemm_operands(&bad, &k, &geom()).is_err());
     }
 
-    /// The reference (specification) fills and the cache-tuned fills must
-    /// produce bit-identical matrices — they are the same reshape, only
-    /// the traversal order differs. Covers boundary-heavy geometries
-    /// where the patch fill's bounds checks matter.
+    /// The specification fills and the production writers the operands are
+    /// built from (the phase row writer and the gather, each transposed)
+    /// must produce bit-identical matrices — they are the same reshape, only
+    /// the traversal order differs. Covers boundary-heavy geometries where
+    /// the patch fill's bounds checks matter, and a `1×1` input.
     #[test]
     fn reference_and_tuned_fills_are_bit_identical() {
         let mut rng = SmallRng::seed_from_u64(25);
@@ -1188,36 +1070,22 @@ mod tests {
             let x: Fmaps<f32> = Fmaps::random(3, ih, iw, 1.0, &mut rng);
             let k: Kernels<f32> = Kernels::random(3, 4, g.kh(), g.kw(), 1.0, &mut rng);
             let (oh, ow) = g.up_out(ih, iw);
-            for phase in t_phases(g, oh, ow) {
-                if phase.kys.is_empty() || phase.kxs.is_empty() {
-                    continue;
-                }
-                let cols = x.channels() * phase.kys.len() * phase.kxs.len();
+            let phases = t_phases(g, oh, ow);
+            let live: Vec<&TPhase> = phases.iter().filter(|p| p.taps() > 0).collect();
+            let pairs = t_zero_free_gemm_operands(&x, &k, g).unwrap();
+            assert_eq!(pairs.len(), live.len(), "{g:?}");
+            for ((tuned_patches, tuned_weights), phase) in pairs.iter().zip(live) {
+                let cols = x.channels() * phase.taps();
                 let rows = phase.oys.len() * phase.oxs.len();
-                let mut tuned = Matrix::zeros(rows, cols);
-                fill_t_phase_patches(&mut tuned, &x, g, &phase);
                 let mut reference = Matrix::zeros(rows, cols);
-                fill_t_phase_patches_ref(&mut reference, &x, g, &phase);
-                assert_eq!(tuned, reference, "patches, {g:?}");
+                fill_t_phase_patches_ref(&mut reference, &x, g, phase);
+                assert_eq!(tuned_patches, &reference, "patches, {g:?}");
 
-                let wrows = k.n_of() * phase.kys.len() * phase.kxs.len();
-                let mut tuned = Matrix::zeros(wrows, k.n_if());
-                fill_t_phase_weights(&mut tuned, &k, &phase);
-                let mut reference = Matrix::zeros(wrows, k.n_if());
-                fill_t_phase_weights_ref(&mut reference, &k, &phase);
-                assert_eq!(tuned, reference, "weights, {g:?}");
+                let mut reference = Matrix::zeros(k.n_of() * phase.taps(), k.n_if());
+                fill_t_phase_weights_ref(&mut reference, &k, g, phase);
+                assert_eq!(tuned_weights, &reference, "weights, {g:?}");
             }
         }
-    }
-
-    fn transpose(m: &Matrix<f32>) -> Matrix<f32> {
-        let mut t = Matrix::zeros(m.cols(), m.rows());
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                *t.at_mut(c, r) = *m.at(r, c);
-            }
-        }
-        t
     }
 
     /// The weight-stationary operands are exactly the transposes of the
@@ -1256,12 +1124,12 @@ mod tests {
                     for row in 0..kk {
                         fill_t_phase_row(&x, phase, row, b.row_mut(row));
                     }
-                    assert_eq!(b, transpose(&reference), "patches, {g:?}");
+                    assert_eq!(b, transposed(&reference), "patches, {g:?}");
 
                     let mut weights = Matrix::zeros(kk, n_if);
-                    fill_t_phase_weights_ref(&mut weights, &k, phase);
+                    fill_t_phase_weights_ref(&mut weights, &k, g, phase);
                     let a = Matrix::from_vec(n_if, kk, sub[base..base + n_if * kk].to_vec());
-                    assert_eq!(a, transpose(&weights), "sub-kernels, {g:?}");
+                    assert_eq!(a, transposed(&weights), "sub-kernels, {g:?}");
                     base += n_if * kk;
                 }
             }
@@ -1293,8 +1161,8 @@ mod tests {
                     let mut spec = Vec::new();
                     for phase in phases.iter().filter(|p| p.taps() > 0) {
                         let mut weights = Matrix::zeros(n_of * phase.taps(), n_if);
-                        fill_t_phase_weights_ref(&mut weights, &k, phase);
-                        spec.extend_from_slice(transpose(&weights).as_slice());
+                        fill_t_phase_weights_ref(&mut weights, &k, &g, phase);
+                        spec.extend_from_slice(transposed(&weights).as_slice());
                     }
                     assert_eq!(
                         spec.len(),
@@ -1312,38 +1180,40 @@ mod tests {
         }
     }
 
-    /// A cache gathers on first use, serves later calls from the gathered
-    /// buffer, and re-gathers into the *same* buffer after `invalidate` —
-    /// never serving a stale weight version.
+    /// Kernels written from the weights serve the passes, and a rewrite
+    /// after the weights change lands in the *same* buffer. Empty kernels
+    /// (a deserialized layer's) take the per-call gather; a `1×1` input and
+    /// a kernel whose taps misfit the geometry write nothing.
     #[test]
-    fn phase_kernel_cache_regathers_after_invalidation_into_the_same_buffer() {
+    fn phase_kernels_rewrite_reuses_their_buffer() {
         let mut rng = SmallRng::seed_from_u64(27);
         let g = geom();
         let x: Fmaps<f32> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
         let mut k: Kernels<f32> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let mut ws = ConvWorkspace::new();
-        let mut cache = PhaseKernelCache::default();
-        let run = |k: &Kernels<f32>, cache: &PhaseKernelCache<f32>, ws: &mut ConvWorkspace<f32>| {
-            t_conv_zero_free(&x, k, Some(cache), &g, (12, 12), ws).unwrap()
+        let run = |k: &Kernels<f32>, sub: &PhaseKernels<f32>, ws: &mut ConvWorkspace<f32>| {
+            t_conv_zero_free(&x, k, Some(sub), &g, (12, 12), ws).unwrap()
         };
         let fresh = |k: &Kernels<f32>| {
             t_conv_zero_free(&x, k, None, &g, (12, 12), &mut ConvWorkspace::new()).unwrap()
         };
-        assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
-        let buffer = cache.state.read().unwrap().data.as_ptr();
-        assert_eq!(run(&k, &cache, &mut ws), fresh(&k), "served from the cache");
+        let mut sub = PhaseKernels::default();
+        assert_eq!(run(&k, &sub, &mut ws), fresh(&k), "empty kernels");
+        sub.write(&k, &g, (6, 6), (12, 12));
+        assert_eq!(run(&k, &sub, &mut ws), fresh(&k), "written");
+        let buffer = sub.data.as_ptr();
 
         k.as_mut_slice().iter_mut().for_each(|w| *w *= -0.5);
-        cache.invalidate();
-        assert_eq!(run(&k, &cache, &mut ws), fresh(&k), "re-gathered");
-        assert_eq!(buffer, cache.state.read().unwrap().data.as_ptr());
+        sub.write(&k, &g, (6, 6), (12, 12));
+        assert_eq!(run(&k, &sub, &mut ws), fresh(&k), "rewritten");
+        assert_eq!(buffer, sub.data.as_ptr());
 
-        // Another decomposition of the same weights re-keys the cache.
-        let small: Fmaps<f32> = Fmaps::random(5, 3, 3, 1.0, &mut rng);
-        let got = t_conv_zero_free(&small, &k, Some(&cache), &g, (6, 6), &mut ws);
-        let want = t_conv_zero_free(&small, &k, None, &g, (6, 6), &mut ConvWorkspace::new());
-        assert_eq!(got.unwrap(), want.unwrap());
-        assert_eq!(run(&k, &cache, &mut ws), fresh(&k));
+        let mut one = PhaseKernels::default();
+        one.write(&k, &g, (1, 1), g.up_out(1, 1));
+        assert!(one.data.is_empty(), "a 1×1 input writes nothing");
+        let other_taps: Kernels<f32> = Kernels::random(5, 3, 3, 3, 1.0, &mut rng);
+        sub.write(&other_taps, &g, (6, 6), (12, 12));
+        assert!(sub.data.is_empty(), "a kernel that misfits the geometry");
     }
 
     #[test]

@@ -202,32 +202,26 @@ fn a_panicking_lane_panics_the_step_after_its_group_drains() {
     assert!(dis.dis_loss.is_finite() && gen.gen_loss.is_finite());
 }
 
-/// The hazard of sample lanes over one network: a layer gathers its phase
-/// sub-kernels under its cache's write guard and reads them under the read
-/// guard, and after every optimizer step the next sample loop runs passes
-/// over the stale network on several lanes at once, every one of which
-/// needs that lock — the Generator step's critic error chains right after
-/// the critic's update, the next critic step's fake forwards right after
-/// the Generator's. The middle layers hold more weights than the
-/// re-gather's fan-out threshold, so the gather itself fans out while
-/// other lanes wait on its guard. Training on lanes must finish and land
-/// on the serial (synchronized) trainer's weights bit for bit. A submitter
-/// that helped with another batch's task while holding either guard would
-/// deadlock on itself here.
+/// Sample lanes around fanned passes: after every optimizer step the
+/// stepped network's middle layer rewrites its phase sub-kernels fanned
+/// out over the pool (it holds more weights than the fan-out threshold),
+/// and the next sample loop runs passes over that network on several lanes
+/// at once. Training on lanes must land on the serial (synchronized)
+/// trainer's weights bit for bit.
 ///
 /// Run twice: on 8×8 images the critic's GEMMs stay inline, so only the
-/// gather fans out under the write guard; on 16×16 images the middle
-/// layer's GEMMs fan out too, from inside the read guard.
+/// rewrites and optimizer steps fan out; on 16×16 images the middle
+/// layer's GEMMs fan out too, from inside the lanes.
 #[test]
-fn concurrent_critic_passes_after_a_weight_change_finish() {
+fn lanes_around_fanned_passes_match_the_serial_trainer() {
     for side in [8, 16] {
-        concurrent_critic_passes(side);
+        lanes_around_fanned_passes(side);
     }
 }
 
-/// One run of [`concurrent_critic_passes_after_a_weight_change_finish`] on
+/// One run of [`lanes_around_fanned_passes_match_the_serial_trainer`] on
 /// `side × side` images.
-fn concurrent_critic_passes(side: usize) {
+fn lanes_around_fanned_passes(side: usize) {
     use zfgan::nn::{ConvNet, GanPair, GanTrainer, SyncMode, TrainerConfig};
     use zfgan::tensor::microkernel::FAN_OUT_MIN_MACS;
     let mut rng = SmallRng::seed_from_u64(44);
@@ -326,13 +320,13 @@ fn run_at_width(name: &str, threads: &str) -> String {
     stdout
 }
 
-/// [`concurrent_critic_passes_after_a_weight_change_finish`] at pool
-/// widths 2 and 8.
+/// [`lanes_around_fanned_passes_match_the_serial_trainer`] at pool widths
+/// 2 and 8.
 #[test]
-fn concurrent_critic_passes_finish_at_pool_widths_2_and_8() {
+fn lanes_around_fanned_passes_match_at_pool_widths_2_and_8() {
     for threads in ["2", "8"] {
         run_at_width(
-            "concurrent_critic_passes_after_a_weight_change_finish",
+            "lanes_around_fanned_passes_match_the_serial_trainer",
             threads,
         );
     }

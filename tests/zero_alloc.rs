@@ -1,12 +1,13 @@
 //! Proof of the zero-allocation training hot path: once a
 //! [`ConvWorkspace`] has warmed up, steady-state `forward_ws` /
 //! `backward_ws` / `backward_accumulate_ws` passes through both conv
-//! directions perform **zero** heap allocations — also right after a weight
-//! update, when the layers re-gather their phase sub-kernels — two
-//! consecutive `train_iteration`s, optimizer steps included, allocate
-//! nothing the size of a conv buffer, and warm optimizer steps allocate
-//! nothing at all; on a pool of two or more threads the re-gathers, steps
-//! and zero fills of the layers past the fan-out threshold run fanned out.
+//! directions perform **zero** heap allocations — also a weight update,
+//! which rewrites the layers' phase sub-kernels into their own buffers, and
+//! the pass after it, which gathers nothing — two consecutive
+//! `train_iteration`s, optimizer steps included, allocate nothing the size
+//! of a conv buffer, and warm optimizer steps allocate nothing at all; on a
+//! pool of two or more threads the rewrites, steps and zero fills of the
+//! layers past the fan-out threshold run fanned out.
 //! Measured with a counting `#[global_allocator]`, which is why this test
 //! lives in its own binary with a single `#[test]` — no other test threads
 //! can pollute the counters.
@@ -102,8 +103,8 @@ fn round_trip(layers: &mut [Case], ws: &mut ConvWorkspace<f32>) -> u64 {
 /// wide, so every conv-path buffer is at least 2 KiB while images stay
 /// 256 B (see [`CONV_BUFFER_BYTES`]). Its `128 ↔ 64`-map middle layers hold
 /// more weights than [`PASS_FAN_OUT_MIN_ELEMS`], so on a pool of two or
-/// more threads their optimizer step, the critic's sub-kernel re-gather
-/// and their gradient accumulators' zero fill all fan out.
+/// more threads their optimizer step, the sub-kernel rewrite that step
+/// makes and their gradient accumulators' zero fill all fan out.
 fn wide_pair(rng: &mut SmallRng) -> GanPair {
     let head = ConvGeom::down(2, 2, 2, 2, 1, 1, 1).expect("static geometry");
     let mid = ConvGeom::down(4, 4, 4, 4, 2, 2, 2).expect("static geometry");
@@ -182,8 +183,7 @@ fn warm_workspace_passes_allocate_nothing() {
     }
 
     let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
-    // Warm-up: grows every scratch buffer to its steady-state size and
-    // fills the T-phase cache.
+    // Warm-up: grows every scratch buffer to its steady-state size.
     for _ in 0..2 {
         round_trip(&mut layers, &mut ws);
     }
@@ -197,27 +197,33 @@ fn warm_workspace_passes_allocate_nothing() {
         );
     }
 
-    // A weight update invalidates the layers' gathered phase sub-kernels;
-    // the re-gather on the next pass reuses the buffer it filled before.
-    for (layer, ..) in &mut layers {
-        let (n_of, n_if, kh, kw) = layer.weights().shape();
-        let step = Kernels::random(n_of, n_if, kh, kw, 0.01, &mut rng);
-        let bias_step = vec![0.0; layer.bias().len()];
-        layer.apply_update(&step, &bias_step);
+    // A weight update rewrites the layers' phase sub-kernels into the
+    // buffers they already hold, and the pass after it gathers nothing.
+    let steps: Vec<_> = layers
+        .iter()
+        .map(|(layer, ..)| {
+            let (n_of, n_if, kh, kw) = layer.weights().shape();
+            let step = Kernels::random(n_of, n_if, kh, kw, 0.01, &mut rng);
+            (step, vec![0.0; layer.bias().len()])
+        })
+        .collect();
+    let before = alloc_events();
+    for ((layer, ..), (step, bias_step)) in layers.iter_mut().zip(&steps) {
+        layer.apply_update(step, bias_step);
     }
-    let delta = round_trip(&mut layers, &mut ws);
+    let delta = alloc_events() - before + round_trip(&mut layers, &mut ws);
     assert_eq!(
         delta, 0,
-        "the pass after a weight update allocated {delta} times; the \
-         sub-kernel re-gather must reuse its buffer"
+        "a weight update and the pass after it allocated {delta} times; \
+         the sub-kernel rewrite must reuse its buffer"
     );
 
     // The same through the trainer: `train_iteration` allocates its
     // samples and a few per-layer `Vec`s by design; once warm, nothing is
     // the size of a conv buffer — gradients accumulate in the W-CONV's own
-    // epilogue, the optimizer updates in place, and the re-gather every
-    // optimizer step forces reuses its buffer. The pair's middle layers
-    // take the fanned passes.
+    // epilogue, the optimizer updates in place, and the sub-kernel rewrite
+    // every optimizer step makes reuses its buffer. The pair's middle
+    // layers take the fanned passes.
     let pair = wide_pair(&mut rng);
     for net in [pair.generator(), pair.discriminator()] {
         let widest = net.layers().iter().map(|l| l.weights().len()).max();
@@ -248,9 +254,8 @@ fn warm_workspace_passes_allocate_nothing() {
     );
 
     // A warm optimizer step makes no allocation of any size, fanned out or
-    // not: the clipped critic step over every layer, and the re-gather it
-    // forces on the next pass, which the weight-update round trip above
-    // pins for layers past the threshold.
+    // not: the clipped critic step over every layer, sub-kernel rewrites
+    // included.
     let mut critic = trainer.gan().discriminator().clone();
     let grads = critic.zero_grads();
     let mut opt = Optimizer::new(OptimizerKind::wgan_default(), 5e-5, &critic);
