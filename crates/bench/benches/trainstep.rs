@@ -1,7 +1,6 @@
-//! Full GAN training-step ratio gates on the MNIST-GAN spec — workspace
-//! reuse over allocating scratch, and the shape dispatcher over the
-//! packed-only engine — and one on DCGAN's parameter-sized passes, fanned
-//! out over their serial loops.
+//! Full GAN training-step ratio gates: on the MNIST-GAN spec, the shape
+//! dispatcher over the packed-only engine, and on DCGAN's parameter-sized
+//! passes, fanned out over their serial loops.
 //!
 //! Every variant computes bit-identical updates to the others
 //! (`tests/determinism.rs`, the optimizer's and the gather's unit tests).
@@ -15,9 +14,9 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
 use zfgan_bench::{fan_out_gate, gate, paired_ratio, paired_ratio_with_capacity};
-use zfgan_nn::{ConvNet, GanTrainer, LayerGrads, Optimizer, TrainerConfig, Wants};
+use zfgan_nn::{ConvNet, GanTrainer, LayerGrads, Optimizer, TrainerConfig};
 use zfgan_tensor::microkernel::{set_forced_path, simd_label, simd_level, GemmPath, SimdLevel};
-use zfgan_tensor::{ConvBackend, ConvWorkspace, Fmaps};
+use zfgan_tensor::{ConvWorkspace, Fmaps};
 use zfgan_workloads::GanSpec;
 
 /// Rounds behind each paired ratio: two train steps each (35-70 ms a round).
@@ -25,21 +24,17 @@ const PAIRED_ROUNDS: usize = 15;
 
 /// One seeded MNIST-GAN trainer (1 critic step + 1 Generator step, batch
 /// 2 an iteration), warmed by one iteration, as a closure that runs the
-/// next iteration under `forced`. Two steppers stay on identical weights
-/// as long as they are stepped in turn.
-fn stepper(backend: ConvBackend, reuse: bool) -> impl Fn(Option<GemmPath>) {
+/// next iteration under `forced`.
+fn stepper() -> impl Fn(Option<GemmPath>) {
     let mut rng = SmallRng::seed_from_u64(29);
-    let mut pair = GanSpec::mnist_gan()
+    let pair = GanSpec::mnist_gan()
         .build_pair(0.05, &mut rng)
         .expect("built-in spec is consistent");
-    pair.set_backend(backend);
     let config = TrainerConfig {
         n_critic: 1,
         ..TrainerConfig::default()
     };
-    let mut trainer = GanTrainer::new(pair, config);
-    trainer.set_workspace_reuse(reuse);
-    let state = RefCell::new((trainer, rng));
+    let state = RefCell::new((GanTrainer::new(pair, config), rng));
     let step = move |forced| {
         set_forced_path(forced);
         let (trainer, rng) = &mut *state.borrow_mut();
@@ -74,7 +69,7 @@ fn gate_param_step() {
         .expect("built-in spec is consistent");
     let config = TrainerConfig::default();
     let mut grads = |net: &ConvNet| -> Vec<LayerGrads> {
-        let mut grads = net.zero_grads();
+        let mut grads = net.zero_grads_ws(&mut ConvWorkspace::new());
         for g in &mut grads {
             let values = g.weights.as_mut_slice().iter_mut().chain(&mut g.bias);
             values.for_each(|v| *v = rng.gen_range(-1e-3f32..1e-3));
@@ -89,17 +84,13 @@ fn gate_param_step() {
     let image = Fmaps::random(3, 64, 64, 1.0, &mut rng);
     let trace = d.forward_ws(&image, &mut ws).expect("image shape");
     let delta = zfgan_nn::wgan::scalar_error(1.0);
-    let through_critic = Wants {
-        weight_grads: false,
-        input_error: true,
-    };
     let mut step = || {
         opt_d.step_clipped(&mut d, &d_grads, config.weight_clip);
         opt_g.step(&mut g, &g_grads);
-        let (_, dx) = d
-            .backward_wanted_ws(&trace, &delta, through_critic, &mut ws)
+        let dx = d
+            .backward_errors(&trace, &delta, true, None, &mut ws)
             .expect("trace produced by this network");
-        ws.give_fmaps(dx.expect("input error was wanted"));
+        ws.give_fmaps(dx.expect("input error was asked for"));
     };
     step();
     let step = RefCell::new(step);
@@ -122,12 +113,6 @@ fn main() {
             floor
         }
     };
-    // Workspace reuse must beat allocating scratch on the same engine.
-    let alloc_packed = stepper(ConvBackend::default(), false);
-    let ws_packed = stepper(ConvBackend::default(), true);
-    let s = paired_ratio(PAIRED_ROUNDS, || alloc_packed(None), || ws_packed(None));
-    gate("trainstep/ws_vs_alloc", 1.0, s);
-
     // The shape-aware dispatcher (ikj pack bypass + small-m streamed
     // lowering) must buy the full train step >=1.15x over the pre-dispatch
     // engine: identical code with every GEMM forced through the packed
@@ -135,11 +120,11 @@ fn main() {
     // wide AVX-512 tile halves what forcing the load-bound small-m shapes
     // through the packed tile costs, so the ratio reads 1.15-1.27x there
     // against ~1.4x on the AVX2 tile.
-    let ws_packed = stepper(ConvBackend::default(), true);
+    let step = stepper();
     let s = paired_ratio(
         PAIRED_ROUNDS,
-        || ws_packed(Some(GemmPath::Packed)),
-        || ws_packed(None),
+        || step(Some(GemmPath::Packed)),
+        || step(None),
     );
     gate("trainstep/dispatched_vs_packed_only", simd_floor(1.15), s);
 

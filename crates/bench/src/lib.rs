@@ -116,7 +116,8 @@ pub fn emit<T: Serialize>(name: &str, title: &str, table: &TextTable, data: &T) 
 /// ```
 ///
 /// The global registry (not a thread-local scope) is the right sink here
-/// because [`par_map`] fans work out to worker threads.
+/// because the figure sweeps' DSE batches fan their cells out to pool
+/// worker threads.
 pub fn telemetry_sidecar(name: &str) -> impl FnOnce() {
     zfgan_telemetry::set_enabled(true);
     let dir = results_dir();
@@ -128,26 +129,6 @@ pub fn telemetry_sidecar(name: &str) -> impl FnOnce() {
             println!("[wrote {}]", path.display());
         }
     }
-}
-
-/// Maps `f` over `items` on the persistent `zfgan-pool` workers and
-/// returns the results **in input order** — the deterministic merge that
-/// keeps the figure sweeps byte-identical to their sequential form.
-///
-/// Each item is computed by exactly one executor into its own slot, so the
-/// output is independent of pool scheduling. With one hardware thread (or
-/// `ZFGAN_THREADS=1`) this degenerates to a plain sequential map.
-///
-/// # Panics
-///
-/// Panics if a worker panics.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    zfgan_pool::parallel_map(items.len(), |i| f(&items[i])).expect("par_map worker panicked")
 }
 
 /// Paired, interleaved in-process speed ratio `base / fast`: every round
@@ -364,14 +345,5 @@ mod tests {
     #[should_panic(expected = "at least one round")]
     fn paired_ratio_rejects_zero_rounds() {
         paired_ratio(0, || (), || ());
-    }
-
-    #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let out = par_map(&items, |&i| i * 3);
-        assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
-        let empty: Vec<usize> = Vec::new();
-        assert!(par_map(&empty, |&i: &usize| i).is_empty());
     }
 }

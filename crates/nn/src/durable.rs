@@ -307,14 +307,30 @@ mod tests {
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
+    /// A fresh directory under the temp root, removed with its contents
+    /// when the guard drops — on a failing test's panic path too.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn path(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
             "zfgan-durable-test-{}-{tag}-{n}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TempDir(dir)
     }
 
     fn small_trainer(seed: u64) -> GanTrainer {
@@ -396,8 +412,8 @@ mod tests {
         let trainer = small_trainer(60);
         let rng = SmallRng::seed_from_u64(61);
         let hash = run_config_hash(trainer.config(), 60, 2);
-        let mut cp =
-            DurableCheckpointer::open_dir(temp_dir("pubload"), "train", hash, 2, 3).expect("open");
+        let dir = temp_dir("pubload");
+        let mut cp = DurableCheckpointer::open_dir(dir.path(), "train", hash, 2, 3).expect("open");
         assert!(cp.is_due(2) && cp.is_due(4) && !cp.is_due(3));
         assert!(cp.load_latest().expect("empty load").is_none());
 
@@ -418,10 +434,11 @@ mod tests {
         let dir = temp_dir("foreign");
         {
             let mut other =
-                DurableCheckpointer::open_dir(&dir, "train", 0xdead, 1, 3).expect("open");
+                DurableCheckpointer::open_dir(dir.path(), "train", 0xdead, 1, 3).expect("open");
             other.publish(&snap).expect("publish under foreign hash");
         }
-        let mut cp = DurableCheckpointer::open_dir(&dir, "train", 0xbeef, 1, 3).expect("open");
+        let mut cp =
+            DurableCheckpointer::open_dir(dir.path(), "train", 0xbeef, 1, 3).expect("open");
         match cp.load_latest() {
             Err(CheckpointError::Store(msg)) => {
                 assert!(msg.contains("no valid generation"), "{msg}")
@@ -435,8 +452,8 @@ mod tests {
         let trainer = small_trainer(80);
         let rng = SmallRng::seed_from_u64(81);
         let snap = DurableSnapshot::capture(&trainer.snapshot(), trainer.config(), &rng, 0, &[]);
-        let mut cp =
-            DurableCheckpointer::open_dir(temp_dir("semantic"), "train", 7, 1, 3).expect("open");
+        let dir = temp_dir("semantic");
+        let mut cp = DurableCheckpointer::open_dir(dir.path(), "train", 7, 1, 3).expect("open");
         cp.publish(&snap).expect("publish");
         // A valid envelope around a snapshot that parses but whose critic
         // has a zero stride: the validator must skip it.
@@ -454,8 +471,8 @@ mod tests {
 
     #[test]
     fn a_key_with_no_valid_generation_is_a_typed_store_error() {
-        let mut cp =
-            DurableCheckpointer::open_dir(temp_dir("garbage"), "train", 9, 1, 3).expect("open");
+        let dir = temp_dir("garbage");
+        let mut cp = DurableCheckpointer::open_dir(dir.path(), "train", 9, 1, 3).expect("open");
         // Valid envelopes under the right hash, non-snapshot payloads.
         for payload in [&b"garbage"[..], b"{}"] {
             cp.store_mut()

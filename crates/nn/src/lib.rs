@@ -60,7 +60,7 @@ pub use batchnorm::{BatchNorm, BnCache};
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use durable::{DurableCheckpointer, DurableSnapshot, TrainRecord};
 pub use history::{fit, IterationRecord, TrainingHistory};
-pub use layer::{ConvLayer, Direction, LayerGrads, Wants, WeightsMut};
+pub use layer::{ConvLayer, Direction, LayerGrads, WeightsMut};
 pub use network::{ConvNet, Trace};
 pub use optimizer::{Optimizer, OptimizerKind};
 pub use supervisor::{

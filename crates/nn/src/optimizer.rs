@@ -337,6 +337,7 @@ mod tests {
     use crate::trainer::GanPair;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use zfgan_tensor::ConvWorkspace;
 
     fn net(rng: &mut SmallRng) -> ConvNet {
         GanPair::tiny(rng).discriminator().clone()
@@ -347,7 +348,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut d = net(&mut rng);
         let before = d.layers()[0].weights().clone();
-        let mut grads = d.zero_grads();
+        let mut grads = d.zero_grads_ws(&mut ConvWorkspace::new());
         *grads[0].weights.at_mut(0, 0, 0, 0) = 2.0;
         let mut opt = Optimizer::new(OptimizerKind::Sgd, 0.1, &d);
         opt.step(&mut d, &grads);
@@ -362,7 +363,7 @@ mod tests {
     fn rmsprop_normalises_step_size() {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut d = net(&mut rng);
-        let mut grads = d.zero_grads();
+        let mut grads = d.zero_grads_ws(&mut ConvWorkspace::new());
         *grads[0].weights.at_mut(0, 0, 0, 0) = 100.0;
         *grads[0].weights.at_mut(0, 0, 0, 1) = 0.01;
         let before = d.layers()[0].weights().clone();
@@ -461,7 +462,7 @@ mod tests {
                 m: zeros,
             };
             for step in 0..5 {
-                let mut grads = d.zero_grads();
+                let mut grads = d.zero_grads_ws(&mut ConvWorkspace::new());
                 for g in &mut grads {
                     let values = g.weights.as_mut_slice().iter_mut().chain(&mut g.bias);
                     for v in values {
@@ -590,7 +591,7 @@ mod tests {
     fn adam_first_step_is_lr_sized_and_direction_correct() {
         let mut rng = SmallRng::seed_from_u64(4);
         let mut d = net(&mut rng);
-        let mut grads = d.zero_grads();
+        let mut grads = d.zero_grads_ws(&mut ConvWorkspace::new());
         *grads[0].weights.at_mut(0, 0, 0, 0) = 3.0;
         *grads[0].weights.at_mut(0, 0, 0, 1) = -0.001;
         let before = d.layers()[0].weights().clone();

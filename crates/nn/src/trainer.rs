@@ -7,7 +7,8 @@
 //!
 //! * [`SyncMode::Synchronized`] finishes **all** `2·m` forward passes first
 //!   (the loss-synchronization barrier of paper Fig. 2 steps ③/⑦), holding
-//!   every sample's intermediate trace alive until the barrier clears.
+//!   every sample's intermediate trace alive until the barrier clears, then
+//!   runs each sample's two backward walks on the calling thread.
 //! * [`SyncMode::Deferred`] backpropagates each sample immediately after its
 //!   own forward pass and accumulates `∇wᵢ` into `∇W`, so one trace per
 //!   lane is alive, independent of the batch.
@@ -427,7 +428,8 @@ struct Lane {
     /// The trace whose W walk is still to land (or, in step ①, the
     /// Generator trace whose output is the fake).
     trace: Option<Trace>,
-    /// Every layer's `δ_pre` of that trace, last layer first.
+    /// Every layer's `δ_pre` of that trace, last layer first. The
+    /// synchronized loops keep each sample's here in the first lane.
     deltas: Vec<Fmaps<f32>>,
     /// The sample's critic output.
     score: f64,
@@ -559,16 +561,6 @@ impl GanTrainer {
         })
     }
 
-    /// Toggles buffer reuse in every lane's workspace. `true` (the
-    /// default) recycles conv scratch across steps; `false` allocates
-    /// freshly per take — the honest allocating baseline the `trainstep`
-    /// bench measures. Results are bit-identical either way.
-    pub fn set_workspace_reuse(&mut self, reuse: bool) {
-        for lane in &mut self.lanes {
-            lane.ws.set_reuse(reuse);
-        }
-    }
-
     /// The first lane's conv scratch workspace: the one every sample loop
     /// uses at pool width 1, and the one the gradient accumulators come
     /// from.
@@ -654,7 +646,7 @@ impl GanTrainer {
 
         match self.config.mode {
             SyncMode::Synchronized => {
-                let ws = &mut self.lanes[0].ws;
+                let Lane { ws, deltas, .. } = &mut self.lanes[0];
                 // All 2·m forward passes complete and stay buffered before
                 // the loss synchronization point allows any backward pass.
                 let real_traces: Vec<Trace> = reals
@@ -677,14 +669,20 @@ impl GanTrainer {
                 for t in &fake_traces {
                     fake_scores.push(wgan::score(t.output()));
                 }
-                // Synchronization cleared: backward passes may now run.
-                for (t, score) in real_traces.iter().zip(&real_scores) {
-                    let delta = wgan::scalar_error(real_delta(loss, *score, m));
-                    accumulate_ws(&mut grads, critic, t, &delta, ws);
-                }
-                for (t, score) in fake_traces.iter().zip(&fake_scores) {
-                    let delta = wgan::scalar_error(fake_delta(loss, *score, m));
-                    accumulate_ws(&mut grads, critic, t, &delta, ws);
+                // Synchronization cleared: backward passes may now run,
+                // each sample's error walk then its W walk, as a lane's job
+                // and its landing do — all reals, then all fakes.
+                let real = real_traces.iter().zip(&real_scores);
+                let fake = fake_traces.iter().zip(&fake_scores);
+                let errors = real
+                    .map(|(t, s)| (t, real_delta(loss, *s, m)))
+                    .chain(fake.map(|(t, s)| (t, fake_delta(loss, *s, m))));
+                for (t, delta) in errors {
+                    let delta = wgan::scalar_error(delta);
+                    critic
+                        .backward_errors(t, &delta, false, Some(deltas), ws)
+                        .and_then(|_| critic.backward_weights(t, deltas, Some(&mut grads), ws))
+                        .expect("trace produced by this network");
                 }
                 for t in real_traces.into_iter().chain(fake_traces) {
                     t.recycle(ws);
@@ -778,7 +776,7 @@ impl GanTrainer {
 
         match self.config.mode {
             SyncMode::Synchronized => {
-                let ws = &mut self.lanes[0].ws;
+                let Lane { ws, deltas, .. } = &mut self.lanes[0];
                 let traces: Vec<(Trace, Trace)> = zs
                     .iter()
                     .map(|z| {
@@ -797,7 +795,9 @@ impl GanTrainer {
                 }
                 for ((gt, dt), score) in traces.iter().zip(&fake_scores) {
                     let delta_image = image_error(dt, *score, ws);
-                    accumulate_ws(&mut grads, gen, gt, &delta_image, ws);
+                    gen.backward_errors(gt, &delta_image, false, Some(deltas), ws)
+                        .and_then(|_| gen.backward_weights(gt, deltas, Some(&mut grads), ws))
+                        .expect("trace produced by this network");
                     ws.give_fmaps(delta_image);
                 }
                 for (gt, dt) in traces {
@@ -901,22 +901,6 @@ fn gen_delta(loss: LossKind, score: f64, m: usize) -> f32 {
         LossKind::Wasserstein => wgan::gen_output_error(m),
         LossKind::MinimaxNonSaturating => wgan::vanilla_gen_output_error(score, m),
     }
-}
-
-/// Backpropagates one sample through `net`, adding its gradients into
-/// `grads` (`∇W += ∇wᵢ`, in the `W-CONV`'s own epilogue — no per-sample
-/// gradient exists) and drawing every transient from the workspace. The
-/// error on the network input (the image, or `z`) has no consumer, so it
-/// is not computed.
-fn accumulate_ws(
-    grads: &mut [LayerGrads],
-    net: &ConvNet,
-    trace: &Trace,
-    delta: &Fmaps<f32>,
-    ws: &mut ConvWorkspace<f32>,
-) {
-    net.backward_accumulate_ws(trace, delta, grads, ws)
-        .expect("trace produced by this network");
 }
 
 /// Lands the W walk of the sample a lane's job left — its trace and every

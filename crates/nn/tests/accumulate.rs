@@ -1,9 +1,9 @@
-//! The accumulating backward entry — `∇W += ∇wᵢ` inside the `W-CONV`'s own
-//! GEMM epilogue — must be **bit-identical** to the per-sample form it
-//! replaced: `backward_ws` into a fresh gradient, then
-//! `LayerGrads::add_assign`. Pinned with `to_bits` equality over random
-//! geometries, both directions, 1–4 samples, reduction lengths on both
-//! sides of the packed engine's `k`-chunk (so the epilogue and the
+//! The backward pass as its two walks — the error half, then the W half
+//! adding `∇W += ∇wᵢ` inside the `W-CONV`'s own GEMM epilogue — must be
+//! **bit-identical** to the per-sample form: `backward_ws` into a fresh
+//! gradient, then `LayerGrads::add_assign`. Pinned with `to_bits` equality
+//! over random geometries, both directions, 1–4 samples, reduction lengths
+//! on both sides of the packed engine's `k`-chunk (so the epilogue and the
 //! scratch-and-add fallback both run), a one-map critic head (the streamed
 //! small-`m` route), every backend, and accumulators that already hold
 //! arbitrary values, `-0.0` included. An epilogue that started its chain
@@ -97,7 +97,7 @@ fn dirty_grads(layer: &ConvLayer, rng: &mut SmallRng) -> LayerGrads {
     }
 }
 
-fn zero_grads(layer: &ConvLayer) -> LayerGrads {
+fn zeroed_grads(layer: &ConvLayer) -> LayerGrads {
     let (n_of, n_if, kh, kw) = layer.weights().shape();
     LayerGrads {
         weights: Kernels::zeros(n_of, n_if, kh, kw),
@@ -145,7 +145,7 @@ proptest! {
         let mut want = if cfg.dirty_accumulator {
             dirty_grads(&layer, &mut rng)
         } else {
-            zero_grads(&layer)
+            zeroed_grads(&layer)
         };
         let mut got = want.clone();
         // One workspace per side, reused (dirty) across the samples.
@@ -160,9 +160,14 @@ proptest! {
             g.recycle(&mut ws_want);
 
             let input_error = sample % 2 == 0;
-            let dx_got = layer
-                .backward_accumulate_ws(&delta, &pre, &x, input_error, &mut got, &mut ws_got)
+            let (delta_pre, dx_got) = layer
+                .backward_error(&delta, &pre, input_error, &mut ws_got)
                 .unwrap();
+            let fresh = layer
+                .backward_weights(&x, &delta_pre, Some(&mut got), &mut ws_got)
+                .unwrap();
+            prop_assert!(fresh.is_none(), "gradients went into the accumulator");
+            ws_got.give_fmaps(delta_pre);
             prop_assert_eq!(dx_got.is_some(), input_error);
             if let Some(dx) = dx_got {
                 prop_assert_eq!(&dx, &dx_want, "input error, sample {}", sample);
@@ -185,8 +190,8 @@ fn net_grad_bits(grads: &[LayerGrads]) -> Vec<Vec<u32>> {
     grads.iter().map(bits).collect()
 }
 
-/// Whole networks, the way the trainer uses the entry: from
-/// `zero_grads`, one to four samples, Generator (T-CONV layers behind a
+/// Whole networks, the way the trainer uses the two walks: from
+/// `zero_grads_ws`, one to four samples, Generator (T-CONV layers behind a
 /// `1×1` projection) and critic (S-CONV layers ending in the one-map head).
 #[test]
 fn network_accumulation_equals_per_sample_gradients_added_up() {
@@ -196,9 +201,10 @@ fn network_accumulation_equals_per_sample_gradients_added_up() {
         let nets: [&ConvNet; 2] = [pair.generator(), pair.discriminator()];
         for net in nets {
             let samples = 1 + seed as usize;
-            let mut want = net.zero_grads();
-            let mut got = net.zero_grads();
+            let mut want = net.zero_grads_ws(&mut ConvWorkspace::new());
+            let mut got = net.zero_grads_ws(&mut ConvWorkspace::new());
             let mut ws = ConvWorkspace::new();
+            let mut deltas = Vec::new();
             for _ in 0..samples {
                 let (c, h, w) = net.in_shape();
                 let x = Fmaps::random(c, h, w, 1.0, &mut rng);
@@ -215,8 +221,15 @@ fn network_accumulation_equals_per_sample_gradients_added_up() {
                     g.recycle(&mut ws);
                 }
 
-                net.backward_accumulate_ws(&trace, &delta, &mut got, &mut ws)
+                let dx = net
+                    .backward_errors(&trace, &delta, false, Some(&mut deltas), &mut ws)
                     .unwrap();
+                assert!(dx.is_none(), "no input error was asked for");
+                let fresh = net
+                    .backward_weights(&trace, &mut deltas, Some(&mut got), &mut ws)
+                    .unwrap();
+                assert!(fresh.is_empty(), "gradients went into the accumulators");
+                assert!(deltas.is_empty(), "the W walk consumed every error");
                 trace.recycle(&mut ws);
             }
             assert_eq!(net_grad_bits(&got), net_grad_bits(&want), "seed {seed}");
@@ -235,16 +248,19 @@ fn mismatched_accumulators_are_rejected() {
     let mut ws = ConvWorkspace::new();
     let trace = net.forward_ws(&x, &mut ws).unwrap();
     let delta = Fmaps::from_vec(1, 1, 1, vec![1.0]);
+    let mut land = |acc: &mut [LayerGrads]| {
+        let mut deltas = Vec::new();
+        net.backward_errors(&trace, &delta, false, Some(&mut deltas), &mut ws)
+            .unwrap();
+        net.backward_weights(&trace, &mut deltas, Some(acc), &mut ws)
+    };
 
-    let mut too_few = net.zero_grads();
+    let mut too_few = net.zero_grads_ws(&mut ConvWorkspace::new());
     too_few.pop();
-    assert!(net
-        .backward_accumulate_ws(&trace, &delta, &mut too_few, &mut ws)
-        .is_err());
+    let err = land(&mut too_few).expect_err("one accumulator short");
+    assert!(err.to_string().contains("gradient accumulators"), "{err}");
 
-    let mut swapped = net.zero_grads();
+    let mut swapped = net.zero_grads_ws(&mut ConvWorkspace::new());
     swapped.reverse();
-    assert!(net
-        .backward_accumulate_ws(&trace, &delta, &mut swapped, &mut ws)
-        .is_err());
+    assert!(land(&mut swapped).is_err());
 }

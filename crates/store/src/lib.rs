@@ -1033,19 +1033,31 @@ mod tests {
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-    fn temp_root(tag: &str) -> PathBuf {
+    /// A fresh directory under the temp root, removed with its contents
+    /// when the guard drops — on a failing test's panic path too.
+    struct TempRoot(PathBuf);
+
+    impl Drop for TempRoot {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_root(tag: &str) -> TempRoot {
         let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("zfgan-store-test-{}-{tag}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        TempRoot(dir)
     }
 
-    fn open(tag: &str) -> Store {
-        match Store::open(temp_root(tag), StoreConfig::default()) {
+    /// A store with no backoff sleeps, in a directory its guard removes.
+    fn open(tag: &str) -> (TempRoot, Store) {
+        let root = temp_root(tag);
+        match Store::open(&root.0, StoreConfig::default()) {
             Ok(mut s) => {
                 s.set_sleep(|_| {});
-                s
+                (root, s)
             }
             Err(e) => panic!("open store: {e}"),
         }
@@ -1053,7 +1065,7 @@ mod tests {
 
     #[test]
     fn round_trip_single_generation() {
-        let mut s = open("roundtrip");
+        let (_root, mut s) = open("roundtrip");
         let payload = b"hello durable world".to_vec();
         let gen = s
             .publish("ckpt", 0xabcd, &payload)
@@ -1072,7 +1084,7 @@ mod tests {
 
     #[test]
     fn generations_increment_and_prune() {
-        let mut s = open("prune");
+        let (_root, mut s) = open("prune");
         for i in 0..7u8 {
             if let Err(e) = s.publish("k", 1, &[i]) {
                 panic!("publish {i}: {e}");
@@ -1087,14 +1099,14 @@ mod tests {
 
     #[test]
     fn load_missing_key_is_none() {
-        let mut s = open("missing");
+        let (_root, mut s) = open("missing");
         assert!(matches!(s.load_latest("nothing"), Ok(None)));
         assert!(matches!(s.load_records("nothing"), Ok(None)));
     }
 
     #[test]
     fn corrupt_latest_falls_back_to_prior() {
-        let mut s = open("fallback");
+        let (_root, mut s) = open("fallback");
         let _ = s.publish("k", 7, b"old-good");
         let _ = s.publish("k", 7, b"new-corrupt");
         let path = s.generation_path("k", 2);
@@ -1114,7 +1126,7 @@ mod tests {
 
     #[test]
     fn all_corrupt_is_no_valid_generation() {
-        let mut s = open("allcorrupt");
+        let (_root, mut s) = open("allcorrupt");
         let _ = s.publish("k", 7, b"a");
         let _ = s.publish("k", 7, b"b");
         for g in [1u64, 2] {
@@ -1131,7 +1143,7 @@ mod tests {
 
     #[test]
     fn config_hash_mismatch_skips_generation() {
-        let mut s = open("hashmatch");
+        let (_root, mut s) = open("hashmatch");
         let _ = s.publish("k", 0x1111, b"old-config");
         let _ = s.publish("k", 0x2222, b"new-config");
         let l = s.load_latest_for("k", 0x1111).ok().flatten();
@@ -1146,7 +1158,7 @@ mod tests {
 
     #[test]
     fn semantic_reject_falls_back() {
-        let mut s = open("semantic");
+        let (_root, mut s) = open("semantic");
         let _ = s.publish("k", 1, b"valid-json");
         let _ = s.publish("k", 1, b"parses-but-bad");
         let l = s.load_latest_where("k", |record| {
@@ -1168,7 +1180,7 @@ mod tests {
     /// and falls back record by record; `load_records` serves them all.
     #[test]
     fn many_records_share_one_generation() {
-        let mut s = open("many");
+        let (_root, mut s) = open("many");
         let records: [(u64, &[u8]); 3] = [(1, b"one"), (2, b"two"), (1, b"one-again")];
         assert_eq!(s.publish_many("k", &records).ok(), Some(1));
         assert_eq!(s.generations("k").ok(), Some(vec![1]));
@@ -1193,7 +1205,7 @@ mod tests {
     /// gone with its generations, and removing it again is no error.
     #[test]
     fn damaged_records_name_their_hash_and_keys_remove() {
-        let mut s = open("remove");
+        let (_root, mut s) = open("remove");
         assert!(matches!(
             s.publish_many("k", &[]),
             Err(StoreError::NoRecords(_))
@@ -1222,7 +1234,7 @@ mod tests {
     /// three fsyncs (root, file, key directory), then two per publish.
     #[test]
     fn a_new_key_fsyncs_its_parent_once() {
-        let mut s = open("rootsync");
+        let (_root, mut s) = open("rootsync");
         let reg = std::sync::Arc::new(zfgan_telemetry::Registry::new());
         let fsyncs = |reg: &zfgan_telemetry::Registry| {
             zfgan_telemetry::export::counter_total(reg, "store_fsyncs_total")
@@ -1242,7 +1254,7 @@ mod tests {
 
     #[test]
     fn transient_io_errors_are_retried() {
-        let mut s = open("retry");
+        let (_root, mut s) = open("retry");
         let mut budget = 2u32;
         s.set_io_fault(Some(Box::new(move |op| {
             if op == "write" && budget > 0 {
@@ -1259,7 +1271,7 @@ mod tests {
 
     #[test]
     fn persistent_io_error_exhausts_retries() {
-        let mut s = open("exhaust");
+        let (_root, mut s) = open("exhaust");
         s.set_io_fault(Some(Box::new(|op| {
             (op == "write").then_some(io::ErrorKind::Interrupted)
         })));
@@ -1271,7 +1283,7 @@ mod tests {
 
     #[test]
     fn non_transient_error_fails_immediately() {
-        let mut s = open("hard");
+        let (_root, mut s) = open("hard");
         let mut calls = 0u32;
         s.set_io_fault(Some(Box::new(move |op| {
             if op == "write" {
@@ -1290,7 +1302,7 @@ mod tests {
 
     #[test]
     fn stale_temp_files_are_swept() {
-        let mut s = open("sweep");
+        let (_root, mut s) = open("sweep");
         let _ = s.publish("k", 1, b"one");
         let stale = s.key_dir("k").join(format!("{TMP_PREFIX}00000099"));
         fs::write(&stale, b"torn").ok();
@@ -1300,7 +1312,7 @@ mod tests {
 
     #[test]
     fn invalid_keys_rejected() {
-        let mut s = open("keys");
+        let (_root, mut s) = open("keys");
         for bad in ["", "a/b", "..", ".hidden", "sp ace", "x\u{e9}"] {
             assert!(
                 matches!(s.publish(bad, 0, b"x"), Err(StoreError::InvalidKey(_))),

@@ -4,6 +4,7 @@
 //! property the durability layer's fallback ladder is built on.
 
 use proptest::prelude::*;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use zfgan_store::{crc32, decode_envelope, encode_envelope, Store, StoreConfig};
 
@@ -84,7 +85,7 @@ fn golden_envelope_from_the_bytewise_encoder_still_round_trips() {
 /// before generations could hold many records.
 #[test]
 fn one_record_generation_is_the_golden_envelope() {
-    let mut store = temp_store("golden");
+    let (_root, mut store) = temp_store("golden");
     let env = decode_envelope(GOLDEN_ENVELOPE).expect("golden envelope decodes");
     let generation = store.publish("k", env.config_hash, &env.payload);
     assert_eq!(generation.ok(), Some(1));
@@ -94,13 +95,25 @@ fn one_record_generation_is_the_golden_envelope() {
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn temp_store(tag: &str) -> Store {
+/// A fresh directory under the temp root, removed with its contents when
+/// the guard drops — on a failing case's panic path too.
+struct TempRoot(PathBuf);
+
+impl Drop for TempRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A store in a directory its guard removes.
+fn temp_store(tag: &str) -> (TempRoot, Store) {
     let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
     let root =
         std::env::temp_dir().join(format!("zfgan-store-prop-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    match Store::open(root, StoreConfig::default()) {
-        Ok(s) => s,
+    let root = TempRoot(root);
+    match Store::open(&root.0, StoreConfig::default()) {
+        Ok(s) => (root, s),
         Err(e) => panic!("open store: {e}"),
     }
 }
@@ -179,7 +192,7 @@ proptest! {
     fn damage_costs_exactly_the_records_it_touches(
         (seed, k, at, truncate) in (any::<u64>(), 1usize..6, any::<u64>(), any::<bool>())
     ) {
-        let mut store = temp_store("records");
+        let (_root, mut store) = temp_store("records");
         let payloads: Vec<Vec<u8>> = (0..k)
             .map(|i| payload_bytes(seed ^ i as u64, (seed >> (8 * i)) as usize % 97))
             .collect();
@@ -234,7 +247,7 @@ proptest! {
     fn store_bit_flip_falls_back_never_lies(
         (seed, len, flip) in (any::<u64>(), 1usize..120, any::<u64>())
     ) {
-        let mut store = temp_store("flip");
+        let (_root, mut store) = temp_store("flip");
         let old = payload_bytes(seed, len);
         let new = payload_bytes(seed ^ 1, len);
         let g1 = store.publish("k", 7, &old).map_err(|e| e.to_string());

@@ -466,7 +466,7 @@ pub fn matmul_chunked<T: Num>(
     let mut plan = microkernel::scan_gemm(a, dims, false, ws.pack_scratch());
     plan.path = path.unwrap_or(plan.path);
     plan.rows_per_chunk = rows_per_chunk;
-    microkernel::pack_for_plan(&plan, b, dims, kind, ws.planned_scratch());
+    microkernel::pack_for_plan(&plan, b, dims, kind, ws.pack_scratch());
     let dest = if add {
         Product::AddTo(out.as_mut_slice())
     } else {
@@ -532,7 +532,7 @@ fn run_in_memory<T: Num>(
 ) {
     match planned {
         Some((kind, plan)) => {
-            microkernel::pack_for_plan(&plan, b, dims, kind, ws.planned_scratch());
+            microkernel::pack_for_plan(&plan, b, dims, kind, ws.pack_scratch());
             run_planned_into(simd_level(), &plan, kind, a, b, dest, dims, ws);
         }
         None => dest.via_store(ws, |out, _| gemm_rows(a, b, out, dims.1, dims.2)),

@@ -32,12 +32,6 @@
 //!   shared across threads. Pool workers inside a fanned-out GEMM, pack or
 //!   fill only write caller-partitioned slices (and read the pack scratch
 //!   the plan filled before the batch), never the workspace itself.
-//!
-//! Setting [`ConvWorkspace::set_reuse`]`(false)` turns the arena into a
-//! pass-through allocator (every `take` is fresh, every `give` drops, the
-//! T-CONV phase cache is bypassed). The workspace code path itself is
-//! unchanged, which is how the `trainstep` bench measures an honest
-//! allocating baseline against the reusing one.
 
 use crate::fmaps::Fmaps;
 use crate::im2col::Matrix;
@@ -52,7 +46,6 @@ use crate::zero_free::PhaseCache;
 #[derive(Debug)]
 pub struct ConvWorkspace<T> {
     free: Vec<Vec<T>>,
-    reuse: bool,
     /// Memoized `stride²`-phase decompositions for the zero-free T-CONV
     /// lowering (shape-keyed; shared out as `Arc` clones so the hot path
     /// never recomputes or reallocates them).
@@ -70,56 +63,26 @@ impl<T> Default for ConvWorkspace<T> {
 }
 
 impl<T> ConvWorkspace<T> {
-    /// Creates an empty workspace with buffer reuse enabled.
+    /// Creates an empty workspace.
     pub fn new() -> Self {
         Self {
             free: Vec::new(),
-            reuse: true,
             phases: PhaseCache::default(),
             pack: PackScratch::new(),
         }
     }
 
-    /// The packed-microkernel scratch. With reuse off the previous scratch
-    /// is dropped first, so every GEMM packs into fresh buffers — the same
-    /// honest allocating-baseline behaviour as [`ConvWorkspace::take`].
+    /// The packed-microkernel scratch: a GEMM's plan writes its `A` masks
+    /// here and its later steps (packing a `B` generated after the plan)
+    /// pack into it.
     pub(crate) fn pack_scratch(&mut self) -> &mut PackScratch {
-        if !self.reuse {
-            self.pack = PackScratch::new();
-        }
-        &mut self.pack
-    }
-
-    /// The scratch as the last [`Self::pack_scratch`] caller left it, for
-    /// that GEMM's later steps (packing a `B` generated after the plan):
-    /// no allocating-baseline reset, so the plan's `A` masks survive.
-    pub(crate) fn planned_scratch(&mut self) -> &mut PackScratch {
         &mut self.pack
     }
 
     /// Read-only view of the scratch as the last [`Self::pack_scratch`]
-    /// caller left it — no allocating-baseline reset, so the `A` masks a
-    /// just-run scan built stay readable even with reuse off.
+    /// caller left it: the `A` masks a just-run scan built.
     pub(crate) fn pack_scratch_ref(&self) -> &PackScratch {
         &self.pack
-    }
-
-    /// Whether buffers are recycled (the default) or freshly allocated per
-    /// `take` (the honest allocating baseline for benchmarks).
-    pub fn reuse(&self) -> bool {
-        self.reuse
-    }
-
-    /// Toggles buffer reuse. Disabling also drops every cached buffer and
-    /// bypasses the phase cache, so subsequent calls behave exactly like
-    /// the pre-workspace allocating code path.
-    pub fn set_reuse(&mut self, reuse: bool) {
-        self.reuse = reuse;
-        if !reuse {
-            self.free.clear();
-            self.phases = PhaseCache::default();
-            self.pack = PackScratch::new();
-        }
     }
 
     /// Number of buffers currently parked on the free list.
@@ -135,11 +98,8 @@ impl<T> ConvWorkspace<T> {
 
 impl<T: Num> ConvWorkspace<T> {
     /// Takes a zero-filled buffer of exactly `len` elements, recycling the
-    /// best-fitting free buffer when reuse is on.
+    /// best-fitting free buffer.
     pub fn take(&mut self, len: usize) -> Vec<T> {
-        if !self.reuse {
-            return vec![T::zero(); len];
-        }
         let mut v = self.pick(len);
         v.clear();
         v.resize(len, T::zero());
@@ -153,9 +113,6 @@ impl<T: Num> ConvWorkspace<T> {
     /// that are a product — where the fill would be a wasted pass over a
     /// parameter-sized tensor.
     pub fn take_dirty(&mut self, len: usize) -> Vec<T> {
-        if !self.reuse {
-            return vec![T::zero(); len];
-        }
         let mut v = self.pick(len);
         v.truncate(len);
         v.resize(len, T::zero());
@@ -185,9 +142,9 @@ impl<T: Num> ConvWorkspace<T> {
         }
     }
 
-    /// Returns a buffer to the free list (dropped when reuse is off).
+    /// Returns a buffer to the free list.
     pub fn give(&mut self, v: Vec<T>) {
-        if self.reuse && v.capacity() > 0 {
+        if v.capacity() > 0 {
             self.free.push(v);
         }
     }
@@ -245,7 +202,7 @@ impl<T: Num> ConvWorkspace<T> {
     pub fn take_kernels(&mut self, n_of: usize, n_if: usize, kh: usize, kw: usize) -> Kernels<T> {
         let len = n_of * n_if * kh * kw;
         let pieces = zfgan_pool::pass_pieces(len);
-        if !self.reuse || pieces == 1 {
+        if pieces == 1 {
             return Kernels::from_vec(n_of, n_if, kh, kw, self.take(len));
         }
         // Only growth is zero-extended here; the old contents are
@@ -342,16 +299,6 @@ mod tests {
         let v = ws.take(5);
         assert!(v.capacity() < 1000, "took the big buffer for a small job");
         ws.give(v);
-    }
-
-    #[test]
-    fn reuse_off_is_a_pass_through_allocator() {
-        let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
-        ws.set_reuse(false);
-        let v = ws.take(16);
-        ws.give(v);
-        assert_eq!(ws.free_buffers(), 0);
-        assert_eq!(ws.take(3), vec![0.0; 3]);
     }
 
     #[test]

@@ -181,22 +181,6 @@ impl PhaseCache {
     }
 }
 
-/// The phases for one zero-free T-CONV call: memoized through the
-/// workspace when reuse is on, computed fresh (like the pre-workspace
-/// code) when it is off.
-fn phases_for<T>(
-    ws: &mut ConvWorkspace<T>,
-    geom: &ConvGeom,
-    oh: usize,
-    ow: usize,
-) -> Arc<Vec<TPhase>> {
-    if ws.reuse() {
-        ws.phases.get(geom, oh, ow)
-    } else {
-        Arc::new(t_phases(geom, oh, ow))
-    }
-}
-
 /// Row `row` of one phase's transposed patch matrix — the `B` operand of
 /// the weight-stationary phase GEMM, `(N_sf·taps) × (phase pixels)`,
 /// the transpose of a phase's patch matrix: tap `(sf, ky′, kx′)` across
@@ -493,7 +477,7 @@ pub(crate) fn t_conv_zero_free<T: Num>(
         t_phases_weight_stationary(&mut out, input, &sub.data, geom, &sub.phases, ws)?;
         Ok(out)
     } else {
-        let phases = phases_for(ws, geom, oh, ow);
+        let phases = ws.phases.get(geom, oh, ow);
         let mut out = ws.take_fmaps(k.n_if(), oh, ow);
         let mut sub = ws.take(k.len());
         gather_phase_kernels(&mut sub, k, &phases, zfgan_pool::pass_pieces(k.len()));

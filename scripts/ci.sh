@@ -28,7 +28,16 @@ echo "=== cargo test ==="
 # digest against the scalar one.
 cargo run -q --release -p zfgan -- train --gan mnist --seed 2024 --iters 3 > "$tdir/f32_simd.txt"
 head -n 1 "$tdir/f32_simd.txt"
-cargo test -q --workspace
+# Under a temp root of its own: a test that leaves a `zfgan-*` entry
+# behind (its guard skipped, or no guard) fails the stage, named.
+mkdir "$tdir/test-tmp"
+TMPDIR="$tdir/test-tmp" cargo test -q --workspace
+leftover="$(find "$tdir/test-tmp" -mindepth 1 -maxdepth 1 -name 'zfgan-*')"
+if [ -n "$leftover" ]; then
+    echo "the test suite left temp entries behind:" >&2
+    echo "$leftover" >&2
+    exit 1
+fi
 
 echo "=== pool + dse suites, repeated across pool widths ==="
 # Scheduling races show up only on some runs and some widths (the depth-
@@ -167,9 +176,9 @@ echo "=== bench gates (paired in-process speed ratios) ==="
 # Each harness asserts its own floors on `zfgan_bench::paired_ratio`
 # (packed GEMM vs naive, its pool fan-out vs one inline chunk, dispatched
 # vs forced-packed, AVX-512 vs AVX2 tile, the critic's score layer vs its
-# golden nest, workspace reuse vs allocating train steps, the nine
-# executor engines vs the scalar oracle) plus warm vs cold DSE. One pass, no retry:
-# a pair's two sides share whatever the host is doing.
+# golden nest, DCGAN's parameter-sized passes vs their serial loops, the
+# nine executor engines vs the scalar oracle) plus warm vs cold DSE. One
+# pass, no retry: a pair's two sides share whatever the host is doing.
 cargo bench -q -p zfgan-bench
 
 echo "=== perf ledger round trip ==="

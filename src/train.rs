@@ -315,12 +315,28 @@ mod tests {
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A fresh directory under the temp root, removed with its contents
+    /// when the guard drops — on a failing test's panic path too.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn path(&self) -> PathBuf {
+            self.0.clone()
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("zfgan-train-test-{}-{tag}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TempDir(dir)
     }
 
     fn det_line(out: &str) -> &str {
@@ -359,13 +375,13 @@ mod tests {
         let dir = temp_dir("resume");
         let part = TrainArgs {
             iters: 3,
-            dir: Some(dir.clone()),
+            dir: Some(dir.path()),
             ..TrainArgs::default()
         };
         run_train(&part).expect("partial");
         let resumed = run_train(&TrainArgs {
             iters: 5,
-            dir: Some(dir),
+            dir: Some(dir.path()),
             resume: true,
             ..TrainArgs::default()
         })
@@ -404,7 +420,7 @@ mod tests {
         let dir = temp_dir("fresh");
         let out = run_train(&TrainArgs {
             iters: 2,
-            dir: Some(dir),
+            dir: Some(dir.path()),
             resume: true,
             ..TrainArgs::default()
         })
@@ -420,6 +436,7 @@ mod tests {
 
     #[test]
     fn argument_validation() {
+        let badcrash = temp_dir("badcrash");
         let bad = TrainArgs {
             resume: true,
             ..TrainArgs::default()
@@ -436,7 +453,7 @@ mod tests {
                 phase: CrashPhase::MidWrite,
                 bytes: 10,
             }),
-            dir: Some(temp_dir("badcrash")),
+            dir: Some(badcrash.path()),
             ..TrainArgs::default()
         };
         assert!(run_train(&bad).unwrap_err().contains("out of range"));

@@ -1,7 +1,8 @@
 //! Proof of the zero-allocation training hot path: once a
 //! [`ConvWorkspace`] has warmed up, steady-state `forward_ws` /
-//! `backward_ws` / `backward_accumulate_ws` passes through both conv
-//! directions perform **zero** heap allocations — also a weight update,
+//! `backward_ws` / `backward_error` + `backward_weights` passes through
+//! both conv directions perform **zero** heap allocations — also a weight
+//! update,
 //! which rewrites the layers' phase sub-kernels into their own buffers, and
 //! the pass after it, which gathers nothing — two consecutive
 //! `train_iteration`s, optimizer steps included, allocate nothing the size
@@ -79,8 +80,9 @@ fn alloc_events() -> u64 {
 type Case = (ConvLayer, Fmaps<f32>, Fmaps<f32>, LayerGrads);
 
 /// One full forward + backward through both layers — the backward once
-/// into a fresh gradient and once into the accumulator — recycling every
-/// buffer back into the workspace. Returns the allocation-event delta.
+/// into a fresh gradient and once as its two halves, the error half and
+/// the W half into the accumulator — recycling every buffer back into the
+/// workspace. Returns the allocation-event delta.
 fn round_trip(layers: &mut [Case], ws: &mut ConvWorkspace<f32>) -> u64 {
     let before = alloc_events();
     for (layer, x, delta, acc) in layers {
@@ -88,9 +90,13 @@ fn round_trip(layers: &mut [Case], ws: &mut ConvWorkspace<f32>) -> u64 {
         let (dx, grads) = layer
             .backward_ws(delta, &pre, x, ws)
             .expect("shapes fixed at build time");
-        layer
-            .backward_accumulate_ws(delta, &pre, x, false, acc, ws)
+        let (delta_pre, _) = layer
+            .backward_error(delta, &pre, false, ws)
             .expect("shapes fixed at build time");
+        layer
+            .backward_weights(x, &delta_pre, Some(acc), ws)
+            .expect("shapes fixed at build time");
+        ws.give_fmaps(delta_pre);
         ws.give_fmaps(pre);
         ws.give_fmaps(post);
         ws.give_fmaps(dx);
@@ -257,7 +263,7 @@ fn warm_workspace_passes_allocate_nothing() {
     // not: the clipped critic step over every layer, sub-kernel rewrites
     // included.
     let mut critic = trainer.gan().discriminator().clone();
-    let grads = critic.zero_grads();
+    let grads = critic.zero_grads_ws(&mut ConvWorkspace::new());
     let mut opt = Optimizer::new(OptimizerKind::wgan_default(), 5e-5, &critic);
     opt.step_clipped(&mut critic, &grads, Some(0.01));
     let before = alloc_events();
@@ -270,12 +276,11 @@ fn warm_workspace_passes_allocate_nothing() {
         "three warm optimizer steps allocated {steps} times"
     );
 
-    // Sanity check that the counter actually works: the same passes with
-    // reuse disabled (the honest allocating baseline) must allocate.
-    ws.set_reuse(false);
-    let delta = round_trip(&mut layers, &mut ws);
+    // Sanity check that the counter actually works: the same passes
+    // through a cold workspace must allocate.
+    let delta = round_trip(&mut layers, &mut ConvWorkspace::new());
     assert!(
         delta > 0,
-        "allocating baseline reported zero allocations — counter broken?"
+        "a cold workspace reported zero allocations — counter broken?"
     );
 }
