@@ -13,7 +13,6 @@ use zfgan_dse::sweeps::fig15::{self, Row};
 use zfgan_dse::DseConfig;
 
 fn main() {
-    let telemetry = zfgan_bench::telemetry_sidecar("fig15");
     let rows: Vec<Row> = fig15::rows(&DseConfig::from_env(fig15::NAME));
     let mut table = TextTable::new([
         "GAN",
@@ -57,5 +56,4 @@ fn main() {
     }
     println!("== Fig. 15 summary (geomean speedup over NLR across GANs) ==");
     println!("{}", summary.render());
-    telemetry();
 }

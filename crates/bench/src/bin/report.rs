@@ -42,7 +42,8 @@ fn main() {
     let mut md = String::from(
         "# zfgan results digest\n\n\
          Auto-generated from the JSON sidecars in `results/`. Regenerate any\n\
-         entry with `cargo run --release -p zfgan-bench --bin <name>`.\n\n",
+         entry with `cargo run --release -p zfgan-bench --bin <name>`, the\n\
+         `faults` and `crashtest` campaigns with `zfgan <name> --out`.\n\n",
     );
     for (name, value) in &entries {
         md.push_str(&format!("## `{name}`\n\n"));

@@ -104,33 +104,6 @@ pub fn emit<T: Serialize>(name: &str, title: &str, table: &TextTable, data: &T) 
     println!();
 }
 
-/// Turns the process-global telemetry registry on and returns a closure
-/// that dumps it as `results/telemetry_<name>.json` (best effort, like
-/// [`emit`]). Bench binaries call this first thing in `main` and invoke
-/// the closure last, so every figure run leaves a metrics sidecar:
-///
-/// ```no_run
-/// let telemetry = zfgan_bench::telemetry_sidecar("fig15");
-/// // ... the sweep ...
-/// telemetry();
-/// ```
-///
-/// The global registry (not a thread-local scope) is the right sink here
-/// because the figure sweeps' DSE batches fan their cells out to pool
-/// worker threads.
-pub fn telemetry_sidecar(name: &str) -> impl FnOnce() {
-    zfgan_telemetry::set_enabled(true);
-    let dir = results_dir();
-    let path = dir.join(format!("telemetry_{name}.json"));
-    move || {
-        let _ = fs::create_dir_all(&dir);
-        let json = zfgan_telemetry::export::telemetry_json(zfgan_telemetry::global());
-        if fs::write(&path, json).is_ok() {
-            println!("[wrote {}]", path.display());
-        }
-    }
-}
-
 /// Paired, interleaved in-process speed ratio `base / fast`: every round
 /// times one `base` call and one `fast` call back to back, alternating
 /// which goes first, and yields one ratio from those two adjacent samples;

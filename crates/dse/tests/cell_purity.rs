@@ -1,15 +1,18 @@
 //! A cell's cached bytes depend on the cell alone, and computing it leaves
 //! nothing behind in the process: the unroll search behind
 //! `Design::evaluate` scores its candidates on the pure cycle model, so
-//! neither the process-wide search memo nor the process-global telemetry
+//! neither the process-wide search memo nor the caller's telemetry
 //! registry can tell whether a cell has been computed before.
 //!
 //! This binary never shares a budget with another test, so every search
 //! below is a memo miss the first time it runs.
 
+use std::sync::Arc;
+
 use zfgan_accel::{Design, DesignReport, SyncPolicy};
 use zfgan_dataflow::ArchKind;
 use zfgan_dse::{run_batch, Batch, DseConfig};
+use zfgan_telemetry::Registry;
 use zfgan_workloads::{GanSpec, PhaseSeq};
 
 /// One cell per architecture: DCGAN's Discriminator update on `pes` PEs.
@@ -43,19 +46,19 @@ fn deterministic_sections_do_not_depend_on_the_search_memo() {
     }
 }
 
-/// With telemetry on (a bench sidecar, a served `/metrics`), a cold batch
-/// used to leave every candidate schedule of every fresh search in the
-/// never-drained global registry: 18 MiB per 30-cell batch.
+/// With telemetry on (a `--telemetry` run, a served `/metrics`), a cold
+/// batch used to leave every candidate schedule of every fresh search in
+/// the caller's never-drained registry: 18 MiB per 30-cell batch.
 #[test]
-fn a_cold_cached_batch_leaves_no_spans_in_the_global_registry() {
+fn a_cold_cached_batch_leaves_no_spans_in_the_callers_registry() {
     let dir = std::env::temp_dir().join(format!("zfgan-dse-purity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut cfg = DseConfig::new("purity-spans");
     cfg.cache_dir = Some(dir.clone());
-    zfgan_telemetry::set_enabled(true);
-    let before = zfgan_telemetry::global().spans().len();
+    let reg = Arc::new(Registry::new());
+    let _scope = zfgan_telemetry::scope(Arc::clone(&reg));
     let cold = batch(&cfg, 1789);
     assert_eq!(cold.unique, ArchKind::ALL.len());
-    assert_eq!(zfgan_telemetry::global().spans().len(), before);
+    assert!(reg.spans().is_empty(), "{:?}", reg.spans());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,6 +8,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use zfgan_dse::sweeps::{fig16, fig18};
@@ -214,23 +215,26 @@ fn shard_routing_is_a_partition_of_any_key_set() {
 }
 
 /// The engine's cache counters ride the shared HTTP `/metrics` endpoint:
-/// run a cached batch against the global registry, serve one scrape, and
-/// find the `dse_*` series in Prometheus text format.
+/// run a cached batch under a scope of a registry, serve that registry
+/// for one scrape, and find the `dse_*` series in Prometheus text format.
 #[test]
 fn dse_counters_are_exposed_on_the_shared_metrics_endpoint() {
     let dir = temp_dir("metrics");
     let mut cfg = DseConfig::new("metrics-sweep");
     cfg.cache_dir = Some(dir.clone());
     let items: Vec<u64> = (0..3).collect();
-    // Cold populate + warm hit, recorded in the global registry: the
-    // engine flips no process-wide switch, so the caller opts in.
-    zfgan_telemetry::set_enabled(true);
-    zfgan_dse::run_batch(&cfg, &items, |i| format!("m{i}"), eval);
-    zfgan_dse::run_batch(&cfg, &items, |i| format!("m{i}"), eval);
+    // Cold populate + warm hit, recorded in the caller's scope.
+    let reg = Arc::new(zfgan_telemetry::Registry::new());
+    {
+        let _scope = zfgan_telemetry::scope(Arc::clone(&reg));
+        zfgan_dse::run_batch(&cfg, &items, |i| format!("m{i}"), eval);
+        zfgan_dse::run_batch(&cfg, &items, |i| format!("m{i}"), eval);
+    }
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
-    let server = std::thread::spawn(move || zfgan_telemetry::http::serve_on(listener, Some(1)));
+    let server =
+        std::thread::spawn(move || zfgan_telemetry::http::serve_on(listener, reg, Some(1)));
     let body = zfgan_telemetry::http::scrape(&addr, "/metrics").expect("scrape");
     server.join().expect("join").expect("serve");
 

@@ -31,7 +31,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use zfgan_tensor::fault::{FaultPlan, FaultSite};
-use zfgan_tensor::ConvBackend;
 
 use crate::checkpoint::CheckpointError;
 use crate::durable::{DurableCheckpointer, DurableSnapshot, TrainRecord};
@@ -190,7 +189,6 @@ pub struct SupervisedTrainer {
     trainer: GanTrainer,
     config: SupervisorConfig,
     last_good: TrainerState,
-    backend: ConvBackend,
     /// Global step-attempt counter: the fault plan's index space, so
     /// injection is deterministic across retries and runs.
     attempts: u64,
@@ -212,7 +210,6 @@ impl SupervisedTrainer {
             trainer,
             config,
             last_good,
-            backend: ConvBackend::default(),
             attempts: 0,
             stats: SupervisorStats::default(),
             checkpointer: None,
@@ -277,19 +274,6 @@ impl SupervisedTrainer {
         &self.stats
     }
 
-    /// The currently active convolution backend.
-    pub fn backend(&self) -> ConvBackend {
-        self.backend
-    }
-
-    /// Selects the convolution backend. The supervisor remembers it so a
-    /// rollback (which restores snapshotted layers, carrying *their*
-    /// backend) re-applies the active choice.
-    pub fn set_backend(&mut self, backend: ConvBackend) {
-        self.backend = backend;
-        self.trainer.gan_mut().set_backend(backend);
-    }
-
     /// Unwraps the supervised trainer.
     pub fn into_inner(self) -> GanTrainer {
         self.trainer
@@ -345,7 +329,6 @@ impl SupervisedTrainer {
                 zfgan_telemetry::count("supervisor_anomalies_total", &[("kind", a.name())], 1);
                 zfgan_telemetry::count("supervisor_rollbacks_total", &[], 1);
                 self.trainer.restore(&self.last_good);
-                self.trainer.gan_mut().set_backend(self.backend);
                 *rng = rng_checkpoint;
                 if attempts_this_step > self.config.max_retries {
                     return Err(SupervisorError::RetriesExhausted {
@@ -424,6 +407,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use zfgan_tensor::fault::FaultKind;
+    use zfgan_tensor::ConvBackend;
 
     fn supervised(seed: u64, fault: Option<FaultPlan>) -> SupervisedTrainer {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -527,6 +511,33 @@ mod tests {
         let now = &sup.trainer().gan().discriminator().layers()[0];
         assert!(now.weights().as_slice()[0].is_finite());
         let _ = good;
+    }
+
+    #[test]
+    fn a_rollback_keeps_the_backend_the_pair_trains_on() {
+        let mut rng = SmallRng::seed_from_u64(40);
+        let mut trainer = GanTrainer::new(
+            GanPair::tiny(&mut rng),
+            TrainerConfig {
+                n_critic: 1,
+                ..TrainerConfig::default()
+            },
+        );
+        trainer.gan_mut().set_backend(ConvBackend::GoldenDirect);
+        let mut sup = SupervisedTrainer::new(trainer, SupervisorConfig::default()).unwrap();
+        sup.trainer.gan_mut().discriminator_mut().layers_mut()[0]
+            .weights_mut()
+            .as_mut_slice()[0] = f32::NAN;
+        sup.train_iteration(2, &mut rng).unwrap();
+        assert!(sup.stats().rollbacks >= 1);
+        for net in [
+            sup.trainer().gan().generator(),
+            sup.trainer().gan().discriminator(),
+        ] {
+            for layer in net.layers() {
+                assert_eq!(layer.backend(), ConvBackend::GoldenDirect);
+            }
+        }
     }
 
     #[test]

@@ -392,52 +392,6 @@ pub fn counter_total(reg: &Registry, name: &str) -> u64 {
         .sum()
 }
 
-/// Machine-readable JSON for bench bins (`results/telemetry_*.json`):
-/// the deterministic section plus a `wallclock` object with counters,
-/// span timings and wall-class histograms for cross-PR perf trajectory.
-pub fn telemetry_json(reg: &Registry) -> String {
-    let snap = reg.snapshot();
-    let mut spans = reg.spans();
-    spans.sort_by_key(|s| s.seq);
-    let span_objs: Vec<String> = spans
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"path\":\"{}\",\"start_ns\":{},\"dur_ns\":{}}}",
-                escape(&s.path),
-                s.start_ns,
-                s.dur_ns
-            )
-        })
-        .collect();
-    let wall_hists: Vec<String> = snap
-        .histograms
-        .iter()
-        .filter(|(_, class, _)| *class == Class::WallClock)
-        .map(|(key, _, h)| {
-            format!(
-                "\"{}\":{{\"count\":{},\"sum\":{}}}",
-                escape(&key.render()),
-                h.count,
-                json_f64(h.sum)
-            )
-        })
-        .collect();
-    let wall_counters: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|(_, class, _)| *class == Class::WallClock)
-        .map(|(key, _, v)| format!("\"{}\":{}", escape(&key.render()), v))
-        .collect();
-    format!(
-        "{{\"deterministic\":{},\n\"wallclock\":{{\"counters\":{{{}}},\"spans\":[{}],\"histograms\":{{{}}}}}}}\n",
-        deterministic_section(reg),
-        wall_counters.join(","),
-        span_objs.join(","),
-        wall_hists.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,7 +447,7 @@ mod tests {
         assert!(det.contains("\"ratio{of=\\\"inf\\\"}\":null"), "{det}");
         assert!(det.contains("\"ratio{of=\\\"one\\\"}\":1"), "{det}");
         assert!(det.contains("\"bounds\":[1,null]"), "{det}");
-        for json in [det, telemetry_json(&reg)] {
+        for json in [det, chrome_trace(&reg, &[])] {
             let parsed: serde_json::Value =
                 serde_json::from_str(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
             assert!(parsed.as_object().is_some());

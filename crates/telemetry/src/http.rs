@@ -1,8 +1,9 @@
-//! A dependency-free, single-threaded HTTP endpoint exposing the
-//! process-global registry in Prometheus text exposition format — the
-//! shared server behind `zfgan serve-metrics` and the DSE engine's
-//! cache/shard counters (anything recorded into [`crate::global`] rides
-//! the same `/metrics` page).
+//! A dependency-free, single-threaded HTTP endpoint exposing one
+//! [`Registry`] in Prometheus text exposition format — the server behind
+//! `zfgan serve-metrics`. The caller hands [`serve_on`] the registry; the
+//! loop runs under a [`crate::scope`] of it, so its own self-metrics land
+//! there too, and anything another thread records into a scope of the same
+//! registry rides the same `/metrics` page.
 //!
 //! The server is deliberately minimal: one `std::net::TcpListener`, one
 //! request per connection, `GET /metrics` (the [`export::prometheus`]
@@ -19,29 +20,32 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::export;
+use crate::{export, Registry};
 
 /// Histogram bounds for request-handling latency, in seconds.
 const LATENCY_BOUNDS: [f64; 4] = [1e-4, 1e-3, 1e-2, 1e-1];
 
 /// The serving loop over an already-bound listener (callers bind the
 /// address themselves, so tests and the CLI can both use ephemeral
-/// ports).
+/// ports), exposing `reg` and recording its self-metrics into it.
 ///
 /// # Errors
 ///
 /// Never errors today; the `Result` keeps the CLI signature uniform.
-pub fn serve_on(listener: TcpListener, max_requests: Option<u64>) -> Result<String, String> {
-    // The global registry must be live for the self-metrics (and for
-    // anything else the process records while serving).
-    crate::set_enabled(true);
+pub fn serve_on(
+    listener: TcpListener,
+    reg: Arc<Registry>,
+    max_requests: Option<u64>,
+) -> Result<String, String> {
+    let _scope = crate::scope(Arc::clone(&reg));
     let mut served = 0u64;
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
         let started = Instant::now();
-        handle(stream);
+        handle(stream, &reg);
         crate::observe_wall(
             "serve_request_seconds",
             &[],
@@ -57,7 +61,7 @@ pub fn serve_on(listener: TcpListener, max_requests: Option<u64>) -> Result<Stri
 }
 
 /// Parses the request line and writes the matching response.
-fn handle(mut stream: TcpStream) {
+fn handle(mut stream: TcpStream, reg: &Registry) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let Some(path) = read_request_path(&stream) else {
         respond(&mut stream, "400 Bad Request", "bad request\n");
@@ -66,7 +70,7 @@ fn handle(mut stream: TcpStream) {
     crate::count_wall("serve_requests_total", &[("path", &path)], 1);
     match path.as_str() {
         "/metrics" => {
-            let body = export::prometheus(&crate::global().snapshot());
+            let body = export::prometheus(&reg.snapshot());
             respond(&mut stream, "200 OK", &body);
         }
         "/health" => respond(&mut stream, "200 OK", "ok\n"),
@@ -155,18 +159,25 @@ pub fn scrape(addr: &str, path: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn spawn_server(max: u64) -> (String, std::thread::JoinHandle<Result<String, String>>) {
+    fn spawn_server(
+        reg: &Arc<Registry>,
+        max: u64,
+    ) -> (String, std::thread::JoinHandle<Result<String, String>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || serve_on(listener, Some(max)));
+        let reg = Arc::clone(reg);
+        let handle = std::thread::spawn(move || serve_on(listener, reg, Some(max)));
         (addr, handle)
     }
 
     #[test]
     fn metrics_health_and_404_round_trip() {
-        // `serve_on` switches the global registry on and leaves it on.
-        let _switch = crate::GlobalSwitchGuard::lock();
-        let (addr, handle) = spawn_server(4);
+        // The served registry is the caller's: what this thread records
+        // under a scope of it shows on the page beside the self-metrics.
+        let reg = Arc::new(Registry::new());
+        let _scope = crate::scope(Arc::clone(&reg));
+        crate::count("cells_total", &[], 7);
+        let (addr, handle) = spawn_server(&reg, 4);
 
         let body = scrape(&addr, "/health").unwrap();
         assert_eq!(body, "ok\n");
@@ -182,6 +193,7 @@ mod tests {
             body.contains("serve_requests_total{path=\"/health\"} 1"),
             "{body}"
         );
+        assert!(body.contains("cells_total 7"), "{body}");
 
         let err = scrape(&addr, "/nope").unwrap_err();
         assert!(err.contains("404"), "{err}");

@@ -15,14 +15,13 @@
 //!
 //! # Activation model
 //!
-//! Instrumentation is off by default and free-ish when off (one thread-local
-//! + one atomic check). Two ways to turn it on:
-//!
-//! - [`set_enabled`]`(true)` routes events to the process-wide [`global`]
-//!   registry — what CLI flags and bench bins use.
-//! - [`scope`] pushes a private [`Registry`] onto a thread-local stack; the
-//!   innermost scope wins over the global. Tests use this so parallel cargo
-//!   test threads never share counters.
+//! Instrumentation is off by default and free-ish when off (one
+//! thread-local check). The one way to turn it on is [`scope`]: it pushes
+//! a [`Registry`] onto a thread-local stack, and the innermost scope
+//! receives the thread's events until its guard drops. A task that runs on
+//! another thread on behalf of a scoped one re-enters the caller's
+//! registry there ([`current_scope`]), so parallel work lands in one place
+//! and parallel cargo test threads never share counters.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -48,56 +47,16 @@ pub use registry::{Class, HistogramSnapshot, MetricKey, Registry, Snapshot};
 pub use span::{Span, SpanRecord};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(false);
+use std::sync::Arc;
 
 thread_local! {
     static SCOPE: RefCell<Vec<Arc<Registry>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The process-wide registry (created on first touch, lives forever).
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
-/// Route instrumentation to the [`global`] registry (CLI `--telemetry`,
-/// bench bins). A thread-local [`scope`] still takes precedence.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether any registry is currently receiving events on this thread.
+/// Whether this thread holds a [`scope`], i.e. whether a registry is
+/// receiving its events.
 pub fn enabled() -> bool {
-    SCOPE.with(|s| !s.borrow().is_empty()) || ENABLED.load(Ordering::Relaxed)
-}
-
-/// Where an event goes: the innermost thread-local scope, else the global
-/// registry when enabled.
-pub(crate) enum Target {
-    Global(&'static Registry),
-    Scoped(Arc<Registry>),
-}
-
-impl Target {
-    pub(crate) fn registry(&self) -> &Registry {
-        match self {
-            Target::Global(r) => r,
-            Target::Scoped(r) => r,
-        }
-    }
-}
-
-pub(crate) fn target() -> Option<Target> {
-    if let Some(reg) = current_scope() {
-        return Some(Target::Scoped(reg));
-    }
-    if ENABLED.load(Ordering::Relaxed) {
-        return Some(Target::Global(global()));
-    }
-    None
+    SCOPE.with(|s| !s.borrow().is_empty())
 }
 
 /// RAII guard returned by [`scope`]; pops the registry on drop.
@@ -114,8 +73,7 @@ impl Drop for ScopeGuard {
 }
 
 /// Route this thread's instrumentation to `reg` until the guard drops.
-/// Scopes nest; the innermost wins. This is how tests stay hermetic under
-/// cargo's parallel test threads.
+/// Scopes nest; the innermost wins.
 pub fn scope(reg: Arc<Registry>) -> ScopeGuard {
     SCOPE.with(|s| s.borrow_mut().push(reg));
     ScopeGuard { _priv: () }
@@ -132,16 +90,15 @@ pub fn current_scope() -> Option<Arc<Registry>> {
 /// Add `delta` to the deterministic counter `name{labels}` (no-op when
 /// telemetry is off).
 pub fn count(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if let Some(t) = target() {
-        t.registry().add(Class::Deterministic, name, labels, delta);
+    if let Some(reg) = current_scope() {
+        reg.add(Class::Deterministic, name, labels, delta);
     }
 }
 
 /// Set the deterministic gauge `name{labels}` (no-op when telemetry is off).
 pub fn gauge(name: &str, labels: &[(&str, &str)], value: f64) {
-    if let Some(t) = target() {
-        t.registry()
-            .set_gauge(Class::Deterministic, name, labels, value);
+    if let Some(reg) = current_scope() {
+        reg.set_gauge(Class::Deterministic, name, labels, value);
     }
 }
 
@@ -150,35 +107,32 @@ pub fn gauge(name: &str, labels: &[(&str, &str)], value: f64) {
 /// scheduling-dependent quantities (work steals, queue churn) that must
 /// never enter the byte-diffed section.
 pub fn count_wall(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if let Some(t) = target() {
-        t.registry().add(Class::WallClock, name, labels, delta);
+    if let Some(reg) = current_scope() {
+        reg.add(Class::WallClock, name, labels, delta);
     }
 }
 
 /// Set the wall-clock gauge `name{labels}` — excluded from the deterministic
 /// export section (no-op when telemetry is off).
 pub fn gauge_wall(name: &str, labels: &[(&str, &str)], value: f64) {
-    if let Some(t) = target() {
-        t.registry()
-            .set_gauge(Class::WallClock, name, labels, value);
+    if let Some(reg) = current_scope() {
+        reg.set_gauge(Class::WallClock, name, labels, value);
     }
 }
 
 /// Observe into the deterministic histogram `name{labels}` with fixed
 /// `bounds` (no-op when telemetry is off).
 pub fn observe(name: &str, labels: &[(&str, &str)], bounds: &[f64], value: f64) {
-    if let Some(t) = target() {
-        t.registry()
-            .observe(Class::Deterministic, name, labels, bounds, value);
+    if let Some(reg) = current_scope() {
+        reg.observe(Class::Deterministic, name, labels, bounds, value);
     }
 }
 
 /// Observe into a wall-clock histogram — excluded from the deterministic
 /// export section (no-op when telemetry is off).
 pub fn observe_wall(name: &str, labels: &[(&str, &str)], bounds: &[f64], value: f64) {
-    if let Some(t) = target() {
-        t.registry()
-            .observe(Class::WallClock, name, labels, bounds, value);
+    if let Some(reg) = current_scope() {
+        reg.observe(Class::WallClock, name, labels, bounds, value);
     }
 }
 
@@ -197,49 +151,16 @@ macro_rules! span {
     };
 }
 
-/// Serialises the lib tests that read or flip the process-global
-/// [`ENABLED`] switch (`cargo test` runs tests on parallel threads): the
-/// guard holds a lock for the test's duration and switches telemetry back
-/// off when dropped, so a test that asserts "disabled" never observes
-/// another test's `set_enabled(true)`.
-#[cfg(test)]
-pub(crate) struct GlobalSwitchGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-#[cfg(test)]
-impl GlobalSwitchGuard {
-    pub(crate) fn lock() -> Self {
-        static SWITCH_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        // The lock guards no data, so a holder that panicked left nothing
-        // half-updated.
-        Self {
-            _lock: SWITCH_TESTS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-}
-
-#[cfg(test)]
-impl Drop for GlobalSwitchGuard {
-    fn drop(&mut self) {
-        set_enabled(false);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_means_no_target_and_inert_spans() {
-        let _switch = GlobalSwitchGuard::lock();
-        // Scoped stack empty on this thread and nobody holds the switch on.
-        assert!(SCOPE.with(|s| s.borrow().is_empty()));
+        assert!(!enabled());
         let s = span!("ignored/{}", 1);
         assert!(!s.is_active());
-        count("nothing", &[], 1); // must not create the global registry series
+        count("nothing", &[], 1); // no registry to land in
     }
 
     #[test]
@@ -290,10 +211,8 @@ mod tests {
     fn scoped_threads_do_not_leak_across() {
         let reg = Arc::new(Registry::new());
         let _g = scope(Arc::clone(&reg));
-        let handle = std::thread::spawn(enabled);
-        // A fresh thread has no scope; unless the global flag is set by a
-        // parallel test it sees telemetry off.
-        let _ = handle.join();
+        // A fresh thread has no scope, so it sees telemetry off.
+        assert!(!std::thread::spawn(enabled).join().unwrap());
         count("c", &[], 3);
         assert_eq!(reg.snapshot().counters[0].2, 3);
     }

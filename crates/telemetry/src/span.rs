@@ -7,8 +7,9 @@
 //! attached explicitly via [`Span::record`] and exported separately.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
-use crate::Target;
+use crate::Registry;
 
 /// A finished span as stored in the registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +33,7 @@ thread_local! {
 }
 
 struct Inner {
-    target: Target,
+    reg: Arc<Registry>,
     path: String,
     depth: u32,
     seq: u64,
@@ -52,7 +53,7 @@ impl Span {
     /// Open a span named `name` under the current thread's span stack.
     /// Returns an inert guard when no registry is active.
     pub fn enter(name: impl Into<String>) -> Span {
-        let Some(target) = crate::target() else {
+        let Some(reg) = crate::current_scope() else {
             return Span { inner: None };
         };
         let (path, depth) = PATH.with(|p| {
@@ -60,12 +61,11 @@ impl Span {
             p.push(name.into());
             (p.join("/"), p.len() as u32 - 1)
         });
-        let reg = target.registry();
         let seq = reg.next_seq();
         let start_ns = reg.elapsed_ns();
         Span {
             inner: Some(Inner {
-                target,
+                reg,
                 path,
                 depth,
                 seq,
@@ -101,7 +101,7 @@ impl Drop for Span {
         PATH.with(|p| {
             p.borrow_mut().pop();
         });
-        let reg = inner.target.registry();
+        let reg = inner.reg;
         let dur_ns = reg.elapsed_ns().saturating_sub(inner.start_ns);
         reg.record_span(SpanRecord {
             path: inner.path,
@@ -117,8 +117,6 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
-    use std::sync::Arc;
 
     #[test]
     fn nested_spans_join_paths_and_record_attrs() {
@@ -143,7 +141,6 @@ mod tests {
 
     #[test]
     fn disabled_span_is_inert() {
-        let _switch = crate::GlobalSwitchGuard::lock();
         let s = Span::enter("nobody-listening");
         assert!(!s.is_active());
     }

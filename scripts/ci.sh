@@ -107,10 +107,13 @@ echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 ZFGAN_NO_SIMD=1 cargo test -q -p zfgan-tensor
 
 echo "=== fault-injection smoke campaign ==="
-# Fixed seed; the binary exits non-zero if any resilience invariant is
+# Fixed seed; the command exits non-zero if any resilience invariant is
 # violated (no detections, silent accumulator corruptions, training
-# failing to complete under rollback).
-ZFGAN_FAULTS_SEED=2024 cargo run -q --release -p zfgan-bench --bin faults
+# failing to complete under rollback), and its campaign JSON must be the
+# committed results/faults.json byte for byte.
+cargo run -q --release -p zfgan -- faults --seed 2024 --out "$tdir/faults.json" > /dev/null
+diff "$tdir/faults.json" results/faults.json
+echo "fault campaign passed and reproduces results/faults.json"
 
 echo "=== telemetry smoke gate ==="
 # Two separate same-seed processes must produce (a) trace files that
@@ -256,9 +259,21 @@ echo "=== crash-resume gate ==="
 # from the surviving store, byte-diff the resumed deterministic section
 # against an uninterrupted baseline; then corrupt stored checkpoint
 # generations and assert detection + fallback. Exits non-zero on any
-# violated durability invariant.
-cargo run -q --release -p zfgan -- crashtest --seed 2024 --dir "$tdir/crashtest" > /dev/null
-echo "crash-resume campaign passed"
+# violated durability invariant; its campaign JSON must be the committed
+# results/crashtest.json byte for byte. Without --dir the command works in
+# a temp directory of its own and removes it: under a temp root of the
+# gate's own, a `zfgan-*` entry left behind fails the stage, named.
+mkdir "$tdir/crash-tmp"
+TMPDIR="$tdir/crash-tmp" cargo run -q --release -p zfgan -- crashtest --seed 2024 \
+    --out "$tdir/crashtest.json" > /dev/null
+diff "$tdir/crashtest.json" results/crashtest.json
+leftover="$(find "$tdir/crash-tmp" -mindepth 1 -maxdepth 1 -name 'zfgan-*')"
+if [ -n "$leftover" ]; then
+    echo "crashtest left temp entries behind:" >&2
+    echo "$leftover" >&2
+    exit 1
+fi
+echo "crash-resume campaign passed, reproduces results/crashtest.json, left no temp entries"
 
 echo "=== corrupted-store smoke ==="
 # Train into a store, flip one byte of the newest generation, resume:

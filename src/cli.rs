@@ -11,6 +11,7 @@
 //! and an empty invocation.
 
 use std::net::TcpListener;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::accel::{datasheet, AccelConfig, GanAccelerator, MemoryAnalysis};
@@ -19,6 +20,7 @@ use crate::faults::{self, CampaignConfig};
 use crate::telemetry::{export, Registry};
 use crate::train::{CrashPhase, CrashSpec, TrainArgs};
 use crate::workloads::GanSpec;
+use serde::Serialize;
 use serde_json::Value;
 
 /// Executes one CLI invocation and returns the text to print.
@@ -59,9 +61,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
         Some((&"faults", rest)) => {
             let flags = parse_flags(
                 rest,
-                &observed(&[("--seed", true), ("--smoke", false), ("--full", false)]),
+                &observed(&[
+                    ("--seed", true),
+                    ("--smoke", false),
+                    ("--full", false),
+                    ("--out", true),
+                ]),
             )?;
-            faults_cmd(&flags)
+            with_telemetry(&flags, || faults_cmd(&flags))
         }
         Some((&"train", rest)) => {
             let flags = parse_flags(
@@ -91,6 +98,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--points", true),
                     ("--trials", true),
                     ("--dir", true),
+                    ("--out", true),
                 ]),
             )?;
             with_telemetry(&flags, || crashtest_cmd(&flags))
@@ -154,8 +162,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
             };
             let args = crate::dse::DseArgs {
                 sweep: sweep.to_string(),
-                cache: flag_str(&flags, "--cache").map(std::path::PathBuf::from),
-                out: flag_str(&flags, "--out").map(std::path::PathBuf::from),
+                cache: flag_str(&flags, "--cache").map(PathBuf::from),
+                out: flag_str(&flags, "--out").map(PathBuf::from),
                 verify,
                 window: flag_num(&flags, "--window")?,
                 shards: flag_num(&flags, "--shards")?,
@@ -190,8 +198,9 @@ fn usage() -> String {
      \x20 datasheet <gan> [--pes N]  full accelerator summary for a workload\n\
      \x20 memory <gan> [--batch N]   Section III-A buffering analysis\n\
      \x20 sweep [<gan>]              PE-count scaling study\n\
-     \x20 faults [--seed N] [--smoke|--full]\n\
-     \x20                            fault-injection campaign: rate x site x dataflow\n\
+     \x20 faults [--seed N] [--smoke|--full] [--out PATH]\n\
+     \x20                            fault-injection campaign: rate x site x dataflow;\n\
+     \x20                            --out writes its JSON (results/faults.json)\n\
      \x20 trace [--arch A] [--seed N] [--capacity N] [--out PATH]\n\
      \x20                            run the cycle-accurate executors and export a\n\
      \x20                            Chrome-trace / Perfetto JSON timeline\n\
@@ -225,9 +234,12 @@ fn usage() -> String {
      \x20                            --gan trains a paper workload (no --dir), not the\n\
      \x20                            tiny pair\n\
      \x20 crashtest [--seed N] [--iters N] [--points N] [--trials N] [--dir PATH]\n\
+     \x20       [--out PATH]\n\
      \x20                            crash-injection campaign: kill training children at\n\
      \x20                            seeded points (incl. torn mid-write), corrupt stored\n\
-     \x20                            checkpoints, prove resume is byte-identical\n\
+     \x20                            checkpoints, prove resume is byte-identical; without\n\
+     \x20                            --dir it works in a temp directory it then removes;\n\
+     \x20                            --out writes its JSON (results/crashtest.json)\n\
      \x20 help                       this text\n\
      \n\
      <gan> is one of: mnist, dcgan, cgan (or a case-insensitive prefix).\n\
@@ -495,8 +507,8 @@ fn report_cmd(flags: &Flags<'_>) -> Result<String, String> {
     Ok(out)
 }
 
-/// `zfgan serve-metrics`: either serve the process-global registry over
-/// HTTP, or (with `--scrape`) act as the matching one-shot client.
+/// `zfgan serve-metrics`: either serve a registry of its own over HTTP,
+/// or (with `--scrape`) act as the matching one-shot client.
 fn serve_cmd(flags: &Flags<'_>) -> Result<String, String> {
     if let Some(addr) = flag_str(flags, "--scrape") {
         let path = flag_str(flags, "--path").unwrap_or("/metrics");
@@ -514,7 +526,7 @@ fn serve_cmd(flags: &Flags<'_>) -> Result<String, String> {
         .local_addr()
         .map_err(|e| format!("--addr {addr}: {e}"))?;
     println!("serving metrics on http://{local}/metrics (also /health); ctrl-c to stop");
-    crate::telemetry::http::serve_on(listener, max)
+    crate::telemetry::http::serve_on(listener, Arc::new(Registry::new()), max)
 }
 
 fn lookup(gan: &str) -> Result<GanSpec, String> {
@@ -605,6 +617,8 @@ fn sweep_cmd(gan: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// `zfgan faults`: run the fault-injection campaign, failing (non-zero
+/// exit) when any resilience invariant is violated.
 fn faults_cmd(flags: &Flags<'_>) -> Result<String, String> {
     if flag_set(flags, "--smoke") && flag_set(flags, "--full") {
         return Err("--smoke and --full are mutually exclusive".to_string());
@@ -615,48 +629,40 @@ fn faults_cmd(flags: &Flags<'_>) -> Result<String, String> {
     } else {
         CampaignConfig::smoke(seed)
     };
-    // The campaign always runs under its own scoped registry so the ABFT
-    // detection-latency histogram and the supervisor counters are captured
-    // even without --telemetry; the flags only control what gets exported.
-    let reg = Arc::new(Registry::new());
-    let result = {
-        let _guard = crate::telemetry::scope(Arc::clone(&reg));
-        faults::run_campaign(&cfg).map_err(|e| format!("campaign failed: {e}"))?
-    };
+    let result = faults::run_campaign(&cfg).map_err(|e| format!("campaign failed: {e}"))?;
     let mut summary = faults::render_summary(&result);
-    if let Some(path) = flag_str(flags, "--trace-out") {
-        let json = export::chrome_trace(&reg, &[]);
-        std::fs::write(path, &json).map_err(|e| format!("--trace-out {path}: {e}"))?;
-        summary.push_str(&format!(
-            "\ntrace written to {path} ({} bytes)\n",
-            json.len()
-        ));
-    }
-    if let Some(path) = flag_str(flags, "--flame-out") {
-        let folded = export::collapsed_stacks(&reg);
-        std::fs::write(path, &folded).map_err(|e| format!("--flame-out {path}: {e}"))?;
-        summary.push_str(&format!(
-            "\nflamegraph (collapsed stacks) written to {path} ({} lines)\n",
-            folded.lines().count()
-        ));
-    }
-    if flag_set(flags, "--telemetry") {
-        summary.push('\n');
-        summary.push_str(&export::summary(&reg));
-    }
-    let violations = faults::smoke_violations(&result);
+    summary += &write_campaign(flag_str(flags, "--out"), &result)?;
+    verdict(summary, "RESILIENCE", faults::smoke_violations(&result))
+}
+
+/// Writes a campaign's result to `--out PATH`, if given, as the pretty
+/// JSON kept under `results/`; returns the line naming the file.
+fn write_campaign(path: Option<&str>, result: &impl Serialize) -> Result<String, String> {
+    let Some(path) = path else {
+        return Ok(String::new());
+    };
+    let json = serde_json::to_string_pretty(result).map_err(|e| format!("--out {path}: {e}"))?;
+    std::fs::write(path, &json).map_err(|e| format!("--out {path}: {e}"))?;
+    Ok(format!(
+        "campaign written to {path} ({} bytes)\n",
+        json.len()
+    ))
+}
+
+/// A campaign's summary when no invariant of the `kind` was violated,
+/// else an error listing the violations under it.
+fn verdict(summary: String, kind: &str, violations: Vec<String>) -> Result<String, String> {
     if violations.is_empty() {
-        Ok(summary)
-    } else {
-        Err(format!(
-            "{summary}\nRESILIENCE INVARIANTS VIOLATED:\n{}",
-            violations
-                .iter()
-                .map(|v| format!("  - {v}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        ))
+        return Ok(summary);
     }
+    Err(format!(
+        "{summary}\n{kind} INVARIANTS VIOLATED:\n{}",
+        violations
+            .iter()
+            .map(|v| format!("  - {v}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    ))
 }
 
 /// `zfgan train`: parse flags into [`TrainArgs`] and run the durable
@@ -679,7 +685,7 @@ fn train_cmd(flags: &Flags<'_>) -> Result<String, String> {
         args.keep = keep;
     }
     args.gan = flag_str(flags, "--gan").map(lookup).transpose()?;
-    args.dir = flag_str(flags, "--dir").map(std::path::PathBuf::from);
+    args.dir = flag_str(flags, "--dir").map(PathBuf::from);
     args.resume = flag_set(flags, "--resume");
     if let Some(iter) = flag_num(flags, "--crash-iter")? {
         let phase = match flag_str(flags, "--crash-phase") {
@@ -712,25 +718,28 @@ fn crashtest_cmd(flags: &Flags<'_>) -> Result<String, String> {
     if let Some(trials) = flag_num(flags, "--trials")? {
         cfg.trials = trials;
     }
-    let dir = match flag_str(flags, "--dir") {
-        Some(d) => std::path::PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("zfgan-crashtest-{}", std::process::id())),
+    // A directory the command picks itself is removed when it returns,
+    // also on the error path; a `--dir` the user gave is kept.
+    let (dir, _picked) = match flag_str(flags, "--dir") {
+        Some(d) => (PathBuf::from(d), None),
+        None => {
+            let dir = std::env::temp_dir().join(format!("zfgan-crashtest-{}", std::process::id()));
+            (dir.clone(), Some(RemoveDir(dir)))
+        }
     };
     let result = crashtest::run_campaign(&cfg, &crashtest::ExeRunner, &dir)
         .map_err(|e| format!("campaign failed: {e}"))?;
-    let summary = crashtest::render_summary(&result);
-    let violations = crashtest::violations(&result);
-    if violations.is_empty() {
-        Ok(summary)
-    } else {
-        Err(format!(
-            "{summary}\nDURABILITY INVARIANTS VIOLATED:\n{}",
-            violations
-                .iter()
-                .map(|v| format!("  - {v}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        ))
+    let mut summary = crashtest::render_summary(&result);
+    summary += &write_campaign(flag_str(flags, "--out"), &result)?;
+    verdict(summary, "DURABILITY", crashtest::violations(&result))
+}
+
+/// Removes its directory tree when dropped.
+struct RemoveDir(PathBuf);
+
+impl Drop for RemoveDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -794,6 +803,22 @@ mod tests {
         assert!(out.contains("gemm-accumulator"), "{out}");
         assert!(out.contains("Supervised training"), "{out}");
         assert!(out.contains("completed: true"), "{out}");
+    }
+
+    #[test]
+    fn faults_out_reproduces_the_committed_campaign_json() {
+        let dir = std::env::temp_dir().join(format!("zfgan-cli-faults-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let _dir = RemoveDir(dir.clone());
+        let path = dir.join("faults.json");
+        let out = run(&args(&["faults", "--out", path.to_str().unwrap()])).unwrap();
+        assert!(out.contains("campaign written to"), "{out}");
+        let committed =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/faults.json");
+        assert_eq!(
+            std::fs::read_to_string(path).unwrap(),
+            std::fs::read_to_string(committed).unwrap()
+        );
     }
 
     #[test]
