@@ -17,6 +17,10 @@
 //! `Fx` semantics (widened i32 lanes, round-half-up at every
 //! multiply, saturating adds) bit-for-bit end to end, not just on the
 //! proptest corpus.
+//!
+//! It is the crate's one binary, and not a `zfgan paper` entry, because
+//! its transcript is a CI probe compared run against run, not a result
+//! kept under `results/`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -1,108 +1,13 @@
-//! Shared plumbing for the evaluation harness binaries.
+//! The in-process speed-ratio gates behind `cargo bench -p zfgan-bench`.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §4 for the index). They print an aligned text table to
-//! stdout — the same rows/series the paper reports — and drop a
-//! machine-readable JSON copy under `results/` so `EXPERIMENTS.md` can be
-//! regenerated and diffed.
+//! Each bench in `benches/` times a fast path against its baseline in
+//! paired, interleaved rounds ([`paired_ratio`]) and asserts the median
+//! ratio holds a floor ([`gate`], [`fan_out_gate`]); none writes a file.
+//! The one binary, `fxsweep`, is `scripts/ci.sh`'s Q8.8 SIMD transcript.
+//! The paper's tables and figures are `zfgan paper <name>`.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
-
-use std::fs;
-use std::path::PathBuf;
-
-use serde::Serialize;
-
-/// A simple aligned-column text table.
-#[derive(Debug, Default)]
-pub struct TextTable {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl TextTable {
-    /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Self {
-        Self {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (padded/truncated to the header width).
-    pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) -> &mut Self {
-        let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
-        row.resize(self.header.len(), String::new());
-        self.rows.push(row);
-        self
-    }
-
-    /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
-        let ncols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(ncols) {
-                widths[i] = widths[i].max(cell.chars().count());
-            }
-        }
-        let fmt_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
-                .collect::<Vec<_>>()
-                .join("  ")
-                .trim_end()
-                .to_string()
-        };
-        let sep = widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>()
-            .join("  ");
-        let mut out = String::new();
-        out.push_str(&fmt_row(&self.header));
-        out.push('\n');
-        out.push_str(&sep);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Where sidecars land: `results/` unless `ZFGAN_RESULTS_DIR` redirects
-/// it (CI smoke runs point it at a temp dir so short measurement windows
-/// never clobber the tracked numbers).
-fn results_dir() -> PathBuf {
-    std::env::var_os("ZFGAN_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Prints a figure/table banner, the rendered table, and writes the JSON
-/// sidecar under `results/<name>.json` (best effort — the harness still
-/// succeeds if the directory is read-only).
-pub fn emit<T: Serialize>(name: &str, title: &str, table: &TextTable, data: &T) {
-    println!("== {title} ==");
-    println!("{}", table.render());
-    let dir = results_dir();
-    let _ = fs::create_dir_all(&dir);
-    match serde_json::to_string_pretty(data) {
-        Ok(json) => {
-            let path = dir.join(format!("{name}.json"));
-            if fs::write(&path, json).is_ok() {
-                println!("[wrote {}]", path.display());
-            }
-        }
-        Err(err) => eprintln!("warning: could not serialise {name}: {err}"),
-    }
-    println!();
-}
 
 /// Paired, interleaved in-process speed ratio `base / fast`: every round
 /// times one `base` call and one `fast` call back to back, alternating
@@ -235,49 +140,9 @@ pub fn fmt_x(v: f64) -> String {
     format!("{v:.2}x")
 }
 
-/// Formats a byte count with an SI suffix.
-pub fn fmt_bytes(b: u64) -> String {
-    const UNITS: [&str; 4] = ["B", "KB", "MB", "GB"];
-    let mut v = b as f64;
-    let mut i = 0;
-    while v >= 1000.0 && i < UNITS.len() - 1 {
-        v /= 1000.0;
-        i += 1;
-    }
-    if i == 0 {
-        format!("{b} B")
-    } else {
-        format!("{v:.1} {}", UNITS[i])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = TextTable::new(["name", "value"]);
-        t.row(["alpha", "1"]).row(["b", "22"]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[2].starts_with("alpha"));
-    }
-
-    #[test]
-    fn short_rows_are_padded() {
-        let mut t = TextTable::new(["a", "b", "c"]);
-        t.row(["1"]);
-        assert!(t.render().contains('1'));
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(125_829_120), "125.8 MB");
-    }
 
     #[test]
     fn ratio_formatting() {

@@ -18,8 +18,8 @@
 //! The two modes are *exactly* equivalent because the WGAN loss is linear in
 //! the critic outputs; [`GanTrainer`] exposes the buffered-intermediate
 //! high-water mark of each mode so the paper's 2·batch → 1 memory claim is a
-//! measurable fact rather than an assertion (see this crate's tests and the
-//! `memory` bench binary).
+//! measurable fact rather than an assertion (see this crate's tests and
+//! `zfgan paper memory`).
 //!
 //! # Example
 //!

@@ -3,8 +3,9 @@
 //! The analytical models in [`crate::Platform`] are calibrated from
 //! published device constants; this module grounds the CPU side by actually
 //! executing the golden-reference convolutions single-threaded and timing
-//! them. It is used by the `fig19` bench binary to report a "measured Rust
-//! CPU" row alongside the analytical Caffe-CPU row.
+//! them. `zfgan paper fig19` prints it as a "measured Rust CPU" point
+//! under the analytical Caffe-CPU rows; it is wall time, so it is printed
+//! only and kept out of `results/fig19.json`.
 
 use std::time::Instant;
 

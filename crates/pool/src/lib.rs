@@ -2,7 +2,7 @@
 //! pool for the data-parallel hot paths: the packed GEMM's row chunks, `B`
 //! packing and lowering fills (`zfgan-tensor`), the zero-free executors'
 //! lane chunks (`zfgan-dataflow`), the DSE unroll search and cell waves
-//! (`zfgan-dse`), and the figure binaries' sweep maps.
+//! (`zfgan-dse`), and the sweep maps behind `zfgan paper`.
 //!
 //! Before this crate existed every parallel call site spawned and joined
 //! fresh OS threads, which made a parallel GEMM *slower* than the naive
@@ -222,8 +222,8 @@ fn steal(shared: &Shared, me: usize) -> Option<Task> {
 /// parks, and a submitter whose batch is finishing on other threads before
 /// it blocks. A train step submits its batches in bursts (pack, GEMM, next
 /// fill) a few microseconds apart, and waking a parked worker costs more
-/// than a 20 µs task takes; the gaps *between* bursts (a figure binary's
-/// serial section) are milliseconds, and those park.
+/// than a 20 µs task takes; the gaps *between* bursts (a figure's serial
+/// section) are milliseconds, and those park.
 const SPIN_WINDOW: Duration = Duration::from_micros(200);
 
 fn worker_loop(shared: &'static Shared, me: usize) {

@@ -110,9 +110,11 @@ echo "=== fault-injection smoke campaign ==="
 # Fixed seed; the command exits non-zero if any resilience invariant is
 # violated (no detections, silent accumulator corruptions, training
 # failing to complete under rollback), and its campaign JSON must be the
-# committed results/faults.json byte for byte.
-cargo run -q --release -p zfgan -- faults --seed 2024 --out "$tdir/faults.json" > /dev/null
-diff "$tdir/faults.json" results/faults.json
+# committed results/faults.json byte for byte. It lands in the temp
+# results directory the paper stage below regenerates and digests.
+mkdir "$tdir/results"
+cargo run -q --release -p zfgan -- faults --seed 2024 --out "$tdir/results/faults.json" > /dev/null
+diff "$tdir/results/faults.json" results/faults.json
 echo "fault campaign passed and reproduces results/faults.json"
 
 echo "=== telemetry smoke gate ==="
@@ -174,15 +176,6 @@ for path in packed ikj smallm; do
     diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/f32_$path.txt")
     echo "forced $path: tensor suite + Q8.8 transcript + f32 train digest OK"
 done
-
-echo "=== bench gates (paired in-process speed ratios) ==="
-# Each harness asserts its own floors on `zfgan_bench::paired_ratio`
-# (packed GEMM vs naive, its pool fan-out vs one inline chunk, dispatched
-# vs forced-packed, AVX-512 vs AVX2 tile, the critic's score layer vs its
-# golden nest, DCGAN's parameter-sized passes vs their serial loops, the
-# nine executor engines vs the scalar oracle) plus warm vs cold DSE. One
-# pass, no retry: a pair's two sides share whatever the host is doing.
-cargo bench -q -p zfgan-bench
 
 echo "=== perf ledger round trip ==="
 # A smoke run of the repo benchmark, ingested twice into a temp ledger:
@@ -265,8 +258,8 @@ echo "=== crash-resume gate ==="
 # gate's own, a `zfgan-*` entry left behind fails the stage, named.
 mkdir "$tdir/crash-tmp"
 TMPDIR="$tdir/crash-tmp" cargo run -q --release -p zfgan -- crashtest --seed 2024 \
-    --out "$tdir/crashtest.json" > /dev/null
-diff "$tdir/crashtest.json" results/crashtest.json
+    --out "$tdir/results/crashtest.json" > /dev/null
+diff "$tdir/results/crashtest.json" results/crashtest.json
 leftover="$(find "$tdir/crash-tmp" -mindepth 1 -maxdepth 1 -name 'zfgan-*')"
 if [ -n "$leftover" ]; then
     echo "crashtest left temp entries behind:" >&2
@@ -274,6 +267,19 @@ if [ -n "$leftover" ]; then
     exit 1
 fi
 echo "crash-resume campaign passed, reproduces results/crashtest.json, left no temp entries"
+
+echo "=== paper results, byte for byte ==="
+# Every committed result is a pure function of the tree: `zfgan paper all`
+# rewrites each table's JSON beside the two campaign files the stages above
+# wrote, then the RESULTS.md digest of all of them, once on the runtime-
+# detected SIMD kernels and once on the scalar ones. Each run must equal
+# results/ file for file; the ledger and the logs are measurements, not
+# results.
+cargo run -q --release -p zfgan -- paper all --out "$tdir/results" > /dev/null
+diff -r -x ledger.jsonl -x logs "$tdir/results" results
+ZFGAN_NO_SIMD=1 cargo run -q --release -p zfgan -- paper all --out "$tdir/results" > /dev/null
+diff -r -x ledger.jsonl -x logs "$tdir/results" results
+echo "zfgan paper all reproduces results/ on SIMD and scalar kernels"
 
 echo "=== corrupted-store smoke ==="
 # Train into a store, flip one byte of the newest generation, resume:
@@ -346,5 +352,15 @@ diff "$tdir/dse_cold.jsonl" "$tdir/dse_corrupt.jsonl"
 echo "dse streams are byte-identical (cold shards, warm, verified, corrupted cell)"
 # Concurrent writers on one cache, some SIGKILLed mid-run: the cache heals.
 scripts/dse_kill_campaign.sh 20 3 | tail -1
+
+echo "=== bench gates (paired in-process speed ratios) ==="
+# Each harness asserts its own floors on `zfgan_bench::paired_ratio`
+# (packed GEMM vs naive, its pool fan-out vs one inline chunk, dispatched
+# vs forced-packed, AVX-512 vs AVX2 tile, the critic's score layer vs its
+# golden nest, DCGAN's parameter-sized passes vs their serial loops, the
+# nine executor engines vs the scalar oracle) plus warm vs cold DSE. One
+# pass, no retry: a pair's two sides share whatever the host is doing.
+# Last, so a red gate cannot hide a correctness stage.
+cargo bench -q -p zfgan-bench
 
 echo "CI gate passed."

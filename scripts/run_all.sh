@@ -1,23 +1,19 @@
 #!/usr/bin/env bash
-# Regenerates every experiment of the paper plus the extensions, then the
-# Markdown digest. Run from the repository root.
+# Regenerates every committed result under results/: the fault and crash
+# campaigns, then every table and figure of the paper plus the extensions
+# and the Markdown digest of all of them. Run from the repository root.
+# Every file it writes is a pure function of the tree, so on a clean
+# checkout `git status --porcelain results/` stays empty.
 set -euo pipefail
 
-BINS=(table3 table4 table5 fig15 fig16 fig17 fig18 fig19 memory zeros \
-      timeline ablation related_work quantization energy)
+cargo build --release -p zfgan
 
-cargo build --release -p zfgan -p zfgan-bench --bins
-
-for bin in "${BINS[@]}"; do
-    echo "=== $bin ==="
-    "./target/release/$bin"
-done
-# The fault and crash campaigns run through the CLI, their one front end.
+# The campaigns first: the digest `paper all` writes last collects them too.
 for campaign in faults crashtest; do
     echo "=== $campaign ==="
     ./target/release/zfgan "$campaign" --seed 2024 --out "results/$campaign.json"
 done
-echo "=== report ==="
-./target/release/report
+echo "=== paper all ==="
+./target/release/zfgan paper all
 
 echo "All experiments regenerated; digest at results/RESULTS.md"

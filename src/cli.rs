@@ -14,7 +14,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crate::accel::{datasheet, AccelConfig, GanAccelerator, MemoryAnalysis};
+use crate::accel::{datasheet, AccelConfig, GanAccelerator};
 use crate::crashtest;
 use crate::faults::{self, CampaignConfig};
 use crate::telemetry::{export, Registry};
@@ -44,11 +44,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let flags = parse_flags(rest, &observed(&[("--pes", true)]))?;
             let pes = flag_num(&flags, "--pes")?;
             with_telemetry(&flags, || datasheet_cmd(gan, pes))
-        }
-        Some((&"memory", rest)) => {
-            let (gan, rest) = positional(rest, "memory", "<gan>")?;
-            let flags = parse_flags(rest, &[("--batch", true)])?;
-            memory_cmd(gan, flag_num(&flags, "--batch")?.unwrap_or(256))
         }
         Some((&"sweep", rest)) => {
             let (gan, rest) = match rest.split_first() {
@@ -172,6 +167,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
             };
             with_telemetry(&flags, || crate::dse::run_dse(&args))
         }
+        Some((&"paper", rest)) => {
+            let (name, rest) = positional(rest, "paper", "<name>")?;
+            let flags = parse_flags(rest, &[("--out", true)])?;
+            let dir = flag_str(&flags, "--out").unwrap_or("results");
+            crate::paper::run(name, std::path::Path::new(dir))
+        }
         Some((&"serve-metrics", rest)) => {
             let flags = parse_flags(
                 rest,
@@ -196,7 +197,6 @@ fn usage() -> String {
      COMMANDS:\n\
      \x20 list                       the built-in GAN workloads\n\
      \x20 datasheet <gan> [--pes N]  full accelerator summary for a workload\n\
-     \x20 memory <gan> [--batch N]   Section III-A buffering analysis\n\
      \x20 sweep [<gan>]              PE-count scaling study\n\
      \x20 faults [--seed N] [--smoke|--full] [--out PATH]\n\
      \x20                            fault-injection campaign: rate x site x dataflow;\n\
@@ -240,14 +240,18 @@ fn usage() -> String {
      \x20                            checkpoints, prove resume is byte-identical; without\n\
      \x20                            --dir it works in a temp directory it then removes;\n\
      \x20                            --out writes its JSON (results/crashtest.json)\n\
+     \x20 paper <name>|all [--out DIR]\n\
+     \x20                            one table or figure of the paper's evaluation\n\
+     \x20                            (table3..5, fig15..19, memory, zeros, timeline,\n\
+     \x20                            ablation, related_work, quantization, energy) and its\n\
+     \x20                            JSON under DIR (results/); digest writes DIR/RESULTS.md\n\
      \x20 help                       this text\n\
      \n\
      <gan> is one of: mnist, dcgan, cgan (or a case-insensitive prefix).\n\
      datasheet/sweep/faults/train/crashtest/dse also accept --telemetry (print a\n\
      metrics summary), --trace-out PATH (write a Chrome-trace JSON of the run)\n\
      and --flame-out PATH (write a collapsed-stack flamegraph of the run's\n\
-     spans, loadable by inferno / speedscope).\n\
-     The full per-figure evaluation lives in `cargo run -p zfgan-bench --bin <figN|tableN|...>`.\n"
+     spans, loadable by inferno / speedscope).\n"
         .to_string()
 }
 
@@ -564,34 +568,6 @@ fn datasheet_cmd(gan: &str, pes: Option<usize>) -> Result<String, String> {
     Ok(datasheet(&GanAccelerator::new(config, spec), 64))
 }
 
-fn memory_cmd(gan: &str, batch: usize) -> Result<String, String> {
-    if batch == 0 {
-        return Err("--batch must be non-zero".to_string());
-    }
-    let spec = lookup(gan)?;
-    let m = MemoryAnalysis::analyse(&spec, batch, 2);
-    Ok(format!(
-        "{} @ batch {batch} (16-bit data):\n\
-         \x20 synchronized buffering : {:>12} bytes ({}on chip)\n\
-         \x20 deferred buffering     : {:>12} bytes ({}on chip)\n\
-         \x20 reduction              : {:.0}x (= 2 x batch)\n",
-        spec.name(),
-        m.synchronized_bytes,
-        if m.synchronized_fits_on_chip {
-            "fits "
-        } else {
-            "does NOT fit "
-        },
-        m.deferred_bytes,
-        if m.deferred_fits_on_chip {
-            "fits "
-        } else {
-            "does NOT fit "
-        },
-        m.reduction_factor(),
-    ))
-}
-
 fn sweep_cmd(gan: &str) -> Result<String, String> {
     let spec = lookup(gan)?;
     let mut out = format!(
@@ -754,7 +730,7 @@ mod tests {
     #[test]
     fn help_lists_all_commands() {
         let out = run(&args(&["help"])).unwrap();
-        for cmd in ["list", "datasheet", "memory", "sweep", "faults"] {
+        for cmd in ["list", "datasheet", "sweep", "faults", "paper"] {
             assert!(out.contains(cmd), "usage missing {cmd}");
         }
         assert_eq!(run(&[]).unwrap(), out);
@@ -781,13 +757,6 @@ mod tests {
         assert!(out.contains("cGAN"));
         // 512-PE split: 23 ST channels × 16 PEs.
         assert!(out.contains("4x4x23"), "{out}");
-    }
-
-    #[test]
-    fn memory_reports_the_126_mb_figure() {
-        let out = run(&args(&["memory", "dcgan"])).unwrap();
-        assert!(out.contains("125829120"), "{out}");
-        assert!(out.contains("512x"));
     }
 
     #[test]
@@ -905,9 +874,6 @@ mod tests {
         assert!(run(&args(&["datasheet", "nope"]))
             .unwrap_err()
             .contains("unknown GAN"));
-        assert!(run(&args(&["memory", "dcgan", "--batch", "x"]))
-            .unwrap_err()
-            .contains("not a number"));
         assert!(run(&args(&["datasheet", "cgan", "--pes", "8"]))
             .unwrap_err()
             .contains("too small"));
@@ -922,17 +888,17 @@ mod tests {
         assert!(err.contains("unknown flag '--pse'"), "{err}");
         assert!(err.contains("--pes"), "{err}");
 
-        let err = run(&args(&["memory", "dcgan", "--pes", "4"])).unwrap_err();
+        let err = run(&args(&["paper", "table3", "--batch", "4"])).unwrap_err();
         assert_eq!(err.lines().count(), 1, "{err}");
-        assert!(err.contains("--batch"), "{err}");
+        assert!(err.contains("--out"), "{err}");
 
         // Malformed value: names flag and offending token.
         let err = run(&args(&["datasheet", "cgan", "--pes", "many"])).unwrap_err();
         assert_eq!(err, "--pes: 'many' is not a number");
 
         // Missing value.
-        let err = run(&args(&["memory", "dcgan", "--batch"])).unwrap_err();
-        assert_eq!(err, "--batch needs a value");
+        let err = run(&args(&["paper", "table3", "--out"])).unwrap_err();
+        assert_eq!(err, "--out needs a value");
 
         // Commands without flags reject stray ones.
         let err = run(&args(&["list", "--verbose"])).unwrap_err();
@@ -946,6 +912,65 @@ mod tests {
         assert_eq!(err, "--smoke and --full are mutually exclusive");
         let err = run(&args(&["faults", "--seed", "NaN"])).unwrap_err();
         assert_eq!(err, "--seed: 'NaN' is not a number");
+    }
+
+    #[test]
+    fn paper_reproduces_the_committed_results() {
+        let dir = std::env::temp_dir().join(format!("zfgan-cli-paper-{}", std::process::id()));
+        let _dir = RemoveDir(dir.clone());
+        let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+        // Every entry that is cheap in the debug profile: `fig19` times a
+        // reference run and `quantization` runs naive Q8.8 nests, both
+        // slow unoptimised; `ablation` stops at a debug-only assertion
+        // (`rtl::reorder_load_comparison` holds two f32 sums to 1e-9).
+        for name in [
+            "table3",
+            "table4",
+            "table5",
+            "fig15",
+            "fig16",
+            "fig17",
+            "fig18",
+            "memory",
+            "zeros",
+            "timeline",
+            "related_work",
+            "energy",
+        ] {
+            let out = run(&args(&["paper", name, "--out", dir.to_str().unwrap()])).unwrap();
+            assert!(out.contains(".json]"), "{out}");
+        }
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        // `energy` writes two files.
+        assert_eq!(files.len(), 13, "{files:?}");
+        for file in files {
+            assert_eq!(
+                std::fs::read_to_string(dir.join(&file)).unwrap(),
+                std::fs::read_to_string(committed.join(&file)).unwrap(),
+                "{file:?} differs from the committed file"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_names_its_entries_when_one_is_unknown() {
+        let err = run(&args(&["paper", "fig99"])).unwrap_err();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains("unknown paper entry 'fig99'"), "{err}");
+        for name in ["table3", "fig19", "energy", "digest", "all"] {
+            assert!(err.contains(name), "{err}");
+        }
+        let err = run(&args(&["paper"])).unwrap_err();
+        assert!(err.contains("paper: missing <name>"), "{err}");
+    }
+
+    #[test]
+    fn memory_is_not_a_command() {
+        let err = run(&args(&["memory", "dcgan"])).unwrap_err();
+        assert!(err.starts_with("unknown command 'memory'"), "{err}");
     }
 
     #[test]

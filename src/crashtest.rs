@@ -137,10 +137,8 @@ pub trait ChildRunner {
     fn run(&self, args: &[String]) -> Result<(bool, String), String>;
 }
 
-/// The real runner: re-invokes [`std::env::current_exe`]. Both the
-/// `zfgan` binary and the bench `crashtest` binary route a leading
-/// `train` argument to the same CLI, so children behave identically no
-/// matter which binary hosts the campaign.
+/// The real runner: re-invokes [`std::env::current_exe`], the `zfgan`
+/// binary, whose CLI runs a leading `train` argument as the child.
 #[derive(Debug, Default)]
 pub struct ExeRunner;
 
@@ -412,8 +410,7 @@ pub fn violations(result: &CrashtestResult) -> Vec<String> {
     v
 }
 
-/// Renders the campaign as aligned text tables, for the CLI and the
-/// bench binary.
+/// Renders the campaign as aligned text tables, for the CLI.
 pub fn render_summary(result: &CrashtestResult) -> String {
     let mut out = String::from(
         "Crash-injection campaign (seeded kills + checkpoint corruption, child processes):\n\n",

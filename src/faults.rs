@@ -461,7 +461,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> TensorResult<CampaignResult> {
 }
 
 /// Renders the campaign as an aligned text table plus the trainer
-/// section, for the CLI and the bench binary.
+/// section, for the CLI.
 pub fn render_summary(result: &CampaignResult) -> String {
     let mut out = String::from(
         "Fault-injection campaign (bit-flip faults, ABFT + checksum + finite guards):\n\n",

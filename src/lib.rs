@@ -31,6 +31,7 @@ pub mod cli;
 pub mod crashtest;
 pub mod dse;
 pub mod faults;
+pub mod paper;
 pub mod perf;
 pub mod report;
 pub mod train;
