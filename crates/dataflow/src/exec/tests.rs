@@ -310,7 +310,7 @@ fn schedule_telemetry_lands_in_scoped_registry() {
         .map(|(_, _, v)| *v);
     assert_eq!(cycles, Some(stats.cycles));
     assert!(reg.spans().iter().any(|s| {
-        s.path == "schedule/ZFOST/s_conv" && s.attrs.contains(&("cycles".to_string(), stats.cycles))
+        s.path == "schedule/ZFOST/s_conv" && s.attrs.contains(&("cycles", stats.cycles))
     }));
 }
 

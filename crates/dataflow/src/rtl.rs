@@ -334,7 +334,16 @@ pub fn reorder_load_comparison<T: Num>(
 ) -> TensorResult<(u64, u64)> {
     let a = rtl_s_conv(zf, phase, input, kernels, true)?;
     let b = rtl_s_conv(zf, phase, input, kernels, false)?;
-    debug_assert!(a.output.max_abs_diff(&b.output) < 1e-9);
+    // The two feed orders add the same products in different orders, so
+    // their float outputs agree up to rounding, which scales with the sums.
+    debug_assert!({
+        let scale = a
+            .output
+            .iter()
+            .map(|v| v.to_f64().abs())
+            .fold(1.0, f64::max);
+        a.output.max_abs_diff(&b.output) <= 1e-5 * scale
+    });
     Ok((a.counters.input_loads, b.counters.input_loads))
 }
 

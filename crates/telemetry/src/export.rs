@@ -6,12 +6,32 @@
 //! creation order, integers only or Rust's shortest-roundtrip float display.
 //! That is what lets CI diff two runs byte-for-byte.
 
-use crate::registry::{Class, Registry, Snapshot};
+use std::fmt::{self, Write};
+
+use crate::registry::{Class, Metrics, Registry, Snapshot, Value};
 use crate::span::SpanRecord;
 
-/// Escape a string for inclusion inside a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append formatted text (`format_args!`) to `out`.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    out.write_fmt(args).expect("a String accepts every write");
+}
+
+/// Append each of `items` through `render`, comma-separated.
+fn push_joined<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut render: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render(out, item);
+    }
+}
+
+/// Append `s` escaped for inclusion inside a JSON string literal.
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -19,46 +39,154 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => push_fmt(out, format_args!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Append the series key `name{k="v",...}` escaped for a JSON string
+/// literal, without rendering it first.
+fn push_escaped_key(out: &mut String, name: &str, labels: &[(String, String)]) {
+    push_escaped(out, name);
+    if labels.is_empty() {
+        return;
+    }
+    out.push('{');
+    push_joined(out, labels, |out, (k, v)| {
+        push_escaped(out, k);
+        out.push_str("=\\\"");
+        push_escaped(out, v);
+        out.push_str("\\\"");
+    });
+    out.push('}');
 }
 
 /// Shortest-roundtrip float display; integral values print without `.0`
 /// noise beyond Rust's default (`1` stays `1`, `1.5` stays `1.5`).
-fn fmt_f64(v: f64) -> String {
+fn push_f64(out: &mut String, v: f64) {
     if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        push_fmt(out, format_args!("{}", v as i64));
     } else {
-        format!("{v}")
+        push_fmt(out, format_args!("{v}"));
     }
 }
 
-/// [`fmt_f64`] for a JSON member: NaN and ±∞ have no JSON number form and
+/// [`push_f64`] into a fresh string, for the text exporters.
+fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
+}
+
+/// [`push_f64`] for a JSON member: NaN and ±∞ have no JSON number form and
 /// print as `null` (what the serde shim prints), so a section holding one
 /// still parses — cell payloads embed it and `trace --check` re-reads it.
-fn json_f64(v: f64) -> String {
+fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        fmt_f64(v)
+        push_f64(out, v);
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-/// Format nanoseconds as fractional microseconds (Chrome-trace `ts`/`dur`).
-fn fmt_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Append nanoseconds as fractional microseconds (Chrome-trace `ts`/`dur`).
+fn push_us(out: &mut String, ns: u64) {
+    push_fmt(out, format_args!("{}.{:03}", ns / 1000, ns % 1000));
 }
 
-fn span_attr_args(rec: &SpanRecord) -> String {
-    let body: Vec<String> = rec
-        .attrs
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-        .collect();
-    format!("{{{}}}", body.join(","))
+/// Append a span's attributes as a JSON object, in `record` order.
+fn push_span_attrs(out: &mut String, rec: &SpanRecord) {
+    out.push('{');
+    push_joined(out, &rec.attrs, |out, (k, v)| {
+        out.push('"');
+        push_escaped(out, k);
+        push_fmt(out, format_args!("\":{v}"));
+    });
+    out.push('}');
+}
+
+/// Append `"key":value` for every deterministic series whose value `pick`
+/// accepts, comma-separated in key order.
+fn push_members<'a, V>(
+    out: &mut String,
+    metrics: &'a Metrics,
+    pick: impl Fn(&'a Value) -> Option<V>,
+    mut render: impl FnMut(&mut String, V),
+) {
+    let pick = &pick;
+    let members = metrics.iter().flat_map(|(name, family)| {
+        family
+            .iter()
+            .filter(|series| series.class == Class::Deterministic)
+            .filter_map(move |series| Some((name, &series.labels, pick(&series.value)?)))
+    });
+    push_joined(out, members, |out, (name, labels, value)| {
+        out.push('"');
+        push_escaped_key(out, name, labels);
+        out.push_str("\":");
+        render(out, value);
+    });
+}
+
+/// Bytes reserved per series and per span: about what one renders to in a
+/// DSE cell's section, so a section seldom regrows its string.
+const ENTRY_BYTES: usize = 128;
+
+/// Append the deterministic section to `out`: rendered straight from the
+/// registry under its locks, copying no metric or span.
+fn push_deterministic(out: &mut String, reg: &Registry) {
+    reg.with_metrics(|metrics| {
+        out.reserve(ENTRY_BYTES * (1 + metrics.values().map(Vec::len).sum::<usize>()));
+        out.push_str("{\"counters\":{");
+        push_members(
+            out,
+            metrics,
+            |value| match value {
+                Value::Counter(v) => Some(*v),
+                _ => None,
+            },
+            |out, v| push_fmt(out, format_args!("{v}")),
+        );
+        out.push_str("},\"gauges\":{");
+        push_members(
+            out,
+            metrics,
+            |value| match value {
+                Value::Gauge(v) => Some(*v),
+                _ => None,
+            },
+            push_json_f64,
+        );
+        out.push_str("},\"histograms\":{");
+        push_members(
+            out,
+            metrics,
+            |value| match value {
+                Value::Histogram(h) => Some(h),
+                _ => None,
+            },
+            |out, h| {
+                out.push_str("{\"bounds\":[");
+                push_joined(out, &h.bounds, |out, b| push_json_f64(out, *b));
+                out.push_str("],\"buckets\":[");
+                push_joined(out, &h.buckets, |out, b| push_fmt(out, format_args!("{b}")));
+                push_fmt(out, format_args!("],\"count\":{}}}", h.count));
+            },
+        );
+    });
+    out.push_str("},\"spans\":[");
+    reg.with_spans_by_seq(|spans| {
+        out.reserve(ENTRY_BYTES * spans.len());
+        push_joined(out, spans, |out, s| {
+            out.push_str("{\"path\":\"");
+            push_escaped(out, &s.path);
+            out.push_str("\",\"attrs\":");
+            push_span_attrs(out, s);
+            out.push('}');
+        });
+    });
+    out.push_str("]}");
 }
 
 /// The canonical byte-stable JSON object holding every deterministic
@@ -66,56 +194,8 @@ fn span_attr_args(rec: &SpanRecord) -> String {
 /// histograms (bucket counts), plus each span's path and deterministic
 /// attributes. Wall-clock values never appear here.
 pub fn deterministic_section(reg: &Registry) -> String {
-    let snap = reg.snapshot();
-    let mut out = String::from("{\"counters\":{");
-    let counters: Vec<String> = snap
-        .counters
-        .iter()
-        .filter(|(_, class, _)| *class == Class::Deterministic)
-        .map(|(key, _, v)| format!("\"{}\":{v}", escape(&key.render())))
-        .collect();
-    out.push_str(&counters.join(","));
-    out.push_str("},\"gauges\":{");
-    let gauges: Vec<String> = snap
-        .gauges
-        .iter()
-        .filter(|(_, class, _)| *class == Class::Deterministic)
-        .map(|(key, _, v)| format!("\"{}\":{}", escape(&key.render()), json_f64(*v)))
-        .collect();
-    out.push_str(&gauges.join(","));
-    out.push_str("},\"histograms\":{");
-    let hists: Vec<String> = snap
-        .histograms
-        .iter()
-        .filter(|(_, class, _)| *class == Class::Deterministic)
-        .map(|(key, _, h)| {
-            let bounds: Vec<String> = h.bounds.iter().map(|b| json_f64(*b)).collect();
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            format!(
-                "\"{}\":{{\"bounds\":[{}],\"buckets\":[{}],\"count\":{}}}",
-                escape(&key.render()),
-                bounds.join(","),
-                buckets.join(","),
-                h.count
-            )
-        })
-        .collect();
-    out.push_str(&hists.join(","));
-    out.push_str("},\"spans\":[");
-    let mut spans = reg.spans();
-    spans.sort_by_key(|s| s.seq);
-    let span_objs: Vec<String> = spans
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"path\":\"{}\",\"attrs\":{}}}",
-                escape(&s.path),
-                span_attr_args(s)
-            )
-        })
-        .collect();
-    out.push_str(&span_objs.join(","));
-    out.push_str("]}");
+    let mut out = String::new();
+    push_deterministic(&mut out, reg);
     out
 }
 
@@ -128,50 +208,57 @@ pub fn deterministic_section(reg: &Registry) -> String {
 /// - The top-level `"deterministic"` key embeds [`deterministic_section`];
 ///   trace viewers ignore unknown keys.
 pub fn chrome_trace(reg: &Registry, cycle_tracks: &[(String, Vec<(u64, String)>)]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"wall-clock spans\"}}"
-            .to_string(),
+    // Every event after this first one opens with its `,\n` separator.
+    let mut out = String::from(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+         {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+         \"args\":{\"name\":\"wall-clock spans\"}}",
     );
-    let mut spans = reg.spans();
-    spans.sort_by_key(|s| s.seq);
-    for s in &spans {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":0,\"args\":{}}}",
-            escape(&s.path),
-            fmt_us(s.start_ns),
-            fmt_us(s.dur_ns),
-            span_attr_args(s)
-        ));
-    }
+    reg.with_spans_by_seq(|spans| {
+        for s in spans {
+            out.push_str(",\n{\"name\":\"");
+            push_escaped(&mut out, &s.path);
+            out.push_str("\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":");
+            push_us(&mut out, s.start_ns);
+            out.push_str(",\"dur\":");
+            push_us(&mut out, s.dur_ns);
+            out.push_str(",\"pid\":1,\"tid\":0,\"args\":");
+            push_span_attrs(&mut out, s);
+            out.push('}');
+        }
+    });
     if !cycle_tracks.is_empty() {
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"cycle domain\"}}"
-                .to_string(),
+        out.push_str(
+            ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
+             \"args\":{\"name\":\"cycle domain\"}}",
         );
     }
     for (tid, (track, points)) in cycle_tracks.iter().enumerate() {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(track)
-        ));
+        push_fmt(
+            &mut out,
+            format_args!(
+                ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{tid},\
+                 \"args\":{{\"name\":\""
+            ),
+        );
+        push_escaped(&mut out, track);
+        out.push_str("\"}}");
         for (cycle, label) in points {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"cycle\",\"ph\":\"i\",\"ts\":{cycle},\
-                 \"pid\":2,\"tid\":{tid},\"s\":\"t\"}}",
-                escape(label)
-            ));
+            out.push_str(",\n{\"name\":\"");
+            push_escaped(&mut out, label);
+            push_fmt(
+                &mut out,
+                format_args!(
+                    "\",\"cat\":\"cycle\",\"ph\":\"i\",\"ts\":{cycle},\
+                     \"pid\":2,\"tid\":{tid},\"s\":\"t\"}}"
+                ),
+            );
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n],\n\"deterministic\":{}}}\n",
-        events.join(",\n"),
-        deterministic_section(reg)
-    )
+    out.push_str("\n],\n\"deterministic\":");
+    push_deterministic(&mut out, reg);
+    out.push_str("}\n");
+    out
 }
 
 /// Escape a Prometheus label *value*: the text exposition format requires
@@ -268,33 +355,34 @@ pub fn prometheus(snap: &Snapshot) -> String {
 /// span tree; weights are wall-clock and belong next to the other
 /// wall-clock exports, never in the deterministic section.
 pub fn collapsed_stacks(reg: &Registry) -> String {
-    let mut spans = reg.spans();
-    spans.sort_by_key(|s| s.seq);
-    // child_sum[i]: total duration of span i's direct children.
-    let mut child_sum = vec![0u64; spans.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for i in 0..spans.len() {
-        while stack
-            .last()
-            .is_some_and(|&top| spans[top].depth >= spans[i].depth)
-        {
-            stack.pop();
+    reg.with_spans_by_seq(|spans| {
+        // child_sum[i]: total duration of span i's direct children.
+        let mut child_sum = vec![0u64; spans.len()];
+        let mut stack: Vec<usize> = Vec::new();
+        for i in 0..spans.len() {
+            while stack
+                .last()
+                .is_some_and(|&top| spans[top].depth >= spans[i].depth)
+            {
+                stack.pop();
+            }
+            if let Some(&parent) = stack.last() {
+                child_sum[parent] += spans[i].dur_ns;
+            }
+            stack.push(i);
         }
-        if let Some(&parent) = stack.last() {
-            child_sum[parent] += spans[i].dur_ns;
+        let mut weights: std::collections::BTreeMap<String, u64> =
+            std::collections::BTreeMap::new();
+        for (i, s) in spans.iter().enumerate() {
+            let self_ns = s.dur_ns.saturating_sub(child_sum[i]);
+            *weights.entry(s.path.replace('/', ";")).or_insert(0) += self_ns;
         }
-        stack.push(i);
-    }
-    let mut weights: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        let self_ns = s.dur_ns.saturating_sub(child_sum[i]);
-        *weights.entry(s.path.replace('/', ";")).or_insert(0) += self_ns;
-    }
-    let mut out = String::new();
-    for (path, w) in &weights {
-        out.push_str(&format!("{path} {w}\n"));
-    }
-    out
+        let mut out = String::new();
+        for (path, w) in &weights {
+            out.push_str(&format!("{path} {w}\n"));
+        }
+        out
+    })
 }
 
 /// Human-readable summary table: counters, gauges, histograms, then the
@@ -350,11 +438,12 @@ pub fn summary(reg: &Registry) -> String {
             ));
         }
     }
-    let mut spans = reg.spans();
-    spans.sort_by_key(|s| s.seq);
-    if !spans.is_empty() {
+    reg.with_spans_by_seq(|spans| {
+        if spans.is_empty() {
+            return;
+        }
         out.push_str("  spans:\n");
-        for s in &spans {
+        for s in spans {
             let attrs: Vec<String> = s.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
             let attrs = if attrs.is_empty() {
                 String::new()
@@ -369,7 +458,7 @@ pub fn summary(reg: &Registry) -> String {
                 indent = 2 * s.depth as usize,
             ));
         }
-    }
+    });
     out
 }
 
@@ -384,12 +473,17 @@ fn class_tag(class: Class) -> &'static str {
 /// (across all label sets). Zero when the counter never fired — handy
 /// for asserting store/cache activity without parsing an export.
 pub fn counter_total(reg: &Registry, name: &str) -> u64 {
-    reg.snapshot()
-        .counters
-        .iter()
-        .filter(|(key, _, _)| key.name == name)
-        .map(|(_, _, v)| *v)
-        .sum()
+    reg.with_metrics(|metrics| {
+        metrics.get(name).map_or(0, |family| {
+            family
+                .iter()
+                .map(|series| match series.value {
+                    Value::Counter(v) => v,
+                    _ => 0,
+                })
+                .sum()
+        })
+    })
 }
 
 #[cfg(test)]

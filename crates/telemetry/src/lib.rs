@@ -13,6 +13,16 @@
 //! (span durations, latency histograms) live next to them but are exported
 //! separately and never mix into the deterministic section.
 //!
+//! # Allocation contract
+//!
+//! An update to an existing series allocates nothing: [`Registry::add`],
+//! [`Registry::set_gauge`] and [`Registry::observe`] (and the scoped
+//! helpers over them) find the series by the borrowed name and labels,
+//! and build an owned [`MetricKey`] only when they insert a new one. A
+//! span allocates only its record's path and attribute storage, and
+//! [`export::deterministic_section`] renders from the registry without
+//! copying it.
+//!
 //! # Activation model
 //!
 //! Instrumentation is off by default and free-ish when off (one
@@ -87,19 +97,25 @@ pub fn current_scope() -> Option<Arc<Registry>> {
     SCOPE.with(|s| s.borrow().last().cloned())
 }
 
+/// Run `f` on the innermost scope's registry, if any, without touching its
+/// reference count.
+fn in_scope(f: impl FnOnce(&Registry)) {
+    SCOPE.with(|s| {
+        if let Some(reg) = s.borrow().last() {
+            f(reg);
+        }
+    });
+}
+
 /// Add `delta` to the deterministic counter `name{labels}` (no-op when
 /// telemetry is off).
 pub fn count(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if let Some(reg) = current_scope() {
-        reg.add(Class::Deterministic, name, labels, delta);
-    }
+    in_scope(|reg| reg.add(Class::Deterministic, name, labels, delta));
 }
 
 /// Set the deterministic gauge `name{labels}` (no-op when telemetry is off).
 pub fn gauge(name: &str, labels: &[(&str, &str)], value: f64) {
-    if let Some(reg) = current_scope() {
-        reg.set_gauge(Class::Deterministic, name, labels, value);
-    }
+    in_scope(|reg| reg.set_gauge(Class::Deterministic, name, labels, value));
 }
 
 /// Add `delta` to the wall-clock counter `name{labels}` — excluded from the
@@ -107,44 +123,37 @@ pub fn gauge(name: &str, labels: &[(&str, &str)], value: f64) {
 /// scheduling-dependent quantities (work steals, queue churn) that must
 /// never enter the byte-diffed section.
 pub fn count_wall(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if let Some(reg) = current_scope() {
-        reg.add(Class::WallClock, name, labels, delta);
-    }
+    in_scope(|reg| reg.add(Class::WallClock, name, labels, delta));
 }
 
 /// Set the wall-clock gauge `name{labels}` — excluded from the deterministic
 /// export section (no-op when telemetry is off).
 pub fn gauge_wall(name: &str, labels: &[(&str, &str)], value: f64) {
-    if let Some(reg) = current_scope() {
-        reg.set_gauge(Class::WallClock, name, labels, value);
-    }
+    in_scope(|reg| reg.set_gauge(Class::WallClock, name, labels, value));
 }
 
 /// Observe into the deterministic histogram `name{labels}` with fixed
 /// `bounds` (no-op when telemetry is off).
 pub fn observe(name: &str, labels: &[(&str, &str)], bounds: &[f64], value: f64) {
-    if let Some(reg) = current_scope() {
-        reg.observe(Class::Deterministic, name, labels, bounds, value);
-    }
+    in_scope(|reg| reg.observe(Class::Deterministic, name, labels, bounds, value));
 }
 
 /// Observe into a wall-clock histogram — excluded from the deterministic
 /// export section (no-op when telemetry is off).
 pub fn observe_wall(name: &str, labels: &[(&str, &str)], bounds: &[f64], value: f64) {
-    if let Some(reg) = current_scope() {
-        reg.observe(Class::WallClock, name, labels, bounds, value);
-    }
+    in_scope(|reg| reg.observe(Class::WallClock, name, labels, bounds, value));
 }
 
 /// Open a hierarchical timed span: `span!("fig15/zfost/conv3")` or with
-/// `format!`-style arguments (`span!("schedule/{arch}/{phase}")`). Returns a
-/// [`Span`] guard; attach deterministic attributes with [`Span::record`].
-/// Inert (no allocation, no registry traffic) when telemetry is off.
+/// `format!`-style arguments (`span!("schedule/{arch}/{phase}")`), written
+/// straight into the thread's span path. Returns a [`Span`] guard; attach
+/// deterministic attributes with [`Span::record`]. Inert (no formatting,
+/// no allocation, no registry traffic) when telemetry is off.
 #[macro_export]
 macro_rules! span {
     ($($arg:tt)*) => {
         if $crate::enabled() {
-            $crate::Span::enter(::std::format!($($arg)*))
+            $crate::Span::enter(::std::format_args!($($arg)*))
         } else {
             $crate::Span::disabled()
         }

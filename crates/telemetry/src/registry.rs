@@ -1,10 +1,16 @@
 //! Metric registry: named counters, gauges and fixed-bucket histograms with
-//! label support, cheap atomic updates, and a deterministic / wall-clock
-//! classification that drives the exporters.
+//! label support and a deterministic / wall-clock classification that
+//! drives the exporters.
+//!
+//! An update to an existing series allocates nothing: the series are kept
+//! per metric name, sorted by label set, and a lookup finds the name by
+//! `&str` and the labels by a binary search with the caller's labels
+//! sorted on the stack. Owned strings are built only when a series is
+//! first inserted.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::span::SpanRecord;
@@ -63,56 +69,9 @@ impl MetricKey {
     }
 }
 
-struct CounterCell {
-    class: Class,
-    value: AtomicU64,
-}
-
-struct GaugeCell {
-    class: Class,
-    bits: AtomicU64,
-}
-
-struct HistogramCell {
-    class: Class,
-    bounds: Vec<f64>,
-    /// One bucket per bound plus a final `+Inf` bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-impl HistogramCell {
-    fn observe(&self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| value <= *b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // CAS loop: atomic f64 accumulate over the bit pattern.
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = f64::to_bits(f64::from_bits(cur) + value);
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-enum Metric {
-    Counter(Arc<CounterCell>),
-    Gauge(Arc<GaugeCell>),
-    Histogram(Arc<HistogramCell>),
-}
+/// Label pairs a lookup sorts on the stack; a call with more sorts a heap
+/// copy instead.
+const INLINE_LABELS: usize = 8;
 
 /// Point-in-time copy of one histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +86,38 @@ pub struct HistogramSnapshot {
     pub sum: f64,
 }
 
+impl HistogramSnapshot {
+    fn observe(&mut self, value: f64) {
+        let idx = self
+            .bounds
+            .iter()
+            .position(|b| value <= *b)
+            .unwrap_or(self.bounds.len());
+        self.buckets[idx] += 1;
+        self.count += 1;
+        self.sum += value;
+    }
+}
+
+/// The value of one series; a histogram is kept in its snapshot form.
+pub(crate) enum Value {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(HistogramSnapshot),
+}
+
+/// One series of a metric name: its sorted labels, its class (fixed at
+/// first use) and its value.
+pub(crate) struct Series {
+    pub(crate) labels: Vec<(String, String)>,
+    pub(crate) class: Class,
+    pub(crate) value: Value,
+}
+
+/// Every metric of a registry: per name, its series sorted by labels, so
+/// walking the map visits series in [`MetricKey`] order.
+pub(crate) type Metrics = BTreeMap<String, Vec<Series>>;
+
 /// Point-in-time copy of every metric in a registry, sorted by key.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -140,12 +131,13 @@ pub struct Snapshot {
 
 /// A process- or scope-wide collection of metrics and finished spans.
 ///
-/// Updates are lock-then-atomic: the registry lock only guards the key map,
-/// so repeated updates to a hot counter contend on one atomic, not the map.
+/// Every update takes the map lock, finds its series by the borrowed name
+/// and labels, and changes the value in place; an update to an existing
+/// series allocates nothing.
 pub struct Registry {
     t0: Instant,
     seq: AtomicU64,
-    metrics: Mutex<BTreeMap<MetricKey, Metric>>,
+    metrics: Mutex<Metrics>,
     spans: Mutex<Vec<SpanRecord>>,
 }
 
@@ -180,39 +172,86 @@ impl Registry {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn counter_cell(&self, class: Class, key: MetricKey) -> Option<Arc<CounterCell>> {
+    /// Apply `update` to the series `name{labels}`, inserting `class` and
+    /// `first()` when the series is new.
+    fn update(
+        &self,
+        class: Class,
+        name: &str,
+        labels: &[(&str, &str)],
+        first: impl FnOnce() -> Value,
+        update: impl FnOnce(&mut Value),
+    ) {
+        let (mut inline, mut heap) = ([("", ""); INLINE_LABELS], Vec::new());
+        let sorted = if labels.len() <= INLINE_LABELS {
+            inline[..labels.len()].copy_from_slice(labels);
+            &mut inline[..labels.len()]
+        } else {
+            heap.extend_from_slice(labels);
+            &mut heap[..]
+        };
+        sorted.sort_unstable();
+        let sorted = &*sorted;
+        let search = |family: &[Series]| {
+            family.binary_search_by(|series| {
+                let stored = series.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                stored.cmp(sorted.iter().copied())
+            })
+        };
         let mut map = lock(&self.metrics);
-        match map.entry(key).or_insert_with(|| {
-            Metric::Counter(Arc::new(CounterCell {
-                class,
-                value: AtomicU64::new(0),
-            }))
-        }) {
-            Metric::Counter(c) => Some(Arc::clone(c)),
-            _ => None, // name reused with a different type: drop the update
+        if let Some(family) = map.get_mut(name) {
+            if let Ok(i) = search(family) {
+                update(&mut family[i].value);
+                return;
+            }
         }
+        let family = map.entry(name.to_string()).or_default();
+        let at = search(family).unwrap_err();
+        let mut value = first();
+        update(&mut value);
+        let labels = sorted
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+            .collect();
+        family.insert(
+            at,
+            Series {
+                labels,
+                class,
+                value,
+            },
+        );
     }
 
     /// Add `delta` to the counter `name{labels}` (created on first use).
     pub fn add(&self, class: Class, name: &str, labels: &[(&str, &str)], delta: u64) {
-        if let Some(cell) = self.counter_cell(class, MetricKey::new(name, labels)) {
-            cell.value.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.update(
+            class,
+            name,
+            labels,
+            || Value::Counter(0),
+            |value| {
+                // A name reused with a different type drops the update.
+                if let Value::Counter(v) = value {
+                    *v += delta;
+                }
+            },
+        );
     }
 
     /// Set the gauge `name{labels}` to `value` (created on first use).
     pub fn set_gauge(&self, class: Class, name: &str, labels: &[(&str, &str)], value: f64) {
-        let key = MetricKey::new(name, labels);
-        let mut map = lock(&self.metrics);
-        let entry = map.entry(key).or_insert_with(|| {
-            Metric::Gauge(Arc::new(GaugeCell {
-                class,
-                bits: AtomicU64::new(0),
-            }))
-        });
-        if let Metric::Gauge(g) = entry {
-            g.bits.store(value.to_bits(), Ordering::Relaxed);
-        }
+        self.update(
+            class,
+            name,
+            labels,
+            || Value::Gauge(0.0),
+            |cell| {
+                if let Value::Gauge(v) = cell {
+                    *v = value;
+                }
+            },
+        );
     }
 
     /// Record `value` into the histogram `name{labels}`.
@@ -227,23 +266,24 @@ impl Registry {
         bounds: &[f64],
         value: f64,
     ) {
-        let key = MetricKey::new(name, labels);
-        let cell = {
-            let mut map = lock(&self.metrics);
-            match map.entry(key).or_insert_with(|| {
-                Metric::Histogram(Arc::new(HistogramCell {
-                    class,
+        self.update(
+            class,
+            name,
+            labels,
+            || {
+                Value::Histogram(HistogramSnapshot {
                     bounds: bounds.to_vec(),
-                    buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                    count: AtomicU64::new(0),
-                    sum_bits: AtomicU64::new(0),
-                }))
-            }) {
-                Metric::Histogram(h) => Arc::clone(h),
-                _ => return,
-            }
-        };
-        cell.observe(value);
+                    buckets: vec![0; bounds.len() + 1],
+                    count: 0,
+                    sum: 0.0,
+                })
+            },
+            |cell| {
+                if let Value::Histogram(h) = cell {
+                    h.observe(value);
+                }
+            },
+        );
     }
 
     /// Append a finished span (called by the [`crate::Span`] guard on drop).
@@ -256,39 +296,37 @@ impl Registry {
         lock(&self.spans).clone()
     }
 
-    /// Copy every metric out, sorted by key (BTreeMap order), so exporters
-    /// produce byte-stable output for deterministic values.
+    /// Run `f` over every metric under the map lock: the exporters' walk,
+    /// which copies nothing.
+    pub(crate) fn with_metrics<R>(&self, f: impl FnOnce(&Metrics) -> R) -> R {
+        f(&lock(&self.metrics))
+    }
+
+    /// Run `f` over every finished span in creation (`seq`) order under
+    /// the span lock, borrowing the records rather than copying them.
+    pub(crate) fn with_spans_by_seq<R>(&self, f: impl FnOnce(&[&SpanRecord]) -> R) -> R {
+        let spans = lock(&self.spans);
+        let mut by_seq: Vec<&SpanRecord> = spans.iter().collect();
+        by_seq.sort_by_key(|s| s.seq);
+        f(&by_seq)
+    }
+
+    /// Copy every metric out, sorted by key, so exporters produce
+    /// byte-stable output for deterministic values.
     pub fn snapshot(&self) -> Snapshot {
         let map = lock(&self.metrics);
         let mut snap = Snapshot::default();
-        for (key, metric) in map.iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    snap.counters
-                        .push((key.clone(), c.class, c.value.load(Ordering::Relaxed)));
-                }
-                Metric::Gauge(g) => {
-                    snap.gauges.push((
-                        key.clone(),
-                        g.class,
-                        f64::from_bits(g.bits.load(Ordering::Relaxed)),
-                    ));
-                }
-                Metric::Histogram(h) => {
-                    snap.histograms.push((
-                        key.clone(),
-                        h.class,
-                        HistogramSnapshot {
-                            bounds: h.bounds.clone(),
-                            buckets: h
-                                .buckets
-                                .iter()
-                                .map(|b| b.load(Ordering::Relaxed))
-                                .collect(),
-                            count: h.count.load(Ordering::Relaxed),
-                            sum: f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
-                        },
-                    ));
+        for (name, family) in map.iter() {
+            for series in family {
+                let key = MetricKey {
+                    name: name.clone(),
+                    labels: series.labels.clone(),
+                };
+                let class = series.class;
+                match &series.value {
+                    Value::Counter(v) => snap.counters.push((key, class, *v)),
+                    Value::Gauge(v) => snap.gauges.push((key, class, *v)),
+                    Value::Histogram(h) => snap.histograms.push((key, class, h.clone())),
                 }
             }
         }
@@ -318,6 +356,30 @@ mod tests {
         let snap = r.snapshot();
         let vals: Vec<u64> = snap.counters.iter().map(|(_, _, v)| *v).collect();
         assert_eq!(vals, vec![5, 7]);
+    }
+
+    #[test]
+    fn label_order_never_splits_a_series_and_series_walk_in_key_order() {
+        let r = Registry::new();
+        // Past the stack array, the lookup sorts a heap copy instead.
+        let many: Vec<(String, String)> = (0..=INLINE_LABELS)
+            .map(|i| (format!("k{i}"), i.to_string()))
+            .collect();
+        let mut labels: Vec<(&str, &str)> =
+            many.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        for n in [INLINE_LABELS + 1, 2, 0, INLINE_LABELS, 1] {
+            r.add(Class::Deterministic, "c", &labels[..n], 1);
+            labels[..n].reverse();
+            r.add(Class::Deterministic, "c", &labels[..n], 1);
+            labels[..n].reverse();
+        }
+        r.add(Class::Deterministic, "b", &[("z", "1")], 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters.len(), 6);
+        assert!(snap.counters[1..].iter().all(|(_, _, v)| *v == 2));
+        let keys: Vec<&MetricKey> = snap.counters.iter().map(|(k, _, _)| k).collect();
+        assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "{keys:?}");
+        assert_eq!(keys[2], &MetricKey::new("c", &labels[..1]));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Hierarchical timed spans.
 //!
-//! A [`Span`] is an RAII guard: entering pushes a path segment onto a
-//! thread-local stack (so nested spans get `parent/child` paths), dropping
+//! A [`Span`] is an RAII guard: entering appends a path segment to a
+//! thread-local path (so nested spans get `parent/child` paths), dropping
 //! records a [`SpanRecord`] into the active registry. Wall-clock duration is
 //! always captured; deterministic quantities (cycles, accesses, bytes) are
-//! attached explicitly via [`Span::record`] and exported separately.
+//! attached explicitly via [`Span::record`] and exported separately. A
+//! span allocates only its record's path and attribute storage.
 
 use std::cell::RefCell;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 use crate::Registry;
@@ -25,11 +27,23 @@ pub struct SpanRecord {
     /// Duration in nanoseconds (wall clock).
     pub dur_ns: u64,
     /// Deterministic attributes, in `record` order: cycles, bytes, …
-    pub attrs: Vec<(String, u64)>,
+    pub attrs: Vec<(&'static str, u64)>,
+}
+
+/// This thread's open spans: their `/`-joined path, and the offset at
+/// which each span's segment (with its leading `/`) starts.
+struct OpenPath {
+    path: String,
+    starts: Vec<usize>,
 }
 
 thread_local! {
-    static PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static PATH: RefCell<OpenPath> = const {
+        RefCell::new(OpenPath {
+            path: String::new(),
+            starts: Vec::new(),
+        })
+    };
 }
 
 struct Inner {
@@ -38,28 +52,33 @@ struct Inner {
     depth: u32,
     seq: u64,
     start_ns: u64,
-    attrs: Vec<(String, u64)>,
+    attrs: Vec<(&'static str, u64)>,
 }
 
 /// RAII span guard; create with [`Span::enter`] or the [`crate::span!`] macro.
 ///
-/// When telemetry is disabled the guard is inert: no allocation beyond the
-/// name, no registry traffic.
+/// When telemetry is disabled the guard is inert: no allocation, no
+/// registry traffic.
 pub struct Span {
     inner: Option<Inner>,
 }
 
 impl Span {
     /// Open a span named `name` under the current thread's span stack.
-    /// Returns an inert guard when no registry is active.
-    pub fn enter(name: impl Into<String>) -> Span {
+    /// Returns an inert guard, without formatting `name`, when no registry
+    /// is active.
+    pub fn enter(name: impl fmt::Display) -> Span {
         let Some(reg) = crate::current_scope() else {
             return Span { inner: None };
         };
         let (path, depth) = PATH.with(|p| {
-            let mut p = p.borrow_mut();
-            p.push(name.into());
-            (p.join("/"), p.len() as u32 - 1)
+            let open = &mut *p.borrow_mut();
+            open.starts.push(open.path.len());
+            if open.starts.len() > 1 {
+                open.path.push('/');
+            }
+            write!(open.path, "{name}").expect("a String accepts every write");
+            (open.path.clone(), open.starts.len() as u32 - 1)
         });
         let seq = reg.next_seq();
         let start_ns = reg.elapsed_ns();
@@ -81,9 +100,9 @@ impl Span {
     }
 
     /// Attach a deterministic attribute (cycles, accesses, bytes, retries).
-    pub fn record(&mut self, key: &str, value: u64) {
+    pub fn record(&mut self, key: &'static str, value: u64) {
         if let Some(inner) = self.inner.as_mut() {
-            inner.attrs.push((key.to_string(), value));
+            inner.attrs.push((key, value));
         }
     }
 
@@ -98,8 +117,12 @@ impl Drop for Span {
         let Some(inner) = self.inner.take() else {
             return;
         };
+        // Close the innermost open segment, as a stack of names would.
         PATH.with(|p| {
-            p.borrow_mut().pop();
+            let open = &mut *p.borrow_mut();
+            if let Some(start) = open.starts.pop() {
+                open.path.truncate(start);
+            }
         });
         let reg = inner.reg;
         let dur_ns = reg.elapsed_ns().saturating_sub(inner.start_ns);
@@ -136,7 +159,7 @@ mod tests {
         assert_eq!(spans[0].depth, 1);
         assert_eq!(spans[1].path, "outer");
         assert_eq!(spans[1].depth, 0);
-        assert_eq!(spans[1].attrs, vec![("cycles".to_string(), 10)]);
+        assert_eq!(spans[1].attrs, vec![("cycles", 10)]);
     }
 
     #[test]

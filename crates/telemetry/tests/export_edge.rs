@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use zfgan_telemetry::export::{collapsed_stacks, prometheus};
-use zfgan_telemetry::{Class, Registry, Span};
+use zfgan_telemetry::{Class, Registry, Span, SpanRecord};
 
 #[test]
 fn prometheus_escapes_label_values() {
@@ -188,4 +188,142 @@ proptest! {
             );
         }
     }
+}
+
+/// One registry touching every branch of the deterministic renderer:
+/// escaped label values (quote, backslash, newline, tab, a control byte),
+/// labels given out of order, a NaN and an infinite gauge, integral and
+/// fractional values, a histogram with an open-ended bound, nested span
+/// paths with attributes, and a wall-clock counter, gauge and histogram
+/// that must stay out.
+fn golden_registry() -> Arc<Registry> {
+    let reg = Arc::new(Registry::new());
+    let _scope = zfgan_telemetry::scope(Arc::clone(&reg));
+    reg.add(Class::Deterministic, "cycles_total", &[], 7);
+    reg.add(
+        Class::Deterministic,
+        "cycles_total",
+        &[("phase", "s_conv"), ("arch", "zfost")],
+        40,
+    );
+    reg.add(
+        Class::Deterministic,
+        "cycles_total",
+        &[("arch", "zfost"), ("phase", "s_conv")],
+        2,
+    );
+    reg.add(
+        Class::Deterministic,
+        "escapes_total",
+        &[("path", "a\"b\\c\nd\te\u{1}f")],
+        3,
+    );
+    reg.add(Class::WallClock, "pool_steals_total", &[], 9);
+    reg.set_gauge(Class::Deterministic, "ratio", &[("of", "nan")], f64::NAN);
+    reg.set_gauge(
+        Class::Deterministic,
+        "ratio",
+        &[("of", "inf")],
+        f64::INFINITY,
+    );
+    reg.set_gauge(Class::Deterministic, "ratio", &[("of", "half")], 0.5);
+    reg.set_gauge(Class::Deterministic, "ratio", &[("of", "big")], 3e15);
+    reg.set_gauge(Class::Deterministic, "util", &[], -2.0);
+    reg.set_gauge(Class::WallClock, "queue_depth", &[], 4.0);
+    for v in [0.5, 1.0, 2.0, 9.0, 1e9] {
+        reg.observe(
+            Class::Deterministic,
+            "words",
+            &[("buf", "ifmap")],
+            &[1.0, 2.5, 8.0, f64::INFINITY],
+            v,
+        );
+    }
+    reg.observe(Class::WallClock, "latency_ms", &[], &[1.0], 0.3);
+    {
+        let mut root = Span::enter("fig15");
+        root.record("cells", 2);
+        {
+            let mut arch = Span::enter("zfost");
+            arch.record("cycles", 1234);
+            arch.record("dram_bytes", 0);
+            let _leaf = Span::enter("conv\"3\"");
+        }
+        let _empty = Span::enter("ost");
+    }
+    reg
+}
+
+/// The deterministic section's exact bytes: cell payloads embed it and
+/// caches written by earlier builds are served as hits, so a renderer
+/// change must not move a byte. Captured from the snapshot-based renderer.
+#[test]
+fn deterministic_section_golden_bytes() {
+    let det = zfgan_telemetry::export::deterministic_section(&golden_registry());
+    assert_eq!(
+        det,
+        concat!(
+            r#"{"counters":{"cycles_total":7,"cycles_total{arch=\"zfost\",phase=\"s_conv\"}":42,"escapes_total{path=\"a\"b\\c\nd\te\u0001f\"}":3},"#,
+            r#""gauges":{"ratio{of=\"big\"}":3000000000000000,"ratio{of=\"half\"}":0.5,"ratio{of=\"inf\"}":null,"ratio{of=\"nan\"}":null,"util":-2},"#,
+            r#""histograms":{"words{buf=\"ifmap\"}":{"bounds":[1,2.5,8,null],"buckets":[2,1,0,2,0],"count":5}},"#,
+            r#""spans":[{"path":"fig15","attrs":{"cells":2}},"#,
+            r#"{"path":"fig15/zfost","attrs":{"cycles":1234,"dram_bytes":0}},"#,
+            r#"{"path":"fig15/zfost/conv\"3\"","attrs":{}},"#,
+            r#"{"path":"fig15/ost","attrs":{}}]}"#,
+        )
+    );
+}
+
+/// Chrome trace's exact bytes for spans with fixed timestamps (recorded
+/// directly, so the wall-clock fields are stable) and two cycle tracks.
+#[test]
+fn chrome_trace_golden_bytes() {
+    let reg = Registry::new();
+    for (seq, path, depth, start_ns, dur_ns, attrs) in [
+        (1, "run/step", 1, 1_500, 250, vec![("cycles", 9)]),
+        (
+            0,
+            "run",
+            0,
+            1_000,
+            2_000_001,
+            vec![("ops", 2), ("bytes", 64)],
+        ),
+        (2, "run/\\tail", 1, 1_999_000, 7, vec![]),
+    ] {
+        reg.record_span(SpanRecord {
+            path: path.to_string(),
+            depth,
+            seq,
+            start_ns,
+            dur_ns,
+            attrs,
+        });
+    }
+    reg.add(Class::Deterministic, "c", &[], 1);
+    let tracks = vec![
+        (
+            "zfost".to_string(),
+            vec![(0, "phase".to_string()), (7, "mac\"x".to_string())],
+        ),
+        ("ost".to_string(), vec![]),
+    ];
+    let json = zfgan_telemetry::export::chrome_trace(&reg, &tracks);
+    assert_eq!(
+        json,
+        concat!(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"wall-clock spans\"}},\n",
+            "{\"name\":\"run\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":1.000,\"dur\":2000.001,\"pid\":1,\"tid\":0,\"args\":{\"ops\":2,\"bytes\":64}},\n",
+            "{\"name\":\"run/step\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":1.500,\"dur\":0.250,\"pid\":1,\"tid\":0,\"args\":{\"cycles\":9}},\n",
+            "{\"name\":\"run/\\\\tail\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":1999.000,\"dur\":0.007,\"pid\":1,\"tid\":0,\"args\":{}},\n",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"cycle domain\"}},\n",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"zfost\"}},\n",
+            "{\"name\":\"phase\",\"cat\":\"cycle\",\"ph\":\"i\",\"ts\":0,\"pid\":2,\"tid\":0,\"s\":\"t\"},\n",
+            "{\"name\":\"mac\\\"x\",\"cat\":\"cycle\",\"ph\":\"i\",\"ts\":7,\"pid\":2,\"tid\":0,\"s\":\"t\"},\n",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"args\":{\"name\":\"ost\"}}\n",
+            "],\n",
+            "\"deterministic\":{\"counters\":{\"c\":1},\"gauges\":{},\"histograms\":{},\"spans\":[{\"path\":\"run\",\"attrs\":{\"ops\":2,\"bytes\":64}},{\"path\":\"run/step\",\"attrs\":{\"cycles\":9}},{\"path\":\"run/\\\\tail\",\"attrs\":{}}]}}\n",
+        )
+    );
 }

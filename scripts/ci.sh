@@ -273,12 +273,11 @@ echo "=== paper results, byte for byte ==="
 # rewrites each table's JSON beside the two campaign files the stages above
 # wrote, then the RESULTS.md digest of all of them, once on the runtime-
 # detected SIMD kernels and once on the scalar ones. Each run must equal
-# results/ file for file; the ledger and the logs are measurements, not
-# results.
+# results/ file for file; the ledger is a measurement, not a result.
 cargo run -q --release -p zfgan -- paper all --out "$tdir/results" > /dev/null
-diff -r -x ledger.jsonl -x logs "$tdir/results" results
+diff -r -x ledger.jsonl "$tdir/results" results
 ZFGAN_NO_SIMD=1 cargo run -q --release -p zfgan -- paper all --out "$tdir/results" > /dev/null
-diff -r -x ledger.jsonl -x logs "$tdir/results" results
+diff -r -x ledger.jsonl "$tdir/results" results
 echo "zfgan paper all reproduces results/ on SIMD and scalar kernels"
 
 echo "=== corrupted-store smoke ==="

@@ -921,8 +921,7 @@ mod tests {
         let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
         // Every entry that is cheap in the debug profile: `fig19` times a
         // reference run and `quantization` runs naive Q8.8 nests, both
-        // slow unoptimised; `ablation` stops at a debug-only assertion
-        // (`rtl::reorder_load_comparison` holds two f32 sums to 1e-9).
+        // slow unoptimised.
         for name in [
             "table3",
             "table4",
@@ -936,6 +935,7 @@ mod tests {
             "timeline",
             "related_work",
             "energy",
+            "ablation",
         ] {
             let out = run(&args(&["paper", name, "--out", dir.to_str().unwrap()])).unwrap();
             assert!(out.contains(".json]"), "{out}");
@@ -944,8 +944,8 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .collect();
-        // `energy` writes two files.
-        assert_eq!(files.len(), 13, "{files:?}");
+        // `energy` and `ablation` write two files each.
+        assert_eq!(files.len(), 15, "{files:?}");
         for file in files {
             assert_eq!(
                 std::fs::read_to_string(dir.join(&file)).unwrap(),
