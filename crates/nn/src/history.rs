@@ -73,7 +73,7 @@ pub fn fit<R: Rng>(
     let mut history = TrainingHistory::default();
     for iteration in 0..iterations {
         let mut dis_loss = 0.0;
-        for _ in 0..trainer.config().n_critic.max(1) {
+        for _ in 0..trainer.config().n_critic {
             let reals = sample_reals(batch, rng);
             dis_loss = trainer.step_discriminator(&reals, rng).dis_loss;
         }

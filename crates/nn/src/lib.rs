@@ -9,11 +9,13 @@
 //! * [`wgan`] — the Wasserstein losses of paper Eqs. 1–2 and their output
 //!   errors (Eq. 6),
 //! * [`Optimizer`] — SGD and RMSProp (the WGAN default),
-//! * [`GanTrainer`] — one-stop Discriminator/Generator updates in either
-//!   [`SyncMode::Synchronized`] (the original algorithm: every sample's
-//!   forward pass completes — and is buffered — before any backward pass)
-//!   or [`SyncMode::Deferred`] (the paper's Section IV-A transformation:
-//!   per-sample backward passes with `∇wᵢ` accumulation).
+//! * [`GanTrainer`] — one-stop Discriminator/Generator updates, one
+//!   schedule run on the pool's sample lanes in either
+//!   [`SyncMode::Synchronized`] (the original algorithm: a barrier after
+//!   every sample's forward pass, all of them buffered, before any
+//!   backward pass) or [`SyncMode::Deferred`] (the paper's Section IV-A
+//!   transformation: no barrier, per-sample backward passes with `∇wᵢ`
+//!   accumulation).
 //!
 //! The two modes are *exactly* equivalent because the WGAN loss is linear in
 //! the critic outputs; [`GanTrainer`] exposes the buffered-intermediate

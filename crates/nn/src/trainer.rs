@@ -3,39 +3,41 @@
 //!
 //! Both trainers compute mathematically identical weight updates — the WGAN
 //! loss is a linear average, so each sample's output-layer error is the
-//! constant `∓1/m` of Eq. 6 — but they differ in *when* backward passes run:
+//! constant `∓1/m` of Eq. 6 — and both run one schedule: every sample's
+//! forward pass and score, its error walk, then its W walk. They differ
+//! only in where the loss-synchronization barrier sits:
 //!
-//! * [`SyncMode::Synchronized`] finishes **all** `2·m` forward passes first
-//!   (the loss-synchronization barrier of paper Fig. 2 steps ③/⑦), holding
-//!   every sample's intermediate trace alive until the barrier clears, then
-//!   runs each sample's two backward walks on the calling thread.
-//! * [`SyncMode::Deferred`] backpropagates each sample immediately after its
-//!   own forward pass and accumulates `∇wᵢ` into `∇W`, so one trace per
-//!   lane is alive, independent of the batch.
+//! * [`SyncMode::Synchronized`] puts it after **all** `2·m` forward passes
+//!   (paper Fig. 2 steps ③/⑦): every sample's intermediate trace stays
+//!   alive until the barrier clears, and only then do error walks start.
+//! * [`SyncMode::Deferred`] has none: each sample backpropagates right
+//!   after its own forward pass and accumulates `∇wᵢ` into `∇W`, so one
+//!   trace per lane is alive, independent of the batch.
 //!
 //! # Lanes
 //!
-//! Deferred synchronization makes every sample's forward pass and error
-//! chain independent of every other sample's until `∇W += ∇wᵢ`. The paper
-//! spends that independence in time, on one pipeline whose W-ARCH consumes
-//! the errors in order (§IV, Figs. 9–10); the deferred trainer spends it on
-//! the pool. Its three sample loops — the fake batch's Generator forwards
-//! (step ①), the critic's real+fake loop and the Generator's loop — run on
-//! `min(pool width, samples)` lanes: each lane owns a [`ConvWorkspace`] and
-//! runs one sample's forward pass, score and error chain (the error walk
-//! of [`ConvNet`]) as one task of a pool batch. When a group of lanes has
-//! joined, the calling thread lands the group's `W-CONV`s and bias sums
-//! into the accumulators in sample order, each through the same `AddTo`
-//! epilogue and with that sample's lane workspace. Every accumulator sees
-//! the same chains in the same order as the serial loop, so the bits do not
-//! depend on the pool width; at width 1 the one lane runs on the calling
-//! thread.
+//! Every sample's forward pass and error chain is independent of every
+//! other sample's until `∇W += ∇wᵢ`. The paper spends that independence in
+//! time, on one pipeline whose W-ARCH consumes the errors in order (§IV,
+//! Figs. 9–10); the trainer spends it on the pool. Its three sample loops —
+//! the fake batch's Generator forwards (step ①), the critic's real+fake
+//! loop and the Generator's loop — run on `min(pool width, samples)` lanes,
+//! sample `i` on lane `i mod width`: each lane owns a [`ConvWorkspace`] and
+//! runs its samples' forward passes, scores and error chains (the error
+//! walk of [`ConvNet`]) as tasks of pool batches, one group of lanes at a
+//! time. When a group's error chains have joined, the calling thread lands
+//! the group's `W-CONV`s and bias sums into the accumulators in sample
+//! order, each through the same `AddTo` epilogue and with that sample's
+//! lane workspace. Every accumulator sees the same chains in the same order
+//! in both modes and at every width, so the bits depend on neither; at
+//! width 1 the one lane runs on the calling thread.
 //!
 //! The [`DisStepReport::peak_buffered_elems`] /
 //! [`GenStepReport::peak_buffered_elems`] fields measure the resulting
 //! memory high-water marks, reproducing the paper's `2 × batch → 1`
 //! reduction per lane.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -417,35 +419,60 @@ pub struct GanTrainer {
     lanes: Vec<Lane>,
 }
 
-/// One lane of the deferred trainer's sample loops: what one sample's
-/// forward pass, score and error chain leave for the calling thread to
-/// land.
+/// One lane of the trainer's sample loops: a workspace, and what the
+/// samples it ran leave for the calling thread to land.
 #[derive(Debug, Default)]
 struct Lane {
     /// Scratch of every pass the lane runs and of the `W-CONV`s landed from
     /// it: a buffer goes back to the workspace that handed it out.
     ws: ConvWorkspace<f32>,
-    /// The trace whose W walk is still to land (or, in step ①, the
-    /// Generator trace whose output is the fake).
-    trace: Option<Trace>,
-    /// Every layer's `δ_pre` of that trace, last layer first. The
-    /// synchronized loops keep each sample's here in the first lane.
+    /// The lane's samples whose W walk is still to land, in sample order:
+    /// one deferred, all of the step's until the barrier synchronized.
+    held: VecDeque<Sample>,
+    /// Every layer's `δ_pre` of the sample at the front of `held`, last
+    /// layer first.
     deltas: Vec<Fmaps<f32>>,
-    /// The sample's critic output.
-    score: f64,
-    /// Elements the sample's traces buffered at once.
-    buffered: usize,
 }
 
 impl Lane {
-    /// Gives back to the lane's workspace whatever a job that panicked
-    /// left behind, so the lane starts every job empty.
+    /// Gives back to the lane's workspace whatever a step that panicked
+    /// left behind, so the lane starts every run empty.
     fn clear(&mut self) {
-        if let Some(t) = self.trace.take() {
-            t.recycle(&mut self.ws);
+        for s in self.held.drain(..) {
+            s.trace.recycle(&mut self.ws);
+            if let Some(t) = s.critic {
+                t.recycle(&mut self.ws);
+            }
         }
         for d in self.deltas.drain(..) {
             self.ws.give_fmaps(d);
+        }
+    }
+}
+
+/// What one sample's forward job leaves for its error job and landing.
+#[derive(Debug)]
+struct Sample {
+    /// The trace whose W walk lands (or, in step ①, the Generator trace
+    /// whose output is the fake).
+    trace: Trace,
+    /// The Generator step's critic trace, until the error job has walked
+    /// the image error back through it.
+    critic: Option<Trace>,
+    /// The sample's critic output (0 in step ①, which runs no critic).
+    score: f64,
+    /// Elements the sample's traces buffer.
+    buffered: usize,
+}
+
+impl Sample {
+    fn new(trace: Trace, critic: Option<Trace>, score: f64) -> Self {
+        let buffered = trace.buffered_elems() + critic.as_ref().map_or(0, Trace::buffered_elems);
+        Self {
+            trace,
+            critic,
+            score,
+            buffered,
         }
     }
 }
@@ -457,40 +484,65 @@ fn new_lanes() -> Vec<Lane> {
         .collect()
 }
 
-/// Runs a sample loop on the lanes: `job(i, lane)` for every sample
-/// `i in 0..n`, `lanes.len()` samples at a time, one pool batch per group
-/// with sample `start + j` on lane `j`; once a group has joined,
-/// `land(i, lane)` on the calling thread, in sample order. Every job
-/// re-enters the calling thread's telemetry scope, so the counters its
-/// passes record land where a serial loop's would. Returns the most lanes
-/// and the most [`Lane::buffered`] elements any group held at once.
+/// Runs one sample loop on the lanes: `n` samples, sample `i` on lane
+/// `i mod lanes.len()`, one pool batch per group of `lanes.len()` samples.
+/// `forward(i, ws)` runs sample `i`'s forward pass and scores it,
+/// `error(i, sample, deltas, ws)` runs its error walk, and once a group's
+/// error jobs have joined, `land(i, sample, lane)` runs on the calling
+/// thread, in sample order. [`SyncMode::Synchronized`] puts the barrier
+/// between the two: every group's forward jobs run, and every sample stays
+/// held, before any error job. [`SyncMode::Deferred`] has none: one task
+/// runs a sample's forward job and then its error job. Every job re-enters
+/// the calling thread's telemetry scope, so the counters its passes record
+/// land where a serial loop's would. Returns the most samples and the most
+/// [`Sample::buffered`] elements the lanes held at once.
 ///
 /// # Panics
 ///
-/// Panics once a group has drained if one of its jobs panicked.
+/// Panics once a group has drained if one of its jobs panicked. The next
+/// run first gives back whatever the lanes still hold.
 fn run_lanes(
     lanes: &mut [Lane],
+    mode: SyncMode,
     n: usize,
-    job: impl Fn(usize, &mut Lane) + Sync,
-    mut land: impl FnMut(usize, &mut Lane),
+    forward: impl Fn(usize, &mut ConvWorkspace<f32>) -> Sample + Sync,
+    error: impl Fn(usize, &mut Sample, &mut Vec<Fmaps<f32>>, &mut ConvWorkspace<f32>) + Sync,
+    mut land: impl FnMut(usize, Sample, &mut Lane),
 ) -> (usize, usize) {
     let scope = zfgan_telemetry::current_scope();
-    let (width, mut peak) = (lanes.len(), (0, 0));
-    for start in (0..n).step_by(width) {
+    let (width, barrier) = (lanes.len(), mode == SyncMode::Synchronized);
+    let forward_job = |i: usize, lane: &mut Lane| lane.held.push_back(forward(i, &mut lane.ws));
+    let error_job = |i: usize, lane: &mut Lane| {
+        let sample = lane.held.front_mut().expect("the lane holds the sample");
+        error(i, sample, &mut lane.deltas, &mut lane.ws);
+    };
+    let both = |i: usize, lane: &mut Lane| {
+        forward_job(i, lane);
+        error_job(i, lane);
+    };
+    let mut peak = (0, 0);
+    let mut run = |lanes: &mut [Lane], start: usize, job: &(dyn Fn(usize, &mut Lane) + Sync)| {
         let group = &mut lanes[..width.min(n - start)];
-        let ran = zfgan_pool::parallel_chunks_for(group, 1, |j, lane| {
+        zfgan_pool::parallel_chunks_for(group, 1, |j, lane| {
             let _scope = scope.clone().map(zfgan_telemetry::scope);
-            let lane = &mut lane[0];
-            lane.clear();
-            job(start + j, lane);
-        });
-        if let Err(e) = ran {
-            panic!("a sample lane panicked: {e}");
+            job(start + j, &mut lane[0]);
+        })
+        .unwrap_or_else(|e| panic!("a sample lane panicked: {e}"));
+        let held = lanes.iter().flat_map(|l| &l.held);
+        let buffered = held.clone().map(|s| s.buffered).sum::<usize>();
+        peak = (peak.0.max(held.count()), peak.1.max(buffered));
+    };
+    lanes.iter_mut().for_each(Lane::clear);
+    if barrier {
+        for start in (0..n).step_by(width) {
+            run(lanes, start, &forward_job);
         }
-        let buffered = group.iter().map(|l| l.buffered).sum::<usize>();
-        peak = (peak.0.max(group.len()), peak.1.max(buffered));
-        for (j, lane) in group.iter_mut().enumerate() {
-            land(start + j, lane);
+    }
+    for start in (0..n).step_by(width) {
+        run(lanes, start, if barrier { &error_job } else { &both });
+        for (j, lane) in lanes[..width.min(n - start)].iter_mut().enumerate() {
+            let sample = lane.held.pop_front().expect("the lane holds the sample");
+            land(start + j, sample, lane);
         }
     }
     peak
@@ -561,9 +613,9 @@ impl GanTrainer {
         })
     }
 
-    /// The first lane's conv scratch workspace: the one every sample loop
-    /// uses at pool width 1, and the one the gradient accumulators come
-    /// from.
+    /// The first lane's conv scratch workspace: sample 0's in every sample
+    /// loop of either mode (every sample's at pool width 1), and the one
+    /// the gradient accumulators come from.
     pub fn workspace(&self) -> &ConvWorkspace<f32> {
         &self.lanes[0].ws
     }
@@ -619,112 +671,64 @@ impl GanTrainer {
         rng: &mut R,
     ) -> DisStepReport {
         assert!(!reals.is_empty(), "batch must be non-empty");
-        let m = reals.len();
+        let (m, mode, loss) = (reals.len(), self.config.mode, self.config.loss);
         // Step ①: Generator produces the fake batch (forward only; its
-        // trace is not needed for a Discriminator update). Same RNG
-        // consumption and arithmetic as `GanPair::generate_batch`, with
-        // the forward transients drawn from the lanes' workspaces.
+        // trace is not needed for a Discriminator update, and there is no
+        // loss to wait for). Same RNG consumption and arithmetic as
+        // `GanPair::generate_batch`, with the forward transients drawn from
+        // the lanes' workspaces.
         let zs = self.gan.sample_z_batch(m, rng);
         let (gen, critic) = (&self.gan.generator, &self.gan.discriminator);
         let mut fakes = Vec::with_capacity(m);
         run_lanes(
             &mut self.lanes,
+            SyncMode::Deferred,
             m,
-            |i, lane| lane.trace = Some(gen.forward_ws(&zs[i], &mut lane.ws).expect("z shape")),
-            |_, lane| {
-                let gt = lane.trace.take().expect("the job left its trace");
-                fakes.push(gt.into_output(&mut lane.ws));
-            },
+            |i, ws| Sample::new(gen.forward_ws(&zs[i], ws).expect("z shape"), None, 0.0),
+            |_, _, _, _| {},
+            |_, s, lane| fakes.push(s.trace.into_output(&mut lane.ws)),
         );
         drop(zs);
 
         let mut grads = critic.zero_grads_ws(&mut self.lanes[0].ws);
         let mut real_scores = Vec::with_capacity(m);
         let mut fake_scores = Vec::with_capacity(m);
-        let (peak_elems, peak_traces);
-        let loss = self.config.loss;
-
-        match self.config.mode {
-            SyncMode::Synchronized => {
-                let Lane { ws, deltas, .. } = &mut self.lanes[0];
-                // All 2·m forward passes complete and stay buffered before
-                // the loss synchronization point allows any backward pass.
-                let real_traces: Vec<Trace> = reals
-                    .iter()
-                    .map(|x| critic.forward_ws(x, ws).expect("image shape"))
-                    .collect();
-                let fake_traces: Vec<Trace> = fakes
-                    .iter()
-                    .map(|x| critic.forward_ws(x, ws).expect("image shape"))
-                    .collect();
-                peak_elems = real_traces
-                    .iter()
-                    .chain(&fake_traces)
-                    .map(Trace::buffered_elems)
-                    .sum();
-                peak_traces = 2 * m;
-                for t in &real_traces {
-                    real_scores.push(wgan::score(t.output()));
-                }
-                for t in &fake_traces {
-                    fake_scores.push(wgan::score(t.output()));
-                }
-                // Synchronization cleared: backward passes may now run,
-                // each sample's error walk then its W walk, as a lane's job
-                // and its landing do — all reals, then all fakes.
-                let real = real_traces.iter().zip(&real_scores);
-                let fake = fake_traces.iter().zip(&fake_scores);
-                let errors = real
-                    .map(|(t, s)| (t, real_delta(loss, *s, m)))
-                    .chain(fake.map(|(t, s)| (t, fake_delta(loss, *s, m))));
-                for (t, delta) in errors {
-                    let delta = wgan::scalar_error(delta);
-                    critic
-                        .backward_errors(t, &delta, false, Some(deltas), ws)
-                        .and_then(|_| critic.backward_weights(t, deltas, Some(&mut grads), ws))
-                        .expect("trace produced by this network");
-                }
-                for t in real_traces.into_iter().chain(fake_traces) {
-                    t.recycle(ws);
-                }
-            }
-            SyncMode::Deferred => {
-                // Eq. 6: each sample's output error is a constant ∓1/m (or
-                // a function of its own score), so its error chain runs as
-                // soon as its forward pass ends, on its lane; its W walk
-                // lands in sample order: all reals, then all fakes.
-                let (lanes, elems) = run_lanes(
-                    &mut self.lanes,
-                    2 * m,
-                    |i, lane| {
-                        let x = reals.get(i).unwrap_or_else(|| &fakes[i - m]);
-                        let t = critic.forward_ws(x, &mut lane.ws).expect("image shape");
-                        lane.score = wgan::score(t.output());
-                        lane.buffered = t.buffered_elems();
-                        let delta = if i < m {
-                            real_delta(loss, lane.score, m)
-                        } else {
-                            fake_delta(loss, lane.score, m)
-                        };
-                        let (deltas, ws) = (Some(&mut lane.deltas), &mut lane.ws);
-                        critic
-                            .backward_errors(&t, &wgan::scalar_error(delta), false, deltas, ws)
-                            .expect("trace produced by this network");
-                        lane.trace = Some(t);
-                    },
-                    |i, lane| {
-                        land_weights(&mut grads, critic, lane);
-                        let scores = if i < m {
-                            &mut real_scores
-                        } else {
-                            &mut fake_scores
-                        };
-                        scores.push(lane.score);
-                    },
-                );
-                (peak_elems, peak_traces) = (elems, lanes);
-            }
-        }
+        // Eq. 6: each sample's output error is a constant ∓1/m (or a
+        // function of its own score), so its error walk needs no other
+        // sample; its W walk lands in sample order: all reals, then all
+        // fakes.
+        let (peak_traces, peak_elems) = run_lanes(
+            &mut self.lanes,
+            mode,
+            2 * m,
+            |i, ws| {
+                let x = reals.get(i).unwrap_or_else(|| &fakes[i - m]);
+                let t = critic.forward_ws(x, ws).expect("image shape");
+                let score = wgan::score(t.output());
+                Sample::new(t, None, score)
+            },
+            |i, s, deltas, ws| {
+                let delta = dis_delta(loss, i < m, s.score, m);
+                critic
+                    .backward_errors(
+                        &s.trace,
+                        &wgan::scalar_error(delta),
+                        false,
+                        Some(deltas),
+                        ws,
+                    )
+                    .expect("trace produced by this network");
+            },
+            |i, s, lane| {
+                land_weights(&mut grads, critic, s.trace, lane);
+                let scores = if i < m {
+                    &mut real_scores
+                } else {
+                    &mut fake_scores
+                };
+                scores.push(s.score);
+            },
+        );
         // Each fake goes back to the lane whose workspace made it.
         let width = self.lanes.len().min(m);
         for (k, f) in fakes.into_iter().enumerate() {
@@ -737,7 +741,7 @@ impl GanTrainer {
         for g in grads {
             g.recycle(&mut self.lanes[0].ws);
         }
-        let dis_loss = match self.config.loss {
+        let dis_loss = match loss {
             LossKind::Wasserstein => wgan::dis_loss(&real_scores, &fake_scores),
             LossKind::MinimaxNonSaturating => wgan::vanilla_dis_loss(&real_scores, &fake_scores),
         };
@@ -757,80 +761,41 @@ impl GanTrainer {
     /// Panics if `batch` is zero.
     pub fn step_generator<R: Rng>(&mut self, batch: usize, rng: &mut R) -> GenStepReport {
         assert!(batch > 0, "batch must be non-zero");
+        let loss = self.config.loss;
         let zs = self.gan.sample_z_batch(batch, rng);
         let (gen, critic) = (&self.gan.generator, &self.gan.discriminator);
         let mut grads = gen.zero_grads_ws(&mut self.lanes[0].ws);
         let mut fake_scores = Vec::with_capacity(batch);
-        let (peak_elems, peak_traces);
-        let loss = self.config.loss;
-        // Error flows back through the (frozen) critic into the Generator —
-        // Fig. 2 step ⑧: only the error on the image is wanted, the
-        // critic's own gradients are never built.
-        let image_error = |d_trace: &Trace, score: f64, ws: &mut ConvWorkspace<f32>| {
-            let delta = wgan::scalar_error(gen_delta(loss, score, batch));
-            critic
-                .backward_errors(d_trace, &delta, true, None, ws)
-                .expect("trace produced by this network")
-                .expect("image error was wanted")
-        };
-
-        match self.config.mode {
-            SyncMode::Synchronized => {
-                let Lane { ws, deltas, .. } = &mut self.lanes[0];
-                let traces: Vec<(Trace, Trace)> = zs
-                    .iter()
-                    .map(|z| {
-                        let gt = gen.forward_ws(z, ws).expect("z shape");
-                        let dt = critic.forward_ws(gt.output(), ws).expect("image shape");
-                        (gt, dt)
-                    })
-                    .collect();
-                peak_elems = traces
-                    .iter()
-                    .map(|(g, d)| g.buffered_elems() + d.buffered_elems())
-                    .sum();
-                peak_traces = 2 * batch;
-                for (_, dt) in &traces {
-                    fake_scores.push(wgan::score(dt.output()));
-                }
-                for ((gt, dt), score) in traces.iter().zip(&fake_scores) {
-                    let delta_image = image_error(dt, *score, ws);
-                    gen.backward_errors(gt, &delta_image, false, Some(deltas), ws)
-                        .and_then(|_| gen.backward_weights(gt, deltas, Some(&mut grads), ws))
-                        .expect("trace produced by this network");
-                    ws.give_fmaps(delta_image);
-                }
-                for (gt, dt) in traces {
-                    gt.recycle(ws);
-                    dt.recycle(ws);
-                }
-            }
-            SyncMode::Deferred => {
-                let (lanes, elems) = run_lanes(
-                    &mut self.lanes,
-                    batch,
-                    |i, lane| {
-                        let ws = &mut lane.ws;
-                        let gt = gen.forward_ws(&zs[i], ws).expect("z shape");
-                        let dt = critic.forward_ws(gt.output(), ws).expect("image shape");
-                        lane.score = wgan::score(dt.output());
-                        lane.buffered = gt.buffered_elems() + dt.buffered_elems();
-                        let delta_image = image_error(&dt, lane.score, ws);
-                        dt.recycle(ws);
-                        gen.backward_errors(&gt, &delta_image, false, Some(&mut lane.deltas), ws)
-                            .expect("trace produced by this network");
-                        ws.give_fmaps(delta_image);
-                        lane.trace = Some(gt);
-                    },
-                    |_, lane| {
-                        land_weights(&mut grads, gen, lane);
-                        fake_scores.push(lane.score);
-                    },
-                );
-                // A lane holds its Generator and critic traces at once.
-                (peak_elems, peak_traces) = (elems, 2 * lanes);
-            }
-        }
+        let (peak_samples, peak_elems) = run_lanes(
+            &mut self.lanes,
+            self.config.mode,
+            batch,
+            |i, ws| {
+                let gt = gen.forward_ws(&zs[i], ws).expect("z shape");
+                let dt = critic.forward_ws(gt.output(), ws).expect("image shape");
+                let score = wgan::score(dt.output());
+                Sample::new(gt, Some(dt), score)
+            },
+            |_, s, deltas, ws| {
+                // Error flows back through the (frozen) critic into the
+                // Generator — Fig. 2 step ⑧: only the error on the image is
+                // wanted, the critic's own gradients are never built.
+                let dt = s.critic.take().expect("the forward job kept it");
+                let delta = wgan::scalar_error(gen_delta(loss, s.score, batch));
+                let delta_image = critic
+                    .backward_errors(&dt, &delta, true, None, ws)
+                    .expect("trace produced by this network")
+                    .expect("image error was wanted");
+                dt.recycle(ws);
+                gen.backward_errors(&s.trace, &delta_image, false, Some(deltas), ws)
+                    .expect("trace produced by this network");
+                ws.give_fmaps(delta_image);
+            },
+            |_, s, lane| {
+                land_weights(&mut grads, gen, s.trace, lane);
+                fake_scores.push(s.score);
+            },
+        );
 
         self.opt_g.step(&mut self.gan.generator, &grads);
         for g in grads {
@@ -843,7 +808,8 @@ impl GanTrainer {
         GenStepReport {
             gen_loss,
             peak_buffered_elems: peak_elems,
-            peak_live_traces: peak_traces,
+            // A sample holds its Generator and critic traces at once.
+            peak_live_traces: 2 * peak_samples,
         }
     }
 
@@ -858,14 +824,14 @@ impl GanTrainer {
         let mut span = zfgan_telemetry::span!("train/iteration");
         let t0 = std::time::Instant::now();
         let mut last = None;
-        for _ in 0..self.config.n_critic.max(1) {
+        for _ in 0..self.config.n_critic {
             let reals = self.gan.sample_real_batch(batch, rng);
             last = Some(self.step_discriminator(&reals, rng));
         }
         let gen = self.step_generator(batch, rng);
         if span.is_active() {
             span.record("batch", batch as u64);
-            span.record("critic_updates", self.config.n_critic.max(1) as u64);
+            span.record("critic_updates", self.config.n_critic as u64);
             zfgan_telemetry::count("trainer_steps_total", &[], 1);
             zfgan_telemetry::observe_wall(
                 "trainer_step_seconds",
@@ -878,20 +844,15 @@ impl GanTrainer {
     }
 }
 
-/// Per-sample output error of a real sample under `loss`, given the
-/// sample's own critic output (score for WGAN, logit for minimax).
-fn real_delta(loss: LossKind, score: f64, m: usize) -> f32 {
-    match loss {
-        LossKind::Wasserstein => wgan::dis_output_error_real(m),
-        LossKind::MinimaxNonSaturating => wgan::vanilla_output_error_real(score, m),
-    }
-}
-
-/// Per-sample output error of a fake sample during a Discriminator update.
-fn fake_delta(loss: LossKind, score: f64, m: usize) -> f32 {
-    match loss {
-        LossKind::Wasserstein => wgan::dis_output_error_fake(m),
-        LossKind::MinimaxNonSaturating => wgan::vanilla_output_error_fake(score, m),
+/// Per-sample output error of a real (or fake) sample during a
+/// Discriminator update under `loss`, given the sample's own critic output
+/// (score for WGAN, logit for minimax).
+fn dis_delta(loss: LossKind, real: bool, score: f64, m: usize) -> f32 {
+    match (loss, real) {
+        (LossKind::Wasserstein, true) => wgan::dis_output_error_real(m),
+        (LossKind::Wasserstein, false) => wgan::dis_output_error_fake(m),
+        (LossKind::MinimaxNonSaturating, true) => wgan::vanilla_output_error_real(score, m),
+        (LossKind::MinimaxNonSaturating, false) => wgan::vanilla_output_error_fake(score, m),
     }
 }
 
@@ -903,11 +864,9 @@ fn gen_delta(loss: LossKind, score: f64, m: usize) -> f32 {
     }
 }
 
-/// Lands the W walk of the sample a lane's job left — its trace and every
-/// layer's `δ_pre` — into `grads`, with the lane's workspace, and gives
-/// the trace back to it.
-fn land_weights(grads: &mut [LayerGrads], net: &ConvNet, lane: &mut Lane) {
-    let trace = lane.trace.take().expect("the job left its trace");
+/// Lands the W walk of a sample — its trace and the lane's `δ_pre` of it —
+/// into `grads`, with the lane's workspace, and gives the trace back to it.
+fn land_weights(grads: &mut [LayerGrads], net: &ConvNet, trace: Trace, lane: &mut Lane) {
     net.backward_weights(&trace, &mut lane.deltas, Some(grads), &mut lane.ws)
         .expect("trace produced by this network");
     trace.recycle(&mut lane.ws);
@@ -1167,35 +1126,79 @@ mod tests {
         }
     }
 
-    /// Whatever the lane count, every sample's job runs once, on lane
-    /// `i mod lanes` of its group, and the landings follow in sample order
-    /// after their group — a short last group included.
+    /// Whatever the lane count and mode, every sample's forward and error
+    /// jobs run once, on lane `i mod lanes`, and the landings follow in
+    /// sample order after their group — a short last group included. With
+    /// the barrier every forward job runs before any error job and the peak
+    /// is all `n` samples; without it, the fullest group.
     #[test]
     fn run_lanes_lands_every_sample_in_order_after_its_group() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        for (width, n) in [(1, 3), (3, 7), (4, 4), (8, 3)] {
-            let mut lanes: Vec<Lane> = (0..width).map(|_| Lane::default()).collect();
-            let ran = AtomicUsize::new(0);
-            let mut landed = Vec::new();
-            let (most_lanes, most_elems) = run_lanes(
-                &mut lanes,
-                n,
-                |i, lane| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    lane.score = i as f64;
-                    lane.buffered = 10 + i;
-                },
-                |i, lane| {
-                    assert_eq!(lane.score, i as f64, "lane of sample {i}");
-                    assert_eq!(ran.load(Ordering::Relaxed), n.min((i / width + 1) * width));
-                    landed.push(i);
-                },
-            );
-            assert_eq!(landed, (0..n).collect::<Vec<_>>());
-            let full = width.min(n);
-            assert_eq!(most_lanes, full);
-            let elems = |g: usize| (g..n.min(g + width)).map(|i| 10 + i).sum::<usize>();
-            assert_eq!(Some(most_elems), (0..n).step_by(width).map(elems).max());
+        let mut rng = SmallRng::seed_from_u64(8);
+        let pair = GanPair::tiny(&mut rng);
+        let x = pair.sample_real_batch(1, &mut rng).remove(0);
+        let trace = pair.discriminator().forward(&x).expect("image shape");
+        for mode in [SyncMode::Synchronized, SyncMode::Deferred] {
+            for (width, n) in [(1, 3), (3, 7), (4, 4), (8, 3)] {
+                let mut lanes: Vec<Lane> = (0..width).map(|_| Lane::default()).collect();
+                let lane_of: Vec<usize> =
+                    lanes.iter().map(|l| &l.ws as *const _ as usize).collect();
+                let on_lane = |i: usize, ws: &ConvWorkspace<f32>| {
+                    assert_eq!(
+                        ws as *const _ as usize,
+                        lane_of[i % width],
+                        "{mode:?}: lane of {i}"
+                    );
+                };
+                let (forwards, errors) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let mut landed = Vec::new();
+                let (most_samples, most_elems) = run_lanes(
+                    &mut lanes,
+                    mode,
+                    n,
+                    |i, ws| {
+                        on_lane(i, ws);
+                        forwards.fetch_add(1, Ordering::Relaxed);
+                        let (trace, critic, score) = (trace.clone(), None, i as f64);
+                        Sample {
+                            trace,
+                            critic,
+                            score,
+                            buffered: 10 + i,
+                        }
+                    },
+                    |i, s, _, ws| {
+                        on_lane(i, ws);
+                        assert_eq!(s.score, i as f64, "{mode:?}: sample of error job {i}");
+                        if mode == SyncMode::Synchronized {
+                            let ran = forwards.load(Ordering::Relaxed);
+                            assert_eq!(ran, n, "error job {i} ran before the barrier");
+                        }
+                        errors.fetch_add(1, Ordering::Relaxed);
+                    },
+                    |i, s, lane| {
+                        on_lane(i, &lane.ws);
+                        assert_eq!(s.score, i as f64, "{mode:?}: sample landed as {i}");
+                        let ran = errors.load(Ordering::Relaxed);
+                        assert_eq!(ran, n.min((i / width + 1) * width), "{mode:?}: {i}");
+                        landed.push(i);
+                    },
+                );
+                assert_eq!(landed, (0..n).collect::<Vec<_>>(), "{mode:?}");
+                let elems = |g: usize| (g..n.min(g + width)).map(|i| 10 + i).sum::<usize>();
+                let want = if mode == SyncMode::Synchronized {
+                    (n, (0..n).map(|i| 10 + i).sum())
+                } else {
+                    let most = (0..n).step_by(width).map(elems).max();
+                    (width.min(n), most.expect("n > 0"))
+                };
+                assert_eq!(
+                    (most_samples, most_elems),
+                    want,
+                    "{mode:?}, {width} lanes, {n}"
+                );
+                assert!(lanes.iter().all(|l| l.held.is_empty()), "{mode:?}");
+            }
         }
     }
 

@@ -47,7 +47,7 @@
 //! Each task runs under `catch_unwind`; a panicking task is counted and the
 //! batch completes the remaining work, returning
 //! [`PoolError::TaskPanicked`], so a caller decides what a failed task
-//! means only after its batch has drained (the deferred trainer's sample
+//! means only after its batch has drained (the trainer's sample
 //! lanes panic the step on the calling thread then, where the training
 //! supervisor contains it). The
 //! sequential fallback (one hardware thread, one task, or an uninitialized

@@ -66,7 +66,7 @@ echo "=== train step across pool widths ==="
 # 128x1600x49 and 128x49x1600 GEMMs fan out, rows, pack and fills) print the
 # same deterministic line and the same deterministic telemetry, serial and at widths
 # that split those rows evenly, raggedly and one tile a chunk, and that run
-# the deferred trainer's samples on that many lanes; and the warm
+# the trainer's samples on that many lanes; and the warm
 # train step stays allocation-free when it does fan out (width 2 explicitly:
 # the test step above ran it at the host's width, which may be 1). Two DCGAN
 # iterations print the same deterministic line at every width and on the
@@ -95,10 +95,18 @@ for threads in 1 2 3 8; do
         | grep -E '^deterministic:|^    [a-z_]+(\{[^}]*\})? +[0-9]+$' > "$tdir/ragged_$threads.txt"
     grep -q 'gemm_calls{backend="blocked"}' "$tdir/ragged_$threads.txt"
     diff "$tdir/ragged_1.txt" "$tdir/ragged_$threads.txt"
+    # Both sync modes run their samples on the lanes, so deferred must
+    # equal synchronized at every width, ragged lane groups included (the
+    # runner's own test covers 3 samples on 2 lanes, 7 on 3, 3 on 8).
+    ZFGAN_THREADS="$threads" timeout 300 cargo test -q --release -p zfgan-nn --lib trainer::tests
+    ZFGAN_THREADS="$threads" timeout 300 \
+        cargo test -q --release -p zfgan --test properties deferred_equals_synchronized
+    ZFGAN_THREADS="$threads" timeout 300 \
+        cargo test -q --release -p zfgan --test end_to_end mnist_gan_trains_identically_in_both_modes
 done
 diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/width_1.txt")
 ZFGAN_THREADS=2 timeout 300 cargo test -q -p zfgan --test zero_alloc --test exec_zero_alloc
-echo "train digests and telemetry are byte-identical at pool widths 1, 2, 3, 8 (DCGAN also on scalar kernels, MNIST also on ragged lane groups)"
+echo "train digests and telemetry are byte-identical at pool widths 1, 2, 3, 8 (DCGAN also on scalar kernels, MNIST also on ragged lane groups); deferred equals synchronized at each"
 
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-

@@ -153,37 +153,89 @@ fn pool_panics_become_typed_errors() {
 /// panic reaches `step_discriminator` on the calling thread once the
 /// lane's group has drained, as a panic a supervisor can contain. The
 /// trainer stays usable: rolled back to a snapshot it takes the next step
-/// exactly as a fresh trainer does, and a supervised iteration on it
-/// completes.
+/// exactly as a fresh trainer does — none of the samples its lanes held
+/// for the failed step survives into it — and a supervised iteration on it
+/// completes. Run in both modes; synchronized, the step panics in its
+/// forward phase, before any error walk.
 #[test]
 fn a_panicking_lane_panics_the_step_after_its_group_drains() {
+    use zfgan::nn::SyncMode;
+    for mode in [SyncMode::Deferred, SyncMode::Synchronized] {
+        panicking_lane(mode);
+    }
+}
+
+/// One run of [`a_panicking_lane_panics_the_step_after_its_group_drains`]
+/// in `mode`.
+fn panicking_lane(mode: zfgan::nn::SyncMode) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use zfgan::nn::{GanPair, GanTrainer, SupervisedTrainer, SupervisorConfig, TrainerConfig};
+    use std::sync::Arc;
+    use zfgan::nn::{
+        GanPair, GanTrainer, SupervisedTrainer, SupervisorConfig, SyncMode, TrainerConfig,
+    };
+    use zfgan::telemetry::{export::counter_total, Registry};
     let trainer = || {
         let pair = GanPair::tiny(&mut SmallRng::seed_from_u64(40));
-        GanTrainer::new(pair, TrainerConfig::default())
+        let config = TrainerConfig {
+            mode,
+            ..TrainerConfig::default()
+        };
+        GanTrainer::new(pair, config)
     };
     let mut rng = SmallRng::seed_from_u64(41);
     let mut reals = trainer().gan().sample_real_batch(4, &mut rng);
     let good = reals.clone();
-    reals[2] = Fmaps::zeros(1, 4, 4);
+    let bad = 2;
+    reals[bad] = Fmaps::zeros(1, 4, 4);
 
     let mut hurt = trainer();
     let before = hurt.snapshot();
-    let panic = catch_unwind(AssertUnwindSafe(|| {
-        hurt.step_discriminator(&reals, &mut SmallRng::seed_from_u64(42))
-    }))
-    .expect_err("a mis-shaped sample must panic the step");
+    // The GEMMs each pass runs, counted under a scope of their own.
+    let gemm_calls = |pass: &mut dyn FnMut()| {
+        let reg = Arc::new(Registry::new());
+        {
+            let _scope = zfgan::telemetry::scope(Arc::clone(&reg));
+            pass();
+        }
+        counter_total(&reg, "gemm_calls")
+    };
+    let mut panic = None;
+    let failed_step_calls = gemm_calls(&mut || {
+        let step = || hurt.step_discriminator(&reals, &mut SmallRng::seed_from_u64(42));
+        panic = catch_unwind(AssertUnwindSafe(step)).err();
+    });
+    let panic = panic.expect("a mis-shaped sample must panic the step");
     let message = panic
         .downcast_ref::<String>()
         .expect("the step panics with a message");
-    assert!(message.contains("sample lane panicked"), "{message}");
+    assert!(
+        message.contains("sample lane panicked"),
+        "{mode:?}: {message}"
+    );
+    if mode == SyncMode::Synchronized {
+        // The barrier: the step ran the fakes' Generator forwards and the
+        // critic forwards of every group up to the bad sample's, and
+        // nothing else.
+        let gan = before.gan();
+        let z = gan
+            .sample_z_batch(1, &mut SmallRng::seed_from_u64(43))
+            .remove(0);
+        let gen_forward = gemm_calls(&mut || drop(gan.generator().forward(&z)));
+        let critic_forward = gemm_calls(&mut || drop(gan.discriminator().forward(&good[0])));
+        let width = zfgan::pool::pool_threads();
+        let ran = (good.len() * 2).min((bad / width + 1) * width) - 1;
+        assert_eq!(
+            failed_step_calls,
+            good.len() as u64 * gen_forward + ran as u64 * critic_forward,
+            "the synchronized step ran more than forward passes"
+        );
+    }
 
     hurt.restore(&before);
     let mut fresh = trainer();
     let a = hurt.step_discriminator(&good, &mut SmallRng::seed_from_u64(42));
     let b = fresh.step_discriminator(&good, &mut SmallRng::seed_from_u64(42));
-    assert_eq!(a, b);
+    assert_eq!(a, b, "{mode:?}");
     for (x, y) in hurt
         .gan()
         .discriminator()
@@ -191,7 +243,7 @@ fn a_panicking_lane_panics_the_step_after_its_group_drains() {
         .iter()
         .zip(fresh.gan().discriminator().layers())
     {
-        assert_eq!(x.weights(), y.weights());
+        assert_eq!(x.weights(), y.weights(), "{mode:?}");
     }
 
     let mut supervised =
@@ -202,24 +254,25 @@ fn a_panicking_lane_panics_the_step_after_its_group_drains() {
     assert!(dis.dis_loss.is_finite() && gen.gen_loss.is_finite());
 }
 
-/// Sample lanes around fanned passes: after every optimizer step the
-/// stepped network's middle layer rewrites its phase sub-kernels fanned
-/// out over the pool (it holds more weights than the fan-out threshold),
-/// and the next sample loop runs passes over that network on several lanes
-/// at once. Training on lanes must land on the serial (synchronized)
-/// trainer's weights bit for bit.
+/// Deferred ≡ synchronized around fanned passes: after every optimizer
+/// step the stepped network's middle layer rewrites its phase sub-kernels
+/// fanned out over the pool (it holds more weights than the fan-out
+/// threshold), and the next sample loop runs passes over that network on
+/// several lanes at once. Both modes run their samples on the lanes of the
+/// pool width the test runs at, the synchronized one behind its barrier,
+/// and must land on the same weights bit for bit.
 ///
 /// Run twice: on 8×8 images the critic's GEMMs stay inline, so only the
 /// rewrites and optimizer steps fan out; on 16×16 images the middle
 /// layer's GEMMs fan out too, from inside the lanes.
 #[test]
-fn lanes_around_fanned_passes_match_the_serial_trainer() {
+fn deferred_matches_synchronized_around_fanned_passes() {
     for side in [8, 16] {
         lanes_around_fanned_passes(side);
     }
 }
 
-/// One run of [`lanes_around_fanned_passes_match_the_serial_trainer`] on
+/// One run of [`deferred_matches_synchronized_around_fanned_passes`] on
 /// `side × side` images.
 fn lanes_around_fanned_passes(side: usize) {
     use zfgan::nn::{ConvNet, GanPair, GanTrainer, SyncMode, TrainerConfig};
@@ -268,18 +321,18 @@ fn lanes_around_fanned_passes(side: usize) {
         };
         GanTrainer::new(pair.clone(), config)
     };
-    let (mut lanes, mut serial) = (trainer(SyncMode::Deferred), trainer(SyncMode::Synchronized));
+    let (mut deferred, mut synced) = (trainer(SyncMode::Deferred), trainer(SyncMode::Synchronized));
     let (mut rng_a, mut rng_b) = (SmallRng::seed_from_u64(45), SmallRng::seed_from_u64(45));
     for round in 0..3 {
-        let got = lanes.train_iteration(4, &mut rng_a);
-        let want = serial.train_iteration(4, &mut rng_b);
+        let got = deferred.train_iteration(4, &mut rng_a);
+        let want = synced.train_iteration(4, &mut rng_b);
         assert_eq!(
             (got.0.dis_loss, got.1.gen_loss),
             (want.0.dis_loss, want.1.gen_loss),
             "side {side}, round {round}"
         );
         let nets = |t: &GanTrainer| [t.gan().generator().clone(), t.gan().discriminator().clone()];
-        for (g, w) in nets(&lanes).iter().zip(&nets(&serial)) {
+        for (g, w) in nets(&deferred).iter().zip(&nets(&synced)) {
             for (lg, lw) in g.layers().iter().zip(w.layers()) {
                 assert_eq!(lg.weights(), lw.weights(), "side {side}, round {round}");
                 assert_eq!(lg.bias(), lw.bias(), "side {side}, round {round}");
@@ -320,58 +373,63 @@ fn run_at_width(name: &str, threads: &str) -> String {
     stdout
 }
 
-/// [`lanes_around_fanned_passes_match_the_serial_trainer`] at pool widths
-/// 2 and 8.
+/// [`deferred_matches_synchronized_around_fanned_passes`] at pool widths 2
+/// and 8.
 #[test]
 fn lanes_around_fanned_passes_match_at_pool_widths_2_and_8() {
     for threads in ["2", "8"] {
         run_at_width(
-            "lanes_around_fanned_passes_match_the_serial_trainer",
+            "deferred_matches_synchronized_around_fanned_passes",
             threads,
         );
     }
 }
 
-/// Two MNIST-GAN iterations at batch 4 under a telemetry scope: prints a
-/// digest of every weight and bias of both networks (with the losses) and
-/// the scope's deterministic section, for the width comparisons below.
+/// MNIST-GAN at batch 4 under a telemetry scope, in each mode (two
+/// deferred iterations, one synchronized): prints a digest of every weight
+/// and bias of both networks (with the losses) and the scope's
+/// deterministic section, one line each per mode, for the width
+/// comparisons below.
 #[test]
 fn lane_training_digest_and_telemetry() {
     use std::sync::Arc;
-    use zfgan::nn::{GanTrainer, TrainerConfig};
+    use zfgan::nn::{GanTrainer, SyncMode, TrainerConfig};
     use zfgan::telemetry::{export::deterministic_section, Registry};
-    let mut rng = SmallRng::seed_from_u64(2024);
-    let pair = zfgan::workloads::GanSpec::mnist_gan()
-        .build_pair(0.05, &mut rng)
-        .expect("paper spec builds");
-    let config = TrainerConfig {
-        n_critic: 1,
-        ..TrainerConfig::default()
-    };
-    let mut trainer = GanTrainer::new(pair, config);
-    let reg = Arc::new(Registry::new());
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bits: u64| digest = (digest ^ bits).wrapping_mul(0x0100_0000_01b3);
-    {
-        let _scope = zfgan::telemetry::scope(Arc::clone(&reg));
-        for _ in 0..2 {
-            let (dis, gen) = trainer.train_iteration(4, &mut rng);
-            eat(dis.dis_loss.to_bits());
-            eat(gen.gen_loss.to_bits());
-        }
-    }
-    let gan = trainer.gan();
-    for net in [gan.generator(), gan.discriminator()] {
-        for layer in net.layers() {
-            for v in layer.weights().as_slice().iter().chain(layer.bias()) {
-                eat(u64::from(v.to_bits()));
+    for (mode, iterations) in [(SyncMode::Deferred, 2), (SyncMode::Synchronized, 1)] {
+        let mut rng = SmallRng::seed_from_u64(2024);
+        let pair = zfgan::workloads::GanSpec::mnist_gan()
+            .build_pair(0.05, &mut rng)
+            .expect("paper spec builds");
+        let config = TrainerConfig {
+            mode,
+            n_critic: 1,
+            ..TrainerConfig::default()
+        };
+        let mut trainer = GanTrainer::new(pair, config);
+        let reg = Arc::new(Registry::new());
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bits: u64| digest = (digest ^ bits).wrapping_mul(0x0100_0000_01b3);
+        {
+            let _scope = zfgan::telemetry::scope(Arc::clone(&reg));
+            for _ in 0..iterations {
+                let (dis, gen) = trainer.train_iteration(4, &mut rng);
+                eat(dis.dis_loss.to_bits());
+                eat(gen.gen_loss.to_bits());
             }
         }
+        let gan = trainer.gan();
+        for net in [gan.generator(), gan.discriminator()] {
+            for layer in net.layers() {
+                for v in layer.weights().as_slice().iter().chain(layer.bias()) {
+                    eat(u64::from(v.to_bits()));
+                }
+            }
+        }
+        let section = deterministic_section(&reg);
+        assert!(section.contains("gemm_calls"), "{section}");
+        println!("lane digest {mode:?} {digest:#018x}");
+        println!("lane telemetry {mode:?} {section}");
     }
-    let section = deterministic_section(&reg);
-    assert!(section.contains("gemm_calls"), "{section}");
-    println!("lane digest {digest:#018x}");
-    println!("lane telemetry {section}");
 }
 
 /// What [`lane_training_digest_and_telemetry`] prints from `prefix` to the
@@ -394,26 +452,30 @@ fn lane_output(prefix: &str, threads: &str) -> String {
 
 /// Sample lanes land every weight gradient in sample order, so a batch-4
 /// trainer at pool widths 2 and 8 ends on the weights and losses of a
-/// serial (`ZFGAN_THREADS=1`) child, bit for bit.
+/// serial (`ZFGAN_THREADS=1`) child, bit for bit, in either mode.
 #[test]
 fn lanes_train_bit_identically_at_pool_widths_2_and_8() {
-    let serial = lane_output("lane digest", "1");
-    for threads in ["2", "8"] {
-        assert_eq!(
-            serial,
-            lane_output("lane digest", threads),
-            "width {threads}"
-        );
+    for mode in ["Deferred", "Synchronized"] {
+        let prefix = format!("lane digest {mode} ");
+        let serial = lane_output(&prefix, "1");
+        for threads in ["2", "8"] {
+            let lanes = lane_output(&prefix, threads);
+            assert_eq!(serial, lanes, "{mode}, width {threads}");
+        }
     }
 }
 
 /// Every lane re-enters the submitter's telemetry scope, so a batch-4
 /// train run at pool width 2 records the deterministic section of a
-/// serial (`ZFGAN_THREADS=1`) child byte for byte.
+/// serial (`ZFGAN_THREADS=1`) child byte for byte, in either mode.
 #[test]
 fn lane_telemetry_matches_a_serial_child() {
-    assert_eq!(
-        lane_output("lane telemetry", "1"),
-        lane_output("lane telemetry", "2")
-    );
+    for mode in ["Deferred", "Synchronized"] {
+        let prefix = format!("lane telemetry {mode} ");
+        assert_eq!(
+            lane_output(&prefix, "1"),
+            lane_output(&prefix, "2"),
+            "{mode}"
+        );
+    }
 }
