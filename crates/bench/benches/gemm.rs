@@ -8,8 +8,7 @@
 //! Every gate is one [`paired_ratio`] of two variants that agree
 //! numerically per the family contracts pinned by `tests/fast_conv.rs`
 //! (packed f32 kernels mutually bit-identical and within the fused
-//! accumulation bound of naive; Q8.8 bit-identical everywhere), so every
-//! ratio is pure speed. Absolute times are the `train_mnist` /
+//! accumulation bound of naive), so every ratio is pure speed. Absolute times are the `train_mnist` /
 //! `train_dcgan` workloads of `BENCHMARK.json`.
 
 use std::cell::RefCell;
@@ -22,7 +21,7 @@ use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
     choose_path, set_forced_path, simd_label, simd_level, GemmPath, SimdLevel,
 };
-use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels, PhaseKernels};
+use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Kernels, PhaseKernels};
 
 /// Rounds behind every paired ratio here.
 const PAIRED_ROUNDS: usize = 21;
@@ -52,12 +51,12 @@ fn mnist_layer2() -> ConvGeom {
 
 /// Gates `fast(a, b)` over the naive triple loop ([`Matrix::matmul`]) on
 /// `a × b`.
-fn gate_over_naive<T: zfgan_tensor::Num>(
+fn gate_over_naive(
     name: &str,
     floor: f64,
-    fast: impl Fn(&Matrix<T>, &Matrix<T>) -> zfgan_tensor::TensorResult<Matrix<T>>,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
+    fast: impl Fn(&Matrix<f32>, &Matrix<f32>) -> zfgan_tensor::TensorResult<Matrix<f32>>,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
 ) {
     let naive = || {
         std::hint::black_box(a.matmul(b).expect("conforming operands"));
@@ -98,23 +97,6 @@ fn gate_matmul_kinds() {
         matmul_blocked,
         &ab,
         &b,
-    );
-
-    // The single-image shape in Q8.8: the vectorized saturating i16 kernel
-    // against the naive triple loop.
-    let to_fx = |m: &Matrix<f32>| {
-        Matrix::from_vec(
-            m.rows(),
-            m.cols(),
-            m.as_slice().iter().map(|v| Fx::from_f32(*v)).collect(),
-        )
-    };
-    gate_over_naive(
-        "matmul_fx/blocked",
-        simd_floor(2.0),
-        matmul_blocked,
-        &to_fx(&a),
-        &to_fx(&b),
     );
 }
 

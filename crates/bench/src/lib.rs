@@ -3,7 +3,6 @@
 //! Each bench in `benches/` times a fast path against its baseline in
 //! paired, interleaved rounds ([`paired_ratio`]) and asserts the median
 //! ratio holds a floor ([`gate`], [`fan_out_gate`]); none writes a file.
-//! The one binary, `fxsweep`, is `scripts/ci.sh`'s Q8.8 SIMD transcript.
 //! The paper's tables and figures are `zfgan paper <name>`.
 
 #![deny(missing_docs)]

@@ -34,7 +34,7 @@
 //! run, a warm rerun and a corrupted-then-recomputed run are
 //! byte-identical — the CI gate diffs exactly that. Cache traffic is
 //! observable instead through wall-clock-class telemetry counters
-//! (`dse_*_total`), which also ride the shared `/metrics` endpoint.
+//! (`dse_*_total`), recorded into the caller's telemetry scope.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -58,11 +58,6 @@ use zfgan_store::{fnv64, fnv64_salted, Records, Store, StoreConfig, StoreError};
 pub fn code_salt() -> u64 {
     fnv64(b"zfgan-dse-payload-v3")
 }
-
-/// Environment variable naming the on-disk cell cache directory for
-/// engine entry points that configure themselves from the environment
-/// ([`DseConfig::from_env`]).
-pub const CACHE_ENV: &str = "ZFGAN_DSE_CACHE";
 
 /// Default bounded in-flight window: cells computed per pool wave before
 /// their results are published and the next wave starts.
@@ -110,14 +105,6 @@ impl DseConfig {
             window: DEFAULT_WINDOW,
             verify: VerifyPolicy::Trust,
         }
-    }
-
-    /// Like [`DseConfig::new`], but the cache directory comes from the
-    /// `ZFGAN_DSE_CACHE` environment variable when set.
-    pub fn from_env(namespace: impl Into<String>) -> Self {
-        let mut cfg = Self::new(namespace);
-        cfg.cache_dir = std::env::var_os(CACHE_ENV).map(PathBuf::from);
-        cfg
     }
 }
 
@@ -226,10 +213,14 @@ fn encode_payload(det: &str, result_json: &str) -> String {
 
 /// Decodes a cached payload, validating that the result parses as `R`.
 /// Only the result is parsed (a few hundred bytes; the prefix parse says
-/// where it ended) and `result_json` is re-serialised from that parse, so a
-/// hit carries this build's bytes. The section is whatever the delimiters
-/// frame, required to open and close as an object but never built into a
-/// tree: as under v2, its interior is vouched for by the envelope's CRC and
+/// where it ended), and a hit serves the stored bytes of that parse as its
+/// `result_json`: they are the bytes the build that wrote them encoded, so
+/// a change to what a cell's payload bytes are — its result's encoding
+/// included — needs a [`code_salt`] bump, or old cells keep being served
+/// as they were stored (a [`VerifyPolicy::All`] run still catches and
+/// republishes them). The section is whatever the delimiters frame,
+/// required to open and close as an object but never built into a tree:
+/// as under v2, its interior is vouched for by the envelope's CRC and
 /// salted hash, and byte-compared under [`VerifyPolicy::All`]. Any
 /// malformation → `None` (the cell is treated as a miss and recomputed).
 fn decode_payload<R: Deserialize>(payload: &[u8]) -> Option<Resolved> {
@@ -239,7 +230,7 @@ fn decode_payload<R: Deserialize>(payload: &[u8]) -> Option<Resolved> {
     R::from_value(&value).ok()?;
     let det = rest[end..].strip_prefix(PAYLOAD_DET)?.strip_suffix('}')?;
     (det.starts_with('{') && det.ends_with('}')).then(|| Resolved {
-        result_json: value.to_string(),
+        result_json: rest[..end].to_string(),
         det: det.to_string(),
         value,
     })
@@ -652,6 +643,57 @@ mod tests {
             zfgan_telemetry::export::counter_total(&reg, "dse_verify_failures_total"),
             0
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hit serves the result bytes it stored, not a re-encoding of them:
+    /// a valid result stored with non-canonical spacing streams as stored,
+    /// until a verified run counts it as a failure and republishes the
+    /// canonical bytes, which the next trusting run then streams.
+    #[test]
+    fn hits_serve_their_stored_bytes_until_verify_republishes_them() {
+        let dir = temp_dir("stored");
+        let mut cfg = DseConfig::new("t-stored");
+        cfg.cache_dir = Some(dir.clone());
+        let (canonical, det) = compute_cell(&eval, &5);
+        let spaced = canonical.replace(':', ": ").replace(',', ", ");
+        assert_ne!(spaced, canonical);
+        let payload = encode_payload(&det, &spaced);
+        let mut store = Store::open(dir.clone(), StoreConfig::default()).expect("open");
+        let record = (config_hash(&cfg, "n5"), payload.as_bytes());
+        publish_wave(&mut store, &cfg, &mut 1, &[record]).expect("publish");
+
+        let batch_counting = |cfg: &DseConfig| {
+            let (calls, reg) = (
+                AtomicUsize::new(0),
+                Arc::new(zfgan_telemetry::Registry::new()),
+            );
+            let batch = {
+                let _guard = zfgan_telemetry::scope(Arc::clone(&reg));
+                run_batch(
+                    cfg,
+                    &[5u64],
+                    |i| format!("n{i}"),
+                    |i| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        eval(i)
+                    },
+                )
+            };
+            assert_eq!(batch.results, vec![eval(&5)]);
+            let count = |name| zfgan_telemetry::export::counter_total(&reg, name);
+            let counts = [
+                calls.load(Ordering::Relaxed) as u64,
+                count("dse_verify_failures_total"),
+                count("dse_published_total"),
+            ];
+            (batch.cells[0].result_json.clone(), counts)
+        };
+        assert_eq!(batch_counting(&cfg), (spaced, [0, 0, 0]));
+        cfg.verify = VerifyPolicy::All;
+        assert_eq!(batch_counting(&cfg), (canonical.clone(), [1, 1, 1]));
+        cfg.verify = VerifyPolicy::Trust;
+        assert_eq!(batch_counting(&cfg), (canonical, [0, 0, 0]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

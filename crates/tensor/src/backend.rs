@@ -4,7 +4,8 @@
 //! what it computes. [`ConvBackend::GoldenDirect`] is the golden loop nests
 //! in [`crate::conv`]. The two lowered backends
 //! ([`ConvBackend::LoweredGemm`], [`ConvBackend::LoweredZeroFree`]) run on
-//! the one packed GEMM engine ([`crate::gemm`]) and are bit-identical to
+//! the one GEMM engine ([`crate::gemm`]: packed for `f32`, the scalar
+//! blocked kernel for `Fx` and `f64`) and are bit-identical to
 //! *each other* for every pool width and SIMD level — how wide a GEMM runs
 //! is the packed engine's own decision, not a backend — bit-identical to
 //! golden for `Fx` and `f64` (see [`crate::zero_free`] for why skipping the

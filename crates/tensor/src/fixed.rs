@@ -28,10 +28,7 @@ const SCALE: f32 = (1 << FRAC_BITS) as f32;
 /// assert_eq!((a * b).to_f32(), -3.0);
 /// assert_eq!((a + b).to_f32(), -0.5);
 /// ```
-/// `repr(transparent)` lets the packed microkernel reinterpret `&[Fx]`
-/// as `&[i16]` for its widened-lane Q8.8 path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[repr(transparent)]
 pub struct Fx(i16);
 
 impl Fx {

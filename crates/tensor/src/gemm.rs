@@ -4,19 +4,19 @@
 //!
 //! * [`Matrix::matmul`] — the plain triple loop, the naive oracle.
 //! * [`matmul_blocked`] and the crate-internal lowering entries — the
-//!   **packed SIMD microkernel** ([`crate::microkernel`]) for `f32` and
-//!   [`Fx`] operands, every GEMM planned once and run chunk by chunk
-//!   through the one driver, [`microkernel::run_plan_rows`], at the
-//!   process's SIMD level. Other element types (the `f64` validation
-//!   paths) fall back to a cache-blocked scalar kernel that is
-//!   **bit-identical** to the naive loop: blocking tiles only the `i`/`j`
-//!   (output) dimensions while each element's `k` reduction stays
-//!   sequential in ascending order with the same `a.is_zero()` operand
-//!   skip.
-//! * [`matmul_chunked`] — the `#[doc(hidden)]` test handle: the same
+//!   **packed SIMD microkernel** ([`crate::microkernel`]) for `f32`
+//!   operands, every GEMM planned once and run chunk by chunk through the
+//!   one driver, [`microkernel::run_plan_rows`], at the process's SIMD
+//!   level. Every other element type — [`Fx`] (the Q8.8 datapath of the
+//!   golden nests and executors) and the `f64` validation paths — runs a
+//!   cache-blocked scalar kernel that is **bit-identical** to the naive
+//!   loop: blocking tiles only the `i`/`j` (output) dimensions while each
+//!   element's `k` reduction stays sequential in ascending order with the
+//!   same `a.is_zero()` operand skip and the type's own `*` and `+=`
+//!   (saturating for [`Fx`]).
+//! * [`matmul_chunked`] — the `#[doc(hidden)]` test handle: the same f32
 //!   driver at an explicit SIMD level, engine and row partition, which
-//!   every bit-equality suite, bench gate and the `fxsweep` transcript
-//!   pin through.
+//!   every bit-equality suite and bench gate pins through.
 //!
 //! # Packed-kernel semantics
 //!
@@ -27,14 +27,12 @@
 //! AVX2-vs-scalar dispatch (the scalar fallback uses the correctly-rounded
 //! [`f32::mul_add`], the same operation as one `vfmadd` lane), and it
 //! matches the naive oracle within the standard accumulation-error bound.
-//! The packed Q8.8 kernel is **bit-identical** to the naive [`Fx`] chain:
-//! saturating multiply and add are reproduced exactly, lane for lane.
 //!
-//! Zero-operand skipping is bit-neutral at *any* granularity under both
-//! packed kernels — `fma(0, b, acc) = acc` exactly for finite operands,
-//! and the Q8.8 term of a zero operand is exactly zero — so the per-panel
-//! structural-zero masks (the paper's zero-free scheduling composed with
-//! SIMD) are pure performance freedom, never a semantics choice.
+//! Zero-operand skipping is bit-neutral at *any* granularity under the
+//! packed kernel — `fma(0, b, acc) = acc` exactly for finite operands — so
+//! the per-panel structural-zero masks (the paper's zero-free scheduling
+//! composed with SIMD) are pure performance freedom, never a semantics
+//! choice.
 //!
 //! # Who decides the width
 //!
@@ -59,8 +57,8 @@
 //! nests and the Caffe-style patch-major lowerings have the patches on the
 //! left. Per output element both are the same `k`-ascending chain with each
 //! product's factors swapped, and multiplication commutes in every element
-//! type, so the two orders agree bit for bit (f32 fused chain, Q8.8
-//! saturating chain, scalar `acc += a·b`). A weight operand is dense, so
+//! type, so the two orders agree bit for bit (f32 fused chain, scalar
+//! `acc += a·b` for `f64` and Q8.8). A weight operand is dense, so
 //! its `A` scan is skipped: no panel is masked and the dispatch keys on the
 //! shape alone — bit-neutral like every zero skip.
 //!
@@ -82,9 +80,9 @@
 //! row block's chains run from zero into block-sized scratch, which is then
 //! added. Shapes neither can serve (`kk > KC`: partial chains live in the
 //! output between chunks; the broadcast engines over several `k`-tiles;
-//! Q8.8 on the packed engine; the scalar `f64` fallback) run the product
-//! into non-zeroed workspace scratch and add it in one pass — the same
-//! arithmetic, one more stream.
+//! the scalar kernel of `f64` and Q8.8) run the product into non-zeroed
+//! workspace scratch and add it in one pass — the same arithmetic, one
+//! more stream.
 //!
 //! Caveat: the "skipping a zero operand is bit-neutral" argument assumes
 //! finite values. A zero operand times an infinite/NaN one would produce
@@ -99,9 +97,7 @@ use std::cell::RefCell;
 use crate::error::{ShapeError, TensorResult};
 use crate::fault::{FaultLog, FaultPlan, FaultSite};
 use crate::im2col::Matrix;
-use crate::microkernel::{
-    self, simd_level, Epilogue, GemmPath, GemmPlan, PackScratch, PackedKind, SimdLevel,
-};
+use crate::microkernel::{self, simd_level, Epilogue, GemmPath, GemmPlan, PackScratch, SimdLevel};
 use crate::num::Num;
 use crate::workspace::ConvWorkspace;
 
@@ -158,12 +154,12 @@ fn record_gemm(
     }
 }
 
-/// The scalar blocked kernel over a row range of the output.
+/// The scalar blocked kernel, every element type's GEMM but `f32`'s.
 ///
-/// `a` holds `m_local` rows of length `kk`; `out` holds the matching
-/// `m_local × n` output rows. Per element the reduction is `k`-ascending
-/// with the naive path's `a.is_zero()` skip — bit-identical to
-/// [`Matrix::matmul`].
+/// `a` holds `m` rows of length `kk`; `out` holds the matching `m × n`
+/// output rows. Per element the reduction is `k`-ascending with the naive
+/// path's `a.is_zero()` skip, the type's own `*` and `+=` — bit-identical
+/// to [`Matrix::matmul`].
 ///
 /// Records the call under the `"blocked"` label, with how many `a` words
 /// the zero skip elided versus how many were walked in total.
@@ -227,9 +223,9 @@ fn check_matmul_shapes<T: Num>(a: &Matrix<T>, b: &Matrix<T>, out: &Matrix<T>) ->
 }
 
 /// Packed SIMD microkernel GEMM: `a × b` through [`crate::microkernel`]
-/// for `f32`/[`Fx`](crate::Fx) operands (scalar blocked fallback for
-/// other element types). Deterministic for every SIMD level; see the
-/// module docs for how it relates to the naive oracle.
+/// for `f32` operands (the scalar blocked kernel for every other element
+/// type). Deterministic for every SIMD level; see the module docs for how
+/// it relates to the naive oracle.
 ///
 /// # Errors
 ///
@@ -257,15 +253,15 @@ pub fn matmul_blocked_into<T: Num>(
     check_matmul_shapes(a, b, out)?;
     let dims @ (_, kk, n) = (a.rows(), a.cols(), b.cols());
     let (a, b, out) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
-    match microkernel::packed_kind::<T>() {
-        Some(kind) => PACK_TLS.with(|s| {
+    if microkernel::runs_packed::<T>() {
+        PACK_TLS.with(|s| {
             let scratch = &mut s.borrow_mut();
             let plan = microkernel::scan_gemm(a, dims, false, scratch);
-            microkernel::pack_for_plan(&plan, b, dims, kind, scratch);
             let (level, store) = (simd_level(), Epilogue::Store);
-            run_planned(level, &plan, kind, a, b, out, dims, store, scratch);
-        }),
-        None => gemm_rows(a, b, out, kk, n),
+            run_planned(level, &plan, a, b, out, dims, store, scratch);
+        });
+    } else {
+        gemm_rows(a, b, out, kk, n);
     }
     Ok(())
 }
@@ -302,30 +298,36 @@ fn plan_a<T: Num>(
 }
 
 /// Runs one planned packed-family GEMM at `level` on raw row-major slices
-/// — `a` is `m × kk`, `b` is `kk × n`, `out` is `m × n` — over the plan's
-/// row chunks (one inline chunk, or a pool batch) and records it. Every
+/// — `a` is `m × kk`, `b` is `kk × n`, `out` is `m × n` — packing `B` into
+/// `scratch` when the plan runs the packed engine, then over the plan's
+/// row chunks (one inline chunk, or a pool batch), and records it. Every
 /// chunk runs [`microkernel::run_plan_rows`], the one driver. One plan per
 /// GEMM means one telemetry record and an identical engine for every
 /// chunk: bit-neutral under any partition, since every engine's chains run
-/// along `k`. The workers only read `scratch`, which the plan filled before
-/// the batch was submitted.
+/// along `k`. The workers only read `scratch`, which was filled before the
+/// batch was submitted.
+///
+/// # Panics
+///
+/// Panics unless `T` is `f32`: only `f32` GEMMs are planned.
 #[allow(clippy::too_many_arguments)]
 fn run_planned<T: Num>(
     level: SimdLevel,
     plan: &GemmPlan,
-    kind: PackedKind,
     a: &[T],
     b: &[T],
     out: &mut [T],
-    (m, kk, n): (usize, usize, usize),
+    dims @ (m, kk, n): (usize, usize, usize),
     epilogue: Epilogue,
-    scratch: &PackScratch,
+    scratch: &mut PackScratch,
 ) {
-    let rows_per = plan.rows_per_chunk;
+    let (a, b, out) = microkernel::f32_operands(a, b, out).expect("only f32 GEMMs are planned");
+    microkernel::pack_for_plan(plan, b, dims, scratch);
+    let (rows_per, scratch) = (plan.rows_per_chunk, &*scratch);
     microkernel::for_chunks(out, rows_per * n, |c, out_chunk| {
         let row0 = c * rows_per;
         microkernel::run_plan_rows(
-            level, plan.path, a, b, scratch, out_chunk, row0, kk, n, kind, epilogue,
+            level, plan.path, a, b, scratch, out_chunk, row0, kk, n, epilogue,
         )
     });
     record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
@@ -406,13 +408,10 @@ impl<T: Num> Product<'_, T> {
 /// Runs a planned packed-family GEMM at `level` into `dest`. An
 /// accumulating destination the engine's epilogue can serve is added to in
 /// place; any other shape (`kk >` [`microkernel::KC`], the broadcast
-/// engines, Q8.8) goes [`Product::via_store`] — the same arithmetic either
-/// way.
-#[allow(clippy::too_many_arguments)]
+/// engines) goes [`Product::via_store`] — the same arithmetic either way.
 fn run_planned_into<T: Num>(
     level: SimdLevel,
     plan: &GemmPlan,
-    kind: PackedKind,
     a: &[T],
     b: &[T],
     dest: Product<'_, T>,
@@ -420,13 +419,13 @@ fn run_planned_into<T: Num>(
     ws: &mut ConvWorkspace<T>,
 ) {
     match dest {
-        Product::AddTo(acc) if microkernel::epilogue_accumulates(kind, plan.path, dims.1) => {
-            let (add, scratch) = (Epilogue::Accumulate, ws.pack_scratch_ref());
-            run_planned(level, plan, kind, a, b, acc, dims, add, scratch);
+        Product::AddTo(acc) if microkernel::epilogue_accumulates(plan.path, dims.1) => {
+            let add = Epilogue::Accumulate;
+            run_planned(level, plan, a, b, acc, dims, add, ws.pack_scratch());
         }
         dest => dest.via_store(ws, |out, ws| {
-            let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
-            run_planned(level, plan, kind, a, b, out, dims, store, scratch);
+            let store = Epilogue::Store;
+            run_planned(level, plan, a, b, out, dims, store, ws.pack_scratch());
         }),
     }
 }
@@ -444,35 +443,32 @@ fn run_planned_into<T: Num>(
 ///
 /// # Panics
 ///
-/// Panics on an element type without packed kernels, disagreeing shapes or
-/// `rows_per_chunk == 0`.
+/// Panics on disagreeing shapes or `rows_per_chunk == 0`.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_chunked<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    out: &mut Matrix<T>,
+pub fn matmul_chunked(
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
+    out: &mut Matrix<f32>,
     add: bool,
     level: SimdLevel,
     path: Option<GemmPath>,
     rows_per_chunk: usize,
-    ws: &mut ConvWorkspace<T>,
+    ws: &mut ConvWorkspace<f32>,
 ) {
     check_matmul_shapes(a, b, out).expect("chunked matmul shapes");
     assert!(rows_per_chunk > 0, "rows_per_chunk must be positive");
-    let kind = microkernel::packed_kind::<T>().expect("packed element types only");
     let dims = (a.rows(), a.cols(), b.cols());
     let (a, b) = (a.as_slice(), b.as_slice());
     let mut plan = microkernel::scan_gemm(a, dims, false, ws.pack_scratch());
     plan.path = path.unwrap_or(plan.path);
     plan.rows_per_chunk = rows_per_chunk;
-    microkernel::pack_for_plan(&plan, b, dims, kind, ws.pack_scratch());
     let dest = if add {
         Product::AddTo(out.as_mut_slice())
     } else {
         Product::Store(out.as_mut_slice())
     };
-    run_planned_into(level, &plan, kind, a, b, dest, dims, ws);
+    run_planned_into(level, &plan, a, b, dest, dims, ws);
 }
 
 /// `a × b → dest` with `A` **borrowed in place** as an `m × kk` row-major
@@ -485,8 +481,8 @@ pub fn matmul_chunked<T: Num>(
 /// nothing is scattered afterwards.
 ///
 /// Runs the same engines as [`matmul_blocked`], so each output element is
-/// the usual `k`-ascending chain. Element types without packed kernels run
-/// the scalar blocked kernel on the borrowed slices.
+/// the usual `k`-ascending chain. Element types other than `f32` run the
+/// scalar blocked kernel on the borrowed slices.
 ///
 /// # Errors
 ///
@@ -509,32 +505,24 @@ pub(crate) fn matmul_slices_ws<T: Num>(
         )));
     }
     let dims = (m, kk, n);
-    let planned = microkernel::packed_kind::<T>().map(|kind| {
-        (
-            kind,
-            plan_a(a, dims, AScan::Dense, false, ws.pack_scratch()),
-        )
-    });
-    run_in_memory(a, b, dims, planned, dest, ws);
+    let plan = microkernel::runs_packed::<T>()
+        .then(|| plan_a(a, dims, AScan::Dense, false, ws.pack_scratch()));
+    run_in_memory(a, b, dims, plan, dest, ws);
     Ok(())
 }
 
-/// Runs a GEMM whose `B` is in memory: the packed family against its plan
-/// (packing `B` first when the plan runs the packed engine), or the scalar
-/// blocked kernel for element types without packed kernels (`None`).
+/// Runs a GEMM whose `B` is in memory: the packed family against its plan,
+/// or the scalar blocked kernel for every element type but `f32` (`None`).
 fn run_in_memory<T: Num>(
     a: &[T],
     b: &[T],
     dims: (usize, usize, usize),
-    planned: Option<(PackedKind, GemmPlan)>,
+    plan: Option<GemmPlan>,
     dest: Product<'_, T>,
     ws: &mut ConvWorkspace<T>,
 ) {
-    match planned {
-        Some((kind, plan)) => {
-            microkernel::pack_for_plan(&plan, b, dims, kind, ws.pack_scratch());
-            run_planned_into(simd_level(), &plan, kind, a, b, dest, dims, ws);
-        }
+    match plan {
+        Some(plan) => run_planned_into(simd_level(), &plan, a, b, dest, dims, ws),
         None => dest.via_store(ws, |out, _| gemm_rows(a, b, out, dims.1, dims.2)),
     }
 }
@@ -554,10 +542,10 @@ fn run_in_memory<T: Num>(
 /// contributing one fused term per output column through the ikj tile
 /// kernels, and `B` rows whose `A` column is entirely zero are never even
 /// generated. That is the same per-element operation chain as every other
-/// engine (the f32 fused chain / the saturating Q8.8 chain, zero terms
-/// skipped), so the result is bit-identical to materializing `B` — which
-/// is exactly what the packed path (packing against the same plan, `A` not
-/// scanned again) and the non-packed element types do here.
+/// engine (the f32 fused chain, zero terms skipped), so the result is
+/// bit-identical to materializing `B` — which is exactly what the packed
+/// path (packing against the same plan, `A` not scanned again) and the
+/// scalar kernel of every other element type do here.
 ///
 /// Every conv pass whose `B` is a patch matrix of a layer's maps goes
 /// through this entry: the phase GEMMs of the zero-free T-CONV (and of the
@@ -585,9 +573,9 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
         )));
     }
     let dims = (m, kk, n);
-    let planned = microkernel::packed_kind::<T>()
-        .map(|kind| (kind, plan_a(a, dims, scan, true, ws.pack_scratch())));
-    if let Some((kind, plan)) = planned.filter(|(_, plan)| plan.path != GemmPath::Packed) {
+    let plan =
+        microkernel::runs_packed::<T>().then(|| plan_a(a, dims, scan, true, ws.pack_scratch()));
+    if let Some(plan) = plan.filter(|plan| plan.path != GemmPath::Packed) {
         // One k-tile of `B` rows — or fewer when the whole operand is
         // shorter than a tile (`kk = 1` input-grad reshapes).
         let mut rowbuf = ws.take_dirty(microkernel::IKJ_KB.min(kk) * n);
@@ -605,7 +593,6 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
                     let out = &mut block[..acc_rows.len()];
                     out.fill(T::zero());
                     microkernel::ikj_tile_packed(
-                        kind,
                         &a[i0 * kk..i1 * kk],
                         &masks[i0 * wpr..i1 * wpr],
                         &rowbuf,
@@ -621,7 +608,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
             }
             dest => dest.via_store(ws, |out, ws| {
                 let masks = ws.pack_scratch_ref().masks();
-                broadcast_streamed(kind, a, masks, m, kk, n, out, &mut rowbuf, fill_row);
+                broadcast_streamed(a, masks, m, kk, n, out, &mut rowbuf, fill_row);
             }),
         }
         ws.give(rowbuf);
@@ -633,7 +620,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
     // written, so the buffer is taken dirty.
     let mut b = ws.take_matrix_dirty(kk, n);
     fill_b_rows(&mut b, m, fill_row);
-    run_in_memory(a, b.as_slice(), dims, planned, dest, ws);
+    run_in_memory(a, b.as_slice(), dims, plan, dest, ws);
     ws.give_matrix(b);
     Ok(())
 }
@@ -652,7 +639,6 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
 /// docs).
 #[allow(clippy::too_many_arguments)]
 fn broadcast_streamed<T: Num>(
-    kind: PackedKind,
     a: &[T],
     masks: &[u64],
     m: usize,
@@ -668,17 +654,7 @@ fn broadcast_streamed<T: Num>(
     for kb in (0..kk).step_by(KB) {
         let kend = (kb + KB).min(kk);
         fill_live_rows(a, masks, m, kk, n, kb, rowbuf, fill_row);
-        microkernel::ikj_tile_packed(
-            kind,
-            a,
-            masks,
-            &rowbuf[..(kend - kb) * n],
-            out,
-            kk,
-            n,
-            kb,
-            kend,
-        );
+        microkernel::ikj_tile_packed(a, masks, &rowbuf[..(kend - kb) * n], out, kk, n, kb, kend);
     }
 }
 
@@ -733,7 +709,7 @@ fn fill_live_rows<T: Num>(
 /// another tensor (the `1×1`-input T-CONV reads the kernel tensor itself
 /// as its weight matrix, zero-copy). The dispatch layer decides exactly
 /// as the materialized entries would; when it picks the packed engine
-/// (forced or by shape), or the element type has no packed kernels, the
+/// (forced or by shape), or the element type is not `f32`, the
 /// call returns `Ok(None)` untouched and the caller falls back to its
 /// classic lowering — so a forced-packed run keeps the classic route's cost
 /// model, the baseline the dispatch gate measures against.
@@ -754,21 +730,21 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
             b.len()
         )));
     }
-    let Some(kind) = microkernel::packed_kind::<T>() else {
+    if !microkernel::runs_packed::<T>() {
         return Ok(None);
-    };
+    }
     let plan = microkernel::scan_gemm(a.as_slice(), (m, kk, n), false, ws.pack_scratch());
     if plan.path == GemmPath::Packed {
         return Ok(None);
     }
     // The broadcast engines zero their output themselves.
     let mut out = ws.take_matrix_dirty(m, n);
-    let (store, scratch) = (Epilogue::Store, ws.pack_scratch_ref());
+    let (a, store) = (a.as_slice(), Epilogue::Store);
+    let scratch = ws.pack_scratch();
     run_planned(
         simd_level(),
         &plan,
-        kind,
-        a.as_slice(),
+        a,
         b,
         out.as_mut_slice(),
         (m, kk, n),
@@ -849,8 +825,10 @@ mod tests {
         }
     }
 
+    /// `Fx` has no packed kernel: its scalar blocked kernel keeps the
+    /// naive saturating chain.
     #[test]
-    fn packed_fx_is_bit_identical_to_naive_fx() {
+    fn fx_is_bit_identical_to_naive_fx() {
         let mut rng = SmallRng::seed_from_u64(14);
         for (m, k, n) in [(1, 1, 1), (5, 9, 7), (19, 40, 33)] {
             let draw = |rows: usize, cols: usize, rng: &mut SmallRng| {
@@ -873,12 +851,12 @@ mod tests {
     }
 
     /// Every row partition — chunks of one row, under, at and over a
-    /// register tile, ragged, whole — on every engine, storing and adding,
-    /// f32 and Q8.8: one result, the single-chunk one. The shape spans two
-    /// `k`-chunks for f32's store and one for its in-place add.
+    /// register tile, ragged, whole — on every engine, storing and adding:
+    /// one result, the single-chunk one. The shape spans two `k`-chunks for
+    /// the store and one for the in-place add.
     #[test]
     fn every_row_partition_is_bit_identical_to_one_chunk() {
-        fn check<T: Num>(a: &Matrix<T>, b: &Matrix<T>, acc: &Matrix<T>) {
+        fn check(a: &Matrix<f32>, b: &Matrix<f32>, acc: &Matrix<f32>) {
             let m = a.rows();
             let mut ws = ConvWorkspace::new();
             let level = simd_level();
@@ -905,24 +883,14 @@ mod tests {
                 one
             });
             check(&a, &b, &acc);
-            let fx = |m: &Matrix<f32>| {
-                let data = m
-                    .as_slice()
-                    .iter()
-                    .map(|v| Fx::from_f32(*v * 4.0))
-                    .collect();
-                Matrix::from_vec(m.rows(), m.cols(), data)
-            };
-            check(&fx(&a), &fx(&b), &fx(&acc));
         }
     }
 
     /// One GEMM stored or added at every SIMD level the host has, on every
     /// engine, in chunks of one row, one register tile and all rows: one
-    /// result, the inline scalar one — for f32 and Q8.8, on shapes with
-    /// ragged tiles and panels and (one case in four) a chain spanning two
-    /// `k`-chunks.
-    fn check_every_level_path_and_partition<T: Num>(a: &Matrix<T>, b: &Matrix<T>, acc: &Matrix<T>) {
+    /// result, the inline scalar one — on shapes with ragged tiles and
+    /// panels and (one case in four) a chain spanning two `k`-chunks.
+    fn check_every_level_path_and_partition(a: &Matrix<f32>, b: &Matrix<f32>, acc: &Matrix<f32>) {
         let m = a.rows();
         let mut ws = ConvWorkspace::new();
         for add in [false, true] {
@@ -956,11 +924,6 @@ mod tests {
             let b = random_matrix(kk, n, 0.1, &mut rng);
             let acc = random_matrix(m, n, 0.2, &mut rng);
             check_every_level_path_and_partition(&a, &b, &acc);
-            let fx = |m: &Matrix<f32>| {
-                let data = m.as_slice().iter().map(|v| Fx::from_f32(*v * 64.0)).collect();
-                Matrix::from_vec(m.rows(), m.cols(), data)
-            };
-            check_every_level_path_and_partition(&fx(&a), &fx(&b), &fx(&acc));
         }
     }
 
@@ -1022,9 +985,9 @@ mod tests {
     /// that stores its product into poisoned scratch, then adds it, bit
     /// for bit: around the one-`k`-tile boundary (whole chains in one
     /// tile land through row-block scratch, longer ones through a stored
-    /// product), on several row blocks, in f32 and Q8.8, over a workspace
-    /// whose free buffers are poisoned so a word the engine failed to
-    /// write shows.
+    /// product), on several row blocks, in f32 and (on the scalar kernel)
+    /// Q8.8, over a workspace whose free buffers are poisoned so a word the
+    /// engine failed to write shows.
     #[test]
     fn streamed_add_to_equals_store_then_add_around_one_k_tile() {
         fn check<T: Num>(draw: impl Fn(f32) -> T, poison: T, rng: &mut SmallRng) {

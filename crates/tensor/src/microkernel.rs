@@ -1,15 +1,15 @@
 //! Packed SIMD microkernel GEMM — the software analogue of the paper's
-//! dense 16-bit MAC datapath.
+//! dense MAC datapath, for `f32`, the trainer's element type.
 //!
-//! A scalar blocked kernel (the `f64` fallback in [`crate::gemm`]) walks
+//! A scalar blocked kernel (the `f64` and Q8.8 route in [`crate::gemm`]) walks
 //! the sparse `A` operand element by element with a branch per word. That
 //! shape is exactly what defeats wide SIMD lanes, so this module
 //! restructures the multiply the way a BLIS-style microkernel (and the
 //! paper's PE array) does:
 //!
-//! * **`B` is packed** into contiguous column panels of [`NR_F32`] /
-//!   [`NR_FX`] lanes (zero-padded tails), so the inner loop issues nothing
-//!   but sequential full-width loads.
+//! * **`B` is packed** into contiguous column panels of [`NR_F32`] lanes
+//!   (zero-padded tails), so the inner loop issues nothing but sequential
+//!   full-width loads.
 //! * **`A` is scanned once** into per-row *k-panel structural-zero masks*
 //!   ([`KP`] words per panel, one bit per panel): the zero-free lowerings
 //!   produce patch matrices whose residual (boundary) zeros cluster, and a
@@ -29,10 +29,9 @@
 //!   | `Avx512`, odd last panel | 6×16 | 1 `zmm` | 6 + 1 + 1 of 32 |
 //!
 //!   The packed-`B` layout is the same for every level, so the wider tile
-//!   is a different walk over the same panels, not a different pack. Q8.8
-//!   (16-lane `i16` multiply with exact widened-`i32` rounding and
-//!   saturating accumulate) and the broadcast engines below have AVX2
-//!   bodies only, which every level from `Avx2Fma` up runs. The level is
+//!   is a different walk over the same panels, not a different pack. The
+//!   broadcast engines below have AVX2 bodies only, which every level from
+//!   `Avx2Fma` up runs. The level is
 //!   chosen **once** per process ([`simd_level`]): `ZFGAN_NO_SIMD=1`
 //!   forces the fallback, otherwise `is_x86_feature_detected!` picks the
 //!   widest of AVX2+FMA and AVX-512F the host has.
@@ -118,18 +117,10 @@
 //! differs only by the usual fused-vs-separate rounding, bounded by the
 //! standard accumulation error bound (pinned by `tests/fast_conv.rs`).
 //!
-//! The Q8.8 kernel is **bit-identical** to scalar [`Fx`] semantics, not
-//! merely close: each term is widened to `i32`, rounded to nearest (ties
-//! toward +∞) and saturated exactly as [`Fx`]'s `Mul`, then accumulated
-//! with [`Fx`]'s saturating `Add`, in `k`-ascending order
-//! (`crates/tensor/tests/fx_semantics.rs` pins the contract).
-//!
-//! [`Fx`]: crate::Fx
 //! [`Matrix::matmul`]: crate::im2col::Matrix::matmul
 
 use std::sync::OnceLock;
 
-use crate::fixed::{Fx, FRAC_BITS};
 use crate::num::Num;
 
 /// `k`-panel width: the granularity of the structural-zero masks. One mask
@@ -148,19 +139,14 @@ pub const NR_F32: usize = 16;
 /// has the register budget per level.
 pub const MR_F32: usize = 6;
 
-/// Q8.8 column-panel width: 16 `i16` lanes × 2 saturating accumulator
-/// vectors (the widened-`i32` rounding runs in registers between them).
-pub const NR_FX: usize = 32;
-
 /// `k`-chunk depth (a multiple of [`KP`]): the row-tile loop runs inside
 /// each `KC × NR` block of packed `B`, so the block stays cache-resident
 /// and is streamed from memory once per GEMM instead of once per row tile
 /// (f32: `512 × 16 × 4 B` = 32 KB, innermost-cache-resident). Chunking is
 /// bit-neutral: the per-element accumulator is stored to `out` between
 /// chunks and reloaded exactly (an f32 register↔memory round trip is
-/// exact, and the Q8.8 accumulator is saturated back into `i16` range
-/// after every step), so the operation chain per element is identical to a
-/// single pass.
+/// exact), so the operation chain per element is identical to a single
+/// pass.
 pub const KC: usize = 512;
 
 const _: () = assert!(
@@ -170,12 +156,12 @@ const _: () = assert!(
 
 /// Which inner kernel the process selected. Ordered by what the level
 /// may execute: every level runs the bodies of the levels below it, so the
-/// selectors that have no wider body of their own (ikj, axpy, Q8.8) ask
+/// selectors that have no wider body of their own (ikj, one-column) ask
 /// `level >= Avx2Fma`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable scalar fallback (`f32::mul_add` / scalar `i32` lanes) —
-    /// bit-identical to the SIMD kernels by construction.
+    /// Portable scalar fallback (`f32::mul_add`) — bit-identical to the
+    /// SIMD kernels by construction.
     Scalar,
     /// Explicit AVX2 + FMA `std::arch` kernels.
     Avx2Fma,
@@ -206,19 +192,14 @@ impl SimdLevel {
     }
 }
 
-/// Inner-kernel signatures. f32 runs an [`MR_F32`]-row register tile
-/// (see [`F32Tile`]); Q8.8 runs one row's `k`-chunk at a time:
-/// `(a_chunk, masks_row, panel0, packed_chunk, out, w, accumulate)`,
-/// continuing the accumulation already in `out` when `accumulate` is set.
-/// The pointers are `unsafe fn` because the SIMD entries require the
-/// features [`detect_level`] verified at selection time; the scalar
-/// entries coerce in safely.
+/// The tile-kernel signature: an [`MR_F32`]-row register tile (see
+/// [`F32Tile`]). The pointer is an `unsafe fn` because the SIMD entries
+/// require the features [`detect_level`] verified at selection time; the
+/// scalar entry coerces in safely.
 type F32TileFn = unsafe fn(&F32Tile, &mut [f32]);
-type FxPanelFn = unsafe fn(&[i16], &[u64], usize, &[i16], &mut [i16], usize, bool);
 
 /// The selected level, fixed once per process, then only read.
-/// [`f32_tile_for`] / [`fx_panel_for`] map a level onto the inner-kernel
-/// pointers.
+/// [`f32_tile_for`] maps a level onto the tile-kernel pointer.
 static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
 
 /// Resolves the f32 tile kernel for a level, and whether its tiles take
@@ -234,15 +215,6 @@ fn f32_tile_for(level: SimdLevel) -> (F32TileFn, bool) {
         #[cfg(not(target_arch = "x86_64"))]
         SimdLevel::Avx512 | SimdLevel::Avx2Fma => (f32_tile_scalar, false),
         SimdLevel::Scalar => (f32_tile_scalar, false),
-    }
-}
-
-/// Resolves the Q8.8 row-panel kernel for a level (see [`f32_tile_for`]).
-fn fx_panel_for(level: SimdLevel) -> FxPanelFn {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        l if l >= SimdLevel::Avx2Fma => fx_row_panel_avx2,
-        _ => fx_row_panel_scalar,
     }
 }
 
@@ -472,39 +444,41 @@ fn dispatch_path(m: usize, kk: usize, n: usize, zero_words: u64, b_streamed: boo
     forced_path().unwrap_or_else(|| choose_path(m, kk, n, zero_words, b_streamed))
 }
 
-/// Element types the packed microkernel accelerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackedKind {
-    /// 32-bit float: AVX2/FMA f32x8 panels.
-    F32,
-    /// Q8.8 fixed point: widened-i32 8-lane panels.
-    Fx,
+/// Whether `T` runs the packed engine: `f32`, its one element type, does;
+/// `f64` and [`crate::Fx`] keep the scalar blocked kernel in
+/// [`crate::gemm`].
+pub(crate) fn runs_packed<T: 'static>() -> bool {
+    std::any::TypeId::of::<T>() == std::any::TypeId::of::<f32>()
 }
 
-/// Whether `T` has a packed kernel (`f32` and [`crate::Fx`] do; `f64` and
-/// other [`Num`] types keep the scalar blocked path).
-pub fn packed_kind<T: 'static>() -> Option<PackedKind> {
-    use std::any::TypeId;
-    let t = TypeId::of::<T>();
-    if t == TypeId::of::<f32>() {
-        Some(PackedKind::F32)
-    } else if t == TypeId::of::<Fx>() {
-        Some(PackedKind::Fx)
-    } else {
-        None
-    }
+/// `a`, `b` and `out` as the `f32` slices they are, when [`runs_packed`]
+/// holds for `T`; `None` for every other element type. The one place the
+/// engine reinterprets its generic operands.
+pub(crate) fn f32_operands<'s, T: 'static>(
+    a: &'s [T],
+    b: &'s [T],
+    out: &'s mut [T],
+) -> Option<(&'s [f32], &'s [f32], &'s mut [f32])> {
+    // SAFETY: `runs_packed` compared `TypeId`s, so `T` is `f32` and each
+    // cast reinterprets a slice as itself: same pointer, length, lifetime
+    // and mutability.
+    runs_packed::<T>().then(|| unsafe {
+        (
+            std::slice::from_raw_parts(a.as_ptr().cast(), a.len()),
+            std::slice::from_raw_parts(b.as_ptr().cast(), b.len()),
+            std::slice::from_raw_parts_mut(out.as_mut_ptr().cast(), out.len()),
+        )
+    })
 }
 
-/// Reusable packing scratch: the packed `B` panels and the per-row `A`
-/// panel masks. Owned by a [`crate::ConvWorkspace`] on the workspace hot
+/// Reusable packing scratch: the packed f32 `B` panels and the per-row
+/// `A` panel masks. Owned by a [`crate::ConvWorkspace`] on the workspace hot
 /// path (steady-state zero allocation) and by a thread-local for the
 /// allocating entry points.
 #[derive(Debug, Default)]
 pub struct PackScratch {
     /// Packed f32 `B` panels, `[panel][k][lane]`, tails zero-padded.
     bf32: LineAligned<f32>,
-    /// Packed Q8.8 raw-`i16` `B` panels, same layout.
-    bi16: LineAligned<i16>,
     /// Per-row panel masks, `words_per_row` `u64`s per row; a set bit
     /// marks an all-zero `A` panel.
     masks: Vec<u64>,
@@ -512,7 +486,7 @@ pub struct PackScratch {
 
 /// A reusable buffer whose live window starts on a 64-byte cache-line
 /// boundary. Every panel row of packed `B` is a whole number of lines
-/// (`NR_F32 × 4 B` = `NR_FX × 2 B` = 64), so from an aligned start no
+/// (`NR_F32 × 4 B` = 64), so from an aligned start no
 /// vector load of the tile kernels straddles two lines; from the 16-byte
 /// alignment the allocator gives, every AVX-512 load does, and which one a
 /// process got used to move the MNIST-GAN train step by 13 % between
@@ -597,61 +571,49 @@ pub(crate) fn mask_hit(masks_row: &[u64], panel: usize) -> bool {
     masks_row[panel / 64] & (1u64 << (panel % 64)) != 0
 }
 
-/// Packs `B` (`kk × n`, row-major) into `NR`-wide column panels,
+/// Packs `B` (`kk × n`, row-major) into [`NR_F32`]-wide column panels,
 /// `[panel][k][lane]`, zero-padding the tail panel so the kernels always
 /// run full width. Panels are disjoint runs of `out`, so they are packed
 /// in `pieces` ranges (one per row chunk of the GEMM, see
 /// [`pack_for_plan`]) — the same bytes either way.
-fn pack_b<T: Copy + Default + Send + Sync, const NR: usize>(
-    b: &[T],
-    kk: usize,
-    n: usize,
-    pieces: usize,
-    out: &mut LineAligned<T>,
-) {
-    let n_jp = n.div_ceil(NR);
+fn pack_b(b: &[f32], kk: usize, n: usize, pieces: usize, out: &mut LineAligned<f32>) {
+    let n_jp = n.div_ceil(NR_F32);
     // Resize without a clear: every full lane is overwritten below and only
     // the tail panel's padding needs explicit zeros, so the buffer is never
     // bulk-zeroed first (that pre-pass used to double the write traffic).
-    let out = out.resize(n_jp * kk * NR);
+    let out = out.resize(n_jp * kk * NR_F32);
     if out.is_empty() {
         return;
     }
     let panels_per = n_jp.div_ceil(pieces);
-    for_chunks(out, panels_per * kk * NR, |c, range| {
-        pack_panels::<T, NR>(b, kk, n, c * panels_per, range)
+    for_chunks(out, panels_per * kk * NR_F32, |c, range| {
+        pack_panels(b, kk, n, c * panels_per, range)
     });
 }
 
 /// Packs the consecutive panels `range` holds, the first being panel `jp0`.
-fn pack_panels<T: Copy + Default, const NR: usize>(
-    b: &[T],
-    kk: usize,
-    n: usize,
-    jp0: usize,
-    range: &mut [T],
-) {
-    for (p, panel) in range.chunks_exact_mut(kk * NR).enumerate() {
-        let j0 = (jp0 + p) * NR;
-        let w = (n - j0).min(NR);
-        if w == NR {
+fn pack_panels(b: &[f32], kk: usize, n: usize, jp0: usize, range: &mut [f32]) {
+    for (p, panel) in range.chunks_exact_mut(kk * NR_F32).enumerate() {
+        let j0 = (jp0 + p) * NR_F32;
+        let w = (n - j0).min(NR_F32);
+        if w == NR_F32 {
             // Full-width panels are the hot path: a compile-time-sized
             // array copy per `k` row compiles to straight vector moves
             // instead of a runtime-length memcpy call.
             for k in 0..kk {
-                let dst: &mut [T; NR] = (&mut panel[k * NR..(k + 1) * NR])
+                let dst: &mut [f32; NR_F32] = (&mut panel[k * NR_F32..(k + 1) * NR_F32])
                     .try_into()
-                    .expect("chunk is exactly NR wide");
-                let src: &[T; NR] = b[k * n + j0..k * n + j0 + NR]
+                    .expect("chunk is exactly one panel wide");
+                let src: &[f32; NR_F32] = b[k * n + j0..k * n + j0 + NR_F32]
                     .try_into()
-                    .expect("chunk is exactly NR wide");
+                    .expect("chunk is exactly one panel wide");
                 *dst = *src;
             }
         } else {
             for k in 0..kk {
-                let dst = &mut panel[k * NR..(k + 1) * NR];
+                let dst = &mut panel[k * NR_F32..(k + 1) * NR_F32];
                 dst[..w].copy_from_slice(&b[k * n + j0..k * n + j0 + w]);
-                dst[w..].fill(T::default());
+                dst[w..].fill(0.0);
             }
         }
     }
@@ -676,12 +638,12 @@ pub enum Epilogue {
 }
 
 /// Whether the packed engine can serve [`Epilogue::Accumulate`] for this
-/// GEMM: the f32 tile kernel, with the whole `k` chain inside one [`KC`]
+/// GEMM: the tile kernel, with the whole `k` chain inside one [`KC`]
 /// chunk — between chunks the partial chain lives in the output, which is
 /// exactly where the accumulator's old value would have to survive. Callers
 /// run every other shape into scratch and add it in one pass.
-pub fn epilogue_accumulates(kind: PackedKind, path: GemmPath, kk: usize) -> bool {
-    kind == PackedKind::F32 && path == GemmPath::Packed && kk <= KC
+pub fn epilogue_accumulates(path: GemmPath, kk: usize) -> bool {
+    path == GemmPath::Packed && kk <= KC
 }
 
 /// What one f32 tile does with the output elements it covers.
@@ -953,11 +915,11 @@ pub const MC: usize = 72;
 /// (half of a 2 MiB L2, leaving room for the `A` rows and the output).
 const B_CHUNK_RESIDENT_BYTES: usize = 1 << 20;
 
-/// The packed engines' loop nest: [`KC`] `k`-chunks → row blocks → column
-/// panels → `tile_rows`-row tiles, calling `tile(kc0, kc1, jp, i0, rows)`.
+/// The packed engine's loop nest: [`KC`] `k`-chunks → row blocks → column
+/// panels → [`MR_F32`]-row tiles, calling `tile(kc0, kc1, jp, i0, rows)`.
 ///
 /// The row block is picked per chunk from the operand footprint. While the
-/// chunk's packed `B` (`klen × n_panels` panel rows of `panel_row_bytes`)
+/// chunk's packed `B` (`klen × n_panels` panel rows of [`NR_F32`] floats)
 /// is cache-resident, the block is one [`MR_F32`]-row register tile walked
 /// across *all* column panels: the output is written as 6 sequential row
 /// streams and each `A` tile is read once, which is what a short-`k`,
@@ -969,14 +931,13 @@ const B_CHUNK_RESIDENT_BYTES: usize = 1 << 20;
 /// order over (row, column panel) never touches a per-element chain.
 fn for_each_tile(
     (m, kk, n_panels): (usize, usize, usize),
-    panel_row_bytes: usize,
-    tile_rows: usize,
     mut tile: impl FnMut(usize, usize, usize, usize, usize),
 ) {
+    const PANEL_ROW_BYTES: usize = NR_F32 * std::mem::size_of::<f32>();
     let mut kc0 = 0;
     while kc0 < kk {
         let kc1 = (kc0 + KC).min(kk);
-        let resident = (kc1 - kc0) * n_panels * panel_row_bytes <= B_CHUNK_RESIDENT_BYTES;
+        let resident = (kc1 - kc0) * n_panels * PANEL_ROW_BYTES <= B_CHUNK_RESIDENT_BYTES;
         let row_block = if resident { MR_F32 } else { MC };
         let mut ib0 = 0;
         while ib0 < m {
@@ -984,7 +945,7 @@ fn for_each_tile(
             for jp in 0..n_panels {
                 let mut i0 = ib0;
                 while i0 < ib1 {
-                    let rows = (ib1 - i0).min(tile_rows);
+                    let rows = (ib1 - i0).min(MR_F32);
                     tile(kc0, kc1, jp, i0, rows);
                     i0 += rows;
                 }
@@ -1038,52 +999,47 @@ fn f32_rows(
         let base = jp * kk * NR_F32;
         &packed_b[base + kc0 * NR_F32..base + kc1 * NR_F32]
     };
-    for_each_tile(
-        (m, kk, n_jp),
-        NR_F32 * std::mem::size_of::<f32>(),
-        MR_F32,
-        |kc0, kc1, jp, i0, rows| {
-            // A pair tile starts at every even panel and takes the odd one
-            // behind it along; an odd last panel runs alone.
-            if pairs && jp % 2 == 1 {
-                return;
-            }
-            let j0 = jp * NR_F32;
-            let paired = pairs && jp + 1 < n_jp;
-            let tile = F32Tile {
-                a_rows,
-                masks,
-                bchunks: [
-                    chunk_of(jp, kc0, kc1),
-                    if paired {
-                        chunk_of(jp + 1, kc0, kc1)
-                    } else {
-                        &[]
-                    },
-                ],
-                kk,
-                wpr,
-                i0,
-                rows,
-                kc0,
-                klen: kc1 - kc0,
-                panel0: kc0 / KP,
-                n,
-                j0,
-                w: (n - j0).min(if paired { 2 * NR_F32 } else { NR_F32 }),
-                out: match epilogue {
-                    Epilogue::Accumulate => TileOut::AddTo,
-                    Epilogue::Store if kc0 > 0 => TileOut::Resume,
-                    Epilogue::Store => TileOut::Overwrite,
+    for_each_tile((m, kk, n_jp), |kc0, kc1, jp, i0, rows| {
+        // A pair tile starts at every even panel and takes the odd one
+        // behind it along; an odd last panel runs alone.
+        if pairs && jp % 2 == 1 {
+            return;
+        }
+        let j0 = jp * NR_F32;
+        let paired = pairs && jp + 1 < n_jp;
+        let tile = F32Tile {
+            a_rows,
+            masks,
+            bchunks: [
+                chunk_of(jp, kc0, kc1),
+                if paired {
+                    chunk_of(jp + 1, kc0, kc1)
+                } else {
+                    &[]
                 },
-            };
-            // SAFETY: `f32_tile_for` only returns a feature-gated kernel
-            // for a SIMD level, which is only selected (or handed to tests
-            // by `SimdLevel::supported`) after `detect_level` verified its
-            // features.
-            unsafe { kernel(&tile, out_rows) };
-        },
-    );
+            ],
+            kk,
+            wpr,
+            i0,
+            rows,
+            kc0,
+            klen: kc1 - kc0,
+            panel0: kc0 / KP,
+            n,
+            j0,
+            w: (n - j0).min(if paired { 2 * NR_F32 } else { NR_F32 }),
+            out: match epilogue {
+                Epilogue::Accumulate => TileOut::AddTo,
+                Epilogue::Store if kc0 > 0 => TileOut::Resume,
+                Epilogue::Store => TileOut::Overwrite,
+            },
+        };
+        // SAFETY: `f32_tile_for` only returns a feature-gated kernel
+        // for a SIMD level, which is only selected (or handed to tests
+        // by `SimdLevel::supported`) after `detect_level` verified its
+        // features.
+        unsafe { kernel(&tile, out_rows) };
+    });
 }
 
 /// Portable f32 axpy: `out[j] = fma(av, b[j], out[j])` — the same
@@ -1199,9 +1155,9 @@ fn f32_ikj_tile_scalar(
     }
 }
 
-/// `k`-tile width for the ikj kernels: 16 f32 / 32 `Fx` words — one
-/// 64-byte cache line of `A` per row per tile for f32, and a whole number
-/// of [`KP`]-panels so mask skips never straddle a tile. Shared with the
+/// `k`-tile width for the ikj kernels: 16 f32 words — one 64-byte cache
+/// line of `A` per row per tile, and a whole number of [`KP`]-panels so
+/// mask skips never straddle a tile. Shared with the
 /// streamed-lowering driver (`gemm::broadcast_streamed`) so its on-demand
 /// `B` row buffer covers exactly one tile.
 pub(crate) const IKJ_KB: usize = 16;
@@ -1368,357 +1324,20 @@ unsafe fn f32_ikj_tile_avx2(
 #[cfg(target_arch = "x86_64")]
 const IKJ_ACCS: usize = 8;
 
-// ---------------------------------------------------------------------------
-// Q8.8 kernels
-// ---------------------------------------------------------------------------
-
-const FX_HALF: i32 = 1 << (FRAC_BITS - 1);
-const FX_MAX: i32 = i16::MAX as i32;
-const FX_MIN: i32 = i16::MIN as i32;
-
-#[inline]
-fn fx_clamp(v: i32) -> i32 {
-    v.clamp(FX_MIN, FX_MAX)
-}
-
-/// One scalar Q8.8 term + saturating accumulate — exactly [`Fx`]'s
-/// `Mul` (widen, round to nearest with ties toward +∞, saturate) followed
-/// by [`Fx`]'s saturating `Add`.
-#[inline]
-fn fx_mac(acc: i32, a: i16, b: i16) -> i32 {
-    let term = fx_clamp((i32::from(a) * i32::from(b) + FX_HALF) >> FRAC_BITS);
-    fx_clamp(acc + term)
-}
-
-/// Portable Q8.8 row kernel over one `k`-chunk of one packed column
-/// panel, bit-identical to a `k`-ascending chain of scalar [`Fx`]
-/// multiply–adds (resumed from `out` across chunks — exact, because the
-/// saturated accumulator always fits `i16`).
-#[allow(clippy::too_many_arguments)]
-fn fx_row_panel_scalar(
-    a_chunk: &[i16],
-    masks_row: &[u64],
-    panel0: usize,
-    bchunk: &[i16],
-    out: &mut [i16],
-    w: usize,
-    accumulate: bool,
-) {
-    let klen = a_chunk.len();
-    let mut acc = [0i32; NR_FX];
-    if accumulate {
-        for (t, &o) in acc[..w].iter_mut().zip(&out[..w]) {
-            *t = i32::from(o);
-        }
-    }
-    let n_panels = klen.div_ceil(KP);
-    for p in 0..n_panels {
-        if mask_hit(masks_row, panel0 + p) {
-            continue;
-        }
-        let k0 = p * KP;
-        let k1 = (k0 + KP).min(klen);
-        for k in k0..k1 {
-            let av = a_chunk[k];
-            if av == 0 {
-                // A zero operand's term is (0 + half) >> 8 = 0, and a
-                // saturating add of 0 is the identity: the skip is exact.
-                continue;
-            }
-            let b_row = &bchunk[k * NR_FX..k * NR_FX + w];
-            for (t, &bv) in acc[..w].iter_mut().zip(b_row) {
-                *t = fx_mac(*t, av, bv);
-            }
-        }
-    }
-    for (o, &v) in out[..w].iter_mut().zip(&acc[..w]) {
-        *o = v as i16;
-    }
-}
-
-/// AVX2 Q8.8 row kernel: 16 `i16` lanes per vector, 2 saturating
-/// accumulator vectors. Each lane performs exactly the scalar [`Fx`]
-/// operation chain, with the i16-native instruction mix:
-///
-/// * `vpmullw`/`vpmulhw` + interleave reconstruct the exact widened
-///   `i32` products (16 at a time, no slow `vpmulld`),
-/// * add-half + `vpsrad` is [`Fx`]'s round-to-nearest (ties toward +∞),
-/// * `vpackssdw` narrows with **saturation** — exactly the `Mul` clamp —
-///   and restores lane order (unpack lo/hi then pack is order-preserving
-///   within each 128-bit half),
-/// * `vpaddsw` is exactly [`Fx`]'s saturating `Add`, so the accumulator
-///   itself stays in i16 lanes (resuming from `out` across `k`-chunks is
-///   a plain load).
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fx_row_panel_avx2(
-    a_chunk: &[i16],
-    masks_row: &[u64],
-    panel0: usize,
-    bchunk: &[i16],
-    out: &mut [i16],
-    w: usize,
-    accumulate: bool,
-) {
-    use std::arch::x86_64::*;
-    let klen = a_chunk.len();
-    let half = _mm256_set1_epi32(FX_HALF);
-    let mut acc = [_mm256_setzero_si256(); NR_FX / 16];
-    if accumulate {
-        if w == NR_FX {
-            for (v, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_loadu_si256(out.as_ptr().add(v * 16) as *const __m256i);
-            }
-        } else {
-            let mut tmp = [0i16; NR_FX];
-            tmp[..w].copy_from_slice(&out[..w]);
-            for (v, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_loadu_si256(tmp.as_ptr().add(v * 16) as *const __m256i);
-            }
-        }
-    }
-    let n_panels = klen.div_ceil(KP);
-    for p in 0..n_panels {
-        if mask_hit(masks_row, panel0 + p) {
-            continue;
-        }
-        let k0 = p * KP;
-        let k1 = (k0 + KP).min(klen);
-        for k in k0..k1 {
-            // No per-element zero skip here (unlike the scalar kernel):
-            // a zero word's term is exactly 0 either way, and a
-            // data-dependent branch per `k` costs more in mispredictions
-            // than the saved arithmetic on the vector path. Structural
-            // zeros are handled at panel granularity by the masks.
-            let av = _mm256_set1_epi16(*a_chunk.get_unchecked(k));
-            let base = bchunk.as_ptr().add(k * NR_FX);
-            for (v, a) in acc.iter_mut().enumerate() {
-                let bv = _mm256_loadu_si256(base.add(v * 16) as *const __m256i);
-                let lo = _mm256_mullo_epi16(av, bv);
-                let hi = _mm256_mulhi_epi16(av, bv);
-                // Exact i32 products: lanes 0–3/8–11 and 4–7/12–15.
-                let p0 = _mm256_unpacklo_epi16(lo, hi);
-                let p1 = _mm256_unpackhi_epi16(lo, hi);
-                let t0 = _mm256_srai_epi32::<{ FRAC_BITS as i32 }>(_mm256_add_epi32(p0, half));
-                let t1 = _mm256_srai_epi32::<{ FRAC_BITS as i32 }>(_mm256_add_epi32(p1, half));
-                let term = _mm256_packs_epi32(t0, t1);
-                *a = _mm256_adds_epi16(*a, term);
-            }
-        }
-    }
-    if w == NR_FX {
-        for (v, a) in acc.iter().enumerate() {
-            _mm256_storeu_si256(out.as_mut_ptr().add(v * 16) as *mut __m256i, *a);
-        }
-    } else {
-        let mut tmp = [0i16; NR_FX];
-        for (v, a) in acc.iter().enumerate() {
-            _mm256_storeu_si256(tmp.as_mut_ptr().add(v * 16) as *mut __m256i, *a);
-        }
-        out[..w].copy_from_slice(&tmp[..w]);
-    }
-}
-
-/// Packed Q8.8 GEMM over a contiguous row range (raw-`i16` views of
-/// [`Fx`] data), in the same `for_each_tile` order as [`f32_rows`] with
-/// one-row tiles. Writes every element of `out_rows`. Bit-identical to
-/// scalar [`Fx`] semantics for every [`SimdLevel`].
-fn fx_rows(
-    level: SimdLevel,
-    a_rows: &[i16],
-    masks: &[u64],
-    packed_b: &[i16],
-    out_rows: &mut [i16],
-    kk: usize,
-    n: usize,
-) {
-    let m = a_rows.len().checked_div(kk).unwrap_or(0);
-    debug_assert_eq!(out_rows.len(), m * n);
-    let (_, words_per_row) = mask_geometry(kk);
-    let kernel = fx_panel_for(level);
-    for_each_tile(
-        (m, kk, n.div_ceil(NR_FX)),
-        NR_FX * std::mem::size_of::<i16>(),
-        1,
-        |kc0, kc1, jp, i, _| {
-            let j0 = jp * NR_FX;
-            let w = (n - j0).min(NR_FX);
-            let base = jp * kk * NR_FX;
-            let bchunk = &packed_b[base + kc0 * NR_FX..base + kc1 * NR_FX];
-            let a_chunk = &a_rows[i * kk + kc0..i * kk + kc1];
-            let masks_row = &masks[i * words_per_row..(i + 1) * words_per_row];
-            let out = &mut out_rows[i * n + j0..i * n + j0 + w];
-            // SAFETY: as in `f32_rows` — feature-gated kernels are only
-            // resolved for levels whose features were detected; every
-            // operand is a bounds-checked slice of its chunk.
-            unsafe { kernel(a_chunk, masks_row, kc0 / KP, bchunk, out, w, kc0 > 0) };
-        },
-    );
-}
-
-/// Q8.8 axpy signature (raw `i16`): `out_row = sat(out_row + round(av ·
-/// b_row))` per element — one scalar [`Fx`] multiply–add step.
-type FxAxpyFn = unsafe fn(i16, &[i16], &mut [i16]);
-
-fn fx_axpy_for(level: SimdLevel) -> FxAxpyFn {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        l if l >= SimdLevel::Avx2Fma => fx_axpy_avx2,
-        _ => fx_axpy_scalar,
-    }
-}
-
-/// Portable Q8.8 axpy: one [`fx_mac`] per element, the accumulator
-/// saturated back into `i16` each step (so resuming from memory between
-/// `k` steps is exact — the same argument as the packed kernel's chunk
-/// round trips).
-fn fx_axpy_scalar(av: i16, b_row: &[i16], out_row: &mut [i16]) {
-    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-        *o = fx_mac(i32::from(*o), av, bv) as i16;
-    }
-}
-
-/// AVX2 Q8.8 axpy: the identical instruction mix as [`fx_row_panel_avx2`]
-/// — `vpmullw`/`vpmulhw` exact widened products, add-half + `vpsrad`
-/// rounding, `vpackssdw` saturating narrow, `vpaddsw` saturating
-/// accumulate — applied to one unpacked `B` row, with an [`fx_mac`]
-/// scalar tail (the same operation per lane).
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fx_axpy_avx2(av: i16, b_row: &[i16], out_row: &mut [i16]) {
-    use std::arch::x86_64::*;
-    let n = out_row.len().min(b_row.len());
-    let half = _mm256_set1_epi32(FX_HALF);
-    let avv = _mm256_set1_epi16(av);
-    let bp = b_row.as_ptr();
-    let op = out_row.as_mut_ptr();
-    let mut j = 0;
-    while j + 16 <= n {
-        let bv = _mm256_loadu_si256(bp.add(j) as *const __m256i);
-        let acc = _mm256_loadu_si256(op.add(j) as *const __m256i);
-        let lo = _mm256_mullo_epi16(avv, bv);
-        let hi = _mm256_mulhi_epi16(avv, bv);
-        let p0 = _mm256_unpacklo_epi16(lo, hi);
-        let p1 = _mm256_unpackhi_epi16(lo, hi);
-        let t0 = _mm256_srai_epi32::<{ FRAC_BITS as i32 }>(_mm256_add_epi32(p0, half));
-        let t1 = _mm256_srai_epi32::<{ FRAC_BITS as i32 }>(_mm256_add_epi32(p1, half));
-        let term = _mm256_packs_epi32(t0, t1);
-        _mm256_storeu_si256(op.add(j) as *mut __m256i, _mm256_adds_epi16(acc, term));
-        j += 16;
-    }
-    while j < n {
-        *op.add(j) = fx_mac(i32::from(*op.add(j)), av, *bp.add(j)) as i16;
-        j += 1;
-    }
-}
-
-/// Broadcast `ikj`-chain Q8.8 GEMM over a contiguous row range on
-/// unpacked `B` (raw-`i16`, row-major `kk × n`): the non-packed
-/// counterpart of [`fx_rows`], serving both the [`GemmPath::Ikj`] and
-/// [`GemmPath::SmallM`] dispatch paths (byte-identity to scalar [`Fx`]
-/// semantics is the only Q8.8 contract, and every order here is the same
-/// `k`-ascending saturating chain per output element). `k` outermost
-/// streams `B` sequentially exactly once, as in [`f32_ikj_rows`], with
-/// the same [`IKJ_KB`]-tiled walk and [`KP`]-panel mask skips so dead `A`
-/// panels are never re-read after the dispatch scan; zero `A` words skip
-/// element-wise — exact, since a zero operand's term is exactly zero.
-fn fx_ikj_rows(
-    level: SimdLevel,
-    a_rows: &[i16],
-    masks: &[u64],
-    b: &[i16],
-    out_rows: &mut [i16],
-    kk: usize,
-    n: usize,
-) {
-    let m = a_rows.len().checked_div(kk).unwrap_or(0);
-    let (_, wpr) = mask_geometry(kk);
-    debug_assert_eq!(out_rows.len(), m * n);
-    debug_assert_eq!(b.len(), kk * n);
-    debug_assert_eq!(masks.len(), m * wpr);
-    let axpy = fx_axpy_for(level);
-    out_rows.fill(0);
-    for kb in (0..kk).step_by(IKJ_KB) {
-        let kend = (kb + IKJ_KB).min(kk);
-        fx_ikj_tile(
-            axpy,
-            a_rows,
-            masks,
-            wpr,
-            &b[kb * n..kend * n],
-            out_rows,
-            m,
-            kk,
-            n,
-            kb,
-            kend,
-        );
-    }
-}
-
-/// One `k`-tile of [`fx_ikj_rows`]'s nest over `btile` (row `k` at offset
-/// `(k − kb)·n`) — the Q8.8 counterpart of [`f32_ikj_tile_scalar`],
-/// applying the level-resolved axpy per live `A` word. Accumulates;
-/// callers zero `out_rows` once before the first tile.
-#[allow(clippy::too_many_arguments)]
-fn fx_ikj_tile(
-    axpy: FxAxpyFn,
-    a_rows: &[i16],
-    masks: &[u64],
-    wpr: usize,
-    btile: &[i16],
-    out_rows: &mut [i16],
-    m: usize,
-    kk: usize,
-    n: usize,
-    kb: usize,
-    kend: usize,
-) {
-    for i in 0..m {
-        let mrow = &masks[i * wpr..(i + 1) * wpr];
-        let mut k = kb;
-        while k < kend {
-            let p = k / KP;
-            let pend = (p * KP + KP).min(kend);
-            if mask_hit(mrow, p) {
-                k = pend;
-                continue;
-            }
-            while k < pend {
-                let av = a_rows[i * kk + k];
-                k += 1;
-                if av == 0 {
-                    continue;
-                }
-                let b_row = &btile[(k - 1 - kb) * n..(k - kb) * n];
-                // SAFETY: feature-gated kernels are only resolved for levels
-                // whose features were detected (see `fx_rows`).
-                unsafe { axpy(av, b_row, &mut out_rows[i * n..(i + 1) * n]) };
-            }
-        }
-    }
-}
-
 /// One `k`-tile of the broadcast engines for the streamed-lowering driver
 /// in [`crate::gemm`]: `btile` is its on-demand row buffer holding rows
 /// `kb..kend` of the virtual `B` operand (row `k` at offset `(k − kb)·n`).
-/// Dispatches to the same fused/level-resolved tile kernels the in-memory
-/// ikj engines run, so streaming changes *where `B` rows come from*, never
-/// the per-element operation chain — bit-identity (f32) and byte-identity
-/// (Q8.8) with the materialized paths follow from the tile kernels being
-/// literally shared. Accumulates; zero `out` before the first tile.
+/// Runs the same level-resolved tile kernels the in-memory ikj engine
+/// runs, so streaming changes *where `B` rows come from*, never the
+/// per-element operation chain — bit-identity with the materialized paths
+/// follows from the tile kernels being literally shared. Accumulates; zero
+/// `out` before the first tile.
+///
+/// # Panics
+///
+/// Panics unless `T` is `f32` ([`runs_packed`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ikj_tile_packed<T: Num>(
-    kind: PackedKind,
     a: &[T],
     masks: &[u64],
     btile: &[T],
@@ -1733,49 +1352,15 @@ pub(crate) fn ikj_tile_packed<T: Num>(
     debug_assert_eq!(masks.len(), m * wpr);
     debug_assert_eq!(btile.len(), (kend - kb) * n);
     debug_assert_eq!(out.len(), m * n);
-    match kind {
-        PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `pack_for_plan`).
-            let (af, bf, of) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const f32, a.len()),
-                    std::slice::from_raw_parts(btile.as_ptr() as *const f32, btile.len()),
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f32, out.len()),
-                )
-            };
-            match simd_level() {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: a level from `Avx2Fma` up is only selected after
-                // `detect_level` verified avx2+fma.
-                l if l >= SimdLevel::Avx2Fma => unsafe {
-                    f32_ikj_tile_avx2(af, masks, wpr, bf, of, m, kk, n, kb, kend)
-                },
-                _ => f32_ikj_tile_scalar(af, masks, wpr, bf, of, m, kk, n, kb, kend),
-            }
-        }
-        PackedKind::Fx => {
-            // SAFETY: `kind` proves `T == Fx`, `repr(transparent)` over i16.
-            let (ai, bi, oi) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const i16, a.len()),
-                    std::slice::from_raw_parts(btile.as_ptr() as *const i16, btile.len()),
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut i16, out.len()),
-                )
-            };
-            fx_ikj_tile(
-                fx_axpy_for(simd_level()),
-                ai,
-                masks,
-                wpr,
-                bi,
-                oi,
-                m,
-                kk,
-                n,
-                kb,
-                kend,
-            );
-        }
+    let (a, btile, out) = f32_operands(a, btile, out).expect("the packed engine runs f32 only");
+    match simd_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a level from `Avx2Fma` up is only selected after
+        // `detect_level` verified avx2+fma.
+        l if l >= SimdLevel::Avx2Fma => unsafe {
+            f32_ikj_tile_avx2(a, masks, wpr, btile, out, m, kk, n, kb, kend)
+        },
+        _ => f32_ikj_tile_scalar(a, masks, wpr, btile, out, m, kk, n, kb, kend),
     }
 }
 
@@ -1845,27 +1430,6 @@ fn f32_dot(a: &[f32], b: &[f32]) -> f32 {
 #[target_feature(enable = "fma")]
 unsafe fn f32_dot_fma(a: &[f32], b: &[f32]) -> f32 {
     f32_dot(a, b)
-}
-
-/// The Q8.8 form of [`f32_dot_rows`] (store only — Q8.8 never
-/// accumulates into its output): each output row is one `k`-ascending
-/// saturating chain of [`fx_mac`] against `b` in place, zero `A` words
-/// skipped (exact: a zero operand's term is exactly zero).
-fn fx_dot_rows(a_rows: &[i16], b: &[i16], out_rows: &mut [i16], kk: usize) {
-    assert!(
-        b.len() == kk && a_rows.len() == out_rows.len() * kk,
-        "one-column operands disagree with {}×{kk}×1",
-        out_rows.len()
-    );
-    for (i, o) in out_rows.iter_mut().enumerate() {
-        let mut acc = 0i32;
-        for (&av, &bv) in a_rows[i * kk..(i + 1) * kk].iter().zip(b) {
-            if av != 0 {
-                acc = fx_mac(acc, av, bv);
-            }
-        }
-        *o = acc as i16;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1943,31 +1507,15 @@ pub fn plan_dense_a(
 /// packed engine on more than one output column, over as many disjoint
 /// panel ranges as the plan has row chunks. A one-column `B` is never
 /// packed: [`run_plan_rows`] reads it in place.
-pub(crate) fn pack_for_plan<T: Num>(
+pub(crate) fn pack_for_plan(
     plan: &GemmPlan,
-    b: &[T],
+    b: &[f32],
     (m, kk, n): (usize, usize, usize),
-    kind: PackedKind,
     scratch: &mut PackScratch,
 ) {
     if plan.path == GemmPath::Packed && n > 1 {
         let pieces = m.div_ceil(plan.rows_per_chunk.max(1)).max(1);
-        match kind {
-            PackedKind::F32 => {
-                // SAFETY: `kind` is only `F32` when `T == f32`
-                // (TypeId-checked by `packed_kind`).
-                let bf: &[f32] =
-                    unsafe { std::slice::from_raw_parts(b.as_ptr() as *const f32, b.len()) };
-                pack_b::<_, NR_F32>(bf, kk, n, pieces, &mut scratch.bf32);
-            }
-            PackedKind::Fx => {
-                // SAFETY: `kind` is only `Fx` when `T == Fx`
-                // (repr(transparent) over i16).
-                let bi: &[i16] =
-                    unsafe { std::slice::from_raw_parts(b.as_ptr() as *const i16, b.len()) };
-                pack_b::<_, NR_FX>(bi, kk, n, pieces, &mut scratch.bi16);
-            }
-        }
+        pack_b(b, kk, n, pieces, &mut scratch.bf32);
     }
 }
 
@@ -1986,83 +1534,33 @@ pub(crate) fn pack_for_plan<T: Num>(
 /// Panics if `epilogue` is [`Epilogue::Accumulate`] and
 /// [`epilogue_accumulates`] does not hold for this plan.
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_rows<T: Num>(
+pub fn run_plan_rows(
     level: SimdLevel,
     path: GemmPath,
-    a: &[T],
-    b: &[T],
+    a: &[f32],
+    b: &[f32],
     scratch: &PackScratch,
-    out_chunk: &mut [T],
+    out_chunk: &mut [f32],
     row0: usize,
     kk: usize,
     n: usize,
-    kind: PackedKind,
     epilogue: Epilogue,
 ) {
     assert!(
-        epilogue == Epilogue::Store || epilogue_accumulates(kind, path, kk),
-        "only the packed f32 engine adds into its output"
+        epilogue == Epilogue::Store || epilogue_accumulates(path, kk),
+        "only the packed engine adds into its output"
     );
     let rows_here = out_chunk.len().checked_div(n).unwrap_or(0);
     let (_, wpr) = mask_geometry(kk);
     let masks = &scratch.masks[row0 * wpr..(row0 + rows_here) * wpr];
-    match kind {
-        PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `pack_for_plan`), so each
-            // cast reinterprets a slice as itself.
-            let (af, bf, of) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const f32, a.len()),
-                    std::slice::from_raw_parts(b.as_ptr() as *const f32, b.len()),
-                    std::slice::from_raw_parts_mut(
-                        out_chunk.as_mut_ptr() as *mut f32,
-                        out_chunk.len(),
-                    ),
-                )
-            };
-            let a_rows = &af[row0 * kk..(row0 + rows_here) * kk];
-            match path {
-                GemmPath::Packed if n == 1 => f32_dot_rows(level, a_rows, bf, of, kk, epilogue),
-                GemmPath::Packed => {
-                    f32_rows(
-                        level,
-                        a_rows,
-                        masks,
-                        scratch.bf32.get(),
-                        of,
-                        kk,
-                        n,
-                        epilogue,
-                    );
-                }
-                GemmPath::Ikj | GemmPath::SmallM => {
-                    f32_ikj_rows(level, a_rows, masks, bf, of, kk, n);
-                }
-            }
+    let a_rows = &a[row0 * kk..(row0 + rows_here) * kk];
+    match path {
+        GemmPath::Packed if n == 1 => f32_dot_rows(level, a_rows, b, out_chunk, kk, epilogue),
+        GemmPath::Packed => {
+            let packed_b = scratch.bf32.get();
+            f32_rows(level, a_rows, masks, packed_b, out_chunk, kk, n, epilogue);
         }
-        PackedKind::Fx => {
-            // SAFETY: `kind` proves `T == Fx`, `repr(transparent)` over i16.
-            let (ai, bi, oi) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const i16, a.len()),
-                    std::slice::from_raw_parts(b.as_ptr() as *const i16, b.len()),
-                    std::slice::from_raw_parts_mut(
-                        out_chunk.as_mut_ptr() as *mut i16,
-                        out_chunk.len(),
-                    ),
-                )
-            };
-            let a_rows = &ai[row0 * kk..(row0 + rows_here) * kk];
-            match path {
-                GemmPath::Packed if n == 1 => fx_dot_rows(a_rows, bi, oi, kk),
-                GemmPath::Packed => {
-                    fx_rows(level, a_rows, masks, scratch.bi16.get(), oi, kk, n);
-                }
-                GemmPath::Ikj | GemmPath::SmallM => {
-                    fx_ikj_rows(level, a_rows, masks, bi, oi, kk, n);
-                }
-            }
-        }
+        GemmPath::Ikj | GemmPath::SmallM => f32_ikj_rows(level, a_rows, masks, b, out_chunk, kk, n),
     }
 }
 
@@ -2109,31 +1607,18 @@ mod tests {
     /// `a × b` stored over `out` at `level` through `path` (`None`: the
     /// dispatched engine), in one inline chunk of the packed engine's test
     /// handle.
-    fn chunked<T: Num>(
+    fn chunked(
         (level, path): (SimdLevel, Option<GemmPath>),
-        a: &[T],
-        b: &[T],
-        out: Vec<T>,
+        a: &[f32],
+        b: &[f32],
+        out: Vec<f32>,
         (m, kk, n): (usize, usize, usize),
-    ) -> Vec<T> {
+    ) -> Vec<f32> {
         let a = Matrix::from_vec(m, kk, a.to_vec());
         let b = Matrix::from_vec(kk, n, b.to_vec());
         let (mut out, ws) = (Matrix::from_vec(m, n, out), &mut ConvWorkspace::new());
         crate::gemm::matmul_chunked(&a, &b, &mut out, false, level, path, m, ws);
         out.into_vec()
-    }
-
-    /// [`chunked`] on raw Q8.8 words.
-    fn chunked_fx(
-        route: (SimdLevel, Option<GemmPath>),
-        a: &[i16],
-        b: &[i16],
-        dims: (usize, usize, usize),
-    ) -> Vec<i16> {
-        let fx = |raw: &[i16]| raw.iter().map(|&r| Fx::from_raw(r)).collect::<Vec<_>>();
-        let out = vec![Fx::ZERO; dims.0 * dims.2];
-        let got = chunked(route, &fx(a), &fx(b), out, dims);
-        got.iter().map(|v| v.raw()).collect()
     }
 
     #[test]
@@ -2179,7 +1664,7 @@ mod tests {
                 .collect();
             let mut scratch = PackScratch::new();
             build_masks(&a, m, kk, &mut scratch.masks);
-            pack_b::<_, NR_F32>(&b, kk, n, 3, &mut scratch.bf32);
+            pack_b(&b, kk, n, 3, &mut scratch.bf32);
             for level in SimdLevel::supported() {
                 let mut out = held.clone();
                 let add = Epilogue::Accumulate;
@@ -2196,14 +1681,9 @@ mod tests {
                 assert_eq!(bits(&out), want, "{level:?} {m}x{kk}x{n}");
             }
         }
-        assert!(epilogue_accumulates(PackedKind::F32, GemmPath::Packed, KC));
-        assert!(!epilogue_accumulates(
-            PackedKind::F32,
-            GemmPath::Packed,
-            KC + 1
-        ));
-        assert!(!epilogue_accumulates(PackedKind::F32, GemmPath::Ikj, 8));
-        assert!(!epilogue_accumulates(PackedKind::Fx, GemmPath::Packed, 8));
+        assert!(epilogue_accumulates(GemmPath::Packed, KC));
+        assert!(!epilogue_accumulates(GemmPath::Packed, KC + 1));
+        assert!(!epilogue_accumulates(GemmPath::Ikj, 8));
     }
 
     /// Between `k`-chunks the partial chain lives in the output, so a
@@ -2215,7 +1695,7 @@ mod tests {
         let (a, b) = (vec![1.0f32; m * kk], vec![1.0f32; kk * n]);
         let mut scratch = PackScratch::new();
         build_masks(&a, m, kk, &mut scratch.masks);
-        pack_b::<_, NR_F32>(&b, kk, n, 3, &mut scratch.bf32);
+        pack_b(&b, kk, n, 3, &mut scratch.bf32);
         let mut out = vec![0.0f32; m * n];
         let add = Epilogue::Accumulate;
         f32_rows(
@@ -2279,9 +1759,9 @@ mod tests {
             let held = random_f32(m * n, 0.0, &mut rng);
             let mut scratch = PackScratch::new();
             build_masks(&a, m, kk, &mut scratch.masks);
-            pack_b::<_, NR_F32>(&b, kk, n, 3, &mut scratch.bf32);
+            pack_b(&b, kk, n, 3, &mut scratch.bf32);
             let mut epilogues = vec![Epilogue::Store];
-            if epilogue_accumulates(PackedKind::F32, GemmPath::Packed, kk) {
+            if epilogue_accumulates(GemmPath::Packed, kk) {
                 epilogues.push(Epilogue::Accumulate);
             }
             for epilogue in epilogues {
@@ -2369,41 +1849,6 @@ mod tests {
                 Some("B chunk shorter than the tile's k range"),
                 "{level:?}"
             );
-        }
-    }
-
-    #[test]
-    fn fx_levels_match_scalar_fx_semantics_bit_for_bit() {
-        let mut rng = SmallRng::seed_from_u64(92);
-        for (m, kk, n) in [(1, 1, 1), (4, 9, 5), (9, 33, 40), (3, 8, 32), (2, 300, 33)] {
-            // Large magnitudes so saturation actually fires.
-            let a: Vec<i16> = (0..m * kk)
-                .map(|_| {
-                    if rng.gen_range(0.0..1.0) < 0.4 {
-                        0
-                    } else {
-                        rng.gen_range(i16::MIN..=i16::MAX)
-                    }
-                })
-                .collect();
-            let b: Vec<i16> = (0..kk * n)
-                .map(|_| rng.gen_range(i16::MIN..=i16::MAX))
-                .collect();
-            // Scalar Fx oracle: k-ascending saturating multiply-add chain.
-            let mut reference = vec![0i16; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = Fx::ZERO;
-                    for k in 0..kk {
-                        acc += Fx::from_raw(a[i * kk + k]) * Fx::from_raw(b[k * n + j]);
-                    }
-                    reference[i * n + j] = acc.raw();
-                }
-            }
-            for level in SimdLevel::supported() {
-                let out = chunked_fx((level, None), &a, &b, (m, kk, n));
-                assert_eq!(reference, out, "{level:?} {m}x{kk}x{n}");
-            }
         }
     }
 
@@ -2547,41 +1992,6 @@ mod tests {
                         .zip(&out)
                         .all(|(x, y)| x.to_bits() == y.to_bits());
                     assert!(same, "{path:?} {level:?} diverged on {m}x{kk}x{n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fx_paths_match_scalar_fx_semantics_bit_for_bit() {
-        let mut rng = SmallRng::seed_from_u64(94);
-        for (m, kk, n) in [(1, 1, 1), (1, 300, 33), (4, 9, 5), (9, 33, 40), (8, 40, 3)] {
-            let a: Vec<i16> = (0..m * kk)
-                .map(|_| {
-                    if rng.gen_range(0.0..1.0) < 0.6 {
-                        0
-                    } else {
-                        rng.gen_range(i16::MIN..=i16::MAX)
-                    }
-                })
-                .collect();
-            let b: Vec<i16> = (0..kk * n)
-                .map(|_| rng.gen_range(i16::MIN..=i16::MAX))
-                .collect();
-            let mut reference = vec![0i16; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = Fx::ZERO;
-                    for k in 0..kk {
-                        acc += Fx::from_raw(a[i * kk + k]) * Fx::from_raw(b[k * n + j]);
-                    }
-                    reference[i * n + j] = acc.raw();
-                }
-            }
-            for path in ALL_PATHS {
-                for level in SimdLevel::supported() {
-                    let out = chunked_fx((level, Some(path)), &a, &b, (m, kk, n));
-                    assert_eq!(reference, out, "{path:?} {level:?} {m}x{kk}x{n}");
                 }
             }
         }

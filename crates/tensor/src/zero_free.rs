@@ -29,12 +29,12 @@
 //! The *lowering* itself never changes results: per output element the
 //! compact operands carry the same terms in the same order as the golden
 //! loop nests, with only exact-zero terms (which cannot change a finite
-//! accumulation) skipped. Every function here runs on the packed GEMM
-//! engine ([`crate::gemm`]): `Fx` (the exact Q8.8 kernel) and `f64` (the
-//! scalar blocked fallback) are therefore **bit-identical** to their golden
-//! nests ([`crate::t_conv`], [`crate::w_conv_for_t_layer`], …), while
-//! `f32` follows the packed kernel's own fused accumulation order (still
-//! deterministic; see [`crate::microkernel`]). `tests/fast_conv.rs` pins both contracts over
+//! accumulation) skipped. Every function here runs on the GEMM engine
+//! ([`crate::gemm`]): `Fx` and `f64` (the scalar blocked kernel) are
+//! therefore **bit-identical** to their golden nests ([`crate::t_conv`],
+//! [`crate::w_conv_for_t_layer`], …), while `f32` follows the packed
+//! kernel's own fused accumulation order (still deterministic; see
+//! [`crate::microkernel`]). `tests/fast_conv.rs` pins both contracts over
 //! random geometries.
 //!
 //! # Orientation

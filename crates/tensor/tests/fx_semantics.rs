@@ -1,34 +1,142 @@
-//! The Q8.8 fixed-point contract that the vectorized microkernel must
-//! honor bit for bit. Each property here pins one edge of the scalar
-//! [`Fx`] semantics — saturation at the rail values, round-to-nearest
-//! with ties toward +∞ at the ±0.5-LSB boundary, and the *per-step*
-//! saturating accumulate (a widened i32 product, narrowed and clamped
-//! after every multiply-add, never a wide running sum) — and the final
-//! property checks that the packed kernel reproduces exactly that chain
-//! at every SIMD level.
+//! The Q8.8 fixed-point contract every Q8.8 GEMM honors bit for bit. Each
+//! property here pins one edge of the scalar [`Fx`] semantics — saturation
+//! at the rail values, round-to-nearest with ties toward +∞ at the
+//! ±0.5-LSB boundary, and the *per-step* saturating accumulate (a widened
+//! i32 product, narrowed and clamped after every multiply-add, never a wide
+//! running sum) — and the final properties check that every GEMM entry Q8.8
+//! runs reproduces exactly that chain: [`matmul_blocked`] and the workspace
+//! conv lowerings, which run the scalar blocked kernel for every element
+//! type but `f32`.
 
 use proptest::prelude::*;
-use zfgan_tensor::gemm::matmul_chunked;
+use zfgan_tensor::gemm::matmul_blocked;
 use zfgan_tensor::im2col::Matrix;
-use zfgan_tensor::microkernel::{GemmPath, SimdLevel};
-use zfgan_tensor::{ConvWorkspace, Fx, FRAC_BITS};
+use zfgan_tensor::microkernel::KC;
+use zfgan_tensor::{ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels, FRAC_BITS};
 
-/// `a × b` on raw Q8.8 words at `level` through `path` (`None`: the
-/// dispatched engine), in one inline chunk of the packed engine's test
-/// handle.
-fn matmul_raw(
-    (level, path): (SimdLevel, Option<GemmPath>),
+fn fx(raw: &[i16]) -> Vec<Fx> {
+    raw.iter().map(|&r| Fx::from_raw(r)).collect()
+}
+
+fn raw(v: &[Fx]) -> Vec<i16> {
+    v.iter().map(|x| x.raw()).collect()
+}
+
+/// `a × b` on raw Q8.8 words through [`matmul_blocked`].
+fn matmul_raw(a: &[i16], b: &[i16], (m, kk, n): (usize, usize, usize)) -> Vec<i16> {
+    let (a, b) = (
+        Matrix::from_vec(m, kk, fx(a)),
+        Matrix::from_vec(kk, n, fx(b)),
+    );
+    raw(matmul_blocked(&a, &b).unwrap().as_slice())
+}
+
+/// The backends every conv pass runs through: the golden nests and both
+/// workspace lowerings.
+const BACKENDS: [ConvBackend; 3] = [
+    ConvBackend::GoldenDirect,
+    ConvBackend::LoweredGemm,
+    ConvBackend::LoweredZeroFree,
+];
+
+/// `a × b` (`m × kk` by `kk × n`) through the conv passes that are exactly
+/// this GEMM on `backend`, one chain per output element over `k`
+/// ascending: a 1×1, stride-1 S-CONV of the `kk`-map, `1 × n` image `b`
+/// under the weights `a` (at `n = 1` its one-pixel window is the score
+/// window, read in place), and the T-CONV of the same image under the
+/// transposed weights (the streamed route). Returns both products.
+fn conv_products(
+    backend: ConvBackend,
     a: &[i16],
     b: &[i16],
     (m, kk, n): (usize, usize, usize),
+    ws: &mut ConvWorkspace<Fx>,
+) -> [Vec<i16>; 2] {
+    let geom = ConvGeom::new(1, 1, 1, 0, 0, 0, 0).unwrap();
+    let image = Fmaps::from_vec(kk, 1, n, fx(b));
+    let weights = Kernels::from_vec(m, kk, 1, 1, fx(a));
+    let s = backend.s_conv_ws(&image, &weights, &geom, ws).unwrap();
+    let at: Vec<i16> = (0..kk * m).map(|t| a[(t % m) * kk + t / m]).collect();
+    let weights_t = Kernels::from_vec(kk, m, 1, 1, fx(&at));
+    let t = backend.t_conv_ws(&image, &weights_t, &geom, ws).unwrap();
+    [raw(s.as_slice()), raw(t.as_slice())]
+}
+
+/// `held + a × b` through the accumulating W-CONV of a 1×1, stride-1
+/// S-layer on `backend`: the error maps are `a`'s `m` rows and the layer
+/// input the `n` columns of `b`, each a `1 × kk` map, so weight `(i, j)`
+/// is `held[i·n + j]` plus row `i` of `a` dotted with column `j` of `b`.
+fn w_conv_accumulated(
+    backend: ConvBackend,
+    (a, b, held): (&[i16], &[i16], &[i16]),
+    (m, kk, n): (usize, usize, usize),
+    ws: &mut ConvWorkspace<Fx>,
 ) -> Vec<i16> {
-    let fx = |raw: &[i16], rows, cols| {
-        Matrix::from_vec(rows, cols, raw.iter().map(|&r| Fx::from_raw(r)).collect())
-    };
-    let (a, b) = (fx(a, m, kk), fx(b, kk, n));
-    let (mut out, ws) = (Matrix::zeros(m, n), &mut ConvWorkspace::new());
-    matmul_chunked(&a, &b, &mut out, false, level, path, m, ws);
-    out.as_slice().iter().map(|v| v.raw()).collect()
+    let geom = ConvGeom::new(1, 1, 1, 0, 0, 0, 0).unwrap();
+    let delta = Fmaps::from_vec(m, 1, kk, fx(a));
+    let bt: Vec<i16> = (0..n * kk).map(|t| b[(t % kk) * n + t / kk]).collect();
+    let input = Fmaps::from_vec(n, 1, kk, fx(&bt));
+    let mut acc = Kernels::from_vec(m, n, 1, 1, fx(held));
+    backend
+        .w_conv_for_s_layer_accumulate_ws(&input, &delta, &geom, &mut acc, ws)
+        .unwrap();
+    raw(acc.as_slice())
+}
+
+/// Full-range operand words (xorshift over every `i16`), one in five an
+/// exact zero so the zero skips engage.
+fn draws(seed: u64) -> impl FnMut() -> i16 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if state.is_multiple_of(5) {
+            0
+        } else {
+            (state >> 16) as i16
+        }
+    }
+}
+
+/// `a × b` as the per-step saturating reference chain, element by element.
+fn stepwise(a: &[i16], b: &[i16], (m, kk, n): (usize, usize, usize)) -> Vec<i16> {
+    let mut expect = vec![0i16; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let row = &a[i * kk..(i + 1) * kk];
+            let col: Vec<i16> = (0..kk).map(|k| b[k * n + j]).collect();
+            expect[i * n + j] = ref_dot(row, &col);
+        }
+    }
+    expect
+}
+
+/// Every Q8.8 GEMM entry on one operand pair (and held accumulator) must
+/// give the stepwise chain: `matmul_blocked`, and on every backend the
+/// S-CONV, the T-CONV and the accumulating W-CONV.
+fn check_every_entry(
+    a: &[i16],
+    b: &[i16],
+    held: &[i16],
+    dims: (usize, usize, usize),
+) -> Result<(), TestCaseError> {
+    let expect = stepwise(a, b, dims);
+    prop_assert_eq!(&matmul_raw(a, b, dims), &expect, "matmul_blocked");
+    let added: Vec<i16> = held
+        .iter()
+        .zip(&expect)
+        .map(|(&h, &p)| ref_add(h, p))
+        .collect();
+    let ws = &mut ConvWorkspace::new();
+    for backend in BACKENDS {
+        let [s, t] = conv_products(backend, a, b, dims, ws);
+        prop_assert_eq!(&s, &expect, "{:?} S-CONV", backend);
+        prop_assert_eq!(&t, &expect, "{:?} T-CONV", backend);
+        let w = w_conv_accumulated(backend, (a, b, held), dims, ws);
+        prop_assert_eq!(&w, &added, "{:?} accumulating W-CONV", backend);
+    }
+    Ok(())
 }
 
 /// The scalar reference for one multiply: widen to i32, add the rounding
@@ -122,12 +230,11 @@ proptest! {
         prop_assert_eq!((Fx::from_raw(a) - Fx::from_raw(b)).raw(), sub);
     }
 
-    /// The packed Q8.8 GEMM is bit-identical to the per-step saturating
-    /// reference chain at every SIMD level — full raw range, so the
-    /// property covers saturation and rounding inside the kernel, not
-    /// just on in-range training data.
+    /// The Q8.8 GEMM is bit-identical to the per-step saturating reference
+    /// chain — full raw range, so the property covers saturation and
+    /// rounding inside the kernel, not just on in-range training data.
     #[test]
-    fn packed_fx_gemm_is_bit_identical_to_the_stepwise_chain(
+    fn fx_gemm_is_bit_identical_to_the_stepwise_chain(
         m in 1usize..=6,
         kk in 1usize..=40,
         n in 1usize..=70,
@@ -135,15 +242,7 @@ proptest! {
         raw1 in any::<i16>(),
         seed in any::<u64>(),
     ) {
-        // Cheap deterministic fill (xorshift) over the full i16 range,
-        // with some exact zeros so the panel-skip masks engage.
-        let mut state = seed | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            if state % 5 == 0 { 0i16 } else { (state >> 16) as i16 }
-        };
+        let mut next = draws(seed);
         let mut a: Vec<i16> = (0..m * kk).map(|_| next()).collect();
         let b: Vec<i16> = (0..kk * n).map(|_| next()).collect();
         // Splice the proptest-drawn raws (often rails under shrinking)
@@ -151,67 +250,58 @@ proptest! {
         a[0] = raw0;
         let last = a.len() - 1;
         a[last] = raw1;
-
-        let mut expect = vec![0i16; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let row = &a[i * kk..(i + 1) * kk];
-                let col: Vec<i16> = (0..kk).map(|k| b[k * n + j]).collect();
-                expect[i * n + j] = ref_dot(row, &col);
-            }
-        }
-
-        for level in SimdLevel::supported() {
-            let out = matmul_raw((level, None), &a, &b, (m, kk, n));
-            prop_assert_eq!(&out, &expect, "level {:?} broke the Q8.8 chain", level);
-        }
+        prop_assert_eq!(matmul_raw(&a, &b, (m, kk, n)), stepwise(&a, &b, (m, kk, n)));
     }
 
-    /// Every dispatch engine of the Q8.8 GEMM — packed panel, broadcast
-    /// `ikj` over unpacked rows, and the small-`m` streaming variant —
-    /// reproduces the per-step saturating scalar chain byte for byte at
-    /// every SIMD level, including degenerate shapes (`m = 1`, all-zero
-    /// rows, `n` below one register tile). This is what makes the shape
-    /// dispatcher free to choose by cost alone.
+    /// Every GEMM entry Q8.8 runs — `matmul_blocked`, and the S-CONV,
+    /// T-CONV and accumulating W-CONV of the golden nests and of both
+    /// workspace lowerings — reproduces the per-step saturating scalar
+    /// chain byte for byte, including degenerate shapes (`m = 1`, all-zero
+    /// rows, one output column).
     #[test]
-    fn every_fx_dispatch_path_matches_the_stepwise_chain(
+    fn every_fx_gemm_entry_matches_the_stepwise_chain(
         m in 1usize..=9,
         kk in 1usize..=40,
         n in 1usize..=70,
         zero_rows in 0usize..=2,
         seed in any::<u64>(),
     ) {
-        let mut state = seed | 1;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            if state % 5 == 0 { 0i16 } else { (state >> 16) as i16 }
-        };
+        let mut next = draws(seed);
         let mut a: Vec<i16> = (0..m * kk).map(|_| next()).collect();
         let b: Vec<i16> = (0..kk * n).map(|_| next()).collect();
-        // Whole zero rows so the element- and panel-skip branches engage.
+        let held: Vec<i16> = (0..m * n).map(|_| next()).collect();
+        // Whole zero rows so the element-skip branches engage.
         for r in 0..zero_rows.min(m) {
             a[r * kk..(r + 1) * kk].fill(0);
         }
+        check_every_entry(&a, &b, &held, (m, kk, n))?;
+    }
+}
 
-        let mut expect = vec![0i16; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let row = &a[i * kk..(i + 1) * kk];
-                let col: Vec<i16> = (0..kk).map(|k| b[k * n + j]).collect();
-                expect[i * n + j] = ref_dot(row, &col);
-            }
+/// The shapes that once had code of their own in a Q8.8 SIMD engine, on
+/// every entry: one output column (a per-row chain against `B` in place,
+/// the S-CONV's score window), chains longer than one [`KC`] chunk (a
+/// chain resumed from the output between chunks), both at once, and an
+/// accumulating W-CONV on each — with rail and half-LSB tie operands
+/// spliced into the full-range draws, and rail-valued held weights so the
+/// final add saturates too.
+#[test]
+fn fx_entries_match_the_stepwise_chain_on_one_column_and_multi_chunk_shapes() {
+    let ties = [Fx::MAX.raw(), Fx::MIN.raw(), 128, -128, 1, -1];
+    for (seed, dims @ (m, kk, n)) in [
+        (1, (5, 37, 1)),
+        (2, (3, KC + 37, 20)),
+        (3, (4, 2 * KC + 3, 1)),
+    ] {
+        let mut next = draws(seed);
+        let mut a: Vec<i16> = (0..m * kk).map(|_| next()).collect();
+        let mut b: Vec<i16> = (0..kk * n).map(|_| next()).collect();
+        let (a_len, b_len) = (a.len(), b.len());
+        for (t, &v) in ties.iter().enumerate() {
+            a[t * 7 % a_len] = v;
+            b[t * 5 % b_len] = ties[(t + 1) % ties.len()];
         }
-
-        for level in SimdLevel::supported() {
-            for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
-                let out = matmul_raw((level, Some(path)), &a, &b, (m, kk, n));
-                prop_assert_eq!(
-                    &out, &expect,
-                    "path {:?} at {:?} broke the Q8.8 chain", path, level
-                );
-            }
-        }
+        let held: Vec<i16> = (0..m * n).map(|j| ties[j % 2]).collect();
+        check_every_entry(&a, &b, &held, dims).unwrap_or_else(|e| panic!("{m}x{kk}x{n}: {e}"));
     }
 }

@@ -142,23 +142,12 @@ cargo run -q --release -p zfgan -- trace --check "$tdir/s2.json" | grep '^determ
 diff "$tdir/sd1" "$tdir/sd2"
 echo "telemetry deterministic sections are byte-identical"
 
-echo "=== Q8.8 SIMD byte-identity sweep ==="
-# The vectorized fixed-point microkernel must reproduce the scalar Fx
-# semantics bit-for-bit: the deterministic Q8.8 conv sweep's transcript
-# (digests of every result's raw i16 payload) is diffed between a
-# SIMD-dispatched run and a ZFGAN_NO_SIMD=1 run.
-cargo run -q --release -p zfgan-bench --bin fxsweep > "$tdir/fx_simd.txt"
-ZFGAN_NO_SIMD=1 cargo run -q --release -p zfgan-bench --bin fxsweep > "$tdir/fx_scalar.txt"
-diff "$tdir/fx_simd.txt" "$tdir/fx_scalar.txt"
-echo "Q8.8 sweep transcripts are byte-identical"
-
 echo "=== f32 SIMD bit-identity sweep ==="
-# The f32 twin of the Q8.8 sweep: every SIMD level runs each output
-# element's k-ascending fused chain, so a few MNIST-GAN training iterations
-# (packed GEMMs wide enough for the AVX-512 pair tile, an odd last panel,
-# ragged tails, multi-chunk resumes) must end in the same final_digest
-# under the runtime-detected level (the run at the top of the test step)
-# and under ZFGAN_NO_SIMD=1.
+# Every SIMD level runs each output element's k-ascending fused chain, so a
+# few MNIST-GAN training iterations (packed GEMMs wide enough for the
+# AVX-512 pair tile, an odd last panel, ragged tails, multi-chunk resumes)
+# must end in the same final_digest under the runtime-detected level (the
+# run at the top of the test step) and under ZFGAN_NO_SIMD=1.
 ZFGAN_NO_SIMD=1 cargo run -q --release -p zfgan -- train --gan mnist --seed 2024 --iters 3 \
     > "$tdir/f32_scalar.txt"
 head -qn 1 "$tdir/f32_simd.txt" "$tdir/f32_scalar.txt"
@@ -167,22 +156,18 @@ diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$t
 echo "f32 train digests are bit-identical across SIMD levels"
 
 echo "=== forced-kernel dispatch sweep ==="
-# Every GEMM dispatch path must uphold both bit-equality families on its
+# Every GEMM dispatch path must uphold the bit-equality contract on its
 # own: pin each engine via ZFGAN_FORCE_KERNEL, run the tensor suite on the
-# scalar kernels (the broadest portable surface), byte-diff the Q8.8 sweep
-# transcript against the dispatched run above, and diff the f32 MNIST-GAN
-# train digest against the dispatched run at the top of the test step —
-# forced packed materializes every patch operand the dispatched run streams
-# or reads in place.
+# scalar kernels (the broadest portable surface), and diff the f32
+# MNIST-GAN train digest against the dispatched run at the top of the test
+# step — forced packed materializes every patch operand the dispatched run
+# streams or reads in place.
 for path in packed ikj smallm; do
     ZFGAN_NO_SIMD=1 ZFGAN_FORCE_KERNEL="$path" cargo test -q -p zfgan-tensor
-    ZFGAN_FORCE_KERNEL="$path" cargo run -q --release -p zfgan-bench --bin fxsweep \
-        > "$tdir/fx_$path.txt"
-    diff "$tdir/fx_simd.txt" "$tdir/fx_$path.txt"
     ZFGAN_FORCE_KERNEL="$path" cargo run -q --release -p zfgan -- \
         train --gan mnist --seed 2024 --iters 3 > "$tdir/f32_$path.txt"
     diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/f32_$path.txt")
-    echo "forced $path: tensor suite + Q8.8 transcript + f32 train digest OK"
+    echo "forced $path: tensor suite + f32 train digest OK"
 done
 
 echo "=== perf ledger round trip ==="

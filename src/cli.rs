@@ -218,10 +218,10 @@ fn usage() -> String {
      \x20 dse <sweep> [--cache PATH] [--out PATH] [--verify trust|all]\n\
      \x20     [--window N] [--shards N]\n\
      \x20                            serve a figure sweep (fig15..fig19) as a query batch:\n\
-     \x20                            dedup, content-addressed result cache (also via\n\
-     \x20                            ZFGAN_DSE_CACHE), JSONL cell stream with incremental\n\
-     \x20                            Pareto frontier; --shards N fans the key space out\n\
-     \x20                            across child processes sharing the cache\n\
+     \x20                            dedup, content-addressed result cache (--cache),\n\
+     \x20                            JSONL cell stream with incremental Pareto frontier;\n\
+     \x20                            --shards N fans the key space out across child\n\
+     \x20                            processes sharing the cache\n\
      \x20 serve-metrics [--addr A] [--max-requests N]\n\
      \x20                            HTTP endpoint exposing /metrics (Prometheus text\n\
      \x20                            format) and /health; --scrape ADDR [--path P] is the\n\

@@ -15,8 +15,7 @@
 //! The stream carries no hit/miss or timing information, so cold, warm
 //! and corrupted-then-recomputed runs are byte-identical. Cache traffic
 //! is visible through the `dse_*_total` counters instead: pass
-//! `--telemetry` for a summary, or scrape them from `zfgan
-//! serve-metrics`' shared `/metrics` endpoint.
+//! `--telemetry` for a summary of this invocation's counters.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -29,7 +28,7 @@ use zfgan_dse::{DseConfig, VerifyPolicy};
 pub struct DseArgs {
     /// The sweep to serve (one of [`zfgan_dse::sweeps::SWEEP_NAMES`]).
     pub sweep: String,
-    /// Cache directory; overrides `ZFGAN_DSE_CACHE` when set.
+    /// Cache directory (`--cache`); none runs every cell uncached.
     pub cache: Option<PathBuf>,
     /// Write the canonical stream here instead of stdout.
     pub out: Option<PathBuf>,
@@ -53,10 +52,8 @@ pub struct DseArgs {
 /// flags, sharding without a cache, an unwritable `--out` path, or a
 /// failed child shard.
 pub fn run_dse(a: &DseArgs) -> Result<String, String> {
-    let mut cfg = DseConfig::from_env("dse");
-    if let Some(dir) = &a.cache {
-        cfg.cache_dir = Some(dir.clone());
-    }
+    let mut cfg = DseConfig::new("dse");
+    cfg.cache_dir = a.cache.clone();
     if let Some(w) = a.window {
         cfg.window = w;
     }
@@ -71,10 +68,7 @@ pub fn run_dse(a: &DseArgs) -> Result<String, String> {
                 ));
             }
             if cfg.cache_dir.is_none() {
-                return Err(
-                    "a shard needs a cache to publish into (--cache PATH or ZFGAN_DSE_CACHE)"
-                        .to_string(),
-                );
+                return Err("a shard needs a cache to publish into (--cache PATH)".to_string());
             }
             let n = run_sweep_shard(&a.sweep, &cfg, index, count)?;
             return Ok(format!(
@@ -90,9 +84,10 @@ pub fn run_dse(a: &DseArgs) -> Result<String, String> {
     // the shared cache is the rendezvous, so the serving pass below then
     // finds every cell already published.
     if let Some(shards) = a.shards.filter(|&n| n > 1) {
-        let dir = cfg.cache_dir.clone().ok_or_else(|| {
-            "--shards needs a cache to rendezvous in (--cache PATH or ZFGAN_DSE_CACHE)".to_string()
-        })?;
+        let dir = cfg
+            .cache_dir
+            .clone()
+            .ok_or_else(|| "--shards needs a cache to rendezvous in (--cache PATH)".to_string())?;
         spawn_shards(&a.sweep, &dir, shards, a.window)?;
     }
 

@@ -13,8 +13,8 @@
 //!
 //! The computation lives in the library crates; an entry only picks the
 //! points and renders the rows. Fig. 15–19's sweeps are served by the DSE
-//! engine ([`zfgan_dse::sweeps`]), cached under `ZFGAN_DSE_CACHE` when it
-//! is set.
+//! engine ([`zfgan_dse::sweeps`]), uncached: `zfgan dse <sweep> --cache
+//! PATH` is the cached front end.
 
 use std::fs;
 use std::path::Path;
@@ -376,7 +376,7 @@ fn table5(out: &mut Sink) -> Result<(), String> {
 /// phases (`D̄/Ḡ`, `Ḡ/D̄`, `D̄w`, `Ḡw`), normalized to improved NLR, at
 /// equal PE budgets (ST phases: 1200 PEs, W phases: 480 PEs).
 fn fig15(out: &mut Sink) -> Result<(), String> {
-    let rows: Vec<fig15::Row> = fig15::rows(&DseConfig::from_env(fig15::NAME));
+    let rows: Vec<fig15::Row> = fig15::rows(&DseConfig::new(fig15::NAME));
     let mut table = TextTable::new([
         "GAN",
         "Phase",
@@ -426,7 +426,7 @@ fn fig15(out: &mut Sink) -> Result<(), String> {
 /// input-neuron loads and output reads/writes per architecture and phase
 /// group (same tuned configurations as Fig. 15).
 fn fig16(out: &mut Sink) -> Result<(), String> {
-    let rows: Vec<fig16::Row> = fig16::rows(&DseConfig::from_env(fig16::NAME));
+    let rows: Vec<fig16::Row> = fig16::rows(&DseConfig::new(fig16::NAME));
     let mut table = TextTable::new([
         "Phase",
         "Arch",
@@ -458,7 +458,7 @@ fn fig16(out: &mut Sink) -> Result<(), String> {
 /// PEs. Normalized to unique OST under synchronization (the leftmost
 /// traditional bar).
 fn fig17(out: &mut Sink) -> Result<(), String> {
-    let rows: Vec<fig17::Row> = fig17::rows(&DseConfig::from_env(fig17::NAME));
+    let rows: Vec<fig17::Row> = fig17::rows(&DseConfig::new(fig17::NAME));
     let mut table = TextTable::new([
         "GAN",
         "Update",
@@ -513,7 +513,7 @@ fn fig17(out: &mut Sink) -> Result<(), String> {
 /// ZFOST, ZFOST-ZFWST, all with deferred synchronization) as the PE count
 /// sweeps 512 → 2048, on a full DCGAN training iteration.
 fn fig18(out: &mut Sink) -> Result<(), String> {
-    let rows: Vec<fig18::Row> = fig18::rows(&DseConfig::from_env(fig18::NAME));
+    let rows: Vec<fig18::Row> = fig18::rows(&DseConfig::new(fig18::NAME));
     let mut table = TextTable::new(["Design", "PEs", "Cycles/sample", "Perf vs NLR-OST@512"]);
     for r in &rows {
         table.row([
@@ -553,7 +553,7 @@ fn fig18(out: &mut Sink) -> Result<(), String> {
 /// iterations. A measured single-thread Rust CPU point is printed under
 /// the table: it is wall time, so it stays out of `fig19.json`.
 fn fig19(out: &mut Sink) -> Result<(), String> {
-    let rows: Vec<fig19::Row> = fig19::rows(&DseConfig::from_env(fig19::NAME));
+    let rows: Vec<fig19::Row> = fig19::rows(&DseConfig::new(fig19::NAME));
     let mut table = TextTable::new(["GAN", "Platform", "GOPS", "Watts", "GOPS/W"]);
     for r in &rows {
         table.row([
