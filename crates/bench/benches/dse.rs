@@ -6,18 +6,21 @@
 //! path got cheap (a miss ≈ 0.5 ms) while a hit still cost a quarter of
 //! that: four JSON parses of a payload whose 21 KB section rode inside an
 //! escaped string, a bytewise CRC and a payload copy. A hit now reads,
-//! checks a slicing-by-8 CRC and parses the few hundred bytes of result
-//! once (payload v3, DESIGN.md §8), which measures 24–42× in-process; the
-//! floor sits well under that so host noise on the single cold sample
-//! cannot trip it. Absolute speed of both paths is the `dse_explore_cold`
-//! / `dse_paper_warm` pair of `BENCHMARK.json`.
+//! checks a four-chain slicing-by-8 CRC and parses and converts the few
+//! hundred bytes of result once (payload v3, DESIGN.md §7–8), which
+//! measured 24–42× in-process when the cold path was dearer; the floor
+//! sits well under that so host noise on the single cold sample cannot
+//! trip it. Absolute speed of both paths is the `dse_explore_cold` /
+//! `dse_paper_warm` pair of `BENCHMARK.json`.
 //!
 //! A cheaper cold path shrinks the ratio by design. Once a cold cell's
 //! telemetry stopped costing more than its evaluation, the cold run fell
 //! to 3–4 ms against a 0.3–0.5 ms warm run on a 2-vCPU host, and the
 //! reading to 7–10× when fsync is fast, under the floor (ROADMAP item 6:
-//! the warm hit has to get cheaper). The cold and warm milliseconds print
-//! beside the gate, so a low reading shows which side moved.
+//! the warm hit has to get cheaper). A four-chain CRC and one result
+//! conversion per hit then brought the warm run to 0.19–0.33 ms and the
+//! reading to 13–56× on the same host. The cold and warm milliseconds
+//! print beside the gate, so a low reading shows which side moved.
 //!
 //! This one gate is not a [`zfgan_bench::paired_ratio`]: only the first
 //! run in a process is cold (it both pays the tuning cost and fills the

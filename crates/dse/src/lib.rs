@@ -23,9 +23,11 @@
 //!    hit can be re-derived and byte-compared ([`VerifyPolicy::All`]).
 //!    The payload is `{"result":<result_json>,"det":<section>}` (v3): the
 //!    section is embedded as the JSON object it already is, so publishing
-//!    concatenates, and a hit parses only the result — once, keeping the
-//!    parse for the merge and the sweep's objectives
-//!    ([`CellRecord::first`]) — and frames the section without reading it.
+//!    concatenates, and a hit parses only the result and frames the section
+//!    without reading it. The result is parsed and converted to `R` once:
+//!    validating the payload builds the value the merge moves into the
+//!    first item asking for the cell, which the sweep's objectives read
+//!    ([`CellRecord::first`]); only a duplicate item converts again.
 //! 4. **Canonical result streams** — per-cell JSONL in sorted-key order
 //!    plus an incrementally maintained Pareto frontier over
 //!    *(cycles × energy × buffer capacity)* ([`sweeps`], [`pareto`]).
@@ -192,12 +194,18 @@ fn config_hash(cfg: &DseConfig, key: &str) -> u64 {
     )
 }
 
-/// A unique cell resolved to its canonical bytes, with the parse of
-/// `result_json` the canonical merge rebuilds every asking item from.
-struct Resolved {
+/// A unique cell resolved to its canonical bytes, with the result rebuilt
+/// from `result_json` that the canonical merge moves into the first item
+/// asking for the cell.
+struct Resolved<R> {
     result_json: String,
     det: String,
-    value: serde_json::Value,
+    result: Option<R>,
+}
+
+/// Rebuilds a cell's result from its canonical JSON.
+fn rebuild<R: Deserialize>(result_json: &str) -> R {
+    serde_json::from_str(result_json).expect("canonical cell JSON reconstructs the result")
 }
 
 const PAYLOAD_OPEN: &str = "{\"result\":";
@@ -213,26 +221,28 @@ fn encode_payload(det: &str, result_json: &str) -> String {
 
 /// Decodes a cached payload, validating that the result parses as `R`.
 /// Only the result is parsed (a few hundred bytes; the prefix parse says
-/// where it ended), and a hit serves the stored bytes of that parse as its
-/// `result_json`: they are the bytes the build that wrote them encoded, so
-/// a change to what a cell's payload bytes are — its result's encoding
-/// included — needs a [`code_salt`] bump, or old cells keep being served
-/// as they were stored (a [`VerifyPolicy::All`] run still catches and
-/// republishes them). The section is whatever the delimiters frame,
-/// required to open and close as an object but never built into a tree:
-/// as under v2, its interior is vouched for by the envelope's CRC and
-/// salted hash, and byte-compared under [`VerifyPolicy::All`]. Any
-/// malformation → `None` (the cell is treated as a miss and recomputed).
-fn decode_payload<R: Deserialize>(payload: &[u8]) -> Option<Resolved> {
+/// where it ended), and the `R` that validation builds is the one the
+/// merge hands out, so a hit converts its result once. A hit serves the
+/// stored bytes of that parse as its `result_json`: they are the bytes the
+/// build that wrote them encoded, so a change to what a cell's payload
+/// bytes are — its result's encoding included — needs a [`code_salt`]
+/// bump, or old cells keep being served as they were stored (a
+/// [`VerifyPolicy::All`] run still catches and republishes them). The
+/// section is whatever the delimiters frame, required to open and close as
+/// an object but never built into a tree: as under v2, its interior is
+/// vouched for by the envelope's CRC and salted hash, and byte-compared
+/// under [`VerifyPolicy::All`]. Any malformation → `None` (the cell is
+/// treated as a miss and recomputed).
+fn decode_payload<R: Deserialize>(payload: &[u8]) -> Option<Resolved<R>> {
     let text = std::str::from_utf8(payload).ok()?;
     let rest = text.strip_prefix(PAYLOAD_OPEN)?;
     let (value, end) = serde_json::from_str_prefix(rest).ok()?;
-    R::from_value(&value).ok()?;
+    let result = R::from_value(&value).ok()?;
     let det = rest[end..].strip_prefix(PAYLOAD_DET)?.strip_suffix('}')?;
     (det.starts_with('{') && det.ends_with('}')).then(|| Resolved {
         result_json: rest[..end].to_string(),
         det: det.to_string(),
-        value,
+        result: Some(result),
     })
 }
 
@@ -317,7 +327,7 @@ fn publish_wave(
 pub fn run_batch<T, R, K, F>(cfg: &DseConfig, items: &[T], key_of: K, eval: F) -> Batch<R>
 where
     T: Sync,
-    R: Send + Serialize + Deserialize,
+    R: Send + Sync + Serialize + Deserialize,
     K: Fn(&T) -> String,
     F: Fn(&T) -> R + Sync,
 {
@@ -346,8 +356,8 @@ where
     // wave's record replacing an older one's — that is how a recomputed
     // cell is republished over. Corrupt records are skipped by the store,
     // undecodable payloads are rejected here — either way the cell
-    // recomputes below. A hit keeps the one parse of its result.
-    let mut cells: Vec<Option<Resolved>> = uniques.iter().map(|_| None).collect();
+    // recomputes below. A hit keeps the result its validation built.
+    let mut cells: Vec<Option<Resolved<R>>> = uniques.iter().map(|_| None).collect();
     let mut next_wave = 1;
     if let Some(store) = store.as_mut() {
         let mut waves: Vec<(u64, String)> = Vec::new();
@@ -482,33 +492,35 @@ where
                 // `encode_payload`'s layout, read back by its known seams.
                 let body = &payload[PAYLOAD_OPEN.len()..payload.len() - 1];
                 let (result_json, det) = body.split_at(result_len);
-                let value = serde_json::from_str(result_json).expect("canonical cell JSON parses");
                 cells[u] = Some(Resolved {
                     result_json: result_json.to_string(),
                     det: det[PAYLOAD_DET.len()..].to_string(),
-                    value,
+                    result: Some(rebuild(result_json)),
                 });
             }
         }
     }
 
-    // Canonical merge: results per input item, reconstructed uniformly
-    // from the parse of the cell's canonical JSON — a hit's was made when
-    // its payload was decoded, a fresh cell's when its wave landed.
+    // Canonical merge: results per input item, each rebuilt once from its
+    // cell's canonical JSON — a hit's when its payload was decoded, a fresh
+    // cell's when its wave landed — and moved into the first item asking
+    // for the cell. A duplicate item rebuilds its own.
     let by_key: BTreeMap<&str, usize> = uniques
         .iter()
         .enumerate()
         .map(|(u, (k, _))| (*k, u))
         .collect();
-    let resolved: Vec<Resolved> = cells
+    let mut resolved: Vec<Resolved<R>> = cells
         .into_iter()
         .map(|c| c.expect("every unique cell resolved"))
         .collect();
     let results: Vec<R> = keys
         .iter()
         .map(|k| {
-            R::from_value(&resolved[by_key[k.as_str()]].value)
-                .expect("canonical cell JSON reconstructs the result")
+            let cell = &mut resolved[by_key[k.as_str()]];
+            cell.result
+                .take()
+                .unwrap_or_else(|| rebuild(&cell.result_json))
         })
         .collect();
     let cells: Vec<CellRecord> = uniques
@@ -608,6 +620,63 @@ mod tests {
             assert_eq!(a.result_json, b.result_json);
             assert_eq!(a.det, b.det);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    static CONVERSIONS: AtomicUsize = AtomicUsize::new(0);
+
+    /// An [`Out`] that counts its conversions from a JSON tree.
+    #[derive(PartialEq, Debug)]
+    struct Counted(Out);
+
+    impl Serialize for Counted {
+        fn to_value(&self) -> serde_json::Value {
+            self.0.to_value()
+        }
+    }
+
+    impl Deserialize for Counted {
+        fn from_value(v: &serde_json::Value) -> Result<Self, serde_json::Error> {
+            CONVERSIONS.fetch_add(1, Ordering::Relaxed);
+            Out::from_value(v).map(Counted)
+        }
+    }
+
+    /// A result is converted from its JSON once per unique cell — a hit's
+    /// by the validation of its payload, a fresh cell's when its wave
+    /// lands — plus once per duplicate item, cold or warm.
+    #[test]
+    fn a_result_converts_once_per_cell_plus_once_per_duplicate() {
+        let dir = temp_dir("convert");
+        let mut cfg = DseConfig::new("t-convert");
+        cfg.cache_dir = Some(dir.clone());
+        let items = [3u64, 1, 3, 2, 3, 1];
+        let evals = AtomicUsize::new(0);
+        let batch = |cfg: &DseConfig| {
+            let before = CONVERSIONS.load(Ordering::Relaxed);
+            let batch = run_batch(
+                cfg,
+                &items,
+                |i| format!("x{i}"),
+                |i| {
+                    evals.fetch_add(1, Ordering::Relaxed);
+                    Counted(eval(i))
+                },
+            );
+            (batch, CONVERSIONS.load(Ordering::Relaxed) - before)
+        };
+        let (cold, cold_conversions) = batch(&cfg);
+        let (warm, warm_conversions) = batch(&cfg);
+        assert_eq!(evals.load(Ordering::Relaxed), 3, "the warm batch only hits");
+        assert_eq!((warm.unique, warm.duplicates), (3, 3));
+        assert_eq!(cold_conversions, 3 + 3);
+        assert_eq!(warm_conversions, 3 + 3);
+        let expect: Vec<Counted> = items.iter().map(|i| Counted(eval(i))).collect();
+        assert_eq!(warm.results, expect);
+        assert_eq!(
+            serde_json::to_string(&warm.results).expect("serialises"),
+            serde_json::to_string(&cold.results).expect("serialises")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -925,9 +994,12 @@ mod tests {
             let back = decode_payload::<Out>(payload.as_bytes()).expect("decodes");
             proptest::prop_assert_eq!(&back.det, &det);
             proptest::prop_assert_eq!(&back.result_json, &json);
-            proptest::prop_assert_eq!(Out::from_value(&back.value).expect("shape"), out);
+            proptest::prop_assert_eq!(back.result, Some(out));
             let obj = whole.as_object().expect("object");
-            proptest::prop_assert_eq!(obj.get("result"), Some(&back.value));
+            proptest::prop_assert_eq!(
+                obj.get("result"),
+                Some(&serde_json::from_str::<serde_json::Value>(&json).expect("result"))
+            );
             proptest::prop_assert_eq!(
                 obj.get("det"),
                 Some(&serde_json::from_str::<serde_json::Value>(&det).expect("section"))

@@ -124,7 +124,7 @@ fn named(cfg: &DseConfig, namespace: &str) -> DseConfig {
 fn drive<P, C, K, F, O>(cfg: &DseConfig, points: &[P], key_of: K, eval: F, obj: O) -> SweepRun<C>
 where
     P: Sync,
-    C: Send + Serialize + Deserialize,
+    C: Send + Sync + Serialize + Deserialize,
     K: Fn(&P) -> String,
     F: Fn(&P) -> C + Sync,
     O: Fn(&C) -> Objectives,
@@ -175,7 +175,7 @@ fn shard_batch<P, C, K, F>(
 ) -> usize
 where
     P: Sync,
-    C: Send + Serialize + Deserialize,
+    C: Send + Sync + Serialize + Deserialize,
     K: Fn(&P) -> String,
     F: Fn(&P) -> C + Sync,
 {

@@ -35,7 +35,10 @@
 //! header lengths, each header checked by its CRC before its length is
 //! trusted; after a corrupt header the walk resumes at the next header that
 //! checks out, so one flipped byte costs one record. Both CRCs are
-//! slicing-by-8 over compile-time tables. A loaded payload is never copied.
+//! slicing-by-8 over compile-time tables; a payload of 512 bytes or more
+//! runs four independent chains over its quarters, joined by GF(2) shifts
+//! into the value one chain computes, so stores on disk stay valid. A
+//! loaded payload is never copied.
 //!
 //! Transient I/O errors (`Interrupted`, `WouldBlock`, `TimedOut`) are
 //! retried a bounded number of times with deterministic exponential
@@ -72,7 +75,8 @@ const GEN_SUFFIX: &str = ".zfc";
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slicing-by-8
 /// lookup tables, built at compile time. `[0]` is the classic bytewise
 /// table; `[k][b]` is the CRC of byte `b` followed by `k` zero bytes, which
-/// lets [`crc32`] fold eight input bytes per step.
+/// lets [`crc32`] fold eight input bytes per step, and [`crc32_mulmod`]
+/// reduce a product by advancing it over four zero bytes.
 const CRC32_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -103,28 +107,128 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
+/// `x^(2^k) mod P` for `k` in `0..32`, in the reflected bit order of the
+/// CRC register (bit 31 is `x^0`), built at compile time: the powers
+/// [`crc32_shift`] multiplies together.
+const CRC32_X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = crc32_mulmod(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// Inputs shorter than this run one chain: below it, the shifts that
+/// combine four chains cost more than the chains save.
+const CRC32_FOUR_CHAIN_MIN: usize = 512;
+
+/// CRC-32 (IEEE) of `bytes`. An input of [`CRC32_FOUR_CHAIN_MIN`] bytes or
+/// more runs four independent slicing-by-8 chains over equal quarters, each
+/// a whole number of 8-byte steps, so the table lookups of one chain
+/// overlap the others' instead of each step waiting on the last. The
+/// chains are joined by GF(2) shifts (zlib's `crc32_combine`), the tail of
+/// under 32 bytes runs after them, and the value is the one a single chain
+/// computes.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
+    let crc = if bytes.len() < CRC32_FOUR_CHAIN_MIN {
+        crc32_update(0xFFFF_FFFF, bytes)
+    } else {
+        let steps = bytes.len() / 32; // 8-byte steps per chain
+        let (body, tail) = bytes.split_at(32 * steps);
+        let (words, _) = body.as_chunks::<8>();
+        let (a, rest) = words.split_at(steps);
+        let (b, rest) = rest.split_at(steps);
+        let (c, d) = rest.split_at(steps);
+        let mut crc = [0xFFFF_FFFF, 0, 0, 0];
+        for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+            crc = [
+                crc32_step(crc[0], a),
+                crc32_step(crc[1], b),
+                crc32_step(crc[2], c),
+                crc32_step(crc[3], d),
+            ];
+        }
+        // The register is linear in its input: the CRC of two pieces is the
+        // first's register shifted over the second's length, XOR the
+        // second's from a zero register — which is how chains 1..3 start.
+        let shift = crc32_shift(8 * steps);
+        let joined = crc[1..]
+            .iter()
+            .fold(crc[0], |acc, &next| crc32_mulmod(acc, shift) ^ next);
+        crc32_update(joined, tail)
+    };
     crc ^ 0xFFFF_FFFF
+}
+
+/// One slicing-by-8 step: the register `crc` advanced over the eight bytes
+/// of `c`.
+#[inline(always)]
+fn crc32_step(crc: u32, c: &[u8; 8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// The register `crc` advanced over `bytes`: eight bytes per step, then
+/// the rest one at a time.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let (chunks, rest) = bytes.as_chunks();
+    for c in chunks {
+        crc = crc32_step(crc, c);
+    }
+    for &b in rest {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// `a · b mod P` over GF(2), both in the register's reflected bit order:
+/// a carry-less multiply, whose reflected 64-bit product holds `x^0..x^31`
+/// in its high half, then the low half (`x^32..x^63`) reduced by advancing
+/// it over four zero bytes with the slicing tables.
+const fn crc32_mulmod(a: u32, b: u32) -> u32 {
+    let mut product = 0u64;
+    let mut bit = 0;
+    while bit < 32 {
+        product ^= ((b as u64) << bit) & 0u64.wrapping_sub(((a >> bit) & 1) as u64);
+        bit += 1;
+    }
+    let t = &CRC32_TABLES;
+    let (high, low) = ((product >> 31) as u32, (product << 1) as u32);
+    high ^ t[3][(low & 0xFF) as usize]
+        ^ t[2][((low >> 8) & 0xFF) as usize]
+        ^ t[1][((low >> 16) & 0xFF) as usize]
+        ^ t[0][(low >> 24) as usize]
+}
+
+/// `x^(8·len) mod P`: multiplying a register by it advances the register
+/// over `len` zero bytes. The powers repeat every 32 (`x^(2^32) = x mod
+/// P`), so the table index wraps.
+fn crc32_shift(len: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut n = len;
+    let mut k = 3; // one byte is x^(2^3)
+    while n != 0 {
+        if n & 1 != 0 {
+            p = crc32_mulmod(p, CRC32_X2N[k % 32]);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
 }
 
 /// FNV-1a 64-bit hash of `bytes` — the workspace's canonical config hash.
@@ -1368,6 +1472,21 @@ mod tests {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// A shift advances a register over zero bytes, and the table of
+    /// powers may wrap because `x^(2^32) = x mod P`.
+    #[test]
+    fn crc32_shift_advances_over_zero_bytes() {
+        assert_eq!(crc32_mulmod(CRC32_X2N[31], CRC32_X2N[31]), CRC32_X2N[0]);
+        for len in [0, 1, 7, 8, 100, 4096] {
+            let reg = 0x1234_5678;
+            let zeros = vec![0; len];
+            assert_eq!(
+                crc32_mulmod(reg, crc32_shift(len)),
+                crc32_update(reg, &zeros)
+            );
+        }
     }
 
     #[test]

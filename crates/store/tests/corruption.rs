@@ -23,8 +23,8 @@ fn payload_bytes(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// The bytewise table-free CRC-32 (IEEE, reflected `0xEDB88320`) the
-/// store's slicing-by-8 `crc32` must agree with on every input.
+/// The bit-at-a-time table-free CRC-32 (IEEE, reflected `0xEDB88320`) the
+/// store's four-chain slicing-by-8 `crc32` must agree with on every input.
 fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -40,13 +40,15 @@ fn crc32_bytewise(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// Every remainder length around the 8-byte stride (0..=67 covers eight
-/// full strides plus each tail) at every start alignment.
+/// Every length up to 1100 at every start alignment: the one-chain path
+/// with each tail below the four-chain cutoff, then four chains over
+/// quarters of every 8-byte count with each tail after them. One buffer
+/// of 1 MiB + 13 bytes takes quarters whose join shifts span many powers.
 #[test]
 fn slicing_crc_matches_bytewise_at_every_length_and_offset() {
-    let buf = payload_bytes(0x5eed, 67 + 8);
+    let buf = payload_bytes(0x5eed, 1100 + 8);
     for offset in 0..8 {
-        for len in 0..=67 {
+        for len in 0..=1100 {
             let slice = &buf[offset..offset + len];
             assert_eq!(
                 crc32(slice),
@@ -56,6 +58,8 @@ fn slicing_crc_matches_bytewise_at_every_length_and_offset() {
         }
     }
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    let big = payload_bytes(0xb16, (1 << 20) + 13);
+    assert_eq!(crc32(&big), crc32_bytewise(&big));
 }
 
 /// An envelope written by the bytewise-CRC encoder this crate shipped
@@ -121,21 +125,23 @@ fn temp_store(tag: &str) -> (TempRoot, Store) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random buffers, long enough to take many 8-byte strides, at a
-    /// random start alignment.
+    /// Random buffers up to 64 KiB, one chain or four, at a random start
+    /// alignment.
     #[test]
     fn slicing_crc_matches_bytewise_on_random_buffers(
-        (seed, len, offset) in (any::<u64>(), 0usize..4096, 0usize..8)
+        (seed, len, offset) in (any::<u64>(), 0usize..64 << 10, 0usize..8)
     ) {
         let buf = payload_bytes(seed, len + offset);
         prop_assert_eq!(crc32(&buf[offset..]), crc32_bytewise(&buf[offset..]));
     }
 
     /// Flipping any single bit anywhere in the envelope (header or
-    /// payload) is detected by the CRC/shape checks.
+    /// payload) is detected by the CRC/shape checks. Records run up to
+    /// 24 KiB, past a DSE cell's ~22 KB, so flips land in each of the four
+    /// chains and in the tail after them.
     #[test]
     fn any_single_bit_flip_is_detected(
-        (seed, len, flip) in (any::<u64>(), 0usize..160, any::<u64>())
+        (seed, len, flip) in (any::<u64>(), 0usize..24 << 10, any::<u64>())
     ) {
         let payload = payload_bytes(seed, len);
         let config_hash = seed ^ 0x5bd1_e995;

@@ -339,9 +339,22 @@ cargo run -q --release -p zfgan -- dse fig15 \
 # The damaged wave is reclaimed: the live cells were carried into one new
 # wave, the recomputed cell went into another, and nothing else is left.
 [ "$(find "$tdir/dsecache" -name '*.zfc' | wc -l)" -eq 2 ]
+# Flip a byte 40 bytes before the end of the carried wave: it sits in the
+# section of the wave's last record, past the third quarter its CRC's
+# four chains split the payload into. Again one miss, one republish, the
+# same stream.
+victim="$(find "$tdir/dsecache" -name '*.zfc' -path '*fig15-*-w*' | sort | head -1)"
+printf '\x01' | dd of="$victim" bs=1 seek=$(($(wc -c < "$victim") - 40)) count=1 \
+    conv=notrunc status=none
+cargo run -q --release -p zfgan -- dse fig15 \
+    --cache "$tdir/dsecache" --out "$tdir/dse_corrupt_tail.jsonl" \
+    --telemetry > "$tdir/dse_corrupt_tail.txt"
+[ "$(dse_counter "$tdir/dse_corrupt_tail.txt" dse_cache_misses_total)" -eq 1 ]
+[ "$(dse_counter "$tdir/dse_corrupt_tail.txt" dse_published_total)" -eq 1 ]
 diff "$tdir/dse_cold.jsonl" "$tdir/dse_warm.jsonl"
 diff "$tdir/dse_cold.jsonl" "$tdir/dse_corrupt.jsonl"
-echo "dse streams are byte-identical (cold shards, warm, verified, corrupted cell)"
+diff "$tdir/dse_cold.jsonl" "$tdir/dse_corrupt_tail.jsonl"
+echo "dse streams are byte-identical (cold shards, warm, verified, corrupted cells)"
 # Concurrent writers on one cache, some SIGKILLed mid-run: the cache heals.
 scripts/dse_kill_campaign.sh 20 3 | tail -1
 
