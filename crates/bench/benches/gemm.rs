@@ -135,64 +135,26 @@ fn gate_routes(
     );
 }
 
-/// Gates the engine the dispatcher picks for `a × b` at >=2x over the
-/// packed panel path: the pack bypass (ikj) and the pack + fill bypass
-/// (small-m streaming) are the whole point of routing these shapes away
-/// from the panel kernel.
-fn gate_dispatch(name: &str, picked: GemmPath, a: &[f32], b: &[f32], dims: (usize, usize, usize)) {
-    let zeros = a.iter().filter(|v| **v == 0.0).count() as u64;
+/// Gates the engine the dispatcher picks for the shape it exists for at
+/// 2x or more over the packed panel path: the `m = 1` input-grad GEMM —
+/// 1×6272×100 on a ~50% ReLU-sparse row, where packing 627k words of `B`
+/// for one output row dwarfs the arithmetic → the small-`m` broadcast
+/// engine, which never packs `B`.
+fn gate_dispatch() {
+    let mut rng = SmallRng::seed_from_u64(24);
+    let dims @ (m, kk, n) = (1usize, 6272usize, 100usize);
+    let a: Vec<f32> = (0..m * kk)
+        .map(|_| rng.gen_range(-1.0f32..1.0).max(0.0))
+        .collect();
+    let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let (name, picked) = ("dispatch_m1/smallm", GemmPath::SmallM);
     assert_eq!(
-        choose_path(dims.0, dims.1, dims.2, zeros, false),
+        choose_path(m, n, false),
         picked,
         "dispatcher must route the {name} shape to {picked:?}"
     );
     let routes = [GemmPath::Packed, picked].map(|path| (simd_level(), path));
-    gate_routes(name, simd_floor(2.0), routes, (a, b), dims);
-}
-
-/// The shapes the dispatcher exists for:
-///
-/// * the MNIST-GAN projection GEMM — 49×4900×128 at ~2% density whose
-///   live columns recur at stride 49 (one pixel per source channel), so
-///   every KP=8 panel straddles a nonzero and the packed kernel's masks
-///   skip nothing → broadcast-FMA `ikj`, which skips element-wise and
-///   never packs `B`;
-/// * the `m = 1` input-grad GEMM — 1×6272×100 on a ~50% ReLU-sparse
-///   row, where packing 627k words of `B` for one output row dwarfs the
-///   arithmetic → the small-`m` streaming engine.
-fn gate_dispatch_shapes() {
-    let mut rng = SmallRng::seed_from_u64(24);
-
-    // Projection t-conv forward: row r is live only at columns ch·49 + r.
-    let (pm, pkk, pn) = (49usize, 4900usize, 128usize);
-    let mut a_proj = vec![0.0f32; pm * pkk];
-    for r in 0..pm {
-        for ch in 0..100 {
-            a_proj[r * pkk + ch * pm + r] = rng.gen_range(0.1f32..1.0);
-        }
-    }
-    let b_proj: Vec<f32> = (0..pkk * pn).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    gate_dispatch(
-        "dispatch_proj/ikj",
-        GemmPath::Ikj,
-        &a_proj,
-        &b_proj,
-        (pm, pkk, pn),
-    );
-
-    // m = 1 input-grad: one ReLU-sparse error row against a wide B.
-    let (gm, gkk, gn) = (1usize, 6272usize, 100usize);
-    let a_grad: Vec<f32> = (0..gm * gkk)
-        .map(|_| rng.gen_range(-1.0f32..1.0).max(0.0))
-        .collect();
-    let b_grad: Vec<f32> = (0..gkk * gn).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    gate_dispatch(
-        "dispatch_m1/smallm",
-        GemmPath::SmallM,
-        &a_grad,
-        &b_grad,
-        (gm, gkk, gn),
-    );
+    gate_routes(name, simd_floor(2.0), routes, (&a, &b), dims);
 }
 
 /// The distinct packed GEMM shapes of the two train workloads plus two
@@ -379,6 +341,6 @@ fn main() {
     gate_wide_tile();
     gate_matmul_kinds();
     gate_fan_out();
-    gate_dispatch_shapes();
+    gate_dispatch();
     gate_thin();
 }

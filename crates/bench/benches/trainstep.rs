@@ -113,13 +113,12 @@ fn main() {
             floor
         }
     };
-    // The shape-aware dispatcher (ikj pack bypass + small-m streamed
-    // lowering) must buy the full train step >=1.15x over the pre-dispatch
-    // engine: identical code with every GEMM forced through the packed
-    // panel path, toggled between alternating steps of one trainer. The
-    // wide AVX-512 tile halves what forcing the load-bound small-m shapes
-    // through the packed tile costs, so the ratio reads 1.15-1.27x there
-    // against ~1.4x on the AVX2 tile.
+    // The shape-aware dispatcher (the small-m engine's pack bypass and
+    // streamed lowering) must buy the full train step >=1.15x over the
+    // pre-dispatch engine: identical code with every GEMM forced through
+    // the packed panel path, toggled between alternating steps of one
+    // trainer. It reads ~1.4x on the AVX2 tile and 1.48-1.62x on a
+    // two-vCPU AVX-512 host.
     let step = stepper();
     let s = paired_ratio(
         PAIRED_ROUNDS,

@@ -126,7 +126,7 @@ const CRC32_X2N: [u32; 32] = {
 /// combine four chains cost more than the chains save.
 const CRC32_FOUR_CHAIN_MIN: usize = 512;
 
-/// CRC-32 (IEEE) of `bytes`. An input of [`CRC32_FOUR_CHAIN_MIN`] bytes or
+/// CRC-32 (IEEE) of `bytes`. An input of `CRC32_FOUR_CHAIN_MIN` bytes or
 /// more runs four independent slicing-by-8 chains over equal quarters, each
 /// a whole number of 8-byte steps, so the table lookups of one chain
 /// overlap the others' instead of each step waiting on the last. The

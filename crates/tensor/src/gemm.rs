@@ -76,10 +76,10 @@
 //! agree — minus the product tensor, its zero fill, the copy into a
 //! gradient tensor and the separate add pass. A streamed broadcast GEMM
 //! whose chains all complete inside one `k`-tile (`kk ≤ IKJ_KB`: the
-//! `1×1`-input projection `W-CONV`) lands the same way block by block: each
-//! row block's chains run from zero into block-sized scratch, which is then
-//! added. Shapes neither can serve (`kk > KC`: partial chains live in the
-//! output between chunks; the broadcast engines over several `k`-tiles;
+//! critic head's `1×1`-output `W-CONV`) lands the same way block by block:
+//! each row block's chains run from zero into block-sized scratch, which
+//! is then added. Shapes neither can serve (`kk > KC`: partial chains live in the
+//! output between chunks; the broadcast engine over several `k`-tiles;
 //! the scalar kernel of `f64` and Q8.8) run the product into non-zeroed
 //! workspace scratch and add it in one pass — the same arithmetic, one
 //! more stream.
@@ -536,8 +536,8 @@ fn run_in_memory<T: Num>(
 ///
 /// `A` is planned — scanned, or for weights ([`AScan::Dense`]) not —
 /// **before** `B` exists, with the streamed-`B` dispatch rule (see
-/// [`microkernel::choose_path`]): when it picks a broadcast path (thin `A`,
-/// small-`m` or ikj), `B` is never materialized — rows stream through a
+/// [`microkernel::choose_path`]): when it picks the broadcast path (a thin
+/// `A`), `B` is never materialized — rows stream through a
 /// one-`k`-tile workspace buffer, `k` ascending, each live `(i, k)` pair
 /// contributing one fused term per output column through the ikj tile
 /// kernels, and `B` rows whose `A` column is entirely zero are never even
@@ -625,7 +625,7 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
     Ok(())
 }
 
-/// The streamed broadcast engine behind both non-packed dispatch paths:
+/// The streamed broadcast engine behind the `SmallM` dispatch path:
 /// the same [`microkernel::IKJ_KB`]-tiled `kb`/`i`/`k` nest as the ikj
 /// kernels, but over `B` rows generated on demand into a one-tile row
 /// buffer instead of a materialized operand. Per tile it scans column
@@ -737,7 +737,7 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
     if plan.path == GemmPath::Packed {
         return Ok(None);
     }
-    // The broadcast engines zero their output themselves.
+    // The broadcast engine zeroes its output itself.
     let mut out = ws.take_matrix_dirty(m, n);
     let (a, store) = (a.as_slice(), Epilogue::Store);
     let scratch = ws.pack_scratch();
@@ -860,7 +860,7 @@ mod tests {
             let m = a.rows();
             let mut ws = ConvWorkspace::new();
             let level = simd_level();
-            for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+            for path in [GemmPath::Packed, GemmPath::SmallM] {
                 for add in [false, true] {
                     let mut want = acc.clone();
                     matmul_chunked(a, b, &mut want, add, level, Some(path), m, &mut ws);
@@ -897,7 +897,7 @@ mod tests {
             let (mut want, scalar) = (acc.clone(), SimdLevel::Scalar);
             matmul_chunked(a, b, &mut want, add, scalar, None, m, &mut ws);
             for level in SimdLevel::supported() {
-                for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+                for path in [GemmPath::Packed, GemmPath::SmallM] {
                     for rows in [1, microkernel::MR_F32, m] {
                         let mut got = acc.clone();
                         matmul_chunked(a, b, &mut got, add, level, Some(path), rows, &mut ws);
@@ -992,13 +992,10 @@ mod tests {
     fn streamed_add_to_equals_store_then_add_around_one_k_tile() {
         fn check<T: Num>(draw: impl Fn(f32) -> T, poison: T, rng: &mut SmallRng) {
             let kb = microkernel::IKJ_KB;
-            // Three rows stream on the small-m engine, a hundred on the
-            // ikj engine for `kk = 1`: one-row and two-row blocks.
+            // Three and five rows stream on the small-m engine, in two-row
+            // and one-row blocks; a hundred rows take the packed engine.
             for (m, n) in [(3, 3000), (5, 4100), (100, 1024)] {
                 for kk in [1, kb - 1, kb, kb + 1] {
-                    if m == 100 && kk > 2 {
-                        continue;
-                    }
                     let mut val = |zero_frac: f64| {
                         if rng.gen_range(0.0..1.0) < zero_frac {
                             T::zero()

@@ -30,8 +30,8 @@
 //!
 //!   The packed-`B` layout is the same for every level, so the wider tile
 //!   is a different walk over the same panels, not a different pack. The
-//!   broadcast engines below have AVX2 bodies only, which every level from
-//!   `Avx2Fma` up runs. The level is
+//!   broadcast engine and the one-column chain below have AVX2 bodies only,
+//!   which every level from `Avx2Fma` up runs. The level is
 //!   chosen **once** per process ([`simd_level`]): `ZFGAN_NO_SIMD=1`
 //!   forces the fallback, otherwise `is_x86_feature_detected!` picks the
 //!   widest of AVX2+FMA and AVX-512F the host has.
@@ -39,32 +39,29 @@
 //! # Shape-aware dispatch
 //!
 //! Packing pays for itself only when enough rows of `A` reuse the packed
-//! panels and the panel masks actually elide work. Two GAN shapes break
-//! both assumptions: the projection GEMM (49×4900×128, ~2 % density with
-//! stride-49 nonzero columns) defeats the KP-panel masks because every
-//! row's few live words sit in distinct panels, and the `m = 1`
-//! input-grad GEMMs amortize a full `B` pack over a single output row.
-//! Each GEMM is therefore planned ([`scan_gemm`]: one `A` scan, then
-//! [`choose_path`]) onto one of three engines ([`GemmPath`]):
+//! panels. A thin `A` breaks that: the `m = 1` input-grad GEMMs amortize
+//! a full `B` pack over a single output row, and a streamed `B` under
+//! fewer rows than one register tile would be materialized for at most
+//! five MACs per element. Each GEMM is therefore planned ([`scan_gemm`]:
+//! one `A` scan for the panel masks, then [`choose_path`]) onto one of two
+//! engines ([`GemmPath`]):
 //!
 //! * [`GemmPath::Packed`] — the packed panel kernel above (the default).
 //!   A one-column product (`n = 1`) packs nothing: each row is one chain
 //!   against `B` in place.
-//! * [`GemmPath::Ikj`] — a broadcast-FMA `ikj` kernel over **unpacked**
-//!   `B` rows: zero `A` words are skipped element-wise (no mask
-//!   granularity to defeat) and `B` is never packed.
-//! * [`GemmPath::SmallM`] — the same broadcast engine, chosen for thin `A`
-//!   (one row, or fewer than [`MR_F32`] when `B` is streamed): one pass
-//!   over `B`, no pack. The streamed lowerings
+//! * [`GemmPath::SmallM`] — a broadcast-FMA `ikj` loop nest over
+//!   **unpacked** `B` rows, chosen for thin `A` (one row, or fewer than
+//!   [`MR_F32`] when `B` is streamed): one pass over `B`, no pack, zero `A`
+//!   words skipped element-wise. The streamed lowerings
 //!   (`crate::gemm::matmul_streamed_ws`) generate `B` rows on the fly into
 //!   a one-tile buffer on this path, so their thin sites never build a
 //!   patch matrix at all.
 //!
-//! The decision is a pure function of `(m, kk, n, zero-word count, streamed
-//! B)` — all thread- and SIMD-invariant — and `ZFGAN_FORCE_KERNEL=packed|ikj|smallm`
-//! (or [`set_forced_path`]) pins it for testing. Every engine computes the
-//! same per-element operation chain (see below), so dispatch is never a
-//! semantics choice.
+//! The decision is a pure function of `(m, n, streamed B)` — thread- and
+//! SIMD-invariant, and blind to the values in `A` — and
+//! `ZFGAN_FORCE_KERNEL=packed|smallm` (or [`set_forced_path`]) pins it for
+//! testing. Both engines compute the same per-element operation chain (see
+//! below), so dispatch is never a semantics choice.
 //!
 //! One driver runs every plan: [`run_plan_rows`] executes the planned
 //! engine over one chunk of output rows at the [`SimdLevel`] it is handed.
@@ -78,7 +75,7 @@
 //! Next to the engine, a plan carries how many output rows one pool task
 //! takes ([`GemmPlan::rows_per_chunk`]): [`fan_out_rows`], a pure function
 //! of `(m, kk, n, pool width)`. Under [`FAN_OUT_MIN_MACS`]
-//! multiply–accumulates, on a serial pool, or for the broadcast engines it
+//! multiply–accumulates, on a serial pool, or for the broadcast engine it
 //! is `m` — one inline chunk, the pool untouched; past it the rows go out
 //! in register-tile-aligned chunks, two per pool thread, and `B` is packed
 //! over as many disjoint panel ranges as there are chunks. Nobody asks for
@@ -256,20 +253,18 @@ pub fn simd_label() -> &'static str {
     simd_level().label()
 }
 
-/// Which GEMM engine the shape/density dispatch selected for one call
-/// (see the module docs' dispatch section). All paths compute the same
-/// per-element operation chain; the choice is pure performance.
+/// Which GEMM engine the shape dispatch selected for one call (see the
+/// module docs' dispatch section). Both paths compute the same per-element
+/// operation chain; the choice is pure performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmPath {
     /// The packed panel kernel: pack `B`, scan `A` into panel masks, run
     /// the register tile over packed panels.
     Packed,
     /// Broadcast-FMA `ikj` over unpacked `B` rows with an element-wise
-    /// `a == 0` skip; bypasses the `B` pack entirely.
-    Ikj,
-    /// The broadcast engine of [`GemmPath::Ikj`] chosen for a thin `A` —
-    /// one output row, or fewer than [`MR_F32`] over a streamed `B` (see
-    /// [`choose_path`]): one pass over `B`, no pack.
+    /// `a == 0` skip, chosen for a thin `A` — one output row, or fewer than
+    /// [`MR_F32`] over a streamed `B` (see [`choose_path`]): one pass over
+    /// `B`, no pack.
     SmallM,
 }
 
@@ -278,7 +273,6 @@ impl GemmPath {
     pub fn label(self) -> &'static str {
         match self {
             GemmPath::Packed => "packed",
-            GemmPath::Ikj => "ikj",
             GemmPath::SmallM => "smallm",
         }
     }
@@ -300,14 +294,13 @@ pub fn set_forced_path(path: Option<GemmPath>) {
     let v = match path {
         None => 0,
         Some(GemmPath::Packed) => 1,
-        Some(GemmPath::Ikj) => 2,
-        Some(GemmPath::SmallM) => 3,
+        Some(GemmPath::SmallM) => 2,
     };
     FORCED_RT.store(v, std::sync::atomic::Ordering::Relaxed);
 }
 
 /// The forced dispatch path, if any: [`set_forced_path`] wins over
-/// `ZFGAN_FORCE_KERNEL=packed|ikj|smallm` (unset or empty forces nothing).
+/// `ZFGAN_FORCE_KERNEL=packed|smallm` (unset or empty forces nothing).
 ///
 /// # Panics
 ///
@@ -316,8 +309,7 @@ pub fn set_forced_path(path: Option<GemmPath>) {
 pub fn forced_path() -> Option<GemmPath> {
     match FORCED_RT.load(std::sync::atomic::Ordering::Relaxed) {
         1 => return Some(GemmPath::Packed),
-        2 => return Some(GemmPath::Ikj),
-        3 => return Some(GemmPath::SmallM),
+        2 => return Some(GemmPath::SmallM),
         _ => {}
     }
     *FORCED_ENV.get_or_init(|| {
@@ -334,38 +326,28 @@ fn parse_forced_path(value: &str) -> Result<Option<GemmPath>, String> {
     if value.is_empty() {
         return Ok(None);
     }
-    [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM]
+    [GemmPath::Packed, GemmPath::SmallM]
         .into_iter()
         .find(|p| p.label() == value)
         .map(Some)
-        .ok_or_else(|| format!("ZFGAN_FORCE_KERNEL={value:?}: expected packed|ikj|smallm"))
+        .ok_or_else(|| format!("ZFGAN_FORCE_KERNEL={value:?}: expected packed|smallm"))
 }
 
-/// `Ikj` is chosen when at least [`IKJ_ZERO_NUM`]`/`[`IKJ_ZERO_DEN`] of
-/// the `A` words are exactly zero. The threshold is deliberately high:
-/// measured on the MNIST-GAN shapes, the packed tile still wins at 85–90 %
-/// scattered zeros (its dense 6×16 FMA throughput beats the element skip),
-/// and the broadcast engine only pulls ahead near the structural ~98 %
-/// sparsity of the zero-free t-conv lowerings.
-const IKJ_ZERO_NUM: u64 = 15;
-const IKJ_ZERO_DEN: u64 = 16;
-
-/// Minimum output width for any broadcast engine: below half a register
+/// Minimum output width for the broadcast engine: below half a register
 /// tile the per-live-element axpy overhead dominates and the packed engine
-/// wins even on 98 %-sparse or single-row operands. At `n = 1` the packed
-/// engine packs nothing either: it runs one `k`-ascending chain per row
-/// against `B` in place (see [`run_plan_rows`]).
+/// wins even on single-row operands. At `n = 1` the packed engine packs
+/// nothing either: it runs one `k`-ascending chain per row against `B` in
+/// place (see [`run_plan_rows`]).
 const BROADCAST_MIN_N: usize = NR_F32 / 2;
 
-/// Shape/density dispatch: a pure function of the GEMM shape, the exact
-/// zero-word count of `A` (as counted by the panel-mask scan) and whether
-/// the caller generates `B` on demand (`b_streamed`), so the decision — and
-/// the `gemm_dispatch` telemetry derived from it — is identical for every
-/// thread count and SIMD level. Thresholds are from per-shape engine
-/// timings on the GAN train steps:
+/// Shape dispatch: a pure function of the output shape and of whether the
+/// caller generates `B` on demand (`b_streamed`), so the decision — and the
+/// `gemm_dispatch` telemetry derived from it — is identical for every
+/// thread count and SIMD level, and never depends on the values in `A`.
+/// Thresholds are from per-shape engine timings on the GAN train steps:
 ///
-/// * `n ≥ 8` gates every broadcast route — narrower outputs can't
-///   amortize a broadcast axpy;
+/// * `n ≥ 8` gates the broadcast route — narrower outputs can't amortize
+///   a broadcast axpy;
 /// * `m = 1`: packing `B` for one output row dwarfs the arithmetic →
 ///   `SmallM` (and the streamed drivers skip materializing `B` at all);
 /// * streamed `B` and `m < `[`MR_F32`]: fewer rows than one register tile
@@ -373,24 +355,15 @@ const BROADCAST_MIN_N: usize = NR_F32 / 2;
 ///   materialized `B` would feed at most five MACs — rows are generated
 ///   into a one-tile buffer instead → `SmallM` (the generator's image
 ///   layer and the critic's first-layer input error);
-/// * `kk ≤ 2`: the pack writes ≥ `B`'s whole size for one or two axpys
-///   per output row → `Ikj`;
-/// * `A` ≥ 15/16 zero: element-wise skipping beats the dense tile →
-///   `Ikj`.
-pub fn choose_path(m: usize, kk: usize, n: usize, zero_words: u64, b_streamed: bool) -> GemmPath {
-    if n >= BROADCAST_MIN_N {
-        if m == 1 || (b_streamed && m < MR_F32) {
-            return GemmPath::SmallM;
-        }
-        if kk <= 2 && kk > 0 {
-            return GemmPath::Ikj;
-        }
-        let total = (m * kk) as u64;
-        if total > 0 && IKJ_ZERO_DEN * zero_words >= IKJ_ZERO_NUM * total {
-            return GemmPath::Ikj;
-        }
+/// * everything else → `Packed`, sparse operands included: its panel
+///   masks skip the zeros that cluster, and the zero-free lowerings leave
+///   no scattered-sparse operand behind.
+pub fn choose_path(m: usize, n: usize, b_streamed: bool) -> GemmPath {
+    if n >= BROADCAST_MIN_N && (m == 1 || (b_streamed && m < MR_F32)) {
+        GemmPath::SmallM
+    } else {
+        GemmPath::Packed
     }
-    GemmPath::Packed
 }
 
 /// Below this many multiply–accumulates a GEMM — and the `B` fill and pack
@@ -440,8 +413,8 @@ pub(crate) fn for_chunks<T: Send>(
 
 /// [`choose_path`] with the forced override applied — the decision the
 /// drivers actually run.
-fn dispatch_path(m: usize, kk: usize, n: usize, zero_words: u64, b_streamed: bool) -> GemmPath {
-    forced_path().unwrap_or_else(|| choose_path(m, kk, n, zero_words, b_streamed))
+fn dispatch_path(m: usize, n: usize, b_streamed: bool) -> GemmPath {
+    forced_path().unwrap_or_else(|| choose_path(m, n, b_streamed))
 }
 
 /// Whether `T` runs the packed engine: `f32`, its one element type, does;
@@ -537,33 +510,28 @@ pub(crate) fn mask_geometry(kk: usize) -> (usize, usize) {
     (n_panels, n_panels.div_ceil(64))
 }
 
-/// Scans `A` into per-row panel masks. Returns `(skipped, zeros)`: how
-/// many operand words the masked panels elide, and how many words are
-/// exactly zero (the dispatch layer's density measurement — scattered
-/// zeros count here even when no whole panel is maskable). Both are pure
-/// functions of `A` and its shape, so the derived telemetry and the
-/// dispatch decision are identical for every thread count and SIMD level.
-fn build_masks<T: Num>(a: &[T], m: usize, kk: usize, masks: &mut Vec<u64>) -> (u64, u64) {
+/// Scans `A` into per-row panel masks, a set bit marking a panel whose
+/// words are all exactly zero. Returns how many operand words the masked
+/// panels elide — a pure function of `A` and its shape, so the derived
+/// telemetry is identical for every thread count and SIMD level.
+fn build_masks<T: Num>(a: &[T], m: usize, kk: usize, masks: &mut Vec<u64>) -> u64 {
     let (n_panels, words_per_row) = mask_geometry(kk);
     masks.clear();
     masks.resize(m * words_per_row, 0);
     let mut skipped = 0u64;
-    let mut zeros = 0u64;
     for i in 0..m {
         let row = &a[i * kk..(i + 1) * kk];
         let mrow = &mut masks[i * words_per_row..(i + 1) * words_per_row];
         for p in 0..n_panels {
             let k0 = p * KP;
             let k1 = (k0 + KP).min(kk);
-            let zc = row[k0..k1].iter().filter(|v| v.is_zero()).count();
-            zeros += zc as u64;
-            if zc == k1 - k0 {
+            if row[k0..k1].iter().all(|v| v.is_zero()) {
                 mrow[p / 64] |= 1u64 << (p % 64);
                 skipped += (k1 - k0) as u64;
             }
         }
     }
-    (skipped, zeros)
+    skipped
 }
 
 #[inline]
@@ -1060,17 +1028,14 @@ fn f32_axpy_scalar(av: f32, b_row: &[f32], out_row: &mut [f32]) {
 /// the accumulator round-tripping through `out` between `k` steps
 /// (exact). Zero words skip element-wise, and a `B` row whose `A` column
 /// is entirely zero is never read at all. `k` outermost means `B` is
-/// streamed **sequentially, exactly once** — on the stride-49 projection
-/// shape the i-outer order re-walks `B` in page-sized jumps and is
-/// memory-latency-bound instead. The `k` loop is additionally tiled by
-/// [`IKJ_KB`] (one f32 cache line) with the row loop inside the tile, so
-/// each `A` line is loaded once and serves all [`IKJ_KB`] of its `k`
-/// values instead of missing per element on large-`kk` column walks, and
-/// the per-row [`KP`]-panel masks from the dispatch scan skip dead `A`
-/// panels without touching `A` at all — on a ~2%-dense projection matrix
-/// most of `A` is never re-read after the scan. Every output element
-/// still sees its contributions over `k` ascending (tile-outer,
-/// row-middle, `k`-inner), so the interchange stays bit-neutral.
+/// streamed **sequentially, exactly once**. The `k` loop is additionally
+/// tiled by [`IKJ_KB`] (one f32 cache line) with the row loop inside the
+/// tile, so each `A` line is loaded once and serves all [`IKJ_KB`] of its
+/// `k` values instead of missing per element on large-`kk` column walks,
+/// and the per-row [`KP`]-panel masks from the dispatch scan skip dead `A`
+/// panels without touching `A` at all. Every output element still sees
+/// its contributions over `k` ascending (tile-outer, row-middle,
+/// `k`-inner), so the interchange stays bit-neutral.
 /// Bit-identical for every [`SimdLevel`].
 fn f32_ikj_rows(
     level: SimdLevel,
@@ -1324,7 +1289,7 @@ unsafe fn f32_ikj_tile_avx2(
 #[cfg(target_arch = "x86_64")]
 const IKJ_ACCS: usize = 8;
 
-/// One `k`-tile of the broadcast engines for the streamed-lowering driver
+/// One `k`-tile of the broadcast engine for the streamed-lowering driver
 /// in [`crate::gemm`]: `btile` is its on-demand row buffer holding rows
 /// `kb..kend` of the virtual `B` operand (row `k` at offset `(k − kb)·n`).
 /// Runs the same level-resolved tile kernels the in-memory ikj engine
@@ -1436,12 +1401,12 @@ unsafe fn f32_dot_fma(a: &[f32], b: &[f32]) -> f32 {
 // Whole-matrix drivers
 // ---------------------------------------------------------------------------
 
-/// One GEMM's dispatch decision plus the zero-scan statistics it was
-/// derived from — everything the caller needs to run row chunks and
-/// record telemetry. `path`, `skipped` and `visited` are pure functions of
-/// `A`, the shape and the forced override, so they (and the telemetry
-/// recorded from them) are identical for every pool width and SIMD level;
-/// `rows_per_chunk` is scheduling and is recorded nowhere.
+/// One GEMM's dispatch decision plus the zero-scan statistics of its `A`
+/// — everything the caller needs to run row chunks and record telemetry.
+/// `path`, `skipped` and `visited` are pure functions of `A`, the shape and
+/// the forced override, so they (and the telemetry recorded from them) are
+/// identical for every pool width and SIMD level; `rows_per_chunk` is
+/// scheduling and is recorded nowhere.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmPlan {
     /// The engine every row chunk of this GEMM must run.
@@ -1452,21 +1417,21 @@ pub struct GemmPlan {
     /// Total `A` operand words (`m · kk`).
     pub visited: u64,
     /// Output rows per pool task: [`fan_out_rows`] for the packed engine,
-    /// `m` (one inline chunk) for the broadcast engines, whose work is the
+    /// `m` (one inline chunk) for the broadcast engine, whose work is the
     /// live share of the MACs and not known from the shape.
     pub rows_per_chunk: usize,
 }
 
 impl GemmPlan {
-    fn new((m, kk, n): (usize, usize, usize), skipped: u64, zeros: u64, b_streamed: bool) -> Self {
-        let path = dispatch_path(m, kk, n, zeros, b_streamed);
+    fn new((m, kk, n): (usize, usize, usize), skipped: u64, b_streamed: bool) -> Self {
+        let path = dispatch_path(m, n, b_streamed);
         GemmPlan {
             path,
             skipped,
             visited: (m * kk) as u64,
             rows_per_chunk: match path {
                 GemmPath::Packed => fan_out_rows(m, kk, n, zfgan_pool::pool_threads()),
-                GemmPath::Ikj | GemmPath::SmallM => m,
+                GemmPath::SmallM => m,
             },
         }
     }
@@ -1482,16 +1447,16 @@ pub fn scan_gemm<T: Num>(
     b_streamed: bool,
     scratch: &mut PackScratch,
 ) -> GemmPlan {
-    let (skipped, zeros) = build_masks(a, dims.0, dims.1, &mut scratch.masks);
-    GemmPlan::new(dims, skipped, zeros, b_streamed)
+    let skipped = build_masks(a, dims.0, dims.1, &mut scratch.masks);
+    GemmPlan::new(dims, skipped, b_streamed)
 }
 
 /// [`scan_gemm`] for an `A` operand the caller knows to be dense — the
 /// weight-stationary conv lowerings, whose `A` is a layer's weights: the
 /// zero scan is skipped (it would be a full extra pass over a
-/// multi-megabyte operand per call, to find nothing), every panel mask
-/// stays clear and the dispatch keys on the shape alone. Masks are only
-/// ever a licence to skip, so a clear mask is correct for any `A`.
+/// multi-megabyte operand per call, to find nothing) and every panel mask
+/// stays clear. Masks are only ever a licence to skip, so a clear mask is
+/// correct for any `A`.
 pub fn plan_dense_a(
     (m, kk, n): (usize, usize, usize),
     b_streamed: bool,
@@ -1500,7 +1465,7 @@ pub fn plan_dense_a(
     let (_, words_per_row) = mask_geometry(kk);
     scratch.masks.clear();
     scratch.masks.resize(m * words_per_row, 0);
-    GemmPlan::new((m, kk, n), 0, 0, b_streamed)
+    GemmPlan::new((m, kk, n), 0, b_streamed)
 }
 
 /// Packs `B` into the scratch panels when (and only when) `plan` runs the
@@ -1560,7 +1525,7 @@ pub fn run_plan_rows(
             let packed_b = scratch.bf32.get();
             f32_rows(level, a_rows, masks, packed_b, out_chunk, kk, n, epilogue);
         }
-        GemmPath::Ikj | GemmPath::SmallM => f32_ikj_rows(level, a_rows, masks, b, out_chunk, kk, n),
+        GemmPath::SmallM => f32_ikj_rows(level, a_rows, masks, b, out_chunk, kk, n),
     }
 }
 
@@ -1683,7 +1648,7 @@ mod tests {
         }
         assert!(epilogue_accumulates(GemmPath::Packed, KC));
         assert!(!epilogue_accumulates(GemmPath::Packed, KC + 1));
-        assert!(!epilogue_accumulates(GemmPath::Ikj, 8));
+        assert!(!epilogue_accumulates(GemmPath::SmallM, 8));
     }
 
     /// Between `k`-chunks the partial chain lives in the output, so a
@@ -1857,75 +1822,62 @@ mod tests {
         assert_eq!(parse_forced_path(""), Ok(None));
         assert_eq!(parse_forced_path("  "), Ok(None));
         assert_eq!(parse_forced_path("packed"), Ok(Some(GemmPath::Packed)));
-        assert_eq!(parse_forced_path(" ikj\n"), Ok(Some(GemmPath::Ikj)));
-        assert_eq!(parse_forced_path("smallm"), Ok(Some(GemmPath::SmallM)));
-        for typo in ["pakced", "Packed", "small-m", "none"] {
+        assert_eq!(parse_forced_path(" smallm\n"), Ok(Some(GemmPath::SmallM)));
+        for typo in ["pakced", "Packed", "small-m", "none", "ikj"] {
             let err = parse_forced_path(typo).expect_err(typo);
-            assert!(
-                err.contains(typo) && err.contains("packed|ikj|smallm"),
-                "{err}"
-            );
+            assert!(err.contains(typo) && err.contains("packed|smallm"), "{err}");
         }
     }
 
     #[test]
-    fn masks_count_elided_and_zero_words_exactly() {
+    fn masks_count_elided_words_exactly() {
         // Row of 10 words, KP=8: panel 0 = words 0..8, panel 1 = words 8..10.
         let mut a = vec![0.0f32; 10];
         a[9] = 1.0; // panel 1 live, panel 0 all-zero
         let mut masks = Vec::new();
-        let (skipped, zeros) = build_masks(&a, 1, 10, &mut masks);
+        let skipped = build_masks(&a, 1, 10, &mut masks);
         assert_eq!(skipped, 8, "only the all-zero panel is elidable");
-        assert_eq!(zeros, 9, "every zero word counts toward density");
         assert!(mask_hit(&masks, 0));
         assert!(!mask_hit(&masks, 1));
     }
 
     #[test]
-    fn choose_path_keys_on_shape_and_density() {
-        let path = |m, kk, n, zeros| choose_path(m, kk, n, zeros, false);
+    fn choose_path_keys_on_shape() {
+        let path = |m, n| choose_path(m, n, false);
         // A single output row with a wide-enough output streams B.
-        assert_eq!(path(1, 6272, 100, 0), GemmPath::SmallM);
-        // Multi-row dense shapes keep the packed engine even below one
-        // register tile of rows — the dense 6×16 tile wins from m = 2 up.
-        assert_eq!(path(MR_F32, 100, 128, 0), GemmPath::Packed);
-        assert_eq!(path(49, 1600, 128, 0), GemmPath::Packed);
-        // Degenerate-kk shapes dodge the pack entirely.
-        assert_eq!(path(100, 1, 6272, 0), GemmPath::Ikj);
-        assert_eq!(path(100, 3, 6272, 0), GemmPath::Packed);
-        // The projection shape: ~98% zeros scattered across panels.
-        let total = 49u64 * 4900;
-        assert_eq!(
-            path(49, 4900, 128, total - 49 * 100),
-            GemmPath::Ikj,
-            "sparse-A shapes take the element-skipping path"
-        );
-        // Exactly at the 15/16 threshold the ikj path still wins.
-        assert_eq!(path(8, 100, 128, 750), GemmPath::Ikj);
-        assert_eq!(path(8, 100, 128, 749), GemmPath::Packed);
+        assert_eq!(path(1, 100), GemmPath::SmallM);
+        // Multi-row shapes keep the packed engine even below one register
+        // tile of rows — the dense 6×16 tile wins from m = 2 up.
+        assert_eq!(path(MR_F32, 128), GemmPath::Packed);
+        assert_eq!(path(100, 6272), GemmPath::Packed);
         // The weight-stationary conv shapes (`m` = output maps, `n` =
-        // pixels, dense weights so a zero count of 0): a single-channel
-        // side makes one-row phase GEMMs, which stream `B`; every other
-        // layer keeps the packed tile, down to 16 pixels; nothing lands on
-        // ikj by density.
-        assert_eq!(path(1, 64 * 9, 196, 0), GemmPath::SmallM);
-        assert_eq!(path(64, 25, 196, 0), GemmPath::Packed);
-        assert_eq!(path(128, 1600, 49, 0), GemmPath::Packed);
-        assert_eq!(path(512, 6400, 16, 0), GemmPath::Packed);
+        // pixels): a single-channel side makes one-row phase GEMMs, which
+        // stream `B`; every other layer keeps the packed tile, down to 16
+        // pixels.
+        assert_eq!(path(1, 196), GemmPath::SmallM);
+        assert_eq!(path(64, 196), GemmPath::Packed);
+        assert_eq!(path(128, 49), GemmPath::Packed);
+        assert_eq!(path(512, 16), GemmPath::Packed);
         // Narrow outputs can't amortize a broadcast axpy: everything
-        // below n = 8 stays packed no matter the shape or density.
-        assert_eq!(path(49, 6272, 1, 49 * 6272 - 49), GemmPath::Packed);
-        assert_eq!(path(1, 6272, 7, 0), GemmPath::Packed);
-        assert_eq!(path(1, 6272, 8, 0), GemmPath::SmallM);
+        // below n = 8 stays packed.
+        assert_eq!(path(49, 1), GemmPath::Packed);
+        assert_eq!(path(1, 7), GemmPath::Packed);
+        assert_eq!(path(1, 8), GemmPath::SmallM);
         // A streamed `B` under fewer rows than one register tile is never
         // built: the DCGAN image layer's three-map phases stream, from one
         // tile of rows up the streamed entry keeps the rules above.
-        let streamed = |m, kk, n| choose_path(m, kk, n, 0, true);
-        assert_eq!(path(3, 384, 1024, 0), GemmPath::Packed);
-        assert_eq!(streamed(3, 384, 1024), GemmPath::SmallM);
-        assert_eq!(streamed(MR_F32 - 1, 384, 1024), GemmPath::SmallM);
-        assert_eq!(streamed(MR_F32, 384, 1024), GemmPath::Packed);
-        assert_eq!(streamed(3, 384, 7), GemmPath::Packed);
+        let streamed = |m, n| choose_path(m, n, true);
+        assert_eq!(path(3, 1024), GemmPath::Packed);
+        assert_eq!(streamed(3, 1024), GemmPath::SmallM);
+        assert_eq!(streamed(MR_F32 - 1, 1024), GemmPath::SmallM);
+        assert_eq!(streamed(MR_F32, 1024), GemmPath::Packed);
+        assert_eq!(streamed(3, 7), GemmPath::Packed);
+        // Neither `kk` nor the values in `A` steer the route: the
+        // projection `W-CONV`s (`100×1×6272`, `8×1×64`: `kk = 1`,
+        // streamed) and a 98 %-zero `49×4900×128` operand stay packed.
+        assert_eq!(streamed(100, 6272), GemmPath::Packed);
+        assert_eq!(streamed(8, 64), GemmPath::Packed);
+        assert_eq!(path(49, 128), GemmPath::Packed);
     }
 
     proptest::proptest! {
@@ -1966,7 +1918,7 @@ mod tests {
         assert_eq!(fan_out_rows(64, 768, 256, 2), 18);
     }
 
-    const ALL_PATHS: [GemmPath; 3] = [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM];
+    const ALL_PATHS: [GemmPath; 2] = [GemmPath::Packed, GemmPath::SmallM];
 
     #[test]
     fn f32_paths_are_bit_identical_on_every_level() {

@@ -162,13 +162,28 @@ echo "=== forced-kernel dispatch sweep ==="
 # MNIST-GAN train digest against the dispatched run at the top of the test
 # step — forced packed materializes every patch operand the dispatched run
 # streams or reads in place.
-for path in packed ikj smallm; do
+for path in packed smallm; do
     ZFGAN_NO_SIMD=1 ZFGAN_FORCE_KERNEL="$path" cargo test -q -p zfgan-tensor
     ZFGAN_FORCE_KERNEL="$path" cargo run -q --release -p zfgan -- \
         train --gan mnist --seed 2024 --iters 3 > "$tdir/f32_$path.txt"
     diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/f32_$path.txt")
     echo "forced $path: tensor suite + f32 train digest OK"
 done
+
+echo "=== GEMM dispatch census ==="
+# The routes each paper GAN's train step dispatches, pinned: a change that
+# sends a GEMM down another route, or adds one, must update these counts.
+census() {
+    cargo run -q --release -p zfgan -- train --gan "$1" --seed 2024 --iters 2 --batch 4 \
+        --telemetry | grep -o 'gemm_dispatch{path="[a-z]*"} *[0-9]*' | tr -s ' '
+}
+expect() {
+    printf 'gemm_dispatch{path="packed"} %s\ngemm_dispatch{path="smallm"} %s\n' "$1" "$2"
+}
+diff <(census mnist) <(expect 304 152)
+diff <(census dcgan) <(expect 736 152)
+diff <(census cgan) <(expect 736 152)
+echo "gemm_dispatch counts match the pinned census"
 
 echo "=== perf ledger round trip ==="
 # A smoke run of the repo benchmark, ingested twice into a temp ledger:

@@ -222,9 +222,9 @@ proptest! {
         prop_assert_eq!(&naive_fx, &matmul_blocked(&afx, &bfx).unwrap());
     }
 
-    /// The three dispatch engines (packed panel, broadcast-FMA `ikj`,
-    /// small-`m` streaming) all compute one k-ascending fused chain per
-    /// output element, so forcing any engine at any SIMD level must
+    /// The two dispatch engines (packed panel, small-`m` broadcast-FMA
+    /// `ikj`) both compute one k-ascending fused chain per output
+    /// element, so forcing either engine at any SIMD level must
     /// reproduce the dispatched result *bit for bit* — including the
     /// degenerate shapes the dispatcher exists for (`m = 1`, all-zero
     /// rows, `n` below one register tile).
@@ -260,7 +260,7 @@ proptest! {
         matmul_chunked(&a, &b, &mut dispatched, false, simd_level(), None, m, ws);
         let want = bits(dispatched.as_slice());
         for level in SimdLevel::supported() {
-            for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+            for path in [GemmPath::Packed, GemmPath::SmallM] {
                 let mut out = Matrix::zeros(m, n);
                 matmul_chunked(&a, &b, &mut out, false, level, Some(path), m, ws);
                 let got = bits(out.as_slice());
@@ -411,7 +411,7 @@ fn packed_block_order_is_bit_neutral() {
         let (am, bm) = (Matrix::from_vec(m, kk, a), Matrix::from_vec(kk, n, b));
         let mut ws = ConvWorkspace::new();
         for level in SimdLevel::supported() {
-            for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+            for path in [GemmPath::Packed, GemmPath::SmallM] {
                 let mut out = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
                 matmul_chunked(&am, &bm, &mut out, false, level, Some(path), m, &mut ws);
                 let got = bits(out.as_slice());
@@ -423,7 +423,7 @@ fn packed_block_order_is_bit_neutral() {
             .map(|(a, chain)| (a + f32::from_bits(*chain)).to_bits())
             .collect();
         let level = simd_level();
-        for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+        for path in [GemmPath::Packed, GemmPath::SmallM] {
             for rows in [1, 5, 6, 7, 13, m] {
                 let route = format!("{m}×{kk}×{n} {path:?} in {rows}-row chunks");
                 let mut out = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
