@@ -81,7 +81,7 @@ fn fmt_f64(v: f64) -> String {
 
 /// [`push_f64`] for a JSON member: NaN and ±∞ have no JSON number form and
 /// print as `null` (what the serde shim prints), so a section holding one
-/// still parses — cell payloads embed it and `trace --check` re-reads it.
+/// still parses — cell payloads embed it and `report --check` re-reads it.
 fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         push_f64(out, v);

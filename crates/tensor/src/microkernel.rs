@@ -59,8 +59,7 @@
 //!
 //! The decision is a pure function of `(m, n, streamed B)` — thread- and
 //! SIMD-invariant, and blind to the values in `A` — and
-//! `ZFGAN_FORCE_KERNEL=packed|smallm` (or [`set_forced_path`]) pins it for
-//! testing. Both engines compute the same per-element operation chain (see
+//! [`set_forced_path`] pins it for testing. Both engines compute the same per-element operation chain (see
 //! below), so dispatch is never a semantics choice.
 //!
 //! One driver runs every plan: [`run_plan_rows`] executes the planned
@@ -269,7 +268,7 @@ pub enum GemmPath {
 }
 
 impl GemmPath {
-    /// The telemetry / bench / `ZFGAN_FORCE_KERNEL` tag for this path.
+    /// The telemetry / bench tag for this path.
     pub fn label(self) -> &'static str {
         match self {
             GemmPath::Packed => "packed",
@@ -278,13 +277,9 @@ impl GemmPath {
     }
 }
 
-/// Runtime forced-path override (bench harnesses): 0 = none, else
-/// `GemmPath` discriminant + 1. Takes precedence over the env override.
+/// Forced-path override (bench harnesses and tests): 0 = none, else
+/// `GemmPath` discriminant + 1.
 static FORCED_RT: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// `ZFGAN_FORCE_KERNEL` parse, fixed once per process like the kernel
-/// table.
-static FORCED_ENV: OnceLock<Option<GemmPath>> = OnceLock::new();
 
 /// Forces every dispatch decision in this process to `path` (`None`
 /// restores normal dispatch). A bench/test knob — the trainstep harness
@@ -299,38 +294,13 @@ pub fn set_forced_path(path: Option<GemmPath>) {
     FORCED_RT.store(v, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// The forced dispatch path, if any: [`set_forced_path`] wins over
-/// `ZFGAN_FORCE_KERNEL=packed|smallm` (unset or empty forces nothing).
-///
-/// # Panics
-///
-/// Panics on any other `ZFGAN_FORCE_KERNEL` value, naming the accepted
-/// ones: a misspelt path must not quietly test the dispatched default.
+/// The dispatch path [`set_forced_path`] forces, if any.
 pub fn forced_path() -> Option<GemmPath> {
     match FORCED_RT.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => return Some(GemmPath::Packed),
-        2 => return Some(GemmPath::SmallM),
-        _ => {}
+        1 => Some(GemmPath::Packed),
+        2 => Some(GemmPath::SmallM),
+        _ => None,
     }
-    *FORCED_ENV.get_or_init(|| {
-        let value = std::env::var("ZFGAN_FORCE_KERNEL").unwrap_or_default();
-        parse_forced_path(&value).unwrap_or_else(|e| panic!("{e}"))
-    })
-}
-
-/// Parses a `ZFGAN_FORCE_KERNEL` value: blank forces nothing, a
-/// [`GemmPath::label`] forces that path, anything else is an error naming
-/// the accepted values.
-fn parse_forced_path(value: &str) -> Result<Option<GemmPath>, String> {
-    let value = value.trim();
-    if value.is_empty() {
-        return Ok(None);
-    }
-    [GemmPath::Packed, GemmPath::SmallM]
-        .into_iter()
-        .find(|p| p.label() == value)
-        .map(Some)
-        .ok_or_else(|| format!("ZFGAN_FORCE_KERNEL={value:?}: expected packed|smallm"))
 }
 
 /// Minimum output width for the broadcast engine: below half a register
@@ -1814,18 +1784,6 @@ mod tests {
                 Some("B chunk shorter than the tile's k range"),
                 "{level:?}"
             );
-        }
-    }
-
-    #[test]
-    fn forced_path_values_parse_or_name_the_accepted_ones() {
-        assert_eq!(parse_forced_path(""), Ok(None));
-        assert_eq!(parse_forced_path("  "), Ok(None));
-        assert_eq!(parse_forced_path("packed"), Ok(Some(GemmPath::Packed)));
-        assert_eq!(parse_forced_path(" smallm\n"), Ok(Some(GemmPath::SmallM)));
-        for typo in ["pakced", "Packed", "small-m", "none", "ikj"] {
-            let err = parse_forced_path(typo).expect_err(typo);
-            assert!(err.contains(typo) && err.contains("packed|smallm"), "{err}");
         }
     }
 

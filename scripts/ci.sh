@@ -22,7 +22,8 @@ trap 'rm -rf "$tdir"' EXIT
 
 echo "=== cargo test ==="
 # Every package of the workspace, on the runtime-detected SIMD kernels (the
-# NO_SIMD and forced-kernel sweeps below cover the other levels). The
+# NO_SIMD sweeps below cover the scalar level; the tensor suites and
+# tests/forced_paths.rs run each GEMM route by `set_forced_path`). The
 # `train:` header line names the level this host detected, so the log says
 # what the tensor suite exercised; the f32 sweep below diffs this run's
 # digest against the scalar one.
@@ -127,18 +128,18 @@ echo "fault campaign passed and reproduces results/faults.json"
 
 echo "=== telemetry smoke gate ==="
 # Two separate same-seed processes must produce (a) trace files that
-# parse as Chrome-trace JSON (trace --check re-parses them) and (b)
+# parse as Chrome-trace JSON (report --check re-parses them) and (b)
 # byte-identical deterministic sections — the observability layer's
 # reproducibility contract.
-cargo run -q --release -p zfgan -- trace --seed 2024 --out "$tdir/t1.json" > /dev/null
-cargo run -q --release -p zfgan -- trace --seed 2024 --out "$tdir/t2.json" > /dev/null
-cargo run -q --release -p zfgan -- trace --check "$tdir/t1.json" | grep '^deterministic:' > "$tdir/d1"
-cargo run -q --release -p zfgan -- trace --check "$tdir/t2.json" | grep '^deterministic:' > "$tdir/d2"
+cargo run -q --release -p zfgan -- report --seed 2024 --trace-out "$tdir/t1.json" > /dev/null
+cargo run -q --release -p zfgan -- report --seed 2024 --trace-out "$tdir/t2.json" > /dev/null
+cargo run -q --release -p zfgan -- report --check "$tdir/t1.json" | grep '^deterministic:' > "$tdir/d1"
+cargo run -q --release -p zfgan -- report --check "$tdir/t2.json" | grep '^deterministic:' > "$tdir/d2"
 diff "$tdir/d1" "$tdir/d2"
 cargo run -q --release -p zfgan -- sweep cgan --trace-out "$tdir/s1.json" > /dev/null
 cargo run -q --release -p zfgan -- sweep cgan --trace-out "$tdir/s2.json" > /dev/null
-cargo run -q --release -p zfgan -- trace --check "$tdir/s1.json" | grep '^deterministic:' > "$tdir/sd1"
-cargo run -q --release -p zfgan -- trace --check "$tdir/s2.json" | grep '^deterministic:' > "$tdir/sd2"
+cargo run -q --release -p zfgan -- report --check "$tdir/s1.json" | grep '^deterministic:' > "$tdir/sd1"
+cargo run -q --release -p zfgan -- report --check "$tdir/s2.json" | grep '^deterministic:' > "$tdir/sd2"
 diff "$tdir/sd1" "$tdir/sd2"
 echo "telemetry deterministic sections are byte-identical"
 
@@ -154,21 +155,6 @@ head -qn 1 "$tdir/f32_simd.txt" "$tdir/f32_scalar.txt"
 grep -q 'simd scalar' "$tdir/f32_scalar.txt"
 diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/f32_scalar.txt")
 echo "f32 train digests are bit-identical across SIMD levels"
-
-echo "=== forced-kernel dispatch sweep ==="
-# Every GEMM dispatch path must uphold the bit-equality contract on its
-# own: pin each engine via ZFGAN_FORCE_KERNEL, run the tensor suite on the
-# scalar kernels (the broadest portable surface), and diff the f32
-# MNIST-GAN train digest against the dispatched run at the top of the test
-# step — forced packed materializes every patch operand the dispatched run
-# streams or reads in place.
-for path in packed smallm; do
-    ZFGAN_NO_SIMD=1 ZFGAN_FORCE_KERNEL="$path" cargo test -q -p zfgan-tensor
-    ZFGAN_FORCE_KERNEL="$path" cargo run -q --release -p zfgan -- \
-        train --gan mnist --seed 2024 --iters 3 > "$tdir/f32_$path.txt"
-    diff <(grep '^deterministic:' "$tdir/f32_simd.txt") <(grep '^deterministic:' "$tdir/f32_$path.txt")
-    echo "forced $path: tensor suite + f32 train digest OK"
-done
 
 echo "=== GEMM dispatch census ==="
 # The routes each paper GAN's train step dispatches, pinned: a change that
@@ -204,16 +190,21 @@ echo "=== report byte-identity gate ==="
 # Two same-seed attribution reports must be byte-identical end to end
 # (all quantities are integers derived from seeded cycle state), and the
 # shared trace/report validator must accept the report JSON and print the
-# same deterministic section for both.
-cargo run -q --release -p zfgan -- report --seed 2024 --out "$tdir/r1.json" \
-    | grep -v '^report written to ' > "$tdir/rout1.txt"
-cargo run -q --release -p zfgan -- report --seed 2024 --out "$tdir/r2.json" \
-    | grep -v '^report written to ' > "$tdir/rout2.txt"
+# same deterministic section for both, and for the trace the same run
+# wrote from the same registry.
+for run in 1 2; do
+    cargo run -q --release -p zfgan -- report --seed 2024 --out "$tdir/r$run.json" \
+        --trace-out "$tdir/rt$run.json" | grep -v ' written to ' > "$tdir/rout$run.txt"
+    for f in r rt; do
+        cargo run -q --release -p zfgan -- report --check "$tdir/$f$run.json" \
+            | grep '^deterministic:' > "$tdir/$f$run.det"
+    done
+done
 diff "$tdir/r1.json" "$tdir/r2.json"
 diff "$tdir/rout1.txt" "$tdir/rout2.txt"
-cargo run -q --release -p zfgan -- trace --check "$tdir/r1.json" | grep '^deterministic:' > "$tdir/rd1"
-cargo run -q --release -p zfgan -- trace --check "$tdir/r2.json" | grep '^deterministic:' > "$tdir/rd2"
-diff "$tdir/rd1" "$tdir/rd2"
+diff "$tdir/r1.det" "$tdir/r2.det"
+diff "$tdir/r1.det" "$tdir/rt1.det"
+diff "$tdir/rt1.det" "$tdir/rt2.det"
 echo "attribution reports are byte-identical"
 
 echo "=== serve-metrics smoke ==="
@@ -233,18 +224,20 @@ grep -q 'serve_requests_total{path="/metrics"} 1' "$tdir/scrape.txt"
 wait "$serve_pid"
 echo "serve-metrics scrape round-trip passed"
 
-echo "=== executor trace byte-identity across pool widths ==="
-# A traced ZFOST execution's deterministic telemetry section must be
+echo "=== executor report byte-identity across pool widths ==="
+# The ZFOST executors' whole attribution report (rows and deterministic
+# telemetry section) and their trace's deterministic section must be
 # byte-identical whether the engine's position-block fan-out runs inline
 # or across four pool workers.
-ZFGAN_THREADS=1 cargo run -q --release -p zfgan -- trace --arch zfost --seed 2024 \
-    --out "$tdir/x1.json" > /dev/null
-ZFGAN_THREADS=4 cargo run -q --release -p zfgan -- trace --arch zfost --seed 2024 \
-    --out "$tdir/x4.json" > /dev/null
-cargo run -q --release -p zfgan -- trace --check "$tdir/x1.json" | grep '^deterministic:' > "$tdir/xd1"
-cargo run -q --release -p zfgan -- trace --check "$tdir/x4.json" | grep '^deterministic:' > "$tdir/xd4"
+for threads in 1 4; do
+    ZFGAN_THREADS="$threads" cargo run -q --release -p zfgan -- report --arch zfost \
+        --seed 2024 --out "$tdir/x$threads.json" --trace-out "$tdir/xt$threads.json" > /dev/null
+    cargo run -q --release -p zfgan -- report --check "$tdir/xt$threads.json" \
+        | grep '^deterministic:' > "$tdir/xd$threads"
+done
+diff "$tdir/x1.json" "$tdir/x4.json"
 diff "$tdir/xd1" "$tdir/xd4"
-echo "executor trace is byte-identical across pool widths"
+echo "executor report and trace are byte-identical across pool widths"
 
 echo "=== pooled sweep byte-identity ==="
 # The same seed must produce byte-identical sweep output no matter how

@@ -43,7 +43,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let (gan, rest) = positional(rest, "datasheet", "<gan>")?;
             let flags = parse_flags(rest, &observed(&[("--pes", true)]))?;
             let pes = flag_num(&flags, "--pes")?;
-            with_telemetry(&flags, || datasheet_cmd(gan, pes))
+            observe_if_asked(&flags, || datasheet_cmd(gan, pes))
         }
         Some((&"sweep", rest)) => {
             let (gan, rest) = match rest.split_first() {
@@ -51,7 +51,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 _ => ("cgan", rest),
             };
             let flags = parse_flags(rest, &OBSERVE)?;
-            with_telemetry(&flags, || sweep_cmd(gan))
+            observe_if_asked(&flags, || sweep_cmd(gan))
         }
         Some((&"faults", rest)) => {
             let flags = parse_flags(
@@ -63,7 +63,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--out", true),
                 ]),
             )?;
-            with_telemetry(&flags, || faults_cmd(&flags))
+            observe_if_asked(&flags, || faults_cmd(&flags))
         }
         Some((&"train", rest)) => {
             let flags = parse_flags(
@@ -82,7 +82,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--crash-bytes", true),
                 ]),
             )?;
-            with_telemetry(&flags, || train_cmd(&flags))
+            observe_if_asked(&flags, || train_cmd(&flags))
         }
         Some((&"crashtest", rest)) => {
             let flags = parse_flags(
@@ -96,34 +96,24 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--out", true),
                 ]),
             )?;
-            with_telemetry(&flags, || crashtest_cmd(&flags))
+            observe_if_asked(&flags, || crashtest_cmd(&flags))
         }
-        Some((&"trace", rest)) => {
+        Some((&"report", rest)) => {
             let flags = parse_flags(
                 rest,
-                &[
+                &observed(&[
                     ("--arch", true),
                     ("--seed", true),
                     ("--capacity", true),
                     ("--out", true),
                     ("--check", true),
-                    ("--flame-out", true),
-                ],
+                ]),
             )?;
-            trace_cmd(&flags)
-        }
-        Some((&"report", rest)) => {
-            let flags = parse_flags(
-                rest,
-                &[
-                    ("--arch", true),
-                    ("--seed", true),
-                    ("--capacity", true),
-                    ("--out", true),
-                    ("--flame-out", true),
-                ],
-            )?;
-            report_cmd(&flags)
+            match flag_str(&flags, "--check") {
+                Some(_) if flags.len() > 1 => Err("--check takes no other flag".to_string()),
+                Some(path) => trace_check(path),
+                None => with_telemetry(&flags, |reg| report_cmd(&flags, reg)),
+            }
         }
         Some((&"perf", rest)) => {
             let flags = parse_flags(
@@ -165,7 +155,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 shard_index: flag_num(&flags, "--shard-index")?,
                 shard_count: flag_num(&flags, "--shard-count")?,
             };
-            with_telemetry(&flags, || crate::dse::run_dse(&args))
+            observe_if_asked(&flags, || crate::dse::run_dse(&args))
         }
         Some((&"paper", rest)) => {
             let (name, rest) = positional(rest, "paper", "<name>")?;
@@ -201,15 +191,13 @@ fn usage() -> String {
      \x20 faults [--seed N] [--smoke|--full] [--out PATH]\n\
      \x20                            fault-injection campaign: rate x site x dataflow;\n\
      \x20                            --out writes its JSON (results/faults.json)\n\
-     \x20 trace [--arch A] [--seed N] [--capacity N] [--out PATH]\n\
-     \x20                            run the cycle-accurate executors and export a\n\
-     \x20                            Chrome-trace / Perfetto JSON timeline\n\
-     \x20 trace --check PATH         validate a trace or report file; print its\n\
-     \x20                            deterministic section\n\
      \x20 report [--arch A] [--seed N] [--capacity N] [--out PATH]\n\
      \x20                            per-dataflow cycle attribution (MAC / DRAM / buffer /\n\
      \x20                            idle) with PE utilization and roofline position; the\n\
-     \x20                            components sum exactly to the engine's total cycles\n\
+     \x20                            components sum exactly to the engine's total cycles;\n\
+     \x20                            --trace-out adds one cycle-domain track per executor\n\
+     \x20 report --check PATH        validate a trace or report file; print its\n\
+     \x20                            deterministic section\n\
      \x20 perf [--ingest RUNS.json] [--check] [--ledger PATH]\n\
      \x20                            render the results/ledger.jsonl series; --ingest\n\
      \x20                            appends the medians of a `zfgan-benchmark run --out`\n\
@@ -248,10 +236,10 @@ fn usage() -> String {
      \x20 help                       this text\n\
      \n\
      <gan> is one of: mnist, dcgan, cgan (or a case-insensitive prefix).\n\
-     datasheet/sweep/faults/train/crashtest/dse also accept --telemetry (print a\n\
-     metrics summary), --trace-out PATH (write a Chrome-trace JSON of the run)\n\
-     and --flame-out PATH (write a collapsed-stack flamegraph of the run's\n\
-     spans, loadable by inferno / speedscope).\n"
+     datasheet/sweep/faults/train/crashtest/report/dse also accept --telemetry\n\
+     (print a metrics summary), --trace-out PATH (write a Chrome-trace JSON of\n\
+     the run) and --flame-out PATH (write a collapsed-stack flamegraph of the\n\
+     run's spans, loadable by inferno / speedscope).\n"
         .to_string()
 }
 
@@ -339,35 +327,44 @@ fn flag_str<'a>(flags: &Flags<'a>, flag: &str) -> Option<&'a str> {
         .and_then(|(_, v)| *v)
 }
 
-/// Runs `body` under a fresh scoped telemetry registry when `--telemetry`,
-/// `--trace-out` or `--flame-out` is present, then appends the metrics
-/// summary and/or writes the Chrome-trace JSON / collapsed-stack
-/// flamegraph. Without any of the flags, `body` runs bare.
-fn with_telemetry(
+/// Cycle-domain tracks for `--trace-out`: one `(name, [(cycle, event)])`
+/// per traced executor.
+type Tracks = Vec<(String, Vec<(u64, String)>)>;
+
+/// Runs `body` bare when no [`OBSERVE`] flag is given, else under
+/// [`with_telemetry`] with no cycle-domain tracks.
+fn observe_if_asked(
     flags: &Flags<'_>,
     body: impl FnOnce() -> Result<String, String>,
 ) -> Result<String, String> {
-    let want_summary = flag_set(flags, "--telemetry");
-    let trace_out = flag_str(flags, "--trace-out");
-    let flame_out = flag_str(flags, "--flame-out");
-    if !want_summary && trace_out.is_none() && flame_out.is_none() {
+    if !OBSERVE.iter().any(|(f, _)| flag_set(flags, f)) {
         return body();
     }
+    with_telemetry(flags, |_| Ok((body()?, Tracks::new())))
+}
+
+/// Runs `body` under one fresh scoped telemetry registry, which it is
+/// handed, then serves the [`OBSERVE`] flags from that registry: the
+/// Chrome-trace JSON (the registry's spans plus the tracks `body`
+/// returns), the collapsed-stack flamegraph and the metrics summary.
+fn with_telemetry(
+    flags: &Flags<'_>,
+    body: impl FnOnce(&Registry) -> Result<(String, Tracks), String>,
+) -> Result<String, String> {
     let reg = Arc::new(Registry::new());
-    let result = {
+    let (mut out, tracks) = {
         let _guard = crate::telemetry::scope(Arc::clone(&reg));
-        body()
+        body(&reg)?
     };
-    let mut out = result?;
-    if let Some(path) = trace_out {
-        let json = export::chrome_trace(&reg, &[]);
+    if let Some(path) = flag_str(flags, "--trace-out") {
+        let json = export::chrome_trace(&reg, &tracks);
         std::fs::write(path, &json).map_err(|e| format!("--trace-out {path}: {e}"))?;
         out.push_str(&format!(
             "\ntrace written to {path} ({} bytes)\n",
             json.len()
         ));
     }
-    if let Some(path) = flame_out {
+    if let Some(path) = flag_str(flags, "--flame-out") {
         let folded = export::collapsed_stacks(&reg);
         std::fs::write(path, &folded).map_err(|e| format!("--flame-out {path}: {e}"))?;
         out.push_str(&format!(
@@ -375,85 +372,14 @@ fn with_telemetry(
             folded.lines().count()
         ));
     }
-    if want_summary {
+    if flag_set(flags, "--telemetry") {
         out.push('\n');
         out.push_str(&export::summary(&reg));
     }
     Ok(out)
 }
 
-/// The executor `zfgan trace` draws for an architecture: its `T-CONV`
-/// where it runs one, else its `S-CONV`.
-fn trace_executor(arch: &str) -> Result<&'static str, String> {
-    let family = crate::report::selected_executors(Some(arch))?;
-    let t_conv = family.iter().find(|e| e.ends_with("/t_conv"));
-    Ok(t_conv.copied().unwrap_or(family[0]))
-}
-
-/// `zfgan trace`: run the traced executors under a scoped registry and
-/// export one Chrome-trace JSON with a cycle-domain track per
-/// architecture; `--check PATH` instead validates an existing file.
-fn trace_cmd(flags: &Flags<'_>) -> Result<String, String> {
-    if let Some(path) = flag_str(flags, "--check") {
-        return trace_check(path);
-    }
-    let seed = flag_num(flags, "--seed")?.unwrap_or(2024) as u64;
-    let capacity = flag_num(flags, "--capacity")?.unwrap_or(4096);
-    if capacity == 0 {
-        return Err("--capacity must be non-zero".to_string());
-    }
-    let arch = flag_str(flags, "--arch").unwrap_or("all");
-    let selected: Vec<&str> = if arch == "all" {
-        vec!["nlr", "wst", "ost", "zfost", "zfwst"]
-    } else {
-        vec![arch]
-    };
-
-    let reg = Arc::new(Registry::new());
-    let mut tracks: Vec<(String, Vec<(u64, String)>)> = Vec::new();
-    let mut out = format!("trace: seed {seed}, capacity {capacity}/arch\n");
-    {
-        let _guard = crate::telemetry::scope(Arc::clone(&reg));
-        for name in &selected {
-            let (_, buf, ..) = crate::report::run_executor(trace_executor(name)?, seed, capacity)?;
-            out.push_str(&format!(
-                "  {name:<6} {} events retained, {} evicted\n",
-                buf.len(),
-                buf.evicted()
-            ));
-            tracks.push((
-                (*name).to_string(),
-                buf.iter().map(|(c, e)| (c, e.to_string())).collect(),
-            ));
-        }
-    }
-
-    let json = export::chrome_trace(&reg, &tracks);
-    match flag_str(flags, "--out") {
-        Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("--out {path}: {e}"))?;
-            out.push_str(&format!(
-                "trace written to {path} ({} bytes) — open in https://ui.perfetto.dev\n",
-                json.len()
-            ));
-        }
-        None => {
-            out.push('\n');
-            out.push_str(&export::summary(&reg));
-        }
-    }
-    if let Some(path) = flag_str(flags, "--flame-out") {
-        let folded = export::collapsed_stacks(&reg);
-        std::fs::write(path, &folded).map_err(|e| format!("--flame-out {path}: {e}"))?;
-        out.push_str(&format!(
-            "flamegraph (collapsed stacks) written to {path} ({} lines)\n",
-            folded.lines().count()
-        ));
-    }
-    Ok(out)
-}
-
-/// `zfgan trace --check PATH`: the shared artifact validator. Accepts
+/// `zfgan report --check PATH`: the shared artifact validator. Accepts
 /// both Chrome-trace files (a `traceEvents` array) and `zfgan report`
 /// files (an `attribution` array); either way the file must carry a valid
 /// `deterministic` object, which is printed in canonical form — the line
@@ -485,30 +411,34 @@ fn trace_check(path: &str) -> Result<String, String> {
     ))
 }
 
-/// `zfgan report`: build the per-dataflow cycle-attribution report and
-/// optionally write the byte-stable JSON (`--out`) and the
-/// collapsed-stack flamegraph (`--flame-out`).
-fn report_cmd(flags: &Flags<'_>) -> Result<String, String> {
+/// `zfgan report`: build the per-dataflow cycle-attribution report under
+/// `reg`, write its byte-stable JSON (`--out`), and hand each executor's
+/// event trace to `--trace-out` as a cycle-domain track.
+fn report_cmd(flags: &Flags<'_>, reg: &Registry) -> Result<(String, Tracks), String> {
     let seed = flag_num(flags, "--seed")?.unwrap_or(crate::report::DEFAULT_SEED as usize) as u64;
     let capacity = flag_num(flags, "--capacity")?.unwrap_or(crate::report::DEFAULT_CAPACITY);
     let report = crate::report::build_report(flag_str(flags, "--arch"), seed, capacity)?;
     let mut out = report.render();
     if let Some(path) = flag_str(flags, "--out") {
-        let json = report.to_json();
+        let json = report.to_json(reg);
         std::fs::write(path, &json).map_err(|e| format!("--out {path}: {e}"))?;
         out.push_str(&format!(
             "report written to {path} ({} bytes)\n",
             json.len()
         ));
     }
-    if let Some(path) = flag_str(flags, "--flame-out") {
-        std::fs::write(path, &report.collapsed).map_err(|e| format!("--flame-out {path}: {e}"))?;
-        out.push_str(&format!(
-            "flamegraph (collapsed stacks) written to {path} ({} lines)\n",
-            report.collapsed.lines().count()
-        ));
-    }
-    Ok(out)
+    let tracks = match flag_str(flags, "--trace-out") {
+        Some(_) => report
+            .rows
+            .iter()
+            .map(|r| {
+                let points = r.trace.iter().map(|(c, e)| (c, e.to_string())).collect();
+                (r.executor.clone(), points)
+            })
+            .collect(),
+        None => Tracks::new(),
+    };
+    Ok((out, tracks))
 }
 
 /// `zfgan serve-metrics`: either serve a registry of its own over HTTP,
@@ -663,6 +593,9 @@ fn train_cmd(flags: &Flags<'_>) -> Result<String, String> {
     args.gan = flag_str(flags, "--gan").map(lookup).transpose()?;
     args.dir = flag_str(flags, "--dir").map(PathBuf::from);
     args.resume = flag_set(flags, "--resume");
+    if flag_set(flags, "--crash-bytes") && flag_str(flags, "--crash-phase") != Some("mid-write") {
+        return Err("--crash-bytes needs --crash-phase mid-write".to_string());
+    }
     if let Some(iter) = flag_num(flags, "--crash-iter")? {
         let phase = match flag_str(flags, "--crash-phase") {
             Some(s) => CrashPhase::parse(s)?,
@@ -817,6 +750,19 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("before-publish"), "{err}");
+        let err = run(&args(&["train", "--iters", "1", "--crash-bytes", "12"])).unwrap_err();
+        assert_eq!(err, "--crash-bytes needs --crash-phase mid-write");
+        let err = run(&args(&[
+            "train",
+            "--crash-iter",
+            "1",
+            "--crash-phase",
+            "after-publish",
+            "--crash-bytes",
+            "12",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "--crash-bytes needs --crash-phase mid-write");
     }
 
     #[test]
@@ -829,21 +775,46 @@ mod tests {
     }
 
     #[test]
-    fn trace_check_validates_report_files_through_the_shared_path() {
+    fn report_flame_out_keeps_the_executor_spans() {
+        let dir = std::env::temp_dir().join(format!("zfgan-cli-flame-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let _dir = RemoveDir(dir.clone());
+        let path = dir.join("report.folded");
+        let out = run(&args(&[
+            "report",
+            "--arch",
+            "zfost",
+            "--flame-out",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert!(
+            out.contains("flamegraph (collapsed stacks) written"),
+            "{out}"
+        );
+        let folded = std::fs::read_to_string(path).unwrap();
+        assert!(folded.contains("exec;zfost"), "{folded}");
+    }
+
+    #[test]
+    fn report_check_validates_report_files_through_the_shared_path() {
         let dir = std::env::temp_dir().join(format!("zfgan-cli-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.json");
         let p = path.to_str().unwrap();
         run(&args(&["report", "--arch", "nlr", "--out", p])).unwrap();
-        let out = run(&args(&["trace", "--check", p])).unwrap();
+        let out = run(&args(&["report", "--check", p])).unwrap();
         assert!(
             out.contains("valid attribution report, 1 executors"),
             "{out}"
         );
         assert!(out.contains("deterministic:{"), "{out}");
+        // A check writes nothing, so it refuses flags that would.
+        let err = run(&args(&["report", "--check", p, "--trace-out", p])).unwrap_err();
+        assert_eq!(err, "--check takes no other flag");
         // A file with neither array is rejected with the shared error.
         std::fs::write(&path, "{\"deterministic\":{}}").unwrap();
-        let err = run(&args(&["trace", "--check", p])).unwrap_err();
+        let err = run(&args(&["report", "--check", p])).unwrap_err();
         assert!(
             err.contains("'traceEvents' (trace) or 'attribution' (report)"),
             "{err}"
@@ -971,6 +942,12 @@ mod tests {
     fn memory_is_not_a_command() {
         let err = run(&args(&["memory", "dcgan"])).unwrap_err();
         assert!(err.starts_with("unknown command 'memory'"), "{err}");
+    }
+
+    #[test]
+    fn trace_is_not_a_command() {
+        let err = run(&args(&["trace", "--arch", "zfost"])).unwrap_err();
+        assert!(err.starts_with("unknown command 'trace'"), "{err}");
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!
 //! All quantities are integers derived from seeded integer/cycle state,
 //! so the rendered table and the `--out` JSON are byte-identical across
-//! same-seed runs — the CI gate diffs two of them. The JSON embeds the
-//! canonical [`export::deterministic_section`] of the run's telemetry
-//! registry, which `zfgan trace --check` validates with the same code
-//! path as trace files.
-
-use std::sync::Arc;
+//! same-seed runs — the CI gate diffs two of them. The report opens no
+//! telemetry scope of its own (scopes nest innermost-wins, so one would
+//! hide the executors from the command's registry): its executors record
+//! into the caller's, and [`Report::to_json`] embeds that registry's
+//! canonical [`export::deterministic_section`]. `zfgan report --check`
+//! validates the JSON with the same code path as the `--trace-out` trace.
 
 use crate::dataflow::exec::{self, CycleAttribution};
 use crate::dataflow::{Dataflow, Nlr, Ost, Wst, Zfost, Zfwst};
@@ -32,7 +32,7 @@ use rand::SeedableRng;
 /// Default trace capacity: large enough that none of the nine executors
 /// evicts history on the report phase, so `untraced` stays zero.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
-/// Default operand seed, shared with `zfgan trace`.
+/// Default operand seed.
 pub const DEFAULT_SEED: u64 = 2024;
 
 /// One executor's row: the engine-cycle partition plus the architecture's
@@ -60,10 +60,11 @@ pub struct ReportRow {
     pub macs_per_kcycle: u64,
     /// Roofline verdict: `compute` when utilization ≥ 50 %, else `feed`.
     pub bound: &'static str,
+    /// The executor's event trace, which `attr` partitions.
+    pub(crate) trace: TraceBuffer,
 }
 
-/// The full report: rows in presentation order plus the canonical
-/// deterministic telemetry section captured while the executors ran.
+/// The full report: one row per executor, in presentation order.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Operand seed the run used.
@@ -72,22 +73,17 @@ pub struct Report {
     pub capacity: usize,
     /// One row per executor, in the paper's architecture order.
     pub rows: Vec<ReportRow>,
-    /// `export::deterministic_section` of the run's registry.
-    pub deterministic: String,
-    /// Collapsed-stack rendering of the run's spans (`--flame-out`).
-    pub collapsed: String,
 }
 
 /// The report phase every run uses: the scaled-down DCGAN layer
-/// (6×6 ↔ 12×12, 4×4 kernel, stride 2) shared with `zfgan trace` and the
-/// fault campaigns.
+/// (6×6 ↔ 12×12, 4×4 kernel, stride 2) shared with the fault campaigns.
 fn report_phase(kind: ConvKind) -> Result<ConvShape, String> {
     let geom = ConvGeom::down(12, 12, 4, 4, 2, 6, 6).map_err(|e| e.to_string())?;
     Ok(ConvShape::new(kind, geom, 5, 3, 12, 12))
 }
 
 /// Which executors `--arch` selects. `all` (or `None`) runs all nine.
-pub(crate) fn selected_executors(arch: Option<&str>) -> Result<Vec<&'static str>, String> {
+fn selected_executors(arch: Option<&str>) -> Result<Vec<&'static str>, String> {
     const ALL: [&str; 9] = [
         "nlr/s_conv",
         "wst/s_conv",
@@ -113,9 +109,9 @@ pub(crate) fn selected_executors(arch: Option<&str>) -> Result<Vec<&'static str>
 }
 
 /// Runs one executor with tracing and returns `(engine cycles, trace,
-/// the array that ran, its phase)`. `zfgan trace` draws its tracks from
-/// here too; the report puts the array's schedule model on top.
-pub(crate) fn run_executor(
+/// the array that ran, its phase)`; the report puts the array's schedule
+/// model on top.
+fn run_executor(
     executor: &str,
     seed: u64,
     capacity: usize,
@@ -193,9 +189,8 @@ pub(crate) fn run_executor(
     }
 }
 
-/// Builds the full report: run the selected executors under a scoped
-/// telemetry registry, attribute their cycles, and capture the
-/// deterministic section.
+/// Builds the full report: run the selected executors and attribute their
+/// cycles. Their telemetry lands in the caller's scope, if any.
 ///
 /// # Errors
 ///
@@ -207,54 +202,49 @@ pub fn build_report(arch: Option<&str>, seed: u64, capacity: usize) -> Result<Re
         return Err("--capacity must be non-zero".to_string());
     }
     let executors = selected_executors(arch)?;
-    let reg = Arc::new(Registry::new());
     let mut rows = Vec::with_capacity(executors.len());
-    {
-        let _guard = crate::telemetry::scope(Arc::clone(&reg));
-        for executor in executors {
-            let (cycles, trace, arch, phase) = run_executor(executor, seed, capacity)?;
-            let stats = arch.schedule(&phase);
-            let attr = exec::attribute_cycles(&trace, cycles);
-            if attr.total() != cycles {
-                return Err(format!(
-                    "{executor}: cycle attribution {} does not sum to engine total {cycles}",
-                    attr.total()
-                ));
-            }
-            for (component, c) in attr.components() {
-                crate::telemetry::count(
-                    "report_cycles_total",
-                    &[("component", component), ("executor", executor)],
-                    c,
-                );
-            }
-            let util_ppm = (stats.utilization() * 1e6) as u64;
-            rows.push(ReportRow {
-                executor: executor.to_string(),
-                cycles,
-                attr,
-                util_ppm,
-                effectual_macs: stats.effectual_macs,
-                n_pes: stats.n_pes,
-                operand_words: stats.access.total(),
-                dram_bytes: stats.dram.total_bytes(),
-                macs_per_kcycle: (stats.effectual_macs * 1000)
-                    .checked_div(stats.cycles)
-                    .unwrap_or(0),
-                bound: if stats.utilization() >= 0.5 {
-                    "compute"
-                } else {
-                    "feed"
-                },
-            });
+    for executor in executors {
+        let (cycles, trace, arch, phase) = run_executor(executor, seed, capacity)?;
+        let stats = arch.schedule(&phase);
+        let attr = exec::attribute_cycles(&trace, cycles);
+        if attr.total() != cycles {
+            return Err(format!(
+                "{executor}: cycle attribution {} does not sum to engine total {cycles}",
+                attr.total()
+            ));
         }
+        for (component, c) in attr.components() {
+            crate::telemetry::count(
+                "report_cycles_total",
+                &[("component", component), ("executor", executor)],
+                c,
+            );
+        }
+        let util_ppm = (stats.utilization() * 1e6) as u64;
+        rows.push(ReportRow {
+            executor: executor.to_string(),
+            cycles,
+            attr,
+            util_ppm,
+            effectual_macs: stats.effectual_macs,
+            n_pes: stats.n_pes,
+            operand_words: stats.access.total(),
+            dram_bytes: stats.dram.total_bytes(),
+            macs_per_kcycle: (stats.effectual_macs * 1000)
+                .checked_div(stats.cycles)
+                .unwrap_or(0),
+            bound: if stats.utilization() >= 0.5 {
+                "compute"
+            } else {
+                "feed"
+            },
+            trace,
+        });
     }
     Ok(Report {
         seed,
         capacity,
         rows,
-        deterministic: export::deterministic_section(&reg),
-        collapsed: export::collapsed_stacks(&reg),
     })
 }
 
@@ -305,8 +295,9 @@ impl Report {
 
     /// Renders the byte-stable JSON document: the attribution rows (all
     /// integer fields, fixed key order) plus the canonical deterministic
-    /// telemetry section. Two same-seed runs produce identical bytes.
-    pub fn to_json(&self) -> String {
+    /// section of `reg`, the registry the report was built under. Two
+    /// same-seed runs produce identical bytes.
+    pub fn to_json(&self, reg: &Registry) -> String {
         let mut out = format!(
             "{{\"schema\":\"zfgan-report-v1\",\"seed\":{},\"capacity\":{},\"attribution\":[",
             self.seed, self.capacity
@@ -337,7 +328,7 @@ impl Report {
             ));
         }
         out.push_str("],\"deterministic\":");
-        out.push_str(&self.deterministic);
+        out.push_str(&export::deterministic_section(reg));
         out.push('}');
         out
     }
@@ -346,6 +337,14 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    /// [`build_report`] under a registry of its own, returned beside it.
+    fn scoped_report(arch: Option<&str>, seed: u64) -> (Report, Arc<Registry>) {
+        let reg = Arc::new(Registry::new());
+        let _guard = crate::telemetry::scope(Arc::clone(&reg));
+        (build_report(arch, seed, DEFAULT_CAPACITY).unwrap(), reg)
+    }
 
     #[test]
     fn all_nine_executors_partition_exactly() {
@@ -370,10 +369,10 @@ mod tests {
 
     #[test]
     fn same_seed_reports_are_byte_identical() {
-        let a = build_report(None, 7, DEFAULT_CAPACITY).unwrap();
-        let b = build_report(None, 7, DEFAULT_CAPACITY).unwrap();
+        let (a, reg_a) = scoped_report(None, 7);
+        let (b, reg_b) = scoped_report(None, 7);
         assert_eq!(a.render(), b.render());
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_json(&reg_a), b.to_json(&reg_b));
     }
 
     #[test]
@@ -403,23 +402,14 @@ mod tests {
 
     #[test]
     fn json_carries_the_deterministic_section_and_parses() {
-        let report = build_report(Some("zfost"), DEFAULT_SEED, DEFAULT_CAPACITY).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&report.to_json()).unwrap();
+        let (report, reg) = scoped_report(Some("zfost"), DEFAULT_SEED);
+        let v: serde_json::Value = serde_json::from_str(&report.to_json(&reg)).unwrap();
         let obj = v.as_object().unwrap();
         assert!(obj.get("attribution").unwrap().as_array().is_some());
-        assert!(obj.get("deterministic").unwrap().as_object().is_some());
         // The report counters land in the deterministic section.
-        assert!(
-            report.deterministic.contains("report_cycles_total"),
-            "{}",
-            report.deterministic
-        );
-        // The executor spans survive into the collapsed-stack rendering.
-        assert!(
-            report.collapsed.contains("exec;zfost"),
-            "{}",
-            report.collapsed
-        );
+        let det = obj.get("deterministic").unwrap();
+        assert!(det.as_object().is_some());
+        assert!(det.to_string().contains("report_cycles_total"), "{det}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Telemetry acceptance tests: the `zfgan trace` subcommand emits valid
+//! Telemetry acceptance tests: `zfgan report --trace-out` emits valid
 //! Chrome-trace JSON whose deterministic section is byte-identical across
-//! same-seed runs, and `sweep --trace-out` produces a parseable trace.
+//! same-seed runs and equal to the one in the same run's `--out` report,
+//! and `sweep --trace-out` produces a parseable trace.
 
 use serde_json::Value;
 use zfgan::cli::run;
@@ -33,10 +34,10 @@ fn deterministic_of(path: &str) -> String {
 }
 
 #[test]
-fn trace_subcommand_is_byte_deterministic_across_runs() {
+fn report_trace_out_is_byte_deterministic_across_runs() {
     let (p1, p2) = (tmp("trace-1.json"), tmp("trace-2.json"));
-    run(&args(&["trace", "--seed", "7", "--out", &p1])).unwrap();
-    run(&args(&["trace", "--seed", "7", "--out", &p2])).unwrap();
+    run(&args(&["report", "--seed", "7", "--trace-out", &p1])).unwrap();
+    run(&args(&["report", "--seed", "7", "--trace-out", &p2])).unwrap();
     let (d1, d2) = (deterministic_of(&p1), deterministic_of(&p2));
     assert!(!d1.is_empty());
     assert_eq!(d1, d2, "same-seed runs must agree byte-for-byte");
@@ -50,21 +51,52 @@ fn trace_subcommand_is_byte_deterministic_across_runs() {
 }
 
 #[test]
-fn trace_check_validates_and_rejects() {
+fn report_check_validates_and_rejects() {
     let p = tmp("trace-check.json");
-    run(&args(&["trace", "--arch", "zfost", "--out", &p])).unwrap();
-    let out = run(&args(&["trace", "--check", &p])).unwrap();
+    run(&args(&["report", "--arch", "zfost", "--trace-out", &p])).unwrap();
+    let out = run(&args(&["report", "--check", &p])).unwrap();
     assert!(out.contains("valid Chrome trace"), "{out}");
     assert!(out.contains("deterministic:{"), "{out}");
 
     std::fs::write(&p, "{not json").unwrap();
-    let err = run(&args(&["trace", "--check", &p])).unwrap_err();
+    let err = run(&args(&["report", "--check", &p])).unwrap_err();
     assert!(err.contains("invalid JSON"), "{err}");
 
     std::fs::write(&p, "{\"traceEvents\":[]}").unwrap();
-    let err = run(&args(&["trace", "--check", &p])).unwrap_err();
+    let err = run(&args(&["report", "--check", &p])).unwrap_err();
     assert!(err.contains("deterministic"), "{err}");
     let _ = std::fs::remove_file(&p);
+}
+
+#[test]
+fn report_out_and_trace_out_read_one_registry() {
+    let (r, t) = (tmp("one-reg-report.json"), tmp("one-reg-trace.json"));
+    run(&args(&[
+        "report",
+        "--arch",
+        "zfost",
+        "--out",
+        &r,
+        "--trace-out",
+        &t,
+    ]))
+    .unwrap();
+    let line = |path: &str| {
+        let out = run(&args(&["report", "--check", path])).unwrap();
+        let det = out.lines().find(|l| l.starts_with("deterministic:"));
+        det.expect("a deterministic line").to_string()
+    };
+    assert_eq!(line(&r), line(&t));
+    // One cycle-domain track per executor the report ran.
+    let text = std::fs::read_to_string(&t).unwrap();
+    for executor in ["zfost/s_conv", "zfost/t_conv"] {
+        assert!(
+            text.contains(&format!("\"args\":{{\"name\":\"{executor}\"}}")),
+            "no track for {executor}"
+        );
+    }
+    let _ = std::fs::remove_file(&r);
+    let _ = std::fs::remove_file(&t);
 }
 
 #[test]
