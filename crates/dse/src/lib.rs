@@ -293,8 +293,8 @@ where
 
 /// Publishes one wave's records as one generation under the next free wave
 /// key of the namespace. Creating a key is atomic, so concurrent writers
-/// (`--shards` children) each claim keys of their own and never share a
-/// directory or a temp file.
+/// (several `zfgan dse` processes on one cache) each claim keys of their
+/// own and never share a directory or a temp file.
 fn publish_wave(
     store: &mut Store,
     cfg: &DseConfig,
@@ -314,8 +314,8 @@ fn publish_wave(
 ///
 /// `key_of` must be a *canonical* key: equal keys mean equal cells. The
 /// returned [`Batch`] carries input-order results and sorted-key unique
-/// cells; both are byte-stable across thread counts, shard counts, item
-/// permutation and cache state.
+/// cells; both are byte-stable across thread counts, item permutation and
+/// cache state.
 ///
 /// Store failures only ever cost recomputation — a corrupt, truncated or
 /// foreign-version record is skipped (or rejected by payload validation
@@ -541,14 +541,6 @@ where
     }
 }
 
-/// True when `key` belongs to shard `index` of `count` — the key-space
-/// partition the cross-process work-unit protocol uses. Keys hash-route
-/// (FNV-1a), so every shard gets a similar share regardless of batch
-/// order, and the union over all shards is exactly the batch.
-pub fn key_in_shard(key: &str, index: usize, count: usize) -> bool {
-    count <= 1 || (fnv64(key.as_bytes()) % count as u64) as usize == index
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,6 +608,44 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 0, "warm run must not eval");
         assert_eq!(cold.results, warm.results);
         for (a, b) in cold.cells.iter().zip(&warm.cells) {
+            assert_eq!(a.key, b.key);
+            assert_eq!(a.result_json, b.result_json);
+            assert_eq!(a.det, b.det);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch over a cache that holds some of its cells — published by an
+    /// earlier, smaller batch or by another writer — computes only the
+    /// missing ones and returns what a cacheless batch returns.
+    #[test]
+    fn a_partly_cached_batch_computes_only_its_missing_cells() {
+        let dir = temp_dir("partial");
+        let mut cfg = DseConfig::new("t-partial");
+        cfg.cache_dir = Some(dir.clone());
+        let first: Vec<u64> = (0..6).collect();
+        run_batch(&cfg, &first, |i| format!("p{i}"), eval);
+        let items: Vec<u64> = (0..12).rev().collect();
+        let calls = AtomicUsize::new(0);
+        let batch = run_batch(
+            &cfg,
+            &items,
+            |i| format!("p{i}"),
+            |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                eval(i)
+            },
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 6, "only the new cells");
+        let cacheless = run_batch(
+            &DseConfig::new("t-partial"),
+            &items,
+            |i| format!("p{i}"),
+            eval,
+        );
+        assert_eq!(batch.results, cacheless.results);
+        assert_eq!(batch.cells.len(), cacheless.cells.len());
+        for (a, b) in batch.cells.iter().zip(&cacheless.cells) {
             assert_eq!(a.key, b.key);
             assert_eq!(a.result_json, b.result_json);
             assert_eq!(a.det, b.det);
@@ -906,18 +936,6 @@ mod tests {
         let (evals, keys) = evals_and_keys(&cfg, &many, eval);
         assert_eq!((evals, keys), (0, vec![wave(5 + MAX_WAVES as u64)]));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_routing_partitions_the_key_space() {
-        let keys: Vec<String> = (0..100).map(|i| format!("k{i}")).collect();
-        for count in [1usize, 2, 3, 7] {
-            let total: usize = (0..count)
-                .map(|idx| keys.iter().filter(|k| key_in_shard(k, idx, count)).count())
-                .sum();
-            assert_eq!(total, keys.len(), "shards must partition exactly");
-        }
-        assert!(keys.iter().all(|k| key_in_shard(k, 0, 1)));
     }
 
     /// splitmix64 step: the codec property below draws its sections and

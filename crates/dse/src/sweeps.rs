@@ -19,7 +19,7 @@ use zfgan_sim::{ConvKind, ConvShape, EnergyModel, PhaseStats};
 use zfgan_workloads::{GanSpec, PhaseSeq};
 
 use crate::pareto::{Objectives, ParetoFrontier};
-use crate::{json_escape, key_in_shard, run_batch, DseConfig};
+use crate::{json_escape, run_batch, DseConfig};
 
 /// The sweeps [`run_sweep`] knows, in figure order.
 pub const SWEEP_NAMES: [&str; 5] = ["fig15", "fig16", "fig17", "fig18", "fig19"];
@@ -85,32 +85,6 @@ pub fn run_sweep(name: &str, cfg: &DseConfig) -> Result<SweepStream, String> {
     }
 }
 
-/// Computes and publishes one shard of a named sweep — the work-unit
-/// protocol a child process runs. Returns the number of cells routed to
-/// this shard.
-///
-/// # Errors
-///
-/// Returns a message naming the valid sweeps when `name` is unknown.
-pub fn run_sweep_shard(
-    name: &str,
-    cfg: &DseConfig,
-    index: usize,
-    count: usize,
-) -> Result<usize, String> {
-    match name {
-        "fig15" => Ok(fig15::shard(cfg, index, count)),
-        "fig16" => Ok(fig16::shard(cfg, index, count)),
-        "fig17" => Ok(fig17::shard(cfg, index, count)),
-        "fig18" => Ok(fig18::shard(cfg, index, count)),
-        "fig19" => Ok(fig19::shard(cfg, index, count)),
-        other => Err(format!(
-            "unknown sweep '{other}' (expected one of: {})",
-            SWEEP_NAMES.join(", ")
-        )),
-    }
-}
-
 /// A copy of `cfg` with the namespace forced to the sweep's own name, so
 /// two sweeps sharing one cache directory never read each other's cells.
 fn named(cfg: &DseConfig, namespace: &str) -> DseConfig {
@@ -161,31 +135,6 @@ where
         duplicates: batch.duplicates,
         frontier_len: frontier.len(),
     }
-}
-
-/// Computes and publishes the cells of one shard: filters the point list
-/// by key routing, then runs the filtered batch against the shared cache.
-fn shard_batch<P, C, K, F>(
-    cfg: &DseConfig,
-    points: Vec<P>,
-    key_of: K,
-    eval: F,
-    index: usize,
-    count: usize,
-) -> usize
-where
-    P: Sync,
-    C: Send + Sync + Serialize + Deserialize,
-    K: Fn(&P) -> String,
-    F: Fn(&P) -> C + Sync,
-{
-    let mine: Vec<P> = points
-        .into_iter()
-        .filter(|p| key_in_shard(&key_of(p), index, count))
-        .collect();
-    let n = mine.len();
-    let _ = run_batch(cfg, &mine, key_of, eval);
-    n
 }
 
 /// The four computing-phase groups of figs. 15/16 with their PE budgets
@@ -357,11 +306,6 @@ pub mod fig15 {
     pub fn rows(cfg: &DseConfig) -> Vec<Row> {
         run(cfg).results.into_iter().flat_map(|c| c.rows).collect()
     }
-
-    /// Computes and publishes this shard's cells (work-unit protocol).
-    pub fn shard(cfg: &DseConfig, index: usize, count: usize) -> usize {
-        shard_batch::<_, Cell, _, _>(&named(cfg, NAME), points(), key, eval, index, count)
-    }
 }
 
 /// Fig. 16 — DCGAN on-chip data-access breakdown.
@@ -456,11 +400,6 @@ pub mod fig16 {
     /// The figure's rows, flattened in point order.
     pub fn rows(cfg: &DseConfig) -> Vec<Row> {
         run(cfg).results.into_iter().flat_map(|c| c.rows).collect()
-    }
-
-    /// Computes and publishes this shard's cells (work-unit protocol).
-    pub fn shard(cfg: &DseConfig, index: usize, count: usize) -> usize {
-        shard_batch::<_, Cell, _, _>(&named(cfg, NAME), points(), key, eval, index, count)
     }
 }
 
@@ -579,11 +518,6 @@ pub mod fig17 {
     pub fn rows(cfg: &DseConfig) -> Vec<Row> {
         run(cfg).results.into_iter().flat_map(|c| c.rows).collect()
     }
-
-    /// Computes and publishes this shard's cells (work-unit protocol).
-    pub fn shard(cfg: &DseConfig, index: usize, count: usize) -> usize {
-        shard_batch::<_, Cell, _, _>(&named(cfg, NAME), points(), key, eval, index, count)
-    }
 }
 
 /// Fig. 18 — the top three designs across the 512 → 2048 PE sweep.
@@ -694,11 +628,6 @@ pub mod fig18 {
     pub fn rows(cfg: &DseConfig) -> Vec<Row> {
         run(cfg).results.into_iter().map(|c| c.row).collect()
     }
-
-    /// Computes and publishes this shard's cells (work-unit protocol).
-    pub fn shard(cfg: &DseConfig, index: usize, count: usize) -> usize {
-        shard_batch::<_, Cell, _, _>(&named(cfg, NAME), points(), key, eval, index, count)
-    }
 }
 
 /// Fig. 19 — accelerator vs CPU/GPU platforms on full training iterations.
@@ -796,11 +725,6 @@ pub mod fig19 {
     pub fn rows(cfg: &DseConfig) -> Vec<Row> {
         run(cfg).results.into_iter().flat_map(|c| c.rows).collect()
     }
-
-    /// Computes and publishes this shard's cells (work-unit protocol).
-    pub fn shard(cfg: &DseConfig, index: usize, count: usize) -> usize {
-        shard_batch::<_, Cell, _, _>(&named(cfg, NAME), points(), key, eval, index, count)
-    }
 }
 
 #[cfg(test)]
@@ -811,8 +735,6 @@ mod tests {
     fn run_sweep_rejects_unknown_names() {
         let err = run_sweep("fig99", &DseConfig::new("x")).unwrap_err();
         assert!(err.contains("fig15"), "{err}");
-        let err = run_sweep_shard("nope", &DseConfig::new("x"), 0, 2).unwrap_err();
-        assert!(err.contains("fig19"), "{err}");
     }
 
     #[test]

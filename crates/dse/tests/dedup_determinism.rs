@@ -3,8 +3,9 @@
 //! byte-identical result stream regardless of thread count
 //! (`ZFGAN_THREADS` is process-wide, so thread-count invariance is
 //! exercised by the CI gate; here the pool's actual parallelism runs
-//! against the serial reference) and shard count. Also pins the engine's
-//! counters to the shared `/metrics` endpoint.
+//! against the serial reference), in-flight window and concurrent
+//! publishers into one cache. Also pins the engine's counters to the shared `/metrics`
+//! endpoint.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -12,7 +13,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use zfgan_dse::sweeps::{fig16, fig18};
-use zfgan_dse::{key_in_shard, DseConfig};
+use zfgan_dse::DseConfig;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -124,41 +125,12 @@ fn sweep_stream_is_invariant_to_input_presentation() {
     assert_eq!(a.results.len(), 12);
 }
 
-/// Shard-count invariance: computing the cells through any number of
-/// hash-routed shard passes (the client side of the work-unit protocol)
-/// and then serving the full batch yields the byte-identical stream, with
-/// the serving pass all hits.
+/// Concurrent publishers into one namespace lose nothing: two threads run
+/// the even and the odd half of one batch into one cache at the same
+/// moment, each wave claiming a key of its own, and the following full
+/// batch is all hits with no temp file left behind.
 #[test]
-fn shard_count_never_changes_the_stream() {
-    // The reference stream, computed unsharded and cacheless.
-    let reference = fig16::run(&DseConfig::new("ignored")).stream;
-
-    for shards in [1usize, 2, 3, 5] {
-        let dir = temp_dir(&format!("s{shards}"));
-        let mut cfg = DseConfig::new("ignored");
-        cfg.cache_dir = Some(dir.clone());
-        // Each shard computes and publishes its partition...
-        let mut routed = 0;
-        for index in 0..shards {
-            routed += fig16::shard(&cfg, index, shards);
-        }
-        assert_eq!(routed, 4, "shards partition the 4 cells exactly");
-        // ...and the serving pass streams identically (pure hits).
-        let served = fig16::run(&cfg);
-        assert_eq!(
-            served.stream, reference,
-            "stream must not depend on shard count {shards}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Concurrent shard publishers into one namespace lose nothing: two threads
-/// run their shards of one batch into one cache at the same moment, each
-/// wave claiming a key of its own, and the following full batch is all
-/// hits with no temp file left behind.
-#[test]
-fn concurrent_shard_publishers_lose_nothing() {
+fn concurrent_publishers_lose_nothing() {
     let items: Vec<u64> = (0..12).collect();
     for round in 0..20 {
         let dir = temp_dir(&format!("race{round}"));
@@ -166,14 +138,11 @@ fn concurrent_shard_publishers_lose_nothing() {
         cfg.cache_dir = Some(dir.clone());
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
-            for index in 0..2 {
+            for parity in 0..2 {
                 let (cfg, items, barrier) = (&cfg, &items, &barrier);
                 s.spawn(move || {
-                    let mine: Vec<u64> = items
-                        .iter()
-                        .copied()
-                        .filter(|i| key_in_shard(&format!("r{i}"), index, 2))
-                        .collect();
+                    let mine: Vec<u64> =
+                        items.iter().copied().filter(|i| i % 2 == parity).collect();
                     barrier.wait();
                     zfgan_dse::run_batch(cfg, &mine, |i| format!("r{i}"), eval);
                 });
@@ -201,16 +170,70 @@ fn concurrent_shard_publishers_lose_nothing() {
     }
 }
 
+/// Two runs of one sweep started together on one empty cache (what two
+/// `zfgan dse fig16 --cache` processes do) both stream the cacheless
+/// bytes, and a run after them is served from the cache without a miss.
 #[test]
-fn shard_routing_is_a_partition_of_any_key_set() {
-    let keys: Vec<String> = (0..257).map(|i| format!("cell-{i}")).collect();
-    for count in [1usize, 2, 4, 9] {
-        for key in &keys {
-            let owners: Vec<usize> = (0..count)
-                .filter(|&idx| key_in_shard(key, idx, count))
-                .collect();
-            assert_eq!(owners.len(), 1, "{key} must have exactly one owner");
-        }
+fn concurrent_sweep_runs_stream_like_the_cacheless_run() {
+    let reference = fig16::run(&DseConfig::new("ignored")).stream;
+    let dir = temp_dir("writers");
+    let mut cfg = DseConfig::new("ignored");
+    cfg.cache_dir = Some(dir.clone());
+    let barrier = std::sync::Barrier::new(2);
+    let streams: Vec<String> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let (cfg, barrier) = (&cfg, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    fig16::run(cfg).stream
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .map(|w| w.join().expect("writer"))
+            .collect()
+    });
+    for stream in &streams {
+        assert_eq!(stream, &reference);
+    }
+    let reg = Arc::new(zfgan_telemetry::Registry::new());
+    let served = {
+        let _scope = zfgan_telemetry::scope(Arc::clone(&reg));
+        fig16::run(&cfg)
+    };
+    assert_eq!(served.stream, reference);
+    assert_eq!(
+        zfgan_telemetry::export::counter_total(&reg, "dse_cache_misses_total"),
+        0
+    );
+    assert_eq!(
+        zfgan_telemetry::export::counter_total(&reg, "dse_cache_hits_total"),
+        served.unique as u64
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The in-flight window only sets how many cells a pool wave (and, with a
+/// cache, a published wave) holds: cacheless, cold and warm streams are
+/// the same bytes at every window.
+#[test]
+fn window_never_changes_the_stream() {
+    let reference = fig18::run(&DseConfig::new("ignored")).stream;
+    for window in [1usize, 2, 5, 64] {
+        let mut cfg = DseConfig::new("ignored");
+        cfg.window = window;
+        assert_eq!(
+            fig18::run(&cfg).stream,
+            reference,
+            "cacheless, window {window}"
+        );
+        let dir = temp_dir(&format!("window{window}"));
+        cfg.cache_dir = Some(dir.clone());
+        assert_eq!(fig18::run(&cfg).stream, reference, "cold, window {window}");
+        assert_eq!(fig18::run(&cfg).stream, reference, "warm, window {window}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -294,38 +294,49 @@ grep -q 'fallback: generation' "$tdir/resume.txt"
 diff <(grep '^deterministic:' "$tdir/base.txt") <(grep '^deterministic:' "$tdir/resume.txt")
 echo "corrupted store detected, fell back, resumed byte-identically"
 
-echo "=== DSE service gate (cold shards -> warm -> verified -> corrupted cell) ==="
-# Cold: two spawned shard children compute and publish the fig15 key
-# space through the work-unit protocol; the parent then serves the whole
-# batch out of the shared cache (pure hits by construction). Warm: a
+echo "=== DSE service gate (concurrent cold writers -> warm -> verified -> corrupted cell) ==="
+# Cold: two plain `zfgan dse fig15` writers start at the same moment on
+# one empty cache; each serves the whole batch, computing what it does not
+# find and publishing its waves under keys of its own. Warm: a
 # single-threaded rerun hits every cell. Verified: `--verify all`
-# recomputes every hit and byte-compares it against the payload the
-# shard children encoded, so the payload codec's round trip runs through
-# the real CLI. Corrupted: one flipped byte in a stored generation is
-# detected, recomputed and republished. All four canonical streams must
-# be byte-identical, and the dse_* counters must tell the true cache
-# story each time.
+# recomputes every hit and byte-compares it against the payload the cold
+# writers encoded, so the payload codec's round trip runs through the real
+# CLI. Corrupted: one flipped byte in a stored generation is detected,
+# recomputed and republished. Every canonical stream must be
+# byte-identical, and the dse_* counters must tell the true cache story
+# each time.
 dse_counter() { # file counter -> value (0 when the series is absent)
     sed -n "s/.*$2{namespace=\"fig15\"} *\([0-9][0-9]*\).*/\1/p" "$1" \
         | grep . || echo 0
 }
-ZFGAN_THREADS=4 cargo run -q --release -p zfgan -- dse fig15 \
-    --cache "$tdir/dsecache" --shards 2 --out "$tdir/dse_cold.jsonl" \
-    --telemetry > "$tdir/dse_cold.txt"
+pids=""
+for w in a b; do
+    ZFGAN_THREADS=4 target/release/zfgan dse fig15 \
+        --cache "$tdir/dsecache" --out "$tdir/dse_cold_$w.jsonl" \
+        --telemetry > "$tdir/dse_cold_$w.txt" &
+    pids="$pids $!"
+done
+for pid in $pids; do
+    wait "$pid"
+done
+cells="$(dse_counter "$tdir/dse_cold_a.txt" dse_cells_total)"
+[ "$cells" -gt 0 ]
+# Each writer serves every cell, as a hit or as a miss it computed.
+for w in a b; do
+    [ "$(dse_counter "$tdir/dse_cold_$w.txt" dse_cells_total)" -eq "$cells" ]
+    [ $(($(dse_counter "$tdir/dse_cold_$w.txt" dse_cache_hits_total) \
+        + $(dse_counter "$tdir/dse_cold_$w.txt" dse_cache_misses_total))) -eq "$cells" ]
+done
+# Each writer publishes its misses in whole waves (window 64), one
+# generation per wave: at most writers x ceil(cells / window) files.
+waves="$(find "$tdir/dsecache" -name '*.zfc' -path '*fig15-*-w*' | wc -l)"
+[ "$waves" -ge 1 ] && [ "$waves" -le $((2 * ((cells + 63) / 64))) ]
 ZFGAN_THREADS=1 cargo run -q --release -p zfgan -- dse fig15 \
     --cache "$tdir/dsecache" --out "$tdir/dse_warm.jsonl" \
     --telemetry > "$tdir/dse_warm.txt"
-cells="$(dse_counter "$tdir/dse_cold.txt" dse_cells_total)"
-[ "$cells" -gt 0 ]
-# Each shard publishes its cells in whole waves (window 64), one
-# generation per wave: at most shards x ceil(cells / window) files.
-waves="$(find "$tdir/dsecache" -name '*.zfc' -path '*fig15-*-w*' | wc -l)"
-[ "$waves" -ge 1 ] && [ "$waves" -le $((2 * ((cells + 63) / 64))) ]
-# The sharded cold parent and the warm rerun both serve pure hits.
-for run in dse_cold dse_warm; do
-    [ "$(dse_counter "$tdir/$run.txt" dse_cache_hits_total)" -eq "$cells" ]
-    [ "$(dse_counter "$tdir/$run.txt" dse_cache_misses_total)" -eq 0 ]
-done
+# The warm rerun serves pure hits.
+[ "$(dse_counter "$tdir/dse_warm.txt" dse_cache_hits_total)" -eq "$cells" ]
+[ "$(dse_counter "$tdir/dse_warm.txt" dse_cache_misses_total)" -eq 0 ]
 # Every warm hit re-derives to the stored bytes: nothing to republish.
 cargo run -q --release -p zfgan -- dse fig15 \
     --cache "$tdir/dsecache" --verify all --out "$tdir/dse_verify.jsonl" \
@@ -333,7 +344,6 @@ cargo run -q --release -p zfgan -- dse fig15 \
 [ "$(dse_counter "$tdir/dse_verify.txt" dse_verified_total)" -eq "$cells" ]
 [ "$(dse_counter "$tdir/dse_verify.txt" dse_verify_failures_total)" -eq 0 ]
 [ "$(dse_counter "$tdir/dse_verify.txt" dse_published_total)" -eq 0 ]
-diff "$tdir/dse_cold.jsonl" "$tdir/dse_verify.jsonl"
 # Flip one byte inside the first record of one stored wave (byte 60 is in
 # its payload) and rerun: exactly one miss, one republish, and the stream
 # must not change.
@@ -359,10 +369,12 @@ cargo run -q --release -p zfgan -- dse fig15 \
     --telemetry > "$tdir/dse_corrupt_tail.txt"
 [ "$(dse_counter "$tdir/dse_corrupt_tail.txt" dse_cache_misses_total)" -eq 1 ]
 [ "$(dse_counter "$tdir/dse_corrupt_tail.txt" dse_published_total)" -eq 1 ]
-diff "$tdir/dse_cold.jsonl" "$tdir/dse_warm.jsonl"
-diff "$tdir/dse_cold.jsonl" "$tdir/dse_corrupt.jsonl"
-diff "$tdir/dse_cold.jsonl" "$tdir/dse_corrupt_tail.jsonl"
-echo "dse streams are byte-identical (cold shards, warm, verified, corrupted cells)"
+for w in a b; do
+    for run in dse_warm dse_verify dse_corrupt dse_corrupt_tail; do
+        diff "$tdir/dse_cold_$w.jsonl" "$tdir/$run.jsonl"
+    done
+done
+echo "dse streams are byte-identical (two concurrent cold writers, warm, verified, corrupted cells)"
 # Concurrent writers on one cache, some SIGKILLed mid-run: the cache heals.
 scripts/dse_kill_campaign.sh 20 3 | tail -1
 

@@ -2,11 +2,10 @@
 # Multi-process kill campaign for the DSE cell cache.
 #
 # Each round starts several real `zfgan dse fig15` writers on one shared
-# cache (sharded, plain and `--verify all` runs, one cell per wave so every
-# process publishes many times), SIGKILLs some of them and their shard
-# children at seeded moments, and first either empties the cache or flips
-# a byte in a stored wave, so writers publish, and survivors reclaim waves
-# while others publish. After every round the cache must serve the
+# cache (plain and `--verify all` runs, one cell per wave so every process
+# publishes many times), SIGKILLs some of them at seeded moments, and
+# first either empties the cache or flips a byte in a stored wave, so
+# writers publish, and survivors reclaim waves while others publish. After every round the cache must serve the
 # cache-less reference stream byte for byte, `--verify all` must find no
 # failure, and a further run must be pure hits: no torn or damaged record
 # is ever served. A wave directory may only hold
@@ -54,9 +53,9 @@ while [ "$round" -le "$rounds" ]; do
     pids=""
     w=1
     while [ "$w" -le "$writers" ]; do
+        # One writer in three verifies every hit; the rest are plain.
         next 3
         case "$draw" in
-            0) mode="--shards 2" ;;
             1) mode="--verify all" ;;
             *) mode="" ;;
         esac
@@ -72,7 +71,6 @@ while [ "$round" -le "$rounds" ]; do
         if [ "$draw" -eq 1 ]; then
             next 15
             sleep "0.$(printf '%03d' "$draw")"
-            pkill -9 -P "$pid" 2> /dev/null || true
             kill -9 "$pid" 2> /dev/null && killed=$((killed + 1))
         fi
     done

@@ -135,9 +135,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     ("--out", true),
                     ("--verify", true),
                     ("--window", true),
-                    ("--shards", true),
-                    ("--shard-index", true),
-                    ("--shard-count", true),
                 ]),
             )?;
             let verify = match flag_str(&flags, "--verify") {
@@ -151,9 +148,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 out: flag_str(&flags, "--out").map(PathBuf::from),
                 verify,
                 window: flag_num(&flags, "--window")?,
-                shards: flag_num(&flags, "--shards")?,
-                shard_index: flag_num(&flags, "--shard-index")?,
-                shard_count: flag_num(&flags, "--shard-count")?,
             };
             observe_if_asked(&flags, || crate::dse::run_dse(&args))
         }
@@ -203,13 +197,11 @@ fn usage() -> String {
      \x20                            appends the medians of a `zfgan-benchmark run --out`\n\
      \x20                            file; --check fails if the newest ingest is worse than\n\
      \x20                            the previous one of its host by a BENCHMARK.json bound\n\
-     \x20 dse <sweep> [--cache PATH] [--out PATH] [--verify trust|all]\n\
-     \x20     [--window N] [--shards N]\n\
+     \x20 dse <sweep> [--cache PATH] [--out PATH] [--verify trust|all] [--window N]\n\
      \x20                            serve a figure sweep (fig15..fig19) as a query batch:\n\
      \x20                            dedup, content-addressed result cache (--cache),\n\
      \x20                            JSONL cell stream with incremental Pareto frontier;\n\
-     \x20                            --shards N fans the key space out across child\n\
-     \x20                            processes sharing the cache\n\
+     \x20                            --verify all re-derives every cache hit\n\
      \x20 serve-metrics [--addr A] [--max-requests N]\n\
      \x20                            HTTP endpoint exposing /metrics (Prometheus text\n\
      \x20                            format) and /health; --scrape ADDR [--path P] is the\n\
@@ -974,29 +966,13 @@ mod tests {
         let err = run(&args(&["dse", "fig16", "--verify", "maybe"])).unwrap_err();
         assert_eq!(err, "--verify maybe: expected 'trust' or 'all'");
 
-        // Shard flags go together, and a shard needs a cache.
-        let err = run(&args(&["dse", "fig16", "--shard-index", "0"])).unwrap_err();
-        assert_eq!(err, "--shard-index and --shard-count go together");
-        let err = run(&args(&[
-            "dse",
-            "fig16",
-            "--shard-index",
-            "3",
-            "--shard-count",
-            "2",
-        ]))
-        .unwrap_err();
-        assert_eq!(err, "--shard-index 3 out of range for --shard-count 2");
-        let err = run(&args(&[
-            "dse",
-            "fig16",
-            "--shard-index",
-            "0",
-            "--shard-count",
-            "2",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("needs a cache"), "{err}");
+        // Only cache hits are verified, so `--verify all` needs a cache.
+        let err = run(&args(&["dse", "fig16", "--verify", "all", "--telemetry"])).unwrap_err();
+        assert_eq!(err, "--verify all needs --cache PATH");
+
+        // The pool is the one fan-out: there are no shard flags.
+        let err = run(&args(&["dse", "fig16", "--shards", "2"])).unwrap_err();
+        assert!(err.starts_with("unknown flag '--shards'"), "{err}");
     }
 
     #[test]
@@ -1019,6 +995,35 @@ mod tests {
         // byte-identical: split at the summary marker.
         let stream_of = |s: &str| s.split("\n    dse_").next().unwrap().to_string();
         assert_eq!(stream_of(&cold), stream_of(&warm));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dse_verify_all_over_a_cache_rederives_every_hit() {
+        let dir = std::env::temp_dir().join(format!("zfgan-cli-verify-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = dir.to_string_lossy().to_string();
+        let cold = run(&args(&["dse", "fig16", "--cache", &cache, "--telemetry"])).unwrap();
+        let verified = run(&args(&[
+            "dse",
+            "fig16",
+            "--cache",
+            &cache,
+            "--verify",
+            "all",
+            "--telemetry",
+        ]))
+        .unwrap();
+        assert!(
+            verified.contains("dse_verified_total{namespace=\"fig16\"}"),
+            "{verified}"
+        );
+        assert!(
+            !verified.contains("dse_verify_failures_total"),
+            "{verified}"
+        );
+        let stream_of = |s: &str| s.split("\n    dse_").next().unwrap().to_string();
+        assert_eq!(stream_of(&cold), stream_of(&verified));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
